@@ -27,7 +27,7 @@ use bfc_net::switch::Switch;
 use bfc_net::topology::{fat_tree, FatTreeParams};
 use bfc_net::types::{FlowId, NodeId};
 use bfc_net::{Link, NetEvent, Port, SwitchConfig};
-use bfc_sim::{EventQueue, SimDuration, SimTime};
+use bfc_sim::{EventQueue, ReferenceEventQueue, SimDuration, SimTime};
 use bfc_workloads::{export_csv, import_csv, synthesize, TraceParams, Workload};
 
 const USAGE: &str = "usage: bfc-bench [--quick] [--out <path>] [--filter <substr>] \
@@ -239,6 +239,85 @@ fn bench_calendar_queue(h: &mut Harness) {
     });
 }
 
+/// The two event queues behind one interface, so the fabric-mix hold model
+/// below drives both with the same code.
+trait HoldQueue {
+    fn push(&mut self, time: SimTime, event: u64);
+    fn pop(&mut self) -> Option<(SimTime, u64)>;
+}
+
+impl HoldQueue for EventQueue<u64> {
+    fn push(&mut self, time: SimTime, event: u64) {
+        EventQueue::push(self, time, event);
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        EventQueue::pop(self)
+    }
+}
+
+impl HoldQueue for ReferenceEventQueue<u64> {
+    fn push(&mut self, time: SimTime, event: u64) {
+        ReferenceEventQueue::push(self, time, event);
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        ReferenceEventQueue::pop(self)
+    }
+}
+
+/// The delay (picoseconds) of the `i`-th push under the mix a running fabric
+/// schedules at: per 64 pushes, 30 serialization ends (10 × a 64-byte ACK's
+/// +5 ns, 20 × an MTU's +80 ns), 30 arrivals one propagation delay later
+/// (+1.005 µs, +1.08 µs), 3 pause/pacing timers (+10 µs) and one
+/// retransmission timeout (+1 ms, beyond the calendar horizon).
+fn fabric_delta_ps(i: u64) -> u64 {
+    match i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58 {
+        0..=9 => 5_120,
+        10..=29 => 80_000,
+        30..=39 => 1_005_120,
+        40..=59 => 1_080_000,
+        60..=62 => 10_000_000,
+        _ => 1_000_000_000,
+    }
+}
+
+fn bench_fabric_mix(h: &mut Harness) {
+    // Hold model under the fabric's own delta mix (`calendar_queue_push_pop_10k`
+    // above pushes everything +100 µs out, which no handler does): one
+    // iteration is 10k pops, each scheduling one follow-up relative to the
+    // popped time, at a small (2k) and a T1-sized (20k) pending population,
+    // calendar queue vs the reference heap.
+    fn hold(h: &mut Harness, name: &str, mut q: impl HoldQueue, population: u64) {
+        for i in 0..population {
+            q.push(SimTime::from_picos(fabric_delta_ps(i)), i);
+        }
+        let mut i = population;
+        h.bench(name, || {
+            let mut sum = 0u64;
+            for _ in 0..10_000 {
+                let (t, v) = q.pop().expect("the population is held constant");
+                sum = sum.wrapping_add(v);
+                q.push(t + SimDuration::from_picos(fabric_delta_ps(i)), i);
+                i += 1;
+            }
+            sum
+        });
+    }
+    for (label, population) in [("2k", 2_000u64), ("20k", 20_000)] {
+        hold(
+            h,
+            &format!("event_queue_hold_fabric_mix_{label}"),
+            EventQueue::<u64>::with_capacity(population as usize),
+            population,
+        );
+        hold(
+            h,
+            &format!("reference_queue_hold_fabric_mix_{label}"),
+            ReferenceEventQueue::<u64>::new(),
+            population,
+        );
+    }
+}
+
 fn bench_routing_recompute(h: &mut Harness) {
     // The dynamics subsystem recomputes routing on every link event; this is
     // the re-convergence cost on the paper's T1 fat tree (128 hosts, 16
@@ -303,6 +382,32 @@ fn bench_port_counters(h: &mut Harness) {
             }
         }
         probe
+    });
+    // The incast-upstream shape: 31 of 32 backlogged queues are paused by the
+    // downstream's bloom filter and one is eligible. Every pick rotates past
+    // all 31 paused queues before it serves the eligible one (which drains
+    // and re-enters the rotation behind them), so this times the scheduler's
+    // per-skip pause check: one flag read, no re-hash of the head's VFID.
+    let mut port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), 32, 1_000);
+    let mut frame = PauseFrame::new(128, 4);
+    for q in 0..32u32 {
+        let pkt = Packet::data(FlowId(q), NodeId(0), NodeId(1), 0, 1_000, q * 97, false);
+        port.enqueue(bfc_net::policy::QueueTarget::Phys(q as usize), pkt, 0);
+        if q != 0 {
+            frame.insert(q * 97);
+        }
+    }
+    port.set_pause_frame(Some(frame));
+    assert_eq!(port.active_queue_count(), 1, "31 of 32 queues are paused");
+    h.bench("port_drr_pick_32q_paused", || {
+        let mut served = 0u64;
+        for i in 0..1_000u64 {
+            let (qp, _) = port.dequeue_next().expect("queue 0 is eligible");
+            served += qp.packet.seq;
+            let pkt = Packet::data(FlowId(0), NodeId(0), NodeId(1), i, 1_000, 0, false);
+            port.enqueue(bfc_net::policy::QueueTarget::Phys(0), pkt, 0);
+        }
+        served
     });
     // The dynamic PFC threshold: admit/release churn with a transition
     // check per buffer movement, plus the fault path's all-ingress sweep at
@@ -432,6 +537,7 @@ fn main() -> ExitCode {
     );
     bench_event_queue(&mut h);
     bench_calendar_queue(&mut h);
+    bench_fabric_mix(&mut h);
     bench_bloom(&mut h);
     bench_flow_table(&mut h);
     bench_switch_forwarding(&mut h);

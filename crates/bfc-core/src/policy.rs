@@ -37,6 +37,14 @@ struct IngressState {
     counting: CountingBloom,
     to_be_resumed: VecDeque<ResumeItem>,
     dirty: bool,
+    // Scratch for `pause_frame_tick`, empty between ticks: kept here so a
+    // tick reuses their storage instead of allocating three collections.
+    /// Resumes already granted per physical queue this tick.
+    served: FastHashMap<usize, usize>,
+    /// Items over the per-queue limit; swapped with `to_be_resumed`.
+    kept: VecDeque<ResumeItem>,
+    /// Items released this tick.
+    resumed: Vec<ResumeItem>,
 }
 
 impl IngressState {
@@ -45,8 +53,32 @@ impl IngressState {
             counting: CountingBloom::new(config.bloom_bytes, config.bloom_hashes),
             to_be_resumed: VecDeque::new(),
             dirty: false,
+            served: FastHashMap::default(),
+            kept: VecDeque::new(),
+            resumed: Vec::new(),
         }
     }
+}
+
+/// Picks a physical queue for a new flow from the per-queue assignment
+/// counts of its egress (§3.3): uniformly among the free queues (count 0),
+/// or uniformly among all of them when none is free — HoL blocking is then
+/// unavoidable and the paper's prototype picks at random too. One RNG draw
+/// either way; the k-th free queue is found by counting over the row, so
+/// the per-flow path allocates nothing.
+pub fn pick_queue(assigned: &[u32], rng: &mut SimRng) -> usize {
+    let free = assigned.iter().filter(|&&c| c == 0).count();
+    if free == 0 {
+        return rng.next_index(assigned.len());
+    }
+    let k = rng.next_index(free);
+    assigned
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c == 0)
+        .nth(k)
+        .map(|(q, _)| q)
+        .expect("k is below the number of free queues")
 }
 
 /// Extra BFC-specific counters beyond [`PolicyStats`].
@@ -112,10 +144,14 @@ impl BfcPolicy {
         &mut self.ingress[idx]
     }
 
-    fn assigned_mut(&mut self, egress: u32, num_queues: usize) -> &mut Vec<u32> {
-        self.assigned
-            .entry(egress)
-            .or_insert_with(|| vec![0; num_queues])
+    /// The per-queue assignment counts of `egress`. Takes the map rather
+    /// than `self` so callers can hold the row next to `self.rng`/`self.table`.
+    fn assigned_row(
+        assigned: &mut FastHashMap<u32, Vec<u32>>,
+        egress: u32,
+        num_queues: usize,
+    ) -> &mut Vec<u32> {
+        assigned.entry(egress).or_insert_with(|| vec![0; num_queues])
     }
 
     /// Picks a physical queue for a newly tracked flow (§3.3).
@@ -125,15 +161,8 @@ impl BfcPolicy {
             // BFC-VFID straw proposal: static hash, identical at every switch.
             return (mix64(vfid as u64) % num_queues as u64) as usize;
         }
-        let assigned = self.assigned_mut(ctx.egress, num_queues);
-        let free: Vec<usize> = (0..num_queues).filter(|&q| assigned[q] == 0).collect();
-        if free.is_empty() {
-            // All queues allocated: HoL blocking is unavoidable; pick at random
-            // as the paper's prototype does.
-            self.rng.next_index(num_queues)
-        } else {
-            free[self.rng.next_index(free.len())]
-        }
+        let assigned = Self::assigned_row(&mut self.assigned, ctx.egress, num_queues);
+        pick_queue(assigned, &mut self.rng)
     }
 
     fn release_queue(&mut self, egress: u32, queue: usize) {
@@ -185,7 +214,8 @@ impl SwitchPolicy for BfcPolicy {
             None => {
                 let q = self.choose_queue(ctx, pkt.vfid);
                 self.stats.flow_assignments += 1;
-                let assigned = self.assigned_mut(ctx.egress, ctx.port.num_queues());
+                let assigned =
+                    Self::assigned_row(&mut self.assigned, ctx.egress, ctx.port.num_queues());
                 let collided = assigned[q] > 0;
                 assigned[q] += 1;
                 if collided {
@@ -289,23 +319,22 @@ impl SwitchPolicy for BfcPolicy {
         // Phase 1: decide which queued resumes are released this interval
         // (at most `limit` per physical queue, §3.5) and refresh the bloom
         // filter snapshot.
-        let (resumed, frame, outstanding) = {
+        let (frame, outstanding) = {
             let st = self.ingress_mut(ingress);
-            let mut per_queue: FastHashMap<usize, usize> = FastHashMap::default();
-            let mut kept = VecDeque::new();
-            let mut resumed = Vec::new();
             while let Some(item) = st.to_be_resumed.pop_front() {
-                let served = per_queue.entry(item.queue).or_insert(0);
+                let served = st.served.entry(item.queue).or_insert(0);
                 if limit.is_none_or(|l| *served < l) {
                     *served += 1;
                     st.counting.remove(item.vfid);
                     st.dirty = true;
-                    resumed.push(item);
+                    st.resumed.push(item);
                 } else {
-                    kept.push_back(item);
+                    st.kept.push_back(item);
                 }
             }
-            st.to_be_resumed = kept;
+            st.served.clear();
+            // `to_be_resumed` is drained: the swap leaves `kept` empty.
+            std::mem::swap(&mut st.to_be_resumed, &mut st.kept);
             let frame = if st.dirty {
                 Some(st.counting.snapshot())
             } else {
@@ -313,11 +342,11 @@ impl SwitchPolicy for BfcPolicy {
             };
             st.dirty = false;
             let outstanding = !st.counting.is_empty() || !st.to_be_resumed.is_empty();
-            (resumed, frame, outstanding)
+            (frame, outstanding)
         };
 
         // Phase 2: clear the pause flags of the resumed flows.
-        for item in resumed {
+        for item in self.ingress[ingress as usize].resumed.drain(..) {
             self.stats.resumes += 1;
             let key = FlowKey {
                 vfid: item.vfid,

@@ -14,7 +14,7 @@ use bfc_metrics::Hist;
 use bfc_net::config::SwitchConfig;
 use bfc_net::dynamics::{FaultEvent, FaultSchedule, LinkAction, LinkStateMap};
 use bfc_net::event::{FifoSink, NetEvent, NetSink};
-use bfc_net::packet::{vfid_for_flow, PacketKind};
+use bfc_net::packet::{vfid_for_flow, PacketKind, MAX_INT_HOPS};
 use bfc_net::policy::{PolicyStats, ProbeStats};
 use bfc_net::trace::{FlightRecorder, FlightTrace, Recording, TraceEvent, TraceFilter};
 use bfc_net::routing::RoutingTables;
@@ -312,7 +312,10 @@ pub(crate) struct FlowMeta {
 /// execute identical per-event logic.
 pub(crate) struct FabricSim<'a> {
     pub(crate) topo: &'a Topology,
-    pub(crate) routes: RoutingTables,
+    /// Shared with the [`Frame`] (and every other shard) until a link fault:
+    /// each sim then *replaces* its handle with tables recomputed from its
+    /// own link-state replica, so no sim ever observes another's reroute.
+    pub(crate) routes: Arc<RoutingTables>,
     pub(crate) link_state: LinkStateMap,
     pub(crate) dynamics: &'a [FaultEvent],
     pub(crate) switches: Vec<Option<Switch>>,
@@ -434,8 +437,9 @@ impl FabricSim<'_> {
         // events pay the recompute (and count as reroutes).
         if !matches!(action, LinkAction::SetRate { .. }) {
             let link_state = &self.link_state;
-            self.routes =
-                RoutingTables::compute_filtered(self.topo, |n, p| link_state.is_up(n, p));
+            self.routes = Arc::new(RoutingTables::compute_filtered(self.topo, |n, p| {
+                link_state.is_up(n, p)
+            }));
             if self.record_dynamics_metrics {
                 self.recovery.record_reroute();
             }
@@ -635,7 +639,7 @@ pub(crate) fn seed_samples(queue: &mut EventQueue<NetEvent>, fifo: bool, config:
 /// Per-run values shared by every node regardless of which engine (serial or
 /// sharded) — or which shard — builds it.
 pub(crate) struct Frame {
-    pub(crate) routes: RoutingTables,
+    pub(crate) routes: Arc<RoutingTables>,
     pub(crate) hosts_list: Vec<NodeId>,
     pub(crate) host_gbps: f64,
     pub(crate) switch_config: SwitchConfig,
@@ -645,9 +649,25 @@ pub(crate) struct Frame {
 impl Frame {
     /// Derives the shared per-run values from the experiment inputs.
     pub(crate) fn new(topo: &Topology, config: &ExperimentConfig) -> Frame {
-        let routes = RoutingTables::compute(topo);
+        let routes = Arc::new(RoutingTables::compute(topo));
         let hosts_list = topo.hosts();
         assert!(hosts_list.len() >= 2, "need at least two hosts");
+        let switch_config = config.scheme.switch_config(
+            config.queues_per_port,
+            config.buffer_bytes,
+            config.mtu,
+        );
+        if switch_config.int_enabled {
+            // Every switch on a data packet's path appends one INT record;
+            // reject a too-deep topology here, not inside the event loop.
+            let diameter = routes.switch_hop_diameter();
+            assert!(
+                diameter <= MAX_INT_HOPS,
+                "scheme {} records INT at every switch, but the topology's switch-hop \
+                 diameter is {diameter} and bfc_net::packet::MAX_INT_HOPS is {MAX_INT_HOPS}",
+                config.scheme.cli_key()
+            );
+        }
 
         // Base RTT: take the farthest-apart host pair we can cheaply identify
         // (first and last host, which sit in different racks / data centers
@@ -659,11 +679,7 @@ impl Frame {
         let bdp_bytes = (host_gbps * 1e9 / 8.0 * base_rtt.as_secs_f64()) as u64;
 
         Frame {
-            switch_config: config.scheme.switch_config(
-                config.queues_per_port,
-                config.buffer_bytes,
-                config.mtu,
-            ),
+            switch_config,
             host_config: config.scheme.host_config(config.mtu, base_rtt, bdp_bytes),
             routes,
             hosts_list,
@@ -788,7 +804,7 @@ pub(crate) fn build_sim<'a>(
     let sample_until = SimTime::ZERO + config.horizon;
     FabricSim {
         topo,
-        routes: frame.routes.clone(),
+        routes: Arc::clone(&frame.routes),
         link_state: LinkStateMap::new(topo),
         dynamics: config.dynamics.events(),
         switches: build_switches(topo, config, frame, &keep),
@@ -1139,6 +1155,41 @@ mod tests {
 
     fn quick_config(scheme: Scheme) -> ExperimentConfig {
         ExperimentConfig::new(scheme, SimDuration::from_micros(200))
+    }
+
+    /// Two hosts joined by a chain of `switches` switches.
+    fn chain(switches: usize) -> Topology {
+        let mut b = bfc_net::TopologyBuilder::new();
+        let link = bfc_net::Link::datacenter_default();
+        let (src, dst) = (b.add_host("src"), b.add_host("dst"));
+        let mut prev = src;
+        for i in 0..switches {
+            let sw = b.add_switch(format!("sw{i}"));
+            b.connect(prev, sw, link);
+            prev = sw;
+        }
+        b.connect(prev, dst, link);
+        b.build()
+    }
+
+    #[test]
+    #[should_panic(expected = "diameter is 7 and bfc_net::packet::MAX_INT_HOPS is 6")]
+    fn int_scheme_on_a_too_deep_topology_fails_at_set_up() {
+        let topo = chain(MAX_INT_HOPS + 1);
+        run_experiment(&topo, &[], &quick_config(Scheme::Hpcc));
+    }
+
+    #[test]
+    fn topology_depth_only_binds_schemes_that_record_int() {
+        let topo = chain(MAX_INT_HOPS + 1);
+        let trace = tiny_trace(&topo, 3);
+        let result = run_experiment(&topo, &trace, &quick_config(Scheme::bfc()));
+        assert_eq!(result.completed_flows, trace.len());
+        // At the bound itself HPCC runs.
+        let topo = chain(MAX_INT_HOPS);
+        let trace = tiny_trace(&topo, 3);
+        let result = run_experiment(&topo, &trace, &quick_config(Scheme::Hpcc));
+        assert_eq!(result.completed_flows, trace.len());
     }
 
     #[test]

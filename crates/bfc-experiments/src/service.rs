@@ -207,10 +207,10 @@ fn restore_sim(
     // Routing tables are derived state: recompute them from the restored
     // link-state instead of serializing O(nodes^2) next-hop tables.
     sim.routes = if sim.link_state.all_up() {
-        frame.routes.clone()
+        Arc::clone(&frame.routes)
     } else {
         let ls = &sim.link_state;
-        RoutingTables::compute_filtered(sim.topo, |n, p| ls.is_up(n, p))
+        Arc::new(RoutingTables::compute_filtered(sim.topo, |n, p| ls.is_up(n, p)))
     };
     Ok(())
 }

@@ -369,6 +369,23 @@ mod tests {
     }
 
     #[test]
+    fn packets_and_events_stay_within_a_cache_line() {
+        // Every hop moves a `Packet` slab → dispatch → `PhysQueue` → slab;
+        // the variable-size parts (INT records, pause-frame bloom bits) are
+        // out of line so these moves are one cache line, whatever the scheme.
+        use crate::queue::QueuedPacket;
+        use std::mem::size_of;
+        assert!(size_of::<Packet>() <= 64, "Packet is {} bytes", size_of::<Packet>());
+        assert!(size_of::<QueuedPacket>() <= 64, "QueuedPacket is {} bytes", size_of::<QueuedPacket>());
+        assert!(size_of::<NetEvent>() <= 72, "NetEvent is {} bytes", size_of::<NetEvent>());
+        assert!(
+            size_of::<Option<NetEvent>>() <= 72,
+            "event-queue slab slot is {} bytes",
+            size_of::<Option<NetEvent>>()
+        );
+    }
+
+    #[test]
     fn target_node_extraction() {
         let e = NetEvent::TxComplete {
             node: NodeId(4),

@@ -29,20 +29,32 @@ pub struct IntHop {
 /// The longest path in any built-in topology is the cross-data-center one:
 /// ToR → spine → gateway → gateway → spine → ToR, i.e. six switch hops
 /// (switches only append INT to data packets, so ACK echoes never exceed
-/// this either). Sizing the inline array to this bound is what lets the
-/// per-packet path run without heap allocation while keeping `Packet` small
-/// enough to memcpy cheaply; a deeper custom topology with INT enabled
-/// would need this constant raised.
+/// this either). The bound sizes the out-of-line [`IntPath`] storage, so one
+/// buffer serves a packet for its whole path and can be handed from data
+/// packet to ACK to sender and back without ever growing. The experiment
+/// runner checks a topology's switch-hop diameter against this constant at
+/// set-up when the scheme enables INT; a deeper custom topology needs it
+/// raised.
 pub const MAX_INT_HOPS: usize = 6;
 
-/// Fixed-capacity inline list of per-hop INT records (a `SmallVec`-style
-/// array sized to [`MAX_INT_HOPS`]), replacing the `Vec<IntHop>` the packet
-/// used to carry so appending telemetry never touches the heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IntPath {
+/// Out-of-line storage behind an [`IntPath`].
+#[derive(Debug, Clone)]
+struct IntBuf {
     len: u8,
     hops: [IntHop; MAX_INT_HOPS],
 }
+
+/// Per-hop INT records carried by a packet: an 8-byte handle to out-of-line
+/// storage for up to [`MAX_INT_HOPS`] records.
+///
+/// Only HPCC ever records telemetry, so the handle is empty (no storage) on
+/// every packet of every other scheme and a `Packet` stays within one cache
+/// line. Storage is allocated by the first [`IntPath::push`] and then
+/// travels by move: from the data packet into its ACK at the receiver, into
+/// the sender's HPCC state, and — [`IntPath::clear`]ed — back into the
+/// sender's next data packet, so a steady-state HPCC flow allocates nothing.
+#[derive(Debug, Default)]
+pub struct IntPath(Option<Box<IntBuf>>);
 
 impl IntPath {
     const EMPTY_HOP: IntHop = IntHop {
@@ -52,38 +64,60 @@ impl IntPath {
         link_gbps: 0.0,
     };
 
-    /// An empty telemetry path.
+    /// An empty telemetry path (no storage).
     pub const fn new() -> Self {
-        IntPath {
-            len: 0,
-            hops: [Self::EMPTY_HOP; MAX_INT_HOPS],
+        IntPath(None)
+    }
+
+    /// Appends one hop record, allocating the storage if this is the first
+    /// record the path ever held. Panics if the packet has already traversed
+    /// [`MAX_INT_HOPS`] switches — the experiment runner rejects topologies
+    /// that deep before the run starts.
+    pub fn push(&mut self, hop: IntHop) {
+        let buf = self.0.get_or_insert_with(|| {
+            Box::new(IntBuf {
+                len: 0,
+                hops: [Self::EMPTY_HOP; MAX_INT_HOPS],
+            })
+        });
+        assert!(
+            (buf.len as usize) < MAX_INT_HOPS,
+            "packet traversed more than {MAX_INT_HOPS} INT-recording hops"
+        );
+        buf.hops[buf.len as usize] = hop;
+        buf.len += 1;
+    }
+
+    /// Forgets the recorded hops but keeps the storage, so the next
+    /// [`IntPath::push`] does not allocate.
+    pub fn clear(&mut self) {
+        if let Some(buf) = &mut self.0 {
+            buf.len = 0;
         }
     }
 
-    /// Appends one hop record. Panics if the packet has already traversed
-    /// [`MAX_INT_HOPS`] switches — no supported topology is that deep.
-    pub fn push(&mut self, hop: IntHop) {
-        assert!(
-            (self.len as usize) < MAX_INT_HOPS,
-            "packet traversed more than {MAX_INT_HOPS} INT-recording hops"
-        );
-        self.hops[self.len as usize] = hop;
-        self.len += 1;
+    /// True if the path owns storage (it held a record at some point), i.e.
+    /// it is worth recycling into another packet.
+    pub fn has_storage(&self) -> bool {
+        self.0.is_some()
     }
 
     /// Number of recorded hops.
     pub fn len(&self) -> usize {
-        self.len as usize
+        self.as_slice().len()
     }
 
     /// True if no hops were recorded.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.as_slice().is_empty()
     }
 
     /// The recorded hops, in traversal order.
     pub fn as_slice(&self) -> &[IntHop] {
-        &self.hops[..self.len as usize]
+        match &self.0 {
+            Some(buf) => &buf.hops[..buf.len as usize],
+            None => &[],
+        }
     }
 
     /// Builds a path from a slice of at most [`MAX_INT_HOPS`] records.
@@ -97,7 +131,7 @@ impl IntPath {
 
     /// Serializes the recorded hops for snapshot/restore.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u8(self.len);
+        w.put_u8(self.len() as u8);
         for hop in self.as_slice() {
             w.put_u64(hop.qlen_bytes);
             w.put_u64(hop.tx_bytes);
@@ -125,9 +159,18 @@ impl IntPath {
     }
 }
 
-impl Default for IntPath {
-    fn default() -> Self {
-        IntPath::new()
+/// A deep copy of the recorded hops; an empty path clones without
+/// allocating, whether or not it owns storage.
+impl Clone for IntPath {
+    fn clone(&self) -> Self {
+        IntPath::from_slice(self)
+    }
+}
+
+/// Paths compare by their recorded hops, not by whether they own storage.
+impl PartialEq for IntPath {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
     }
 }
 
@@ -168,8 +211,10 @@ const PAUSE_FRAME_WORDS: usize = MAX_PAUSE_FRAME_BYTES / 8;
 /// positions derived from its VFID are set.
 ///
 /// The bit array is stored inline (sized to [`MAX_PAUSE_FRAME_BYTES`]) so
-/// building, sending and installing pause frames never allocates; the type
-/// is `Copy` because duplicating it is a plain memcpy.
+/// snapshotting the counting filter and installing a received frame are
+/// plain copies (the type is `Copy`); only putting a frame on the wire
+/// allocates, once, to keep it out of every `Packet` (see
+/// [`PacketKind::FlowPause`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PauseFrame {
     bits: [u64; PAUSE_FRAME_WORDS],
@@ -350,7 +395,7 @@ pub struct Packet {
     pub control_priority: bool,
     /// HPCC in-band telemetry accumulated hop by hop (empty unless INT is
     /// enabled). For ACKs this is the echo of the data packet's telemetry.
-    /// Stored inline ([`IntPath`]) so the per-packet path never allocates.
+    /// An 8-byte handle ([`IntPath`]): the records live out of line.
     pub int: IntPath,
     /// What the packet is.
     pub kind: PacketKind,
@@ -631,6 +676,45 @@ mod tests {
         let b = PauseFrame::bit_position(5, 0, 1024);
         assert_eq!(a, b);
         assert!(a < 1024);
+    }
+
+    #[test]
+    fn int_path_allocates_once_and_recycles_its_storage() {
+        let hop = |ts| IntHop {
+            qlen_bytes: 1,
+            tx_bytes: 2,
+            timestamp_ps: ts,
+            link_gbps: 100.0,
+        };
+        let mut path = IntPath::new();
+        assert!(path.is_empty() && !path.has_storage());
+        path.push(hop(1));
+        path.push(hop(2));
+        assert_eq!(path.len(), 2);
+        assert_eq!(path[1].timestamp_ps, 2);
+        assert_eq!(path, IntPath::from_slice(&[hop(1), hop(2)]));
+        // Moving the handle moves the records; clearing keeps the storage.
+        let mut moved = std::mem::take(&mut path);
+        assert!(path.is_empty() && !path.has_storage());
+        assert_eq!(moved.len(), 2);
+        moved.clear();
+        assert!(moved.is_empty() && moved.has_storage());
+        // Equality and the wire format ignore whether storage is held.
+        assert_eq!(moved, IntPath::new());
+        assert!(!moved.clone().has_storage());
+        let (mut a, mut b) = (SnapWriter::new(), SnapWriter::new());
+        moved.save_state(&mut a);
+        IntPath::new().save_state(&mut b);
+        assert_eq!(a.into_bytes(), b.into_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "INT-recording hops")]
+    fn int_path_rejects_more_than_max_hops() {
+        let mut path = IntPath::new();
+        for _ in 0..=MAX_INT_HOPS {
+            path.push(IntPath::EMPTY_HOP);
+        }
     }
 
     #[test]

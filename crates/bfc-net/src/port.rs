@@ -57,7 +57,10 @@ pub struct Port {
     // every empty<->non-empty transition, head change and pause-frame install
     // so the per-enqueue BFC pause-threshold path reads them in O(1) instead
     // of scanning all Q queues (`active_queue_count`). `active_counted[i]`
-    // records whether queue `i` currently contributes to `active_count`.
+    // records whether queue `i` currently contributes to `active_count`,
+    // i.e. it is non-empty and its head is not paused — which is also the
+    // DRR scheduler's eligibility test, so a pick never re-hashes a head
+    // against the pause frame.
     occupied_count: usize,
     active_count: usize,
     active_counted: Vec<bool>,
@@ -266,14 +269,16 @@ impl Port {
     }
 
     /// Installs the latest BFC pause frame received from the downstream peer.
-    /// Passing `None` clears all per-queue pauses.
+    /// Passing `None` clears all per-queue pauses; so does an all-zero frame,
+    /// which is stored as `None` so that an egress whose downstream has
+    /// resumed everything goes back to the one-branch no-frame path.
     pub fn set_pause_frame(&mut self, frame: Option<PauseFrame>) {
-        self.pause_frame = frame;
+        self.pause_frame = frame.filter(|f| !f.is_empty());
         // A new frame can pause or release any physical queue.
         self.refresh_active_all();
     }
 
-    /// The most recently received pause frame, if any.
+    /// The most recently installed pause frame, if any.
     pub fn pause_frame(&self) -> Option<&PauseFrame> {
         self.pause_frame.as_ref()
     }
@@ -398,12 +403,15 @@ impl Port {
             self.overflow.pop()
         } else {
             let popped = self.queues[i].pop();
-            if popped.is_some() {
+            if let Some(qp) = &popped {
                 if self.queues[i].is_empty() {
                     self.occupied_count -= 1;
                 }
-                // The head changed, so the pause status may have flipped.
-                self.refresh_active(i);
+                // The pause status follows the head's VFID: only a head of
+                // another flow (or no head) can flip it.
+                if self.queues[i].head().map(|h| h.packet.vfid) != Some(qp.packet.vfid) {
+                    self.refresh_active(i);
+                }
             }
             popped
         };
@@ -419,6 +427,24 @@ impl Port {
         } else {
             self.queues[i].is_empty()
         }
+    }
+
+    /// Whether the non-empty DRR entry `i` is paused. O(1): for a non-empty
+    /// physical queue "paused" is exactly "not counted as active", and
+    /// `refresh_active` re-derives that flag on every head change and
+    /// pause-frame install. The overflow queue is never paused.
+    #[inline]
+    fn drr_paused(&self, i: usize) -> bool {
+        if i == self.overflow_index() {
+            return false;
+        }
+        let paused = !self.active_counted[i];
+        debug_assert_eq!(
+            paused,
+            self.is_queue_paused(i),
+            "cached pause flag of queue {i} out of sync with the pause frame"
+        );
+        paused
     }
 
     /// Moves the current (front) queue to the back of the rotation, closing
@@ -458,7 +484,7 @@ impl Port {
                 self.drr_deactivate_front(i);
                 continue;
             }
-            if i != self.overflow_index() && self.is_queue_paused(i) {
+            if self.drr_paused(i) {
                 // A paused queue forfeits its residual deficit, exactly as
                 // the previous full-scan scheduler zeroed ineligible queues
                 // on every visit — pausing must not bank credit to burst
@@ -478,7 +504,7 @@ impl Port {
                 self.deficit[i] -= head_size;
                 if self.drr_queue_empty(i) {
                     self.drr_deactivate_front(i);
-                } else if i != self.overflow_index() && self.is_queue_paused(i) {
+                } else if self.drr_paused(i) {
                     // New head is paused: move on, keeping the residual.
                     self.drr_rotate();
                 }

@@ -8,8 +8,11 @@
 //!
 //! [`QueuedPacket`] storage is recycled: the backing ring buffer grows to
 //! the queue's high-water mark and is then reused for every later packet, so
-//! steady-state enqueue/dequeue never allocates (packets themselves are
-//! fully inline — see `packet::IntPath` and `packet::PauseFrame`).
+//! steady-state enqueue/dequeue never allocates. A slot is one 64-byte cache
+//! line: a packet's two variable-size parts — HPCC's INT records
+//! (`packet::IntPath`) and a BFC pause frame's bloom filter — live out of
+//! line behind 8-byte handles and move with the packet, so queueing never
+//! copies or allocates them either.
 
 use std::collections::VecDeque;
 

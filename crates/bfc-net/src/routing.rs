@@ -155,6 +155,19 @@ impl RoutingTables {
         self.distance[node.index()][self.rank(dst)]
     }
 
+    /// The largest number of switches on a shortest path between two
+    /// mutually reachable hosts — what bounds the INT records a data packet
+    /// accumulates.
+    pub fn switch_hop_diameter(&self) -> usize {
+        self.hosts
+            .iter()
+            .flat_map(|h| self.distance[h.index()].iter())
+            .filter(|&&links| links != u32::MAX)
+            .map(|&links| links.saturating_sub(1) as usize)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// The full path (sequence of `(node, egress port)` pairs, excluding the
     /// destination) a flow takes from `src` to `dst`.
     pub fn path(&self, topo: &Topology, src: NodeId, dst: NodeId, flow_hash: u64) -> Vec<(NodeId, u32)> {
@@ -237,6 +250,16 @@ mod tests {
                 assert_eq!(topo.ports(last.0)[last.1 as usize].peer, b);
             }
         }
+    }
+
+    #[test]
+    fn switch_hop_diameter_of_the_built_in_topologies_fits_int() {
+        // ToR → spine → ToR, and the cross-DC path through both gateways:
+        // the deepest built-in topology is what `MAX_INT_HOPS` is sized to.
+        let fat = RoutingTables::compute(&fat_tree(FatTreeParams::t2()));
+        assert_eq!(fat.switch_hop_diameter(), 3);
+        let wan = RoutingTables::compute(&cross_dc(CrossDcParams::paper_default()).topology);
+        assert_eq!(wan.switch_hop_diameter(), crate::packet::MAX_INT_HOPS);
     }
 
     #[test]

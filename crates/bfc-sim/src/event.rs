@@ -10,13 +10,21 @@
 //! a sharded run reproduce the serial engine's results bit for bit.
 //!
 //! The queue is a **bucketed calendar queue**: events in the near future are
-//! spread over fixed-width time windows (one `Vec` per window, organized as a
-//! ring), the current window is kept in a small binary heap, and events
-//! beyond the calendar horizon wait in a sorted overflow heap. Most
-//! simulation events are scheduled within a few microseconds of `now`, so
-//! push is usually an O(1) append into a window bucket and pop works on a
-//! heap holding one window's worth of events instead of the entire future —
-//! in practice tens of entries instead of tens of thousands. Ordering is
+//! spread over fixed-width time windows organized as a ring, the current
+//! window is a sorted run plus a small binary heap for keys that arrive
+//! while it is being consumed, and events beyond the calendar horizon wait
+//! in an overflow heap. The geometry is sized to the deltas the fabric
+//! actually schedules at: serialization ends +5 ns (a 64-byte ACK) to
+//! +80 ns (an MTU) ahead, arrivals one propagation delay (~1 µs) later,
+//! pause-frame and pacing timers microseconds out, retransmission timeouts
+//! milliseconds out. With ~131 ns windows only the serialization-scale
+//! pushes — about a third of all pushes — can land in the window being
+//! consumed, and the heap they go through holds a fraction of one window's
+//! events: measured on the 128-host incast workload, 36 keys on average and
+//! 180 at most (a 2.1 µs window put the arrivals there too: thousands of
+//! keys, and heap sifts were 14 % of a run). Every other push is an O(1)
+//! append to a future window's bucket, and each window is sorted once, as
+//! one batch of a few hundred keys, when the clock reaches it. Ordering is
 //! always decided by the `(time, rank, seq)` triple, never by which internal
 //! structure an event passed through ([`ReferenceEventQueue`] keeps the
 //! original heap implementation around for differential tests).
@@ -58,21 +66,28 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Log2 of the calendar window width in picoseconds: 2^21 ps ≈ 2.1 µs — a
-/// couple of microseconds of simulated time share one window, so the dense
-/// near-future traffic (serialization, propagation, ACK turnaround) stays in
-/// the current-window heap and only genuinely future events pay for bucket
-/// hops.
-const WINDOW_SHIFT: u32 = 21;
+/// Log2 of the calendar window width in picoseconds: 2^17 ps ≈ 131 ns —
+/// about one and a half MTU serialization times at 100 Gbps. Narrow enough
+/// that a propagation delay (~1 µs) is several windows, so arrivals always
+/// take the O(1) bucket path and a window's batch stays small; wide enough
+/// that a busy fabric still amortizes one bitmap scan and one sort over
+/// hundreds of events.
+const WINDOW_SHIFT: u32 = 17;
 /// Width of one calendar window in picoseconds.
 const WINDOW_WIDTH: u64 = 1 << WINDOW_SHIFT;
 /// Number of future windows the calendar covers (beyond the current one).
-/// 128 windows × 2.1 µs ≈ 268 µs of look-ahead before events spill into the
+/// 2048 windows × 131 ns ≈ 268 µs of look-ahead before events spill into the
 /// overflow heap — enough for transmission, propagation and pause timers;
 /// only long retransmission timeouts routinely overflow.
-const NUM_BUCKETS: usize = 128;
+const NUM_BUCKETS: usize = 2048;
 const BUCKET_MASK: usize = NUM_BUCKETS - 1;
 const BITMAP_WORDS: usize = NUM_BUCKETS / 64;
+/// End-of-list marker for the bucket chunk lists.
+const NIL: u32 = u32::MAX;
+/// Keys per bucket chunk: 21 × 24-byte keys + an 8-byte header = 512 bytes.
+/// A sparse window (a seeded flow arrival, a lone timer) costs one chunk; a
+/// busy one chains a few dozen.
+const CHUNK_KEYS: usize = 21;
 /// A compact scheduling key: the payload lives in the queue's slab and is
 /// referenced by `slot`, so heap sifts and bucket moves shuffle 24 bytes
 /// instead of the full event. The rank is deliberately `u32` so the key
@@ -91,6 +106,17 @@ impl Key {
     fn ord_key(&self) -> (SimTime, u32, u64) {
         (self.time, self.rank, self.seq)
     }
+}
+
+/// A fixed-size run of one bucket's keys. Buckets are singly linked lists of
+/// chunks drawn from one arena shared by the whole ring.
+#[derive(Clone, Copy)]
+struct Chunk {
+    keys: [Key; CHUNK_KEYS],
+    len: u32,
+    /// The bucket's next (full) chunk, or the next free chunk while this one
+    /// sits on the free list.
+    next: u32,
 }
 
 impl PartialEq for Key {
@@ -137,8 +163,9 @@ pub struct EventQueue<E> {
     /// Next unconsumed index into `sorted`.
     cursor: usize,
     /// Keys pushed *after* the window was last refilled that fall inside the
-    /// current window (or before it): typically the handful of immediate
-    /// follow-up events a handler schedules. Merged with `sorted` on pop.
+    /// current window (or before it): the serialization-scale follow-ups a
+    /// handler schedules less than a window ahead. Merged with `sorted` on
+    /// pop.
     late: BinaryHeap<Key>,
     /// Start of the current window, picoseconds.
     window_start: u64,
@@ -146,10 +173,19 @@ pub struct EventQueue<E> {
     /// current one).
     base: usize,
     /// The calendar ring: logical bucket `j` covers
-    /// `[window_start + (j+1)·width, window_start + (j+2)·width)`. Bucket
-    /// storage is recycled: each `Vec` keeps its capacity across dump/refill
-    /// cycles, so steady-state operation does not allocate.
-    buckets: Vec<Vec<Key>>,
+    /// `[window_start + (j+1)·width, window_start + (j+2)·width)`. A bucket
+    /// is the head of a list of chunks in `chunks` (`NIL` when empty); only
+    /// the head chunk may be partly filled. Keys are in no particular order
+    /// — `settle` sorts a window when it becomes current.
+    heads: Vec<u32>,
+    /// Bucket storage: one arena of fixed-size chunks for all 2048 buckets,
+    /// so the ring as a whole stops allocating once the pending population
+    /// has peaked, however the events spread over the windows (a `Vec` per
+    /// bucket would grow 2048 times over). Pushes append to a bucket's head
+    /// chunk and a drain reads whole chunks, so both stay sequential.
+    chunks: Vec<Chunk>,
+    /// Head of the free-chunk list through `Chunk::next`.
+    free_chunk: u32,
     /// One bit per *physical* bucket: set iff that bucket is non-empty.
     occupied: [u64; BITMAP_WORDS],
     /// Total events currently stored in the ring.
@@ -160,8 +196,8 @@ pub struct EventQueue<E> {
     /// Payload storage indexed by `Key::slot`. Slots are recycled through
     /// `free`, so each event is written once on push and read once on pop
     /// no matter how many times its key migrates between heaps and buckets
-    /// — network events carry whole packets, and sifting 24-byte keys
-    /// instead of ~300-byte events is what makes the calendar pay off.
+    /// — network events carry whole packets (64 bytes), and sorts and sifts
+    /// shuffle 24-byte keys instead.
     slab: Vec<Option<E>>,
     /// Free slots in `slab`.
     free: Vec<u32>,
@@ -187,7 +223,9 @@ impl<E> EventQueue<E> {
             late: BinaryHeap::new(),
             window_start: 0,
             base: 0,
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; NUM_BUCKETS],
+            chunks: Vec::new(),
+            free_chunk: NIL,
             occupied: [0; BITMAP_WORDS],
             in_buckets: 0,
             overflow: BinaryHeap::new(),
@@ -203,7 +241,6 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         let mut q = Self::new();
         q.slab = Vec::with_capacity(capacity);
-        q.sorted = Vec::with_capacity((capacity / NUM_BUCKETS).max(16));
         q
     }
 
@@ -302,7 +339,7 @@ impl<E> EventQueue<E> {
         let logical = (((t - self.window_start) >> WINDOW_SHIFT) - 1) as usize;
         if logical < NUM_BUCKETS {
             let phys = (self.base + logical) & BUCKET_MASK;
-            self.buckets[phys].push(key);
+            self.bucket_push(phys, key);
             self.occupied[phys / 64] |= 1u64 << (phys % 64);
             self.in_buckets += 1;
         } else {
@@ -313,6 +350,50 @@ impl<E> EventQueue<E> {
             // Keep the peek invariant: the earliest pending event must sit
             // in the current window.
             self.settle();
+        }
+    }
+
+    /// Appends `key` to physical bucket `phys`, taking a chunk from the free
+    /// list (or growing the arena) when the bucket's head chunk is full.
+    #[inline]
+    fn bucket_push(&mut self, phys: usize, key: Key) {
+        let head = self.heads[phys];
+        if head != NIL && (self.chunks[head as usize].len as usize) < CHUNK_KEYS {
+            let chunk = &mut self.chunks[head as usize];
+            chunk.keys[chunk.len as usize] = key;
+            chunk.len += 1;
+            return;
+        }
+        let c = self.free_chunk;
+        if c != NIL {
+            // Recycle: only the first key and the header need writing.
+            let chunk = &mut self.chunks[c as usize];
+            self.free_chunk = chunk.next;
+            chunk.keys[0] = key;
+            chunk.len = 1;
+            chunk.next = head;
+            self.heads[phys] = c;
+        } else {
+            self.heads[phys] = self.chunks.len() as u32;
+            self.chunks.push(Chunk {
+                keys: [key; CHUNK_KEYS],
+                len: 1,
+                next: head,
+            });
+        }
+    }
+
+    /// Moves every key of physical bucket `phys` into the (empty) sorted
+    /// backbone and returns the bucket's chunks to the free list.
+    fn bucket_drain(&mut self, phys: usize) {
+        let mut c = std::mem::replace(&mut self.heads[phys], NIL);
+        while c != NIL {
+            let chunk = &mut self.chunks[c as usize];
+            self.sorted.extend_from_slice(&chunk.keys[..chunk.len as usize]);
+            let next = chunk.next;
+            chunk.next = self.free_chunk;
+            self.free_chunk = c;
+            c = next;
         }
     }
 
@@ -371,8 +452,13 @@ impl<E> EventQueue<E> {
         let mut keys: Vec<Key> = Vec::with_capacity(self.len());
         keys.extend_from_slice(&self.sorted[self.cursor..]);
         keys.extend(self.late.iter());
-        for bucket in &self.buckets {
-            keys.extend_from_slice(bucket);
+        for &head in &self.heads {
+            let mut c = head;
+            while c != NIL {
+                let chunk = &self.chunks[c as usize];
+                keys.extend_from_slice(&chunk.keys[..chunk.len as usize]);
+                c = chunk.next;
+            }
         }
         keys.extend(self.overflow.iter());
         keys.sort_unstable_by_key(Key::ord_key);
@@ -514,14 +600,10 @@ impl<E> EventQueue<E> {
                         // Make bucket `j`'s window the current window and
                         // move its (unsorted) keys into the backbone.
                         let phys = (self.base + j) & BUCKET_MASK;
-                        let mut keys = std::mem::take(&mut self.buckets[phys]);
                         self.occupied[phys / 64] &= !(1u64 << (phys % 64));
-                        self.in_buckets -= keys.len();
+                        self.bucket_drain(phys);
+                        self.in_buckets -= self.sorted.len();
                         self.advance(j + 1);
-                        self.sorted.append(&mut keys);
-                        // Hand the (now empty, capacity-retaining) Vec back
-                        // to the ring slot so bucket storage is recycled.
-                        self.buckets[phys] = keys;
                         self.drain_overflow();
                     }
                 }
@@ -786,6 +868,82 @@ mod tests {
                 }
                 assert_eq!(cal.peek_time(), reference.peek_time());
                 assert_eq!(cal.len(), reference.len());
+            }
+            loop {
+                let (a, b) = (cal.pop(), reference.pop());
+                assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// One push delta (picoseconds) drawn from the mix the fabric schedules
+    /// at: serialization ends (+5 ns ACK, +80 ns MTU), arrivals one
+    /// propagation delay later, pause/pacing timers, retransmission timeouts.
+    fn fabric_delta_ps(rng: &mut SimRng) -> u64 {
+        match rng.next_below(64) {
+            0..=9 => 5_120,
+            10..=29 => 80_000,
+            30..=39 => 1_005_120,
+            40..=59 => 1_080_000,
+            60..=62 => 10_000_000,
+            _ => 1_000_000_000 + rng.next_below(4_000_000_000),
+        }
+    }
+
+    #[test]
+    fn matches_reference_queue_under_the_fabric_delta_mix() {
+        // Hold model around a moving clock: every pop schedules follow-ups
+        // relative to the popped time, like a handler does. Bursts share one
+        // timestamp, ranks are mostly a small universe (as cables are) with
+        // rank-0 stretches, and the calendar is snapshotted and restored
+        // mid-stream. Every pop, peek and length must equal the reference
+        // heap's.
+        let mut rng = SimRng::new(0xFAB1_C0DE);
+        for population in [64usize, 2_000] {
+            let mut cal: EventQueue<u64> = EventQueue::new();
+            let mut reference: ReferenceEventQueue<u64> = ReferenceEventQueue::new();
+            let mut payload = 0u64;
+            let mut push = |cal: &mut EventQueue<u64>,
+                            reference: &mut ReferenceEventQueue<u64>,
+                            t: u64,
+                            rank: u32| {
+                cal.push_ranked(SimTime::from_picos(t), rank, payload);
+                reference.push_ranked(SimTime::from_picos(t), rank, payload);
+                payload += 1;
+            };
+            for _ in 0..population {
+                let t = rng.next_below(2_000_000);
+                push(&mut cal, &mut reference, t, rng.next_below(8) as u32);
+            }
+            for step in 0..40_000u32 {
+                let (a, b) = (cal.pop(), reference.pop());
+                assert_eq!(a, b, "pop {step} at population {population}");
+                let now = a.expect("population is held").0.as_picos();
+                // Rank-0 stretches exercise the packed-sort fast path.
+                let ranked = (step / 5_000) % 2 == 0;
+                let burst = if rng.chance(0.05) { 1 + rng.next_below(6) } else { 1 };
+                let delta = fabric_delta_ps(&mut rng);
+                for _ in 0..burst {
+                    let rank = if ranked { rng.next_below(8) as u32 } else { 0 };
+                    push(&mut cal, &mut reference, now + delta, rank);
+                }
+                // Bursts grow the population; shed the surplus.
+                for _ in 1..burst {
+                    assert_eq!(cal.pop(), reference.pop());
+                }
+                assert_eq!(cal.peek_time(), reference.peek_time());
+                assert_eq!(cal.len(), reference.len());
+                if step % 9_973 == 9_972 {
+                    let mut w = SnapWriter::new();
+                    cal.save_state(&mut w, |w, e| w.put_u64(*e));
+                    let bytes = w.into_bytes();
+                    let mut r = SnapReader::new(&bytes);
+                    cal = EventQueue::restore_state(&mut r, |r| r.get_u64()).expect("restores");
+                    r.expect_end().expect("payload fully consumed");
+                }
             }
             loop {
                 let (a, b) = (cal.pop(), reference.pop());

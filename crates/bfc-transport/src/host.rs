@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 
 use bfc_net::event::{NetEvent, NetSink, TransportTimer};
 use bfc_net::link::Link;
-use bfc_net::packet::{Packet, PacketKind, PauseFrame};
+use bfc_net::packet::{IntPath, Packet, PacketKind, PauseFrame};
 use bfc_net::types::{FlowId, NodeId};
 use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use bfc_sim::{FastHashMap, SimTime};
@@ -65,6 +65,10 @@ pub struct Host {
     sending: FastHashMap<FlowId, SenderFlow>,
     send_order: VecDeque<FlowId>,
     receiving: FastHashMap<FlowId, ReceiverFlow>,
+    /// Cleared INT storage handed back by HPCC ACK processing, reused for the
+    /// next data packets so the data→ACK loop allocates nothing in steady
+    /// state. Pure capacity, not simulation state: never snapshotted.
+    int_pool: Vec<IntPath>,
 
     counters: HostCounters,
 }
@@ -87,6 +91,7 @@ impl Host {
             sending: FastHashMap::default(),
             send_order: VecDeque::new(),
             receiving: FastHashMap::default(),
+            int_pool: Vec::new(),
             counters: HostCounters::default(),
         }
     }
@@ -318,7 +323,9 @@ impl Host {
                 }
             }
             PacketKind::FlowPause { frame } => {
-                self.pause_frame = Some(**frame);
+                // An all-zero frame pauses nothing: store it as `None` so
+                // `try_send` skips the per-flow bloom lookups.
+                self.pause_frame = (!frame.is_empty()).then_some(**frame);
                 self.try_send(now, events);
             }
             PacketKind::Data => {
@@ -331,7 +338,7 @@ impl Host {
                 ..
             } => {
                 let (cumulative_seq, is_nack) = (*cumulative_seq, *is_nack);
-                self.receive_ack(now, &packet, cumulative_seq, is_nack);
+                self.receive_ack(packet, cumulative_seq, is_nack);
                 self.try_send(now, events);
             }
             PacketKind::Cnp => {
@@ -489,7 +496,7 @@ impl Host {
         }
     }
 
-    fn receive_ack(&mut self, _now: SimTime, packet: &Packet, cumulative_seq: u64, is_nack: bool) {
+    fn receive_ack(&mut self, mut packet: Packet, cumulative_seq: u64, is_nack: bool) {
         let Some(flow) = self.sending.get_mut(&packet.flow) else {
             return;
         };
@@ -504,7 +511,12 @@ impl Host {
             }
         }
         if let CcState::Hpcc(state) = &mut flow.cc {
-            state.on_ack(&packet.int, cumulative_seq, flow.next_seq, &self.config.hpcc);
+            state.on_ack(&mut packet.int, cumulative_seq, flow.next_seq, &self.config.hpcc);
+            // `packet.int` now holds the previous sample: recycle its storage.
+            if packet.int.has_storage() {
+                packet.int.clear();
+                self.int_pool.push(packet.int);
+            }
         }
         if flow.fully_acked() {
             self.sending.remove(&packet.flow);
@@ -587,7 +599,7 @@ impl Host {
             // Transmit the next packet of this flow.
             let seq = flow.next_seq;
             let size = flow.spec.packet_size(seq, self.config.mtu);
-            let pkt = Packet::data(
+            let mut pkt = Packet::data(
                 flow.spec.flow,
                 self.id,
                 flow.spec.dst,
@@ -596,6 +608,9 @@ impl Host {
                 flow.spec.vfid,
                 seq == 0,
             );
+            if let Some(int) = self.int_pool.pop() {
+                pkt.int = int;
+            }
             flow.next_seq += 1;
             if let Some(rate) = Self::pacing_rate_gbps(flow) {
                 let gap = bfc_sim::SimDuration::for_bytes_at_gbps(size as u64, rate.max(1e-3));

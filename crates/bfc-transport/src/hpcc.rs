@@ -26,7 +26,8 @@ pub struct HpccState {
     /// Sequence number that must be acknowledged before the reference window
     /// may be updated again (the "per-ACK vs per-RTT" guard of the paper).
     update_after_seq: u64,
-    /// Last INT record seen per hop (stored inline: no per-ACK allocation).
+    /// Last INT record seen per hop. Holds the storage of the ACK that
+    /// delivered it (swapped in by `on_ack`, never copied).
     last_int: IntPath,
     /// Additive increase in bytes.
     w_ai: f64,
@@ -84,9 +85,13 @@ impl HpccState {
     /// Processes the INT echoed on an ACK. `acked_seq` is the cumulative
     /// acknowledgement and `snd_nxt` the sender's next unsent sequence number
     /// (both in packets); they gate the once-per-RTT reference-window update.
-    pub fn on_ack(&mut self, int: &[IntHop], acked_seq: u64, snd_nxt: u64, params: &HpccParams) {
+    ///
+    /// `int` is *swapped* with the stored previous sample rather than copied:
+    /// on return it holds the previous sample (and its storage), which the
+    /// caller recycles into its next data packet.
+    pub fn on_ack(&mut self, int: &mut IntPath, acked_seq: u64, snd_nxt: u64, params: &HpccParams) {
         let utilization = self.max_utilization(int);
-        self.last_int = IntPath::from_slice(int);
+        std::mem::swap(&mut self.last_int, int);
         let Some(u) = utilization else {
             return;
         };
@@ -175,10 +180,10 @@ mod tests {
         let p = params();
         let mut s = HpccState::new(100.0, BASE_RTT, &p);
         // First sample primes last_int with an already-deep queue.
-        s.on_ack(&[hop(400_000, 100_000, 0)], 1, 10, &p);
+        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 100_000, 0)]), 1, 10, &p);
         // Second sample: the link transmitted a full BDP during one RTT and
         // still holds a deep queue → utilization well above η.
-        s.on_ack(&[hop(400_000, 200_000, 8_000_000)], 2, 12, &p);
+        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 200_000, 8_000_000)]), 2, 12, &p);
         assert!(
             s.window_bytes < 50_000.0,
             "window should shrink sharply, got {}",
@@ -191,8 +196,8 @@ mod tests {
         let p = params();
         let mut s = HpccState::new(100.0, BASE_RTT, &p);
         // Prime, then congest to shrink the window.
-        s.on_ack(&[hop(400_000, 100_000, 0)], 1, 10, &p);
-        s.on_ack(&[hop(400_000, 200_000, 8_000_000)], 2, 12, &p);
+        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 100_000, 0)]), 1, 10, &p);
+        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 200_000, 8_000_000)]), 2, 12, &p);
         let small = s.window_bytes;
         // Now a long series of samples from an almost idle link.
         let mut ts = 16_000_000u64;
@@ -200,7 +205,7 @@ mod tests {
         for ack in 3..200u64 {
             ts += 8_000_000;
             tx += 10_000; // 10 KB per RTT ≈ 10% utilization
-            s.on_ack(&[hop(0, tx, ts)], ack, ack + 10, &p);
+            s.on_ack(&mut IntPath::from_slice(&[hop(0, tx, ts)]), ack, ack + 10, &p);
         }
         assert!(s.window_bytes > small);
         assert!(s.window_bytes <= 100_000.0 + 1.0, "never exceeds one BDP");
@@ -211,11 +216,11 @@ mod tests {
         let p = params();
         let mut s = HpccState::new(100.0, BASE_RTT, &p);
         let w0 = s.window_bytes;
-        s.on_ack(&[hop(0, 0, 0), hop(0, 0, 0)], 1, 5, &p);
+        s.on_ack(&mut IntPath::from_slice(&[hop(0, 0, 0), hop(0, 0, 0)]), 1, 5, &p);
         assert_eq!(s.window_bytes, w0, "first sample must not move the window");
         // A path-length change (reroute) re-primes instead of computing
         // nonsense utilization.
-        s.on_ack(&[hop(0, 0, 8_000_000)], 2, 6, &p);
+        s.on_ack(&mut IntPath::from_slice(&[hop(0, 0, 8_000_000)]), 2, 6, &p);
         assert_eq!(s.window_bytes, w0);
     }
 
@@ -223,13 +228,13 @@ mod tests {
     fn window_never_collapses_below_floor() {
         let p = params();
         let mut s = HpccState::new(100.0, BASE_RTT, &p);
-        s.on_ack(&[hop(0, 0, 0)], 1, 10, &p);
+        s.on_ack(&mut IntPath::from_slice(&[hop(0, 0, 0)]), 1, 10, &p);
         let mut ts = 8_000_000u64;
         let mut tx = 0u64;
         for ack in 2..100 {
             ts += 8_000_000;
             tx += 100_000;
-            s.on_ack(&[hop(4_000_000, tx, ts)], ack, ack + 10, &p);
+            s.on_ack(&mut IntPath::from_slice(&[hop(4_000_000, tx, ts)]), ack, ack + 10, &p);
         }
         assert!(s.window_bytes >= 1_500.0);
     }
@@ -238,11 +243,11 @@ mod tests {
     fn inc_stage_counts_additive_steps() {
         let p = params();
         let mut s = HpccState::new(100.0, BASE_RTT, &p);
-        s.on_ack(&[hop(0, 0, 0)], 1, 2, &p);
+        s.on_ack(&mut IntPath::from_slice(&[hop(0, 0, 0)]), 1, 2, &p);
         let mut ts = 8_000_000u64;
         for ack in 2..6u64 {
             ts += 8_000_000;
-            s.on_ack(&[hop(0, 1_000 * ack, ts)], ack, ack + 1, &p);
+            s.on_ack(&mut IntPath::from_slice(&[hop(0, 1_000 * ack, ts)]), ack, ack + 1, &p);
         }
         assert!(s.inc_stage() >= 1);
         assert!(s.inc_stage() <= p.max_stage);

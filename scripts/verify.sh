@@ -30,6 +30,11 @@
 #      silent and exits 0 at 1/2/4 shards, and `scenario --diff-schemes
 #      bfc,dcqcn` on the committed deadlock reproducer exits nonzero naming
 #      the first diverging record
+#  11. the repo's benchmark (`benchmark/`, read here, never edited): its own
+#      tests — one of which pins the umbrella-crate API surface it calls —
+#      and its `--quick` smoke, which runs all four workloads with every
+#      digest and resume check on, so a change that breaks either fails
+#      here before the pipeline sees it
 #
 # Usage: scripts/verify.sh [--workspace]
 #   --workspace  additionally run every crate's unit tests
@@ -364,6 +369,14 @@ if ! grep -q '^# TYPE bfc_' "$rescrape"; then
     cat "$rescrape" >&2
     exit 1
 fi
+
+# Before the timing gate below: these two are deterministic, that one is at
+# the mercy of the host.
+echo "== benchmark: cargo test --manifest-path benchmark/Cargo.toml"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "== benchmark: benchmark/run.sh --quick"
+bash benchmark/run.sh --quick --out "$tmpdir/benchmark-out"
 
 echo "== bench: cargo run --release -p bfc-bench -- --quick"
 # The committed baseline records absolute ns on the machine that wrote it at

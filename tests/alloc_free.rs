@@ -1,0 +1,201 @@
+//! The steady-state packet path does not allocate.
+//!
+//! A counting `#[global_allocator]` (per-thread counter, so the two tests can
+//! run in parallel) watches two loops after a warm-up that lets every ring
+//! buffer, slab and table reach its high-water mark:
+//!
+//! * a stand-alone ToR [`Switch`] with the BFC policy forwarding contended
+//!   bursts — flow-table inserts, dynamic queue choice, DRR, buffer and PFC
+//!   accounting on every packet;
+//! * an HPCC sender → INT-recording switch → receiver → ACK → sender loop,
+//!   where the INT records travel with the packets and their storage is
+//!   handed round the loop instead of being re-allocated.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use backpressure_flow_control::experiments::Scheme;
+use backpressure_flow_control::net::packet::{Packet, PacketKind};
+use backpressure_flow_control::net::routing::RoutingTables;
+use backpressure_flow_control::net::switch::Switch;
+use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
+use backpressure_flow_control::net::types::{FlowId, NodeId};
+use backpressure_flow_control::net::NetEvent;
+use backpressure_flow_control::sim::{EventQueue, SimDuration, SimTime};
+use backpressure_flow_control::transport::{FlowSpec, Host};
+
+thread_local! {
+    /// Allocation events (alloc, alloc_zeroed, realloc) on this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn note_alloc() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down; a count lost there is not one a test reads.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state
+// and (a const-initialized `Cell` without a destructor) never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: the caller's obligations are passed through to `System`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as in `alloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        // SAFETY: as in `alloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+const MTU: u32 = 1_000;
+
+#[test]
+fn bfc_switch_path_is_allocation_free_after_warm_up() {
+    let topo = fat_tree(FatTreeParams::t2());
+    let routes = RoutingTables::compute(&topo);
+    let tor = topo.switches()[0];
+    let scheme = Scheme::bfc();
+    let mut switch = Switch::new(
+        tor,
+        scheme.switch_config(32, 12_000_000, MTU),
+        topo.ports(tor),
+        scheme.make_policy(1),
+        1,
+    );
+    let mut events: EventQueue<NetEvent> = EventQueue::new();
+    let mut sent = 0u64;
+    // One round: a burst of 16 packets of 16 flows from four ingress ports
+    // lands on two egress ports at one instant (queues build, flows get
+    // queues assigned and released), then the egresses drain. Pause frames
+    // are a control-plane path with its own boxed bloom filter; the burst
+    // stays under the pause threshold so only the per-packet path runs.
+    let mut round = |switch: &mut Switch, events: &mut EventQueue<NetEvent>| {
+        let now = SimTime::from_micros(sent);
+        for k in 0..16u64 {
+            let flow = ((sent + k) % 64) as u32;
+            let dst = NodeId(4 + (k % 2) as u32);
+            let packet = Packet::data(FlowId(flow), NodeId(0), dst, sent / 64, MTU, flow, false);
+            switch.handle_packet(now, (k % 4) as u32, packet, &routes, events);
+        }
+        sent += 16;
+        while let Some((t, event)) = events.pop() {
+            if let NetEvent::TxComplete { port, .. } = event {
+                switch.handle_tx_complete(t, port, events);
+            }
+        }
+    };
+    for _ in 0..128 {
+        round(&mut switch, &mut events);
+    }
+    let before = allocs();
+    for _ in 0..625 {
+        round(&mut switch, &mut events);
+    }
+    let during = allocs() - before;
+    assert_eq!(switch.counters().rx_packets, 16 * (128 + 625));
+    assert_eq!(switch.counters().drops, 0);
+    assert!(switch.policy_stats().flow_assignments > 5_000, "queues were chosen");
+    assert_eq!(during, 0, "10k handle_packet + handle_tx_complete allocated {during} times");
+}
+
+#[test]
+fn hpcc_data_ack_loop_is_allocation_free_after_warm_up() {
+    let topo = fat_tree(FatTreeParams::tiny());
+    let routes = RoutingTables::compute(&topo);
+    let tor = topo.switches()[0];
+    let scheme = Scheme::Hpcc;
+    let mut switch = Switch::new(
+        tor,
+        scheme.switch_config(32, 12_000_000, MTU),
+        topo.ports(tor),
+        scheme.make_policy(1),
+        1,
+    );
+    // Hosts 0 and 1 hang off the first ToR of the tiny fat tree.
+    let (src, dst) = (NodeId(0), NodeId(1));
+    let base_rtt = routes.base_rtt(&topo, src, dst, MTU);
+    let host = |id: NodeId| {
+        let uplink = topo.host_uplink(id);
+        assert_eq!(uplink.peer, tor);
+        Host::new(
+            id,
+            uplink.link,
+            (uplink.peer, uplink.peer_port),
+            scheme.host_config(MTU, base_rtt, 0),
+        )
+    };
+    let (mut sender, mut receiver) = (host(src), host(dst));
+    let mut events: EventQueue<NetEvent> = EventQueue::new();
+    let spec = FlowSpec {
+        flow: FlowId(7),
+        src,
+        dst,
+        size_bytes: 20_000 * MTU as u64,
+        vfid: 7,
+    };
+    receiver.expect_flow(spec);
+    sender.start_flow(SimTime::ZERO, spec, &mut events);
+
+    let (mut acks, mut int_acks, mut before) = (0u64, 0u64, None);
+    while acks < 12_000 {
+        let (now, event) = events.pop().expect("the flow outlasts the measurement");
+        if acks == 2_000 && before.is_none() {
+            before = Some(allocs());
+        }
+        match event {
+            NetEvent::PacketArrive { node, port, packet } if node == tor => {
+                switch.handle_packet(now, port, packet, &routes, &mut events);
+            }
+            NetEvent::PacketArrive { node, packet, .. } => {
+                if node == src && matches!(packet.kind, PacketKind::Ack { .. }) {
+                    acks += 1;
+                    int_acks += u64::from(packet.int.len() == 1);
+                }
+                let host = if node == src { &mut sender } else { &mut receiver };
+                host.handle_packet(now, packet, &mut events);
+            }
+            NetEvent::TxComplete { node, port } if node == tor => {
+                switch.handle_tx_complete(now, port, &mut events);
+            }
+            NetEvent::TxComplete { node, .. } => {
+                let host = if node == src { &mut sender } else { &mut receiver };
+                host.handle_tx_complete(now, &mut events);
+            }
+            NetEvent::HostTimer { node, timer } => {
+                let host = if node == src { &mut sender } else { &mut receiver };
+                host.handle_timer(now, timer, &mut events);
+            }
+            _ => {}
+        }
+    }
+    let during = allocs() - before.expect("warm-up completed");
+    assert_eq!(int_acks, acks, "every ACK echoed the switch's INT record");
+    assert_eq!(sender.counters().retransmitted_packets, 0);
+    assert!(events.peek_time().expect("flow still running") > SimTime::ZERO + SimDuration::from_micros(800));
+    assert_eq!(during, 0, "10k HPCC data→ACK round trips allocated {during} times");
+}

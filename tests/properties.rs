@@ -4,6 +4,7 @@
 //! On failure the runner prints the per-case seed; rerun exactly that case
 //! with `BFC_TESTKIT_SEED=<seed> cargo test <property_name>`.
 
+use backpressure_flow_control::core::policy::pick_queue;
 use backpressure_flow_control::core::{BfcConfig, CountingBloom};
 use backpressure_flow_control::experiments::{run_experiment, ExperimentConfig, Scheme};
 use backpressure_flow_control::metrics::percentile;
@@ -16,6 +17,26 @@ use backpressure_flow_control::workloads::{TraceFlow, Workload};
 use bfc_testkit::{f64_range, hash_set_of, int_range, one_of, pair, property, vec_of};
 
 property! {
+    /// BFC's allocation-free queue choice (count the free queues, draw, walk
+    /// to the k-th) picks the queue the original collect-then-index code
+    /// picked and consumes the RNG identically, for rows with none, some and
+    /// all queues free.
+    fn pick_queue_matches_collect_then_index(
+        row in vec_of(int_range(0u64..3), 1..40),
+        seed in int_range(0u64..u64::MAX),
+    ) {
+        let row: Vec<u32> = row.iter().map(|&c| c as u32).collect();
+        let (mut old_rng, mut new_rng) = (SimRng::new(seed), SimRng::new(seed));
+        let free: Vec<usize> = (0..row.len()).filter(|&q| row[q] == 0).collect();
+        let expected = if free.is_empty() {
+            old_rng.next_index(row.len())
+        } else {
+            free[old_rng.next_index(free.len())]
+        };
+        assert_eq!(pick_queue(&row, &mut new_rng), expected);
+        assert_eq!(new_rng.state(), old_rng.state(), "same single RNG draw");
+    }
+
     /// The event queue always delivers events in non-decreasing time order,
     /// and FIFO within a timestamp.
     fn event_queue_is_time_ordered(times in vec_of(int_range(0u64..1_000), 1..200)) {
