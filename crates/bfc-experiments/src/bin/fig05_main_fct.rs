@@ -4,6 +4,6 @@
 //! and longer traces (use `--release`).
 use bfc_experiments::figures::{fig05, Scale};
 
-fn main() {
-    println!("{}", fig05::run(&Scale::from_args()));
+fn main() -> std::process::ExitCode {
+    Scale::figure_main(fig05::run)
 }

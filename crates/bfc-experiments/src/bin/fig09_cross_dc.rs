@@ -4,6 +4,6 @@
 //! and trace lengths (use `--release`).
 use bfc_experiments::figures::{Scale, fig09};
 
-fn main() {
-    println!("{}", fig09::run(&Scale::from_args()));
+fn main() -> std::process::ExitCode {
+    Scale::figure_main(fig09::run)
 }

@@ -4,6 +4,6 @@
 //! and trace lengths (use `--release`).
 use bfc_experiments::figures::{Scale, fig10};
 
-fn main() {
-    println!("{}", fig10::run(&Scale::from_args()));
+fn main() -> std::process::ExitCode {
+    Scale::figure_main(fig10::run)
 }

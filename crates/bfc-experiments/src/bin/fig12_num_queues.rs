@@ -4,6 +4,6 @@
 //! and trace lengths (use `--release`).
 use bfc_experiments::figures::{Scale, fig12};
 
-fn main() {
-    println!("{}", fig12::run(&Scale::from_args()));
+fn main() -> std::process::ExitCode {
+    Scale::figure_main(fig12::run)
 }

@@ -4,6 +4,6 @@
 //! and trace lengths (use `--release`).
 use bfc_experiments::figures::{Scale, fig14};
 
-fn main() {
-    println!("{}", fig14::run(&Scale::from_args()));
+fn main() -> std::process::ExitCode {
+    Scale::figure_main(fig14::run)
 }

@@ -7,6 +7,6 @@
 //! and trace lengths (use `--release`).
 use bfc_experiments::figures::{failure_sweep, Scale};
 
-fn main() {
-    println!("{}", failure_sweep::run(&Scale::from_args()));
+fn main() -> std::process::ExitCode {
+    Scale::figure_main(failure_sweep::run)
 }

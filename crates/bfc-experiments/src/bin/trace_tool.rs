@@ -27,9 +27,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bfc_experiments::figures::failure_sweep;
+use bfc_experiments::parallel::parse_count;
 use bfc_experiments::{
     resume_experiment, serve_experiment_with, snapshot_experiment, ExperimentConfig,
     ExperimentResult, MetricsHub, ParallelRunner, ReplayTrace, Reproducer, ScenarioSpec, Scheme,
+    ShardPlan,
 };
 use bfc_net::topology::Topology;
 use bfc_net::trace::{kind_index_of, read_trace, write_trace, FlightTrace, TraceFilter};
@@ -71,13 +73,15 @@ commands:
   snapshot <path>         run a trace partway and write a checkpoint of the
                           complete simulation state (versioned, checksummed;
                           resuming is bit-identical to the uninterrupted run)
-    --at-us <n>             simulated instant to snapshot at (required)
+    --at-us <n>             simulated instant to snapshot at, in µs; any
+                            instant is a valid cut, fractions included
+                            (required)
     --out <snap>            snapshot file to write (required)
     --topo tiny|t1|t2       topology to replay over [tiny]
     --scheme ...            a single scheme (as replay, but not lineup) [bfc]
     --seed <n>              experiment seed [1]
     --drain-x <n>           drain window as a multiple of the horizon [4]
-    --shards <n>            take the snapshot under the sharded engine [1]
+    --shards <n>            run (and snapshot) on n engine shards [1]
 
   resume <path>           resume a snapshot against the same trace/options
                           and run to completion
@@ -340,12 +344,12 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Routes the runs of this invocation through the sharded engine by setting
-/// `BFC_SHARDS` (the experiment paths read it via
-/// `bfc_experiments::sharded::shards_from_env`). Results are bit-identical
-/// at any shard count; only wall-clock changes.
-fn set_shards(_flag: &str, value: &str) -> Result<(), String> {
-    bfc_experiments::sharded::set_shards_env(value)
+/// `--shards n`: splits every run `runner` dispatches across n engine shards,
+/// overriding `BFC_SHARDS`. Results are bit-identical at any shard count;
+/// only wall-clock changes.
+fn set_shards(runner: &mut ParallelRunner, value: &str) -> Result<(), String> {
+    *runner = runner.with_shards(parse_count("--shards", value)?);
+    Ok(())
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
@@ -374,6 +378,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let mut schemes = vec![Scheme::bfc()];
     let mut seed = 1u64;
     let mut drain_x = 4u64;
+    let mut runner = ParallelRunner::from_env();
     let positional = walk_options(args, |flag, value| {
         match flag {
             "topo" => {
@@ -389,7 +394,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             }
             "seed" => seed = parse_num(flag, value)?,
             "drain-x" => drain_x = parse_num(flag, value)?,
-            "shards" => set_shards(flag, value)?,
+            "shards" => set_shards(&mut runner, value)?,
             _ => return Err(format!("replay: unknown option --{flag}")),
         }
         Ok(())
@@ -409,7 +414,6 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             config
         })
         .collect();
-    let runner = ParallelRunner::from_env();
     let results = replay
         .run_all(&topo, &configs, &runner)
         .map_err(|e| format!("{path}: {e}"))?;
@@ -426,8 +430,9 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 }
 
 /// Per-run engine-internal counters, read uniformly from the unified
-/// registry — serial runs print the same line with zero epochs. Written to
-/// stderr so stdout stays byte-identical across engines (scripts diff it).
+/// registry — a one-shard run prints the same line with its one batch of
+/// one window. Written to stderr so stdout stays byte-identical across
+/// shard counts (scripts diff it).
 fn print_engine_counters(results: &[ExperimentResult]) {
     for r in results {
         let c = |key: &str| r.registry.counter(key).unwrap_or(0);
@@ -537,7 +542,7 @@ fn load_trace(cmd: &str, opts: &RunOptions, path: &str) -> Result<ReplayTrace, S
 
 fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     let mut opts = RunOptions::defaults();
-    let mut at_us: Option<u64> = None;
+    let mut at_us: Option<f64> = None;
     let mut out: Option<PathBuf> = None;
     let mut shards = 1usize;
     let positional = walk_options(args, |flag, value| {
@@ -547,12 +552,7 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
         match flag {
             "at-us" => at_us = Some(parse_num(flag, value)?),
             "out" => out = Some(PathBuf::from(value)),
-            "shards" => {
-                shards = parse_num(flag, value)?;
-                if shards == 0 {
-                    return Err("--shards requires a positive shard count, got 0".into());
-                }
-            }
+            "shards" => shards = parse_count("--shards", value)?,
             _ => return Err(format!("snapshot: unknown option --{flag}")),
         }
         Ok(())
@@ -561,12 +561,21 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
         return Err("snapshot: exactly one trace path is required".into());
     };
     let at_us = at_us.ok_or("snapshot: --at-us <n> is required")?;
+    if !(at_us >= 0.0 && at_us.is_finite()) {
+        return Err(format!("snapshot: --at-us must be a non-negative time, got {at_us}"));
+    }
     let out = out.ok_or("snapshot: --out <snap> is required")?;
 
     let replay = load_trace("snapshot", &opts, path)?;
     let config = opts.config(replay.horizon());
-    let at = SimTime::ZERO + SimDuration::from_micros(at_us);
+    // Any instant is a valid cut, at any shard count — fractions of a
+    // microsecond included.
+    let at = SimTime::from_picos((at_us * 1e6).round() as u64);
     let blob = snapshot_experiment(&opts.topo, replay.flows(), &config, at, shards);
+    // The plan clamps the request to the number of switches.
+    let shards = ShardPlan::partition(&opts.topo, shards)
+        .expect("snapshot_experiment partitioned the same topology")
+        .num_shards();
     std::fs::write(&out, &blob).map_err(|e| format!("writing {}: {e}", out.display()))?;
     println!(
         "snapshotted `{}` ({} flows, scheme {}) at {at} into {} ({} bytes, {} shard{})",
@@ -761,6 +770,7 @@ fn cmd_scenario(args: &[String]) -> Result<ExitCode, String> {
     let mut duration_us = 300u64;
     let mut seed = 1u64;
     let mut drain_x = 4u64;
+    let mut runner = ParallelRunner::from_env();
     let positional = walk_options(&args, |flag, value| {
         match flag {
             "topo" => {
@@ -787,7 +797,7 @@ fn cmd_scenario(args: &[String]) -> Result<ExitCode, String> {
             "duration-us" => duration_us = parse_num(flag, value)?,
             "seed" => seed = parse_num(flag, value)?,
             "drain-x" => drain_x = parse_num(flag, value)?,
-            "shards" => set_shards(flag, value)?,
+            "shards" => set_shards(&mut runner, value)?,
             _ => return Err(format!("scenario: unknown option --{flag}")),
         }
         Ok(())
@@ -903,7 +913,6 @@ fn cmd_scenario(args: &[String]) -> Result<ExitCode, String> {
     if flight_path.is_some() && configs.len() != 1 {
         return Err("scenario: --flight requires a single --scheme, not a lineup".into());
     }
-    let runner = ParallelRunner::from_env();
     let mut results = runner.run_experiments(&topo, &flows, &configs);
 
     // The scenario file's stem labels the rows; the table itself is the
@@ -1222,6 +1231,7 @@ fn cmd_trace_record(args: &[String]) -> Result<(), String> {
     let mut last = 65_536usize;
     let mut kinds: Vec<String> = Vec::new();
     let mut nodes: Vec<u32> = Vec::new();
+    let mut runner = ParallelRunner::from_env();
     let positional = walk_options(args, |flag, value| {
         if opts.set("trace record", flag, value)? {
             return Ok(());
@@ -1240,7 +1250,7 @@ fn cmd_trace_record(args: &[String]) -> Result<(), String> {
                     nodes.push(parse_num(flag, part)?);
                 }
             }
-            "shards" => set_shards(flag, value)?,
+            "shards" => set_shards(&mut runner, value)?,
             _ => return Err(format!("trace record: unknown option --{flag}")),
         }
         Ok(())
@@ -1268,7 +1278,7 @@ fn cmd_trace_record(args: &[String]) -> Result<(), String> {
         }
         config = config.with_trace_filter(filter);
     }
-    let result = bfc_experiments::run_experiment_auto(&opts.topo, replay.flows(), &config);
+    let result = runner.run_experiment(&opts.topo, replay.flows(), &config);
     let flight = result.flight.expect("tracing was enabled for this run");
     let label = format!(
         "replay {path} scheme {} seed {}",
@@ -1528,6 +1538,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
         .collect();
 
     let mut cfg = bfc_experiments::FuzzConfig::new();
+    cfg.shards = ParallelRunner::from_env().shards();
     let mut out: Option<PathBuf> = None;
     let positional = walk_options(&args, |flag, value| {
         match flag {
@@ -1560,7 +1571,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
                     }
                 }
             }
-            "shards" => set_shards(flag, value)?,
+            "shards" => cfg.shards = parse_count("--shards", value)?,
             _ => return Err(format!("fuzz: unknown option --{flag}")),
         }
         Ok(())
@@ -1602,7 +1613,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("reading {}: {e}", out.display()))?;
         let repro = bfc_experiments::Reproducer::parse(&text)
             .map_err(|e| format!("{}: {e}", out.display()))?;
-        let result = repro.replay_auto()?;
+        let result = repro.replay(cfg.shards)?;
         println!("\nreplayed from {}:\n", out.display());
         print_results_table(std::slice::from_ref(&result));
         println!("{}", safety_line(&result));

@@ -21,16 +21,11 @@ use bfc_workloads::{
     ArrivalShape, IncastSchedule, TraceFlow, TraceParams, Workload,
 };
 
-use crate::parallel::ParallelRunner;
-use crate::runner::{ExperimentConfig, ExperimentResult};
-use crate::sharded::run_experiment_auto;
-use crate::scheme::Scheme;
+use std::process::ExitCode;
 
-/// The worker pool shared by every figure: thread count from `BFC_THREADS`
-/// or the machine's parallelism. Results are bit-identical at any setting.
-fn runner() -> ParallelRunner {
-    ParallelRunner::from_env()
-}
+use crate::parallel::{parse_count, ParallelRunner};
+use crate::runner::{ExperimentConfig, ExperimentResult};
+use crate::scheme::Scheme;
 
 /// How big an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,6 +40,11 @@ pub struct Scale {
     /// Incast event schedule (paper default: periodic; `--lognormal-incast`
     /// switches to log-normal inter-event gaps).
     pub incast_schedule: IncastSchedule,
+    /// The worker pool every figure fans its runs across, and the shard
+    /// count each run is split into: `BFC_THREADS` / `BFC_SHARDS`, the
+    /// latter overridden by `--shards`. Results are bit-identical at any
+    /// setting.
+    pub runner: ParallelRunner,
 }
 
 impl Scale {
@@ -55,6 +55,7 @@ impl Scale {
             seed: 1,
             arrivals: ArrivalShape::paper_default(),
             incast_schedule: IncastSchedule::paper_default(),
+            runner: ParallelRunner::from_env(),
         }
     }
 
@@ -69,10 +70,11 @@ impl Scale {
 
     /// Parses process arguments: `--full` switches to full scale, `--bursty`
     /// to on/off background arrivals, `--lognormal-incast` to log-normal
-    /// incast inter-event gaps, and `--shards N` routes every run through
-    /// the sharded engine (equivalent to setting `BFC_SHARDS=N`; results are
-    /// bit-identical at any shard count).
-    pub fn from_args() -> Self {
+    /// incast inter-event gaps, and `--shards N` splits every run across N
+    /// engine shards (equivalent to setting `BFC_SHARDS=N`; results are
+    /// bit-identical at any shard count). A missing or malformed `--shards`
+    /// value is the only error.
+    pub fn from_args() -> Result<Self, String> {
         let args: Vec<String> = std::env::args().collect();
         let mut scale = if args.iter().any(|a| a == "--full") {
             Scale::full()
@@ -86,12 +88,26 @@ impl Scale {
             scale.incast_schedule = IncastSchedule::LogNormalGaps { sigma: 1.0 };
         }
         if let Some(i) = args.iter().position(|a| a == "--shards") {
-            let value = args.get(i + 1).map(String::as_str).unwrap_or("");
-            if let Err(e) = crate::sharded::set_shards_env(value) {
-                panic!("{e}");
+            let value = args.get(i + 1).ok_or("--shards requires a value")?;
+            scale.runner = scale.runner.with_shards(parse_count("--shards", value)?);
+        }
+        Ok(scale)
+    }
+
+    /// `main` for a figure binary: parses the process arguments, prints the
+    /// figure `run` renders and exits 0 — or prints the argument error on
+    /// stderr, nothing on stdout, and exits 1.
+    pub fn figure_main(run: impl FnOnce(&Scale) -> String) -> ExitCode {
+        match Scale::from_args() {
+            Ok(scale) => {
+                println!("{}", run(&scale));
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
             }
         }
-        scale
     }
 
     /// The T1-like topology used by the headline figures.
@@ -188,7 +204,7 @@ fn fct_comparison(scale: &Scale, topo: &Topology, trace: &[TraceFlow], schemes: 
         .into_iter()
         .map(|scheme| config_for(scale, scheme))
         .collect();
-    let results = runner().run_experiments(topo, trace, &configs);
+    let results = scale.runner.run_experiments(topo, trace, &configs);
     if let Some(first) = results.first() {
         out.push_str(&bucket_header(first));
     }
@@ -237,7 +253,7 @@ pub mod fig02 {
         );
         // Each sweep point builds its own topology and trace, so the whole
         // point is an independent job for the parallel runner.
-        let results = runner().run_all(&speeds, |&gbps| {
+        let results = scale.runner.run_all(&speeds, |&gbps| {
             let params = if scale.full {
                 FatTreeParams::t2_at_rate(gbps)
             } else {
@@ -267,7 +283,7 @@ pub mod fig02 {
             let mut config = config_for(scale, scheme);
             // The figure runs without PFC so buffers are free to grow.
             config.buffer_bytes = u64::MAX;
-            run_experiment_auto(&topo, &trace, &config)
+            scale.runner.run_experiment(&topo, &trace, &config)
         });
         for (gbps, result) in speeds.iter().zip(&results) {
             out.push_str(&format!(
@@ -306,7 +322,7 @@ pub mod fig03 {
                     .with_buffer_bytes(buffer_bytes)
             })
             .collect();
-        let results = runner().run_experiments(&topo, &trace, &configs);
+        let results = scale.runner.run_experiments(&topo, &trace, &configs);
         for ((ratio, config), result) in ratios_us.iter().zip(&configs).zip(&results) {
             let p99 = result.fct.overall.as_ref().map(|o| o.p99).unwrap_or(f64::NAN);
             out.push_str(&format!(
@@ -406,7 +422,7 @@ pub mod fig06 {
             .into_iter()
             .map(|scheme| config_for(scale, scheme))
             .collect();
-        for result in runner().run_experiments(&topo, &trace, &configs) {
+        for result in scale.runner.run_experiments(&topo, &trace, &configs) {
             out.push_str(&format!(
                 "{:<16}  {:>11.3}  {:>11.3}  {:>13.3}  {:>5}\n",
                 result.scheme,
@@ -436,7 +452,7 @@ pub mod fig07 {
             .into_iter()
             .map(|scheme| config_for(scale, scheme))
             .collect();
-        for result in runner().run_experiments(&topo, &trace, &configs) {
+        for result in scale.runner.run_experiments(&topo, &trace, &configs) {
             out.push_str(&format!(
                 "{:<16}  {:>18.4}\n",
                 result.scheme,
@@ -478,7 +494,7 @@ pub mod fig08 {
             .into_iter()
             .flat_map(|scheme| fan_ins(scale).into_iter().map(move |f| (scheme.clone(), f)))
             .collect();
-        let results = runner().run_all(&jobs, |(scheme, fan_in)| {
+        let results = scale.runner.run_all(&jobs, |(scheme, fan_in)| {
             let mut trace = long_lived_per_receiver(
                 &hosts,
                 if scale.full { 4 } else { 1 },
@@ -497,7 +513,7 @@ pub mod fig08 {
             // Long-lived flows are not expected to finish: measure over
             // the window only.
             config.drain = SimDuration::ZERO;
-            run_experiment_auto(&topo, &trace, &config)
+            scale.runner.run_experiment(&topo, &trace, &config)
         });
         for ((_, fan_in), result) in jobs.iter().zip(&results) {
             out.push_str(&format!(
@@ -568,7 +584,7 @@ pub mod fig09 {
                 config
             })
             .collect();
-        for result in runner().run_experiments(&built.topology, &trace, &configs) {
+        for result in scale.runner.run_experiments(&built.topology, &trace, &configs) {
             for inter in [false, true] {
                 let records: Vec<_> = result
                     .records
@@ -627,12 +643,12 @@ pub mod fig10 {
         .into_iter()
         .flat_map(|scheme| flow_counts(scale).into_iter().map(move |n| (scheme.clone(), n)))
         .collect();
-        let results = runner().run_all(&jobs, |(scheme, n)| {
+        let results = scale.runner.run_all(&jobs, |(scheme, n)| {
             let size = if scale.full { 2_000_000 } else { 300_000 };
             let trace = concurrent_long_flows(&hosts, receiver, *n, size);
             let mut config = config_for(scale, scheme.clone());
             config.drain = scale.duration() * 8;
-            run_experiment_auto(&topo, &trace, &config)
+            scale.runner.run_experiment(&topo, &trace, &config)
         });
         for ((_, n), result) in jobs.iter().zip(&results) {
             let p99_kb = bfc_metrics::percentile(&result.peak_queue_samples, 99.0)
@@ -672,7 +688,7 @@ pub mod fig11 {
             .into_iter()
             .map(|scheme| config_for(scale, scheme))
             .collect();
-        for result in runner().run_experiments(&topo, &trace, &configs) {
+        for result in scale.runner.run_experiments(&topo, &trace, &configs) {
             out.push_str(&format!(
                 "{:<16}  {:>6.1} {:>6.1}\n",
                 result.scheme,
@@ -709,7 +725,7 @@ pub mod fig12 {
             .iter()
             .map(|&queues| config_for(scale, Scheme::bfc()).with_queues_per_port(queues))
             .collect();
-        let results = runner().run_experiments(&topo, &trace, &configs);
+        let results = scale.runner.run_experiments(&topo, &trace, &configs);
         for (queues, result) in counts.iter().zip(&results) {
             let p99 = result.fct.overall.as_ref().map(|o| o.p99).unwrap_or(f64::NAN);
             out.push_str(&format!(
@@ -749,7 +765,7 @@ pub mod fig13 {
                 config_for(scale, Scheme::Bfc(BfcConfig::default().with_num_vfids(vfids)))
             })
             .collect();
-        let results = runner().run_experiments(&topo, &trace, &configs);
+        let results = scale.runner.run_experiments(&topo, &trace, &configs);
         for (vfids, result) in counts.iter().zip(&results) {
             let p99 = result.fct.overall.as_ref().map(|o| o.p99).unwrap_or(f64::NAN);
             out.push_str(&format!(
@@ -785,7 +801,7 @@ pub mod fig14 {
                 config_for(scale, Scheme::Bfc(BfcConfig::default().with_bloom_bytes(bytes)))
             })
             .collect();
-        let results = runner().run_experiments(&topo, &trace, &configs);
+        let results = scale.runner.run_experiments(&topo, &trace, &configs);
         for (bytes, result) in sizes.iter().zip(&results) {
             let p99 = result.fct.overall.as_ref().map(|o| o.p99).unwrap_or(f64::NAN);
             out.push_str(&format!(
@@ -884,13 +900,13 @@ pub mod failure_sweep {
         let jobs: Vec<(usize, Scheme)> = (0..shapes.len())
             .flat_map(|i| schemes().into_iter().map(move |s| (i, s)))
             .collect();
-        let results = runner().run_all(&jobs, |(shape, scheme)| {
+        let results = scale.runner.run_all(&jobs, |(shape, scheme)| {
             let schedule = shapes[*shape]
                 .1
                 .resolve(&topo)
                 .expect("shape labels exist in the sweep topology");
             let config = config_for(scale, scheme.clone()).with_dynamics(schedule);
-            run_experiment_auto(&topo, &trace, &config)
+            scale.runner.run_experiment(&topo, &trace, &config)
         });
         for ((shape, _), result) in jobs.iter().zip(&results) {
             out.push_str(&result_row(shapes[*shape].0, result));
@@ -904,7 +920,7 @@ pub mod failure_sweep {
             .iter()
             .flat_map(|&k| schemes().into_iter().map(move |s| (k, s)))
             .collect();
-        let results = runner().run_all(&jobs, |(k, scheme)| {
+        let results = scale.runner.run_all(&jobs, |(k, scheme)| {
             let mut spec = ScenarioSpec::new();
             for link in 0..*k {
                 let tor = format!("tor{link}");
@@ -917,7 +933,7 @@ pub mod failure_sweep {
                 .resolve(&topo)
                 .expect("swept links exist in the sweep topology");
             let config = config_for(scale, scheme.clone()).with_dynamics(schedule);
-            run_experiment_auto(&topo, &trace, &config)
+            scale.runner.run_experiment(&topo, &trace, &config)
         });
         for ((k, _), result) in jobs.iter().zip(&results) {
             out.push_str(&result_row(&format!("{k} links down"), result));

@@ -31,10 +31,10 @@ use bfc_sim::{SimDuration, SimRng};
 use bfc_testkit::{case_seed, Gen};
 use bfc_workloads::{synthesize, ArrivalShape, IncastSchedule, TraceParams, Workload};
 
-use crate::runner::{run_experiment, ExperimentConfig, ExperimentResult};
+use crate::runner::{ExperimentConfig, ExperimentResult};
 use crate::scenario::ScenarioSpec;
 use crate::scheme::Scheme;
-use crate::sharded::{run_experiment_auto, run_experiment_sharded};
+use crate::sharded::run_experiment_sharded;
 
 /// Score assigned when a run completes no measurable flows at all — worse
 /// than any finite slowdown, so "the network delivered nothing" wins the
@@ -433,11 +433,13 @@ pub struct FuzzConfig {
     /// Topology names the search draws from, smallest first (shrinking moves
     /// toward index 0).
     pub topos: Vec<String>,
+    /// Engine shards every evaluation runs on (same results at any count).
+    pub shards: usize,
 }
 
 impl FuzzConfig {
     /// Defaults: seed 1, budget 24, shrink budget 24, p99 objective, BFC on
-    /// the tiny fat-tree.
+    /// the tiny fat-tree, one shard.
     pub fn new() -> FuzzConfig {
         FuzzConfig {
             seed: 1,
@@ -446,6 +448,7 @@ impl FuzzConfig {
             objective: Objective::TailP99,
             scheme: Scheme::bfc(),
             topos: vec!["tiny".to_string()],
+            shards: 1,
         }
     }
 }
@@ -474,11 +477,11 @@ pub struct FuzzOutcome {
     pub shrink_steps: usize,
 }
 
-/// Evaluates one case under the config's scheme and objective. Honors
-/// `BFC_SHARDS` like the rest of the experiment paths.
+/// Evaluates one case under the config's scheme and objective, on the
+/// config's shard count.
 pub fn evaluate(cfg: &FuzzConfig, case: &FuzzCase) -> Result<(f64, ExperimentResult), String> {
     let repro = Reproducer::from_case(cfg, case)?;
-    let result = repro.replay_auto()?;
+    let result = repro.replay(cfg.shards)?;
     let window = us(repro.duration_us) * 5;
     Ok((cfg.objective.score(&result, window), result))
 }
@@ -722,21 +725,11 @@ impl Reproducer {
         Ok((topo, trace, config))
     }
 
-    /// Replays the reproducer serially (`num_shards <= 1`) or on the sharded
-    /// engine. Results are bit-identical across shard counts.
+    /// Replays the reproducer on `num_shards` engine shards. Results are
+    /// bit-identical across shard counts.
     pub fn replay(&self, num_shards: usize) -> Result<ExperimentResult, String> {
         let (topo, trace, config) = self.materialize()?;
-        Ok(if num_shards <= 1 {
-            run_experiment(&topo, &trace, &config)
-        } else {
-            run_experiment_sharded(&topo, &trace, &config, num_shards)
-        })
-    }
-
-    /// Replays honoring `BFC_SHARDS`, like the other experiment paths.
-    pub fn replay_auto(&self) -> Result<ExperimentResult, String> {
-        let (topo, trace, config) = self.materialize()?;
-        Ok(run_experiment_auto(&topo, &trace, &config))
+        Ok(run_experiment_sharded(&topo, &trace, &config, num_shards))
     }
 }
 

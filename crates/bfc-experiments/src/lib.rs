@@ -5,19 +5,29 @@
 //! * [`scheme`] — the registry of evaluated schemes (BFC, BFC-VFID, Ideal-FQ,
 //!   DCQCN, DCQCN+Win, DCQCN+Win+SFQ, HPCC, SFQ+InfBuffer) mapping each to a
 //!   switch configuration, a queue policy and a host configuration.
-//! * [`runner`] — the end-to-end simulation driver: it instantiates the
-//!   topology, switches, hosts and trace, dispatches events, and collects
-//!   FCT records, buffer occupancy samples, utilization, PFC pause time and
-//!   policy statistics into an [`runner::ExperimentResult`]. Each run is a
-//!   pure, `Send` unit of work.
+//! * [`runner`] — what a run is made of: [`runner::ExperimentConfig`], the
+//!   fabric model (switches, hosts and per-event handlers for the nodes one
+//!   worker owns) and the merge of finished workers into an
+//!   [`runner::ExperimentResult`] — FCT records, buffer occupancy samples,
+//!   utilization, PFC pause time and policy statistics. Each run is a pure,
+//!   `Send` unit of work.
+//! * `engine` (crate-private) — the one engine every entry point composes:
+//!   `build` / `restore` a fabric partitioned into workers, `advance` it to
+//!   an instant (the only event loop in the crate; any instant is a valid
+//!   cut at any shard count), `step` a one-worker engine by a single event,
+//!   `admit` a flow, `save` it, `finish` it. [`run_experiment`] is
+//!   build(1) · advance(deadline) · finish; the serial engine is the
+//!   one-worker case, not a second implementation.
 //! * [`parallel`] — the [`parallel::ParallelRunner`]: fans independent
 //!   (scheme, sweep-point, seed) runs across `std::thread` workers with
 //!   order-preserving result collection, so every figure is bit-identical
-//!   at any thread count (`BFC_THREADS` controls the worker pool).
-//! * [`sharded`] — within-run parallelism: one large fabric's switches and
-//!   hosts split across shards advancing in conservative lockstep epochs
-//!   ([`sharded::run_experiment_sharded`]), bit-identical to the serial
-//!   engine at any shard count (`BFC_SHARDS` / `--shards` select it).
+//!   at any thread count, and carries the shard count each run is split
+//!   into (`BFC_THREADS` / `BFC_SHARDS`, each read once; `--shards`
+//!   overrides the latter).
+//! * [`sharded`] — within-run parallelism: the [`sharded::ShardPlan`] that
+//!   splits one large fabric's switches and hosts across shards advancing in
+//!   conservative lockstep epochs ([`sharded::run_experiment_sharded`]),
+//!   bit-identical at any shard count.
 //! * [`replay`] — the [`replay::ReplayTrace`] path: imported CSV traces
 //!   (see `bfc_workloads::io`) validated against a topology and replayed
 //!   through the same driver with bit-identical results; the `trace-tool`
@@ -33,8 +43,9 @@
 //!   minimal text reproducers (`trace-tool fuzz` is its CLI front end).
 //! * [`service`] — service mode: deterministic snapshot/restore of complete
 //!   runs ([`service::snapshot_experiment`] / [`service::resume_experiment`],
-//!   bit-identical resumes for both engines) and streaming ingest under an
-//!   inflight cap ([`service::serve_experiment`]); `trace-tool`'s
+//!   bit-identical resumes from any instant at any shard count) and
+//!   streaming ingest under an inflight cap
+//!   ([`service::serve_experiment`]); `trace-tool`'s
 //!   `snapshot` / `resume` / `serve` subcommands are its CLI front end.
 //! * [`figures`] — one module per paper table/figure. Each `run` function
 //!   regenerates the corresponding rows/series; the `src/bin/figNN_*`
@@ -46,6 +57,7 @@
 //! makes — who wins, by roughly what factor, and where behaviour crosses
 //! over — are preserved. See `EXPERIMENTS.md` at the repository root.
 
+mod engine;
 pub mod figures;
 pub mod fuzz;
 pub mod parallel;
@@ -60,11 +72,11 @@ pub use fuzz::{FuzzConfig, FuzzOutcome, Objective, Reproducer};
 pub use parallel::ParallelRunner;
 pub use replay::{ReplayError, ReplayTrace};
 pub use bfc_sim::shard::{BatchPolicy, EpochStats};
-pub use runner::{run_experiment, ExperimentConfig, ExperimentResult, RankMode};
+pub use runner::{run_experiment, ExperimentConfig, ExperimentResult};
 pub use scenario::{ScenarioError, ScenarioSpec};
 pub use scheme::Scheme;
 pub use service::{
     resume_experiment, serve_experiment, serve_experiment_with, snapshot_experiment, MetricsHub,
     ServeReport, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use sharded::{run_experiment_auto, run_experiment_sharded, ShardError, ShardPlan};
+pub use sharded::{run_experiment_sharded, ShardError, ShardPlan};

@@ -136,15 +136,16 @@ impl ReplayTrace {
     }
 
     /// Validates against `topo` and runs one experiment over the replayed
-    /// trace — exactly [`run_experiment`] on the imported flows (sharded
-    /// when `BFC_SHARDS` asks for it; results are identical either way).
+    /// trace — exactly [`run_experiment`] on the imported flows, split across
+    /// `runner`'s shard count (results are identical at any).
     pub fn run(
         &self,
         topo: &Topology,
         config: &ExperimentConfig,
+        runner: &ParallelRunner,
     ) -> Result<ExperimentResult, ReplayError> {
         self.validate(topo)?;
-        Ok(crate::sharded::run_experiment_auto(topo, &self.flows, config))
+        Ok(runner.run_experiment(topo, &self.flows, config))
     }
 
     /// Validates once, then fans one run per config across `runner` —
@@ -188,7 +189,9 @@ mod tests {
         assert_eq!(replay.flows(), &trace[..]);
         let config = ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(120));
         let original = run_experiment(&topo, &trace, &config);
-        let replayed = replay.run(&topo, &config).expect("valid trace");
+        let replayed = replay
+            .run(&topo, &config, &ParallelRunner::serial())
+            .expect("valid trace");
         assert_eq!(original.fct, replayed.fct);
         assert_eq!(original.records, replayed.records);
         assert_eq!(original.end_time, replayed.end_time);
@@ -222,7 +225,11 @@ mod tests {
         }];
         let replay = ReplayTrace::from_flows(bogus).expect("non-empty");
         let err = replay
-            .run(&topo, &ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(10)))
+            .run(
+                &topo,
+                &ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(10)),
+                &ParallelRunner::serial(),
+            )
             .expect_err("bogus node id");
         assert!(matches!(
             err,

@@ -1,9 +1,14 @@
-//! The end-to-end simulation driver.
+//! The fabric model one run executes, and what a run is configured by and
+//! measured into.
 //!
-//! [`run_experiment`] builds switches and hosts for a topology according to a
-//! [`Scheme`], injects a workload trace, runs the discrete-event loop to
-//! completion (bounded by a drain deadline) and collects every metric the
-//! paper reports into an [`ExperimentResult`].
+//! [`ExperimentConfig`] and [`ExperimentResult`] are a run's input and output.
+//! [`FabricSim`] holds the switches and hosts a worker owns and handles one
+//! event at a time; [`assemble_result`] merges the finished sims of a run
+//! into its result. Advancing a run — popping events, cutting at a time or
+//! an event, exchanging boundary traffic — is [`crate::engine`]'s job:
+//! [`run_experiment`] is that engine built with one worker, advanced to the
+//! deadline and finished ([`crate::sharded::run_experiment_sharded`] at one
+//! shard).
 
 use bfc_metrics::fct::{FctRecord, FctSummary};
 use bfc_metrics::recovery::{RecoveryMetrics, RecoveryTracker};
@@ -13,7 +18,7 @@ use bfc_metrics::series::{OccupancySeries, UtilizationTracker};
 use bfc_metrics::Hist;
 use bfc_net::config::SwitchConfig;
 use bfc_net::dynamics::{FaultEvent, FaultSchedule, LinkAction, LinkStateMap};
-use bfc_net::event::{FifoSink, NetEvent, NetSink};
+use bfc_net::event::{NetEvent, NetSink};
 use bfc_net::packet::{vfid_for_flow, PacketKind, MAX_INT_HOPS};
 use bfc_net::policy::{PolicyStats, ProbeStats};
 use bfc_net::trace::{FlightRecorder, FlightTrace, Recording, TraceEvent, TraceFilter};
@@ -22,51 +27,13 @@ use bfc_net::switch::Switch;
 use bfc_net::topology::Topology;
 use bfc_net::types::{FlowId, NodeId};
 use bfc_sim::shard::{BatchPolicy, EpochStats};
-use bfc_sim::{run_until, EventQueue, SimDuration, SimTime, Simulation};
+use bfc_sim::{EventQueue, SimDuration, SimTime};
 use bfc_transport::{FlowSpec, Host, HostConfig};
 use bfc_workloads::TraceFlow;
 
 use std::sync::Arc;
 
 use crate::scheme::Scheme;
-
-/// How the **serial** engine keys simultaneous events.
-///
-/// [`RankMode::Ranked`] attaches [`NetEvent::canon_rank`] to every push, the
-/// order the sharded engine reproduces; [`RankMode::Fifo`] pushes rank 0 and
-/// lets `(time, push order)` decide — skipping the rank computation and
-/// keeping the calendar queue on its scalar-sort fast path. The two modes
-/// produce bit-identical `ExperimentResult`s (pinned by
-/// `tests/determinism.rs`); the sharded engine always uses ranked keys
-/// regardless of this setting.
-///
-/// The build-time default is `Ranked`; compiling `bfc-experiments` with the
-/// `fifo-rank` feature flips the default to `Fifo` for rank-free single-core
-/// builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RankMode {
-    /// Content-derived canonical rank on every event (the sharded order).
-    Ranked,
-    /// Rank elision: `(time, push order)` FIFO keys, serial engine only.
-    Fifo,
-}
-
-impl RankMode {
-    /// True for [`RankMode::Fifo`].
-    pub fn is_fifo(self) -> bool {
-        matches!(self, RankMode::Fifo)
-    }
-}
-
-impl Default for RankMode {
-    fn default() -> Self {
-        if cfg!(feature = "fifo-rank") {
-            RankMode::Fifo
-        } else {
-            RankMode::Ranked
-        }
-    }
-}
 
 /// Experiment parameters independent of the workload trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,9 +59,6 @@ pub struct ExperimentConfig {
     /// is bit-identical to a run of this build with no dynamics at all — the
     /// link-state checks short-circuit and nothing else changes.
     pub dynamics: FaultSchedule,
-    /// Event key mode for the serial engine (see [`RankMode`]). Ignored by
-    /// the sharded engine, which always uses ranked keys.
-    pub rank_mode: RankMode,
     /// Whether the sharded engine's conservative driver may batch multiple
     /// epoch windows between leader decisions (see
     /// [`bfc_sim::shard::BatchPolicy`]). On or off, results are
@@ -132,7 +96,6 @@ impl ExperimentConfig {
             drain: horizon * 4,
             sample_interval: SimDuration::from_micros(10),
             dynamics: FaultSchedule::default(),
-            rank_mode: RankMode::default(),
             epoch_batching: true,
             safety: SafetyConfig::default(),
             trace_capacity: None,
@@ -161,12 +124,6 @@ impl ExperimentConfig {
     /// Installs a fault schedule (link down/up, degradation, flapping).
     pub fn with_dynamics(mut self, dynamics: FaultSchedule) -> Self {
         self.dynamics = dynamics;
-        self
-    }
-
-    /// Overrides the serial engine's event key mode.
-    pub fn with_rank_mode(mut self, mode: RankMode) -> Self {
-        self.rank_mode = mode;
         self
     }
 
@@ -239,10 +196,11 @@ pub struct ExperimentResult {
     pub recovery: RecoveryMetrics,
     /// Safety analysis: PFC deadlocks, pause-storm metrics, livelock.
     pub safety: SafetyReport,
-    /// Epoch-driver counters (all zero for a serial run): batches, windows,
-    /// barriers, widened batches and boundary events. Observability only —
-    /// never part of any bit-identity comparison, since a resumed run only
-    /// counts its post-snapshot epochs.
+    /// Epoch-driver counters: batches, windows, barriers, widened batches and
+    /// boundary events. A one-worker run reports its single batch of one
+    /// whole-run window and no boundary events. Observability only — never
+    /// part of any bit-identity comparison, since a resumed run only counts
+    /// its post-snapshot epochs.
     pub epochs: EpochStats,
     /// The unified counter/gauge registry: per-switch, per-port, per-scheme
     /// and engine-internal series, merged deterministically across shards.
@@ -265,8 +223,7 @@ impl ExperimentResult {
     }
 
     /// Folds engine-level counters into the registry once they are known:
-    /// the event queue's calendar-overflow count and the epoch-driver stats
-    /// (zeros for serial runs, recorded all the same so output is uniform).
+    /// the event queues' calendar-overflow count and the epoch-driver stats.
     pub(crate) fn record_engine_counters(&mut self, queue_overflow_pushes: u64) {
         self.registry
             .add_counter("bfc_engine_queue_overflow_pushes", queue_overflow_pushes);
@@ -305,11 +262,10 @@ pub(crate) struct FlowMeta {
 /// array access instead of a hash lookup, and iteration order for metrics is
 /// the (deterministic) node order.
 ///
-/// The same struct serves both engines: the serial engine builds one
-/// `FabricSim` holding every node, the sharded engine builds one per shard
-/// with `None` in every slot the shard does not own. All handler code is
-/// locality-agnostic — it simply skips `None` slots — so the two engines
-/// execute identical per-event logic.
+/// The engine builds one `FabricSim` per worker, with `None` in every slot
+/// the worker does not own (a one-worker engine's sim holds every node). All
+/// handler code is locality-agnostic — it simply skips `None` slots — so
+/// per-event logic is identical at any worker count.
 pub(crate) struct FabricSim<'a> {
     pub(crate) topo: &'a Topology,
     /// Shared with the [`Frame`] (and every other shard) until a link fault:
@@ -346,14 +302,8 @@ pub(crate) struct FabricSim<'a> {
     /// Whether this sim records the schedule-derived recovery metrics
     /// (fault instants, reroute count). Every shard applies dynamics to its
     /// own link-state/routing replica, but only one may *count* them, or the
-    /// merged metrics would multiply by the shard count. True for the serial
-    /// engine and shard 0.
+    /// merged metrics would multiply by the shard count. True for shard 0.
     pub(crate) record_dynamics_metrics: bool,
-    /// Serial-engine rank elision (see [`RankMode`]): when true, the
-    /// [`Simulation`] impl wraps the global queue in a [`FifoSink`] so
-    /// events carry rank 0. The sharded engine never consults this flag —
-    /// it dispatches through its own ranked boundary-routing sink.
-    pub(crate) fifo_rank: bool,
     /// Flight recorder capturing this sim's trace events, or `None` when
     /// tracing is off. [`FabricSim::dispatch`] wraps the sink in a
     /// [`Recording`] only when this is `Some`, so the off path stays
@@ -449,8 +399,8 @@ impl FabricSim<'_> {
         }
     }
 
-    /// Handles one event. Generic over the sink so the serial engine passes
-    /// the global queue and the sharded engine passes its boundary router.
+    /// Handles one event. Generic over the sink so a one-worker engine passes
+    /// its queue and a multi-worker engine its boundary router.
     /// With tracing on, the sink is wrapped in a [`Recording`] first so
     /// every emission seam below reports into the flight recorder.
     pub(crate) fn dispatch(&mut self, now: SimTime, event: NetEvent, queue: &mut impl NetSink) {
@@ -549,8 +499,7 @@ impl FabricSim<'_> {
             NetEvent::Sample => {
                 // The whole tick schedule is seeded up front (see
                 // `seed_samples`), so the handler only records; rescheduling
-                // here would give later ticks run-time sequence numbers and
-                // break the FIFO-keying tie order against pre-seeded faults.
+                // here would give later ticks run-time sequence numbers.
                 self.take_samples(now);
             }
             NetEvent::NetworkDynamics { index } => {
@@ -580,35 +529,6 @@ impl FabricSim<'_> {
     }
 }
 
-impl Simulation for FabricSim<'_> {
-    type Event = NetEvent;
-
-    fn handle(&mut self, now: SimTime, event: NetEvent, queue: &mut EventQueue<NetEvent>) {
-        if self.fifo_rank {
-            self.dispatch(now, event, &mut FifoSink(queue));
-        } else {
-            self.dispatch(now, event, queue);
-        }
-    }
-}
-
-/// Pushes a driver seed event (flow arrival, sample tick, fault) through the
-/// sink matching the serial engine's rank mode, so seeds and in-run events
-/// share one keying scheme.
-#[inline]
-pub(crate) fn seed_send(
-    queue: &mut EventQueue<NetEvent>,
-    fifo: bool,
-    time: SimTime,
-    event: NetEvent,
-) {
-    if fifo {
-        FifoSink(queue).send(time, event);
-    } else {
-        queue.send(time, event);
-    }
-}
-
 /// The last instant the goodput/occupancy sampler runs to: the horizon for
 /// plain runs, through the drain for fault runs so recovery stays visible in
 /// the sampled series.
@@ -621,23 +541,18 @@ pub(crate) fn goodput_until(config: &ExperimentConfig) -> SimTime {
     }
 }
 
-/// Seeds the complete sample-tick schedule up front. Seeding order is part
-/// of the determinism contract for `RankMode::Fifo`: every control event
-/// (flow arrivals, then sample ticks, then faults) is pushed before the run
-/// starts, in canonical-rank-tag order, so FIFO sequence numbers break
-/// same-timestamp ties exactly like the canonical rank does.
-pub(crate) fn seed_samples(queue: &mut EventQueue<NetEvent>, fifo: bool, config: &ExperimentConfig) {
+/// Seeds the complete sample-tick schedule up front.
+pub(crate) fn seed_samples(queue: &mut EventQueue<NetEvent>, config: &ExperimentConfig) {
     let until = goodput_until(config);
     let mut t = SimTime::ZERO + config.sample_interval;
-    seed_send(queue, fifo, t, NetEvent::Sample);
+    queue.send(t, NetEvent::Sample);
     while t + config.sample_interval <= until {
         t = t + config.sample_interval;
-        seed_send(queue, fifo, t, NetEvent::Sample);
+        queue.send(t, NetEvent::Sample);
     }
 }
 
-/// Per-run values shared by every node regardless of which engine (serial or
-/// sharded) — or which shard — builds it.
+/// Per-run values shared by every node, whichever worker builds it.
 pub(crate) struct Frame {
     pub(crate) routes: Arc<RoutingTables>,
     pub(crate) hosts_list: Vec<NodeId>,
@@ -689,8 +604,8 @@ impl Frame {
 }
 
 /// Builds the switches whose node id satisfies `keep` (dense node-indexed
-/// table, `None` elsewhere). Seeds derive from the node id alone, so a shard
-/// building a subset gets byte-identical switches to the serial engine.
+/// table, `None` elsewhere). Seeds derive from the node id alone, so a worker
+/// building a subset gets byte-identical switches to one building them all.
 pub(crate) fn build_switches(
     topo: &Topology,
     config: &ExperimentConfig,
@@ -736,24 +651,8 @@ pub(crate) fn build_hosts(
     hosts
 }
 
-/// Builds the per-flow metadata (spec, ideal FCT) for the whole trace — pure
-/// per-flow computation, identical in every engine and shard.
-pub(crate) fn build_flow_metas(
-    topo: &Topology,
-    trace: &[TraceFlow],
-    config: &ExperimentConfig,
-    frame: &Frame,
-) -> Vec<FlowMeta> {
-    trace
-        .iter()
-        .enumerate()
-        .map(|(i, t)| build_flow_meta(topo, i, t, config, frame))
-        .collect()
-}
-
-/// Builds the metadata for one trace flow at position `index`. Also used by
-/// the streaming ingest path ([`crate::service::serve_experiment`]), which
-/// admits flows one at a time.
+/// Builds the metadata (spec, ideal FCT) for one trace flow at position
+/// `index` — pure per-flow computation, identical for every worker.
 pub(crate) fn build_flow_meta(
     topo: &Topology,
     index: usize,
@@ -820,7 +719,6 @@ pub(crate) fn build_sim<'a>(
         recovery: RecoveryTracker::new(),
         safety: SafetyTracker::new(),
         record_dynamics_metrics,
-        fifo_rank: config.rank_mode.is_fifo(),
         recorder: config.trace_capacity.map(|cap| match &config.trace_filter {
             Some(filter) => FlightRecorder::with_filter(cap, filter.clone()),
             None => FlightRecorder::new(cap),
@@ -852,24 +750,23 @@ pub(crate) fn record_switch_counters(registry: &mut MetricsRegistry, sw: &Switch
     }
 }
 
-/// Merges one or more finished `FabricSim`s (one from the serial engine, one
-/// per shard from the sharded engine) into an [`ExperimentResult`]. Every
-/// merge is either a disjoint union over nodes/flows in deterministic node
-/// order or an exact integer sum/max, so N sims produce bit-identical output
-/// to the single serial sim covering the same run.
+/// Merges the finished `FabricSim`s of a run (one per worker) into an
+/// [`ExperimentResult`]. Every merge is either a disjoint union over
+/// nodes/flows in deterministic node order or an exact integer sum/max, so N
+/// sims produce bit-identical output to one sim covering the same run.
 pub(crate) fn assemble_result(
     topo: &Topology,
-    trace: &[TraceFlow],
     config: &ExperimentConfig,
     frame: &Frame,
     mut sims: Vec<FabricSim<'_>>,
     end_time: SimTime,
 ) -> ExperimentResult {
     assert!(!sims.is_empty(), "at least one sim");
+    let total_flows = sims[0].flows.len();
 
     // Per-flow completion: each flow completes in exactly one sim (the one
     // owning its destination host).
-    let records: Vec<FctRecord> = (0..trace.len())
+    let records: Vec<FctRecord> = (0..total_flows)
         .filter_map(|i| {
             let done = sims.iter().find_map(|s| s.flow_completed[i])?;
             let meta = &sims[0].flows[i];
@@ -993,8 +890,8 @@ pub(crate) fn assemble_result(
     // Flight traces: concatenating the per-shard rings and restoring
     // canonical `(time, rank, seq)` order reproduces exactly the stream one
     // serial recorder would have captured (same merge argument as above —
-    // equal `(time, rank)` implies one owning shard). A serial run's single
-    // trace goes through the same canonicalization.
+    // equal `(time, rank)` implies one owning shard). A one-worker run's
+    // single trace goes through the same canonicalization.
     let flight_parts: Vec<FlightTrace> = sims
         .iter_mut()
         .filter_map(|s| s.recorder.take())
@@ -1056,11 +953,11 @@ pub(crate) fn assemble_result(
     // Pause-duration histogram: close any still-open pauses at the run's end
     // so a deadlocked edge contributes its full hold time.
     let pause_hist = merged_safety.pause_durations(end_time);
-    let safety = merged_safety.finish(&config.safety, end_time, trace.len() - completed);
+    let safety = merged_safety.finish(&config.safety, end_time, total_flows - completed);
 
     // Run-level rollups and the safety verdict.
     registry.add_counter("bfc_flows_completed", completed as u64);
-    registry.add_counter("bfc_flows_total", trace.len() as u64);
+    registry.add_counter("bfc_flows_total", total_flows as u64);
     registry.add_counter("bfc_safety_pause_frames", safety.pause_frames);
     registry.add_counter("bfc_safety_cycles_formed", safety.cycles_formed);
     registry.add_counter("bfc_safety_deadlocks", safety.deadlocks);
@@ -1088,7 +985,7 @@ pub(crate) fn assemble_result(
         policy_stats,
         drops,
         completed_flows: completed,
-        total_flows: trace.len(),
+        total_flows,
         end_time,
         recovery,
         safety,
@@ -1104,37 +1001,15 @@ pub(crate) fn assemble_result(
 /// and RNG is built from the inputs (all randomness derives from
 /// `config.seed`), nothing global is touched, and the result is a plain
 /// owned value — which is what lets [`crate::ParallelRunner`] fan
-/// independent runs across threads with bit-identical output. For within-run
-/// parallelism over one large fabric, see
-/// [`crate::sharded::run_experiment_sharded`], which produces bit-identical
-/// results to this function at any shard count.
+/// independent runs across threads with bit-identical output. It is the
+/// one-worker case of [`crate::sharded::run_experiment_sharded`], which
+/// produces bit-identical results at any shard count.
 pub fn run_experiment(
     topo: &Topology,
     trace: &[TraceFlow],
     config: &ExperimentConfig,
 ) -> ExperimentResult {
-    if let Err(e) = config.dynamics.validate(topo) {
-        panic!("invalid fault schedule for this topology: {e}");
-    }
-    let frame = Frame::new(topo, config);
-    let flows = Arc::new(build_flow_metas(topo, trace, config, &frame));
-    let mut sim = build_sim(topo, flows, config, &frame, |_| true, true);
-
-    let fifo = config.rank_mode.is_fifo();
-    let mut queue = EventQueue::with_capacity(trace.len() * 4 + 16);
-    for (i, t) in trace.iter().enumerate() {
-        seed_send(&mut queue, fifo, t.start, NetEvent::FlowArrival { index: i });
-    }
-    seed_samples(&mut queue, fifo, config);
-    for (index, event) in config.dynamics.events().iter().enumerate() {
-        seed_send(&mut queue, fifo, event.at, NetEvent::NetworkDynamics { index });
-    }
-
-    let deadline = SimTime::ZERO + config.horizon + config.drain;
-    let end_time = run_until(&mut sim, &mut queue, deadline);
-    let mut result = assemble_result(topo, trace, config, &frame, vec![sim], end_time);
-    result.record_engine_counters(queue.overflow_pushes());
-    result
+    crate::sharded::run_experiment_sharded(topo, trace, config, 1)
 }
 
 #[cfg(test)]

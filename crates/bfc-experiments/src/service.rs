@@ -2,30 +2,26 @@
 //!
 //! # Snapshots
 //!
-//! [`snapshot_experiment`] runs an experiment up to an instant `at` and
-//! serializes the complete simulation state — calendar queues, switches
-//! (PhysQueues, shared buffers, pause state, policy state and RNG streams),
-//! hosts (sender/receiver flow tables and congestion-control state), link
-//! state, metrics collectors and the recovery and safety trackers — into a
-//! versioned,
-//! length-prefixed, checksummed, std-only binary blob
-//! ([`bfc_sim::snapshot`]). [`resume_experiment`] rebuilds the run from the
-//! same inputs, overlays the saved state and runs to completion.
+//! [`snapshot_experiment`] builds the engine ([`crate::engine`]), advances it
+//! to an instant `at` and saves it: the complete simulation state — calendar
+//! queues, switches (PhysQueues, shared buffers, pause state, policy state
+//! and RNG streams), hosts (sender/receiver flow tables and
+//! congestion-control state), link state, metrics collectors and the
+//! recovery and safety trackers — in a versioned, length-prefixed,
+//! checksummed, std-only binary blob ([`bfc_sim::snapshot`]).
+//! [`resume_experiment`] restores the engine from the same inputs plus the
+//! blob, advances it to the deadline and finishes it.
 //!
-//! The contract is **bit-identity**: resuming a snapshot taken at any point
-//! produces an [`ExperimentResult`] identical field-for-field (floats
-//! compared by bits) to the uninterrupted run, for the serial engine and for
-//! the sharded engine at the snapshot's shard count.
-//!
-//! *Serial runs* can stop anywhere: [`bfc_sim::run_until`] processes events
-//! in a deterministic total order, so "events with `t <= at`" is a prefix of
-//! the uninterrupted run's pop sequence and the remaining events are exactly
-//! the pending set. *Sharded runs* stop at the first **epoch barrier** whose
-//! next window would begin after `at`: at a barrier every outbox is empty
-//! and each shard's state is a pure function of the epochs completed so far,
-//! so resuming re-derives the identical subsequent windows from queue state
-//! alone. The snapshot therefore cuts along the same seams the conservative
-//! driver already synchronizes on — no new synchronization invariants.
+//! The contract is **bit-identity**: resuming a snapshot taken at any
+//! instant, at any shard count, produces an [`ExperimentResult`] identical
+//! field-for-field (floats compared by bits) to the uninterrupted run. The
+//! cut is exactly "every event with `t <= at` has been processed": the
+//! engine's events have a deterministic total order, so that is a prefix of
+//! the uninterrupted run, and the conservative driver ends the cut window
+//! with a full mailbox exchange, so the per-worker queues and sims are the
+//! whole pending state. Resuming starts a new epoch grid at the earliest
+//! pending event; any grid narrower than the lookahead is conservative-safe,
+//! so the grid a run is cut and resumed on never shows in its results.
 //!
 //! A snapshot stores a fingerprint of everything it does *not* serialize
 //! (topology shape, trace, configuration, shard count); resuming against
@@ -38,27 +34,22 @@
 //! [`IngestSource`] (a tailed CSV file or a TCP socket — see
 //! [`bfc_workloads::ingest`]) instead of a pre-materialized trace. Flows are
 //! admitted under an inflight cap: while `admitted - completed` is at the
-//! cap, the driver advances the simulation instead of pulling from the
-//! source, which is exactly the backpressure signal (an unread file costs
-//! nothing; an unread socket closes the feeder's TCP window).
+//! cap, the driver steps the engine one event at a time instead of pulling
+//! from the source, which is exactly the backpressure signal (an unread file
+//! costs nothing; an unread socket closes the feeder's TCP window).
 
 use std::sync::Arc;
 
-use bfc_net::event::{FifoSink, NetEvent};
+use bfc_net::event::NetEvent;
 use bfc_net::routing::RoutingTables;
 use bfc_net::topology::Topology;
-use bfc_sim::shard::{run_conservative, Boundary, ShardHandler};
 use bfc_sim::snapshot::{self, fnv1a64, SnapError, SnapReader, SnapWriter};
-use bfc_sim::{run_until, EventQueue, SimDuration, SimTime};
+use bfc_sim::{EventQueue, SimTime};
 use bfc_workloads::ingest::{IngestError, IngestSource};
 use bfc_workloads::TraceFlow;
 
-use crate::runner::{
-    assemble_result, build_flow_meta, build_flow_metas, build_sim, seed_samples, seed_send,
-    ExperimentConfig,
-    ExperimentResult, FabricSim, Frame,
-};
-use crate::sharded::{build_workers, epoch_lookahead, plan_for, ShardWorker};
+use crate::engine::Engine;
+use crate::runner::{ExperimentConfig, ExperimentResult, FabricSim, Frame};
 
 /// Magic bytes identifying a BFC snapshot container.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
@@ -76,7 +67,7 @@ pub const SNAPSHOT_VERSION: u32 = 5;
 /// different inputs fails loudly instead of silently diverging.
 fn fingerprint(
     topo: &Topology,
-    trace: &[TraceFlow],
+    trace: impl ExactSizeIterator<Item = TraceFlow>,
     config: &ExperimentConfig,
     num_shards: usize,
 ) -> u64 {
@@ -215,57 +206,69 @@ fn restore_sim(
     Ok(())
 }
 
-/// The sequential epoch loop of [`bfc_sim::shard::run_conservative`], with
-/// one extra exit: it stops at the first barrier whose next window would
-/// begin after `stop_after`. At a barrier all outboxes are empty, so the
-/// per-shard queues and sims are the complete simulation state — the safe
-/// cut for a snapshot.
-fn run_epochs_until<S: ShardHandler>(
-    shards: &mut [S],
-    lookahead: SimDuration,
-    stop_after: SimTime,
-    deadline: SimTime,
-) {
-    assert!(
-        !lookahead.is_zero(),
-        "conservative synchronization needs a positive lookahead"
-    );
-    let n = shards.len();
-    loop {
-        let Some(t0) = shards.iter().filter_map(|s| s.next_time()).min() else {
-            return;
-        };
-        if t0 > deadline || t0 > stop_after {
-            return;
+impl<'a> Engine<'a> {
+    /// Serializes the engine as cut by its last [`Engine::advance`]: the
+    /// header (input fingerprint, cut instant, worker count), then each
+    /// worker's last processed instant, queue and sim.
+    pub(crate) fn save(&self) -> Vec<u8> {
+        let flows = self.workers[0].sim.flows.iter().map(|m| TraceFlow {
+            src: m.spec.src,
+            dst: m.spec.dst,
+            size_bytes: m.spec.size_bytes,
+            start: m.start,
+            is_incast: m.is_incast,
+        });
+        let mut w = SnapWriter::new();
+        w.put_u64(fingerprint(self.topo, flows, self.config, self.workers.len()));
+        w.put_u64(self.cut.as_picos());
+        w.put_usize(self.workers.len());
+        for wk in &self.workers {
+            w.put_u64(wk.last.as_picos());
+            wk.queue.save_state(&mut w, |w, e: &NetEvent| e.save_state(w));
+            save_sim(&wk.sim, &mut w);
         }
-        let window_end = t0 + lookahead;
-        for shard in shards.iter_mut() {
-            shard.run_window(window_end, deadline);
+        snapshot::finalize(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &w.into_bytes())
+    }
+
+    /// Rebuilds the engine a snapshot was taken from: checks the fingerprint
+    /// against the given inputs, builds the engine at the snapshot's worker
+    /// count and overlays every worker's saved state.
+    pub(crate) fn restore(
+        topo: &'a Topology,
+        trace: &[TraceFlow],
+        config: &'a ExperimentConfig,
+        bytes: &[u8],
+    ) -> Result<Engine<'a>, SnapError> {
+        let payload = snapshot::open(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, bytes)?;
+        let mut r = SnapReader::new(payload);
+        let stored_fp = r.get_u64()?;
+        let _cut = r.get_u64()?;
+        let num_shards = r.get_usize()?;
+        if !(1..=4096).contains(&num_shards) {
+            return Err(SnapError::Corrupt("implausible shard count"));
         }
-        let outboxes: Vec<Vec<Vec<Boundary<S::Event>>>> =
-            shards.iter_mut().map(|s| s.take_outboxes()).collect();
-        for (src, rows) in outboxes.into_iter().enumerate() {
-            debug_assert_eq!(rows.len(), n, "outbox row per destination shard");
-            for (dest, batch) in rows.into_iter().enumerate() {
-                debug_assert!(dest != src || batch.is_empty(), "no self-addressed batches");
-                if !batch.is_empty() {
-                    shards[dest].deliver(batch);
-                }
-            }
+        if stored_fp != fingerprint(topo, trace.iter().copied(), config, num_shards) {
+            return Err(SnapError::Corrupt(
+                "snapshot was taken for different inputs (topology, trace, config or shard count)",
+            ));
         }
+        let mut engine = Engine::build(topo, trace, config, num_shards);
+        if engine.workers.len() != num_shards {
+            return Err(SnapError::Corrupt("shard plan does not match snapshot"));
+        }
+        for wk in engine.workers.iter_mut() {
+            wk.last = SimTime::from_picos(r.get_u64()?);
+            wk.queue = EventQueue::restore_state(&mut r, |r| NetEvent::restore_state(r))?;
+            restore_sim(&mut wk.sim, &engine.frame, &mut r)?;
+        }
+        r.expect_end()?;
+        Ok(engine)
     }
 }
 
-fn save_worker(wk: &ShardWorker<'_>, w: &mut SnapWriter) {
-    w.put_u64(wk.last.as_picos());
-    wk.queue.save_state(w, |w, e: &NetEvent| e.save_state(w));
-    save_sim(&wk.sim, w);
-}
-
-/// Runs the experiment up to `at` (clamped to the run deadline) and returns
-/// the serialized snapshot. `num_shards <= 1` snapshots the serial engine;
-/// larger counts snapshot the sharded engine at the first epoch barrier
-/// past `at`.
+/// Runs the experiment on `num_shards` shards up to `at` (clamped to the run
+/// deadline) — every event with `t <= at`, at any shard count — and returns
+/// the serialized snapshot.
 ///
 /// Panics on invalid inputs (bad fault schedule, unpartitionable topology),
 /// exactly like the run entry points.
@@ -276,124 +279,23 @@ pub fn snapshot_experiment(
     at: SimTime,
     num_shards: usize,
 ) -> Vec<u8> {
-    let requested = num_shards.max(1);
-    let deadline = SimTime::ZERO + config.horizon + config.drain;
-    let stop_after = at.min(deadline);
-    let mut payload = SnapWriter::new();
-
-    if requested == 1 {
-        // Serial engine: replicate `run_experiment` up to `stop_after`.
-        if let Err(e) = config.dynamics.validate(topo) {
-            panic!("invalid fault schedule for this topology: {e}");
-        }
-        payload.put_u64(fingerprint(topo, trace, config, 1));
-        payload.put_u64(stop_after.as_picos());
-        payload.put_usize(1);
-        let frame = Frame::new(topo, config);
-        let flows = Arc::new(build_flow_metas(topo, trace, config, &frame));
-        let mut sim = build_sim(topo, flows, config, &frame, |_| true, true);
-        let fifo = config.rank_mode.is_fifo();
-        let mut queue = EventQueue::with_capacity(trace.len() * 4 + 16);
-        for (i, t) in trace.iter().enumerate() {
-            seed_send(&mut queue, fifo, t.start, NetEvent::FlowArrival { index: i });
-        }
-        seed_samples(&mut queue, fifo, config);
-        for (index, event) in config.dynamics.events().iter().enumerate() {
-            seed_send(&mut queue, fifo, event.at, NetEvent::NetworkDynamics { index });
-        }
-        let last = run_until(&mut sim, &mut queue, stop_after);
-        payload.put_u64(last.as_picos());
-        queue.save_state(&mut payload, |w, e: &NetEvent| e.save_state(w));
-        save_sim(&sim, &mut payload);
-    } else {
-        let plan = plan_for(topo, trace, config, requested);
-        payload.put_u64(fingerprint(topo, trace, config, plan.num_shards()));
-        payload.put_u64(stop_after.as_picos());
-        payload.put_usize(plan.num_shards());
-        let frame = Frame::new(topo, config);
-        let flows = Arc::new(build_flow_metas(topo, trace, config, &frame));
-        let lookahead = epoch_lookahead(&plan, config);
-        let mut workers = build_workers(topo, trace, config, &frame, &flows, &plan);
-        run_epochs_until(&mut workers, lookahead, stop_after, deadline);
-        for wk in &workers {
-            save_worker(wk, &mut payload);
-        }
-    }
-    snapshot::finalize(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &payload.into_bytes())
+    let mut engine = Engine::build(topo, trace, config, num_shards);
+    engine.advance(at);
+    engine.save()
 }
 
 /// Restores a snapshot taken by [`snapshot_experiment`] against the same
 /// inputs and runs the experiment to completion. The result is bit-identical
-/// to the uninterrupted run at the snapshot's shard count (which is itself
-/// bit-identical to the serial run).
+/// to the uninterrupted run at any shard count.
 pub fn resume_experiment(
     topo: &Topology,
     trace: &[TraceFlow],
     config: &ExperimentConfig,
     bytes: &[u8],
 ) -> Result<ExperimentResult, SnapError> {
-    let payload = snapshot::open(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, bytes)?;
-    let mut r = SnapReader::new(payload);
-    let stored_fp = r.get_u64()?;
-    let _at = SimTime::from_picos(r.get_u64()?);
-    let num_shards = r.get_usize()?;
-    if !(1..=4096).contains(&num_shards) {
-        return Err(SnapError::Corrupt("implausible shard count"));
-    }
-    if stored_fp != fingerprint(topo, trace, config, num_shards) {
-        return Err(SnapError::Corrupt(
-            "snapshot was taken for different inputs (topology, trace, config or shard count)",
-        ));
-    }
-    let deadline = SimTime::ZERO + config.horizon + config.drain;
-    let frame = Frame::new(topo, config);
-    let flows = Arc::new(build_flow_metas(topo, trace, config, &frame));
-
-    if num_shards == 1 {
-        let mut sim = build_sim(topo, Arc::clone(&flows), config, &frame, |_| true, true);
-        let last = SimTime::from_picos(r.get_u64()?);
-        let mut queue = EventQueue::restore_state(&mut r, |r| NetEvent::restore_state(r))?;
-        restore_sim(&mut sim, &frame, &mut r)?;
-        r.expect_end()?;
-        let resumed = run_until(&mut sim, &mut queue, deadline);
-        // `run_until` returns ZERO when every event was already processed
-        // before the snapshot; the run's end is whichever came later.
-        let end_time = last.max(resumed);
-        let mut result = assemble_result(topo, trace, config, &frame, vec![sim], end_time);
-        // The queue counter was restored from the snapshot, so the resumed
-        // run reports the same lifetime total as the uninterrupted one.
-        result.record_engine_counters(queue.overflow_pushes());
-        Ok(result)
-    } else {
-        let plan = plan_for(topo, trace, config, num_shards);
-        if plan.num_shards() != num_shards {
-            return Err(SnapError::Corrupt("shard plan does not match snapshot"));
-        }
-        let lookahead = epoch_lookahead(&plan, config);
-        let mut workers = build_workers(topo, trace, config, &frame, &flows, &plan);
-        for wk in workers.iter_mut() {
-            wk.last = SimTime::from_picos(r.get_u64()?);
-            wk.queue = EventQueue::restore_state(&mut r, |r| NetEvent::restore_state(r))?;
-            restore_sim(&mut wk.sim, &frame, &mut r)?;
-        }
-        r.expect_end()?;
-        let parallel = workers.len() > 1;
-        // `run_conservative` folds in each shard's restored `last`, so a
-        // snapshot taken after the final event still reports the right end.
-        let (end_time, epochs) = run_conservative(
-            &mut workers,
-            lookahead,
-            deadline,
-            parallel,
-            config.batch_policy(),
-        );
-        let overflow_pushes: u64 = workers.iter().map(|w| w.queue.overflow_pushes()).sum();
-        let sims: Vec<FabricSim<'_>> = workers.into_iter().map(|w| w.sim).collect();
-        let mut result = assemble_result(topo, trace, config, &frame, sims, end_time);
-        result.epochs = epochs;
-        result.record_engine_counters(overflow_pushes);
-        Ok(result)
-    }
+    let mut engine = Engine::restore(topo, trace, config, bytes)?;
+    engine.advance(engine.deadline);
+    Ok(engine.finish())
 }
 
 /// A shared slot holding the latest rendered metrics exposition, so a
@@ -425,14 +327,20 @@ impl MetricsHub {
 /// Builds the live (mid-run) registry for service mode: the per-switch
 /// forwarding counters plus the ingest admission state. Cheap enough to
 /// rebuild on every admission.
-fn live_registry(sim: &FabricSim<'_>, admitted: usize) -> bfc_metrics::MetricsRegistry {
+fn live_registry(sim: &FabricSim<'_>) -> bfc_metrics::MetricsRegistry {
     let mut registry = bfc_metrics::MetricsRegistry::new();
     for sw in sim.switches.iter().flatten() {
         crate::runner::record_switch_counters(&mut registry, sw);
     }
-    registry.add_counter("bfc_flows_admitted", admitted as u64);
+    registry.add_counter("bfc_flows_admitted", sim.flows.len() as u64);
     registry.add_counter("bfc_flows_completed", sim.completed as u64);
     registry
+}
+
+/// Flows admitted into a serving engine that have not completed yet.
+fn inflight(engine: &Engine<'_>) -> usize {
+    let sim = &engine.workers[0].sim;
+    sim.flows.len() - sim.completed
 }
 
 /// What [`serve_experiment`] produced.
@@ -446,12 +354,11 @@ pub struct ServeReport {
 }
 
 /// Drives a live simulation from a streaming [`IngestSource`] under an
-/// inflight cap (serial engine).
+/// inflight cap (a one-worker engine, stepped one event at a time).
 ///
 /// Flows are admitted in arrival order; a flow whose start time has already
 /// passed (the simulation outran the feeder) is admitted "now" — at the last
-/// processed instant — since the calendar queue cannot schedule into the
-/// past. While `admitted - completed >= inflight_cap` the driver advances
+/// processed instant. While `admitted - completed >= inflight_cap` the driver advances
 /// the simulation instead of pulling, so a slow consumer never reads ahead:
 /// that is the backpressure the source contract relies on.
 ///
@@ -479,74 +386,36 @@ pub fn serve_experiment_with(
     metrics: Option<&MetricsHub>,
 ) -> Result<ServeReport, IngestError> {
     assert!(inflight_cap >= 1, "inflight cap must be at least 1");
-    if let Err(e) = config.dynamics.validate(topo) {
-        panic!("invalid fault schedule for this topology: {e}");
-    }
-    let frame = Frame::new(topo, config);
-    let mut sim = build_sim(topo, Arc::new(Vec::new()), config, &frame, |_| true, true);
-    let fifo = config.rank_mode.is_fifo();
-    let mut queue = EventQueue::with_capacity(1024);
-    seed_samples(&mut queue, fifo, config);
-    for (index, event) in config.dynamics.events().iter().enumerate() {
-        seed_send(&mut queue, fifo, event.at, NetEvent::NetworkDynamics { index });
-    }
-    let deadline = SimTime::ZERO + config.horizon + config.drain;
-    let mut admitted: Vec<TraceFlow> = Vec::new();
-    let mut last = SimTime::ZERO;
-    if let Some(hub) = metrics {
-        // Publish the zeroed registry up front so a scrape racing the first
-        // admission still reads well-formed exposition text.
-        hub.publish(&live_registry(&sim, 0));
-    }
-
+    let mut engine = Engine::build(topo, &[], config, 1);
+    let publish = |engine: &Engine<'_>| {
+        if let Some(hub) = metrics {
+            hub.publish(&live_registry(&engine.workers[0].sim));
+        }
+    };
+    // Publish the zeroed registry up front so a scrape racing the first
+    // admission still reads well-formed exposition text.
+    publish(&engine);
     loop {
         // Backpressure: while the inflight window is full, make progress
         // instead of pulling. If the sim cannot progress (nothing left to
         // run before the deadline), admission resumes — the stuck flows can
         // never complete, and starving the feeder would not change that.
-        while admitted.len() - sim.completed >= inflight_cap {
-            match queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    let (now, event) = queue.pop().expect("peeked event exists");
-                    last = now;
-                    if fifo {
-                        sim.dispatch(now, event, &mut FifoSink(&mut queue));
-                    } else {
-                        sim.dispatch(now, event, &mut queue);
-                    }
-                }
-                _ => break,
-            }
-        }
-        let Some(mut flow) = source.next_flow()? else {
+        // The cap is checked after every event: the admission order it
+        // produces is part of the result.
+        while inflight(&engine) >= inflight_cap && engine.step() {}
+        let Some(flow) = source.next_flow()? else {
             break;
         };
-        // The feeder's timestamps are admission *requests*; a start already
-        // in the simulated past becomes "now".
-        flow.start = flow.start.max(last);
-        let index = admitted.len();
-        let meta = build_flow_meta(topo, index, &flow, config, &frame);
-        Arc::get_mut(&mut sim.flows)
-            .expect("serve sim uniquely owns its flow table")
-            .push(meta);
-        sim.flow_completed.push(None);
-        seed_send(&mut queue, fifo, flow.start, NetEvent::FlowArrival { index });
-        admitted.push(flow);
-        if let Some(hub) = metrics {
-            hub.publish(&live_registry(&sim, admitted.len()));
-        }
+        engine.admit(flow);
+        publish(&engine);
     }
-
-    let drained = run_until(&mut sim, &mut queue, deadline);
-    let end_time = last.max(drained);
-    let mut result = assemble_result(topo, &admitted, config, &frame, vec![sim], end_time);
-    result.record_engine_counters(queue.overflow_pushes());
+    engine.advance(engine.deadline);
+    let result = engine.finish();
     if let Some(hub) = metrics {
         hub.publish(&result.registry);
     }
-    let count = admitted.len();
     Ok(ServeReport {
+        admitted: result.total_flows,
         result,
-        admitted: count,
     })
 }

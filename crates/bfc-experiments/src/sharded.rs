@@ -1,23 +1,24 @@
-//! The sharded fabric engine: within-run parallelism with bit-identical
-//! results.
+//! Sharding: within-run parallelism with bit-identical results.
 //!
-//! [`run_experiment_sharded`] partitions one topology's switches and hosts
-//! into N shards ([`ShardPlan::partition`]), gives each shard its own
-//! calendar event queue and its own slice of the fabric (switches, hosts,
-//! link-state and routing replicas), and advances all shards in conservative
-//! lockstep epochs ([`bfc_sim::shard::run_conservative`]) bounded by the
-//! minimum cross-shard link propagation delay. Cross-shard traffic — data
-//! packets, ACKs/CNPs, PFC and BFC pause frames — travels through per-epoch
-//! mailboxes that are exchanged at each barrier in deterministic
-//! `(timestamp, canonical rank, source shard)` order.
+//! [`ShardPlan::partition`] assigns one topology's switches and hosts to N
+//! shards. [`run_experiment_sharded`] builds the engine ([`crate::engine`])
+//! over that plan — one worker per shard, each with its own calendar queue
+//! and its own slice of the fabric (switches, hosts, link-state and routing
+//! replicas) — and advances it to the deadline in conservative lockstep
+//! epochs ([`bfc_sim::shard::run_conservative`]) bounded by the minimum
+//! cross-shard link propagation delay. Cross-shard traffic — data packets,
+//! ACKs/CNPs, PFC and BFC pause frames — travels through per-epoch mailboxes
+//! that are exchanged at each barrier in deterministic `(timestamp,
+//! canonical rank, source shard)` order. A plan with one shard has no
+//! cross-shard cable, no mailboxes and no threads: that is the serial run.
 //!
-//! # Why results are bit-identical to [`run_experiment`]
+//! # Why results are bit-identical at any shard count
 //!
-//! Both engines order events by `(time, canonical rank, emission order)`
+//! Every worker orders events by `(time, canonical rank, emission order)`
 //! (see [`bfc_net::event::NetEvent::canon_rank`]). The rank discriminates
 //! every pair of simultaneous events except pairs emitted by one sequential
-//! stream — and those reach any queue in emission order in both engines. A
-//! shard therefore pops exactly the subsequence of the serial engine's pop
+//! stream — and those reach any queue in emission order at any shard count.
+//! A shard therefore pops exactly the subsequence of the one-shard pop
 //! sequence that targets its nodes; since per-event handlers only touch the
 //! target node's state (plus per-shard replicas recomputed from identical
 //! inputs), every switch, host and flow evolves identically. Metrics merge
@@ -31,19 +32,13 @@
 
 use std::fmt;
 
-use bfc_net::event::{NetEvent, NetSink};
 use bfc_net::topology::Topology;
 use bfc_net::types::NodeId;
-use bfc_sim::shard::{run_conservative, Boundary, ShardHandler};
-use bfc_sim::{EventQueue, SimDuration, SimTime};
+use bfc_sim::SimDuration;
 use bfc_workloads::TraceFlow;
 
-use std::sync::Arc;
-
-use crate::runner::{
-    assemble_result, build_flow_metas, build_sim, run_experiment, ExperimentConfig,
-    ExperimentResult, FabricSim, FlowMeta, Frame,
-};
+use crate::engine::Engine;
+use crate::runner::{ExperimentConfig, ExperimentResult};
 
 /// Why a topology could not be partitioned.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,250 +139,19 @@ impl ShardPlan {
     }
 }
 
-/// Routes scheduled events: events targeting a node of this shard go into
-/// the local calendar queue, events for another shard's nodes into that
-/// shard's epoch outbox. Driver-level events without a target node
-/// (samples, flow bookkeeping, dynamics) are always shard-local — each shard
-/// schedules its own copies up front.
-struct ShardSink<'b> {
-    local: &'b mut EventQueue<NetEvent>,
-    outbox: &'b mut [Vec<Boundary<NetEvent>>],
-    plan: &'b ShardPlan,
-    me: u32,
-}
-
-impl NetSink for ShardSink<'_> {
-    #[inline]
-    fn send(&mut self, time: SimTime, event: NetEvent) {
-        let rank = event.canon_rank();
-        match event.target_node() {
-            Some(node) if self.plan.shard_of(node) != self.me => {
-                self.outbox[self.plan.shard_of(node) as usize].push((time, rank, event));
-            }
-            _ => self.local.push_ranked(time, rank, event),
-        }
-    }
-}
-
-/// One shard: its slice of the fabric, its event queue, and its outboxes.
-/// Crate-visible so the snapshot/service layer ([`crate::service`]) can
-/// save and overlay per-shard state at epoch barriers.
-pub(crate) struct ShardWorker<'a> {
-    pub(crate) sim: FabricSim<'a>,
-    pub(crate) queue: EventQueue<NetEvent>,
-    pub(crate) outbox: Vec<Vec<Boundary<NetEvent>>>,
-    pub(crate) plan: &'a ShardPlan,
-    pub(crate) me: u32,
-    pub(crate) last: SimTime,
-}
-
-impl ShardHandler for ShardWorker<'_> {
-    type Event = NetEvent;
-
-    fn next_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    fn run_window(&mut self, window_end: SimTime, deadline: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= window_end || t > deadline {
-                break;
-            }
-            let (now, event) = self.queue.pop().expect("peeked event exists");
-            debug_assert!(now >= self.last, "shard queue delivered out of order");
-            self.last = now;
-            let mut sink = ShardSink {
-                local: &mut self.queue,
-                outbox: &mut self.outbox,
-                plan: self.plan,
-                me: self.me,
-            };
-            self.sim.dispatch(now, event, &mut sink);
-        }
-    }
-
-    fn take_outboxes(&mut self) -> Vec<Vec<Boundary<NetEvent>>> {
-        let n = self.outbox.len();
-        std::mem::replace(&mut self.outbox, vec![Vec::new(); n])
-    }
-
-    fn deliver(&mut self, batch: Vec<Boundary<NetEvent>>) {
-        for (time, rank, event) in batch {
-            debug_assert!(time >= self.last, "boundary event violates lookahead");
-            self.queue.push_ranked(time, rank, event);
-        }
-    }
-
-    fn last_processed(&self) -> SimTime {
-        self.last
-    }
-}
-
-/// Validates inputs and produces the shard plan for a run: checks the fault
-/// schedule, asserts the packed event-rank layout fits, and partitions the
-/// topology. Panics on invalid inputs, exactly like the run entry points.
-pub(crate) fn plan_for(
-    topo: &Topology,
-    trace: &[TraceFlow],
-    config: &ExperimentConfig,
-    num_shards: usize,
-) -> ShardPlan {
-    if let Err(e) = config.dynamics.validate(topo) {
-        panic!("invalid fault schedule for this topology: {e}");
-    }
-    let max_ports = (0..topo.num_nodes())
-        .map(|idx| topo.ports(NodeId(idx as u32)).len())
-        .max()
-        .unwrap_or(0);
-    assert!(
-        NetEvent::rank_layout_fits(topo.num_nodes(), max_ports, trace.len()),
-        "topology/trace exceed the packed event-rank layout; \
-         run serially or widen NetEvent::canon_rank"
-    );
-    match ShardPlan::partition(topo, num_shards) {
-        Ok(plan) => plan,
-        Err(e) => panic!("cannot shard this topology: {e}"),
-    }
-}
-
-/// The epoch window for a plan under `config`. With no cross-shard cable any
-/// window is safe; one window spanning the whole run degenerates to the
-/// serial loop.
-pub(crate) fn epoch_lookahead(plan: &ShardPlan, config: &ExperimentConfig) -> SimDuration {
-    plan.lookahead()
-        .unwrap_or(config.horizon + config.drain + SimDuration::from_micros(1))
-}
-
-/// Builds the per-shard workers for a run, each with its slice of the fabric
-/// and its fully seeded event queue (flow arrivals, sampling, dynamics).
-pub(crate) fn build_workers<'a>(
-    topo: &'a Topology,
-    trace: &[TraceFlow],
-    config: &'a ExperimentConfig,
-    frame: &Frame,
-    flows: &Arc<Vec<FlowMeta>>,
-    plan: &'a ShardPlan,
-) -> Vec<ShardWorker<'a>> {
-    (0..plan.num_shards())
-        .map(|s| {
-            let me = s as u32;
-            let sim = build_sim(
-                topo,
-                Arc::clone(flows),
-                config,
-                frame,
-                |node| plan.shard_of(node) == me,
-                // Exactly one shard records the schedule-derived recovery
-                // metrics; see `FabricSim::record_dynamics_metrics`.
-                s == 0,
-            );
-            let mut queue = EventQueue::with_capacity(trace.len() / plan.num_shards() * 4 + 16);
-            for (index, t) in trace.iter().enumerate() {
-                // The arrival event fans out to the sender's shard (which
-                // starts the flow) and the receiver's shard (which registers
-                // the expected flow); `FabricSim::dispatch` does whichever
-                // half is local.
-                if plan.shard_of(t.src) == me || plan.shard_of(t.dst) == me {
-                    queue.send(t.start, NetEvent::FlowArrival { index });
-                }
-            }
-            // Full tick schedule up front (the handler no longer
-            // reschedules); the sharded engine always keys by canonical
-            // rank, so `fifo` is false here.
-            crate::runner::seed_samples(&mut queue, false, config);
-            for (index, event) in config.dynamics.events().iter().enumerate() {
-                // Every shard replays the whole fault schedule against its
-                // own link-state / routing replica.
-                queue.send(event.at, NetEvent::NetworkDynamics { index });
-            }
-            ShardWorker {
-                sim,
-                queue,
-                outbox: vec![Vec::new(); plan.num_shards()],
-                plan,
-                me,
-                last: SimTime::ZERO,
-            }
-        })
-        .collect()
-}
-
 /// Runs one experiment across `num_shards` shards (clamped to the number of
-/// switches), with one thread per shard. The result is **bit-identical** to
-/// [`run_experiment`] on the same inputs, at any shard count.
+/// switches), with one thread per shard when there is more than one. The
+/// result is **bit-identical** at any shard count;
+/// [`crate::runner::run_experiment`] is this function at one shard.
 pub fn run_experiment_sharded(
     topo: &Topology,
     trace: &[TraceFlow],
     config: &ExperimentConfig,
     num_shards: usize,
 ) -> ExperimentResult {
-    let plan = plan_for(topo, trace, config, num_shards);
-    let frame = Frame::new(topo, config);
-    // Immutable flow metadata is computed once and shared: shards only need
-    // private completion state.
-    let flows = Arc::new(build_flow_metas(topo, trace, config, &frame));
-    let deadline = SimTime::ZERO + config.horizon + config.drain;
-    let lookahead = epoch_lookahead(&plan, config);
-
-    let mut workers = build_workers(topo, trace, config, &frame, &flows, &plan);
-    let parallel = workers.len() > 1;
-    let (end_time, epochs) = run_conservative(
-        &mut workers,
-        lookahead,
-        deadline,
-        parallel,
-        config.batch_policy(),
-    );
-    let overflow_pushes: u64 = workers.iter().map(|w| w.queue.overflow_pushes()).sum();
-    let sims: Vec<FabricSim<'_>> = workers.into_iter().map(|w| w.sim).collect();
-    let mut result = assemble_result(topo, trace, config, &frame, sims, end_time);
-    result.epochs = epochs;
-    result.record_engine_counters(overflow_pushes);
-    result
-}
-
-/// Shard count from the `BFC_SHARDS` environment variable (default 1; the
-/// figure binaries' `--shards N` flag sets the variable for the process).
-pub fn shards_from_env() -> usize {
-    std::env::var("BFC_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// Parses a `--shards` flag value and installs it as `BFC_SHARDS` for this
-/// process, so every run dispatched later (figures, replay, scenario) goes
-/// through the sharded engine. The flag and the variable are deliberately
-/// the same mechanism — mirroring `BFC_THREADS` — so scripts can use either.
-/// Rejects zero and non-numeric values. Binaries call this during argument
-/// parsing, before any worker thread exists.
-pub fn set_shards_env(value: &str) -> Result<(), String> {
-    match value.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => {
-            std::env::set_var("BFC_SHARDS", n.to_string());
-            Ok(())
-        }
-        Ok(_) => Err("--shards requires a positive shard count, got 0".to_string()),
-        Err(_) => Err(format!("--shards: not a valid number: {value}")),
-    }
-}
-
-/// Runs through the sharded engine when `BFC_SHARDS` asks for more than one
-/// shard, and through the serial engine otherwise — bit-identical either
-/// way. This is the entry point [`crate::ParallelRunner`] uses, so every
-/// figure, replay and scenario path honours `BFC_SHARDS` / `--shards`.
-pub fn run_experiment_auto(
-    topo: &Topology,
-    trace: &[TraceFlow],
-    config: &ExperimentConfig,
-) -> ExperimentResult {
-    let shards = shards_from_env();
-    if shards > 1 {
-        run_experiment_sharded(topo, trace, config, shards)
-    } else {
-        run_experiment(topo, trace, config)
-    }
+    let mut engine = Engine::build(topo, trace, config, num_shards);
+    engine.advance(engine.deadline);
+    engine.finish()
 }
 
 #[cfg(test)]
@@ -396,6 +160,7 @@ mod tests {
     use bfc_net::topology::{fat_tree, FatTreeParams};
     use bfc_workloads::{synthesize, TraceParams, Workload};
 
+    use crate::runner::run_experiment;
     use crate::scheme::Scheme;
 
     #[test]

@@ -266,7 +266,7 @@ impl NetEvent {
 
 /// Where network components schedule their follow-up events.
 ///
-/// The serial engine passes the global [`EventQueue`] directly; the sharded
+/// A one-worker engine passes its [`EventQueue`] directly; a multi-worker
 /// engine passes a wrapper that routes events targeting another shard's
 /// nodes into an epoch outbox instead. Every implementation must order
 /// events by `(time, [`NetEvent::canon_rank`], emission order)` — going
@@ -291,32 +291,6 @@ impl NetSink for EventQueue<NetEvent> {
     fn send(&mut self, time: SimTime, event: NetEvent) {
         let rank = event.canon_rank();
         self.push_ranked(time, rank, event);
-    }
-}
-
-/// A [`NetSink`] that elides the canonical rank: every event is pushed with
-/// rank 0, so the queue orders purely by `(time, push order)` — plain FIFO
-/// among simultaneous events.
-///
-/// Only the **serial** engine may use this sink. With a single global queue,
-/// push order is itself a deterministic total order, so the content-derived
-/// rank adds nothing — this sink skips computing it on every push. (The
-/// saving is real but small: `canon_rank` is a handful of shifts, measured
-/// at ~1–2% of serial wall-clock, not the ~8% the optimization was sized
-/// for; the rank turns out to live in `Key` padding, so eliding it shrinks
-/// nothing.) The sharded engine must keep ranked keys: its per-shard push
-/// orders depend on the shard count, and only the content-derived rank
-/// makes them collapse back to one canonical order.
-///
-/// FIFO order and ranked order may disagree on *simultaneous* events from
-/// different streams; `tests/determinism.rs` pins the experiment-level
-/// results as bit-identical between the two serial modes.
-pub struct FifoSink<'a>(pub &'a mut EventQueue<NetEvent>);
-
-impl NetSink for FifoSink<'_> {
-    #[inline]
-    fn send(&mut self, time: SimTime, event: NetEvent) {
-        self.0.push(time, event);
     }
 }
 

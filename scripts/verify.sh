@@ -12,14 +12,17 @@
 #   5. malformed-CSV rejection: every trace-consuming subcommand must exit
 #      nonzero and name the offending line
 #   6. service mode: run -> snapshot -> resume must reproduce the
-#      uninterrupted replay byte-for-byte, and `serve --tail` must complete
+#      uninterrupted replay byte-for-byte — from a 1-shard cut and from a
+#      2-shard cut at an instant that is no multiple of the fabric's 1 us
+#      epoch lookahead — and `serve --tail` must complete
 #   7. a quick benchmark run diffed against the committed BENCH.json —
 #      any benchmark whose median regresses more than 25% fails the check
 #      (benchmarks without a committed baseline entry are reported, not
 #      compared)
-#   8. configuration cross-checks: the fifo-rank feature build's quickstart
-#      and a batched 2-shard replay must be byte-identical to their default
-#      serial counterparts
+#   8. configuration cross-checks: the quickstart at BFC_SHARDS=2 and at
+#      BFC_SHARDS=1 (the variable is read once, into a value) and a batched
+#      2-shard replay must be byte-identical to their default one-shard
+#      counterparts
 #   9. observability: the flight recorder's record -> inspect -> filter ->
 #      top pipeline works on a recorded run, a safety-violating scenario
 #      auto-dumps a non-empty readable trace, and a `serve --metrics`
@@ -69,28 +72,21 @@ cargo run --release -q -p bfc-experiments --bin trace-tool -- \
 cargo run --release -q -p bfc-experiments --bin trace-tool -- stats "$trace_csv"
 cargo run --release -q -p bfc-experiments --bin trace-tool -- replay "$trace_csv" --scheme bfc
 
-echo "== sharded engine: quickstart at BFC_SHARDS=2 diffed against serial"
-# The sharded engine must be bit-identical to the serial one; the quickstart
-# example prints FCT tables and scalar metrics, so a byte-level diff of its
-# output is a cheap end-to-end witness.
+echo "== shard count from the environment: quickstart at BFC_SHARDS=2 and =1 diffed against unset"
+# Results must be bit-identical at any shard count; the quickstart example
+# prints FCT tables and scalar metrics, so a byte-level diff of its output is
+# a cheap end-to-end witness — and of BFC_SHARDS being read (once, into a
+# value on the runner) at all.
 serial_out="$tmpdir/quickstart-serial.txt"
-sharded_out="$tmpdir/quickstart-sharded.txt"
-cargo run --release -q --example quickstart > "$serial_out"
-BFC_SHARDS=2 cargo run --release -q --example quickstart > "$sharded_out"
-if ! diff -u "$serial_out" "$sharded_out"; then
-    echo "verify: FAILED — sharded (BFC_SHARDS=2) output differs from serial" >&2
-    exit 1
-fi
-
-echo "== fifo-rank build: quickstart diffed against the default build"
-# The fifo-rank feature drops canonical event ranks on the serial engine;
-# results must stay byte-identical, only per-event work changes.
-fifo_out="$tmpdir/quickstart-fifo.txt"
-cargo run --release -q --features fifo-rank --example quickstart > "$fifo_out"
-if ! diff -u "$serial_out" "$fifo_out"; then
-    echo "verify: FAILED — fifo-rank quickstart output differs from default build" >&2
-    exit 1
-fi
+env -u BFC_SHARDS cargo run --release -q --example quickstart > "$serial_out"
+for shards in 2 1; do
+    sharded_out="$tmpdir/quickstart-shards-$shards.txt"
+    BFC_SHARDS=$shards cargo run --release -q --example quickstart > "$sharded_out"
+    if ! diff -u "$serial_out" "$sharded_out"; then
+        echo "verify: FAILED — BFC_SHARDS=$shards quickstart output differs from BFC_SHARDS unset" >&2
+        exit 1
+    fi
+done
 
 echo "== epoch batching: sharded replay (--shards 2) diffed against serial"
 # Adaptive epoch batching is on by default, so the sharded replay exercises
@@ -179,15 +175,17 @@ done
 echo "== service mode: snapshot -> resume diffed against uninterrupted replay"
 # A resumed run must be bit-identical to the uninterrupted one; the results
 # table (FCT percentiles, utilization, drops) is the end-to-end witness.
-# Exercise both engines: a serial snapshot and a 2-shard snapshot.
+# A cut is a time at any shard count: the 2-shard snapshot is taken at an
+# instant that is no multiple of the fabric's 1 us epoch lookahead.
 replay_out="$tmpdir/replay.txt"
 cargo run --release -q -p bfc-experiments --bin trace-tool -- \
     replay "$trace_csv" --scheme bfc > "$replay_out"
-for snap_shards in 1 2; do
+for snap_cut in 1:60 2:60.37; do
+    snap_shards="${snap_cut%%:*}"
     snap="$tmpdir/run-$snap_shards.snap"
     resume_out="$tmpdir/resume-$snap_shards.txt"
     cargo run --release -q -p bfc-experiments --bin trace-tool -- \
-        snapshot "$trace_csv" --at-us 60 --out "$snap" --shards "$snap_shards"
+        snapshot "$trace_csv" --at-us "${snap_cut##*:}" --out "$snap" --shards "$snap_shards"
     cargo run --release -q -p bfc-experiments --bin trace-tool -- \
         resume "$trace_csv" --snapshot "$snap" > "$resume_out"
     # First line is the banner (replayed... vs resumed...); the table below

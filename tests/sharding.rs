@@ -10,8 +10,8 @@
 //!    serial engine.
 
 use backpressure_flow_control::experiments::{
-    run_experiment, run_experiment_sharded, ExperimentConfig, ExperimentResult, ReplayTrace,
-    ScenarioSpec, Scheme, ShardPlan,
+    run_experiment, run_experiment_sharded, ExperimentConfig, ReplayTrace, ScenarioSpec, Scheme,
+    ShardPlan,
 };
 use backpressure_flow_control::net::topology::{
     cross_dc, fat_tree, CrossDcParams, FatTreeParams, Topology,
@@ -22,6 +22,9 @@ use backpressure_flow_control::workloads::{
     export_csv, synthesize, TraceFlow, TraceParams, Workload,
 };
 use bfc_testkit::{int_range, pair, property};
+
+mod common;
+use common::assert_identical;
 
 const WINDOW: SimDuration = SimDuration::from_micros(120);
 
@@ -85,46 +88,6 @@ property! {
             assert_eq!(plan.lookahead(), None);
         }
     }
-}
-
-/// Field-by-field bit-identity, including every float compared by its bits.
-fn assert_identical(label: &str, a: &ExperimentResult, b: &ExperimentResult) {
-    assert_eq!(a.scheme, b.scheme, "{label}: scheme");
-    assert_eq!(a.fct, b.fct, "{label}: FCT summary");
-    assert_eq!(a.records, b.records, "{label}: per-flow records");
-    assert_eq!(
-        a.occupancy.samples(),
-        b.occupancy.samples(),
-        "{label}: occupancy series"
-    );
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(
-        bits(&a.peak_queue_samples),
-        bits(&b.peak_queue_samples),
-        "{label}: peak queue series"
-    );
-    assert_eq!(
-        bits(&a.occupied_queue_samples),
-        bits(&b.occupied_queue_samples),
-        "{label}: occupied queue series"
-    );
-    assert_eq!(
-        a.utilization.to_bits(),
-        b.utilization.to_bits(),
-        "{label}: utilization"
-    );
-    assert_eq!(
-        a.pfc_pause_fraction.to_bits(),
-        b.pfc_pause_fraction.to_bits(),
-        "{label}: PFC pause fraction"
-    );
-    assert_eq!(a.policy_stats, b.policy_stats, "{label}: policy stats");
-    assert_eq!(a.drops, b.drops, "{label}: drops");
-    assert_eq!(a.completed_flows, b.completed_flows, "{label}: completions");
-    assert_eq!(a.total_flows, b.total_flows, "{label}: flow count");
-    assert_eq!(a.end_time, b.end_time, "{label}: end time");
-    assert_eq!(a.recovery, b.recovery, "{label}: recovery metrics");
-    assert_eq!(a.safety, b.safety, "{label}: safety report");
 }
 
 fn compare_all_shard_counts(

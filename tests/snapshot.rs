@@ -6,7 +6,8 @@
 //!    identical field-for-field (floats by bits) to the uninterrupted run,
 //!    for the serial engine and for the sharded engine at 1, 2 and 4 shards.
 //! 2. Snapshot-instant coverage: the cut can land before the first event,
-//!    anywhere in the middle, or after the last event.
+//!    anywhere in the middle, or after the last event; a shard request the
+//!    plan clamps to one worker snapshots as one worker.
 //! 3. Robustness: corrupted, truncated, version-skewed or mismatched
 //!    snapshots are rejected with the right `SnapError`, never a wrong
 //!    result.
@@ -22,6 +23,7 @@ use backpressure_flow_control::experiments::{
     ScenarioSpec, Scheme,
 };
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
+use backpressure_flow_control::net::{Link, TopologyBuilder};
 use backpressure_flow_control::sim::{SimDuration, SimTime, SnapError};
 use backpressure_flow_control::workloads::{
     export_csv, synthesize, CsvTail, TraceFlow, TraceParams, Workload,
@@ -184,6 +186,28 @@ fn snapshot_instant_can_be_anywhere_in_the_run() {
             );
         }
     }
+}
+
+/// A shard request the plan clamps: a one-switch star admits one worker, so
+/// a 2-shard snapshot is the one-worker snapshot — same bytes, same resumed
+/// result as the serial run.
+#[test]
+fn a_clamped_shard_request_snapshots_as_one_worker() {
+    let mut star = TopologyBuilder::new();
+    let hub = star.add_switch("hub");
+    for i in 0..4 {
+        let host = star.add_host(format!("h{i}"));
+        star.connect(host, hub, Link::datacenter_default());
+    }
+    let topo = star.build();
+    let trace = synthetic_trace(&topo, 53);
+    let config = ExperimentConfig::new(Scheme::bfc(), WINDOW);
+    let uninterrupted = run_experiment(&topo, &trace, &config);
+    let at = SimTime::ZERO + us(60);
+    let snap = snapshot_experiment(&topo, &trace, &config, at, 2);
+    assert_eq!(snap, snapshot_experiment(&topo, &trace, &config, at, 1));
+    let resumed = resume_experiment(&topo, &trace, &config, &snap).expect("resumes");
+    assert_identical("one-switch star, 2 shards requested", &uninterrupted, &resumed);
 }
 
 /// Corrupted containers are rejected with precise errors, never decoded.

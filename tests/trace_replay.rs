@@ -55,7 +55,9 @@ fn exported_and_reimported_trace_replays_bit_identically() {
         for scheme in [Scheme::bfc(), Scheme::Dcqcn { window: true, sfq: false }] {
             let config = ExperimentConfig::new(scheme, params.duration);
             let original = run_experiment(&topo, &trace, &config);
-            let replayed = replay.run(&topo, &config).expect("trace fits topology");
+            let replayed = replay
+                .run(&topo, &config, &ParallelRunner::serial())
+                .expect("trace fits topology");
             assert_eq!(original.fct, replayed.fct, "{}: FCT summary", original.scheme);
             assert_eq!(original.records, replayed.records, "{}: raw records", original.scheme);
             assert_eq!(original.completed_flows, replayed.completed_flows);
@@ -114,7 +116,7 @@ fn replay_validation_rejects_bad_traces() {
     .expect("non-empty");
     let config = ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(10));
     assert!(matches!(
-        replay.run(&topo, &config),
+        replay.run(&topo, &config, &ParallelRunner::serial()),
         Err(ReplayError::UnknownHost { flow_index: 0, node: NodeId(500) })
     ));
     // Parse errors surface with their line numbers, empty traces are refused.
