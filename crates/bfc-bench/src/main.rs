@@ -19,14 +19,18 @@ use std::process::ExitCode;
 
 use bfc_bench::{compare_against_baseline, comparison_report, parse_baseline, Harness};
 use bfc_core::{BfcConfig, BfcPolicy, CountingBloom, FlowKey, FlowTable};
-use bfc_experiments::{run_experiment, run_experiment_sharded, ExperimentConfig, ParallelRunner, Scheme};
+use bfc_experiments::{
+    run_experiment, run_experiment_sharded, ExperimentConfig, MetricsHub, ParallelRunner, Scheme,
+};
 use bfc_net::packet::{Packet, PauseFrame};
 use bfc_net::policy::{EnqueueCtx, FifoPolicy, SwitchPolicy};
 use bfc_net::routing::RoutingTables;
 use bfc_net::switch::Switch;
 use bfc_net::topology::{fat_tree, FatTreeParams};
+use bfc_net::trace::{read_trace, write_trace, FlightRecorder, FlightTrace, TraceEvent};
 use bfc_net::types::{FlowId, NodeId};
 use bfc_net::{Link, NetEvent, Port, SwitchConfig};
+use bfc_sim::snapshot::checksum64;
 use bfc_sim::{EventQueue, ReferenceEventQueue, SimDuration, SimTime};
 use bfc_workloads::{export_csv, import_csv, synthesize, TraceParams, Workload};
 
@@ -354,6 +358,112 @@ fn bench_trace_io(h: &mut Harness) {
     });
 }
 
+/// A million-record flight trace shaped like a packet run's: four records
+/// per packet hop (enqueue, queue-active, dequeue, queue-idle) at 16 nodes,
+/// two hops sharing each instant — so every instant holds a run the merge
+/// must rank-sort — split into the parts `part_of` assigns each node to.
+fn flight_parts(parts: usize, part_of: impl Fn(NodeId) -> usize) -> Vec<FlightTrace> {
+    const HOPS: u32 = 250_000;
+    let mut recorders: Vec<FlightRecorder> = (0..parts)
+        .map(|_| FlightRecorder::new(4 * HOPS as usize))
+        .collect();
+    for hop in 0..HOPS {
+        let at = SimTime::from_nanos(u64::from(hop / 2) * 80);
+        // Descending node order within an instant: out of rank order.
+        let (node, port, queue) = (NodeId(15 - hop % 16), hop % 7, hop % 32);
+        let (flow, bytes) = (hop % 4_096, 1_000);
+        let recorder = &mut recorders[part_of(node)];
+        recorder.record(
+            at,
+            TraceEvent::Enqueue {
+                node,
+                port,
+                queue,
+                flow,
+                bytes,
+            },
+        );
+        recorder.record(at, TraceEvent::QueueActive { node, port, queue });
+        recorder.record(
+            at,
+            TraceEvent::Dequeue {
+                node,
+                port,
+                queue,
+                flow,
+                bytes,
+            },
+        );
+        recorder.record(at, TraceEvent::QueueIdle { node, port, queue });
+    }
+    recorders.into_iter().map(FlightRecorder::finish).collect()
+}
+
+fn bench_flight_trace(h: &mut Harness) {
+    // `merge` consumes its parts, so each iteration merges a clone: the
+    // 32 MB copy is part of both figures (and of nothing they are compared
+    // with but their own baseline).
+    let one = flight_parts(1, |_| 0);
+    h.bench("flight_merge_1m_one_part", || {
+        FlightTrace::merge(one.clone()).records.len()
+    });
+    let two = flight_parts(2, |node| node.index() % 2);
+    h.bench("flight_merge_1m_two_parts", || {
+        FlightTrace::merge(two.clone()).records.len()
+    });
+    let trace = FlightTrace::merge(one);
+    h.bench("trace_write_read_1m", || {
+        let bytes = write_trace("bench", &trace);
+        let (_, back) = read_trace(&bytes).expect("a written trace reads back");
+        back.records.len()
+    });
+    let file = vec![0xA5u8; 32 << 20];
+    h.bench("container_checksum_32mb", || checksum64(&file));
+}
+
+fn bench_metrics_hub(h: &mut Harness) {
+    // Service mode's per-admission publish with nobody scraping: T2's twelve
+    // switches, each with forwarding counters and a queue-depth histogram
+    // worth copying.
+    let topo = fat_tree(FatTreeParams::t2());
+    let routes = RoutingTables::compute(&topo);
+    let scheme = Scheme::bfc();
+    let mut events: EventQueue<NetEvent> = EventQueue::new();
+    let switches: Vec<Switch> = topo
+        .switches()
+        .into_iter()
+        .map(|id| {
+            let mut sw = Switch::new(
+                id,
+                scheme.switch_config(32, 12_000_000, 1_000),
+                topo.ports(id),
+                scheme.make_policy(1),
+                1,
+            );
+            for i in 0..512u64 {
+                let flow = (i % 64) as u32;
+                let dst = NodeId((i % 64) as u32);
+                let pkt =
+                    Packet::data(FlowId(flow), NodeId(63 - dst.0), dst, i, 1_000, flow, false);
+                sw.handle_packet(SimTime::from_nanos(i), 0, pkt, &routes, &mut events);
+            }
+            while let Some((t, ev)) = events.pop() {
+                if let NetEvent::TxComplete { port, .. } = ev {
+                    sw.handle_tx_complete(t, port, &mut events);
+                }
+            }
+            assert!(!sw.depth_hist().is_empty(), "every switch forwarded data");
+            sw
+        })
+        .collect();
+    let hub = MetricsHub::new();
+    let mut admitted = 0usize;
+    h.bench("hub_publish_live_t2", || {
+        admitted += 1;
+        hub.publish_live(&switches, admitted, admitted / 2);
+    });
+}
+
 fn bench_port_counters(h: &mut Harness) {
     // The BFC pause-threshold path calls `active_queue_count` on every
     // enqueue and dequeue. This drives a 32-queue port through the same
@@ -544,6 +654,8 @@ fn main() -> ExitCode {
     bench_port_counters(&mut h);
     bench_routing_recompute(&mut h);
     bench_trace_io(&mut h);
+    bench_flight_trace(&mut h);
+    bench_metrics_hub(&mut h);
     bench_end_to_end(&mut h);
     bench_parallel_runner(&mut h);
 

@@ -677,7 +677,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // Live metrics exposition: an accept loop handing each connection to a
     // thread that serves one scrape immediately and a fresh one per request
     // line, so a monitoring client can watch the run over one persistent
-    // connection. Observation never feeds back into the simulation.
+    // connection. A scrape renders, so connections are bounded: past
+    // `MAX_SCRAPE_CONNECTIONS` live ones a new connection is closed at
+    // accept. Observation never feeds back into the simulation.
     let hub = MetricsHub::new();
     let metrics = if let Some(addr) = &metrics_addr {
         let listener = std::net::TcpListener::bind(addr.as_str())
@@ -686,10 +688,20 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         eprintln!("metrics listening on {local}");
         let scrape_hub = hub.clone();
         std::thread::spawn(move || {
+            // One clone of `slot` per live scrape thread, dropped when the
+            // thread ends however it ends: the strong count is the number of
+            // live connections plus this one.
+            let slot = std::sync::Arc::new(());
             for conn in listener.incoming() {
                 let Ok(conn) = conn else { continue };
-                let hub = scrape_hub.clone();
-                std::thread::spawn(move || serve_scrapes(conn, &hub));
+                if std::sync::Arc::strong_count(&slot) > MAX_SCRAPE_CONNECTIONS {
+                    continue;
+                }
+                let (hub, slot) = (scrape_hub.clone(), slot.clone());
+                std::thread::spawn(move || {
+                    serve_scrapes(conn, &hub);
+                    drop(slot);
+                });
             }
         });
         Some(hub)
@@ -723,12 +735,24 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Scrape connections served at once; one more is closed as it is accepted.
+const MAX_SCRAPE_CONNECTIONS: usize = 8;
+
+/// How long a scrape write may block before the connection is given up: a
+/// scraper that stops reading frees its thread (and its slot under
+/// [`MAX_SCRAPE_CONNECTIONS`]) instead of holding it for the run.
+const SCRAPE_WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+
 /// Serves metrics scrapes over one persistent connection: the current
 /// exposition (terminated by a `# EOF` line) is written immediately, then
-/// once more — re-rendered fresh — for every newline-terminated request line
-/// the client sends. Returns when the peer closes or any write fails.
+/// once more — the hub's text for its latest publish — for every
+/// newline-terminated request line the client sends. Returns when the peer
+/// closes, a write fails or a write blocks past [`SCRAPE_WRITE_TIMEOUT`].
 fn serve_scrapes(conn: std::net::TcpStream, hub: &MetricsHub) {
     use std::io::{BufRead as _, BufReader, Write as _};
+    if conn.set_write_timeout(Some(SCRAPE_WRITE_TIMEOUT)).is_err() {
+        return;
+    }
     let Ok(read_half) = conn.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut conn = conn;
@@ -1172,16 +1196,22 @@ fn print_trace_diff(
     let start = diff.index.saturating_sub(context);
     if start < diff.index {
         println!("  (common prefix, last {} records)", diff.index - start);
-        for r in &flight_a.records[start..diff.index] {
-            println!("  = {}", record_line(r));
+        for (i, r) in flight_a
+            .records
+            .iter()
+            .enumerate()
+            .take(diff.index)
+            .skip(start)
+        {
+            println!("  = {}", record_line(i, r));
         }
     }
     match &diff.first_a {
-        Some(r) => println!("  a {}", record_line(r)),
+        Some(r) => println!("  a {}", record_line(diff.index, r)),
         None => println!("  a (trace ends here)"),
     }
     match &diff.first_b {
-        Some(r) => println!("  b {}", record_line(r)),
+        Some(r) => println!("  b {}", record_line(diff.index, r)),
         None => println!("  b (trace ends here)"),
     }
     println!(
@@ -1305,9 +1335,14 @@ fn open_flight(path: &str) -> Result<(String, FlightTrace), String> {
     read_trace(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
-/// One rendered record line: sequence, simulated time, one-line event text.
-fn record_line(r: &bfc_net::trace::TraceRecord) -> String {
-    format!("{:>8}  {:<14} {}", r.seq, format!("{}", r.at), r.event.render())
+/// One rendered record line: the record's index in its trace, simulated
+/// time, one-line event text.
+fn record_line(index: usize, r: &bfc_net::trace::TraceRecord) -> String {
+    format!(
+        "{index:>8}  {:<14} {}",
+        format!("{}", r.at),
+        r.event.render()
+    )
 }
 
 fn cmd_trace_inspect(args: &[String]) -> Result<(), String> {
@@ -1358,8 +1393,8 @@ fn cmd_trace_inspect(args: &[String]) -> Result<(), String> {
     } else {
         println!("\nrecords:");
     }
-    for r in &flight.records[skip..] {
-        println!("{}", record_line(r));
+    for (i, r) in flight.records.iter().enumerate().skip(skip) {
+        println!("{}", record_line(i, r));
     }
     Ok(())
 }
@@ -1388,8 +1423,9 @@ fn cmd_trace_filter(args: &[String]) -> Result<(), String> {
     let matches: Vec<_> = flight
         .records
         .iter()
-        .filter(|r| kind.as_deref().is_none_or(|k| r.event.kind() == k))
-        .filter(|r| node.is_none_or(|n| r.event.node() == Some(NodeId(n))))
+        .enumerate()
+        .filter(|(_, r)| kind.as_deref().is_none_or(|k| r.event.kind() == k))
+        .filter(|(_, r)| node.is_none_or(|n| r.event.node() == Some(NodeId(n))))
         .collect();
     let skip = matches.len().saturating_sub(limit);
     println!(
@@ -1402,8 +1438,8 @@ fn cmd_trace_filter(args: &[String]) -> Result<(), String> {
             String::new()
         }
     );
-    for r in &matches[skip..] {
-        println!("{}", record_line(r));
+    for &(i, r) in &matches[skip..] {
+        println!("{}", record_line(i, r));
     }
     Ok(())
 }

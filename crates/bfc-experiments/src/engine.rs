@@ -28,6 +28,7 @@ use std::sync::Arc;
 
 use bfc_net::event::{NetEvent, NetSink};
 use bfc_net::topology::Topology;
+use bfc_net::trace::{FlightRecorder, Recording};
 use bfc_net::types::NodeId;
 use bfc_sim::shard::{run_conservative, Boundary, EpochStats, ShardHandler};
 use bfc_sim::{EventQueue, SimDuration, SimTime};
@@ -64,16 +65,43 @@ impl NetSink for ShardSink<'_> {
     }
 }
 
-/// One shard: its slice of the fabric, its event queue, and its outboxes
-/// (one per shard of the plan).
+/// One shard: its slice of the fabric, its event queue, its outboxes (one per
+/// shard of the plan) and, with tracing on, its flight recorder.
 pub(crate) struct ShardWorker<'a> {
     pub(crate) sim: FabricSim<'a>,
     pub(crate) queue: EventQueue<NetEvent>,
+    /// Captures the trace events of this worker's nodes; `None` with tracing
+    /// off. It sits beside the sim, not in it, so a step lends it to the sink
+    /// while the sim is mutably borrowed, instead of moving it out and back.
+    recorder: Option<FlightRecorder>,
     outbox: Vec<Vec<Boundary<NetEvent>>>,
     plan: Arc<ShardPlan>,
     me: u32,
     /// Timestamp of the last event this worker processed.
     pub(crate) last: SimTime,
+}
+
+/// Dispatches one event into `sink`, wrapped in a [`Recording`] when there is
+/// a recorder: only that wrapper overrides `NetSink::trace`, so the untraced
+/// path stays the plain sink's.
+#[inline]
+fn traced(
+    sim: &mut FabricSim<'_>,
+    recorder: &mut Option<FlightRecorder>,
+    now: SimTime,
+    event: NetEvent,
+    sink: &mut impl NetSink,
+) {
+    match recorder {
+        Some(recorder) => {
+            let mut sink = Recording {
+                inner: sink,
+                recorder,
+            };
+            sim.dispatch(now, event, &mut sink);
+        }
+        None => sim.dispatch(now, event, sink),
+    }
 }
 
 impl ShardWorker<'_> {
@@ -89,7 +117,13 @@ impl ShardWorker<'_> {
         debug_assert!(now >= self.last, "shard queue delivered out of order");
         self.last = now;
         if SOLE {
-            self.sim.dispatch(now, event, &mut self.queue);
+            traced(
+                &mut self.sim,
+                &mut self.recorder,
+                now,
+                event,
+                &mut self.queue,
+            );
         } else {
             let mut sink = ShardSink {
                 local: &mut self.queue,
@@ -97,7 +131,7 @@ impl ShardWorker<'_> {
                 plan: &self.plan,
                 me: self.me,
             };
-            self.sim.dispatch(now, event, &mut sink);
+            traced(&mut self.sim, &mut self.recorder, now, event, &mut sink);
         }
     }
 
@@ -240,6 +274,10 @@ impl<'a> Engine<'a> {
                 ShardWorker {
                     sim,
                     queue,
+                    recorder: config.trace_capacity.map(|cap| match &config.trace_filter {
+                        Some(filter) => FlightRecorder::with_filter(cap, filter.clone()),
+                        None => FlightRecorder::new(cap),
+                    }),
                     outbox: vec![Vec::new(); n],
                     plan: Arc::clone(&plan),
                     me,
@@ -331,9 +369,22 @@ impl<'a> Engine<'a> {
         // run after a set-up in the same process (`setup_s` of the repo
         // benchmark, `incast_t1`) measured +8 % and +12 % against that order
         // (better in 0 and 3 of 10 pairs); with this order -3 % and -1 %.
-        let (sims, queues): (Vec<FabricSim<'_>>, Vec<EventQueue<NetEvent>>) =
-            self.workers.into_iter().map(|w| (w.sim, w.queue)).unzip();
-        let mut result = assemble_result(self.topo, self.config, &self.frame, sims, end_time);
+        let mut sims = Vec::with_capacity(self.workers.len());
+        let mut queues = Vec::with_capacity(self.workers.len());
+        let mut flight_parts = Vec::new();
+        for w in self.workers {
+            sims.push(w.sim);
+            queues.push(w.queue);
+            flight_parts.extend(w.recorder.map(FlightRecorder::finish));
+        }
+        let mut result = assemble_result(
+            self.topo,
+            self.config,
+            &self.frame,
+            sims,
+            flight_parts,
+            end_time,
+        );
         drop(queues);
         result.epochs = self.epochs;
         result.record_engine_counters(overflow_pushes);

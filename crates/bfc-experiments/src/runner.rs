@@ -21,10 +21,10 @@ use bfc_net::dynamics::{FaultEvent, FaultSchedule, LinkAction, LinkStateMap};
 use bfc_net::event::{NetEvent, NetSink};
 use bfc_net::packet::{vfid_for_flow, PacketKind, MAX_INT_HOPS};
 use bfc_net::policy::{PolicyStats, ProbeStats};
-use bfc_net::trace::{FlightRecorder, FlightTrace, Recording, TraceEvent, TraceFilter};
 use bfc_net::routing::RoutingTables;
-use bfc_net::switch::Switch;
+use bfc_net::switch::{Switch, SwitchCounters};
 use bfc_net::topology::Topology;
+use bfc_net::trace::{FlightTrace, TraceEvent, TraceFilter};
 use bfc_net::types::{FlowId, NodeId};
 use bfc_sim::shard::{BatchPolicy, EpochStats};
 use bfc_sim::{EventQueue, SimDuration, SimTime};
@@ -206,8 +206,8 @@ pub struct ExperimentResult {
     /// and engine-internal series, merged deterministically across shards.
     /// Observability only — never part of any bit-identity comparison.
     pub registry: MetricsRegistry,
-    /// Flight-recorder trace in canonical `(time, rank, seq)` order, or
-    /// `None` when tracing was off. Observability only — never part of any
+    /// Flight-recorder trace in canonical `(time, rank)` order, or `None`
+    /// when tracing was off. Observability only — never part of any
     /// bit-identity comparison.
     pub flight: Option<FlightTrace>,
 }
@@ -304,11 +304,6 @@ pub(crate) struct FabricSim<'a> {
     /// own link-state/routing replica, but only one may *count* them, or the
     /// merged metrics would multiply by the shard count. True for shard 0.
     pub(crate) record_dynamics_metrics: bool,
-    /// Flight recorder capturing this sim's trace events, or `None` when
-    /// tracing is off. [`FabricSim::dispatch`] wraps the sink in a
-    /// [`Recording`] only when this is `Some`, so the off path stays
-    /// zero-cost.
-    pub(crate) recorder: Option<FlightRecorder>,
 }
 
 impl FabricSim<'_> {
@@ -400,24 +395,11 @@ impl FabricSim<'_> {
     }
 
     /// Handles one event. Generic over the sink so a one-worker engine passes
-    /// its queue and a multi-worker engine its boundary router.
-    /// With tracing on, the sink is wrapped in a [`Recording`] first so
-    /// every emission seam below reports into the flight recorder.
+    /// its queue and a multi-worker engine its boundary router — either one
+    /// wrapped in a [`bfc_net::trace::Recording`] when the worker has a
+    /// flight recorder, which is how every emission seam below reports into
+    /// it.
     pub(crate) fn dispatch(&mut self, now: SimTime, event: NetEvent, queue: &mut impl NetSink) {
-        match self.recorder.take() {
-            Some(mut rec) => {
-                let mut sink = Recording {
-                    inner: queue,
-                    recorder: &mut rec,
-                };
-                self.dispatch_inner(now, event, &mut sink);
-                self.recorder = Some(rec);
-            }
-            None => self.dispatch_inner(now, event, queue),
-        }
-    }
-
-    fn dispatch_inner(&mut self, now: SimTime, event: NetEvent, queue: &mut impl NetSink) {
         match event {
             NetEvent::FlowArrival { index } => {
                 let meta = &self.flows[index];
@@ -719,20 +701,21 @@ pub(crate) fn build_sim<'a>(
         recovery: RecoveryTracker::new(),
         safety: SafetyTracker::new(),
         record_dynamics_metrics,
-        recorder: config.trace_capacity.map(|cap| match &config.trace_filter {
-            Some(filter) => FlightRecorder::with_filter(cap, filter.clone()),
-            None => FlightRecorder::new(cap),
-        }),
     }
 }
 
-/// Folds one switch's forwarding counters into `registry` under
-/// `bfc_switch_*{node="..."}` series. Shared by the end-of-run assembly and
-/// the live exposition in service mode.
-pub(crate) fn record_switch_counters(registry: &mut MetricsRegistry, sw: &Switch) {
-    let node = sw.id.0.to_string();
+/// Folds one switch's forwarding counters and queue-depth histogram into
+/// `registry` under `bfc_switch_*{node="..."}` series. Takes the values, not
+/// the switch: the end-of-run assembly reads them off the switch, the
+/// service-mode hub off the copy it published.
+pub(crate) fn record_switch_counters(
+    registry: &mut MetricsRegistry,
+    node: NodeId,
+    c: &SwitchCounters,
+    depth_hist: &Hist,
+) {
+    let node = node.0.to_string();
     let by_node: &[(&str, &str)] = &[("node", node.as_str())];
-    let c = sw.counters();
     registry.add_counter(labeled("bfc_switch_rx_packets", by_node), c.rx_packets);
     registry.add_counter(labeled("bfc_switch_drops", by_node), c.drops);
     registry.add_counter(labeled("bfc_switch_ecn_marked", by_node), c.ecn_marked);
@@ -745,20 +728,22 @@ pub(crate) fn record_switch_counters(registry: &mut MetricsRegistry, sw: &Switch
     // Queue-depth-at-enqueue distribution. Switches that never forwarded a
     // data packet stay out, matching the paused-port gauge policy of not
     // drowning big fabrics in all-zero series.
-    if !sw.depth_hist().is_empty() {
-        registry.merge_hist(labeled("bfc_switch_queue_depth_bytes", by_node), sw.depth_hist());
+    if !depth_hist.is_empty() {
+        registry.merge_hist(labeled("bfc_switch_queue_depth_bytes", by_node), depth_hist);
     }
 }
 
-/// Merges the finished `FabricSim`s of a run (one per worker) into an
-/// [`ExperimentResult`]. Every merge is either a disjoint union over
-/// nodes/flows in deterministic node order or an exact integer sum/max, so N
-/// sims produce bit-identical output to one sim covering the same run.
+/// Merges the finished `FabricSim`s of a run (one per worker) and their
+/// workers' flight traces into an [`ExperimentResult`]. Every merge is either
+/// a disjoint union over nodes/flows in deterministic node order or an exact
+/// integer sum/max, so N sims produce bit-identical output to one sim
+/// covering the same run.
 pub(crate) fn assemble_result(
     topo: &Topology,
     config: &ExperimentConfig,
     frame: &Frame,
     mut sims: Vec<FabricSim<'_>>,
+    flight_parts: Vec<FlightTrace>,
     end_time: SimTime,
 ) -> ExperimentResult {
     assert!(!sims.is_empty(), "at least one sim");
@@ -814,7 +799,7 @@ pub(crate) fn assemble_result(
                 // arrivals) join the driver's in-flight drops in the
                 // recovery metrics.
                 switch_blackholed += sw.counters().blackholed;
-                record_switch_counters(&mut registry, sw);
+                record_switch_counters(&mut registry, sw.id, &sw.counters(), sw.depth_hist());
                 let node = sw.id.0.to_string();
                 let ps = sw.probe_stats();
                 probe.lookups += ps.lookups;
@@ -887,21 +872,12 @@ pub(crate) fn assemble_result(
         fct_hist.merge(&s.fct_hist);
     }
 
-    // Flight traces: concatenating the per-shard rings and restoring
-    // canonical `(time, rank, seq)` order reproduces exactly the stream one
-    // serial recorder would have captured (same merge argument as above —
-    // equal `(time, rank)` implies one owning shard). A one-worker run's
-    // single trace goes through the same canonicalization.
-    let flight_parts: Vec<FlightTrace> = sims
-        .iter_mut()
-        .filter_map(|s| s.recorder.take())
-        .map(|r| r.finish())
-        .collect();
-    let flight = if flight_parts.is_empty() {
-        None
-    } else {
-        Some(FlightTrace::merge(flight_parts))
-    };
+    // Flight traces: merging the per-shard rings into canonical
+    // `(time, rank)` order reproduces exactly the stream one serial recorder
+    // would have captured (same merge argument as above — equal
+    // `(time, rank)` implies one owning shard). A one-worker run's single
+    // trace goes through the same canonicalization.
+    let flight = (!flight_parts.is_empty()).then(|| FlightTrace::merge(flight_parts));
 
     // Sampled series. Each sim records one occupancy value per owned switch
     // per tick (in node order) and one peak/occupied maximum per tick;

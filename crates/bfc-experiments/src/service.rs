@@ -37,19 +37,36 @@
 //! cap, the driver steps the engine one event at a time instead of pulling
 //! from the source, which is exactly the backpressure signal (an unread file
 //! costs nothing; an unread socket closes the feeder's TCP window).
+//!
+//! # Live metrics
+//!
+//! With a [`MetricsHub`], the serve loop publishes after every admission —
+//! and what it publishes is *values*, not text: each switch's counters and
+//! queue-depth histogram and the admitted/completed counts, copied into
+//! storage the hub reuses (no allocation once every histogram has reached
+//! its width). The exposition text is rendered when a scrape asks for it
+//! ([`MetricsHub::render`]) and cached until the next publish, so a run
+//! nobody scrapes pays a few hundred bytes of copying per admission instead
+//! of building and formatting a 112-series registry each time. The text a
+//! scrape reads for a given state is the text [`MetricsRegistry::expose`]
+//! gives for a registry built from that state — it is produced by exactly
+//! that, at scrape time.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use bfc_metrics::{Hist, MetricsRegistry};
 use bfc_net::event::NetEvent;
 use bfc_net::routing::RoutingTables;
+use bfc_net::switch::{Switch, SwitchCounters};
 use bfc_net::topology::Topology;
-use bfc_sim::snapshot::{self, fnv1a64, SnapError, SnapReader, SnapWriter};
+use bfc_net::types::NodeId;
+use bfc_sim::snapshot::{self, checksum64, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{EventQueue, SimTime};
 use bfc_workloads::ingest::{IngestError, IngestSource};
 use bfc_workloads::TraceFlow;
 
 use crate::engine::Engine;
-use crate::runner::{ExperimentConfig, ExperimentResult, FabricSim, Frame};
+use crate::runner::{record_switch_counters, ExperimentConfig, ExperimentResult, FabricSim, Frame};
 
 /// Magic bytes identifying a BFC snapshot container.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
@@ -59,8 +76,10 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
 /// misinterpreted. Version 4 appended the observability counters to the
 /// flow-table and calendar-queue states. Version 5 appended the native
 /// histograms: queue-depth-at-enqueue inside each switch's state and the
-/// per-sim FCT slowdown histogram after the safety tracker.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// per-sim FCT slowdown histogram after the safety tracker. Version 6 keeps
+/// the payload and changes the container's checksum (and the fingerprint
+/// stored in the payload) to [`checksum64`]'s 8-byte words.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Hashes every run input the snapshot does *not* serialize — topology
 /// shape, trace, configuration and shard count — so a resume against
@@ -94,7 +113,7 @@ fn fingerprint(
         w.put_u64(t.start.as_picos());
         w.put_bool(t.is_incast);
     }
-    fnv1a64(&w.into_bytes())
+    checksum64(&w.into_bytes())
 }
 
 /// Serializes one sim's mutable state (everything not rebuilt from the run
@@ -218,16 +237,21 @@ impl<'a> Engine<'a> {
             start: m.start,
             is_incast: m.is_incast,
         });
-        let mut w = SnapWriter::new();
-        w.put_u64(fingerprint(self.topo, flows, self.config, self.workers.len()));
-        w.put_u64(self.cut.as_picos());
-        w.put_usize(self.workers.len());
-        for wk in &self.workers {
-            w.put_u64(wk.last.as_picos());
-            wk.queue.save_state(&mut w, |w, e: &NetEvent| e.save_state(w));
-            save_sim(&wk.sim, &mut w);
-        }
-        snapshot::finalize(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &w.into_bytes())
+        snapshot::finalize(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, |w| {
+            w.put_u64(fingerprint(
+                self.topo,
+                flows,
+                self.config,
+                self.workers.len(),
+            ));
+            w.put_u64(self.cut.as_picos());
+            w.put_usize(self.workers.len());
+            for wk in &self.workers {
+                w.put_u64(wk.last.as_picos());
+                wk.queue.save_state(w, |w, e: &NetEvent| e.save_state(w));
+                save_sim(&wk.sim, w);
+            }
+        })
     }
 
     /// Rebuilds the engine a snapshot was taken from: checks the fingerprint
@@ -298,12 +322,72 @@ pub fn resume_experiment(
     Ok(engine.finish())
 }
 
-/// A shared slot holding the latest rendered metrics exposition, so a
-/// scrape thread can serve the text while [`serve_experiment_with`] keeps
-/// driving the simulation. Cloning shares the slot.
+/// One switch's values as last published.
+#[derive(Debug, Clone)]
+struct SwitchValues {
+    node: NodeId,
+    counters: SwitchCounters,
+    depth_hist: Hist,
+}
+
+/// The live (mid-run) state a serving engine publishes: the per-switch
+/// forwarding counters plus the ingest admission state.
+#[derive(Debug, Clone, Default)]
+struct LiveValues {
+    switches: Vec<SwitchValues>,
+    admitted: u64,
+    completed: u64,
+}
+
+impl LiveValues {
+    /// The registry these values stand for, rendered.
+    fn expose(&self) -> String {
+        let mut registry = MetricsRegistry::new();
+        for sw in &self.switches {
+            record_switch_counters(&mut registry, sw.node, &sw.counters, &sw.depth_hist);
+        }
+        registry.add_counter("bfc_flows_admitted", self.admitted);
+        registry.add_counter("bfc_flows_completed", self.completed);
+        registry.expose()
+    }
+}
+
+#[derive(Debug)]
+struct HubState {
+    live: LiveValues,
+    /// The exposition of the last publish, once something has rendered it.
+    text: Option<String>,
+    /// Counts publishes, so a render that formatted outside the lock caches
+    /// its text only if it is still the text of the latest publish.
+    generation: u64,
+}
+
+impl Default for HubState {
+    /// Nothing published reads as the empty exposition.
+    fn default() -> Self {
+        HubState {
+            live: LiveValues::default(),
+            text: Some(String::new()),
+            generation: 0,
+        }
+    }
+}
+
+/// A shared slot holding the latest published metrics, so a scrape thread can
+/// serve them while [`serve_experiment_with`] keeps driving the simulation.
+/// Cloning shares the slot.
+///
+/// Publishing stores values; [`MetricsHub::render`] formats them, once per
+/// publish at most. The lock is held only to copy — values in, values or
+/// cached text out — never while formatting, so a scrape cannot make an
+/// admission wait for 48 KB of text. A thread that panics holding the lock
+/// does not take the hub down with it: every update leaves the state
+/// renderable (at worst some switches a publish newer than others), so the
+/// guard is recovered from a poisoned lock and observation still never feeds
+/// back into the run.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsHub {
-    text: Arc<std::sync::Mutex<String>>,
+    state: Arc<Mutex<HubState>>,
 }
 
 impl MetricsHub {
@@ -312,35 +396,112 @@ impl MetricsHub {
         Self::default()
     }
 
-    /// Replaces the published exposition with a fresh render of `registry`.
-    pub fn publish(&self, registry: &bfc_metrics::MetricsRegistry) {
-        *self.text.lock().expect("metrics hub poisoned") = registry.expose();
+    fn lock(&self) -> MutexGuard<'_, HubState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The most recently published exposition text (empty before the first
-    /// publish).
+    /// Publishes a finished registry. Rendered here, outside the lock: it is
+    /// published once per run, and the hub's stored values cannot hold it.
+    pub fn publish(&self, registry: &MetricsRegistry) {
+        let text = registry.expose();
+        let mut state = self.lock();
+        state.text = Some(text);
+        state.generation += 1;
+    }
+
+    /// Publishes a live fabric: every switch's counters and queue-depth
+    /// histogram plus the admission counts, copied into the storage of the
+    /// previous publish. Nothing is formatted until a scrape asks.
+    pub fn publish_live<'s>(
+        &self,
+        switches: impl IntoIterator<Item = &'s Switch>,
+        admitted: usize,
+        completed: usize,
+    ) {
+        let mut state = self.lock();
+        let slots = &mut state.live.switches;
+        let mut published = 0;
+        for sw in switches {
+            match slots.get_mut(published) {
+                Some(slot) => {
+                    slot.node = sw.id;
+                    slot.counters = sw.counters();
+                    slot.depth_hist.clone_from(sw.depth_hist());
+                }
+                None => slots.push(SwitchValues {
+                    node: sw.id,
+                    counters: sw.counters(),
+                    depth_hist: sw.depth_hist().clone(),
+                }),
+            }
+            published += 1;
+        }
+        slots.truncate(published);
+        state.live.admitted = admitted as u64;
+        state.live.completed = completed as u64;
+        state.text = None;
+        state.generation += 1;
+    }
+
+    /// The exposition text of the most recent publish (empty before the
+    /// first): the cached text if this publish has been rendered before,
+    /// otherwise a fresh render of a copy of the values, cached for the
+    /// next scrape.
     pub fn render(&self) -> String {
-        self.text.lock().expect("metrics hub poisoned").clone()
+        let (live, generation) = {
+            let state = self.lock();
+            if let Some(text) = &state.text {
+                return text.clone();
+            }
+            (state.live.clone(), state.generation)
+        };
+        let text = live.expose();
+        let mut state = self.lock();
+        if state.generation == generation {
+            state.text = Some(text.clone());
+        }
+        text
     }
 }
 
-/// Builds the live (mid-run) registry for service mode: the per-switch
-/// forwarding counters plus the ingest admission state. Cheap enough to
-/// rebuild on every admission.
-fn live_registry(sim: &FabricSim<'_>) -> bfc_metrics::MetricsRegistry {
-    let mut registry = bfc_metrics::MetricsRegistry::new();
-    for sw in sim.switches.iter().flatten() {
-        crate::runner::record_switch_counters(&mut registry, sw);
-    }
-    registry.add_counter("bfc_flows_admitted", sim.flows.len() as u64);
-    registry.add_counter("bfc_flows_completed", sim.completed as u64);
-    registry
+/// Publishes a serving engine's fabric to `hub`.
+fn publish_live(hub: &MetricsHub, engine: &Engine<'_>) {
+    let sim: &FabricSim<'_> = &engine.workers[0].sim;
+    hub.publish_live(
+        sim.switches.iter().flatten(),
+        sim.flows.len(),
+        sim.completed,
+    );
 }
 
 /// Flows admitted into a serving engine that have not completed yet.
 fn inflight(engine: &Engine<'_>) -> usize {
     let sim = &engine.workers[0].sim;
     sim.flows.len() - sim.completed
+}
+
+/// Admits `source`'s flows into a one-worker engine until the source ends,
+/// calling `admitted` after each admission.
+fn admit_under_cap(
+    engine: &mut Engine<'_>,
+    source: &mut dyn IngestSource,
+    inflight_cap: usize,
+    mut admitted: impl FnMut(&Engine<'_>),
+) -> Result<(), IngestError> {
+    loop {
+        // Backpressure: while the inflight window is full, make progress
+        // instead of pulling. If the sim cannot progress (nothing left to
+        // run before the deadline), admission resumes — the stuck flows can
+        // never complete, and starving the feeder would not change that.
+        // The cap is checked after every event: the admission order it
+        // produces is part of the result.
+        while inflight(engine) >= inflight_cap && engine.step() {}
+        let Some(flow) = source.next_flow()? else {
+            return Ok(());
+        };
+        engine.admit(flow);
+        admitted(engine);
+    }
 }
 
 /// What [`serve_experiment`] produced.
@@ -374,10 +535,11 @@ pub fn serve_experiment(
 }
 
 /// [`serve_experiment`] with live metrics: when `metrics` is given, the
-/// driver publishes a fresh exposition to the hub on every admission and
-/// once more at the end of the run, so a concurrent scrape thread always
-/// reads a consistent (if slightly stale) snapshot. Publishing never feeds
-/// back into the simulation, so results are unchanged by observation.
+/// driver publishes the fabric's values to the hub on every admission and
+/// the finished registry at the end of the run, so a concurrent scrape
+/// thread always reads a consistent (if slightly stale) snapshot. Publishing
+/// never feeds back into the simulation, so results are unchanged by
+/// observation.
 pub fn serve_experiment_with(
     topo: &Topology,
     config: &ExperimentConfig,
@@ -389,26 +551,13 @@ pub fn serve_experiment_with(
     let mut engine = Engine::build(topo, &[], config, 1);
     let publish = |engine: &Engine<'_>| {
         if let Some(hub) = metrics {
-            hub.publish(&live_registry(&engine.workers[0].sim));
+            publish_live(hub, engine);
         }
     };
-    // Publish the zeroed registry up front so a scrape racing the first
+    // Publish the zeroed fabric up front so a scrape racing the first
     // admission still reads well-formed exposition text.
     publish(&engine);
-    loop {
-        // Backpressure: while the inflight window is full, make progress
-        // instead of pulling. If the sim cannot progress (nothing left to
-        // run before the deadline), admission resumes — the stuck flows can
-        // never complete, and starving the feeder would not change that.
-        // The cap is checked after every event: the admission order it
-        // produces is part of the result.
-        while inflight(&engine) >= inflight_cap && engine.step() {}
-        let Some(flow) = source.next_flow()? else {
-            break;
-        };
-        engine.admit(flow);
-        publish(&engine);
-    }
+    admit_under_cap(&mut engine, source, inflight_cap, publish)?;
     engine.advance(engine.deadline);
     let result = engine.finish();
     if let Some(hub) = metrics {
@@ -418,4 +567,134 @@ pub fn serve_experiment_with(
         admitted: result.total_flows,
         result,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheme::Scheme;
+    use bfc_net::topology::{fat_tree, FatTreeParams};
+    use bfc_sim::SimDuration;
+    use bfc_workloads::{synthesize, TraceParams, Workload};
+
+    /// A finished trace as an ingest source.
+    struct Flows(std::vec::IntoIter<TraceFlow>);
+
+    impl IngestSource for Flows {
+        fn next_flow(&mut self) -> Result<Option<TraceFlow>, IngestError> {
+            Ok(self.0.next())
+        }
+    }
+
+    fn inputs() -> (Topology, Vec<TraceFlow>, ExperimentConfig) {
+        let topo = fat_tree(FatTreeParams::tiny());
+        let horizon = SimDuration::from_micros(200);
+        let params = TraceParams::background_only(Workload::Google, 0.5, horizon, 11);
+        let trace = synthesize(&topo.hosts(), &params);
+        let config = ExperimentConfig::new(
+            Scheme::Dcqcn {
+                window: true,
+                sfq: false,
+            },
+            horizon,
+        );
+        (topo, trace, config)
+    }
+
+    /// The live registry a serving engine's scrape must read as: built
+    /// straight from the switches, at the instant of the call.
+    fn live_registry(engine: &Engine<'_>) -> MetricsRegistry {
+        let sim = &engine.workers[0].sim;
+        let mut registry = MetricsRegistry::new();
+        for sw in sim.switches.iter().flatten() {
+            record_switch_counters(&mut registry, sw.id, &sw.counters(), sw.depth_hist());
+        }
+        registry.add_counter("bfc_flows_admitted", sim.flows.len() as u64);
+        registry.add_counter("bfc_flows_completed", sim.completed as u64);
+        registry
+    }
+
+    #[test]
+    fn a_scrape_after_any_admission_reads_the_registry_of_that_instant() {
+        let (topo, trace, config) = inputs();
+        assert!(trace.len() > 50, "enough admissions to matter");
+        let hub = MetricsHub::new();
+        assert_eq!(hub.render(), "", "nothing published yet");
+        let mut engine = Engine::build(&topo, &[], &config, 1);
+        let (mut scrapes, mut with_depths) = (0, 0);
+        let mut last = String::new();
+        admit_under_cap(
+            &mut engine,
+            &mut Flows(trace.clone().into_iter()),
+            4,
+            |engine| {
+                publish_live(&hub, engine);
+                // Every third admission goes unscraped: a publish over an
+                // unrendered publish must not leave either one's text behind.
+                scrapes += 1;
+                if scrapes % 3 == 0 {
+                    return;
+                }
+                let text = hub.render();
+                assert_eq!(
+                    text,
+                    live_registry(engine).expose(),
+                    "after admission {scrapes}"
+                );
+                assert_eq!(hub.render(), text, "the cached text is the rendered text");
+                assert_ne!(text, last, "the admitted count alone changes every publish");
+                with_depths += usize::from(text.contains("bfc_switch_queue_depth_bytes_bucket{"));
+                last = text;
+            },
+        )
+        .expect("a vector never fails to stream");
+        assert_eq!(scrapes, trace.len());
+        assert!(
+            with_depths > 0,
+            "the tight cap let the fabric run between admissions"
+        );
+    }
+
+    #[test]
+    fn a_finished_serve_publishes_the_result_registry() {
+        let (topo, trace, config) = inputs();
+        let hub = MetricsHub::new();
+        let mut source = Flows(trace.clone().into_iter());
+        let report = serve_experiment_with(&topo, &config, &mut source, 4, Some(&hub))
+            .expect("a vector never fails to stream");
+        assert_eq!(report.admitted, trace.len());
+        assert_eq!(hub.render(), report.result.registry.expose());
+        // Observation does not feed back: the unobserved run is the same run.
+        let mut source = Flows(trace.into_iter());
+        let quiet = serve_experiment(&topo, &config, &mut source, 4).expect("streams");
+        assert_eq!(quiet.result.registry, report.result.registry);
+    }
+
+    #[test]
+    fn a_scrape_thread_that_panics_holding_the_lock_does_not_stop_the_driver() {
+        let hub = MetricsHub::new();
+        let mut registry = MetricsRegistry::new();
+        registry.add_counter("bfc_flows_admitted", 1);
+        hub.publish(&registry);
+        let scraper = hub.clone();
+        let died = std::thread::spawn(move || {
+            let _guard = scraper.state.lock().expect("not poisoned yet");
+            panic!("scrape thread dies mid-render");
+        })
+        .join();
+        assert!(died.is_err() && hub.state.is_poisoned());
+        assert_eq!(
+            hub.render(),
+            registry.expose(),
+            "the last publish is still readable"
+        );
+        registry.add_counter("bfc_flows_admitted", 1);
+        hub.publish(&registry);
+        hub.publish_live(std::iter::empty(), 3, 2);
+        assert_eq!(
+            hub.render(),
+            "# TYPE bfc_flows_admitted counter\nbfc_flows_admitted 3\n\
+             # TYPE bfc_flows_completed counter\nbfc_flows_completed 2\n"
+        );
+    }
 }

@@ -9,23 +9,43 @@
 //! when it is on, each event lands in a bounded [`FlightRecorder`] ring that
 //! keeps the last N records and counts what it sheds.
 //!
-//! # Canonical order
+//! # Records and canonical order
 //!
-//! A record is keyed by `(time, rank, seq)` exactly like the engine's
-//! scheduled events: the rank is derived from the event's *content*
-//! ([`TraceEvent::canon_rank`]), so per-shard record streams merge into one
-//! canonical order that does not depend on how the run was sharded. Two
-//! records with equal `(time, rank)` necessarily describe the same node,
-//! which exactly one shard owns — so a stable sort over the concatenated
-//! per-shard streams reproduces the serial engine's relative order
-//! ([`FlightTrace::merge`]).
+//! A [`TraceRecord`] is 32 bytes: the observation's instant and the event.
+//! Its place in a trace is `(time, rank, index)`, exactly like the engine's
+//! scheduled events, and neither of the last two is stored: the rank is a
+//! pure function of the event's *content* ([`TraceEvent::canon_rank`]) and
+//! the index is the record's position. Because the rank does not depend on
+//! how the run was sharded, per-shard record streams merge into one
+//! canonical order. Two records with equal `(time, rank)` necessarily
+//! describe the same node, which exactly one shard owns — so "concatenate
+//! the per-shard streams, then stable-sort by `(time, rank)`" reproduces the
+//! serial engine's relative order, and that is what [`FlightTrace::merge`]
+//! computes.
+//!
+//! It does not compute it by sorting. A recorder's stream is already in time
+//! order, so only records that share an instant can be out of rank order:
+//! `merge` stable-sorts each such run where it lies, then merges the (now
+//! canonical) parts into the first part's storage. A single part — every
+//! one-worker run — is canonicalised without moving a record that is in
+//! place. The global sort survives only as the fallback for a part that is
+//! not time-ordered.
 //!
 //! # Container
 //!
 //! [`write_trace`] / [`read_trace`] serialize a trace to a binary container
 //! reusing [`bfc_sim::snapshot`]'s framing (magic, version, length prefix,
-//! FNV-1a-64 checksum), with its own magic so snapshot and trace files can
-//! never be confused for one another.
+//! [`bfc_sim::snapshot::checksum64`]), with its own magic so snapshot and
+//! trace files can never be confused for one another. Version 2 payload, all
+//! integers little-endian:
+//!
+//! ```text
+//! label (u64 length + UTF-8) | shed count (u64) | record count (u64) | records
+//! record = time in ps (u64) | kind tag (u8) | the kind's fields (u32 each, bool as u8)
+//! ```
+//!
+//! A record is 13 to 29 bytes; the rank and index of version 1 are gone with
+//! the fields they mirrored.
 
 use std::collections::VecDeque;
 
@@ -38,7 +58,7 @@ use crate::types::NodeId;
 /// Magic bytes of the flight-recorder trace container.
 pub const TRACE_MAGIC: &[u8; 8] = b"BFCTRACE";
 /// Container format version checked by [`read_trace`].
-pub const TRACE_VERSION: u32 = 1;
+pub const TRACE_VERSION: u32 = 2;
 
 /// Queue index used for the strict-priority control queue in trace records.
 pub const QUEUE_CONTROL: u32 = u32::MAX;
@@ -566,23 +586,32 @@ impl TraceEvent {
     }
 }
 
-/// Minimum serialized bytes per record (time + rank + seq + tag + one u32),
-/// used to validate the container's record count.
-const RECORD_MIN_BYTES: usize = 8 + 8 + 8 + 1 + 4;
+/// Minimum serialized bytes per record (time + tag + one u32), used to
+/// validate the container's record count.
+const RECORD_MIN_BYTES: usize = 8 + 1 + 4;
+/// Maximum serialized bytes per record (time + tag + five u32s).
+const RECORD_MAX_BYTES: usize = 8 + 1 + 5 * 4;
 
-/// One recorded observation: the engine-style `(time, rank, seq)` key plus
-/// the event. `seq` is the recorder-local emission index; after
-/// [`FlightTrace::merge`] it is the index in canonical order.
+/// One recorded observation. Its canonical rank is derived
+/// ([`TraceRecord::rank`]) and its sequence number is its index in the
+/// trace, so the record is the instant and the event and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Simulation time of the observation.
     pub at: SimTime,
-    /// Content-derived canonical rank ([`TraceEvent::canon_rank`]).
-    pub rank: u64,
-    /// Emission index (recorder-local before merge, canonical after).
-    pub seq: u64,
     /// The observation.
     pub event: TraceEvent,
+}
+
+// The ring, the merge and the diff all move records by value.
+const _: () = assert!(std::mem::size_of::<TraceRecord>() == 32);
+
+impl TraceRecord {
+    /// Content-derived canonical rank ([`TraceEvent::canon_rank`]).
+    #[inline]
+    pub fn rank(&self) -> u64 {
+        self.event.canon_rank()
+    }
 }
 
 /// A record-time trace filter: an event-kind bitmask plus an optional
@@ -656,7 +685,6 @@ impl TraceFilter {
 pub struct FlightRecorder {
     capacity: usize,
     records: VecDeque<TraceRecord>,
-    seq: u64,
     dropped: u64,
     filter: Option<TraceFilter>,
 }
@@ -668,7 +696,6 @@ impl FlightRecorder {
         FlightRecorder {
             capacity,
             records: VecDeque::with_capacity(capacity.min(64 * 1024)),
-            seq: 0,
             dropped: 0,
             filter: None,
         }
@@ -696,13 +723,7 @@ impl FlightRecorder {
             self.records.pop_front();
             self.dropped += 1;
         }
-        self.records.push_back(TraceRecord {
-            at,
-            rank: event.canon_rank(),
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
+        self.records.push_back(TraceRecord { at, event });
     }
 
     /// Records currently held.
@@ -735,24 +756,31 @@ pub struct FlightTrace {
 }
 
 impl FlightTrace {
-    /// Merges per-shard traces into canonical `(time, rank, seq-in-order)`
-    /// order — the order one fabric-wide recorder would define. Also used
-    /// with a single part to canonicalize a serial trace, so serial and
-    /// merged sharded traces of the same run compare equal (given rings
-    /// large enough that nothing was shed).
+    /// Merges per-shard traces into canonical `(time, rank)` order, ties in
+    /// part order then emission order — the order one fabric-wide recorder
+    /// would define, and record for record what concatenating the parts and
+    /// stable-sorting by `(time, rank)` gives. Also used with a single part
+    /// to canonicalize a serial trace, so serial and merged sharded traces
+    /// of the same run compare equal (given rings large enough that nothing
+    /// was shed). The result lives in the first part's storage.
     pub fn merge(parts: Vec<FlightTrace>) -> FlightTrace {
-        let mut records: Vec<TraceRecord> = Vec::with_capacity(parts.iter().map(|p| p.records.len()).sum());
-        let mut dropped = 0;
-        for part in parts {
-            dropped += part.dropped;
-            records.extend(part.records);
+        let dropped = parts.iter().map(|p| p.dropped).sum();
+        let mut parts = parts.into_iter().map(|p| p.records);
+        let mut records = parts.next().unwrap_or_default();
+        let mut rest: Vec<Vec<TraceRecord>> = parts.collect();
+        let own = records.len();
+        // Room for the whole trace: the fallback sorts this concatenation,
+        // the merge overwrites every slot past `own`.
+        for part in &rest {
+            records.extend_from_slice(part);
         }
-        // Stable: records with equal (time, rank) describe the same node,
-        // so their relative order is the owning shard's processing order —
-        // identical to the serial engine's.
-        records.sort_by_key(|r| (r.at, r.rank));
-        for (i, r) in records.iter_mut().enumerate() {
-            r.seq = i as u64;
+        let time_ordered = |part: &[TraceRecord]| part.windows(2).all(|w| w[0].at <= w[1].at);
+        if time_ordered(&records[..own]) && rest.iter().all(|part| time_ordered(part)) {
+            sort_simultaneous(&mut records[..own]);
+            rest.iter_mut().for_each(|part| sort_simultaneous(part));
+            merge_canonical(&mut records, own, &rest);
+        } else {
+            records.sort_by_key(|r| (r.at, r.rank()));
         }
         FlightTrace { records, dropped }
     }
@@ -813,10 +841,7 @@ impl FlightTrace {
         use std::collections::BTreeMap;
         let shared = self.records.len().min(other.records.len());
         let index = (0..shared)
-            .find(|&i| {
-                let (a, b) = (&self.records[i], &other.records[i]);
-                (a.at, a.rank, a.event) != (b.at, b.rank, b.event)
-            })
+            .find(|&i| self.records[i] != other.records[i])
             .unwrap_or(shared);
         if index == self.records.len() && index == other.records.len() {
             return None;
@@ -887,6 +912,49 @@ impl FlightTrace {
             kinds: kinds.into_values().collect(),
             ports,
         })
+    }
+}
+
+/// Puts a time-ordered stream into canonical order where it lies: only the
+/// records of one instant can be out of rank order, so each such run is
+/// stable-sorted by rank. Stable: records with equal `(time, rank)` describe
+/// the same node, so their relative order is the owning shard's processing
+/// order — identical to the serial engine's.
+fn sort_simultaneous(records: &mut [TraceRecord]) {
+    let mut start = 0;
+    while start < records.len() {
+        let at = records[start].at;
+        let len = records[start..].iter().take_while(|r| r.at == at).count();
+        records[start..start + len].sort_by_key(TraceRecord::rank);
+        start += len;
+    }
+}
+
+/// Merges the canonical streams `records[..own]` and `rest` into `records`,
+/// whose length is already the total. Filling from the back, the write
+/// position stays past the unread records of `records[..own]` for as long as
+/// any other part has records left — and once none has, what remains of
+/// `records[..own]` is in place.
+fn merge_canonical(records: &mut [TraceRecord], own: usize, rest: &[Vec<TraceRecord>]) {
+    // Unread records per part; part 0 is `records[..own]`.
+    let mut left: Vec<usize> = std::iter::once(own).chain(rest.iter().map(Vec::len)).collect();
+    let mut out = records.len();
+    while out > left[0] {
+        let last = |p: usize| match p {
+            0 => &records[left[0] - 1],
+            _ => &rest[p - 1][left[p] - 1],
+        };
+        // The greatest of the parts' last unread records; the part index in
+        // the key sends the latest part last on a tie, as in the sorted
+        // concatenation.
+        let (.., p) = (0..left.len())
+            .filter(|&p| left[p] > 0)
+            .map(|p| (last(p).at, last(p).rank(), p))
+            .max()
+            .expect("a part other than the first has records left");
+        out -= 1;
+        records[out] = *last(p);
+        left[p] -= 1;
     }
 }
 
@@ -962,17 +1030,16 @@ pub struct TraceDiff {
 /// checksummed container. Deterministic: the same trace and label always
 /// produce the same bytes.
 pub fn write_trace(label: &str, trace: &FlightTrace) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.put_str(label);
-    w.put_u64(trace.dropped);
-    w.put_usize(trace.records.len());
-    for r in &trace.records {
-        w.put_u64(r.at.as_picos());
-        w.put_u64(r.rank);
-        w.put_u64(r.seq);
-        r.event.save(&mut w);
-    }
-    finalize(TRACE_MAGIC, TRACE_VERSION, &w.into_bytes())
+    finalize(TRACE_MAGIC, TRACE_VERSION, |w| {
+        w.reserve(8 + label.len() + 8 + 8 + trace.records.len() * RECORD_MAX_BYTES + 8);
+        w.put_str(label);
+        w.put_u64(trace.dropped);
+        w.put_usize(trace.records.len());
+        for r in &trace.records {
+            w.put_u64(r.at.as_picos());
+            r.event.save(w);
+        }
+    })
 }
 
 /// Opens a trace container, returning the label and the records. Rejects
@@ -987,15 +1054,8 @@ pub fn read_trace(bytes: &[u8]) -> Result<(String, FlightTrace), SnapError> {
     let mut records = Vec::with_capacity(n);
     for _ in 0..n {
         let at = SimTime::from_picos(r.get_u64()?);
-        let rank = r.get_u64()?;
-        let seq = r.get_u64()?;
         let event = TraceEvent::restore(&mut r)?;
-        records.push(TraceRecord {
-            at,
-            rank,
-            seq,
-            event,
-        });
+        records.push(TraceRecord { at, event });
     }
     r.expect_end()?;
     Ok((label, FlightTrace { records, dropped }))
@@ -1118,7 +1178,6 @@ mod tests {
             })
             .collect();
         assert_eq!(kept, vec![7, 8, 9]);
-        assert_eq!(trace.records[0].seq, 7, "seq numbers survive shedding");
     }
 
     #[test]
@@ -1154,10 +1213,10 @@ mod tests {
             SnapError::BadMagic
         );
         // A snapshot-magic file is not a trace.
-        let snapshot_like = finalize(b"BFCSNAP\0", TRACE_VERSION, b"payload");
+        let snapshot_like = finalize(b"BFCSNAP\0", TRACE_VERSION, |w| w.put_str("payload"));
         assert_eq!(read_trace(&snapshot_like).unwrap_err(), SnapError::BadMagic);
         // Wrong version.
-        let other_version = finalize(TRACE_MAGIC, TRACE_VERSION + 1, b"payload");
+        let other_version = finalize(TRACE_MAGIC, TRACE_VERSION + 1, |w| w.put_str("payload"));
         assert_eq!(
             read_trace(&other_version).unwrap_err(),
             SnapError::BadVersion(TRACE_VERSION + 1)

@@ -59,11 +59,31 @@ pub fn bucket_upper(index: usize) -> u64 {
 /// Equality is structural (bucket counts + sum + count), so two
 /// histograms that saw the same multiset of values — in any order, on
 /// any shard split — compare equal.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct Hist {
     counts: Vec<u64>,
     sum: u128,
     count: u64,
+}
+
+impl Clone for Hist {
+    fn clone(&self) -> Self {
+        Hist {
+            counts: self.counts.clone(),
+            sum: self.sum,
+            count: self.count,
+        }
+    }
+
+    /// Copies `source` into `self`'s bucket storage: a holder that refreshes
+    /// its copy of a live histogram over and over (the service-mode metrics
+    /// hub, once per admission) allocates only when the histogram has grown
+    /// past every bucket it held before.
+    fn clone_from(&mut self, source: &Self) {
+        self.counts.clone_from(&source.counts);
+        self.sum = source.sum;
+        self.count = source.count;
+    }
 }
 
 impl Hist {

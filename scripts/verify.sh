@@ -28,7 +28,8 @@
 #      auto-dumps a non-empty readable trace, and a `serve --metrics`
 #      scrape returns well-formed Prometheus-style exposition text with a
 #      native histogram; the persistent-connection protocol serves two
-#      scrapes over one socket
+#      scrapes over one socket, the ninth concurrent connection is closed at
+#      accept, and the scraped run prints the unscraped run's results
 #  10. divergence profiler: `trace diff` on two same-config recordings is
 #      silent and exits 0 at 1/2/4 shards, and `scenario --diff-schemes
 #      bfc,dcqcn` on the committed deadlock reproducer exits nonzero naming
@@ -291,14 +292,18 @@ if ! grep -q '  pfc-delivered' "$tmpdir/dump-inspect.txt"; then
 fi
 
 echo "== live metrics: persistent scrapes return exposition with histograms"
-# A long-enough ingest run that scrapes land while the server is alive;
-# port 0 lets the OS pick, and the bound address is announced on stderr.
-# `--cap 4` keeps the inflight window far below the flow count so the sim
-# advances between admissions and the live render carries real series.
+# The run follows its CSV (`--follow`): once every flow is admitted it waits
+# for more until the end marker is appended below, so the scrapes land on a
+# live server however fast the run is. Port 0 lets the OS pick, and the bound
+# address is announced on stderr. `--cap 4` keeps the inflight window far
+# below the flow count so the sim advances between admissions and the live
+# render carries real series.
 long_csv="$tmpdir/long.csv"
 "$trace_tool" synth --out "$long_csv" --duration-us 3000 --seed 7 > /dev/null
-serve_err="$tmpdir/serve.err"
 "$trace_tool" serve --tail "$long_csv" --cap 4 --horizon-us 3000 --seed 7 \
+    > "$tmpdir/serve-unscraped.out"
+serve_err="$tmpdir/serve.err"
+"$trace_tool" serve --tail "$long_csv" --follow --cap 4 --horizon-us 3000 --seed 7 \
     --metrics 127.0.0.1:0 > "$tmpdir/serve.out" 2> "$serve_err" &
 serve_pid=$!
 metrics_addr=""
@@ -314,14 +319,20 @@ if [[ -z "$metrics_addr" ]]; then
     kill "$serve_pid" 2>/dev/null || true
     exit 1
 fi
+scrape_fail() {
+    echo "verify: FAILED — $1" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+}
 # Each connection streams one `# EOF`-terminated render immediately; a
 # newline on the same socket requests a fresh one (continuous scraping).
+# read_scrape <fd> <file>
 read_scrape() {
-    : > "$1"
+    : > "$2"
     local line
-    while IFS= read -r -t 5 line <&3; do
+    while IFS= read -r -t 5 -u "$1" line; do
         [[ "$line" == "# EOF" ]] && return 0
-        printf '%s\n' "$line" >> "$1"
+        printf '%s\n' "$line" >> "$2"
     done
     return 1
 }
@@ -329,27 +340,52 @@ scrape="$tmpdir/scrape.txt"
 rescrape="$tmpdir/rescrape.txt"
 scraped=0
 for _ in $(seq 1 100); do
-    if exec 3<>"/dev/tcp/${metrics_addr%:*}/${metrics_addr##*:}" 2>/dev/null; then
-        if read_scrape "$scrape" && grep -q '_bucket{' "$scrape"; then
-            # Double-scrape over the same connection.
-            if printf '\n' >&3 && read_scrape "$rescrape"; then
+    # The braces keep `2>/dev/null` off the shell itself: on a bare `exec` it
+    # would silence every later message of this script.
+    if { exec 3<>"/dev/tcp/${metrics_addr%:*}/${metrics_addr##*:}"; } 2>/dev/null; then
+        if read_scrape 3 "$scrape" && grep -q '_bucket{' "$scrape"; then
+            # Double-scrape over the same connection, which stays open: it is
+            # the first of the connections that fill the cap below.
+            if printf '\n' >&3 && read_scrape 3 "$rescrape"; then
                 scraped=1
+                break
             fi
-            exec 3<&- 3>&-
-            [[ "$scraped" -eq 1 ]] && break
-        else
-            exec 3<&- 3>&-
         fi
+        exec 3<&- 3>&-
     fi
     if ! kill -0 "$serve_pid" 2>/dev/null; then break; fi
     sleep 0.1
 done
 if [[ "$scraped" -ne 1 ]]; then
-    echo "verify: FAILED — no double scrape with histogram data from $metrics_addr while serve was running" >&2
-    kill "$serve_pid" 2>/dev/null || true
+    scrape_fail "no double scrape with histogram data from $metrics_addr while serve was running"
+fi
+# The scrape connection cap (MAX_SCRAPE_CONNECTIONS in trace_tool.rs): with
+# fd 3 still open, seven more connections are served and the ninth is closed
+# at accept — end of input before a single line.
+scrape_cap=8
+for fd in $(seq 4 $((scrape_cap + 2))); do
+    eval "exec $fd<>/dev/tcp/${metrics_addr%:*}/${metrics_addr##*:}" \
+        || scrape_fail "connection $((fd - 2)) of $scrape_cap refused"
+    read_scrape "$fd" "$tmpdir/scrape-$fd.txt" && grep -q '^# TYPE bfc_' "$tmpdir/scrape-$fd.txt" \
+        || scrape_fail "connection $((fd - 2)) of $scrape_cap got no exposition"
+done
+over_fd=$((scrape_cap + 3))
+eval "exec $over_fd<>/dev/tcp/${metrics_addr%:*}/${metrics_addr##*:}" \
+    || scrape_fail "connection $((scrape_cap + 1)) was refused, not accepted and closed"
+if read_scrape "$over_fd" "$tmpdir/scrape-over.txt" || [[ -s "$tmpdir/scrape-over.txt" ]]; then
+    scrape_fail "connection $((scrape_cap + 1)) was served: the cap of $scrape_cap does not hold"
+fi
+for fd in $(seq 3 "$over_fd"); do
+    eval "exec $fd<&- $fd>&-"
+done
+# End the followed stream; the run drains and prints its results.
+echo "#end" >> "$long_csv"
+wait "$serve_pid"
+if ! cmp -s "$tmpdir/serve.out" "$tmpdir/serve-unscraped.out"; then
+    echo "verify: FAILED — scraping changed the run: results differ from the unscraped serve:" >&2
+    diff "$tmpdir/serve-unscraped.out" "$tmpdir/serve.out" >&2 || true
     exit 1
 fi
-wait "$serve_pid"
 if ! grep -q '^# TYPE bfc_' "$scrape" || ! grep -Eq '^bfc_[a-z_]+({[^}]*})? [0-9]' "$scrape"; then
     echo "verify: FAILED — scrape is not well-formed exposition text:" >&2
     cat "$scrape" >&2

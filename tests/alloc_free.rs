@@ -1,7 +1,7 @@
 //! The steady-state packet path does not allocate.
 //!
-//! A counting `#[global_allocator]` (per-thread counter, so the two tests can
-//! run in parallel) watches two loops after a warm-up that lets every ring
+//! A counting `#[global_allocator]` (per-thread counter, so the tests can
+//! run in parallel) watches three loops after a warm-up that lets every ring
 //! buffer, slab and table reach its high-water mark:
 //!
 //! * a stand-alone ToR [`Switch`] with the BFC policy forwarding contended
@@ -9,16 +9,19 @@
 //!   accounting on every packet;
 //! * an HPCC sender → INT-recording switch → receiver → ACK → sender loop,
 //!   where the INT records travel with the packets and their storage is
-//!   handed round the loop instead of being re-allocated.
+//!   handed round the loop instead of being re-allocated;
+//! * service mode's live metrics: a [`MetricsHub`] that nobody scrapes takes
+//!   a publish of a whole fabric's switches — counters and queue-depth
+//!   histograms — after every burst, into the storage of the publish before.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use backpressure_flow_control::experiments::Scheme;
+use backpressure_flow_control::experiments::{MetricsHub, Scheme};
 use backpressure_flow_control::net::packet::{Packet, PacketKind};
 use backpressure_flow_control::net::routing::RoutingTables;
 use backpressure_flow_control::net::switch::Switch;
-use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
+use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::NetEvent;
 use backpressure_flow_control::sim::{EventQueue, SimDuration, SimTime};
@@ -74,53 +77,106 @@ fn allocs() -> u64 {
 
 const MTU: u32 = 1_000;
 
+/// The BFC switches of `topo`, in node order (the first is a ToR).
+fn bfc_switches(topo: &Topology) -> Vec<Switch> {
+    let scheme = Scheme::bfc();
+    topo.switches()
+        .into_iter()
+        .map(|id| {
+            Switch::new(
+                id,
+                scheme.switch_config(32, 12_000_000, MTU),
+                topo.ports(id),
+                scheme.make_policy(1),
+                1,
+            )
+        })
+        .collect()
+}
+
+/// One round at a T2 ToR, `sent` packets into the run: a burst of 16 packets
+/// of 16 flows from four ingress ports lands on two egress ports at one
+/// instant (queues build, flows get queues assigned and released), then the
+/// egresses drain. Pause frames are a control-plane path with its own boxed
+/// bloom filter; the burst stays under the pause threshold so only the
+/// per-packet path runs.
+fn burst_round(
+    switch: &mut Switch,
+    routes: &RoutingTables,
+    events: &mut EventQueue<NetEvent>,
+    sent: &mut u64,
+) {
+    let now = SimTime::from_micros(*sent);
+    for k in 0..16u64 {
+        let flow = ((*sent + k) % 64) as u32;
+        let dst = NodeId(4 + (k % 2) as u32);
+        let packet = Packet::data(FlowId(flow), NodeId(0), dst, *sent / 64, MTU, flow, false);
+        switch.handle_packet(now, (k % 4) as u32, packet, routes, events);
+    }
+    *sent += 16;
+    while let Some((t, event)) = events.pop() {
+        if let NetEvent::TxComplete { port, .. } = event {
+            switch.handle_tx_complete(t, port, events);
+        }
+    }
+}
+
 #[test]
 fn bfc_switch_path_is_allocation_free_after_warm_up() {
     let topo = fat_tree(FatTreeParams::t2());
     let routes = RoutingTables::compute(&topo);
-    let tor = topo.switches()[0];
-    let scheme = Scheme::bfc();
-    let mut switch = Switch::new(
-        tor,
-        scheme.switch_config(32, 12_000_000, MTU),
-        topo.ports(tor),
-        scheme.make_policy(1),
-        1,
-    );
+    let mut switch = bfc_switches(&topo).swap_remove(0);
     let mut events: EventQueue<NetEvent> = EventQueue::new();
     let mut sent = 0u64;
-    // One round: a burst of 16 packets of 16 flows from four ingress ports
-    // lands on two egress ports at one instant (queues build, flows get
-    // queues assigned and released), then the egresses drain. Pause frames
-    // are a control-plane path with its own boxed bloom filter; the burst
-    // stays under the pause threshold so only the per-packet path runs.
-    let mut round = |switch: &mut Switch, events: &mut EventQueue<NetEvent>| {
-        let now = SimTime::from_micros(sent);
-        for k in 0..16u64 {
-            let flow = ((sent + k) % 64) as u32;
-            let dst = NodeId(4 + (k % 2) as u32);
-            let packet = Packet::data(FlowId(flow), NodeId(0), dst, sent / 64, MTU, flow, false);
-            switch.handle_packet(now, (k % 4) as u32, packet, &routes, events);
-        }
-        sent += 16;
-        while let Some((t, event)) = events.pop() {
-            if let NetEvent::TxComplete { port, .. } = event {
-                switch.handle_tx_complete(t, port, events);
-            }
-        }
-    };
     for _ in 0..128 {
-        round(&mut switch, &mut events);
+        burst_round(&mut switch, &routes, &mut events, &mut sent);
     }
     let before = allocs();
     for _ in 0..625 {
-        round(&mut switch, &mut events);
+        burst_round(&mut switch, &routes, &mut events, &mut sent);
     }
     let during = allocs() - before;
     assert_eq!(switch.counters().rx_packets, 16 * (128 + 625));
     assert_eq!(switch.counters().drops, 0);
     assert!(switch.policy_stats().flow_assignments > 5_000, "queues were chosen");
     assert_eq!(during, 0, "10k handle_packet + handle_tx_complete allocated {during} times");
+}
+
+#[test]
+fn live_publishes_nobody_scrapes_are_allocation_free_after_the_first() {
+    let topo = fat_tree(FatTreeParams::t2());
+    let routes = RoutingTables::compute(&topo);
+    let mut switches = bfc_switches(&topo);
+    let mut events: EventQueue<NetEvent> = EventQueue::new();
+    let mut sent = 0u64;
+    for _ in 0..128 {
+        burst_round(&mut switches[0], &routes, &mut events, &mut sent);
+    }
+    let hub = MetricsHub::new();
+    hub.publish_live(&switches, 0, 0);
+    let before = allocs();
+    for admitted in 1..=1_000 {
+        burst_round(&mut switches[0], &routes, &mut events, &mut sent);
+        hub.publish_live(&switches, admitted, admitted / 2);
+    }
+    let during = allocs() - before;
+    assert_eq!(
+        during, 0,
+        "1000 unscraped live publishes allocated {during} times"
+    );
+    // The one scrape renders what the last publish stored.
+    let text = hub.render();
+    let rx = switches[0].counters().rx_packets;
+    assert_eq!(rx, 16 * (128 + 1_000));
+    assert!(text.contains(&format!(
+        "bfc_switch_rx_packets{{node=\"{}\"}} {rx}\n",
+        switches[0].id.0
+    )));
+    assert!(text.contains("bfc_switch_queue_depth_bytes_bucket{"));
+    assert!(
+        text.contains("\nbfc_flows_admitted 1000\n")
+            && text.contains("\nbfc_flows_completed 500\n")
+    );
 }
 
 #[test]

@@ -176,8 +176,8 @@ fn trace_diff_localizes_scheme_divergence() {
         "everything before the divergence is a common prefix"
     );
     assert_ne!(
-        (first_a.at, first_a.rank, &first_a.event),
-        (first_b.at, first_b.rank, &first_b.event),
+        (first_a.at, first_a.rank(), &first_a.event),
+        (first_b.at, first_b.rank(), &first_b.event),
         "the named records actually differ"
     );
     assert!(!diff.kinds.is_empty(), "divergent tails have kind tallies");
@@ -327,10 +327,16 @@ fn trace_container_round_trips_and_rejects_damage() {
     let mut wrong_magic = blob.clone();
     wrong_magic[0] ^= 0x20;
     assert_eq!(read_trace(&wrong_magic).unwrap_err(), SnapError::BadMagic);
-    // Version skew is refused by number.
-    let mut skewed = blob.clone();
-    skewed[8..12].copy_from_slice(&99u32.to_le_bytes());
-    assert_eq!(read_trace(&skewed).unwrap_err(), SnapError::BadVersion(99));
+    // Version skew — a future version, or version 1 with its stored
+    // rank/seq and bytewise checksum — is refused by number.
+    for version in [99u32, 1] {
+        let mut skewed = blob.clone();
+        skewed[8..12].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            read_trace(&skewed).unwrap_err(),
+            SnapError::BadVersion(version)
+        );
+    }
     // Truncation at every prefix.
     for n in 0..blob.len() {
         assert!(read_trace(&blob[..n]).is_err(), "prefix {n} accepted");

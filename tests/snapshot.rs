@@ -193,13 +193,7 @@ fn snapshot_instant_can_be_anywhere_in_the_run() {
 /// result as the serial run.
 #[test]
 fn a_clamped_shard_request_snapshots_as_one_worker() {
-    let mut star = TopologyBuilder::new();
-    let hub = star.add_switch("hub");
-    for i in 0..4 {
-        let host = star.add_host(format!("h{i}"));
-        star.connect(host, hub, Link::datacenter_default());
-    }
-    let topo = star.build();
+    let topo = one_switch_star();
     let trace = synthetic_trace(&topo, 53);
     let config = ExperimentConfig::new(Scheme::bfc(), WINDOW);
     let uninterrupted = run_experiment(&topo, &trace, &config);
@@ -208,6 +202,18 @@ fn a_clamped_shard_request_snapshots_as_one_worker() {
     assert_eq!(snap, snapshot_experiment(&topo, &trace, &config, at, 1));
     let resumed = resume_experiment(&topo, &trace, &config, &snap).expect("resumes");
     assert_identical("one-switch star, 2 shards requested", &uninterrupted, &resumed);
+}
+
+/// Four hosts on one switch: the smallest fabric that runs traffic, so its
+/// snapshot is small enough to damage at every byte.
+fn one_switch_star() -> Topology {
+    let mut star = TopologyBuilder::new();
+    let hub = star.add_switch("hub");
+    for i in 0..4 {
+        let host = star.add_host(format!("h{i}"));
+        star.connect(host, hub, Link::datacenter_default());
+    }
+    star.build()
 }
 
 /// Corrupted containers are rejected with precise errors, never decoded.
@@ -227,13 +233,16 @@ fn damaged_snapshots_are_rejected() {
         Err(SnapError::BadChecksum)
     ));
 
-    // A future format version is refused by number, not misdecoded.
-    let mut versioned = snap.clone();
-    versioned[8..12].copy_from_slice(&99u32.to_le_bytes());
-    assert!(matches!(
-        resume_experiment(&topo, &trace, &config, &versioned),
-        Err(SnapError::BadVersion(99))
-    ));
+    // Another format version — a future one, or version 5 with its bytewise
+    // checksum — is refused by number, not misdecoded.
+    for version in [99u32, 5] {
+        let mut versioned = snap.clone();
+        versioned[8..12].copy_from_slice(&version.to_le_bytes());
+        assert!(matches!(
+            resume_experiment(&topo, &trace, &config, &versioned),
+            Err(SnapError::BadVersion(v)) if v == version
+        ));
+    }
 
     // Wrong magic: not one of ours.
     let mut magicked = snap.clone();
@@ -264,6 +273,36 @@ fn damaged_snapshots_are_rejected() {
 
     // And the undamaged snapshot still resumes fine afterwards.
     assert!(resume_experiment(&topo, &trace, &config, &snap).is_ok());
+}
+
+/// A real snapshot damaged at every byte: each proper prefix reads as short
+/// input and each single-byte flip is refused (by the magic, the version, the
+/// length or the checksum) before any payload is decoded.
+#[test]
+fn a_snapshot_damaged_at_any_byte_is_rejected() {
+    let topo = one_switch_star();
+    let trace = synthetic_trace(&topo, 59);
+    let config = ExperimentConfig::new(Scheme::bfc(), WINDOW);
+    let snap = snapshot_experiment(&topo, &trace, &config, SimTime::ZERO + us(60), 1);
+    assert!(resume_experiment(&topo, &trace, &config, &snap).is_ok());
+    for cut in 0..snap.len() {
+        assert!(
+            matches!(
+                resume_experiment(&topo, &trace, &config, &snap[..cut]),
+                Err(SnapError::UnexpectedEof)
+            ),
+            "truncation to {cut} bytes must be UnexpectedEof"
+        );
+    }
+    let mut bad = snap.clone();
+    for i in 0..snap.len() {
+        bad[i] ^= 0x01;
+        assert!(
+            resume_experiment(&topo, &trace, &config, &bad).is_err(),
+            "flip at byte {i} accepted"
+        );
+        bad[i] ^= 0x01;
+    }
 }
 
 /// Streaming ingest: a finished trace served through `CsvTail` with an
