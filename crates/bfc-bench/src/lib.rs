@@ -112,6 +112,7 @@ pub struct Harness {
     filter: Option<String>,
     verbose: bool,
     results: Vec<BenchResult>,
+    notes: Vec<String>,
 }
 
 impl Harness {
@@ -125,6 +126,7 @@ impl Harness {
             filter: None,
             verbose: false,
             results: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -161,12 +163,23 @@ impl Harness {
         &self.results
     }
 
-    /// Warm up, calibrate and time one benchmark. The closure's return value
-    /// is passed through [`black_box`] so the work cannot be optimized away.
-    pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) {
+    /// Attaches an exact count (not a timing) to the report: something a
+    /// benchmark's workload did that is the same on every run and every
+    /// machine, like events popped per packet hop.
+    pub fn note(&mut self, note: String) {
+        if self.verbose {
+            eprintln!("  {note}");
+        }
+        self.notes.push(note);
+    }
+
+    /// Warm up, calibrate and time one benchmark; returns whether it ran
+    /// (the filter may exclude it). The closure's return value is passed
+    /// through [`black_box`] so the work cannot be optimized away.
+    pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> bool {
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
-                return;
+                return false;
             }
         }
         // Warmup doubles as calibration: run until the warmup budget is
@@ -206,9 +219,10 @@ impl Harness {
             );
         }
         self.results.push(result);
+        true
     }
 
-    /// Text table of all results.
+    /// Text table of all results, then the exact counts noted along the way.
     pub fn report(&self) -> String {
         let mut out = String::from(
             "benchmark                            median(ns/iter)     min(ns/iter)     max(ns/iter)     mad(ns/iter)\n",
@@ -223,6 +237,12 @@ impl Harness {
                 r.max_ns(),
                 r.mad_ns()
             );
+        }
+        if !self.notes.is_empty() {
+            out.push_str("\nexact counts (the ratios repeat on every run and machine):\n");
+            for note in &self.notes {
+                let _ = writeln!(out, "  {note}");
+            }
         }
         out
     }

@@ -198,6 +198,40 @@ fn bench_switch_forwarding(h: &mut Harness) {
         }
         sw.counters().rx_packets
     });
+    // One hop through an idle egress, which is what most hops of a run are
+    // (ACKs on the reverse path, the packets of a flow alone on its port):
+    // lone MTU packets 100 ns apart, rotating over the ToR's fifteen other
+    // host ports, so every packet finds its egress free and leaves it empty.
+    // One iteration is one hop: `handle_packet` plus popping what it
+    // scheduled. The switch and the queue persist across iterations.
+    let mut sw = Switch::new(
+        tor,
+        SwitchConfig::default(),
+        topo.ports(tor),
+        Box::new(FifoPolicy::new()),
+        1,
+    );
+    let mut events: EventQueue<NetEvent> = EventQueue::new();
+    let mut hops = 0u64;
+    let ran = h.bench("switch_idle_port_hop", || {
+        let flow = (hops % 64) as u32;
+        let dst = NodeId((1 + hops % 15) as u32);
+        let pkt = Packet::data(FlowId(flow), NodeId(0), dst, hops / 64, 1_000, flow, false);
+        sw.handle_packet(SimTime::from_nanos(hops * 100), 0, pkt, &routes, &mut events);
+        hops += 1;
+        while let Some((t, ev)) = events.pop() {
+            if let NetEvent::TxComplete { port, .. } = ev {
+                sw.handle_tx_complete(t, port, &mut events);
+            }
+        }
+    });
+    if ran {
+        h.note(format!(
+            "switch_idle_port_hop: {} events scheduled over {hops} hops = {:.3} per hop",
+            events.total_scheduled(),
+            events.total_scheduled() as f64 / hops as f64
+        ));
+    }
     let port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), 32, 1000);
     h.bench("bfc_policy_enqueue_dequeue_1k", || {
         let mut policy = BfcPolicy::new(BfcConfig::default(), 3);
@@ -556,11 +590,25 @@ fn bench_parallel_runner(h: &mut Harness) {
         .collect();
     // Serial vs 4 workers over the same paper lineup: the ratio is the
     // parallel speedup on this machine (bit-identical results either way).
-    h.bench("paper_lineup_serial", || {
+    let ran = h.bench("paper_lineup_serial", || {
         ParallelRunner::serial()
             .run_experiments(&topo, &trace, &configs)
             .len()
     });
+    if ran {
+        // What the engine's cost is proportional to, as a count: events
+        // popped per packet hop through a switch, over the whole lineup.
+        let results = ParallelRunner::serial().run_experiments(&topo, &trace, &configs);
+        let events: u64 = results.iter().map(|r| r.events_popped).sum();
+        let hops: u64 = results
+            .iter()
+            .map(|r| r.registry.family_total("bfc_switch_rx_packets"))
+            .sum();
+        h.note(format!(
+            "paper_lineup_serial: {events} events popped over {hops} switch hops = {:.3} per hop",
+            events as f64 / hops as f64
+        ));
+    }
     h.bench("parallel_runner_4x", || {
         ParallelRunner::new(4)
             .run_experiments(&topo, &trace, &configs)

@@ -4,7 +4,9 @@
 //! *counting* version internally: each bit position has a small counter so
 //! that when two paused VFIDs share a bit, resuming one of them leaves the
 //! bit set for the other. The on-the-wire [`PauseFrame`] is a snapshot of the
-//! positions whose count is non-zero.
+//! positions whose count is non-zero — kept up to date as counts cross zero,
+//! so taking one (every dirty pause tick of every ingress) is a copy, not a
+//! scan of the counters.
 
 use bfc_net::packet::PauseFrame;
 use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
@@ -13,9 +15,9 @@ use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 #[derive(Debug, Clone)]
 pub struct CountingBloom {
     counts: Vec<u32>,
-    num_bits: u32,
-    num_hashes: u32,
-    size_bytes: usize,
+    /// The wire image: bit `pos` is set iff `counts[pos] > 0`. Also the
+    /// filter's geometry (bit and hash counts).
+    image: PauseFrame,
     members: u64,
 }
 
@@ -24,21 +26,22 @@ impl CountingBloom {
     /// `num_hashes` hash functions.
     pub fn new(size_bytes: usize, num_hashes: u32) -> Self {
         assert!(size_bytes > 0 && num_hashes > 0);
-        let num_bits = (size_bytes * 8) as u32;
         CountingBloom {
-            counts: vec![0; num_bits as usize],
-            num_bits,
-            num_hashes,
-            size_bytes,
+            counts: vec![0; size_bytes * 8],
+            image: PauseFrame::new(size_bytes, num_hashes),
             members: 0,
         }
     }
 
     /// Records one pause of `vfid` (increments its bit positions).
     pub fn insert(&mut self, vfid: u32) {
-        for i in 0..self.num_hashes {
-            let pos = PauseFrame::bit_position(vfid, i, self.num_bits) as usize;
-            self.counts[pos] += 1;
+        for i in 0..self.image.num_hashes() {
+            let pos = PauseFrame::bit_position(vfid, i, self.image.num_bits());
+            let count = &mut self.counts[pos as usize];
+            if *count == 0 {
+                self.image.set_bit(pos);
+            }
+            *count += 1;
         }
         self.members += 1;
     }
@@ -47,10 +50,14 @@ impl CountingBloom {
     /// `remove` must match an earlier `insert`; the policy maintains that
     /// invariant by pairing each pause with exactly one eventual resume.
     pub fn remove(&mut self, vfid: u32) {
-        for i in 0..self.num_hashes {
-            let pos = PauseFrame::bit_position(vfid, i, self.num_bits) as usize;
-            debug_assert!(self.counts[pos] > 0, "counting bloom underflow for vfid {vfid}");
-            self.counts[pos] = self.counts[pos].saturating_sub(1);
+        for i in 0..self.image.num_hashes() {
+            let pos = PauseFrame::bit_position(vfid, i, self.image.num_bits());
+            let count = &mut self.counts[pos as usize];
+            debug_assert!(*count > 0, "counting bloom underflow for vfid {vfid}");
+            if *count == 1 {
+                self.image.clear_bit(pos);
+            }
+            *count = count.saturating_sub(1);
         }
         debug_assert!(self.members > 0);
         self.members = self.members.saturating_sub(1);
@@ -59,9 +66,8 @@ impl CountingBloom {
     /// True if `vfid` currently matches on all hash positions (it, or a
     /// colliding VFID, is paused).
     pub fn contains(&self, vfid: u32) -> bool {
-        (0..self.num_hashes).all(|i| {
-            self.counts[PauseFrame::bit_position(vfid, i, self.num_bits) as usize] > 0
-        })
+        // Every bit of the image mirrors "its count is non-zero".
+        self.image.contains(vfid)
     }
 
     /// Number of outstanding pauses (inserts minus removes).
@@ -74,16 +80,21 @@ impl CountingBloom {
         self.members == 0
     }
 
-    /// Builds the on-the-wire pause frame: a plain bloom filter with a bit
-    /// set wherever the count is non-zero.
+    /// The on-the-wire pause frame: a plain bloom filter with a bit set
+    /// wherever the count is non-zero.
     pub fn snapshot(&self) -> PauseFrame {
-        let mut frame = PauseFrame::new(self.size_bytes, self.num_hashes);
+        self.image
+    }
+
+    /// Rebuilds the wire image from the counters.
+    fn rescan_image(&mut self) {
+        let mut image = PauseFrame::new(self.image.size_bytes(), self.image.num_hashes());
         for (pos, &count) in self.counts.iter().enumerate() {
             if count > 0 {
-                frame.set_bit(pos as u32);
+                image.set_bit(pos as u32);
             }
         }
-        frame
+        self.image = image;
     }
 
     /// Serializes counts and membership for snapshot/restore. The geometry
@@ -108,6 +119,8 @@ impl CountingBloom {
             *c = r.get_u32()?;
         }
         self.members = r.get_u64()?;
+        // The image is derived state: not stored, rebuilt.
+        self.rescan_image();
         Ok(())
     }
 }
@@ -153,6 +166,22 @@ mod tests {
             assert!(frame.contains(v));
         }
         assert_eq!(frame.size_bytes(), 64);
+    }
+
+    #[test]
+    fn restore_rebuilds_the_wire_image() {
+        let mut cb = CountingBloom::new(64, 4);
+        for v in [3u32, 14, 14, 159] {
+            cb.insert(v);
+        }
+        cb.remove(3);
+        let mut w = SnapWriter::new();
+        cb.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut back = CountingBloom::new(64, 4);
+        back.restore_state(&mut SnapReader::new(&bytes)).expect("restores");
+        assert_eq!(back.snapshot(), cb.snapshot());
+        assert!(!back.snapshot().is_empty());
     }
 
     #[test]

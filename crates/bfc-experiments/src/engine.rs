@@ -23,6 +23,21 @@
 //! one-worker engine can also stop after a **single event**
 //! ([`Engine::step`]), which streaming ingest needs for its per-event
 //! inflight-cap check.
+//!
+//! # The last instant
+//!
+//! An egress schedules the end of a serialization as a `TxComplete` only
+//! when something is queued behind the packet (`bfc_net::port::Transmitter`),
+//! so "the time of the last event popped" can fall short of "the last thing
+//! that happened": a run's final act is often a lone ACK leaving a NIC. The
+//! two places that read the latter out — [`Engine::finish`]'s `end_time`
+//! (which feeds utilisation, PFC-paused time and the safety summary) and the
+//! "now" [`Engine::admit`] gives a flow whose start has passed, once
+//! [`Engine::step`] has nothing left to run — take the maximum with the
+//! latest serialization end at or before the cut, read off the transmitters
+//! themselves (`FabricSim::last_serialization_end`). Mid-run, `last` needs
+//! no such correction: an unscheduled serialization end changes no state, so
+//! nothing that is still going to happen depends on whether it was "seen".
 
 use std::sync::Arc;
 
@@ -77,7 +92,9 @@ pub(crate) struct ShardWorker<'a> {
     outbox: Vec<Vec<Boundary<NetEvent>>>,
     plan: Arc<ShardPlan>,
     me: u32,
-    /// Timestamp of the last event this worker processed.
+    /// Timestamp of the last event this worker processed. Serialization
+    /// ends that no event marked are not in it: see
+    /// [`ShardWorker::last_instant`].
     pub(crate) last: SimTime,
 }
 
@@ -105,6 +122,15 @@ fn traced(
 }
 
 impl ShardWorker<'_> {
+    /// The last thing that happened on this worker once every event with
+    /// `t <= upto` has been processed: the last event, or a later
+    /// serialization end that nothing was waiting for and so was never
+    /// scheduled (what an engine that scheduled every `TxComplete` would
+    /// report as its last processed instant).
+    fn last_instant(&self, upto: SimTime) -> SimTime {
+        self.last.max(self.sim.last_serialization_end(upto))
+    }
+
     /// Pops and handles this worker's earliest event. `SOLE` says this is
     /// the only worker of its plan: it owns every node, so it dispatches
     /// straight into its queue and skips boundary routing. A constant, not a
@@ -331,6 +357,10 @@ impl<'a> Engine<'a> {
         let ready = worker.queue.peek_time().is_some_and(|t| t <= self.deadline);
         if ready {
             worker.step::<true>();
+        } else {
+            // The run is over: "now", for a flow admitted from here on, is
+            // the last instant anything happened, event or not.
+            worker.last = worker.last_instant(self.deadline);
         }
         ready
     }
@@ -353,17 +383,20 @@ impl<'a> Engine<'a> {
             .send(flow.start, NetEvent::FlowArrival { index });
     }
 
-    /// Merges the workers into the run's result.
+    /// Merges the workers into the run's result. The run ended at the last
+    /// instant anything happened up to the cut, whether or not an event
+    /// marked it.
     pub(crate) fn finish(self) -> ExperimentResult {
         let end_time = self
             .workers
             .iter()
-            .map(|w| w.last)
+            .map(|w| w.last_instant(self.cut))
             .max()
             .unwrap_or(SimTime::ZERO);
         // Restored queues carry their pre-snapshot count, so a resumed run
         // reports the same lifetime total as the uninterrupted one.
         let overflow_pushes: u64 = self.workers.iter().map(|w| w.queue.overflow_pushes()).sum();
+        let events_popped: u64 = self.workers.iter().map(|w| w.queue.total_delivered()).sum();
         // The queues are freed after the merge, not before it, as every run
         // did before there was an engine. With them freed first, the first
         // run after a set-up in the same process (`setup_s` of the repo
@@ -387,6 +420,7 @@ impl<'a> Engine<'a> {
         );
         drop(queues);
         result.epochs = self.epochs;
+        result.events_popped = events_popped;
         result.record_engine_counters(overflow_pushes);
         result
     }

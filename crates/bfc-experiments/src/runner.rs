@@ -202,6 +202,14 @@ pub struct ExperimentResult {
     /// part of any bit-identity comparison, since a resumed run only counts
     /// its post-snapshot epochs.
     pub epochs: EpochStats,
+    /// Events popped over the run's lifetime, summed over the engine's
+    /// workers (a resumed run includes its pre-snapshot events). The cost
+    /// model of the engine in one number: divide by the registry's
+    /// `bfc_switch_rx_packets` total for events per switch hop. Observability
+    /// only, and not in the registry: a sharded run pops each flow arrival,
+    /// sample tick and fault once per shard that takes part in it, so the
+    /// count depends on the shard count where the registry must not.
+    pub events_popped: u64,
     /// The unified counter/gauge registry: per-switch, per-port, per-scheme
     /// and engine-internal series, merged deterministically across shards.
     /// Observability only — never part of any bit-identity comparison.
@@ -307,6 +315,29 @@ pub(crate) struct FabricSim<'a> {
 }
 
 impl FabricSim<'_> {
+    /// The latest instant at or before `upto` at which an egress of this sim
+    /// finished serializing, `SimTime::ZERO` if none has. An egress only
+    /// schedules that instant as a `TxComplete` when there is something to
+    /// dequeue at it, so the time of the last event popped can fall short
+    /// of it; wherever "the last thing that happened up to `upto`" is read
+    /// out, this is the other half. Only each egress's latest serialization
+    /// counts, which is enough: an earlier one ended no later than the event
+    /// that started the latest.
+    pub(crate) fn last_serialization_end(&self, upto: SimTime) -> SimTime {
+        let switch_ports = self
+            .switches
+            .iter()
+            .flatten()
+            .flat_map(|sw| (0..sw.num_ports()).map(move |p| sw.port(p as u32).tx()));
+        let uplinks = self.hosts.iter().flatten().map(|h| h.tx());
+        switch_ports
+            .chain(uplinks)
+            .map(|tx| tx.busy_until())
+            .filter(|&end| end <= upto)
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
     fn take_samples(&mut self, now: SimTime) {
         if now <= self.sample_until {
             let mut max_queue = 0u64;
@@ -966,6 +997,7 @@ pub(crate) fn assemble_result(
         recovery,
         safety,
         epochs: EpochStats::default(),
+        events_popped: 0,
         registry,
         flight,
     }

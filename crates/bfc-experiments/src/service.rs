@@ -78,8 +78,10 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
 /// histograms: queue-depth-at-enqueue inside each switch's state and the
 /// per-sim FCT slowdown histogram after the safety tracker. Version 6 keeps
 /// the payload and changes the container's checksum (and the fingerprint
-/// stored in the payload) to [`checksum64`]'s 8-byte words.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// stored in the payload) to [`checksum64`]'s 8-byte words. Version 7
+/// replaces the `busy` flag of every switch egress and host uplink with the
+/// transmitter's serialization end and pending-wake flag.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Hashes every run input the snapshot does *not* serialize — topology
 /// shape, trace, configuration and shard count — so a resume against
@@ -668,6 +670,33 @@ mod tests {
         let mut source = Flows(trace.into_iter());
         let quiet = serve_experiment(&topo, &config, &mut source, 4).expect("streams");
         assert_eq!(quiet.result.registry, report.result.registry);
+    }
+
+    #[test]
+    fn a_flow_admitted_after_the_run_is_over_starts_at_its_last_instant() {
+        // One packet between two hosts of one ToR: delivered at 2160 ns, and
+        // the receiver's ACK is on its NIC until 2165.12 ns — the last thing
+        // that happens before the 2170 ns deadline (434 ns of horizon, four
+        // times that of drain), though no event marks it: the ACK leaves
+        // nothing queued behind it.
+        let topo = fat_tree(FatTreeParams::tiny());
+        let config = ExperimentConfig::new(Scheme::bfc(), SimDuration::from_nanos(434));
+        let flow = TraceFlow {
+            src: NodeId(0),
+            dst: NodeId(1),
+            size_bytes: 1_000,
+            start: SimTime::ZERO,
+            is_incast: false,
+        };
+        let mut engine = Engine::build(&topo, &[], &config, 1);
+        engine.admit(flow);
+        while engine.step() {}
+        assert_eq!(engine.workers[0].sim.completed, 1);
+        let over = SimTime::from_picos(2_165_120);
+        assert_eq!(engine.workers[0].last, over);
+        // "Now", for a flow whose start has passed, is that instant.
+        engine.admit(flow);
+        assert_eq!(engine.workers[0].sim.flows[1].start, over);
     }
 
     #[test]

@@ -10,6 +10,14 @@
 //! Every scheduled event carries its [`NetEvent::canon_rank`]: a total order
 //! on *simultaneous* events derived from the event's content rather than
 //! from scheduling order. See that method for the determinism argument.
+//!
+//! Not every state change is an event. A [`NetEvent::TxComplete`] exists
+//! only for a serialization end at which the egress has something to
+//! dequeue ([`crate::port::Transmitter`]); it may be scheduled late — by the
+//! arrival that created the backlog rather than by the transmission — and
+//! because its rank is the egress's `(node, port)` and an egress has at most
+//! one pending, it pops exactly where one scheduled at the start of the
+//! transmission would have.
 
 use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use bfc_sim::{EventQueue, SimTime};
@@ -43,7 +51,8 @@ pub enum NetEvent {
         packet: Packet,
     },
     /// The egress at (`node`, `port`) finished serializing its current packet
-    /// and may start the next one.
+    /// and may start the next one. Scheduled only when there is (or there
+    /// arrives, before the serialization ends) something for it to start.
     TxComplete {
         /// Transmitting node.
         node: NodeId,
@@ -322,6 +331,28 @@ mod tests {
             NetEvent::FlowCompleted { flow: FlowId(7) }.canon_rank(),
             NetEvent::FlowCompleted { flow: FlowId(8) }.canon_rank()
         );
+    }
+
+    #[test]
+    fn a_tx_complete_ranks_after_what_queues_packets_and_before_host_timers() {
+        // The transmitters' tie rule (`Transmitter::busy` vs
+        // `busy_past_end`) is this order: at the instant a serialization
+        // ends, arrivals, flow starts and link dynamics still see the wire
+        // taken, host timers see it free.
+        let tx = NetEvent::TxComplete { node: NodeId(3), port: 0 }.canon_rank();
+        let arrive = NetEvent::PacketArrive {
+            node: NodeId((1 << 19) - 1),
+            port: (1 << 10) - 1,
+            packet: Packet::pfc(NodeId(0), NodeId(1), true),
+        };
+        assert!(arrive.canon_rank() < tx);
+        assert!(NetEvent::FlowArrival { index: (1 << 29) - 1 }.canon_rank() < tx);
+        assert!(NetEvent::NetworkDynamics { index: (1 << 29) - 1 }.canon_rank() < tx);
+        let timer = NetEvent::HostTimer {
+            node: NodeId(0),
+            timer: TransportTimer::NicWakeup,
+        };
+        assert!(tx < timer.canon_rank());
     }
 
     #[test]

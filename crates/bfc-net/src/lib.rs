@@ -54,7 +54,7 @@ pub use policy::{
     EnqueueCtx, EnqueueDecision, FifoPolicy, PolicyStats, ProbeStats, QueueTarget, SfqPolicy,
     SwitchPolicy,
 };
-pub use port::Port;
+pub use port::{Port, Transmitter};
 pub use queue::PhysQueue;
 pub use routing::RoutingTables;
 pub use switch::Switch;

@@ -269,6 +269,13 @@ impl PauseFrame {
         self.bits[(pos / 64) as usize] |= 1u64 << (pos % 64);
     }
 
+    /// Clears bit `pos`.
+    #[inline]
+    pub fn clear_bit(&mut self, pos: u32) {
+        debug_assert!(pos < self.num_bits);
+        self.bits[(pos / 64) as usize] &= !(1u64 << (pos % 64));
+    }
+
     /// Reads bit `pos`.
     #[inline]
     pub fn get_bit(&self, pos: u32) -> bool {

@@ -16,6 +16,20 @@
 //! Pause state is two-fold: PFC pauses the whole egress, while a received
 //! BFC [`PauseFrame`] pauses individual physical queues based on the VFID of
 //! their head packet, re-evaluated after every dequeue (§3.6).
+//!
+//! # The transmitter is an instant, not an event
+//!
+//! The wire behind an egress is a [`Transmitter`]: the instant its current
+//! serialization ends (`busy_until`) and whether a `TxComplete` event is
+//! already scheduled for that instant (`wake_pending`). The serialization
+//! end only becomes an *event* when something could be dequeued at it —
+//! [`Port::has_backlog`] when the transmission starts, or the first
+//! `try_transmit` that finds the wire taken afterwards. A lone packet
+//! through an idle egress therefore costs one event (its arrival at the
+//! next hop), not two. Because a `TxComplete` ranks by its `(node, port)`
+//! cable and an egress has at most one pending, the late-scheduled event
+//! takes the `(time, rank)` slot an eagerly scheduled one would have held:
+//! every event that is popped, is popped in the same order either way.
 
 use std::collections::VecDeque;
 
@@ -27,6 +41,106 @@ use crate::packet::{Packet, PauseFrame};
 use crate::policy::QueueTarget;
 use crate::queue::{PhysQueue, QueuedPacket};
 use crate::types::NodeId;
+
+/// The serializer behind one egress — a switch port's or a NIC's.
+///
+/// "Busy" is a comparison against `busy_until`, not a flag an event has to
+/// clear. The owner asks [`Transmitter::busy`] before dequeuing; when the
+/// wire is taken and there is something to send it calls
+/// [`Transmitter::arm_wake`] and schedules a `TxComplete` at the instant it
+/// returns, and when that event pops it calls [`Transmitter::wake`].
+///
+/// Ties are decided by the event ranks ([`crate::NetEvent::canon_rank`]):
+/// packet arrivals, flow starts and link dynamics rank *before* a
+/// `TxComplete` of the same instant, so to them the wire is still taken at
+/// `now == busy_until` ([`Transmitter::busy`]); host timers rank *after*
+/// it, so to them it is free ([`Transmitter::busy_past_end`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Transmitter {
+    /// End of the latest serialization; `SimTime::ZERO` until the first one
+    /// (every serialization takes time, so no real end is zero).
+    busy_until: SimTime,
+    /// Whether a `TxComplete` for `busy_until` is in the event queue.
+    wake_pending: bool,
+}
+
+impl Transmitter {
+    /// End of the latest serialization (`SimTime::ZERO` before the first).
+    pub fn busy_until(&self) -> SimTime {
+        self.busy_until
+    }
+
+    /// Whether a `TxComplete` is scheduled for [`Transmitter::busy_until`].
+    pub fn wake_pending(&self) -> bool {
+        self.wake_pending
+    }
+
+    /// Whether the wire is taken, as seen at `now` by an event that ranks
+    /// before `TxComplete`: through `busy_until` inclusive, and until a
+    /// pending wake has been delivered.
+    #[inline]
+    pub fn busy(&self, now: SimTime) -> bool {
+        self.wake_pending || (now <= self.busy_until && self.busy_until != SimTime::ZERO)
+    }
+
+    /// [`Transmitter::busy`] as seen by an event that ranks after
+    /// `TxComplete` (a host timer): the serialization ending at `now` is
+    /// over.
+    #[inline]
+    pub fn busy_past_end(&self, now: SimTime) -> bool {
+        self.wake_pending || now < self.busy_until
+    }
+
+    /// Asks for the serialization end to be delivered as an event. Returns
+    /// the instant to schedule the `TxComplete` at, or `None` when one is
+    /// already pending.
+    #[inline]
+    pub fn arm_wake(&mut self) -> Option<SimTime> {
+        if self.wake_pending {
+            return None;
+        }
+        self.wake_pending = true;
+        Some(self.busy_until)
+    }
+
+    /// The `TxComplete` popped at `now`.
+    #[inline]
+    pub fn wake(&mut self, now: SimTime) {
+        debug_assert!(
+            now >= self.busy_until,
+            "TxComplete at {now} precedes the serialization end {}",
+            self.busy_until
+        );
+        self.wake_pending = false;
+    }
+
+    /// Starts a serialization at `now` that ends at `end`.
+    #[inline]
+    pub fn start(&mut self, now: SimTime, end: SimTime) {
+        // One packet on the wire: the property the old `busy` flag implied.
+        debug_assert!(
+            !self.wake_pending && now >= self.busy_until,
+            "serialization starts at {now}, before the previous one ended at {}",
+            self.busy_until
+        );
+        debug_assert!(end > now, "a serialization takes time");
+        self.busy_until = end;
+    }
+
+    /// Serializes both fields.
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        w.put_u64(self.busy_until.as_picos());
+        w.put_bool(self.wake_pending);
+    }
+
+    /// Rebuilds a transmitter from [`Transmitter::save_state`] output.
+    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Transmitter {
+            busy_until: SimTime::from_picos(r.get_u64()?),
+            wake_pending: r.get_bool()?,
+        })
+    }
+}
 
 /// The egress side of one switch/host port.
 #[derive(Debug)]
@@ -71,8 +185,9 @@ pub struct Port {
     // `data_queued_bytes` are O(1) instead of an O(Q) scan.
     data_bytes: u64,
 
-    /// True while the transmitter is serializing a packet.
-    pub busy: bool,
+    /// The wire: when the current serialization ends and whether that end
+    /// is scheduled as an event.
+    pub(crate) tx: Transmitter,
 
     /// Whether the attached cable is up. A down egress never transmits; its
     /// queues are flushed by the owning switch when the link dies.
@@ -110,7 +225,7 @@ impl Port {
             active_count: 0,
             active_counted: vec![false; num_queues],
             data_bytes: 0,
-            busy: false,
+            tx: Transmitter::default(),
             up: true,
             pfc_paused: false,
             pfc_pause_started: None,
@@ -120,6 +235,11 @@ impl Port {
             tx_data_bytes: 0,
             tx_packets: 0,
         }
+    }
+
+    /// The transmitter behind this egress.
+    pub fn tx(&self) -> &Transmitter {
+        &self.tx
     }
 
     /// Whether the attached cable is currently up.
@@ -369,8 +489,8 @@ impl Port {
     /// Picks the next packet to transmit, honouring strict priority
     /// (control > high priority > DRR over physical + overflow queues) and
     /// pause state. Returns the packet, the ingress it arrived on, and the
-    /// queue it came from. Does not consider `busy` or PFC — the switch
-    /// checks those before calling.
+    /// queue it came from. Does not consider the transmitter or PFC — the
+    /// switch checks those before calling.
     pub fn dequeue_next(&mut self) -> Option<(QueuedPacket, QueueTarget)> {
         if !self.control.is_empty() {
             return self.control.pop().map(|qp| (qp, QueueTarget::Control));
@@ -382,6 +502,16 @@ impl Port {
             });
         }
         self.drr_pick()
+    }
+
+    /// Whether [`Port::dequeue_next`] would have anything to look at: a
+    /// control or high-priority packet, or a queue in the DRR rotation.
+    /// Deliberately *not* "something unpaused": a pick over paused queues
+    /// still rotates them and zeroes their deficits, so a serialization end
+    /// that finds only paused backlog is not a no-op and stays an event.
+    #[inline]
+    pub fn has_backlog(&self) -> bool {
+        !self.control.is_empty() || !self.high_priority.is_empty() || !self.active.is_empty()
     }
 
     /// Scheduling index used for the overflow queue inside the DRR state.
@@ -562,13 +692,14 @@ impl Port {
         }
     }
 
-    /// Serializes the port's mutable state: queues, DRR rotation, pause
-    /// state, link rate (mutable under dynamics) and transmit counters. The
-    /// static configuration (peer, propagation, queue count, quantum) is not
-    /// captured — restore overlays onto a freshly built port.
+    /// Serializes the port's mutable state: transmitter, queues, DRR
+    /// rotation, pause state, link rate (mutable under dynamics) and
+    /// transmit counters. The static configuration (peer, propagation, queue
+    /// count, quantum) is not captured — restore overlays onto a freshly
+    /// built port.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_f64(self.link.rate_gbps);
-        w.put_bool(self.busy);
+        self.tx.save_state(w);
         w.put_bool(self.up);
         w.put_bool(self.pfc_paused);
         match self.pfc_pause_started {
@@ -616,7 +747,7 @@ impl Port {
         if !(self.link.rate_gbps > 0.0) {
             return Err(SnapError::Corrupt("non-positive link rate"));
         }
-        self.busy = r.get_bool()?;
+        self.tx = Transmitter::restore_state(r)?;
         self.up = r.get_bool()?;
         self.pfc_paused = r.get_bool()?;
         self.pfc_pause_started = if r.get_bool()? {

@@ -17,6 +17,12 @@
 //! Pause frames and PFC frames are delivered out of band: they experience the
 //! link's serialization and propagation delay but never wait behind data,
 //! matching how MAC control frames behave on real hardware.
+//!
+//! An egress schedules the end of a serialization as a `TxComplete` event
+//! only when there is something it could dequeue then (see
+//! [`crate::port::Transmitter`]): a packet forwarded through an idle port
+//! costs the fabric one event — its arrival at the next hop — and a
+//! backlogged port two.
 
 use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use bfc_sim::{Hist, SimRng, SimTime};
@@ -410,15 +416,16 @@ impl Switch {
         }
     }
 
-    /// The egress at `port` finished serializing a packet.
+    /// The egress at `port` finished serializing a packet and was asked to
+    /// report it (there was, or there arrived, something more to send).
     pub fn handle_tx_complete(
         &mut self,
         now: SimTime,
         port: u32,
         events: &mut impl NetSink,
     ) {
-        self.ports[port as usize].busy = false;
-        self.try_transmit(now, port, events);
+        self.ports[port as usize].tx.wake(now);
+        self.transmit_next(now, port, events);
     }
 
     /// Periodic BFC pause-frame opportunity for `ingress`.
@@ -529,10 +536,40 @@ impl Switch {
         self.ports[port as usize].set_link_rate(gbps);
     }
 
-    /// Starts transmitting the next packet on `port` if the egress is free.
+    /// Schedules the `TxComplete` that ends the current serialization on
+    /// `port`, unless one is pending already.
+    fn arm_wake(&mut self, port: u32, events: &mut impl NetSink) {
+        if let Some(at) = self.ports[port as usize].tx.arm_wake() {
+            events.send(
+                at,
+                NetEvent::TxComplete {
+                    node: self.id,
+                    port,
+                },
+            );
+        }
+    }
+
+    /// Starts transmitting the next packet on `port` if the wire is free;
+    /// if it is taken and something is queued, makes sure the end of the
+    /// serialization comes back as an event. Every caller is a packet
+    /// arrival or a link-up, both ranked before a `TxComplete` of the same
+    /// instant, hence [`crate::port::Transmitter::busy`].
     fn try_transmit(&mut self, now: SimTime, port: u32, events: &mut impl NetSink) {
+        let p = &self.ports[port as usize];
+        if p.tx.busy(now) {
+            if p.has_backlog() {
+                self.arm_wake(port, events);
+            }
+            return;
+        }
+        self.transmit_next(now, port, events);
+    }
+
+    /// Dequeues and transmits the next packet on `port`, whose wire is free.
+    fn transmit_next(&mut self, now: SimTime, port: u32, events: &mut impl NetSink) {
         let idx = port as usize;
-        if self.ports[idx].busy || !self.ports[idx].is_up() || self.ports[idx].is_pfc_paused() {
+        if !self.ports[idx].is_up() || self.ports[idx].is_pfc_paused() {
             return;
         }
         let Some((queued, from_queue)) = self.ports[idx].dequeue_next() else {
@@ -595,14 +632,13 @@ impl Switch {
         let serialization = p.link.serialization(packet.size_bytes);
         let arrival = now + serialization + p.link.propagation;
         let (peer, peer_port) = p.peer.expect("transmitting on a connected port");
-        p.busy = true;
-        events.send(
-            now + serialization,
-            NetEvent::TxComplete {
-                node: self.id,
-                port,
-            },
-        );
+        p.tx.start(now, now + serialization);
+        // The end of this serialization is an event only if there is
+        // something it could dequeue; a packet that queues up later asks
+        // for it then (`try_transmit`).
+        if p.has_backlog() {
+            self.arm_wake(port, events);
+        }
         events.send(
             arrival,
             NetEvent::PacketArrive {
@@ -655,33 +691,29 @@ mod tests {
 
     #[test]
     fn forwards_toward_destination_host() {
-        let (topo, routes, mut sw) = tor_under_test(SwitchConfig::default());
+        let (_topo, routes, mut sw) = tor_under_test(SwitchConfig::default());
         let mut events = EventQueue::new();
         // Host 0 and host 1 are both on ToR 0 in the tiny topology.
         let pkt = data_packet(1, 0, 1, 0);
         sw.handle_packet(SimTime::ZERO, 0, pkt, &routes, &mut events);
-        // A TxComplete for the switch and a PacketArrive for host 1 are scheduled.
-        let mut saw_tx = false;
-        let mut saw_arrival = false;
-        while let Some((t, e)) = events.pop() {
-            match e {
-                NetEvent::TxComplete { node, .. } => {
-                    assert_eq!(node, sw.id);
-                    assert_eq!(t.as_nanos(), 80);
-                    saw_tx = true;
-                }
-                NetEvent::PacketArrive { node, packet, .. } => {
-                    assert_eq!(node, NodeId(1));
-                    assert!(packet.is_data());
-                    assert_eq!(t.as_nanos(), 1080);
-                    saw_arrival = true;
-                }
-                _ => {}
+        // The only event is the arrival at host 1, one serialization (80 ns)
+        // and one propagation delay out: nothing is queued behind the
+        // packet, so the end of its serialization is not an event.
+        let (t, e) = events.pop().expect("the packet was forwarded");
+        match e {
+            NetEvent::PacketArrive { node, packet, .. } => {
+                assert_eq!(node, NodeId(1));
+                assert!(packet.is_data());
+                assert_eq!(t.as_nanos(), 1080);
             }
+            other => panic!("expected the arrival at host 1, got {other:?}"),
         }
-        assert!(saw_tx && saw_arrival);
+        assert!(events.is_empty());
+        let tx = sw.port(1).tx();
+        assert_eq!(tx.busy_until().as_nanos(), 80);
+        assert!(!tx.wake_pending());
+        assert!(tx.busy(SimTime::from_nanos(80)) && !tx.busy(SimTime::from_nanos(81)));
         assert_eq!(sw.counters().rx_packets, 1);
-        let _ = topo;
     }
 
     #[test]
@@ -892,15 +924,12 @@ mod tests {
         let mut events = EventQueue::new();
         sw.set_port_rate(1, 25.0); // 100 -> 25 Gbps toward host 1
         sw.handle_packet(SimTime::ZERO, 0, data_packet(1, 0, 1, 0), &routes, &mut events);
-        let mut saw_tx = false;
-        while let Some((t, e)) = events.pop() {
-            if let NetEvent::TxComplete { .. } = e {
-                // 1000 B at 25 Gbps = 320 ns (was 80 ns at 100 Gbps).
-                assert_eq!(t.as_nanos(), 320);
-                saw_tx = true;
-            }
-        }
-        assert!(saw_tx);
+        // 1000 B at 25 Gbps = 320 ns (was 80 ns at 100 Gbps), then 1 µs of
+        // propagation.
+        assert_eq!(sw.port(1).tx().busy_until().as_nanos(), 320);
+        let (t, e) = events.pop().expect("the packet was forwarded");
+        assert!(matches!(e, NetEvent::PacketArrive { .. }));
+        assert_eq!(t.as_nanos(), 1320);
     }
 
     #[test]

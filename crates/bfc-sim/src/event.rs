@@ -18,11 +18,13 @@
 //! +80 ns (an MTU) ahead, arrivals one propagation delay (~1 µs) later,
 //! pause-frame and pacing timers microseconds out, retransmission timeouts
 //! milliseconds out. With ~131 ns windows only the serialization-scale
-//! pushes — about a third of all pushes — can land in the window being
-//! consumed, and the heap they go through holds a fraction of one window's
-//! events: measured on the 128-host incast workload, 36 keys on average and
-//! 180 at most (a 2.1 µs window put the arrivals there too: thousands of
-//! keys, and heap sifts were 14 % of a run). Every other push is an O(1)
+//! pushes can land in the window being consumed — about a fifth of all
+//! pushes (19–23 % measured on the six-scheme lineup and the 128-host
+//! incast workload): an egress schedules the end of a serialization only
+//! when something is queued behind it, so most packets push nothing at that
+//! scale. The heap those pushes go through holds a fraction of one window's
+//! events (a 2.1 µs window put the arrivals there too: thousands of keys,
+//! and heap sifts were 14 % of a run). Every other push is an O(1)
 //! append to a future window's bucket, and each window is sorted once, as
 //! one batch of a few hundred keys, when the clock reaches it. Ordering is
 //! always decided by the `(time, rank, seq)` triple, never by which internal
@@ -610,18 +612,10 @@ impl<E> EventQueue<E> {
             }
         }
         // One contiguous sort restores (time, rank, seq) order for the
-        // window. Rank-0 fast path: plain `push` traffic — the vast
-        // majority; non-zero ranks only come from the sharded engine's
-        // boundary events — packs `(time, seq)` into one `u128` so the sort
-        // compares a single scalar instead of short-circuiting through a
-        // three-field tuple. The pack is exact: `seq` occupies the low 64
-        // bits, so the packed order equals the `(time, 0, seq)` order.
-        if self.sorted.iter().all(|k| k.rank == 0) {
-            self.sorted
-                .sort_unstable_by_key(|k| ((k.time.as_picos() as u128) << 64) | k.seq as u128);
-        } else {
-            self.sorted.sort_unstable_by_key(Key::ord_key);
-        }
+        // window. Every fabric push is ranked (`NetSink::send` attaches the
+        // event's canonical rank), so there is no rank-free case to special
+        // case.
+        self.sorted.sort_unstable_by_key(Key::ord_key);
     }
 }
 
@@ -922,7 +916,7 @@ mod tests {
                 let (a, b) = (cal.pop(), reference.pop());
                 assert_eq!(a, b, "pop {step} at population {population}");
                 let now = a.expect("population is held").0.as_picos();
-                // Rank-0 stretches exercise the packed-sort fast path.
+                // Rank-0 stretches order by push sequence alone.
                 let ranked = (step / 5_000) % 2 == 0;
                 let burst = if rng.chance(0.05) { 1 + rng.next_below(6) } else { 1 };
                 let delta = fabric_delta_ps(&mut rng);

@@ -16,12 +16,20 @@
 //!
 //! ACKs and CNPs are sent with strict priority over data on the uplink, the
 //! same treatment switches give them.
+//!
+//! The uplink is a [`Transmitter`], as a switch egress is: the end of a
+//! serialization becomes a `TxComplete` event only when the control queue or
+//! the send rotation holds something to look at then — a receiver's lone ACK
+//! or a flow's last packet leaves no event behind. Host timers rank after a
+//! `TxComplete` of the same instant and every other caller before it, which
+//! is the one thing `try_send` needs to be told (see [`Transmitter::busy`]).
 
 use std::collections::VecDeque;
 
 use bfc_net::event::{NetEvent, NetSink, TransportTimer};
 use bfc_net::link::Link;
 use bfc_net::packet::{IntPath, Packet, PacketKind, PauseFrame};
+use bfc_net::port::Transmitter;
 use bfc_net::types::{FlowId, NodeId};
 use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use bfc_sim::{FastHashMap, SimTime};
@@ -55,7 +63,7 @@ pub struct Host {
     peer: (NodeId, u32),
     line_rate_gbps: f64,
 
-    busy: bool,
+    tx: Transmitter,
     uplink_up: bool,
     pfc_paused: bool,
     pause_frame: Option<PauseFrame>,
@@ -82,7 +90,7 @@ impl Host {
             uplink,
             peer,
             config,
-            busy: false,
+            tx: Transmitter::default(),
             uplink_up: true,
             pfc_paused: false,
             pause_frame: None,
@@ -109,6 +117,11 @@ impl Host {
     /// The host configuration.
     pub fn config(&self) -> &HostConfig {
         &self.config
+    }
+
+    /// The uplink's transmitter.
+    pub fn tx(&self) -> &Transmitter {
+        &self.tx
     }
 
     /// Whether the NIC's uplink cable is currently up.
@@ -138,12 +151,12 @@ impl Host {
         self.uplink.rate_gbps = gbps;
     }
 
-    /// Serializes all mutable host state — pause/link flags, control queue,
-    /// sender and receiver flow tables, the round-robin rotation, counters —
-    /// for snapshot/restore.
+    /// Serializes all mutable host state — transmitter, pause/link flags,
+    /// control queue, sender and receiver flow tables, the round-robin
+    /// rotation, counters — for snapshot/restore.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_f64(self.uplink.rate_gbps);
-        w.put_bool(self.busy);
+        self.tx.save_state(w);
         w.put_bool(self.uplink_up);
         w.put_bool(self.pfc_paused);
         match &self.pause_frame {
@@ -199,7 +212,7 @@ impl Host {
             return Err(SnapError::Corrupt("non-positive uplink rate"));
         }
         self.uplink.rate_gbps = rate;
-        self.busy = r.get_bool()?;
+        self.tx = Transmitter::restore_state(r)?;
         self.uplink_up = r.get_bool()?;
         self.pfc_paused = r.get_bool()?;
         self.pause_frame = if r.get_bool()? {
@@ -351,10 +364,11 @@ impl Host {
         }
     }
 
-    /// The uplink finished serializing a packet.
+    /// The uplink finished serializing a packet and was asked to report it
+    /// (there was, or there arrived, something more to send).
     pub fn handle_tx_complete(&mut self, now: SimTime, events: &mut impl NetSink) {
-        self.busy = false;
-        self.try_send(now, events);
+        self.tx.wake(now);
+        self.send_next(now, events);
     }
 
     /// A transport timer fired.
@@ -367,7 +381,7 @@ impl Host {
         match timer {
             TransportTimer::NicWakeup => {
                 self.pending_wakeup = None;
-                self.try_send(now, events);
+                self.try_send_from_timer(now, events);
             }
             TransportTimer::Retransmit(flow_id) => self.handle_retransmit_timer(now, flow_id, events),
             TransportTimer::RateIncrease(flow_id) => {
@@ -382,7 +396,7 @@ impl Host {
                             timer: TransportTimer::RateIncrease(flow_id),
                         },
                     );
-                    self.try_send(now, events);
+                    self.try_send_from_timer(now, events);
                 }
             }
             TransportTimer::AlphaUpdate(flow_id) => {
@@ -428,7 +442,7 @@ impl Host {
                 timer: TransportTimer::Retransmit(flow_id),
             },
         );
-        self.try_send(now, events);
+        self.try_send_from_timer(now, events);
     }
 
     fn receive_data(&mut self, now: SimTime, packet: Packet, events: &mut impl NetSink) {
@@ -546,9 +560,52 @@ impl Host {
         }
     }
 
-    /// Attempts to transmit one packet (control first, then data round-robin).
+    /// Attempts to transmit one packet, on behalf of an event that ranks
+    /// before a `TxComplete` of the same instant: a packet arrival, a flow
+    /// start, an uplink repair.
     fn try_send(&mut self, now: SimTime, events: &mut impl NetSink) {
-        if self.busy || !self.uplink_up || self.pfc_paused {
+        if self.tx.busy(now) {
+            self.wake_at_end(events);
+        } else {
+            self.send_next(now, events);
+        }
+    }
+
+    /// [`Host::try_send`] on behalf of a host timer, which ranks after a
+    /// `TxComplete` of the same instant: a serialization ending exactly now
+    /// is over.
+    fn try_send_from_timer(&mut self, now: SimTime, events: &mut impl NetSink) {
+        if self.tx.busy_past_end(now) {
+            self.wake_at_end(events);
+        } else {
+            self.send_next(now, events);
+        }
+    }
+
+    /// The uplink is taken: if there is anything [`Host::send_next`] would
+    /// look at, make sure the end of the serialization comes back as a
+    /// `TxComplete`. A pass over a non-empty send rotation is never a no-op
+    /// (it rotates, sheds finished flows, may set the pacing wake-up), so
+    /// "something queued" is the test, not "something sendable".
+    fn wake_at_end(&mut self, events: &mut impl NetSink) {
+        if self.control_queue.is_empty() && self.send_order.is_empty() {
+            return;
+        }
+        if let Some(at) = self.tx.arm_wake() {
+            events.send(
+                at,
+                NetEvent::TxComplete {
+                    node: self.id,
+                    port: 0,
+                },
+            );
+        }
+    }
+
+    /// Transmits one packet (control first, then data round-robin) on the
+    /// free uplink.
+    fn send_next(&mut self, now: SimTime, events: &mut impl NetSink) {
+        if !self.uplink_up || self.pfc_paused {
             return;
         }
         if let Some(pkt) = self.control_queue.pop_front() {
@@ -642,14 +699,8 @@ impl Host {
     fn transmit(&mut self, now: SimTime, packet: Packet, events: &mut impl NetSink) {
         let serialization = self.uplink.serialization(packet.size_bytes);
         let arrival = now + serialization + self.uplink.propagation;
-        self.busy = true;
-        events.send(
-            now + serialization,
-            NetEvent::TxComplete {
-                node: self.id,
-                port: 0,
-            },
-        );
+        self.tx.start(now, now + serialization);
+        self.wake_at_end(events);
         events.send(
             arrival,
             NetEvent::PacketArrive {
@@ -796,15 +847,51 @@ mod tests {
         host.set_uplink_rate(10.0);
         let mut events = EventQueue::new();
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 1_000), &mut events);
-        let mut saw_tx = false;
-        while let Some((t, ev)) = events.pop() {
-            if matches!(ev, NetEvent::TxComplete { .. }) {
-                // 1000 B at 10 Gbps = 800 ns (100 Gbps would be 80 ns).
-                assert_eq!(t.as_nanos(), 800);
-                saw_tx = true;
-            }
-        }
-        assert!(saw_tx);
+        // 1000 B at 10 Gbps = 800 ns (100 Gbps would be 80 ns). The flow's
+        // only packet leaves nothing to send, so the end of its
+        // serialization is not an event: the packet's arrival, one
+        // propagation delay later, is.
+        assert_eq!(host.tx().busy_until().as_nanos(), 800);
+        assert!(!host.tx().wake_pending());
+        let (t, ev) = events.pop().expect("the packet was sent");
+        assert!(matches!(ev, NetEvent::PacketArrive { .. }));
+        assert_eq!(t.as_nanos(), 1_800);
+    }
+
+    #[test]
+    fn the_serialization_end_is_busy_to_an_arrival_and_free_to_a_timer() {
+        let end = SimTime::from_nanos(80);
+        let one_packet_sent = || {
+            let mut host = sender(HostConfig::bfc(MTU, BASE_RTT));
+            let mut events = EventQueue::new();
+            host.start_flow(SimTime::ZERO, spec(1, 0, 1, 1_000), &mut events);
+            assert_eq!(host.tx().busy_until(), end);
+            while events.pop().is_some() {}
+            (host, events)
+        };
+        let nack = Packet::ack(FlowId(1), NodeId(1), NodeId(0), 0, true, false, Default::default());
+
+        // A NACK arriving at exactly 80 ns rewinds the flow, but an arrival
+        // ranks before the `TxComplete` of its instant: the uplink still
+        // counts as taken, so the resend waits for that event — at 80 ns.
+        let (mut host, mut events) = one_packet_sent();
+        host.handle_packet(end, nack.clone(), &mut events);
+        assert!(host.tx().wake_pending());
+        let (t, ev) = events.pop().expect("the wake was scheduled");
+        assert!(matches!(ev, NetEvent::TxComplete { .. }));
+        assert_eq!(t, end);
+        host.handle_tx_complete(t, &mut events);
+        assert_eq!(host.tx().busy_until().as_nanos(), 160);
+
+        // The retransmission timer firing at exactly 80 ns ranks after it:
+        // the serialization is over, and the timer's own rewind goes out at
+        // once, with no event in between.
+        let (mut host, mut events) = one_packet_sent();
+        host.handle_timer(end, TransportTimer::Retransmit(FlowId(1)), &mut events);
+        assert_eq!(host.tx().busy_until().as_nanos(), 160);
+        assert!(!host.tx().wake_pending());
+        assert!(std::iter::from_fn(|| events.pop())
+            .all(|(_, ev)| !matches!(ev, NetEvent::TxComplete { .. })));
     }
 
     #[test]
@@ -868,7 +955,7 @@ mod tests {
         }
         let mut completed = false;
         let mut acks = 0;
-        while let Some((_, ev)) = events.pop() {
+        while let Some((t, ev)) = events.pop() {
             match ev {
                 NetEvent::FlowCompleted { flow } => {
                     assert_eq!(flow, FlowId(9));
@@ -879,7 +966,7 @@ mod tests {
                         acks += 1;
                     }
                 }
-                NetEvent::TxComplete { .. } => rx.handle_tx_complete(SimTime::ZERO, &mut events),
+                NetEvent::TxComplete { .. } => rx.handle_tx_complete(t, &mut events),
                 _ => {}
             }
         }

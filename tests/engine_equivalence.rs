@@ -18,28 +18,12 @@
 
 use backpressure_flow_control::experiments::fuzz::{CaseGen, FuzzConfig, Reproducer};
 use backpressure_flow_control::experiments::{
-    resume_experiment, run_experiment, run_experiment_sharded, snapshot_experiment,
-    ExperimentConfig, Scheme,
+    resume_experiment, run_experiment, run_experiment_sharded, snapshot_experiment, Scheme,
 };
-use backpressure_flow_control::sim::{SimDuration, SimTime};
 use bfc_testkit::{f64_range, int_range, pair, triple, Config};
 
 mod common;
-use common::assert_identical;
-
-/// One of four kinds of cut instant; `frac` places the last kind.
-fn cut_instant(kind: u64, frac: f64, config: &ExperimentConfig) -> SimTime {
-    let deadline = SimTime::ZERO + config.horizon + config.drain;
-    match kind % 4 {
-        0 => SimTime::ZERO,
-        // Half a microsecond into the first fault (the generator's faults
-        // all last at least five).
-        1 => config.dynamics.events()[0].at + SimDuration::from_nanos(500),
-        2 => deadline + SimDuration::from_micros(1),
-        // Anywhere in the busy part of the run, to the picosecond.
-        _ => SimTime::from_picos((frac * config.horizon.as_picos() as f64) as u64),
-    }
-}
+use common::{assert_identical, cut_instant};
 
 #[test]
 fn every_path_through_the_engine_agrees_on_generated_scenarios() {

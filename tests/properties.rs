@@ -109,6 +109,33 @@ property! {
         assert!(cb.snapshot().is_empty());
     }
 
+    /// The pause frame a counting bloom filter hands out is kept up to date
+    /// bit by bit as counts cross zero; after any sequence of pauses and
+    /// matching resumes it is the frame a scan would build — a bit for every
+    /// hash position of every VFID still paused, and no other.
+    fn counting_bloom_image_tracks_membership(
+        ops in vec_of(pair(int_range(0u32..48), int_range(0u64..3)), 1..200),
+        size_bytes in one_of(&[1usize, 16, 128]),
+    ) {
+        let mut cb = CountingBloom::new(size_bytes, 4);
+        let mut paused = [0u32; 48];
+        for &(vfid, op) in &ops {
+            // Two in three operations pause; a resume needs a pause to undo.
+            if op < 2 || paused[vfid as usize] == 0 {
+                cb.insert(vfid);
+                paused[vfid as usize] += 1;
+            } else {
+                cb.remove(vfid);
+                paused[vfid as usize] -= 1;
+            }
+            let mut scan = PauseFrame::new(size_bytes, 4);
+            for v in (0..48u32).filter(|&v| paused[v as usize] > 0) {
+                scan.insert(v);
+            }
+            assert_eq!(cb.snapshot(), scan);
+        }
+    }
+
     /// Packetization conserves bytes: the per-packet sizes of a flow sum to
     /// the flow size, every packet is at most one MTU, and only the last
     /// packet may be smaller.

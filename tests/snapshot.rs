@@ -233,9 +233,11 @@ fn damaged_snapshots_are_rejected() {
         Err(SnapError::BadChecksum)
     ));
 
-    // Another format version — a future one, or version 5 with its bytewise
-    // checksum — is refused by number, not misdecoded.
-    for version in [99u32, 5] {
+    // Another format version — a future one, version 6 with a `busy` flag
+    // where a transmitter's serialization end now is, or version 5 with its
+    // bytewise checksum — is refused by number, not misdecoded.
+    assert_eq!(snap[8..12], 7u32.to_le_bytes(), "this build writes version 7");
+    for version in [99u32, 6, 5] {
         let mut versioned = snap.clone();
         versioned[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
