@@ -9,7 +9,7 @@
 //! scan of the counters.
 
 use bfc_net::packet::PauseFrame;
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// A counting bloom filter over the VFID space.
 #[derive(Debug, Clone)]
@@ -97,29 +97,23 @@ impl CountingBloom {
         self.image = image;
     }
 
-    /// Serializes counts and membership for snapshot/restore. The geometry
-    /// (bit and hash counts) is derived from configuration at construction
-    /// time and is validated, not duplicated.
+    /// Serializes counts and membership for snapshot/restore.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.counts.len());
-        for &c in &self.counts {
-            w.put_u32(c);
-        }
-        w.put_u64(self.members);
+        let CountingBloom {
+            counts,
+            image: _, // derived from the counts; its geometry is configuration
+            members,
+        } = self;
+        counts.save(w);
+        members.save(w);
     }
 
-    /// Restores state captured by [`CountingBloom::save_state`] into this
-    /// filter, which must have been built with the same geometry.
+    /// Overlays state captured by [`CountingBloom::save_state`] onto this
+    /// filter: checks the counter count is the geometry it was built with,
+    /// and rebuilds the wire image from the counters.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.get_usize()?;
-        if n != self.counts.len() {
-            return Err(SnapError::Corrupt("counting-bloom geometry mismatch"));
-        }
-        for c in &mut self.counts {
-            *c = r.get_u32()?;
-        }
-        self.members = r.get_u64()?;
-        // The image is derived state: not stored, rebuilt.
+        r.get_exact(&mut self.counts, "counting-bloom geometry mismatch")?;
+        self.members = r.get()?;
         self.rescan_image();
         Ok(())
     }

@@ -21,7 +21,7 @@
 //! O(1): every slot carries a generation stamp and is considered empty unless
 //! it matches the table's current generation.
 
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Identity of a tracked flow at one switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,6 +33,8 @@ pub struct FlowKey {
     /// Local egress port the flow leaves from.
     pub egress: u32,
 }
+
+bfc_sim::snap_struct! { FlowKey { vfid, ingress, egress } }
 
 /// Per-flow state held while the flow has packets queued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +51,8 @@ pub struct FlowEntry {
     /// True if the flow is waiting on the to-be-resumed list.
     pub resume_pending: bool,
 }
+
+bfc_sim::snap_struct! { FlowEntry { key, queue, packets_queued, paused, resume_pending } }
 
 impl FlowEntry {
     fn new(key: FlowKey) -> Self {
@@ -151,10 +155,6 @@ fn hash_key(key: FlowKey) -> u64 {
 /// Smallest store allocated; growth doubles from here. Kept well below any
 /// hardware geometry so idle switches stay cheap.
 const MIN_SLOTS: usize = 16;
-
-/// Minimum serialized bytes per saved entry (class byte + key + flags),
-/// used to validate snapshot length prefixes.
-const ENTRY_MIN_BYTES: usize = 19;
 
 /// The flow table: hardware-model quotas over an open-addressed store.
 #[derive(Debug)]
@@ -406,47 +406,87 @@ impl FlowTable {
         self.bucket_residents.len() * self.bucket_size * 16 + self.cache_capacity * 16
     }
 
+    /// The largest store this table's quotas can have grown: growth doubles
+    /// from [`MIN_SLOTS`] whenever an insert would push the load above 3/4,
+    /// so it stops at the first power of two that holds every entry the
+    /// buckets and the cache admit at that load. `None` if that overflows.
+    fn max_slots(&self) -> Option<usize> {
+        let entries = self
+            .bucket_residents
+            .len()
+            .checked_mul(self.bucket_size)?
+            .checked_add(self.cache_capacity)?;
+        let slots = entries
+            .checked_mul(4)?
+            .div_ceil(3)
+            .checked_next_power_of_two()?;
+        Some(slots.max(MIN_SLOTS))
+    }
+
     /// Serializes the tracked entries with their admission classes. Entries
     /// are emitted in store-scan order *starting at an empty slot*, so no
     /// probe run straddles the scan origin and each run appears home-side
     /// first. Re-inserting in that order therefore reproduces the probe
     /// layout slot-for-slot, which keeps save → restore → save byte-stable.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u32(u32::try_from(self.bucket_residents.len()).expect("vfid count fits u32"));
-        w.put_usize(self.tracked);
+        let FlowTable {
+            slots,
+            gen,
+            // Configuration.
+            bucket_size: _,
+            cache_capacity: _,
+            // Derived from the entries' admission classes; only the length
+            // of `bucket_residents`, the VFID count, is written.
+            bucket_residents,
+            cache_residents: _,
+            tracked,
+            peak_tracked,
+            lookups,
+            probe_steps,
+            max_probe,
+        } = self;
+        w.put_u32(u32::try_from(bucket_residents.len()).expect("vfid count fits u32"));
+        tracked.save(w);
         // The store size is part of the layout (it fixes the hash mask), so
         // it is serialized too: a restore target's own store may have grown
         // differently before the restore.
-        w.put_usize(self.slots.len());
-        let start = self
-            .slots
+        slots.len().save(w);
+        let start = slots
             .iter()
-            .position(|s| s.gen != self.gen)
+            .position(|s| s.gen != *gen)
             .expect("load factor below 1 guarantees an empty slot");
-        for k in 0..self.slots.len() {
-            let slot = &self.slots[(start + k) & self.mask()];
-            if slot.gen == self.gen {
-                w.put_bool(slot.cached);
-                save_entry(w, &slot.entry);
+        for k in 0..slots.len() {
+            let slot = &slots[(start + k) & self.mask()];
+            if slot.gen == *gen {
+                slot.cached.save(w);
+                slot.entry.save(w);
             }
         }
-        w.put_usize(self.peak_tracked);
-        w.put_u64(self.lookups);
-        w.put_u64(self.probe_steps);
-        w.put_u64(self.max_probe);
+        peak_tracked.save(w);
+        lookups.save(w);
+        probe_steps.save(w);
+        max_probe.save(w);
     }
 
-    /// Restores state captured by [`FlowTable::save_state`] into this table,
-    /// which must have been built with the same geometry. The previous
-    /// contents are discarded by bumping the generation — no slot is
-    /// touched until re-insertion overwrites it.
+    /// Overlays state captured by [`FlowTable::save_state`] onto this table,
+    /// which was built with the same geometry: checks the VFID count, that
+    /// the store size is one this table could have grown to and holds the
+    /// entries at load ≤ 3/4, every entry against its bucket's or the
+    /// cache's quota, and that the peak is not below the current count; the
+    /// probe layout and the residency counters are rebuilt by re-insertion.
+    /// The previous contents are discarded by bumping the generation — no
+    /// slot is touched until re-insertion overwrites it.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         if r.get_u32()? as usize != self.bucket_residents.len() {
             return Err(SnapError::Corrupt("flow-table vfid count mismatch"));
         }
-        let n = r.get_count(ENTRY_MIN_BYTES)?;
-        let store = r.get_usize()?;
-        if !store.is_power_of_two() || store < MIN_SLOTS || n * 4 > store * 3 {
+        let n = r.get_len::<(bool, FlowEntry)>()?;
+        let store: usize = r.get()?;
+        if !store.is_power_of_two()
+            || store < MIN_SLOTS
+            || !self.max_slots().is_some_and(|max| store <= max)
+            || n > store / 4 * 3
+        {
             return Err(SnapError::Corrupt("flow-table store size invalid"));
         }
         if store == self.slots.len() {
@@ -460,8 +500,7 @@ impl FlowTable {
         self.cache_residents = 0;
         self.tracked = 0;
         for _ in 0..n {
-            let cached = r.get_bool()?;
-            let entry = restore_entry(r)?;
+            let (cached, entry): (bool, FlowEntry) = r.get()?;
             if (entry.key.vfid as usize) >= self.bucket_residents.len() {
                 return Err(SnapError::Corrupt("flow-table vfid out of range"));
             }
@@ -482,51 +521,15 @@ impl FlowTable {
             self.place(cached, entry);
             self.tracked += 1;
         }
-        self.peak_tracked = r.get_usize()?;
+        self.peak_tracked = r.get()?;
         if self.peak_tracked < self.tracked {
             return Err(SnapError::Corrupt("flow-table peak below current"));
         }
-        self.lookups = r.get_u64()?;
-        self.probe_steps = r.get_u64()?;
-        self.max_probe = r.get_u64()?;
+        self.lookups = r.get()?;
+        self.probe_steps = r.get()?;
+        self.max_probe = r.get()?;
         Ok(())
     }
-}
-
-fn save_entry(w: &mut SnapWriter, e: &FlowEntry) {
-    w.put_u32(e.key.vfid);
-    w.put_u32(e.key.ingress);
-    w.put_u32(e.key.egress);
-    match e.queue {
-        Some(q) => {
-            w.put_bool(true);
-            w.put_usize(q);
-        }
-        None => w.put_bool(false),
-    }
-    w.put_u32(e.packets_queued);
-    w.put_bool(e.paused);
-    w.put_bool(e.resume_pending);
-}
-
-fn restore_entry(r: &mut SnapReader<'_>) -> Result<FlowEntry, SnapError> {
-    let key = FlowKey {
-        vfid: r.get_u32()?,
-        ingress: r.get_u32()?,
-        egress: r.get_u32()?,
-    };
-    let queue = if r.get_bool()? {
-        Some(r.get_usize()?)
-    } else {
-        None
-    };
-    Ok(FlowEntry {
-        key,
-        queue,
-        packets_queued: r.get_u32()?,
-        paused: r.get_bool()?,
-        resume_pending: r.get_bool()?,
-    })
 }
 
 #[cfg(test)]
@@ -787,5 +790,35 @@ mod tests {
         let mut narrow = FlowTable::new(4, 2, 1);
         let mut r = SnapReader::new(&bytes);
         assert!(narrow.restore_state(&mut r).is_err());
+
+        // A store larger than these quotas can ever have grown it is refused
+        // before it is allocated: 8 × 2 + 1 = 17 entries fit 32 slots at
+        // load 3/4, so 64 is already too many, and 2^40 or 2^63 would ask
+        // the allocator for terabytes or overflow its capacity.
+        let empty_with_store = |store: usize| {
+            let mut w = SnapWriter::new();
+            w.put_u32(8);
+            w.put_usize(0);
+            w.put_usize(store);
+            for _ in 0..4 {
+                w.put_u64(0);
+            }
+            w.into_bytes()
+        };
+        let restore = |store| {
+            let bytes = empty_with_store(store);
+            let mut r = SnapReader::new(&bytes);
+            FlowTable::new(8, 2, 1)
+                .restore_state(&mut r)
+                .and_then(|()| r.expect_end())
+        };
+        assert_eq!(restore(32), Ok(()));
+        for store in [64, 1 << 40, 1 << 63] {
+            assert_eq!(
+                restore(store),
+                Err(SnapError::Corrupt("flow-table store size invalid")),
+                "store {store}"
+            );
+        }
     }
 }

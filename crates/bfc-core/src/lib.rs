@@ -30,7 +30,7 @@
 //!
 //! let config = BfcConfig::default();          // 32 queues, 16K VFIDs, 128 B bloom
 //! let policy = BfcPolicy::new(config, 42);
-//! assert_eq!(bfc_net::SwitchPolicy::name(&policy), "bfc");
+//! assert!(policy.config().dynamic_assignment && policy.tracked_flows() == 0);
 //! ```
 
 pub mod config;

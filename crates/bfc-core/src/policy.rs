@@ -14,7 +14,7 @@ use bfc_net::policy::{
     SwitchPolicy,
 };
 use bfc_sim::rng::mix64;
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{FastHashMap, SimRng, SimTime};
 
 use crate::config::BfcConfig;
@@ -30,6 +30,8 @@ struct ResumeItem {
     /// limit). Flows that never got a physical queue use `usize::MAX`.
     queue: usize,
 }
+
+bfc_sim::snap_struct! { ResumeItem { vfid, egress, queue } }
 
 /// Per-ingress-link pause state.
 #[derive(Debug)]
@@ -82,7 +84,7 @@ pub fn pick_queue(assigned: &[u32], rng: &mut SimRng) -> usize {
 }
 
 /// Extra BFC-specific counters beyond [`PolicyStats`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BfcCounters {
     /// Packets that used the high-priority queue.
     pub high_priority_packets: u64,
@@ -91,6 +93,8 @@ pub struct BfcCounters {
     /// Pause frames whose bloom filter was non-empty when snapshotted.
     pub nonempty_frames: u64,
 }
+
+bfc_sim::snap_struct! { BfcCounters { high_priority_packets, peak_tracked_flows, nonempty_frames } }
 
 /// The Backpressure Flow Control policy for one switch.
 pub struct BfcPolicy {
@@ -384,86 +388,55 @@ impl SwitchPolicy for BfcPolicy {
         }
     }
 
-    fn name(&self) -> &'static str {
-        if self.config.dynamic_assignment {
-            "bfc"
-        } else {
-            "bfc-vfid"
-        }
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
-        for word in self.rng.state() {
-            w.put_u64(word);
+        let BfcPolicy {
+            config: _, // configuration
+            table,
+            ingress,
+            assigned,
+            rng,
+            stats,
+            counters,
+        } = self;
+        rng.save(w);
+        stats.save(w);
+        counters.save(w);
+        table.save_state(w);
+        w.put_usize(ingress.len());
+        for st in ingress {
+            let IngressState {
+                counting,
+                to_be_resumed,
+                dirty,
+                // Scratch, empty between ticks.
+                served: _,
+                kept: _,
+                resumed: _,
+            } = st;
+            counting.save_state(w);
+            to_be_resumed.save(w);
+            dirty.save(w);
         }
-        self.stats.save_state(w);
-        w.put_u64(self.counters.high_priority_packets);
-        w.put_usize(self.counters.peak_tracked_flows);
-        w.put_u64(self.counters.nonempty_frames);
-        self.table.save_state(w);
-        w.put_usize(self.ingress.len());
-        for st in &self.ingress {
-            st.counting.save_state(w);
-            w.put_usize(st.to_be_resumed.len());
-            for item in &st.to_be_resumed {
-                w.put_u32(item.vfid);
-                w.put_u32(item.egress);
-                w.put_usize(item.queue);
-            }
-            w.put_bool(st.dirty);
-        }
-        // Iteration order of the map is not deterministic; key order is.
-        let mut egresses: Vec<u32> = self.assigned.keys().copied().collect();
-        egresses.sort_unstable();
-        w.put_usize(egresses.len());
-        for egress in egresses {
-            let counts = &self.assigned[&egress];
-            w.put_u32(egress);
-            w.put_usize(counts.len());
-            for &c in counts {
-                w.put_u32(c);
-            }
-        }
+        assigned.save(w);
     }
 
+    // Overlaid: the flow table and each ingress's counting bloom are built
+    // from `config` and check their geometry against it.
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let state = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
-        self.rng = SimRng::from_state(state);
-        self.stats = PolicyStats::restore_state(r)?;
-        self.counters.high_priority_packets = r.get_u64()?;
-        self.counters.peak_tracked_flows = r.get_usize()?;
-        self.counters.nonempty_frames = r.get_u64()?;
+        self.rng = r.get()?;
+        self.stats = r.get()?;
+        self.counters = r.get()?;
         self.table.restore_state(r)?;
-        let num_ingress = r.get_count(10)?;
+        let num_ingress = r.get_count(VecDeque::<ResumeItem>::MIN_BYTES + bool::MIN_BYTES)?;
         self.ingress.clear();
         for _ in 0..num_ingress {
             let mut st = IngressState::new(&self.config);
             st.counting.restore_state(r)?;
-            let n = r.get_count(17)?;
-            for _ in 0..n {
-                st.to_be_resumed.push_back(ResumeItem {
-                    vfid: r.get_u32()?,
-                    egress: r.get_u32()?,
-                    queue: r.get_usize()?,
-                });
-            }
-            st.dirty = r.get_bool()?;
+            st.to_be_resumed = r.get()?;
+            st.dirty = r.get()?;
             self.ingress.push(st);
         }
-        let num_egress = r.get_count(16)?;
-        self.assigned.clear();
-        for _ in 0..num_egress {
-            let egress = r.get_u32()?;
-            let n = r.get_count(4)?;
-            let mut counts = Vec::with_capacity(n);
-            for _ in 0..n {
-                counts.push(r.get_u32()?);
-            }
-            if self.assigned.insert(egress, counts).is_some() {
-                return Err(SnapError::Corrupt("duplicate egress in assignment map"));
-            }
-        }
-        Ok(())
+        r.get_map(&mut self.assigned, "duplicate egress in assignment map")
     }
 }
 
@@ -716,14 +689,5 @@ mod tests {
         let c = BfcConfig::default().with_hop_rtt(SimDuration::from_micros(4));
         // (4us + 2us) * 12.5 GB/s = 75 KB.
         assert_eq!(c.pause_threshold_bytes(100.0, 1), 75_000);
-    }
-
-    #[test]
-    fn name_reflects_assignment_mode() {
-        assert_eq!(SwitchPolicy::name(&BfcPolicy::new(BfcConfig::default(), 0)), "bfc");
-        assert_eq!(
-            SwitchPolicy::name(&BfcPolicy::new(BfcConfig::vfid_straw(), 0)),
-            "bfc-vfid"
-        );
     }
 }

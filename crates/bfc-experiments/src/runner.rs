@@ -133,12 +133,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Overrides the safety-detector thresholds.
-    pub fn with_safety(mut self, safety: SafetyConfig) -> Self {
-        self.safety = safety;
-        self
-    }
-
     /// Enables the flight recorder with the given ring capacity.
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
         self.trace_capacity = Some(capacity);

@@ -210,6 +210,12 @@ impl Scheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfc_net::packet::Packet;
+    use bfc_net::policy::{EnqueueCtx, QueueTarget};
+    use bfc_net::port::Port;
+    use bfc_net::types::{FlowId, NodeId};
+    use bfc_net::Link;
+    use bfc_sim::SimTime;
 
     #[test]
     fn names_match_paper_legends() {
@@ -255,16 +261,41 @@ mod tests {
         assert!(Scheme::bfc().uses_pfc());
     }
 
+    /// The queue `scheme`'s policy gives a mid-flow data packet of VFID 77 on
+    /// a 32-queue egress, and whether choosing it probed a flow table.
+    fn first_decision(scheme: Scheme) -> (QueueTarget, bool) {
+        let port = Port::new(Link::datacenter_default(), None, 32, 1000);
+        let ctx = EnqueueCtx {
+            now: SimTime::ZERO,
+            switch: NodeId(0),
+            ingress: 0,
+            egress: 1,
+            port: &port,
+        };
+        let packet = Packet::data(FlowId(1), NodeId(8), NodeId(9), 5, 1000, 77, false);
+        let mut policy = scheme.make_policy(1);
+        let target = policy.on_enqueue(&ctx, &packet).target;
+        (target, policy.probe_stats().lookups > 0)
+    }
+
     #[test]
     fn policies_and_hosts_match_scheme() {
         let rtt = SimDuration::from_micros(8);
-        assert_eq!(Scheme::bfc().make_policy(1).name(), "bfc");
-        assert_eq!(Scheme::bfc_vfid().make_policy(1).name(), "bfc-vfid");
+        // The policies are told apart by what they do: a flow table or none,
+        // and queue 0, the VFID's static hash, or a free queue.
+        let hashed = QueueTarget::Phys(SfqPolicy::queue_for(77, 32));
+        assert_ne!(hashed, QueueTarget::Phys(0));
+        let (dynamic, tracked) = first_decision(Scheme::bfc());
+        assert!(tracked && dynamic != hashed && matches!(dynamic, QueueTarget::Phys(_)));
+        assert_eq!(first_decision(Scheme::bfc_vfid()), (hashed, true));
         assert_eq!(
-            Scheme::Dcqcn { window: true, sfq: true }.make_policy(1).name(),
-            "sfq"
+            first_decision(Scheme::Dcqcn {
+                window: true,
+                sfq: true
+            }),
+            (hashed, false)
         );
-        assert_eq!(Scheme::Hpcc.make_policy(1).name(), "fifo");
+        assert_eq!(first_decision(Scheme::Hpcc), (QueueTarget::Phys(0), false));
         let host = Scheme::Dcqcn { window: true, sfq: false }.host_config(1000, rtt, 100_000);
         assert_eq!(host.window_bytes, Some(100_000));
         let host = Scheme::Dcqcn { window: false, sfq: false }.host_config(1000, rtt, 100_000);

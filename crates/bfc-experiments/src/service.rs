@@ -55,13 +55,14 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bfc_metrics::{Hist, MetricsRegistry};
-use bfc_net::event::NetEvent;
+use bfc_net::event::{NetEvent, TransportTimer};
 use bfc_net::routing::RoutingTables;
 use bfc_net::switch::{Switch, SwitchCounters};
 use bfc_net::topology::Topology;
 use bfc_net::types::NodeId;
-use bfc_sim::snapshot::{self, checksum64, SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{self, checksum64, Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{EventQueue, SimTime};
+use bfc_transport::Host;
 use bfc_workloads::ingest::{IngestError, IngestSource};
 use bfc_workloads::TraceFlow;
 
@@ -122,100 +123,83 @@ fn fingerprint(
 /// inputs). The immutable frame — topology, flow metadata, configs — is
 /// reconstructed on resume and checked via the fingerprint.
 fn save_sim(sim: &FabricSim<'_>, w: &mut SnapWriter) {
-    sim.link_state.save_state(w);
-    w.put_usize(sim.switches.len());
-    for slot in &sim.switches {
-        w.put_bool(slot.is_some());
-        if let Some(sw) = slot {
-            sw.save_state(w);
-        }
+    let FabricSim {
+        // Rebuilt from the run inputs.
+        topo: _,
+        dynamics: _,
+        flows: _,
+        sample_until: _,
+        record_dynamics_metrics: _,
+        routes: _, // derived from the link state
+        link_state,
+        switches,
+        hosts,
+        flow_completed,
+        fct_hist,
+        occupancy,
+        peak_queue_samples,
+        occupied_queue_samples,
+        completed,
+        recovery,
+        safety,
+    } = sim;
+    link_state.save_state(w);
+    w.put_usize(switches.len());
+    for slot in switches {
+        w.put_option(slot.as_ref(), Switch::save_state);
     }
-    w.put_usize(sim.hosts.len());
-    for slot in &sim.hosts {
-        w.put_bool(slot.is_some());
-        if let Some(h) = slot {
-            h.save_state(w);
-        }
+    w.put_usize(hosts.len());
+    for slot in hosts {
+        w.put_option(slot.as_ref(), Host::save_state);
     }
-    w.put_usize(sim.flow_completed.len());
-    for done in &sim.flow_completed {
-        w.put_bool(done.is_some());
-        if let Some(t) = done {
-            w.put_u64(t.as_picos());
-        }
-    }
-    sim.occupancy.save_state(w);
-    w.put_usize(sim.peak_queue_samples.len());
-    for &v in &sim.peak_queue_samples {
-        w.put_f64(v);
-    }
-    w.put_usize(sim.occupied_queue_samples.len());
-    for &v in &sim.occupied_queue_samples {
-        w.put_f64(v);
-    }
-    w.put_usize(sim.completed);
-    sim.recovery.save_state(w);
-    sim.safety.save_state(w);
-    sim.fct_hist.save_state(w);
+    flow_completed.save(w);
+    occupancy.save(w);
+    peak_queue_samples.save(w);
+    occupied_queue_samples.save(w);
+    completed.save(w);
+    recovery.save(w);
+    safety.save(w);
+    fct_hist.save(w);
 }
 
-/// Overlays saved mutable state onto a freshly built sim. The sim must have
-/// been built from the same inputs with the same ownership predicate — the
-/// fingerprint guarantees the former, slot-presence checks the latter.
+/// Overlays saved mutable state onto a freshly built sim, which was built
+/// from the same inputs with the same ownership predicate — the fingerprint
+/// guarantees the former; this checks the latter (node and flow counts, a
+/// saved node exactly where this worker owns one), that no more flows
+/// completed than exist, and recomputes the routing tables.
 fn restore_sim(
     sim: &mut FabricSim<'_>,
     frame: &Frame,
     r: &mut SnapReader<'_>,
 ) -> Result<(), SnapError> {
     sim.link_state.restore_state(r)?;
-    if r.get_usize()? != sim.switches.len() {
-        return Err(SnapError::Corrupt("switch count mismatch"));
+    r.expect_count(sim.switches.len(), "switch count mismatch")?;
+    for slot in &mut sim.switches {
+        r.get_option_into(
+            slot.as_mut(),
+            "switch ownership mismatch",
+            Switch::restore_state,
+        )?;
     }
-    for slot in sim.switches.iter_mut() {
-        match (r.get_bool()?, slot.as_mut()) {
-            (true, Some(sw)) => sw.restore_state(r)?,
-            (false, None) => {}
-            _ => return Err(SnapError::Corrupt("switch ownership mismatch")),
-        }
+    r.expect_count(sim.hosts.len(), "host count mismatch")?;
+    for slot in &mut sim.hosts {
+        r.get_option_into(
+            slot.as_mut(),
+            "host ownership mismatch",
+            Host::restore_state,
+        )?;
     }
-    if r.get_usize()? != sim.hosts.len() {
-        return Err(SnapError::Corrupt("host count mismatch"));
-    }
-    for slot in sim.hosts.iter_mut() {
-        match (r.get_bool()?, slot.as_mut()) {
-            (true, Some(h)) => h.restore_state(r)?,
-            (false, None) => {}
-            _ => return Err(SnapError::Corrupt("host ownership mismatch")),
-        }
-    }
-    if r.get_usize()? != sim.flow_completed.len() {
-        return Err(SnapError::Corrupt("flow count mismatch"));
-    }
-    for done in sim.flow_completed.iter_mut() {
-        *done = if r.get_bool()? {
-            Some(SimTime::from_picos(r.get_u64()?))
-        } else {
-            None
-        };
-    }
-    sim.occupancy = bfc_metrics::OccupancySeries::restore_state(r)?;
-    let n = r.get_count(8)?;
-    sim.peak_queue_samples = Vec::with_capacity(n);
-    for _ in 0..n {
-        sim.peak_queue_samples.push(r.get_f64()?);
-    }
-    let n = r.get_count(8)?;
-    sim.occupied_queue_samples = Vec::with_capacity(n);
-    for _ in 0..n {
-        sim.occupied_queue_samples.push(r.get_f64()?);
-    }
-    sim.completed = r.get_usize()?;
+    r.get_exact(&mut sim.flow_completed, "flow count mismatch")?;
+    sim.occupancy = r.get()?;
+    sim.peak_queue_samples = r.get()?;
+    sim.occupied_queue_samples = r.get()?;
+    sim.completed = r.get()?;
     if sim.completed > sim.flow_completed.len() {
         return Err(SnapError::Corrupt("completed count exceeds flow count"));
     }
-    sim.recovery = bfc_metrics::RecoveryTracker::restore_state(r)?;
-    sim.safety = bfc_metrics::SafetyTracker::restore_state(r)?;
-    sim.fct_hist = bfc_metrics::Hist::restore_state(r)?;
+    sim.recovery = r.get()?;
+    sim.safety = r.get()?;
+    sim.fct_hist = r.get()?;
     // Routing tables are derived state: recompute them from the restored
     // link-state instead of serializing O(nodes^2) next-hop tables.
     sim.routes = if sim.link_state.all_up() {
@@ -225,6 +209,40 @@ fn restore_sim(
         Arc::new(RoutingTables::compute_filtered(sim.topo, |n, p| ls.is_up(n, p)))
     };
     Ok(())
+}
+
+/// Checks a restored pending event against the shape of the run it is about
+/// to be scheduled into — `FabricSim::dispatch` indexes the node tables, a
+/// node's ports, the trace and the fault schedule with what it carries.
+fn check_event(
+    topo: &Topology,
+    flows: usize,
+    faults: usize,
+    event: &NetEvent,
+) -> Result<(), SnapError> {
+    let exists = |node: NodeId| node.index() < topo.num_nodes();
+    let has_port = |node, port: u32| exists(node) && (port as usize) < topo.ports(node).len();
+    let fits = match *event {
+        NetEvent::PacketArrive { node, port, .. } | NetEvent::TxComplete { node, port } => {
+            has_port(node, port)
+        }
+        NetEvent::PauseFrameTimer { node, port } => has_port(node, port) && !topo.is_host(node),
+        NetEvent::HostTimer { node, timer } => {
+            let flow_fits = match timer {
+                TransportTimer::Retransmit(flow)
+                | TransportTimer::RateIncrease(flow)
+                | TransportTimer::AlphaUpdate(flow) => flow.index() < flows,
+                TransportTimer::NicWakeup => true,
+            };
+            exists(node) && topo.is_host(node) && flow_fits
+        }
+        NetEvent::FlowArrival { index } => index < flows,
+        NetEvent::FlowCompleted { flow } => flow.index() < flows,
+        NetEvent::Sample => true,
+        NetEvent::NetworkDynamics { index } => index < faults,
+    };
+    fits.then_some(())
+        .ok_or(SnapError::Corrupt("pending event does not fit the run"))
 }
 
 impl<'a> Engine<'a> {
@@ -246,11 +264,11 @@ impl<'a> Engine<'a> {
                 self.config,
                 self.workers.len(),
             ));
-            w.put_u64(self.cut.as_picos());
+            self.cut.save(w);
             w.put_usize(self.workers.len());
             for wk in &self.workers {
-                w.put_u64(wk.last.as_picos());
-                wk.queue.save_state(w, |w, e: &NetEvent| e.save_state(w));
+                wk.last.save(w);
+                wk.queue.save_state(w);
                 save_sim(&wk.sim, w);
             }
         })
@@ -282,9 +300,12 @@ impl<'a> Engine<'a> {
         if engine.workers.len() != num_shards {
             return Err(SnapError::Corrupt("shard plan does not match snapshot"));
         }
+        let faults = config.dynamics.events().len();
         for wk in engine.workers.iter_mut() {
-            wk.last = SimTime::from_picos(r.get_u64()?);
-            wk.queue = EventQueue::restore_state(&mut r, |r| NetEvent::restore_state(r))?;
+            wk.last = r.get()?;
+            wk.queue = EventQueue::restore_state(&mut r, |event| {
+                check_event(topo, trace.len(), faults, event)
+            })?;
             restore_sim(&mut wk.sim, &engine.frame, &mut r)?;
         }
         r.expect_end()?;

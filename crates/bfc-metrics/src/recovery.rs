@@ -20,7 +20,6 @@
 //! is computed from the driver's periodic samples, so the metrics are
 //! bit-identical across thread counts like every other result.
 
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use bfc_sim::{SimDuration, SimTime};
 
 /// The recovery summary of one experiment run. For a run without dynamics
@@ -46,7 +45,7 @@ pub struct RecoveryMetrics {
 
 /// Accumulates goodput samples and fault instants during a run and distills
 /// them into [`RecoveryMetrics`] at the end.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryTracker {
     /// Per-sample delivered bytes: `(instant, bytes since previous sample)`.
     samples: Vec<(SimTime, u64)>,
@@ -54,6 +53,12 @@ pub struct RecoveryTracker {
     disruptions: Vec<SimTime>,
     blackholed: u64,
     reroutes: u64,
+}
+
+bfc_sim::snap_struct! {
+    RecoveryTracker {
+        samples, last_cumulative, disruptions, blackholed, reroutes,
+    }
 }
 
 impl RecoveryTracker {
@@ -136,47 +141,6 @@ impl RecoveryTracker {
             }
         }
         merged
-    }
-
-    /// Serializes the tracker's accumulated samples and counters for
-    /// snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.samples.len());
-        for &(t, bytes) in &self.samples {
-            w.put_u64(t.as_picos());
-            w.put_u64(bytes);
-        }
-        w.put_u64(self.last_cumulative);
-        w.put_usize(self.disruptions.len());
-        for &t in &self.disruptions {
-            w.put_u64(t.as_picos());
-        }
-        w.put_u64(self.blackholed);
-        w.put_u64(self.reroutes);
-    }
-
-    /// Rebuilds a tracker from [`RecoveryTracker::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_count(16)?;
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            let t = SimTime::from_picos(r.get_u64()?);
-            let bytes = r.get_u64()?;
-            samples.push((t, bytes));
-        }
-        let last_cumulative = r.get_u64()?;
-        let n = r.get_count(8)?;
-        let mut disruptions = Vec::with_capacity(n);
-        for _ in 0..n {
-            disruptions.push(SimTime::from_picos(r.get_u64()?));
-        }
-        Ok(RecoveryTracker {
-            samples,
-            last_cumulative,
-            disruptions,
-            blackholed: r.get_u64()?,
-            reroutes: r.get_u64()?,
-        })
     }
 
     /// The pre-fault baseline: mean per-sample goodput over the samples

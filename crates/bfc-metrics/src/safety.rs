@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 
 use bfc_net::types::NodeId;
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{SimDuration, SimTime};
 
 use crate::hist::Hist;
@@ -77,8 +77,10 @@ struct PauseEdge {
     pause: bool,
 }
 
+bfc_sim::snap_struct! { PauseEdge { at, from, to, pause } }
+
 /// Accumulates raw safety observations during a run. See the module docs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SafetyTracker {
     edges: Vec<PauseEdge>,
     /// Per-sample delivered bytes, `(instant, bytes since previous sample)`
@@ -91,6 +93,42 @@ pub struct SafetyTracker {
     /// and the distribution of closed pause intervals in nanoseconds.
     open_pauses: BTreeMap<(NodeId, NodeId), SimTime>,
     pause_hist: Hist,
+}
+
+impl Snap for SafetyTracker {
+    const MIN_BYTES: usize = 2 * usize::MIN_BYTES + u64::MIN_BYTES;
+
+    fn save(&self, w: &mut SnapWriter) {
+        let SafetyTracker {
+            edges,
+            samples,
+            last_cumulative,
+            // Derived from the edge log.
+            open_pauses: _,
+            pause_hist: _,
+        } = self;
+        edges.save(w);
+        samples.save(w);
+        last_cumulative.save(w);
+    }
+
+    // Hand-written to rebuild the derived pause-duration state by replaying
+    // the edge log in recorded order — bit-identical to the uninterrupted
+    // tracker, with no extra bytes in the snapshot format.
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut tracker = SafetyTracker {
+            edges: r.get()?,
+            samples: r.get()?,
+            last_cumulative: r.get()?,
+            open_pauses: BTreeMap::new(),
+            pause_hist: Hist::new(),
+        };
+        for i in 0..tracker.edges.len() {
+            let e = tracker.edges[i];
+            tracker.update_pause_hist(e.at, e.from, e.to, e.pause);
+        }
+        Ok(tracker)
+    }
 }
 
 impl SafetyTracker {
@@ -115,7 +153,7 @@ impl SafetyTracker {
     /// The online pause-duration update: XOFF opens an interval on the
     /// edge (refreshes keep the original install time); XON closes it and
     /// records the duration. Pulled out of [`SafetyTracker::record_pause`]
-    /// so [`SafetyTracker::restore_state`] can rebuild the derived state
+    /// so `restore` can rebuild the derived state
     /// by replaying the serialized edge log.
     fn update_pause_hist(&mut self, now: SimTime, from: NodeId, to: NodeId, pause: bool) {
         let key = (from, to);
@@ -182,58 +220,6 @@ impl SafetyTracker {
             }
         }
         merged
-    }
-
-    /// Serializes the accumulated observations for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.edges.len());
-        for e in &self.edges {
-            w.put_u64(e.at.as_picos());
-            w.put_u32(e.from.0);
-            w.put_u32(e.to.0);
-            w.put_bool(e.pause);
-        }
-        w.put_usize(self.samples.len());
-        for &(t, bytes) in &self.samples {
-            w.put_u64(t.as_picos());
-            w.put_u64(bytes);
-        }
-        w.put_u64(self.last_cumulative);
-    }
-
-    /// Rebuilds a tracker from [`SafetyTracker::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_count(17)?;
-        let mut edges = Vec::with_capacity(n);
-        for _ in 0..n {
-            edges.push(PauseEdge {
-                at: SimTime::from_picos(r.get_u64()?),
-                from: NodeId(r.get_u32()?),
-                to: NodeId(r.get_u32()?),
-                pause: r.get_bool()?,
-            });
-        }
-        let n = r.get_count(16)?;
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            let t = SimTime::from_picos(r.get_u64()?);
-            samples.push((t, r.get_u64()?));
-        }
-        let mut tracker = SafetyTracker {
-            edges,
-            samples,
-            last_cumulative: r.get_u64()?,
-            open_pauses: BTreeMap::new(),
-            pause_hist: Hist::new(),
-        };
-        // Rebuild the derived pause-duration state by replaying the edge
-        // log in recorded order — bit-identical to the uninterrupted
-        // tracker, with no extra bytes in the snapshot format.
-        for i in 0..tracker.edges.len() {
-            let e = tracker.edges[i];
-            tracker.update_pause_hist(e.at, e.from, e.to, e.pause);
-        }
-        Ok(tracker)
     }
 
     /// Replays the observations into a [`SafetyReport`]. `end` is the run's
@@ -584,10 +570,10 @@ mod tests {
         t.record_goodput(us(10), 500);
         t.record_goodput(us(20), 1_500);
         let mut w = SnapWriter::new();
-        t.save_state(&mut w);
+        t.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let restored = SafetyTracker::restore_state(&mut r).expect("restores");
+        let restored = SafetyTracker::restore(&mut r).expect("restores");
         let cfg = SafetyConfig::default();
         assert_eq!(restored.finish(&cfg, us(50), 1), t.finish(&cfg, us(50), 1));
         // A later sample continues from the restored cumulative counter.
@@ -611,10 +597,10 @@ mod tests {
         assert_eq!(h, expect);
         // Restore rebuilds the same derived state from the edge log.
         let mut w = SnapWriter::new();
-        t.save_state(&mut w);
+        t.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let restored = SafetyTracker::restore_state(&mut r).unwrap();
+        let restored = SafetyTracker::restore(&mut r).unwrap();
         assert_eq!(restored.pause_durations(us(30)), h);
         // Shard-split durations merge to the serial histogram.
         let mut s0 = SafetyTracker::new();

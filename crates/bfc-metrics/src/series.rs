@@ -1,17 +1,18 @@
 //! Time-series metrics: buffer occupancy samples, link utilization and PFC
 //! pause-time fractions.
 
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use bfc_sim::{SimDuration, SimTime};
 
 use crate::stats::{build_cdf, percentile};
 
 /// Periodic samples of switch buffer occupancy (one series covering every
 /// switch of the fabric, as in the paper's shared-buffer CDFs).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OccupancySeries {
     samples_bytes: Vec<f64>,
 }
+
+bfc_sim::snap_struct! { OccupancySeries { samples_bytes } }
 
 impl OccupancySeries {
     /// Creates an empty series.
@@ -96,24 +97,6 @@ impl OccupancySeries {
     /// Maximum observed occupancy in bytes.
     pub fn max_bytes(&self) -> f64 {
         self.samples_bytes.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Serializes the sample series (floats by bits) for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.samples_bytes.len());
-        for &v in &self.samples_bytes {
-            w.put_f64(v);
-        }
-    }
-
-    /// Rebuilds a series from [`OccupancySeries::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_count(8)?;
-        let mut samples_bytes = Vec::with_capacity(n);
-        for _ in 0..n {
-            samples_bytes.push(r.get_f64()?);
-        }
-        Ok(OccupancySeries { samples_bytes })
     }
 }
 

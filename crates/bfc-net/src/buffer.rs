@@ -7,7 +7,7 @@
 //! holds more than a configurable fraction of the *free* buffer pauses its
 //! upstream.
 
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::config::PfcConfig;
 
@@ -158,39 +158,36 @@ impl SharedBuffer {
         self.pfc_paused_upstream[ingress as usize]
     }
 
-    /// Serializes the buffer's mutable state for snapshot/restore. The
-    /// threshold cache is pure memoization and is not captured.
+    /// Serializes the buffer's mutable state for snapshot/restore.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.occupancy);
-        w.put_usize(self.per_ingress.len());
-        for &occ in &self.per_ingress {
-            w.put_u64(occ);
-        }
-        for &paused in &self.pfc_paused_upstream {
-            w.put_bool(paused);
-        }
-        w.put_u64(self.peak_occupancy);
-        w.put_u64(self.drops);
-        w.put_u64(self.dropped_bytes);
+        let SharedBuffer {
+            capacity: _, // configuration
+            occupancy,
+            per_ingress,
+            pfc_paused_upstream,
+            peak_occupancy,
+            drops,
+            dropped_bytes,
+            pfc_cache: _, // memoization
+        } = self;
+        occupancy.save(w);
+        per_ingress.save(w);
+        w.put_all(pfc_paused_upstream);
+        peak_occupancy.save(w);
+        drops.save(w);
+        dropped_bytes.save(w);
     }
 
-    /// Restores state captured by [`SharedBuffer::save_state`] into this
-    /// buffer (which must have been built with the same port count).
+    /// Overlays state captured by [`SharedBuffer::save_state`] onto this
+    /// buffer: checks the port count is the one it was built with and drops
+    /// the threshold cache.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.occupancy = r.get_u64()?;
-        let n = r.get_usize()?;
-        if n != self.per_ingress.len() {
-            return Err(SnapError::Corrupt("shared-buffer port count mismatch"));
-        }
-        for occ in &mut self.per_ingress {
-            *occ = r.get_u64()?;
-        }
-        for paused in &mut self.pfc_paused_upstream {
-            *paused = r.get_bool()?;
-        }
-        self.peak_occupancy = r.get_u64()?;
-        self.drops = r.get_u64()?;
-        self.dropped_bytes = r.get_u64()?;
+        self.occupancy = r.get()?;
+        r.get_exact(&mut self.per_ingress, "shared-buffer port count mismatch")?;
+        r.fill(&mut self.pfc_paused_upstream)?;
+        self.peak_occupancy = r.get()?;
+        self.drops = r.get()?;
+        self.dropped_bytes = r.get()?;
         self.pfc_cache = None;
         Ok(())
     }

@@ -26,7 +26,7 @@
 
 use std::fmt;
 
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::SimTime;
 
 use crate::topology::Topology;
@@ -271,33 +271,20 @@ impl LinkStateMap {
 
     /// Serializes the up/down overlay for snapshot/restore.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.up.len());
-        for ports in &self.up {
-            w.put_usize(ports.len());
-            for &up in ports {
-                w.put_bool(up);
-            }
-        }
-        w.put_usize(self.down_links);
+        let LinkStateMap { up, down_links } = self;
+        up.save(w);
+        down_links.save(w);
     }
 
-    /// Restores state captured by [`LinkStateMap::save_state`] into this map,
-    /// which must have been built from the same topology.
+    /// Overlays state captured by [`LinkStateMap::save_state`] onto this map:
+    /// checks the node count and every node's port count are those of the
+    /// topology it was built from.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let nodes = r.get_usize()?;
-        if nodes != self.up.len() {
-            return Err(SnapError::Corrupt("link-state node count mismatch"));
-        }
+        r.expect_count(self.up.len(), "link-state node count mismatch")?;
         for ports in &mut self.up {
-            let n = r.get_usize()?;
-            if n != ports.len() {
-                return Err(SnapError::Corrupt("link-state port count mismatch"));
-            }
-            for up in ports.iter_mut() {
-                *up = r.get_bool()?;
-            }
+            r.get_exact(ports, "link-state port count mismatch")?;
         }
-        self.down_links = r.get_usize()?;
+        self.down_links = r.get()?;
         Ok(())
     }
 }

@@ -19,7 +19,6 @@
 //! one pending, it pops exactly where one scheduled at the start of the
 //! transmission would have.
 
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use bfc_sim::{EventQueue, SimTime};
 
 use crate::packet::Packet;
@@ -38,8 +37,15 @@ pub enum TransportTimer {
     NicWakeup,
 }
 
+bfc_sim::snap_enum!(TransportTimer, "unknown transport timer tag" {
+    0 => Retransmit(flow),
+    1 => RateIncrease(flow),
+    2 => AlphaUpdate(flow),
+    3 => NicWakeup,
+});
+
 /// A simulation event.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NetEvent {
     /// The last bit of `packet` arrives at `node` on its local ingress `port`.
     PacketArrive {
@@ -95,6 +101,17 @@ pub enum NetEvent {
         index: usize,
     },
 }
+
+bfc_sim::snap_enum!(NetEvent, "unknown event tag" {
+    0 => PacketArrive { node, port, packet },
+    1 => TxComplete { node, port },
+    2 => PauseFrameTimer { node, port },
+    3 => HostTimer { node, timer },
+    4 => FlowArrival { index },
+    5 => FlowCompleted { flow },
+    6 => Sample,
+    7 => NetworkDynamics { index },
+});
 
 impl NetEvent {
     /// The node this event should be dispatched to, if it targets a node.
@@ -175,101 +192,6 @@ impl NetEvent {
     /// driver checks this once per run instead of asserting on every push.
     pub fn rank_layout_fits(nodes: usize, max_ports: usize, flows: usize) -> bool {
         nodes <= 1 << 19 && max_ports <= 1 << 10 && flows <= 1 << 29
-    }
-
-    /// Serializes the event for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            NetEvent::PacketArrive { node, port, packet } => {
-                w.put_u8(0);
-                w.put_u32(node.0);
-                w.put_u32(*port);
-                packet.save_state(w);
-            }
-            NetEvent::TxComplete { node, port } => {
-                w.put_u8(1);
-                w.put_u32(node.0);
-                w.put_u32(*port);
-            }
-            NetEvent::PauseFrameTimer { node, port } => {
-                w.put_u8(2);
-                w.put_u32(node.0);
-                w.put_u32(*port);
-            }
-            NetEvent::HostTimer { node, timer } => {
-                w.put_u8(3);
-                w.put_u32(node.0);
-                match timer {
-                    TransportTimer::Retransmit(f) => {
-                        w.put_u8(0);
-                        w.put_u32(f.0);
-                    }
-                    TransportTimer::RateIncrease(f) => {
-                        w.put_u8(1);
-                        w.put_u32(f.0);
-                    }
-                    TransportTimer::AlphaUpdate(f) => {
-                        w.put_u8(2);
-                        w.put_u32(f.0);
-                    }
-                    TransportTimer::NicWakeup => w.put_u8(3),
-                }
-            }
-            NetEvent::FlowArrival { index } => {
-                w.put_u8(4);
-                w.put_usize(*index);
-            }
-            NetEvent::FlowCompleted { flow } => {
-                w.put_u8(5);
-                w.put_u32(flow.0);
-            }
-            NetEvent::Sample => w.put_u8(6),
-            NetEvent::NetworkDynamics { index } => {
-                w.put_u8(7);
-                w.put_usize(*index);
-            }
-        }
-    }
-
-    /// Rebuilds an event from [`NetEvent::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => NetEvent::PacketArrive {
-                node: NodeId(r.get_u32()?),
-                port: r.get_u32()?,
-                packet: Packet::restore_state(r)?,
-            },
-            1 => NetEvent::TxComplete {
-                node: NodeId(r.get_u32()?),
-                port: r.get_u32()?,
-            },
-            2 => NetEvent::PauseFrameTimer {
-                node: NodeId(r.get_u32()?),
-                port: r.get_u32()?,
-            },
-            3 => {
-                let node = NodeId(r.get_u32()?);
-                let timer = match r.get_u8()? {
-                    0 => TransportTimer::Retransmit(FlowId(r.get_u32()?)),
-                    1 => TransportTimer::RateIncrease(FlowId(r.get_u32()?)),
-                    2 => TransportTimer::AlphaUpdate(FlowId(r.get_u32()?)),
-                    3 => TransportTimer::NicWakeup,
-                    _ => return Err(SnapError::Corrupt("unknown transport timer tag")),
-                };
-                NetEvent::HostTimer { node, timer }
-            }
-            4 => NetEvent::FlowArrival {
-                index: r.get_usize()?,
-            },
-            5 => NetEvent::FlowCompleted {
-                flow: FlowId(r.get_u32()?),
-            },
-            6 => NetEvent::Sample,
-            7 => NetEvent::NetworkDynamics {
-                index: r.get_usize()?,
-            },
-            _ => return Err(SnapError::Corrupt("unknown event tag")),
-        })
     }
 }
 

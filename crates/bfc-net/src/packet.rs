@@ -7,7 +7,7 @@
 //! delivered out of band (they never sit behind data in an egress queue).
 
 use bfc_sim::rng::mix64;
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::types::{FlowId, NodeId};
 
@@ -23,6 +23,8 @@ pub struct IntHop {
     /// Link capacity in Gbps.
     pub link_gbps: f64,
 }
+
+bfc_sim::snap_struct! { IntHop { qlen_bytes, tx_bytes, timestamp_ps, link_gbps } }
 
 /// Maximum number of switch hops a packet can record telemetry for.
 ///
@@ -128,32 +130,28 @@ impl IntPath {
         }
         path
     }
+}
 
-    /// Serializes the recorded hops for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
+/// A one-byte hop count, then the hops.
+impl Snap for IntPath {
+    const MIN_BYTES: usize = u8::MIN_BYTES;
+
+    fn save(&self, w: &mut SnapWriter) {
         w.put_u8(self.len() as u8);
-        for hop in self.as_slice() {
-            w.put_u64(hop.qlen_bytes);
-            w.put_u64(hop.tx_bytes);
-            w.put_u64(hop.timestamp_ps);
-            w.put_f64(hop.link_gbps);
-        }
+        w.put_all(self.as_slice());
     }
 
-    /// Rebuilds a path from [`IntPath::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    // Hand-written: the count is a byte, it is checked against the storage
+    // bound `push` would otherwise panic on, and an empty path restores
+    // without storage.
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let len = r.get_u8()? as usize;
         if len > MAX_INT_HOPS {
             return Err(SnapError::Corrupt("INT path longer than MAX_INT_HOPS"));
         }
         let mut path = IntPath::new();
         for _ in 0..len {
-            path.push(IntHop {
-                qlen_bytes: r.get_u64()?,
-                tx_bytes: r.get_u64()?,
-                timestamp_ps: r.get_u64()?,
-                link_gbps: r.get_f64()?,
-            });
+            path.push(r.get()?);
         }
         Ok(path)
     }
@@ -307,20 +305,26 @@ impl PauseFrame {
     pub fn popcount(&self) -> u32 {
         self.bits.iter().map(|w| w.count_ones()).sum()
     }
+}
 
-    /// Serializes the filter (bit words and geometry) for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u32(self.num_bits);
-        w.put_u32(self.num_hashes);
-        for &word in &self.bits {
-            w.put_u64(word);
-        }
+impl Snap for PauseFrame {
+    const MIN_BYTES: usize = 2 * u32::MIN_BYTES + <[u64; PAUSE_FRAME_WORDS]>::MIN_BYTES;
+
+    fn save(&self, w: &mut SnapWriter) {
+        let PauseFrame {
+            bits,
+            num_bits,
+            num_hashes,
+        } = self;
+        num_bits.save(w);
+        num_hashes.save(w);
+        bits.save(w);
     }
 
-    /// Rebuilds a filter from [`PauseFrame::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let num_bits = r.get_u32()?;
-        let num_hashes = r.get_u32()?;
+    // Hand-written to check the geometry: `bit_position` divides by
+    // `num_bits`, and the inline array holds at most `MAX_PAUSE_FRAME_BYTES`.
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let (num_bits, num_hashes): (u32, u32) = r.get()?;
         if num_bits == 0
             || num_bits % 8 != 0
             || num_bits as usize > MAX_PAUSE_FRAME_BYTES * 8
@@ -328,12 +332,8 @@ impl PauseFrame {
         {
             return Err(SnapError::Corrupt("pause-frame geometry out of range"));
         }
-        let mut bits = [0u64; PAUSE_FRAME_WORDS];
-        for word in &mut bits {
-            *word = r.get_u64()?;
-        }
         Ok(PauseFrame {
-            bits,
+            bits: r.get()?,
             num_bits,
             num_hashes,
         })
@@ -374,6 +374,14 @@ pub enum PacketKind {
     },
 }
 
+bfc_sim::snap_enum!(PacketKind, "unknown packet kind tag" {
+    0 => Data,
+    1 => Ack { cumulative_seq, is_nack, ecn_echo },
+    2 => Cnp,
+    3 => PfcPause { pause },
+    4 => FlowPause { frame },
+});
+
 /// A packet (or control frame) traversing the network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
@@ -406,6 +414,12 @@ pub struct Packet {
     pub int: IntPath,
     /// What the packet is.
     pub kind: PacketKind,
+}
+
+bfc_sim::snap_struct! {
+    Packet {
+        flow, src, dst, seq, size_bytes, vfid, first_of_flow, ecn_ce, control_priority, int, kind,
+    }
 }
 
 /// Conventional wire size of an ACK/CNP/NACK frame.
@@ -540,86 +554,6 @@ impl Packet {
             PacketKind::PfcPause { .. } | PacketKind::FlowPause { .. }
         )
     }
-
-    /// Serializes the full packet (all fields, kind included) for
-    /// snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u32(self.flow.0);
-        w.put_u32(self.src.0);
-        w.put_u32(self.dst.0);
-        w.put_u64(self.seq);
-        w.put_u32(self.size_bytes);
-        w.put_u32(self.vfid);
-        w.put_bool(self.first_of_flow);
-        w.put_bool(self.ecn_ce);
-        w.put_bool(self.control_priority);
-        self.int.save_state(w);
-        match &self.kind {
-            PacketKind::Data => w.put_u8(0),
-            PacketKind::Ack {
-                cumulative_seq,
-                is_nack,
-                ecn_echo,
-            } => {
-                w.put_u8(1);
-                w.put_u64(*cumulative_seq);
-                w.put_bool(*is_nack);
-                w.put_bool(*ecn_echo);
-            }
-            PacketKind::Cnp => w.put_u8(2),
-            PacketKind::PfcPause { pause } => {
-                w.put_u8(3);
-                w.put_bool(*pause);
-            }
-            PacketKind::FlowPause { frame } => {
-                w.put_u8(4);
-                frame.save_state(w);
-            }
-        }
-    }
-
-    /// Rebuilds a packet from [`Packet::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let flow = FlowId(r.get_u32()?);
-        let src = NodeId(r.get_u32()?);
-        let dst = NodeId(r.get_u32()?);
-        let seq = r.get_u64()?;
-        let size_bytes = r.get_u32()?;
-        let vfid = r.get_u32()?;
-        let first_of_flow = r.get_bool()?;
-        let ecn_ce = r.get_bool()?;
-        let control_priority = r.get_bool()?;
-        let int = IntPath::restore_state(r)?;
-        let kind = match r.get_u8()? {
-            0 => PacketKind::Data,
-            1 => PacketKind::Ack {
-                cumulative_seq: r.get_u64()?,
-                is_nack: r.get_bool()?,
-                ecn_echo: r.get_bool()?,
-            },
-            2 => PacketKind::Cnp,
-            3 => PacketKind::PfcPause {
-                pause: r.get_bool()?,
-            },
-            4 => PacketKind::FlowPause {
-                frame: Box::new(PauseFrame::restore_state(r)?),
-            },
-            _ => return Err(SnapError::Corrupt("unknown packet kind tag")),
-        };
-        Ok(Packet {
-            flow,
-            src,
-            dst,
-            seq,
-            size_bytes,
-            vfid,
-            first_of_flow,
-            ecn_ce,
-            control_priority,
-            int,
-            kind,
-        })
-    }
 }
 
 /// Computes the stable 64-bit hash of a flow's 5-tuple. The evaluation
@@ -710,8 +644,8 @@ mod tests {
         assert_eq!(moved, IntPath::new());
         assert!(!moved.clone().has_storage());
         let (mut a, mut b) = (SnapWriter::new(), SnapWriter::new());
-        moved.save_state(&mut a);
-        IntPath::new().save_state(&mut b);
+        moved.save(&mut a);
+        IntPath::new().save(&mut b);
         assert_eq!(a.into_bytes(), b.into_bytes());
     }
 

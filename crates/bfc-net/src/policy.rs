@@ -6,7 +6,7 @@
 //! live here; the BFC policy — the paper's contribution — implements this
 //! trait in the `bfc-core` crate.
 
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{FastHashMap, SimTime};
 
 use crate::packet::{Packet, PauseFrame};
@@ -144,25 +144,11 @@ impl PolicyStats {
         self.pauses += other.pauses;
         self.resumes += other.resumes;
     }
+}
 
-    /// Serializes the counters for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.flow_assignments);
-        w.put_u64(self.collisions);
-        w.put_u64(self.table_overflows);
-        w.put_u64(self.pauses);
-        w.put_u64(self.resumes);
-    }
-
-    /// Rebuilds counters from [`PolicyStats::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(PolicyStats {
-            flow_assignments: r.get_u64()?,
-            collisions: r.get_u64()?,
-            table_overflows: r.get_u64()?,
-            pauses: r.get_u64()?,
-            resumes: r.get_u64()?,
-        })
+bfc_sim::snap_struct! {
+    PolicyStats {
+        flow_assignments, collisions, table_overflows, pauses, resumes,
     }
 }
 
@@ -179,29 +165,6 @@ pub struct ProbeStats {
     pub probe_steps: u64,
     /// Longest single probe sequence observed.
     pub max_probe: u64,
-}
-
-/// Serializes a per-flow residency map in sorted key order. The map is only
-/// ever probed by key, so sorted order is canonical and restore-equivalent.
-fn save_residency(w: &mut SnapWriter, map: &FastHashMap<FlowId, usize>) {
-    let mut entries: Vec<(u32, usize)> = map.iter().map(|(f, &c)| (f.0, c)).collect();
-    entries.sort_unstable();
-    w.put_usize(entries.len());
-    for (flow, count) in entries {
-        w.put_u32(flow);
-        w.put_usize(count);
-    }
-}
-
-fn restore_residency(r: &mut SnapReader<'_>) -> Result<FastHashMap<FlowId, usize>, SnapError> {
-    let n = r.get_count(12)?;
-    let mut map = FastHashMap::default();
-    for _ in 0..n {
-        let flow = FlowId(r.get_u32()?);
-        let count = r.get_usize()?;
-        map.insert(flow, count);
-    }
-    Ok(map)
 }
 
 /// A queue-assignment / flow-control policy for one switch.
@@ -231,9 +194,6 @@ pub trait SwitchPolicy: Send {
         ProbeStats::default()
     }
 
-    /// Human-readable name used in experiment output.
-    fn name(&self) -> &'static str;
-
     /// Serializes the policy's *mutable* state (flow residency, counters,
     /// pause bookkeeping) for snapshot/restore. Configuration is not
     /// captured: restore overlays onto a freshly constructed policy of the
@@ -256,7 +216,6 @@ pub struct FifoPolicy {
     /// every packet.
     resident: Vec<FastHashMap<FlowId, usize>>,
 }
-
 
 impl FifoPolicy {
     /// Creates the policy.
@@ -300,25 +259,18 @@ impl SwitchPolicy for FifoPolicy {
         self.stats
     }
 
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
-        self.stats.save_state(w);
-        w.put_usize(self.resident.len());
-        for map in &self.resident {
-            save_residency(w, map);
-        }
+        let FifoPolicy { stats, resident } = self;
+        stats.save(w);
+        resident.save(w);
     }
 
+    // Overlaid, not derived: the per-egress vector is refilled in place, so
+    // it grows the way `on_enqueue` grows it.
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.stats = PolicyStats::restore_state(r)?;
-        let n = r.get_count(8)?;
-        self.resident = (0..n)
-            .map(|_| restore_residency(r))
-            .collect::<Result<_, _>>()?;
-        Ok(())
+        self.stats = r.get()?;
+        self.resident.clear();
+        r.get_seq(|map| self.resident.push(map))
     }
 }
 
@@ -400,32 +352,20 @@ impl SwitchPolicy for SfqPolicy {
         self.stats
     }
 
-    fn name(&self) -> &'static str {
-        "sfq"
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
-        self.stats.save_state(w);
-        w.put_usize(self.resident.len());
-        for port in &self.resident {
-            w.put_usize(port.len());
-            for map in port {
-                save_residency(w, map);
-            }
-        }
+        let SfqPolicy {
+            stats,
+            resident,
+            use_high_priority_for_first: _, // configuration
+        } = self;
+        stats.save(w);
+        resident.save(w);
     }
 
+    // Overlaid because `use_high_priority_for_first` is configuration.
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.stats = PolicyStats::restore_state(r)?;
-        let ports = r.get_count(8)?;
-        self.resident = Vec::with_capacity(ports);
-        for _ in 0..ports {
-            let queues = r.get_count(8)?;
-            let port = (0..queues)
-                .map(|_| restore_residency(r))
-                .collect::<Result<_, _>>()?;
-            self.resident.push(port);
-        }
+        self.stats = r.get()?;
+        self.resident = r.get()?;
         Ok(())
     }
 }

@@ -33,7 +33,7 @@
 
 use std::collections::VecDeque;
 
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{SimDuration, SimTime};
 
 use crate::link::Link;
@@ -126,21 +126,9 @@ impl Transmitter {
         debug_assert!(end > now, "a serialization takes time");
         self.busy_until = end;
     }
-
-    /// Serializes both fields.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.busy_until.as_picos());
-        w.put_bool(self.wake_pending);
-    }
-
-    /// Rebuilds a transmitter from [`Transmitter::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Transmitter {
-            busy_until: SimTime::from_picos(r.get_u64()?),
-            wake_pending: r.get_bool()?,
-        })
-    }
 }
+
+bfc_sim::snap_struct! { Transmitter { busy_until, wake_pending } }
 
 /// The egress side of one switch/host port.
 #[derive(Debug)]
@@ -274,11 +262,6 @@ impl Port {
         self.queues[i].bytes()
     }
 
-    /// Packets queued in physical queue `i`.
-    pub fn queue_len(&self, i: usize) -> usize {
-        self.queues[i].len()
-    }
-
     /// True if physical queue `i` holds no packets.
     pub fn queue_is_empty(&self, i: usize) -> bool {
         self.queues[i].is_empty()
@@ -314,11 +297,6 @@ impl Port {
     /// Total bytes queued including the control queue.
     pub fn total_queued_bytes(&self) -> u64 {
         self.data_queued_bytes() + self.control.bytes()
-    }
-
-    /// True if nothing at all is queued on this egress.
-    pub fn is_idle_empty(&self) -> bool {
-        self.total_queued_bytes() == 0
     }
 
     /// Number of physical queues that currently hold packets. O(1): the
@@ -479,11 +457,6 @@ impl Port {
             self.in_active[i] = true;
             self.active.push_back(i);
         }
-    }
-
-    /// Head packet of physical queue `i`.
-    pub fn queue_head(&self, i: usize) -> Option<&QueuedPacket> {
-        self.queues[i].head()
     }
 
     /// Picks the next packet to transmit, honouring strict priority
@@ -694,102 +667,91 @@ impl Port {
 
     /// Serializes the port's mutable state: transmitter, queues, DRR
     /// rotation, pause state, link rate (mutable under dynamics) and
-    /// transmit counters. The static configuration (peer, propagation, queue
-    /// count, quantum) is not captured — restore overlays onto a freshly
-    /// built port.
+    /// transmit counters.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_f64(self.link.rate_gbps);
-        self.tx.save_state(w);
-        w.put_bool(self.up);
-        w.put_bool(self.pfc_paused);
-        match self.pfc_pause_started {
-            Some(t) => {
-                w.put_bool(true);
-                w.put_u64(t.as_picos());
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u64(self.pfc_paused_total.as_picos());
-        match &self.pause_frame {
-            Some(frame) => {
-                w.put_bool(true);
-                frame.save_state(w);
-            }
-            None => w.put_bool(false),
-        }
-        self.control.save_state(w);
-        self.high_priority.save_state(w);
-        self.overflow.save_state(w);
-        w.put_usize(self.queues.len());
-        for q in &self.queues {
-            q.save_state(w);
-        }
-        for &d in &self.deficit {
-            w.put_u64(d);
-        }
-        // The DRR rotation order is scheduling state: serialize verbatim.
-        w.put_usize(self.active.len());
-        for &i in &self.active {
-            w.put_usize(i);
-        }
-        w.put_bool(self.drr_credited);
-        w.put_u64(self.tx_bytes);
-        w.put_u64(self.tx_data_bytes);
-        w.put_u64(self.tx_packets);
+        let Port {
+            // Configuration, but for the rate.
+            peer: _,
+            link,
+            quantum: _,
+            control,
+            high_priority,
+            overflow,
+            queues,
+            deficit,
+            active,
+            drr_credited,
+            tx,
+            up,
+            pfc_paused,
+            pfc_pause_started,
+            pfc_paused_total,
+            pause_frame,
+            tx_bytes,
+            tx_data_bytes,
+            tx_packets,
+            // Derived from the queues, the rotation and the pause frame.
+            in_active: _,
+            occupied_count: _,
+            active_count: _,
+            active_counted: _,
+            data_bytes: _,
+        } = self;
+        link.rate_gbps.save(w);
+        tx.save(w);
+        up.save(w);
+        pfc_paused.save(w);
+        pfc_pause_started.save(w);
+        pfc_paused_total.save(w);
+        pause_frame.save(w);
+        control.save(w);
+        high_priority.save(w);
+        overflow.save(w);
+        queues.save(w);
+        w.put_all(deficit);
+        // The DRR rotation order is scheduling state: serialized verbatim.
+        active.save(w);
+        drr_credited.save(w);
+        tx_bytes.save(w);
+        tx_data_bytes.save(w);
+        tx_packets.save(w);
     }
 
-    /// Restores state captured by [`Port::save_state`] into this port, which
-    /// must have been built with the same queue count. The incrementally
-    /// maintained occupancy/active counters are recomputed from the restored
-    /// queues and pause frame.
+    /// Overlays state captured by [`Port::save_state`] onto this port, which
+    /// was built from the same configuration: it checks the rate is positive,
+    /// the queue count is this port's and the DRR rotation names each
+    /// existing queue at most once, and rebuilds the occupancy / active /
+    /// byte counters from the restored queues and pause frame.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.link.rate_gbps = r.get_f64()?;
+        self.link.rate_gbps = r.get()?;
         if !(self.link.rate_gbps > 0.0) {
             return Err(SnapError::Corrupt("non-positive link rate"));
         }
-        self.tx = Transmitter::restore_state(r)?;
-        self.up = r.get_bool()?;
-        self.pfc_paused = r.get_bool()?;
-        self.pfc_pause_started = if r.get_bool()? {
-            Some(SimTime::from_picos(r.get_u64()?))
-        } else {
-            None
-        };
-        self.pfc_paused_total = SimDuration::from_picos(r.get_u64()?);
-        self.pause_frame = if r.get_bool()? {
-            Some(PauseFrame::restore_state(r)?)
-        } else {
-            None
-        };
-        self.control = PhysQueue::restore_state(r)?;
-        self.high_priority = PhysQueue::restore_state(r)?;
-        self.overflow = PhysQueue::restore_state(r)?;
-        let nq = r.get_usize()?;
-        if nq != self.queues.len() {
-            return Err(SnapError::Corrupt("physical queue count mismatch"));
-        }
-        for q in &mut self.queues {
-            *q = PhysQueue::restore_state(r)?;
-        }
-        for d in &mut self.deficit {
-            *d = r.get_u64()?;
-        }
-        let active_len = r.get_count(8)?;
+        self.tx = r.get()?;
+        self.up = r.get()?;
+        self.pfc_paused = r.get()?;
+        self.pfc_pause_started = r.get()?;
+        self.pfc_paused_total = r.get()?;
+        self.pause_frame = r.get()?;
+        self.control = r.get()?;
+        self.high_priority = r.get()?;
+        self.overflow = r.get()?;
+        r.get_exact(&mut self.queues, "physical queue count mismatch")?;
+        r.fill(&mut self.deficit)?;
         self.active.clear();
         self.in_active.fill(false);
-        for _ in 0..active_len {
-            let i = r.get_usize()?;
+        for _ in 0..r.get_len::<usize>()? {
+            let i: usize = r.get()?;
             if i > self.queues.len() || self.in_active[i] {
                 return Err(SnapError::Corrupt("invalid DRR rotation entry"));
             }
             self.in_active[i] = true;
             self.active.push_back(i);
         }
-        self.drr_credited = r.get_bool()?;
-        self.tx_bytes = r.get_u64()?;
-        self.tx_data_bytes = r.get_u64()?;
-        self.tx_packets = r.get_u64()?;
-        // Rebuild the derived occupancy/active/byte counters.
+        self.drr_credited = r.get()?;
+        self.tx_bytes = r.get()?;
+        self.tx_data_bytes = r.get()?;
+        self.tx_packets = r.get()?;
         self.occupied_count = self.queues.iter().filter(|q| !q.is_empty()).count();
         self.active_count = 0;
         self.active_counted.fill(false);

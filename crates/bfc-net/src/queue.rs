@@ -16,12 +16,12 @@
 
 use std::collections::VecDeque;
 
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::packet::Packet;
 
 /// A packet waiting in a queue, tagged with the ingress port it arrived on.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueuedPacket {
     /// The packet itself.
     pub packet: Packet,
@@ -29,8 +29,10 @@ pub struct QueuedPacket {
     pub ingress: u32,
 }
 
+bfc_sim::snap_struct! { QueuedPacket { packet, ingress } }
+
 /// One FIFO queue of an egress port.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct PhysQueue {
     packets: VecDeque<QueuedPacket>,
     bytes: u64,
@@ -95,31 +97,33 @@ impl PhysQueue {
     pub fn storage_capacity(&self) -> usize {
         self.packets.capacity()
     }
+}
 
-    /// Serializes the queue contents (head-to-tail order) and the monotone
-    /// enqueue counter for snapshot/restore. The byte occupancy is derived
-    /// from the packets on restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.packets.len());
-        for qp in &self.packets {
-            qp.packet.save_state(w);
-            w.put_u32(qp.ingress);
-        }
-        w.put_u64(self.total_enqueued_bytes);
+impl Snap for PhysQueue {
+    const MIN_BYTES: usize = VecDeque::<QueuedPacket>::MIN_BYTES + u64::MIN_BYTES;
+
+    fn save(&self, w: &mut SnapWriter) {
+        let PhysQueue {
+            packets,
+            bytes: _,
+            total_enqueued_bytes,
+        } = self;
+        packets.save(w);
+        total_enqueued_bytes.save(w);
     }
 
-    /// Rebuilds a queue from [`PhysQueue::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_count(1)?;
-        let mut q = PhysQueue::new();
-        for _ in 0..n {
-            let packet = Packet::restore_state(r)?;
-            let ingress = r.get_u32()?;
-            q.bytes += packet.size_bytes as u64;
-            q.packets.push_back(QueuedPacket { packet, ingress });
-        }
-        q.total_enqueued_bytes = r.get_u64()?;
-        Ok(q)
+    // Hand-written to rebuild `bytes`, which is derived: the sum of the
+    // queued packets' sizes.
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let packets: VecDeque<QueuedPacket> = r.get()?;
+        Ok(PhysQueue {
+            bytes: packets
+                .iter()
+                .map(|qp| u64::from(qp.packet.size_bytes))
+                .sum(),
+            packets,
+            total_enqueued_bytes: r.get()?,
+        })
     }
 }
 

@@ -24,7 +24,7 @@
 //! costs the fabric one event — its arrival at the next hop — and a
 //! backlogged port two.
 
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{Hist, SimRng, SimTime};
 
 use crate::buffer::SharedBuffer;
@@ -49,7 +49,7 @@ fn queue_code(target: QueueTarget) -> u32 {
 }
 
 /// Counters a switch exposes to the experiment harness.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwitchCounters {
     /// Data/ACK/CNP packets received for forwarding.
     pub rx_packets: u64,
@@ -64,6 +64,12 @@ pub struct SwitchCounters {
     /// Data packets lost to network dynamics at this switch: flushed from a
     /// dead egress or arriving with no route to their destination.
     pub blackholed: u64,
+}
+
+bfc_sim::snap_struct! {
+    SwitchCounters {
+        rx_packets, drops, ecn_marked, pfc_pauses_sent, flow_pause_frames_sent, blackholed,
+    }
 }
 
 /// A shared-buffer switch.
@@ -172,71 +178,50 @@ impl Switch {
         self.policy.probe_stats()
     }
 
-    /// Name of the installed policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
-    /// Total time the egress toward each peer has spent PFC-paused.
-    pub fn total_pfc_paused_time(&self, now: SimTime) -> bfc_sim::SimDuration {
-        self.ports
-            .iter()
-            .fold(bfc_sim::SimDuration::ZERO, |acc, p| {
-                acc + p.pfc_paused_time(now)
-            })
-    }
-
     /// Serializes all mutable switch state — ports, shared buffer, policy,
     /// RNG, pause timers, counters — for snapshot/restore.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-        w.put_u64(self.counters.rx_packets);
-        w.put_u64(self.counters.drops);
-        w.put_u64(self.counters.ecn_marked);
-        w.put_u64(self.counters.pfc_pauses_sent);
-        w.put_u64(self.counters.flow_pause_frames_sent);
-        w.put_u64(self.counters.blackholed);
-        w.put_usize(self.ports.len());
-        for &active in &self.pause_timer_active {
-            w.put_bool(active);
-        }
-        self.buffer.save_state(w);
-        for port in &self.ports {
+        let Switch {
+            id: _,     // configuration
+            config: _, // configuration
+            ports,
+            buffer,
+            policy,
+            rng,
+            pause_timer_active,
+            counters,
+            depth_hist,
+            depth_ticks,
+        } = self;
+        rng.save(w);
+        counters.save(w);
+        w.put_usize(ports.len());
+        w.put_all(pause_timer_active);
+        buffer.save_state(w);
+        for port in ports {
             port.save_state(w);
         }
-        self.policy.save_state(w);
-        self.depth_hist.save_state(w);
-        w.put_u64(self.depth_ticks);
+        policy.save_state(w);
+        depth_hist.save(w);
+        depth_ticks.save(w);
     }
 
-    /// Restores state captured by [`Switch::save_state`] into this switch,
-    /// which must have been freshly built from the same topology, config and
-    /// policy scheme.
+    /// Overlays state captured by [`Switch::save_state`] onto this switch,
+    /// which was built from the same topology, config and policy scheme:
+    /// checks the port count, and hands each port, the buffer and the policy
+    /// their own part.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let state = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
-        self.rng = SimRng::from_state(state);
-        self.counters.rx_packets = r.get_u64()?;
-        self.counters.drops = r.get_u64()?;
-        self.counters.ecn_marked = r.get_u64()?;
-        self.counters.pfc_pauses_sent = r.get_u64()?;
-        self.counters.flow_pause_frames_sent = r.get_u64()?;
-        self.counters.blackholed = r.get_u64()?;
-        let n = r.get_usize()?;
-        if n != self.ports.len() {
-            return Err(SnapError::Corrupt("switch port count mismatch"));
-        }
-        for active in &mut self.pause_timer_active {
-            *active = r.get_bool()?;
-        }
+        self.rng = r.get()?;
+        self.counters = r.get()?;
+        r.expect_count(self.ports.len(), "switch port count mismatch")?;
+        r.fill(&mut self.pause_timer_active)?;
         self.buffer.restore_state(r)?;
         for port in &mut self.ports {
             port.restore_state(r)?;
         }
         self.policy.restore_state(r)?;
-        self.depth_hist = Hist::restore_state(r)?;
-        self.depth_ticks = r.get_u64()?;
+        self.depth_hist = r.get()?;
+        self.depth_ticks = r.get()?;
         Ok(())
     }
 

@@ -49,7 +49,7 @@
 
 use std::collections::VecDeque;
 
-use bfc_sim::snapshot::{finalize, open, SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{finalize, open, Snap, SnapError, SnapReader};
 use bfc_sim::{SimDuration, SimTime};
 
 use crate::event::NetSink;
@@ -406,189 +406,25 @@ impl TraceEvent {
             TraceEvent::Reroute { index } => format!("reroute       (dynamics event {index})"),
         }
     }
-
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            TraceEvent::Enqueue {
-                node,
-                port,
-                queue,
-                flow,
-                bytes,
-            } => {
-                w.put_u8(0);
-                w.put_u32(node.0);
-                w.put_u32(port);
-                w.put_u32(queue);
-                w.put_u32(flow);
-                w.put_u32(bytes);
-            }
-            TraceEvent::Dequeue {
-                node,
-                port,
-                queue,
-                flow,
-                bytes,
-            } => {
-                w.put_u8(1);
-                w.put_u32(node.0);
-                w.put_u32(port);
-                w.put_u32(queue);
-                w.put_u32(flow);
-                w.put_u32(bytes);
-            }
-            TraceEvent::Drop {
-                node,
-                port,
-                flow,
-                bytes,
-            } => {
-                w.put_u8(2);
-                w.put_u32(node.0);
-                w.put_u32(port);
-                w.put_u32(flow);
-                w.put_u32(bytes);
-            }
-            TraceEvent::Blackhole { node, flow, bytes } => {
-                w.put_u8(3);
-                w.put_u32(node.0);
-                w.put_u32(flow);
-                w.put_u32(bytes);
-            }
-            TraceEvent::PfcSent { node, port, pause } => {
-                w.put_u8(4);
-                w.put_u32(node.0);
-                w.put_u32(port);
-                w.put_bool(pause);
-            }
-            TraceEvent::PfcDelivered { node, src, pause } => {
-                w.put_u8(5);
-                w.put_u32(node.0);
-                w.put_u32(src.0);
-                w.put_bool(pause);
-            }
-            TraceEvent::FlowPause {
-                node,
-                port,
-                bits,
-                pause,
-            } => {
-                w.put_u8(6);
-                w.put_u32(node.0);
-                w.put_u32(port);
-                w.put_u32(bits);
-                w.put_bool(pause);
-            }
-            TraceEvent::QueueActive { node, port, queue } => {
-                w.put_u8(7);
-                w.put_u32(node.0);
-                w.put_u32(port);
-                w.put_u32(queue);
-            }
-            TraceEvent::QueueIdle { node, port, queue } => {
-                w.put_u8(8);
-                w.put_u32(node.0);
-                w.put_u32(port);
-                w.put_u32(queue);
-            }
-            TraceEvent::LinkDown { a, b } => {
-                w.put_u8(9);
-                w.put_u32(a.0);
-                w.put_u32(b.0);
-            }
-            TraceEvent::LinkUp { a, b } => {
-                w.put_u8(10);
-                w.put_u32(a.0);
-                w.put_u32(b.0);
-            }
-            TraceEvent::LinkRate { a, b } => {
-                w.put_u8(11);
-                w.put_u32(a.0);
-                w.put_u32(b.0);
-            }
-            TraceEvent::Reroute { index } => {
-                w.put_u8(12);
-                w.put_u32(index);
-            }
-        }
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => TraceEvent::Enqueue {
-                node: NodeId(r.get_u32()?),
-                port: r.get_u32()?,
-                queue: r.get_u32()?,
-                flow: r.get_u32()?,
-                bytes: r.get_u32()?,
-            },
-            1 => TraceEvent::Dequeue {
-                node: NodeId(r.get_u32()?),
-                port: r.get_u32()?,
-                queue: r.get_u32()?,
-                flow: r.get_u32()?,
-                bytes: r.get_u32()?,
-            },
-            2 => TraceEvent::Drop {
-                node: NodeId(r.get_u32()?),
-                port: r.get_u32()?,
-                flow: r.get_u32()?,
-                bytes: r.get_u32()?,
-            },
-            3 => TraceEvent::Blackhole {
-                node: NodeId(r.get_u32()?),
-                flow: r.get_u32()?,
-                bytes: r.get_u32()?,
-            },
-            4 => TraceEvent::PfcSent {
-                node: NodeId(r.get_u32()?),
-                port: r.get_u32()?,
-                pause: r.get_bool()?,
-            },
-            5 => TraceEvent::PfcDelivered {
-                node: NodeId(r.get_u32()?),
-                src: NodeId(r.get_u32()?),
-                pause: r.get_bool()?,
-            },
-            6 => TraceEvent::FlowPause {
-                node: NodeId(r.get_u32()?),
-                port: r.get_u32()?,
-                bits: r.get_u32()?,
-                pause: r.get_bool()?,
-            },
-            7 => TraceEvent::QueueActive {
-                node: NodeId(r.get_u32()?),
-                port: r.get_u32()?,
-                queue: r.get_u32()?,
-            },
-            8 => TraceEvent::QueueIdle {
-                node: NodeId(r.get_u32()?),
-                port: r.get_u32()?,
-                queue: r.get_u32()?,
-            },
-            9 => TraceEvent::LinkDown {
-                a: NodeId(r.get_u32()?),
-                b: NodeId(r.get_u32()?),
-            },
-            10 => TraceEvent::LinkUp {
-                a: NodeId(r.get_u32()?),
-                b: NodeId(r.get_u32()?),
-            },
-            11 => TraceEvent::LinkRate {
-                a: NodeId(r.get_u32()?),
-                b: NodeId(r.get_u32()?),
-            },
-            12 => TraceEvent::Reroute {
-                index: r.get_u32()?,
-            },
-            _ => return Err(SnapError::Corrupt("unknown trace event tag")),
-        })
-    }
 }
 
-/// Minimum serialized bytes per record (time + tag + one u32), used to
-/// validate the container's record count.
-const RECORD_MIN_BYTES: usize = 8 + 1 + 4;
+// The tag is the variant's `kind_index`.
+bfc_sim::snap_enum!(TraceEvent, "unknown trace event tag" {
+    0 => Enqueue { node, port, queue, flow, bytes },
+    1 => Dequeue { node, port, queue, flow, bytes },
+    2 => Drop { node, port, flow, bytes },
+    3 => Blackhole { node, flow, bytes },
+    4 => PfcSent { node, port, pause },
+    5 => PfcDelivered { node, src, pause },
+    6 => FlowPause { node, port, bits, pause },
+    7 => QueueActive { node, port, queue },
+    8 => QueueIdle { node, port, queue },
+    9 => LinkDown { a, b },
+    10 => LinkUp { a, b },
+    11 => LinkRate { a, b },
+    12 => Reroute { index },
+});
+
 /// Maximum serialized bytes per record (time + tag + five u32s).
 const RECORD_MAX_BYTES: usize = 8 + 1 + 5 * 4;
 
@@ -602,6 +438,8 @@ pub struct TraceRecord {
     /// The observation.
     pub event: TraceEvent,
 }
+
+bfc_sim::snap_struct! { TraceRecord { at, event } }
 
 // The ring, the merge and the diff all move records by value.
 const _: () = assert!(std::mem::size_of::<TraceRecord>() == 32);
@@ -754,6 +592,9 @@ pub struct FlightTrace {
     /// Records shed by the bounded ring before these.
     pub dropped: u64,
 }
+
+// After the label in a `.flight` file: the shed count, then the records.
+bfc_sim::snap_struct! { FlightTrace { dropped, records } }
 
 impl FlightTrace {
     /// Merges per-shard traces into canonical `(time, rank)` order, ties in
@@ -1033,12 +874,7 @@ pub fn write_trace(label: &str, trace: &FlightTrace) -> Vec<u8> {
     finalize(TRACE_MAGIC, TRACE_VERSION, |w| {
         w.reserve(8 + label.len() + 8 + 8 + trace.records.len() * RECORD_MAX_BYTES + 8);
         w.put_str(label);
-        w.put_u64(trace.dropped);
-        w.put_usize(trace.records.len());
-        for r in &trace.records {
-            w.put_u64(r.at.as_picos());
-            r.event.save(w);
-        }
+        trace.save(w);
     })
 }
 
@@ -1049,16 +885,9 @@ pub fn read_trace(bytes: &[u8]) -> Result<(String, FlightTrace), SnapError> {
     let payload = open(TRACE_MAGIC, TRACE_VERSION, bytes)?;
     let mut r = SnapReader::new(payload);
     let label = r.get_str()?.to_string();
-    let dropped = r.get_u64()?;
-    let n = r.get_count(RECORD_MIN_BYTES)?;
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        let at = SimTime::from_picos(r.get_u64()?);
-        let event = TraceEvent::restore(&mut r)?;
-        records.push(TraceRecord { at, event });
-    }
+    let trace = r.get()?;
     r.expect_end()?;
-    Ok((label, FlightTrace { records, dropped }))
+    Ok((label, trace))
 }
 
 /// Wraps a sink, recording [`NetSink::trace`] calls into a flight recorder

@@ -22,6 +22,8 @@ pub struct PortId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u32);
 
+bfc_sim::snap_newtype!(NodeId(u32), FlowId(u32));
+
 impl NodeId {
     /// The raw index.
     pub fn index(self) -> usize {

@@ -1,4 +1,4 @@
-//! Event queue and simulation driver.
+//! The event queue.
 //!
 //! Events are ordered by `(time, rank, seq)`: timestamp first, then an
 //! optional caller-supplied **rank** (see [`EventQueue::push_ranked`]), then
@@ -34,7 +34,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::snapshot::{SnapError, SnapReader, SnapWriter};
+use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
 
 /// A single scheduled entry: time, rank, insertion sequence number, payload.
@@ -444,72 +444,6 @@ impl<E> EventQueue<E> {
         self.overflow_pushes
     }
 
-    /// Serializes the queue's *logical* state: every pending entry's
-    /// `(time, rank, seq)` key and payload (in pop order), plus the lifetime
-    /// counters. The physical calendar layout — which bucket or heap a key
-    /// happens to sit in, slab slot numbers, window anchoring — is not
-    /// captured: ordering is decided solely by `(time, rank, seq)`, so a
-    /// restored queue pops the identical sequence regardless of layout.
-    pub fn save_state(&self, w: &mut SnapWriter, mut save_event: impl FnMut(&mut SnapWriter, &E)) {
-        let mut keys: Vec<Key> = Vec::with_capacity(self.len());
-        keys.extend_from_slice(&self.sorted[self.cursor..]);
-        keys.extend(self.late.iter());
-        for &head in &self.heads {
-            let mut c = head;
-            while c != NIL {
-                let chunk = &self.chunks[c as usize];
-                keys.extend_from_slice(&chunk.keys[..chunk.len as usize]);
-                c = chunk.next;
-            }
-        }
-        keys.extend(self.overflow.iter());
-        keys.sort_unstable_by_key(Key::ord_key);
-        w.put_usize(keys.len());
-        for k in &keys {
-            w.put_u64(k.time.as_picos());
-            w.put_u32(k.rank);
-            w.put_u64(k.seq);
-            let event = self.slab[k.slot as usize]
-                .as_ref()
-                .expect("pending key references a live slab slot");
-            save_event(w, event);
-        }
-        w.put_u64(self.next_seq);
-        w.put_u64(self.popped);
-        w.put_u64(self.overflow_pushes);
-    }
-
-    /// Rebuilds a queue from [`EventQueue::save_state`] output. The restored
-    /// queue is logically identical — same pending `(time, rank, seq)` keys,
-    /// same payloads, same lifetime counters — even though the physical
-    /// calendar layout is rebuilt from scratch.
-    pub fn restore_state(
-        r: &mut SnapReader<'_>,
-        mut load_event: impl FnMut(&mut SnapReader<'_>) -> Result<E, SnapError>,
-    ) -> Result<Self, SnapError> {
-        let n = r.get_count(21)?; // 8 + 4 + 8 key bytes + ≥1 payload byte
-        let mut q = Self::with_capacity(n);
-        let mut max_seq = None;
-        for _ in 0..n {
-            let time = SimTime::from_picos(r.get_u64()?);
-            let rank = r.get_u32()?;
-            let seq = r.get_u64()?;
-            let event = load_event(r)?;
-            q.insert(time, rank, seq, event);
-            max_seq = max_seq.max(Some(seq));
-        }
-        q.next_seq = r.get_u64()?;
-        q.popped = r.get_u64()?;
-        // Overwrite, not accumulate: the re-insertions above may themselves
-        // have landed keys in the overflow heap, but the lifetime counter is
-        // logical state owned by the snapshot.
-        q.overflow_pushes = r.get_u64()?;
-        if max_seq.is_some_and(|m| m >= q.next_seq) {
-            return Err(SnapError::Corrupt("pending seq beyond next_seq"));
-        }
-        Ok(q)
-    }
-
     /// Moves overflow keys that now fall inside the current window into
     /// the (empty) sorted backbone. Only called from `settle`, before the
     /// backbone is re-sorted. When the window end has saturated at
@@ -619,6 +553,74 @@ impl<E> EventQueue<E> {
     }
 }
 
+impl<E: Snap> EventQueue<E> {
+    /// Serializes the queue's *logical* state: every pending entry's
+    /// `(time, rank, seq)` key and payload (in pop order), plus the lifetime
+    /// counters. The physical calendar layout — which bucket or heap a key
+    /// happens to sit in, slab slot numbers, window anchoring — is not
+    /// captured: ordering is decided solely by `(time, rank, seq)`, so a
+    /// restored queue pops the identical sequence regardless of layout.
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        let mut keys: Vec<Key> = Vec::with_capacity(self.len());
+        keys.extend_from_slice(&self.sorted[self.cursor..]);
+        keys.extend(self.late.iter());
+        for &head in &self.heads {
+            let mut c = head;
+            while c != NIL {
+                let chunk = &self.chunks[c as usize];
+                keys.extend_from_slice(&chunk.keys[..chunk.len as usize]);
+                c = chunk.next;
+            }
+        }
+        keys.extend(self.overflow.iter());
+        keys.sort_unstable_by_key(Key::ord_key);
+        w.put_usize(keys.len());
+        for k in &keys {
+            k.time.save(w);
+            k.rank.save(w);
+            k.seq.save(w);
+            self.slab[k.slot as usize]
+                .as_ref()
+                .expect("pending key references a live slab slot")
+                .save(w);
+        }
+        self.next_seq.save(w);
+        self.popped.save(w);
+        self.overflow_pushes.save(w);
+    }
+
+    /// Rebuilds a queue from [`EventQueue::save_state`] output, handing each
+    /// payload to `check` before it is scheduled (the queue cannot know what
+    /// makes an event valid for the run it is restored into). Hand-written
+    /// because the physical calendar layout is rebuilt by re-insertion, and
+    /// to check that no pending `seq` is one the queue would mint again.
+    pub fn restore_state(
+        r: &mut SnapReader<'_>,
+        mut check: impl FnMut(&E) -> Result<(), SnapError>,
+    ) -> Result<Self, SnapError> {
+        let n = r.get_count(SimTime::MIN_BYTES + u32::MIN_BYTES + u64::MIN_BYTES + E::MIN_BYTES)?;
+        let mut q = Self::with_capacity(n);
+        let mut max_seq = None;
+        for _ in 0..n {
+            let (time, rank, seq) = (r.get()?, r.get()?, r.get()?);
+            let event = r.get()?;
+            check(&event)?;
+            q.insert(time, rank, seq, event);
+            max_seq = max_seq.max(Some(seq));
+        }
+        q.next_seq = r.get()?;
+        q.popped = r.get()?;
+        // Overwrite, not accumulate: the re-insertions above may themselves
+        // have landed keys in the overflow heap, but the lifetime counter is
+        // logical state owned by the snapshot.
+        q.overflow_pushes = r.get()?;
+        if max_seq.is_some_and(|m| m >= q.next_seq) {
+            return Err(SnapError::Corrupt("pending seq beyond next_seq"));
+        }
+        Ok(q)
+    }
+}
+
 /// The original `BinaryHeap`-based event queue, kept as the executable
 /// specification of the ordering contract. Differential tests (and anyone
 /// suspicious of the calendar queue) can run the same schedule through both
@@ -688,51 +690,10 @@ impl<E> ReferenceEventQueue<E> {
     }
 }
 
-/// A simulation that consumes events of type `E` and may schedule more.
-///
-/// The driver ([`run`] / [`run_until`]) pops events in time order and hands
-/// each one to [`Simulation::handle`] together with a mutable reference to
-/// the queue so the handler can schedule follow-up events.
-pub trait Simulation {
-    /// The event payload type.
-    type Event;
-
-    /// Handles one event occurring at `now`.
-    fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
-}
-
-/// Runs the simulation until the event queue is empty. Returns the timestamp
-/// of the last delivered event (or `SimTime::ZERO` if no event was delivered).
-pub fn run<S: Simulation>(sim: &mut S, queue: &mut EventQueue<S::Event>) -> SimTime {
-    run_until(sim, queue, SimTime::MAX)
-}
-
-/// Runs the simulation until the event queue is empty or the next event would
-/// occur strictly after `deadline`. Events scheduled exactly at `deadline`
-/// are delivered. Returns the timestamp of the last delivered event.
-pub fn run_until<S: Simulation>(
-    sim: &mut S,
-    queue: &mut EventQueue<S::Event>,
-    deadline: SimTime,
-) -> SimTime {
-    let mut last = SimTime::ZERO;
-    while let Some(t) = queue.peek_time() {
-        if t > deadline {
-            break;
-        }
-        let (now, event) = queue.pop().expect("peeked event must exist");
-        debug_assert!(now >= last, "event queue delivered events out of order");
-        last = now;
-        sim.handle(now, event, queue);
-    }
-    last
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SimRng;
-    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -932,10 +893,10 @@ mod tests {
                 assert_eq!(cal.len(), reference.len());
                 if step % 9_973 == 9_972 {
                     let mut w = SnapWriter::new();
-                    cal.save_state(&mut w, |w, e| w.put_u64(*e));
+                    cal.save_state(&mut w);
                     let bytes = w.into_bytes();
                     let mut r = SnapReader::new(&bytes);
-                    cal = EventQueue::restore_state(&mut r, |r| r.get_u64()).expect("restores");
+                    cal = EventQueue::restore_state(&mut r, |_| Ok(())).expect("restores");
                     r.expect_end().expect("payload fully consumed");
                 }
             }
@@ -949,6 +910,8 @@ mod tests {
         }
     }
 
+    // (That every truncation of a saved queue is refused is checked for
+    // generated queues by `tests/properties.rs`.)
     #[test]
     fn snapshot_round_trip_preserves_pop_order_and_counters() {
         // Fill the queue across all internal structures (current window,
@@ -969,10 +932,10 @@ mod tests {
             q.pop();
         }
         let mut w = SnapWriter::new();
-        q.save_state(&mut w, |w, e| w.put_u64(*e));
+        q.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let mut restored = EventQueue::restore_state(&mut r, |r| r.get_u64()).expect("restores");
+        let mut restored = EventQueue::restore_state(&mut r, |_| Ok(())).expect("restores");
         r.expect_end().expect("payload fully consumed");
         assert_eq!(restored.len(), q.len());
         assert_eq!(restored.total_scheduled(), q.total_scheduled());
@@ -989,68 +952,5 @@ mod tests {
             }
         }
         assert_eq!(restored.total_delivered(), q.total_delivered());
-    }
-
-    #[test]
-    fn snapshot_restore_rejects_corrupt_payloads() {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        q.push(SimTime::from_nanos(1), 1);
-        let mut w = SnapWriter::new();
-        q.save_state(&mut w, |w, e| w.put_u64(*e));
-        let bytes = w.into_bytes();
-        // Truncation at any point fails cleanly.
-        for n in 0..bytes.len() {
-            let mut r = SnapReader::new(&bytes[..n]);
-            let res = EventQueue::<u64>::restore_state(&mut r, |r| r.get_u64());
-            assert!(
-                res.is_err() || r.expect_end().is_err(),
-                "truncated payload of {n} bytes accepted"
-            );
-        }
-    }
-
-    /// A simulation that re-schedules itself a fixed number of times.
-    struct Ticker {
-        remaining: u32,
-        fired_at: Vec<SimTime>,
-    }
-
-    impl Simulation for Ticker {
-        type Event = ();
-        fn handle(&mut self, now: SimTime, _e: (), queue: &mut EventQueue<()>) {
-            self.fired_at.push(now);
-            if self.remaining > 0 {
-                self.remaining -= 1;
-                queue.push(now + SimDuration::from_nanos(10), ());
-            }
-        }
-    }
-
-    #[test]
-    fn driver_runs_to_completion() {
-        let mut sim = Ticker {
-            remaining: 5,
-            fired_at: Vec::new(),
-        };
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, ());
-        let end = run(&mut sim, &mut q);
-        assert_eq!(sim.fired_at.len(), 6);
-        assert_eq!(end.as_nanos(), 50);
-    }
-
-    #[test]
-    fn driver_respects_deadline() {
-        let mut sim = Ticker {
-            remaining: 1_000,
-            fired_at: Vec::new(),
-        };
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, ());
-        let end = run_until(&mut sim, &mut q, SimTime::from_nanos(35));
-        // Events at 0, 10, 20, 30 are delivered; 40 exceeds the deadline.
-        assert_eq!(sim.fired_at.len(), 4);
-        assert_eq!(end.as_nanos(), 30);
-        assert!(!q.is_empty());
     }
 }

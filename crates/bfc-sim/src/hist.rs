@@ -13,7 +13,7 @@
 //! cannot make merge order observable); snapshot encoding is sparse
 //! `(bucket index, count)` pairs via [`bfc_sim::snapshot`]'s codec.
 
-use crate::snapshot::{SnapError, SnapReader, SnapWriter};
+use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Values below this threshold map to their own bucket (exact).
 const LINEAR_MAX: u64 = 16;
@@ -172,34 +172,38 @@ impl Hist {
             .filter(|(_, c)| **c != 0)
             .map(|(i, c)| (bucket_upper(i), *c))
     }
+}
 
-    /// Serializes as sparse `(bucket index, count)` pairs plus sum/count.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        let occupied = self.counts.iter().filter(|c| **c != 0).count();
-        w.put_usize(occupied);
-        for (i, c) in self.counts.iter().enumerate() {
+/// Sparse `(bucket index, count)` pairs in ascending index order, then the
+/// sum (high word first) and the total count. Equal histograms serialize to
+/// equal bytes.
+impl Snap for Hist {
+    const MIN_BYTES: usize = usize::MIN_BYTES + 3 * u64::MIN_BYTES;
+
+    fn save(&self, w: &mut SnapWriter) {
+        let Hist { counts, sum, count } = self;
+        w.put_usize(counts.iter().filter(|c| **c != 0).count());
+        for (i, c) in counts.iter().enumerate() {
             if *c != 0 {
-                w.put_u32(i as u32);
-                w.put_u64(*c);
+                (i as u32, *c).save(w);
             }
         }
-        w.put_u64((self.sum >> 64) as u64);
-        w.put_u64(self.sum as u64);
-        w.put_u64(self.count);
+        ((*sum >> 64) as u64, *sum as u64).save(w);
+        count.save(w);
     }
 
-    /// Restores a histogram saved by [`Hist::save_state`]. Round-trips
-    /// bit-identically: equal histograms serialize to equal bytes.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let occupied = r.get_count(12)?;
+    // Hand-written: the stored form is sparse, and it checks that every
+    // bucket index is in range and appears once and that the bucket counts
+    // add up to the stored total.
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let mut counts = Vec::new();
         let mut total = 0u64;
-        for _ in 0..occupied {
-            let i = r.get_u32()? as usize;
+        for _ in 0..r.get_len::<(u32, u64)>()? {
+            let (i, c): (u32, u64) = r.get()?;
+            let i = i as usize;
             if i >= BUCKETS {
                 return Err(SnapError::Corrupt("histogram bucket index out of range"));
             }
-            let c = r.get_u64()?;
             if counts.len() <= i {
                 counts.resize(i + 1, 0);
             }
@@ -211,10 +215,9 @@ impl Hist {
                 .checked_add(c)
                 .ok_or(SnapError::Corrupt("histogram count overflow"))?;
         }
-        let hi = r.get_u64()?;
-        let lo = r.get_u64()?;
+        let (hi, lo): (u64, u64) = r.get()?;
         let sum = (u128::from(hi) << 64) | u128::from(lo);
-        let count = r.get_u64()?;
+        let count = r.get()?;
         if count != total {
             return Err(SnapError::Corrupt("histogram count mismatch"));
         }
@@ -315,45 +318,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_bit_identically() {
-        let mut h = Hist::new();
-        for v in [0u64, 1, 15, 16, 17, 1000, 1 << 30, u64::MAX] {
-            h.observe_n(v, v % 5 + 1);
-        }
-        let mut w = SnapWriter::new();
-        h.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let back = Hist::restore_state(&mut r).unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(back, h);
-        // Re-serialize: byte-stable.
-        let mut w2 = SnapWriter::new();
-        back.save_state(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
-    }
-
-    #[test]
-    fn snapshot_rejects_corruption() {
+    fn restore_rejects_a_total_that_is_not_the_sum_of_the_buckets() {
+        // (Round trip, byte-stable re-save and truncation are checked for
+        // generated histograms by `tests/properties.rs`.)
         let mut h = Hist::new();
         h.observe(100);
         h.observe(200);
         let mut w = SnapWriter::new();
-        h.save_state(&mut w);
-        let bytes = w.into_bytes();
-        // Truncations fail.
-        for n in 0..bytes.len() {
-            let mut r = SnapReader::new(&bytes[..n]);
-            assert!(
-                Hist::restore_state(&mut r).and_then(|_| r.expect_end()).is_err(),
-                "prefix {n} accepted"
-            );
-        }
-        // A tampered total count fails the cross-check.
-        let mut bad = bytes.clone();
+        h.save(&mut w);
+        let mut bad = w.into_bytes();
         let n = bad.len();
         bad[n - 1] ^= 1;
-        let mut r = SnapReader::new(&bad);
-        assert!(Hist::restore_state(&mut r).is_err());
+        assert!(Hist::restore(&mut SnapReader::new(&bad)).is_err());
     }
 }

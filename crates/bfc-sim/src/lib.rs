@@ -7,7 +7,6 @@
 //! * a time-ordered [`EventQueue`] with deterministic `(time, rank, seq)`
 //!   tie-breaking (plain pushes are FIFO; ranked pushes give simultaneous
 //!   events a content-derived total order),
-//! * a generic [`Simulation`] trait plus [`run`]/[`run_until`] drivers,
 //! * the [`shard`] module: epoch-based conservative synchronization for
 //!   splitting one simulation across threads with bit-identical results, and
 //! * a seedable, splittable pseudo-random number generator ([`rng::SimRng`])
@@ -39,9 +38,9 @@ pub mod shard;
 pub mod snapshot;
 pub mod time;
 
-pub use event::{run, run_until, EventQueue, ReferenceEventQueue, Simulation};
+pub use event::{EventQueue, ReferenceEventQueue};
 pub use hash::{FastHashMap, FastHashSet};
 pub use hist::Hist;
 pub use rng::SimRng;
-pub use snapshot::{SnapError, SnapReader, SnapWriter};
+pub use snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 pub use time::{SimDuration, SimTime};

@@ -8,10 +8,14 @@
 
 /// A small, fast, seedable PRNG (xoshiro256++) with the samplers the
 /// workload generator needs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     s: [u64; 4],
 }
+
+// The raw xoshiro256++ state: a restored generator continues the exact
+// output stream.
+crate::snap_struct! { SimRng { s } }
 
 /// SplitMix64 step, used for seeding and for stateless hashing.
 #[inline]
@@ -47,17 +51,6 @@ impl SimRng {
         if s == [0, 0, 0, 0] {
             s[0] = 1;
         }
-        SimRng { s }
-    }
-
-    /// Captures the raw xoshiro256++ state for snapshot/restore.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuilds a generator from a previously captured state; the restored
-    /// generator continues the exact output stream.
-    pub fn from_state(s: [u64; 4]) -> Self {
         SimRng { s }
     }
 

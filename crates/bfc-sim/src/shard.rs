@@ -794,7 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_cuts_exactly_like_run_until() {
+    fn deadline_cut_is_inclusive() {
         // Events exactly at the deadline are processed; later ones are not.
         let mut shards = ring(2, 1);
         let (end, _) = run_conservative(

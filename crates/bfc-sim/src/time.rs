@@ -17,6 +17,9 @@ pub struct SimTime(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
+// Both travel as their picosecond count.
+crate::snap_newtype!(SimTime(u64), SimDuration(u64));
+
 impl SimTime {
     /// The beginning of the simulation.
     pub const ZERO: SimTime = SimTime(0);

@@ -14,6 +14,8 @@
 //!   case count.
 //! * [`property!`] — a `proptest!`-style macro that wraps a property body in
 //!   a `#[test]` function.
+//! * [`codec`] — the round-trip laws of a snapshot encoding, as one assertion
+//!   to run over generated values.
 //!
 //! ```
 //! use bfc_testkit::{property, int_range, vec_of};
@@ -32,9 +34,11 @@
 //! (`#[test]` items are omitted outside test builds, so the doctest only
 //! checks that the macro expands; the crate's unit tests execute it.)
 
+pub mod codec;
 pub mod gen;
 pub mod runner;
 
+pub use codec::{assert_codec_laws, assert_snap_round_trip};
 pub use gen::{
     f64_range, hash_set_of, int_range, one_of, pair, triple, vec_of, Gen, SampleInt,
 };

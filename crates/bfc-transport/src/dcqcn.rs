@@ -10,12 +10,10 @@
 //! Only the sender-side state machine lives here; CNP generation is part of
 //! the receiving [`crate::host::Host`].
 
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
-
 use crate::config::DcqcnParams;
 
 /// Sender-side DCQCN state for one flow.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DcqcnState {
     /// Current sending rate in Gbps.
     pub rate_gbps: f64,
@@ -80,28 +78,11 @@ impl DcqcnState {
     pub fn line_rate_gbps(&self) -> f64 {
         self.line_rate_gbps
     }
+}
 
-    /// Serializes the full state machine for snapshot/restore (floats by
-    /// bits).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_f64(self.rate_gbps);
-        w.put_f64(self.target_gbps);
-        w.put_f64(self.alpha);
-        w.put_u32(self.increase_stage);
-        w.put_bool(self.cnp_since_alpha_update);
-        w.put_f64(self.line_rate_gbps);
-    }
-
-    /// Rebuilds the state machine from [`DcqcnState::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(DcqcnState {
-            rate_gbps: r.get_f64()?,
-            target_gbps: r.get_f64()?,
-            alpha: r.get_f64()?,
-            increase_stage: r.get_u32()?,
-            cnp_since_alpha_update: r.get_bool()?,
-            line_rate_gbps: r.get_f64()?,
-        })
+bfc_sim::snap_struct! {
+    DcqcnState {
+        rate_gbps, target_gbps, alpha, increase_stage, cnp_since_alpha_update, line_rate_gbps,
     }
 }
 

@@ -1,29 +1,10 @@
 //! Per-flow sender and receiver state.
 
 use bfc_net::types::{FlowId, NodeId};
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use bfc_sim::SimTime;
 
 use crate::dcqcn::DcqcnState;
 use crate::hpcc::HpccState;
-
-fn put_opt_time(w: &mut SnapWriter, t: Option<SimTime>) {
-    match t {
-        Some(t) => {
-            w.put_bool(true);
-            w.put_u64(t.as_picos());
-        }
-        None => w.put_bool(false),
-    }
-}
-
-fn get_opt_time(r: &mut SnapReader<'_>) -> Result<Option<SimTime>, SnapError> {
-    Ok(if r.get_bool()? {
-        Some(SimTime::from_picos(r.get_u64()?))
-    } else {
-        None
-    })
-}
 
 /// Static description of a flow, produced by the workload generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,30 +39,12 @@ impl FlowSpec {
             (rem.max(1)).min(mtu as u64) as u32
         }
     }
-
-    /// Serializes the spec for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u32(self.flow.0);
-        w.put_u32(self.src.0);
-        w.put_u32(self.dst.0);
-        w.put_u64(self.size_bytes);
-        w.put_u32(self.vfid);
-    }
-
-    /// Rebuilds a spec from [`FlowSpec::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FlowSpec {
-            flow: FlowId(r.get_u32()?),
-            src: NodeId(r.get_u32()?),
-            dst: NodeId(r.get_u32()?),
-            size_bytes: r.get_u64()?,
-            vfid: r.get_u32()?,
-        })
-    }
 }
 
+bfc_sim::snap_struct! { FlowSpec { flow, src, dst, size_bytes, vfid } }
+
 /// Congestion-control state attached to a sender flow.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CcState {
     /// Line-rate or window-only sending: no per-flow algorithm state.
     None,
@@ -91,35 +54,14 @@ pub enum CcState {
     Hpcc(HpccState),
 }
 
-impl CcState {
-    /// Serializes the congestion-control state with a variant tag.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            CcState::None => w.put_u8(0),
-            CcState::Dcqcn(state) => {
-                w.put_u8(1);
-                state.save_state(w);
-            }
-            CcState::Hpcc(state) => {
-                w.put_u8(2);
-                state.save_state(w);
-            }
-        }
-    }
-
-    /// Rebuilds the state from [`CcState::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => CcState::None,
-            1 => CcState::Dcqcn(DcqcnState::restore_state(r)?),
-            2 => CcState::Hpcc(HpccState::restore_state(r)?),
-            _ => return Err(SnapError::Corrupt("unknown congestion-control tag")),
-        })
-    }
-}
+bfc_sim::snap_enum!(CcState, "unknown congestion-control tag" {
+    0 => None,
+    1 => Dcqcn(state),
+    2 => Hpcc(state),
+});
 
 /// Sender-side state of one flow.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SenderFlow {
     /// The flow's static description.
     pub spec: FlowSpec,
@@ -170,36 +112,16 @@ impl SenderFlow {
     pub fn inflight_bytes(&self, mtu: u32) -> u64 {
         self.next_seq.saturating_sub(self.acked_seq) * mtu as u64
     }
+}
 
-    /// Serializes the sender state for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.spec.save_state(w);
-        w.put_u64(self.num_packets);
-        w.put_u64(self.next_seq);
-        w.put_u64(self.acked_seq);
-        w.put_u64(self.next_allowed.as_picos());
-        self.cc.save_state(w);
-        w.put_u64(self.acked_at_last_timeout);
-        w.put_u64(self.started_at.as_picos());
-    }
-
-    /// Rebuilds the sender state from [`SenderFlow::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SenderFlow {
-            spec: FlowSpec::restore_state(r)?,
-            num_packets: r.get_u64()?,
-            next_seq: r.get_u64()?,
-            acked_seq: r.get_u64()?,
-            next_allowed: SimTime::from_picos(r.get_u64()?),
-            cc: CcState::restore_state(r)?,
-            acked_at_last_timeout: r.get_u64()?,
-            started_at: SimTime::from_picos(r.get_u64()?),
-        })
+bfc_sim::snap_struct! {
+    SenderFlow {
+        spec, num_packets, next_seq, acked_seq, next_allowed, cc, acked_at_last_timeout, started_at,
     }
 }
 
 /// Receiver-side state of one flow.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReceiverFlow {
     /// The flow's static description.
     pub spec: FlowSpec,
@@ -233,41 +155,12 @@ impl ReceiverFlow {
             completed: false,
         }
     }
+}
 
-    /// Serializes the receiver state for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.spec.save_state(w);
-        w.put_u64(self.num_packets);
-        w.put_u64(self.expected_seq);
-        w.put_u64(self.received_bytes);
-        put_opt_time(w, self.last_arrival);
-        put_opt_time(w, self.last_cnp);
-        match self.nack_sent_for {
-            Some(seq) => {
-                w.put_bool(true);
-                w.put_u64(seq);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_bool(self.completed);
-    }
-
-    /// Rebuilds the receiver state from [`ReceiverFlow::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ReceiverFlow {
-            spec: FlowSpec::restore_state(r)?,
-            num_packets: r.get_u64()?,
-            expected_seq: r.get_u64()?,
-            received_bytes: r.get_u64()?,
-            last_arrival: get_opt_time(r)?,
-            last_cnp: get_opt_time(r)?,
-            nack_sent_for: if r.get_bool()? {
-                Some(r.get_u64()?)
-            } else {
-                None
-            },
-            completed: r.get_bool()?,
-        })
+bfc_sim::snap_struct! {
+    ReceiverFlow {
+        spec, num_packets, expected_seq, received_bytes, last_arrival, last_cnp, nack_sent_for,
+        completed,
     }
 }
 

@@ -31,7 +31,7 @@ use bfc_net::link::Link;
 use bfc_net::packet::{IntPath, Packet, PacketKind, PauseFrame};
 use bfc_net::port::Transmitter;
 use bfc_net::types::{FlowId, NodeId};
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{FastHashMap, SimTime};
 
 use crate::config::{CcKind, HostConfig};
@@ -40,7 +40,7 @@ use crate::flow::{CcState, FlowSpec, ReceiverFlow, SenderFlow};
 use crate::hpcc::HpccState;
 
 /// Counters exposed by a host.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostCounters {
     /// Data bytes transmitted (including Go-Back-N retransmissions).
     pub tx_data_bytes: u64,
@@ -52,6 +52,12 @@ pub struct HostCounters {
     pub cnps_sent: u64,
     /// Flows that completed at this receiver.
     pub completed_flows: u64,
+}
+
+bfc_sim::snap_struct! {
+    HostCounters {
+        tx_data_bytes, rx_data_bytes, retransmitted_packets, cnps_sent, completed_flows,
+    }
 }
 
 /// An end host with one NIC port.
@@ -155,115 +161,61 @@ impl Host {
     /// control queue, sender and receiver flow tables, the round-robin
     /// rotation, counters — for snapshot/restore.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_f64(self.uplink.rate_gbps);
-        self.tx.save_state(w);
-        w.put_bool(self.uplink_up);
-        w.put_bool(self.pfc_paused);
-        match &self.pause_frame {
-            Some(frame) => {
-                w.put_bool(true);
-                frame.save_state(w);
-            }
-            None => w.put_bool(false),
-        }
-        match self.pending_wakeup {
-            Some(t) => {
-                w.put_bool(true);
-                w.put_u64(t.as_picos());
-            }
-            None => w.put_bool(false),
-        }
-        w.put_usize(self.control_queue.len());
-        for pkt in &self.control_queue {
-            pkt.save_state(w);
-        }
-        // Map iteration order is not deterministic; serialize sorted by key.
-        let mut sending: Vec<u32> = self.sending.keys().map(|f| f.0).collect();
-        sending.sort_unstable();
-        w.put_usize(sending.len());
-        for flow in sending {
-            w.put_u32(flow);
-            self.sending[&FlowId(flow)].save_state(w);
-        }
-        // The rotation order itself is semantic: keep it verbatim.
-        w.put_usize(self.send_order.len());
-        for flow in &self.send_order {
-            w.put_u32(flow.0);
-        }
-        let mut receiving: Vec<u32> = self.receiving.keys().map(|f| f.0).collect();
-        receiving.sort_unstable();
-        w.put_usize(receiving.len());
-        for flow in receiving {
-            w.put_u32(flow);
-            self.receiving[&FlowId(flow)].save_state(w);
-        }
-        w.put_u64(self.counters.tx_data_bytes);
-        w.put_u64(self.counters.rx_data_bytes);
-        w.put_u64(self.counters.retransmitted_packets);
-        w.put_u64(self.counters.cnps_sent);
-        w.put_u64(self.counters.completed_flows);
+        let Host {
+            // Configuration, but for the uplink's rate.
+            id: _,
+            config: _,
+            uplink,
+            peer: _,
+            line_rate_gbps: _,
+            tx,
+            uplink_up,
+            pfc_paused,
+            pause_frame,
+            pending_wakeup,
+            control_queue,
+            sending,
+            send_order,
+            receiving,
+            int_pool: _, // capacity, not state
+            counters,
+        } = self;
+        uplink.rate_gbps.save(w);
+        tx.save(w);
+        uplink_up.save(w);
+        pfc_paused.save(w);
+        pause_frame.save(w);
+        pending_wakeup.save(w);
+        control_queue.save(w);
+        sending.save(w);
+        // The rotation order itself is semantic: kept verbatim.
+        send_order.save(w);
+        receiving.save(w);
+        counters.save(w);
     }
 
-    /// Restores state captured by [`Host::save_state`] into this host, which
-    /// must have been freshly built with the same id, uplink and config.
+    /// Overlays state captured by [`Host::save_state`] onto this host, which
+    /// was built with the same id, uplink and config: checks the rate is
+    /// positive and no flow appears twice in a table, and refills the queue,
+    /// the rotation and both tables in the storage they already own.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let rate = r.get_f64()?;
+        let rate: f64 = r.get()?;
         if !(rate > 0.0) {
             return Err(SnapError::Corrupt("non-positive uplink rate"));
         }
         self.uplink.rate_gbps = rate;
-        self.tx = Transmitter::restore_state(r)?;
-        self.uplink_up = r.get_bool()?;
-        self.pfc_paused = r.get_bool()?;
-        self.pause_frame = if r.get_bool()? {
-            Some(PauseFrame::restore_state(r)?)
-        } else {
-            None
-        };
-        self.pending_wakeup = if r.get_bool()? {
-            Some(SimTime::from_picos(r.get_u64()?))
-        } else {
-            None
-        };
-        let n = r.get_count(8)?;
+        self.tx = r.get()?;
+        self.uplink_up = r.get()?;
+        self.pfc_paused = r.get()?;
+        self.pause_frame = r.get()?;
+        self.pending_wakeup = r.get()?;
         self.control_queue.clear();
-        for _ in 0..n {
-            self.control_queue.push_back(Packet::restore_state(r)?);
-        }
-        let n = r.get_count(40)?;
-        self.sending.clear();
-        for _ in 0..n {
-            let flow = FlowId(r.get_u32()?);
-            if self
-                .sending
-                .insert(flow, SenderFlow::restore_state(r)?)
-                .is_some()
-            {
-                return Err(SnapError::Corrupt("duplicate sender flow"));
-            }
-        }
-        let n = r.get_count(4)?;
+        r.get_seq(|packet| self.control_queue.push_back(packet))?;
+        r.get_map(&mut self.sending, "duplicate sender flow")?;
         self.send_order.clear();
-        for _ in 0..n {
-            self.send_order.push_back(FlowId(r.get_u32()?));
-        }
-        let n = r.get_count(40)?;
-        self.receiving.clear();
-        for _ in 0..n {
-            let flow = FlowId(r.get_u32()?);
-            if self
-                .receiving
-                .insert(flow, ReceiverFlow::restore_state(r)?)
-                .is_some()
-            {
-                return Err(SnapError::Corrupt("duplicate receiver flow"));
-            }
-        }
-        self.counters.tx_data_bytes = r.get_u64()?;
-        self.counters.rx_data_bytes = r.get_u64()?;
-        self.counters.retransmitted_packets = r.get_u64()?;
-        self.counters.cnps_sent = r.get_u64()?;
-        self.counters.completed_flows = r.get_u64()?;
+        r.get_seq(|flow| self.send_order.push_back(flow))?;
+        r.get_map(&mut self.receiving, "duplicate receiver flow")?;
+        self.counters = r.get()?;
         Ok(())
     }
 

@@ -10,12 +10,11 @@
 //! updates.
 
 use bfc_net::packet::{IntHop, IntPath};
-use bfc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 
 use crate::config::HpccParams;
 
 /// Sender-side HPCC state for one flow.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HpccState {
     /// Current window in bytes (also drives the pacing rate `W / T`).
     pub window_bytes: f64,
@@ -120,32 +119,12 @@ impl HpccState {
     pub fn inc_stage(&self) -> u32 {
         self.inc_stage
     }
+}
 
-    /// Serializes the full state machine for snapshot/restore (floats by
-    /// bits).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_f64(self.window_bytes);
-        w.put_f64(self.reference_window);
-        w.put_u32(self.inc_stage);
-        w.put_u64(self.update_after_seq);
-        self.last_int.save_state(w);
-        w.put_f64(self.w_ai);
-        w.put_f64(self.base_rtt_secs);
-        w.put_f64(self.max_window);
-    }
-
-    /// Rebuilds the state machine from [`HpccState::save_state`] output.
-    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(HpccState {
-            window_bytes: r.get_f64()?,
-            reference_window: r.get_f64()?,
-            inc_stage: r.get_u32()?,
-            update_after_seq: r.get_u64()?,
-            last_int: IntPath::restore_state(r)?,
-            w_ai: r.get_f64()?,
-            base_rtt_secs: r.get_f64()?,
-            max_window: r.get_f64()?,
-        })
+bfc_sim::snap_struct! {
+    HpccState {
+        window_bytes, reference_window, inc_stage, update_after_seq, last_int, w_ai, base_rtt_secs,
+        max_window,
     }
 }
 

@@ -369,12 +369,6 @@ impl CsvParser {
         std::mem::take(&mut self.flows)
     }
 
-    /// Number of input lines consumed so far (for error reporting by
-    /// streaming callers).
-    pub fn lines_consumed(&self) -> usize {
-        self.line
-    }
-
     /// Finishes parsing, returning the flows. Fails if no header (and hence
     /// no content) was ever seen.
     pub fn finish(self) -> Result<Vec<TraceFlow>, CsvError> {

@@ -4,17 +4,36 @@
 //! On failure the runner prints the per-case seed; rerun exactly that case
 //! with `BFC_TESTKIT_SEED=<seed> cargo test <property_name>`.
 
-use backpressure_flow_control::core::policy::pick_queue;
-use backpressure_flow_control::core::{BfcConfig, CountingBloom};
+use std::collections::VecDeque;
+
+use backpressure_flow_control::core::policy::{pick_queue, BfcCounters};
+use backpressure_flow_control::core::{BfcConfig, CountingBloom, FlowEntry, FlowKey};
 use backpressure_flow_control::experiments::{run_experiment, ExperimentConfig, Scheme};
-use backpressure_flow_control::metrics::percentile;
+use backpressure_flow_control::metrics::{
+    percentile, Hist, OccupancySeries, RecoveryTracker, SafetyTracker,
+};
 use backpressure_flow_control::net::packet::PauseFrame;
+use backpressure_flow_control::net::switch::SwitchCounters;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
-use backpressure_flow_control::sim::{EventQueue, SimDuration, SimRng, SimTime};
-use backpressure_flow_control::transport::FlowSpec;
+use backpressure_flow_control::net::{
+    FlightTrace, IntHop, IntPath, LinkAction, LinkStateMap, NetEvent, Packet, PfcConfig, PhysQueue,
+    PolicyStats, SharedBuffer, TraceEvent, TraceRecord, Transmitter, TransportTimer, MAX_INT_HOPS,
+};
+use backpressure_flow_control::sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use backpressure_flow_control::sim::{EventQueue, FastHashMap, SimDuration, SimRng, SimTime};
+use backpressure_flow_control::transport::dcqcn::DcqcnState;
+use backpressure_flow_control::transport::flow::CcState;
+use backpressure_flow_control::transport::host::HostCounters;
+use backpressure_flow_control::transport::hpcc::HpccState;
+use backpressure_flow_control::transport::{
+    DcqcnParams, FlowSpec, HpccParams, ReceiverFlow, SenderFlow,
+};
 use backpressure_flow_control::workloads::{TraceFlow, Workload};
-use bfc_testkit::{f64_range, hash_set_of, int_range, one_of, pair, property, vec_of};
+use bfc_testkit::{
+    assert_codec_laws, assert_snap_round_trip, f64_range, hash_set_of, int_range, one_of, pair,
+    property, vec_of,
+};
 
 property! {
     /// BFC's allocation-free queue choice (count the free queues, draw, walk
@@ -34,7 +53,7 @@ property! {
             free[old_rng.next_index(free.len())]
         };
         assert_eq!(pick_queue(&row, &mut new_rng), expected);
-        assert_eq!(new_rng.state(), old_rng.state(), "same single RNG draw");
+        assert_eq!(new_rng, old_rng, "same single RNG draw");
     }
 
     /// The event queue always delivers events in non-decreasing time order,
@@ -232,4 +251,442 @@ fn random_traces_complete_under_bfc() {
             }
         },
     );
+}
+
+// ---- the snapshot codec ----------------------------------------------------
+//
+// One property over generated values of every `Snap` type the crates export
+// (and the overlaid states `assert_codec_laws` can reach with a closure):
+// `restore(save(x)) == x`, the re-save is byte-equal, every strict prefix is
+// an `Err`, and no encoding is shorter than the type's `MIN_BYTES`. Values
+// are drawn from one seeded `SimRng`, through the types' own constructors and
+// mutators where their fields are private.
+
+fn arb_time(rng: &mut SimRng) -> SimTime {
+    SimTime::from_picos(rng.next_below(1 << 50))
+}
+
+fn arb_opt<T>(rng: &mut SimRng, value: impl FnOnce(&mut SimRng) -> T) -> Option<T> {
+    (rng.next_below(2) == 1).then(|| value(rng))
+}
+
+fn arb_vec<T>(rng: &mut SimRng, max: u64, mut item: impl FnMut(&mut SimRng) -> T) -> Vec<T> {
+    (0..rng.next_below(max + 1)).map(|_| item(rng)).collect()
+}
+
+fn arb_int_path(rng: &mut SimRng) -> IntPath {
+    let hops = arb_vec(rng, MAX_INT_HOPS as u64, |rng| IntHop {
+        qlen_bytes: rng.next_u64(),
+        tx_bytes: rng.next_u64(),
+        timestamp_ps: rng.next_u64(),
+        link_gbps: rng.next_f64() * 400.0,
+    });
+    let mut path = IntPath::from_slice(&hops);
+    if rng.next_below(4) == 0 {
+        path.clear(); // storage without records
+    }
+    path
+}
+
+fn arb_pause_frame(rng: &mut SimRng) -> PauseFrame {
+    let mut frame = PauseFrame::new(1 + rng.next_index(128), 1 + rng.next_below(6) as u32);
+    for _ in 0..rng.next_below(40) {
+        frame.insert(rng.next_u64() as u32);
+    }
+    frame
+}
+
+fn arb_packet(rng: &mut SimRng) -> Packet {
+    let (flow, src, dst) = (
+        FlowId(rng.next_u64() as u32),
+        NodeId(rng.next_u64() as u32),
+        NodeId(rng.next_u64() as u32),
+    );
+    let mut packet = match rng.next_below(5) {
+        0 => Packet::data(
+            flow,
+            src,
+            dst,
+            rng.next_u64(),
+            1_000,
+            7,
+            rng.next_below(2) == 1,
+        ),
+        1 => Packet::ack(
+            flow,
+            src,
+            dst,
+            rng.next_u64(),
+            rng.next_below(2) == 1,
+            rng.next_below(2) == 1,
+            arb_int_path(rng),
+        ),
+        2 => Packet::cnp(flow, src, dst),
+        3 => Packet::pfc(src, dst, rng.next_below(2) == 1),
+        _ => Packet::flow_pause(src, dst, arb_pause_frame(rng)),
+    };
+    packet.size_bytes = rng.next_u64() as u32;
+    packet.vfid = rng.next_u64() as u32;
+    packet.ecn_ce = rng.next_below(2) == 1;
+    if packet.is_data() {
+        packet.int = arb_int_path(rng);
+    }
+    packet
+}
+
+fn arb_timer(rng: &mut SimRng) -> TransportTimer {
+    let flow = FlowId(rng.next_u64() as u32);
+    match rng.next_below(4) {
+        0 => TransportTimer::Retransmit(flow),
+        1 => TransportTimer::RateIncrease(flow),
+        2 => TransportTimer::AlphaUpdate(flow),
+        _ => TransportTimer::NicWakeup,
+    }
+}
+
+fn arb_event(rng: &mut SimRng) -> NetEvent {
+    let (node, port) = (NodeId(rng.next_u64() as u32), rng.next_u64() as u32);
+    match rng.next_below(8) {
+        0 => NetEvent::PacketArrive {
+            node,
+            port,
+            packet: arb_packet(rng),
+        },
+        1 => NetEvent::TxComplete { node, port },
+        2 => NetEvent::PauseFrameTimer { node, port },
+        3 => NetEvent::HostTimer {
+            node,
+            timer: arb_timer(rng),
+        },
+        4 => NetEvent::FlowArrival {
+            index: rng.next_u64() as usize,
+        },
+        5 => NetEvent::FlowCompleted { flow: FlowId(port) },
+        6 => NetEvent::Sample,
+        _ => NetEvent::NetworkDynamics {
+            index: rng.next_u64() as usize,
+        },
+    }
+}
+
+fn arb_trace_event(rng: &mut SimRng) -> TraceEvent {
+    let mut word = || rng.next_u64() as u32;
+    let (node, port, queue, flow, bytes) = (NodeId(word()), word(), word(), word(), word());
+    let (a, b, pause) = (NodeId(word()), NodeId(word()), word() % 2 == 1);
+    match word() % 13 {
+        0 => TraceEvent::Enqueue {
+            node,
+            port,
+            queue,
+            flow,
+            bytes,
+        },
+        1 => TraceEvent::Dequeue {
+            node,
+            port,
+            queue,
+            flow,
+            bytes,
+        },
+        2 => TraceEvent::Drop {
+            node,
+            port,
+            flow,
+            bytes,
+        },
+        3 => TraceEvent::Blackhole { node, flow, bytes },
+        4 => TraceEvent::PfcSent { node, port, pause },
+        5 => TraceEvent::PfcDelivered {
+            node,
+            src: a,
+            pause,
+        },
+        6 => TraceEvent::FlowPause {
+            node,
+            port,
+            bits: bytes,
+            pause,
+        },
+        7 => TraceEvent::QueueActive { node, port, queue },
+        8 => TraceEvent::QueueIdle { node, port, queue },
+        9 => TraceEvent::LinkDown { a, b },
+        10 => TraceEvent::LinkUp { a, b },
+        11 => TraceEvent::LinkRate { a, b },
+        _ => TraceEvent::Reroute { index: port },
+    }
+}
+
+fn arb_spec(rng: &mut SimRng) -> FlowSpec {
+    FlowSpec {
+        flow: FlowId(rng.next_u64() as u32),
+        src: NodeId(rng.next_u64() as u32),
+        dst: NodeId(rng.next_u64() as u32),
+        size_bytes: rng.next_u64(),
+        vfid: rng.next_u64() as u32,
+    }
+}
+
+fn arb_dcqcn(rng: &mut SimRng) -> DcqcnState {
+    let params = DcqcnParams::default();
+    let mut state = DcqcnState::new(25.0 + rng.next_f64() * 375.0);
+    for _ in 0..rng.next_below(12) {
+        match rng.next_below(3) {
+            0 => state.on_cnp(&params),
+            1 => state.on_alpha_timer(&params),
+            _ => state.on_rate_increase_timer(&params),
+        }
+    }
+    state
+}
+
+fn arb_hpcc(rng: &mut SimRng) -> HpccState {
+    let params = HpccParams::default();
+    let mut state = HpccState::new(100.0, 8e-6, &params);
+    for seq in 0..rng.next_below(6) {
+        state.on_ack(
+            &mut arb_int_path(rng),
+            seq,
+            seq + rng.next_below(50),
+            &params,
+        );
+    }
+    state
+}
+
+fn arb_sender(rng: &mut SimRng) -> SenderFlow {
+    let cc = match rng.next_below(3) {
+        0 => CcState::None,
+        1 => CcState::Dcqcn(arb_dcqcn(rng)),
+        _ => CcState::Hpcc(arb_hpcc(rng)),
+    };
+    let mut flow = SenderFlow::new(arb_spec(rng), 1_000, cc, arb_time(rng));
+    flow.next_seq = rng.next_u64();
+    flow.acked_seq = rng.next_u64();
+    flow.next_allowed = arb_time(rng);
+    flow.acked_at_last_timeout = rng.next_u64();
+    flow
+}
+
+fn arb_receiver(rng: &mut SimRng) -> ReceiverFlow {
+    let mut flow = ReceiverFlow::new(arb_spec(rng), 1_000);
+    flow.expected_seq = rng.next_u64();
+    flow.received_bytes = rng.next_u64();
+    flow.last_arrival = arb_opt(rng, arb_time);
+    flow.last_cnp = arb_opt(rng, arb_time);
+    flow.nack_sent_for = arb_opt(rng, SimRng::next_u64);
+    flow.completed = rng.next_below(2) == 1;
+    flow
+}
+
+fn arb_phys_queue(rng: &mut SimRng) -> PhysQueue {
+    let mut queue = PhysQueue::new();
+    for _ in 0..rng.next_below(6) {
+        queue.push(arb_packet(rng), rng.next_u64() as u32);
+        if rng.next_below(4) == 0 {
+            queue.pop();
+        }
+    }
+    queue
+}
+
+fn arb_hist(rng: &mut SimRng) -> Hist {
+    let mut hist = Hist::new();
+    for _ in 0..rng.next_below(30) {
+        hist.observe_n(rng.next_u64() >> rng.next_below(64), 1 + rng.next_below(5));
+    }
+    hist
+}
+
+fn arb_safety(rng: &mut SimRng) -> SafetyTracker {
+    let mut tracker = SafetyTracker::new();
+    let mut now = SimTime::ZERO;
+    for _ in 0..rng.next_below(40) {
+        now += SimDuration::from_nanos(rng.next_below(5_000));
+        let (from, to) = (
+            NodeId(rng.next_below(4) as u32),
+            NodeId(rng.next_below(4) as u32),
+        );
+        match rng.next_below(3) {
+            0 => tracker.record_goodput(now, rng.next_below(1 << 40)),
+            kind => tracker.record_pause(now, from, to, kind == 1),
+        }
+    }
+    tracker
+}
+
+fn arb_recovery(rng: &mut SimRng) -> RecoveryTracker {
+    let mut tracker = RecoveryTracker::new();
+    for _ in 0..rng.next_below(20) {
+        match rng.next_below(4) {
+            0 => tracker.record_goodput(arb_time(rng), rng.next_below(1 << 40)),
+            1 => tracker.record_fault(arb_time(rng)),
+            2 => tracker.record_reroute(),
+            _ => tracker.add_blackholed(rng.next_below(9)),
+        }
+    }
+    tracker
+}
+
+/// The overlaid states: a fresh object of the same configuration restores
+/// what `subject` saved and saves it back.
+fn assert_overlay_laws<T>(
+    subject: &T,
+    fresh: impl Fn() -> T,
+    save: impl Fn(&T, &mut SnapWriter),
+    restore: impl Fn(&mut T, &mut SnapReader<'_>) -> Result<(), SnapError>,
+) {
+    let mut w = SnapWriter::new();
+    save(subject, &mut w);
+    assert_codec_laws(&w.into_bytes(), |r, w| {
+        let mut target = fresh();
+        restore(&mut target, r)?;
+        save(&target, w);
+        Ok(())
+    });
+}
+
+property! {
+    fn every_snapshot_encoding_round_trips(seed in int_range(0u64..u64::MAX)) {
+        let rng = &mut SimRng::new(seed);
+        // bfc-sim: scalars, containers, clock, generator, histogram.
+        assert_snap_round_trip(&(rng.next_u64() as u8, rng.next_below(2) == 1));
+        assert_snap_round_trip(&(rng.next_u64() as u32, rng.next_u64()));
+        assert_snap_round_trip(&(rng.next_u64() as usize, f64::from_bits(rng.next_u64()).abs().min(1e300)));
+        assert_snap_round_trip(&(arb_time(rng), SimDuration::from_picos(rng.next_u64())));
+        assert_snap_round_trip(&arb_opt(rng, arb_time));
+        assert_snap_round_trip(&[rng.next_u64(), rng.next_u64(), rng.next_u64()]);
+        assert_snap_round_trip(&arb_vec(rng, 9, |rng| arb_opt(rng, SimRng::next_u64)));
+        assert_snap_round_trip(&VecDeque::from(arb_vec(rng, 9, |rng| FlowId(rng.next_u64() as u32))));
+        let map: FastHashMap<FlowId, Vec<u32>> = arb_vec(rng, 9, |rng| {
+            (FlowId(rng.next_below(30) as u32), arb_vec(rng, 4, |rng| rng.next_u64() as u32))
+        })
+        .into_iter()
+        .collect();
+        assert_snap_round_trip(&map);
+        assert_snap_round_trip(&rng.clone());
+        assert_snap_round_trip(&arb_hist(rng));
+        // bfc-net: what travels, what waits, what is recorded.
+        assert_snap_round_trip(&arb_int_path(rng));
+        assert_snap_round_trip(&Box::new(arb_pause_frame(rng)));
+        assert_snap_round_trip(&arb_packet(rng));
+        assert_snap_round_trip(&arb_event(rng));
+        assert_snap_round_trip(&arb_phys_queue(rng));
+        let mut tx = Transmitter::default();
+        tx.start(SimTime::ZERO, arb_time(rng) + SimDuration::from_nanos(1));
+        if rng.next_below(2) == 1 {
+            tx.arm_wake();
+        }
+        assert_snap_round_trip(&tx);
+        assert_snap_round_trip(&PolicyStats {
+            flow_assignments: rng.next_u64(),
+            collisions: rng.next_u64(),
+            table_overflows: rng.next_u64(),
+            pauses: rng.next_u64(),
+            resumes: rng.next_u64(),
+        });
+        assert_snap_round_trip(&SwitchCounters {
+            rx_packets: rng.next_u64(),
+            drops: rng.next_u64(),
+            ecn_marked: rng.next_u64(),
+            pfc_pauses_sent: rng.next_u64(),
+            flow_pause_frames_sent: rng.next_u64(),
+            blackholed: rng.next_u64(),
+        });
+        assert_snap_round_trip(&FlightTrace {
+            records: arb_vec(rng, 20, |rng| TraceRecord {
+                at: arb_time(rng),
+                event: arb_trace_event(rng),
+            }),
+            dropped: rng.next_u64(),
+        });
+        // bfc-transport: both ends of a flow and its congestion control.
+        assert_snap_round_trip(&arb_sender(rng));
+        assert_snap_round_trip(&arb_receiver(rng));
+        assert_snap_round_trip(&HostCounters {
+            tx_data_bytes: rng.next_u64(),
+            rx_data_bytes: rng.next_u64(),
+            retransmitted_packets: rng.next_u64(),
+            cnps_sent: rng.next_u64(),
+            completed_flows: rng.next_u64(),
+        });
+        // bfc-core and bfc-metrics.
+        assert_snap_round_trip(&FlowEntry {
+            key: FlowKey {
+                vfid: rng.next_u64() as u32,
+                ingress: rng.next_u64() as u32,
+                egress: rng.next_u64() as u32,
+            },
+            queue: arb_opt(rng, |rng| rng.next_index(32)),
+            packets_queued: rng.next_u64() as u32,
+            paused: rng.next_below(2) == 1,
+            resume_pending: rng.next_below(2) == 1,
+        });
+        assert_snap_round_trip(&BfcCounters {
+            high_priority_packets: rng.next_u64(),
+            peak_tracked_flows: rng.next_u64() as usize,
+            nonempty_frames: rng.next_u64(),
+        });
+        let mut occupancy = OccupancySeries::new();
+        for _ in 0..rng.next_below(30) {
+            occupancy.record(rng.next_below(12_000_000));
+        }
+        assert_snap_round_trip(&occupancy);
+        assert_snap_round_trip(&arb_recovery(rng));
+        assert_snap_round_trip(&arb_safety(rng));
+
+        // Overlaid states.
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        for i in 0..rng.next_below(60) {
+            let at = SimTime::from_nanos(rng.next_below(1_000_000) >> rng.next_below(20));
+            queue.push_ranked(at, rng.next_below(3) as u32, i);
+            if rng.next_below(4) == 0 {
+                queue.pop();
+            }
+        }
+        let mut w = SnapWriter::new();
+        queue.save_state(&mut w);
+        assert_codec_laws(&w.into_bytes(), |r, w| {
+            EventQueue::<u64>::restore_state(r, |_| Ok(()))?.save_state(w);
+            Ok(())
+        });
+
+        let ports = 1 + rng.next_index(6);
+        let pfc = PfcConfig::default();
+        let mut buffer = SharedBuffer::new(200_000, ports);
+        for _ in 0..rng.next_below(60) {
+            let ingress = rng.next_index(ports) as u32;
+            if rng.next_below(3) > 0 {
+                buffer.admit(1 + rng.next_below(9_000) as u32, ingress);
+            } else {
+                let held = buffer.ingress_occupancy(ingress).min(9_000) as u32;
+                buffer.release(held, ingress);
+            }
+            buffer.pfc_transition(ingress, &pfc);
+        }
+        assert_overlay_laws(
+            &buffer,
+            || SharedBuffer::new(200_000, ports),
+            SharedBuffer::save_state,
+            SharedBuffer::restore_state,
+        );
+
+        let topo = fat_tree(FatTreeParams::tiny());
+        let mut links = LinkStateMap::new(&topo);
+        for _ in 0..rng.next_below(4) {
+            let a = topo.switches()[rng.next_index(topo.switches().len())];
+            let b = topo.ports(a)[rng.next_index(topo.ports(a).len())].peer;
+            let action = if rng.next_below(3) > 0 {
+                LinkAction::Down { a, b }
+            } else {
+                LinkAction::Up { a, b }
+            };
+            links.apply(&topo, &action).expect("adjacent nodes");
+        }
+        assert_overlay_laws(
+            &links,
+            || LinkStateMap::new(&topo),
+            LinkStateMap::save_state,
+            LinkStateMap::restore_state,
+        );
+    }
 }

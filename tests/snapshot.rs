@@ -11,19 +11,26 @@
 //! 3. Robustness: corrupted, truncated, version-skewed or mismatched
 //!    snapshots are rejected with the right `SnapError`, never a wrong
 //!    result.
-//! 4. Streaming ingest: serving a finished trace through `CsvTail` with an
+//! 4. The format: the bytes of twelve snapshots and a flight trace are
+//!    pinned to what the parent of the `Snap` trait wrote, and a pending
+//!    event that does not fit the run is refused at load.
+//! 5. Streaming ingest: serving a finished trace through `CsvTail` with an
 //!    uncontended inflight cap reproduces the batch run bit-identically,
 //!    and a tight cap still completes every admitted flow.
 
 use backpressure_flow_control::experiments::service::{
-    resume_experiment, serve_experiment, snapshot_experiment,
+    resume_experiment, serve_experiment, snapshot_experiment, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use backpressure_flow_control::experiments::{
     run_experiment, run_experiment_sharded, ExperimentConfig, ExperimentResult, ReplayTrace,
     ScenarioSpec, Scheme,
 };
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
-use backpressure_flow_control::net::{Link, TopologyBuilder};
+use backpressure_flow_control::net::trace::write_trace;
+use backpressure_flow_control::net::{
+    FlowId, Link, NetEvent, NodeId, Packet, TopologyBuilder, TransportTimer,
+};
+use backpressure_flow_control::sim::snapshot::{self, Snap, SnapReader};
 use backpressure_flow_control::sim::{SimDuration, SimTime, SnapError};
 use backpressure_flow_control::workloads::{
     export_csv, synthesize, CsvTail, TraceFlow, TraceParams, Workload,
@@ -340,4 +347,175 @@ fn serving_a_finished_trace_matches_the_batch_run() {
         "tight-cap serve must still complete every admitted flow"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// `(length, trailing container checksum)` of a `.snap` / `.flight` file. The
+/// container's own trailer is what gets pinned: a `checksum64` over the whole
+/// file is 0 whenever the length is a multiple of 8 (the last word cancels
+/// the state it was computed from).
+fn trailer(file: &[u8]) -> (usize, u64) {
+    let sum = file[file.len() - 8..].try_into().expect("8-byte trailer");
+    (file.len(), u64::from_le_bytes(sum))
+}
+
+/// `trailer` of the twelve snapshots and the one flight trace below, as
+/// written by commit 0022cd3 — the last one whose codec was 68 hand-written
+/// `save`/`restore` functions. The `Snap` trait that replaced them must not
+/// move the wire format by a byte (`SNAPSHOT_VERSION` 7, `TRACE_VERSION` 2),
+/// so files that commit wrote are the files this one writes and reads.
+const PARENT_SNAPSHOTS: [(usize, u64); 12] = [
+    (96_378, 0xf23e_1607_2c52_2f27),  // BFC, 1 shard
+    (105_505, 0x0e0f_90a7_a6fc_1b8f), // BFC, 2 shards
+    (568_735, 0xa6b5_e23d_f6ba_a597), // Ideal-FQ
+    (577_862, 0xced5_87fc_62dd_896e),
+    (86_003, 0xf207_2547_ef25_5442), // DCQCN
+    (95_130, 0xb373_9990_0950_9d0f),
+    (86_003, 0x1c84_79ec_8ff3_ee7a), // DCQCN+Win
+    (95_130, 0xc5ef_828d_dd0a_0d57),
+    (82_160, 0xe200_14ef_611f_70d7), // HPCC
+    (91_287, 0xb1bf_4521_6b09_be63),
+    (89_170, 0xb4d8_8e77_ba10_fb93), // DCQCN+Win+SFQ
+    (98_297, 0xa781_24eb_92b7_4718),
+];
+const PARENT_FLIGHT: (usize, u64) = (1_256_716, 0x3704_4530_a583_d1d0);
+
+/// The format is pinned to the parent's bytes: every lineup scheme at 1 and 2
+/// shards, cut at a third of the horizon while a link is down, and BFC's
+/// whole-run flight trace of the same scenario.
+#[test]
+fn the_format_is_pinned_to_the_parents_bytes() {
+    let horizon = us(150);
+    let topo = fat_tree(FatTreeParams::tiny());
+    let params = TraceParams {
+        incast_fan_in: 6,
+        incast_total_bytes: 500_000,
+        ..TraceParams::google_with_incast(horizon, 7)
+    };
+    let trace = synthesize(&topo.hosts(), &params);
+    let schedule = ScenarioSpec::single_link_down_up("tor0", "spine0", horizon / 4, horizon / 2)
+        .resolve(&topo)
+        .expect("tiny topology has tor0/spine0");
+    let cut = SimTime::ZERO + horizon / 3;
+    let mut pins = PARENT_SNAPSHOTS.iter();
+    for scheme in Scheme::paper_lineup() {
+        let name = scheme.name();
+        let config = ExperimentConfig::new(scheme, horizon).with_dynamics(schedule.clone());
+        for shards in [1usize, 2] {
+            let snap = snapshot_experiment(&topo, &trace, &config, cut, shards);
+            assert_eq!(
+                Some(&trailer(&snap)),
+                pins.next(),
+                "{name} @ {shards} shards"
+            );
+        }
+    }
+    let config = ExperimentConfig::new(Scheme::bfc(), horizon)
+        .with_dynamics(schedule)
+        .with_trace_capacity(1 << 16);
+    let result = run_experiment(&topo, &trace, &config);
+    let flight = result.flight.as_ref().expect("tracing was on");
+    assert_eq!(trailer(&write_trace("format-pin", flight)), PARENT_FLIGHT);
+}
+
+/// A pending event that does not fit the run is refused when the snapshot is
+/// read, not when the event is dispatched: every index `FabricSim::dispatch`
+/// would take from it — node, port, trace position, fault-schedule position,
+/// a timer's flow — is checked against the topology, the trace and the
+/// schedule. The payload of a real snapshot is re-framed with its first
+/// pending event replaced, so the checksum is valid and only the check stands
+/// between the file and an out-of-bounds panic mid-run.
+#[test]
+fn a_pending_event_that_does_not_fit_the_run_is_refused() {
+    let topo = fat_tree(FatTreeParams::tiny());
+    let trace = synthetic_trace(&topo, 61);
+    let schedule = ScenarioSpec::single_link_down_up("tor0", "spine0", us(50), us(100))
+        .resolve(&topo)
+        .expect("tiny topology has tor0/spine0");
+    let faults = schedule.events().len();
+    let config = ExperimentConfig::new(Scheme::bfc(), WINDOW).with_dynamics(schedule);
+    let snap = snapshot_experiment(&topo, &trace, &config, SimTime::ZERO + us(60), 1);
+    let payload = snapshot::open(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &snap).expect("own snapshot");
+
+    // Fingerprint, cut, worker count, the worker's last instant, the queue's
+    // event count, the first key (time, rank, seq) — then the first event.
+    let start = 5 * 8 + (8 + 4 + 8);
+    let mut r = SnapReader::new(&payload[start..]);
+    let original = NetEvent::restore(&mut r).expect("a pending event");
+    let end = payload.len() - r.remaining();
+    let resume_with = |event: &NetEvent| {
+        let file = snapshot::finalize(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, |w| {
+            w.put_all(&payload[..start]);
+            event.save(w);
+            w.put_all(&payload[end..]);
+        });
+        resume_experiment(&topo, &trace, &config, &file).map(|_| ())
+    };
+    assert_eq!(
+        resume_with(&original),
+        Ok(()),
+        "the re-framing itself is sound"
+    );
+
+    let host = topo.hosts()[0];
+    let switch = topo.switches()[0];
+    let nowhere = NodeId(topo.num_nodes() as u32);
+    let beyond = FlowId(trace.len() as u32);
+    let packet = Packet::data(FlowId(0), host, host, 0, 1_000, 0, false);
+    let misfits = [
+        NetEvent::PacketArrive {
+            node: nowhere,
+            port: 0,
+            packet: packet.clone(),
+        },
+        NetEvent::PacketArrive {
+            node: host,
+            port: 1,
+            packet,
+        },
+        NetEvent::TxComplete {
+            node: nowhere,
+            port: 0,
+        },
+        NetEvent::TxComplete {
+            node: switch,
+            port: topo.ports(switch).len() as u32,
+        },
+        NetEvent::PauseFrameTimer {
+            node: host,
+            port: 0,
+        },
+        NetEvent::PauseFrameTimer {
+            node: switch,
+            port: u32::MAX,
+        },
+        NetEvent::HostTimer {
+            node: switch,
+            timer: TransportTimer::NicWakeup,
+        },
+        NetEvent::HostTimer {
+            node: nowhere,
+            timer: TransportTimer::NicWakeup,
+        },
+        NetEvent::HostTimer {
+            node: host,
+            timer: TransportTimer::Retransmit(beyond),
+        },
+        NetEvent::HostTimer {
+            node: host,
+            timer: TransportTimer::RateIncrease(beyond),
+        },
+        NetEvent::HostTimer {
+            node: host,
+            timer: TransportTimer::AlphaUpdate(beyond),
+        },
+        NetEvent::FlowArrival { index: trace.len() },
+        NetEvent::FlowCompleted { flow: beyond },
+        NetEvent::NetworkDynamics { index: faults },
+    ];
+    for event in &misfits {
+        assert!(
+            matches!(resume_with(event), Err(SnapError::Corrupt(_))),
+            "{event:?} accepted"
+        );
+    }
 }
