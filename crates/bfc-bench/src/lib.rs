@@ -22,6 +22,8 @@ use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use bfc_experiments::cli::json_str;
+
 /// Timing results of one benchmark.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
@@ -260,7 +262,7 @@ impl Harness {
         out.push_str("  \"benchmarks\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             out.push_str("    {\n");
-            let _ = writeln!(out, "      \"name\": \"{}\",", escape_json(&r.name));
+            let _ = writeln!(out, "      \"name\": {},", json_str(&r.name));
             let _ = writeln!(out, "      \"iters_per_sample\": {},", r.iters_per_sample);
             let _ = writeln!(out, "      \"iterations_total\": {},", r.iterations_total());
             let _ = writeln!(out, "      \"median_ns_per_iter\": {},", json_f64(r.median_ns()));
@@ -491,24 +493,6 @@ fn unescape_json(s: &str) -> String {
             }
         } else {
             out.push(c);
-        }
-    }
-    out
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
     out

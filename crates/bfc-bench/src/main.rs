@@ -14,11 +14,11 @@
 //!   --max-regress <pct>  regression tolerance for --compare (default 25)
 
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bfc_bench::{compare_against_baseline, comparison_report, parse_baseline, Harness};
 use bfc_core::{BfcConfig, BfcPolicy, CountingBloom, FlowKey, FlowTable};
+use bfc_experiments::cli::Args;
 use bfc_experiments::{
     run_experiment, run_experiment_sharded, ExperimentConfig, MetricsHub, ParallelRunner, Scheme,
 };
@@ -37,55 +37,27 @@ use bfc_workloads::{export_csv, import_csv, synthesize, TraceParams, Workload};
 const USAGE: &str = "usage: bfc-bench [--quick] [--out <path>] [--filter <substr>] \
 [--no-json] [--compare <baseline.json>] [--max-regress <pct>]";
 
-struct Args {
+struct Options {
     quick: bool,
-    out: Option<PathBuf>,
+    out: Option<String>,
     filter: Option<String>,
-    compare: Option<PathBuf>,
+    compare: Option<String>,
     max_regress_pct: f64,
 }
 
-enum Parsed {
-    Run(Args),
-    Help,
-}
-
-fn parse_args() -> Result<Parsed, String> {
-    let mut args = Args {
-        quick: false,
-        out: Some(PathBuf::from("BENCH.json")),
-        filter: None,
-        compare: None,
-        max_regress_pct: 25.0,
+fn parse_args(raw: &[String]) -> Result<Options, String> {
+    let mut args = Args::new("bfc-bench", raw);
+    let options = Options {
+        quick: args.switch("quick"),
+        out: match (args.switch("no-json"), args.text("out")?) {
+            (true, _) => None,
+            (false, path) => Some(path.unwrap_or_else(|| "BENCH.json".to_string())),
+        },
+        filter: args.text("filter")?,
+        compare: args.text("compare")?,
+        max_regress_pct: args.num("max-regress", 25.0)?,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--no-json" => args.out = None,
-            "--out" => {
-                let path = it.next().ok_or("--out requires a path")?;
-                args.out = Some(PathBuf::from(path));
-            }
-            "--filter" => {
-                let f = it.next().ok_or("--filter requires a substring")?;
-                args.filter = Some(f);
-            }
-            "--compare" => {
-                let path = it.next().ok_or("--compare requires a path")?;
-                args.compare = Some(PathBuf::from(path));
-            }
-            "--max-regress" => {
-                let pct = it.next().ok_or("--max-regress requires a percentage")?;
-                args.max_regress_pct = pct
-                    .parse()
-                    .map_err(|_| format!("--max-regress: not a number: {pct}"))?;
-            }
-            "--help" | "-h" => return Ok(Parsed::Help),
-            other => return Err(format!("unknown argument: {other}\n{USAGE}")),
-        }
-    }
-    Ok(Parsed::Run(args))
+    args.positional::<0>("").map(|[]| options)
 }
 
 fn bench_event_queue(h: &mut Harness) {
@@ -669,14 +641,15 @@ fn bench_end_to_end(h: &mut Harness) {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(Parsed::Run(args)) => args,
-        Ok(Parsed::Help) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    if raw.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let args = match parse_args(&raw) {
+        Ok(args) => args,
         Err(msg) => {
-            eprintln!("{msg}");
+            eprintln!("{msg}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
@@ -719,32 +692,29 @@ fn main() -> ExitCode {
         Some(baseline_path) => match std::fs::read_to_string(baseline_path) {
             Ok(json) => Some(json),
             Err(e) => {
-                eprintln!("failed to read baseline {}: {e}", baseline_path.display());
+                eprintln!("failed to read baseline {baseline_path}: {e}");
                 return ExitCode::FAILURE;
             }
         },
         None => None,
     };
     if let Some(path) = args.out {
-        if let Err(e) = h.write_json(&path) {
-            eprintln!("failed to write {}: {e}", path.display());
+        if let Err(e) = h.write_json(path.as_ref()) {
+            eprintln!("failed to write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("wrote {}", path.display());
+        eprintln!("wrote {path}");
     }
     if let (Some(baseline_path), Some(json)) = (args.compare, baseline_json) {
         let baseline = match parse_baseline(&json) {
             Ok(baseline) => baseline,
             Err(e) => {
-                eprintln!("malformed baseline {}: {e}", baseline_path.display());
+                eprintln!("malformed baseline {baseline_path}: {e}");
                 return ExitCode::FAILURE;
             }
         };
         if baseline.is_empty() {
-            eprintln!(
-                "baseline {} contains no benchmarks",
-                baseline_path.display()
-            );
+            eprintln!("baseline {baseline_path} contains no benchmarks");
             return ExitCode::FAILURE;
         }
         let tolerance = args.max_regress_pct / 100.0;
@@ -753,25 +723,22 @@ fn main() -> ExitCode {
         println!("{}", comparison_report(&matched, tolerance));
         if !missing.is_empty() {
             eprintln!(
-                "{} benchmark(s) not in baseline {} (refresh it to track them): {}",
+                "{} benchmark(s) not in baseline {baseline_path} (refresh it to track them): {}",
                 missing.len(),
-                baseline_path.display(),
                 missing.join(", ")
             );
         }
         if !regressions.is_empty() {
             eprintln!(
-                "{} benchmark(s) regressed more than {:.0}% vs {}",
+                "{} benchmark(s) regressed more than {:.0}% vs {baseline_path}",
                 regressions.len(),
                 args.max_regress_pct,
-                baseline_path.display()
             );
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "no benchmark regressed more than {:.0}% vs {}",
+            "no benchmark regressed more than {:.0}% vs {baseline_path}",
             args.max_regress_pct,
-            baseline_path.display()
         );
     }
     ExitCode::SUCCESS

@@ -1,0 +1,658 @@
+//! The command-line shell, as a library: the only place a command line is
+//! read. [`trace_tool`] and [`fig`] take the arguments and an [`Io`] and
+//! return the exit code, so the binaries are a few lines each and every
+//! command — its flags, errors, files and output — runs in-process under
+//! `cargo test` (`tests/cli.rs`). `bfc-bench` parses with the same [`Args`].
+//!
+//! `trace-tool` works on workload traces in the CSV format of
+//! `bfc_workloads::io`:
+//!
+//! ```sh
+//! cargo run --release -p bfc-experiments --bin trace-tool -- synth --out trace.csv
+//! cargo run --release -p bfc-experiments --bin trace-tool -- stats trace.csv
+//! cargo run --release -p bfc-experiments --bin trace-tool -- replay trace.csv --scheme lineup
+//! ```
+//!
+//! `synth` generates a trace over the hosts of a built-in fat-tree topology
+//! and writes it as CSV; `stats` prints a summary (flow count, offered load,
+//! size percentiles); `replay` validates the trace against the same topology
+//! and runs it through the experiment driver (all schemes fan out across the
+//! `ParallelRunner`; results are bit-identical at any `BFC_THREADS`).
+//!
+//! Service mode: `snapshot` checkpoints a run's complete simulation state at
+//! a chosen instant, `resume` continues it to completion (bit-identical to
+//! the uninterrupted replay), and `serve` feeds a live simulation from a
+//! tailed CSV file or a TCP socket under an inflight cap.
+//!
+//! Adversarial mode: `scenario` runs a fault-injection file and reports
+//! recovery and safety metrics; `fuzz` searches for the (workload, fault
+//! schedule) a scheme handles worst and shrinks it to a minimal reproducer
+//! (see [`crate::fuzz`]). `trace` records and reads flight-recorder traces.
+//!
+//! `fig <NN|all>` prints the paper figures of [`crate::figures::FIGURES`].
+
+mod adversarial;
+mod args;
+mod flight;
+
+use std::process::ExitCode;
+
+use bfc_net::topology::Topology;
+use bfc_sim::{SimDuration, SimTime};
+use bfc_workloads::ingest::{CsvTail, IngestSource, SocketIngest};
+use bfc_workloads::io::{read_csv_file, write_csv_file, TraceStats};
+use bfc_workloads::{synthesize, ArrivalShape, IncastSchedule, TraceParams};
+
+use self::args::{errln, outln};
+pub use self::args::{json_str, Args, Io};
+use crate::figures::{Scale, FIGURES};
+use crate::fuzz::{topology_by_name, workload_from_cli_key};
+use crate::parallel::{parse_count, ParallelRunner};
+use crate::runner::{horizon_from_micros, ExperimentConfig, ExperimentResult};
+use crate::service::{self, MetricsHub};
+use crate::sharded::ShardPlan;
+use crate::{ReplayTrace, Scheme};
+
+const USAGE: &str = "\
+usage: trace-tool <command> [options]
+
+commands:
+  synth --out <path>      synthesize a trace and write it as CSV
+    --topo tiny|t1|t2       topology whose hosts the trace runs over [tiny]
+    --workload google|fb-hadoop|websearch   flow-size CDF [google]
+    --load <frac>           background offered load [0.6]
+    --incast-load <frac>    extra incast load, 0 disables [0.05]
+    --fan-in <n>            senders per incast event [6]
+    --incast-bytes <n>      aggregate bytes per incast event [500000]
+    --duration-us <n>       trace duration in microseconds [300]
+    --seed <n>              RNG seed [1]
+    --arrivals lognormal|poisson|bursty     background gap shape [lognormal]
+    --incast-schedule periodic|lognormal    incast event spacing [periodic]
+
+  stats <path>            print a summary of a trace CSV
+    --gbps <rate>           host link rate for the load arithmetic [100]
+
+  replay <path>           replay a trace CSV through the experiment driver
+    --topo tiny|t1|t2       topology to replay over (must cover the trace's
+                            host ids) [tiny]
+    --scheme bfc|bfc-vfid|ideal-fq|dcqcn|dcqcn-win|dcqcn-win-sfq|hpcc|lineup
+                            scheme(s) to run [bfc]
+    --seed <n>              experiment seed [1]
+    --drain-x <n>           drain window as a multiple of the horizon [4]
+    --shards <n>            split each run across n engine shards
+                            (bit-identical results; same as BFC_SHARDS=n)
+
+  snapshot <path>         run a trace partway and write a checkpoint of the
+                          complete simulation state (versioned, checksummed;
+                          resuming is bit-identical to the uninterrupted run)
+    --at-us <n>             simulated instant to snapshot at, in µs; any
+                            instant is a valid cut, fractions included
+                            (required)
+    --out <snap>            snapshot file to write (required)
+    --topo tiny|t1|t2       topology to replay over [tiny]
+    --scheme ...            a single scheme (as replay, but not lineup) [bfc]
+    --seed <n>              experiment seed [1]
+    --drain-x <n>           drain window as a multiple of the horizon [4]
+    --shards <n>            run (and snapshot) on n engine shards [1]
+
+  resume <path>           resume a snapshot against the same trace/options
+                          and run to completion
+    --snapshot <snap>       snapshot file to resume from (required)
+    --topo / --scheme / --seed / --drain-x   must match the snapshot run
+
+  serve                   run a live simulation fed by a streaming source,
+                          admitting flows under an inflight cap (the cap is
+                          the backpressure signal to the feeder)
+    --tail <csv>            stream flows from this file; with --follow, keep
+                            polling at EOF until a line reading `#end`
+    --listen <addr>         accept one TCP feeder (e.g. 127.0.0.1:9000;
+                            port 0 picks a free port) speaking the CSV format
+    --cap <n>               max flows admitted but not yet completed [64]
+    --topo tiny|t1|t2       topology to serve over [tiny]
+    --scheme ...            a single scheme (as replay, but not lineup) [bfc]
+    --seed <n>              experiment seed [1]
+    --horizon-us <n>        measurement horizon in microseconds [300]
+    --drain-x <n>           drain window as a multiple of the horizon [4]
+    --metrics <addr>        also serve a Prometheus-style text exposition of
+                            the live metrics registry on this TCP address
+                            (port 0 picks a free port; the bound address
+                            prints to stderr). Connections are persistent:
+                            each scrape ends with a `# EOF` line, and sending
+                            a newline on the same connection requests a fresh
+                            scrape
+
+  scenario <path>         run a link-dynamics scenario (fault-injection)
+                          file through the experiment driver and report the
+                          recovery metrics. The scenario format is one
+                          directive per line:
+                            at <time> down|up <a> <b>
+                            at <time> rate <a> <b> <gbps>
+                            flap <a> <b> from <t> every <period> until <t>
+                          with times like 100us/2ms and endpoints named by
+                          topology label (tor0, spine1, host3) or node id.
+                          A fuzz reproducer (`objective ...` header, as
+                          written by `fuzz --out` and committed under
+                          tests/scenarios/) also works: it pins its own
+                          topology, scheme and workload, so the
+                          scenario-building flags below don't apply.
+    --topo tiny|t1|t2       topology the scenario runs over [tiny]
+    --trace <csv>           replay this trace instead of synthesizing one
+    --scheme ... (as replay) scheme(s) to run [lineup]
+    --load <frac>           background load of the synthetic trace [0.6]
+    --duration-us <n>       synthetic trace duration in microseconds [300]
+    --seed <n>              experiment seed [1]
+    --drain-x <n>           drain window as a multiple of the horizon [4]
+    --shards <n>            split each run across n engine shards
+                            (bit-identical results; same as BFC_SHARDS=n)
+    --json                  report safety/recovery per scheme as JSON on
+                            stdout instead of the tables
+    --trace-cap <n>         flight-recorder ring capacity for this run
+                            [65536]
+    --flight <path>         write the (single) scheme's flight trace here
+                            unconditionally; without this flag, any run whose
+                            safety report is a VIOLATION auto-dumps its last
+                            trace events to <scenario-stem>-<scheme>.flight
+    --diff-schemes <a,b>    run the scenario under both schemes, diff the two
+                            flight traces in memory (see `trace diff`) and
+                            exit nonzero if they diverge
+
+  trace <sub>             flight-recorder traces (binary .flight containers)
+    record <trace.csv> --out <flight>   replay with the recorder on and write
+                                        the canonical trace
+      --last <n>            ring capacity: keep the last n events [65536]
+      --kind <a,b>          record only these event kinds (record-time
+                            filter; filtered events never enter the ring)
+      --node <a,b>          record only events at these node ids
+      --topo / --scheme / --seed / --drain-x   as replay (single scheme)
+      --shards <n>          record under the sharded engine (the merged
+                            trace is identical to a serial recording)
+    inspect <flight>        print the label, per-kind counts and records
+      --limit <n>           print at most the last n records [40]
+      --stats               print only the per-kind counts and the ring-drop
+                            count, no record listing
+    filter <flight>         print records matching every given predicate
+      --kind <k>            event kind (enqueue, dequeue, drop, pfc-sent,
+                            pfc-delivered, flow-pause, queue-active, ...)
+      --node <id>           only events at this switch/host id
+      --limit <n>           print at most the last n matches [1000]
+    top <flight>            top queues by PFC pause-time
+      --n <count>           rows to print [10]
+      --tree                print the pause-propagation tree instead
+    diff <a> <b>            compare two canonical traces record by record:
+                            prints nothing and exits 0 when identical;
+                            otherwise prints the first diverging record with
+                            context plus per-kind and per-(switch, port)
+                            summaries of the divergent tails, and exits 1
+      --context <n>         common-prefix records printed before the first
+                            divergence [5]
+
+  fuzz --out <path>       search for the (workload, fault schedule) a scheme
+                          handles worst, shrink the offender to a minimal
+                          reproducer and write it as a scenario-style text
+                          file that `fuzz --replay` (or the committed
+                          regression tests) re-runs bit-identically.
+                          Deterministic: same options, same bytes out.
+    --seed <n>              search seed [1]
+    --budget <n>            random cases to evaluate [24]
+    --shrink-evals <n>      extra evaluations the shrinker may spend [24]
+    --objective p99|p999|dip|recovery|safety   what to maximize [p99]
+    --scheme ...            a single scheme (as replay, but not lineup) [bfc]
+    --topo tiny|t1|t2       restrict the search to one topology, or a
+                            comma list like tiny,t1 (smallest first) [tiny]
+    --shards <n>            evaluate on n engine shards (same results)
+    --replay                after writing, re-read the file and replay it";
+
+/// Runs `trace-tool` on `args` (the process arguments after the program
+/// name), writing to `io`, and returns its exit code. A command can exit
+/// nonzero without a usage error (a divergence found by `trace diff` /
+/// `--diff-schemes` is a result, not a misuse), so each returns the code.
+pub fn trace_tool(args: &[String], io: &mut Io<'_>) -> ExitCode {
+    let result = match args.split_first() {
+        None => Err("missing command".to_string()),
+        Some((command, rest)) => match command.as_str() {
+            "synth" => cmd_synth(rest, io),
+            "stats" => cmd_stats(rest, io),
+            "replay" => cmd_replay(rest, io),
+            "snapshot" => cmd_snapshot(rest, io),
+            "resume" => cmd_resume(rest, io),
+            "serve" => cmd_serve(rest, io),
+            "scenario" => adversarial::cmd_scenario(rest, io),
+            "trace" => flight::cmd_trace(rest, io),
+            "fuzz" => adversarial::cmd_fuzz(rest, io),
+            "--help" | "-h" | "help" => {
+                outln!(io, "{USAGE}");
+                Ok(ExitCode::SUCCESS)
+            }
+            other => Err(format!("unknown command `{other}`")),
+        },
+    };
+    result.unwrap_or_else(|msg| {
+        errln!(io, "trace-tool: {msg}\n\n{USAGE}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Runs `fig <NN|all> [--full] [--bursty] [--lognormal-incast] [--shards n]`:
+/// prints the chosen rows of [`FIGURES`] at the [`Scale`] the options ask
+/// for. Anything it does not understand is one `error:` line on `io.err`,
+/// nothing on `io.out` and a failure exit code.
+pub fn fig(args: &[String], io: &mut Io<'_>) -> ExitCode {
+    let which = args.first().map(String::as_str);
+    let chosen: Vec<_> = FIGURES
+        .iter()
+        .filter(|(nn, ..)| which == Some("all") || which == Some(nn))
+        .collect();
+    let mut args = Args::new("fig", args.get(1..).unwrap_or_default());
+    let scale = if chosen.is_empty() {
+        let list: String = FIGURES
+            .iter()
+            .map(|(nn, title, _)| format!("\n  {nn}  {title}"))
+            .collect();
+        let found = which.map_or("no figure given".to_string(), |w| {
+            format!("no figure `{w}`")
+        });
+        Err(format!("fig: {found}; pick one by number, or `all`:{list}"))
+    } else {
+        Scale::from_args(&mut args).and_then(|scale| args.positional::<0>("").map(|[]| scale))
+    };
+    match scale {
+        Ok(scale) => {
+            for (_, _, run) in chosen {
+                outln!(io, "{}", run(&scale));
+            }
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            errln!(io, "error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// `n thing` / `n things`.
+fn count(n: usize, thing: &str) -> String {
+    format!("{n} {thing}{}", if n == 1 { "" } else { "s" })
+}
+
+/// A scheme key, or `lineup` / `all` for the paper's six.
+fn parse_schemes(name: &str) -> Option<Vec<Scheme>> {
+    match name {
+        "lineup" | "all" => Some(Scheme::paper_lineup()),
+        key => Scheme::from_cli_key(key).map(|s| vec![s]),
+    }
+}
+
+/// `--topo`: the topology to run over and its name [tiny].
+fn topo_arg(args: &mut Args) -> Result<(Topology, String), String> {
+    let parse = |name: &str| Some((topology_by_name(name)?, name.to_string()));
+    args.keyed("topo", "topology", parse, "tiny")
+}
+
+/// The scheme, if `schemes` is exactly one.
+fn single(schemes: Vec<Scheme>) -> Option<Scheme> {
+    <[Scheme; 1]>::try_from(schemes).ok().map(|[scheme]| scheme)
+}
+
+/// `--scheme` for a command that runs exactly one [bfc].
+fn scheme_arg(args: &mut Args) -> Result<Scheme, String> {
+    let schemes = args.keyed("scheme", "scheme", parse_schemes, "bfc")?;
+    let lineup = || {
+        format!(
+            "{}: --scheme requires a single scheme, not a lineup",
+            args.cmd()
+        )
+    };
+    single(schemes).ok_or_else(lineup)
+}
+
+/// `--shards`, if given: a positive count.
+fn shards_arg(args: &mut Args) -> Result<Option<usize>, String> {
+    args.text("shards")?
+        .map(|value| parse_count("--shards", &value))
+        .transpose()
+}
+
+/// The runner a command dispatches its runs on: `BFC_THREADS` workers, each
+/// run split across `--shards` engine shards (default `BFC_SHARDS`).
+/// Results are bit-identical at any shard count; only wall-clock changes.
+pub(crate) fn runner_arg(args: &mut Args) -> Result<ParallelRunner, String> {
+    let runner = ParallelRunner::from_env();
+    Ok(shards_arg(args)?.map_or(runner, |shards| runner.with_shards(shards)))
+}
+
+/// A `--duration-us` / `--horizon-us` value as a duration: positive, and no
+/// longer than [`crate::MAX_HORIZON`] — a run allocates in proportion to its
+/// horizon. `what` names the option as the command's messages do.
+fn horizon_us(what: &str, us: u64) -> Result<SimDuration, String> {
+    if us == 0 {
+        return Err(format!("{what} must be positive"));
+    }
+    horizon_from_micros(us).map_err(|e| format!("{what}: {e}"))
+}
+
+fn check_load(cmd: &str, load: f64) -> Result<(), String> {
+    if load > 0.0 && load <= 1.5 {
+        Ok(())
+    } else {
+        Err(format!("{cmd}: --load must be in (0, 1.5], got {load}"))
+    }
+}
+
+/// The paper-default configuration of one run under the shared options.
+fn run_config(scheme: Scheme, horizon: SimDuration, seed: u64, drain_x: u64) -> ExperimentConfig {
+    let mut config = ExperimentConfig::new(scheme, horizon).with_seed(seed);
+    config.drain = horizon * drain_x;
+    config
+}
+
+fn write_file(path: &str, bytes: &[u8]) -> Result<(), String> {
+    std::fs::write(path, bytes).map_err(|e| format!("writing {path}: {e}"))
+}
+
+fn cmd_synth(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+    let mut args = Args::new("synth", args);
+    let out: String = args.required("out", "path")?;
+    let (topo, topo_name) = topo_arg(&mut args)?;
+    let workload = args.keyed("workload", "workload", workload_from_cli_key, "google")?;
+    let load = args.num("load", 0.6f64)?;
+    let incast_load = args.num("incast-load", 0.05f64)?;
+    let fan_in = args.num("fan-in", 6usize)?;
+    let incast_bytes = args.num("incast-bytes", 500_000u64)?;
+    let duration_us = args.num("duration-us", 300u64)?;
+    let seed = args.num("seed", 1u64)?;
+    let shape = |name: &str| match name {
+        "lognormal" => Some(ArrivalShape::paper_default()),
+        "poisson" => Some(ArrivalShape::Poisson),
+        "bursty" => Some(ArrivalShape::bursty_default()),
+        _ => None,
+    };
+    let arrivals = args.keyed("arrivals", "shape", shape, "lognormal")?;
+    let schedule = |name: &str| match name {
+        "periodic" => Some(IncastSchedule::Periodic),
+        "lognormal" => Some(IncastSchedule::LogNormalGaps { sigma: 1.0 }),
+        _ => None,
+    };
+    let incast_schedule = args.keyed("incast-schedule", "schedule", schedule, "periodic")?;
+    let [] = args.positional::<0>("")?;
+    // Keep the load arithmetic (and the incast event period) in sane,
+    // non-panicking ranges before handing the parameters to `synthesize`.
+    check_load("synth", load)?;
+    if !(0.0..=1.5).contains(&incast_load) {
+        return Err(format!(
+            "synth: --incast-load must be in [0, 1.5], got {incast_load}"
+        ));
+    }
+    if incast_load > 0.0 && incast_bytes < 1_000 {
+        return Err(format!(
+            "synth: --incast-bytes must be at least 1000 when incast is enabled, got {incast_bytes}"
+        ));
+    }
+    let duration = horizon_us("synth: --duration-us", duration_us)?;
+
+    let hosts = topo.hosts();
+    let params = TraceParams {
+        workload,
+        load,
+        incast_load,
+        incast_fan_in: fan_in,
+        incast_total_bytes: incast_bytes,
+        duration,
+        host_gbps: topo.host_uplink(hosts[0]).link.rate_gbps,
+        seed,
+        arrivals,
+        incast_schedule,
+    };
+    let flows = synthesize(&hosts, &params);
+    write_csv_file(&out, &flows).map_err(|e| format!("writing {out}: {e}"))?;
+    outln!(
+        io,
+        "wrote {} flows over {duration} ({} hosts of `{topo_name}`) to {out}",
+        flows.len(),
+        hosts.len(),
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_stats(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+    let mut args = Args::new("stats", args);
+    let gbps = args.num("gbps", 100.0f64)?;
+    let [path] = args.positional::<1>("one trace path is")?;
+    let flows = read_csv_file(&path).map_err(|e| format!("{path}: {e}"))?;
+    match TraceStats::from_flows(&flows, gbps) {
+        Some(stats) => outln!(io, "{stats}"),
+        None => outln!(io, "{path}: empty trace"),
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_replay(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+    let mut args = Args::new("replay", args);
+    let runner = runner_arg(&mut args)?;
+    let (topo, topo_name) = topo_arg(&mut args)?;
+    let schemes = args.keyed("scheme", "scheme", parse_schemes, "bfc")?;
+    let seed = args.num("seed", 1u64)?;
+    let drain_x = args.num("drain-x", 4u64)?;
+    let [path] = args.positional::<1>("one trace path is")?;
+
+    let replay = ReplayTrace::from_csv_path(&path).map_err(|e| format!("{path}: {e}"))?;
+    let horizon = replay.horizon();
+    let configs: Vec<ExperimentConfig> = schemes
+        .into_iter()
+        .map(|scheme| run_config(scheme, horizon, seed, drain_x))
+        .collect();
+    let results = replay
+        .run_all(&topo, &configs, &runner)
+        .map_err(|e| format!("{path}: {e}"))?;
+    outln!(
+        io,
+        "replayed {} flows (horizon {horizon}) over `{topo_name}` with {}\n",
+        replay.flows().len(),
+        count(runner.threads(), "worker thread"),
+    );
+    print_results_table(io, &results);
+    print_engine_counters(io, &results);
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Per-run engine-internal counters, read uniformly from the unified
+/// registry — a one-shard run prints the same line with its one batch of
+/// one window. Written to stderr so stdout stays byte-identical across
+/// shard counts (tests diff it).
+fn print_engine_counters(io: &mut Io<'_>, results: &[ExperimentResult]) {
+    for r in results {
+        let c = |key: &str| r.registry.counter(key).unwrap_or(0);
+        errln!(
+            io,
+            "engine[{}]: queue-overflow {} epoch-batches {} windows {} barriers {} widened {} \
+             cross-shard msgs {}",
+            r.scheme,
+            c("bfc_engine_queue_overflow_pushes"),
+            c("bfc_engine_epoch_batches"),
+            c("bfc_engine_epoch_windows"),
+            c("bfc_engine_epoch_barriers"),
+            c("bfc_engine_epoch_widened"),
+            c("bfc_engine_epoch_boundary_events"),
+        );
+    }
+}
+
+/// The replay results table, shared by `replay`, `resume`, `serve` and
+/// `fuzz --replay` so a resumed run's table is byte-identical to the
+/// uninterrupted replay's.
+fn print_results_table(io: &mut Io<'_>, results: &[ExperimentResult]) {
+    outln!(
+        io,
+        "{:<16} {:>11} {:>9} {:>9} {:>8} {:>7}",
+        "scheme",
+        "completed",
+        "p50",
+        "p99",
+        "util %",
+        "drops"
+    );
+    for r in results {
+        let (p50, p99) = r
+            .fct
+            .overall
+            .as_ref()
+            .map_or((f64::NAN, f64::NAN), |o| (o.p50, o.p99));
+        outln!(
+            io,
+            "{:<16} {:>5}/{:<5} {:>9.2} {:>9.2} {:>8.1} {:>7}",
+            r.scheme,
+            r.completed_flows,
+            r.total_flows,
+            p50,
+            p99,
+            r.utilization * 100.0,
+            r.drops
+        );
+    }
+    outln!(io, "\n(FCT slowdown percentiles over non-incast flows)");
+}
+
+/// The options `snapshot`, `resume`, `serve` and `trace record` share: one
+/// topology, one scheme, one seed, one drain multiple.
+struct RunOptions {
+    topo: Topology,
+    topo_name: String,
+    scheme: Scheme,
+    seed: u64,
+    drain_x: u64,
+}
+
+impl RunOptions {
+    fn from_args(args: &mut Args) -> Result<RunOptions, String> {
+        let (topo, topo_name) = topo_arg(args)?;
+        Ok(RunOptions {
+            topo,
+            topo_name,
+            scheme: scheme_arg(args)?,
+            seed: args.num("seed", 1)?,
+            drain_x: args.num("drain-x", 4)?,
+        })
+    }
+
+    fn config(&self, horizon: SimDuration) -> ExperimentConfig {
+        run_config(self.scheme.clone(), horizon, self.seed, self.drain_x)
+    }
+
+    /// Loads the trace `cmd` runs over and validates it against the
+    /// topology, exactly like `replay` does.
+    fn load_trace(&self, cmd: &str, path: &str) -> Result<ReplayTrace, String> {
+        let replay = ReplayTrace::from_csv_path(path).map_err(|e| format!("{path}: {e}"))?;
+        replay
+            .validate(&self.topo)
+            .map_err(|e| format!("{cmd}: {path}: {e}"))?;
+        Ok(replay)
+    }
+}
+
+fn cmd_snapshot(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+    let mut args = Args::new("snapshot", args);
+    let opts = RunOptions::from_args(&mut args)?;
+    let at_us: f64 = args.required("at-us", "n")?;
+    let out: String = args.required("out", "snap")?;
+    let shards = shards_arg(&mut args)?.unwrap_or(1);
+    let [path] = args.positional::<1>("one trace path is")?;
+    if !(at_us >= 0.0 && at_us.is_finite()) {
+        return Err(format!(
+            "snapshot: --at-us must be a non-negative time, got {at_us}"
+        ));
+    }
+
+    let replay = opts.load_trace("snapshot", &path)?;
+    let config = opts.config(replay.horizon());
+    // Any instant is a valid cut, at any shard count — fractions of a
+    // microsecond included.
+    let at = SimTime::from_picos((at_us * 1e6).round() as u64);
+    let blob = service::snapshot_experiment(&opts.topo, replay.flows(), &config, at, shards);
+    // The plan clamps the request to the number of switches.
+    let shards = ShardPlan::partition(&opts.topo, shards)
+        .expect("snapshot_experiment partitioned the same topology")
+        .num_shards();
+    write_file(&out, &blob)?;
+    outln!(
+        io,
+        "snapshotted `{path}` ({} flows, scheme {}) at {at} into {out} ({} bytes, {})",
+        replay.flows().len(),
+        config.scheme.name(),
+        blob.len(),
+        count(shards, "shard"),
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_resume(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+    let mut args = Args::new("resume", args);
+    let opts = RunOptions::from_args(&mut args)?;
+    let snap_path: String = args.required("snapshot", "snap")?;
+    let [path] = args.positional::<1>("one trace path is")?;
+
+    let replay = opts.load_trace("resume", &path)?;
+    let horizon = replay.horizon();
+    let blob = std::fs::read(&snap_path).map_err(|e| format!("reading {snap_path}: {e}"))?;
+    let result =
+        service::resume_experiment(&opts.topo, replay.flows(), &opts.config(horizon), &blob)
+            .map_err(|e| format!("{snap_path}: {e}"))?;
+    outln!(
+        io,
+        "resumed {} flows (horizon {horizon}) over `{}` from `{snap_path}`\n",
+        replay.flows().len(),
+        opts.topo_name,
+    );
+    print_results_table(io, std::slice::from_ref(&result));
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_serve(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+    let mut args = Args::new("serve", args);
+    let follow = args.switch("follow");
+    let opts = RunOptions::from_args(&mut args)?;
+    let tail_path = args.text("tail")?;
+    let listen_addr = args.text("listen")?;
+    let metrics_addr = args.text("metrics")?;
+    let cap = args.positive("cap", 64)?;
+    let horizon = horizon_us("--horizon-us", args.num("horizon-us", 300)?)?;
+    let [] = args.positional::<0>("")?;
+    let config = opts.config(horizon);
+
+    // Live metrics exposition; observation never feeds back into the run.
+    let hub = MetricsHub::new();
+    if let Some(addr) = &metrics_addr {
+        let local = service::spawn_scrape_server(addr, &hub)
+            .map_err(|e| format!("binding metrics address {addr}: {e}"))?;
+        errln!(io, "metrics listening on {local}");
+    }
+    let metrics = metrics_addr.is_some().then_some(&hub);
+
+    let mut source: Box<dyn IngestSource> = match (&tail_path, &listen_addr) {
+        (Some(path), None) => {
+            Box::new(CsvTail::open(path, follow).map_err(|e| format!("opening {path}: {e}"))?)
+        }
+        (None, Some(addr)) => {
+            let (source, local) =
+                SocketIngest::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
+            outln!(io, "listening on {local} (feed trace CSV, close to finish)");
+            Box::new(source)
+        }
+        _ => {
+            return Err("serve: exactly one of --tail <csv> or --listen <addr> is required".into())
+        }
+    };
+    if follow && tail_path.is_none() {
+        return Err("serve: --follow only applies to --tail".into());
+    }
+
+    let report = service::serve_experiment_with(&opts.topo, &config, source.as_mut(), cap, metrics)
+        .map_err(|e| format!("serve: {e}"))?;
+    outln!(
+        io,
+        "served {} flows (horizon {}) over `{}` under inflight cap {cap}\n",
+        report.admitted,
+        config.horizon,
+        opts.topo_name,
+    );
+    print_results_table(io, std::slice::from_ref(&report.result));
+    Ok(ExitCode::SUCCESS)
+}

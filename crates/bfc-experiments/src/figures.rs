@@ -1,10 +1,11 @@
 //! One module per paper table/figure.
 //!
 //! Every figure exposes a `run(&Scale) -> String` function that regenerates
-//! the figure's rows/series and returns them as a formatted text table. The
-//! `src/bin/figNN_*` binaries print the result; the Criterion benches in
-//! `bfc-bench` call the same functions at [`Scale::quick`] so the whole
-//! evaluation can be exercised in minutes.
+//! the figure's rows/series and returns them as a formatted text table.
+//! [`FIGURES`] lists them; the `fig` binary (`fig <NN|all>`) prints the rows
+//! it is asked for, and the smoke tests and `bfc-bench` call the same
+//! functions at [`Scale::quick`] so the whole evaluation can be exercised in
+//! minutes.
 //!
 //! `Scale::quick()` shrinks the topology and trace so each experiment takes
 //! well under a second; `Scale::full()` uses the paper's topologies (T1/T2,
@@ -21,9 +22,8 @@ use bfc_workloads::{
     ArrivalShape, IncastSchedule, TraceFlow, TraceParams, Workload,
 };
 
-use std::process::ExitCode;
-
-use crate::parallel::{parse_count, ParallelRunner};
+use crate::cli::{runner_arg, Args};
+use crate::parallel::ParallelRunner;
 use crate::runner::{ExperimentConfig, ExperimentResult};
 use crate::scheme::Scheme;
 
@@ -68,46 +68,25 @@ impl Scale {
         }
     }
 
-    /// Parses process arguments: `--full` switches to full scale, `--bursty`
-    /// to on/off background arrivals, `--lognormal-incast` to log-normal
-    /// incast inter-event gaps, and `--shards N` splits every run across N
-    /// engine shards (equivalent to setting `BFC_SHARDS=N`; results are
-    /// bit-identical at any shard count). A missing or malformed `--shards`
-    /// value is the only error.
-    pub fn from_args() -> Result<Self, String> {
-        let args: Vec<String> = std::env::args().collect();
-        let mut scale = if args.iter().any(|a| a == "--full") {
-            Scale::full()
-        } else {
-            Scale::quick()
+    /// Pulls the scale options off a command line: `--full` switches to full
+    /// scale, `--bursty` to on/off background arrivals, `--lognormal-incast`
+    /// to log-normal incast inter-event gaps, and `--shards N` splits every
+    /// run across N engine shards (equivalent to setting `BFC_SHARDS=N`;
+    /// results are bit-identical at any shard count). A missing or malformed
+    /// `--shards` value is the only error.
+    pub fn from_args(args: &mut Args) -> Result<Self, String> {
+        let mut scale = Scale {
+            full: args.switch("full"),
+            ..Scale::quick()
         };
-        if args.iter().any(|a| a == "--bursty") {
+        if args.switch("bursty") {
             scale.arrivals = ArrivalShape::bursty_default();
         }
-        if args.iter().any(|a| a == "--lognormal-incast") {
+        if args.switch("lognormal-incast") {
             scale.incast_schedule = IncastSchedule::LogNormalGaps { sigma: 1.0 };
         }
-        if let Some(i) = args.iter().position(|a| a == "--shards") {
-            let value = args.get(i + 1).ok_or("--shards requires a value")?;
-            scale.runner = scale.runner.with_shards(parse_count("--shards", value)?);
-        }
+        scale.runner = runner_arg(args)?;
         Ok(scale)
-    }
-
-    /// `main` for a figure binary: parses the process arguments, prints the
-    /// figure `run` renders and exits 0 — or prints the argument error on
-    /// stderr, nothing on stdout, and exits 1.
-    pub fn figure_main(run: impl FnOnce(&Scale) -> String) -> ExitCode {
-        match Scale::from_args() {
-            Ok(scale) => {
-                println!("{}", run(&scale));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        }
     }
 
     /// The T1-like topology used by the headline figures.
@@ -156,6 +135,26 @@ impl Scale {
         }
     }
 }
+
+/// Every figure the `fig` binary prints: its number, what it shows and the
+/// function that renders it.
+pub const FIGURES: [(&str, &str, fn(&Scale) -> String); 15] = [
+    ("01", "hardware trends: switch capacity vs buffer", |_| fig01::run()),
+    ("02", "buffer occupancy vs link speed (DCQCN)", fig02::run),
+    ("03", "tail FCT as the buffer/capacity ratio shrinks (DCQCN)", fig03::run),
+    ("04", "byte-weighted flow-size CDFs of the three workloads", |_| fig04::run()),
+    ("05", "the headline tail-latency comparison, panels a/b/c", fig05::run),
+    ("06", "buffer occupancy and PFC pause time for Fig. 5a", fig06::run),
+    ("07", "dynamic vs static queue assignment", fig07::run),
+    ("08", "incast fan-in sweep", fig08::run),
+    ("09", "cross-data-center traffic", fig09::run),
+    ("10", "queue size vs concurrent flows (resume limiting)", fig10::run),
+    ("11", "the high-priority-queue ablation", fig11::run),
+    ("12", "sensitivity to physical queues per port", fig12::run),
+    ("13", "sensitivity to the VFID space / flow table size", fig13::run),
+    ("14", "sensitivity to the bloom-filter (pause frame) size", fig14::run),
+    ("15", "failure sweep: link failures, degradation, flapping", failure_sweep::run),
+];
 
 /// The standard background + incast trace of Figs. 5a/6/7/12/13/14.
 fn standard_trace(scale: &Scale, topo: &Topology, workload: Workload, load: f64, incast: f64) -> Vec<TraceFlow> {

@@ -31,7 +31,7 @@ use bfc_sim::{SimDuration, SimRng};
 use bfc_testkit::{case_seed, Gen};
 use bfc_workloads::{synthesize, ArrivalShape, IncastSchedule, TraceParams, Workload};
 
-use crate::runner::{ExperimentConfig, ExperimentResult};
+use crate::runner::{horizon_from_micros, ExperimentConfig, ExperimentResult};
 use crate::scenario::ScenarioSpec;
 use crate::scheme::Scheme;
 use crate::sharded::run_experiment_sharded;
@@ -565,11 +565,15 @@ pub fn workload_cli_key(w: Workload) -> &'static str {
     }
 }
 
-/// Parses a [`workload_cli_key`] back into a workload.
+/// Parses a [`workload_cli_key`] (or one of its older spellings) back into a
+/// workload.
 pub fn workload_from_cli_key(key: &str) -> Option<Workload> {
-    [Workload::Google, Workload::FbHadoop, Workload::WebSearch]
-        .into_iter()
-        .find(|w| workload_cli_key(*w) == key)
+    match key {
+        "google" => Some(Workload::Google),
+        "fb-hadoop" | "fb_hadoop" | "hadoop" => Some(Workload::FbHadoop),
+        "websearch" | "web-search" => Some(Workload::WebSearch),
+        _ => None,
+    }
 }
 
 /// A fully resolved, self-contained worst-case reproducer: everything needed
@@ -683,6 +687,8 @@ impl Reproducer {
                 }
                 "duration-us" => {
                     repro.duration_us = value.parse().map_err(|_| bad("duration-us"))?;
+                    horizon_from_micros(repro.duration_us)
+                        .map_err(|e| format!("line {line}: duration-us {e}"))?;
                 }
                 "trace-seed" => {
                     repro.trace_seed = value.parse().map_err(|_| bad("trace-seed"))?;

@@ -48,15 +48,20 @@
 //!   ([`service::serve_experiment`]); `trace-tool`'s
 //!   `snapshot` / `resume` / `serve` subcommands are its CLI front end.
 //! * [`figures`] — one module per paper table/figure. Each `run` function
-//!   regenerates the corresponding rows/series; the `src/bin/figNN_*`
-//!   binaries are thin wrappers that print them, and the Criterion benches in
-//!   `bfc-bench` call the same functions with scaled-down parameters.
+//!   regenerates the corresponding rows/series; [`figures::FIGURES`] lists
+//!   them for the `fig` binary (`fig <NN|all>`), and `bfc-bench` and the
+//!   smoke tests call the same functions with scaled-down parameters.
+//! * [`cli`] — the command-line shell as a library: one pull parser
+//!   ([`cli::Args`]), an output pair ([`cli::Io`]) and every `trace-tool` /
+//!   `fig` command as a function of the two, so the binaries are a dozen
+//!   lines and `tests/cli.rs` drives each command in-process.
 //!
 //! Absolute numbers differ from the paper (different simulator, synthetic
 //! CDFs, scaled-down run lengths by default) but the comparisons the paper
 //! makes — who wins, by roughly what factor, and where behaviour crosses
 //! over — are preserved. See `EXPERIMENTS.md` at the repository root.
 
+pub mod cli;
 mod engine;
 pub mod figures;
 pub mod fuzz;
@@ -72,11 +77,11 @@ pub use fuzz::{FuzzConfig, FuzzOutcome, Objective, Reproducer};
 pub use parallel::ParallelRunner;
 pub use replay::{ReplayError, ReplayTrace};
 pub use bfc_sim::shard::{BatchPolicy, EpochStats};
-pub use runner::{run_experiment, ExperimentConfig, ExperimentResult};
+pub use runner::{run_experiment, ExperimentConfig, ExperimentResult, MAX_HORIZON};
 pub use scenario::{ScenarioError, ScenarioSpec};
 pub use scheme::Scheme;
 pub use service::{
-    resume_experiment, serve_experiment, serve_experiment_with, snapshot_experiment, MetricsHub,
-    ServeReport, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    resume_experiment, serve_experiment, serve_experiment_with, snapshot_experiment,
+    spawn_scrape_server, MetricsHub, ServeReport, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use sharded::{run_experiment_sharded, ShardError, ShardPlan};

@@ -11,7 +11,7 @@
 //! job order, so the output is *bit-identical* at any thread count — only
 //! wall-clock time changes. Every figure function routes its runs through
 //! this module, which is what makes `BFC_THREADS=8 cargo run --release -p
-//! bfc-experiments --bin fig05_main_fct -- --full` both fast and exactly
+//! bfc-experiments --bin fig -- 05 --full` both fast and exactly
 //! reproducible.
 //!
 //! The runner also carries the **shard count** each of its runs is split
@@ -91,9 +91,9 @@ impl ParallelRunner {
 
     /// Reads the worker count from `BFC_THREADS` (default: the machine's
     /// available parallelism) and the shard count from `BFC_SHARDS` (default
-    /// 1). This is the constructor the figure binaries and examples use: set
-    /// `BFC_THREADS=1` to force serial execution, or leave it unset to use
-    /// every core. The environment is read on the first call only; a
+    /// 1). This is the constructor the `fig` and `trace-tool` binaries and
+    /// the examples use: set `BFC_THREADS=1` to force serial execution, or
+    /// leave it unset to use every core. The environment is read on the first call only; a
     /// malformed value is reported once on stderr and the default used.
     pub fn from_env() -> Self {
         static FROM_ENV: OnceLock<ParallelRunner> = OnceLock::new();

@@ -19,7 +19,7 @@ use bfc_workloads::io::{import_csv, read_csv_file, CsvError, TraceReadError};
 use bfc_workloads::TraceFlow;
 
 use crate::parallel::ParallelRunner;
-use crate::runner::{ExperimentConfig, ExperimentResult};
+use crate::runner::{ExperimentConfig, ExperimentResult, MAX_HORIZON};
 use crate::scheme::Scheme;
 
 /// Why a trace could not be replayed.
@@ -38,6 +38,8 @@ pub enum ReplayError {
         /// The unknown endpoint.
         node: NodeId,
     },
+    /// The last arrival is later than [`MAX_HORIZON`].
+    HorizonTooLong(SimDuration),
 }
 
 impl fmt::Display for ReplayError {
@@ -49,6 +51,10 @@ impl fmt::Display for ReplayError {
             ReplayError::UnknownHost { flow_index, node } => write!(
                 f,
                 "flow {flow_index} uses {node:?}, which is not a host of the replay topology"
+            ),
+            ReplayError::HorizonTooLong(horizon) => write!(
+                f,
+                "the last flow starts at {horizon}, past the limit of {MAX_HORIZON} of simulated time"
             ),
         }
     }
@@ -78,12 +84,17 @@ pub struct ReplayTrace {
 }
 
 impl ReplayTrace {
-    /// Wraps an in-memory flow list (must be non-empty).
+    /// Wraps an in-memory flow list (must be non-empty, its last arrival no
+    /// later than [`MAX_HORIZON`]).
     pub fn from_flows(flows: Vec<TraceFlow>) -> Result<Self, ReplayError> {
         if flows.is_empty() {
             return Err(ReplayError::EmptyTrace);
         }
-        Ok(ReplayTrace { flows })
+        let replay = ReplayTrace { flows };
+        match replay.horizon() {
+            horizon if horizon > MAX_HORIZON => Err(ReplayError::HorizonTooLong(horizon)),
+            _ => Ok(replay),
+        }
     }
 
     /// Parses a trace from CSV text (see [`bfc_workloads::io`]).

@@ -35,6 +35,25 @@ use std::sync::Arc;
 
 use crate::scheme::Scheme;
 
+/// The longest horizon accepted from outside the program (a `--duration-us`
+/// / `--horizon-us` flag, a trace file's last arrival, a reproducer's
+/// `duration-us`): 10 s of simulated time, 2 500 × the full-scale figures'
+/// 4 ms. A run schedules one sample event per `sample_interval` of horizon up
+/// front and a synthesizer generates arrivals for the whole duration, so an
+/// unbounded horizon is an unbounded allocation.
+pub const MAX_HORIZON: SimDuration = SimDuration::from_micros(10_000_000);
+
+/// `us` microseconds as a horizon, or the error line (for the caller to
+/// prefix with where the value came from) if that is longer than
+/// [`MAX_HORIZON`].
+pub fn horizon_from_micros(us: u64) -> Result<SimDuration, String> {
+    if us <= MAX_HORIZON.as_picos() / 1_000_000 {
+        Ok(SimDuration::from_micros(us))
+    } else {
+        Err(format!("{us} us exceeds the limit of {MAX_HORIZON} of simulated time"))
+    }
+}
+
 /// Experiment parameters independent of the workload trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {

@@ -50,8 +50,11 @@
 //! of building and formatting a 112-series registry each time. The text a
 //! scrape reads for a given state is the text [`MetricsRegistry::expose`]
 //! gives for a registry built from that state — it is produced by exactly
-//! that, at scrape time.
+//! that, at scrape time. [`spawn_scrape_server`] puts the hub on a TCP
+//! socket.
 
+use std::io::{BufRead as _, BufReader, Write as _};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bfc_metrics::{Hist, MetricsRegistry};
@@ -484,6 +487,70 @@ impl MetricsHub {
             state.text = Some(text.clone());
         }
         text
+    }
+}
+
+/// Scrape connections served at once; one more is closed as it is accepted.
+const MAX_SCRAPE_CONNECTIONS: usize = 8;
+
+/// How long a scrape write may block before the connection is given up: a
+/// scraper that stops reading frees its thread (and its slot under
+/// [`MAX_SCRAPE_CONNECTIONS`]) instead of holding it for the run.
+const SCRAPE_WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+
+/// Binds `addr` (port 0 picks a free port) and serves `hub`'s exposition on
+/// it for the rest of the process; returns the bound address. An accept loop
+/// hands each connection to a thread that serves one scrape immediately and
+/// a fresh one per request line, so a monitoring client can watch a run over
+/// one persistent connection. A scrape renders, so connections are bounded:
+/// past [`MAX_SCRAPE_CONNECTIONS`] live ones a new connection is closed at
+/// accept.
+pub fn spawn_scrape_server(addr: &str, hub: &MetricsHub) -> std::io::Result<SocketAddr> {
+    let listener = TcpListener::bind(addr)?;
+    let local = listener.local_addr()?;
+    let hub = hub.clone();
+    std::thread::spawn(move || {
+        // One clone of `slot` per live scrape thread, dropped when the
+        // thread ends however it ends: the strong count is the number of
+        // live connections plus this one.
+        let slot = Arc::new(());
+        for conn in listener.incoming() {
+            let Ok(conn) = conn else { continue };
+            if Arc::strong_count(&slot) > MAX_SCRAPE_CONNECTIONS {
+                continue;
+            }
+            let (hub, slot) = (hub.clone(), slot.clone());
+            std::thread::spawn(move || {
+                serve_scrapes(conn, &hub);
+                drop(slot);
+            });
+        }
+    });
+    Ok(local)
+}
+
+/// Serves metrics scrapes over one persistent connection: the current
+/// exposition (terminated by a `# EOF` line) is written immediately, then
+/// once more — the hub's text for its latest publish — for every
+/// newline-terminated request line the client sends. Returns when the peer
+/// closes, a write fails or a write blocks past [`SCRAPE_WRITE_TIMEOUT`].
+fn serve_scrapes(mut conn: TcpStream, hub: &MetricsHub) {
+    if conn.set_write_timeout(Some(SCRAPE_WRITE_TIMEOUT)).is_err() {
+        return;
+    }
+    let Ok(read_half) = conn.try_clone() else { return };
+    let mut reader = BufReader::new(read_half);
+    loop {
+        let mut text = hub.render();
+        text.push_str("# EOF\n");
+        if conn.write_all(text.as_bytes()).is_err() || conn.flush().is_err() {
+            return;
+        }
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
     }
 }
 

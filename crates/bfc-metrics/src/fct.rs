@@ -48,7 +48,8 @@ pub struct SizeBucket {
 }
 
 impl SizeBucket {
-    /// Human-readable label (e.g. `"1-3KB"`).
+    /// Human-readable label (e.g. `"1KB-3KB"`; `">3MB"` for the open-ended
+    /// last bucket).
     pub fn label(&self) -> String {
         fn fmt(b: u64) -> String {
             if b >= 1_000_000 {
@@ -58,6 +59,9 @@ impl SizeBucket {
             } else {
                 format!("{b}B")
             }
+        }
+        if self.hi == u64::MAX {
+            return format!(">{}", fmt(self.lo));
         }
         format!("{}-{}", fmt(self.lo), fmt(self.hi))
     }
@@ -223,6 +227,10 @@ mod tests {
             );
         }
         assert!(buckets[0].label().contains('B'));
+        let labels: Vec<String> = buckets.iter().map(SizeBucket::label).collect();
+        assert_eq!(labels[1], "1KB-3KB");
+        assert_eq!(labels[8], ">3MB", "the open-ended bucket names no upper edge");
+        assert!(labels.iter().all(|l| l.len() <= 12), "labels fit the 12-wide columns");
         assert!(buckets[3].midpoint() > buckets[2].midpoint());
     }
 

@@ -17,7 +17,7 @@
 //! | [`transport`] | `bfc-transport` | host / NIC models: Go-Back-N, DCQCN, HPCC, window caps |
 //! | [`workloads`] | `bfc-workloads` | Google / FB_Hadoop / WebSearch traces, incast, cross-DC mixes, CSV trace import/export |
 //! | [`metrics`] | `bfc-metrics` | FCT slowdown, percentiles, occupancy, utilization, pause time |
-//! | [`experiments`] | `bfc-experiments` | scheme registry, simulation driver, one module + binary per figure |
+//! | [`experiments`] | `bfc-experiments` | scheme registry, simulation driver, one module per figure, the `trace-tool` / `fig` command line |
 //!
 //! ## Quick start
 //!
@@ -43,11 +43,11 @@
 //!
 //! The runnable examples in `examples/` show the same flow end to end
 //! (`quickstart`, `incast_collapse`, `cross_datacenter`, `scheme_comparison`,
-//! `trace_replay`), `cargo run --release -p bfc-experiments --bin
-//! fig05_main_fct` (plus the other `figNN_*` binaries) regenerates the
-//! paper's figures, and `cargo run --release -p bfc-experiments --bin
-//! trace-tool` synthesizes, summarizes and replays CSV traces (see the
-//! README's "Trace I/O and replay" section).
+//! `trace_replay`), `cargo run --release -p bfc-experiments --bin fig -- 05`
+//! (`fig <NN|all> [--full]`) regenerates the paper's figures, and `cargo run
+//! --release -p bfc-experiments --bin trace-tool` synthesizes, summarizes
+//! and replays CSV traces (see the README's "Trace I/O and replay"
+//! section).
 
 pub use bfc_core as core;
 pub use bfc_experiments as experiments;

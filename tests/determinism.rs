@@ -20,6 +20,9 @@ use backpressure_flow_control::workloads::{
 };
 use bfc_testkit::{int_range, pair, property, vec_of};
 
+mod common;
+use common::assert_identical;
+
 fn tiny_trace(topo: &backpressure_flow_control::net::Topology, seed: u64) -> Vec<TraceFlow> {
     synthesize(
         &topo.hosts(),
@@ -156,50 +159,6 @@ fn replayed_csv_traces_are_bit_identical_at_1_2_4_threads() {
     }
 }
 
-/// Field-by-field bit-identity (floats compared by bits) between two runs
-/// of the same config under different engine tunings.
-fn assert_same_result(
-    label: &str,
-    a: &backpressure_flow_control::experiments::ExperimentResult,
-    b: &backpressure_flow_control::experiments::ExperimentResult,
-) {
-    assert_eq!(a.scheme, b.scheme, "{label}: scheme");
-    assert_eq!(a.fct, b.fct, "{label}: FCT summary");
-    assert_eq!(a.records, b.records, "{label}: per-flow records");
-    assert_eq!(
-        a.occupancy.samples(),
-        b.occupancy.samples(),
-        "{label}: occupancy series"
-    );
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(
-        bits(&a.peak_queue_samples),
-        bits(&b.peak_queue_samples),
-        "{label}: peak queue series"
-    );
-    assert_eq!(
-        bits(&a.occupied_queue_samples),
-        bits(&b.occupied_queue_samples),
-        "{label}: occupied queue series"
-    );
-    assert_eq!(
-        a.utilization.to_bits(),
-        b.utilization.to_bits(),
-        "{label}: utilization"
-    );
-    assert_eq!(
-        a.pfc_pause_fraction.to_bits(),
-        b.pfc_pause_fraction.to_bits(),
-        "{label}: PFC pause fraction"
-    );
-    assert_eq!(a.policy_stats, b.policy_stats, "{label}: policy stats");
-    assert_eq!(a.drops, b.drops, "{label}: drops");
-    assert_eq!(a.completed_flows, b.completed_flows, "{label}: completions");
-    assert_eq!(a.total_flows, b.total_flows, "{label}: flow count");
-    assert_eq!(a.end_time, b.end_time, "{label}: end time");
-    assert_eq!(a.recovery, b.recovery, "{label}: recovery metrics");
-}
-
 /// Adaptive epoch batching is scheduling-only: with it on or off, the
 /// sharded engine at 2 and 4 shards reproduces the serial result bit for
 /// bit and exchanges exactly the same boundary events — while on a
@@ -228,8 +187,8 @@ fn epoch_batching_is_bit_identical_and_cuts_barriers_when_quiescent() {
             &config.clone().with_epoch_batching(false),
             shards,
         );
-        assert_same_result(&format!("{shards} shards, batching on"), &serial, &on);
-        assert_same_result(&format!("{shards} shards, batching off"), &serial, &off);
+        assert_identical(&format!("{shards} shards, batching on"), &serial, &on);
+        assert_identical(&format!("{shards} shards, batching off"), &serial, &off);
         assert_eq!(
             on.epochs.boundary_events, off.epochs.boundary_events,
             "{shards} shards: same cross-shard events either way"

@@ -1,8 +1,8 @@
 //! Smoke tests for the whole evaluation surface: every scheme in
 //! `Scheme::paper_lineup()` (plus the ablations that only appear in specific
 //! figures) and every `figNN` figure function, all at quick scale on a tiny
-//! config. The 14 `figNN_*` binaries are thin wrappers around these same
-//! functions, so this suite keeps them from silently rotting.
+//! config. The `fig` binary prints these same functions (`figures::FIGURES`),
+//! so this suite keeps them from silently rotting.
 
 use backpressure_flow_control::core::BfcConfig;
 use backpressure_flow_control::experiments::figures::{

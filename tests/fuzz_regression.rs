@@ -10,29 +10,12 @@
 use std::path::Path;
 
 use bfc_experiments::fuzz::{self, fuzz, FuzzConfig, Objective, Reproducer};
-use bfc_experiments::runner::ExperimentResult;
 use bfc_experiments::{run_experiment, ExperimentConfig, Scheme};
 use bfc_sim::SimDuration;
 use bfc_workloads::{synthesize, TraceParams, Workload};
 
-/// Field-by-field bit-identity, every float compared by its bits (the same
-/// contract `tests/sharding.rs` enforces for the engines in general).
-fn assert_identical(label: &str, a: &ExperimentResult, b: &ExperimentResult) {
-    assert_eq!(a.scheme, b.scheme, "{label}: scheme");
-    assert_eq!(a.fct, b.fct, "{label}: FCT summary");
-    assert_eq!(a.records, b.records, "{label}: per-flow records");
-    assert_eq!(
-        a.utilization.to_bits(),
-        b.utilization.to_bits(),
-        "{label}: utilization"
-    );
-    assert_eq!(a.drops, b.drops, "{label}: drops");
-    assert_eq!(a.completed_flows, b.completed_flows, "{label}: completions");
-    assert_eq!(a.total_flows, b.total_flows, "{label}: flow count");
-    assert_eq!(a.end_time, b.end_time, "{label}: end time");
-    assert_eq!(a.recovery, b.recovery, "{label}: recovery metrics");
-    assert_eq!(a.safety, b.safety, "{label}: safety report");
-}
+mod common;
+use common::assert_identical;
 
 #[test]
 fn committed_reproducers_replay_bit_identically_across_shards() {

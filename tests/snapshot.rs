@@ -22,7 +22,7 @@ use backpressure_flow_control::experiments::service::{
     resume_experiment, serve_experiment, snapshot_experiment, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use backpressure_flow_control::experiments::{
-    run_experiment, run_experiment_sharded, ExperimentConfig, ExperimentResult, ReplayTrace,
+    run_experiment, run_experiment_sharded, ExperimentConfig, ReplayTrace,
     ScenarioSpec, Scheme,
 };
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
@@ -36,6 +36,9 @@ use backpressure_flow_control::workloads::{
     export_csv, synthesize, CsvTail, TraceFlow, TraceParams, Workload,
 };
 
+mod common;
+use common::assert_identical;
+
 const WINDOW: SimDuration = SimDuration::from_micros(120);
 
 fn us(n: u64) -> SimDuration {
@@ -47,45 +50,6 @@ fn synthetic_trace(topo: &Topology, seed: u64) -> Vec<TraceFlow> {
         &topo.hosts(),
         &TraceParams::background_only(Workload::Google, 0.5, WINDOW, seed),
     )
-}
-
-/// Field-by-field bit-identity, including every float compared by its bits.
-fn assert_identical(label: &str, a: &ExperimentResult, b: &ExperimentResult) {
-    assert_eq!(a.scheme, b.scheme, "{label}: scheme");
-    assert_eq!(a.fct, b.fct, "{label}: FCT summary");
-    assert_eq!(a.records, b.records, "{label}: per-flow records");
-    assert_eq!(
-        a.occupancy.samples(),
-        b.occupancy.samples(),
-        "{label}: occupancy series"
-    );
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(
-        bits(&a.peak_queue_samples),
-        bits(&b.peak_queue_samples),
-        "{label}: peak queue series"
-    );
-    assert_eq!(
-        bits(&a.occupied_queue_samples),
-        bits(&b.occupied_queue_samples),
-        "{label}: occupied queue series"
-    );
-    assert_eq!(
-        a.utilization.to_bits(),
-        b.utilization.to_bits(),
-        "{label}: utilization"
-    );
-    assert_eq!(
-        a.pfc_pause_fraction.to_bits(),
-        b.pfc_pause_fraction.to_bits(),
-        "{label}: PFC pause fraction"
-    );
-    assert_eq!(a.policy_stats, b.policy_stats, "{label}: policy stats");
-    assert_eq!(a.drops, b.drops, "{label}: drops");
-    assert_eq!(a.completed_flows, b.completed_flows, "{label}: completions");
-    assert_eq!(a.total_flows, b.total_flows, "{label}: flow count");
-    assert_eq!(a.end_time, b.end_time, "{label}: end time");
-    assert_eq!(a.recovery, b.recovery, "{label}: recovery metrics");
 }
 
 /// Snapshot mid-run at each shard count, resume, and compare against the
