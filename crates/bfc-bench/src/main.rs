@@ -587,9 +587,10 @@ fn bench_parallel_runner(h: &mut Harness) {
             .len()
     });
     // Within-run parallelism: the same lineup with each run split across 4
-    // engine shards (bit-identical results; on a single-core container this
-    // is ≈ serial wall-clock plus barrier overhead, on multicore the run
-    // itself scales).
+    // engine shards (bit-identical results). With fewer free cores than
+    // shards this is the oversubscribed case — waiters yield, then park —
+    // and reads ≈ serial wall-clock plus the crossings; it is an overhead
+    // figure, not a speed-up figure.
     h.bench("paper_lineup_sharded_4x", || {
         configs
             .iter()
@@ -597,8 +598,8 @@ fn bench_parallel_runner(h: &mut Harness) {
             .sum::<usize>()
     });
     // A cross-shard-quiescent run: sparse load over a long horizon, where
-    // the adaptive epoch driver fast-forwards over empty grid windows and
-    // collapses barrier crossings. Re-run with
+    // the epoch driver fast-forwards over empty grid windows and collapses
+    // barrier crossings. Re-run with
     // `config.with_epoch_batching(false)` to see the barrier count (in
     // `result.epochs`) roughly triple.
     let quiet = synthesize(
@@ -616,6 +617,40 @@ fn bench_parallel_runner(h: &mut Harness) {
             .epochs
             .barriers
     });
+    // Its dense counterpart: the repo benchmark's `incast_t1` shape (T1,
+    // FbHadoop 40 % + 20 % 100-to-1 incast) over a short horizon, where
+    // every window carries cross-shard traffic and the barrier is crossed
+    // once per window — the case the epoch barrier's cost decides.
+    let t1 = fat_tree(FatTreeParams::t1());
+    let dense_horizon = SimDuration::from_micros(20);
+    let dense = synthesize(
+        &t1.hosts(),
+        &TraceParams {
+            workload: Workload::FbHadoop,
+            load: 0.40,
+            incast_load: 0.20,
+            incast_fan_in: 100,
+            incast_total_bytes: 2_000_000,
+            ..TraceParams::google_with_incast(dense_horizon, 42)
+        },
+    );
+    let dense_config = ExperimentConfig::new(Scheme::bfc(), dense_horizon);
+    let ran = h.bench("sharded_epoch_dense", || {
+        run_experiment_sharded(&t1, &dense, &dense_config, 2)
+            .epochs
+            .barriers
+    });
+    if ran {
+        let e = run_experiment_sharded(&t1, &dense, &dense_config, 2).epochs;
+        h.note(format!(
+            "sharded_epoch_dense: {} windows, {} barriers = {:.3} per window, \
+             {:.1} boundary events per window",
+            e.windows,
+            e.barriers,
+            e.barriers as f64 / e.windows as f64,
+            e.boundary_events as f64 / e.windows as f64
+        ));
+    }
 }
 
 fn bench_end_to_end(h: &mut Harness) {

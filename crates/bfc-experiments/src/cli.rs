@@ -48,7 +48,7 @@ pub use self::args::{json_str, Args, Io};
 use crate::figures::{Scale, FIGURES};
 use crate::fuzz::{topology_by_name, workload_from_cli_key};
 use crate::parallel::{parse_count, ParallelRunner};
-use crate::runner::{horizon_from_micros, ExperimentConfig, ExperimentResult};
+use crate::runner::{horizon_from_micros, ExperimentConfig, ExperimentResult, MAX_HORIZON};
 use crate::service::{self, MetricsHub};
 use crate::sharded::ShardPlan;
 use crate::{ReplayTrace, Scheme};
@@ -339,10 +339,31 @@ fn check_load(cmd: &str, load: f64) -> Result<(), String> {
 }
 
 /// The paper-default configuration of one run under the shared options.
-fn run_config(scheme: Scheme, horizon: SimDuration, seed: u64, drain_x: u64) -> ExperimentConfig {
+/// This is where `--drain-x` becomes a duration, so it is where the drain is
+/// bounded: a faulted run samples through its drain, one scheduled tick per
+/// sample interval, exactly as it does through its horizon. The limit is
+/// what the default multiple of the longest admissible horizon comes to.
+fn run_config(
+    scheme: Scheme,
+    horizon: SimDuration,
+    seed: u64,
+    drain_x: u64,
+) -> Result<ExperimentConfig, String> {
+    let max_drain = MAX_HORIZON * 4;
+    let drain = horizon
+        .as_picos()
+        .checked_mul(drain_x)
+        .map(SimDuration::from_picos)
+        .filter(|&drain| drain <= max_drain)
+        .ok_or_else(|| {
+            format!(
+                "--drain-x {drain_x}: draining {drain_x} x the {horizon} horizon exceeds the \
+                 limit of {max_drain} of simulated time"
+            )
+        })?;
     let mut config = ExperimentConfig::new(scheme, horizon).with_seed(seed);
-    config.drain = horizon * drain_x;
-    config
+    config.drain = drain;
+    Ok(config)
 }
 
 fn write_file(path: &str, bytes: &[u8]) -> Result<(), String> {
@@ -436,10 +457,10 @@ fn cmd_replay(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
 
     let replay = ReplayTrace::from_csv_path(&path).map_err(|e| format!("{path}: {e}"))?;
     let horizon = replay.horizon();
-    let configs: Vec<ExperimentConfig> = schemes
+    let configs = schemes
         .into_iter()
         .map(|scheme| run_config(scheme, horizon, seed, drain_x))
-        .collect();
+        .collect::<Result<Vec<ExperimentConfig>, String>>()?;
     let results = replay
         .run_all(&topo, &configs, &runner)
         .map_err(|e| format!("{path}: {e}"))?;
@@ -456,8 +477,11 @@ fn cmd_replay(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
 
 /// Per-run engine-internal counters, read uniformly from the unified
 /// registry — a one-shard run prints the same line with its one batch of
-/// one window. Written to stderr so stdout stays byte-identical across
-/// shard counts (tests diff it).
+/// one window — and, for a run on several shards, where each worker thread's
+/// wall-clock went: busy between barrier crossings, waiting in them (and
+/// that as a share of both), and how many of the `barriers` crossings ended
+/// asleep. Written to stderr so stdout stays byte-identical across shard
+/// counts (tests diff it).
 fn print_engine_counters(io: &mut Io<'_>, results: &[ExperimentResult]) {
     for r in results {
         let c = |key: &str| r.registry.counter(key).unwrap_or(0);
@@ -473,6 +497,25 @@ fn print_engine_counters(io: &mut Io<'_>, results: &[ExperimentResult]) {
             c("bfc_engine_epoch_widened"),
             c("bfc_engine_epoch_boundary_events"),
         );
+        if r.shard_walls.is_empty() {
+            continue;
+        }
+        let workers: Vec<String> = r
+            .shard_walls
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let share = w.wait.as_secs_f64() / (w.busy + w.wait).as_secs_f64().max(1e-9);
+                format!(
+                    "{i}: busy {} ms wait {} ms ({:.0} %) parked {}",
+                    w.busy.as_millis(),
+                    w.wait.as_millis(),
+                    100.0 * share,
+                    w.parked
+                )
+            })
+            .collect();
+        errln!(io, "shards[{}]: {}", r.scheme, workers.join(" · "));
     }
 }
 
@@ -533,7 +576,7 @@ impl RunOptions {
         })
     }
 
-    fn config(&self, horizon: SimDuration) -> ExperimentConfig {
+    fn config(&self, horizon: SimDuration) -> Result<ExperimentConfig, String> {
         run_config(self.scheme.clone(), horizon, self.seed, self.drain_x)
     }
 
@@ -562,7 +605,7 @@ fn cmd_snapshot(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     }
 
     let replay = opts.load_trace("snapshot", &path)?;
-    let config = opts.config(replay.horizon());
+    let config = opts.config(replay.horizon())?;
     // Any instant is a valid cut, at any shard count — fractions of a
     // microsecond included.
     let at = SimTime::from_picos((at_us * 1e6).round() as u64);
@@ -593,7 +636,7 @@ fn cmd_resume(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     let horizon = replay.horizon();
     let blob = std::fs::read(&snap_path).map_err(|e| format!("reading {snap_path}: {e}"))?;
     let result =
-        service::resume_experiment(&opts.topo, replay.flows(), &opts.config(horizon), &blob)
+        service::resume_experiment(&opts.topo, replay.flows(), &opts.config(horizon)?, &blob)
             .map_err(|e| format!("{snap_path}: {e}"))?;
     outln!(
         io,
@@ -615,7 +658,7 @@ fn cmd_serve(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     let cap = args.positive("cap", 64)?;
     let horizon = horizon_us("--horizon-us", args.num("horizon-us", 300)?)?;
     let [] = args.positional::<0>("")?;
-    let config = opts.config(horizon);
+    let config = opts.config(horizon)?;
 
     // Live metrics exposition; observation never feeds back into the run.
     let hub = MetricsHub::new();
@@ -655,4 +698,25 @@ fn cmd_serve(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     );
     print_results_table(io, std::slice::from_ref(&report.result));
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The drain limit is the default multiple of the longest horizon, so it
+    /// refuses nothing the horizon limit admits under default flags.
+    #[test]
+    fn the_drain_limit_admits_the_default_multiple_of_the_longest_horizon() {
+        let drain = |horizon, x| run_config(Scheme::bfc(), horizon, 1, x).map(|c| c.drain);
+        assert_eq!(drain(MAX_HORIZON, 4), Ok(MAX_HORIZON * 4));
+        assert_eq!(drain(MAX_HORIZON, 0), Ok(SimDuration::ZERO));
+        assert_eq!(drain(SimDuration::ZERO, u64::MAX), Ok(SimDuration::ZERO));
+        let micro = SimDuration::from_micros(1);
+        assert_eq!(drain(micro, 40_000_000), Ok(MAX_HORIZON * 4));
+        for (horizon, x) in [(MAX_HORIZON, 5), (micro, 40_000_001), (micro, u64::MAX)] {
+            let refusal = drain(horizon, x).expect_err("past the limit");
+            assert!(refusal.contains("the limit of 40000000.000us"), "{refusal}");
+        }
+    }
 }

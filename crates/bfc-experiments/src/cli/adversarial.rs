@@ -87,14 +87,14 @@ pub(super) fn cmd_scenario(args: &[String], io: &mut Io<'_>) -> Result<ExitCode,
                 (synthesize(&hosts, &params), duration)
             }
         };
-        let configs: Vec<ExperimentConfig> = schemes
+        let configs = schemes
             .into_iter()
             .map(|scheme| {
-                run_config(scheme, horizon, seed, drain_x)
+                Ok(run_config(scheme, horizon, seed, drain_x)?
                     .with_dynamics(schedule.clone())
-                    .with_trace_capacity(trace_cap)
+                    .with_trace_capacity(trace_cap))
             })
-            .collect();
+            .collect::<Result<Vec<ExperimentConfig>, String>>()?;
         (topo, topo_name, flows, configs, seed)
     };
     // `--diff-schemes a,b`: same scenario, same inputs, two schemes — run

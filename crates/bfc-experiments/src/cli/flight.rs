@@ -157,7 +157,7 @@ fn cmd_record(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     let [path] = args.positional::<1>("one trace CSV path is")?;
 
     let replay = opts.load_trace("trace record", &path)?;
-    let mut config = opts.config(replay.horizon()).with_trace_capacity(last);
+    let mut config = opts.config(replay.horizon())?.with_trace_capacity(last);
     // Record-time filter: an event it rejects never enters the ring.
     let kinds = kinds
         .iter()

@@ -45,7 +45,7 @@ use bfc_net::event::{NetEvent, NetSink};
 use bfc_net::topology::Topology;
 use bfc_net::trace::{FlightRecorder, Recording};
 use bfc_net::types::NodeId;
-use bfc_sim::shard::{run_conservative, Boundary, EpochStats, ShardHandler};
+use bfc_sim::shard::{run_conservative, Boundary, EpochStats, ShardHandler, ShardWall};
 use bfc_sim::{EventQueue, SimDuration, SimTime};
 use bfc_workloads::TraceFlow;
 
@@ -187,13 +187,12 @@ impl ShardHandler for ShardWorker<'_> {
         }
     }
 
-    fn take_outboxes(&mut self) -> Vec<Vec<Boundary<NetEvent>>> {
-        let n = self.outbox.len();
-        std::mem::replace(&mut self.outbox, vec![Vec::new(); n])
+    fn outboxes(&mut self) -> &mut [Vec<Boundary<NetEvent>>] {
+        &mut self.outbox
     }
 
-    fn deliver(&mut self, batch: Vec<Boundary<NetEvent>>) {
-        for (time, rank, event) in batch {
+    fn deliver(&mut self, batch: &mut Vec<Boundary<NetEvent>>) {
+        for (time, rank, event) in batch.drain(..) {
             debug_assert!(time >= self.last, "boundary event violates lookahead");
             self.queue.push_ranked(time, rank, event);
         }
@@ -227,6 +226,9 @@ pub(crate) struct Engine<'a> {
     /// The instant the engine was last advanced to.
     pub(crate) cut: SimTime,
     epochs: EpochStats,
+    /// Per-worker busy / barrier-wait wall-clock, summed over `advance`
+    /// calls; empty for a one-worker engine, which runs no threads.
+    shard_walls: Vec<ShardWall>,
 }
 
 impl<'a> Engine<'a> {
@@ -323,6 +325,7 @@ impl<'a> Engine<'a> {
             deadline: SimTime::ZERO + run,
             cut: SimTime::ZERO,
             epochs: EpochStats::default(),
+            shard_walls: Vec::new(),
         }
     }
 
@@ -332,7 +335,7 @@ impl<'a> Engine<'a> {
     pub(crate) fn advance(&mut self, until: SimTime) {
         self.cut = until.min(self.deadline);
         let parallel = self.workers.len() > 1;
-        let (_, stats) = run_conservative(
+        let (_, stats, walls) = run_conservative(
             &mut self.workers,
             self.lookahead,
             self.cut,
@@ -347,6 +350,12 @@ impl<'a> Engine<'a> {
         e.boundary_events += stats.boundary_events;
         for (acc, n) in e.width_hist.iter_mut().zip(stats.width_hist) {
             *acc += n;
+        }
+        self.shard_walls.resize(walls.len(), ShardWall::default());
+        for (acc, wall) in self.shard_walls.iter_mut().zip(walls) {
+            acc.busy += wall.busy;
+            acc.wait += wall.wait;
+            acc.parked += wall.parked;
         }
     }
 
@@ -420,6 +429,7 @@ impl<'a> Engine<'a> {
         );
         drop(queues);
         result.epochs = self.epochs;
+        result.shard_walls = self.shard_walls;
         result.events_popped = events_popped;
         result.record_engine_counters(overflow_pushes);
         result

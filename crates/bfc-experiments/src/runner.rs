@@ -26,7 +26,7 @@ use bfc_net::switch::{Switch, SwitchCounters};
 use bfc_net::topology::Topology;
 use bfc_net::trace::{FlightTrace, TraceEvent, TraceFilter};
 use bfc_net::types::{FlowId, NodeId};
-use bfc_sim::shard::{BatchPolicy, EpochStats};
+use bfc_sim::shard::{BatchPolicy, EpochStats, ShardWall};
 use bfc_sim::{EventQueue, SimDuration, SimTime};
 use bfc_transport::{FlowSpec, Host, HostConfig};
 use bfc_workloads::TraceFlow;
@@ -215,6 +215,13 @@ pub struct ExperimentResult {
     /// part of any bit-identity comparison, since a resumed run only counts
     /// its post-snapshot epochs.
     pub epochs: EpochStats,
+    /// Where each worker thread of a multi-worker run spent its wall-clock:
+    /// busy between barrier crossings, waiting inside them, and how many
+    /// waits ended asleep (out of `epochs.barriers` crossings per worker).
+    /// Empty for a one-worker run. Timings, so observability only — never
+    /// compared, never in the registry — and, like `epochs`, a resumed run
+    /// only holds its post-snapshot share.
+    pub shard_walls: Vec<ShardWall>,
     /// Events popped over the run's lifetime, summed over the engine's
     /// workers (a resumed run includes its pre-snapshot events). The cost
     /// model of the engine in one number: divide by the registry's
@@ -1010,6 +1017,7 @@ pub(crate) fn assemble_result(
         recovery,
         safety,
         epochs: EpochStats::default(),
+        shard_walls: Vec::new(),
         events_popped: 0,
         registry,
         flight,

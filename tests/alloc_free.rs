@@ -13,9 +13,14 @@
 //! * service mode's live metrics: a [`MetricsHub`] that nobody scrapes takes
 //!   a publish of a whole fabric's switches — counters and queue-depth
 //!   histograms — after every burst, into the storage of the publish before.
+//!
+//! A fourth test watches the epoch driver instead: with steady cross-shard
+//! traffic, a window's boundary buffers circulate between outboxes and
+//! destinations, so a run's allocation count does not grow with its length.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 
 use backpressure_flow_control::experiments::{MetricsHub, Scheme};
 use backpressure_flow_control::net::packet::{Packet, PacketKind};
@@ -24,6 +29,9 @@ use backpressure_flow_control::net::switch::Switch;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::NetEvent;
+use backpressure_flow_control::sim::shard::{
+    run_conservative, BatchPolicy, Boundary, ShardHandler,
+};
 use backpressure_flow_control::sim::{EventQueue, SimDuration, SimTime};
 use backpressure_flow_control::transport::{FlowSpec, Host};
 
@@ -254,4 +262,74 @@ fn hpcc_data_ack_loop_is_allocation_free_after_warm_up() {
     assert_eq!(sender.counters().retransmitted_packets, 0);
     assert!(events.peek_time().expect("flow still running") > SimTime::ZERO + SimDuration::from_micros(800));
     assert_eq!(during, 0, "10k HPCC data→ACK round trips allocated {during} times");
+}
+
+/// One of two shards that bat eight tokens each back and forth: every token
+/// handled at `t` goes to the other shard for `t + HOP`, so every window of
+/// one `HOP` carries sixteen boundary events.
+struct PingPong {
+    me: usize,
+    queue: VecDeque<Boundary<u32>>,
+    outbox: Vec<Vec<Boundary<u32>>>,
+    last: SimTime,
+}
+
+const HOP: SimDuration = SimDuration::from_nanos(100);
+
+impl ShardHandler for PingPong {
+    type Event = u32;
+    fn next_time(&self) -> Option<SimTime> {
+        self.queue.front().map(|&(t, ..)| t)
+    }
+    fn run_window(&mut self, window_end: SimTime, deadline: SimTime) {
+        while let Some(&(t, rank, token)) = self.queue.front() {
+            if t >= window_end || t > deadline {
+                break;
+            }
+            self.queue.pop_front();
+            self.last = t;
+            self.outbox[1 - self.me].push((t + HOP, rank, token));
+        }
+    }
+    fn outboxes(&mut self) -> &mut [Vec<Boundary<u32>>] {
+        &mut self.outbox
+    }
+    fn deliver(&mut self, batch: &mut Vec<Boundary<u32>>) {
+        self.queue.extend(batch.drain(..));
+    }
+    fn last_processed(&self) -> SimTime {
+        self.last
+    }
+}
+
+#[test]
+fn epoch_windows_with_cross_traffic_allocate_nothing_once_buffers_have_grown() {
+    let mut shards: Vec<PingPong> = (0..2)
+        .map(|me| PingPong {
+            me,
+            queue: (0..8).map(|token| (SimTime::ZERO, token, token)).collect(),
+            outbox: vec![Vec::new(); 2],
+            last: SimTime::ZERO,
+        })
+        .collect();
+    // Runs `windows` more windows on the calling thread (where the counter
+    // is) and returns what that allocated.
+    let mut until = SimTime::ZERO;
+    let mut run = |windows: u64| {
+        until += HOP * windows;
+        let before = allocs();
+        let (end, stats, _) =
+            run_conservative(&mut shards, HOP, until, false, BatchPolicy::default());
+        let during = allocs() - before;
+        assert_eq!(end, until);
+        assert!(stats.windows >= windows, "{stats:?}");
+        assert!(stats.boundary_events >= 16 * windows, "{stats:?}");
+        during
+    };
+    run(50);
+    let (short, long) = (run(200), run(2_000));
+    assert_eq!(
+        short, long,
+        "200 windows allocated {short} times, 2000 windows {long} times"
+    );
 }

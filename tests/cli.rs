@@ -171,9 +171,22 @@ fn synth_stats_replay_round_trip_and_sharded_replay_prints_the_serial_table() {
         serial.err
     );
     assert!(serial.err.starts_with("engine[BFC]: "), "{}", serial.err);
-    assert_eq!(
-        ok(&["replay", &csv, "--scheme", "bfc", "--shards", "2"]),
-        serial.out
+    let sharded = trace_tool(&["replay", &csv, "--scheme", "bfc", "--shards", "2"]);
+    assert!(sharded.ok, "{}", sharded.err);
+    assert_eq!(sharded.out, serial.out);
+    // Each worker thread's busy / barrier-wait split follows the counters;
+    // one worker crosses no barrier, so the serial run has none to print.
+    assert!(!serial.err.contains("shards["), "{}", serial.err);
+    let walls = sharded
+        .err
+        .lines()
+        .find(|l| l.starts_with("shards[BFC]: 0: busy "))
+        .unwrap_or_else(|| panic!("no per-shard line in:\n{}", sharded.err));
+    assert!(
+        walls.contains(" ms wait ")
+            && walls.contains(" %) parked ")
+            && walls.contains(" · 1: busy "),
+        "{walls}"
     );
 }
 
@@ -530,6 +543,47 @@ fn an_unbounded_horizon_is_refused_on_every_outside_surface() {
     assert!(trace_tool(&["serve", "--tail", &csv, "--horizon-us", "0"])
         .err
         .contains("must be positive"));
+}
+
+#[test]
+fn an_unbounded_drain_is_refused_by_every_command_that_takes_the_flag() {
+    let dir = Scratch::new("drain");
+    let (csv, scenario, out) = (dir.trace(), dir.scenario(), dir.path("never.flight"));
+    // A faulted run samples through its drain, one tick scheduled up front
+    // per interval: a saturated `horizon x 2^64` used to spin in the
+    // allocator until killed. The second value overflows nothing; it is
+    // merely one multiple past the 40 s a default run may drain.
+    let started = Instant::now();
+    for drain_x in ["18446744073709551615", "400001"] {
+        for args in [
+            &[
+                "scenario",
+                &scenario,
+                "--scheme",
+                "bfc",
+                "--duration-us",
+                "100",
+                "--drain-x",
+                drain_x,
+            ][..],
+            &["replay", &csv, "--drain-x", drain_x][..],
+            &["trace", "record", &csv, "--out", &out, "--drain-x", drain_x][..],
+        ] {
+            let ran = trace_tool(args);
+            assert!(!ran.ok && ran.out.is_empty(), "{args:?} must be refused");
+            let first = ran.err.lines().next().unwrap_or_default();
+            assert!(
+                first.contains(&format!("--drain-x {drain_x}"))
+                    && first.contains("the limit of 40000000.000us"),
+                "{args:?}: {first}"
+            );
+        }
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "a refusal must not simulate first"
+    );
+    assert!(!Path::new(&out).exists());
 }
 
 /// A stderr several threads can read while a command writes it.

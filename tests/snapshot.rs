@@ -322,24 +322,36 @@ fn trailer(file: &[u8]) -> (usize, u64) {
     (file.len(), u64::from_le_bytes(sum))
 }
 
-/// `trailer` of the twelve snapshots and the one flight trace below, as
-/// written by commit 0022cd3 — the last one whose codec was 68 hand-written
-/// `save`/`restore` functions. The `Snap` trait that replaced them must not
-/// move the wire format by a byte (`SNAPSHOT_VERSION` 7, `TRACE_VERSION` 2),
-/// so files that commit wrote are the files this one writes and reads.
+/// `trailer` of the twelve snapshots and the one flight trace below. The
+/// one-shard rows and the flight trace are as written by commit 0022cd3 — the
+/// last one whose codec was 68 hand-written `save`/`restore` functions. The
+/// `Snap` trait that replaced them must not move the wire format by a byte
+/// (`SNAPSHOT_VERSION` 7, `TRACE_VERSION` 2), so files that commit wrote are
+/// the files this one writes and reads.
+///
+/// The two-shard rows were re-recorded in PR 19, same lengths, same format:
+/// a pending event is saved with the sequence number its queue gave it, a
+/// worker's queue numbers local pushes and mailbox deliveries in the order
+/// they happen, and PR 19 moved the instants at which mailboxes are delivered
+/// (epoch windows stay on one batch's grid under traffic instead of being
+/// re-anchored after every window). The numbers only break ties between
+/// events of equal `(time, rank)`, which pop in the same order either way:
+/// of a 106 705-byte two-shard BFC snapshot that PR 19's `trace-tool` and
+/// its parent's took of one run, 224 bytes differ, each by a few units, and
+/// the parent's file resumes here to the uninterrupted run's result.
 const PARENT_SNAPSHOTS: [(usize, u64); 12] = [
     (96_378, 0xf23e_1607_2c52_2f27),  // BFC, 1 shard
-    (105_505, 0x0e0f_90a7_a6fc_1b8f), // BFC, 2 shards
+    (105_505, 0x2851_f28f_2168_d293), // BFC, 2 shards
     (568_735, 0xa6b5_e23d_f6ba_a597), // Ideal-FQ
-    (577_862, 0xced5_87fc_62dd_896e),
+    (577_862, 0x57f1_13c5_f3b4_b780),
     (86_003, 0xf207_2547_ef25_5442), // DCQCN
-    (95_130, 0xb373_9990_0950_9d0f),
+    (95_130, 0xce35_9816_3c0b_4808),
     (86_003, 0x1c84_79ec_8ff3_ee7a), // DCQCN+Win
-    (95_130, 0xc5ef_828d_dd0a_0d57),
+    (95_130, 0xf115_2082_d368_b2a0),
     (82_160, 0xe200_14ef_611f_70d7), // HPCC
-    (91_287, 0xb1bf_4521_6b09_be63),
+    (91_287, 0xc5d7_5e6d_b572_4cf7),
     (89_170, 0xb4d8_8e77_ba10_fb93), // DCQCN+Win+SFQ
-    (98_297, 0xa781_24eb_92b7_4718),
+    (98_297, 0x20a6_3528_318f_ff55),
 ];
 const PARENT_FLIGHT: (usize, u64) = (1_256_716, 0x3704_4530_a583_d1d0);
 
