@@ -1,27 +1,24 @@
 //! `cargo run --release -p bfc-bench` — microbenchmarks of the simulator's
-//! hot paths: the event queue, the BFC data structures (bloom filters, flow
-//! table), switch forwarding, and complete small experiments. Writes the
-//! results to `BENCH.json` (see `--out`), the perf baseline later
-//! optimization PRs are compared against.
+//! hot paths that nothing else times: the event queue under the fabric's own
+//! delay mix, the BFC data structures (bloom filters, flow table), ports and
+//! buffers, the flight recorder's merge and container, and the epoch barrier
+//! at its two extremes. Prints a table; informational — it keeps no baseline
+//! and judges nothing. Whole runs, the routing computation, CSV import and
+//! export, FIFO forwarding at a ToR, the hot flow-table lookup and the plain
+//! hold model are timed by `benchmark/` (host-calibrated); exact costs are
+//! pinned by `tests/exact_costs.rs`.
 //!
 //! Options:
 //!   --quick              fewer/shorter samples (for scripts/verify.sh)
-//!   --out <path>         output JSON path (default BENCH.json)
 //!   --filter <substr>    only run benchmarks whose name contains <substr>
-//!   --no-json            skip writing the JSON file
-//!   --compare <path>     diff medians against a committed BENCH.json and
-//!                        exit non-zero if any benchmark regressed
-//!   --max-regress <pct>  regression tolerance for --compare (default 25)
 
 use std::hint::black_box;
 use std::process::ExitCode;
 
-use bfc_bench::{compare_against_baseline, comparison_report, parse_baseline, Harness};
+use bfc_bench::Harness;
 use bfc_core::{BfcConfig, BfcPolicy, CountingBloom, FlowKey, FlowTable};
 use bfc_experiments::cli::Args;
-use bfc_experiments::{
-    run_experiment, run_experiment_sharded, ExperimentConfig, MetricsHub, ParallelRunner, Scheme,
-};
+use bfc_experiments::{run_experiment_sharded, ExperimentConfig, MetricsHub, Scheme};
 use bfc_net::packet::{Packet, PauseFrame};
 use bfc_net::policy::{EnqueueCtx, FifoPolicy, SwitchPolicy};
 use bfc_net::routing::RoutingTables;
@@ -32,32 +29,60 @@ use bfc_net::types::{FlowId, NodeId};
 use bfc_net::{Link, NetEvent, Port, SwitchConfig};
 use bfc_sim::snapshot::checksum64;
 use bfc_sim::{EventQueue, ReferenceEventQueue, SimDuration, SimTime};
-use bfc_workloads::{export_csv, import_csv, synthesize, TraceParams, Workload};
+use bfc_workloads::{synthesize, TraceParams, Workload};
 
-const USAGE: &str = "usage: bfc-bench [--quick] [--out <path>] [--filter <substr>] \
-[--no-json] [--compare <baseline.json>] [--max-regress <pct>]";
+const USAGE: &str = "usage: bfc-bench [--quick] [--filter <substr>]";
 
+/// Every benchmark, in run order: what `--filter` is checked against before
+/// anything is set up, and what a run's results are checked against after.
+const BENCHES: &[&str] = &[
+    "event_queue_push_pop_10k",
+    "event_queue_hold_fabric_mix_2k",
+    "reference_queue_hold_fabric_mix_2k",
+    "event_queue_hold_fabric_mix_20k",
+    "reference_queue_hold_fabric_mix_20k",
+    "pause_frame_insert_contains",
+    "counting_bloom_cycle",
+    "flow_table_insert_lookup_remove_1k",
+    "switch_idle_port_hop",
+    "bfc_policy_enqueue_dequeue_1k",
+    "port_active_queue_count_32q",
+    "port_drr_pick_32q_paused",
+    "shared_buffer_pfc_transitions",
+    "flight_merge_1m_one_part",
+    "flight_merge_1m_two_parts",
+    "trace_write_read_1m",
+    "container_checksum_32mb",
+    "hub_publish_live_t2",
+    "sharded_epoch_quiescent",
+    "sharded_epoch_dense",
+];
+
+#[derive(Debug, PartialEq)]
 struct Options {
     quick: bool,
-    out: Option<String>,
     filter: Option<String>,
-    compare: Option<String>,
-    max_regress_pct: f64,
 }
 
 fn parse_args(raw: &[String]) -> Result<Options, String> {
     let mut args = Args::new("bfc-bench", raw);
     let options = Options {
         quick: args.switch("quick"),
-        out: match (args.switch("no-json"), args.text("out")?) {
-            (true, _) => None,
-            (false, path) => Some(path.unwrap_or_else(|| "BENCH.json".to_string())),
-        },
         filter: args.text("filter")?,
-        compare: args.text("compare")?,
-        max_regress_pct: args.num("max-regress", 25.0)?,
     };
-    args.positional::<0>("").map(|[]| options)
+    let [] = args.positional::<0>("")?;
+    match &options.filter {
+        Some(filter) if selected(Some(filter)).is_empty() => {
+            Err(format!("bfc-bench: --filter {filter} matches no benchmark"))
+        }
+        _ => Ok(options),
+    }
+}
+
+/// The benchmarks `filter` selects, in run order.
+fn selected(filter: Option<&str>) -> Vec<&'static str> {
+    let wanted = |name: &&str| filter.map_or(true, |f| name.contains(f));
+    BENCHES.iter().copied().filter(wanted).collect()
 }
 
 fn bench_event_queue(h: &mut Harness) {
@@ -114,62 +139,12 @@ fn bench_flow_table(h: &mut Harness) {
         }
         t.len()
     });
-    // The data-path common case: the flow is already tracked and every
-    // packet does one lookup. 64k hits against a resident population of
-    // 4k flows (the paper's T1-scale concurrent-flow count), table built
-    // outside the timed region.
-    let mut t = FlowTable::new(16_384, 4, 100);
-    let keys: Vec<FlowKey> = (0..4_096u32)
-        .map(|v| FlowKey {
-            vfid: v * 13 % 16_384,
-            ingress: v % 24,
-            egress: (v * 7) % 24,
-        })
-        .collect();
-    for &key in &keys {
-        t.lookup_or_insert(key);
-    }
-    h.bench("flow_table_hot_lookup_64k", || {
-        let mut found = 0usize;
-        for i in 0..65_536usize {
-            found += usize::from(t.find(keys[(i * 31) % keys.len()]).is_some());
-        }
-        found
-    });
 }
 
 fn bench_switch_forwarding(h: &mut Harness) {
     let topo = fat_tree(FatTreeParams::t2());
     let routes = RoutingTables::compute(&topo);
     let tor = topo.switches()[0];
-    h.bench("switch_forward_1k_packets_fifo", || {
-        let mut sw = Switch::new(
-            tor,
-            SwitchConfig::default(),
-            topo.ports(tor),
-            Box::new(FifoPolicy::new()),
-            1,
-        );
-        let mut events: EventQueue<NetEvent> = EventQueue::new();
-        for i in 0..1_000u64 {
-            let pkt = Packet::data(
-                FlowId((i % 64) as u32),
-                NodeId(0),
-                NodeId((1 + i % 15) as u32),
-                i,
-                1_000,
-                (i % 64) as u32,
-                false,
-            );
-            sw.handle_packet(SimTime::from_nanos(i * 10), 0, pkt, &routes, &mut events);
-            while let Some((t, ev)) = events.pop() {
-                if let NetEvent::TxComplete { port, .. } = ev {
-                    sw.handle_tx_complete(t, port, &mut events);
-                }
-            }
-        }
-        sw.counters().rx_packets
-    });
     // One hop through an idle egress, which is what most hops of a run are
     // (ACKs on the reverse path, the packets of a flow alone on its port):
     // lone MTU packets 100 ns apart, rotating over the ToR's fifteen other
@@ -222,33 +197,6 @@ fn bench_switch_forwarding(h: &mut Harness) {
     });
 }
 
-fn bench_calendar_queue(h: &mut Harness) {
-    // Steady-state pattern: hold the population at 10k while simulated time
-    // advances, so the calendar actually rotates through its windows (the
-    // `event_queue_push_pop_10k` benchmark above measures the bulk
-    // fill-then-drain shape instead). The queue persists across iterations —
-    // one iteration is exactly 10k pops + 10k pushes, the same operation
-    // count as the fill-then-drain baseline. (The previous shape rebuilt,
-    // refilled and drained the queue inside the timed region, so it timed
-    // 20k pushes + 20k pops against the baseline's 10k + 10k and read as a
-    // phantom ~2x "regression" of the rotation path.)
-    let mut q: EventQueue<u64> = EventQueue::with_capacity(10_000);
-    for i in 0..10_000u64 {
-        q.push(SimTime::from_nanos((i * 7919) % 100_000), i);
-    }
-    let mut i = 0u64;
-    h.bench("calendar_queue_push_pop_10k", || {
-        let mut sum = 0u64;
-        for _ in 0..10_000 {
-            let (t, v) = q.pop().expect("population is held at 10k");
-            sum += v;
-            q.push(t + SimDuration::from_nanos(100_000 + i % 977), i);
-            i += 1;
-        }
-        sum
-    });
-}
-
 /// The two event queues behind one interface, so the fabric-mix hold model
 /// below drives both with the same code.
 trait HoldQueue {
@@ -291,11 +239,12 @@ fn fabric_delta_ps(i: u64) -> u64 {
 }
 
 fn bench_fabric_mix(h: &mut Harness) {
-    // Hold model under the fabric's own delta mix (`calendar_queue_push_pop_10k`
-    // above pushes everything +100 µs out, which no handler does): one
-    // iteration is 10k pops, each scheduling one follow-up relative to the
-    // popped time, at a small (2k) and a T1-sized (20k) pending population,
-    // calendar queue vs the reference heap.
+    // Hold model under the fabric's own delta mix (the plain hold model
+    // behind `benchmark/`'s `sim.event.hold_ns_per_op` pushes everything
+    // +100 µs out, which no handler does): one iteration is 10k pops, each
+    // scheduling one follow-up relative to the popped time, at a small (2k)
+    // and a T1-sized (20k) pending population, calendar queue vs the
+    // reference heap.
     fn hold(h: &mut Harness, name: &str, mut q: impl HoldQueue, population: u64) {
         for i in 0..population {
             q.push(SimTime::from_picos(fabric_delta_ps(i)), i);
@@ -326,42 +275,6 @@ fn bench_fabric_mix(h: &mut Harness) {
             population,
         );
     }
-}
-
-fn bench_routing_recompute(h: &mut Harness) {
-    // The dynamics subsystem recomputes routing on every link event; this is
-    // the re-convergence cost on the paper's T1 fat tree (128 hosts, 16
-    // switches) with one dead core link, as a fault schedule would leave it.
-    let topo = fat_tree(FatTreeParams::t1());
-    let tor0 = topo.switches()[0];
-    let spine0 = topo.switches()[8];
-    let dead_port = routes_port(&topo, tor0, spine0);
-    let back_port = routes_port(&topo, spine0, tor0);
-    h.bench("routing_recompute_fat_tree", || {
-        let routes = RoutingTables::compute_filtered(&topo, |n, p| {
-            !(n == tor0 && p == dead_port) && !(n == spine0 && p == back_port)
-        });
-        routes.hosts().len()
-    });
-}
-
-fn routes_port(topo: &bfc_net::Topology, a: NodeId, b: NodeId) -> u32 {
-    topo.port_towards(a, b).expect("adjacent in the fat tree")
-}
-
-fn bench_trace_io(h: &mut Harness) {
-    // A few thousand flows: representative of the quick-scale traces the
-    // figure sweeps import/export, large enough that per-row costs dominate.
-    let hosts: Vec<NodeId> = (0..64).map(NodeId).collect();
-    let trace = synthesize(
-        &hosts,
-        &TraceParams::background_only(Workload::Google, 0.6, SimDuration::from_micros(400), 9),
-    );
-    let csv = export_csv(&trace);
-    h.bench("trace_csv_export", || export_csv(&trace).len());
-    h.bench("trace_csv_import", || {
-        import_csv(&csv).expect("exported traces always parse").len()
-    });
 }
 
 /// A million-record flight trace shaped like a packet run's: four records
@@ -550,53 +463,8 @@ fn bench_port_counters(h: &mut Harness) {
     });
 }
 
-fn bench_parallel_runner(h: &mut Harness) {
+fn bench_epoch_barrier(h: &mut Harness) {
     let topo = fat_tree(FatTreeParams::tiny());
-    let trace = synthesize(
-        &topo.hosts(),
-        &TraceParams::background_only(Workload::Google, 0.4, SimDuration::from_micros(200), 5),
-    );
-    let configs: Vec<ExperimentConfig> = Scheme::paper_lineup()
-        .into_iter()
-        .map(|s| ExperimentConfig::new(s, SimDuration::from_micros(200)))
-        .collect();
-    // Serial vs 4 workers over the same paper lineup: the ratio is the
-    // parallel speedup on this machine (bit-identical results either way).
-    let ran = h.bench("paper_lineup_serial", || {
-        ParallelRunner::serial()
-            .run_experiments(&topo, &trace, &configs)
-            .len()
-    });
-    if ran {
-        // What the engine's cost is proportional to, as a count: events
-        // popped per packet hop through a switch, over the whole lineup.
-        let results = ParallelRunner::serial().run_experiments(&topo, &trace, &configs);
-        let events: u64 = results.iter().map(|r| r.events_popped).sum();
-        let hops: u64 = results
-            .iter()
-            .map(|r| r.registry.family_total("bfc_switch_rx_packets"))
-            .sum();
-        h.note(format!(
-            "paper_lineup_serial: {events} events popped over {hops} switch hops = {:.3} per hop",
-            events as f64 / hops as f64
-        ));
-    }
-    h.bench("parallel_runner_4x", || {
-        ParallelRunner::new(4)
-            .run_experiments(&topo, &trace, &configs)
-            .len()
-    });
-    // Within-run parallelism: the same lineup with each run split across 4
-    // engine shards (bit-identical results). With fewer free cores than
-    // shards this is the oversubscribed case — waiters yield, then park —
-    // and reads ≈ serial wall-clock plus the crossings; it is an overhead
-    // figure, not a speed-up figure.
-    h.bench("paper_lineup_sharded_4x", || {
-        configs
-            .iter()
-            .map(|config| run_experiment_sharded(&topo, &trace, config, 4).completed_flows)
-            .sum::<usize>()
-    });
     // A cross-shard-quiescent run: sparse load over a long horizon, where
     // the epoch driver fast-forwards over empty grid windows and collapses
     // barrier crossings. Re-run with
@@ -653,28 +521,6 @@ fn bench_parallel_runner(h: &mut Harness) {
     }
 }
 
-fn bench_end_to_end(h: &mut Harness) {
-    let topo = fat_tree(FatTreeParams::tiny());
-    let trace = synthesize(
-        &topo.hosts(),
-        &TraceParams::background_only(Workload::Google, 0.4, SimDuration::from_micros(200), 5),
-    );
-    h.bench("bfc_small_fabric_200us", || {
-        let config = ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(200));
-        run_experiment(&topo, &trace, &config).completed_flows
-    });
-    h.bench("dcqcn_small_fabric_200us", || {
-        let config = ExperimentConfig::new(
-            Scheme::Dcqcn {
-                window: true,
-                sfq: false,
-            },
-            SimDuration::from_micros(200),
-        );
-        run_experiment(&topo, &trace, &config).completed_flows
-    });
-}
-
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.iter().any(|a| a == "--help" || a == "-h") {
@@ -693,7 +539,7 @@ fn main() -> ExitCode {
     } else {
         Harness::new()
     }
-    .with_filter(args.filter)
+    .with_filter(args.filter.clone())
     .with_verbose(true);
 
     eprintln!(
@@ -702,79 +548,74 @@ fn main() -> ExitCode {
         h.samples_per_bench()
     );
     bench_event_queue(&mut h);
-    bench_calendar_queue(&mut h);
     bench_fabric_mix(&mut h);
     bench_bloom(&mut h);
     bench_flow_table(&mut h);
     bench_switch_forwarding(&mut h);
     bench_port_counters(&mut h);
-    bench_routing_recompute(&mut h);
-    bench_trace_io(&mut h);
     bench_flight_trace(&mut h);
     bench_metrics_hub(&mut h);
-    bench_end_to_end(&mut h);
-    bench_parallel_runner(&mut h);
+    bench_epoch_barrier(&mut h);
 
+    let ran: Vec<&str> = h.results().iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(
+        ran,
+        selected(args.filter.as_deref()),
+        "`BENCHES` and the bench functions disagree"
+    );
     println!("\n{}", h.report());
-    if h.results().is_empty() {
-        eprintln!("no benchmarks matched the filter");
-        return ExitCode::FAILURE;
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
-    // Read the baseline BEFORE writing any output: with the default
-    // `--out BENCH.json`, writing first would overwrite the baseline and
-    // turn the comparison into a vacuous self-diff.
-    let baseline_json = match &args.compare {
-        Some(baseline_path) => match std::fs::read_to_string(baseline_path) {
-            Ok(json) => Some(json),
-            Err(e) => {
-                eprintln!("failed to read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    if let Some(path) = args.out {
-        if let Err(e) = h.write_json(path.as_ref()) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    if let (Some(baseline_path), Some(json)) = (args.compare, baseline_json) {
-        let baseline = match parse_baseline(&json) {
-            Ok(baseline) => baseline,
-            Err(e) => {
-                eprintln!("malformed baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
+
+    #[test]
+    fn the_two_options_parse() {
+        let options = |quick, filter: Option<&str>| Options {
+            quick,
+            filter: filter.map(str::to_string),
         };
-        if baseline.is_empty() {
-            eprintln!("baseline {baseline_path} contains no benchmarks");
-            return ExitCode::FAILURE;
-        }
-        let tolerance = args.max_regress_pct / 100.0;
-        let (matched, regressions, missing) =
-            compare_against_baseline(h.results(), &baseline, tolerance);
-        println!("{}", comparison_report(&matched, tolerance));
-        if !missing.is_empty() {
-            eprintln!(
-                "{} benchmark(s) not in baseline {baseline_path} (refresh it to track them): {}",
-                missing.len(),
-                missing.join(", ")
-            );
-        }
-        if !regressions.is_empty() {
-            eprintln!(
-                "{} benchmark(s) regressed more than {:.0}% vs {baseline_path}",
-                regressions.len(),
-                args.max_regress_pct,
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "no benchmark regressed more than {:.0}% vs {baseline_path}",
-            args.max_regress_pct,
+        assert_eq!(parse(&[]), Ok(options(false, None)));
+        assert_eq!(
+            parse(&["--filter", "bloom", "--quick"]),
+            Ok(options(true, Some("bloom")))
         );
     }
-    ExitCode::SUCCESS
+
+    #[test]
+    fn an_unknown_flag_is_one_error_line() {
+        // The baseline flags are gone with the baseline.
+        for flag in ["--compare", "--out", "--no-json", "--bogus"] {
+            assert_eq!(
+                parse(&["--quick", flag]),
+                Err(format!("bfc-bench: unknown option {flag}"))
+            );
+        }
+    }
+
+    #[test]
+    fn a_stray_positional_is_one_error_line() {
+        assert_eq!(
+            parse(&["bloom"]),
+            Err("bfc-bench: unexpected argument bloom".into())
+        );
+    }
+
+    #[test]
+    fn a_filter_that_matches_nothing_is_one_error_line() {
+        assert_eq!(
+            parse(&["--filter", "paper_lineup"]),
+            Err("bfc-bench: --filter paper_lineup matches no benchmark".into())
+        );
+        assert_eq!(
+            parse(&["--filter"]),
+            Err("--filter requires a value".into())
+        );
+    }
 }

@@ -43,8 +43,8 @@ use bfc_workloads::ingest::{CsvTail, IngestSource, SocketIngest};
 use bfc_workloads::io::{read_csv_file, write_csv_file, TraceStats};
 use bfc_workloads::{synthesize, ArrivalShape, IncastSchedule, TraceParams};
 
-use self::args::{errln, outln};
-pub use self::args::{json_str, Args, Io};
+use self::args::{errln, json_str, outln};
+pub use self::args::{Args, Io};
 use crate::figures::{Scale, FIGURES};
 use crate::fuzz::{topology_by_name, workload_from_cli_key};
 use crate::parallel::{parse_count, ParallelRunner};
@@ -80,7 +80,7 @@ commands:
     --seed <n>              experiment seed [1]
     --drain-x <n>           drain window as a multiple of the horizon [4]
     --shards <n>            split each run across n engine shards
-                            (bit-identical results; same as BFC_SHARDS=n)
+                            (bit-identical results) [1]
 
   snapshot <path>         run a trace partway and write a checkpoint of the
                           complete simulation state (versioned, checksummed;
@@ -143,7 +143,7 @@ commands:
     --seed <n>              experiment seed [1]
     --drain-x <n>           drain window as a multiple of the horizon [4]
     --shards <n>            split each run across n engine shards
-                            (bit-identical results; same as BFC_SHARDS=n)
+                            (bit-identical results) [1]
     --json                  report safety/recovery per scheme as JSON on
                             stdout instead of the tables
     --trace-cap <n>         flight-recorder ring capacity for this run
@@ -313,7 +313,7 @@ fn shards_arg(args: &mut Args) -> Result<Option<usize>, String> {
 }
 
 /// The runner a command dispatches its runs on: `BFC_THREADS` workers, each
-/// run split across `--shards` engine shards (default `BFC_SHARDS`).
+/// run split across `--shards` engine shards (default 1).
 /// Results are bit-identical at any shard count; only wall-clock changes.
 pub(crate) fn runner_arg(args: &mut Args) -> Result<ParallelRunner, String> {
     let runner = ParallelRunner::from_env();
@@ -487,14 +487,13 @@ fn print_engine_counters(io: &mut Io<'_>, results: &[ExperimentResult]) {
         let c = |key: &str| r.registry.counter(key).unwrap_or(0);
         errln!(
             io,
-            "engine[{}]: queue-overflow {} epoch-batches {} windows {} barriers {} widened {} \
+            "engine[{}]: queue-overflow {} epoch-batches {} windows {} barriers {} \
              cross-shard msgs {}",
             r.scheme,
             c("bfc_engine_queue_overflow_pushes"),
             c("bfc_engine_epoch_batches"),
             c("bfc_engine_epoch_windows"),
             c("bfc_engine_epoch_barriers"),
-            c("bfc_engine_epoch_widened"),
             c("bfc_engine_epoch_boundary_events"),
         );
         if r.shard_walls.is_empty() {

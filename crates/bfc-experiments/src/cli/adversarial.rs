@@ -232,7 +232,9 @@ fn json_object(indent: &str, pairs: &[(&str, String)]) -> String {
 }
 
 /// The `scenario --json` document: run header plus per-scheme completion,
-/// tail latency, recovery and safety reporting.
+/// tail latency, recovery and safety reporting. Its first key names the
+/// schema; a change to the key set, the nesting or a value's kind bumps the
+/// version (`tests/cli.rs` pins all three).
 fn scenario_json(
     label: &str,
     topo_name: &str,
@@ -279,6 +281,7 @@ fn scenario_json(
     };
     let results: Vec<String> = results.iter().map(result).collect();
     let document = [
+        ("schema", json_str("bfc-scenario/v1")),
         ("scenario", json_str(label)),
         ("topology", json_str(topo_name)),
         ("flows", flows.to_string()),

@@ -161,7 +161,7 @@ impl Args {
 }
 
 /// `s` as a JSON string literal, quotes included.
-pub fn json_str(s: &str) -> String {
+pub(super) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

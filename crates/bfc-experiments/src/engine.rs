@@ -346,11 +346,7 @@ impl<'a> Engine<'a> {
         e.batches += stats.batches;
         e.windows += stats.windows;
         e.barriers += stats.barriers;
-        e.widened += stats.widened;
         e.boundary_events += stats.boundary_events;
-        for (acc, n) in e.width_hist.iter_mut().zip(stats.width_hist) {
-            *acc += n;
-        }
         self.shard_walls.resize(walls.len(), ShardWall::default());
         for (acc, wall) in self.shard_walls.iter_mut().zip(walls) {
             acc.busy += wall.busy;

@@ -40,10 +40,9 @@ pub struct Scale {
     /// Incast event schedule (paper default: periodic; `--lognormal-incast`
     /// switches to log-normal inter-event gaps).
     pub incast_schedule: IncastSchedule,
-    /// The worker pool every figure fans its runs across, and the shard
-    /// count each run is split into: `BFC_THREADS` / `BFC_SHARDS`, the
-    /// latter overridden by `--shards`. Results are bit-identical at any
-    /// setting.
+    /// The worker pool every figure fans its runs across (`BFC_THREADS`),
+    /// and the shard count each run is split into (`--shards`). Results are
+    /// bit-identical at any setting.
     pub runner: ParallelRunner,
 }
 
@@ -71,9 +70,8 @@ impl Scale {
     /// Pulls the scale options off a command line: `--full` switches to full
     /// scale, `--bursty` to on/off background arrivals, `--lognormal-incast`
     /// to log-normal incast inter-event gaps, and `--shards N` splits every
-    /// run across N engine shards (equivalent to setting `BFC_SHARDS=N`;
-    /// results are bit-identical at any shard count). A missing or malformed
-    /// `--shards` value is the only error.
+    /// run across N engine shards (results are bit-identical at any shard
+    /// count). A missing or malformed `--shards` value is the only error.
     pub fn from_args(args: &mut Args) -> Result<Self, String> {
         let mut scale = Scale {
             full: args.switch("full"),

@@ -21,9 +21,8 @@
 //! * [`parallel`] — the [`parallel::ParallelRunner`]: fans independent
 //!   (scheme, sweep-point, seed) runs across `std::thread` workers with
 //!   order-preserving result collection, so every figure is bit-identical
-//!   at any thread count, and carries the shard count each run is split
-//!   into (`BFC_THREADS` / `BFC_SHARDS`, each read once; `--shards`
-//!   overrides the latter).
+//!   at any thread count (`BFC_THREADS`, read once), and carries the shard
+//!   count each run is split into (`--shards`).
 //! * [`sharded`] — within-run parallelism: the [`sharded::ShardPlan`] that
 //!   splits one large fabric's switches and hosts across shards advancing in
 //!   conservative lockstep epochs ([`sharded::run_experiment_sharded`]),

@@ -15,15 +15,16 @@
 //! reproducible.
 //!
 //! The runner also carries the **shard count** each of its runs is split
-//! into (`BFC_SHARDS` / `--shards`): a value handed to the engine per run.
-//! Both environment variables are read once per process, in
-//! [`ParallelRunner::from_env`]; nothing in this crate writes the
-//! environment.
+//! into (`--shards`): a value handed to the engine per run. `BFC_THREADS` is
+//! read once per process, in [`ParallelRunner::from_env`]; nothing in this
+//! crate writes the environment.
 
 use bfc_net::topology::Topology;
 use bfc_workloads::TraceFlow;
 
 use std::env::VarError;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::runner::{ExperimentConfig, ExperimentResult};
@@ -39,8 +40,8 @@ pub struct ParallelRunner {
 }
 
 /// Parses a thread or shard count as the `--shards` flag and the
-/// `BFC_THREADS` / `BFC_SHARDS` variables spell it: a positive integer,
-/// surrounding whitespace ignored. `what` names the flag or variable in the
+/// `BFC_THREADS` variable spell it: a positive integer, surrounding
+/// whitespace ignored. `what` names the flag or variable in the
 /// error.
 pub fn parse_count(what: &str, value: &str) -> Result<usize, String> {
     match value.trim().parse::<usize>() {
@@ -90,18 +91,21 @@ impl ParallelRunner {
     }
 
     /// Reads the worker count from `BFC_THREADS` (default: the machine's
-    /// available parallelism) and the shard count from `BFC_SHARDS` (default
-    /// 1). This is the constructor the `fig` and `trace-tool` binaries and
-    /// the examples use: set `BFC_THREADS=1` to force serial execution, or
-    /// leave it unset to use every core. The environment is read on the first call only; a
+    /// available parallelism); every run is on one shard until
+    /// [`ParallelRunner::with_shards`] says otherwise. This is the
+    /// constructor the `fig` and `trace-tool` binaries and the examples use:
+    /// set `BFC_THREADS=1` to force serial execution, or leave it unset to
+    /// use every core. The environment is read on the first call only; a
     /// malformed value is reported once on stderr and the default used.
     pub fn from_env() -> Self {
         static FROM_ENV: OnceLock<ParallelRunner> = OnceLock::new();
         *FROM_ENV.get_or_init(|| {
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let threads = env_count("BFC_THREADS", std::env::var("BFC_THREADS"), cores);
-            let shards = env_count("BFC_SHARDS", std::env::var("BFC_SHARDS"), 1);
-            ParallelRunner::new(threads).with_shards(shards)
+            ParallelRunner::new(env_count(
+                "BFC_THREADS",
+                std::env::var("BFC_THREADS"),
+                cores,
+            ))
         })
     }
 
@@ -128,7 +132,9 @@ impl ParallelRunner {
     /// Runs `job` for every element of `jobs`, at most `threads` at a time,
     /// and returns the results **in job order** regardless of which worker
     /// finished first — the scheduling is work-stealing by index, the output
-    /// is deterministic.
+    /// is deterministic. If a job panics, its payload (the earliest job's,
+    /// should several panic) is re-raised on the caller at any thread count,
+    /// and no worker starts another job.
     pub fn run_all<J, R, F>(&self, jobs: &[J], job: F) -> Vec<R>
     where
         J: Sync,
@@ -145,32 +151,39 @@ impl ParallelRunner {
             return jobs.iter().map(job).collect();
         }
 
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<R>> = Vec::new();
-        slots.resize_with(jobs.len(), || None);
-        let slots = std::sync::Mutex::new(slots);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if index >= jobs.len() {
-                        break;
-                    }
-                    let result = job(&jobs[index]);
-                    slots
-                        .lock()
-                        .expect("result mutex poisoned: a worker panicked")
-                        [index] = Some(result);
-                });
+        let next = AtomicUsize::new(0);
+        let panicked = AtomicBool::new(false);
+        // A job's panic is caught where it happens and handed back as its
+        // outcome (`thread::scope` alone would replace the message with "a
+        // scoped thread panicked", after the surviving workers had run every
+        // remaining job).
+        let worker = || {
+            let mut done: Vec<(usize, std::thread::Result<R>)> = Vec::new();
+            while !panicked.load(Ordering::Relaxed) {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= jobs.len() {
+                    break;
+                }
+                let outcome = catch_unwind(AssertUnwindSafe(|| job(&jobs[index])));
+                panicked.fetch_or(outcome.is_err(), Ordering::Relaxed);
+                done.push((index, outcome));
             }
+            done
+        };
+        let mut outcomes: Vec<(usize, std::thread::Result<R>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .flat_map(|handle| handle.join().expect("a worker catches its jobs' panics"))
+                .collect()
         });
-
-        slots
-            .into_inner()
-            .expect("result mutex poisoned: a worker panicked")
+        // Indices are claimed in ascending order, so every job before a
+        // panicked one has an outcome: in job order the first failure met is
+        // the earliest, and without one every job is there exactly once.
+        outcomes.sort_by_key(|(index, _)| *index);
+        outcomes
             .into_iter()
-            .map(|slot| slot.expect("every job index was claimed exactly once"))
+            .map(|(_, outcome)| outcome.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     }
 
@@ -215,6 +228,27 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_job_surfaces_its_own_message_at_any_thread_count() {
+        for threads in [1, 4] {
+            let jobs: Vec<u64> = (0..37).collect();
+            let payload = catch_unwind(|| {
+                ParallelRunner::new(threads).run_all(&jobs, |&j| {
+                    assert!(j != 5 && j != 6, "invalid fault schedule for job {j}");
+                    j
+                })
+            })
+            .expect_err("job 5 always runs, and panics");
+            // The earliest panicked job's message (job 6 may or may not have
+            // run beside it), not the scope's.
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("invalid fault schedule for job 5"),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
     fn empty_job_list_is_fine() {
         let results: Vec<u32> = ParallelRunner::new(4).run_all(&[] as &[u32], |&j| j);
         assert!(results.is_empty());
@@ -232,15 +266,15 @@ mod tests {
     fn counts_parse_as_positive_integers_only() {
         assert_eq!(parse_count("--shards", " 4 "), Ok(4));
         for (bad, why) in [("", "not a valid number"), ("banana", "not a valid number"), ("0", "got 0")] {
-            let err = parse_count("BFC_SHARDS", bad).expect_err(bad);
-            assert!(err.starts_with("BFC_SHARDS") && err.contains(why), "{bad:?}: {err}");
+            let err = parse_count("BFC_THREADS", bad).expect_err(bad);
+            assert!(err.starts_with("BFC_THREADS") && err.contains(why), "{bad:?}: {err}");
         }
     }
 
     #[test]
     fn a_rejected_environment_value_falls_back_to_the_default() {
-        assert_eq!(env_count("BFC_SHARDS", Err(VarError::NotPresent), 1), 1);
-        assert_eq!(env_count("BFC_SHARDS", Ok(" 4 ".into()), 1), 4);
+        assert_eq!(env_count("BFC_THREADS", Err(VarError::NotPresent), 1), 1);
+        assert_eq!(env_count("BFC_THREADS", Ok(" 4 ".into()), 1), 4);
         for bad in ["", "0", "banana"] {
             assert_eq!(env_count("BFC_THREADS", Ok(bad.into()), 3), 3, "{bad:?}");
         }

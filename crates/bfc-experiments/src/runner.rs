@@ -209,8 +209,8 @@ pub struct ExperimentResult {
     pub recovery: RecoveryMetrics,
     /// Safety analysis: PFC deadlocks, pause-storm metrics, livelock.
     pub safety: SafetyReport,
-    /// Epoch-driver counters: batches, windows, barriers, widened batches and
-    /// boundary events. A one-worker run reports its single batch of one
+    /// Epoch-driver counters: batches, windows, barriers and boundary
+    /// events. A one-worker run reports its single batch of one
     /// whole-run window and no boundary events. Observability only — never
     /// part of any bit-identity comparison, since a resumed run only counts
     /// its post-snapshot epochs.
@@ -262,19 +262,7 @@ impl ExperimentResult {
         self.registry
             .add_counter("bfc_engine_epoch_barriers", self.epochs.barriers);
         self.registry
-            .add_counter("bfc_engine_epoch_widened", self.epochs.widened);
-        self.registry
             .add_counter("bfc_engine_epoch_boundary_events", self.epochs.boundary_events);
-        // Epoch widths are powers of two under the driver's doubling policy,
-        // so replaying each width bucket as `count` observations of `2^i`
-        // reconstructs the exact distribution.
-        let mut widths = Hist::new();
-        for (i, &count) in self.epochs.width_hist.iter().enumerate() {
-            if count > 0 {
-                widths.observe_n(1u64 << i, count);
-            }
-        }
-        self.registry.merge_hist("bfc_engine_epoch_width", &widths);
     }
 }
 

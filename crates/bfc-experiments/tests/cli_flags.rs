@@ -5,16 +5,14 @@
 //! A bad `--shards` value is a usage error, not a crash: `fig` prints one
 //! line on stderr, nothing on stdout, and exits 1 — never the panic exit
 //! code 101 — and so does anything else it does not understand. A malformed
-//! `BFC_SHARDS` / `BFC_THREADS` is reported once and ignored; a well-formed
-//! `BFC_SHARDS` changes no output. A scenario run that convicts its scheme
-//! dumps the flight trace into the working directory.
+//! `BFC_THREADS` is reported once and ignored. A scenario run that convicts
+//! its scheme dumps the flight trace into the working directory.
 
 use std::process::{Command, Output};
 
 fn fig(args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_fig"))
         .args(args)
-        .env_remove("BFC_SHARDS")
         .env_remove("BFC_THREADS")
         .envs(env.iter().copied())
         .output()
@@ -79,35 +77,19 @@ fn an_unknown_or_missing_figure_lists_the_fifteen() {
 fn a_malformed_environment_count_is_reported_once_and_ignored() {
     // `--shards 0` stops the binary right after the environment is read, so
     // this does not pay for a figure.
-    let env = [("BFC_SHARDS", "banana"), ("BFC_THREADS", "0")];
-    let out = fig05(&["--shards", "0"], &env);
+    let out = fig05(&["--shards", "0"], &[("BFC_THREADS", "0")]);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for (name, value) in env {
-        let warnings: Vec<&str> = stderr
-            .lines()
-            .filter(|l| l.starts_with("warning: ") && l.contains(name))
-            .collect();
-        assert_eq!(warnings.len(), 1, "{name}: one warning, got {stderr:?}");
-        assert!(warnings[0].contains(value) && warnings[0].contains("using the default"));
-    }
+    let warnings: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("warning: "))
+        .collect();
+    assert_eq!(warnings.len(), 1, "one warning, got {stderr:?}");
+    assert!(
+        warnings[0].contains("BFC_THREADS requires a positive count, got 0")
+            && warnings[0].contains("using the default"),
+        "{stderr}"
+    );
     assert_eq!(out.status.code(), Some(1));
-}
-
-#[test]
-fn the_shard_count_from_the_environment_changes_no_figure() {
-    // Results are bit-identical at any shard count, so a byte-level diff of
-    // a figure is a cheap end-to-end witness — and of `BFC_SHARDS` being
-    // read (once, into a value on the runner) at all.
-    let unset = fig05(&[], &[]);
-    assert!(unset.status.success() && !unset.stdout.is_empty());
-    for shards in ["2", "1"] {
-        let out = fig05(&[], &[("BFC_SHARDS", shards)]);
-        assert!(out.status.success(), "BFC_SHARDS={shards}");
-        assert!(
-            out.stdout == unset.stdout,
-            "BFC_SHARDS={shards} changed fig 05"
-        );
-    }
 }
 
 #[test]

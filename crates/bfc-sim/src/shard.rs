@@ -175,8 +175,11 @@ const BARRIER_YIELDS: u32 = 2_000;
 /// hence a short spin stage and a long yield stage rather than the reverse
 /// (4 000 spins already cost at four shards). The row above it is why
 /// waiting in user space is worth having at all: on `bfc-bench`'s
-/// `sharded_epoch_quiescent` (2 shards, ≈ 1 µs of work between crossings)
-/// always parking reads 17 ms per run where the chosen budgets read 2 ms.
+/// `sharded_epoch_quiescent` (2 shards, ≈ 1 µs of work between crossings;
+/// `cargo run --release -p bfc-bench -- --filter sharded_epoch` times it
+/// and its dense counterpart — a reading to compare in alternated runs,
+/// not a gate) always parking reads 17 ms per run where the chosen budgets
+/// read 2 ms.
 /// Among the yield budgets the differences at two shards are small — a park
 /// costs ≈ 44 µs, so even one crossing in ten parked is 1 % of such a run —
 /// but 2 000 read lower than 500 in six interleaved pairs out of six, and
@@ -367,26 +370,8 @@ pub struct EpochStats {
     /// Barrier crossings: two per election round — including the final
     /// round that detects termination — plus one per executed window.
     pub barriers: u64,
-    /// Batches elected at a width above one window: under
-    /// [`BatchPolicy::Adaptive`] every batch of a driver call but its first,
-    /// under `Off` none.
-    pub widened: u64,
     /// Cross-shard boundary events exchanged.
     pub boundary_events: u64,
-    /// Batches by elected width: bucket `i` counts elections at width in
-    /// `[2^i, 2^(i+1))`, with bucket 7 open-ended. Feeds the registry's
-    /// `bfc_engine_epoch_width` histogram.
-    pub width_hist: [u64; 8],
-}
-
-impl EpochStats {
-    /// Tallies one election at `width`.
-    fn note_batch(&mut self, width: u32) {
-        self.batches += 1;
-        self.widened += u64::from(width > 1);
-        let bucket = (width.max(1).ilog2() as usize).min(7);
-        self.width_hist[bucket] += 1;
-    }
 }
 
 /// Where one worker thread of the threaded driver spent its wall-clock:
@@ -539,7 +524,7 @@ fn run_sequential<S: ShardHandler>(
         if t0 > deadline {
             return stats;
         }
-        stats.note_batch(sched.width);
+        stats.batches += 1;
         let mut w = 0u32;
         while w < sched.width {
             let window_end = t0 + lookahead * u64::from(w + 1);
@@ -719,7 +704,7 @@ fn run_threaded<S: ShardHandler>(
                             }
                             c.t0
                         };
-                        stats.note_batch(sched.width);
+                        stats.batches += 1;
                         let mut w = 0u32;
                         while w < sched.width {
                             let p = (executed & 1) as usize;
@@ -982,8 +967,7 @@ mod tests {
         let (log_off, off) = run(BatchPolicy::Off);
         let (log_on, on) = run(BatchPolicy::default());
         assert_eq!(log_off, log_on);
-        assert_eq!(off.widened, 0);
-        assert!(on.widened > 0, "adaptive policy never widened: {on:?}");
+        assert_eq!(off.windows, off.batches, "`Off` elects once per window");
         assert!(
             off.barriers >= 2 * on.barriers,
             "expected ≥2× barrier reduction, got off={} on={}",

@@ -1,8 +1,9 @@
 //! The steady-state packet path does not allocate.
 //!
-//! A counting `#[global_allocator]` (per-thread counter, so the tests can
-//! run in parallel) watches three loops after a warm-up that lets every ring
-//! buffer, slab and table reach its high-water mark:
+//! The counting `#[global_allocator]` of `common/alloc.rs` (per-thread
+//! counter, so the tests can run in parallel) watches three loops after a
+//! warm-up that lets every ring buffer, slab and table reach its high-water
+//! mark:
 //!
 //! * a stand-alone ToR [`Switch`] with the BFC policy forwarding contended
 //!   bursts — flow-table inserts, dynamic queue choice, DRR, buffer and PFC
@@ -18,8 +19,6 @@
 //! traffic, a window's boundary buffers circulate between outboxes and
 //! destinations, so a run's allocation count does not grow with its length.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 use backpressure_flow_control::experiments::{MetricsHub, Scheme};
@@ -35,53 +34,9 @@ use backpressure_flow_control::sim::shard::{
 use backpressure_flow_control::sim::{EventQueue, SimDuration, SimTime};
 use backpressure_flow_control::transport::{FlowSpec, Host};
 
-thread_local! {
-    /// Allocation events (alloc, alloc_zeroed, realloc) on this thread.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-fn note_alloc() {
-    // `try_with`: the allocator also runs while a thread's locals are torn
-    // down; a count lost there is not one a test reads.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter touches no allocator state
-// and (a const-initialized `Cell` without a destructor) never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        // SAFETY: the caller's obligations are passed through to `System`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        // SAFETY: as in `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as in `alloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
-        // SAFETY: as in `alloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
+#[path = "common/alloc.rs"]
+mod alloc;
+use alloc::allocs;
 
 const MTU: u32 = 1_000;
 

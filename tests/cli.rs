@@ -30,9 +30,12 @@ fn words(args: &[&str]) -> Vec<String> {
     args.iter().map(|a| a.to_string()).collect()
 }
 
-fn trace_tool(args: &[&str]) -> Ran {
+/// One of the two binaries' entry points.
+type Tool = fn(&[String], &mut Io<'_>) -> ExitCode;
+
+fn drive(tool: Tool, args: &[&str]) -> Ran {
     let (mut out, mut err) = (Vec::new(), Vec::new());
-    let code = cli::trace_tool(
+    let code = tool(
         &words(args),
         &mut Io {
             out: &mut out,
@@ -44,6 +47,10 @@ fn trace_tool(args: &[&str]) -> Ran {
         out: String::from_utf8(out).expect("stdout is UTF-8"),
         err: String::from_utf8(err).expect("stderr is UTF-8"),
     }
+}
+
+fn trace_tool(args: &[&str]) -> Ran {
+    drive(cli::trace_tool, args)
 }
 
 /// Runs a command that must succeed and returns its stdout.
@@ -237,6 +244,112 @@ fn scenarios_run_synthetic_and_replayed_and_the_lineup_stays_violation_free() {
         "{lineup}"
     );
     assert!(!lineup.contains("VIOLATION"), "{lineup}");
+}
+
+/// `(indent, key, kind)` of every member of a JSON document in the layout
+/// `scenario --json` writes — one member per line, two spaces per level —
+/// with brackets checked for balance. Not a JSON parser: the layout is part
+/// of what is pinned.
+fn json_members(doc: &str) -> Vec<(usize, String, &'static str)> {
+    let mut members = Vec::new();
+    let mut open = Vec::new();
+    for line in doc.lines() {
+        let text = line.trim_start();
+        let indent = line.len() - text.len();
+        let value = match text.strip_prefix('"') {
+            Some(rest) => {
+                let (key, value) = rest.split_once("\": ").expect("a member line");
+                let value = value.trim_end_matches(',');
+                let kind = match value {
+                    "{" => "object",
+                    "[" => "array",
+                    "null" => "null",
+                    "true" | "false" => "bool",
+                    v if v.len() >= 2 && v.starts_with('"') && v.ends_with('"') => "string",
+                    v if v.parse::<f64>().is_ok_and(f64::is_finite) => "number",
+                    v => panic!("`{key}` holds `{v}`, which is no JSON value"),
+                };
+                members.push((indent, key.to_string(), kind));
+                value
+            }
+            None => text.trim_end_matches(','),
+        };
+        match value {
+            "{" | "[" => open.push((indent, value)),
+            "}" => assert_eq!(open.pop(), Some((indent, "{")), "unbalanced: {line}"),
+            "]" => assert_eq!(open.pop(), Some((indent, "[")), "unbalanced: {line}"),
+            _ => assert!(text.starts_with('"'), "stray line: {line}"),
+        }
+    }
+    assert!(open.is_empty(), "unclosed: {open:?}");
+    members
+}
+
+#[test]
+fn the_scenario_json_schema_is_versioned_and_pinned() {
+    // A committed reproducer that carries its own topology, scheme, workload
+    // and faults, and recovers without a measurable dip: `time_to_recover_us`
+    // is the document's `null`.
+    let scenario = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/scenarios/worst_recovery_dcqcn_win_tiny.scn"
+    );
+    let doc = ok(&["scenario", scenario, "--json"]);
+    assert!(
+        doc.starts_with("{\n  \"schema\": \"bfc-scenario/v1\",\n"),
+        "{doc}"
+    );
+    // Key set, order, nesting and value kinds of bfc-scenario/v1. A change
+    // here is a change of schema: bump the version with it.
+    let schema: [(usize, &str, &str); 26] = [
+        (2, "schema", "string"),
+        (2, "scenario", "string"),
+        (2, "topology", "string"),
+        (2, "flows", "number"),
+        (2, "fault_events", "number"),
+        (2, "results", "array"),
+        (6, "scheme", "string"),
+        (6, "completed", "number"),
+        (6, "total", "number"),
+        (6, "p99_slowdown", "number|null"),
+        (6, "utilization", "number"),
+        (6, "drops", "number"),
+        (6, "recovery", "object"),
+        (8, "blackholed_packets", "number"),
+        (8, "reroutes", "number"),
+        (8, "faults", "number"),
+        (8, "time_to_recover_us", "number|null"),
+        (8, "goodput_dip_depth", "number"),
+        (6, "safety", "object"),
+        (8, "pause_frames", "number"),
+        (8, "max_pause_depth", "number"),
+        (8, "max_link_window_frames", "number"),
+        (8, "cycles_formed", "number"),
+        (8, "deadlocks", "number"),
+        (8, "livelock", "bool"),
+        (8, "violations", "number"),
+    ];
+    let members = json_members(&doc);
+    assert_eq!(members.len(), schema.len(), "{doc}");
+    for ((indent, key, kind), (want_indent, want_key, kinds)) in members.iter().zip(schema) {
+        assert_eq!((*indent, key.as_str()), (want_indent, want_key), "{doc}");
+        assert!(kinds.split('|').any(|k| k == *kind), "`{key}` is a {kind}");
+    }
+    let kind_of = |key: &str| members.iter().find(|m| m.1 == key).map(|m| m.2);
+    assert_eq!(kind_of("time_to_recover_us"), Some("null"), "{doc}");
+    assert_eq!(kind_of("p99_slowdown"), Some("number"), "{doc}");
+}
+
+#[test]
+fn the_shard_count_changes_no_figure() {
+    // Results are bit-identical at any shard count, so a byte-level diff of
+    // a figure is a cheap end-to-end witness of `--shards` reaching the
+    // engine through `fig` and changing nothing it prints.
+    let serial = drive(cli::fig, &["05"]);
+    assert!(serial.ok && !serial.out.is_empty(), "{}", serial.err);
+    let sharded = drive(cli::fig, &["05", "--shards", "2"]);
+    assert!(sharded.ok, "{}", sharded.err);
+    assert!(sharded.out == serial.out, "--shards 2 changed fig 05");
 }
 
 #[test]

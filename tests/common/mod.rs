@@ -7,6 +7,23 @@ use std::fmt::Write;
 use backpressure_flow_control::experiments::{ExperimentConfig, ExperimentResult};
 use backpressure_flow_control::sim::snapshot::checksum64;
 use backpressure_flow_control::sim::{SimDuration, SimTime};
+use backpressure_flow_control::workloads::ingest::{IngestError, IngestSource};
+use backpressure_flow_control::workloads::TraceFlow;
+
+/// A finished trace as an ingest source.
+pub struct Flows(std::vec::IntoIter<TraceFlow>);
+
+impl Flows {
+    pub fn new(trace: &[TraceFlow]) -> Flows {
+        Flows(trace.to_vec().into_iter())
+    }
+}
+
+impl IngestSource for Flows {
+    fn next_flow(&mut self) -> Result<Option<TraceFlow>, IngestError> {
+        Ok(self.0.next())
+    }
+}
 
 /// One of four kinds of snapshot cut instant; `frac` places the last kind.
 pub fn cut_instant(kind: u64, frac: f64, config: &ExperimentConfig) -> SimTime {

@@ -193,7 +193,6 @@ fn epoch_batching_is_bit_identical_and_cuts_barriers_when_quiescent() {
             on.epochs.boundary_events, off.epochs.boundary_events,
             "{shards} shards: same cross-shard events either way"
         );
-        assert!(on.epochs.widened > 0, "{shards} shards: never widened");
         assert!(
             off.epochs.barriers >= 2 * on.epochs.barriers,
             "{shards} shards: expected ≥2× fewer barriers, got off={} on={}",

@@ -29,12 +29,11 @@ use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::SwitchConfig;
 use backpressure_flow_control::sim::{EventQueue, SimDuration, SimRng, SimTime};
-use backpressure_flow_control::workloads::ingest::{IngestError, IngestSource};
 use backpressure_flow_control::workloads::{synthesize, TraceFlow, TraceParams, Workload};
 use bfc_testkit::{case_seed, f64_range, int_range, pair, triple, Config, Gen};
 
 mod common;
-use common::{cut_instant, fingerprint};
+use common::{cut_instant, fingerprint, Flows};
 
 /// `common::fingerprint` of `tests/engine_equivalence.rs`'s twelve cases
 /// (same generator, same seeds, the scheme each case draws), as computed by
@@ -386,15 +385,6 @@ fn a_run_that_ended_on_a_noop_tx_complete_still_ends_then() {
     }
 }
 
-/// A finished trace as an ingest source.
-struct Flows(std::vec::IntoIter<TraceFlow>);
-
-impl IngestSource for Flows {
-    fn next_flow(&mut self) -> Result<Option<TraceFlow>, IngestError> {
-        Ok(self.0.next())
-    }
-}
-
 /// `common::fingerprint` of the served runs below as computed by commit
 /// d7dc729, per `(scheme, inflight cap)`. A flow admitted while the cap
 /// binds starts at the engine's last processed instant, so its FCT record —
@@ -420,7 +410,7 @@ fn a_capped_serve_admits_at_the_eager_engines_instants() {
     for scheme in [Scheme::bfc(), dcqcn_win] {
         for cap in [1, 3] {
             let config = ExperimentConfig::new(scheme.clone(), horizon);
-            let mut source = Flows(trace.clone().into_iter());
+            let mut source = Flows::new(&trace);
             let report = serve_experiment(&topo, &config, &mut source, cap).expect("serves");
             assert_eq!(report.admitted, trace.len());
             got.push(fingerprint(&report.result));
