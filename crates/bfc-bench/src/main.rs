@@ -466,10 +466,10 @@ fn bench_port_counters(h: &mut Harness) {
 fn bench_epoch_barrier(h: &mut Harness) {
     let topo = fat_tree(FatTreeParams::tiny());
     // A cross-shard-quiescent run: sparse load over a long horizon, where
-    // the epoch driver fast-forwards over empty grid windows and collapses
-    // barrier crossings. Re-run with
+    // most windows exchange nothing and the epoch driver anchors the next
+    // one at the next event, past the dead air. Re-run with
     // `config.with_epoch_batching(false)` to see the barrier count (in
-    // `result.epochs`) roughly triple.
+    // `result.epochs`) go from `windows + 1` to `2 * windows + 1`.
     let quiet = synthesize(
         &topo.hosts(),
         &TraceParams::background_only(
@@ -511,11 +511,10 @@ fn bench_epoch_barrier(h: &mut Harness) {
     if ran {
         let e = run_experiment_sharded(&t1, &dense, &dense_config, 2).epochs;
         h.note(format!(
-            "sharded_epoch_dense: {} windows, {} barriers = {:.3} per window, \
+            "sharded_epoch_dense: {} windows + 1 election = {} barriers, \
              {:.1} boundary events per window",
             e.windows,
             e.barriers,
-            e.barriers as f64 / e.windows as f64,
             e.boundary_events as f64 / e.windows as f64
         ));
     }

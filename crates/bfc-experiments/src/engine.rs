@@ -334,13 +334,12 @@ impl<'a> Engine<'a> {
     /// **only** caller of the conservative driver in this crate.
     pub(crate) fn advance(&mut self, until: SimTime) {
         self.cut = until.min(self.deadline);
-        let parallel = self.workers.len() > 1;
         let (_, stats, walls) = run_conservative(
             &mut self.workers,
             self.lookahead,
             self.cut,
-            parallel,
-            self.config.batch_policy(),
+            true,
+            self.config.epoch_batching,
         );
         let e = &mut self.epochs;
         e.batches += stats.batches;

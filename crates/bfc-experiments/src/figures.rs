@@ -193,23 +193,31 @@ fn bucket_header(result: &ExperimentResult) -> String {
     line
 }
 
-/// Runs a set of schemes on one trace and renders the p99-slowdown-per-bucket
-/// comparison table the FCT figures use.
-fn fct_comparison(scale: &Scale, topo: &Topology, trace: &[TraceFlow], schemes: Vec<Scheme>, title: &str) -> String {
-    let mut out = format!("{title}\n");
+/// Runs a set of schemes on one trace, one result per scheme in order.
+fn run_schemes(scale: &Scale, topo: &Topology, trace: &[TraceFlow], schemes: Vec<Scheme>) -> Vec<ExperimentResult> {
     let configs: Vec<ExperimentConfig> = schemes
         .into_iter()
         .map(|scheme| config_for(scale, scheme))
         .collect();
-    let results = scale.runner.run_experiments(topo, trace, &configs);
+    scale.runner.run_experiments(topo, trace, &configs)
+}
+
+/// Renders the p99-slowdown-per-bucket comparison table the FCT figures use.
+fn p99_table(title: &str, results: &[ExperimentResult]) -> String {
+    let mut out = format!("{title}\n");
     if let Some(first) = results.first() {
         out.push_str(&bucket_header(first));
     }
-    for r in &results {
+    for r in results {
         out.push_str(&p99_line(r));
     }
     out.push_str("(99th-percentile FCT slowdown per flow-size bucket; non-incast flows)\n");
     out
+}
+
+/// Runs a set of schemes on one trace and renders their [`p99_table`].
+fn fct_comparison(scale: &Scale, topo: &Topology, trace: &[TraceFlow], schemes: Vec<Scheme>, title: &str) -> String {
+    p99_table(title, &run_schemes(scale, topo, trace, schemes))
 }
 
 /// Figure 1: hardware trends for top-of-the-line Broadcom switches. Static
@@ -443,13 +451,10 @@ pub mod fig07 {
         let topo = scale.t1();
         let trace = standard_trace(scale, &topo, Workload::Google, 0.60, 0.05);
         let schemes = vec![Scheme::bfc(), Scheme::bfc_vfid(), Scheme::SfqInfBuffer];
-        let mut out = fct_comparison(scale, &topo, &trace, schemes.clone(), "Fig 7a: queue assignment");
+        let results = run_schemes(scale, &topo, &trace, schemes);
+        let mut out = p99_table("Fig 7a: queue assignment", &results);
         out.push_str("\nFig 7b: physical-queue collisions\nscheme            collision fraction\n");
-        let configs: Vec<ExperimentConfig> = schemes
-            .into_iter()
-            .map(|scheme| config_for(scale, scheme))
-            .collect();
-        for result in scale.runner.run_experiments(&topo, &trace, &configs) {
+        for result in results {
             out.push_str(&format!(
                 "{:<16}  {:>18.4}\n",
                 result.scheme,
@@ -673,19 +678,13 @@ pub mod fig11 {
             Scheme::bfc(),
             Scheme::Bfc(BfcConfig::without_high_priority_queue()),
         ];
-        let mut out = fct_comparison(
-            scale,
-            &topo,
-            &trace,
-            schemes.clone(),
+        let results = run_schemes(scale, &topo, &trace, schemes);
+        let mut out = p99_table(
             "Fig 11b: tail FCT with/without the high-priority queue (85% load + incast)",
+            &results,
         );
         out.push_str("\nFig 11a: occupied physical queues\nscheme              p50    p99\n");
-        let configs: Vec<ExperimentConfig> = schemes
-            .into_iter()
-            .map(|scheme| config_for(scale, scheme))
-            .collect();
-        for result in scale.runner.run_experiments(&topo, &trace, &configs) {
+        for result in results {
             out.push_str(&format!(
                 "{:<16}  {:>6.1} {:>6.1}\n",
                 result.scheme,

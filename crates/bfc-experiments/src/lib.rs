@@ -75,7 +75,7 @@ pub mod sharded;
 pub use fuzz::{FuzzConfig, FuzzOutcome, Objective, Reproducer};
 pub use parallel::ParallelRunner;
 pub use replay::{ReplayError, ReplayTrace};
-pub use bfc_sim::shard::{BatchPolicy, EpochStats, ShardWall};
+pub use bfc_sim::shard::{EpochStats, ShardWall};
 pub use runner::{run_experiment, ExperimentConfig, ExperimentResult, MAX_HORIZON};
 pub use scenario::{ScenarioError, ScenarioSpec};
 pub use scheme::Scheme;

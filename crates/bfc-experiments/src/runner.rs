@@ -14,7 +14,7 @@ use bfc_metrics::fct::{FctRecord, FctSummary};
 use bfc_metrics::recovery::{RecoveryMetrics, RecoveryTracker};
 use bfc_metrics::registry::{labeled, MetricsRegistry};
 use bfc_metrics::safety::{SafetyConfig, SafetyReport, SafetyTracker};
-use bfc_metrics::series::{OccupancySeries, UtilizationTracker};
+use bfc_metrics::series::{GoodputSeries, OccupancySeries, UtilizationTracker};
 use bfc_metrics::Hist;
 use bfc_net::config::SwitchConfig;
 use bfc_net::dynamics::{FaultEvent, FaultSchedule, LinkAction, LinkStateMap};
@@ -26,7 +26,7 @@ use bfc_net::switch::{Switch, SwitchCounters};
 use bfc_net::topology::Topology;
 use bfc_net::trace::{FlightTrace, TraceEvent, TraceFilter};
 use bfc_net::types::{FlowId, NodeId};
-use bfc_sim::shard::{BatchPolicy, EpochStats, ShardWall};
+use bfc_sim::shard::{EpochStats, ShardWall};
 use bfc_sim::{EventQueue, SimDuration, SimTime};
 use bfc_transport::{FlowSpec, Host, HostConfig};
 use bfc_workloads::TraceFlow;
@@ -78,16 +78,12 @@ pub struct ExperimentConfig {
     /// is bit-identical to a run of this build with no dynamics at all — the
     /// link-state checks short-circuit and nothing else changes.
     pub dynamics: FaultSchedule,
-    /// Whether the sharded engine's conservative driver may batch multiple
-    /// epoch windows between leader decisions (see
-    /// [`bfc_sim::shard::BatchPolicy`]). On or off, results are
-    /// bit-identical; batching only collapses barrier crossings in
-    /// cross-shard-quiescent stretches of the run.
+    /// Whether the sharded engine's conservative driver runs window after
+    /// window on one barrier crossing each, electing only at the start of a
+    /// run (see [`bfc_sim::shard`]); off, it re-elects before every window,
+    /// the reference schedule at two crossings per window. On or off,
+    /// results are bit-identical.
     pub epoch_batching: bool,
-    /// Thresholds for the safety detectors (PFC deadlock hold, livelock
-    /// horizon, pause-storm window). Analysis-only — judging the run's
-    /// observations differently never changes the run itself.
-    pub safety: SafetyConfig,
     /// Flight-recorder capacity: `Some(n)` records the last `n` trace
     /// events (per shard, under sharding); `None` (the default) disables
     /// tracing entirely. Observability-only — on or off, results are
@@ -116,7 +112,6 @@ impl ExperimentConfig {
             sample_interval: SimDuration::from_micros(10),
             dynamics: FaultSchedule::default(),
             epoch_batching: true,
-            safety: SafetyConfig::default(),
             trace_capacity: None,
             trace_filter: None,
         }
@@ -146,7 +141,7 @@ impl ExperimentConfig {
         self
     }
 
-    /// Enables or disables adaptive epoch batching in the sharded engine.
+    /// Enables or disables epoch batching in the sharded engine.
     pub fn with_epoch_batching(mut self, on: bool) -> Self {
         self.epoch_batching = on;
         self
@@ -162,15 +157,6 @@ impl ExperimentConfig {
     pub fn with_trace_filter(mut self, filter: TraceFilter) -> Self {
         self.trace_filter = Some(filter);
         self
-    }
-
-    /// The epoch driver policy this config selects.
-    pub fn batch_policy(&self) -> BatchPolicy {
-        if self.epoch_batching {
-            BatchPolicy::default()
-        } else {
-            BatchPolicy::Off
-        }
     }
 }
 
@@ -309,11 +295,14 @@ pub(crate) struct FabricSim<'a> {
     pub(crate) occupied_queue_samples: Vec<f64>,
     pub(crate) sample_until: SimTime,
     pub(crate) completed: usize,
+    /// Bytes delivered to this sim's hosts per sample tick, for the recovery
+    /// metrics and the livelock detector.
+    pub(crate) goodput: GoodputSeries,
     pub(crate) recovery: RecoveryTracker,
-    /// Safety observations (PFC wait-for edges, unconditional goodput
-    /// ticks). Each sim records pause edges only for nodes it owns, so the
-    /// per-edge log order is the engine's deterministic processing order and
-    /// shard merges reproduce the serial log exactly.
+    /// Safety observations (PFC wait-for edges). Each sim records pause
+    /// edges only for nodes it owns, so the per-edge log order is the
+    /// engine's deterministic processing order and shard merges reproduce
+    /// the serial log exactly.
     pub(crate) safety: SafetyTracker,
     /// Whether this sim records the schedule-derived recovery metrics
     /// (fault instants, reroute count). Every shard applies dynamics to its
@@ -369,12 +358,7 @@ impl FabricSim<'_> {
             .flatten()
             .map(|h| h.counters().rx_data_bytes)
             .sum();
-        // The livelock detector needs goodput on every run; the recovery
-        // tracker keeps its historical dynamics-only gating.
-        self.safety.record_goodput(now, delivered);
-        if !self.dynamics.is_empty() {
-            self.recovery.record_goodput(now, delivered);
-        }
+        self.goodput.record(now, delivered);
     }
 
     /// Applies one fault-schedule event: mutates the live link state, updates
@@ -737,6 +721,7 @@ pub(crate) fn build_sim<'a>(
         occupied_queue_samples: Vec::new(),
         sample_until,
         completed: 0,
+        goodput: GoodputSeries::new(),
         recovery: RecoveryTracker::new(),
         safety: SafetyTracker::new(),
         record_dynamics_metrics,
@@ -781,7 +766,7 @@ pub(crate) fn assemble_result(
     topo: &Topology,
     config: &ExperimentConfig,
     frame: &Frame,
-    mut sims: Vec<FabricSim<'_>>,
+    sims: Vec<FabricSim<'_>>,
     flight_parts: Vec<FlightTrace>,
     end_time: SimTime,
 ) -> ExperimentResult {
@@ -887,25 +872,34 @@ pub(crate) fn assemble_result(
     registry.add_counter("bfc_flow_table_probe_steps", probe.probe_steps);
     registry.set_gauge("bfc_flow_table_max_probe", probe.max_probe as f64);
 
-    // Recovery accumulators merge exactly: blackhole counts sum, the fault /
-    // reroute log lives in the one sim with `record_dynamics_metrics`, and
-    // per-tick goodput deltas sum across shards.
-    let recovery_parts: Vec<RecoveryTracker> = sims
-        .iter_mut()
-        .map(|s| std::mem::take(&mut s.recovery))
-        .collect();
+    // Per-tick goodput deltas sum across shards.
+    let goodput = GoodputSeries::merge(sims.iter().map(|s| &s.goodput));
+
+    // Recovery accumulators merge exactly: blackhole counts sum, and the
+    // fault / reroute log lives in the one sim with
+    // `record_dynamics_metrics`.
+    let mut recovery_tracker = RecoveryTracker::merge(sims.iter().map(|s| &s.recovery));
+    recovery_tracker.add_blackholed(switch_blackholed);
+    let recovery = recovery_tracker.finish(&goodput);
 
     // Safety observations merge the same way: pause edges are recorded by
-    // the owning sim only, goodput ticks sum per instant, and the replay in
-    // `finish` sorts canonically — bit-identical at any shard count.
-    let safety_parts: Vec<SafetyTracker> = sims
-        .iter_mut()
-        .map(|s| std::mem::take(&mut s.safety))
-        .collect();
+    // the owning sim only, and the replay in `finish` sorts canonically —
+    // bit-identical at any shard count.
+    let merged_safety = SafetyTracker::merge(sims.iter().map(|s| &s.safety));
+    // Pause-duration histogram: close any still-open pauses at the run's end
+    // so a deadlocked edge contributes its full hold time.
+    let pause_hist = merged_safety.pause_durations(end_time);
+    let safety = merged_safety.finish(
+        &SafetyConfig::default(),
+        &goodput,
+        end_time,
+        total_flows - completed,
+    );
 
     // FCT slowdown histogram: each flow completes in exactly one sim, so
-    // merging per-sim histograms is an exact disjoint union (must happen
-    // before the sampled-series block below may consume `sims`).
+    // merging per-sim histograms is an exact disjoint union. (This and the
+    // merges above come before the sampled-series block below, which may
+    // consume `sims`.)
     let mut fct_hist = Hist::new();
     for s in &sims {
         fct_hist.merge(&s.fct_hist);
@@ -960,15 +954,6 @@ pub(crate) fn assemble_result(
         }
         (occupancy, peak, occupied)
     };
-
-    let mut recovery_tracker = RecoveryTracker::merge(recovery_parts);
-    recovery_tracker.add_blackholed(switch_blackholed);
-    let recovery = recovery_tracker.finish();
-    let merged_safety = SafetyTracker::merge(safety_parts);
-    // Pause-duration histogram: close any still-open pauses at the run's end
-    // so a deadlocked edge contributes its full hold time.
-    let pause_hist = merged_safety.pause_durations(end_time);
-    let safety = merged_safety.finish(&config.safety, end_time, total_flows - completed);
 
     // Run-level rollups and the safety verdict.
     registry.add_counter("bfc_flows_completed", completed as u64);

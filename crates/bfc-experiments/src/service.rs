@@ -84,8 +84,9 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
 /// the payload and changes the container's checksum (and the fingerprint
 /// stored in the payload) to [`checksum64`]'s 8-byte words. Version 7
 /// replaces the `busy` flag of every switch egress and host uplink with the
-/// transmitter's serialization end and pending-wake flag.
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// transmitter's serialization end and pending-wake flag. Version 8 stores
+/// a sim's goodput ticks once (the recovery and safety trackers each did).
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Hashes every run input the snapshot does *not* serialize — topology
 /// shape, trace, configuration and shard count — so a resume against
@@ -143,6 +144,7 @@ fn save_sim(sim: &FabricSim<'_>, w: &mut SnapWriter) {
         peak_queue_samples,
         occupied_queue_samples,
         completed,
+        goodput,
         recovery,
         safety,
     } = sim;
@@ -160,6 +162,7 @@ fn save_sim(sim: &FabricSim<'_>, w: &mut SnapWriter) {
     peak_queue_samples.save(w);
     occupied_queue_samples.save(w);
     completed.save(w);
+    goodput.save(w);
     recovery.save(w);
     safety.save(w);
     fct_hist.save(w);
@@ -200,6 +203,7 @@ fn restore_sim(
     if sim.completed > sim.flow_completed.len() {
         return Err(SnapError::Corrupt("completed count exceeds flow count"));
     }
+    sim.goodput = r.get()?;
     sim.recovery = r.get()?;
     sim.safety = r.get()?;
     sim.fct_hist = r.get()?;

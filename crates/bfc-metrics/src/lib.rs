@@ -9,8 +9,8 @@
 //! * [`fct`] — per-flow FCT records, slowdown computation and the per-size
 //!   bucketed percentile summaries used by every FCT figure.
 //! * [`stats`] — percentiles, means and CDF construction.
-//! * [`series`] — time-series sampling (buffer occupancy) and utilization /
-//!   pause-time accounting.
+//! * [`series`] — time-series sampling (buffer occupancy, per-tick goodput)
+//!   and utilization / pause-time accounting.
 //! * [`recovery`] — fault-recovery metrics for runs with network dynamics:
 //!   blackholed packets, reroute count, time-to-recover, goodput dip depth.
 //! * [`safety`] — the safety detectors the PFC/BFC community cares about:
@@ -37,5 +37,5 @@ pub use hist::Hist;
 pub use recovery::{RecoveryMetrics, RecoveryTracker};
 pub use registry::MetricsRegistry;
 pub use safety::{SafetyConfig, SafetyReport, SafetyTracker};
-pub use series::{OccupancySeries, UtilizationTracker};
+pub use series::{GoodputSeries, OccupancySeries, UtilizationTracker};
 pub use stats::{build_cdf, mean, percentile};

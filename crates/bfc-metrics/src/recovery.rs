@@ -17,10 +17,12 @@
 //! The baseline is the mean per-sample goodput over the samples strictly
 //! before the first fault, and "recovered" means a per-sample goodput of at
 //! least [`RecoveryTracker::RECOVERY_FRACTION`] of that baseline. Everything
-//! is computed from the driver's periodic samples, so the metrics are
-//! bit-identical across thread counts like every other result.
+//! is computed from the driver's periodic samples (its [`GoodputSeries`]), so
+//! the metrics are bit-identical across thread counts like every other result.
 
 use bfc_sim::{SimDuration, SimTime};
+
+use crate::series::GoodputSeries;
 
 /// The recovery summary of one experiment run. For a run without dynamics
 /// every field is zero / `None`.
@@ -43,22 +45,17 @@ pub struct RecoveryMetrics {
     pub goodput_dip_depth: f64,
 }
 
-/// Accumulates goodput samples and fault instants during a run and distills
-/// them into [`RecoveryMetrics`] at the end.
+/// Accumulates fault instants and loss counts during a run and distills
+/// them, with the run's goodput series, into [`RecoveryMetrics`] at the end.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryTracker {
-    /// Per-sample delivered bytes: `(instant, bytes since previous sample)`.
-    samples: Vec<(SimTime, u64)>,
-    last_cumulative: u64,
     disruptions: Vec<SimTime>,
     blackholed: u64,
     reroutes: u64,
 }
 
 bfc_sim::snap_struct! {
-    RecoveryTracker {
-        samples, last_cumulative, disruptions, blackholed, reroutes,
-    }
+    RecoveryTracker { disruptions, blackholed, reroutes }
 }
 
 impl RecoveryTracker {
@@ -69,15 +66,6 @@ impl RecoveryTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
         RecoveryTracker::default()
-    }
-
-    /// Records one goodput sample: `cumulative_bytes` is the running total of
-    /// delivered bytes across all receivers at `now`. Call at every sample
-    /// tick, in time order.
-    pub fn record_goodput(&mut self, now: SimTime, cumulative_bytes: u64) {
-        let delta = cumulative_bytes.saturating_sub(self.last_cumulative);
-        self.last_cumulative = cumulative_bytes;
-        self.samples.push((now, delta));
     }
 
     /// Records that a fault event was applied at `now` (anchors the
@@ -104,42 +92,18 @@ impl RecoveryTracker {
     }
 
     /// Merges per-shard trackers into the tracker one collector covering the
-    /// whole fabric would have built.
-    ///
-    /// Shards sample in lockstep, so every non-empty sample series carries
-    /// the same tick instants; per-tick deltas (each shard's local receivers)
-    /// sum to the fabric-wide delta exactly (`u64` addition). Fault instants
-    /// and reroute counts are recorded by a single designated shard, so
-    /// concatenation — kept time-sorted — reproduces the serial log.
-    /// `merge(vec![t])` is `t` itself.
-    pub fn merge(parts: Vec<RecoveryTracker>) -> RecoveryTracker {
+    /// whole fabric would have built: blackhole counts sum, and fault
+    /// instants and reroute counts are recorded by a single designated
+    /// shard, so concatenation — kept time-sorted — reproduces the serial
+    /// log. The merge of one tracker is that tracker.
+    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a RecoveryTracker>) -> RecoveryTracker {
         let mut merged = RecoveryTracker::new();
-        for part in &parts {
+        for part in parts {
             merged.blackholed += part.blackholed;
             merged.reroutes += part.reroutes;
-            merged.last_cumulative += part.last_cumulative;
             merged.disruptions.extend(part.disruptions.iter().copied());
         }
         merged.disruptions.sort_unstable();
-        if let Some(longest) = parts.iter().map(|p| p.samples.len()).max() {
-            for tick in 0..longest {
-                let mut at = None;
-                let mut delta = 0u64;
-                for part in &parts {
-                    if let Some(&(t, d)) = part.samples.get(tick) {
-                        debug_assert!(
-                            at.is_none_or(|a| a == t),
-                            "shards must sample at identical instants"
-                        );
-                        at = Some(t);
-                        delta += d;
-                    }
-                }
-                if let Some(t) = at {
-                    merged.samples.push((t, delta));
-                }
-            }
-        }
         merged
     }
 
@@ -149,10 +113,10 @@ impl RecoveryTracker {
     /// mean is zero — both would otherwise divide by zero downstream and
     /// poison `goodput_dip_depth` with NaN/inf and `time_to_recover` with a
     /// threshold every idle sample trivially meets.
-    fn baseline(&self, first: SimTime) -> Option<f64> {
+    fn baseline(goodput: &GoodputSeries, first: SimTime) -> Option<f64> {
         let mut sum = 0u64;
         let mut count = 0u64;
-        for &(t, d) in &self.samples {
+        for &(t, d) in goodput.samples() {
             if t < first {
                 sum += d;
                 count += 1;
@@ -162,13 +126,14 @@ impl RecoveryTracker {
         (baseline > 0.0).then_some(baseline)
     }
 
-    /// Distills the recorded run into its [`RecoveryMetrics`].
+    /// Distills the recorded run and its fabric-wide goodput series into its
+    /// [`RecoveryMetrics`].
     ///
     /// When no pre-fault baseline exists (see [`RecoveryTracker::baseline`]),
     /// `time_to_recover` is explicitly `None` and `goodput_dip_depth`
     /// explicitly `0.0` — "unmeasurable", never NaN and never a bogus
     /// instant-recovery reading.
-    pub fn finish(&self) -> RecoveryMetrics {
+    pub fn finish(&self, goodput: &GoodputSeries) -> RecoveryMetrics {
         let mut metrics = RecoveryMetrics {
             blackholed_packets: self.blackholed,
             reroutes: self.reroutes,
@@ -180,7 +145,7 @@ impl RecoveryTracker {
         else {
             return metrics;
         };
-        let Some(baseline) = self.baseline(first) else {
+        let Some(baseline) = Self::baseline(goodput, first) else {
             return metrics;
         };
 
@@ -190,7 +155,7 @@ impl RecoveryTracker {
         // eligible as recovery evidence.
         let mut window_start = SimTime::ZERO;
         let mut recovered_at = None;
-        for &(t, d) in &self.samples {
+        for &(t, d) in goodput.samples() {
             if window_start >= last && d as f64 >= Self::RECOVERY_FRACTION * baseline {
                 recovered_at = Some(t);
                 break;
@@ -202,8 +167,8 @@ impl RecoveryTracker {
         // The disturbed window: from the first fault until recovery (or the
         // end of the run if goodput never came back).
         let window_end = recovered_at.unwrap_or(SimTime::MAX);
-        let min_goodput = self
-            .samples
+        let min_goodput = goodput
+            .samples()
             .iter()
             .filter(|(t, _)| *t >= first && *t <= window_end)
             .map(|(_, d)| *d)
@@ -225,17 +190,11 @@ mod tests {
 
     #[test]
     fn merging_shard_trackers_matches_the_fabric_wide_tracker() {
-        // One fabric-wide tracker versus two shard trackers whose receivers
-        // split the delivered bytes; the designated shard 0 records faults.
+        // One fabric-wide tracker versus two shard trackers that each saw
+        // some of the losses; the designated shard 0 records faults.
         let mut whole = RecoveryTracker::new();
         let mut shard0 = RecoveryTracker::new();
         let mut shard1 = RecoveryTracker::new();
-        let deliveries = [(10u64, 600u64, 400u64), (20, 700, 400), (30, 700, 500)];
-        for (at, a, b) in deliveries {
-            whole.record_goodput(us(at), a + b);
-            shard0.record_goodput(us(at), a);
-            shard1.record_goodput(us(at), b);
-        }
         whole.record_fault(us(15));
         whole.record_reroute();
         shard0.record_fault(us(15));
@@ -243,49 +202,52 @@ mod tests {
         whole.add_blackholed(3);
         shard0.add_blackholed(1);
         shard1.add_blackholed(2);
-        let merged = RecoveryTracker::merge(vec![shard0, shard1]);
-        assert_eq!(merged.finish(), whole.finish());
+        let merged = RecoveryTracker::merge([&shard0, &shard1]);
+        assert_eq!(merged, whole);
         assert_eq!(merged.blackholed(), 3);
     }
 
     #[test]
     fn merging_a_single_tracker_is_identity() {
         let mut t = RecoveryTracker::new();
-        t.record_goodput(us(10), 1_000);
+        let mut g = GoodputSeries::new();
+        g.record(us(10), 1_000);
         t.record_fault(us(12));
-        t.record_goodput(us(20), 1_500);
+        g.record(us(20), 1_500);
         t.add_blackholed(4);
-        let expected = t.finish();
-        assert_eq!(RecoveryTracker::merge(vec![t]).finish(), expected);
+        let expected = t.finish(&g);
+        assert_eq!(RecoveryTracker::merge([&t]).finish(&g), expected);
     }
 
     #[test]
     fn no_faults_yield_empty_metrics() {
-        let mut t = RecoveryTracker::new();
-        t.record_goodput(us(10), 1_000);
-        t.record_goodput(us(20), 2_000);
-        let m = t.finish();
+        let t = RecoveryTracker::new();
+        let mut g = GoodputSeries::new();
+        g.record(us(10), 1_000);
+        g.record(us(20), 2_000);
+        let m = t.finish(&g);
         assert_eq!(m, RecoveryMetrics::default());
     }
 
     #[test]
     fn dip_and_recovery_are_measured_from_samples() {
         let mut t = RecoveryTracker::new();
+        let mut g = GoodputSeries::new();
         // Steady 1000 B per tick before the fault.
         let mut cumulative = 0;
         for i in 1..=4u64 {
             cumulative += 1_000;
-            t.record_goodput(us(i * 10), cumulative);
+            g.record(us(i * 10), cumulative);
         }
         t.record_fault(us(45));
         t.record_reroute();
         // Goodput collapses to 100 B, then recovers to 950 B at t=80.
         for (at, delta) in [(50, 100u64), (60, 100), (70, 500), (80, 950), (90, 1_000)] {
             cumulative += delta;
-            t.record_goodput(us(at), cumulative);
+            g.record(us(at), cumulative);
         }
         t.add_blackholed(7);
-        let m = t.finish();
+        let m = t.finish(&g);
         assert_eq!(m.blackholed_packets, 7);
         assert_eq!(m.reroutes, 1);
         assert_eq!(m.faults, 1);
@@ -297,11 +259,12 @@ mod tests {
     #[test]
     fn unrecovered_runs_report_none() {
         let mut t = RecoveryTracker::new();
-        t.record_goodput(us(10), 1_000);
+        let mut g = GoodputSeries::new();
+        g.record(us(10), 1_000);
         t.record_fault(us(15));
-        t.record_goodput(us(20), 1_050);
-        t.record_goodput(us(30), 1_100);
-        let m = t.finish();
+        g.record(us(20), 1_050);
+        g.record(us(30), 1_100);
+        let m = t.finish(&g);
         assert_eq!(m.time_to_recover, None);
         assert!(m.goodput_dip_depth > 0.9);
     }
@@ -309,9 +272,10 @@ mod tests {
     #[test]
     fn fault_before_any_sample_has_no_baseline() {
         let mut t = RecoveryTracker::new();
+        let mut g = GoodputSeries::new();
         t.record_fault(us(1));
-        t.record_goodput(us(10), 1_000);
-        let m = t.finish();
+        g.record(us(10), 1_000);
+        let m = t.finish(&g);
         assert_eq!(m.time_to_recover, None);
         assert_eq!(m.goodput_dip_depth, 0.0);
         assert_eq!(m.faults, 1);
@@ -323,13 +287,14 @@ mod tests {
         // exists, so both metrics must take their explicit "unmeasurable"
         // values rather than dividing by zero.
         let mut t = RecoveryTracker::new();
+        let mut g = GoodputSeries::new();
         t.record_fault(us(0));
         let mut cumulative = 0;
         for i in 1..=3u64 {
             cumulative += 1_000;
-            t.record_goodput(us(i * 10), cumulative);
+            g.record(us(i * 10), cumulative);
         }
-        let m = t.finish();
+        let m = t.finish(&g);
         assert_eq!(m.time_to_recover, None);
         assert_eq!(m.goodput_dip_depth, 0.0);
         assert!(m.goodput_dip_depth.is_finite());
@@ -342,13 +307,14 @@ mod tests {
         // closed; the t=10 sample straddles it, so it is not baseline
         // evidence and the metrics stay at their explicit defaults.
         let mut t = RecoveryTracker::new();
+        let mut g = GoodputSeries::new();
         t.record_fault(us(5));
         let mut cumulative = 0;
         for i in 1..=3u64 {
             cumulative += 1_000;
-            t.record_goodput(us(i * 10), cumulative);
+            g.record(us(i * 10), cumulative);
         }
-        let m = t.finish();
+        let m = t.finish(&g);
         assert_eq!(m.time_to_recover, None);
         assert_eq!(m.goodput_dip_depth, 0.0);
     }
@@ -359,12 +325,13 @@ mod tests {
         // make every idle sample "recovered" instantly and the dip 0/0 = NaN.
         // It must instead count as no baseline at all.
         let mut t = RecoveryTracker::new();
-        t.record_goodput(us(10), 0);
-        t.record_goodput(us(20), 0);
+        let mut g = GoodputSeries::new();
+        g.record(us(10), 0);
+        g.record(us(20), 0);
         t.record_fault(us(25));
-        t.record_goodput(us(30), 0);
-        t.record_goodput(us(40), 500);
-        let m = t.finish();
+        g.record(us(30), 0);
+        g.record(us(40), 500);
+        let m = t.finish(&g);
         assert_eq!(m.time_to_recover, None);
         assert_eq!(m.goodput_dip_depth, 0.0);
         assert!(m.goodput_dip_depth.is_finite());
@@ -373,20 +340,21 @@ mod tests {
     #[test]
     fn recovery_measured_from_last_fault_of_a_flap() {
         let mut t = RecoveryTracker::new();
+        let mut g = GoodputSeries::new();
         let mut cumulative = 0;
         for i in 1..=3u64 {
             cumulative += 1_000;
-            t.record_goodput(us(i * 10), cumulative);
+            g.record(us(i * 10), cumulative);
         }
         t.record_fault(us(35)); // down
         cumulative += 100;
-        t.record_goodput(us(40), cumulative);
+        g.record(us(40), cumulative);
         t.record_fault(us(45)); // up
         cumulative += 1_000;
-        t.record_goodput(us(50), cumulative);
+        g.record(us(50), cumulative);
         cumulative += 1_000;
-        t.record_goodput(us(60), cumulative);
-        let m = t.finish();
+        g.record(us(60), cumulative);
+        let m = t.finish(&g);
         assert_eq!(m.faults, 2);
         // The t=50 sample's window (40..50) straddles the t=45 fault, so it
         // is not recovery evidence; the first clean window ends at t=60.
@@ -396,20 +364,21 @@ mod tests {
     #[test]
     fn straddling_sample_windows_do_not_count_as_recovery() {
         let mut t = RecoveryTracker::new();
+        let mut g = GoodputSeries::new();
         let mut cumulative = 0;
         for i in 1..=4u64 {
             cumulative += 1_000;
-            t.record_goodput(us(i * 10), cumulative);
+            g.record(us(i * 10), cumulative);
         }
         // Fault just before the next sample: that sample's delta is almost
         // entirely pre-fault traffic and must not count as recovery.
         t.record_fault(us(49));
         cumulative += 990;
-        t.record_goodput(us(50), cumulative);
+        g.record(us(50), cumulative);
         // Goodput is actually dead afterwards.
-        t.record_goodput(us(60), cumulative);
-        t.record_goodput(us(70), cumulative);
-        let m = t.finish();
+        g.record(us(60), cumulative);
+        g.record(us(70), cumulative);
+        let m = t.finish(&g);
         assert_eq!(m.time_to_recover, None);
     }
 }

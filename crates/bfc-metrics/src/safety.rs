@@ -21,10 +21,10 @@
 //!   [`SafetyConfig::livelock_horizon`] at the end of the run — the
 //!   signature of flapping-link schedules that keep resetting recovery.
 //!
-//! A [`SafetyTracker`] accumulates raw observations during a run (pause
-//! install/release edges from the driver's PFC interception, plus goodput
-//! samples at every tick); [`SafetyTracker::finish`] replays the
-//! canonically-sorted edge log into a [`SafetyReport`]. Like every other
+//! A [`SafetyTracker`] accumulates the pause install/release edges from the
+//! driver's PFC interception during a run; [`SafetyTracker::finish`] replays
+//! the canonically-sorted edge log, and reads the trailing stall off the
+//! run's [`GoodputSeries`], into a [`SafetyReport`]. Like every other
 //! metric in this workspace, the report is bit-identical across shard
 //! counts: each wait-for edge `X → Y` is recorded only by the shard that
 //! owns `X`, per-edge order is preserved by the engine's determinism, and
@@ -38,6 +38,7 @@ use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{SimDuration, SimTime};
 
 use crate::hist::Hist;
+use crate::series::GoodputSeries;
 
 /// Thresholds for the three safety detectors. Analysis-only: changing these
 /// never changes simulation behavior, only how the observations are judged.
@@ -83,11 +84,6 @@ bfc_sim::snap_struct! { PauseEdge { at, from, to, pause } }
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SafetyTracker {
     edges: Vec<PauseEdge>,
-    /// Per-sample delivered bytes, `(instant, bytes since previous sample)`
-    /// — recorded at *every* tick, unlike the recovery tracker's
-    /// dynamics-gated sampling.
-    samples: Vec<(SimTime, u64)>,
-    last_cumulative: u64,
     /// Derived online from the edge log (never serialized — rebuilt by
     /// replay on restore): install time of each currently-paused edge,
     /// and the distribution of closed pause intervals in nanoseconds.
@@ -96,20 +92,16 @@ pub struct SafetyTracker {
 }
 
 impl Snap for SafetyTracker {
-    const MIN_BYTES: usize = 2 * usize::MIN_BYTES + u64::MIN_BYTES;
+    const MIN_BYTES: usize = usize::MIN_BYTES;
 
     fn save(&self, w: &mut SnapWriter) {
         let SafetyTracker {
             edges,
-            samples,
-            last_cumulative,
             // Derived from the edge log.
             open_pauses: _,
             pause_hist: _,
         } = self;
         edges.save(w);
-        samples.save(w);
-        last_cumulative.save(w);
     }
 
     // Hand-written to rebuild the derived pause-duration state by replaying
@@ -118,8 +110,6 @@ impl Snap for SafetyTracker {
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let mut tracker = SafetyTracker {
             edges: r.get()?,
-            samples: r.get()?,
-            last_cumulative: r.get()?,
             open_pauses: BTreeMap::new(),
             pause_hist: Hist::new(),
         };
@@ -176,57 +166,34 @@ impl SafetyTracker {
         hist
     }
 
-    /// Records one goodput sample: `cumulative_bytes` is the running total
-    /// of delivered bytes across this tracker's receivers at `now`. Call at
-    /// every sample tick, in time order.
-    pub fn record_goodput(&mut self, now: SimTime, cumulative_bytes: u64) {
-        let delta = cumulative_bytes.saturating_sub(self.last_cumulative);
-        self.last_cumulative = cumulative_bytes;
-        self.samples.push((now, delta));
-    }
-
     /// Merges per-shard trackers into the tracker one fabric-wide collector
     /// would have built. Edge logs concatenate (each `(from, *)` edge is
     /// recorded by exactly one shard; [`SafetyTracker::finish`] sorts
-    /// canonically anyway); lockstep goodput ticks sum per instant, exactly
-    /// like the recovery tracker.
-    pub fn merge(parts: Vec<SafetyTracker>) -> SafetyTracker {
+    /// canonically anyway).
+    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a SafetyTracker>) -> SafetyTracker {
         let mut merged = SafetyTracker::new();
-        for part in &parts {
-            merged.last_cumulative += part.last_cumulative;
+        for part in parts {
             merged.edges.extend(part.edges.iter().copied());
             // Edge keys are shard-disjoint, so the open maps never collide
             // and the histogram merge is exact.
             merged.open_pauses.extend(part.open_pauses.iter().map(|(&k, &v)| (k, v)));
             merged.pause_hist.merge(&part.pause_hist);
         }
-        if let Some(longest) = parts.iter().map(|p| p.samples.len()).max() {
-            for tick in 0..longest {
-                let mut at = None;
-                let mut delta = 0u64;
-                for part in &parts {
-                    if let Some(&(t, d)) = part.samples.get(tick) {
-                        debug_assert!(
-                            at.is_none_or(|a| a == t),
-                            "shards must sample at identical instants"
-                        );
-                        at = Some(t);
-                        delta += d;
-                    }
-                }
-                if let Some(t) = at {
-                    merged.samples.push((t, delta));
-                }
-            }
-        }
         merged
     }
 
-    /// Replays the observations into a [`SafetyReport`]. `end` is the run's
-    /// end time (bounds the lifetime of never-released cycles and the
-    /// trailing stall); `pending_flows` is how many flows had not completed
-    /// by then (livelock needs at least one).
-    pub fn finish(&self, config: &SafetyConfig, end: SimTime, pending_flows: usize) -> SafetyReport {
+    /// Replays the observations into a [`SafetyReport`]. `goodput` is the
+    /// run's fabric-wide series (the livelock detector reads its trailing
+    /// stall); `end` is the run's end time (bounds the lifetime of
+    /// never-released cycles); `pending_flows` is how many flows had not
+    /// completed by then (livelock needs at least one).
+    pub fn finish(
+        &self,
+        config: &SafetyConfig,
+        goodput: &GoodputSeries,
+        end: SimTime,
+        pending_flows: usize,
+    ) -> SafetyReport {
         let mut report = SafetyReport::default();
 
         // Canonical order: stable by (time, from, to), so the merged
@@ -311,9 +278,9 @@ impl SafetyTracker {
         // Livelock: flows pending, and the trailing span with zero goodput
         // is at least the horizon.
         if pending_flows > 0 {
-            if let Some(&(last_tick, _)) = self.samples.last() {
-                let stalled_from = self
-                    .samples
+            if let Some(&(last_tick, _)) = goodput.samples().last() {
+                let stalled_from = goodput
+                    .samples()
                     .iter()
                     .rev()
                     .find(|&&(_, d)| d > 0)
@@ -420,7 +387,7 @@ mod tests {
         cycle_at_10us(&mut t);
         // Released after 40us — twice the default 20us hold.
         t.record_pause(us(50), node(0), node(1), false);
-        let r = t.finish(&SafetyConfig::default(), us(100), 0);
+        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(100), 0);
         assert_eq!(r.cycles_formed, 1);
         assert_eq!(r.deadlocks, 1);
         assert_eq!(r.violations(), 1);
@@ -436,7 +403,7 @@ mod tests {
         cycle_at_10us(&mut t);
         // Broken after 5us — well under the hold: healthy PFC churn.
         t.record_pause(us(15), node(1), node(2), false);
-        let r = t.finish(&SafetyConfig::default(), us(100), 0);
+        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(100), 0);
         assert_eq!(r.cycles_formed, 1);
         assert_eq!(r.deadlocks, 0);
         assert_eq!(r.violations(), 0);
@@ -446,9 +413,9 @@ mod tests {
     fn unreleased_cycle_is_held_until_the_end_of_the_run() {
         let mut t = SafetyTracker::new();
         cycle_at_10us(&mut t);
-        let r = t.finish(&SafetyConfig::default(), us(25), 0);
+        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(25), 0);
         assert_eq!(r.deadlocks, 0, "held 15us < 20us hold");
-        let r = t.finish(&SafetyConfig::default(), us(100), 0);
+        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(100), 0);
         assert_eq!(r.deadlocks, 1, "held 90us at run end");
     }
 
@@ -458,7 +425,7 @@ mod tests {
         // C pauses B first, then B pauses A: A's pause has depth 2.
         t.record_pause(us(10), node(1), node(2), true);
         t.record_pause(us(11), node(0), node(1), true);
-        let r = t.finish(&SafetyConfig::default(), us(100), 0);
+        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(100), 0);
         assert_eq!(r.max_pause_depth, 2);
         assert_eq!(r.pause_frames, 2);
         // Released edges no longer deepen later pauses.
@@ -466,7 +433,7 @@ mod tests {
         t.record_pause(us(10), node(1), node(2), true);
         t.record_pause(us(12), node(1), node(2), false);
         t.record_pause(us(14), node(0), node(1), true);
-        let r = t.finish(&SafetyConfig::default(), us(100), 0);
+        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(100), 0);
         assert_eq!(r.max_pause_depth, 1);
     }
 
@@ -486,7 +453,7 @@ mod tests {
             );
         }
         t.record_pause(us(21), node(2), node(3), true);
-        let r = t.finish(&cfg, us(100), 0);
+        let r = t.finish(&cfg, &GoodputSeries::new(), us(100), 0);
         assert_eq!(r.pause_frames, 4);
         assert_eq!(r.max_link_window_frames, 3);
         // The same three rounds spread across distinct windows peak at 1.
@@ -495,36 +462,37 @@ mod tests {
             t.record_pause(us(20 + 10 * i), node(0), node(1), true);
             t.record_pause(us(25 + 10 * i), node(0), node(1), false);
         }
-        let r = t.finish(&cfg, us(100), 0);
+        let r = t.finish(&cfg, &GoodputSeries::new(), us(100), 0);
         assert_eq!(r.max_link_window_frames, 1);
     }
 
     #[test]
     fn livelock_needs_pending_flows_and_a_long_stall() {
         let cfg = SafetyConfig::default(); // 100us horizon
-        let mut t = SafetyTracker::new();
+        let t = SafetyTracker::new();
+        let mut g = GoodputSeries::new();
         let mut cumulative = 0;
         for i in 1..=5u64 {
             cumulative += 1_000;
-            t.record_goodput(us(i * 10), cumulative);
+            g.record(us(i * 10), cumulative);
         }
         for i in 6..=20u64 {
-            t.record_goodput(us(i * 10), cumulative); // zero from t=60 on
+            g.record(us(i * 10), cumulative); // zero from t=60 on
         }
         // Stalled 150us ≥ 100us horizon with flows pending: livelock.
-        let r = t.finish(&cfg, us(200), 3);
+        let r = t.finish(&cfg, &g, us(200), 3);
         assert!(r.livelock);
         assert_eq!(r.stalled_for, SimDuration::from_micros(150));
         assert_eq!(r.violations(), 1);
         // Same trace with everything completed: not a livelock.
-        let r = t.finish(&cfg, us(200), 0);
+        let r = t.finish(&cfg, &g, us(200), 0);
         assert!(!r.livelock);
         assert_eq!(r.violations(), 0);
         // A short trailing stall with flows pending: not a livelock either.
-        let mut t = SafetyTracker::new();
-        t.record_goodput(us(10), 1_000);
-        t.record_goodput(us(20), 1_000);
-        let r = t.finish(&cfg, us(20), 3);
+        let mut g = GoodputSeries::new();
+        g.record(us(10), 1_000);
+        g.record(us(20), 1_000);
+        let r = t.finish(&cfg, &g, us(20), 3);
         assert!(!r.livelock);
         assert_eq!(r.stalled_for, SimDuration::from_micros(10));
     }
@@ -546,20 +514,10 @@ mod tests {
             let shard = if from == 1 { &mut shard1 } else { &mut shard0 };
             shard.record_pause(us(at), node(from), node(to), pause);
         }
-        let deliveries = [(10u64, 600u64, 400u64), (20, 700, 400), (30, 700, 500)];
-        let (mut c, mut c0, mut c1) = (0, 0, 0);
-        for (at, a, b) in deliveries {
-            c += a + b;
-            c0 += a;
-            c1 += b;
-            whole.record_goodput(us(at), c);
-            shard0.record_goodput(us(at), c0);
-            shard1.record_goodput(us(at), c1);
-        }
-        let merged = SafetyTracker::merge(vec![shard0, shard1]);
-        let cfg = SafetyConfig::default();
-        assert_eq!(merged.finish(&cfg, us(100), 2), whole.finish(&cfg, us(100), 2));
-        assert_eq!(merged.finish(&cfg, us(100), 2).deadlocks, 1);
+        let merged = SafetyTracker::merge([&shard0, &shard1]);
+        let (cfg, g) = (SafetyConfig::default(), GoodputSeries::new());
+        assert_eq!(merged.finish(&cfg, &g, us(100), 2), whole.finish(&cfg, &g, us(100), 2));
+        assert_eq!(merged.finish(&cfg, &g, us(100), 2).deadlocks, 1);
     }
 
     #[test]
@@ -567,19 +525,12 @@ mod tests {
         let mut t = SafetyTracker::new();
         cycle_at_10us(&mut t);
         t.record_pause(us(30), node(0), node(1), false);
-        t.record_goodput(us(10), 500);
-        t.record_goodput(us(20), 1_500);
         let mut w = SnapWriter::new();
         t.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         let restored = SafetyTracker::restore(&mut r).expect("restores");
-        let cfg = SafetyConfig::default();
-        assert_eq!(restored.finish(&cfg, us(50), 1), t.finish(&cfg, us(50), 1));
-        // A later sample continues from the restored cumulative counter.
-        let mut t2 = restored.clone();
-        t2.record_goodput(us(30), 1_600);
-        assert_eq!(t2.samples.last(), Some(&(us(30), 100)));
+        assert_eq!(restored, t);
     }
 
     #[test]
@@ -609,7 +560,7 @@ mod tests {
         s0.record_pause(us(12), node(0), node(1), true);
         s0.record_pause(us(15), node(0), node(1), false);
         s1.record_pause(us(20), node(2), node(3), true);
-        let merged = SafetyTracker::merge(vec![s0, s1]);
+        let merged = SafetyTracker::merge([&s0, &s1]);
         assert_eq!(merged.pause_durations(us(30)), h);
     }
 
@@ -620,7 +571,7 @@ mod tests {
         // The same edges pause again while still live: frames count,
         // cycles do not.
         cycle_at_10us(&mut t);
-        let r = t.finish(&SafetyConfig::default(), us(100), 0);
+        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(100), 0);
         assert_eq!(r.pause_frames, 6);
         assert_eq!(r.cycles_formed, 1);
         assert_eq!(r.deadlocks, 1);

@@ -1,5 +1,5 @@
-//! Time-series metrics: buffer occupancy samples, link utilization and PFC
-//! pause-time fractions.
+//! Time-series metrics: buffer occupancy samples, per-tick goodput, link
+//! utilization and PFC pause-time fractions.
 
 use bfc_sim::{SimDuration, SimTime};
 
@@ -97,6 +97,60 @@ impl OccupancySeries {
     /// Maximum observed occupancy in bytes.
     pub fn max_bytes(&self) -> f64 {
         self.samples_bytes.iter().copied().fold(0.0, f64::max)
+    }
+}
+
+/// Goodput per sample tick: `(instant, bytes delivered since the previous
+/// tick)`. The one series behind both the recovery metrics (baseline, dip,
+/// time to recover) and the livelock detector.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GoodputSeries {
+    samples: Vec<(SimTime, u64)>,
+    last_cumulative: u64,
+}
+
+bfc_sim::snap_struct! { GoodputSeries { samples, last_cumulative } }
+
+impl GoodputSeries {
+    /// Creates an empty series.
+    pub fn new() -> Self {
+        GoodputSeries::default()
+    }
+
+    /// Records one tick: `cumulative_bytes` is the running total of bytes
+    /// delivered to this series' receivers at `now`. Call at every sample
+    /// tick, in time order.
+    pub fn record(&mut self, now: SimTime, cumulative_bytes: u64) {
+        let delta = cumulative_bytes.saturating_sub(self.last_cumulative);
+        self.last_cumulative = cumulative_bytes;
+        self.samples.push((now, delta));
+    }
+
+    /// The ticks recorded so far, in time order.
+    pub fn samples(&self) -> &[(SimTime, u64)] {
+        &self.samples
+    }
+
+    /// Merges per-shard series into the one a collector covering the whole
+    /// fabric would have recorded. Shards sample in lockstep, so every
+    /// non-empty part carries the same tick instants, and per-tick deltas
+    /// (each shard's local receivers) sum to the fabric-wide delta exactly
+    /// (`u64` addition). The merge of one series is that series.
+    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a GoodputSeries>) -> GoodputSeries {
+        let mut merged = GoodputSeries::new();
+        for part in parts {
+            merged.last_cumulative += part.last_cumulative;
+            for (tick, &(t, d)) in part.samples.iter().enumerate() {
+                match merged.samples.get_mut(tick) {
+                    Some((at, delta)) => {
+                        debug_assert_eq!(*at, t, "shards must sample at identical instants");
+                        *delta += d;
+                    }
+                    None => merged.samples.push((t, d)),
+                }
+            }
+        }
+        merged
     }
 }
 
@@ -265,6 +319,28 @@ mod tests {
         let mut s = OccupancySeries::new();
         s.record(1);
         let _ = OccupancySeries::merge_interleaved(&[&s], &[0], 2);
+    }
+
+    #[test]
+    fn merged_goodput_is_the_fabric_wide_series_and_resumes_from_its_total() {
+        // One fabric-wide series versus two shard series whose receivers
+        // split the delivered bytes.
+        let us = SimTime::from_micros;
+        let mut whole = GoodputSeries::new();
+        let mut shard0 = GoodputSeries::new();
+        let mut shard1 = GoodputSeries::new();
+        for (at, a, b) in [(10u64, 600u64, 400u64), (20, 700, 400), (30, 700, 500)] {
+            whole.record(us(at), a + b);
+            shard0.record(us(at), a);
+            shard1.record(us(at), b);
+        }
+        assert_eq!(whole.samples(), &[(us(10), 1_000), (us(20), 100), (us(30), 100)]);
+        assert_eq!(GoodputSeries::merge([&shard0, &shard1]), whole);
+        assert_eq!(GoodputSeries::merge([&shard0]), shard0);
+        assert_eq!(GoodputSeries::merge([]), GoodputSeries::new());
+        // A later tick continues from the cumulative counter.
+        whole.record(us(40), 1_250);
+        assert_eq!(whole.samples().last(), Some(&(us(40), 50)));
     }
 
     #[test]

@@ -9,43 +9,41 @@
 //! target another shard are collected into per-destination **outboxes**
 //! during the window and exchanged at the epoch barrier.
 //!
-//! # Epoch batching
+//! # The round
 //!
-//! Electing `t0` costs two barrier crossings (publish per-shard next-event
-//! times, then distribute the leader's decision). Rather than pay that per
-//! window, the driver elects once per **batch** and then runs windows on the
-//! fixed grid `[t0 + i·L, t0 + (i+1)·L)` for `i < k`, exchanging boundary
-//! events after each. The fixed grid is exactly as safe as re-electing: a
-//! cross-shard event with time `T < t0 + (i+1)·L` was emitted while
-//! processing some `t < t0 + i·L` — i.e. during an earlier window — and was
-//! therefore exchanged before window `i` starts.
+//! The driver repeats one step, the **round**: every shard runs the round's
+//! window if it has one, publishes how many boundary events it sent and its
+//! next local event time, crosses the barrier — once — ingests what the
+//! others sent it and reads what they published. Every worker then holds the
+//! same two observations, the round's `total_sent` and the pre-delivery
+//! `min_next`, and evaluates the same pure function on them ([`next_round`]),
+//! so the schedule needs no leader and no second crossing to hand a decision
+//! back:
 //!
-//! Two mechanisms make the batch cheaper than `k` elections:
+//! * **A window that exchanged traffic is followed by the next grid window**,
+//!   `[end, end + L)`. The fixed grid is exactly as safe as re-electing: every
+//!   local event before `end` has been processed, and a cross-shard event is
+//!   scheduled at least `L` after the event that emitted it, so whatever the
+//!   window `[end - L, end)` sent lands at `end` or later and whatever the
+//!   next one sends lands at `end + L` or later.
+//! * **A round that exchanged nothing has an exact `min_next`** — no delivery
+//!   changed any queue — so the next window is anchored at it directly,
+//!   `[min_next, min_next + L)`, and the dead air in between costs nothing.
+//!   When there is no next event, or it lies past the deadline, the run is
+//!   over.
 //!
-//! * **One barrier per executed window.** Mailboxes and per-window stats are
-//!   double-buffered by executed-window parity, so the slot a reader drains
-//!   after barrier `i` is not rewritten until after barrier `i + 1`, which
-//!   the reader necessarily crossed first.
-//! * **Quiescent fast-forward.** After a window that exchanged nothing, no
-//!   delivery can have changed any queue, so the shared pre-delivery
-//!   `min_next` is exact — and every shard deterministically jumps to the
-//!   grid window containing it, skipping the empty windows in between
-//!   without a barrier each. If `min_next` lies at or beyond the batch (or
-//!   past the deadline), the batch ends early and the driver re-elects.
+//! The opening round of a run has no window: it only publishes, which makes
+//! it the one election a run pays, and [`EpochStats::barriers`] is
+//! `windows + 1` per [`run_conservative`] call. With `batching` off, every
+//! window is followed by such a round — the classic schedule that re-elects
+//! before each window and relies on neither argument above, at two crossings
+//! per window. It stays as the reference the batched schedule is tested and
+//! measured against.
 //!
-//! A batch of width `k` therefore costs `2 + executed windows` crossings
-//! whatever `k` is, and the safety argument above never mentions traffic:
-//! **a wider batch is never worse, so the width is never narrowed.**
-//! [`BatchPolicy::Adaptive`] starts at one window and doubles the width
-//! after every batch up to its cap — under dense cross-shard traffic as much
-//! as across dead air. A dense fabric then pays one crossing per window plus
-//! two per `cap` windows (≈ 1.02 per window at the default cap), and a
-//! quiescent stretch (think 10 µs sample gaps over a sub-µs lookahead)
-//! collapses many elections into one: a batch covering `E` sparse events
-//! costs `2 + E` crossings instead of `3·E`.
-//! [`BatchPolicy::Off`] pins the width to one window per election, the
-//! classic three-crossings-per-window schedule, and stays as the reference
-//! the batched schedule is tested and measured against.
+//! **One crossing per round suffices** because mailboxes and published
+//! observations are double-buffered by round parity: the slot a reader drains
+//! after crossing `r` is not rewritten until round `r + 2`, that is after
+//! crossing `r + 1`, which the reader necessarily made first.
 //!
 //! # The cost of a crossing
 //!
@@ -68,9 +66,8 @@
 //! The driver is deterministic by construction, whether the epochs run on
 //! one thread or on one thread per shard, batched or not:
 //!
-//! * the window grid is derived only from queue state (`min` of per-shard
-//!   `next_time`) and the deterministic width schedule, never from thread
-//!   timing;
+//! * the windows are derived only from queue state (`min` of per-shard
+//!   `next_time`) and the boundary-event counts, never from thread timing;
 //! * at each barrier, destination shards ingest boundary batches in **shard
 //!   id order**, and each batch preserves its source's emission order;
 //! * boundary events carry their scheduling `(time, rank)` key with them, so
@@ -80,7 +77,7 @@
 //! is unique among simultaneous events from different sources, the per-shard
 //! pop order equals the serial engine's pop order restricted to that shard —
 //! which is what makes sharded results bit-identical to serial ones, at any
-//! shard count and under any batching policy.
+//! shard count, batching or not.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -102,12 +99,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// What one barrier crossing observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BarrierWait {
-    /// This thread is the single designated leader of the crossing: the last
-    /// to arrive, so it never waited.
-    Leader,
-    /// Crossed normally, as a non-leader; `parked` says the wait outlasted
-    /// the spin and yield budgets and ended asleep on the condvar.
-    Follower { parked: bool },
+    /// Crossed; `parked` says the wait outlasted the spin and yield budgets
+    /// and ended asleep on the condvar (never true of the last to arrive,
+    /// who does not wait).
+    Crossed { parked: bool },
     /// The barrier was aborted — a sibling worker panicked. The caller must
     /// stop immediately; no further crossing will ever complete.
     Aborted,
@@ -126,12 +121,12 @@ const BARRIER_YIELDS: u32 = 2_000;
 ///
 /// Arrivals are counted and completed crossings numbered (the
 /// **generation**) in atomics. The last thread to arrive resets the count,
-/// publishes the next generation (`Release`) and leaves as the crossing's
-/// leader; every other thread watches the generation (`Acquire`) in three
+/// publishes the next generation (`Release`) and leaves;
+/// every other thread watches the generation (`Acquire`) in three
 /// stages: [`BARRIER_SPINS`] checks with a `spin_loop` hint in between, then
 /// [`BARRIER_YIELDS`] checks with a `yield_now` in between, then a sleep on
 /// the condvar. Each arrival is an `AcqRel` read-modify-write of one counter,
-/// so the leader has acquired every earlier arriver's writes before it
+/// so the last arriver has acquired every earlier arriver's writes before it
 /// publishes, and whatever any thread wrote before a crossing is visible to
 /// every thread after it.
 ///
@@ -232,7 +227,7 @@ impl EpochBarrier {
                     .store(generation.wrapping_add(1), Ordering::Release);
             }
             self.cv.notify_all();
-            return BarrierWait::Leader;
+            return BarrierWait::Crossed { parked: false };
         }
         let released = || {
             self.generation.load(Ordering::Acquire) != generation
@@ -262,7 +257,7 @@ impl EpochBarrier {
         if self.aborted.load(Ordering::Acquire) {
             BarrierWait::Aborted
         } else {
-            BarrierWait::Follower { parked }
+            BarrierWait::Crossed { parked }
         }
     }
 
@@ -283,9 +278,9 @@ pub type Boundary<E> = (SimTime, u32, E);
 /// One shard of a sharded simulation, as seen by the epoch driver.
 ///
 /// Implementations own their local event queue and simulation state. The
-/// driver only ever calls these methods in the fixed epoch sequence
-/// (`next_time` → `run_window` → `outboxes` → `deliver`), with barriers
-/// between phases when running threaded.
+/// driver only ever calls these methods in the fixed sequence of a round
+/// (`run_window` → `outboxes` → `next_time` → `deliver`), with the barrier
+/// before `deliver` when running threaded.
 ///
 /// Boundary events travel in buffers that circulate instead of being
 /// allocated per window: the driver swaps a filled outbox for an empty
@@ -317,66 +312,40 @@ pub trait ShardHandler: Send {
     fn last_processed(&self) -> SimTime;
 }
 
-/// How the epoch driver amortizes window elections. See the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// One election per window: the classic conservative-lockstep schedule
-    /// (three barrier crossings per executed window). The reference the
-    /// batched schedule is compared against, in tests and in wall-clock.
-    Off,
-    /// Elect once, then run up to `max_windows` grid windows at one barrier
-    /// each with quiescent fast-forward. The width starts at one window and
-    /// doubles after every batch; traffic never narrows it, because a batch
-    /// of any width costs two crossings plus one per *executed* window.
-    Adaptive {
-        /// Upper bound on grid windows per election (≥ 1): what is left of
-        /// the election's two crossings per window is `2 / max_windows` on a
-        /// dense fabric, and a quiescent batch covering `E` sparse events
-        /// costs `2 + E` barriers versus `3·E` unbatched.
-        max_windows: u32,
-    },
-}
-
-impl Default for BatchPolicy {
-    /// `Adaptive { max_windows: 128 }`: a dense fabric pays 1.02 crossings
-    /// per window, and typical quiescent stretches (e.g. 10 µs sample gaps
-    /// over a sub-µs lookahead, ten to twenty windows per gap) fit several
-    /// events per election. Nothing is gained past that: a batch also ends
-    /// at the first quiescent window whose next event lies beyond it.
-    fn default() -> Self {
-        BatchPolicy::Adaptive { max_windows: 128 }
-    }
-}
-
-impl BatchPolicy {
-    fn cap(self) -> u32 {
-        match self {
-            BatchPolicy::Off => 1,
-            BatchPolicy::Adaptive { max_windows } => max_windows.max(1),
-        }
-    }
-}
-
 /// Per-run counters from the epoch driver. The sequential driver counts the
 /// synchronization points the threaded driver would have crossed, so the
 /// numbers are identical for the same inputs whether or not threads ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochStats {
-    /// Window elections that found work (one per batch of windows).
+    /// Windows anchored at an exact `min_next` instead of at the previous
+    /// window's end: the runs of back-to-back grid windows. With batching
+    /// off that is every window.
     pub batches: u64,
-    /// Grid windows actually executed (quiescent-skipped windows are not
-    /// counted — they cost nothing).
+    /// Windows executed (the dead air between two anchors is not counted —
+    /// it costs nothing).
     pub windows: u64,
-    /// Barrier crossings: two per election round — including the final
-    /// round that detects termination — plus one per executed window.
+    /// Barrier crossings, one per round: per [`run_conservative`] call
+    /// `windows + 1` with batching on and `2 * windows + 1` with it off.
     pub barriers: u64,
     /// Cross-shard boundary events exchanged.
     pub boundary_events: u64,
 }
 
+impl EpochStats {
+    /// Books the round that was just crossed, given the one that follows it.
+    fn book(&mut self, ran: Round, total_sent: u64, next: Option<Round>) {
+        self.barriers += 1;
+        self.windows += u64::from(ran != Round::Elect);
+        self.boundary_events += total_sent;
+        // Only a round without traffic is followed by an anchored window.
+        let anchored = total_sent == 0 && matches!(next, Some(Round::Window(_)));
+        self.batches += u64::from(anchored);
+    }
+}
+
 /// Where one worker thread of the threaded driver spent its wall-clock:
 /// everything between two barrier crossings is `busy` (running the window,
-/// publishing and ingesting boundary events, the election arithmetic),
+/// publishing and ingesting boundary events, the round arithmetic),
 /// everything inside [`EpochBarrier::wait`] is `wait`. Observability only:
 /// unlike [`EpochStats`] these are timings, differ from run to run, and
 /// belong in no equality and no registry.
@@ -400,25 +369,26 @@ pub struct ShardWall {
 /// `lookahead` must lower-bound the scheduling delay of every cross-shard
 /// event: an event emitted while processing time `t` must be scheduled at
 /// `t + lookahead` or later. `parallel` selects one thread per shard
-/// (barrier-synchronized) versus a single-threaded epoch loop; all
-/// combinations of `parallel` and `batch` produce identical results and
-/// identical stats.
+/// (barrier-synchronized; a lone shard runs on the caller's) versus a
+/// single-threaded epoch loop; `batching` off re-elects before every window
+/// (see the module docs). All four combinations produce identical results,
+/// and the two drivers identical stats.
 pub fn run_conservative<S: ShardHandler>(
     shards: &mut [S],
     lookahead: SimDuration,
     deadline: SimTime,
     parallel: bool,
-    batch: BatchPolicy,
+    batching: bool,
 ) -> (SimTime, EpochStats, Vec<ShardWall>) {
     assert!(
         !lookahead.is_zero(),
         "conservative synchronization needs a positive lookahead"
     );
     let (stats, walls) = if shards.len() > 1 && parallel {
-        run_threaded(shards, lookahead, deadline, batch)
+        run_threaded(shards, lookahead, deadline, batching)
     } else {
         (
-            run_sequential(shards, lookahead, deadline, batch),
+            run_sequential(shards, lookahead, deadline, batching),
             Vec::new(),
         )
     };
@@ -430,75 +400,39 @@ pub fn run_conservative<S: ShardHandler>(
     (end, stats, walls)
 }
 
-/// The deterministic width schedule plus the post-window decision, factored
-/// out so the sequential and threaded drivers cannot drift apart. Every
-/// thread runs its own copy from identical shared observations, so the
-/// schedules stay in lockstep without extra communication.
-struct BatchSchedule {
-    width: u32,
-    cap: u32,
+/// What a round runs before it publishes and crosses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Round {
+    /// Nothing: the shards only publish their next event times.
+    Elect,
+    /// Every local event before this instant (and up to the deadline).
+    Window(SimTime),
 }
 
-/// What to do after one executed grid window.
-#[derive(PartialEq, Eq, Debug)]
-enum WindowOutcome {
-    /// The window exchanged traffic: the very next grid window may receive
-    /// deliveries, so run it.
-    Next,
-    /// No traffic, and the next event lies in a later window of this batch:
-    /// jump straight to that window index.
-    SkipTo(u32),
-    /// No traffic and no event before the batch end (or the deadline): end
-    /// the batch and re-elect.
-    EndBatch,
-}
-
-impl BatchSchedule {
-    fn new(policy: BatchPolicy) -> Self {
-        BatchSchedule {
-            width: 1,
-            cap: policy.cap(),
+/// The round that follows `ran`, or `None` when the run is over — the whole
+/// schedule, shared by the two drivers and evaluated by every worker thread
+/// on identical observations, which is what keeps them in lockstep.
+/// `min_next` is the pre-delivery minimum next-event time across shards: it
+/// is exact when `total_sent == 0`, the only case where it steers anything.
+fn next_round(
+    ran: Round,
+    total_sent: u64,
+    min_next: Option<SimTime>,
+    lookahead: SimDuration,
+    deadline: SimTime,
+    batching: bool,
+) -> Option<Round> {
+    match ran {
+        Round::Window(_) if !batching => Some(Round::Elect),
+        Round::Window(end) if total_sent > 0 => Some(Round::Window(end + lookahead)),
+        _ => {
+            let next = min_next.filter(|&next| next <= deadline)?;
+            debug_assert!(
+                !matches!(ran, Round::Window(end) if next < end),
+                "a window leaves nothing before its end"
+            );
+            Some(Round::Window(next + lookahead))
         }
-    }
-
-    /// Decides the next step after grid window `w`. `min_next` must be the
-    /// pre-delivery minimum next-event time across shards: when
-    /// `total_sent == 0` no delivery happened, so it is exact — which is the
-    /// only case where it steers anything.
-    fn after_window(
-        &self,
-        w: u32,
-        total_sent: u64,
-        min_next: Option<SimTime>,
-        t0: SimTime,
-        lookahead: SimDuration,
-        deadline: SimTime,
-    ) -> WindowOutcome {
-        if total_sent > 0 {
-            return WindowOutcome::Next;
-        }
-        let Some(next) = min_next else {
-            return WindowOutcome::EndBatch;
-        };
-        if next > deadline {
-            return WindowOutcome::EndBatch;
-        }
-        // The grid window containing `next`. All events < window w's end
-        // were processed, so `next >= t0 + (w+1)·L` and the index advances.
-        let idx = (next.as_picos() - t0.as_picos()) / lookahead.as_picos();
-        let idx = u32::try_from(idx).unwrap_or(u32::MAX);
-        debug_assert!(idx > w, "fast-forward must advance the grid");
-        if idx >= self.width {
-            WindowOutcome::EndBatch
-        } else {
-            WindowOutcome::SkipTo(idx)
-        }
-    }
-
-    /// Width for the next batch: twice this one's, up to the cap. What the
-    /// batch carried is not an input — see the module docs.
-    fn widen(&mut self) {
-        self.width = self.width.saturating_mul(2).min(self.cap);
     }
 }
 
@@ -506,79 +440,47 @@ fn run_sequential<S: ShardHandler>(
     shards: &mut [S],
     lookahead: SimDuration,
     deadline: SimTime,
-    batch: BatchPolicy,
+    batching: bool,
 ) -> EpochStats {
     let n = shards.len();
-    let mut sched = BatchSchedule::new(batch);
     let mut stats = EpochStats::default();
     // The one buffer in flight between an outbox and its destination: always
     // empty between deliveries, so each swap hands the outbox a drained
     // buffer and the capacities circulate.
     let mut parcel: Vec<Boundary<S::Event>> = Vec::new();
-    loop {
-        // Election: two synchronization points in the threaded driver.
-        stats.barriers += 2;
-        let Some(t0) = shards.iter().filter_map(|s| s.next_time()).min() else {
-            return stats;
-        };
-        if t0 > deadline {
-            return stats;
-        }
-        stats.batches += 1;
-        let mut w = 0u32;
-        while w < sched.width {
-            let window_end = t0 + lookahead * u64::from(w + 1);
+    let mut round = Some(Round::Elect);
+    while let Some(ran) = round {
+        if let Round::Window(end) = ran {
             for shard in shards.iter_mut() {
-                shard.run_window(window_end, deadline);
-            }
-            // Pre-delivery counts, exactly what the threaded driver's
-            // published per-window stats hold.
-            let total_sent: u64 = shards
-                .iter_mut()
-                .flat_map(|s| s.outboxes().iter())
-                .map(|b| b.len() as u64)
-                .sum();
-            let min_next = shards.iter().filter_map(|s| s.next_time()).min();
-            stats.windows += 1;
-            stats.barriers += 1;
-            stats.boundary_events += total_sent;
-            // Exchange boundary events: destinations ingest batches in
-            // source shard id order, exactly like the threaded path.
-            for src in 0..n {
-                for dest in 0..n {
-                    let outbox = &mut shards[src].outboxes()[dest];
-                    if outbox.is_empty() {
-                        continue;
-                    }
-                    debug_assert!(dest != src, "no self-addressed batches");
-                    std::mem::swap(outbox, &mut parcel);
-                    shards[dest].deliver(&mut parcel);
-                    debug_assert!(parcel.is_empty(), "deliver drains its batch");
-                }
-            }
-            match sched.after_window(w, total_sent, min_next, t0, lookahead, deadline) {
-                WindowOutcome::Next => w += 1,
-                WindowOutcome::SkipTo(idx) => w = idx,
-                WindowOutcome::EndBatch => break,
+                shard.run_window(end, deadline);
             }
         }
-        sched.widen();
+        // Pre-delivery observations, exactly what the threaded driver's
+        // workers publish.
+        let total_sent: u64 = shards
+            .iter_mut()
+            .flat_map(|s| s.outboxes().iter())
+            .map(|b| b.len() as u64)
+            .sum();
+        let min_next = shards.iter().filter_map(|s| s.next_time()).min();
+        // Exchange boundary events: destinations ingest batches in source
+        // shard id order, exactly like the threaded path.
+        for src in 0..n {
+            for dest in 0..n {
+                let outbox = &mut shards[src].outboxes()[dest];
+                if outbox.is_empty() {
+                    continue;
+                }
+                debug_assert!(dest != src, "no self-addressed batches");
+                std::mem::swap(outbox, &mut parcel);
+                shards[dest].deliver(&mut parcel);
+                debug_assert!(parcel.is_empty(), "deliver drains its batch");
+            }
+        }
+        round = next_round(ran, total_sent, min_next, lookahead, deadline, batching);
+        stats.book(ran, total_sent, round);
     }
-}
-
-/// Leader-computed per-batch decision shared between worker threads.
-struct BatchCtl {
-    t0: SimTime,
-    done: bool,
-}
-
-/// Per-shard, per-parity counters published just before the window barrier:
-/// how many boundary events this shard sent, and its next local event time
-/// *before* any of this window's deliveries.
-#[derive(Default, Clone, Copy)]
-struct WindowStat {
-    sent: u64,
-    next: Option<SimTime>,
+    stats
 }
 
 /// One worker's view of the barrier: crosses it and books the wall-clock on
@@ -597,7 +499,7 @@ impl TimedBarrier<'_> {
         let left = Instant::now();
         self.wall.busy += arrived - self.left;
         self.wall.wait += left - arrived;
-        self.wall.parked += u64::from(outcome == BarrierWait::Follower { parked: true });
+        self.wall.parked += u64::from(outcome == BarrierWait::Crossed { parked: true });
         self.left = left;
         outcome
     }
@@ -607,38 +509,21 @@ fn run_threaded<S: ShardHandler>(
     shards: &mut [S],
     lookahead: SimDuration,
     deadline: SimTime,
-    batch: BatchPolicy,
+    batching: bool,
 ) -> (EpochStats, Vec<ShardWall>) {
     let n = shards.len();
     let barrier = EpochBarrier::new(n);
-    let times: Vec<Mutex<Option<SimTime>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let ctl = Mutex::new(BatchCtl {
-        t0: SimTime::ZERO,
-        done: false,
-    });
     // mailboxes[src][dest][parity]: filled only by worker `src` (by swapping
-    // its outbox in), drained only by worker `dest`. The executed-window
-    // parity double-buffer is what lets one barrier per window suffice: the
-    // slot drained after barrier `i` is next filled while preparing window
-    // `i + 2`, i.e. after barrier `i + 1`, which the drainer crossed first —
-    // so a slot is empty when it is filled, and the mutexes are never
-    // contended.
+    // its outbox in), drained only by worker `dest`. Double-buffered by
+    // round parity (see the module docs), so a slot is empty when it is
+    // filled and the mutexes are never contended.
     let mailboxes: Vec<Vec<[Mutex<Vec<Boundary<S::Event>>>; 2]>> = (0..n)
-        .map(|_| {
-            (0..n)
-                .map(|_| [Mutex::new(Vec::new()), Mutex::new(Vec::new())])
-                .collect()
-        })
+        .map(|_| (0..n).map(|_| Default::default()).collect())
         .collect();
-    // window_stats[shard][parity], double-buffered for the same reason.
-    let window_stats: Vec<[Mutex<WindowStat>; 2]> = (0..n)
-        .map(|_| {
-            [
-                Mutex::new(WindowStat::default()),
-                Mutex::new(WindowStat::default()),
-            ]
-        })
-        .collect();
+    // published[shard][parity]: how many boundary events the shard sent this
+    // round, and its next local event time *before* this round's deliveries.
+    let published: Vec<[Mutex<(u64, Option<SimTime>)>; 2]> =
+        (0..n).map(|_| Default::default()).collect();
     // First panic payload from any worker; re-raised by the driver after the
     // scope joins, so a panicking `ShardHandler` surfaces its own message.
     let panic_slot: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
@@ -649,10 +534,8 @@ fn run_threaded<S: ShardHandler>(
         let mut workers = Vec::with_capacity(n);
         for (i, shard) in shards.iter_mut().enumerate() {
             let barrier = &barrier;
-            let times = &times;
-            let ctl = &ctl;
             let mailboxes = &mailboxes;
-            let window_stats = &window_stats;
+            let published = &published;
             let panic_slot = &panic_slot;
             let worker = scope.spawn(move || {
                 // A worker that unwinds mid-epoch can never make its
@@ -665,53 +548,15 @@ fn run_threaded<S: ShardHandler>(
                         wall: ShardWall::default(),
                         left: Instant::now(),
                     };
-                    let mut sched = BatchSchedule::new(batch);
                     let mut stats = EpochStats::default();
-                    // Executed-window counter across the whole run; its
-                    // parity selects the mailbox/stat buffers.
-                    let mut executed = 0u64;
-                    loop {
-                        // Election phase 1: publish this shard's next event
-                        // time.
-                        *lock(&times[i]) = shard.next_time();
-                        match barrier.wait() {
-                            BarrierWait::Aborted => return None,
-                            BarrierWait::Leader => {
-                                // Exactly one thread computes the batch
-                                // anchor from the published times; which
-                                // thread it is does not matter.
-                                let t0 = times.iter().filter_map(|m| *lock(m)).min();
-                                let mut c = lock(ctl);
-                                match t0 {
-                                    Some(t0) if t0 <= deadline => {
-                                        c.t0 = t0;
-                                        c.done = false;
-                                    }
-                                    _ => c.done = true,
-                                }
-                            }
-                            BarrierWait::Follower { .. } => {}
-                        }
-                        if barrier.wait() == BarrierWait::Aborted {
-                            return None;
-                        }
-                        stats.barriers += 2;
-                        // Election phase 2: read the leader's decision.
-                        let t0 = {
-                            let c = lock(ctl);
-                            if c.done {
-                                break;
-                            }
-                            c.t0
-                        };
-                        stats.batches += 1;
-                        let mut w = 0u32;
-                        while w < sched.width {
-                            let p = (executed & 1) as usize;
-                            executed += 1;
-                            let window_end = t0 + lookahead * u64::from(w + 1);
-                            shard.run_window(window_end, deadline);
-                            let mut sent = 0u64;
+                    let mut round = Some(Round::Elect);
+                    while let Some(ran) = round {
+                        // One crossing per round, so their count is the
+                        // round's number and its parity the buffers'.
+                        let p = (stats.barriers & 1) as usize;
+                        let mut sent = 0u64;
+                        if let Round::Window(end) = ran {
+                            shard.run_window(end, deadline);
                             for (outbox, slot) in shard.outboxes().iter_mut().zip(&mailboxes[i]) {
                                 if !outbox.is_empty() {
                                     sent += outbox.len() as u64;
@@ -720,46 +565,28 @@ fn run_threaded<S: ShardHandler>(
                                     std::mem::swap(outbox, &mut *slot);
                                 }
                             }
-                            *lock(&window_stats[i][p]) = WindowStat {
-                                sent,
-                                next: shard.next_time(),
-                            };
-                            if barrier.wait() == BarrierWait::Aborted {
-                                return None;
-                            }
-                            stats.barriers += 1;
-                            stats.windows += 1;
-                            // Ingest batches in source shard id order.
-                            for row in mailboxes.iter() {
-                                let mut slot = lock(&row[i][p]);
-                                if !slot.is_empty() {
-                                    shard.deliver(&mut slot);
-                                    debug_assert!(slot.is_empty(), "deliver drains its batch");
-                                }
-                            }
-                            // Identical shared observations on every thread
-                            // ⇒ identical fast-forward / end-batch decisions,
-                            // keeping the barrier counts aligned.
-                            let mut total_sent = 0u64;
-                            let mut min_next: Option<SimTime> = None;
-                            for s in window_stats.iter() {
-                                let ws = *lock(&s[p]);
-                                total_sent += ws.sent;
-                                min_next = match (min_next, ws.next) {
-                                    (Some(a), Some(b)) => Some(a.min(b)),
-                                    (a, b) => a.or(b),
-                                };
-                            }
-                            stats.boundary_events += total_sent;
-                            match sched.after_window(
-                                w, total_sent, min_next, t0, lookahead, deadline,
-                            ) {
-                                WindowOutcome::Next => w += 1,
-                                WindowOutcome::SkipTo(idx) => w = idx,
-                                WindowOutcome::EndBatch => break,
-                            }
                         }
-                        sched.widen();
+                        *lock(&published[i][p]) = (sent, shard.next_time());
+                        if barrier.wait() == BarrierWait::Aborted {
+                            return None;
+                        }
+                        // What each source sent here and published, in
+                        // source shard id order.
+                        let mut total_sent = 0u64;
+                        let mut min_next: Option<SimTime> = None;
+                        for (row, slot) in mailboxes.iter().zip(published) {
+                            let mut inbox = lock(&row[i][p]);
+                            if !inbox.is_empty() {
+                                shard.deliver(&mut inbox);
+                                debug_assert!(inbox.is_empty(), "deliver drains its batch");
+                            }
+                            let (sent, next) = *lock(&slot[p]);
+                            total_sent += sent;
+                            min_next = min_next.into_iter().chain(next).min();
+                        }
+                        round =
+                            next_round(ran, total_sent, min_next, lookahead, deadline, batching);
+                        stats.book(ran, total_sent, round);
                     }
                     Some((stats, barrier.wall))
                 });
@@ -877,19 +704,22 @@ mod tests {
     }
 
     #[test]
-    fn ring_produces_identical_logs_at_any_shard_count_mode_and_policy() {
+    fn ring_produces_identical_logs_at_any_shard_count_and_mode_batching_or_not() {
         let deadline = SimTime::from_nanos(1_000);
         let mut reference: Option<Vec<(SimTime, u32)>> = None;
         for n in [1usize, 2, 3, 5] {
             for parallel in [false, true] {
-                for policy in [BatchPolicy::Off, BatchPolicy::default()] {
+                for batching in [false, true] {
                     let mut shards = ring(n, 4);
-                    let (end, ..) = run_conservative(&mut shards, HOP, deadline, parallel, policy);
+                    let (end, ..) =
+                        run_conservative(&mut shards, HOP, deadline, parallel, batching);
                     assert_eq!(end, SimTime::from_nanos(1_000));
                     let log = merged_log(&shards);
                     match &reference {
                         None => reference = Some(log),
-                        Some(r) => assert_eq!(r, &log, "n={n} parallel={parallel} {policy:?}"),
+                        Some(r) => {
+                            assert_eq!(r, &log, "n={n} parallel={parallel} batching={batching}")
+                        }
                     }
                 }
             }
@@ -899,47 +729,78 @@ mod tests {
         assert_eq!(log.len(), 4 * 21);
     }
 
+    /// The schedule is a pure function of what a round observed.
+    #[test]
+    fn next_round_follows_traffic_on_the_grid_and_silence_to_the_next_event() {
+        let ns = SimTime::from_nanos;
+        let (deadline, ran) = (ns(1_000), Round::Window(ns(150)));
+        let next = |ran, sent, min_next, batching| {
+            next_round(ran, sent, min_next, HOP, deadline, batching)
+        };
+        // Traffic: the next grid window, wherever the next local event is.
+        assert_eq!(next(ran, 3, Some(ns(700)), true), Some(Round::Window(ns(200))));
+        assert_eq!(next(ran, 3, None, true), Some(Round::Window(ns(200))));
+        // Silence: the window anchored at the next event, if the run has one.
+        assert_eq!(next(ran, 0, Some(ns(700)), true), Some(Round::Window(ns(750))));
+        assert_eq!(next(ran, 0, Some(deadline), true), Some(Round::Window(ns(1_050))));
+        assert_eq!(next(ran, 0, Some(ns(1_001)), true), None);
+        assert_eq!(next(ran, 0, None, true), None);
+        // An election is silent by construction, batching or not.
+        for batching in [false, true] {
+            assert_eq!(
+                next(Round::Elect, 0, Some(ns(700)), batching),
+                Some(Round::Window(ns(750)))
+            );
+            assert_eq!(next(Round::Elect, 0, None, batching), None);
+        }
+        // Without batching a window is followed by an election, always.
+        assert_eq!(next(ran, 3, Some(ns(700)), false), Some(Round::Elect));
+        assert_eq!(next(ran, 0, None, false), Some(Round::Elect));
+    }
+
     /// The sequential driver reports exactly the synchronization schedule
-    /// the threaded driver executes — under both policies, for a dense ring
-    /// whose every window carries cross-shard traffic (the width doubles to
-    /// the cap all the same) and for a sparse shard-local workload (widening
-    /// plus fast-forward, exercising the parity buffers across skips).
+    /// the threaded driver executes — batching or not, for a dense ring
+    /// whose every window carries cross-shard traffic and for a sparse
+    /// shard-local workload (every window anchored past a stretch of dead
+    /// air, exercising the parity buffers across the jumps).
     #[test]
     fn epoch_stats_are_identical_sequential_vs_threaded() {
-        for policy in [BatchPolicy::Off, BatchPolicy::default()] {
+        for batching in [false, true] {
             for (hop, cross) in [(HOP, true), (SimDuration::from_nanos(650), false)] {
                 let deadline = SimTime::from_nanos(10_000);
                 let mut seq = ring_full(3, 2, hop, cross);
                 let mut thr = ring_full(3, 2, hop, cross);
                 let (end_a, stats_a, walls_a) =
-                    run_conservative(&mut seq, HOP, deadline, false, policy);
+                    run_conservative(&mut seq, HOP, deadline, false, batching);
                 let (end_b, stats_b, walls_b) =
-                    run_conservative(&mut thr, HOP, deadline, true, policy);
-                assert_eq!(end_a, end_b, "{policy:?} hop={hop:?} cross={cross}");
-                assert_eq!(stats_a, stats_b, "{policy:?} hop={hop:?} cross={cross}");
-                assert_eq!(
-                    merged_log(&seq),
-                    merged_log(&thr),
-                    "{policy:?} hop={hop:?} cross={cross}"
-                );
-                assert!(stats_a.windows >= stats_a.batches);
-                assert_eq!(
-                    stats_a.barriers,
-                    2 * (stats_a.batches + 1) + stats_a.windows,
-                    "two barriers per election round (plus the terminating \
-                     round) and one per executed window"
-                );
+                    run_conservative(&mut thr, HOP, deadline, true, batching);
+                let case = format!("batching={batching} hop={hop:?} cross={cross}");
+                assert_eq!(end_a, end_b, "{case}");
+                assert_eq!(stats_a, stats_b, "{case}");
+                assert_eq!(merged_log(&seq), merged_log(&thr), "{case}");
+                if batching {
+                    assert_eq!(
+                        stats_a.barriers,
+                        stats_a.windows + 1,
+                        "{case}: one crossing per window after the opening election"
+                    );
+                } else {
+                    assert_eq!(
+                        stats_a.barriers,
+                        2 * stats_a.windows + 1,
+                        "{case}: an election before every window and one to end the run"
+                    );
+                    assert_eq!(stats_a.batches, stats_a.windows, "{case}");
+                }
                 if cross {
-                    // Every one of the 200-odd windows exchanged something.
+                    // Every one of the 200-odd windows exchanged something,
+                    // so batching anchored the first and no other.
                     assert!(stats_a.boundary_events >= stats_a.windows - 1);
-                    if policy != BatchPolicy::Off {
-                        // Traffic does not narrow a batch: elections are a
-                        // small share of the crossings, not two in three.
-                        assert!(
-                            stats_a.windows >= 8 * stats_a.batches,
-                            "dense batches stayed narrow: {stats_a:?}"
-                        );
-                    }
+                    assert_eq!(stats_a.batches, if batching { 1 } else { stats_a.windows });
+                } else {
+                    // No window exchanged anything: each was anchored.
+                    assert_eq!(stats_a.boundary_events, 0);
+                    assert_eq!(stats_a.batches, stats_a.windows, "{case}");
                 }
                 // One wall-clock split per thread, none without threads.
                 assert!(walls_a.is_empty());
@@ -950,43 +811,35 @@ mod tests {
     }
 
     /// On a quiescent workload — events spaced at many lookaheads, no
-    /// cross-shard traffic — adaptive batching collapses elections and cuts
-    /// the barrier count at least 2× versus `BatchPolicy::Off`, while the
-    /// processed logs stay identical.
+    /// cross-shard traffic — both schedules anchor every window at the next
+    /// event, so they run the same windows, and batching pays one crossing
+    /// for each where re-electing pays two.
     #[test]
-    fn adaptive_batching_cuts_barriers_at_least_2x_when_quiescent() {
+    fn batching_pays_one_crossing_per_quiescent_window_where_re_electing_pays_two() {
         // Shard-local hops every 650 ns over a 50 ns lookahead: thirteen
-        // grid windows per event, so wide batches cover many events.
+        // lookaheads of dead air between two windows.
         let hop = SimDuration::from_nanos(650);
         let deadline = SimTime::from_nanos(100_000);
-        let run = |policy: BatchPolicy| {
+        let run = |batching: bool| {
             let mut shards = ring_full(2, 1, hop, false);
-            let (_, stats, _) = run_conservative(&mut shards, HOP, deadline, true, policy);
+            let (_, stats, _) = run_conservative(&mut shards, HOP, deadline, true, batching);
             (merged_log(&shards), stats)
         };
-        let (log_off, off) = run(BatchPolicy::Off);
-        let (log_on, on) = run(BatchPolicy::default());
+        let (log_off, off) = run(false);
+        let (log_on, on) = run(true);
         assert_eq!(log_off, log_on);
-        assert_eq!(off.windows, off.batches, "`Off` elects once per window");
-        assert!(
-            off.barriers >= 2 * on.barriers,
-            "expected ≥2× barrier reduction, got off={} on={}",
-            off.barriers,
-            on.barriers
-        );
+        assert_eq!(on.windows, log_on.len() as u64, "one window per event");
+        assert_eq!(off.windows, on.windows);
+        assert_eq!(off.batches, on.batches);
+        assert_eq!(on.barriers, on.windows + 1);
+        assert_eq!(off.barriers, 2 * off.windows + 1);
     }
 
     #[test]
     fn deadline_cut_is_inclusive() {
         // Events exactly at the deadline are processed; later ones are not.
         let mut shards = ring(2, 1);
-        let (end, ..) = run_conservative(
-            &mut shards,
-            HOP,
-            SimTime::from_nanos(100),
-            true,
-            BatchPolicy::default(),
-        );
+        let (end, ..) = run_conservative(&mut shards, HOP, SimTime::from_nanos(100), true, true);
         assert_eq!(end, SimTime::from_nanos(100));
         assert_eq!(merged_log(&shards).len(), 3); // t = 0, 50, 100
     }
@@ -994,11 +847,17 @@ mod tests {
     #[test]
     fn empty_queues_terminate_immediately() {
         let mut shards = ring(3, 0);
-        let (end, stats, _) =
-            run_conservative(&mut shards, HOP, SimTime::MAX, true, BatchPolicy::default());
-        assert_eq!(end, SimTime::ZERO);
-        assert_eq!(stats.batches, 0);
-        assert_eq!(stats.barriers, 2);
+        for batching in [false, true] {
+            let (end, stats, _) =
+                run_conservative(&mut shards, HOP, SimTime::MAX, true, batching);
+            assert_eq!(end, SimTime::ZERO);
+            // The opening election finds nothing: one crossing, no window.
+            let one_crossing = EpochStats {
+                barriers: 1,
+                ..EpochStats::default()
+            };
+            assert_eq!(stats, one_crossing);
+        }
     }
 
     /// A ring shard that detonates once its window reaches the fuse time.
@@ -1045,13 +904,7 @@ mod tests {
             })
             .collect();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_conservative(
-                &mut shards,
-                HOP,
-                SimTime::from_nanos(1_000),
-                true,
-                BatchPolicy::default(),
-            );
+            run_conservative(&mut shards, HOP, SimTime::from_nanos(1_000), true, true);
         }))
         .expect_err("the worker panic must propagate");
         let msg = err
@@ -1070,8 +923,8 @@ mod tests {
     /// having left crossing `k` it must see all `n` bumps of every crossing
     /// up to `k` (nobody left early) and at most the `n - 1` bumps its peers
     /// can have made towards crossing `k + 1` (nobody was lapped: `k + 2`
-    /// cannot start before this thread arrives at `k + 1`). Exactly one
-    /// thread leads each crossing. Returns how many waits ended parked.
+    /// cannot start before this thread arrives at `k + 1`). Returns how many
+    /// waits ended parked.
     fn cross_repeatedly(n: usize, crossings: usize, spins: u32, yields: u32) -> usize {
         let barrier = EpochBarrier::new(n);
         let bumps = AtomicUsize::new(0);
@@ -1099,17 +952,10 @@ mod tests {
                 .map(|t| t.join().expect("no thread failed its check"))
                 .collect()
         });
-        for k in 0..crossings {
-            let leaders = outcomes
-                .iter()
-                .filter(|of| of[k] == BarrierWait::Leader)
-                .count();
-            assert_eq!(leaders, 1, "crossing {k} of {n} threads");
-        }
         outcomes
             .iter()
             .flatten()
-            .filter(|&&o| o == BarrierWait::Follower { parked: true })
+            .filter(|&&o| o == BarrierWait::Crossed { parked: true })
             .count()
     }
 
@@ -1163,12 +1009,6 @@ mod tests {
     #[should_panic(expected = "positive lookahead")]
     fn zero_lookahead_is_rejected() {
         let mut shards = ring(2, 1);
-        run_conservative(
-            &mut shards,
-            SimDuration::ZERO,
-            SimTime::MAX,
-            false,
-            BatchPolicy::Off,
-        );
+        run_conservative(&mut shards, SimDuration::ZERO, SimTime::MAX, false, false);
     }
 }

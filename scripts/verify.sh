@@ -5,8 +5,11 @@
 #      drives every command of the CLI in-process (flags, exit codes, the
 #      files written, the scrape socket's protocol, malformed and unbounded
 #      inputs); the command line is tested there, not here
-#   2. the bfc-testkit harness's own unit tests, and the two CLI gates that
-#      need a process of their own (`crates/bfc-experiments/tests/
+#   2. the unit tests tier-1 leaves out and a change is most likely to need:
+#      the bfc-testkit harness's own, and bfc-sim's — the epoch barrier
+#      (nobody released early, nobody lapped, abort in every wait stage) and
+#      the epoch driver's ring tests live there (2.4 s); and the two CLI
+#      gates that need a process of their own (`crates/bfc-experiments/tests/
 #      cli_flags.rs`: a malformed `BFC_THREADS`, a safety violation's flight
 #      dump into a private working directory)
 #   3. with --workspace: every crate's unit tests
@@ -34,8 +37,9 @@ cargo build --release
 echo "== tier-1: cargo test -q"
 cargo test -q
 
-echo "== testkit + spawned CLI gates"
+echo "== testkit + bfc-sim unit tests + spawned CLI gates"
 cargo test -q -p bfc-testkit
+cargo test -q -p bfc-sim
 cargo test -q -p bfc-experiments --test cli_flags
 
 if [[ "${1:-}" == "--workspace" ]]; then

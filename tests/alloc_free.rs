@@ -28,9 +28,7 @@ use backpressure_flow_control::net::switch::Switch;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::NetEvent;
-use backpressure_flow_control::sim::shard::{
-    run_conservative, BatchPolicy, Boundary, ShardHandler,
-};
+use backpressure_flow_control::sim::shard::{run_conservative, Boundary, ShardHandler};
 use backpressure_flow_control::sim::{EventQueue, SimDuration, SimTime};
 use backpressure_flow_control::transport::{FlowSpec, Host};
 
@@ -273,8 +271,7 @@ fn epoch_windows_with_cross_traffic_allocate_nothing_once_buffers_have_grown() {
     let mut run = |windows: u64| {
         until += HOP * windows;
         let before = allocs();
-        let (end, stats, _) =
-            run_conservative(&mut shards, HOP, until, false, BatchPolicy::default());
+        let (end, stats, _) = run_conservative(&mut shards, HOP, until, false, true);
         let during = allocs() - before;
         assert_eq!(end, until);
         assert!(stats.windows >= windows, "{stats:?}");

@@ -168,9 +168,10 @@ fn synth_stats_replay_round_trip_and_sharded_replay_prints_the_serial_table() {
         stats.contains("flows"),
         "stats summarises the trace:\n{stats}"
     );
-    // Adaptive epoch batching is on by default, so `--shards 2` exercises the
-    // batched driver; its stdout must match the serial replay byte for byte
-    // (the engine counters go to stderr for exactly this reason).
+    // Epoch batching is on by default, so `--shards 2` exercises the
+    // one-crossing-per-window driver; its stdout must match the serial
+    // replay byte for byte (the engine counters go to stderr for exactly
+    // this reason).
     let serial = trace_tool(&["replay", &csv, "--scheme", "bfc"]);
     assert!(
         serial.ok && serial.out.starts_with("replayed "),

@@ -10,7 +10,7 @@ use backpressure_flow_control::core::policy::{pick_queue, BfcCounters};
 use backpressure_flow_control::core::{BfcConfig, CountingBloom, FlowEntry, FlowKey};
 use backpressure_flow_control::experiments::{run_experiment, ExperimentConfig, Scheme};
 use backpressure_flow_control::metrics::{
-    percentile, Hist, OccupancySeries, RecoveryTracker, SafetyTracker,
+    percentile, GoodputSeries, Hist, OccupancySeries, RecoveryTracker, SafetyTracker,
 };
 use backpressure_flow_control::net::packet::PauseFrame;
 use backpressure_flow_control::net::switch::SwitchCounters;
@@ -506,10 +506,7 @@ fn arb_safety(rng: &mut SimRng) -> SafetyTracker {
             NodeId(rng.next_below(4) as u32),
             NodeId(rng.next_below(4) as u32),
         );
-        match rng.next_below(3) {
-            0 => tracker.record_goodput(now, rng.next_below(1 << 40)),
-            kind => tracker.record_pause(now, from, to, kind == 1),
-        }
+        tracker.record_pause(now, from, to, rng.next_below(2) == 1);
     }
     tracker
 }
@@ -517,10 +514,9 @@ fn arb_safety(rng: &mut SimRng) -> SafetyTracker {
 fn arb_recovery(rng: &mut SimRng) -> RecoveryTracker {
     let mut tracker = RecoveryTracker::new();
     for _ in 0..rng.next_below(20) {
-        match rng.next_below(4) {
-            0 => tracker.record_goodput(arb_time(rng), rng.next_below(1 << 40)),
-            1 => tracker.record_fault(arb_time(rng)),
-            2 => tracker.record_reroute(),
+        match rng.next_below(3) {
+            0 => tracker.record_fault(arb_time(rng)),
+            1 => tracker.record_reroute(),
             _ => tracker.add_blackholed(rng.next_below(9)),
         }
     }
@@ -631,6 +627,11 @@ property! {
             occupancy.record(rng.next_below(12_000_000));
         }
         assert_snap_round_trip(&occupancy);
+        let mut goodput = GoodputSeries::new();
+        for _ in 0..rng.next_below(30) {
+            goodput.record(arb_time(rng), rng.next_below(1 << 40));
+        }
+        assert_snap_round_trip(&goodput);
         assert_snap_round_trip(&arb_recovery(rng));
         assert_snap_round_trip(&arb_safety(rng));
 

@@ -8,6 +8,9 @@
 //!    (synthetic workload, CSV trace replay, link-fault scenario) produces a
 //!    bit-identical `ExperimentResult` at 1, 2 and 4 shards versus the
 //!    serial engine.
+//! 3. The epoch driver's round protocol on generated token rings: one log
+//!    whichever driver ran and whether it batched, and the barrier count as
+//!    an identity of the window count.
 
 use backpressure_flow_control::experiments::{
     run_experiment, run_experiment_sharded, ExperimentConfig, ReplayTrace, ScenarioSpec, Scheme,
@@ -17,11 +20,14 @@ use backpressure_flow_control::net::topology::{
     cross_dc, fat_tree, CrossDcParams, FatTreeParams, Topology,
 };
 use backpressure_flow_control::net::types::NodeId;
-use backpressure_flow_control::sim::{SimDuration, SimTime};
+use backpressure_flow_control::sim::shard::{
+    run_conservative, Boundary, EpochStats, ShardHandler,
+};
+use backpressure_flow_control::sim::{EventQueue, SimDuration, SimTime};
 use backpressure_flow_control::workloads::{
     export_csv, synthesize, TraceFlow, TraceParams, Workload,
 };
-use bfc_testkit::{int_range, pair, property};
+use bfc_testkit::{int_range, one_of, pair, property, vec_of};
 
 mod common;
 use common::assert_identical;
@@ -198,4 +204,131 @@ fn sharded_end_time_matches_serial_drain() {
     assert!(serial.end_time > SimTime::ZERO);
     assert_eq!(serial.end_time, sharded.end_time);
     assert_eq!(serial.completed_flows, serial.total_flows);
+}
+
+/// One shard of a token ring: a token handled at `t` is handled again at
+/// `t + hop`, by the next shard round the ring with `cross` set and by this
+/// one without (a fabric that exchanges nothing). Logs `(time, token)`, and
+/// checks what makes a window safe: nothing it is handed after a window lies
+/// inside that window.
+struct Ring {
+    me: usize,
+    hop: SimDuration,
+    cross: bool,
+    queue: EventQueue<u32>,
+    outbox: Vec<Vec<Boundary<u32>>>,
+    log: Vec<(SimTime, u32)>,
+    window_end: SimTime,
+}
+
+impl ShardHandler for Ring {
+    type Event = u32;
+    fn next_time(&self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+    fn run_window(&mut self, window_end: SimTime, deadline: SimTime) {
+        self.window_end = window_end;
+        while self.queue.peek_time().is_some_and(|t| t < window_end && t <= deadline) {
+            let (now, token) = self.queue.pop().expect("peeked");
+            self.log.push((now, token));
+            let dest = (self.me + usize::from(self.cross)) % self.outbox.len();
+            if dest == self.me {
+                self.queue.push_ranked(now + self.hop, token, token);
+            } else {
+                self.outbox[dest].push((now + self.hop, token, token));
+            }
+        }
+    }
+    fn outboxes(&mut self) -> &mut [Vec<Boundary<u32>>] {
+        &mut self.outbox
+    }
+    fn deliver(&mut self, batch: &mut Vec<Boundary<u32>>) {
+        for (t, rank, token) in batch.drain(..) {
+            assert!(t >= self.window_end, "{t:?} arrived after the window to {:?}", self.window_end);
+            self.queue.push_ranked(t, rank, token);
+        }
+    }
+    fn last_processed(&self) -> SimTime {
+        self.log.last().map_or(SimTime::ZERO, |&(t, _)| t)
+    }
+}
+
+const LOOKAHEAD: SimDuration = SimDuration::from_nanos(50);
+
+property! {
+    /// The round protocol over rings of 1–5 shards carrying 0–6 tokens that
+    /// hop every 1–20 lookaheads, across shards or not, driven to two or
+    /// three successive deadlines the way `Engine::advance` is for a
+    /// snapshot cut. Threads or one loop, batching or re-electing: the same
+    /// log and last instant; the two drivers count the same rounds; and per
+    /// call every window costs one crossing (two when re-electing) after
+    /// the one that opens it — which is all an empty ring pays.
+    fn the_round_protocol_runs_one_schedule_on_any_driver_and_counts_it_exactly(
+        ring in pair(
+            pair(int_range(1usize..6), int_range(0u32..7)),
+            pair(int_range(1u64..21), one_of(&[false, true])),
+        ),
+        cuts in vec_of(int_range(1u64..1_500), 2..4),
+    ) {
+        let ((n, tokens), (hop, cross)) = ring;
+        let hop = LOOKAHEAD * hop;
+        let deadlines: Vec<SimTime> = cuts
+            .iter()
+            .scan(0, |at, gap| {
+                *at += gap;
+                Some(SimTime::from_nanos(*at))
+            })
+            .collect();
+        let run = |parallel: bool, batching: bool| {
+            let mut shards: Vec<Ring> = (0..n)
+                .map(|me| Ring {
+                    me,
+                    hop,
+                    cross,
+                    queue: EventQueue::new(),
+                    outbox: vec![Vec::new(); n],
+                    log: Vec::new(),
+                    window_end: SimTime::ZERO,
+                })
+                .collect();
+            for token in 0..tokens {
+                shards[0].queue.push_ranked(SimTime::ZERO, token, token);
+            }
+            let calls: Vec<(SimTime, EpochStats)> = deadlines
+                .iter()
+                .map(|&deadline| {
+                    let (end, stats, _) =
+                        run_conservative(&mut shards, LOOKAHEAD, deadline, parallel, batching);
+                    if batching {
+                        assert_eq!(stats.barriers, stats.windows + 1, "{stats:?}");
+                    } else {
+                        assert_eq!(stats.barriers, 2 * stats.windows + 1, "{stats:?}");
+                        assert_eq!(stats.batches, stats.windows, "{stats:?}");
+                    }
+                    if tokens == 0 {
+                        assert_eq!((stats.windows, stats.barriers), (0, 1), "{stats:?}");
+                    }
+                    (end, stats)
+                })
+                .collect();
+            let mut log: Vec<(SimTime, u32)> =
+                shards.iter().flat_map(|s| s.log.iter().copied()).collect();
+            log.sort();
+            (log, calls)
+        };
+        let (log, calls) = run(false, true);
+        // Every token is handled at 0, hop, 2·hop, … up to the last deadline.
+        let last = *deadlines.last().expect("two or three deadlines");
+        let handled = last.as_picos() / hop.as_picos() + 1;
+        assert_eq!(log.len() as u64, u64::from(tokens) * handled);
+        assert_eq!(run(true, true), (log.clone(), calls.clone()), "threaded");
+        let (log_off, calls_off) = run(false, false);
+        assert_eq!(log_off, log, "re-electing before every window");
+        assert_eq!(run(true, false), (log_off, calls_off.clone()), "threaded, re-electing");
+        // The schedule shows in the counters only: same last instant per call.
+        let ends = |calls: &[(SimTime, EpochStats)]| -> Vec<SimTime> {
+            calls.iter().map(|&(end, _)| end).collect()
+        };
+        assert_eq!(ends(&calls_off), ends(&calls));
+    }
 }

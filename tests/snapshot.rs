@@ -121,8 +121,8 @@ fn paper_lineup_resumes_bit_identically_under_faults() {
     }
 }
 
-/// Epoch batching × checkpoint/restore: with the sharded engine's adaptive
-/// batching forced on or forced off, a mid-run cut still resumes
+/// Epoch batching × checkpoint/restore: with the sharded engine's batching
+/// forced on or forced off, a mid-run cut still resumes
 /// bit-identically at 1, 2 and 4 shards — and both modes land on the same
 /// uninterrupted serial result. Batching only reschedules barriers; it must
 /// never move an event or change what a snapshot captures.
@@ -204,11 +204,12 @@ fn damaged_snapshots_are_rejected() {
         Err(SnapError::BadChecksum)
     ));
 
-    // Another format version — a future one, version 6 with a `busy` flag
-    // where a transmitter's serialization end now is, or version 5 with its
-    // bytewise checksum — is refused by number, not misdecoded.
-    assert_eq!(snap[8..12], 7u32.to_le_bytes(), "this build writes version 7");
-    for version in [99u32, 6, 5] {
+    // Another format version — a future one, version 7 with a goodput series
+    // in each of two trackers, version 6 with a `busy` flag where a
+    // transmitter's serialization end now is, or version 5 with its bytewise
+    // checksum — is refused by number, not misdecoded.
+    assert_eq!(snap[8..12], 8u32.to_le_bytes(), "this build writes version 8");
+    for version in [99u32, 7, 6, 5] {
         let mut versioned = snap.clone();
         versioned[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
@@ -322,36 +323,40 @@ fn trailer(file: &[u8]) -> (usize, u64) {
     (file.len(), u64::from_le_bytes(sum))
 }
 
-/// `trailer` of the twelve snapshots and the one flight trace below. The
-/// one-shard rows and the flight trace are as written by commit 0022cd3 — the
-/// last one whose codec was 68 hand-written `save`/`restore` functions. The
-/// `Snap` trait that replaced them must not move the wire format by a byte
-/// (`SNAPSHOT_VERSION` 7, `TRACE_VERSION` 2), so files that commit wrote are
-/// the files this one writes and reads.
+/// `trailer` of the twelve snapshots and the one flight trace below, so a
+/// codec change that is meant to keep the wire format leaves them alone and
+/// one that is meant to move it re-records them with its version bump.
 ///
-/// The two-shard rows were re-recorded in PR 19, same lengths, same format:
-/// a pending event is saved with the sequence number its queue gave it, a
-/// worker's queue numbers local pushes and mailbox deliveries in the order
-/// they happen, and PR 19 moved the instants at which mailboxes are delivered
-/// (epoch windows stay on one batch's grid under traffic instead of being
-/// re-anchored after every window). The numbers only break ties between
-/// events of equal `(time, rank)`, which pop in the same order either way:
-/// of a 106 705-byte two-shard BFC snapshot that PR 19's `trace-tool` and
-/// its parent's took of one run, 224 bytes differ, each by a few units, and
-/// the parent's file resumes here to the uninterrupted run's result.
+/// The flight trace is as written by commit 0022cd3 (`TRACE_VERSION` 2), the
+/// last one whose codec was 68 hand-written `save`/`restore` functions. The
+/// snapshots are `SNAPSHOT_VERSION` 8, which stores a sim's goodput ticks
+/// once where version 7 held a copy in each of two trackers: 96 bytes per
+/// worker less at this cut.
+///
+/// The two-shard rows also depend on where the epoch windows fall, at any
+/// version: a pending event is saved with the sequence number its queue gave
+/// it, and a worker's queue numbers local pushes and mailbox deliveries in
+/// the order they happen, so a driver that delivers mailboxes at other
+/// instants (PR 19's grid under traffic, PR 23's one-round schedule — which
+/// moved exactly these six rows of the version 7 table, lengths unchanged)
+/// writes other numbers. They only break ties between events of equal
+/// `(time, rank)`, which pop in the same order either way: of a 106 705-byte
+/// two-shard BFC snapshot that PR 19's `trace-tool` and its parent's took of
+/// one run, 224 bytes differ, each by a few units, and the parent's file
+/// resumed there to the uninterrupted run's result.
 const PARENT_SNAPSHOTS: [(usize, u64); 12] = [
-    (96_378, 0xf23e_1607_2c52_2f27),  // BFC, 1 shard
-    (105_505, 0x2851_f28f_2168_d293), // BFC, 2 shards
-    (568_735, 0xa6b5_e23d_f6ba_a597), // Ideal-FQ
-    (577_862, 0x57f1_13c5_f3b4_b780),
-    (86_003, 0xf207_2547_ef25_5442), // DCQCN
-    (95_130, 0xce35_9816_3c0b_4808),
-    (86_003, 0x1c84_79ec_8ff3_ee7a), // DCQCN+Win
-    (95_130, 0xf115_2082_d368_b2a0),
-    (82_160, 0xe200_14ef_611f_70d7), // HPCC
-    (91_287, 0xc5d7_5e6d_b572_4cf7),
-    (89_170, 0xb4d8_8e77_ba10_fb93), // DCQCN+Win+SFQ
-    (98_297, 0x20a6_3528_318f_ff55),
+    (96_282, 0x0986_310c_2ce8_0f70), // BFC, 1 shard
+    (105_313, 0x35e5_faf8_b045_f55e), // BFC, 2 shards
+    (568_639, 0xb4c7_f757_f662_5932), // Ideal-FQ
+    (577_670, 0xb7da_0466_ce44_0daa),
+    (85_907, 0x442f_f662_c5f0_05a5), // DCQCN
+    (94_938, 0x4a7d_1e2d_fb8e_640f),
+    (85_907, 0xbbea_91eb_3203_2f8d), // DCQCN+Win
+    (94_938, 0xef6b_ff05_0460_32f7),
+    (82_064, 0x3354_ef5f_23d3_9cc4), // HPCC
+    (91_095, 0x2c9d_19c0_2438_accc),
+    (89_074, 0x32b4_e51d_4020_c66c), // DCQCN+Win+SFQ
+    (98_105, 0x7894_9bbb_e707_9772),
 ];
 const PARENT_FLIGHT: (usize, u64) = (1_256_716, 0x3704_4530_a583_d1d0);
 
@@ -372,19 +377,26 @@ fn the_format_is_pinned_to_the_parents_bytes() {
         .resolve(&topo)
         .expect("tiny topology has tor0/spine0");
     let cut = SimTime::ZERO + horizon / 3;
-    let mut pins = PARENT_SNAPSHOTS.iter();
+    let mut rows = Vec::new();
     for scheme in Scheme::paper_lineup() {
         let name = scheme.name();
         let config = ExperimentConfig::new(scheme, horizon).with_dynamics(schedule.clone());
         for shards in [1usize, 2] {
             let snap = snapshot_experiment(&topo, &trace, &config, cut, shards);
-            assert_eq!(
-                Some(&trailer(&snap)),
-                pins.next(),
-                "{name} @ {shards} shards"
-            );
+            rows.push((trailer(&snap), format!("{name}, {shards} shard(s)")));
         }
     }
+    // Every row, not the first that moved: which rows move says what moved.
+    let table: String = rows
+        .iter()
+        .zip(PARENT_SNAPSHOTS)
+        .map(|((written, row), pin)| {
+            let moved = if *written == pin { "" } else { " <- moved" };
+            format!("    ({}, {:#018x}), // {row}{moved}\n", written.0, written.1)
+        })
+        .collect();
+    let written = rows.iter().map(|(pin, _)| *pin);
+    assert!(written.eq(PARENT_SNAPSHOTS), "this build writes\n{table}");
     let config = ExperimentConfig::new(Scheme::bfc(), horizon)
         .with_dynamics(schedule)
         .with_trace_capacity(1 << 16);
