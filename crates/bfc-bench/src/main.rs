@@ -183,8 +183,6 @@ fn bench_switch_forwarding(h: &mut Harness) {
     h.bench("bfc_policy_enqueue_dequeue_1k", || {
         let mut policy = BfcPolicy::new(BfcConfig::default(), 3);
         let ctx = EnqueueCtx {
-            now: SimTime::ZERO,
-            switch: NodeId(0),
             ingress: 0,
             egress: 1,
             port: &port,

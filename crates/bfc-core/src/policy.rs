@@ -11,11 +11,10 @@ use std::collections::VecDeque;
 use bfc_net::packet::Packet;
 use bfc_net::policy::{
     DequeueCtx, EnqueueCtx, EnqueueDecision, PauseTick, PolicyStats, ProbeStats, QueueTarget,
-    SwitchPolicy,
+    SfqPolicy, SwitchPolicy,
 };
-use bfc_sim::rng::mix64;
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-use bfc_sim::{FastHashMap, SimRng, SimTime};
+use bfc_sim::{FastHashMap, SimRng};
 
 use crate::config::BfcConfig;
 use crate::counting_bloom::CountingBloom;
@@ -163,7 +162,7 @@ impl BfcPolicy {
         let num_queues = ctx.port.num_queues();
         if !self.config.dynamic_assignment {
             // BFC-VFID straw proposal: static hash, identical at every switch.
-            return (mix64(vfid as u64) % num_queues as u64) as usize;
+            return SfqPolicy::queue_for(vfid, num_queues);
         }
         let assigned = Self::assigned_row(&mut self.assigned, ctx.egress, num_queues);
         pick_queue(assigned, &mut self.rng)
@@ -313,7 +312,7 @@ impl SwitchPolicy for BfcPolicy {
         }
     }
 
-    fn pause_frame_tick(&mut self, _now: SimTime, ingress: u32) -> PauseTick {
+    fn pause_frame_tick(&mut self, ingress: u32) -> PauseTick {
         let limit = if self.config.limit_resumes {
             Some(self.config.resumes_per_tick_per_queue)
         } else {
@@ -460,8 +459,6 @@ mod tests {
 
     fn ectx<'a>(port: &'a Port, ingress: u32, egress: u32) -> EnqueueCtx<'a> {
         EnqueueCtx {
-            now: SimTime::ZERO,
-            switch: NodeId(0),
             ingress,
             egress,
             port,
@@ -470,8 +467,6 @@ mod tests {
 
     fn dctx<'a>(port: &'a Port, ingress: u32, egress: u32, queue: QueueTarget) -> DequeueCtx<'a> {
         DequeueCtx {
-            now: SimTime::ZERO,
-            switch: NodeId(0),
             ingress,
             egress,
             port,
@@ -589,7 +584,7 @@ mod tests {
         assert!(targets.len() == 60);
         assert_eq!(policy.stats().pauses, 1, "exactly one pause for one flow");
         // The pause frame appears on the next tick and names the VFID.
-        let tick = policy.pause_frame_tick(SimTime::from_micros(1), 0);
+        let tick = policy.pause_frame_tick(0);
         let frame = tick.frame.expect("dirty state must emit a frame");
         assert!(frame.contains(10));
         assert!(tick.reschedule);
@@ -604,21 +599,21 @@ mod tests {
         push_packets(&mut policy, &mut port, 1, 10, 60, 0);
         push_packets(&mut policy, &mut port, 2, 20, 60, 0);
         assert_eq!(policy.stats().pauses, 2);
-        let _ = policy.pause_frame_tick(SimTime::from_micros(1), 0);
+        let _ = policy.pause_frame_tick(0);
         // Drain everything: both flows become resume-eligible, but the
         // to-be-resumed list releases only one per tick for a shared queue.
         while let Some((qp, target)) = port.dequeue_next() {
             policy.on_dequeue(&dctx(&port, 0, 7, target), &qp.packet);
         }
-        let t1 = policy.pause_frame_tick(SimTime::from_micros(2), 0);
+        let t1 = policy.pause_frame_tick(0);
         assert!(t1.frame.is_some());
         assert_eq!(policy.stats().resumes, 1, "one resume per queue per tick");
         assert!(t1.reschedule);
-        let t2 = policy.pause_frame_tick(SimTime::from_micros(3), 0);
+        let t2 = policy.pause_frame_tick(0);
         assert!(t2.frame.is_some());
         assert_eq!(policy.stats().resumes, 2);
         // After both resumes the filter is empty and the chain stops.
-        let t3 = policy.pause_frame_tick(SimTime::from_micros(4), 0);
+        let t3 = policy.pause_frame_tick(0);
         assert!(!t3.reschedule);
         let final_frame = t2.frame.expect("second resume emits a frame");
         assert!(final_frame.is_empty(), "all pauses cleared");
@@ -635,7 +630,7 @@ mod tests {
         while let Some((qp, target)) = port.dequeue_next() {
             policy.on_dequeue(&dctx(&port, 0, 7, target), &qp.packet);
         }
-        let _ = policy.pause_frame_tick(SimTime::from_micros(1), 0);
+        let _ = policy.pause_frame_tick(0);
         assert_eq!(policy.stats().resumes, 2, "no pacing without the limit");
     }
 

@@ -897,9 +897,7 @@ pub(crate) fn assemble_result(
     );
 
     // FCT slowdown histogram: each flow completes in exactly one sim, so
-    // merging per-sim histograms is an exact disjoint union. (This and the
-    // merges above come before the sampled-series block below, which may
-    // consume `sims`.)
+    // merging per-sim histograms is an exact disjoint union.
     let mut fct_hist = Hist::new();
     for s in &sims {
         fct_hist.merge(&s.fct_hist);
@@ -915,45 +913,38 @@ pub(crate) fn assemble_result(
     // Sampled series. Each sim records one occupancy value per owned switch
     // per tick (in node order) and one peak/occupied maximum per tick;
     // interleaving by switch owner / taking elementwise maxima reconstructs
-    // exactly what one sim covering all switches would have recorded.
+    // exactly what one sim covering all switches would have recorded (one
+    // sim interleaves to itself: the samples are non-negative, so the
+    // maximum with 0.0 is the sample, bit for bit).
     let ticks = sims[0].peak_queue_samples.len();
-    let (occupancy, peak_queue_samples, occupied_queue_samples) = if sims.len() == 1 {
-        let s = sims
-            .into_iter()
-            .next()
-            .expect("non-empty sims");
-        (s.occupancy, s.peak_queue_samples, s.occupied_queue_samples)
-    } else {
-        for s in &sims {
-            assert_eq!(s.peak_queue_samples.len(), ticks, "shards sample in lockstep");
-            assert_eq!(s.occupied_queue_samples.len(), ticks);
+    for s in &sims {
+        assert_eq!(s.peak_queue_samples.len(), ticks, "shards sample in lockstep");
+        assert_eq!(s.occupied_queue_samples.len(), ticks);
+    }
+    let owner_of: Vec<usize> = topo
+        .switches()
+        .iter()
+        .map(|sw| {
+            sims.iter()
+                .position(|s| s.switches[sw.index()].is_some())
+                .expect("every switch is owned by exactly one shard")
+        })
+        .collect();
+    let occupancy = OccupancySeries::merge_interleaved(
+        &sims.iter().map(|s| &s.occupancy).collect::<Vec<_>>(),
+        &owner_of,
+        ticks,
+    );
+    let mut peak_queue_samples = vec![0.0f64; ticks];
+    let mut occupied_queue_samples = vec![0.0f64; ticks];
+    for s in &sims {
+        for (acc, v) in peak_queue_samples.iter_mut().zip(&s.peak_queue_samples) {
+            *acc = acc.max(*v);
         }
-        let owner_of: Vec<usize> = topo
-            .switches()
-            .iter()
-            .map(|sw| {
-                sims.iter()
-                    .position(|s| s.switches[sw.index()].is_some())
-                    .expect("every switch is owned by exactly one shard")
-            })
-            .collect();
-        let occupancy = OccupancySeries::merge_interleaved(
-            &sims.iter().map(|s| &s.occupancy).collect::<Vec<_>>(),
-            &owner_of,
-            ticks,
-        );
-        let mut peak = vec![0.0f64; ticks];
-        let mut occupied = vec![0.0f64; ticks];
-        for s in &sims {
-            for (acc, v) in peak.iter_mut().zip(&s.peak_queue_samples) {
-                *acc = acc.max(*v);
-            }
-            for (acc, v) in occupied.iter_mut().zip(&s.occupied_queue_samples) {
-                *acc = acc.max(*v);
-            }
+        for (acc, v) in occupied_queue_samples.iter_mut().zip(&s.occupied_queue_samples) {
+            *acc = acc.max(*v);
         }
-        (occupancy, peak, occupied)
-    };
+    }
 
     // Run-level rollups and the safety verdict.
     registry.add_counter("bfc_flows_completed", completed as u64);

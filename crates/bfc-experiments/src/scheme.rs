@@ -172,13 +172,13 @@ impl Scheme {
             Scheme::Bfc(cfg) => Box::new(BfcPolicy::new(*cfg, seed)),
             Scheme::Dcqcn { sfq, .. } => {
                 if *sfq {
-                    Box::new(SfqPolicy::new(false))
+                    Box::new(SfqPolicy::new())
                 } else {
                     Box::new(FifoPolicy::new())
                 }
             }
             Scheme::Hpcc => Box::new(FifoPolicy::new()),
-            Scheme::IdealFq | Scheme::SfqInfBuffer => Box::new(SfqPolicy::new(false)),
+            Scheme::IdealFq | Scheme::SfqInfBuffer => Box::new(SfqPolicy::new()),
         }
     }
 
@@ -215,7 +215,6 @@ mod tests {
     use bfc_net::port::Port;
     use bfc_net::types::{FlowId, NodeId};
     use bfc_net::Link;
-    use bfc_sim::SimTime;
 
     #[test]
     fn names_match_paper_legends() {
@@ -266,8 +265,6 @@ mod tests {
     fn first_decision(scheme: Scheme) -> (QueueTarget, bool) {
         let port = Port::new(Link::datacenter_default(), None, 32, 1000);
         let ctx = EnqueueCtx {
-            now: SimTime::ZERO,
-            switch: NodeId(0),
             ingress: 0,
             egress: 1,
             port: &port,

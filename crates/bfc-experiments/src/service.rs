@@ -86,7 +86,9 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
 /// replaces the `busy` flag of every switch egress and host uplink with the
 /// transmitter's serialization end and pending-wake flag. Version 8 stores
 /// a sim's goodput ticks once (the recovery and safety trackers each did).
-pub const SNAPSHOT_VERSION: u32 = 8;
+/// Version 9 drops three counters nothing read: every queue's lifetime
+/// enqueued bytes and the shared buffer's peak occupancy and dropped bytes.
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Hashes every run input the snapshot does *not* serialize — topology
 /// shape, trace, configuration and shard count — so a resume against

@@ -34,7 +34,6 @@
 use std::collections::BTreeMap;
 
 use bfc_net::types::NodeId;
-use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{SimDuration, SimTime};
 
 use crate::hist::Hist;
@@ -84,42 +83,9 @@ bfc_sim::snap_struct! { PauseEdge { at, from, to, pause } }
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SafetyTracker {
     edges: Vec<PauseEdge>,
-    /// Derived online from the edge log (never serialized — rebuilt by
-    /// replay on restore): install time of each currently-paused edge,
-    /// and the distribution of closed pause intervals in nanoseconds.
-    open_pauses: BTreeMap<(NodeId, NodeId), SimTime>,
-    pause_hist: Hist,
 }
 
-impl Snap for SafetyTracker {
-    const MIN_BYTES: usize = usize::MIN_BYTES;
-
-    fn save(&self, w: &mut SnapWriter) {
-        let SafetyTracker {
-            edges,
-            // Derived from the edge log.
-            open_pauses: _,
-            pause_hist: _,
-        } = self;
-        edges.save(w);
-    }
-
-    // Hand-written to rebuild the derived pause-duration state by replaying
-    // the edge log in recorded order — bit-identical to the uninterrupted
-    // tracker, with no extra bytes in the snapshot format.
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut tracker = SafetyTracker {
-            edges: r.get()?,
-            open_pauses: BTreeMap::new(),
-            pause_hist: Hist::new(),
-        };
-        for i in 0..tracker.edges.len() {
-            let e = tracker.edges[i];
-            tracker.update_pause_hist(e.at, e.from, e.to, e.pause);
-        }
-        Ok(tracker)
-    }
-}
+bfc_sim::snap_struct! { SafetyTracker { edges } }
 
 impl SafetyTracker {
     /// Creates an empty tracker.
@@ -137,30 +103,26 @@ impl SafetyTracker {
             to,
             pause,
         });
-        self.update_pause_hist(now, from, to, pause);
-    }
-
-    /// The online pause-duration update: XOFF opens an interval on the
-    /// edge (refreshes keep the original install time); XON closes it and
-    /// records the duration. Pulled out of [`SafetyTracker::record_pause`]
-    /// so `restore` can rebuild the derived state
-    /// by replaying the serialized edge log.
-    fn update_pause_hist(&mut self, now: SimTime, from: NodeId, to: NodeId, pause: bool) {
-        let key = (from, to);
-        if pause {
-            self.open_pauses.entry(key).or_insert(now);
-        } else if let Some(start) = self.open_pauses.remove(&key) {
-            self.pause_hist.observe(now.saturating_since(start).as_nanos());
-        }
     }
 
     /// The distribution of PFC pause intervals per wait-for edge, in
-    /// nanoseconds; intervals still open are closed at `end`. All edges of
-    /// one `(from, to)` pair are recorded by the shard owning `from`, so
-    /// merged per-shard histograms are bit-identical to the serial one.
+    /// nanoseconds: XOFF opens an interval on the edge (refreshes keep the
+    /// original install time), XON closes it, and intervals still open are
+    /// closed at `end`. Replays the log in recorded order — all edges of
+    /// one `(from, to)` pair are recorded by the shard owning `from`, in
+    /// its order, and a histogram does not care how the pairs interleave —
+    /// so a merged tracker's histogram is bit-identical to the serial one.
     pub fn pause_durations(&self, end: SimTime) -> Hist {
-        let mut hist = self.pause_hist.clone();
-        for (_, &start) in &self.open_pauses {
+        let mut hist = Hist::new();
+        let mut open: BTreeMap<(NodeId, NodeId), SimTime> = BTreeMap::new();
+        for e in &self.edges {
+            if e.pause {
+                open.entry((e.from, e.to)).or_insert(e.at);
+            } else if let Some(start) = open.remove(&(e.from, e.to)) {
+                hist.observe(e.at.saturating_since(start).as_nanos());
+            }
+        }
+        for start in open.into_values() {
             hist.observe(end.saturating_since(start).as_nanos());
         }
         hist
@@ -171,15 +133,9 @@ impl SafetyTracker {
     /// recorded by exactly one shard; [`SafetyTracker::finish`] sorts
     /// canonically anyway).
     pub fn merge<'a>(parts: impl IntoIterator<Item = &'a SafetyTracker>) -> SafetyTracker {
-        let mut merged = SafetyTracker::new();
-        for part in parts {
-            merged.edges.extend(part.edges.iter().copied());
-            // Edge keys are shard-disjoint, so the open maps never collide
-            // and the histogram merge is exact.
-            merged.open_pauses.extend(part.open_pauses.iter().map(|(&k, &v)| (k, v)));
-            merged.pause_hist.merge(&part.pause_hist);
+        SafetyTracker {
+            edges: parts.into_iter().flat_map(|part| &part.edges).copied().collect(),
         }
-        merged
     }
 
     /// Replays the observations into a [`SafetyReport`]. `goodput` is the
@@ -364,6 +320,7 @@ impl SafetyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfc_sim::snapshot::{Snap, SnapReader, SnapWriter};
 
     fn us(n: u64) -> SimTime {
         SimTime::from_micros(n)

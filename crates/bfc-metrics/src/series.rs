@@ -40,7 +40,6 @@ impl OccupancySeries {
     /// the part that owns it. The merge walks every tick and pulls each
     /// slot's value from its owner's cursor: a pure reordering, bit-exact.
     pub fn merge_interleaved(parts: &[&OccupancySeries], owner: &[usize], ticks: usize) -> Self {
-        let mut cursors = vec![0usize; parts.len()];
         let mut widths = vec![0usize; parts.len()];
         for &p in owner {
             widths[p] += 1;
@@ -52,23 +51,16 @@ impl OccupancySeries {
                 "part {p} must hold exactly its owned slots for every tick"
             );
         }
-        let mut merged = OccupancySeries {
-            samples_bytes: Vec::with_capacity(owner.len() * ticks),
-        };
-        for tick in 0..ticks {
+        // Owners record their slots in the same global order within each
+        // tick, so each part is read front to back.
+        let mut cursors: Vec<_> = parts.iter().map(|part| part.samples_bytes.iter()).collect();
+        let mut samples_bytes = Vec::with_capacity(owner.len() * ticks);
+        for _ in 0..ticks {
             for &p in owner {
-                // Owners record their slots in the same global order within
-                // each tick, so per-part cursors advance monotonically.
-                let base = tick * widths[p];
-                let offset = cursors[p] - base;
-                debug_assert!(offset < widths[p]);
-                merged
-                    .samples_bytes
-                    .push(parts[p].samples_bytes[base + offset]);
-                cursors[p] += 1;
+                samples_bytes.push(*cursors[p].next().expect("lengths were checked"));
             }
         }
-        merged
+        OccupancySeries { samples_bytes }
     }
 
     /// Number of samples recorded.

@@ -20,9 +20,7 @@ pub struct SharedBuffer {
     /// Ingress ports that currently have an outstanding PFC pause toward
     /// their upstream.
     pfc_paused_upstream: Vec<bool>,
-    peak_occupancy: u64,
     drops: u64,
-    dropped_bytes: u64,
     /// Cached PFC pause threshold, keyed by the occupancy it was computed
     /// at. The dynamic threshold is a float function of the *free* buffer,
     /// so it only changes when total occupancy does — one "region" is a
@@ -42,9 +40,7 @@ impl SharedBuffer {
             occupancy: 0,
             per_ingress: vec![0; num_ports],
             pfc_paused_upstream: vec![false; num_ports],
-            peak_occupancy: 0,
             drops: 0,
-            dropped_bytes: 0,
             pfc_cache: None,
         }
     }
@@ -57,11 +53,6 @@ impl SharedBuffer {
     /// Bytes currently stored.
     pub fn occupancy(&self) -> u64 {
         self.occupancy
-    }
-
-    /// Highest occupancy ever observed.
-    pub fn peak_occupancy(&self) -> u64 {
-        self.peak_occupancy
     }
 
     /// Bytes currently stored that arrived via `ingress`.
@@ -79,23 +70,16 @@ impl SharedBuffer {
         self.drops
     }
 
-    /// Bytes dropped because the buffer was full.
-    pub fn dropped_bytes(&self) -> u64 {
-        self.dropped_bytes
-    }
-
     /// Tries to admit a packet of `bytes` arriving on `ingress`. Returns
     /// false (and counts a drop) if the packet does not fit.
     pub fn admit(&mut self, bytes: u32, ingress: u32) -> bool {
         let bytes = bytes as u64;
         if self.occupancy.saturating_add(bytes) > self.capacity {
             self.drops += 1;
-            self.dropped_bytes += bytes;
             return false;
         }
         self.occupancy += bytes;
         self.per_ingress[ingress as usize] += bytes;
-        self.peak_occupancy = self.peak_occupancy.max(self.occupancy);
         true
     }
 
@@ -165,17 +149,13 @@ impl SharedBuffer {
             occupancy,
             per_ingress,
             pfc_paused_upstream,
-            peak_occupancy,
             drops,
-            dropped_bytes,
             pfc_cache: _, // memoization
         } = self;
         occupancy.save(w);
         per_ingress.save(w);
         w.put_all(pfc_paused_upstream);
-        peak_occupancy.save(w);
         drops.save(w);
-        dropped_bytes.save(w);
     }
 
     /// Overlays state captured by [`SharedBuffer::save_state`] onto this
@@ -185,9 +165,7 @@ impl SharedBuffer {
         self.occupancy = r.get()?;
         r.get_exact(&mut self.per_ingress, "shared-buffer port count mismatch")?;
         r.fill(&mut self.pfc_paused_upstream)?;
-        self.peak_occupancy = r.get()?;
         self.drops = r.get()?;
-        self.dropped_bytes = r.get()?;
         self.pfc_cache = None;
         Ok(())
     }
@@ -207,11 +185,9 @@ mod tests {
         assert_eq!(b.free(), 2_000);
         assert!(!b.admit(4_000, 2), "over-capacity admit must fail");
         assert_eq!(b.drops(), 1);
-        assert_eq!(b.dropped_bytes(), 4_000);
         b.release(4_000, 0);
         assert_eq!(b.occupancy(), 4_000);
         assert_eq!(b.ingress_occupancy(0), 0);
-        assert_eq!(b.peak_occupancy(), 8_000);
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! trait in the `bfc-core` crate.
 
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-use bfc_sim::{FastHashMap, SimTime};
+use bfc_sim::FastHashMap;
 
 use crate::packet::{Packet, PauseFrame};
 use crate::port::Port;
-use crate::types::{FlowId, NodeId};
+use crate::types::FlowId;
 
 /// Which queue of an egress port a packet is placed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,12 +28,11 @@ pub enum QueueTarget {
     Overflow,
 }
 
-/// Context handed to the policy when a data packet is enqueued.
+/// Context handed to the policy when a data packet is enqueued: where the
+/// packet came from, where it is going, and the state of the egress it joins.
+/// A policy is one switch's and its decisions are functions of queue state,
+/// so the context carries neither the switch's identity nor the time.
 pub struct EnqueueCtx<'a> {
-    /// Current simulation time.
-    pub now: SimTime,
-    /// The switch making the decision.
-    pub switch: NodeId,
     /// Local ingress port the packet arrived on.
     pub ingress: u32,
     /// Local egress port the packet will leave from.
@@ -43,12 +42,9 @@ pub struct EnqueueCtx<'a> {
 }
 
 /// Context handed to the policy when a data packet is dequeued for
-/// transmission.
+/// transmission (or flushed from a dead egress): the [`EnqueueCtx`] fields
+/// plus the queue it left.
 pub struct DequeueCtx<'a> {
-    /// Current simulation time.
-    pub now: SimTime,
-    /// The switch transmitting the packet.
-    pub switch: NodeId,
     /// Local ingress port the packet originally arrived on.
     pub ingress: u32,
     /// Local egress port transmitting the packet.
@@ -181,7 +177,7 @@ pub trait SwitchPolicy: Send {
     fn on_dequeue(&mut self, ctx: &DequeueCtx<'_>, pkt: &Packet);
 
     /// Periodic pause-frame opportunity for one ingress port.
-    fn pause_frame_tick(&mut self, _now: SimTime, _ingress: u32) -> PauseTick {
+    fn pause_frame_tick(&mut self, _ingress: u32) -> PauseTick {
         PauseTick::idle()
     }
 
@@ -205,16 +201,40 @@ pub trait SwitchPolicy: Send {
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
+/// The flows resident in one queue, with their packet counts. Probed on every
+/// packet, hence the deterministic fast hasher.
+type Residents = FastHashMap<FlowId, usize>;
+
+/// A packet of `flow` joins the queue `residents` describes: a flow not yet
+/// resident is a new assignment, and a collision if the queue is occupied.
+fn enter(residents: &mut Residents, stats: &mut PolicyStats, flow: FlowId) {
+    if !residents.contains_key(&flow) {
+        stats.flow_assignments += 1;
+        if !residents.is_empty() {
+            stats.collisions += 1;
+        }
+    }
+    *residents.entry(flow).or_insert(0) += 1;
+}
+
+/// A packet of `flow` leaves the queue; its last one ends the residency.
+fn leave(residents: &mut Residents, flow: FlowId) {
+    if let Some(count) = residents.get_mut(&flow) {
+        *count -= 1;
+        if *count == 0 {
+            residents.remove(&flow);
+        }
+    }
+}
+
 /// Single-FIFO policy: every data packet goes to physical queue 0. This is
 /// the switch model used by DCQCN, DCQCN+Win and HPCC in the paper.
 #[derive(Debug, Default)]
 pub struct FifoPolicy {
     stats: PolicyStats,
     /// Flows currently occupying queue 0, indexed by egress port (ports are
-    /// dense small integers; the vector grows on demand). The inner per-flow
-    /// counts use the deterministic fast hasher — these maps are probed on
-    /// every packet.
-    resident: Vec<FastHashMap<FlowId, usize>>,
+    /// dense small integers; the vector grows on demand).
+    resident: Vec<Residents>,
 }
 
 impl FifoPolicy {
@@ -226,32 +246,17 @@ impl FifoPolicy {
 
 impl SwitchPolicy for FifoPolicy {
     fn on_enqueue(&mut self, ctx: &EnqueueCtx<'_>, pkt: &Packet) -> EnqueueDecision {
-        let stats = &mut self.stats;
-        let resident = {
-            let idx = ctx.egress as usize;
-            if idx >= self.resident.len() {
-                self.resident.resize_with(idx + 1, FastHashMap::default);
-            }
-            &mut self.resident[idx]
-        };
-        if !resident.contains_key(&pkt.flow) {
-            stats.flow_assignments += 1;
-            if !resident.is_empty() {
-                stats.collisions += 1;
-            }
+        let egress = ctx.egress as usize;
+        if egress >= self.resident.len() {
+            self.resident.resize_with(egress + 1, Residents::default);
         }
-        *resident.entry(pkt.flow).or_insert(0) += 1;
+        enter(&mut self.resident[egress], &mut self.stats, pkt.flow);
         EnqueueDecision::queue(QueueTarget::Phys(0))
     }
 
     fn on_dequeue(&mut self, ctx: &DequeueCtx<'_>, pkt: &Packet) {
-        if let Some(resident) = self.resident.get_mut(ctx.egress as usize) {
-            if let Some(count) = resident.get_mut(&pkt.flow) {
-                *count -= 1;
-                if *count == 0 {
-                    resident.remove(&pkt.flow);
-                }
-            }
+        if let Some(residents) = self.resident.get_mut(ctx.egress as usize) {
+            leave(residents, pkt.flow);
         }
     }
 
@@ -277,25 +282,18 @@ impl SwitchPolicy for FifoPolicy {
 /// Stochastic fair queueing: a flow is statically hashed to one of the
 /// physical queues (the straw-man assignment of §3.2, and the scheduling used
 /// by DCQCN+Win+SFQ and Ideal-FQ).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SfqPolicy {
     stats: PolicyStats,
     /// Flows resident per egress port (outer vector, grown on demand) and
     /// queue index (inner vector, sized on first touch of the port).
-    resident: Vec<Vec<FastHashMap<FlowId, usize>>>,
-    use_high_priority_for_first: bool,
+    resident: Vec<Vec<Residents>>,
 }
 
 impl SfqPolicy {
-    /// Creates the policy. When `use_high_priority_for_first` is set, packets
-    /// marked `first_of_flow` ride the high-priority queue (used by the
-    /// BFC-VFID ablation which keeps the high-priority optimisation).
-    pub fn new(use_high_priority_for_first: bool) -> Self {
-        SfqPolicy {
-            stats: PolicyStats::default(),
-            resident: Vec::new(),
-            use_high_priority_for_first,
-        }
+    /// Creates the policy.
+    pub fn new() -> Self {
+        SfqPolicy::default()
     }
 
     /// The static queue a VFID hashes to.
@@ -306,9 +304,6 @@ impl SfqPolicy {
 
 impl SwitchPolicy for SfqPolicy {
     fn on_enqueue(&mut self, ctx: &EnqueueCtx<'_>, pkt: &Packet) -> EnqueueDecision {
-        if self.use_high_priority_for_first && pkt.first_of_flow {
-            return EnqueueDecision::queue(QueueTarget::HighPriority);
-        }
         let q = Self::queue_for(pkt.vfid, ctx.port.num_queues());
         let egress = ctx.egress as usize;
         if egress >= self.resident.len() {
@@ -316,35 +311,19 @@ impl SwitchPolicy for SfqPolicy {
         }
         let port_resident = &mut self.resident[egress];
         if port_resident.is_empty() {
-            port_resident.resize_with(ctx.port.num_queues(), FastHashMap::default);
+            port_resident.resize_with(ctx.port.num_queues(), Residents::default);
         }
-        let resident = &mut port_resident[q];
-        if !resident.contains_key(&pkt.flow) {
-            self.stats.flow_assignments += 1;
-            if !resident.is_empty() {
-                self.stats.collisions += 1;
-            }
-        }
-        *resident.entry(pkt.flow).or_insert(0) += 1;
+        enter(&mut port_resident[q], &mut self.stats, pkt.flow);
         EnqueueDecision::queue(QueueTarget::Phys(q))
     }
 
     fn on_dequeue(&mut self, ctx: &DequeueCtx<'_>, pkt: &Packet) {
-        let q = match ctx.queue {
-            QueueTarget::Phys(q) => q,
-            _ => return,
+        let QueueTarget::Phys(q) = ctx.queue else {
+            return;
         };
-        if let Some(resident) = self
-            .resident
-            .get_mut(ctx.egress as usize)
-            .and_then(|port| port.get_mut(q))
-        {
-            if let Some(count) = resident.get_mut(&pkt.flow) {
-                *count -= 1;
-                if *count == 0 {
-                    resident.remove(&pkt.flow);
-                }
-            }
+        let port = self.resident.get_mut(ctx.egress as usize);
+        if let Some(residents) = port.and_then(|port| port.get_mut(q)) {
+            leave(residents, pkt.flow);
         }
     }
 
@@ -353,16 +332,11 @@ impl SwitchPolicy for SfqPolicy {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        let SfqPolicy {
-            stats,
-            resident,
-            use_high_priority_for_first: _, // configuration
-        } = self;
+        let SfqPolicy { stats, resident } = self;
         stats.save(w);
         resident.save(w);
     }
 
-    // Overlaid because `use_high_priority_for_first` is configuration.
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.stats = r.get()?;
         self.resident = r.get()?;
@@ -374,11 +348,10 @@ impl SwitchPolicy for SfqPolicy {
 mod tests {
     use super::*;
     use crate::link::Link;
+    use crate::types::NodeId;
 
     fn ctx<'a>(port: &'a Port, egress: u32) -> EnqueueCtx<'a> {
         EnqueueCtx {
-            now: SimTime::ZERO,
-            switch: NodeId(0),
             ingress: 0,
             egress,
             port,
@@ -405,7 +378,7 @@ mod tests {
     #[test]
     fn sfq_assignment_is_static_per_vfid() {
         let port = Port::new(Link::datacenter_default(), None, 32, 1000);
-        let mut p = SfqPolicy::new(false);
+        let mut p = SfqPolicy::new();
         let d1 = p.on_enqueue(&ctx(&port, 0), &data(1, 77));
         let d2 = p.on_enqueue(&ctx(&port, 0), &data(1, 77));
         assert_eq!(d1.target, d2.target);
@@ -413,26 +386,9 @@ mod tests {
     }
 
     #[test]
-    fn sfq_high_priority_option_routes_first_packets() {
-        let port = Port::new(Link::datacenter_default(), None, 32, 1000);
-        let mut p = SfqPolicy::new(true);
-        let mut first = data(1, 5);
-        first.first_of_flow = true;
-        assert_eq!(
-            p.on_enqueue(&ctx(&port, 0), &first).target,
-            QueueTarget::HighPriority
-        );
-        let mut without = SfqPolicy::new(false);
-        assert!(matches!(
-            without.on_enqueue(&ctx(&port, 0), &first).target,
-            QueueTarget::Phys(_)
-        ));
-    }
-
-    #[test]
     fn sfq_collisions_require_same_queue() {
         let port = Port::new(Link::datacenter_default(), None, 32, 1000);
-        let mut p = SfqPolicy::new(false);
+        let mut p = SfqPolicy::new();
         // Two flows with the same VFID necessarily share a queue.
         let _ = p.on_enqueue(&ctx(&port, 0), &data(1, 9));
         let _ = p.on_enqueue(&ctx(&port, 0), &data(2, 9));
@@ -445,8 +401,6 @@ mod tests {
         let mut p = FifoPolicy::new();
         let _ = p.on_enqueue(&ctx(&port, 0), &data(1, 10));
         let dctx = DequeueCtx {
-            now: SimTime::ZERO,
-            switch: NodeId(0),
             ingress: 0,
             egress: 0,
             port: &port,
@@ -461,7 +415,7 @@ mod tests {
     #[test]
     fn default_pause_tick_is_idle() {
         let mut p = FifoPolicy::new();
-        let tick = p.pause_frame_tick(SimTime::ZERO, 0);
+        let tick = p.pause_frame_tick(0);
         assert!(tick.frame.is_none());
         assert!(!tick.reschedule);
     }

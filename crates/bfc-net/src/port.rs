@@ -17,6 +17,27 @@
 //! BFC [`PauseFrame`] pauses individual physical queues based on the VFID of
 //! their head packet, re-evaluated after every dequeue (§3.6).
 //!
+//! # Queue table
+//!
+//! Everything deficit round robin schedules is one entry of one table,
+//! `Port::drr` — a FIFO, its deficit, whether it is *eligible* — physical
+//! queues first, the overflow queue last. Two invariants:
+//!
+//! * an entry is in the `rotation` **iff** its FIFO is non-empty: it joins
+//!   on the empty → non-empty enqueue and leaves when a pick drains it, so
+//!   the occupied queues are the rotation;
+//! * an entry is `eligible` **iff** its FIFO is non-empty and its head is
+//!   not named by the installed pause frame (nothing tracks the overflow
+//!   queue's flows: for it, eligible is non-empty). The scheduler skips an
+//!   ineligible entry; the pause threshold's `Nactive` (§3.4) counts the
+//!   eligible ones.
+//!
+//! Two totals over the table are cached, because per-packet paths read them
+//! and each replaced a measured O(Q) scan: `eligible_count` (`Nactive`, on
+//! every BFC enqueue and dequeue) and `data_bytes` (ECN, INT, the depth
+//! histogram). Both are recounted in a `debug_assert`; a snapshot stores
+//! neither them nor the flags, and restore re-derives all three.
+//!
 //! # The transmitter is an instant, not an event
 //!
 //! The wire behind an egress is a [`Transmitter`]: the instant its current
@@ -130,6 +151,16 @@ impl Transmitter {
 
 bfc_sim::snap_struct! { Transmitter { busy_until, wake_pending } }
 
+/// One entry of an egress's queue table: a FIFO under deficit round robin.
+#[derive(Debug, Default)]
+struct DrrQueue {
+    fifo: PhysQueue,
+    deficit: u64,
+    /// Non-empty and the head not named by the installed pause frame; kept
+    /// by [`Port::refresh_eligible`] so no reader re-hashes a head.
+    eligible: bool,
+}
+
 /// The egress side of one switch/host port.
 #[derive(Debug)]
 pub struct Port {
@@ -141,36 +172,20 @@ pub struct Port {
 
     control: PhysQueue,
     high_priority: PhysQueue,
-    overflow: PhysQueue,
-    queues: Vec<PhysQueue>,
 
-    // Deficit round robin state over `queues` plus the overflow queue, which
-    // is scheduled as index `queues.len()`. Instead of scanning every queue,
-    // the scheduler keeps the backlogged queues in `active` (rotation order)
-    // and only ever touches those — with Q queues per port but a handful
-    // backlogged, a pick is O(backlogged), not O(Q).
-    deficit: Vec<u64>,
-    active: VecDeque<usize>,
-    in_active: Vec<bool>,
+    /// The queue table: the physical queues, then the overflow queue.
+    drr: Vec<DrrQueue>,
+    /// The non-empty entries of `drr` in service order; the front is the
+    /// queue being visited. With Q queues per port but a handful backlogged,
+    /// a pick is O(backlogged), not O(Q).
+    rotation: VecDeque<usize>,
+    /// Whether the front of the rotation was given this visit's quantum.
     drr_credited: bool,
     quantum: u32,
 
-    // Incrementally maintained counters over the physical queues, updated on
-    // every empty<->non-empty transition, head change and pause-frame install
-    // so the per-enqueue BFC pause-threshold path reads them in O(1) instead
-    // of scanning all Q queues (`active_queue_count`). `active_counted[i]`
-    // records whether queue `i` currently contributes to `active_count`,
-    // i.e. it is non-empty and its head is not paused — which is also the
-    // DRR scheduler's eligibility test, so a pick never re-hashes a head
-    // against the pause frame.
-    occupied_count: usize,
-    active_count: usize,
-    active_counted: Vec<bool>,
-
-    // Running byte total over the data-plane queues (physical + high
-    // priority + overflow, control excluded), maintained on every enqueue,
-    // dequeue and flush so the per-packet ECN/INT/depth-histogram reads of
-    // `data_queued_bytes` are O(1) instead of an O(Q) scan.
+    /// Entries of `drr` with `eligible` set.
+    eligible_count: usize,
+    /// Bytes in `drr` and `high_priority` (control excluded).
     data_bytes: u64,
 
     /// The wire: when the current serialization ends and whether that end
@@ -202,16 +217,11 @@ impl Port {
             link,
             control: PhysQueue::new(),
             high_priority: PhysQueue::new(),
-            overflow: PhysQueue::new(),
-            queues: (0..num_queues).map(|_| PhysQueue::new()).collect(),
-            deficit: vec![0; num_queues + 1],
-            active: VecDeque::new(),
-            in_active: vec![false; num_queues + 1],
+            drr: (0..=num_queues).map(|_| DrrQueue::default()).collect(),
+            rotation: VecDeque::new(),
             drr_credited: false,
             quantum,
-            occupied_count: 0,
-            active_count: 0,
-            active_counted: vec![false; num_queues],
+            eligible_count: 0,
             data_bytes: 0,
             tx: Transmitter::default(),
             up: true,
@@ -254,29 +264,46 @@ impl Port {
 
     /// Number of physical queues (excluding control/high-priority/overflow).
     pub fn num_queues(&self) -> usize {
-        self.queues.len()
+        self.drr.len() - 1
+    }
+
+    /// The FIFO a [`QueueTarget`] names.
+    fn fifo(&self, target: QueueTarget) -> &PhysQueue {
+        match target {
+            QueueTarget::Control => &self.control,
+            QueueTarget::HighPriority => &self.high_priority,
+            QueueTarget::Overflow => &self.drr[self.num_queues()].fifo,
+            QueueTarget::Phys(i) => {
+                assert!(i < self.num_queues(), "physical queue index out of range");
+                &self.drr[i].fifo
+            }
+        }
+    }
+
+    /// The [`QueueTarget`] of table entry `i`.
+    fn target_of(&self, i: usize) -> QueueTarget {
+        if i < self.num_queues() {
+            QueueTarget::Phys(i)
+        } else {
+            QueueTarget::Overflow
+        }
     }
 
     /// Bytes queued in physical queue `i`.
     pub fn queue_bytes(&self, i: usize) -> u64 {
-        self.queues[i].bytes()
+        self.fifo(QueueTarget::Phys(i)).bytes()
     }
 
     /// True if physical queue `i` holds no packets.
     pub fn queue_is_empty(&self, i: usize) -> bool {
-        self.queues[i].is_empty()
+        self.fifo(QueueTarget::Phys(i)).is_empty()
     }
 
     /// True if the queue a [`QueueTarget`] names currently holds nothing.
     /// The switch probes this around enqueue/dequeue to detect the
     /// empty<->non-empty transitions the flight recorder reports.
     pub fn target_is_empty(&self, target: QueueTarget) -> bool {
-        match target {
-            QueueTarget::Control => self.control.is_empty(),
-            QueueTarget::HighPriority => self.high_priority.is_empty(),
-            QueueTarget::Overflow => self.overflow.is_empty(),
-            QueueTarget::Phys(i) => self.queues[i].is_empty(),
-        }
+        self.fifo(target).is_empty()
     }
 
     /// Total bytes queued across all data-plane queues (physical + high
@@ -286,9 +313,7 @@ impl Port {
     pub fn data_queued_bytes(&self) -> u64 {
         debug_assert_eq!(
             self.data_bytes,
-            self.queues.iter().map(|q| q.bytes()).sum::<u64>()
-                + self.high_priority.bytes()
-                + self.overflow.bytes(),
+            self.drr.iter().map(|q| q.fifo.bytes()).sum::<u64>() + self.high_priority.bytes(),
             "data-plane byte counter out of sync"
         );
         self.data_bytes
@@ -300,70 +325,62 @@ impl Port {
     }
 
     /// Number of physical queues that currently hold packets. O(1): the
-    /// count is maintained incrementally on empty<->non-empty transitions.
+    /// rotation holds exactly the non-empty entries of the table.
     pub fn occupied_queue_count(&self) -> usize {
-        debug_assert_eq!(
-            self.occupied_count,
-            self.queues.iter().filter(|q| !q.is_empty()).count(),
-            "occupied-queue counter out of sync"
+        debug_assert!(
+            self.rotation.iter().all(|&i| !self.drr[i].fifo.is_empty())
+                && self.rotation.len() == self.drr.iter().filter(|q| !q.fifo.is_empty()).count(),
+            "the rotation is not the non-empty queues"
         );
-        self.occupied_count
+        self.rotation.len() - usize::from(!self.target_is_empty(QueueTarget::Overflow))
     }
 
-    /// Re-derives whether physical queue `i` belongs in `active_count`
-    /// (non-empty and not paused) after its head or the pause frame changed.
-    /// The pause check short-circuits on the (common) no-frame case so
-    /// schemes that never install BFC pause frames pay one branch, not a
-    /// head lookup.
+    /// What `eligible` of table entry `i` must be. Nothing tracks the
+    /// overflow queue's flows, so no pause frame names its head.
+    fn is_eligible(&self, i: usize) -> bool {
+        let paused = i < self.num_queues() && self.is_queue_paused(i);
+        !self.drr[i].fifo.is_empty() && !paused
+    }
+
+    /// Re-derives entry `i`'s `eligible` after its head or the frame changed.
     #[inline]
-    fn refresh_active(&mut self, i: usize) {
-        let counted = !self.queues[i].is_empty()
-            && !(self.pause_frame.is_some() && self.is_queue_paused(i));
-        if counted != self.active_counted[i] {
-            self.active_counted[i] = counted;
-            if counted {
-                self.active_count += 1;
+    fn refresh_eligible(&mut self, i: usize) {
+        let eligible = self.is_eligible(i);
+        if eligible != self.drr[i].eligible {
+            self.drr[i].eligible = eligible;
+            if eligible {
+                self.eligible_count += 1;
             } else {
-                self.active_count -= 1;
+                self.eligible_count -= 1;
             }
-        }
-    }
-
-    /// Re-derives the active flag of every physical queue (pause-frame
-    /// installs can flip any subset of them).
-    fn refresh_active_all(&mut self) {
-        for i in 0..self.queues.len() {
-            self.refresh_active(i);
         }
     }
 
     /// True if physical queue `i` is paused by the most recent BFC pause
     /// frame received from the downstream peer (head-of-queue VFID match).
+    /// Short-circuits on the (common) no-frame case, so schemes that never
+    /// install BFC pause frames pay one branch, not a head lookup.
     pub fn is_queue_paused(&self, i: usize) -> bool {
-        match (&self.pause_frame, self.queues[i].head()) {
-            (Some(frame), Some(head)) => frame.contains(head.packet.vfid),
-            _ => false,
-        }
+        let Some(frame) = &self.pause_frame else {
+            return false;
+        };
+        let head = self.fifo(QueueTarget::Phys(i)).head();
+        head.is_some_and(|head| frame.contains(head.packet.vfid))
     }
 
     /// Number of *active* queues: non-empty physical queues that are not
     /// paused, plus the high-priority and overflow queues if they hold data.
     /// This is the `Nactive` of the paper's pause threshold (§3.4). O(1):
     /// the BFC policy evaluates it on every enqueue and dequeue, so the
-    /// physical-queue part is a counter maintained on empty<->non-empty
-    /// transitions, head changes and pause-frame installs instead of an O(Q)
-    /// scan per packet.
+    /// table's part is a count of `eligible` flags instead of an O(Q) scan
+    /// per packet.
     pub fn active_queue_count(&self) -> usize {
         debug_assert_eq!(
-            self.active_count,
-            (0..self.queues.len())
-                .filter(|&i| !self.queues[i].is_empty() && !self.is_queue_paused(i))
-                .count(),
-            "active-queue counter out of sync"
+            self.eligible_count,
+            (0..self.drr.len()).filter(|&i| self.is_eligible(i)).count(),
+            "eligible-queue counter out of sync"
         );
-        self.active_count
-            + usize::from(!self.high_priority.is_empty())
-            + usize::from(!self.overflow.is_empty())
+        self.eligible_count + usize::from(!self.high_priority.is_empty())
     }
 
     /// Installs the latest BFC pause frame received from the downstream peer.
@@ -373,7 +390,9 @@ impl Port {
     pub fn set_pause_frame(&mut self, frame: Option<PauseFrame>) {
         self.pause_frame = frame.filter(|f| !f.is_empty());
         // A new frame can pause or release any physical queue.
-        self.refresh_active_all();
+        for i in 0..self.num_queues() {
+            self.refresh_eligible(i);
+        }
     }
 
     /// The most recently installed pause frame, if any.
@@ -429,33 +448,22 @@ impl Port {
         if target != QueueTarget::Control {
             self.data_bytes += packet.size_bytes as u64;
         }
-        match target {
-            QueueTarget::Control => self.control.push(packet, ingress),
-            QueueTarget::HighPriority => self.high_priority.push(packet, ingress),
-            QueueTarget::Overflow => {
-                self.overflow.push(packet, ingress);
-                self.drr_activate(self.overflow_index());
-            }
+        let i = match target {
+            QueueTarget::Control => return self.control.push(packet, ingress),
+            QueueTarget::HighPriority => return self.high_priority.push(packet, ingress),
+            QueueTarget::Overflow => self.num_queues(),
             QueueTarget::Phys(i) => {
-                assert!(i < self.queues.len(), "physical queue index out of range");
-                let was_empty = self.queues[i].is_empty();
-                self.queues[i].push(packet, ingress);
-                if was_empty {
-                    // Empty -> non-empty: the head (and thus the pause
-                    // status) changed too.
-                    self.occupied_count += 1;
-                    self.refresh_active(i);
-                }
-                self.drr_activate(i);
+                assert!(i < self.num_queues(), "physical queue index out of range");
+                i
             }
-        }
-    }
-
-    /// Adds a freshly backlogged queue to the DRR rotation.
-    fn drr_activate(&mut self, i: usize) {
-        if !self.in_active[i] {
-            self.in_active[i] = true;
-            self.active.push_back(i);
+        };
+        let was_empty = self.drr[i].fifo.is_empty();
+        self.drr[i].fifo.push(packet, ingress);
+        if was_empty {
+            // Empty -> non-empty: the queue joins the rotation, and it has
+            // a head for the pause frame to name.
+            self.rotation.push_back(i);
+            self.refresh_eligible(i);
         }
     }
 
@@ -484,143 +492,70 @@ impl Port {
     /// that finds only paused backlog is not a no-op and stays an event.
     #[inline]
     pub fn has_backlog(&self) -> bool {
-        !self.control.is_empty() || !self.high_priority.is_empty() || !self.active.is_empty()
-    }
-
-    /// Scheduling index used for the overflow queue inside the DRR state.
-    fn overflow_index(&self) -> usize {
-        self.queues.len()
-    }
-
-    fn drr_head_size(&self, i: usize) -> u64 {
-        let head = if i == self.overflow_index() {
-            self.overflow.head()
-        } else {
-            self.queues[i].head()
-        };
-        head.map(|qp| qp.packet.size_bytes as u64).unwrap_or(0)
-    }
-
-    fn drr_pop(&mut self, i: usize) -> Option<QueuedPacket> {
-        let popped = if i == self.overflow_index() {
-            self.overflow.pop()
-        } else {
-            let popped = self.queues[i].pop();
-            if let Some(qp) = &popped {
-                if self.queues[i].is_empty() {
-                    self.occupied_count -= 1;
-                }
-                // The pause status follows the head's VFID: only a head of
-                // another flow (or no head) can flip it.
-                if self.queues[i].head().map(|h| h.packet.vfid) != Some(qp.packet.vfid) {
-                    self.refresh_active(i);
-                }
-            }
-            popped
-        };
-        if let Some(qp) = &popped {
-            self.data_bytes -= qp.packet.size_bytes as u64;
-        }
-        popped
-    }
-
-    fn drr_queue_empty(&self, i: usize) -> bool {
-        if i == self.overflow_index() {
-            self.overflow.is_empty()
-        } else {
-            self.queues[i].is_empty()
-        }
-    }
-
-    /// Whether the non-empty DRR entry `i` is paused. O(1): for a non-empty
-    /// physical queue "paused" is exactly "not counted as active", and
-    /// `refresh_active` re-derives that flag on every head change and
-    /// pause-frame install. The overflow queue is never paused.
-    #[inline]
-    fn drr_paused(&self, i: usize) -> bool {
-        if i == self.overflow_index() {
-            return false;
-        }
-        let paused = !self.active_counted[i];
-        debug_assert_eq!(
-            paused,
-            self.is_queue_paused(i),
-            "cached pause flag of queue {i} out of sync with the pause frame"
-        );
-        paused
+        !self.control.is_empty() || !self.high_priority.is_empty() || !self.rotation.is_empty()
     }
 
     /// Moves the current (front) queue to the back of the rotation, closing
     /// out its visit.
     fn drr_rotate(&mut self) {
-        if let Some(i) = self.active.pop_front() {
-            self.active.push_back(i);
-        }
-        self.drr_credited = false;
-    }
-
-    /// Drops the current (front) queue from the rotation — it drained, so its
-    /// residual deficit is discarded, per classic DRR.
-    fn drr_deactivate_front(&mut self, i: usize) {
-        self.deficit[i] = 0;
-        self.in_active[i] = false;
-        self.active.pop_front();
+        self.rotation.rotate_left(1);
         self.drr_credited = false;
     }
 
     fn drr_pick(&mut self) -> Option<(QueuedPacket, QueueTarget)> {
-        // Only backlogged queues live in `active`. Each needs at most two
-        // visits per pass: one to close out a previous partially-served visit
-        // (residual deficit too small) and one freshly credited visit.
-        // Bounding by 2·|active|+1 guarantees every backlogged, unpaused
-        // queue is offered a full quantum before we conclude nothing is
-        // schedulable (everything left is paused).
-        let mut scanned = 0;
-        let limit = 2 * self.active.len() + 1;
-        while scanned < limit {
-            let Some(&i) = self.active.front() else {
-                return None;
-            };
-            if self.drr_queue_empty(i) {
-                // Flush paths can drain queues without going through
-                // `drr_pop`; shed the stale entry.
-                self.drr_deactivate_front(i);
-                continue;
-            }
-            if self.drr_paused(i) {
-                // A paused queue forfeits its residual deficit, exactly as
-                // the previous full-scan scheduler zeroed ineligible queues
-                // on every visit — pausing must not bank credit to burst
-                // with on resume.
-                self.deficit[i] = 0;
+        // Each queue in the rotation needs at most two visits per pass: one
+        // to close out a previous partially-served visit (residual deficit
+        // too small) and one freshly credited visit. Bounding by
+        // 2·|rotation|+1 guarantees every backlogged, unpaused queue is
+        // offered a full quantum before we conclude nothing is schedulable
+        // (everything left is paused).
+        for _ in 0..2 * self.rotation.len() + 1 {
+            let &i = self.rotation.front()?;
+            debug_assert_eq!(
+                self.drr[i].eligible,
+                self.is_eligible(i),
+                "eligible flag of queue {i} out of sync with its head and the pause frame"
+            );
+            let q = &mut self.drr[i];
+            if !q.eligible {
+                // In the rotation, so non-empty, so paused. A paused queue
+                // forfeits its residual deficit — pausing must not bank
+                // credit to burst with on resume.
+                q.deficit = 0;
                 self.drr_rotate();
-                scanned += 1;
                 continue;
             }
             if !self.drr_credited {
-                self.deficit[i] = self.deficit[i].saturating_add(self.quantum as u64);
+                q.deficit = q.deficit.saturating_add(self.quantum as u64);
                 self.drr_credited = true;
             }
-            let head_size = self.drr_head_size(i);
-            if self.deficit[i] >= head_size {
-                let qp = self.drr_pop(i).expect("eligible queue must have a head");
-                self.deficit[i] -= head_size;
-                if self.drr_queue_empty(i) {
-                    self.drr_deactivate_front(i);
-                } else if self.drr_paused(i) {
-                    // New head is paused: move on, keeping the residual.
-                    self.drr_rotate();
-                }
-                let target = if i == self.overflow_index() {
-                    QueueTarget::Overflow
-                } else {
-                    QueueTarget::Phys(i)
-                };
-                return Some((qp, target));
+            let head = q.fifo.head().expect("an eligible queue has a head");
+            let (head_size, head_vfid) = (head.packet.size_bytes as u64, head.packet.vfid);
+            if q.deficit < head_size {
+                // Deficit insufficient: move on, keeping the residual.
+                self.drr_rotate();
+                continue;
             }
-            // Deficit insufficient: move on, keeping the residual.
-            self.drr_rotate();
-            scanned += 1;
+            let qp = q.fifo.pop().expect("an eligible queue has a head");
+            q.deficit -= head_size;
+            self.data_bytes -= head_size;
+            // The pause status follows the head's VFID: only a head of
+            // another flow (or no head) can flip it.
+            if q.fifo.head().map(|h| h.packet.vfid) != Some(head_vfid) {
+                self.refresh_eligible(i);
+            }
+            let q = &mut self.drr[i];
+            if q.fifo.is_empty() {
+                // Drained: it leaves the rotation and its residual deficit
+                // is discarded, per classic DRR.
+                q.deficit = 0;
+                self.rotation.pop_front();
+                self.drr_credited = false;
+            } else if !q.eligible {
+                // New head is paused: move on, keeping the residual.
+                self.drr_rotate();
+            }
+            return Some((qp, self.target_of(i)));
         }
         None
     }
@@ -637,21 +572,18 @@ impl Port {
         while let Some(qp) = self.high_priority.pop() {
             flushed.push((qp, QueueTarget::HighPriority));
         }
-        while let Some(qp) = self.overflow.pop() {
-            flushed.push((qp, QueueTarget::Overflow));
-        }
-        for i in 0..self.queues.len() {
-            while let Some(qp) = self.queues[i].pop() {
-                flushed.push((qp, QueueTarget::Phys(i)));
+        let overflow = self.num_queues();
+        for i in std::iter::once(overflow).chain(0..overflow) {
+            let target = self.target_of(i);
+            while let Some(qp) = self.drr[i].fifo.pop() {
+                flushed.push((qp, target));
             }
+            self.drr[i].deficit = 0;
+            self.drr[i].eligible = false;
         }
-        self.active.clear();
-        self.in_active.fill(false);
-        self.deficit.fill(0);
+        self.rotation.clear();
         self.drr_credited = false;
-        self.occupied_count = 0;
-        self.active_count = 0;
-        self.active_counted.fill(false);
+        self.eligible_count = 0;
         self.data_bytes = 0;
         flushed
     }
@@ -676,10 +608,8 @@ impl Port {
             quantum: _,
             control,
             high_priority,
-            overflow,
-            queues,
-            deficit,
-            active,
+            drr,
+            rotation,
             drr_credited,
             tx,
             up,
@@ -690,11 +620,9 @@ impl Port {
             tx_bytes,
             tx_data_bytes,
             tx_packets,
-            // Derived from the queues, the rotation and the pause frame.
-            in_active: _,
-            occupied_count: _,
-            active_count: _,
-            active_counted: _,
+            // Derived from the table and the pause frame (as is each
+            // entry's `eligible`).
+            eligible_count: _,
             data_bytes: _,
         } = self;
         link.rate_gbps.save(w);
@@ -706,11 +634,15 @@ impl Port {
         pause_frame.save(w);
         control.save(w);
         high_priority.save(w);
-        overflow.save(w);
-        queues.save(w);
-        w.put_all(deficit);
+        // The table's wire order: the overflow FIFO, the counted physical
+        // FIFOs, then every entry's deficit.
+        let overflow = drr.len() - 1;
+        drr[overflow].fifo.save(w);
+        w.put_usize(overflow);
+        w.put_all(drr[..overflow].iter().map(|q| &q.fifo));
+        w.put_all(drr.iter().map(|q| &q.deficit));
         // The DRR rotation order is scheduling state: serialized verbatim.
-        active.save(w);
+        rotation.save(w);
         drr_credited.save(w);
         tx_bytes.save(w);
         tx_data_bytes.save(w);
@@ -719,9 +651,9 @@ impl Port {
 
     /// Overlays state captured by [`Port::save_state`] onto this port, which
     /// was built from the same configuration: it checks the rate is positive,
-    /// the queue count is this port's and the DRR rotation names each
-    /// existing queue at most once, and rebuilds the occupancy / active /
-    /// byte counters from the restored queues and pause frame.
+    /// the queue count is this port's and the DRR rotation is exactly the
+    /// backlogged queues, each once, and rebuilds the eligibility flags and
+    /// the two cached totals from the restored queues and pause frame.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.link.rate_gbps = r.get()?;
         if !(self.link.rate_gbps > 0.0) {
@@ -735,30 +667,33 @@ impl Port {
         self.pause_frame = r.get()?;
         self.control = r.get()?;
         self.high_priority = r.get()?;
-        self.overflow = r.get()?;
-        r.get_exact(&mut self.queues, "physical queue count mismatch")?;
-        r.fill(&mut self.deficit)?;
-        self.active.clear();
-        self.in_active.fill(false);
-        for _ in 0..r.get_len::<usize>()? {
-            let i: usize = r.get()?;
-            if i > self.queues.len() || self.in_active[i] {
-                return Err(SnapError::Corrupt("invalid DRR rotation entry"));
-            }
-            self.in_active[i] = true;
-            self.active.push_back(i);
+        let overflow = self.num_queues();
+        self.drr[overflow].fifo = r.get()?;
+        r.expect_count(overflow, "physical queue count mismatch")?;
+        for q in &mut self.drr[..overflow] {
+            q.fifo = r.get()?;
+        }
+        for q in &mut self.drr {
+            q.deficit = r.get()?;
+        }
+        self.rotation.clear();
+        r.get_seq(|i: usize| self.rotation.push_back(i))?;
+        let mut listed: Vec<usize> = self.rotation.iter().copied().collect();
+        listed.sort_unstable();
+        let backlogged = (0..self.drr.len()).filter(|&i| !self.drr[i].fifo.is_empty());
+        if !listed.into_iter().eq(backlogged) {
+            return Err(SnapError::Corrupt("DRR rotation is not the backlogged queues"));
         }
         self.drr_credited = r.get()?;
         self.tx_bytes = r.get()?;
         self.tx_data_bytes = r.get()?;
         self.tx_packets = r.get()?;
-        self.occupied_count = self.queues.iter().filter(|q| !q.is_empty()).count();
-        self.active_count = 0;
-        self.active_counted.fill(false);
-        self.refresh_active_all();
-        self.data_bytes = self.queues.iter().map(|q| q.bytes()).sum::<u64>()
-            + self.high_priority.bytes()
-            + self.overflow.bytes();
+        for i in 0..self.drr.len() {
+            self.drr[i].eligible = self.is_eligible(i);
+        }
+        self.eligible_count = self.drr.iter().filter(|q| q.eligible).count();
+        self.data_bytes =
+            self.drr.iter().map(|q| q.fifo.bytes()).sum::<u64>() + self.high_priority.bytes();
         Ok(())
     }
 }
@@ -894,5 +829,53 @@ mod tests {
         assert_eq!(flows.iter().filter(|&&f| f == 1).count(), 2);
         // Interleaved, not back-to-back.
         assert_ne!(flows, vec![0, 0, 1, 1]);
+    }
+
+    /// `port`'s snapshot with its DRR rotation replaced by `rotation`.
+    fn snapshot_with_rotation(port: &Port, rotation: &[usize]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        port.save_state(&mut w);
+        let saved = w.into_bytes();
+        // After the rotation come the credited flag and three `u64` counters;
+        // the rotation itself is a `u64` count and a `u64` per entry.
+        let tail = saved.len() - (1 + 3 * 8);
+        let head = tail - 8 * (1 + port.rotation.len());
+        let mut w = SnapWriter::new();
+        rotation.to_vec().save(&mut w);
+        [&saved[..head], &w.into_bytes(), &saved[tail..]].concat()
+    }
+
+    #[test]
+    fn restore_rejects_a_rotation_that_is_not_the_backlogged_queues() {
+        // Queues 2 and 0 are backlogged, in that service order; queue 1 and
+        // the overflow queue (entry 3) are empty.
+        let mut saved = port(3);
+        saved.enqueue(QueueTarget::Phys(2), data(1, 0, 1000, 1), 0);
+        saved.enqueue(QueueTarget::Phys(0), data(2, 0, 1000, 2), 0);
+        let restore = |rotation: &[usize]| {
+            let bytes = snapshot_with_rotation(&saved, rotation);
+            let mut r = SnapReader::new(&bytes);
+            port(3).restore_state(&mut r).and_then(|()| r.expect_end())
+        };
+        assert_eq!(restore(&[2, 0]), Ok(()), "the saved rotation restores");
+        assert_eq!(restore(&[0, 2]), Ok(()), "any order of the backlogged queues is a rotation");
+        for (rotation, why) in [
+            (&[2, 0, 1][..], "lists an empty queue"),
+            (&[2], "omits a backlogged queue"),
+            (&[2, 0, 2], "repeats an index"),
+            (&[2, 0, 4], "names entry Q + 1"),
+        ] {
+            assert_eq!(
+                restore(rotation),
+                Err(SnapError::Corrupt("DRR rotation is not the backlogged queues")),
+                "a rotation that {why}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "physical queue index out of range")]
+    fn the_overflow_queue_is_not_a_physical_queue() {
+        port(4).queue_bytes(4);
     }
 }

@@ -36,8 +36,6 @@ bfc_sim::snap_struct! { QueuedPacket { packet, ingress } }
 pub struct PhysQueue {
     packets: VecDeque<QueuedPacket>,
     bytes: u64,
-    /// Running count of bytes ever enqueued (diagnostics).
-    total_enqueued_bytes: u64,
 }
 
 impl PhysQueue {
@@ -49,7 +47,6 @@ impl PhysQueue {
     /// Appends a packet that arrived on `ingress`.
     pub fn push(&mut self, packet: Packet, ingress: u32) {
         self.bytes += packet.size_bytes as u64;
-        self.total_enqueued_bytes += packet.size_bytes as u64;
         self.packets.push_back(QueuedPacket { packet, ingress });
     }
 
@@ -80,11 +77,6 @@ impl PhysQueue {
         self.packets.is_empty()
     }
 
-    /// Total bytes ever enqueued (monotone counter).
-    pub fn total_enqueued_bytes(&self) -> u64 {
-        self.total_enqueued_bytes
-    }
-
     /// Iterates over the queued packets from head to tail.
     pub fn iter(&self) -> impl Iterator<Item = &QueuedPacket> {
         self.packets.iter()
@@ -100,16 +92,11 @@ impl PhysQueue {
 }
 
 impl Snap for PhysQueue {
-    const MIN_BYTES: usize = VecDeque::<QueuedPacket>::MIN_BYTES + u64::MIN_BYTES;
+    const MIN_BYTES: usize = VecDeque::<QueuedPacket>::MIN_BYTES;
 
     fn save(&self, w: &mut SnapWriter) {
-        let PhysQueue {
-            packets,
-            bytes: _,
-            total_enqueued_bytes,
-        } = self;
+        let PhysQueue { packets, bytes: _ } = self;
         packets.save(w);
-        total_enqueued_bytes.save(w);
     }
 
     // Hand-written to rebuild `bytes`, which is derived: the sum of the
@@ -122,7 +109,6 @@ impl Snap for PhysQueue {
                 .map(|qp| u64::from(qp.packet.size_bytes))
                 .sum(),
             packets,
-            total_enqueued_bytes: r.get()?,
         })
     }
 }
@@ -154,7 +140,6 @@ mod tests {
         assert_eq!(second.ingress, 4);
         assert!(q.pop().is_none());
         assert_eq!(q.bytes(), 0);
-        assert_eq!(q.total_enqueued_bytes(), 1500);
     }
 
     #[test]

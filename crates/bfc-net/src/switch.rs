@@ -304,8 +304,6 @@ impl Switch {
         } else {
             let decision = {
                 let ctx = EnqueueCtx {
-                    now,
-                    switch: self.id,
                     ingress,
                     egress,
                     port: &self.ports[egress as usize],
@@ -420,7 +418,7 @@ impl Switch {
         ingress: u32,
         events: &mut impl NetSink,
     ) {
-        let tick = self.policy.pause_frame_tick(now, ingress);
+        let tick = self.policy.pause_frame_tick(ingress);
         if let Some(frame) = tick.frame {
             let port = &self.ports[ingress as usize];
             if let Some((peer, peer_port)) = port.peer {
@@ -489,8 +487,6 @@ impl Switch {
             }
             if from_queue != QueueTarget::Control {
                 let ctx = DequeueCtx {
-                    now,
-                    switch: self.id,
                     ingress: qp.ingress,
                     egress: port,
                     port: &self.ports[idx],
@@ -592,8 +588,6 @@ impl Switch {
 
         if from_queue != QueueTarget::Control {
             let ctx = DequeueCtx {
-                now,
-                switch: self.id,
                 ingress,
                 egress: port,
                 port: &self.ports[idx],

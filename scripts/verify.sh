@@ -6,12 +6,17 @@
 #      files written, the scrape socket's protocol, malformed and unbounded
 #      inputs); the command line is tested there, not here
 #   2. the unit tests tier-1 leaves out and a change is most likely to need:
-#      the bfc-testkit harness's own, and bfc-sim's — the epoch barrier
-#      (nobody released early, nobody lapped, abort in every wait stage) and
-#      the epoch driver's ring tests live there (2.4 s); and the two CLI
-#      gates that need a process of their own (`crates/bfc-experiments/tests/
-#      cli_flags.rs`: a malformed `BFC_THREADS`, a safety violation's flight
-#      dump into a private working directory)
+#      the bfc-testkit harness's own; bfc-sim's — the epoch barrier (nobody
+#      released early, nobody lapped, abort in every wait stage) and the
+#      epoch driver's ring tests live there (2.4 s); the packet path's, under
+#      a second together once built — bfc-net (`port.rs`: the queue table,
+#      DRR order, what `restore_state` rejects; `policy.rs`, `switch.rs`,
+#      `buffer.rs`, `queue.rs`), bfc-core (`policy.rs`, the flow table, the
+#      bloom filters) and bfc-metrics (`safety.rs`, `series.rs`, the
+#      registry); and the two CLI gates that need a process of their own
+#      (`crates/bfc-experiments/tests/cli_flags.rs`: a malformed
+#      `BFC_THREADS`, a safety violation's flight dump into a private
+#      working directory)
 #   3. with --workspace: every crate's unit tests
 #   4. the repo's benchmark (`benchmark/`, read here, never edited): its own
 #      tests — one of which pins the umbrella-crate API surface it calls —
@@ -37,9 +42,10 @@ cargo build --release
 echo "== tier-1: cargo test -q"
 cargo test -q
 
-echo "== testkit + bfc-sim unit tests + spawned CLI gates"
+echo "== testkit, bfc-sim and packet-path unit tests + spawned CLI gates"
 cargo test -q -p bfc-testkit
 cargo test -q -p bfc-sim
+cargo test -q -p bfc-net -p bfc-core -p bfc-metrics
 cargo test -q -p bfc-experiments --test cli_flags
 
 if [[ "${1:-}" == "--workspace" ]]; then

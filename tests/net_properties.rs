@@ -175,7 +175,10 @@ property! {
     /// and frame installs) schedule exactly like a scheduler that re-hashes
     /// every head against the frame on every look — across enqueues to every
     /// queue class, dequeues, pause-frame installs (none, all-zero, random
-    /// subsets), link-down flushes and snapshot/restore round trips.
+    /// subsets), link-down flushes and snapshot/restore round trips — and
+    /// its O(1) readers (`active_queue_count`, `occupied_queue_count`,
+    /// `data_queued_bytes`, `has_backlog`) agree with the model after every
+    /// step.
     fn port_dequeue_order_matches_rehashing_scheduler(ops in vec_of(
         triple(int_range(0u64..12), int_range(0u64..64), int_range(0u64..1_000)),
         1..300,
@@ -184,7 +187,14 @@ property! {
         let mut model = ReferenceScheduler::new();
         let mut next_id = 0u64;
         let dequeue_both = |port: &mut Port, model: &mut ReferenceScheduler| {
-            let got = port.dequeue_next().map(|(qp, target)| (qp.packet.seq, target));
+            let got = port.dequeue_next().map(|(qp, target)| {
+                // BFC's safety property, in release builds too: nothing
+                // leaves a physical queue the installed frame pauses.
+                if let (QueueTarget::Phys(_), Some(frame)) = (target, port.pause_frame()) {
+                    assert!(!frame.contains(qp.packet.vfid), "transmitted from a paused queue");
+                }
+                (qp.packet.seq, target)
+            });
             assert_eq!(got, model.dequeue(), "dequeue order diverged");
             got.is_some()
         };
@@ -246,6 +256,16 @@ property! {
                 backlogged - paused_heads
                     + usize::from(!model.high_priority.is_empty())
                     + usize::from(!model.drr[PORT_QUEUES].is_empty()),
+            );
+            assert_eq!(port.occupied_queue_count(), backlogged);
+            let data_plane = model.drr.iter().chain([&model.high_priority]);
+            assert_eq!(
+                port.data_queued_bytes(),
+                data_plane.flatten().map(|&(_, _, size)| u64::from(size)).sum::<u64>(),
+            );
+            assert_eq!(
+                port.has_backlog(),
+                !model.control.is_empty() || !model.high_priority.is_empty() || !model.active.is_empty(),
             );
         }
         // Drain whatever the final frame lets through.

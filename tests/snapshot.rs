@@ -204,12 +204,13 @@ fn damaged_snapshots_are_rejected() {
         Err(SnapError::BadChecksum)
     ));
 
-    // Another format version — a future one, version 7 with a goodput series
-    // in each of two trackers, version 6 with a `busy` flag where a
-    // transmitter's serialization end now is, or version 5 with its bytewise
-    // checksum — is refused by number, not misdecoded.
-    assert_eq!(snap[8..12], 8u32.to_le_bytes(), "this build writes version 8");
-    for version in [99u32, 7, 6, 5] {
+    // Another format version — a future one, version 8 with three counters
+    // nobody read, version 7 with a goodput series in each of two trackers,
+    // version 6 with a `busy` flag where a transmitter's serialization end
+    // now is, or version 5 with its bytewise checksum — is refused by
+    // number, not misdecoded.
+    assert_eq!(snap[8..12], 9u32.to_le_bytes(), "this build writes version 9");
+    for version in [99u32, 8, 7, 6, 5] {
         let mut versioned = snap.clone();
         versioned[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
@@ -329,9 +330,11 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 ///
 /// The flight trace is as written by commit 0022cd3 (`TRACE_VERSION` 2), the
 /// last one whose codec was 68 hand-written `save`/`restore` functions. The
-/// snapshots are `SNAPSHOT_VERSION` 8, which stores a sim's goodput ticks
-/// once where version 7 held a copy in each of two trackers: 96 bytes per
-/// worker less at this cut.
+/// snapshots are `SNAPSHOT_VERSION` 9, which drops three counters nothing
+/// read from version 8 — 8 bytes per queue (lifetime enqueued bytes) and 16
+/// per switch (the buffer's peak occupancy and dropped bytes): 4 544 bytes
+/// less on every row at this cut but Ideal-FQ's, with its 1 000 queues per
+/// port, 128 448 less.
 ///
 /// The two-shard rows also depend on where the epoch windows fall, at any
 /// version: a pending event is saved with the sequence number its queue gave
@@ -345,18 +348,18 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 /// one run, 224 bytes differ, each by a few units, and the parent's file
 /// resumed there to the uninterrupted run's result.
 const PARENT_SNAPSHOTS: [(usize, u64); 12] = [
-    (96_282, 0x0986_310c_2ce8_0f70), // BFC, 1 shard
-    (105_313, 0x35e5_faf8_b045_f55e), // BFC, 2 shards
-    (568_639, 0xb4c7_f757_f662_5932), // Ideal-FQ
-    (577_670, 0xb7da_0466_ce44_0daa),
-    (85_907, 0x442f_f662_c5f0_05a5), // DCQCN
-    (94_938, 0x4a7d_1e2d_fb8e_640f),
-    (85_907, 0xbbea_91eb_3203_2f8d), // DCQCN+Win
-    (94_938, 0xef6b_ff05_0460_32f7),
-    (82_064, 0x3354_ef5f_23d3_9cc4), // HPCC
-    (91_095, 0x2c9d_19c0_2438_accc),
-    (89_074, 0x32b4_e51d_4020_c66c), // DCQCN+Win+SFQ
-    (98_105, 0x7894_9bbb_e707_9772),
+    (91_738, 0x85ae_1348_fc99_3064), // BFC, 1 shard
+    (100_769, 0x5e49_4cf5_d680_d870), // BFC, 2 shards
+    (440_191, 0x4c9b_2e82_6d4c_aae3), // Ideal-FQ
+    (449_222, 0x62bf_2b80_cbea_2084),
+    (81_363, 0xc75f_4c05_2b20_7230), // DCQCN
+    (90_394, 0x555c_e67d_03e0_2b81),
+    (81_363, 0x591d_b36d_1368_69c8), // DCQCN+Win
+    (90_394, 0x548a_005a_3daf_1a79),
+    (77_520, 0xb2ae_3081_a118_c8f3), // HPCC
+    (86_551, 0x55ef_85b7_5048_b9fc),
+    (84_530, 0xc151_7498_3788_f2aa), // DCQCN+Win+SFQ
+    (93_561, 0x07e6_950c_82f5_3e81),
 ];
 const PARENT_FLIGHT: (usize, u64) = (1_256_716, 0x3704_4530_a583_d1d0);
 
