@@ -440,20 +440,19 @@ fn bench_port_counters(h: &mut Harness) {
     // check per buffer movement, plus the fault path's all-ingress sweep at
     // constant occupancy (where the per-occupancy cache pays off most).
     h.bench("shared_buffer_pfc_transitions", || {
-        let pfc = bfc_net::config::PfcConfig::default();
         let mut buffer = bfc_net::buffer::SharedBuffer::new(1_000_000, 24);
         let mut transitions = 0usize;
         for i in 0..1_000u32 {
             let ingress = i % 24;
             buffer.admit(1_000, ingress);
-            transitions += usize::from(buffer.pfc_transition(ingress, &pfc).is_some());
+            transitions += usize::from(buffer.pfc_transition(ingress, true).is_some());
             if i % 3 == 2 {
                 buffer.release(1_000, ingress);
-                transitions += usize::from(buffer.pfc_transition(ingress, &pfc).is_some());
+                transitions += usize::from(buffer.pfc_transition(ingress, true).is_some());
             }
             if i % 100 == 99 {
                 for sweep in 0..24u32 {
-                    transitions += usize::from(buffer.pfc_transition(sweep, &pfc).is_some());
+                    transitions += usize::from(buffer.pfc_transition(sweep, true).is_some());
                 }
             }
         }

@@ -1,62 +1,57 @@
-//! BFC configuration.
+//! BFC configuration: the five settings the paper varies, and the §3.4
+//! pause threshold over its fixed hop RTT.
 
+use bfc_net::config::PAUSE_FRAME_INTERVAL;
 use bfc_sim::SimDuration;
 
-/// Configuration of the BFC switch policy.
+/// One-hop round-trip time (HRTT, §4.1: 2 µs): the time for a pause to reach
+/// the upstream and its effect to arrive back.
+const HOP_RTT: SimDuration = SimDuration::from_micros(2);
+
+/// The pause threshold in bytes for an egress link of `link_gbps` with
+/// `n_active` active (unpaused, backlogged) queues:
+/// `(HRTT + τ) · µ / Nactive` (§3.4), τ being
+/// [`bfc_net::config::PAUSE_FRAME_INTERVAL`].
+pub fn pause_threshold_bytes(link_gbps: f64, n_active: usize) -> u64 {
+    let horizon = HOP_RTT + PAUSE_FRAME_INTERVAL;
+    let bytes_per_sec = link_gbps * 1e9 / 8.0;
+    let n = n_active.max(1) as f64;
+    (horizon.as_secs_f64() * bytes_per_sec / n) as u64
+}
+
+/// Configuration of the BFC switch policy: the settings the paper's
+/// evaluation varies (Figs. 7, 10, 11, 13 and 14). Everything it fixes is a
+/// constant next to the code that reads it.
 ///
 /// The defaults are the paper's evaluation settings (§4.1): 16 K VFIDs,
-/// 128-byte bloom filters with 4 hash functions, a 2 µs one-hop RTT with
-/// pause frames every half hop-RTT, and dynamic queue assignment with the
+/// 128-byte bloom filters, and dynamic queue assignment with the
 /// high-priority queue and resume limiting enabled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BfcConfig {
-    /// Size of the VFID space and of the flow hash table (one 4-entry bucket
-    /// per VFID).
+    /// Size of the VFID space and of the flow hash table (one bucket per
+    /// VFID).
     pub num_vfids: u32,
-    /// Entries in the flow hash table's associative overflow cache.
-    pub overflow_cache_size: usize,
-    /// Entries per hash-table bucket.
-    pub bucket_size: usize,
     /// Bloom-filter pause frame size in bytes.
     pub bloom_bytes: usize,
-    /// Number of bloom-filter hash functions.
-    pub bloom_hashes: u32,
-    /// One-hop round-trip time (HRTT): the time for a pause to reach the
-    /// upstream and its effect to arrive back.
-    pub hop_rtt: SimDuration,
-    /// Pause-frame emission interval τ (the paper uses HRTT / 2). Must match
-    /// the switch's `pause_frame_interval`.
-    pub pause_interval: SimDuration,
     /// Dynamic queue assignment (true = BFC, false = the BFC-VFID straw
     /// proposal that statically hashes flows to queues).
     pub dynamic_assignment: bool,
     /// Steer the first packet of each flow to the high-priority queue
     /// (false = the BFC-HighPriorityQ ablation).
     pub use_high_priority_queue: bool,
-    /// Limit resumes to `resumes_per_tick_per_queue` per physical queue per
-    /// pause interval (false = the BFC-BufferOpt ablation that resumes every
-    /// eligible flow immediately).
+    /// Limit resumes per physical queue per pause interval (false = the
+    /// BFC-BufferOpt ablation that resumes every eligible flow immediately).
     pub limit_resumes: bool,
-    /// Flows resumed per physical queue per pause-frame interval when
-    /// `limit_resumes` is on. The paper resumes one per interval, i.e. two
-    /// per hop RTT.
-    pub resumes_per_tick_per_queue: usize,
 }
 
 impl Default for BfcConfig {
     fn default() -> Self {
         BfcConfig {
             num_vfids: 16_384,
-            overflow_cache_size: 100,
-            bucket_size: 4,
             bloom_bytes: 128,
-            bloom_hashes: 4,
-            hop_rtt: SimDuration::from_micros(2),
-            pause_interval: SimDuration::from_micros(1),
             dynamic_assignment: true,
             use_high_priority_queue: true,
             limit_resumes: true,
-            resumes_per_tick_per_queue: 1,
         }
     }
 }
@@ -111,24 +106,6 @@ impl BfcConfig {
         self.bloom_bytes = bytes;
         self
     }
-
-    /// Overrides the hop RTT (and scales the pause interval to half of it),
-    /// used by the cross-DC and reduced-link-speed experiments.
-    pub fn with_hop_rtt(mut self, hop_rtt: SimDuration) -> Self {
-        self.hop_rtt = hop_rtt;
-        self.pause_interval = hop_rtt / 2;
-        self
-    }
-
-    /// The pause threshold in bytes for an egress link of `link_gbps` with
-    /// `n_active` active (unpaused, backlogged) queues:
-    /// `(HRTT + τ) · µ / Nactive` (§3.4).
-    pub fn pause_threshold_bytes(&self, link_gbps: f64, n_active: usize) -> u64 {
-        let horizon = self.hop_rtt + self.pause_interval;
-        let bytes_per_sec = link_gbps * 1e9 / 8.0;
-        let n = n_active.max(1) as f64;
-        (horizon.as_secs_f64() * bytes_per_sec / n) as u64
-    }
 }
 
 #[cfg(test)]
@@ -140,22 +117,20 @@ mod tests {
         let c = BfcConfig::default();
         assert_eq!(c.num_vfids, 16_384);
         assert_eq!(c.bloom_bytes, 128);
-        assert_eq!(c.bloom_hashes, 4);
-        assert_eq!(c.hop_rtt, SimDuration::from_micros(2));
-        assert_eq!(c.pause_interval, SimDuration::from_micros(1));
+        assert_eq!(HOP_RTT, SimDuration::from_micros(2));
+        assert_eq!(PAUSE_FRAME_INTERVAL, HOP_RTT / 2);
         assert!(c.dynamic_assignment && c.use_high_priority_queue && c.limit_resumes);
     }
 
     #[test]
     fn threshold_formula() {
-        let c = BfcConfig::default();
         // (2us + 1us) * 12.5 GB/s = 37500 bytes with one active queue.
-        assert_eq!(c.pause_threshold_bytes(100.0, 1), 37_500);
-        assert_eq!(c.pause_threshold_bytes(100.0, 3), 12_500);
+        assert_eq!(pause_threshold_bytes(100.0, 1), 37_500);
+        assert_eq!(pause_threshold_bytes(100.0, 3), 12_500);
         // Zero active queues is clamped to one.
-        assert_eq!(c.pause_threshold_bytes(100.0, 0), 37_500);
+        assert_eq!(pause_threshold_bytes(100.0, 0), 37_500);
         // Lower link speeds shrink the threshold proportionally.
-        assert_eq!(c.pause_threshold_bytes(10.0, 1), 3_750);
+        assert_eq!(pause_threshold_bytes(10.0, 1), 3_750);
     }
 
     #[test]
@@ -165,11 +140,9 @@ mod tests {
         assert!(!BfcConfig::without_high_priority_queue().use_high_priority_queue);
         let c = BfcConfig::default()
             .with_num_vfids(1024)
-            .with_bloom_bytes(16)
-            .with_hop_rtt(SimDuration::from_micros(4));
+            .with_bloom_bytes(16);
         assert_eq!(c.num_vfids, 1024);
         assert_eq!(c.bloom_bytes, 16);
-        assert_eq!(c.pause_interval, SimDuration::from_micros(2));
     }
 
     #[test]

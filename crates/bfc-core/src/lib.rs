@@ -28,7 +28,7 @@
 //! ```
 //! use bfc_core::{BfcConfig, BfcPolicy};
 //!
-//! let config = BfcConfig::default();          // 32 queues, 16K VFIDs, 128 B bloom
+//! let config = BfcConfig::default();          // 16K VFIDs, 128 B bloom, all of §3 on
 //! let policy = BfcPolicy::new(config, 42);
 //! assert!(policy.config().dynamic_assignment && policy.tracked_flows() == 0);
 //! ```

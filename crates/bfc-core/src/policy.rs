@@ -16,9 +16,23 @@ use bfc_net::policy::{
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{FastHashMap, SimRng};
 
-use crate::config::BfcConfig;
+use crate::config::{pause_threshold_bytes, BfcConfig};
 use crate::counting_bloom::CountingBloom;
 use crate::flow_table::{FlowKey, FlowTable, LookupOutcome};
+
+/// Entries per flow-table bucket (§4.1: 4-entry buckets, one per VFID).
+const BUCKET_SIZE: usize = 4;
+
+/// Entries in the flow table's associative overflow cache (§4.1).
+const OVERFLOW_CACHE_SIZE: usize = 100;
+
+/// Hash functions per bloom-filter pause frame (§4.1).
+const BLOOM_HASHES: u32 = 4;
+
+/// Flows resumed per physical queue per pause-frame interval when
+/// [`BfcConfig::limit_resumes`] is on: one per interval, i.e. two per hop
+/// RTT (§3.5).
+const RESUMES_PER_TICK_PER_QUEUE: usize = 1;
 
 /// A flow waiting to be resumed on one ingress link.
 #[derive(Debug, Clone, Copy)]
@@ -51,7 +65,7 @@ struct IngressState {
 impl IngressState {
     fn new(config: &BfcConfig) -> Self {
         IngressState {
-            counting: CountingBloom::new(config.bloom_bytes, config.bloom_hashes),
+            counting: CountingBloom::new(config.bloom_bytes, BLOOM_HASHES),
             to_be_resumed: VecDeque::new(),
             dirty: false,
             served: FastHashMap::default(),
@@ -112,7 +126,7 @@ impl BfcPolicy {
     /// affects the random choice among free physical queues.
     pub fn new(config: BfcConfig, seed: u64) -> Self {
         BfcPolicy {
-            table: FlowTable::new(config.num_vfids, config.bucket_size, config.overflow_cache_size),
+            table: FlowTable::new(config.num_vfids, BUCKET_SIZE, OVERFLOW_CACHE_SIZE),
             ingress: Vec::new(),
             assigned: FastHashMap::default(),
             rng: SimRng::new(seed ^ 0xbfc0_bfc0_bfc0_bfc0),
@@ -236,9 +250,7 @@ impl SwitchPolicy for BfcPolicy {
         if !paused {
             let queue_was_empty = ctx.port.queue_is_empty(queue);
             let n_active = ctx.port.active_queue_count() + usize::from(queue_was_empty);
-            let threshold = self
-                .config
-                .pause_threshold_bytes(ctx.port.link.rate_gbps, n_active);
+            let threshold = pause_threshold_bytes(ctx.port.link.rate_gbps, n_active);
             let bytes_after = ctx.port.queue_bytes(queue) + pkt.size_bytes as u64;
             if bytes_after > threshold {
                 self.table.entry_mut(slot).paused = true;
@@ -286,9 +298,7 @@ impl SwitchPolicy for BfcPolicy {
             let eligible = match queue {
                 Some(q) => {
                     let n_active = ctx.port.active_queue_count().max(1);
-                    let threshold = self
-                        .config
-                        .pause_threshold_bytes(ctx.port.link.rate_gbps, n_active);
+                    let threshold = pause_threshold_bytes(ctx.port.link.rate_gbps, n_active);
                     ctx.port.queue_bytes(q) <= threshold
                 }
                 None => true,
@@ -313,11 +323,10 @@ impl SwitchPolicy for BfcPolicy {
     }
 
     fn pause_frame_tick(&mut self, ingress: u32) -> PauseTick {
-        let limit = if self.config.limit_resumes {
-            Some(self.config.resumes_per_tick_per_queue)
-        } else {
-            None
-        };
+        let limit = self
+            .config
+            .limit_resumes
+            .then_some(RESUMES_PER_TICK_PER_QUEUE);
 
         // Phase 1: decide which queued resumes are released this interval
         // (at most `limit` per physical queue, §3.5) and refresh the bloom
@@ -445,7 +454,6 @@ mod tests {
     use bfc_net::link::Link;
     use bfc_net::port::Port;
     use bfc_net::types::{FlowId, NodeId};
-    use bfc_sim::SimDuration;
 
     const MTU: u32 = 1000;
 
@@ -649,19 +657,16 @@ mod tests {
 
     #[test]
     fn table_overflow_routes_to_overflow_queue() {
-        let mut config = BfcConfig::default();
-        config.num_vfids = 2;
-        config.bucket_size = 1;
-        config.overflow_cache_size = 1;
-        let mut policy = BfcPolicy::new(config, 1);
+        let mut policy = BfcPolicy::new(BfcConfig::default().with_num_vfids(1), 1);
         let port = port();
-        // Three flows with the same VFID but different ingress ports: the
-        // third cannot be tracked.
-        for ingress in 0..2u32 {
-            let d = policy.on_enqueue(&ectx(&port, ingress, 7), &pkt(ingress, 1, 0, false));
+        // Flows with the one VFID but different ingress ports fill its
+        // bucket, then the overflow cache; the next cannot be tracked.
+        let tracked = (BUCKET_SIZE + OVERFLOW_CACHE_SIZE) as u32;
+        for ingress in 0..tracked {
+            let d = policy.on_enqueue(&ectx(&port, ingress, 7), &pkt(ingress, 0, 0, false));
             assert!(matches!(d.target, QueueTarget::Phys(_)));
         }
-        let d = policy.on_enqueue(&ectx(&port, 5, 7), &pkt(9, 1, 0, false));
+        let d = policy.on_enqueue(&ectx(&port, tracked, 7), &pkt(tracked, 0, 0, false));
         assert_eq!(d.target, QueueTarget::Overflow);
         assert_eq!(policy.stats().table_overflows, 1);
     }
@@ -669,20 +674,12 @@ mod tests {
     #[test]
     fn pause_threshold_scales_with_active_queues() {
         // With many active queues the per-queue threshold shrinks, so flows
-        // pause earlier. Verify through the config helper (the policy test
+        // pause earlier. Verify through the threshold helper (the policy test
         // above covers the single-queue case).
-        let c = BfcConfig::default();
-        assert!(c.pause_threshold_bytes(100.0, 8) < c.pause_threshold_bytes(100.0, 1));
+        assert!(pause_threshold_bytes(100.0, 8) < pause_threshold_bytes(100.0, 1));
         assert_eq!(
-            c.pause_threshold_bytes(100.0, 8),
-            c.pause_threshold_bytes(100.0, 1) / 8
+            pause_threshold_bytes(100.0, 8),
+            pause_threshold_bytes(100.0, 1) / 8
         );
-    }
-
-    #[test]
-    fn hop_rtt_override_changes_threshold() {
-        let c = BfcConfig::default().with_hop_rtt(SimDuration::from_micros(4));
-        // (4us + 2us) * 12.5 GB/s = 75 KB.
-        assert_eq!(c.pause_threshold_bytes(100.0, 1), 75_000);
     }
 }

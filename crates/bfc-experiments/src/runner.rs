@@ -92,10 +92,11 @@ pub struct ExperimentConfig {
     pub trace_capacity: Option<usize>,
     /// Record-time trace filter: only events the filter admits enter the
     /// flight-recorder ring (filtered events are not ring drops — they were
-    /// never candidates). `None` records everything. Meaningless without
-    /// [`ExperimentConfig::trace_capacity`]. Observability-only and excluded
-    /// from the snapshot fingerprint, like the capacity itself.
-    pub trace_filter: Option<TraceFilter>,
+    /// never candidates). [`TraceFilter::all`] (the default) records
+    /// everything. Meaningless without [`ExperimentConfig::trace_capacity`].
+    /// Observability-only and excluded from the snapshot fingerprint, like
+    /// the capacity itself.
+    pub trace_filter: TraceFilter,
 }
 
 impl ExperimentConfig {
@@ -113,7 +114,7 @@ impl ExperimentConfig {
             dynamics: FaultSchedule::default(),
             epoch_batching: true,
             trace_capacity: None,
-            trace_filter: None,
+            trace_filter: TraceFilter::all(),
         }
     }
 
@@ -155,7 +156,7 @@ impl ExperimentConfig {
 
     /// Installs a record-time trace filter (see [`TraceFilter`]).
     pub fn with_trace_filter(mut self, filter: TraceFilter) -> Self {
-        self.trace_filter = Some(filter);
+        self.trace_filter = filter;
         self
     }
 }
@@ -285,11 +286,6 @@ pub(crate) struct FabricSim<'a> {
     /// Per-flow completion instants observed by *this* sim — a flow
     /// completes in the one sim owning its destination host.
     pub(crate) flow_completed: Vec<Option<SimTime>>,
-    /// FCT slowdown histogram (units: slowdown × 1000, so the floor of 1.0
-    /// lands at bucket value 1000) over non-incast completions observed by
-    /// this sim. Each flow completes in exactly one sim, so the cross-shard
-    /// merge is an exact disjoint union.
-    pub(crate) fct_hist: Hist,
     pub(crate) occupancy: OccupancySeries,
     pub(crate) peak_queue_samples: Vec<f64>,
     pub(crate) occupied_queue_samples: Vec<f64>,
@@ -489,16 +485,6 @@ impl FabricSim<'_> {
                 if done.is_none() {
                     *done = Some(now);
                     self.completed += 1;
-                    let meta = &self.flows[flow.index()];
-                    if !meta.is_incast {
-                        // Integer milli-slowdown keeps floats off the hot
-                        // path; the 1000 floor mirrors `FctRecord`'s
-                        // slowdown-is-at-least-1 convention.
-                        let fct = now.saturating_since(meta.start).as_picos() as u128;
-                        let ideal = meta.ideal_fct.as_picos().max(1) as u128;
-                        let milli = (fct * 1000 / ideal).max(1000);
-                        self.fct_hist.observe(milli.min(u64::MAX as u128) as u64);
-                    }
                 }
             }
             NetEvent::Sample => {
@@ -714,7 +700,6 @@ pub(crate) fn build_sim<'a>(
         switches: build_switches(topo, config, frame, &keep),
         hosts: build_hosts(topo, frame, &keep),
         flow_completed: vec![None; flows.len()],
-        fct_hist: Hist::new(),
         flows,
         occupancy: OccupancySeries::new(),
         peak_queue_samples: Vec::new(),
@@ -789,6 +774,16 @@ pub(crate) fn assemble_result(
         })
         .collect();
     let fct = FctSummary::from_records(&records);
+    // FCT slowdown histogram over the non-incast completions, in units of
+    // slowdown × 1000: integer milli-slowdown, whose 1000 floor mirrors
+    // `FctRecord`'s slowdown-is-at-least-1 convention.
+    let mut fct_hist = Hist::new();
+    for r in records.iter().filter(|r| !r.is_incast) {
+        let fct = r.fct.as_picos() as u128;
+        let ideal = r.ideal_fct.as_picos().max(1) as u128;
+        let milli = (fct * 1000 / ideal).max(1000);
+        fct_hist.observe(milli.min(u64::MAX as u128) as u64);
+    }
     let completed: usize = sims.iter().map(|s| s.completed).sum();
 
     let elapsed = if end_time > SimTime::ZERO {
@@ -895,13 +890,6 @@ pub(crate) fn assemble_result(
         end_time,
         total_flows - completed,
     );
-
-    // FCT slowdown histogram: each flow completes in exactly one sim, so
-    // merging per-sim histograms is an exact disjoint union.
-    let mut fct_hist = Hist::new();
-    for s in &sims {
-        fct_hist.merge(&s.fct_hist);
-    }
 
     // Flight traces: merging the per-shard rings into canonical
     // `(time, rank)` order reproduces exactly the stream one serial recorder

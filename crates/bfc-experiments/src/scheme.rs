@@ -5,7 +5,7 @@
 //! policy, and the host congestion control.
 
 use bfc_core::{BfcConfig, BfcPolicy};
-use bfc_net::config::{EcnConfig, SwitchConfig};
+use bfc_net::config::SwitchConfig;
 use bfc_net::policy::{FifoPolicy, SfqPolicy, SwitchPolicy};
 use bfc_sim::SimDuration;
 use bfc_transport::HostConfig;
@@ -141,16 +141,8 @@ impl Scheme {
             ..SwitchConfig::default()
         };
         match self {
-            Scheme::Bfc(cfg) => SwitchConfig {
-                ecn: None,
-                int_enabled: false,
-                pause_frame_interval: cfg.pause_interval,
-                ..base
-            },
-            Scheme::Dcqcn { .. } => SwitchConfig {
-                ecn: Some(EcnConfig::default()),
-                ..base
-            },
+            Scheme::Bfc(_) => base,
+            Scheme::Dcqcn { .. } => SwitchConfig { ecn: true, ..base },
             Scheme::Hpcc => SwitchConfig {
                 int_enabled: true,
                 ..base
@@ -247,14 +239,14 @@ mod tests {
     fn switch_configs_reflect_scheme_features() {
         let mtu = 1000;
         let bfc = Scheme::bfc().switch_config(32, 12_000_000, mtu);
-        assert!(bfc.ecn.is_none() && !bfc.int_enabled && bfc.pfc.enabled);
+        assert!(!bfc.ecn && !bfc.int_enabled && bfc.pfc);
         let dcqcn = Scheme::Dcqcn { window: true, sfq: false }.switch_config(32, 12_000_000, mtu);
-        assert!(dcqcn.ecn.is_some());
+        assert!(dcqcn.ecn);
         let hpcc = Scheme::Hpcc.switch_config(32, 12_000_000, mtu);
-        assert!(hpcc.int_enabled && hpcc.ecn.is_none());
+        assert!(hpcc.int_enabled && !hpcc.ecn);
         let ideal = Scheme::IdealFq.switch_config(32, 12_000_000, mtu);
         assert_eq!(ideal.buffer_bytes, u64::MAX);
-        assert!(!ideal.pfc.enabled);
+        assert!(!ideal.pfc);
         assert_eq!(ideal.queues_per_port, 1_000);
         assert!(!Scheme::IdealFq.uses_pfc());
         assert!(Scheme::bfc().uses_pfc());

@@ -88,7 +88,9 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
 /// a sim's goodput ticks once (the recovery and safety trackers each did).
 /// Version 9 drops three counters nothing read: every queue's lifetime
 /// enqueued bytes and the shared buffer's peak occupancy and dropped bytes.
-pub const SNAPSHOT_VERSION: u32 = 9;
+/// Version 10 drops the per-sim FCT slowdown histogram, which the result
+/// now builds from the per-flow completion instants.
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// Hashes every run input the snapshot does *not* serialize — topology
 /// shape, trace, configuration and shard count — so a resume against
@@ -141,7 +143,6 @@ fn save_sim(sim: &FabricSim<'_>, w: &mut SnapWriter) {
         switches,
         hosts,
         flow_completed,
-        fct_hist,
         occupancy,
         peak_queue_samples,
         occupied_queue_samples,
@@ -167,7 +168,6 @@ fn save_sim(sim: &FabricSim<'_>, w: &mut SnapWriter) {
     goodput.save(w);
     recovery.save(w);
     safety.save(w);
-    fct_hist.save(w);
 }
 
 /// Overlays saved mutable state onto a freshly built sim, which was built
@@ -208,7 +208,6 @@ fn restore_sim(
     sim.goodput = r.get()?;
     sim.recovery = r.get()?;
     sim.safety = r.get()?;
-    sim.fct_hist = r.get()?;
     // Routing tables are derived state: recompute them from the restored
     // link-state instead of serializing O(nodes^2) next-hop tables.
     sim.routes = if sim.link_state.all_up() {

@@ -1,9 +1,9 @@
 //! Deterministic log-bucketed histograms (re-exported).
 //!
-//! The implementation lives in [`bfc_sim::hist`] so that layers below the
+//! The implementation lives in [`bfc_sim::hist`] so that a layer below the
 //! metrics crate (the switch's queue-depth-at-enqueue distribution in
-//! `bfc-net`, the engine's epoch widths in `bfc-sim`) can observe into a
-//! [`Hist`] directly; this module re-exports it under the metrics crate,
-//! where the registry and every consumer of distributions look for it.
+//! `bfc-net`) can observe into a [`Hist`] directly; this module re-exports
+//! it under the metrics crate, where the registry and every consumer of
+//! distributions look for it.
 
 pub use bfc_sim::hist::{bucket_of, bucket_upper, Hist, BUCKETS};

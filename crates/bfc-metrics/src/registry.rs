@@ -7,7 +7,7 @@
 //! `BTreeMap`s, so iteration order, [`MetricsRegistry::merge`] and the text
 //! exposition are all deterministic: two registries built from the same run
 //! are equal no matter how the run was sharded. Distributions (FCT
-//! slowdown, pause durations, queue depth at enqueue, epoch widths) are
+//! slowdown, pause durations, queue depth at enqueue) are
 //! native [`Hist`] series, merged exactly bucket-by-bucket and exposed as
 //! Prometheus `_bucket`/`_sum`/`_count` lines.
 //!

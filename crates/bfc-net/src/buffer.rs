@@ -3,13 +3,26 @@
 //! Modern data-center switches share one packet buffer across all ports
 //! (the paper uses 12 MB, matching Broadcom Tomahawk3's buffer-to-capacity
 //! ratio). This module accounts for total occupancy plus per-ingress-port
-//! occupancy — the latter drives the dynamic PFC threshold: an ingress that
-//! holds more than a configurable fraction of the *free* buffer pauses its
-//! upstream.
+//! occupancy — the latter drives the dynamic PFC threshold: the paper
+//! triggers PFC "when traffic from an input port occupies more than 11% of
+//! the free buffer", and an ingress resumes its upstream once it falls below
+//! a hysteresis fraction of that threshold, so pause and resume frames do
+//! not oscillate every packet.
 
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
-use crate::config::PfcConfig;
+/// Fraction of the *free* shared buffer one ingress may occupy before a PFC
+/// pause frame is sent upstream.
+const PFC_THRESHOLD_FRACTION: f64 = 0.11;
+
+/// A paused ingress resumes its upstream once its occupancy falls below this
+/// fraction of the current pause threshold.
+pub const PFC_RESUME_FRACTION: f64 = 0.85;
+
+/// The PFC pause threshold in bytes given the currently free shared buffer.
+pub fn pfc_pause_threshold(free_bytes: u64) -> u64 {
+    (PFC_THRESHOLD_FRACTION * free_bytes as f64) as u64
+}
 
 /// Shared packet buffer of one switch.
 #[derive(Debug)]
@@ -96,21 +109,22 @@ impl SharedBuffer {
         self.per_ingress[ingress as usize] -= bytes;
     }
 
-    /// PFC decision for `ingress` after an arrival or departure. Returns
-    /// `Some(true)` if a pause frame must be sent upstream now, `Some(false)`
-    /// if a resume frame must be sent, and `None` if nothing changes.
-    pub fn pfc_transition(&mut self, ingress: u32, pfc: &PfcConfig) -> Option<bool> {
-        if !pfc.enabled {
+    /// PFC decision for `ingress` after an arrival or departure on a switch
+    /// that runs PFC iff `enabled`. Returns `Some(true)` if a pause frame
+    /// must be sent upstream now, `Some(false)` if a resume frame must be
+    /// sent, and `None` if nothing changes.
+    pub fn pfc_transition(&mut self, ingress: u32, enabled: bool) -> Option<bool> {
+        if !enabled {
             return None;
         }
         let idx = ingress as usize;
-        let threshold = self.pfc_threshold(pfc);
+        let threshold = self.pfc_threshold();
         let occ = self.per_ingress[idx];
         if !self.pfc_paused_upstream[idx] && occ > threshold {
             self.pfc_paused_upstream[idx] = true;
             Some(true)
         } else if self.pfc_paused_upstream[idx]
-            && (occ as f64) < pfc.resume_fraction * threshold as f64
+            && (occ as f64) < PFC_RESUME_FRACTION * threshold as f64
         {
             self.pfc_paused_upstream[idx] = false;
             Some(false)
@@ -121,17 +135,16 @@ impl SharedBuffer {
 
     /// The dynamic pause threshold for the current occupancy, recomputed
     /// only when the occupancy has moved out of the cached region (see
-    /// `pfc_cache`). One switch always evaluates one `PfcConfig`, so the
-    /// cache is keyed on occupancy alone.
+    /// `pfc_cache`).
     #[inline]
-    fn pfc_threshold(&mut self, pfc: &PfcConfig) -> u64 {
+    fn pfc_threshold(&mut self) -> u64 {
         if let Some((occ, threshold)) = self.pfc_cache {
             if occ == self.occupancy {
-                debug_assert_eq!(threshold, pfc.pause_threshold(self.free()));
+                debug_assert_eq!(threshold, pfc_pause_threshold(self.free()));
                 return threshold;
             }
         }
-        let threshold = pfc.pause_threshold(self.free());
+        let threshold = pfc_pause_threshold(self.free());
         self.pfc_cache = Some((self.occupancy, threshold));
         threshold
     }
@@ -191,6 +204,12 @@ mod tests {
     }
 
     #[test]
+    fn pfc_threshold_tracks_free_buffer() {
+        assert_eq!(pfc_pause_threshold(1_000_000), 110_000);
+        assert_eq!(pfc_pause_threshold(0), 0);
+    }
+
+    #[test]
     fn infinite_buffer_never_drops() {
         let mut b = SharedBuffer::new(u64::MAX, 1);
         for _ in 0..1_000 {
@@ -201,13 +220,12 @@ mod tests {
 
     #[test]
     fn pfc_pause_and_resume_transitions() {
-        let pfc = PfcConfig::default();
         let mut b = SharedBuffer::new(1_000_000, 2);
         // Fill ingress 0 until it exceeds 11% of the free buffer.
         let mut paused = false;
         for _ in 0..200 {
             b.admit(1_000, 0);
-            if let Some(p) = b.pfc_transition(0, &pfc) {
+            if let Some(p) = b.pfc_transition(0, true) {
                 paused = p;
                 break;
             }
@@ -217,7 +235,7 @@ mod tests {
         let mut resumed = false;
         while b.ingress_occupancy(0) > 0 {
             b.release(1_000, 0);
-            if let Some(p) = b.pfc_transition(0, &pfc) {
+            if let Some(p) = b.pfc_transition(0, true) {
                 assert!(!p);
                 resumed = true;
                 break;
@@ -228,22 +246,20 @@ mod tests {
 
     #[test]
     fn pfc_disabled_never_transitions() {
-        let pfc = PfcConfig::disabled();
         let mut b = SharedBuffer::new(1_000, 1);
         b.admit(900, 0);
-        assert_eq!(b.pfc_transition(0, &pfc), None);
+        assert_eq!(b.pfc_transition(0, false), None);
     }
 
     #[test]
     fn independent_ingress_accounting() {
-        let pfc = PfcConfig::default();
         let mut b = SharedBuffer::new(1_000_000, 3);
         // Ingress 1 fills; ingress 2 stays empty and must not be paused.
         for _ in 0..60 {
             b.admit(1_000, 1);
-            b.pfc_transition(1, &pfc);
+            b.pfc_transition(1, true);
         }
-        assert_eq!(b.pfc_transition(2, &pfc), None);
+        assert_eq!(b.pfc_transition(2, true), None);
         assert!(!b.upstream_paused(2));
     }
 }

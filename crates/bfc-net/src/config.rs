@@ -1,88 +1,32 @@
-//! Switch configuration: ECN marking, PFC thresholds, scheduling and buffer
-//! sizing.
+//! Switch configuration — which of ECN marking, PFC and INT a switch runs,
+//! its queue count, buffer and MTU — and the paper's fixed ECN and
+//! pause-frame constants (§4.1).
 
 use bfc_sim::SimDuration;
 
-/// RED/ECN marking configuration used by the DCQCN family of schemes.
-///
-/// The paper configures marking to trigger before PFC: `Kmin = 100 KB`,
-/// `Kmax = 400 KB`. Marking probability rises linearly from 0 at `Kmin`
-/// to `pmax` at `Kmax`, and is 1 above `Kmax`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EcnConfig {
-    /// Queue length below which no packet is marked.
-    pub kmin_bytes: u64,
-    /// Queue length above which every packet is marked.
-    pub kmax_bytes: u64,
-    /// Marking probability at `kmax_bytes`.
-    pub pmax: f64,
-}
+/// Interval τ between BFC pause-frame emissions: half the paper's 2 µs
+/// one-hop RTT. The switch's pause-frame timer and BFC's §3.4 pause
+/// threshold (`bfc_core::config::pause_threshold_bytes`) both read it.
+pub const PAUSE_FRAME_INTERVAL: SimDuration = SimDuration::from_micros(1);
 
-impl Default for EcnConfig {
-    fn default() -> Self {
-        EcnConfig {
-            kmin_bytes: 100_000,
-            kmax_bytes: 400_000,
-            pmax: 0.2,
-        }
-    }
-}
+/// Queue length at or below which ECN marks no packet. The paper configures
+/// marking to trigger before PFC: `Kmin = 100 KB`, `Kmax = 400 KB`.
+pub(crate) const ECN_KMIN_BYTES: u64 = 100_000;
+/// Queue length at or above which ECN marks every packet.
+pub(crate) const ECN_KMAX_BYTES: u64 = 400_000;
+/// Marking probability just below [`ECN_KMAX_BYTES`].
+const ECN_PMAX: f64 = 0.2;
 
-impl EcnConfig {
-    /// Marking probability for an (egress-port) queue of `qlen` bytes.
-    pub fn marking_probability(&self, qlen: u64) -> f64 {
-        if qlen <= self.kmin_bytes {
-            0.0
-        } else if qlen >= self.kmax_bytes {
-            1.0
-        } else {
-            let span = (self.kmax_bytes - self.kmin_bytes) as f64;
-            self.pmax * (qlen - self.kmin_bytes) as f64 / span
-        }
-    }
-}
-
-/// Priority Flow Control configuration.
-///
-/// The paper triggers PFC "when traffic from an input port occupies more than
-/// 11% of the free buffer", i.e. a dynamic threshold proportional to the
-/// remaining shared buffer. Resume uses a hysteresis fraction of the pause
-/// threshold so that pause/resume frames do not oscillate every packet.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PfcConfig {
-    /// Whether PFC is enabled at all (Ideal-FQ and the Fig. 2 experiment run
-    /// without it).
-    pub enabled: bool,
-    /// Fraction of the *free* shared buffer one ingress may occupy before a
-    /// pause frame is sent upstream.
-    pub threshold_fraction: f64,
-    /// An ingress resumes its upstream once its occupancy falls below
-    /// `resume_fraction` of the pause threshold at which it paused.
-    pub resume_fraction: f64,
-}
-
-impl Default for PfcConfig {
-    fn default() -> Self {
-        PfcConfig {
-            enabled: true,
-            threshold_fraction: 0.11,
-            resume_fraction: 0.85,
-        }
-    }
-}
-
-impl PfcConfig {
-    /// A configuration with PFC turned off.
-    pub fn disabled() -> Self {
-        PfcConfig {
-            enabled: false,
-            ..PfcConfig::default()
-        }
-    }
-
-    /// The pause threshold in bytes given the currently free shared buffer.
-    pub fn pause_threshold(&self, free_bytes: u64) -> u64 {
-        (self.threshold_fraction * free_bytes as f64) as u64
+/// RED/ECN marking probability for an (egress-port) queue of `qlen` bytes:
+/// 0 up to `Kmin`, rising linearly to `pmax` at `Kmax`, 1 from `Kmax` on.
+pub(crate) fn ecn_marking_probability(qlen: u64) -> f64 {
+    if qlen <= ECN_KMIN_BYTES {
+        0.0
+    } else if qlen >= ECN_KMAX_BYTES {
+        1.0
+    } else {
+        let span = (ECN_KMAX_BYTES - ECN_KMIN_BYTES) as f64;
+        ECN_PMAX * (qlen - ECN_KMIN_BYTES) as f64 / span
     }
 }
 
@@ -95,15 +39,14 @@ pub struct SwitchConfig {
     /// Shared packet buffer capacity in bytes (`u64::MAX` models the
     /// infinite-buffer baselines). The paper's switches have 12 MB.
     pub buffer_bytes: u64,
-    /// ECN marking (None disables marking; BFC and HPCC do not use ECN).
-    pub ecn: Option<EcnConfig>,
-    /// PFC configuration.
-    pub pfc: PfcConfig,
+    /// RED/ECN-mark data packets between the paper's `Kmin` and `Kmax` (the
+    /// DCQCN family; BFC and HPCC do not use ECN).
+    pub ecn: bool,
+    /// Send PFC pause / resume frames upstream at the dynamic threshold of
+    /// [`crate::buffer`] (Ideal-FQ and the Fig. 2 experiment run without).
+    pub pfc: bool,
     /// Append HPCC INT telemetry to data packets on dequeue.
     pub int_enabled: bool,
-    /// Interval between BFC pause-frame emissions (τ). The paper uses half
-    /// the one-hop RTT (1 µs for its 2 µs hop RTT).
-    pub pause_frame_interval: SimDuration,
     /// Maximum transmission unit in bytes (DRR quantum).
     pub mtu_bytes: u32,
 }
@@ -113,32 +56,18 @@ impl Default for SwitchConfig {
         SwitchConfig {
             queues_per_port: 32,
             buffer_bytes: 12_000_000,
-            ecn: None,
-            pfc: PfcConfig::default(),
+            ecn: false,
+            pfc: true,
             int_enabled: false,
-            pause_frame_interval: SimDuration::from_micros(1),
             mtu_bytes: 1000,
         }
     }
 }
 
 impl SwitchConfig {
-    /// Configuration used by the DCQCN family: single FIFO semantics are
-    /// expressed by the policy, this just turns ECN on.
-    pub fn with_ecn(mut self, ecn: EcnConfig) -> Self {
-        self.ecn = Some(ecn);
-        self
-    }
-
-    /// Enables HPCC INT telemetry.
-    pub fn with_int(mut self) -> Self {
-        self.int_enabled = true;
-        self
-    }
-
     /// Disables PFC.
     pub fn without_pfc(mut self) -> Self {
-        self.pfc = PfcConfig::disabled();
+        self.pfc = false;
         self
     }
 
@@ -161,34 +90,22 @@ mod tests {
 
     #[test]
     fn ecn_probability_is_piecewise_linear() {
-        let e = EcnConfig::default();
-        assert_eq!(e.marking_probability(0), 0.0);
-        assert_eq!(e.marking_probability(100_000), 0.0);
-        assert_eq!(e.marking_probability(400_000), 1.0);
-        assert_eq!(e.marking_probability(1_000_000), 1.0);
-        let mid = e.marking_probability(250_000);
+        assert_eq!(ecn_marking_probability(0), 0.0);
+        assert_eq!(ecn_marking_probability(100_000), 0.0);
+        assert_eq!(ecn_marking_probability(400_000), 1.0);
+        assert_eq!(ecn_marking_probability(1_000_000), 1.0);
+        let mid = ecn_marking_probability(250_000);
         assert!((mid - 0.1).abs() < 1e-9, "got {mid}");
-    }
-
-    #[test]
-    fn pfc_threshold_tracks_free_buffer() {
-        let p = PfcConfig::default();
-        assert_eq!(p.pause_threshold(1_000_000), 110_000);
-        assert_eq!(p.pause_threshold(0), 0);
-        assert!(!PfcConfig::disabled().enabled);
     }
 
     #[test]
     fn builder_methods_compose() {
         let c = SwitchConfig::default()
-            .with_ecn(EcnConfig::default())
-            .with_int()
             .without_pfc()
             .with_buffer_bytes(5_000_000);
-        assert!(c.ecn.is_some());
-        assert!(c.int_enabled);
-        assert!(!c.pfc.enabled);
+        assert!(!c.pfc && !c.ecn && !c.int_enabled);
         assert_eq!(c.buffer_bytes, 5_000_000);
+        assert!(SwitchConfig::default().pfc);
         assert_eq!(
             SwitchConfig::default().with_infinite_buffer().buffer_bytes,
             u64::MAX

@@ -10,6 +10,8 @@
 //! * [`queue`] + [`port`] — physical FIFO queues, deficit round robin, the
 //!   strict-priority control and high-priority queues, and per-queue pause.
 //! * [`buffer`] — the shared-memory buffer model with dynamic PFC thresholds.
+//! * [`config`] — what a switch runs (ECN, PFC, INT, queues, buffer) and the
+//!   paper's ECN and pause-frame constants.
 //! * [`policy`] — the [`policy::SwitchPolicy`] trait that queue-assignment /
 //!   flow-control schemes implement (FIFO and stochastic fair queueing live
 //!   here; the BFC policy itself lives in the `bfc-core` crate).
@@ -45,7 +47,7 @@ pub mod trace;
 pub mod types;
 
 pub use buffer::SharedBuffer;
-pub use config::{EcnConfig, PfcConfig, SwitchConfig};
+pub use config::SwitchConfig;
 pub use dynamics::{DynamicsError, FaultEvent, FaultSchedule, LinkAction, LinkStateMap};
 pub use event::{NetEvent, TransportTimer};
 pub use link::Link;

@@ -28,7 +28,7 @@ use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{Hist, SimRng, SimTime};
 
 use crate::buffer::SharedBuffer;
-use crate::config::SwitchConfig;
+use crate::config::{ecn_marking_probability, SwitchConfig, PAUSE_FRAME_INTERVAL};
 use crate::event::{NetEvent, NetSink};
 use crate::packet::{Packet, PacketKind};
 use crate::policy::{DequeueCtx, EnqueueCtx, QueueTarget, SwitchPolicy};
@@ -313,7 +313,7 @@ impl Switch {
             if decision.start_pause_timer && !self.pause_timer_active[ingress as usize] {
                 self.pause_timer_active[ingress as usize] = true;
                 events.send(
-                    now + self.config.pause_frame_interval,
+                    now + PAUSE_FRAME_INTERVAL,
                     NetEvent::PauseFrameTimer {
                         node: self.id,
                         port: ingress,
@@ -323,14 +323,12 @@ impl Switch {
             decision.target
         };
 
-        if packet.is_data() {
-            if let Some(ecn) = &self.config.ecn {
-                let qlen = self.ports[egress as usize].data_queued_bytes();
-                let p = ecn.marking_probability(qlen);
-                if p > 0.0 && self.rng.chance(p) {
-                    packet.ecn_ce = true;
-                    self.counters.ecn_marked += 1;
-                }
+        if self.config.ecn && packet.is_data() {
+            let qlen = self.ports[egress as usize].data_queued_bytes();
+            let p = ecn_marking_probability(qlen);
+            if p > 0.0 && self.rng.chance(p) {
+                packet.ecn_ce = true;
+                self.counters.ecn_marked += 1;
             }
         }
 
@@ -373,7 +371,7 @@ impl Switch {
     /// Sends a PFC pause/resume to the upstream of `ingress` if the dynamic
     /// threshold was just crossed.
     fn maybe_send_pfc(&mut self, now: SimTime, ingress: u32, events: &mut impl NetSink) {
-        if let Some(pause) = self.buffer.pfc_transition(ingress, &self.config.pfc) {
+        if let Some(pause) = self.buffer.pfc_transition(ingress, self.config.pfc) {
             let port = &self.ports[ingress as usize];
             if let Some((peer, peer_port)) = port.peer {
                 let frame = Packet::pfc(self.id, peer, pause);
@@ -446,7 +444,7 @@ impl Switch {
         }
         if tick.reschedule {
             events.send(
-                now + self.config.pause_frame_interval,
+                now + PAUSE_FRAME_INTERVAL,
                 NetEvent::PauseFrameTimer {
                     node: self.id,
                     port: ingress,
@@ -632,13 +630,11 @@ impl Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EcnConfig;
+    use crate::config::{ECN_KMAX_BYTES, ECN_KMIN_BYTES};
     use bfc_sim::EventQueue;
-    use crate::link::Link;
     use crate::policy::FifoPolicy;
     use crate::topology::{fat_tree, FatTreeParams};
     use crate::types::FlowId;
-    use bfc_sim::SimDuration;
 
     /// Builds the tiny fat tree and returns (topology, routes, the first ToR
     /// switch with a FIFO policy).
@@ -790,23 +786,61 @@ mod tests {
 
     #[test]
     fn ecn_marks_when_queue_exceeds_threshold() {
-        let ecn = EcnConfig {
-            kmin_bytes: 1_000,
-            kmax_bytes: 2_000,
-            pmax: 1.0,
+        let config = SwitchConfig {
+            ecn: true,
+            ..SwitchConfig::default()
         };
-        let config = SwitchConfig::default().with_ecn(ecn);
         let (_topo, routes, mut sw) = tor_under_test(config);
         let mut events = EventQueue::new();
-        for seq in 0..20 {
-            sw.handle_packet(SimTime::ZERO, 0, data_packet(1, 0, 1, seq), &routes, &mut events);
+        // A burst toward host 1 whose backlog sweeps from below Kmin to 50
+        // MTUs above Kmax: the first packet leaves at once, so packet
+        // `seq >= 1` is marked against `seq - 1` queued MTUs.
+        let packets = ECN_KMAX_BYTES / 1_000 + 50;
+        for seq in 0..packets {
+            sw.handle_packet(
+                SimTime::ZERO,
+                0,
+                data_packet(1, 0, 1, seq),
+                &routes,
+                &mut events,
+            );
         }
-        assert!(sw.counters().ecn_marked > 0);
+        let (mut delivered, mut marked) = (0, 0);
+        while let Some((t, e)) = events.pop() {
+            match e {
+                NetEvent::TxComplete { port, .. } => sw.handle_tx_complete(t, port, &mut events),
+                NetEvent::PacketArrive { packet, .. } if packet.is_data() => {
+                    let queued = packet.seq.saturating_sub(1) * 1_000;
+                    if queued <= ECN_KMIN_BYTES {
+                        assert!(
+                            !packet.ecn_ce,
+                            "seq {}: {queued} B is below Kmin",
+                            packet.seq
+                        );
+                    }
+                    if queued >= ECN_KMAX_BYTES {
+                        assert!(
+                            packet.ecn_ce,
+                            "seq {}: {queued} B is above Kmax",
+                            packet.seq
+                        );
+                    }
+                    delivered += 1;
+                    marked += u64::from(packet.ecn_ce);
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(delivered, packets);
+        assert_eq!(sw.counters().ecn_marked, marked);
     }
 
     #[test]
     fn int_telemetry_appended_on_dequeue() {
-        let config = SwitchConfig::default().with_int();
+        let config = SwitchConfig {
+            int_enabled: true,
+            ..SwitchConfig::default()
+        };
         let (_topo, routes, mut sw) = tor_under_test(config);
         let mut events = EventQueue::new();
         sw.handle_packet(SimTime::ZERO, 0, data_packet(1, 0, 1, 0), &routes, &mut events);
@@ -930,15 +964,5 @@ mod tests {
         // is not rescheduled.
         sw.handle_pause_timer(SimTime::from_micros(1), 0, &mut events);
         assert!(events.is_empty());
-    }
-
-    #[test]
-    fn tiny_pause_interval_matches_config() {
-        let mut config = SwitchConfig::default();
-        config.pause_frame_interval = SimDuration::from_micros(1);
-        assert_eq!(config.pause_frame_interval.as_nanos(), 1000);
-        // Link helper sanity: 128-byte bloom frame on 100 Gbps ≈ 10 ns.
-        let l = Link::datacenter_default();
-        assert_eq!(l.serialization(128).as_picos(), 10_240);
     }
 }

@@ -98,8 +98,8 @@ impl Hist {
         self.observe_n(value, 1);
     }
 
-    /// Records `n` observations of `value` at once (used when folding
-    /// pre-counted data, e.g. epoch-width counters, into a histogram).
+    /// Records `n` observations of `value` at once (folding pre-counted
+    /// data into a histogram).
     #[inline]
     pub fn observe_n(&mut self, value: u64, n: u64) {
         if n == 0 {

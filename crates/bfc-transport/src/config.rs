@@ -1,5 +1,6 @@
-//! Host-side configuration: which congestion-control scheme runs on the NIC
-//! and with which parameters.
+//! Host-side configuration: which congestion-control scheme runs on the NIC.
+//! The DCQCN and HPCC constants live with their algorithms ([`crate::dcqcn`],
+//! [`crate::hpcc`]).
 
 use bfc_sim::SimDuration;
 
@@ -18,68 +19,6 @@ pub enum CcKind {
     Hpcc,
 }
 
-/// DCQCN parameters. Defaults follow the published algorithm and the values
-/// commonly used in the ns-3 RDMA simulations the paper builds on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DcqcnParams {
-    /// EWMA gain for the congestion estimate `alpha`.
-    pub g: f64,
-    /// Additive increase step (Gbps) during the additive-increase phase.
-    pub rate_ai_gbps: f64,
-    /// Hyper increase step (Gbps) once many increase stages pass without
-    /// congestion.
-    pub rate_hai_gbps: f64,
-    /// Number of fast-recovery stages before additive increase starts.
-    pub fast_recovery_stages: u32,
-    /// Interval of the rate-increase timer.
-    pub rate_increase_interval: SimDuration,
-    /// Interval of the alpha-decay timer.
-    pub alpha_update_interval: SimDuration,
-    /// Minimum sending rate (Gbps).
-    pub min_rate_gbps: f64,
-    /// Minimum gap between congestion-notification packets generated by the
-    /// receiver for one flow.
-    pub cnp_interval: SimDuration,
-}
-
-impl Default for DcqcnParams {
-    fn default() -> Self {
-        DcqcnParams {
-            g: 1.0 / 256.0,
-            rate_ai_gbps: 0.4,
-            rate_hai_gbps: 4.0,
-            fast_recovery_stages: 5,
-            rate_increase_interval: SimDuration::from_micros(55),
-            alpha_update_interval: SimDuration::from_micros(55),
-            min_rate_gbps: 0.1,
-            cnp_interval: SimDuration::from_micros(50),
-        }
-    }
-}
-
-/// HPCC parameters (from the HPCC paper, as used in §4.1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HpccParams {
-    /// Target utilization η.
-    pub eta: f64,
-    /// Maximum number of additive-increase stages per reference-window
-    /// update (maxStage).
-    pub max_stage: u32,
-    /// Additive window increase per update, as a fraction of the
-    /// bandwidth-delay product.
-    pub w_ai_fraction: f64,
-}
-
-impl Default for HpccParams {
-    fn default() -> Self {
-        HpccParams {
-            eta: 0.95,
-            max_stage: 5,
-            w_ai_fraction: 0.0125,
-        }
-    }
-}
-
 /// Full host configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostConfig {
@@ -91,14 +30,9 @@ pub struct HostConfig {
     /// Ideal-FQ and SFQ+InfBuffer variants use one end-to-end BDP.
     pub window_bytes: Option<u64>,
     /// Network-wide base (unloaded) end-to-end RTT; used by HPCC as its
-    /// reference `T`, and to set the Go-Back-N retransmission timeout.
+    /// reference `T`, and to set the Go-Back-N retransmission timeout
+    /// ([`default_rto`]).
     pub base_rtt: SimDuration,
-    /// Go-Back-N retransmission timeout.
-    pub retransmit_timeout: SimDuration,
-    /// DCQCN parameters (ignored by other schemes).
-    pub dcqcn: DcqcnParams,
-    /// HPCC parameters (ignored by other schemes).
-    pub hpcc: HpccParams,
 }
 
 impl HostConfig {
@@ -109,9 +43,6 @@ impl HostConfig {
             cc: CcKind::LineRate,
             window_bytes: None,
             base_rtt,
-            retransmit_timeout: default_rto(base_rtt),
-            dcqcn: DcqcnParams::default(),
-            hpcc: HpccParams::default(),
         }
     }
 
@@ -143,7 +74,7 @@ impl HostConfig {
     }
 }
 
-/// Default Go-Back-N retransmission timeout: a handful of base RTTs, floored
+/// The Go-Back-N retransmission timeout: a handful of base RTTs, floored
 /// so that timers stay coarse relative to the simulation step.
 pub fn default_rto(base_rtt: SimDuration) -> SimDuration {
     let four = base_rtt * 4;
@@ -171,8 +102,6 @@ mod tests {
         assert_eq!(d.cc, CcKind::Dcqcn);
         let h = HostConfig::hpcc(1000, rtt);
         assert_eq!(h.cc, CcKind::Hpcc);
-        assert!((h.hpcc.eta - 0.95).abs() < 1e-12);
-        assert_eq!(h.hpcc.max_stage, 5);
     }
 
     #[test]

@@ -3,14 +3,35 @@
 //! DCQCN is the deployed RDMA congestion control the paper compares against.
 //! Switches ECN-mark packets above a queue threshold; the receiver NIC
 //! reflects marks back as congestion-notification packets (CNPs) at most once
-//! per `cnp_interval`; the sender multiplicatively decreases on CNPs and
+//! per `CNP_INTERVAL`; the sender multiplicatively decreases on CNPs and
 //! recovers through fast-recovery / additive-increase / hyper-increase stages
 //! driven by a periodic timer. Flows start at line rate.
 //!
 //! Only the sender-side state machine lives here; CNP generation is part of
-//! the receiving [`crate::host::Host`].
+//! the receiving [`crate::host::Host`]. The constants follow the published
+//! algorithm and the values commonly used in the ns-3 RDMA simulations the
+//! paper builds on.
 
-use crate::config::DcqcnParams;
+use bfc_sim::SimDuration;
+
+/// EWMA gain for the congestion estimate `alpha`.
+const G: f64 = 1.0 / 256.0;
+/// Additive increase step (Gbps) during the additive-increase phase.
+const RATE_AI_GBPS: f64 = 0.4;
+/// Hyper increase step (Gbps) once many increase stages pass without
+/// congestion.
+const RATE_HAI_GBPS: f64 = 4.0;
+/// Number of fast-recovery stages before additive increase starts.
+const FAST_RECOVERY_STAGES: u32 = 5;
+/// Interval of the rate-increase timer.
+pub(crate) const RATE_INCREASE_INTERVAL: SimDuration = SimDuration::from_micros(55);
+/// Interval of the alpha-decay timer.
+pub(crate) const ALPHA_UPDATE_INTERVAL: SimDuration = SimDuration::from_micros(55);
+/// Minimum sending rate (Gbps).
+const MIN_RATE_GBPS: f64 = 0.1;
+/// Minimum gap between congestion-notification packets generated by the
+/// receiver for one flow.
+pub(crate) const CNP_INTERVAL: SimDuration = SimDuration::from_micros(50);
 
 /// Sender-side DCQCN state for one flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,31 +65,31 @@ impl DcqcnState {
     /// Reaction to a congestion-notification packet: cut the rate by
     /// `alpha / 2`, remember the pre-cut rate as the recovery target and
     /// freshen alpha.
-    pub fn on_cnp(&mut self, params: &DcqcnParams) {
+    pub fn on_cnp(&mut self) {
         self.target_gbps = self.rate_gbps;
-        self.rate_gbps = (self.rate_gbps * (1.0 - self.alpha / 2.0)).max(params.min_rate_gbps);
-        self.alpha = ((1.0 - params.g) * self.alpha + params.g).min(1.0);
+        self.rate_gbps = (self.rate_gbps * (1.0 - self.alpha / 2.0)).max(MIN_RATE_GBPS);
+        self.alpha = ((1.0 - G) * self.alpha + G).min(1.0);
         self.increase_stage = 0;
         self.cnp_since_alpha_update = true;
     }
 
     /// Periodic alpha decay (runs only if no CNP arrived during the interval).
-    pub fn on_alpha_timer(&mut self, params: &DcqcnParams) {
+    pub fn on_alpha_timer(&mut self) {
         if self.cnp_since_alpha_update {
             self.cnp_since_alpha_update = false;
         } else {
-            self.alpha *= 1.0 - params.g;
+            self.alpha *= 1.0 - G;
         }
     }
 
     /// Periodic rate increase: fast recovery toward the target for the first
     /// few stages, then additive increase, then hyper increase.
-    pub fn on_rate_increase_timer(&mut self, params: &DcqcnParams) {
+    pub fn on_rate_increase_timer(&mut self) {
         self.increase_stage += 1;
-        if self.increase_stage > 2 * params.fast_recovery_stages {
-            self.target_gbps += params.rate_hai_gbps;
-        } else if self.increase_stage > params.fast_recovery_stages {
-            self.target_gbps += params.rate_ai_gbps;
+        if self.increase_stage > 2 * FAST_RECOVERY_STAGES {
+            self.target_gbps += RATE_HAI_GBPS;
+        } else if self.increase_stage > FAST_RECOVERY_STAGES {
+            self.target_gbps += RATE_AI_GBPS;
         }
         self.target_gbps = self.target_gbps.min(self.line_rate_gbps);
         self.rate_gbps = ((self.rate_gbps + self.target_gbps) / 2.0).min(self.line_rate_gbps);
@@ -90,10 +111,6 @@ bfc_sim::snap_struct! {
 mod tests {
     use super::*;
 
-    fn params() -> DcqcnParams {
-        DcqcnParams::default()
-    }
-
     #[test]
     fn starts_at_line_rate() {
         let s = DcqcnState::new(100.0);
@@ -104,7 +121,7 @@ mod tests {
     #[test]
     fn cnp_halves_rate_when_alpha_is_one() {
         let mut s = DcqcnState::new(100.0);
-        s.on_cnp(&params());
+        s.on_cnp();
         assert!((s.rate_gbps - 50.0).abs() < 1e-9);
         assert_eq!(s.target_gbps, 100.0);
         assert!(s.alpha <= 1.0);
@@ -112,23 +129,21 @@ mod tests {
 
     #[test]
     fn repeated_cnps_drive_rate_toward_minimum() {
-        let p = params();
         let mut s = DcqcnState::new(100.0);
         for _ in 0..200 {
-            s.on_cnp(&p);
+            s.on_cnp();
         }
-        assert!(s.rate_gbps >= p.min_rate_gbps);
+        assert!(s.rate_gbps >= MIN_RATE_GBPS);
         assert!(s.rate_gbps < 1.0, "rate should collapse under persistent CNPs");
     }
 
     #[test]
     fn fast_recovery_converges_back_to_target() {
-        let p = params();
         let mut s = DcqcnState::new(100.0);
-        s.on_cnp(&p);
+        s.on_cnp();
         let after_cut = s.rate_gbps;
-        for _ in 0..p.fast_recovery_stages {
-            s.on_rate_increase_timer(&p);
+        for _ in 0..FAST_RECOVERY_STAGES {
+            s.on_rate_increase_timer();
         }
         assert!(s.rate_gbps > after_cut);
         assert!(s.rate_gbps <= s.target_gbps + 1e-9);
@@ -138,13 +153,12 @@ mod tests {
 
     #[test]
     fn additive_then_hyper_increase_raise_target() {
-        let p = params();
         let mut s = DcqcnState::new(100.0);
-        s.on_cnp(&p);
-        s.on_cnp(&p);
+        s.on_cnp();
+        s.on_cnp();
         let target_after_cnp = s.target_gbps;
-        for _ in 0..(2 * p.fast_recovery_stages + 10) {
-            s.on_rate_increase_timer(&p);
+        for _ in 0..(2 * FAST_RECOVERY_STAGES + 10) {
+            s.on_rate_increase_timer();
         }
         assert!(s.target_gbps > target_after_cnp);
         assert!(s.rate_gbps <= 100.0 + 1e-9, "never exceeds line rate");
@@ -152,17 +166,16 @@ mod tests {
 
     #[test]
     fn alpha_decays_only_without_cnps() {
-        let p = params();
         let mut s = DcqcnState::new(100.0);
-        s.on_cnp(&p);
+        s.on_cnp();
         let alpha_after_cnp = s.alpha;
         // First timer tick after a CNP only clears the flag.
-        s.on_alpha_timer(&p);
+        s.on_alpha_timer();
         assert_eq!(s.alpha, alpha_after_cnp);
-        s.on_alpha_timer(&p);
+        s.on_alpha_timer();
         assert!(s.alpha < alpha_after_cnp);
         for _ in 0..2000 {
-            s.on_alpha_timer(&p);
+            s.on_alpha_timer();
         }
         assert!(s.alpha < 0.01, "alpha decays toward zero in calm periods");
     }

@@ -10,9 +10,9 @@
 //!   `next_seq` to the cumulative acknowledgement.
 //! * **Receiver** — in-order data is acknowledged per packet (with HPCC INT
 //!   echoed on the ACK), ECN marks are converted to CNPs at most once per
-//!   `cnp_interval`, and a [`bfc_net::NetEvent::FlowCompleted`] event is
-//!   emitted when the last byte arrives, which is where the paper measures
-//!   flow completion time.
+//!   DCQCN's `CNP_INTERVAL`, and a [`bfc_net::NetEvent::FlowCompleted`]
+//!   event is emitted when the last byte arrives, which is where the paper
+//!   measures flow completion time.
 //!
 //! ACKs and CNPs are sent with strict priority over data on the uplink, the
 //! same treatment switches give them.
@@ -34,8 +34,8 @@ use bfc_net::types::{FlowId, NodeId};
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{FastHashMap, SimTime};
 
-use crate::config::{CcKind, HostConfig};
-use crate::dcqcn::DcqcnState;
+use crate::config::{default_rto, CcKind, HostConfig};
+use crate::dcqcn::{self, DcqcnState};
 use crate::flow::{CcState, FlowSpec, ReceiverFlow, SenderFlow};
 use crate::hpcc::HpccState;
 
@@ -235,7 +235,6 @@ impl Host {
             CcKind::Hpcc => CcState::Hpcc(HpccState::new(
                 self.line_rate_gbps,
                 self.config.base_rtt.as_secs_f64(),
-                &self.config.hpcc,
             )),
         };
         let flow_id = spec.flow;
@@ -244,7 +243,7 @@ impl Host {
         self.send_order.push_back(flow_id);
 
         events.send(
-            now + self.config.retransmit_timeout,
+            now + default_rto(self.config.base_rtt),
             NetEvent::HostTimer {
                 node: self.id,
                 timer: TransportTimer::Retransmit(flow_id),
@@ -252,14 +251,14 @@ impl Host {
         );
         if self.config.cc == CcKind::Dcqcn {
             events.send(
-                now + self.config.dcqcn.rate_increase_interval,
+                now + dcqcn::RATE_INCREASE_INTERVAL,
                 NetEvent::HostTimer {
                     node: self.id,
                     timer: TransportTimer::RateIncrease(flow_id),
                 },
             );
             events.send(
-                now + self.config.dcqcn.alpha_update_interval,
+                now + dcqcn::ALPHA_UPDATE_INTERVAL,
                 NetEvent::HostTimer {
                     node: self.id,
                     timer: TransportTimer::AlphaUpdate(flow_id),
@@ -309,7 +308,7 @@ impl Host {
             PacketKind::Cnp => {
                 if let Some(flow) = self.sending.get_mut(&packet.flow) {
                     if let CcState::Dcqcn(state) = &mut flow.cc {
-                        state.on_cnp(&self.config.dcqcn);
+                        state.on_cnp();
                     }
                 }
             }
@@ -339,10 +338,10 @@ impl Host {
             TransportTimer::RateIncrease(flow_id) => {
                 if let Some(flow) = self.sending.get_mut(&flow_id) {
                     if let CcState::Dcqcn(state) = &mut flow.cc {
-                        state.on_rate_increase_timer(&self.config.dcqcn);
+                        state.on_rate_increase_timer();
                     }
                     events.send(
-                        now + self.config.dcqcn.rate_increase_interval,
+                        now + dcqcn::RATE_INCREASE_INTERVAL,
                         NetEvent::HostTimer {
                             node: self.id,
                             timer: TransportTimer::RateIncrease(flow_id),
@@ -354,10 +353,10 @@ impl Host {
             TransportTimer::AlphaUpdate(flow_id) => {
                 if let Some(flow) = self.sending.get_mut(&flow_id) {
                     if let CcState::Dcqcn(state) = &mut flow.cc {
-                        state.on_alpha_timer(&self.config.dcqcn);
+                        state.on_alpha_timer();
                     }
                     events.send(
-                        now + self.config.dcqcn.alpha_update_interval,
+                        now + dcqcn::ALPHA_UPDATE_INTERVAL,
                         NetEvent::HostTimer {
                             node: self.id,
                             timer: TransportTimer::AlphaUpdate(flow_id),
@@ -388,7 +387,7 @@ impl Host {
         }
         flow.acked_at_last_timeout = flow.acked_seq;
         events.send(
-            now + self.config.retransmit_timeout,
+            now + default_rto(self.config.base_rtt),
             NetEvent::HostTimer {
                 node: self.id,
                 timer: TransportTimer::Retransmit(flow_id),
@@ -412,7 +411,7 @@ impl Host {
             if packet.ecn_ce {
                 let due = rf
                     .last_cnp
-                    .is_none_or(|t| now.saturating_since(t) >= self.config.dcqcn.cnp_interval);
+                    .is_none_or(|t| now.saturating_since(t) >= dcqcn::CNP_INTERVAL);
                 if due {
                     rf.last_cnp = Some(now);
                     self.counters.cnps_sent += 1;
@@ -477,7 +476,7 @@ impl Host {
             }
         }
         if let CcState::Hpcc(state) = &mut flow.cc {
-            state.on_ack(&mut packet.int, cumulative_seq, flow.next_seq, &self.config.hpcc);
+            state.on_ack(&mut packet.int, cumulative_seq, flow.next_seq);
             // `packet.int` now holds the previous sample: recycle its storage.
             if packet.int.has_storage() {
                 packet.int.clear();
@@ -975,7 +974,7 @@ mod tests {
         assert_eq!(first.iter().filter(|p| p.is_data()).count(), 2);
         // Fire the retransmit timer twice with no ACK progress: the second
         // firing detects the stall and rewinds.
-        let rto = host.config().retransmit_timeout;
+        let rto = default_rto(host.config().base_rtt);
         host.handle_timer(
             SimTime::ZERO + rto,
             TransportTimer::Retransmit(FlowId(1)),

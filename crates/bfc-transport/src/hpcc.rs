@@ -6,12 +6,19 @@
 //! receiver echoes the telemetry on ACKs and the sender computes, per link,
 //! an estimate of bytes-in-flight relative to the bandwidth-delay product,
 //! then sets its window multiplicatively toward the target utilization
-//! `η = 0.95`, with at most `maxStage` additive steps between multiplicative
-//! updates.
+//! `η = 0.95`, with at most `maxStage = 5` additive steps between multiplicative
+//! updates (the HPCC paper's constants, as used in §4.1).
 
 use bfc_net::packet::{IntHop, IntPath};
 
-use crate::config::HpccParams;
+/// Target utilization η.
+const ETA: f64 = 0.95;
+/// Maximum number of additive-increase stages per reference-window update
+/// (maxStage).
+const MAX_STAGE: u32 = 5;
+/// Additive window increase per update, as a fraction of the
+/// bandwidth-delay product.
+const W_AI_FRACTION: f64 = 0.0125;
 
 /// Sender-side HPCC state for one flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +46,7 @@ pub struct HpccState {
 impl HpccState {
     /// Creates the state for a flow on a `line_rate_gbps` access link with
     /// the given network base RTT.
-    pub fn new(line_rate_gbps: f64, base_rtt_secs: f64, params: &HpccParams) -> Self {
+    pub fn new(line_rate_gbps: f64, base_rtt_secs: f64) -> Self {
         let bdp = line_rate_gbps * 1e9 / 8.0 * base_rtt_secs;
         HpccState {
             window_bytes: bdp,
@@ -47,7 +54,7 @@ impl HpccState {
             inc_stage: 0,
             update_after_seq: 0,
             last_int: IntPath::new(),
-            w_ai: bdp * params.w_ai_fraction,
+            w_ai: bdp * W_AI_FRACTION,
             base_rtt_secs,
             max_window: bdp,
         }
@@ -88,15 +95,15 @@ impl HpccState {
     /// `int` is *swapped* with the stored previous sample rather than copied:
     /// on return it holds the previous sample (and its storage), which the
     /// caller recycles into its next data packet.
-    pub fn on_ack(&mut self, int: &mut IntPath, acked_seq: u64, snd_nxt: u64, params: &HpccParams) {
+    pub fn on_ack(&mut self, int: &mut IntPath, acked_seq: u64, snd_nxt: u64) {
         let utilization = self.max_utilization(int);
         std::mem::swap(&mut self.last_int, int);
         let Some(u) = utilization else {
             return;
         };
 
-        if u >= params.eta || self.inc_stage >= params.max_stage {
-            self.window_bytes = self.reference_window / (u / params.eta) + self.w_ai;
+        if u >= ETA || self.inc_stage >= MAX_STAGE {
+            self.window_bytes = self.reference_window / (u / ETA) + self.w_ai;
             if acked_seq >= self.update_after_seq {
                 self.reference_window = self.window_bytes;
                 self.inc_stage = 0;
@@ -134,10 +141,6 @@ mod tests {
 
     const BASE_RTT: f64 = 8e-6;
 
-    fn params() -> HpccParams {
-        HpccParams::default()
-    }
-
     fn hop(qlen: u64, tx: u64, ts_ps: u64) -> IntHop {
         IntHop {
             qlen_bytes: qlen,
@@ -149,20 +152,19 @@ mod tests {
 
     #[test]
     fn starts_at_one_bdp() {
-        let s = HpccState::new(100.0, BASE_RTT, &params());
+        let s = HpccState::new(100.0, BASE_RTT);
         assert!((s.window_bytes - 100_000.0).abs() < 1.0);
         assert!((s.rate_gbps() - 100.0).abs() < 0.1);
     }
 
     #[test]
     fn congested_link_shrinks_window() {
-        let p = params();
-        let mut s = HpccState::new(100.0, BASE_RTT, &p);
+        let mut s = HpccState::new(100.0, BASE_RTT);
         // First sample primes last_int with an already-deep queue.
-        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 100_000, 0)]), 1, 10, &p);
+        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 100_000, 0)]), 1, 10);
         // Second sample: the link transmitted a full BDP during one RTT and
         // still holds a deep queue → utilization well above η.
-        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 200_000, 8_000_000)]), 2, 12, &p);
+        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 200_000, 8_000_000)]), 2, 12);
         assert!(
             s.window_bytes < 50_000.0,
             "window should shrink sharply, got {}",
@@ -172,11 +174,10 @@ mod tests {
 
     #[test]
     fn idle_link_lets_window_grow_back_to_cap() {
-        let p = params();
-        let mut s = HpccState::new(100.0, BASE_RTT, &p);
+        let mut s = HpccState::new(100.0, BASE_RTT);
         // Prime, then congest to shrink the window.
-        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 100_000, 0)]), 1, 10, &p);
-        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 200_000, 8_000_000)]), 2, 12, &p);
+        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 100_000, 0)]), 1, 10);
+        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 200_000, 8_000_000)]), 2, 12);
         let small = s.window_bytes;
         // Now a long series of samples from an almost idle link.
         let mut ts = 16_000_000u64;
@@ -184,7 +185,7 @@ mod tests {
         for ack in 3..200u64 {
             ts += 8_000_000;
             tx += 10_000; // 10 KB per RTT ≈ 10% utilization
-            s.on_ack(&mut IntPath::from_slice(&[hop(0, tx, ts)]), ack, ack + 10, &p);
+            s.on_ack(&mut IntPath::from_slice(&[hop(0, tx, ts)]), ack, ack + 10);
         }
         assert!(s.window_bytes > small);
         assert!(s.window_bytes <= 100_000.0 + 1.0, "never exceeds one BDP");
@@ -192,43 +193,40 @@ mod tests {
 
     #[test]
     fn utilization_needs_two_samples_of_same_path_length() {
-        let p = params();
-        let mut s = HpccState::new(100.0, BASE_RTT, &p);
+        let mut s = HpccState::new(100.0, BASE_RTT);
         let w0 = s.window_bytes;
-        s.on_ack(&mut IntPath::from_slice(&[hop(0, 0, 0), hop(0, 0, 0)]), 1, 5, &p);
+        s.on_ack(&mut IntPath::from_slice(&[hop(0, 0, 0), hop(0, 0, 0)]), 1, 5);
         assert_eq!(s.window_bytes, w0, "first sample must not move the window");
         // A path-length change (reroute) re-primes instead of computing
         // nonsense utilization.
-        s.on_ack(&mut IntPath::from_slice(&[hop(0, 0, 8_000_000)]), 2, 6, &p);
+        s.on_ack(&mut IntPath::from_slice(&[hop(0, 0, 8_000_000)]), 2, 6);
         assert_eq!(s.window_bytes, w0);
     }
 
     #[test]
     fn window_never_collapses_below_floor() {
-        let p = params();
-        let mut s = HpccState::new(100.0, BASE_RTT, &p);
-        s.on_ack(&mut IntPath::from_slice(&[hop(0, 0, 0)]), 1, 10, &p);
+        let mut s = HpccState::new(100.0, BASE_RTT);
+        s.on_ack(&mut IntPath::from_slice(&[hop(0, 0, 0)]), 1, 10);
         let mut ts = 8_000_000u64;
         let mut tx = 0u64;
         for ack in 2..100 {
             ts += 8_000_000;
             tx += 100_000;
-            s.on_ack(&mut IntPath::from_slice(&[hop(4_000_000, tx, ts)]), ack, ack + 10, &p);
+            s.on_ack(&mut IntPath::from_slice(&[hop(4_000_000, tx, ts)]), ack, ack + 10);
         }
         assert!(s.window_bytes >= 1_500.0);
     }
 
     #[test]
     fn inc_stage_counts_additive_steps() {
-        let p = params();
-        let mut s = HpccState::new(100.0, BASE_RTT, &p);
-        s.on_ack(&mut IntPath::from_slice(&[hop(0, 0, 0)]), 1, 2, &p);
+        let mut s = HpccState::new(100.0, BASE_RTT);
+        s.on_ack(&mut IntPath::from_slice(&[hop(0, 0, 0)]), 1, 2);
         let mut ts = 8_000_000u64;
         for ack in 2..6u64 {
             ts += 8_000_000;
-            s.on_ack(&mut IntPath::from_slice(&[hop(0, 1_000 * ack, ts)]), ack, ack + 1, &p);
+            s.on_ack(&mut IntPath::from_slice(&[hop(0, 1_000 * ack, ts)]), ack, ack + 1);
         }
         assert!(s.inc_stage() >= 1);
-        assert!(s.inc_stage() <= p.max_stage);
+        assert!(s.inc_stage() <= MAX_STAGE);
     }
 }

@@ -24,6 +24,6 @@ pub mod flow;
 pub mod host;
 pub mod hpcc;
 
-pub use config::{CcKind, DcqcnParams, HostConfig, HpccParams};
+pub use config::{CcKind, HostConfig};
 pub use flow::{FlowSpec, ReceiverFlow, SenderFlow};
 pub use host::Host;

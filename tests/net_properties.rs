@@ -9,7 +9,7 @@
 use std::collections::VecDeque;
 
 use backpressure_flow_control::net::buffer::SharedBuffer;
-use backpressure_flow_control::net::config::PfcConfig;
+use backpressure_flow_control::net::buffer::{pfc_pause_threshold, PFC_RESUME_FRACTION};
 use backpressure_flow_control::net::packet::{Packet, PauseFrame};
 use backpressure_flow_control::net::policy::QueueTarget;
 use backpressure_flow_control::net::types::{FlowId, NodeId};
@@ -327,7 +327,6 @@ property! {
     /// exactly when a paused ingress falls below the resume fraction of it,
     /// and nothing otherwise.
     fn pfc_pause_thresholds_are_honored(ops in op_gen()) {
-        let pfc = PfcConfig::default();
         let capacity = 48_000u64;
         let mut buffer = SharedBuffer::new(capacity, NUM_PORTS);
         let mut held: Vec<Vec<u64>> = vec![Vec::new(); NUM_PORTS];
@@ -344,10 +343,10 @@ property! {
             }
 
             // Evaluate the documented transition rule for the touched port.
-            let threshold = pfc.pause_threshold(buffer.free());
+            let threshold = pfc_pause_threshold(buffer.free());
             let occupancy = buffer.ingress_occupancy(ingress);
             let was_paused = buffer.upstream_paused(ingress);
-            let transition = buffer.pfc_transition(ingress, &pfc);
+            let transition = buffer.pfc_transition(ingress, true);
             match transition {
                 Some(true) => {
                     assert!(!was_paused, "pause only fires from the unpaused state");
@@ -360,7 +359,7 @@ property! {
                 Some(false) => {
                     assert!(was_paused, "resume only fires from the paused state");
                     assert!(
-                        (occupancy as f64) < pfc.resume_fraction * threshold as f64,
+                        (occupancy as f64) < PFC_RESUME_FRACTION * threshold as f64,
                         "resume requires occupancy below the resume fraction"
                     );
                     assert!(!buffer.upstream_paused(ingress));
@@ -375,7 +374,7 @@ property! {
                         assert!(occupancy <= threshold, "unpaused above threshold must pause");
                     } else {
                         assert!(
-                            (occupancy as f64) >= pfc.resume_fraction * threshold as f64,
+                            (occupancy as f64) >= PFC_RESUME_FRACTION * threshold as f64,
                             "paused below the resume point must resume"
                         );
                     }
@@ -386,12 +385,11 @@ property! {
 
     /// A disabled PFC never produces transitions no matter the load.
     fn disabled_pfc_never_transitions(ops in op_gen()) {
-        let pfc = PfcConfig::disabled();
         let mut buffer = SharedBuffer::new(16_000, NUM_PORTS);
         for &(ingress, bytes, _) in &ops {
             let ingress = ingress as u32;
             buffer.admit(bytes as u32, ingress);
-            assert_eq!(buffer.pfc_transition(ingress, &pfc), None);
+            assert_eq!(buffer.pfc_transition(ingress, false), None);
             assert!(!buffer.upstream_paused(ingress));
         }
     }

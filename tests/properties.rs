@@ -6,8 +6,9 @@
 
 use std::collections::VecDeque;
 
+use backpressure_flow_control::core::config::pause_threshold_bytes;
 use backpressure_flow_control::core::policy::{pick_queue, BfcCounters};
-use backpressure_flow_control::core::{BfcConfig, CountingBloom, FlowEntry, FlowKey};
+use backpressure_flow_control::core::{CountingBloom, FlowEntry, FlowKey};
 use backpressure_flow_control::experiments::{run_experiment, ExperimentConfig, Scheme};
 use backpressure_flow_control::metrics::{
     percentile, GoodputSeries, Hist, OccupancySeries, RecoveryTracker, SafetyTracker,
@@ -17,7 +18,7 @@ use backpressure_flow_control::net::switch::SwitchCounters;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::{
-    FlightTrace, IntHop, IntPath, LinkAction, LinkStateMap, NetEvent, Packet, PfcConfig, PhysQueue,
+    FlightTrace, IntHop, IntPath, LinkAction, LinkStateMap, NetEvent, Packet, PhysQueue,
     PolicyStats, SharedBuffer, TraceEvent, TraceRecord, Transmitter, TransportTimer, MAX_INT_HOPS,
 };
 use backpressure_flow_control::sim::snapshot::{SnapError, SnapReader, SnapWriter};
@@ -26,9 +27,7 @@ use backpressure_flow_control::transport::dcqcn::DcqcnState;
 use backpressure_flow_control::transport::flow::CcState;
 use backpressure_flow_control::transport::host::HostCounters;
 use backpressure_flow_control::transport::hpcc::HpccState;
-use backpressure_flow_control::transport::{
-    DcqcnParams, FlowSpec, HpccParams, ReceiverFlow, SenderFlow,
-};
+use backpressure_flow_control::transport::{FlowSpec, ReceiverFlow, SenderFlow};
 use backpressure_flow_control::workloads::{TraceFlow, Workload};
 use bfc_testkit::{
     assert_codec_laws, assert_snap_round_trip, f64_range, hash_set_of, int_range, one_of, pair,
@@ -189,10 +188,9 @@ property! {
         n2 in int_range(1usize..64),
         gbps in f64_range(1.0..400.0),
     ) {
-        let cfg = BfcConfig::default();
         let (lo, hi) = if n1 <= n2 { (n1, n2) } else { (n2, n1) };
-        assert!(cfg.pause_threshold_bytes(gbps, hi) <= cfg.pause_threshold_bytes(gbps, lo));
-        assert!(cfg.pause_threshold_bytes(gbps / 2.0, lo) <= cfg.pause_threshold_bytes(gbps, lo));
+        assert!(pause_threshold_bytes(gbps, hi) <= pause_threshold_bytes(gbps, lo));
+        assert!(pause_threshold_bytes(gbps / 2.0, lo) <= pause_threshold_bytes(gbps, lo));
     }
 
     /// Percentiles are monotone in `p` and bounded by the extremes.
@@ -427,28 +425,21 @@ fn arb_spec(rng: &mut SimRng) -> FlowSpec {
 }
 
 fn arb_dcqcn(rng: &mut SimRng) -> DcqcnState {
-    let params = DcqcnParams::default();
     let mut state = DcqcnState::new(25.0 + rng.next_f64() * 375.0);
     for _ in 0..rng.next_below(12) {
         match rng.next_below(3) {
-            0 => state.on_cnp(&params),
-            1 => state.on_alpha_timer(&params),
-            _ => state.on_rate_increase_timer(&params),
+            0 => state.on_cnp(),
+            1 => state.on_alpha_timer(),
+            _ => state.on_rate_increase_timer(),
         }
     }
     state
 }
 
 fn arb_hpcc(rng: &mut SimRng) -> HpccState {
-    let params = HpccParams::default();
-    let mut state = HpccState::new(100.0, 8e-6, &params);
+    let mut state = HpccState::new(100.0, 8e-6);
     for seq in 0..rng.next_below(6) {
-        state.on_ack(
-            &mut arb_int_path(rng),
-            seq,
-            seq + rng.next_below(50),
-            &params,
-        );
+        state.on_ack(&mut arb_int_path(rng), seq, seq + rng.next_below(50));
     }
     state
 }
@@ -652,7 +643,6 @@ property! {
         });
 
         let ports = 1 + rng.next_index(6);
-        let pfc = PfcConfig::default();
         let mut buffer = SharedBuffer::new(200_000, ports);
         for _ in 0..rng.next_below(60) {
             let ingress = rng.next_index(ports) as u32;
@@ -662,7 +652,7 @@ property! {
                 let held = buffer.ingress_occupancy(ingress).min(9_000) as u32;
                 buffer.release(held, ingress);
             }
-            buffer.pfc_transition(ingress, &pfc);
+            buffer.pfc_transition(ingress, true);
         }
         assert_overlay_laws(
             &buffer,

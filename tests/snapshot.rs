@@ -18,6 +18,7 @@
 //!    uncontended inflight cap reproduces the batch run bit-identically,
 //!    and a tight cap still completes every admitted flow.
 
+use backpressure_flow_control::core::BfcConfig;
 use backpressure_flow_control::experiments::service::{
     resume_experiment, serve_experiment, snapshot_experiment, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
@@ -204,13 +205,13 @@ fn damaged_snapshots_are_rejected() {
         Err(SnapError::BadChecksum)
     ));
 
-    // Another format version — a future one, version 8 with three counters
-    // nobody read, version 7 with a goodput series in each of two trackers,
-    // version 6 with a `busy` flag where a transmitter's serialization end
-    // now is, or version 5 with its bytewise checksum — is refused by
-    // number, not misdecoded.
-    assert_eq!(snap[8..12], 9u32.to_le_bytes(), "this build writes version 9");
-    for version in [99u32, 8, 7, 6, 5] {
+    // Another format version — a future one, version 9 with a per-sim FCT
+    // histogram, version 8 with three counters nobody read, version 7 with a
+    // goodput series in each of two trackers, version 6 with a `busy` flag
+    // where a transmitter's serialization end now is, or version 5 with its
+    // bytewise checksum — is refused by number, not misdecoded.
+    assert_eq!(snap[8..12], 10u32.to_le_bytes(), "this build writes version 10");
+    for version in [99u32, 9, 8, 7, 6, 5] {
         let mut versioned = snap.clone();
         versioned[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
@@ -238,13 +239,33 @@ fn damaged_snapshots_are_rejected() {
         );
     }
 
-    // An intact snapshot resumed against different inputs (here: another
-    // seed, hence another trace/config fingerprint) is rejected loudly.
-    let other = ExperimentConfig::new(Scheme::bfc(), WINDOW).with_seed(99);
-    assert!(matches!(
-        resume_experiment(&topo, &trace, &other, &snap),
-        Err(SnapError::Corrupt(_))
-    ));
+    // An intact snapshot resumed against different inputs — another seed,
+    // another scheme, or any one of BFC's settings flipped — is rejected
+    // loudly: each is a different input fingerprint.
+    let bfc = BfcConfig::default();
+    let others = [
+        ExperimentConfig::new(Scheme::bfc(), WINDOW).with_seed(99),
+        ExperimentConfig::new(Scheme::Hpcc, WINDOW),
+        ExperimentConfig::new(Scheme::Bfc(bfc.with_num_vfids(1_024)), WINDOW),
+        ExperimentConfig::new(Scheme::Bfc(bfc.with_bloom_bytes(64)), WINDOW),
+        ExperimentConfig::new(Scheme::Bfc(BfcConfig::vfid_straw()), WINDOW),
+        ExperimentConfig::new(
+            Scheme::Bfc(BfcConfig::without_high_priority_queue()),
+            WINDOW,
+        ),
+        ExperimentConfig::new(Scheme::Bfc(BfcConfig::without_resume_limit()), WINDOW),
+    ];
+    for other in &others {
+        assert!(
+            matches!(
+                resume_experiment(&topo, &trace, other, &snap),
+                Err(SnapError::Corrupt(_))
+            ),
+            "resumed against {:?}, seed {}",
+            other.scheme,
+            other.seed
+        );
+    }
 
     // And the undamaged snapshot still resumes fine afterwards.
     assert!(resume_experiment(&topo, &trace, &config, &snap).is_ok());
@@ -330,11 +351,9 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 ///
 /// The flight trace is as written by commit 0022cd3 (`TRACE_VERSION` 2), the
 /// last one whose codec was 68 hand-written `save`/`restore` functions. The
-/// snapshots are `SNAPSHOT_VERSION` 9, which drops three counters nothing
-/// read from version 8 — 8 bytes per queue (lifetime enqueued bytes) and 16
-/// per switch (the buffer's peak occupancy and dropped bytes): 4 544 bytes
-/// less on every row at this cut but Ideal-FQ's, with its 1 000 queues per
-/// port, 128 448 less.
+/// snapshots are `SNAPSHOT_VERSION` 10, which drops each sim's FCT slowdown
+/// histogram from version 9 (the result builds it from the completion
+/// instants): 68–196 bytes less per row, one sparse histogram per worker.
 ///
 /// The two-shard rows also depend on where the epoch windows fall, at any
 /// version: a pending event is saved with the sequence number its queue gave
@@ -348,18 +367,18 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 /// one run, 224 bytes differ, each by a few units, and the parent's file
 /// resumed there to the uninterrupted run's result.
 const PARENT_SNAPSHOTS: [(usize, u64); 12] = [
-    (91_738, 0x85ae_1348_fc99_3064), // BFC, 1 shard
-    (100_769, 0x5e49_4cf5_d680_d870), // BFC, 2 shards
-    (440_191, 0x4c9b_2e82_6d4c_aae3), // Ideal-FQ
-    (449_222, 0x62bf_2b80_cbea_2084),
-    (81_363, 0xc75f_4c05_2b20_7230), // DCQCN
-    (90_394, 0x555c_e67d_03e0_2b81),
-    (81_363, 0x591d_b36d_1368_69c8), // DCQCN+Win
-    (90_394, 0x548a_005a_3daf_1a79),
-    (77_520, 0xb2ae_3081_a118_c8f3), // HPCC
-    (86_551, 0x55ef_85b7_5048_b9fc),
-    (84_530, 0xc151_7498_3788_f2aa), // DCQCN+Win+SFQ
-    (93_561, 0x07e6_950c_82f5_3e81),
+    (91_670, 0x4a57_cd7d_9598_6951), // BFC, 1 shard
+    (100_645, 0x2b1b_5056_75d4_c594), // BFC, 2 shards
+    (440_111, 0x3878_b3af_67bb_f25a), // Ideal-FQ
+    (449_086, 0x9370_f200_7e21_1a86),
+    (81_223, 0x486b_cd98_ac0b_d509), // DCQCN
+    (90_198, 0x0a56_e5de_2885_411a),
+    (81_223, 0x8dbf_1c09_148c_8131), // DCQCN+Win
+    (90_198, 0xf9cf_9ec8_1982_0d92),
+    (77_380, 0xc6e3_105d_469d_884d), // HPCC
+    (86_355, 0xa2af_40e1_b1aa_ed6c),
+    (84_426, 0xa192_2531_927a_b84b), // DCQCN+Win+SFQ
+    (93_401, 0xa0b3_9558_d206_4d96),
 ];
 const PARENT_FLIGHT: (usize, u64) = (1_256_716, 0x3704_4530_a583_d1d0);
 
