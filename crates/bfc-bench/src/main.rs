@@ -48,6 +48,7 @@ const BENCHES: &[&str] = &[
     "bfc_policy_enqueue_dequeue_1k",
     "port_active_queue_count_32q",
     "port_drr_pick_32q_paused",
+    "port_drr_pick_32q_all_paused",
     "shared_buffer_pfc_transitions",
     "flight_merge_1m_one_part",
     "flight_merge_1m_two_parts",
@@ -435,6 +436,22 @@ fn bench_port_counters(h: &mut Harness) {
             port.enqueue(bfc_net::policy::QueueTarget::Phys(0), pkt, 0);
         }
         served
+    });
+    // The same port once the downstream pauses queue 0 as well: a pick finds
+    // nothing eligible and only zeroes the deficits and turns the rotation.
+    let mut frame = PauseFrame::new(128, 4);
+    (0..32u32).for_each(|q| frame.insert(q * 97));
+    port.set_pause_frame(Some(frame));
+    assert_eq!(port.active_queue_count(), 0, "all 32 queues are paused");
+    assert_eq!(
+        port.occupied_queue_count(),
+        32,
+        "all 32 queues are backlogged"
+    );
+    h.bench("port_drr_pick_32q_all_paused", || {
+        for _ in 0..1_000 {
+            assert!(port.dequeue_next().is_none(), "every queue is paused");
+        }
     });
     // The dynamic PFC threshold: admit/release churn with a transition
     // check per buffer movement, plus the fault path's all-ingress sweep at

@@ -89,8 +89,9 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
 /// Version 9 drops three counters nothing read: every queue's lifetime
 /// enqueued bytes and the shared buffer's peak occupancy and dropped bytes.
 /// Version 10 drops the per-sim FCT slowdown histogram, which the result
-/// now builds from the per-flow completion instants.
-pub const SNAPSHOT_VERSION: u32 = 10;
+/// now builds from the per-flow completion instants. Version 11 adds each
+/// switch egress's owed-sweep flag after its transmitter.
+pub const SNAPSHOT_VERSION: u32 = 11;
 
 /// Hashes every run input the snapshot does *not* serialize — topology
 /// shape, trace, configuration and shard count — so a resume against

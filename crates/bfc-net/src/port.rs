@@ -44,13 +44,26 @@
 //! serialization ends (`busy_until`) and whether a `TxComplete` event is
 //! already scheduled for that instant (`wake_pending`). The serialization
 //! end only becomes an *event* when something could be dequeued at it —
-//! [`Port::has_backlog`] when the transmission starts, or the first
+//! [`Port::has_eligible`] when the transmission starts, or the first
 //! `try_transmit` that finds the wire taken afterwards. A lone packet
 //! through an idle egress therefore costs one event (its arrival at the
 //! next hop), not two. Because a `TxComplete` ranks by its `(node, port)`
 //! cable and an egress has at most one pending, the late-scheduled event
 //! takes the `(time, rank)` slot an eagerly scheduled one would have held:
 //! every event that is popped, is popped in the same order either way.
+//!
+//! # A paused egress costs nothing
+//!
+//! A pick that finds nothing eligible — every backlogged queue paused by the
+//! frame — still rotates the queues and zeroes their deficits, and it does
+//! so in closed form (`sweep_paused`), not in 2n+1 visits. A serialization
+//! end that could only do that sweep is not an event either: `Port::arm_wake`
+//! records it as *owed* at `busy_until`, and the owner pays it with
+//! `Port::settle` at its first touch of the port strictly after that
+//! instant. Nothing touched the port in between, so the sweep sees the
+//! state the `TxComplete` would have seen; an arrival at exactly
+//! `busy_until` ranks before that `TxComplete` and sees the unswept queues,
+//! and one that makes something eligible schedules the real event instead.
 
 use std::collections::VecDeque;
 
@@ -191,6 +204,10 @@ pub struct Port {
     /// The wire: when the current serialization ends and whether that end
     /// is scheduled as an event.
     pub(crate) tx: Transmitter,
+    /// Whether the serialization ending at `tx.busy_until` found only
+    /// paused backlog and was left without an event: the all-paused sweep
+    /// its `TxComplete` would have made is owed (`Port::settle`).
+    sweep_owed: bool,
 
     /// Whether the attached cable is up. A down egress never transmits; its
     /// queues are flushed by the owning switch when the link dies.
@@ -224,6 +241,7 @@ impl Port {
             eligible_count: 0,
             data_bytes: 0,
             tx: Transmitter::default(),
+            sweep_owed: false,
             up: true,
             pfc_paused: false,
             pfc_pause_started: None,
@@ -389,8 +407,10 @@ impl Port {
     /// resumed everything goes back to the one-branch no-frame path.
     pub fn set_pause_frame(&mut self, frame: Option<PauseFrame>) {
         self.pause_frame = frame.filter(|f| !f.is_empty());
-        // A new frame can pause or release any physical queue.
-        for i in 0..self.num_queues() {
+        // A new frame can pause or release any backlogged queue; an empty
+        // one is ineligible under any frame.
+        for k in 0..self.rotation.len() {
+            let i = self.rotation[k];
             self.refresh_eligible(i);
         }
     }
@@ -473,6 +493,7 @@ impl Port {
     /// queue it came from. Does not consider the transmitter or PFC — the
     /// switch checks those before calling.
     pub fn dequeue_next(&mut self) -> Option<(QueuedPacket, QueueTarget)> {
+        debug_assert!(!self.sweep_owed, "a pick before the owed sweep was paid");
         if !self.control.is_empty() {
             return self.control.pop().map(|qp| (qp, QueueTarget::Control));
         }
@@ -487,12 +508,57 @@ impl Port {
 
     /// Whether [`Port::dequeue_next`] would have anything to look at: a
     /// control or high-priority packet, or a queue in the DRR rotation.
-    /// Deliberately *not* "something unpaused": a pick over paused queues
-    /// still rotates them and zeroes their deficits, so a serialization end
-    /// that finds only paused backlog is not a no-op and stays an event.
+    /// When that is all paused backlog ([`Port::has_eligible`] is false) a
+    /// pick sends nothing but still sweeps the rotation, so a serialization
+    /// end that finds it owes that sweep instead of being an event
+    /// (`Port::arm_wake`).
     #[inline]
     pub fn has_backlog(&self) -> bool {
         !self.control.is_empty() || !self.high_priority.is_empty() || !self.rotation.is_empty()
+    }
+
+    /// Whether the egress could transmit now, the wire and PFC permitting: a
+    /// control or high-priority packet, or an eligible queue in the DRR
+    /// rotation. When false, [`Port::dequeue_next`] returns `None` and its
+    /// only effect is the all-paused sweep.
+    #[inline]
+    pub fn has_eligible(&self) -> bool {
+        !self.control.is_empty() || !self.high_priority.is_empty() || self.eligible_count > 0
+    }
+
+    /// Asks for the end of the current serialization to do what a
+    /// `TxComplete` would. Returns the instant to schedule one at when that
+    /// takes an event — something is eligible and no wake is pending. When
+    /// the backlog is all paused, the pick the event would make is only a
+    /// sweep, so it is recorded as owed at `busy_until` instead, for
+    /// `Port::settle` to pay.
+    #[inline]
+    pub(crate) fn arm_wake(&mut self) -> Option<SimTime> {
+        if !self.has_backlog() {
+            return None;
+        }
+        if self.has_eligible() {
+            self.sweep_owed = false;
+            self.tx.arm_wake()
+        } else {
+            self.sweep_owed |= !self.tx.wake_pending();
+            None
+        }
+    }
+
+    /// Pays the sweep owed at the serialization end, once `now` is strictly
+    /// past it, and only if the egress is up and not PFC-paused — what the
+    /// `TxComplete` at that end would have found, as nothing touched the
+    /// port since. The owner calls this before anything at `now` reads or
+    /// changes the queue table.
+    #[inline]
+    pub(crate) fn settle(&mut self, now: SimTime) {
+        if self.sweep_owed && now > self.tx.busy_until() {
+            self.sweep_owed = false;
+            if self.up && !self.pfc_paused {
+                self.sweep_paused();
+            }
+        }
     }
 
     /// Moves the current (front) queue to the back of the rotation, closing
@@ -502,15 +568,39 @@ impl Port {
         self.drr_credited = false;
     }
 
+    /// The pick that finds nothing eligible, in closed form: its 2n+1
+    /// visits to n paused queues zero every deficit — pausing must not bank
+    /// credit to burst with on resume — and turn the rotation
+    /// (2n+1) mod n = 1 mod n places, which `rotate_left(1)` is for any n.
+    /// Out of line: `settle`, which calls it, is inlined into every forward.
+    #[inline(never)]
+    fn sweep_paused(&mut self) {
+        debug_assert!(!self.has_eligible(), "a sweep with something eligible");
+        if self.rotation.is_empty() {
+            return;
+        }
+        for &i in &self.rotation {
+            self.drr[i].deficit = 0;
+        }
+        self.drr_rotate();
+    }
+
     fn drr_pick(&mut self) -> Option<(QueuedPacket, QueueTarget)> {
+        if self.eligible_count == 0 {
+            self.sweep_paused();
+            return None;
+        }
         // Each queue in the rotation needs at most two visits per pass: one
         // to close out a previous partially-served visit (residual deficit
         // too small) and one freshly credited visit. Bounding by
         // 2·|rotation|+1 guarantees every backlogged, unpaused queue is
-        // offered a full quantum before we conclude nothing is schedulable
-        // (everything left is paused).
-        for _ in 0..2 * self.rotation.len() + 1 {
-            let &i = self.rotation.front()?;
+        // offered a full quantum before we conclude nothing is schedulable.
+        // The visited queue sits `at` places behind the front; the rotation
+        // turns past the closed visits once, when the pick ends.
+        let n = self.rotation.len();
+        let mut at = 0;
+        for visit in 0..2 * n + 1 {
+            let i = self.rotation[at];
             debug_assert_eq!(
                 self.drr[i].eligible,
                 self.is_eligible(i),
@@ -518,22 +608,20 @@ impl Port {
             );
             let q = &mut self.drr[i];
             if !q.eligible {
-                // In the rotation, so non-empty, so paused. A paused queue
-                // forfeits its residual deficit — pausing must not bank
-                // credit to burst with on resume.
+                // In the rotation, so non-empty, so paused: it forfeits its
+                // residual deficit.
                 q.deficit = 0;
-                self.drr_rotate();
+                at = if at + 1 == n { 0 } else { at + 1 };
                 continue;
             }
-            if !self.drr_credited {
+            if visit > 0 || !self.drr_credited {
                 q.deficit = q.deficit.saturating_add(self.quantum as u64);
-                self.drr_credited = true;
             }
             let head = q.fifo.head().expect("an eligible queue has a head");
             let (head_size, head_vfid) = (head.packet.size_bytes as u64, head.packet.vfid);
             if q.deficit < head_size {
                 // Deficit insufficient: move on, keeping the residual.
-                self.drr_rotate();
+                at = if at + 1 == n { 0 } else { at + 1 };
                 continue;
             }
             let qp = q.fifo.pop().expect("an eligible queue has a head");
@@ -544,6 +632,11 @@ impl Port {
             if q.fifo.head().map(|h| h.packet.vfid) != Some(head_vfid) {
                 self.refresh_eligible(i);
             }
+            // This visit's queue becomes the front, credited.
+            if at > 0 {
+                self.rotation.rotate_left(at);
+            }
+            self.drr_credited = true;
             let q = &mut self.drr[i];
             if q.fifo.is_empty() {
                 // Drained: it leaves the rotation and its residual deficit
@@ -557,6 +650,8 @@ impl Port {
             }
             return Some((qp, self.target_of(i)));
         }
+        // 2n+1 closed visits turn the rotation one place, as in the sweep.
+        self.drr_rotate();
         None
     }
 
@@ -597,9 +692,9 @@ impl Port {
         }
     }
 
-    /// Serializes the port's mutable state: transmitter, queues, DRR
-    /// rotation, pause state, link rate (mutable under dynamics) and
-    /// transmit counters.
+    /// Serializes the port's mutable state: transmitter and owed sweep,
+    /// queues, DRR rotation, pause state, link rate (mutable under dynamics)
+    /// and transmit counters.
     pub fn save_state(&self, w: &mut SnapWriter) {
         let Port {
             // Configuration, but for the rate.
@@ -612,6 +707,7 @@ impl Port {
             rotation,
             drr_credited,
             tx,
+            sweep_owed,
             up,
             pfc_paused,
             pfc_pause_started,
@@ -627,6 +723,7 @@ impl Port {
         } = self;
         link.rate_gbps.save(w);
         tx.save(w);
+        sweep_owed.save(w);
         up.save(w);
         pfc_paused.save(w);
         pfc_pause_started.save(w);
@@ -660,6 +757,7 @@ impl Port {
             return Err(SnapError::Corrupt("non-positive link rate"));
         }
         self.tx = r.get()?;
+        self.sweep_owed = r.get()?;
         self.up = r.get()?;
         self.pfc_paused = r.get()?;
         self.pfc_pause_started = r.get()?;

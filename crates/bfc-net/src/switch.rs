@@ -19,10 +19,12 @@
 //! matching how MAC control frames behave on real hardware.
 //!
 //! An egress schedules the end of a serialization as a `TxComplete` event
-//! only when there is something it could dequeue then (see
+//! only when there is something it could send then (see
 //! [`crate::port::Transmitter`]): a packet forwarded through an idle port
 //! costs the fabric one event — its arrival at the next hop — and a
-//! backlogged port two.
+//! backlogged port two. An end that finds only paused queues is owed
+//! instead of scheduled, and every handler that touches an egress first
+//! settles it (`Port::settle`).
 
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{Hist, SimRng, SimTime};
@@ -237,7 +239,9 @@ impl Switch {
         match &packet.kind {
             PacketKind::PfcPause { pause } => {
                 let pause = *pause;
-                self.ports[ingress as usize].set_pfc_paused(pause, now);
+                let port = &mut self.ports[ingress as usize];
+                port.settle(now);
+                port.set_pfc_paused(pause, now);
                 if !pause {
                     self.try_transmit(now, ingress, events);
                 }
@@ -245,7 +249,9 @@ impl Switch {
             PacketKind::FlowPause { frame } => {
                 // PauseFrame stores its bits inline, so installing the frame
                 // is a plain copy — no allocation on the control path.
-                self.ports[ingress as usize].set_pause_frame(Some(**frame));
+                let port = &mut self.ports[ingress as usize];
+                port.settle(now);
+                port.set_pause_frame(Some(**frame));
                 self.try_transmit(now, ingress, events);
             }
             _ => self.forward(now, ingress, packet, routes, events),
@@ -299,6 +305,7 @@ impl Switch {
         }
         self.maybe_send_pfc(now, ingress, events);
 
+        self.ports[egress as usize].settle(now);
         let target = if packet.control_priority {
             QueueTarget::Control
         } else {
@@ -467,6 +474,7 @@ impl Switch {
         events: &mut impl NetSink,
     ) -> u64 {
         let idx = port as usize;
+        self.ports[idx].settle(now);
         self.ports[idx].set_up(false, now);
         let flushed = self.ports[idx].flush_all();
         let mut blackholed = 0;
@@ -505,6 +513,7 @@ impl Switch {
 
     /// Brings the egress at `port` back up and restarts transmission.
     pub fn handle_link_up(&mut self, now: SimTime, port: u32, events: &mut impl NetSink) {
+        self.ports[port as usize].settle(now);
         self.ports[port as usize].set_up(true, now);
         self.try_transmit(now, port, events);
     }
@@ -516,9 +525,11 @@ impl Switch {
     }
 
     /// Schedules the `TxComplete` that ends the current serialization on
-    /// `port`, unless one is pending already.
+    /// `port` when something could be sent then and none is pending; paused
+    /// backlog alone leaves the port owing a sweep instead
+    /// (`Port::arm_wake`).
     fn arm_wake(&mut self, port: u32, events: &mut impl NetSink) {
-        if let Some(at) = self.ports[port as usize].tx.arm_wake() {
+        if let Some(at) = self.ports[port as usize].arm_wake() {
             events.send(
                 at,
                 NetEvent::TxComplete {
@@ -530,16 +541,13 @@ impl Switch {
     }
 
     /// Starts transmitting the next packet on `port` if the wire is free;
-    /// if it is taken and something is queued, makes sure the end of the
-    /// serialization comes back as an event. Every caller is a packet
-    /// arrival or a link-up, both ranked before a `TxComplete` of the same
-    /// instant, hence [`crate::port::Transmitter::busy`].
+    /// if it is taken, makes sure the end of the serialization does what it
+    /// must for what is queued. Every caller is a packet arrival or a
+    /// link-up, both ranked before a `TxComplete` of the same instant, hence
+    /// [`crate::port::Transmitter::busy`].
     fn try_transmit(&mut self, now: SimTime, port: u32, events: &mut impl NetSink) {
-        let p = &self.ports[port as usize];
-        if p.tx.busy(now) {
-            if p.has_backlog() {
-                self.arm_wake(port, events);
-            }
+        if self.ports[port as usize].tx.busy(now) {
+            self.arm_wake(port, events);
             return;
         }
         self.transmit_next(now, port, events);
@@ -611,11 +619,9 @@ impl Switch {
         let (peer, peer_port) = p.peer.expect("transmitting on a connected port");
         p.tx.start(now, now + serialization);
         // The end of this serialization is an event only if there is
-        // something it could dequeue; a packet that queues up later asks
-        // for it then (`try_transmit`).
-        if p.has_backlog() {
-            self.arm_wake(port, events);
-        }
+        // something it could send; a packet that queues up or a frame that
+        // resumes one later asks for it then (`try_transmit`).
+        self.arm_wake(port, events);
         events.send(
             arrival,
             NetEvent::PacketArrive {
@@ -879,11 +885,10 @@ mod tests {
         // Add another packet of the same flow: it must stay queued because
         // the head of its queue matches the pause filter.
         sw.handle_packet(SimTime::ZERO, 0, data_packet(7, 0, 1, 2), &routes, &mut events);
-        sw.handle_tx_complete(SimTime::from_nanos(80), 1, &mut events);
-        let arrivals: usize = std::iter::from_fn(|| events.pop())
-            .filter(|(_, e)| matches!(e, NetEvent::PacketArrive { packet, .. } if packet.is_data()))
-            .count();
-        assert_eq!(arrivals, 0, "the paused flow's packet must not be forwarded");
+        // Nothing could be sent at the end of the first packet's
+        // serialization, so that end is not even an event.
+        assert!(events.is_empty(), "the paused flow's packet must not be forwarded");
+        assert!(!sw.port(1).tx().wake_pending());
         assert_eq!(sw.port(1).queue_bytes(0), 1_000);
         assert!(sw.port(1).is_queue_paused(0));
     }

@@ -2,8 +2,10 @@
 //!
 //! A transmitter is an instant (`busy_until`), not a flag an event clears:
 //! a `TxComplete` is scheduled when a transmission starts with something
-//! queued behind it, or by the first arrival that finds the wire taken —
-//! never for a packet that leaves its egress empty. The engine that
+//! sendable queued behind it, or by the first arrival that finds the wire
+//! taken — never for a packet that leaves its egress empty, and never for
+//! one that leaves only paused queues behind (the sweep a pick over them
+//! makes is owed, and paid at the egress's next touch). The engine that
 //! scheduled every `TxComplete` is gone, so what it computed is the
 //! reference here:
 //!
@@ -22,7 +24,7 @@ use backpressure_flow_control::experiments::{
 };
 use backpressure_flow_control::net::event::NetEvent;
 use backpressure_flow_control::net::packet::{Packet, PauseFrame};
-use backpressure_flow_control::net::policy::FifoPolicy;
+use backpressure_flow_control::net::policy::{FifoPolicy, SfqPolicy, SwitchPolicy};
 use backpressure_flow_control::net::routing::RoutingTables;
 use backpressure_flow_control::net::switch::Switch;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
@@ -111,6 +113,11 @@ const HOST_PORT_3: u32 = 3;
 
 impl Fabric {
     fn tiny() -> Fabric {
+        Fabric::tiny_with(|| Box::new(FifoPolicy::new()))
+    }
+
+    /// The tiny fat tree with a `policy()` at every switch.
+    fn tiny_with(policy: fn() -> Box<dyn SwitchPolicy>) -> Fabric {
         let topo = fat_tree(FatTreeParams::tiny());
         let routes = RoutingTables::compute(&topo);
         let mut switches: Vec<Option<Switch>> = (0..topo.num_nodes()).map(|_| None).collect();
@@ -119,7 +126,7 @@ impl Fabric {
                 id,
                 SwitchConfig::default(),
                 topo.ports(id),
-                Box::new(FifoPolicy::new()),
+                policy(),
                 1,
             ));
         }
@@ -170,7 +177,7 @@ impl Fabric {
                     .as_mut()
                     .expect("only switches transmit here")
                     .handle_tx_complete(now, port, &mut self.queue),
-                other => panic!("FIFO switches schedule nothing else, got {other:?}"),
+                other => panic!("FIFO and SFQ switches schedule nothing else, got {other:?}"),
             }
         }
     }
@@ -295,6 +302,90 @@ fn a_resume_frame_mid_serialization_waits_for_the_serialization_end() {
     f.inject_on(ns(120), tor, HOST_PORT_3, pause(PauseFrame::new(128, 4)));
     f.run();
     assert_eq!(f.arrivals(), vec![(1_080_000, 1), (1_200_000, 7)]);
+}
+
+/// The tiny fabric on stochastic fair queueing. Flow 1 is on the wire to
+/// host 3 over 0–80 ns; host 3 pauses VFIDs 7 and 8 at 5 ns; flows 7 and 8
+/// then queue behind flow 1, paused, in two queues, in that rotation order.
+/// Flow 9 hashes to a third queue. Returns the fabric and host 3's resume.
+fn two_paused_queues() -> (Fabric, Packet) {
+    let queue = |flow| SfqPolicy::queue_for(flow, SwitchConfig::default().queues_per_port);
+    let [q7, q8, q9] = [7, 8, 9].map(queue);
+    assert!(
+        q7 != q8 && q8 != q9 && q9 != q7,
+        "flows 7, 8, 9 share a queue"
+    );
+    let mut f = Fabric::tiny_with(|| Box::new(SfqPolicy::new()));
+    let tor = f.topo.switches()[0];
+    let mut paused = PauseFrame::new(128, 4);
+    paused.insert(7);
+    paused.insert(8);
+    f.inject(ns(0), data(1, 0, 3));
+    f.inject_on(
+        ns(5),
+        tor,
+        HOST_PORT_3,
+        Packet::flow_pause(NodeId(3), tor, paused),
+    );
+    f.inject(ns(10), data(7, 1, 3));
+    f.inject(ns(20), data(8, 2, 3));
+    let resume = Packet::flow_pause(NodeId(3), tor, PauseFrame::new(128, 4));
+    (f, resume)
+}
+
+#[test]
+fn a_serialization_end_that_finds_only_paused_queues_is_owed_not_scheduled() {
+    let (mut f, resume) = two_paused_queues();
+    f.run_until(ns(119));
+    // The four injected arrivals and nothing else: the end of flow 1's
+    // serialization at 80 ns could only have swept the two paused queues.
+    assert_eq!(f.queue.total_delivered(), 4);
+    let tx = *f.tor0().0.port(HOST_PORT_3).tx();
+    assert_eq!(tx.busy_until(), ns(80));
+    assert!(!tx.wake_pending());
+
+    // Host 3 resumes both at 120 ns. The sweep owed since 80 ns is paid
+    // first: 2·2 + 1 visits over two queues turned the rotation one place,
+    // so flow 8 leaves before flow 7, as when that end was an event.
+    let tor = f.topo.switches()[0];
+    f.inject_on(ns(120), tor, HOST_PORT_3, resume);
+    f.run();
+    assert_eq!(
+        f.arrivals(),
+        vec![(1_080_000, 1), (1_200_000, 8), (1_280_000, 7)]
+    );
+    // Five injected arrivals, three at host 3, and one `TxComplete`: the
+    // end of flow 8's serialization, with flow 7 queued behind it.
+    assert_eq!(f.queue.total_scheduled(), 5 + 3 + 1);
+}
+
+#[test]
+fn an_unpaused_arrival_at_the_owed_serialization_end_makes_it_an_event() {
+    let (mut f, resume) = two_paused_queues();
+    let tor = f.topo.switches()[0];
+    // Flow 9 arrives at exactly 80 ns. It ranks before the serialization
+    // end of its instant, so it sees the unswept rotation, and it can be
+    // sent: the end at 80 ns is scheduled after all.
+    f.inject(ns(80), data(9, 0, 3));
+    f.inject_on(ns(200), tor, HOST_PORT_3, resume);
+    f.run_until(ns(80));
+    // The five injected arrivals up to 80 ns and the `TxComplete` at 80 ns,
+    // which put flow 9 on the wire until 160 ns.
+    assert_eq!(f.queue.total_delivered(), 5 + 1);
+    assert_eq!(f.tor0().0.port(HOST_PORT_3).tx().busy_until(), ns(160));
+    f.run();
+    // That pick stepped past flows 7 and 8 to flow 9, which drained and
+    // left them in their order; the end at 160 ns owes their sweep, paid
+    // at the resume, so flow 8 again leaves first.
+    assert_eq!(
+        f.arrivals(),
+        vec![
+            (1_080_000, 1),
+            (1_160_000, 9),
+            (1_280_000, 8),
+            (1_360_000, 7)
+        ]
+    );
 }
 
 #[test]

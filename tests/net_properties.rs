@@ -174,11 +174,14 @@ property! {
     /// `Port`'s O(1) pause checks (a per-queue flag refreshed on head changes
     /// and frame installs) schedule exactly like a scheduler that re-hashes
     /// every head against the frame on every look — across enqueues to every
-    /// queue class, dequeues, pause-frame installs (none, all-zero, random
-    /// subsets), link-down flushes and snapshot/restore round trips — and
-    /// its O(1) readers (`active_queue_count`, `occupied_queue_count`,
-    /// `data_queued_bytes`, `has_backlog`) agree with the model after every
-    /// step.
+    /// queue class, dequeues, pause-frame installs (none, all-zero, every
+    /// VFID, random subsets), link-down flushes and snapshot/restore round
+    /// trips — and its O(1) readers (`active_queue_count`,
+    /// `occupied_queue_count`, `data_queued_bytes`, `has_backlog`,
+    /// `has_eligible`) agree with the model after every step. The model
+    /// keeps the literal 2n+1-visit loop, so the port's closed-form
+    /// all-paused pick, and the rotation and deficits it leaves behind, are
+    /// checked by every later dequeue.
     fn port_dequeue_order_matches_rehashing_scheduler(ops in vec_of(
         triple(int_range(0u64..12), int_range(0u64..64), int_range(0u64..1_000)),
         1..300,
@@ -218,9 +221,17 @@ property! {
                     dequeue_both(&mut port, &mut model);
                 }
                 9 | 10 => {
-                    let frame = match a % 4 {
+                    let frame = match a % 5 {
                         0 => None,
                         1 => Some(PauseFrame::new(128, 4)),
+                        // Every VFID: the picks that follow find nothing
+                        // eligible unless the overflow queue, control or
+                        // high priority holds a packet.
+                        2 => {
+                            let mut f = PauseFrame::new(16, 4);
+                            VFIDS.iter().for_each(|&vfid| f.insert(vfid));
+                            Some(f)
+                        }
                         _ => {
                             let mut f = PauseFrame::new(16, 4);
                             for (bit, &vfid) in VFIDS.iter().enumerate() {
@@ -263,9 +274,12 @@ property! {
                 port.data_queued_bytes(),
                 data_plane.flatten().map(|&(_, _, size)| u64::from(size)).sum::<u64>(),
             );
+            let priority = !model.control.is_empty() || !model.high_priority.is_empty();
+            assert_eq!(port.has_backlog(), priority || !model.active.is_empty());
             assert_eq!(
-                port.has_backlog(),
-                !model.control.is_empty() || !model.high_priority.is_empty() || !model.active.is_empty(),
+                port.has_eligible(),
+                priority || model.active.iter().any(|&i| !model.paused(i)),
+                "could-transmit-now disagrees with the model",
             );
         }
         // Drain whatever the final frame lets through.

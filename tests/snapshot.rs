@@ -205,13 +205,18 @@ fn damaged_snapshots_are_rejected() {
         Err(SnapError::BadChecksum)
     ));
 
-    // Another format version — a future one, version 9 with a per-sim FCT
-    // histogram, version 8 with three counters nobody read, version 7 with a
-    // goodput series in each of two trackers, version 6 with a `busy` flag
-    // where a transmitter's serialization end now is, or version 5 with its
-    // bytewise checksum — is refused by number, not misdecoded.
-    assert_eq!(snap[8..12], 10u32.to_le_bytes(), "this build writes version 10");
-    for version in [99u32, 9, 8, 7, 6, 5] {
+    // Another format version — a future one, version 10 without the
+    // egresses' owed-sweep flags, version 9 with a per-sim FCT histogram,
+    // version 8 with three counters nobody read, version 7 with a goodput
+    // series in each of two trackers, version 6 with a `busy` flag where a
+    // transmitter's serialization end now is, or version 5 with its bytewise
+    // checksum — is refused by number, not misdecoded.
+    assert_eq!(
+        snap[8..12],
+        11u32.to_le_bytes(),
+        "this build writes version 11"
+    );
+    for version in [99u32, 10, 9, 8, 7, 6, 5] {
         let mut versioned = snap.clone();
         versioned[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
@@ -351,9 +356,9 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 ///
 /// The flight trace is as written by commit 0022cd3 (`TRACE_VERSION` 2), the
 /// last one whose codec was 68 hand-written `save`/`restore` functions. The
-/// snapshots are `SNAPSHOT_VERSION` 10, which drops each sim's FCT slowdown
-/// histogram from version 9 (the result builds it from the completion
-/// instants): 68–196 bytes less per row, one sparse histogram per worker.
+/// snapshots are `SNAPSHOT_VERSION` 11, which adds to version 10 one
+/// owed-sweep flag per switch egress: 16 bytes more per row on the tiny
+/// fabric's 16 switch ports.
 ///
 /// The two-shard rows also depend on where the epoch windows fall, at any
 /// version: a pending event is saved with the sequence number its queue gave
@@ -367,18 +372,18 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 /// one run, 224 bytes differ, each by a few units, and the parent's file
 /// resumed there to the uninterrupted run's result.
 const PARENT_SNAPSHOTS: [(usize, u64); 12] = [
-    (91_670, 0x4a57_cd7d_9598_6951), // BFC, 1 shard
-    (100_645, 0x2b1b_5056_75d4_c594), // BFC, 2 shards
-    (440_111, 0x3878_b3af_67bb_f25a), // Ideal-FQ
-    (449_086, 0x9370_f200_7e21_1a86),
-    (81_223, 0x486b_cd98_ac0b_d509), // DCQCN
-    (90_198, 0x0a56_e5de_2885_411a),
-    (81_223, 0x8dbf_1c09_148c_8131), // DCQCN+Win
-    (90_198, 0xf9cf_9ec8_1982_0d92),
-    (77_380, 0xc6e3_105d_469d_884d), // HPCC
-    (86_355, 0xa2af_40e1_b1aa_ed6c),
-    (84_426, 0xa192_2531_927a_b84b), // DCQCN+Win+SFQ
-    (93_401, 0xa0b3_9558_d206_4d96),
+    (91_686, 0xb505_b5e5_39f2_c90b), // BFC, 1 shard
+    (100_661, 0x41e6_0b2d_2e28_19d4), // BFC, 2 shards
+    (440_127, 0x5d5b_048c_391c_f28a), // Ideal-FQ
+    (449_102, 0xc2b5_7c11_9351_109e),
+    (81_239, 0x9fbc_277d_c173_920e), // DCQCN
+    (90_214, 0x3f00_09b4_7a66_1ae8),
+    (81_239, 0xa848_bdd9_3f25_ac26), // DCQCN+Win
+    (90_214, 0xbf54_c89b_b078_37d0),
+    (77_396, 0x19a0_46c8_c7da_4eb0), // HPCC
+    (86_371, 0x7631_378d_d7c3_fc8a),
+    (84_442, 0x74a4_4d2f_62bd_2f4c), // DCQCN+Win+SFQ
+    (93_417, 0x5e3f_7b1c_a44c_d936),
 ];
 const PARENT_FLIGHT: (usize, u64) = (1_256_716, 0x3704_4530_a583_d1d0);
 
