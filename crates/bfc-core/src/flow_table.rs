@@ -169,7 +169,6 @@ pub struct FlowTable {
     cache_residents: usize,
     cache_capacity: usize,
     tracked: usize,
-    peak_tracked: usize,
     /// Observability counters over [`FlowTable::lookup_or_insert`] probes
     /// (the hot path; `find` and snapshot restore do not count). Never read
     /// back by the table itself — they feed the metrics registry.
@@ -191,7 +190,6 @@ impl FlowTable {
             cache_residents: 0,
             cache_capacity,
             tracked: 0,
-            peak_tracked: 0,
             lookups: 0,
             probe_steps: 0,
             max_probe: 0,
@@ -206,11 +204,6 @@ impl FlowTable {
     /// True if no flows are tracked.
     pub fn is_empty(&self) -> bool {
         self.tracked == 0
-    }
-
-    /// Highest number of simultaneously tracked flows observed.
-    pub fn peak_len(&self) -> usize {
-        self.peak_tracked
     }
 
     /// Probing counters over [`FlowTable::lookup_or_insert`]:
@@ -296,7 +289,6 @@ impl FlowTable {
             self.bucket_residents[key.vfid as usize] += 1;
         }
         self.tracked += 1;
-        self.peak_tracked = self.peak_tracked.max(self.tracked);
         LookupOutcome::Inserted(self.slot_handle(i))
     }
 
@@ -398,14 +390,6 @@ impl FlowTable {
             .map(|s| &s.entry)
     }
 
-    /// Memory footprint estimate in bytes of the *hardware* table being
-    /// modelled, assuming the paper's 16-byte per-entry encoding (used to
-    /// check the "2% of buffer" claim of §3.8). A property of the modelled
-    /// geometry, not of the open-addressed store's allocation.
-    pub fn hardware_size_bytes(&self) -> usize {
-        self.bucket_residents.len() * self.bucket_size * 16 + self.cache_capacity * 16
-    }
-
     /// The largest store this table's quotas can have grown: growth doubles
     /// from [`MIN_SLOTS`] whenever an insert would push the load above 3/4,
     /// so it stops at the first power of two that holds every entry the
@@ -440,7 +424,6 @@ impl FlowTable {
             bucket_residents,
             cache_residents: _,
             tracked,
-            peak_tracked,
             lookups,
             probe_steps,
             max_probe,
@@ -462,7 +445,6 @@ impl FlowTable {
                 slot.entry.save(w);
             }
         }
-        peak_tracked.save(w);
         lookups.save(w);
         probe_steps.save(w);
         max_probe.save(w);
@@ -471,11 +453,11 @@ impl FlowTable {
     /// Overlays state captured by [`FlowTable::save_state`] onto this table,
     /// which was built with the same geometry: checks the VFID count, that
     /// the store size is one this table could have grown to and holds the
-    /// entries at load ≤ 3/4, every entry against its bucket's or the
-    /// cache's quota, and that the peak is not below the current count; the
-    /// probe layout and the residency counters are rebuilt by re-insertion.
-    /// The previous contents are discarded by bumping the generation — no
-    /// slot is touched until re-insertion overwrites it.
+    /// entries at load ≤ 3/4, and every entry against its bucket's or the
+    /// cache's quota; the probe layout and the residency counters are
+    /// rebuilt by re-insertion. The previous contents are discarded by
+    /// bumping the generation — no slot is touched until re-insertion
+    /// overwrites it.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         if r.get_u32()? as usize != self.bucket_residents.len() {
             return Err(SnapError::Corrupt("flow-table vfid count mismatch"));
@@ -521,10 +503,6 @@ impl FlowTable {
             self.place(cached, entry);
             self.tracked += 1;
         }
-        self.peak_tracked = r.get()?;
-        if self.peak_tracked < self.tracked {
-            return Err(SnapError::Corrupt("flow-table peak below current"));
-        }
         self.lookups = r.get()?;
         self.probe_steps = r.get()?;
         self.max_probe = r.get()?;
@@ -561,7 +539,6 @@ mod tests {
         t.remove(k);
         assert!(t.is_empty());
         assert!(t.find(k).is_none());
-        assert_eq!(t.peak_len(), 1);
     }
 
     #[test]
@@ -617,29 +594,12 @@ mod tests {
     }
 
     #[test]
-    fn iter_and_hardware_size() {
+    fn iter_yields_every_tracked_entry() {
         let mut t = FlowTable::new(16_384, 4, 100);
         for v in 0..10 {
             t.lookup_or_insert(key(v, 0, 1));
         }
         assert_eq!(t.iter().count(), 10);
-        // 16K buckets * 4 entries * 16 B ≈ 1 MB in this straightforward
-        // encoding; the paper's 256 KB packs entries tighter, but the table
-        // is still a tiny fraction of the 12 MB packet buffer.
-        assert!(t.hardware_size_bytes() >= 16_384 * 4 * 16);
-    }
-
-    #[test]
-    fn peak_tracks_maximum() {
-        let mut t = FlowTable::new(64, 4, 10);
-        for v in 0..20 {
-            t.lookup_or_insert(key(v, 0, 0));
-        }
-        for v in 0..20 {
-            t.remove(key(v, 0, 0));
-        }
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.peak_len(), 20);
     }
 
     #[test]
@@ -753,7 +713,6 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         u.restore_state(&mut r).unwrap();
         assert_eq!(u.len(), t.len());
-        assert_eq!(u.peak_len(), t.peak_len());
         for v in 40..60 {
             assert!(u.find(key(v, 9, 9)).is_none(), "stale entry survived");
         }
@@ -800,7 +759,7 @@ mod tests {
             w.put_u32(8);
             w.put_usize(0);
             w.put_usize(store);
-            for _ in 0..4 {
+            for _ in 0..3 {
                 w.put_u64(0);
             }
             w.into_bytes()

@@ -96,19 +96,6 @@ pub fn pick_queue(assigned: &[u32], rng: &mut SimRng) -> usize {
         .expect("k is below the number of free queues")
 }
 
-/// Extra BFC-specific counters beyond [`PolicyStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BfcCounters {
-    /// Packets that used the high-priority queue.
-    pub high_priority_packets: u64,
-    /// Peak number of simultaneously tracked flows across the switch.
-    pub peak_tracked_flows: usize,
-    /// Pause frames whose bloom filter was non-empty when snapshotted.
-    pub nonempty_frames: u64,
-}
-
-bfc_sim::snap_struct! { BfcCounters { high_priority_packets, peak_tracked_flows, nonempty_frames } }
-
 /// The Backpressure Flow Control policy for one switch.
 pub struct BfcPolicy {
     config: BfcConfig,
@@ -118,7 +105,6 @@ pub struct BfcPolicy {
     assigned: FastHashMap<u32, Vec<u32>>,
     rng: SimRng,
     stats: PolicyStats,
-    counters: BfcCounters,
 }
 
 impl BfcPolicy {
@@ -131,7 +117,6 @@ impl BfcPolicy {
             assigned: FastHashMap::default(),
             rng: SimRng::new(seed ^ 0xbfc0_bfc0_bfc0_bfc0),
             stats: PolicyStats::default(),
-            counters: BfcCounters::default(),
             config,
         }
     }
@@ -139,13 +124,6 @@ impl BfcPolicy {
     /// The configuration in use.
     pub fn config(&self) -> &BfcConfig {
         &self.config
-    }
-
-    /// BFC-specific counters.
-    pub fn counters(&self) -> BfcCounters {
-        let mut c = self.counters;
-        c.peak_tracked_flows = self.table.peak_len();
-        c
     }
 
     /// Number of flows currently tracked at this switch.
@@ -221,7 +199,6 @@ impl SwitchPolicy for BfcPolicy {
             && packets_queued == 0
         {
             self.table.entry_mut(slot).packets_queued += 1;
-            self.counters.high_priority_packets += 1;
             return EnqueueDecision::queue(QueueTarget::HighPriority);
         }
 
@@ -371,11 +348,6 @@ impl SwitchPolicy for BfcPolicy {
                 e.resume_pending = false;
             }
         }
-        if let Some(f) = &frame {
-            if !f.is_empty() {
-                self.counters.nonempty_frames += 1;
-            }
-        }
 
         PauseTick {
             frame,
@@ -404,11 +376,9 @@ impl SwitchPolicy for BfcPolicy {
             assigned,
             rng,
             stats,
-            counters,
         } = self;
         rng.save(w);
         stats.save(w);
-        counters.save(w);
         table.save_state(w);
         w.put_usize(ingress.len());
         for st in ingress {
@@ -433,7 +403,6 @@ impl SwitchPolicy for BfcPolicy {
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.rng = r.get()?;
         self.stats = r.get()?;
-        self.counters = r.get()?;
         self.table.restore_state(r)?;
         let num_ingress = r.get_count(VecDeque::<ResumeItem>::MIN_BYTES + bool::MIN_BYTES)?;
         self.ingress.clear();
@@ -514,7 +483,6 @@ mod tests {
         assert_eq!(targets[0], QueueTarget::HighPriority);
         assert!(matches!(targets[1], QueueTarget::Phys(_)));
         assert_eq!(targets[1], targets[2], "same flow keeps its queue");
-        assert_eq!(policy.counters().high_priority_packets, 1);
     }
 
     #[test]

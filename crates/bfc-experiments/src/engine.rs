@@ -287,8 +287,8 @@ impl<'a> Engine<'a> {
                     config,
                     &frame,
                     |node| plan.shard_of(node) == me,
-                    // Exactly one worker records the schedule-derived
-                    // recovery metrics; see `record_dynamics_metrics`.
+                    // Exactly one worker traces the link events; see
+                    // `record_dynamics_metrics`.
                     me == 0,
                 );
                 let mut queue = EventQueue::with_capacity(trace.len() / n * 4 + 16);

@@ -10,8 +10,8 @@
 //! `Scale::quick()` shrinks the topology and trace so each experiment takes
 //! well under a second; `Scale::full()` uses the paper's topologies (T1/T2,
 //! 100 Gbps, 12 MB buffers) and longer traces. Absolute numbers differ from
-//! the paper in either mode (see `EXPERIMENTS.md`), but relative orderings
-//! hold.
+//! the paper in either mode (see the README section "Examples and
+//! figures"), but relative orderings hold.
 
 use bfc_core::BfcConfig;
 use bfc_net::topology::{cross_dc, fat_tree, CrossDcParams, FatTreeParams, Topology};

@@ -58,7 +58,7 @@
 //! Absolute numbers differ from the paper (different simulator, synthetic
 //! CDFs, scaled-down run lengths by default) but the comparisons the paper
 //! makes — who wins, by roughly what factor, and where behaviour crosses
-//! over — are preserved. See `EXPERIMENTS.md` at the repository root.
+//! over — are preserved. See the README section "Examples and figures".
 
 pub mod cli;
 mod engine;

@@ -228,15 +228,6 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// Fraction of trace flows that completed.
-    pub fn completion_rate(&self) -> f64 {
-        if self.total_flows == 0 {
-            1.0
-        } else {
-            self.completed_flows as f64 / self.total_flows as f64
-        }
-    }
-
     /// Folds engine-level counters into the registry once they are known:
     /// the event queues' calendar-overflow count and the epoch-driver stats.
     pub(crate) fn record_engine_counters(&mut self, queue_overflow_pushes: u64) {
@@ -300,10 +291,10 @@ pub(crate) struct FabricSim<'a> {
     /// engine's deterministic processing order and shard merges reproduce
     /// the serial log exactly.
     pub(crate) safety: SafetyTracker,
-    /// Whether this sim records the schedule-derived recovery metrics
-    /// (fault instants, reroute count). Every shard applies dynamics to its
-    /// own link-state/routing replica, but only one may *count* them, or the
-    /// merged metrics would multiply by the shard count. True for shard 0.
+    /// Whether this sim traces the link events (`LinkDown` / `LinkUp` /
+    /// `LinkRate`, `Reroute`). Every shard applies dynamics to its own
+    /// link-state/routing replica, but only one may record them, or the
+    /// merged trace would hold one copy per shard. True for shard 0.
     pub(crate) record_dynamics_metrics: bool,
 }
 
@@ -404,12 +395,6 @@ impl FabricSim<'_> {
             self.routes = Arc::new(RoutingTables::compute_filtered(self.topo, |n, p| {
                 link_state.is_up(n, p)
             }));
-            if self.record_dynamics_metrics {
-                self.recovery.record_reroute();
-            }
-        }
-        if self.record_dynamics_metrics {
-            self.recovery.record_fault(now);
         }
     }
 
@@ -870,12 +855,14 @@ pub(crate) fn assemble_result(
     // Per-tick goodput deltas sum across shards.
     let goodput = GoodputSeries::merge(sims.iter().map(|s| &s.goodput));
 
-    // Recovery accumulators merge exactly: blackhole counts sum, and the
-    // fault / reroute log lives in the one sim with
-    // `record_dynamics_metrics`.
+    // Recovery accumulators merge exactly: blackhole counts sum. The faults
+    // the run applied are the schedule's events up to its end: every one at
+    // or before the cut was popped, and `end_time` is at least its instant.
     let mut recovery_tracker = RecoveryTracker::merge(sims.iter().map(|s| &s.recovery));
     recovery_tracker.add_blackholed(switch_blackholed);
-    let recovery = recovery_tracker.finish(&goodput);
+    let faults = config.dynamics.events();
+    let applied = &faults[..faults.partition_point(|e| e.at <= end_time)];
+    let recovery = recovery_tracker.finish(applied, &goodput);
 
     // Safety observations merge the same way: pause edges are recorded by
     // the owning sim only, and the replay in `finish` sorts canonically —
@@ -1119,6 +1106,27 @@ mod tests {
             result.peak_queue_samples.len(),
             result.occupied_queue_samples.len()
         );
-        assert!(result.completion_rate() > 0.99);
+        assert!(result.completed_flows * 100 > result.total_flows * 99);
+    }
+
+    #[test]
+    fn recovery_counts_the_faults_up_to_the_end_of_the_run() {
+        // The link goes down inside the run and comes back long after its
+        // deadline: one fault and one reroute were applied, not two.
+        let topo = fat_tree(FatTreeParams::tiny());
+        let trace = tiny_trace(&topo, 5);
+        let schedule = crate::scenario::ScenarioSpec::single_link_down_up(
+            "tor0",
+            "spine0",
+            SimDuration::from_micros(50),
+            SimDuration::from_millis(10),
+        )
+        .resolve(&topo)
+        .expect("tiny topology has tor0/spine0");
+        let config = quick_config(Scheme::bfc()).with_dynamics(schedule);
+        let result = run_experiment(&topo, &trace, &config);
+        assert!(result.end_time < SimTime::ZERO + SimDuration::from_millis(10));
+        assert_eq!(result.recovery.faults, 1);
+        assert_eq!(result.recovery.reroutes, 1);
     }
 }

@@ -28,6 +28,12 @@
 //! different inputs is rejected as corruption rather than silently
 //! diverging.
 //!
+//! A snapshot holds only state that a resumed run reads and cannot rebuild
+//! from its inputs. The routing tables are recomputed from the restored
+//! link state (`restore_sim`); the faults the recovery metrics count are the
+//! fault schedule's events up to the run's end; a count nothing reads is
+//! not kept at all, and one that is read is kept in one place.
+//!
 //! # Streaming ingest
 //!
 //! [`serve_experiment`] drives a live simulation from an
@@ -90,8 +96,13 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
 /// enqueued bytes and the shared buffer's peak occupancy and dropped bytes.
 /// Version 10 drops the per-sim FCT slowdown histogram, which the result
 /// now builds from the per-flow completion instants. Version 11 adds each
-/// switch egress's owed-sweep flag after its transmitter.
-pub const SNAPSHOT_VERSION: u32 = 11;
+/// switch egress's owed-sweep flag after its transmitter. Version 12 drops
+/// state nothing read or that was held twice: the BFC policy's counters and
+/// flow-table peak, each switch egress's PFC flag and all-kinds transmit
+/// totals, the shared buffer's drop count (the switch keeps it), receiver
+/// bytes and last arrival, the sender start, the ACK's ECN echo and the
+/// recovery tracker's fault log.
+pub const SNAPSHOT_VERSION: u32 = 12;
 
 /// Hashes every run input the snapshot does *not* serialize — topology
 /// shape, trace, configuration and shard count — so a resume against

@@ -17,9 +17,11 @@
 //! The baseline is the mean per-sample goodput over the samples strictly
 //! before the first fault, and "recovered" means a per-sample goodput of at
 //! least [`RecoveryTracker::RECOVERY_FRACTION`] of that baseline. Everything
-//! is computed from the driver's periodic samples (its [`GoodputSeries`]), so
-//! the metrics are bit-identical across thread counts like every other result.
+//! is computed from the driver's periodic samples (its [`GoodputSeries`]) and
+//! the fault schedule's events the run applied, so the metrics are
+//! bit-identical across thread counts like every other result.
 
+use bfc_net::dynamics::{FaultEvent, LinkAction};
 use bfc_sim::{SimDuration, SimTime};
 
 use crate::series::GoodputSeries;
@@ -45,18 +47,15 @@ pub struct RecoveryMetrics {
     pub goodput_dip_depth: f64,
 }
 
-/// Accumulates fault instants and loss counts during a run and distills
-/// them, with the run's goodput series, into [`RecoveryMetrics`] at the end.
+/// Counts the packets a run loses to its dynamics and distills them, with
+/// the fault events the run applied and its goodput series, into
+/// [`RecoveryMetrics`] at the end.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryTracker {
-    disruptions: Vec<SimTime>,
     blackholed: u64,
-    reroutes: u64,
 }
 
-bfc_sim::snap_struct! {
-    RecoveryTracker { disruptions, blackholed, reroutes }
-}
+bfc_sim::snap_struct! { RecoveryTracker { blackholed } }
 
 impl RecoveryTracker {
     /// A sample counts as "recovered" at this fraction of the pre-fault
@@ -66,19 +65,6 @@ impl RecoveryTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
         RecoveryTracker::default()
-    }
-
-    /// Records that a fault event was applied at `now` (anchors the
-    /// time-to-recover / dip windows).
-    pub fn record_fault(&mut self, now: SimTime) {
-        self.disruptions.push(now);
-    }
-
-    /// Records one routing re-convergence. Counted separately from faults:
-    /// rate changes disturb goodput but do not change the topology, so they
-    /// anchor recovery windows without a reroute.
-    pub fn record_reroute(&mut self) {
-        self.reroutes += 1;
     }
 
     /// Adds blackholed data packets observed by the driver or a switch.
@@ -92,18 +78,13 @@ impl RecoveryTracker {
     }
 
     /// Merges per-shard trackers into the tracker one collector covering the
-    /// whole fabric would have built: blackhole counts sum, and fault
-    /// instants and reroute counts are recorded by a single designated
-    /// shard, so concatenation — kept time-sorted — reproduces the serial
-    /// log. The merge of one tracker is that tracker.
+    /// whole fabric would have built: blackhole counts sum. The merge of one
+    /// tracker is that tracker.
     pub fn merge<'a>(parts: impl IntoIterator<Item = &'a RecoveryTracker>) -> RecoveryTracker {
         let mut merged = RecoveryTracker::new();
         for part in parts {
             merged.blackholed += part.blackholed;
-            merged.reroutes += part.reroutes;
-            merged.disruptions.extend(part.disruptions.iter().copied());
         }
-        merged.disruptions.sort_unstable();
         merged
     }
 
@@ -126,25 +107,32 @@ impl RecoveryTracker {
         (baseline > 0.0).then_some(baseline)
     }
 
-    /// Distills the recorded run and its fabric-wide goodput series into its
-    /// [`RecoveryMetrics`].
+    /// Distills the recorded run into its [`RecoveryMetrics`], given the
+    /// fault events it applied (`applied`, in time order: each anchors the
+    /// time-to-recover / dip windows, and each link down or up is one
+    /// routing re-convergence — rate changes disturb goodput but do not
+    /// change the topology) and its fabric-wide goodput series.
     ///
     /// When no pre-fault baseline exists (see [`RecoveryTracker::baseline`]),
     /// `time_to_recover` is explicitly `None` and `goodput_dip_depth`
     /// explicitly `0.0` — "unmeasurable", never NaN and never a bogus
     /// instant-recovery reading.
-    pub fn finish(&self, goodput: &GoodputSeries) -> RecoveryMetrics {
+    pub fn finish(&self, applied: &[FaultEvent], goodput: &GoodputSeries) -> RecoveryMetrics {
+        let reroutes = applied
+            .iter()
+            .filter(|e| !matches!(e.action, LinkAction::SetRate { .. }))
+            .count();
         let mut metrics = RecoveryMetrics {
             blackholed_packets: self.blackholed,
-            reroutes: self.reroutes,
-            faults: self.disruptions.len(),
+            reroutes: reroutes as u64,
+            faults: applied.len(),
             time_to_recover: None,
             goodput_dip_depth: 0.0,
         };
-        let (Some(&first), Some(&last)) = (self.disruptions.first(), self.disruptions.last())
-        else {
+        let (Some(first), Some(last)) = (applied.first(), applied.last()) else {
             return metrics;
         };
+        let (first, last) = (first.at, last.at);
         let Some(baseline) = Self::baseline(goodput, first) else {
             return metrics;
         };
@@ -182,23 +170,32 @@ impl RecoveryTracker {
 
 #[cfg(test)]
 mod tests {
+    use bfc_net::types::NodeId;
+
     use super::*;
 
     fn us(n: u64) -> SimTime {
         SimTime::from_micros(n)
     }
 
+    /// A link event at `at` µs: down when `reroutes`, else a rate change.
+    fn fault(at: u64, reroutes: bool) -> FaultEvent {
+        let (a, b) = (NodeId(0), NodeId(1));
+        let action = if reroutes {
+            LinkAction::Down { a, b }
+        } else {
+            LinkAction::SetRate { a, b, gbps: 10.0 }
+        };
+        FaultEvent { at: us(at), action }
+    }
+
     #[test]
     fn merging_shard_trackers_matches_the_fabric_wide_tracker() {
         // One fabric-wide tracker versus two shard trackers that each saw
-        // some of the losses; the designated shard 0 records faults.
+        // some of the losses.
         let mut whole = RecoveryTracker::new();
         let mut shard0 = RecoveryTracker::new();
         let mut shard1 = RecoveryTracker::new();
-        whole.record_fault(us(15));
-        whole.record_reroute();
-        shard0.record_fault(us(15));
-        shard0.record_reroute();
         whole.add_blackholed(3);
         shard0.add_blackholed(1);
         shard1.add_blackholed(2);
@@ -212,11 +209,11 @@ mod tests {
         let mut t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         g.record(us(10), 1_000);
-        t.record_fault(us(12));
         g.record(us(20), 1_500);
         t.add_blackholed(4);
-        let expected = t.finish(&g);
-        assert_eq!(RecoveryTracker::merge([&t]).finish(&g), expected);
+        let applied = [fault(12, true)];
+        let expected = t.finish(&applied, &g);
+        assert_eq!(RecoveryTracker::merge([&t]).finish(&applied, &g), expected);
     }
 
     #[test]
@@ -225,7 +222,7 @@ mod tests {
         let mut g = GoodputSeries::new();
         g.record(us(10), 1_000);
         g.record(us(20), 2_000);
-        let m = t.finish(&g);
+        let m = t.finish(&[], &g);
         assert_eq!(m, RecoveryMetrics::default());
     }
 
@@ -239,15 +236,13 @@ mod tests {
             cumulative += 1_000;
             g.record(us(i * 10), cumulative);
         }
-        t.record_fault(us(45));
-        t.record_reroute();
         // Goodput collapses to 100 B, then recovers to 950 B at t=80.
         for (at, delta) in [(50, 100u64), (60, 100), (70, 500), (80, 950), (90, 1_000)] {
             cumulative += delta;
             g.record(us(at), cumulative);
         }
         t.add_blackholed(7);
-        let m = t.finish(&g);
+        let m = t.finish(&[fault(45, true)], &g);
         assert_eq!(m.blackholed_packets, 7);
         assert_eq!(m.reroutes, 1);
         assert_eq!(m.faults, 1);
@@ -258,24 +253,22 @@ mod tests {
 
     #[test]
     fn unrecovered_runs_report_none() {
-        let mut t = RecoveryTracker::new();
+        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         g.record(us(10), 1_000);
-        t.record_fault(us(15));
         g.record(us(20), 1_050);
         g.record(us(30), 1_100);
-        let m = t.finish(&g);
+        let m = t.finish(&[fault(15, true)], &g);
         assert_eq!(m.time_to_recover, None);
         assert!(m.goodput_dip_depth > 0.9);
     }
 
     #[test]
     fn fault_before_any_sample_has_no_baseline() {
-        let mut t = RecoveryTracker::new();
+        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
-        t.record_fault(us(1));
         g.record(us(10), 1_000);
-        let m = t.finish(&g);
+        let m = t.finish(&[fault(1, false)], &g);
         assert_eq!(m.time_to_recover, None);
         assert_eq!(m.goodput_dip_depth, 0.0);
         assert_eq!(m.faults, 1);
@@ -286,15 +279,14 @@ mod tests {
         // A fault at t=0 leaves zero samples strictly before it: no baseline
         // exists, so both metrics must take their explicit "unmeasurable"
         // values rather than dividing by zero.
-        let mut t = RecoveryTracker::new();
+        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
-        t.record_fault(us(0));
         let mut cumulative = 0;
         for i in 1..=3u64 {
             cumulative += 1_000;
             g.record(us(i * 10), cumulative);
         }
-        let m = t.finish(&g);
+        let m = t.finish(&[fault(0, true)], &g);
         assert_eq!(m.time_to_recover, None);
         assert_eq!(m.goodput_dip_depth, 0.0);
         assert!(m.goodput_dip_depth.is_finite());
@@ -306,15 +298,14 @@ mod tests {
         // The fault lands after t=0 but before the first sample window has
         // closed; the t=10 sample straddles it, so it is not baseline
         // evidence and the metrics stay at their explicit defaults.
-        let mut t = RecoveryTracker::new();
+        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
-        t.record_fault(us(5));
         let mut cumulative = 0;
         for i in 1..=3u64 {
             cumulative += 1_000;
             g.record(us(i * 10), cumulative);
         }
-        let m = t.finish(&g);
+        let m = t.finish(&[fault(5, true)], &g);
         assert_eq!(m.time_to_recover, None);
         assert_eq!(m.goodput_dip_depth, 0.0);
     }
@@ -324,14 +315,13 @@ mod tests {
         // Pre-fault samples exist but carry zero bytes: a zero baseline would
         // make every idle sample "recovered" instantly and the dip 0/0 = NaN.
         // It must instead count as no baseline at all.
-        let mut t = RecoveryTracker::new();
+        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         g.record(us(10), 0);
         g.record(us(20), 0);
-        t.record_fault(us(25));
         g.record(us(30), 0);
         g.record(us(40), 500);
-        let m = t.finish(&g);
+        let m = t.finish(&[fault(25, true)], &g);
         assert_eq!(m.time_to_recover, None);
         assert_eq!(m.goodput_dip_depth, 0.0);
         assert!(m.goodput_dip_depth.is_finite());
@@ -339,23 +329,30 @@ mod tests {
 
     #[test]
     fn recovery_measured_from_last_fault_of_a_flap() {
-        let mut t = RecoveryTracker::new();
+        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         let mut cumulative = 0;
         for i in 1..=3u64 {
             cumulative += 1_000;
             g.record(us(i * 10), cumulative);
         }
-        t.record_fault(us(35)); // down
         cumulative += 100;
         g.record(us(40), cumulative);
-        t.record_fault(us(45)); // up
         cumulative += 1_000;
         g.record(us(50), cumulative);
         cumulative += 1_000;
         g.record(us(60), cumulative);
-        let m = t.finish(&g);
+        // Down at 35 µs, back up at 45 µs.
+        let up = FaultEvent {
+            at: us(45),
+            action: LinkAction::Up {
+                a: NodeId(0),
+                b: NodeId(1),
+            },
+        };
+        let m = t.finish(&[fault(35, true), up], &g);
         assert_eq!(m.faults, 2);
+        assert_eq!(m.reroutes, 2);
         // The t=50 sample's window (40..50) straddles the t=45 fault, so it
         // is not recovery evidence; the first clean window ends at t=60.
         assert_eq!(m.time_to_recover, Some(SimDuration::from_micros(15)));
@@ -363,22 +360,21 @@ mod tests {
 
     #[test]
     fn straddling_sample_windows_do_not_count_as_recovery() {
-        let mut t = RecoveryTracker::new();
+        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         let mut cumulative = 0;
         for i in 1..=4u64 {
             cumulative += 1_000;
             g.record(us(i * 10), cumulative);
         }
-        // Fault just before the next sample: that sample's delta is almost
-        // entirely pre-fault traffic and must not count as recovery.
-        t.record_fault(us(49));
+        // Fault at 49 µs, just before the next sample: that sample's delta is
+        // almost entirely pre-fault traffic and must not count as recovery.
         cumulative += 990;
         g.record(us(50), cumulative);
         // Goodput is actually dead afterwards.
         g.record(us(60), cumulative);
         g.record(us(70), cumulative);
-        let m = t.finish(&g);
+        let m = t.finish(&[fault(49, true)], &g);
         assert_eq!(m.time_to_recover, None);
     }
 }

@@ -3,7 +3,7 @@
 
 use bfc_sim::{SimDuration, SimTime};
 
-use crate::stats::{build_cdf, percentile};
+use crate::stats::percentile;
 
 /// Periodic samples of switch buffer occupancy (one series covering every
 /// switch of the fabric, as in the paper's shared-buffer CDFs).
@@ -71,14 +71,6 @@ impl OccupancySeries {
     /// True if no samples were recorded.
     pub fn is_empty(&self) -> bool {
         self.samples_bytes.is_empty()
-    }
-
-    /// CDF of occupancy in megabytes, for Figs. 2 and 6a.
-    pub fn cdf_mb(&self, points: usize) -> Vec<(f64, f64)> {
-        build_cdf(&self.samples_bytes, points)
-            .into_iter()
-            .map(|(bytes, frac)| (bytes / 1e6, frac))
-            .collect()
     }
 
     /// A percentile of occupancy in bytes (Fig. 8b uses the 99th).
@@ -213,50 +205,6 @@ impl UtilizationTracker {
     pub fn duration(&self) -> SimDuration {
         self.duration
     }
-
-    /// Convenience: utilization achieved between two instants given delivered
-    /// bytes (used by tests).
-    pub fn utilization_of(bytes: u64, num_hosts: usize, host_gbps: f64, span: SimDuration) -> f64 {
-        let mut t = UtilizationTracker::new(num_hosts, host_gbps, span);
-        t.add_delivered_bytes(bytes);
-        t.utilization()
-    }
-}
-
-/// Helper for measuring how long a boolean condition has been true, given
-/// edge-triggered updates (used by tests mirroring the switch's PFC pause
-/// accounting).
-#[derive(Debug, Clone, Default)]
-pub struct PausedTimeAccumulator {
-    total: SimDuration,
-    since: Option<SimTime>,
-}
-
-impl PausedTimeAccumulator {
-    /// Creates an accumulator in the "not paused" state.
-    pub fn new() -> Self {
-        PausedTimeAccumulator::default()
-    }
-
-    /// Records a transition at `now`.
-    pub fn set(&mut self, paused: bool, now: SimTime) {
-        match (paused, self.since) {
-            (true, None) => self.since = Some(now),
-            (false, Some(start)) => {
-                self.total += now.saturating_since(start);
-                self.since = None;
-            }
-            _ => {}
-        }
-    }
-
-    /// Total paused time up to `now`.
-    pub fn total(&self, now: SimTime) -> SimDuration {
-        match self.since {
-            Some(start) => self.total + now.saturating_since(start),
-            None => self.total,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -264,15 +212,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn occupancy_cdf_and_percentiles() {
+    fn occupancy_percentiles_and_max() {
         let mut s = OccupancySeries::new();
         for i in 0..100u64 {
             s.record(i * 100_000); // 0 .. 9.9 MB
         }
         assert_eq!(s.len(), 100);
-        let cdf = s.cdf_mb(10);
-        assert_eq!(cdf.len(), 10);
-        assert!((cdf.last().unwrap().0 - 9.9).abs() < 1e-9);
         assert!(s.percentile_bytes(50.0) <= s.percentile_bytes(99.0));
         assert_eq!(s.max_bytes(), 9_900_000.0);
     }
@@ -338,12 +283,9 @@ mod tests {
     #[test]
     fn utilization_math() {
         // 64 hosts at 100 Gbps for 1 ms can carry 800 MB.
-        let u = UtilizationTracker::utilization_of(
-            400_000_000,
-            64,
-            100.0,
-            SimDuration::from_millis(1),
-        );
+        let mut t = UtilizationTracker::new(64, 100.0, SimDuration::from_millis(1));
+        t.add_delivered_bytes(400_000_000);
+        let u = t.utilization();
         assert!((u - 0.5).abs() < 1e-9, "got {u}");
     }
 
@@ -363,17 +305,5 @@ mod tests {
         assert_eq!(t.utilization(), 0.0);
         assert_eq!(t.pfc_pause_fraction(), 0.0);
         assert!(OccupancySeries::new().is_empty());
-    }
-
-    #[test]
-    fn paused_accumulator_tracks_intervals() {
-        let mut a = PausedTimeAccumulator::new();
-        a.set(true, SimTime::from_micros(10));
-        a.set(false, SimTime::from_micros(15));
-        a.set(true, SimTime::from_micros(20));
-        assert_eq!(a.total(SimTime::from_micros(22)).as_nanos(), 7_000);
-        a.set(false, SimTime::from_micros(25));
-        a.set(false, SimTime::from_micros(30));
-        assert_eq!(a.total(SimTime::from_micros(40)).as_nanos(), 10_000);
     }
 }

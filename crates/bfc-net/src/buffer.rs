@@ -33,7 +33,6 @@ pub struct SharedBuffer {
     /// Ingress ports that currently have an outstanding PFC pause toward
     /// their upstream.
     pfc_paused_upstream: Vec<bool>,
-    drops: u64,
     /// Cached PFC pause threshold, keyed by the occupancy it was computed
     /// at. The dynamic threshold is a float function of the *free* buffer,
     /// so it only changes when total occupancy does — one "region" is a
@@ -53,7 +52,6 @@ impl SharedBuffer {
             occupancy: 0,
             per_ingress: vec![0; num_ports],
             pfc_paused_upstream: vec![false; num_ports],
-            drops: 0,
             pfc_cache: None,
         }
     }
@@ -78,17 +76,11 @@ impl SharedBuffer {
         self.capacity.saturating_sub(self.occupancy)
     }
 
-    /// Number of packets dropped because the buffer was full.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-
     /// Tries to admit a packet of `bytes` arriving on `ingress`. Returns
-    /// false (and counts a drop) if the packet does not fit.
+    /// false if the packet does not fit.
     pub fn admit(&mut self, bytes: u32, ingress: u32) -> bool {
         let bytes = bytes as u64;
         if self.occupancy.saturating_add(bytes) > self.capacity {
-            self.drops += 1;
             return false;
         }
         self.occupancy += bytes;
@@ -162,13 +154,11 @@ impl SharedBuffer {
             occupancy,
             per_ingress,
             pfc_paused_upstream,
-            drops,
             pfc_cache: _, // memoization
         } = self;
         occupancy.save(w);
         per_ingress.save(w);
         w.put_all(pfc_paused_upstream);
-        drops.save(w);
     }
 
     /// Overlays state captured by [`SharedBuffer::save_state`] onto this
@@ -178,7 +168,6 @@ impl SharedBuffer {
         self.occupancy = r.get()?;
         r.get_exact(&mut self.per_ingress, "shared-buffer port count mismatch")?;
         r.fill(&mut self.pfc_paused_upstream)?;
-        self.drops = r.get()?;
         self.pfc_cache = None;
         Ok(())
     }
@@ -197,7 +186,6 @@ mod tests {
         assert_eq!(b.ingress_occupancy(0), 4_000);
         assert_eq!(b.free(), 2_000);
         assert!(!b.admit(4_000, 2), "over-capacity admit must fail");
-        assert_eq!(b.drops(), 1);
         b.release(4_000, 0);
         assert_eq!(b.occupancy(), 4_000);
         assert_eq!(b.ingress_occupancy(0), 0);
@@ -215,7 +203,6 @@ mod tests {
         for _ in 0..1_000 {
             assert!(b.admit(1_000_000, 0));
         }
-        assert_eq!(b.drops(), 0);
     }
 
     #[test]

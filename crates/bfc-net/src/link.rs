@@ -47,12 +47,6 @@ impl Link {
     pub fn arrival_time(&self, now: SimTime, bytes: u32) -> SimTime {
         now + self.delivery_delay(bytes)
     }
-
-    /// Bytes needed to keep this link busy for `dur` (the link's
-    /// bandwidth-delay product when `dur` is an RTT).
-    pub fn bytes_in_flight(&self, dur: SimDuration) -> u64 {
-        (self.rate_gbps * dur.as_secs_f64() * 1e9 / 8.0).round() as u64
-    }
 }
 
 #[cfg(test)]
@@ -64,13 +58,6 @@ mod tests {
         let l = Link::datacenter_default();
         assert_eq!(l.serialization(1000).as_nanos(), 80);
         assert_eq!(l.delivery_delay(1000).as_nanos(), 1080);
-    }
-
-    #[test]
-    fn bdp_computation() {
-        let l = Link::new(100.0, SimDuration::from_micros(1));
-        // 100 Gbps over 8 us RTT = 100e9 * 8e-6 / 8 = 100 KB.
-        assert_eq!(l.bytes_in_flight(SimDuration::from_micros(8)), 100_000);
     }
 
     #[test]

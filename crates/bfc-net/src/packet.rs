@@ -352,8 +352,6 @@ pub enum PacketKind {
         cumulative_seq: u64,
         /// True if this is a negative acknowledgement (out-of-order data).
         is_nack: bool,
-        /// True if the acknowledged data packet carried an ECN CE mark.
-        ecn_echo: bool,
     },
     /// DCQCN congestion notification packet sent by the receiver NIC.
     Cnp,
@@ -376,7 +374,7 @@ pub enum PacketKind {
 
 bfc_sim::snap_enum!(PacketKind, "unknown packet kind tag" {
     0 => Data,
-    1 => Ack { cumulative_seq, is_nack, ecn_echo },
+    1 => Ack { cumulative_seq, is_nack },
     2 => Cnp,
     3 => PfcPause { pause },
     4 => FlowPause { frame },
@@ -462,7 +460,6 @@ impl Packet {
         dst: NodeId,
         cumulative_seq: u64,
         is_nack: bool,
-        ecn_echo: bool,
         int: IntPath,
     ) -> Self {
         Packet {
@@ -479,7 +476,6 @@ impl Packet {
             kind: PacketKind::Ack {
                 cumulative_seq,
                 is_nack,
-                ecn_echo,
             },
         }
     }
@@ -666,18 +662,16 @@ mod tests {
         assert!(d.first_of_flow);
         assert_eq!(d.size_bytes, 1000);
 
-        let a = Packet::ack(FlowId(1), NodeId(3), NodeId(2), 5, false, true, IntPath::new());
+        let a = Packet::ack(FlowId(1), NodeId(3), NodeId(2), 5, false, IntPath::new());
         assert!(a.control_priority);
         assert_eq!(a.size_bytes, ACK_SIZE_BYTES);
         match a.kind {
             PacketKind::Ack {
                 cumulative_seq,
                 is_nack,
-                ecn_echo,
             } => {
                 assert_eq!(cumulative_seq, 5);
                 assert!(!is_nack);
-                assert!(ecn_echo);
             }
             _ => panic!("not an ack"),
         }

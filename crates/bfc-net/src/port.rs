@@ -213,15 +213,13 @@ pub struct Port {
     /// queues are flushed by the owning switch when the link dies.
     up: bool,
 
-    pfc_paused: bool,
+    /// When the current PFC pause began; `Some` exactly while paused.
     pfc_pause_started: Option<SimTime>,
     pfc_paused_total: SimDuration,
 
     pause_frame: Option<PauseFrame>,
 
-    tx_bytes: u64,
     tx_data_bytes: u64,
-    tx_packets: u64,
 }
 
 impl Port {
@@ -243,13 +241,10 @@ impl Port {
             tx: Transmitter::default(),
             sweep_owed: false,
             up: true,
-            pfc_paused: false,
             pfc_pause_started: None,
             pfc_paused_total: SimDuration::ZERO,
             pause_frame: None,
-            tx_bytes: 0,
             tx_data_bytes: 0,
-            tx_packets: 0,
         }
     }
 
@@ -422,12 +417,12 @@ impl Port {
 
     /// Whether the whole egress is paused by PFC.
     pub fn is_pfc_paused(&self) -> bool {
-        self.pfc_paused
+        self.pfc_pause_started.is_some()
     }
 
     /// Updates the PFC pause state, accumulating paused time for metrics.
     pub fn set_pfc_paused(&mut self, paused: bool, now: SimTime) {
-        if paused == self.pfc_paused {
+        if paused == self.is_pfc_paused() {
             return;
         }
         if paused {
@@ -435,7 +430,6 @@ impl Port {
         } else if let Some(start) = self.pfc_pause_started.take() {
             self.pfc_paused_total += now.saturating_since(start);
         }
-        self.pfc_paused = paused;
     }
 
     /// Total time this egress has spent paused by PFC. If currently paused,
@@ -448,19 +442,9 @@ impl Port {
         total
     }
 
-    /// Total bytes transmitted (all packet kinds).
-    pub fn tx_bytes(&self) -> u64 {
-        self.tx_bytes
-    }
-
     /// Total data bytes transmitted.
     pub fn tx_data_bytes(&self) -> u64 {
         self.tx_data_bytes
-    }
-
-    /// Total packets transmitted.
-    pub fn tx_packets(&self) -> u64 {
-        self.tx_packets
     }
 
     /// Enqueues a packet into the queue selected by the policy.
@@ -555,7 +539,7 @@ impl Port {
     pub(crate) fn settle(&mut self, now: SimTime) {
         if self.sweep_owed && now > self.tx.busy_until() {
             self.sweep_owed = false;
-            if self.up && !self.pfc_paused {
+            if self.up && !self.is_pfc_paused() {
                 self.sweep_paused();
             }
         }
@@ -685,8 +669,6 @@ impl Port {
 
     /// Records that a packet was handed to the transmitter.
     pub fn note_transmitted(&mut self, packet: &Packet) {
-        self.tx_bytes += packet.size_bytes as u64;
-        self.tx_packets += 1;
         if packet.is_data() {
             self.tx_data_bytes += packet.size_bytes as u64;
         }
@@ -694,7 +676,7 @@ impl Port {
 
     /// Serializes the port's mutable state: transmitter and owed sweep,
     /// queues, DRR rotation, pause state, link rate (mutable under dynamics)
-    /// and transmit counters.
+    /// and the data-byte transmit counter INT reads.
     pub fn save_state(&self, w: &mut SnapWriter) {
         let Port {
             // Configuration, but for the rate.
@@ -709,13 +691,10 @@ impl Port {
             tx,
             sweep_owed,
             up,
-            pfc_paused,
             pfc_pause_started,
             pfc_paused_total,
             pause_frame,
-            tx_bytes,
             tx_data_bytes,
-            tx_packets,
             // Derived from the table and the pause frame (as is each
             // entry's `eligible`).
             eligible_count: _,
@@ -725,7 +704,6 @@ impl Port {
         tx.save(w);
         sweep_owed.save(w);
         up.save(w);
-        pfc_paused.save(w);
         pfc_pause_started.save(w);
         pfc_paused_total.save(w);
         pause_frame.save(w);
@@ -741,9 +719,7 @@ impl Port {
         // The DRR rotation order is scheduling state: serialized verbatim.
         rotation.save(w);
         drr_credited.save(w);
-        tx_bytes.save(w);
         tx_data_bytes.save(w);
-        tx_packets.save(w);
     }
 
     /// Overlays state captured by [`Port::save_state`] onto this port, which
@@ -759,7 +735,6 @@ impl Port {
         self.tx = r.get()?;
         self.sweep_owed = r.get()?;
         self.up = r.get()?;
-        self.pfc_paused = r.get()?;
         self.pfc_pause_started = r.get()?;
         self.pfc_paused_total = r.get()?;
         self.pause_frame = r.get()?;
@@ -783,9 +758,7 @@ impl Port {
             return Err(SnapError::Corrupt("DRR rotation is not the backlogged queues"));
         }
         self.drr_credited = r.get()?;
-        self.tx_bytes = r.get()?;
         self.tx_data_bytes = r.get()?;
-        self.tx_packets = r.get()?;
         for i in 0..self.drr.len() {
             self.drr[i].eligible = self.is_eligible(i);
         }
@@ -906,9 +879,7 @@ mod tests {
         assert_eq!(p.occupied_queue_count(), 1);
         let (qp, _) = p.dequeue_next().unwrap();
         p.note_transmitted(&qp.packet);
-        assert_eq!(p.tx_bytes(), 300);
         assert_eq!(p.tx_data_bytes(), 300);
-        assert_eq!(p.tx_packets(), 1);
     }
 
     #[test]
@@ -934,9 +905,9 @@ mod tests {
         let mut w = SnapWriter::new();
         port.save_state(&mut w);
         let saved = w.into_bytes();
-        // After the rotation come the credited flag and three `u64` counters;
+        // After the rotation come the credited flag and one `u64` counter;
         // the rotation itself is a `u64` count and a `u64` per entry.
-        let tail = saved.len() - (1 + 3 * 8);
+        let tail = saved.len() - (1 + 8);
         let head = tail - 8 * (1 + port.rotation.len());
         let mut w = SnapWriter::new();
         rotation.to_vec().save(&mut w);

@@ -165,9 +165,7 @@ impl Switch {
 
     /// Counter snapshot.
     pub fn counters(&self) -> SwitchCounters {
-        let mut c = self.counters;
-        c.drops = self.buffer.drops();
-        c
+        self.counters
     }
 
     /// The policy's counters.
@@ -292,6 +290,7 @@ impl Switch {
 
         if !self.buffer.admit(packet.size_bytes, ingress) {
             // Dropped: Go-Back-N at the sender recovers it.
+            self.counters.drops += 1;
             events.trace(
                 now,
                 TraceEvent::Drop {
@@ -954,7 +953,7 @@ mod tests {
     fn control_packets_bypass_the_policy_queue() {
         let (_topo, routes, mut sw) = tor_under_test(SwitchConfig::default());
         let mut events = EventQueue::new();
-        let ack = Packet::ack(FlowId(1), NodeId(0), NodeId(1), 3, false, false, Default::default());
+        let ack = Packet::ack(FlowId(1), NodeId(0), NodeId(1), 3, false, Default::default());
         sw.handle_packet(SimTime::ZERO, 0, ack, &routes, &mut events);
         // ACK forwarded without touching the FIFO policy's flow residency.
         assert_eq!(sw.policy_stats().flow_assignments, 0);

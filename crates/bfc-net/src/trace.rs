@@ -48,6 +48,7 @@
 //! the fields they mirrored.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 
 use bfc_sim::snapshot::{finalize, open, Snap, SnapError, SnapReader};
 use bfc_sim::{SimDuration, SimTime};
@@ -300,32 +301,21 @@ impl TraceEvent {
 
     /// Content-derived rank ordering simultaneous records canonically,
     /// mirroring [`crate::event::NetEvent::canon_rank`]: kind tag in the
-    /// high bits, then the node, then the port (or peer). Records with
-    /// equal `(time, rank)` necessarily describe the same node, which is
-    /// what makes the per-shard merge exact.
+    /// high bits, then the node, then the port (or peer; a reroute's event
+    /// index). Records with equal `(time, rank)` necessarily describe the
+    /// same node, which is what makes the per-shard merge exact.
     pub fn canon_rank(&self) -> u64 {
-        fn key(tag: u64, node: NodeId, sub: u32) -> u64 {
-            (tag << 52) | (u64::from(node.0) << 20) | u64::from(sub)
-        }
-        match *self {
-            TraceEvent::Enqueue { node, port, .. } => key(0, node, port),
-            TraceEvent::Dequeue { node, port, .. } => key(1, node, port),
-            TraceEvent::Drop { node, port, .. } => key(2, node, port),
-            TraceEvent::Blackhole { node, .. } => key(3, node, 0),
-            TraceEvent::PfcSent { node, port, .. } => key(4, node, port),
-            TraceEvent::PfcDelivered { node, src, .. } => key(5, node, src.0),
-            TraceEvent::FlowPause { node, port, .. } => key(6, node, port),
-            TraceEvent::QueueActive { node, port, .. } => key(7, node, port),
-            TraceEvent::QueueIdle { node, port, .. } => key(8, node, port),
-            TraceEvent::LinkDown { a, b } => key(9, a, b.0),
-            TraceEvent::LinkUp { a, b } => key(10, a, b.0),
-            TraceEvent::LinkRate { a, b } => key(11, a, b.0),
-            TraceEvent::Reroute { index } => key(12, NodeId(0), index),
-        }
+        let node = self.node().map_or(0, |n| n.0);
+        let sub = match *self {
+            TraceEvent::Reroute { index } => index,
+            _ => self.port().unwrap_or(0),
+        };
+        ((self.kind_index() as u64) << 52) | (u64::from(node) << 20) | u64::from(sub)
     }
 
     /// One-line human rendering used by `trace-tool trace inspect`.
     pub fn render(&self) -> String {
+        let mut line = format!("{:<13} ", self.kind());
         match *self {
             TraceEvent::Enqueue {
                 node,
@@ -333,22 +323,16 @@ impl TraceEvent {
                 queue,
                 flow,
                 bytes,
-            } => format!(
-                "enqueue       sw{} port {} q {} flow {} ({} B)",
-                node.0,
-                port,
-                queue_name(queue),
-                flow,
-                bytes
-            ),
-            TraceEvent::Dequeue {
+            }
+            | TraceEvent::Dequeue {
                 node,
                 port,
                 queue,
                 flow,
                 bytes,
-            } => format!(
-                "dequeue       sw{} port {} q {} flow {} ({} B)",
+            } => write!(
+                line,
+                "sw{} port {} q {} flow {} ({} B)",
                 node.0,
                 port,
                 queue_name(queue),
@@ -360,18 +344,19 @@ impl TraceEvent {
                 port,
                 flow,
                 bytes,
-            } => format!("drop          sw{node} port {port} flow {flow} ({bytes} B)", node = node.0),
+            } => write!(line, "sw{} port {port} flow {flow} ({bytes} B)", node.0),
             TraceEvent::Blackhole { node, flow, bytes } => {
-                format!("blackhole     sw{} flow {} ({} B)", node.0, flow, bytes)
+                write!(line, "sw{} flow {flow} ({bytes} B)", node.0)
             }
-            TraceEvent::PfcSent { node, port, pause } => format!(
-                "pfc-sent      sw{} port {} {}",
+            TraceEvent::PfcSent { node, port, pause } => write!(
+                line,
+                "sw{} port {port} {}",
                 node.0,
-                port,
                 if pause { "XOFF" } else { "XON" }
             ),
-            TraceEvent::PfcDelivered { node, src, pause } => format!(
-                "pfc-delivered sw{} {} by sw{}",
+            TraceEvent::PfcDelivered { node, src, pause } => write!(
+                line,
+                "sw{} {} by sw{}",
                 node.0,
                 if pause { "paused" } else { "resumed" },
                 src.0
@@ -381,30 +366,23 @@ impl TraceEvent {
                 port,
                 bits,
                 pause,
-            } => format!(
-                "flow-pause    sw{} port {} {} ({} bloom bits)",
+            } => write!(
+                line,
+                "sw{} port {port} {} ({bits} bloom bits)",
                 node.0,
-                port,
-                if pause { "pause" } else { "resume" },
-                bits
+                if pause { "pause" } else { "resume" }
             ),
-            TraceEvent::QueueActive { node, port, queue } => format!(
-                "queue-active  sw{} port {} q {}",
-                node.0,
-                port,
-                queue_name(queue)
-            ),
-            TraceEvent::QueueIdle { node, port, queue } => format!(
-                "queue-idle    sw{} port {} q {}",
-                node.0,
-                port,
-                queue_name(queue)
-            ),
-            TraceEvent::LinkDown { a, b } => format!("link-down     {} <-> {}", a.0, b.0),
-            TraceEvent::LinkUp { a, b } => format!("link-up       {} <-> {}", a.0, b.0),
-            TraceEvent::LinkRate { a, b } => format!("link-rate     {} <-> {}", a.0, b.0),
-            TraceEvent::Reroute { index } => format!("reroute       (dynamics event {index})"),
+            TraceEvent::QueueActive { node, port, queue }
+            | TraceEvent::QueueIdle { node, port, queue } => {
+                write!(line, "sw{} port {port} q {}", node.0, queue_name(queue))
+            }
+            TraceEvent::LinkDown { a, b }
+            | TraceEvent::LinkUp { a, b }
+            | TraceEvent::LinkRate { a, b } => write!(line, "{} <-> {}", a.0, b.0),
+            TraceEvent::Reroute { index } => write!(line, "(dynamics event {index})"),
         }
+        .expect("writing to a String cannot fail");
+        line
     }
 }
 

@@ -109,12 +109,6 @@ impl SimRng {
         self.next_below(bound as u64) as usize
     }
 
-    /// Uniform integer in `[lo, hi]` (inclusive).
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.next_below(hi - lo + 1)
-    }
-
     /// Bernoulli trial with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
@@ -193,8 +187,6 @@ mod tests {
             assert!((0.0..1.0).contains(&f));
             let x = rng.next_below(13);
             assert!(x < 13);
-            let y = rng.range_inclusive(5, 9);
-            assert!((5..=9).contains(&y));
         }
     }
 

@@ -77,22 +77,19 @@ pub struct SenderFlow {
     pub cc: CcState,
     /// `acked_seq` observed at the last retransmission-timer check.
     pub acked_at_last_timeout: u64,
-    /// When the flow started (the sender saw its arrival).
-    pub started_at: SimTime,
 }
 
 impl SenderFlow {
-    /// Creates sender state for `spec`.
-    pub fn new(spec: FlowSpec, mtu: u32, cc: CcState, started_at: SimTime) -> Self {
+    /// Creates sender state for `spec`, allowed to send from `now`.
+    pub fn new(spec: FlowSpec, mtu: u32, cc: CcState, now: SimTime) -> Self {
         SenderFlow {
             num_packets: spec.num_packets(mtu),
             spec,
             next_seq: 0,
             acked_seq: 0,
-            next_allowed: started_at,
+            next_allowed: now,
             cc,
             acked_at_last_timeout: 0,
-            started_at,
         }
     }
 
@@ -116,7 +113,7 @@ impl SenderFlow {
 
 bfc_sim::snap_struct! {
     SenderFlow {
-        spec, num_packets, next_seq, acked_seq, next_allowed, cc, acked_at_last_timeout, started_at,
+        spec, num_packets, next_seq, acked_seq, next_allowed, cc, acked_at_last_timeout,
     }
 }
 
@@ -129,10 +126,6 @@ pub struct ReceiverFlow {
     pub num_packets: u64,
     /// Next in-order packet sequence expected.
     pub expected_seq: u64,
-    /// Application bytes received in order.
-    pub received_bytes: u64,
-    /// Time the last in-order byte arrived (completion time once finished).
-    pub last_arrival: Option<SimTime>,
     /// Last time a CNP was generated for this flow.
     pub last_cnp: Option<SimTime>,
     /// Sequence for which a NACK was already sent (suppresses duplicates).
@@ -148,8 +141,6 @@ impl ReceiverFlow {
             num_packets: spec.num_packets(mtu),
             spec,
             expected_seq: 0,
-            received_bytes: 0,
-            last_arrival: None,
             last_cnp: None,
             nack_sent_for: None,
             completed: false,
@@ -159,8 +150,7 @@ impl ReceiverFlow {
 
 bfc_sim::snap_struct! {
     ReceiverFlow {
-        spec, num_packets, expected_seq, received_bytes, last_arrival, last_cnp, nack_sent_for,
-        completed,
+        spec, num_packets, expected_seq, last_cnp, nack_sent_for, completed,
     }
 }
 

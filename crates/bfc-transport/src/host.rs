@@ -299,7 +299,6 @@ impl Host {
             PacketKind::Ack {
                 cumulative_seq,
                 is_nack,
-                ..
             } => {
                 let (cumulative_seq, is_nack) = (*cumulative_seq, *is_nack);
                 self.receive_ack(packet, cumulative_seq, is_nack);
@@ -403,8 +402,6 @@ impl Host {
         let sender = rf.spec.src;
         if packet.seq == rf.expected_seq {
             rf.expected_seq += 1;
-            rf.received_bytes += packet.size_bytes as u64;
-            rf.last_arrival = Some(now);
             rf.nack_sent_for = None;
             self.counters.rx_data_bytes += packet.size_bytes as u64;
 
@@ -425,7 +422,6 @@ impl Host {
                 sender,
                 rf.expected_seq,
                 false,
-                packet.ecn_ce,
                 packet.int,
             ));
             if rf.expected_seq >= rf.num_packets && !rf.completed {
@@ -443,7 +439,6 @@ impl Host {
                     sender,
                     rf.expected_seq,
                     true,
-                    false,
                     Default::default(),
                 ));
             }
@@ -454,7 +449,6 @@ impl Host {
                 self.id,
                 sender,
                 rf.expected_seq,
-                false,
                 false,
                 Default::default(),
             ));
@@ -755,7 +749,6 @@ mod tests {
                         packet.src,
                         packet.seq + 1,
                         false,
-                        false,
                         Default::default(),
                     );
                     host.handle_packet(t, ack, &mut events);
@@ -820,7 +813,7 @@ mod tests {
             while events.pop().is_some() {}
             (host, events)
         };
-        let nack = Packet::ack(FlowId(1), NodeId(1), NodeId(0), 0, true, false, Default::default());
+        let nack = Packet::ack(FlowId(1), NodeId(1), NodeId(0), 0, true, Default::default());
 
         // A NACK arriving at exactly 80 ns rewinds the flow, but an arrival
         // ranks before the `TxComplete` of its instant: the uplink still
@@ -957,7 +950,7 @@ mod tests {
         let mut ev2 = EventQueue::new();
         tx.start_flow(SimTime::ZERO, spec(9, 0, 5, 10_000), &mut ev2);
         let _ = drain_transmissions(&mut tx, &mut ev2);
-        let nack = Packet::ack(FlowId(9), NodeId(5), NodeId(0), 1, true, false, Default::default());
+        let nack = Packet::ack(FlowId(9), NodeId(5), NodeId(0), 1, true, Default::default());
         tx.handle_packet(SimTime::from_micros(50), nack, &mut ev2);
         let resent = drain_transmissions(&mut tx, &mut ev2);
         let seqs: Vec<u64> = resent.iter().filter(|p| p.is_data()).map(|p| p.seq).collect();

@@ -80,10 +80,45 @@ struct LineAssembler {
     parser: CsvParser,
     ready: VecDeque<TraceFlow>,
     pending: String,
-    saw_end_marker: bool,
+    /// Set by the end marker or a final end of input; nothing is read after.
+    ended: bool,
 }
 
 impl LineAssembler {
+    /// The ingest loop both sources run. A ready flow is returned first;
+    /// after the end, `Ok(None)`. Otherwise one line is read with
+    /// `read_line` and fed to the parser. At end of input (`read_line`
+    /// returns 0) a source that may still grow (`poll_at_eof` is `Some`)
+    /// waits that long and reads again; any other source flushes its
+    /// unterminated last line and ends.
+    fn next_flow(
+        &mut self,
+        mut read_line: impl FnMut(&mut String) -> std::io::Result<usize>,
+        poll_at_eof: Option<Duration>,
+    ) -> Result<Option<TraceFlow>, IngestError> {
+        let mut chunk = String::new();
+        loop {
+            if let Some(flow) = self.ready.pop_front() {
+                return Ok(Some(flow));
+            }
+            if self.ended {
+                return Ok(None);
+            }
+            chunk.clear();
+            if read_line(&mut chunk)? == 0 {
+                match poll_at_eof {
+                    Some(interval) => std::thread::sleep(interval),
+                    None => {
+                        self.flush()?;
+                        self.ended = true;
+                    }
+                }
+                continue;
+            }
+            self.feed(&chunk)?;
+        }
+    }
+
     /// Feeds one `read_line` result (which keeps the `\n` except at EOF).
     /// Lines are only parsed once complete; the end marker short-circuits.
     fn feed(&mut self, chunk: &str) -> Result<(), CsvError> {
@@ -107,7 +142,7 @@ impl LineAssembler {
 
     fn consume_line(&mut self, line: &str) -> Result<(), CsvError> {
         if line.trim() == INGEST_END_MARKER {
-            self.saw_end_marker = true;
+            self.ended = true;
             return Ok(());
         }
         self.parser.push_line(line)?;
@@ -128,7 +163,6 @@ pub struct CsvTail {
     lines: LineAssembler,
     follow: bool,
     poll_interval: Duration,
-    ended: bool,
 }
 
 impl CsvTail {
@@ -139,7 +173,6 @@ impl CsvTail {
             lines: LineAssembler::default(),
             follow,
             poll_interval: Duration::from_millis(10),
-            ended: false,
         })
     }
 
@@ -152,43 +185,24 @@ impl CsvTail {
 
 impl IngestSource for CsvTail {
     fn next_flow(&mut self) -> Result<Option<TraceFlow>, IngestError> {
-        let mut chunk = String::new();
-        loop {
-            if let Some(flow) = self.lines.ready.pop_front() {
-                return Ok(Some(flow));
-            }
-            if self.ended {
-                return Ok(None);
-            }
-            chunk.clear();
-            if self.reader.read_line(&mut chunk)? == 0 {
-                if self.follow && !self.lines.saw_end_marker {
-                    std::thread::sleep(self.poll_interval);
-                    continue;
-                }
-                self.lines.flush()?;
-                self.ended = true;
-                continue;
-            }
-            self.lines.feed(&chunk)?;
-            if self.lines.saw_end_marker {
-                self.ended = true;
-            }
-        }
+        let reader = &mut self.reader;
+        let poll_at_eof = self.follow.then_some(self.poll_interval);
+        self.lines
+            .next_flow(|line| reader.read_line(line), poll_at_eof)
     }
 }
 
 /// Streams flows from a single TCP connection speaking the trace-CSV format.
 ///
 /// The listener accepts exactly one feeder; the stream ends when the feeder
-/// closes its side. Reads happen only on consumer demand, so a full inflight
-/// window translates into TCP backpressure on the feeder.
+/// sends the [`INGEST_END_MARKER`] line or closes its side. Reads happen only
+/// on consumer demand, so a full inflight window translates into TCP
+/// backpressure on the feeder.
 #[derive(Debug)]
 pub struct SocketIngest {
     listener: TcpListener,
     conn: Option<BufReader<TcpStream>>,
     lines: LineAssembler,
-    ended: bool,
 }
 
 impl SocketIngest {
@@ -202,7 +216,6 @@ impl SocketIngest {
                 listener,
                 conn: None,
                 lines: LineAssembler::default(),
-                ended: false,
             },
             local,
         ))
@@ -211,30 +224,18 @@ impl SocketIngest {
 
 impl IngestSource for SocketIngest {
     fn next_flow(&mut self) -> Result<Option<TraceFlow>, IngestError> {
-        let mut chunk = String::new();
-        loop {
-            if let Some(flow) = self.lines.ready.pop_front() {
-                return Ok(Some(flow));
+        let (listener, conn) = (&self.listener, &mut self.conn);
+        let read_line = |line: &mut String| {
+            if conn.is_none() {
+                let (stream, _peer) = listener.accept()?;
+                *conn = Some(BufReader::new(stream));
             }
-            if self.ended {
-                return Ok(None);
-            }
-            if self.conn.is_none() {
-                let (stream, _peer) = self.listener.accept()?;
-                self.conn = Some(BufReader::new(stream));
-            }
-            let conn = self.conn.as_mut().expect("connection accepted above");
-            chunk.clear();
-            if conn.read_line(&mut chunk)? == 0 {
-                self.lines.flush()?;
-                self.ended = true;
-                continue;
-            }
-            self.lines.feed(&chunk)?;
-            if self.lines.saw_end_marker {
-                self.ended = true;
-            }
-        }
+            conn.as_mut()
+                .expect("connection accepted above")
+                .read_line(line)
+        };
+        // The feeder closing its side is the end of input.
+        self.lines.next_flow(read_line, None)
     }
 }
 
@@ -343,6 +344,69 @@ mod tests {
         let b = source.next_flow().expect("valid").expect("second");
         assert_eq!(b.start.as_picos(), 7_250);
         assert!(source.next_flow().expect("clean end").is_none());
+        feeder.join().expect("feeder thread");
+    }
+
+    #[test]
+    fn socket_ingest_joins_a_row_split_across_two_writes() {
+        let (mut source, addr) = SocketIngest::bind("127.0.0.1:0").expect("bind");
+        let feeder = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            write!(stream, "{TRACE_CSV_HEADER}\n0,1,100").expect("partial row");
+            stream.flush().expect("flush");
+            std::thread::sleep(Duration::from_millis(20));
+            writeln!(stream, ",5,0").expect("rest of row");
+        });
+        let flow = source.next_flow().expect("valid").expect("one flow");
+        assert_eq!(
+            (flow.src, flow.dst, flow.size_bytes),
+            (NodeId(0), NodeId(1), 100)
+        );
+        assert_eq!(flow.start.as_picos(), 5_000);
+        assert!(source.next_flow().expect("clean end").is_none());
+        feeder.join().expect("feeder thread");
+    }
+
+    #[test]
+    fn socket_ingest_ends_at_the_end_marker_while_the_feeder_stays_connected() {
+        let (mut source, addr) = SocketIngest::bind("127.0.0.1:0").expect("bind");
+        let (done, consumer_done) = std::sync::mpsc::channel();
+        let feeder = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            write!(
+                stream,
+                "{TRACE_CSV_HEADER}\n0,1,100,5,0\n{INGEST_END_MARKER}\n"
+            )
+            .expect("send rows");
+            // Hold the connection open until the consumer has seen the end:
+            // a source that waited for the close instead would block until
+            // this times out, and the feeder would panic.
+            consumer_done
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the stream ended before the feeder closed");
+            drop(stream);
+        });
+        assert!(source.next_flow().expect("valid").is_some());
+        assert!(source.next_flow().expect("clean end").is_none());
+        done.send(()).expect("feeder waiting");
+        feeder.join().expect("feeder thread");
+    }
+
+    #[test]
+    fn socket_ingest_reports_line_numbered_errors() {
+        let (mut source, addr) = SocketIngest::bind("127.0.0.1:0").expect("bind");
+        let feeder = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            write!(stream, "{TRACE_CSV_HEADER}\n0,1,100,5,0\n0,0,9,6,0\n").expect("send rows");
+        });
+        assert!(source.next_flow().expect("first row fine").is_some());
+        match source.next_flow() {
+            Err(IngestError::Csv(e)) => {
+                assert_eq!(e.line, 3);
+                assert_eq!(e.kind, CsvErrorKind::SelfFlow);
+            }
+            other => panic!("expected a line-3 CSV error, got {other:?}"),
+        }
         feeder.join().expect("feeder thread");
     }
 }

@@ -13,8 +13,10 @@
 #      DRR order, what `restore_state` rejects; `policy.rs`, `switch.rs`,
 #      `buffer.rs`, `queue.rs`), bfc-core (`policy.rs`, the flow table, the
 #      bloom filters), bfc-transport (`host.rs`, `dcqcn.rs`, `hpcc.rs`,
-#      `config.rs`) and bfc-metrics (`safety.rs`, `series.rs`, the
-#      registry); and the two CLI gates that need a process of their own
+#      `config.rs`), bfc-metrics (`safety.rs`, `series.rs`, `recovery.rs`,
+#      the registry) and bfc-workloads (the CSV parser, the CSV tail and
+#      socket ingest sources); and the two CLI gates that need a process of
+#      their own
 #      (`crates/bfc-experiments/tests/cli_flags.rs`: a malformed
 #      `BFC_THREADS`, a safety violation's flight dump into a private
 #      working directory)
@@ -44,10 +46,10 @@ cargo build --release
 echo "== tier-1: cargo test -q"
 cargo test -q
 
-echo "== testkit, bfc-sim and packet-path unit tests + spawned CLI gates"
+echo "== testkit, bfc-sim, packet-path and ingest unit tests + spawned CLI gates"
 cargo test -q -p bfc-testkit
 cargo test -q -p bfc-sim
-cargo test -q -p bfc-net -p bfc-core -p bfc-transport -p bfc-metrics
+cargo test -q -p bfc-net -p bfc-core -p bfc-transport -p bfc-metrics -p bfc-workloads
 cargo test -q -p bfc-experiments --test cli_flags
 
 if [[ "${1:-}" == "--workspace" ]]; then

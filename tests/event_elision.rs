@@ -262,7 +262,6 @@ fn an_arrival_at_the_serialization_end_still_queues_behind_it() {
         NodeId(3),
         1,
         false,
-        false,
         Default::default(),
     );
     f.inject(ns(80), ack);

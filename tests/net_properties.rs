@@ -294,7 +294,6 @@ property! {
         let mut buffer = SharedBuffer::new(capacity, NUM_PORTS);
         // Model: the admitted packets still held, per ingress, FIFO.
         let mut held: Vec<Vec<u64>> = vec![Vec::new(); NUM_PORTS];
-        let mut expected_drops = 0u64;
 
         for &(ingress, bytes, action) in &ops {
             let (ingress, bytes) = (ingress as u32, bytes as u32);
@@ -304,8 +303,6 @@ property! {
                 assert_eq!(admitted, fits, "admit must succeed exactly when the packet fits");
                 if admitted {
                     held[ingress as usize].push(bytes as u64);
-                } else {
-                    expected_drops += 1;
                 }
             } else if let Some(bytes) = held[ingress as usize].first().copied() {
                 held[ingress as usize].remove(0);
@@ -332,7 +329,6 @@ property! {
                     "ingress {i} accounting must match its held packets"
                 );
             }
-            assert_eq!(buffer.drops(), expected_drops);
         }
     }
 

@@ -7,7 +7,7 @@
 use std::collections::VecDeque;
 
 use backpressure_flow_control::core::config::pause_threshold_bytes;
-use backpressure_flow_control::core::policy::{pick_queue, BfcCounters};
+use backpressure_flow_control::core::policy::pick_queue;
 use backpressure_flow_control::core::{CountingBloom, FlowEntry, FlowKey};
 use backpressure_flow_control::experiments::{run_experiment, ExperimentConfig, Scheme};
 use backpressure_flow_control::metrics::{
@@ -316,7 +316,6 @@ fn arb_packet(rng: &mut SimRng) -> Packet {
             dst,
             rng.next_u64(),
             rng.next_below(2) == 1,
-            rng.next_below(2) == 1,
             arb_int_path(rng),
         ),
         2 => Packet::cnp(flow, src, dst),
@@ -461,8 +460,6 @@ fn arb_sender(rng: &mut SimRng) -> SenderFlow {
 fn arb_receiver(rng: &mut SimRng) -> ReceiverFlow {
     let mut flow = ReceiverFlow::new(arb_spec(rng), 1_000);
     flow.expected_seq = rng.next_u64();
-    flow.received_bytes = rng.next_u64();
-    flow.last_arrival = arb_opt(rng, arb_time);
     flow.last_cnp = arb_opt(rng, arb_time);
     flow.nack_sent_for = arb_opt(rng, SimRng::next_u64);
     flow.completed = rng.next_below(2) == 1;
@@ -505,11 +502,7 @@ fn arb_safety(rng: &mut SimRng) -> SafetyTracker {
 fn arb_recovery(rng: &mut SimRng) -> RecoveryTracker {
     let mut tracker = RecoveryTracker::new();
     for _ in 0..rng.next_below(20) {
-        match rng.next_below(3) {
-            0 => tracker.record_fault(arb_time(rng)),
-            1 => tracker.record_reroute(),
-            _ => tracker.add_blackholed(rng.next_below(9)),
-        }
+        tracker.add_blackholed(rng.next_below(9));
     }
     tracker
 }
@@ -607,11 +600,6 @@ property! {
             packets_queued: rng.next_u64() as u32,
             paused: rng.next_below(2) == 1,
             resume_pending: rng.next_below(2) == 1,
-        });
-        assert_snap_round_trip(&BfcCounters {
-            high_priority_packets: rng.next_u64(),
-            peak_tracked_flows: rng.next_u64() as usize,
-            nonempty_frames: rng.next_u64(),
         });
         let mut occupancy = OccupancySeries::new();
         for _ in 0..rng.next_below(30) {

@@ -205,18 +205,19 @@ fn damaged_snapshots_are_rejected() {
         Err(SnapError::BadChecksum)
     ));
 
-    // Another format version — a future one, version 10 without the
-    // egresses' owed-sweep flags, version 9 with a per-sim FCT histogram,
+    // Another format version — a future one, version 11 with the state
+    // nothing read (BFC counters, port transmit totals, the recovery fault
+    // log), version 10 without the egresses' owed-sweep flags, version 9 with a per-sim FCT histogram,
     // version 8 with three counters nobody read, version 7 with a goodput
     // series in each of two trackers, version 6 with a `busy` flag where a
     // transmitter's serialization end now is, or version 5 with its bytewise
     // checksum — is refused by number, not misdecoded.
     assert_eq!(
         snap[8..12],
-        11u32.to_le_bytes(),
-        "this build writes version 11"
+        12u32.to_le_bytes(),
+        "this build writes version 12"
     );
-    for version in [99u32, 10, 9, 8, 7, 6, 5] {
+    for version in [99u32, 11, 10, 9, 8, 7, 6, 5] {
         let mut versioned = snap.clone();
         versioned[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
@@ -356,9 +357,11 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 ///
 /// The flight trace is as written by commit 0022cd3 (`TRACE_VERSION` 2), the
 /// last one whose codec was 68 hand-written `save`/`restore` functions. The
-/// snapshots are `SNAPSHOT_VERSION` 11, which adds to version 10 one
-/// owed-sweep flag per switch egress: 16 bytes more per row on the tiny
-/// fabric's 16 switch ports.
+/// snapshots are `SNAPSHOT_VERSION` 12, which drops from version 11 the
+/// state nothing read or that was held twice: on the tiny fabric 17 bytes
+/// per switch port (16), 8 per switch (4), 32 per BFC policy, 24 for the
+/// one-fault recovery log (16 for the second shard's empty one), and 8 to
+/// 17 per flow end and 1 per queued ACK — 4 706 to 4 850 bytes less per row.
 ///
 /// The two-shard rows also depend on where the epoch windows fall, at any
 /// version: a pending event is saved with the sequence number its queue gave
@@ -372,18 +375,18 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 /// one run, 224 bytes differ, each by a few units, and the parent's file
 /// resumed there to the uninterrupted run's result.
 const PARENT_SNAPSHOTS: [(usize, u64); 12] = [
-    (91_686, 0xb505_b5e5_39f2_c90b), // BFC, 1 shard
-    (100_661, 0x41e6_0b2d_2e28_19d4), // BFC, 2 shards
-    (440_127, 0x5d5b_048c_391c_f28a), // Ideal-FQ
-    (449_102, 0xc2b5_7c11_9351_109e),
-    (81_239, 0x9fbc_277d_c173_920e), // DCQCN
-    (90_214, 0x3f00_09b4_7a66_1ae8),
-    (81_239, 0xa848_bdd9_3f25_ac26), // DCQCN+Win
-    (90_214, 0xbf54_c89b_b078_37d0),
-    (77_396, 0x19a0_46c8_c7da_4eb0), // HPCC
-    (86_371, 0x7631_378d_d7c3_fc8a),
-    (84_442, 0x74a4_4d2f_62bd_2f4c), // DCQCN+Win+SFQ
-    (93_417, 0x5e3f_7b1c_a44c_d936),
+    (86_852, 0xb8c7_5ac8_98f5_bdb7), // BFC, 1 shard
+    (95_811, 0x49fa_21d7_0007_7726), // BFC, 2 shards
+    (435_421, 0x2be3_52a2_8e28_eeb2), // Ideal-FQ
+    (444_380, 0xda3a_00a0_3717_903b),
+    (76_488, 0xc41e_bbdc_a8f8_8ae8), // DCQCN
+    (85_447, 0xa180_1447_3fd6_654e),
+    (76_488, 0x869c_3cff_627e_3f00), // DCQCN+Win
+    (85_447, 0xebfa_46d2_b52e_1126),
+    (72_646, 0xa951_fd20_5991_d6d6), // HPCC
+    (81_605, 0xaf75_edc1_b079_88a4),
+    (79_717, 0x6673_bca1_d632_6fea), // DCQCN+Win+SFQ
+    (88_676, 0x7c33_e96c_37a3_f4d3),
 ];
 const PARENT_FLIGHT: (usize, u64) = (1_256_716, 0x3704_4530_a583_d1d0);
 
