@@ -330,14 +330,6 @@ fn horizon_us(what: &str, us: u64) -> Result<SimDuration, String> {
     horizon_from_micros(us).map_err(|e| format!("{what}: {e}"))
 }
 
-fn check_load(cmd: &str, load: f64) -> Result<(), String> {
-    if load > 0.0 && load <= 1.5 {
-        Ok(())
-    } else {
-        Err(format!("{cmd}: --load must be in (0, 1.5], got {load}"))
-    }
-}
-
 /// The paper-default configuration of one run under the shared options.
 /// This is where `--drain-x` becomes a duration, so it is where the drain is
 /// bounded: a faulted run samples through its drain, one scheduled tick per
@@ -395,19 +387,6 @@ fn cmd_synth(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     };
     let incast_schedule = args.keyed("incast-schedule", "schedule", schedule, "periodic")?;
     let [] = args.positional::<0>("")?;
-    // Keep the load arithmetic (and the incast event period) in sane,
-    // non-panicking ranges before handing the parameters to `synthesize`.
-    check_load("synth", load)?;
-    if !(0.0..=1.5).contains(&incast_load) {
-        return Err(format!(
-            "synth: --incast-load must be in [0, 1.5], got {incast_load}"
-        ));
-    }
-    if incast_load > 0.0 && incast_bytes < 1_000 {
-        return Err(format!(
-            "synth: --incast-bytes must be at least 1000 when incast is enabled, got {incast_bytes}"
-        ));
-    }
     let duration = horizon_us("synth: --duration-us", duration_us)?;
 
     let hosts = topo.hosts();
@@ -423,6 +402,7 @@ fn cmd_synth(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
         arrivals,
         incast_schedule,
     };
+    params.check().map_err(|e| format!("synth: {e}"))?;
     let flows = synthesize(&hosts, &params);
     write_csv_file(&out, &flows).map_err(|e| format!("writing {out}: {e}"))?;
     outln!(

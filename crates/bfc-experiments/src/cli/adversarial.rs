@@ -9,9 +9,8 @@ use bfc_workloads::{synthesize, TraceParams, Workload};
 use super::args::{errln, outln};
 use super::flight::print_trace_diff;
 use super::{
-    check_load, count, horizon_us, json_str, parse_schemes, print_engine_counters,
-    print_results_table, run_config, runner_arg, scheme_arg, single, topo_arg, write_file, Args,
-    Io,
+    count, horizon_us, json_str, parse_schemes, print_engine_counters, print_results_table,
+    run_config, runner_arg, scheme_arg, single, topo_arg, write_file, Args, Io,
 };
 use crate::figures::failure_sweep;
 use crate::fuzz::{fuzz, topology_by_name, FuzzConfig, Objective};
@@ -46,8 +45,13 @@ pub(super) fn cmd_scenario(args: &[String], io: &mut Io<'_>) -> Result<ExitCode,
     let seed = args.num("seed", 1u64)?;
     let drain_x = args.num("drain-x", 4u64)?;
     let [path] = args.positional::<1>("one scenario path is")?;
-    check_load("scenario", load)?;
     let duration = horizon_us("scenario: --duration-us", duration_us)?;
+    let hosts = topo.hosts();
+    let params = TraceParams {
+        host_gbps: topo.host_uplink(hosts[0]).link.rate_gbps,
+        ..TraceParams::background_only(Workload::Google, load, duration, seed)
+    };
+    params.check().map_err(|e| format!("scenario: {e}"))?;
     let pair = diff_schemes.as_deref().map(diff_pair).transpose()?;
 
     let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -78,14 +82,7 @@ pub(super) fn cmd_scenario(args: &[String], io: &mut Io<'_>) -> Result<ExitCode,
                 replay.validate(&topo).map_err(|e| format!("{csv}: {e}"))?;
                 (replay.flows().to_vec(), replay.horizon())
             }
-            None => {
-                let hosts = topo.hosts();
-                let params = TraceParams {
-                    host_gbps: topo.host_uplink(hosts[0]).link.rate_gbps,
-                    ..TraceParams::background_only(Workload::Google, load, duration, seed)
-                };
-                (synthesize(&hosts, &params), duration)
-            }
+            None => (synthesize(&hosts, &params), duration),
         };
         let configs = schemes
             .into_iter()

@@ -700,6 +700,10 @@ impl Reproducer {
                 }
             }
         }
+        // The trace's inputs are checked once every header is in, as a
+        // whole: `synthesize` asserts on some and could not finish with
+        // others. The access-link rate is the topology's, not one of them.
+        repro.trace_params(100.0).check()?;
         repro.scenario = ScenarioSpec::parse(&scenario_text).map_err(|e| e.to_string())?;
         Ok(repro)
     }
@@ -711,7 +715,19 @@ impl Reproducer {
         let topo = topology_by_name(&self.topo)
             .ok_or_else(|| format!("reproducer: unknown topology `{}`", self.topo))?;
         let hosts = topo.hosts();
-        let params = FuzzCase {
+        let params = self.trace_params(topo.host_uplink(hosts[0]).link.rate_gbps);
+        let trace = synthesize(&hosts, &params);
+        let schedule = self.scenario.resolve(&topo).map_err(|e| e.to_string())?;
+        let config = ExperimentConfig::new(self.scheme.clone(), us(self.duration_us))
+            .with_seed(self.trace_seed)
+            .with_dynamics(schedule);
+        Ok((topo, trace, config))
+    }
+
+    /// The synthetic-trace parameters this reproducer describes, on access
+    /// links of `host_gbps`.
+    fn trace_params(&self, host_gbps: f64) -> TraceParams {
+        FuzzCase {
             topo_idx: 0,
             workload: self.workload,
             load: self.load,
@@ -722,13 +738,7 @@ impl Reproducer {
             trace_seed: self.trace_seed,
             faults: Vec::new(),
         }
-        .trace_params(topo.host_uplink(hosts[0]).link.rate_gbps);
-        let trace = synthesize(&hosts, &params);
-        let schedule = self.scenario.resolve(&topo).map_err(|e| e.to_string())?;
-        let config = ExperimentConfig::new(self.scheme.clone(), us(self.duration_us))
-            .with_seed(self.trace_seed)
-            .with_dynamics(schedule);
-        Ok((topo, trace, config))
+        .trace_params(host_gbps)
     }
 
     /// Replays the reproducer on `num_shards` engine shards. Results are
@@ -831,5 +841,19 @@ mod tests {
         assert!(Reproducer::parse("objective p42\n").is_err());
         assert!(Reproducer::parse("load not-a-number\n").is_err());
         assert!(Reproducer::parse("at nonsense down tor0 spine0\n").is_err());
+        // Trace inputs `synthesize` would panic on, not finish with, abort
+        // the process allocating for, or silently run as something else.
+        for header in [
+            "load 2\n",
+            "incast-load 1\nincast-bytes 1\n",
+            "incast-load 0.5\nfan-in 100000000000\n",
+            "load nan\n",
+            "incast-load 0.5\nfan-in 0\n",
+        ] {
+            assert!(
+                Reproducer::parse(header).is_err(),
+                "{header:?} must be refused"
+            );
+        }
     }
 }

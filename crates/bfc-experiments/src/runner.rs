@@ -11,10 +11,10 @@
 //! shard).
 
 use bfc_metrics::fct::{FctRecord, FctSummary};
-use bfc_metrics::recovery::{RecoveryMetrics, RecoveryTracker};
+use bfc_metrics::recovery::{recovery_metrics, RecoveryMetrics};
 use bfc_metrics::registry::{labeled, MetricsRegistry};
-use bfc_metrics::safety::{SafetyConfig, SafetyReport, SafetyTracker};
-use bfc_metrics::series::{GoodputSeries, OccupancySeries, UtilizationTracker};
+use bfc_metrics::safety::{SafetyReport, SafetyTracker};
+use bfc_metrics::series::{pfc_pause_fraction, utilization, GoodputSeries, OccupancySeries};
 use bfc_metrics::Hist;
 use bfc_net::config::SwitchConfig;
 use bfc_net::dynamics::{FaultEvent, FaultSchedule, LinkAction, LinkStateMap};
@@ -281,11 +281,15 @@ pub(crate) struct FabricSim<'a> {
     pub(crate) peak_queue_samples: Vec<f64>,
     pub(crate) occupied_queue_samples: Vec<f64>,
     pub(crate) sample_until: SimTime,
+    /// Flows completed in this sim: the number of `Some`s in
+    /// `flow_completed`, kept because the serve loop reads it per event.
     pub(crate) completed: usize,
-    /// Bytes delivered to this sim's hosts per sample tick, for the recovery
-    /// metrics and the livelock detector.
+    /// Bytes delivered to this sim's hosts by each sample tick, for the
+    /// recovery metrics and the livelock detector.
     pub(crate) goodput: GoodputSeries,
-    pub(crate) recovery: RecoveryTracker,
+    /// Data packets this sim lost in flight on a severed cable (a switch
+    /// counts its own dead-egress flushes and unroutable arrivals).
+    pub(crate) blackholed: u64,
     /// Safety observations (PFC wait-for edges). Each sim records pause
     /// edges only for nodes it owns, so the per-edge log order is the
     /// engine's deterministic processing order and shard merges reproduce
@@ -423,7 +427,7 @@ impl FabricSim<'_> {
                 // is down at their delivery instant.
                 if !self.link_state.all_up() && !self.link_state.is_up(node, port) {
                     if packet.is_data() {
-                        self.recovery.add_blackholed(1);
+                        self.blackholed += 1;
                     }
                     return;
                 }
@@ -692,7 +696,7 @@ pub(crate) fn build_sim<'a>(
         sample_until,
         completed: 0,
         goodput: GoodputSeries::new(),
-        recovery: RecoveryTracker::new(),
+        blackholed: 0,
         safety: SafetyTracker::new(),
         record_dynamics_metrics,
     }
@@ -785,7 +789,9 @@ pub(crate) fn assemble_result(
     // Scalar per-node metrics, iterated in node order (each node lives in
     // exactly one sim). The registry is built in the same pass and in the
     // same order, so serial and sharded runs produce equal registries.
-    let mut tracker = UtilizationTracker::new(frame.hosts_list.len(), frame.host_gbps, measured);
+    let mut delivered_bytes = 0;
+    let mut pfc_paused = SimDuration::ZERO;
+    let mut pfc_links = 0;
     let mut policy_stats = PolicyStats::default();
     let mut drops = 0;
     let mut switch_blackholed = 0;
@@ -794,7 +800,7 @@ pub(crate) fn assemble_result(
     for idx in 0..topo.num_nodes() {
         for sim in &sims {
             if let Some(host) = &sim.hosts[idx] {
-                tracker.add_delivered_bytes(host.counters().rx_data_bytes);
+                delivered_bytes += host.counters().rx_data_bytes;
             }
             if let Some(sw) = &sim.switches[idx] {
                 policy_stats.merge(&sw.policy_stats());
@@ -811,7 +817,8 @@ pub(crate) fn assemble_result(
                 probe.max_probe = probe.max_probe.max(ps.max_probe);
                 for p in 0..sw.num_ports() {
                     let paused = sw.port(p as u32).pfc_paused_time(end_time);
-                    tracker.add_pfc_paused(paused);
+                    pfc_paused += paused;
+                    pfc_links += 1;
                     // Ports that never paused stay out of the registry, or
                     // big fabrics would drown in all-zero series.
                     if paused.as_secs_f64() > 0.0 {
@@ -852,27 +859,31 @@ pub(crate) fn assemble_result(
     registry.add_counter("bfc_flow_table_probe_steps", probe.probe_steps);
     registry.set_gauge("bfc_flow_table_max_probe", probe.max_probe as f64);
 
-    // Per-tick goodput deltas sum across shards.
+    let utilization = utilization(
+        delivered_bytes,
+        frame.hosts_list.len(),
+        frame.host_gbps,
+        measured,
+    );
+    let pfc_pause_fraction = pfc_pause_fraction(pfc_paused, pfc_links, measured);
+
+    // Per-tick running totals of delivered bytes sum across shards.
     let goodput = GoodputSeries::merge(sims.iter().map(|s| &s.goodput));
 
-    // Recovery accumulators merge exactly: blackhole counts sum. The faults
-    // the run applied are the schedule's events up to its end: every one at
-    // or before the cut was popped, and `end_time` is at least its instant.
-    let mut recovery_tracker = RecoveryTracker::merge(sims.iter().map(|s| &s.recovery));
-    recovery_tracker.add_blackholed(switch_blackholed);
+    // Blackhole counts sum: the sims' in-flight drops and the switches' own.
+    // The faults the run applied are the schedule's events up to its end:
+    // every one at or before the cut was popped, and `end_time` is at least
+    // its instant.
+    let blackholed = sims.iter().map(|s| s.blackholed).sum::<u64>() + switch_blackholed;
     let faults = config.dynamics.events();
     let applied = &faults[..faults.partition_point(|e| e.at <= end_time)];
-    let recovery = recovery_tracker.finish(applied, &goodput);
+    let recovery = recovery_metrics(blackholed, applied, &goodput);
 
     // Safety observations merge the same way: pause edges are recorded by
     // the owning sim only, and the replay in `finish` sorts canonically —
-    // bit-identical at any shard count.
-    let merged_safety = SafetyTracker::merge(sims.iter().map(|s| &s.safety));
-    // Pause-duration histogram: close any still-open pauses at the run's end
-    // so a deadlocked edge contributes its full hold time.
-    let pause_hist = merged_safety.pause_durations(end_time);
-    let safety = merged_safety.finish(
-        &SafetyConfig::default(),
+    // bit-identical at any shard count. Pauses still open at the run's end
+    // close there, so a deadlocked edge contributes its full hold time.
+    let (safety, pause_hist) = SafetyTracker::merge(sims.iter().map(|s| &s.safety)).finish(
         &goodput,
         end_time,
         total_flows - completed,
@@ -930,8 +941,8 @@ pub(crate) fn assemble_result(
     registry.add_counter("bfc_safety_violations", safety.violations());
     registry.add_counter("bfc_recovery_blackholed_packets", recovery.blackholed_packets);
     registry.add_counter("bfc_recovery_reroutes", recovery.reroutes);
-    registry.set_gauge("bfc_utilization", tracker.utilization());
-    registry.set_gauge("bfc_pfc_pause_fraction", tracker.pfc_pause_fraction());
+    registry.set_gauge("bfc_utilization", utilization);
+    registry.set_gauge("bfc_pfc_pause_fraction", pfc_pause_fraction);
     registry.set_gauge("bfc_safety_max_pause_depth", f64::from(safety.max_pause_depth));
 
     // Native distribution metrics: recorded even when empty so the family
@@ -946,8 +957,8 @@ pub(crate) fn assemble_result(
         occupancy,
         peak_queue_samples,
         occupied_queue_samples,
-        utilization: tracker.utilization(),
-        pfc_pause_fraction: tracker.pfc_pause_fraction(),
+        utilization,
+        pfc_pause_fraction,
         policy_stats,
         drops,
         completed_flows: completed,

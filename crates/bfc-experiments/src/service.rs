@@ -6,8 +6,8 @@
 //! to an instant `at` and saves it: the complete simulation state — calendar
 //! queues, switches (PhysQueues, shared buffers, pause state, policy state
 //! and RNG streams), hosts (sender/receiver flow tables and
-//! congestion-control state), link state, metrics collectors and the
-//! recovery and safety trackers — in a versioned, length-prefixed,
+//! congestion-control state), link state, metrics collectors, the
+//! blackhole count and the safety tracker — in a versioned, length-prefixed,
 //! checksummed, std-only binary blob ([`bfc_sim::snapshot`]).
 //! [`resume_experiment`] restores the engine from the same inputs plus the
 //! blob, advances it to the deadline and finishes it.
@@ -31,8 +31,10 @@
 //! A snapshot holds only state that a resumed run reads and cannot rebuild
 //! from its inputs. The routing tables are recomputed from the restored
 //! link state (`restore_sim`); the faults the recovery metrics count are the
-//! fault schedule's events up to the run's end; a count nothing reads is
-//! not kept at all, and one that is read is kept in one place.
+//! fault schedule's events up to the run's end; a sim's completed-flow count
+//! is recounted from its per-flow completion instants, and goodput's running
+//! total is the last entry of its series; a count nothing reads is not kept
+//! at all, and one that is read is kept in one place.
 //!
 //! # Streaming ingest
 //!
@@ -101,8 +103,11 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
 /// flow-table peak, each switch egress's PFC flag and all-kinds transmit
 /// totals, the shared buffer's drop count (the switch keeps it), receiver
 /// bytes and last arrival, the sender start, the ACK's ECN echo and the
-/// recovery tracker's fault log.
-pub const SNAPSHOT_VERSION: u32 = 12;
+/// recovery tracker's fault log. Version 13 drops two totals a resumed run
+/// recounts: each sim's completed-flow count (from its per-flow completion
+/// instants) and goodput's running total (the last tick's entry, now that
+/// the series stores running totals rather than per-tick deltas).
+pub const SNAPSHOT_VERSION: u32 = 13;
 
 /// Hashes every run input the snapshot does *not* serialize — topology
 /// shape, trace, configuration and shard count — so a resume against
@@ -150,7 +155,8 @@ fn save_sim(sim: &FabricSim<'_>, w: &mut SnapWriter) {
         flows: _,
         sample_until: _,
         record_dynamics_metrics: _,
-        routes: _, // derived from the link state
+        routes: _,    // derived from the link state
+        completed: _, // recounted from `flow_completed`
         link_state,
         switches,
         hosts,
@@ -158,9 +164,8 @@ fn save_sim(sim: &FabricSim<'_>, w: &mut SnapWriter) {
         occupancy,
         peak_queue_samples,
         occupied_queue_samples,
-        completed,
         goodput,
-        recovery,
+        blackholed,
         safety,
     } = sim;
     link_state.save_state(w);
@@ -176,17 +181,16 @@ fn save_sim(sim: &FabricSim<'_>, w: &mut SnapWriter) {
     occupancy.save(w);
     peak_queue_samples.save(w);
     occupied_queue_samples.save(w);
-    completed.save(w);
     goodput.save(w);
-    recovery.save(w);
+    blackholed.save(w);
     safety.save(w);
 }
 
 /// Overlays saved mutable state onto a freshly built sim, which was built
 /// from the same inputs with the same ownership predicate — the fingerprint
 /// guarantees the former; this checks the latter (node and flow counts, a
-/// saved node exactly where this worker owns one), that no more flows
-/// completed than exist, and recomputes the routing tables.
+/// saved node exactly where this worker owns one), recounts the completed
+/// flows and recomputes the routing tables.
 fn restore_sim(
     sim: &mut FabricSim<'_>,
     frame: &Frame,
@@ -213,12 +217,9 @@ fn restore_sim(
     sim.occupancy = r.get()?;
     sim.peak_queue_samples = r.get()?;
     sim.occupied_queue_samples = r.get()?;
-    sim.completed = r.get()?;
-    if sim.completed > sim.flow_completed.len() {
-        return Err(SnapError::Corrupt("completed count exceeds flow count"));
-    }
+    sim.completed = sim.flow_completed.iter().flatten().count();
     sim.goodput = r.get()?;
-    sim.recovery = r.get()?;
+    sim.blackholed = r.get()?;
     sim.safety = r.get()?;
     // Routing tables are derived state: recompute them from the restored
     // link-state instead of serializing O(nodes^2) next-hop tables.

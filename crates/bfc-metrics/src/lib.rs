@@ -9,13 +9,17 @@
 //! * [`fct`] — per-flow FCT records, slowdown computation and the per-size
 //!   bucketed percentile summaries used by every FCT figure.
 //! * [`stats`] — percentiles, means and CDF construction.
-//! * [`series`] — time-series sampling (buffer occupancy, per-tick goodput)
-//!   and utilization / pause-time accounting.
-//! * [`recovery`] — fault-recovery metrics for runs with network dynamics:
-//!   blackholed packets, reroute count, time-to-recover, goodput dip depth.
+//! * [`series`] — time-series sampling (buffer occupancy, cumulative
+//!   goodput per tick) with the cross-shard merges, and the utilization and
+//!   pause-time fractions as functions of a run's sums.
+//! * [`recovery`] — fault-recovery metrics for runs with network dynamics
+//!   (blackholed packets, reroute count, time-to-recover, goodput dip
+//!   depth), one function of the run's blackhole count, applied faults and
+//!   goodput.
 //! * [`safety`] — the safety detectors the PFC/BFC community cares about:
 //!   circular buffer-dependency (PFC deadlock) detection over the pause
-//!   wait-for graph, pause-storm metrics, and livelock detection.
+//!   wait-for graph, pause-storm metrics, and livelock detection, with the
+//!   pause-duration distribution from the same replay of the edge log.
 //! * [`registry`] — the unified counter/gauge/histogram registry:
 //!   per-switch, per-scheme and engine-internal series under
 //!   Prometheus-style names, with deterministic cross-shard merge and text
@@ -34,8 +38,8 @@ pub mod stats;
 
 pub use fct::{FctRecord, FctSummary, SizeBucket};
 pub use hist::Hist;
-pub use recovery::{RecoveryMetrics, RecoveryTracker};
+pub use recovery::{recovery_metrics, RecoveryMetrics};
 pub use registry::MetricsRegistry;
-pub use safety::{SafetyConfig, SafetyReport, SafetyTracker};
-pub use series::{GoodputSeries, OccupancySeries, UtilizationTracker};
+pub use safety::{SafetyReport, SafetyTracker};
+pub use series::{pfc_pause_fraction, utilization, GoodputSeries, OccupancySeries};
 pub use stats::{build_cdf, mean, percentile};

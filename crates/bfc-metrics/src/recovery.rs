@@ -16,10 +16,11 @@
 //!
 //! The baseline is the mean per-sample goodput over the samples strictly
 //! before the first fault, and "recovered" means a per-sample goodput of at
-//! least [`RecoveryTracker::RECOVERY_FRACTION`] of that baseline. Everything
-//! is computed from the driver's periodic samples (its [`GoodputSeries`]) and
-//! the fault schedule's events the run applied, so the metrics are
-//! bit-identical across thread counts like every other result.
+//! least [`RECOVERY_FRACTION`] of that baseline. [`recovery_metrics`] computes
+//! all four from plain values — the blackhole count the run summed, the fault
+//! schedule's events it applied and its periodic samples (its
+//! [`GoodputSeries`]) — so they are bit-identical across thread counts like
+//! every other result.
 
 use bfc_net::dynamics::{FaultEvent, LinkAction};
 use bfc_sim::{SimDuration, SimTime};
@@ -47,125 +48,90 @@ pub struct RecoveryMetrics {
     pub goodput_dip_depth: f64,
 }
 
-/// Counts the packets a run loses to its dynamics and distills them, with
-/// the fault events the run applied and its goodput series, into
-/// [`RecoveryMetrics`] at the end.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RecoveryTracker {
-    blackholed: u64,
+/// A sample counts as "recovered" at this fraction of the pre-fault baseline
+/// goodput.
+pub const RECOVERY_FRACTION: f64 = 0.9;
+
+/// The pre-fault baseline: mean per-tick goodput over the ticks strictly
+/// before `first`. Returns `None` when no such tick exists (fault at t=0, or
+/// before the first sample window closed) or when the mean is zero — both
+/// would otherwise divide by zero downstream and poison `goodput_dip_depth`
+/// with NaN/inf and `time_to_recover` with a threshold every idle tick
+/// trivially meets.
+fn baseline(goodput: &GoodputSeries, first: SimTime) -> Option<f64> {
+    let mut sum = 0u64;
+    let mut count = 0u64;
+    for (t, d) in goodput.per_tick() {
+        if t < first {
+            sum += d;
+            count += 1;
+        }
+    }
+    let baseline = (count > 0).then(|| sum as f64 / count as f64)?;
+    (baseline > 0.0).then_some(baseline)
 }
 
-bfc_sim::snap_struct! { RecoveryTracker { blackholed } }
+/// Distills a finished run into its [`RecoveryMetrics`], given the data
+/// packets it lost to its dynamics (`blackholed`), the fault events it
+/// applied (`applied`, in time order: each anchors the time-to-recover / dip
+/// windows, and each link down or up is one routing re-convergence — rate
+/// changes disturb goodput but do not change the topology) and its
+/// fabric-wide goodput series.
+///
+/// When no pre-fault baseline exists (see `baseline`), `time_to_recover`
+/// is explicitly `None` and `goodput_dip_depth` explicitly `0.0` —
+/// "unmeasurable", never NaN and never a bogus instant-recovery reading.
+pub fn recovery_metrics(
+    blackholed: u64,
+    applied: &[FaultEvent],
+    goodput: &GoodputSeries,
+) -> RecoveryMetrics {
+    let reroutes = applied
+        .iter()
+        .filter(|e| !matches!(e.action, LinkAction::SetRate { .. }))
+        .count();
+    let mut metrics = RecoveryMetrics {
+        blackholed_packets: blackholed,
+        reroutes: reroutes as u64,
+        faults: applied.len(),
+        time_to_recover: None,
+        goodput_dip_depth: 0.0,
+    };
+    let (Some(first), Some(last)) = (applied.first(), applied.last()) else {
+        return metrics;
+    };
+    let (first, last) = (first.at, last.at);
+    let Some(baseline) = baseline(goodput, first) else {
+        return metrics;
+    };
 
-impl RecoveryTracker {
-    /// A sample counts as "recovered" at this fraction of the pre-fault
-    /// baseline goodput.
-    pub const RECOVERY_FRACTION: f64 = 0.9;
-
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        RecoveryTracker::default()
-    }
-
-    /// Adds blackholed data packets observed by the driver or a switch.
-    pub fn add_blackholed(&mut self, packets: u64) {
-        self.blackholed += packets;
-    }
-
-    /// Blackholed packets recorded so far.
-    pub fn blackholed(&self) -> u64 {
-        self.blackholed
-    }
-
-    /// Merges per-shard trackers into the tracker one collector covering the
-    /// whole fabric would have built: blackhole counts sum. The merge of one
-    /// tracker is that tracker.
-    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a RecoveryTracker>) -> RecoveryTracker {
-        let mut merged = RecoveryTracker::new();
-        for part in parts {
-            merged.blackholed += part.blackholed;
+    // A tick's goodput covers the window since the *previous* tick, so the
+    // first tick at/after the fault mostly counts pre-fault bytes. Only
+    // ticks whose whole window lies after the last fault are eligible as
+    // recovery evidence.
+    let mut window_start = SimTime::ZERO;
+    let mut recovered_at = None;
+    for (t, d) in goodput.per_tick() {
+        if window_start >= last && d as f64 >= RECOVERY_FRACTION * baseline {
+            recovered_at = Some(t);
+            break;
         }
-        merged
+        window_start = t;
     }
+    metrics.time_to_recover = recovered_at.map(|t| t.saturating_since(last));
 
-    /// The pre-fault baseline: mean per-sample goodput over the samples
-    /// strictly before `first`. Returns `None` when no such sample exists
-    /// (fault at t=0, or before the first sample window closed) or when the
-    /// mean is zero — both would otherwise divide by zero downstream and
-    /// poison `goodput_dip_depth` with NaN/inf and `time_to_recover` with a
-    /// threshold every idle sample trivially meets.
-    fn baseline(goodput: &GoodputSeries, first: SimTime) -> Option<f64> {
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for &(t, d) in goodput.samples() {
-            if t < first {
-                sum += d;
-                count += 1;
-            }
-        }
-        let baseline = (count > 0).then(|| sum as f64 / count as f64)?;
-        (baseline > 0.0).then_some(baseline)
+    // The disturbed window: from the first fault until recovery (or the end
+    // of the run if goodput never came back).
+    let window_end = recovered_at.unwrap_or(SimTime::MAX);
+    let min_goodput = goodput
+        .per_tick()
+        .filter(|(t, _)| *t >= first && *t <= window_end)
+        .map(|(_, d)| d)
+        .min();
+    if let Some(min) = min_goodput {
+        metrics.goodput_dip_depth = (1.0 - min as f64 / baseline).clamp(0.0, 1.0);
     }
-
-    /// Distills the recorded run into its [`RecoveryMetrics`], given the
-    /// fault events it applied (`applied`, in time order: each anchors the
-    /// time-to-recover / dip windows, and each link down or up is one
-    /// routing re-convergence — rate changes disturb goodput but do not
-    /// change the topology) and its fabric-wide goodput series.
-    ///
-    /// When no pre-fault baseline exists (see [`RecoveryTracker::baseline`]),
-    /// `time_to_recover` is explicitly `None` and `goodput_dip_depth`
-    /// explicitly `0.0` — "unmeasurable", never NaN and never a bogus
-    /// instant-recovery reading.
-    pub fn finish(&self, applied: &[FaultEvent], goodput: &GoodputSeries) -> RecoveryMetrics {
-        let reroutes = applied
-            .iter()
-            .filter(|e| !matches!(e.action, LinkAction::SetRate { .. }))
-            .count();
-        let mut metrics = RecoveryMetrics {
-            blackholed_packets: self.blackholed,
-            reroutes: reroutes as u64,
-            faults: applied.len(),
-            time_to_recover: None,
-            goodput_dip_depth: 0.0,
-        };
-        let (Some(first), Some(last)) = (applied.first(), applied.last()) else {
-            return metrics;
-        };
-        let (first, last) = (first.at, last.at);
-        let Some(baseline) = Self::baseline(goodput, first) else {
-            return metrics;
-        };
-
-        // A sample's delta covers the window since the *previous* sample, so
-        // the first sample at/after the fault mostly counts pre-fault bytes.
-        // Only samples whose whole window lies after the last fault are
-        // eligible as recovery evidence.
-        let mut window_start = SimTime::ZERO;
-        let mut recovered_at = None;
-        for &(t, d) in goodput.samples() {
-            if window_start >= last && d as f64 >= Self::RECOVERY_FRACTION * baseline {
-                recovered_at = Some(t);
-                break;
-            }
-            window_start = t;
-        }
-        metrics.time_to_recover = recovered_at.map(|t| t.saturating_since(last));
-
-        // The disturbed window: from the first fault until recovery (or the
-        // end of the run if goodput never came back).
-        let window_end = recovered_at.unwrap_or(SimTime::MAX);
-        let min_goodput = goodput
-            .samples()
-            .iter()
-            .filter(|(t, _)| *t >= first && *t <= window_end)
-            .map(|(_, d)| *d)
-            .min();
-        if let Some(min) = min_goodput {
-            metrics.goodput_dip_depth = (1.0 - min as f64 / baseline).clamp(0.0, 1.0);
-        }
-        metrics
-    }
+    metrics
 }
 
 #[cfg(test)]
@@ -190,45 +156,16 @@ mod tests {
     }
 
     #[test]
-    fn merging_shard_trackers_matches_the_fabric_wide_tracker() {
-        // One fabric-wide tracker versus two shard trackers that each saw
-        // some of the losses.
-        let mut whole = RecoveryTracker::new();
-        let mut shard0 = RecoveryTracker::new();
-        let mut shard1 = RecoveryTracker::new();
-        whole.add_blackholed(3);
-        shard0.add_blackholed(1);
-        shard1.add_blackholed(2);
-        let merged = RecoveryTracker::merge([&shard0, &shard1]);
-        assert_eq!(merged, whole);
-        assert_eq!(merged.blackholed(), 3);
-    }
-
-    #[test]
-    fn merging_a_single_tracker_is_identity() {
-        let mut t = RecoveryTracker::new();
-        let mut g = GoodputSeries::new();
-        g.record(us(10), 1_000);
-        g.record(us(20), 1_500);
-        t.add_blackholed(4);
-        let applied = [fault(12, true)];
-        let expected = t.finish(&applied, &g);
-        assert_eq!(RecoveryTracker::merge([&t]).finish(&applied, &g), expected);
-    }
-
-    #[test]
     fn no_faults_yield_empty_metrics() {
-        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         g.record(us(10), 1_000);
         g.record(us(20), 2_000);
-        let m = t.finish(&[], &g);
+        let m = recovery_metrics(0, &[], &g);
         assert_eq!(m, RecoveryMetrics::default());
     }
 
     #[test]
     fn dip_and_recovery_are_measured_from_samples() {
-        let mut t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         // Steady 1000 B per tick before the fault.
         let mut cumulative = 0;
@@ -241,8 +178,7 @@ mod tests {
             cumulative += delta;
             g.record(us(at), cumulative);
         }
-        t.add_blackholed(7);
-        let m = t.finish(&[fault(45, true)], &g);
+        let m = recovery_metrics(7, &[fault(45, true)], &g);
         assert_eq!(m.blackholed_packets, 7);
         assert_eq!(m.reroutes, 1);
         assert_eq!(m.faults, 1);
@@ -253,22 +189,20 @@ mod tests {
 
     #[test]
     fn unrecovered_runs_report_none() {
-        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         g.record(us(10), 1_000);
         g.record(us(20), 1_050);
         g.record(us(30), 1_100);
-        let m = t.finish(&[fault(15, true)], &g);
+        let m = recovery_metrics(0, &[fault(15, true)], &g);
         assert_eq!(m.time_to_recover, None);
         assert!(m.goodput_dip_depth > 0.9);
     }
 
     #[test]
     fn fault_before_any_sample_has_no_baseline() {
-        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         g.record(us(10), 1_000);
-        let m = t.finish(&[fault(1, false)], &g);
+        let m = recovery_metrics(0, &[fault(1, false)], &g);
         assert_eq!(m.time_to_recover, None);
         assert_eq!(m.goodput_dip_depth, 0.0);
         assert_eq!(m.faults, 1);
@@ -279,14 +213,13 @@ mod tests {
         // A fault at t=0 leaves zero samples strictly before it: no baseline
         // exists, so both metrics must take their explicit "unmeasurable"
         // values rather than dividing by zero.
-        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         let mut cumulative = 0;
         for i in 1..=3u64 {
             cumulative += 1_000;
             g.record(us(i * 10), cumulative);
         }
-        let m = t.finish(&[fault(0, true)], &g);
+        let m = recovery_metrics(0, &[fault(0, true)], &g);
         assert_eq!(m.time_to_recover, None);
         assert_eq!(m.goodput_dip_depth, 0.0);
         assert!(m.goodput_dip_depth.is_finite());
@@ -298,14 +231,13 @@ mod tests {
         // The fault lands after t=0 but before the first sample window has
         // closed; the t=10 sample straddles it, so it is not baseline
         // evidence and the metrics stay at their explicit defaults.
-        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         let mut cumulative = 0;
         for i in 1..=3u64 {
             cumulative += 1_000;
             g.record(us(i * 10), cumulative);
         }
-        let m = t.finish(&[fault(5, true)], &g);
+        let m = recovery_metrics(0, &[fault(5, true)], &g);
         assert_eq!(m.time_to_recover, None);
         assert_eq!(m.goodput_dip_depth, 0.0);
     }
@@ -315,13 +247,12 @@ mod tests {
         // Pre-fault samples exist but carry zero bytes: a zero baseline would
         // make every idle sample "recovered" instantly and the dip 0/0 = NaN.
         // It must instead count as no baseline at all.
-        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         g.record(us(10), 0);
         g.record(us(20), 0);
         g.record(us(30), 0);
         g.record(us(40), 500);
-        let m = t.finish(&[fault(25, true)], &g);
+        let m = recovery_metrics(0, &[fault(25, true)], &g);
         assert_eq!(m.time_to_recover, None);
         assert_eq!(m.goodput_dip_depth, 0.0);
         assert!(m.goodput_dip_depth.is_finite());
@@ -329,7 +260,6 @@ mod tests {
 
     #[test]
     fn recovery_measured_from_last_fault_of_a_flap() {
-        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         let mut cumulative = 0;
         for i in 1..=3u64 {
@@ -350,7 +280,7 @@ mod tests {
                 b: NodeId(1),
             },
         };
-        let m = t.finish(&[fault(35, true), up], &g);
+        let m = recovery_metrics(0, &[fault(35, true), up], &g);
         assert_eq!(m.faults, 2);
         assert_eq!(m.reroutes, 2);
         // The t=50 sample's window (40..50) straddles the t=45 fault, so it
@@ -360,7 +290,6 @@ mod tests {
 
     #[test]
     fn straddling_sample_windows_do_not_count_as_recovery() {
-        let t = RecoveryTracker::new();
         let mut g = GoodputSeries::new();
         let mut cumulative = 0;
         for i in 1..=4u64 {
@@ -374,7 +303,7 @@ mod tests {
         // Goodput is actually dead afterwards.
         g.record(us(60), cumulative);
         g.record(us(70), cumulative);
-        let m = t.finish(&[fault(49, true)], &g);
+        let m = recovery_metrics(0, &[fault(49, true)], &g);
         assert_eq!(m.time_to_recover, None);
     }
 }

@@ -9,22 +9,23 @@
 //!   that persists means no member can ever drain — the classic circular
 //!   buffer dependency. Transient cycles do occur in healthy operation
 //!   (pauses are short and release as queues drain), so only a cycle that
-//!   survives at least [`SafetyConfig::deadlock_hold`] counts as a
+//!   survives at least [`DEADLOCK_HOLD`] counts as a
 //!   violation; shorter-lived ones are tallied as `cycles_formed`.
 //! * **Pause storms** — cascades of pause frames propagating upstream. We
 //!   track the total pause-frame count, the worst per-link count inside any
-//!   fixed [`SafetyConfig::storm_window`], and the maximum *propagation
+//!   fixed [`STORM_WINDOW`], and the maximum *propagation
 //!   depth*: a pause of `X` by `Y` while `Y` is itself paused by `Z` (which
 //!   is paused by …) has depth `1 + depth(Y)`.
 //! * **Livelock** — the fabric is "up", flows remain pending, and yet
 //!   goodput is pinned at zero for at least
-//!   [`SafetyConfig::livelock_horizon`] at the end of the run — the
+//!   [`LIVELOCK_HORIZON`] at the end of the run — the
 //!   signature of flapping-link schedules that keep resetting recovery.
 //!
 //! A [`SafetyTracker`] accumulates the pause install/release edges from the
 //! driver's PFC interception during a run; [`SafetyTracker::finish`] replays
-//! the canonically-sorted edge log, and reads the trailing stall off the
-//! run's [`GoodputSeries`], into a [`SafetyReport`]. Like every other
+//! the canonically-sorted edge log once, and reads the trailing stall off the
+//! run's [`GoodputSeries`], into a [`SafetyReport`] and the distribution of
+//! pause durations. Like every other
 //! metric in this workspace, the report is bit-identical across shard
 //! counts: each wait-for edge `X → Y` is recorded only by the shard that
 //! owns `X`, per-edge order is preserved by the engine's determinism, and
@@ -39,33 +40,18 @@ use bfc_sim::{SimDuration, SimTime};
 use crate::hist::Hist;
 use crate::series::GoodputSeries;
 
-/// Thresholds for the three safety detectors. Analysis-only: changing these
-/// never changes simulation behavior, only how the observations are judged.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SafetyConfig {
-    /// A wait-for cycle must persist this long to count as a deadlock
-    /// (shorter cycles are healthy transients and only tally
-    /// `cycles_formed`).
-    pub deadlock_hold: SimDuration,
-    /// Zero goodput for at least this long at the end of a run — while
-    /// flows remain pending — counts as livelock.
-    pub livelock_horizon: SimDuration,
-    /// Window for the worst per-link pause-frame count.
-    pub storm_window: SimDuration,
-}
+/// A wait-for cycle must persist this long to count as a deadlock (shorter
+/// cycles are healthy transients and only tally `cycles_formed`): several
+/// pause/resume round trips on a datacenter RTT.
+pub const DEADLOCK_HOLD: SimDuration = SimDuration::from_micros(20);
 
-impl Default for SafetyConfig {
-    /// 20 µs hold (several pause/resume round trips on a datacenter RTT),
-    /// 100 µs livelock horizon, 10 µs storm window (the default sample
-    /// interval).
-    fn default() -> Self {
-        SafetyConfig {
-            deadlock_hold: SimDuration::from_micros(20),
-            livelock_horizon: SimDuration::from_micros(100),
-            storm_window: SimDuration::from_micros(10),
-        }
-    }
-}
+/// Zero goodput for at least this long at the end of a run — while flows
+/// remain pending — counts as livelock.
+pub const LIVELOCK_HORIZON: SimDuration = SimDuration::from_micros(100);
+
+/// Window for the worst per-link pause-frame count (the default sample
+/// interval).
+pub const STORM_WINDOW: SimDuration = SimDuration::from_micros(10);
 
 /// One PFC wait-for edge observation: at `at`, the egress of `from` toward
 /// `to` was paused (`pause`) or resumed (`!pause`) by a PFC frame from `to`.
@@ -105,29 +91,6 @@ impl SafetyTracker {
         });
     }
 
-    /// The distribution of PFC pause intervals per wait-for edge, in
-    /// nanoseconds: XOFF opens an interval on the edge (refreshes keep the
-    /// original install time), XON closes it, and intervals still open are
-    /// closed at `end`. Replays the log in recorded order — all edges of
-    /// one `(from, to)` pair are recorded by the shard owning `from`, in
-    /// its order, and a histogram does not care how the pairs interleave —
-    /// so a merged tracker's histogram is bit-identical to the serial one.
-    pub fn pause_durations(&self, end: SimTime) -> Hist {
-        let mut hist = Hist::new();
-        let mut open: BTreeMap<(NodeId, NodeId), SimTime> = BTreeMap::new();
-        for e in &self.edges {
-            if e.pause {
-                open.entry((e.from, e.to)).or_insert(e.at);
-            } else if let Some(start) = open.remove(&(e.from, e.to)) {
-                hist.observe(e.at.saturating_since(start).as_nanos());
-            }
-        }
-        for start in open.into_values() {
-            hist.observe(end.saturating_since(start).as_nanos());
-        }
-        hist
-    }
-
     /// Merges per-shard trackers into the tracker one fabric-wide collector
     /// would have built. Edge logs concatenate (each `(from, *)` edge is
     /// recorded by exactly one shard; [`SafetyTracker::finish`] sorts
@@ -138,37 +101,45 @@ impl SafetyTracker {
         }
     }
 
-    /// Replays the observations into a [`SafetyReport`]. `goodput` is the
-    /// run's fabric-wide series (the livelock detector reads its trailing
-    /// stall); `end` is the run's end time (bounds the lifetime of
-    /// never-released cycles); `pending_flows` is how many flows had not
+    /// Replays the observations into a [`SafetyReport`] and the
+    /// distribution of PFC pause intervals per wait-for edge, in
+    /// nanoseconds. `goodput` is the run's fabric-wide series (the livelock
+    /// detector reads its trailing stall); `end` is the run's end time (it
+    /// bounds the lifetime of never-released cycles and closes the pause
+    /// intervals still open); `pending_flows` is how many flows had not
     /// completed by then (livelock needs at least one).
+    ///
+    /// An XOFF opens an interval on its edge (a refresh keeps the original
+    /// install instant) and an XON closes it. The sort below keeps each
+    /// edge's records in the order they were recorded, and a histogram does
+    /// not care how the edges interleave, so a merged tracker's histogram is
+    /// the serial one bit for bit.
     pub fn finish(
-        &self,
-        config: &SafetyConfig,
+        mut self,
         goodput: &GoodputSeries,
         end: SimTime,
         pending_flows: usize,
-    ) -> SafetyReport {
+    ) -> (SafetyReport, Hist) {
         let mut report = SafetyReport::default();
+        let mut durations = Hist::new();
 
         // Canonical order: stable by (time, from, to), so the merged
         // per-shard logs and the serial log replay identically; same-key
         // events (install + release of one edge at one instant) keep the
         // owning shard's processing order.
-        let mut edges = self.edges.clone();
-        edges.sort_by_key(|e| (e.at, e.from, e.to));
+        self.edges.sort_by_key(|e| (e.at, e.from, e.to));
 
-        // Live wait-for edges with their propagation depth.
-        let mut live: BTreeMap<(NodeId, NodeId), u32> = BTreeMap::new();
+        // Live wait-for edges with their install instant and propagation
+        // depth.
+        let mut live: Live = BTreeMap::new();
         // Cycles currently intact: formation time + member edges.
         let mut candidates: Vec<(SimTime, Vec<(NodeId, NodeId)>)> = Vec::new();
         // Streaming per-link storm-window counter: (window index, count).
         let mut storm: BTreeMap<(NodeId, NodeId), (u64, u64)> = BTreeMap::new();
-        let storm_ps = config.storm_window.as_picos().max(1);
+        let storm_ps = STORM_WINDOW.as_picos();
 
         let confirm = |report: &mut SafetyReport, formed: SimTime, released: SimTime, cycle: &[(NodeId, NodeId)]| {
-            if released.saturating_since(formed) >= config.deadlock_hold {
+            if released.saturating_since(formed) >= DEADLOCK_HOLD {
                 report.deadlocks += 1;
                 if report.first_deadlock_at.is_none() {
                     report.first_deadlock_at = Some(formed);
@@ -177,7 +148,7 @@ impl SafetyTracker {
             }
         };
 
-        for e in &edges {
+        for e in &self.edges {
             let key = (e.from, e.to);
             if e.pause {
                 report.pause_frames += 1;
@@ -196,10 +167,10 @@ impl SafetyTracker {
                 }
                 let depth = 1 + live
                     .range((e.to, NodeId(0))..=(e.to, NodeId(u32::MAX)))
-                    .map(|(_, &d)| d)
+                    .map(|(_, &(_, d))| d)
                     .max()
                     .unwrap_or(0);
-                live.insert(key, depth);
+                live.insert(key, (e.at, depth));
                 report.max_pause_depth = report.max_pause_depth.max(depth);
 
                 // Does the new edge close a cycle? DFS from `to` back to
@@ -212,7 +183,9 @@ impl SafetyTracker {
                     candidates.push((e.at, cycle));
                 }
             } else {
-                live.remove(&key);
+                if let Some((install, _)) = live.remove(&key) {
+                    durations.observe(e.at.saturating_since(install).as_nanos());
+                }
                 // A released member breaks every cycle it participated in;
                 // cycles that were held long enough are deadlocks.
                 let mut kept = Vec::with_capacity(candidates.len());
@@ -230,33 +203,37 @@ impl SafetyTracker {
         for (formed, cycle) in candidates.drain(..) {
             confirm(&mut report, formed, end, &cycle);
         }
+        // Pauses still installed at the end of the run were held until
+        // `end`: a deadlocked edge contributes its full hold time.
+        for (install, _) in live.into_values() {
+            durations.observe(end.saturating_since(install).as_nanos());
+        }
 
         // Livelock: flows pending, and the trailing span with zero goodput
         // is at least the horizon.
         if pending_flows > 0 {
-            if let Some(&(last_tick, _)) = goodput.samples().last() {
+            if let Some((last_tick, _)) = goodput.per_tick().next_back() {
                 let stalled_from = goodput
-                    .samples()
-                    .iter()
+                    .per_tick()
                     .rev()
-                    .find(|&&(_, d)| d > 0)
-                    .map(|&(t, _)| t)
+                    .find(|&(_, d)| d > 0)
+                    .map(|(t, _)| t)
                     .unwrap_or(SimTime::ZERO);
                 report.stalled_for = last_tick.saturating_since(stalled_from);
-                report.livelock = report.stalled_for >= config.livelock_horizon;
+                report.livelock = report.stalled_for >= LIVELOCK_HORIZON;
             }
         }
-        report
+        (report, durations)
     }
 }
 
+/// The live wait-for edges of a replay, each with its install instant and
+/// propagation depth.
+type Live = BTreeMap<(NodeId, NodeId), (SimTime, u32)>;
+
 /// DFS from `start` to `goal` over the live wait-for edges; returns the
 /// path's edges in order, or `None` if unreachable.
-fn find_path(
-    live: &BTreeMap<(NodeId, NodeId), u32>,
-    start: NodeId,
-    goal: NodeId,
-) -> Option<Vec<(NodeId, NodeId)>> {
+fn find_path(live: &Live, start: NodeId, goal: NodeId) -> Option<Vec<(NodeId, NodeId)>> {
     let mut stack = vec![start];
     let mut parent: BTreeMap<NodeId, NodeId> = BTreeMap::new();
     while let Some(node) = stack.pop() {
@@ -295,7 +272,7 @@ pub struct SafetyReport {
     /// Wait-for cycles observed at pause install, including healthy
     /// transients.
     pub cycles_formed: u64,
-    /// Cycles that persisted at least the configured hold — the PFC
+    /// Cycles that persisted at least [`DEADLOCK_HOLD`] — the PFC
     /// deadlock count. Non-zero is a safety violation.
     pub deadlocks: u64,
     /// Formation time of the first confirmed deadlock.
@@ -342,9 +319,9 @@ mod tests {
     fn persistent_cycle_is_a_deadlock() {
         let mut t = SafetyTracker::new();
         cycle_at_10us(&mut t);
-        // Released after 40us — twice the default 20us hold.
+        // Released after 40us — twice the 20us hold.
         t.record_pause(us(50), node(0), node(1), false);
-        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(100), 0);
+        let r = t.finish(&GoodputSeries::new(), us(100), 0).0;
         assert_eq!(r.cycles_formed, 1);
         assert_eq!(r.deadlocks, 1);
         assert_eq!(r.violations(), 1);
@@ -360,7 +337,7 @@ mod tests {
         cycle_at_10us(&mut t);
         // Broken after 5us — well under the hold: healthy PFC churn.
         t.record_pause(us(15), node(1), node(2), false);
-        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(100), 0);
+        let r = t.finish(&GoodputSeries::new(), us(100), 0).0;
         assert_eq!(r.cycles_formed, 1);
         assert_eq!(r.deadlocks, 0);
         assert_eq!(r.violations(), 0);
@@ -370,9 +347,9 @@ mod tests {
     fn unreleased_cycle_is_held_until_the_end_of_the_run() {
         let mut t = SafetyTracker::new();
         cycle_at_10us(&mut t);
-        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(25), 0);
+        let r = t.clone().finish(&GoodputSeries::new(), us(25), 0).0;
         assert_eq!(r.deadlocks, 0, "held 15us < 20us hold");
-        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(100), 0);
+        let r = t.finish(&GoodputSeries::new(), us(100), 0).0;
         assert_eq!(r.deadlocks, 1, "held 90us at run end");
     }
 
@@ -382,7 +359,7 @@ mod tests {
         // C pauses B first, then B pauses A: A's pause has depth 2.
         t.record_pause(us(10), node(1), node(2), true);
         t.record_pause(us(11), node(0), node(1), true);
-        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(100), 0);
+        let r = t.finish(&GoodputSeries::new(), us(100), 0).0;
         assert_eq!(r.max_pause_depth, 2);
         assert_eq!(r.pause_frames, 2);
         // Released edges no longer deepen later pauses.
@@ -390,13 +367,13 @@ mod tests {
         t.record_pause(us(10), node(1), node(2), true);
         t.record_pause(us(12), node(1), node(2), false);
         t.record_pause(us(14), node(0), node(1), true);
-        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(100), 0);
+        let r = t.finish(&GoodputSeries::new(), us(100), 0).0;
         assert_eq!(r.max_pause_depth, 1);
     }
 
     #[test]
     fn storm_window_tracks_the_worst_link() {
-        let cfg = SafetyConfig::default(); // 10us window
+        assert_eq!(STORM_WINDOW, SimDuration::from_micros(10));
         let mut t = SafetyTracker::new();
         // Three pause/release rounds on one link inside one window, one
         // round on another link.
@@ -410,7 +387,7 @@ mod tests {
             );
         }
         t.record_pause(us(21), node(2), node(3), true);
-        let r = t.finish(&cfg, &GoodputSeries::new(), us(100), 0);
+        let r = t.finish(&GoodputSeries::new(), us(100), 0).0;
         assert_eq!(r.pause_frames, 4);
         assert_eq!(r.max_link_window_frames, 3);
         // The same three rounds spread across distinct windows peak at 1.
@@ -419,13 +396,13 @@ mod tests {
             t.record_pause(us(20 + 10 * i), node(0), node(1), true);
             t.record_pause(us(25 + 10 * i), node(0), node(1), false);
         }
-        let r = t.finish(&cfg, &GoodputSeries::new(), us(100), 0);
+        let r = t.finish(&GoodputSeries::new(), us(100), 0).0;
         assert_eq!(r.max_link_window_frames, 1);
     }
 
     #[test]
     fn livelock_needs_pending_flows_and_a_long_stall() {
-        let cfg = SafetyConfig::default(); // 100us horizon
+        assert_eq!(LIVELOCK_HORIZON, SimDuration::from_micros(100));
         let t = SafetyTracker::new();
         let mut g = GoodputSeries::new();
         let mut cumulative = 0;
@@ -437,19 +414,19 @@ mod tests {
             g.record(us(i * 10), cumulative); // zero from t=60 on
         }
         // Stalled 150us ≥ 100us horizon with flows pending: livelock.
-        let r = t.finish(&cfg, &g, us(200), 3);
+        let r = t.clone().finish(&g, us(200), 3).0;
         assert!(r.livelock);
         assert_eq!(r.stalled_for, SimDuration::from_micros(150));
         assert_eq!(r.violations(), 1);
         // Same trace with everything completed: not a livelock.
-        let r = t.finish(&cfg, &g, us(200), 0);
+        let r = t.clone().finish(&g, us(200), 0).0;
         assert!(!r.livelock);
         assert_eq!(r.violations(), 0);
         // A short trailing stall with flows pending: not a livelock either.
         let mut g = GoodputSeries::new();
         g.record(us(10), 1_000);
         g.record(us(20), 1_000);
-        let r = t.finish(&cfg, &g, us(20), 3);
+        let r = t.finish(&g, us(20), 3).0;
         assert!(!r.livelock);
         assert_eq!(r.stalled_for, SimDuration::from_micros(10));
     }
@@ -472,9 +449,10 @@ mod tests {
             shard.record_pause(us(at), node(from), node(to), pause);
         }
         let merged = SafetyTracker::merge([&shard0, &shard1]);
-        let (cfg, g) = (SafetyConfig::default(), GoodputSeries::new());
-        assert_eq!(merged.finish(&cfg, &g, us(100), 2), whole.finish(&cfg, &g, us(100), 2));
-        assert_eq!(merged.finish(&cfg, &g, us(100), 2).deadlocks, 1);
+        let g = GoodputSeries::new();
+        let (report, durations) = merged.finish(&g, us(100), 2);
+        assert_eq!((report.clone(), durations), whole.finish(&g, us(100), 2));
+        assert_eq!(report.deadlocks, 1);
     }
 
     #[test]
@@ -491,13 +469,13 @@ mod tests {
     }
 
     #[test]
-    fn pause_durations_close_open_intervals_at_end_and_survive_restore() {
+    fn pause_intervals_still_open_close_at_the_end_and_survive_restore() {
         let mut t = SafetyTracker::new();
         t.record_pause(us(10), node(0), node(1), true);
         t.record_pause(us(12), node(0), node(1), true); // refresh, start unchanged
         t.record_pause(us(15), node(0), node(1), false); // 5us closed
         t.record_pause(us(20), node(2), node(3), true); // open until end
-        let h = t.pause_durations(us(30));
+        let h = t.clone().finish(&GoodputSeries::new(), us(30), 0).1;
         assert_eq!(h.count(), 2);
         let mut expect = Hist::new();
         expect.observe(SimDuration::from_micros(5).as_nanos());
@@ -509,7 +487,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         let restored = SafetyTracker::restore(&mut r).unwrap();
-        assert_eq!(restored.pause_durations(us(30)), h);
+        assert_eq!(restored.finish(&GoodputSeries::new(), us(30), 0).1, h);
         // Shard-split durations merge to the serial histogram.
         let mut s0 = SafetyTracker::new();
         let mut s1 = SafetyTracker::new();
@@ -518,7 +496,7 @@ mod tests {
         s0.record_pause(us(15), node(0), node(1), false);
         s1.record_pause(us(20), node(2), node(3), true);
         let merged = SafetyTracker::merge([&s0, &s1]);
-        assert_eq!(merged.pause_durations(us(30)), h);
+        assert_eq!(merged.finish(&GoodputSeries::new(), us(30), 0).1, h);
     }
 
     #[test]
@@ -528,7 +506,7 @@ mod tests {
         // The same edges pause again while still live: frames count,
         // cycles do not.
         cycle_at_10us(&mut t);
-        let r = t.finish(&SafetyConfig::default(), &GoodputSeries::new(), us(100), 0);
+        let r = t.finish(&GoodputSeries::new(), us(100), 0).0;
         assert_eq!(r.pause_frames, 6);
         assert_eq!(r.cycles_formed, 1);
         assert_eq!(r.deadlocks, 1);

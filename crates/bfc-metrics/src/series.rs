@@ -1,5 +1,6 @@
-//! Time-series metrics: buffer occupancy samples, per-tick goodput, link
-//! utilization and PFC pause-time fractions.
+//! Time-series metrics — buffer occupancy samples and per-tick goodput, with
+//! their cross-shard merges — and the two ratios the paper reports over a
+//! whole run: link utilization and the PFC pause-time fraction.
 
 use bfc_sim::{SimDuration, SimTime};
 
@@ -84,16 +85,16 @@ impl OccupancySeries {
     }
 }
 
-/// Goodput per sample tick: `(instant, bytes delivered since the previous
-/// tick)`. The one series behind both the recovery metrics (baseline, dip,
-/// time to recover) and the livelock detector.
+/// Bytes delivered by each sample tick: `(instant, cumulative bytes)`. A
+/// tick's goodput is its entry minus the one before ([`GoodputSeries::per_tick`];
+/// the first is compared against 0). The one series behind both the recovery
+/// metrics (baseline, dip, time to recover) and the livelock detector.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GoodputSeries {
-    samples: Vec<(SimTime, u64)>,
-    last_cumulative: u64,
+    cumulative: Vec<(SimTime, u64)>,
 }
 
-bfc_sim::snap_struct! { GoodputSeries { samples, last_cumulative } }
+bfc_sim::snap_struct! { GoodputSeries { cumulative } }
 
 impl GoodputSeries {
     /// Creates an empty series.
@@ -105,105 +106,66 @@ impl GoodputSeries {
     /// delivered to this series' receivers at `now`. Call at every sample
     /// tick, in time order.
     pub fn record(&mut self, now: SimTime, cumulative_bytes: u64) {
-        let delta = cumulative_bytes.saturating_sub(self.last_cumulative);
-        self.last_cumulative = cumulative_bytes;
-        self.samples.push((now, delta));
+        self.cumulative.push((now, cumulative_bytes));
     }
 
-    /// The ticks recorded so far, in time order.
-    pub fn samples(&self) -> &[(SimTime, u64)] {
-        &self.samples
+    /// Each tick's goodput, in time order: `(instant, bytes delivered since
+    /// the previous tick)`.
+    pub fn per_tick(&self) -> impl DoubleEndedIterator<Item = (SimTime, u64)> + '_ {
+        let c = &self.cumulative;
+        (0..c.len()).map(move |i| {
+            let before = if i == 0 { 0 } else { c[i - 1].1 };
+            (c[i].0, c[i].1.saturating_sub(before))
+        })
     }
 
     /// Merges per-shard series into the one a collector covering the whole
-    /// fabric would have recorded. Shards sample in lockstep, so every
-    /// non-empty part carries the same tick instants, and per-tick deltas
-    /// (each shard's local receivers) sum to the fabric-wide delta exactly
-    /// (`u64` addition). The merge of one series is that series.
+    /// fabric would have recorded. Shards sample in lockstep, so every part
+    /// carries the same tick instants, and per-tick running totals (each
+    /// shard's local receivers) sum to the fabric-wide total exactly (`u64`
+    /// addition). The merge of one series is that series.
     pub fn merge<'a>(parts: impl IntoIterator<Item = &'a GoodputSeries>) -> GoodputSeries {
-        let mut merged = GoodputSeries::new();
+        let mut parts = parts.into_iter();
+        let mut merged = parts.next().cloned().unwrap_or_default();
         for part in parts {
-            merged.last_cumulative += part.last_cumulative;
-            for (tick, &(t, d)) in part.samples.iter().enumerate() {
-                match merged.samples.get_mut(tick) {
-                    Some((at, delta)) => {
-                        debug_assert_eq!(*at, t, "shards must sample at identical instants");
-                        *delta += d;
-                    }
-                    None => merged.samples.push((t, d)),
-                }
+            assert_eq!(
+                part.cumulative.len(),
+                merged.cumulative.len(),
+                "shards sample in lockstep"
+            );
+            for ((at, total), &(t, c)) in merged.cumulative.iter_mut().zip(&part.cumulative) {
+                debug_assert_eq!(*at, t, "shards must sample at identical instants");
+                *total += c;
             }
         }
         merged
     }
 }
 
-/// Aggregates goodput and pause time into the paper's utilization and
-/// "% of time paused" metrics.
-#[derive(Debug, Clone)]
-pub struct UtilizationTracker {
-    host_gbps: f64,
-    num_hosts: usize,
-    duration: SimDuration,
+/// Goodput divided by aggregate host capacity — the paper's network
+/// utilization metric (Fig. 8a): `delivered_bytes` over `num_hosts` access
+/// links of `host_gbps` for `duration`.
+pub fn utilization(
     delivered_bytes: u64,
-    pfc_paused: SimDuration,
-    pfc_links: usize,
+    num_hosts: usize,
+    host_gbps: f64,
+    duration: SimDuration,
+) -> f64 {
+    let capacity_bytes = num_hosts as f64 * host_gbps * 1e9 / 8.0 * duration.as_secs_f64();
+    if capacity_bytes <= 0.0 {
+        0.0
+    } else {
+        delivered_bytes as f64 / capacity_bytes
+    }
 }
 
-impl UtilizationTracker {
-    /// Creates a tracker for a fabric of `num_hosts` hosts with `host_gbps`
-    /// access links, over an experiment of length `duration`.
-    pub fn new(num_hosts: usize, host_gbps: f64, duration: SimDuration) -> Self {
-        UtilizationTracker {
-            host_gbps,
-            num_hosts,
-            duration,
-            delivered_bytes: 0,
-            pfc_paused: SimDuration::ZERO,
-            pfc_links: 0,
-        }
-    }
-
-    /// Adds goodput delivered to some receiver.
-    pub fn add_delivered_bytes(&mut self, bytes: u64) {
-        self.delivered_bytes += bytes;
-    }
-
-    /// Adds one link's cumulative PFC pause time.
-    pub fn add_pfc_paused(&mut self, paused: SimDuration) {
-        self.pfc_paused += paused;
-        self.pfc_links += 1;
-    }
-
-    /// Total delivered bytes.
-    pub fn delivered_bytes(&self) -> u64 {
-        self.delivered_bytes
-    }
-
-    /// Goodput divided by aggregate host capacity — the paper's network
-    /// utilization metric (Fig. 8a).
-    pub fn utilization(&self) -> f64 {
-        let capacity_bytes = self.num_hosts as f64 * self.host_gbps * 1e9 / 8.0
-            * self.duration.as_secs_f64();
-        if capacity_bytes <= 0.0 {
-            0.0
-        } else {
-            self.delivered_bytes as f64 / capacity_bytes
-        }
-    }
-
-    /// Average fraction of time a link spent paused by PFC (Fig. 6b).
-    pub fn pfc_pause_fraction(&self) -> f64 {
-        if self.pfc_links == 0 || self.duration.is_zero() {
-            0.0
-        } else {
-            self.pfc_paused.as_secs_f64() / (self.pfc_links as f64 * self.duration.as_secs_f64())
-        }
-    }
-
-    /// Experiment duration.
-    pub fn duration(&self) -> SimDuration {
-        self.duration
+/// Average fraction of time a link spent paused by PFC (Fig. 6b): `paused`
+/// is the summed pause time of `links` links over `duration`.
+pub fn pfc_pause_fraction(paused: SimDuration, links: usize, duration: SimDuration) -> f64 {
+    if links == 0 || duration.is_zero() {
+        0.0
+    } else {
+        paused.as_secs_f64() / (links as f64 * duration.as_secs_f64())
     }
 }
 
@@ -271,39 +233,46 @@ mod tests {
             shard0.record(us(at), a);
             shard1.record(us(at), b);
         }
-        assert_eq!(whole.samples(), &[(us(10), 1_000), (us(20), 100), (us(30), 100)]);
+        let per_tick: Vec<_> = whole.per_tick().collect();
+        assert_eq!(per_tick, [(us(10), 1_000), (us(20), 100), (us(30), 100)]);
         assert_eq!(GoodputSeries::merge([&shard0, &shard1]), whole);
         assert_eq!(GoodputSeries::merge([&shard0]), shard0);
         assert_eq!(GoodputSeries::merge([]), GoodputSeries::new());
-        // A later tick continues from the cumulative counter.
+        // A later tick continues from the last running total.
         whole.record(us(40), 1_250);
-        assert_eq!(whole.samples().last(), Some(&(us(40), 50)));
+        assert_eq!(whole.per_tick().last(), Some((us(40), 50)));
+    }
+
+    #[test]
+    #[should_panic(expected = "lockstep")]
+    fn merged_goodput_rejects_parts_of_other_lengths() {
+        let mut short = GoodputSeries::new();
+        short.record(SimTime::from_micros(10), 1);
+        let _ = GoodputSeries::merge([&GoodputSeries::new(), &short]);
     }
 
     #[test]
     fn utilization_math() {
         // 64 hosts at 100 Gbps for 1 ms can carry 800 MB.
-        let mut t = UtilizationTracker::new(64, 100.0, SimDuration::from_millis(1));
-        t.add_delivered_bytes(400_000_000);
-        let u = t.utilization();
+        let u = utilization(400_000_000, 64, 100.0, SimDuration::from_millis(1));
         assert!((u - 0.5).abs() < 1e-9, "got {u}");
     }
 
     #[test]
     fn pfc_fraction_averages_over_links() {
-        let mut t = UtilizationTracker::new(4, 100.0, SimDuration::from_millis(1));
-        t.add_pfc_paused(SimDuration::from_micros(100));
-        t.add_pfc_paused(SimDuration::from_micros(300));
         // Two links, 1 ms each: 400 us paused of 2 ms total = 20%.
-        assert!((t.pfc_pause_fraction() - 0.2).abs() < 1e-9);
-        assert_eq!(t.duration(), SimDuration::from_millis(1));
+        let paused = SimDuration::from_micros(100) + SimDuration::from_micros(300);
+        let f = pfc_pause_fraction(paused, 2, SimDuration::from_millis(1));
+        assert!((f - 0.2).abs() < 1e-9);
     }
 
     #[test]
-    fn empty_trackers_are_zero() {
-        let t = UtilizationTracker::new(4, 100.0, SimDuration::from_millis(1));
-        assert_eq!(t.utilization(), 0.0);
-        assert_eq!(t.pfc_pause_fraction(), 0.0);
+    fn empty_runs_are_zero() {
+        let ms = SimDuration::from_millis(1);
+        assert_eq!(utilization(0, 4, 100.0, ms), 0.0);
+        assert_eq!(utilization(1_000, 0, 100.0, ms), 0.0);
+        assert_eq!(pfc_pause_fraction(SimDuration::ZERO, 0, ms), 0.0);
+        assert_eq!(pfc_pause_fraction(ms, 2, SimDuration::ZERO), 0.0);
         assert!(OccupancySeries::new().is_empty());
     }
 }

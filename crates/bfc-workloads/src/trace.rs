@@ -108,6 +108,50 @@ fn pick_distinct_pair(hosts: &[NodeId], rng: &mut SimRng) -> (NodeId, NodeId) {
     }
 }
 
+/// The most senders one incast event of a synthesized trace may have: 12.5 ×
+/// the largest fan-in Fig. 8 sweeps at paper scale (800). An event holds one
+/// flow per sender, so this bounds what one event allocates.
+const MAX_INCAST_FAN_IN: usize = 10_000;
+
+impl TraceParams {
+    /// Checks the inputs [`synthesize`] asserts on or could not finish
+    /// with: `load` in (0, 1.5] (NaN is not), `incast_load` in [0, 1.5], a
+    /// positive `duration`, and — with incast on — at least 1000 bytes per
+    /// event (a tiny event makes the event period vanish) and a fan-in in
+    /// [1, 10 000] (0 drops every incast flow; a huge one cannot be
+    /// allocated). The message names the parameter as the `trace-tool
+    /// synth` options and the `.scn` reproducer headers spell it.
+    pub fn check(&self) -> Result<(), String> {
+        if !(self.load > 0.0 && self.load <= 1.5) {
+            return Err(format!("load must be in (0, 1.5], got {}", self.load));
+        }
+        if !(0.0..=1.5).contains(&self.incast_load) {
+            return Err(format!(
+                "incast-load must be in [0, 1.5], got {}",
+                self.incast_load
+            ));
+        }
+        if self.incast_load > 0.0 {
+            if self.incast_total_bytes < 1_000 {
+                return Err(format!(
+                    "incast-bytes must be at least 1000 when incast is on, got {}",
+                    self.incast_total_bytes
+                ));
+            }
+            if !(1..=MAX_INCAST_FAN_IN).contains(&self.incast_fan_in) {
+                return Err(format!(
+                    "fan-in must be in [1, {MAX_INCAST_FAN_IN}] when incast is on, got {}",
+                    self.incast_fan_in
+                ));
+            }
+        }
+        if self.duration.is_zero() {
+            return Err("duration must be positive".to_string());
+        }
+        Ok(())
+    }
+}
+
 /// Synthesizes the paper's standard workload: background arrivals matching
 /// `params.load` (log-normal gaps by default; see [`TraceParams::arrivals`]),
 /// plus incast events adding `params.incast_load` of extra traffic on the
@@ -349,6 +393,40 @@ mod tests {
             assert!(w[0].start <= w[1].start);
         }
         assert!(flows.iter().all(|f| f.src != f.dst));
+    }
+
+    #[test]
+    fn check_accepts_the_paper_shapes_and_refuses_each_bad_input() {
+        let ms = SimDuration::from_millis(1);
+        let paper = TraceParams::google_with_incast(ms, 1);
+        let background = TraceParams::background_only(Workload::Google, 1.5, ms, 1);
+        assert_eq!(paper.check(), Ok(()));
+        assert_eq!(background.check(), Ok(()));
+        type Edit = fn(&mut TraceParams);
+        let cases: [(&str, Edit); 10] = [
+            ("load", |p| p.load = 2.0),
+            ("load", |p| p.load = 0.0),
+            ("load", |p| p.load = f64::NAN),
+            ("incast-load", |p| p.incast_load = -0.1),
+            ("incast-load", |p| p.incast_load = f64::NAN),
+            ("incast-bytes", |p| p.incast_total_bytes = 999),
+            ("fan-in", |p| p.incast_fan_in = 0),
+            ("fan-in", |p| p.incast_fan_in = 10_001),
+            ("duration", |p| p.duration = SimDuration::ZERO),
+            ("", |p| p.incast_fan_in = 10_000),
+        ];
+        for (refused, edit) in cases {
+            let mut params = paper;
+            edit(&mut params);
+            match params.check() {
+                Ok(()) => assert!(refused.is_empty(), "{refused} must be refused"),
+                Err(e) => assert!(!refused.is_empty() && e.starts_with(refused), "{e}"),
+            }
+        }
+        // With incast off, its event size and fan-in are not read.
+        let mut no_incast = background;
+        no_incast.incast_total_bytes = 1;
+        assert_eq!(no_incast.check(), Ok(()));
     }
 
     #[test]

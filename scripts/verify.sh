@@ -15,8 +15,11 @@
 #      bloom filters), bfc-transport (`host.rs`, `dcqcn.rs`, `hpcc.rs`,
 #      `config.rs`), bfc-metrics (`safety.rs`, `series.rs`, `recovery.rs`,
 #      the registry) and bfc-workloads (the CSV parser, the CSV tail and
-#      socket ingest sources); and the two CLI gates that need a process of
-#      their own
+#      socket ingest sources, the synthesized trace's input check);
+#      bfc-experiments' own (about 8 s in debug: the end-of-run assembly,
+#      the serve loop and metrics hub in `service.rs`, the `.scn`
+#      reproducer's header checks); and the two CLI gates that need a
+#      process of their own
 #      (`crates/bfc-experiments/tests/cli_flags.rs`: a malformed
 #      `BFC_THREADS`, a safety violation's flight dump into a private
 #      working directory)
@@ -46,10 +49,11 @@ cargo build --release
 echo "== tier-1: cargo test -q"
 cargo test -q
 
-echo "== testkit, bfc-sim, packet-path and ingest unit tests + spawned CLI gates"
+echo "== testkit, bfc-sim, packet-path, ingest and bfc-experiments unit tests + spawned CLI gates"
 cargo test -q -p bfc-testkit
 cargo test -q -p bfc-sim
 cargo test -q -p bfc-net -p bfc-core -p bfc-transport -p bfc-metrics -p bfc-workloads
+cargo test -q -p bfc-experiments --lib
 cargo test -q -p bfc-experiments --test cli_flags
 
 if [[ "${1:-}" == "--workspace" ]]; then

@@ -659,6 +659,74 @@ fn an_unbounded_horizon_is_refused_on_every_outside_surface() {
         .contains("must be positive"));
 }
 
+/// Trace inputs `synthesize` would panic on, not finish with, abort the
+/// process allocating for, or silently run as another trace are one error
+/// line, from `synth`'s options and from a `.scn` reproducer's headers alike.
+#[test]
+fn bad_trace_inputs_are_refused_before_anything_is_synthesized() {
+    let dir = Scratch::new("trace-inputs");
+    let (out, scn) = (dir.path("never.csv"), dir.path("bad.scn"));
+    let committed = std::fs::read_to_string("tests/scenarios/pfc_livelock_dcqcn_tiny.scn")
+        .expect("committed reproducer");
+    assert!(
+        committed.lines().any(|l| l.starts_with("incast-load 0.4")),
+        "incast is on"
+    );
+    let refused = |args: &[&str]| {
+        let ran = trace_tool(args);
+        assert!(!ran.ok && ran.out.is_empty(), "{args:?} must be refused");
+        let ours: Vec<&str> = ran
+            .err
+            .lines()
+            .filter(|l| l.starts_with("trace-tool:"))
+            .collect();
+        assert_eq!(ours.len(), 1, "{args:?}: {}", ran.err);
+        assert!(!ran.err.contains("panicked"), "{args:?}: {}", ran.err);
+        ours[0].to_string()
+    };
+    let started = Instant::now();
+    for (key, value, names) in [
+        ("load", "2", "load"),
+        ("load", "nan", "load"),
+        ("incast-bytes", "1", "incast-bytes"),
+        ("fan-in", "100000000000", "fan-in"),
+        ("fan-in", "0", "fan-in"),
+    ] {
+        let edited: String = committed
+            .lines()
+            .map(|l| match l.split_once(' ') {
+                Some((k, _)) if k == key => format!("{key} {value}\n"),
+                _ => format!("{l}\n"),
+            })
+            .collect();
+        assert!(edited.contains(&format!("\n{key} {value}\n")));
+        std::fs::write(&scn, edited).expect("write reproducer");
+        let line = refused(&["scenario", &scn]);
+        assert!(
+            line.contains(&format!(": {names} must be")),
+            "{key} {value}: {line}"
+        );
+    }
+    let line = refused(&[
+        "synth",
+        "--out",
+        &out,
+        "--fan-in",
+        "0",
+        "--incast-load",
+        "0.5",
+    ]);
+    assert!(
+        line.starts_with("trace-tool: synth: fan-in must be"),
+        "{line}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "a refusal must not synthesize first"
+    );
+    assert!(!Path::new(&out).exists());
+}
+
 #[test]
 fn an_unbounded_drain_is_refused_by_every_command_that_takes_the_flag() {
     let dir = Scratch::new("drain");

@@ -4,14 +4,14 @@
 //! On failure the runner prints the per-case seed; rerun exactly that case
 //! with `BFC_TESTKIT_SEED=<seed> cargo test <property_name>`.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use backpressure_flow_control::core::config::pause_threshold_bytes;
 use backpressure_flow_control::core::policy::pick_queue;
 use backpressure_flow_control::core::{CountingBloom, FlowEntry, FlowKey};
 use backpressure_flow_control::experiments::{run_experiment, ExperimentConfig, Scheme};
 use backpressure_flow_control::metrics::{
-    percentile, GoodputSeries, Hist, OccupancySeries, RecoveryTracker, SafetyTracker,
+    percentile, GoodputSeries, Hist, OccupancySeries, SafetyTracker,
 };
 use backpressure_flow_control::net::packet::PauseFrame;
 use backpressure_flow_control::net::switch::SwitchCounters;
@@ -485,26 +485,57 @@ fn arb_hist(rng: &mut SimRng) -> Hist {
     hist
 }
 
-fn arb_safety(rng: &mut SimRng) -> SafetyTracker {
-    let mut tracker = SafetyTracker::new();
+/// One PFC frame delivery: `(at, from, to, pause)`, as
+/// `SafetyTracker::record_pause` takes it.
+type PauseRecord = (SimTime, NodeId, NodeId, bool);
+
+/// A PFC edge log in recording order: time never goes back, and equal
+/// instants, refreshes and releases of edges that are not installed all
+/// occur.
+fn arb_pause_log(rng: &mut SimRng) -> Vec<PauseRecord> {
     let mut now = SimTime::ZERO;
-    for _ in 0..rng.next_below(40) {
-        now += SimDuration::from_nanos(rng.next_below(5_000));
-        let (from, to) = (
-            NodeId(rng.next_below(4) as u32),
-            NodeId(rng.next_below(4) as u32),
-        );
-        tracker.record_pause(now, from, to, rng.next_below(2) == 1);
+    (0..rng.next_below(40))
+        .map(|_| {
+            now += SimDuration::from_nanos(rng.next_below(5_000));
+            let (from, to) = (
+                NodeId(rng.next_below(4) as u32),
+                NodeId(rng.next_below(4) as u32),
+            );
+            (now, from, to, rng.next_below(2) == 1)
+        })
+        .collect()
+}
+
+fn tracker_of<'a>(log: impl IntoIterator<Item = &'a PauseRecord>) -> SafetyTracker {
+    let mut tracker = SafetyTracker::new();
+    for &(at, from, to, pause) in log {
+        tracker.record_pause(at, from, to, pause);
     }
     tracker
 }
 
-fn arb_recovery(rng: &mut SimRng) -> RecoveryTracker {
-    let mut tracker = RecoveryTracker::new();
-    for _ in 0..rng.next_below(20) {
-        tracker.add_blackholed(rng.next_below(9));
+fn arb_safety(rng: &mut SimRng) -> SafetyTracker {
+    tracker_of(&arb_pause_log(rng))
+}
+
+/// The pause-duration histogram as a replay of its own, over the log in
+/// recording order: an XOFF opens an interval on its edge (a refresh keeps
+/// the original install instant), an XON closes it, and the intervals still
+/// open close at `end`.
+fn interval_replay(log: &[PauseRecord], end: SimTime) -> Hist {
+    let mut hist = Hist::new();
+    let mut open: BTreeMap<(NodeId, NodeId), SimTime> = BTreeMap::new();
+    for &(at, from, to, pause) in log {
+        if pause {
+            open.entry((from, to)).or_insert(at);
+        } else if let Some(start) = open.remove(&(from, to)) {
+            hist.observe(at.saturating_since(start).as_nanos());
+        }
     }
-    tracker
+    for start in open.into_values() {
+        hist.observe(end.saturating_since(start).as_nanos());
+    }
+    hist
 }
 
 /// The overlaid states: a fresh object of the same configuration restores
@@ -523,6 +554,29 @@ fn assert_overlay_laws<T>(
         save(&target, w);
         Ok(())
     });
+}
+
+property! {
+    /// The pause-duration histogram `SafetyTracker::finish` builds in its
+    /// one replay of the edge log equals a replay that tracks nothing but
+    /// intervals, whether the log was recorded by one collector or split
+    /// across 1–4 shards by the edge's `from` node (as the engine splits it)
+    /// and merged.
+    fn pause_histogram_matches_an_interval_replay(
+        seed in int_range(0u64..u64::MAX),
+        shards in int_range(1u64..5),
+    ) {
+        let rng = &mut SimRng::new(seed);
+        let log = arb_pause_log(rng);
+        let end = log.last().map_or(SimTime::ZERO, |r| r.0) + SimDuration::from_nanos(rng.next_below(5_000));
+        let expected = interval_replay(&log, end);
+        let parts: Vec<SafetyTracker> = (0..shards)
+            .map(|shard| tracker_of(log.iter().filter(|r| u64::from(r.1 .0) % shards == shard)))
+            .collect();
+        let merged = SafetyTracker::merge(&parts);
+        let (_, durations) = merged.finish(&GoodputSeries::new(), end, 0);
+        assert_eq!(durations, expected);
+    }
 }
 
 property! {
@@ -611,7 +665,6 @@ property! {
             goodput.record(arb_time(rng), rng.next_below(1 << 40));
         }
         assert_snap_round_trip(&goodput);
-        assert_snap_round_trip(&arb_recovery(rng));
         assert_snap_round_trip(&arb_safety(rng));
 
         // Overlaid states.

@@ -205,19 +205,21 @@ fn damaged_snapshots_are_rejected() {
         Err(SnapError::BadChecksum)
     ));
 
-    // Another format version — a future one, version 11 with the state
-    // nothing read (BFC counters, port transmit totals, the recovery fault
-    // log), version 10 without the egresses' owed-sweep flags, version 9 with a per-sim FCT histogram,
-    // version 8 with three counters nobody read, version 7 with a goodput
-    // series in each of two trackers, version 6 with a `busy` flag where a
+    // Another format version — a future one, version 12 with two totals a
+    // resumed run recounts (completed flows, goodput's running total),
+    // version 11 with the state nothing read (BFC counters, port transmit
+    // totals, the recovery fault log), version 10 without the egresses'
+    // owed-sweep flags, version 9 with a per-sim FCT histogram, version 8
+    // with three counters nobody read, version 7 with a goodput series in
+    // each of two trackers, version 6 with a `busy` flag where a
     // transmitter's serialization end now is, or version 5 with its bytewise
     // checksum — is refused by number, not misdecoded.
     assert_eq!(
         snap[8..12],
-        12u32.to_le_bytes(),
-        "this build writes version 12"
+        13u32.to_le_bytes(),
+        "this build writes version 13"
     );
-    for version in [99u32, 11, 10, 9, 8, 7, 6, 5] {
+    for version in [99u32, 12, 11, 10, 9, 8, 7, 6, 5] {
         let mut versioned = snap.clone();
         versioned[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
@@ -357,11 +359,10 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 ///
 /// The flight trace is as written by commit 0022cd3 (`TRACE_VERSION` 2), the
 /// last one whose codec was 68 hand-written `save`/`restore` functions. The
-/// snapshots are `SNAPSHOT_VERSION` 12, which drops from version 11 the
-/// state nothing read or that was held twice: on the tiny fabric 17 bytes
-/// per switch port (16), 8 per switch (4), 32 per BFC policy, 24 for the
-/// one-fault recovery log (16 for the second shard's empty one), and 8 to
-/// 17 per flow end and 1 per queued ACK — 4 706 to 4 850 bytes less per row.
+/// snapshots are `SNAPSHOT_VERSION` 13, which drops from version 12 two
+/// totals a resumed run recounts — each sim's completed-flow count and its
+/// goodput series' running total, 8 bytes each: 16 bytes less per row at
+/// one shard, 32 at two.
 ///
 /// The two-shard rows also depend on where the epoch windows fall, at any
 /// version: a pending event is saved with the sequence number its queue gave
@@ -375,18 +376,18 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 /// one run, 224 bytes differ, each by a few units, and the parent's file
 /// resumed there to the uninterrupted run's result.
 const PARENT_SNAPSHOTS: [(usize, u64); 12] = [
-    (86_852, 0xb8c7_5ac8_98f5_bdb7), // BFC, 1 shard
-    (95_811, 0x49fa_21d7_0007_7726), // BFC, 2 shards
-    (435_421, 0x2be3_52a2_8e28_eeb2), // Ideal-FQ
-    (444_380, 0xda3a_00a0_3717_903b),
-    (76_488, 0xc41e_bbdc_a8f8_8ae8), // DCQCN
-    (85_447, 0xa180_1447_3fd6_654e),
-    (76_488, 0x869c_3cff_627e_3f00), // DCQCN+Win
-    (85_447, 0xebfa_46d2_b52e_1126),
-    (72_646, 0xa951_fd20_5991_d6d6), // HPCC
-    (81_605, 0xaf75_edc1_b079_88a4),
-    (79_717, 0x6673_bca1_d632_6fea), // DCQCN+Win+SFQ
-    (88_676, 0x7c33_e96c_37a3_f4d3),
+    (86_836, 0x8081_aad8_878d_03f2), // BFC, 1 shard
+    (95_779, 0xa863_8867_2b36_54af), // BFC, 2 shards
+    (435_405, 0x9e94_398b_76c6_e2a3), // Ideal-FQ
+    (444_348, 0x382c_effa_6678_b290),
+    (76_472, 0xd066_c581_482b_574c), // DCQCN
+    (85_415, 0xb34a_f7ba_a2b4_6127),
+    (76_472, 0x315e_1dbb_9b31_fc24), // DCQCN+Win
+    (85_415, 0x4354_b5e4_e280_993f),
+    (72_630, 0x5a9f_03d0_3b45_a422), // HPCC
+    (81_573, 0x6e1d_e7d4_3c43_0067),
+    (79_701, 0x13d3_d26b_10eb_82a1), // DCQCN+Win+SFQ
+    (88_644, 0x0178_1867_328a_5c04),
 ];
 const PARENT_FLIGHT: (usize, u64) = (1_256_716, 0x3704_4530_a583_d1d0);
 
