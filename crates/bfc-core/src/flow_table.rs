@@ -16,10 +16,9 @@
 //! hardware quotas observe), while the entries themselves live in one
 //! open-addressed, power-of-two, linearly probed store: a hot lookup is a
 //! short probe run over a flat array instead of a `Vec<Vec<_>>` double
-//! indirection. Deletion uses backward shifting, so the store never
-//! accumulates tombstones, and whole-table clears (on snapshot restore) are
-//! O(1): every slot carries a generation stamp and is considered empty unless
-//! it matches the table's current generation.
+//! indirection. A slot is an `Option`: `None` is empty. Deletion uses
+//! backward shifting, so the store never accumulates tombstones, and a
+//! snapshot restore clears the store in place before re-inserting.
 
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
@@ -109,33 +108,14 @@ impl EntrySlot {
     }
 }
 
-/// One slot of the open-addressed store. Occupied iff `gen` equals the
-/// table's current generation; any other value (including the 0 that fresh
-/// allocations carry) means empty, which is what makes clears O(1).
-#[derive(Debug, Clone)]
+/// An occupied slot of the open-addressed store.
+#[derive(Debug, Clone, Copy)]
 struct Slot {
-    gen: u64,
     /// True if the entry was admitted under the shared cache quota rather
     /// than its VFID's bucket quota. The class is fixed at insertion — the
     /// hardware does not migrate cache entries back into buckets.
     cached: bool,
     entry: FlowEntry,
-}
-
-const EMPTY_KEY: FlowKey = FlowKey {
-    vfid: 0,
-    ingress: 0,
-    egress: 0,
-};
-
-impl Slot {
-    fn empty() -> Self {
-        Slot {
-            gen: 0,
-            cached: false,
-            entry: FlowEntry::new(EMPTY_KEY),
-        }
-    }
 }
 
 /// Deterministic 64-bit mix of the key fields (splitmix64 finalizer). The
@@ -159,9 +139,7 @@ const MIN_SLOTS: usize = 16;
 /// The flow table: hardware-model quotas over an open-addressed store.
 #[derive(Debug)]
 pub struct FlowTable {
-    slots: Vec<Slot>,
-    /// Current generation; slots stamped with older generations are empty.
-    gen: u64,
+    slots: Vec<Option<Slot>>,
     /// Entries currently admitted under each VFID's bucket quota.
     bucket_residents: Vec<u32>,
     bucket_size: usize,
@@ -183,8 +161,7 @@ impl FlowTable {
     pub fn new(num_vfids: u32, bucket_size: usize, cache_capacity: usize) -> Self {
         assert!(num_vfids > 0 && bucket_size > 0);
         FlowTable {
-            slots: vec![Slot::empty(); MIN_SLOTS],
-            gen: 1,
+            slots: vec![None; MIN_SLOTS],
             bucket_residents: vec![0; num_vfids as usize],
             bucket_size,
             cache_residents: 0,
@@ -220,16 +197,17 @@ impl FlowTable {
         (hash_key(key) as usize) & self.mask()
     }
 
-    fn occupied(&self, i: usize) -> bool {
-        self.slots[i].gen == self.gen
+    fn slot(&self, i: usize) -> &Slot {
+        self.slots[i].as_ref().expect("stale EntrySlot")
     }
 
     fn slot_handle(&self, i: usize) -> EntrySlot {
-        if self.slots[i].cached {
+        let slot = self.slot(i);
+        if slot.cached {
             EntrySlot::Cache { index: i }
         } else {
             EntrySlot::Bucket {
-                vfid: self.slots[i].entry.key.vfid,
+                vfid: slot.entry.key.vfid,
                 index: i,
             }
         }
@@ -242,13 +220,11 @@ impl FlowTable {
         let mask = self.mask();
         let mut i = self.home(key);
         loop {
-            if !self.occupied(i) {
-                return Err(i);
+            match &self.slots[i] {
+                None => return Err(i),
+                Some(slot) if slot.entry.key == key => return Ok(i),
+                Some(_) => i = (i + 1) & mask,
             }
-            if self.slots[i].entry.key == key {
-                return Ok(i);
-            }
-            i = (i + 1) & mask;
         }
     }
 
@@ -293,9 +269,7 @@ impl FlowTable {
     }
 
     /// Writes a new entry into the store, growing first if the load factor
-    /// would exceed 3/4. Returns the slot used. The key must be absent. The
-    /// generation is stamped here, after any growth — `grow` rebuilds the
-    /// store at generation 1.
+    /// would exceed 3/4. Returns the slot used. The key must be absent.
     fn place(&mut self, cached: bool, entry: FlowEntry) -> usize {
         if (self.tracked + 1) * 4 > self.slots.len() * 3 {
             self.grow();
@@ -304,45 +278,33 @@ impl FlowTable {
             Err(i) => i,
             Ok(_) => unreachable!("place() requires an absent key"),
         };
-        self.slots[i] = Slot {
-            gen: self.gen,
-            cached,
-            entry,
-        };
+        self.slots[i] = Some(Slot { cached, entry });
         i
     }
 
-    /// Doubles the store and re-places every live entry. Rebuilding resets
-    /// the generation to 1: stale slots from older generations are dropped
-    /// rather than copied.
+    /// Doubles the store and re-places every live entry.
     fn grow(&mut self) {
-        let gen = self.gen;
-        let mut live = std::mem::take(&mut self.slots);
-        live.retain(|s| s.gen == gen);
-        self.slots = vec![Slot::empty(); (live.len().max(MIN_SLOTS / 2) * 2).next_power_of_two()];
-        self.gen = 1;
-        for mut slot in live {
-            slot.gen = 1;
+        let old = std::mem::take(&mut self.slots);
+        let live = old.iter().flatten().count();
+        self.slots = vec![None; (live.max(MIN_SLOTS / 2) * 2).next_power_of_two()];
+        for slot in old.into_iter().flatten() {
             let i = match self.probe(slot.entry.key) {
                 Err(i) => i,
                 Ok(_) => unreachable!("duplicate key during rehash"),
             };
-            self.slots[i] = slot;
+            self.slots[i] = Some(slot);
         }
     }
 
     /// Immutable access to a slot.
     pub fn entry(&self, slot: EntrySlot) -> &FlowEntry {
-        let i = slot.index();
-        debug_assert!(self.occupied(i), "stale EntrySlot");
-        &self.slots[i].entry
+        &self.slot(slot.index()).entry
     }
 
     /// Mutable access to a slot.
     pub fn entry_mut(&mut self, slot: EntrySlot) -> &mut FlowEntry {
-        let i = slot.index();
-        debug_assert!(self.occupied(i), "stale EntrySlot");
-        &mut self.slots[i].entry
+        let slot = self.slots[slot.index()].as_mut();
+        &mut slot.expect("stale EntrySlot").entry
     }
 
     /// Removes a tracked flow (its last packet left the switch). Removal
@@ -352,7 +314,7 @@ impl FlowTable {
         let Ok(mut i) = self.probe(key) else {
             return;
         };
-        if self.slots[i].cached {
+        if self.slot(i).cached {
             self.cache_residents -= 1;
         } else {
             self.bucket_residents[key.vfid as usize] -= 1;
@@ -365,29 +327,21 @@ impl FlowTable {
         let mut j = i;
         loop {
             j = (j + 1) & mask;
-            if !self.occupied(j) {
+            let Some(slot) = self.slots[j] else {
                 break;
-            }
-            let h = self.home(self.slots[j].entry.key);
+            };
+            let h = self.home(slot.entry.key);
             let blocked = if i <= j {
                 h > i && h <= j
             } else {
                 h > i || h <= j
             };
             if !blocked {
-                self.slots[i] = self.slots[j].clone();
+                self.slots[i] = Some(slot);
                 i = j;
             }
         }
-        self.slots[i].gen = 0;
-    }
-
-    /// Iterates over all tracked entries in store-scan order.
-    pub fn iter(&self) -> impl Iterator<Item = &FlowEntry> {
-        self.slots
-            .iter()
-            .filter(move |s| s.gen == self.gen)
-            .map(|s| &s.entry)
+        self.slots[i] = None;
     }
 
     /// The largest store this table's quotas can have grown: growth doubles
@@ -415,7 +369,6 @@ impl FlowTable {
     pub fn save_state(&self, w: &mut SnapWriter) {
         let FlowTable {
             slots,
-            gen,
             // Configuration.
             bucket_size: _,
             cache_capacity: _,
@@ -436,11 +389,10 @@ impl FlowTable {
         slots.len().save(w);
         let start = slots
             .iter()
-            .position(|s| s.gen != *gen)
+            .position(Option::is_none)
             .expect("load factor below 1 guarantees an empty slot");
         for k in 0..slots.len() {
-            let slot = &slots[(start + k) & self.mask()];
-            if slot.gen == *gen {
+            if let Some(slot) = &slots[(start + k) & self.mask()] {
                 slot.cached.save(w);
                 slot.entry.save(w);
             }
@@ -455,9 +407,8 @@ impl FlowTable {
     /// the store size is one this table could have grown to and holds the
     /// entries at load ≤ 3/4, and every entry against its bucket's or the
     /// cache's quota; the probe layout and the residency counters are
-    /// rebuilt by re-insertion. The previous contents are discarded by
-    /// bumping the generation — no slot is touched until re-insertion
-    /// overwrites it.
+    /// rebuilt by re-insertion. The previous contents are cleared in place
+    /// when the store size matches; otherwise the store is reallocated.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         if r.get_u32()? as usize != self.bucket_residents.len() {
             return Err(SnapError::Corrupt("flow-table vfid count mismatch"));
@@ -472,11 +423,9 @@ impl FlowTable {
             return Err(SnapError::Corrupt("flow-table store size invalid"));
         }
         if store == self.slots.len() {
-            // O(1) clear: outdate every slot instead of touching them.
-            self.gen += 1;
+            self.slots.fill(None);
         } else {
-            self.slots = vec![Slot::empty(); store];
-            self.gen = 1;
+            self.slots = vec![None; store];
         }
         self.bucket_residents.iter_mut().for_each(|c| *c = 0);
         self.cache_residents = 0;
@@ -594,15 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_yields_every_tracked_entry() {
-        let mut t = FlowTable::new(16_384, 4, 100);
-        for v in 0..10 {
-            t.lookup_or_insert(key(v, 0, 1));
-        }
-        assert_eq!(t.iter().count(), 10);
-    }
-
-    #[test]
     fn growth_keeps_every_entry_findable() {
         // Push well past the initial 16-slot store so it rehashes several
         // times, then thin it out to exercise backward shifts on the grown
@@ -705,8 +645,8 @@ mod tests {
         let bytes = w.into_bytes();
 
         let mut u = FlowTable::new(64, 4, 10);
-        // Pre-populate the target with unrelated state to prove the
-        // generation bump discards it without an explicit clear.
+        // Pre-populate the target with unrelated state to prove the restore
+        // clears it.
         for v in 40..60 {
             u.lookup_or_insert(key(v, 9, 9));
         }

@@ -402,7 +402,7 @@ fn cmd_synth(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
         arrivals,
         incast_schedule,
     };
-    params.check().map_err(|e| format!("synth: {e}"))?;
+    params.check(hosts.len()).map_err(|e| format!("synth: {e}"))?;
     let flows = synthesize(&hosts, &params);
     write_csv_file(&out, &flows).map_err(|e| format!("writing {out}: {e}"))?;
     outln!(

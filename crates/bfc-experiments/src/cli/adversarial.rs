@@ -51,7 +51,7 @@ pub(super) fn cmd_scenario(args: &[String], io: &mut Io<'_>) -> Result<ExitCode,
         host_gbps: topo.host_uplink(hosts[0]).link.rate_gbps,
         ..TraceParams::background_only(Workload::Google, load, duration, seed)
     };
-    params.check().map_err(|e| format!("scenario: {e}"))?;
+    params.check(hosts.len()).map_err(|e| format!("scenario: {e}"))?;
     let pair = diff_schemes.as_deref().map(diff_pair).transpose()?;
 
     let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;

@@ -701,9 +701,13 @@ impl Reproducer {
             }
         }
         // The trace's inputs are checked once every header is in, as a
-        // whole: `synthesize` asserts on some and could not finish with
-        // others. The access-link rate is the topology's, not one of them.
-        repro.trace_params(100.0).check()?;
+        // whole, against the topology's hosts and access-link rate:
+        // `synthesize` asserts on some and could not finish with others.
+        let topo = topology_by_name(&repro.topo).expect("the topo header was checked");
+        let hosts = topo.hosts();
+        repro
+            .trace_params(topo.host_uplink(hosts[0]).link.rate_gbps)
+            .check(hosts.len())?;
         repro.scenario = ScenarioSpec::parse(&scenario_text).map_err(|e| e.to_string())?;
         Ok(repro)
     }

@@ -54,6 +54,9 @@ pub fn horizon_from_micros(us: u64) -> Result<SimDuration, String> {
     }
 }
 
+/// MTU in bytes: the paper's 1 KB, for every experiment.
+const MTU: u32 = 1_000;
+
 /// Experiment parameters independent of the workload trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
@@ -61,8 +64,6 @@ pub struct ExperimentConfig {
     pub scheme: Scheme,
     /// Seed controlling every random choice (ECN marking, queue picks).
     pub seed: u64,
-    /// MTU in bytes (the paper uses 1 KB).
-    pub mtu: u32,
     /// Physical queues per egress port (ignored by Ideal-FQ, which uses
     /// 1000).
     pub queues_per_port: usize,
@@ -105,7 +106,6 @@ impl ExperimentConfig {
         ExperimentConfig {
             scheme,
             seed: 1,
-            mtu: 1_000,
             queues_per_port: 32,
             buffer_bytes: 12_000_000,
             horizon,
@@ -550,7 +550,7 @@ impl Frame {
         let switch_config = config.scheme.switch_config(
             config.queues_per_port,
             config.buffer_bytes,
-            config.mtu,
+            MTU,
         );
         if switch_config.int_enabled {
             // Every switch on a data packet's path appends one INT record;
@@ -569,13 +569,13 @@ impl Frame {
         // in every built-in topology).
         let far_a = hosts_list[0];
         let far_b = *hosts_list.last().expect("non-empty");
-        let base_rtt = routes.base_rtt(topo, far_a, far_b, config.mtu);
+        let base_rtt = routes.base_rtt(topo, far_a, far_b, MTU);
         let host_gbps = topo.host_uplink(far_a).link.rate_gbps;
         let bdp_bytes = (host_gbps * 1e9 / 8.0 * base_rtt.as_secs_f64()) as u64;
 
         Frame {
             switch_config,
-            host_config: config.scheme.host_config(config.mtu, base_rtt, bdp_bytes),
+            host_config: config.scheme.host_config(MTU, base_rtt, bdp_bytes),
             routes,
             hosts_list,
             host_gbps,
@@ -664,7 +664,7 @@ pub(crate) fn build_flow_meta(
             t.src,
             t.dst,
             t.size_bytes,
-            config.mtu,
+            MTU,
             flow_id.0 as u64,
         ),
         is_incast: t.is_incast,

@@ -6,8 +6,8 @@
 //! to an instant `at` and saves it: the complete simulation state — calendar
 //! queues, switches (PhysQueues, shared buffers, pause state, policy state
 //! and RNG streams), hosts (sender/receiver flow tables and
-//! congestion-control state), link state, metrics collectors, the
-//! blackhole count and the safety tracker — in a versioned, length-prefixed,
+//! congestion-control state), metrics collectors, the blackhole count and
+//! the safety tracker — in a versioned, length-prefixed,
 //! checksummed, std-only binary blob ([`bfc_sim::snapshot`]).
 //! [`resume_experiment`] restores the engine from the same inputs plus the
 //! blob, advances it to the deadline and finishes it.
@@ -29,8 +29,9 @@
 //! diverging.
 //!
 //! A snapshot holds only state that a resumed run reads and cannot rebuild
-//! from its inputs. The routing tables are recomputed from the restored
-//! link state (`restore_sim`); the faults the recovery metrics count are the
+//! from its inputs. The link state is the fold of the fault schedule's
+//! events up to the cut, and the routing tables are recomputed from it
+//! (`restore_sim`); the faults the recovery metrics count are the
 //! fault schedule's events up to the run's end; a sim's completed-flow count
 //! is recounted from its per-flow completion instants, and goodput's running
 //! total is the last entry of its series; a count nothing reads is not kept
@@ -106,8 +107,12 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
 /// recovery tracker's fault log. Version 13 drops two totals a resumed run
 /// recounts: each sim's completed-flow count (from its per-flow completion
 /// instants) and goodput's running total (the last tick's entry, now that
-/// the series stores running totals rather than per-tick deltas).
-pub const SNAPSHOT_VERSION: u32 = 13;
+/// the series stores running totals rather than per-tick deltas). Version
+/// 14 drops each sim's link state, which a resume rebuilds from the fault
+/// schedule up to the cut, each packet's control-priority flag (its kind
+/// says it), the ACK's second copy of its sequence number and each receiver
+/// flow's completion flag.
+pub const SNAPSHOT_VERSION: u32 = 14;
 
 /// Hashes every run input the snapshot does *not* serialize — topology
 /// shape, trace, configuration and shard count — so a resume against
@@ -123,7 +128,6 @@ fn fingerprint(
     // plain data enums whose Debug output covers every field.
     w.put_str(&format!("{:?}", config.scheme));
     w.put_u64(config.seed);
-    w.put_u32(config.mtu);
     w.put_usize(config.queues_per_port);
     w.put_u64(config.buffer_bytes);
     w.put_u64(config.horizon.as_picos());
@@ -155,9 +159,9 @@ fn save_sim(sim: &FabricSim<'_>, w: &mut SnapWriter) {
         flows: _,
         sample_until: _,
         record_dynamics_metrics: _,
-        routes: _,    // derived from the link state
-        completed: _, // recounted from `flow_completed`
-        link_state,
+        link_state: _, // the fault schedule's prefix up to the cut
+        routes: _,     // derived from the link state
+        completed: _,  // recounted from `flow_completed`
         switches,
         hosts,
         flow_completed,
@@ -168,7 +172,6 @@ fn save_sim(sim: &FabricSim<'_>, w: &mut SnapWriter) {
         blackholed,
         safety,
     } = sim;
-    link_state.save_state(w);
     w.put_usize(switches.len());
     for slot in switches {
         w.put_option(slot.as_ref(), Switch::save_state);
@@ -190,13 +193,14 @@ fn save_sim(sim: &FabricSim<'_>, w: &mut SnapWriter) {
 /// from the same inputs with the same ownership predicate — the fingerprint
 /// guarantees the former; this checks the latter (node and flow counts, a
 /// saved node exactly where this worker owns one), recounts the completed
-/// flows and recomputes the routing tables.
+/// flows, rebuilds the link state as of `cut` and recomputes the routing
+/// tables.
 fn restore_sim(
     sim: &mut FabricSim<'_>,
     frame: &Frame,
+    cut: SimTime,
     r: &mut SnapReader<'_>,
 ) -> Result<(), SnapError> {
-    sim.link_state.restore_state(r)?;
     r.expect_count(sim.switches.len(), "switch count mismatch")?;
     for slot in &mut sim.switches {
         r.get_option_into(
@@ -221,8 +225,16 @@ fn restore_sim(
     sim.goodput = r.get()?;
     sim.blackholed = r.get()?;
     sim.safety = r.get()?;
-    // Routing tables are derived state: recompute them from the restored
-    // link-state instead of serializing O(nodes^2) next-hop tables.
+    // Every worker applied every fault with `at <= cut` (the cut processes
+    // every event up to it) to a link state built all-up, as `sim`'s was.
+    let applied = sim.dynamics.partition_point(|e| e.at <= cut);
+    for event in &sim.dynamics[..applied] {
+        sim.link_state
+            .apply(sim.topo, &event.action)
+            .expect("fault schedule was validated against the topology");
+    }
+    // Routing tables are derived state: recompute them from the rebuilt
+    // link state instead of serializing O(nodes^2) next-hop tables.
     sim.routes = if sim.link_state.all_up() {
         Arc::clone(&frame.routes)
     } else {
@@ -307,7 +319,7 @@ impl<'a> Engine<'a> {
         let payload = snapshot::open(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, bytes)?;
         let mut r = SnapReader::new(payload);
         let stored_fp = r.get_u64()?;
-        let _cut = r.get_u64()?;
+        let cut: SimTime = r.get()?;
         let num_shards = r.get_usize()?;
         if !(1..=4096).contains(&num_shards) {
             return Err(SnapError::Corrupt("implausible shard count"));
@@ -327,7 +339,7 @@ impl<'a> Engine<'a> {
             wk.queue = EventQueue::restore_state(&mut r, |event| {
                 check_event(topo, trace.len(), faults, event)
             })?;
-            restore_sim(&mut wk.sim, &engine.frame, &mut r)?;
+            restore_sim(&mut wk.sim, &engine.frame, cut, &mut r)?;
         }
         r.expect_end()?;
         Ok(engine)

@@ -26,7 +26,6 @@
 
 use std::fmt;
 
-use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::SimTime;
 
 use crate::topology::Topology;
@@ -184,7 +183,9 @@ pub struct Endpoint {
 
 /// The live up/down overlay of one running experiment, per directed port.
 /// Built all-up from a topology; mutated only through
-/// [`LinkStateMap::apply`]. Current link *rates* are not duplicated here —
+/// [`LinkStateMap::apply`], so it is the fold of the fault events applied so
+/// far — which is how a resumed run rebuilds it instead of reading it from
+/// a snapshot. Current link *rates* are not duplicated here —
 /// they live where the simulation reads them (the switch `Port`s and host
 /// uplinks), which `apply` callers update via the returned endpoints.
 #[derive(Debug, Clone)]
@@ -267,25 +268,6 @@ impl LinkStateMap {
             Endpoint { node: a, port: port_a },
             Endpoint { node: b, port: port_b },
         ])
-    }
-
-    /// Serializes the up/down overlay for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        let LinkStateMap { up, down_links } = self;
-        up.save(w);
-        down_links.save(w);
-    }
-
-    /// Overlays state captured by [`LinkStateMap::save_state`] onto this map:
-    /// checks the node count and every node's port count are those of the
-    /// topology it was built from.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_count(self.up.len(), "link-state node count mismatch")?;
-        for ports in &mut self.up {
-            r.get_exact(ports, "link-state port count mismatch")?;
-        }
-        self.down_links = r.get()?;
-        Ok(())
     }
 }
 

@@ -345,11 +345,10 @@ impl Snap for PauseFrame {
 pub enum PacketKind {
     /// Application data carried by an RDMA flow.
     Data,
-    /// Cumulative acknowledgement (Go-Back-N). `is_nack` signals an
-    /// out-of-order arrival and asks the sender to rewind to `cumulative_seq`.
+    /// Cumulative acknowledgement (Go-Back-N): the packet's `seq` is the
+    /// next sequence number the receiver expects. `is_nack` signals an
+    /// out-of-order arrival and asks the sender to rewind to that `seq`.
     Ack {
-        /// Next packet sequence number expected by the receiver.
-        cumulative_seq: u64,
         /// True if this is a negative acknowledgement (out-of-order data).
         is_nack: bool,
     },
@@ -374,7 +373,7 @@ pub enum PacketKind {
 
 bfc_sim::snap_enum!(PacketKind, "unknown packet kind tag" {
     0 => Data,
-    1 => Ack { cumulative_seq, is_nack },
+    1 => Ack { is_nack },
     2 => Cnp,
     3 => PfcPause { pause },
     4 => FlowPause { frame },
@@ -390,7 +389,9 @@ pub struct Packet {
     /// Destination host (for data/ACK/CNP). Control frames are consumed by the
     /// adjacent node and carry their own destination here as well.
     pub dst: NodeId,
-    /// Packet sequence number within the flow (packets, not bytes).
+    /// Packet sequence number within the flow (packets, not bytes). For an
+    /// ACK or NACK it is the cumulative sequence number: the next packet the
+    /// receiver expects. Zero for every other control frame.
     pub seq: u64,
     /// Size on the wire in bytes (payload + header).
     pub size_bytes: u32,
@@ -403,9 +404,6 @@ pub struct Packet {
     /// ECN congestion-experienced mark set by switches when the egress queue
     /// exceeds the marking threshold.
     pub ecn_ce: bool,
-    /// True for ACK/CNP-class packets that ride the strict-priority control
-    /// queue at switches.
-    pub control_priority: bool,
     /// HPCC in-band telemetry accumulated hop by hop (empty unless INT is
     /// enabled). For ACKs this is the echo of the data packet's telemetry.
     /// An 8-byte handle ([`IntPath`]): the records live out of line.
@@ -416,7 +414,7 @@ pub struct Packet {
 
 bfc_sim::snap_struct! {
     Packet {
-        flow, src, dst, seq, size_bytes, vfid, first_of_flow, ecn_ce, control_priority, int, kind,
+        flow, src, dst, seq, size_bytes, vfid, first_of_flow, ecn_ce, int, kind,
     }
 }
 
@@ -446,19 +444,19 @@ impl Packet {
             vfid,
             first_of_flow,
             ecn_ce: false,
-            control_priority: false,
             int: IntPath::new(),
             kind: PacketKind::Data,
         }
     }
 
     /// Builds an ACK (or NACK when `is_nack`) from receiver `src` back to
-    /// sender `dst`.
+    /// sender `dst`, carrying in `seq` the cumulative sequence number: the
+    /// next packet the receiver expects.
     pub fn ack(
         flow: FlowId,
         src: NodeId,
         dst: NodeId,
-        cumulative_seq: u64,
+        seq: u64,
         is_nack: bool,
         int: IntPath,
     ) -> Self {
@@ -466,17 +464,13 @@ impl Packet {
             flow,
             src,
             dst,
-            seq: cumulative_seq,
+            seq,
             size_bytes: ACK_SIZE_BYTES,
             vfid: 0,
             first_of_flow: false,
             ecn_ce: false,
-            control_priority: true,
             int,
-            kind: PacketKind::Ack {
-                cumulative_seq,
-                is_nack,
-            },
+            kind: PacketKind::Ack { is_nack },
         }
     }
 
@@ -492,7 +486,6 @@ impl Packet {
             vfid: 0,
             first_of_flow: false,
             ecn_ce: false,
-            control_priority: true,
             int: IntPath::new(),
             kind: PacketKind::Cnp,
         }
@@ -510,7 +503,6 @@ impl Packet {
             vfid: 0,
             first_of_flow: false,
             ecn_ce: false,
-            control_priority: true,
             int: IntPath::new(),
             kind: PacketKind::PfcPause { pause },
         }
@@ -529,7 +521,6 @@ impl Packet {
             vfid: 0,
             first_of_flow: false,
             ecn_ce: false,
-            control_priority: true,
             int: IntPath::new(),
             kind: PacketKind::FlowPause {
                 frame: Box::new(frame),
@@ -540,15 +531,6 @@ impl Packet {
     /// True for application data.
     pub fn is_data(&self) -> bool {
         matches!(self.kind, PacketKind::Data)
-    }
-
-    /// True for link-local control frames (PFC / BFC pause) that are delivered
-    /// out of band and never queued behind data.
-    pub fn is_link_control(&self) -> bool {
-        matches!(
-            self.kind,
-            PacketKind::PfcPause { .. } | PacketKind::FlowPause { .. }
-        )
     }
 }
 
@@ -658,31 +640,22 @@ mod tests {
     fn constructors_set_expected_fields() {
         let d = Packet::data(FlowId(1), NodeId(2), NodeId(3), 4, 1000, 77, true);
         assert!(d.is_data());
-        assert!(!d.is_link_control());
         assert!(d.first_of_flow);
         assert_eq!(d.size_bytes, 1000);
 
         let a = Packet::ack(FlowId(1), NodeId(3), NodeId(2), 5, false, IntPath::new());
-        assert!(a.control_priority);
+        assert!(!a.is_data());
         assert_eq!(a.size_bytes, ACK_SIZE_BYTES);
-        match a.kind {
-            PacketKind::Ack {
-                cumulative_seq,
-                is_nack,
-            } => {
-                assert_eq!(cumulative_seq, 5);
-                assert!(!is_nack);
-            }
-            _ => panic!("not an ack"),
-        }
+        assert_eq!(a.seq, 5);
+        assert_eq!(a.kind, PacketKind::Ack { is_nack: false });
 
         let p = Packet::pfc(NodeId(1), NodeId(0), true);
-        assert!(p.is_link_control());
+        assert!(!p.is_data());
         let f = Packet::flow_pause(NodeId(1), NodeId(0), PauseFrame::new(128, 4));
-        assert!(f.is_link_control());
+        assert!(!f.is_data());
         assert_eq!(f.size_bytes, 128);
         let c = Packet::cnp(FlowId(9), NodeId(3), NodeId(2));
-        assert!(c.control_priority);
+        assert!(!c.is_data());
     }
 
     #[test]

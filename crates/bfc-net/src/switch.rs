@@ -305,7 +305,7 @@ impl Switch {
         self.maybe_send_pfc(now, ingress, events);
 
         self.ports[egress as usize].settle(now);
-        let target = if packet.control_priority {
+        let target = if !packet.is_data() {
             QueueTarget::Control
         } else {
             let decision = {

@@ -130,8 +130,6 @@ pub struct ReceiverFlow {
     pub last_cnp: Option<SimTime>,
     /// Sequence for which a NACK was already sent (suppresses duplicates).
     pub nack_sent_for: Option<u64>,
-    /// True once every byte has arrived.
-    pub completed: bool,
 }
 
 impl ReceiverFlow {
@@ -143,14 +141,13 @@ impl ReceiverFlow {
             expected_seq: 0,
             last_cnp: None,
             nack_sent_for: None,
-            completed: false,
         }
     }
 }
 
 bfc_sim::snap_struct! {
     ReceiverFlow {
-        spec, num_packets, expected_seq, last_cnp, nack_sent_for, completed,
+        spec, num_packets, expected_seq, last_cnp, nack_sent_for,
     }
 }
 
@@ -204,6 +201,5 @@ mod tests {
         let r = ReceiverFlow::new(spec(5000), 1000);
         assert_eq!(r.num_packets, 5);
         assert_eq!(r.expected_seq, 0);
-        assert!(!r.completed);
     }
 }

@@ -50,13 +50,11 @@ pub struct HostCounters {
     pub retransmitted_packets: u64,
     /// CNPs generated as a receiver.
     pub cnps_sent: u64,
-    /// Flows that completed at this receiver.
-    pub completed_flows: u64,
 }
 
 bfc_sim::snap_struct! {
     HostCounters {
-        tx_data_bytes, rx_data_bytes, retransmitted_packets, cnps_sent, completed_flows,
+        tx_data_bytes, rx_data_bytes, retransmitted_packets, cnps_sent,
     }
 }
 
@@ -296,12 +294,9 @@ impl Host {
                 self.receive_data(now, packet, events);
                 self.try_send(now, events);
             }
-            PacketKind::Ack {
-                cumulative_seq,
-                is_nack,
-            } => {
-                let (cumulative_seq, is_nack) = (*cumulative_seq, *is_nack);
-                self.receive_ack(packet, cumulative_seq, is_nack);
+            PacketKind::Ack { is_nack } => {
+                let is_nack = *is_nack;
+                self.receive_ack(packet, is_nack);
                 self.try_send(now, events);
             }
             PacketKind::Cnp => {
@@ -424,9 +419,9 @@ impl Host {
                 false,
                 packet.int,
             ));
-            if rf.expected_seq >= rf.num_packets && !rf.completed {
-                rf.completed = true;
-                self.counters.completed_flows += 1;
+            // A sender never sends `seq >= num_packets`, so this holds
+            // exactly once: at the packet that completes the flow.
+            if rf.expected_seq == rf.num_packets {
                 events.send(now, NetEvent::FlowCompleted { flow: packet.flow });
             }
         } else if packet.seq > rf.expected_seq {
@@ -455,22 +450,24 @@ impl Host {
         }
     }
 
-    fn receive_ack(&mut self, mut packet: Packet, cumulative_seq: u64, is_nack: bool) {
+    fn receive_ack(&mut self, mut packet: Packet, is_nack: bool) {
         let Some(flow) = self.sending.get_mut(&packet.flow) else {
             return;
         };
-        if cumulative_seq > flow.acked_seq {
-            flow.acked_seq = cumulative_seq;
+        // An ACK's `seq` is the receiver's next expected sequence number.
+        let cumulative = packet.seq;
+        if cumulative > flow.acked_seq {
+            flow.acked_seq = cumulative;
         }
-        if is_nack && cumulative_seq < flow.next_seq {
-            self.counters.retransmitted_packets += flow.next_seq - cumulative_seq;
-            flow.next_seq = cumulative_seq;
+        if is_nack && cumulative < flow.next_seq {
+            self.counters.retransmitted_packets += flow.next_seq - cumulative;
+            flow.next_seq = cumulative;
             if !self.send_order.contains(&packet.flow) {
                 self.send_order.push_back(packet.flow);
             }
         }
         if let CcState::Hpcc(state) = &mut flow.cc {
-            state.on_ack(&mut packet.int, cumulative_seq, flow.next_seq);
+            state.on_ack(&mut packet.int, cumulative, flow.next_seq);
             // `packet.int` now holds the previous sample: recycle its storage.
             if packet.int.has_storage() {
                 packet.int.clear();
@@ -897,13 +894,17 @@ mod tests {
             let pkt = Packet::data(FlowId(9), NodeId(0), NodeId(5), seq, size, 9, seq == 0);
             rx.handle_packet(SimTime::from_micros(seq), pkt, &mut events);
         }
-        let mut completed = false;
+        // A duplicate of delivered data after completion is re-acknowledged
+        // but does not complete the flow again.
+        let dup = Packet::data(FlowId(9), NodeId(0), NodeId(5), 2, 500, 9, false);
+        rx.handle_packet(SimTime::from_micros(3), dup, &mut events);
+        let mut completions = 0;
         let mut acks = 0;
         while let Some((t, ev)) = events.pop() {
             match ev {
                 NetEvent::FlowCompleted { flow } => {
                     assert_eq!(flow, FlowId(9));
-                    completed = true;
+                    completions += 1;
                 }
                 NetEvent::PacketArrive { packet, .. } => {
                     if matches!(packet.kind, PacketKind::Ack { .. }) {
@@ -914,10 +915,9 @@ mod tests {
                 _ => {}
             }
         }
-        assert!(completed);
+        assert_eq!(completions, 1);
         assert!(acks >= 1);
         assert_eq!(rx.counters().rx_data_bytes, 2_500);
-        assert_eq!(rx.counters().completed_flows, 1);
     }
 
     #[test]
@@ -933,11 +933,11 @@ mod tests {
         let mut nacks = 0;
         while let Some((t, ev)) = events.pop() {
             match ev {
-                NetEvent::PacketArrive { packet, .. } => {
-                    if let PacketKind::Ack { is_nack: true, cumulative_seq, .. } = packet.kind {
-                        assert_eq!(cumulative_seq, 1);
-                        nacks += 1;
-                    }
+                NetEvent::PacketArrive { packet, .. }
+                    if packet.kind == (PacketKind::Ack { is_nack: true }) =>
+                {
+                    assert_eq!(packet.seq, 1);
+                    nacks += 1;
                 }
                 NetEvent::TxComplete { .. } => rx.handle_tx_complete(t, &mut events),
                 _ => {}

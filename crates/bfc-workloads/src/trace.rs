@@ -113,15 +113,23 @@ fn pick_distinct_pair(hosts: &[NodeId], rng: &mut SimRng) -> (NodeId, NodeId) {
 /// flow per sender, so this bounds what one event allocates.
 const MAX_INCAST_FAN_IN: usize = 10_000;
 
+/// The most flows a synthesized trace may be expected to hold: 78 × the
+/// largest figure trace (Fig. 5's full-scale Google trace on T1, 214 189
+/// flows). Each input is bounded on its own, but their product is what
+/// [`synthesize`] allocates.
+const MAX_TRACE_FLOWS: usize = 1 << 24;
+
 impl TraceParams {
     /// Checks the inputs [`synthesize`] asserts on or could not finish
-    /// with: `load` in (0, 1.5] (NaN is not), `incast_load` in [0, 1.5], a
-    /// positive `duration`, and — with incast on — at least 1000 bytes per
-    /// event (a tiny event makes the event period vanish) and a fan-in in
-    /// [1, 10 000] (0 drops every incast flow; a huge one cannot be
-    /// allocated). The message names the parameter as the `trace-tool
-    /// synth` options and the `.scn` reproducer headers spell it.
-    pub fn check(&self) -> Result<(), String> {
+    /// with over `hosts` hosts: `load` in (0, 1.5] (NaN is not),
+    /// `incast_load` in [0, 1.5], a positive `duration`, with incast on at
+    /// least 1000 bytes per event (a tiny event makes the event period
+    /// vanish) and a fan-in in [1, 10 000] (0 drops every incast flow; a huge
+    /// one cannot be allocated), and an expected flow count — background
+    /// arrivals plus incast events × fan-in — of at most 2^24. The message
+    /// names the parameter as the `trace-tool synth` options and the `.scn`
+    /// reproducer headers spell it.
+    pub fn check(&self, hosts: usize) -> Result<(), String> {
         if !(self.load > 0.0 && self.load <= 1.5) {
             return Err(format!("load must be in (0, 1.5], got {}", self.load));
         }
@@ -147,6 +155,22 @@ impl TraceParams {
         }
         if self.duration.is_zero() {
             return Err("duration must be positive".to_string());
+        }
+        // Bits the hosts can send in `duration`, split by the two loads.
+        let bits = hosts as f64 * self.host_gbps * 1e9 * self.duration.as_secs_f64();
+        let background = self.load * bits / 8.0 / self.workload.cdf().mean_bytes();
+        let incast = if self.incast_load > 0.0 {
+            self.incast_load * bits / 8.0 / self.incast_total_bytes as f64
+                * self.incast_fan_in as f64
+        } else {
+            0.0
+        };
+        let flows = background + incast;
+        if flows.is_nan() || flows > MAX_TRACE_FLOWS as f64 {
+            return Err(format!(
+                "load, incast-load, incast-bytes, fan-in and duration ask for about {flows:.0} \
+                 flows on {hosts} hosts, more than the limit of {MAX_TRACE_FLOWS}"
+            ));
         }
         Ok(())
     }
@@ -400,8 +424,8 @@ mod tests {
         let ms = SimDuration::from_millis(1);
         let paper = TraceParams::google_with_incast(ms, 1);
         let background = TraceParams::background_only(Workload::Google, 1.5, ms, 1);
-        assert_eq!(paper.check(), Ok(()));
-        assert_eq!(background.check(), Ok(()));
+        assert_eq!(paper.check(64), Ok(()));
+        assert_eq!(background.check(64), Ok(()));
         type Edit = fn(&mut TraceParams);
         let cases: [(&str, Edit); 10] = [
             ("load", |p| p.load = 2.0),
@@ -418,7 +442,7 @@ mod tests {
         for (refused, edit) in cases {
             let mut params = paper;
             edit(&mut params);
-            match params.check() {
+            match params.check(64) {
                 Ok(()) => assert!(refused.is_empty(), "{refused} must be refused"),
                 Err(e) => assert!(!refused.is_empty() && e.starts_with(refused), "{e}"),
             }
@@ -426,7 +450,51 @@ mod tests {
         // With incast off, its event size and fan-in are not read.
         let mut no_incast = background;
         no_incast.incast_total_bytes = 1;
-        assert_eq!(no_incast.check(), Ok(()));
+        assert_eq!(no_incast.check(64), Ok(()));
+    }
+
+    #[test]
+    fn check_bounds_the_expected_flow_count() {
+        let limit = MAX_TRACE_FLOWS as f64;
+        // The largest figure trace: Fig. 5a at full scale on T1's 128 hosts.
+        let fig5 = TraceParams::google_with_incast(SimDuration::from_millis(4), 1);
+        assert_eq!(fig5.check(128), Ok(()));
+        // The bound is on the product of the inputs: 45 000 incast events of
+        // 10 000 senders each, or 1.5 × 8 hosts × 100 Gbps of Google flows
+        // for 10 s, are each refused, though every input is in range.
+        let incast = TraceParams {
+            incast_load: 1.5,
+            incast_total_bytes: 1_000,
+            incast_fan_in: 10_000,
+            ..TraceParams::google_with_incast(SimDuration::from_micros(300), 1)
+        };
+        let background = TraceParams::background_only(
+            Workload::Google,
+            1.5,
+            SimDuration::from_millis(10_000),
+            1,
+        );
+        for params in [incast, background] {
+            let e = params.check(8).expect_err("refused");
+            assert!(e.starts_with("load, incast-load") && e.contains("16777216"), "{e}");
+        }
+        // The count is linear in the host count, and incast adds events ×
+        // fan-in: find the largest accepted host count and check both sides.
+        let background = TraceParams::background_only(
+            Workload::Google,
+            1.0,
+            SimDuration::from_millis(1),
+            1,
+        );
+        let per_host = 100e9 * 1e-3 / 8.0 / Workload::Google.cdf().mean_bytes();
+        let most = (limit / per_host) as usize;
+        assert_eq!(background.check(most), Ok(()));
+        assert!(background.check(most + 2).is_err());
+        let mut with_incast = background;
+        with_incast.incast_load = 0.5;
+        with_incast.incast_total_bytes = 1_000;
+        with_incast.incast_fan_in = 10;
+        assert!(with_incast.check(most).is_err());
     }
 
     #[test]

@@ -720,6 +720,60 @@ fn bad_trace_inputs_are_refused_before_anything_is_synthesized() {
         line.starts_with("trace-tool: synth: fan-in must be"),
         "{line}"
     );
+    // Inputs each in range whose product is not: 45 000 incast events of
+    // 10 000 senders, or 10 s of 1.5 × the tiny topology's capacity in
+    // Google flows — about 4.5e8 and 8e7 flows, each an allocation that
+    // aborts the process.
+    let flood = [
+        ("incast-load", "1.5"),
+        ("incast-bytes", "1000"),
+        ("fan-in", "10000"),
+        ("duration-us", "300"),
+    ];
+    let flags: Vec<String> = flood
+        .iter()
+        .flat_map(|(k, v)| [format!("--{k}"), v.to_string()])
+        .collect();
+    let mut synth = vec!["synth", "--out", &out, "--topo", "tiny"];
+    synth.extend(flags.iter().map(String::as_str));
+    for args in [
+        &synth[..],
+        &[
+            "synth",
+            "--out",
+            &out,
+            "--topo",
+            "tiny",
+            "--load",
+            "1.5",
+            "--incast-load",
+            "0",
+            "--duration-us",
+            "10000000",
+        ][..],
+    ] {
+        let line = refused(args);
+        assert!(
+            line.starts_with("trace-tool: synth: load, incast-load") && line.contains("flows"),
+            "{args:?}: {line}"
+        );
+    }
+    let edited: String = committed
+        .lines()
+        .map(|l| {
+            let key = l.split_once(' ').map_or(l, |(k, _)| k);
+            match flood.iter().find(|(k, _)| *k == key) {
+                Some((k, v)) => format!("{k} {v}\n"),
+                None => format!("{l}\n"),
+            }
+        })
+        .collect();
+    std::fs::write(&scn, edited).expect("write reproducer");
+    let line = refused(&["scenario", &scn]);
+    assert!(
+        line.contains(": load, incast-load") && line.contains("flows"),
+        "{line}"
+    );
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "a refusal must not synthesize first"

@@ -141,12 +141,12 @@ fn google_incast(horizon: SimDuration) -> TraceParams {
 
 #[rustfmt::skip]
 const LINEUP_T2: &[Cost] = &[
-    Cost { run: "bfc", events_popped: 127118, switch_hops: 59369, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(206739), allocs: Some(11828) },
-    Cost { run: "ideal-fq", events_popped: 125373, switch_hops: 59708, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(3201805), allocs: Some(12840) },
-    Cost { run: "dcqcn", events_popped: 130722, switch_hops: 59869, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(221813), allocs: Some(8273) },
-    Cost { run: "dcqcn-win", events_popped: 127882, switch_hops: 59855, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(221739), allocs: Some(8274) },
-    Cost { run: "hpcc", events_popped: 125074, switch_hops: 59347, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(246096), allocs: Some(12773) },
-    Cost { run: "dcqcn-win-sfq", events_popped: 127994, switch_hops: 59983, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(254455), allocs: Some(11705) },
+    Cost { run: "bfc", events_popped: 127118, switch_hops: 59369, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(202492), allocs: Some(11828) },
+    Cost { run: "ideal-fq", events_popped: 125373, switch_hops: 59708, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(3197559), allocs: Some(12840) },
+    Cost { run: "dcqcn", events_popped: 130722, switch_hops: 59869, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(217566), allocs: Some(8273) },
+    Cost { run: "dcqcn-win", events_popped: 127882, switch_hops: 59855, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(217493), allocs: Some(8274) },
+    Cost { run: "hpcc", events_popped: 125074, switch_hops: 59347, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(241869), allocs: Some(12773) },
+    Cost { run: "dcqcn-win-sfq", events_popped: 127994, switch_hops: 59983, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(250209), allocs: Some(11705) },
 ];
 
 #[test]
@@ -165,8 +165,8 @@ fn the_six_scheme_lineup_costs_exactly_this() {
 
 #[rustfmt::skip]
 const INCAST_T1: &[Cost] = &[
-    Cost { run: "bfc", events_popped: 288955, switch_hops: 131142, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 138, snap_bytes: Some(1455894), allocs: Some(35278) },
-    Cost { run: "bfc @ 2 shards", events_popped: 289381, switch_hops: 131142, overflow_pushes: 0, batches: 2, windows: 201, barriers: 202, boundary_events: 42064, series: 138, snap_bytes: Some(1463760), allocs: None },
+    Cost { run: "bfc", events_popped: 288955, switch_hops: 131142, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 138, snap_bytes: Some(1442625), allocs: Some(35278) },
+    Cost { run: "bfc @ 2 shards", events_popped: 289381, switch_hops: 131142, overflow_pushes: 0, batches: 2, windows: 201, barriers: 202, boundary_events: 42064, series: 138, snap_bytes: Some(1448939), allocs: None },
 ];
 
 #[test]
@@ -200,7 +200,7 @@ fn the_incast_costs_exactly_this_serial_and_on_two_shards() {
 #[rustfmt::skip]
 const SERVICE_T2: &[Cost] = &[
     Cost { run: "serve", events_popped: 212718, switch_hops: 100550, overflow_pushes: 3, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: None, allocs: Some(20005) },
-    Cost { run: "resume", events_popped: 218503, switch_hops: 101061, overflow_pushes: 4, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(352299), allocs: Some(9058) },
+    Cost { run: "resume", events_popped: 218503, switch_hops: 101061, overflow_pushes: 4, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(343746), allocs: Some(9058) },
 ];
 
 #[test]

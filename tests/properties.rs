@@ -8,7 +8,10 @@ use std::collections::{BTreeMap, VecDeque};
 
 use backpressure_flow_control::core::config::pause_threshold_bytes;
 use backpressure_flow_control::core::policy::pick_queue;
-use backpressure_flow_control::core::{CountingBloom, FlowEntry, FlowKey};
+use backpressure_flow_control::core::flow_table::EntrySlot;
+use backpressure_flow_control::core::{
+    CountingBloom, FlowEntry, FlowKey, FlowTable, LookupOutcome,
+};
 use backpressure_flow_control::experiments::{run_experiment, ExperimentConfig, Scheme};
 use backpressure_flow_control::metrics::{
     percentile, GoodputSeries, Hist, OccupancySeries, SafetyTracker,
@@ -18,8 +21,8 @@ use backpressure_flow_control::net::switch::SwitchCounters;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::{
-    FlightTrace, IntHop, IntPath, LinkAction, LinkStateMap, NetEvent, Packet, PhysQueue,
-    PolicyStats, SharedBuffer, TraceEvent, TraceRecord, Transmitter, TransportTimer, MAX_INT_HOPS,
+    FlightTrace, IntHop, IntPath, NetEvent, Packet, PhysQueue, PolicyStats, SharedBuffer,
+    TraceEvent, TraceRecord, Transmitter, TransportTimer, MAX_INT_HOPS,
 };
 use backpressure_flow_control::sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use backpressure_flow_control::sim::{EventQueue, FastHashMap, SimDuration, SimRng, SimTime};
@@ -31,7 +34,7 @@ use backpressure_flow_control::transport::{FlowSpec, ReceiverFlow, SenderFlow};
 use backpressure_flow_control::workloads::{TraceFlow, Workload};
 use bfc_testkit::{
     assert_codec_laws, assert_snap_round_trip, f64_range, hash_set_of, int_range, one_of, pair,
-    property, vec_of,
+    property, triple, vec_of,
 };
 
 property! {
@@ -462,7 +465,6 @@ fn arb_receiver(rng: &mut SimRng) -> ReceiverFlow {
     flow.expected_seq = rng.next_u64();
     flow.last_cnp = arb_opt(rng, arb_time);
     flow.nack_sent_for = arb_opt(rng, SimRng::next_u64);
-    flow.completed = rng.next_below(2) == 1;
     flow
 }
 
@@ -579,6 +581,146 @@ property! {
     }
 }
 
+/// The flow table's quotas as a reference model: every tracked key (by its
+/// index in the generated key space) with its admission class (true: the
+/// shared cache) and the packet count last written to its entry, the bucket
+/// residents per VFID and the cache's.
+struct FlowTableModel {
+    vfids: u64,
+    entries: BTreeMap<u64, (bool, u32)>,
+    bucket: Vec<usize>,
+    bucket_size: usize,
+    cache: usize,
+    cache_capacity: usize,
+}
+
+impl FlowTableModel {
+    /// Key `k` of the key space: a bijection, so the model's map needs no
+    /// order on `FlowKey`.
+    fn key(&self, k: u64) -> FlowKey {
+        FlowKey {
+            vfid: (k % self.vfids) as u32,
+            ingress: (k / self.vfids % 4) as u32,
+            egress: (k / self.vfids / 4) as u32,
+        }
+    }
+
+    /// Checks the slot `table` reports for key `k` and the entry it holds.
+    fn check_slot(&self, table: &FlowTable, k: u64, slot: EntrySlot) {
+        let key = self.key(k);
+        let (cached, packets) = self.entries[&k];
+        match slot {
+            EntrySlot::Cache { .. } => assert!(cached, "{key:?} admitted to its bucket"),
+            EntrySlot::Bucket { vfid, .. } => assert!(!cached && vfid == key.vfid, "{slot:?}"),
+        }
+        assert_eq!(table.entry(slot).key, key);
+        assert_eq!(table.entry(slot).packets_queued, packets);
+    }
+
+    /// Checks `find` for key `k` against the model.
+    fn check_find(&self, table: &FlowTable, k: u64) {
+        match table.find(self.key(k)) {
+            Some(slot) => self.check_slot(table, k, slot),
+            None => assert!(!self.entries.contains_key(&k), "key {k} lost"),
+        }
+    }
+}
+
+fn saved(table: &FlowTable) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    table.save_state(&mut w);
+    w.into_bytes()
+}
+
+property! {
+    /// The flow table's outcomes, admission classes, entries and length are
+    /// those of a map plus the per-VFID bucket and shared cache quotas, over
+    /// any sequence of `lookup_or_insert`, `find` and `remove` — across
+    /// growth, backward-shift deletion and save → restore into a fresh or a
+    /// non-empty table, which saves back to the same bytes.
+    fn flow_table_matches_a_quota_model(
+        geometry in triple(int_range(1u64..8), int_range(1u64..4), int_range(0u64..8)),
+        ops in vec_of(pair(int_range(0u64..5), int_range(0u64..64)), 0..400),
+    ) {
+        let (vfids, bucket_size, cache_capacity) = (geometry.0, geometry.1 as usize, geometry.2 as usize);
+        let fresh = || FlowTable::new(vfids as u32, bucket_size, cache_capacity);
+        let mut model = FlowTableModel {
+            vfids,
+            entries: BTreeMap::new(),
+            bucket: vec![0; vfids as usize],
+            bucket_size,
+            cache: 0,
+            cache_capacity,
+        };
+        let mut table = fresh();
+        let mut used = Vec::new();
+        for (step, &(op, k)) in ops.iter().enumerate() {
+            let key = model.key(k);
+            used.push(k);
+            match op {
+                0 | 1 => {
+                    let slot = match table.lookup_or_insert(key) {
+                        LookupOutcome::Found(slot) => slot,
+                        LookupOutcome::Inserted(slot) => {
+                            assert!(!model.entries.contains_key(&k), "{key:?} inserted twice");
+                            let bucket = &mut model.bucket[key.vfid as usize];
+                            let cached = *bucket == model.bucket_size;
+                            if cached {
+                                assert!(model.cache < model.cache_capacity, "cache over quota");
+                                model.cache += 1;
+                            } else {
+                                *bucket += 1;
+                            }
+                            model.entries.insert(k, (cached, 0));
+                            slot
+                        }
+                        LookupOutcome::TableFull => {
+                            assert!(!model.entries.contains_key(&k), "{key:?} is tracked");
+                            assert_eq!(model.bucket[key.vfid as usize], model.bucket_size);
+                            assert_eq!(model.cache, model.cache_capacity);
+                            continue;
+                        }
+                    };
+                    model.check_slot(&table, k, slot);
+                    table.entry_mut(slot).packets_queued = step as u32;
+                    model.entries.get_mut(&k).expect("tracked").1 = step as u32;
+                }
+                2 => {
+                    table.remove(key);
+                    if let Some((cached, _)) = model.entries.remove(&k) {
+                        if cached {
+                            model.cache -= 1;
+                        } else {
+                            model.bucket[key.vfid as usize] -= 1;
+                        }
+                    }
+                }
+                3 => model.check_find(&table, k),
+                _ => {
+                    // Save, then restore into a fresh table or into one
+                    // holding other flows (ingress 9 is outside the key
+                    // space), and carry on with the restored table.
+                    let bytes = saved(&table);
+                    let mut target = fresh();
+                    if k % 2 == 1 {
+                        for other in 0..k {
+                            target.lookup_or_insert(FlowKey { ingress: 9, ..model.key(other) });
+                        }
+                    }
+                    target
+                        .restore_state(&mut SnapReader::new(&bytes))
+                        .expect("a table restores what it saved");
+                    assert_eq!(saved(&target), bytes);
+                    table = target;
+                    used.iter().for_each(|&k| model.check_find(&table, k));
+                }
+            }
+            assert_eq!(table.len(), model.entries.len());
+        }
+        used.iter().for_each(|&k| model.check_find(&table, k));
+    }
+}
+
 property! {
     fn every_snapshot_encoding_round_trips(seed in int_range(0u64..u64::MAX)) {
         let rng = &mut SimRng::new(seed);
@@ -641,7 +783,6 @@ property! {
             rx_data_bytes: rng.next_u64(),
             retransmitted_packets: rng.next_u64(),
             cnps_sent: rng.next_u64(),
-            completed_flows: rng.next_u64(),
         });
         // bfc-core and bfc-metrics.
         assert_snap_round_trip(&FlowEntry {
@@ -700,25 +841,6 @@ property! {
             || SharedBuffer::new(200_000, ports),
             SharedBuffer::save_state,
             SharedBuffer::restore_state,
-        );
-
-        let topo = fat_tree(FatTreeParams::tiny());
-        let mut links = LinkStateMap::new(&topo);
-        for _ in 0..rng.next_below(4) {
-            let a = topo.switches()[rng.next_index(topo.switches().len())];
-            let b = topo.ports(a)[rng.next_index(topo.ports(a).len())].peer;
-            let action = if rng.next_below(3) > 0 {
-                LinkAction::Down { a, b }
-            } else {
-                LinkAction::Up { a, b }
-            };
-            links.apply(&topo, &action).expect("adjacent nodes");
-        }
-        assert_overlay_laws(
-            &links,
-            || LinkStateMap::new(&topo),
-            LinkStateMap::save_state,
-            LinkStateMap::restore_state,
         );
     }
 }

@@ -122,6 +122,35 @@ fn paper_lineup_resumes_bit_identically_under_faults() {
     }
 }
 
+/// A resume rebuilds the link state from the fault schedule's events at or
+/// before the cut, so a cut exactly on a fault instant — the link just went
+/// down, or just came back — and one a picosecond before it each resume
+/// bit-identically, for every lineup scheme at 1 and 2 shards.
+#[test]
+fn a_cut_on_a_fault_instant_resumes_bit_identically() {
+    let topo = fat_tree(FatTreeParams::tiny());
+    let trace = synthetic_trace(&topo, 37);
+    let (down, up) = (us(50), us(100));
+    let schedule = ScenarioSpec::single_link_down_up("tor0", "spine0", down, up)
+        .resolve(&topo)
+        .expect("tiny topology has tor0/spine0");
+    let ps = SimDuration::from_picos(1);
+    for scheme in Scheme::paper_lineup() {
+        let name = scheme.name();
+        let config = ExperimentConfig::new(scheme, WINDOW).with_dynamics(schedule.clone());
+        let uninterrupted = run_experiment(&topo, &trace, &config);
+        for cut in [down - ps, down, up - ps, up] {
+            for shards in [1usize, 2] {
+                let label = format!("{name} cut at {cut} @ {shards} shards");
+                let snap = snapshot_experiment(&topo, &trace, &config, SimTime::ZERO + cut, shards);
+                let resumed = resume_experiment(&topo, &trace, &config, &snap)
+                    .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
+                assert_identical(&label, &uninterrupted, &resumed);
+            }
+        }
+    }
+}
+
 /// Epoch batching × checkpoint/restore: with the sharded engine's batching
 /// forced on or forced off, a mid-run cut still resumes
 /// bit-identically at 1, 2 and 4 shards — and both modes land on the same
@@ -205,8 +234,9 @@ fn damaged_snapshots_are_rejected() {
         Err(SnapError::BadChecksum)
     ));
 
-    // Another format version — a future one, version 12 with two totals a
-    // resumed run recounts (completed flows, goodput's running total),
+    // Another format version — a future one, version 13 with each sim's
+    // link state and a packet's class and an ACK's sequence number held
+    // twice, version 12 with two totals a resumed run recounts (completed flows, goodput's running total),
     // version 11 with the state nothing read (BFC counters, port transmit
     // totals, the recovery fault log), version 10 without the egresses'
     // owed-sweep flags, version 9 with a per-sim FCT histogram, version 8
@@ -216,10 +246,10 @@ fn damaged_snapshots_are_rejected() {
     // checksum — is refused by number, not misdecoded.
     assert_eq!(
         snap[8..12],
-        13u32.to_le_bytes(),
-        "this build writes version 13"
+        14u32.to_le_bytes(),
+        "this build writes version 14"
     );
-    for version in [99u32, 12, 11, 10, 9, 8, 7, 6, 5] {
+    for version in [99u32, 13, 12, 11, 10, 9, 8, 7, 6, 5] {
         let mut versioned = snap.clone();
         versioned[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
@@ -359,10 +389,13 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 ///
 /// The flight trace is as written by commit 0022cd3 (`TRACE_VERSION` 2), the
 /// last one whose codec was 68 hand-written `save`/`restore` functions. The
-/// snapshots are `SNAPSHOT_VERSION` 13, which drops from version 12 two
-/// totals a resumed run recounts — each sim's completed-flow count and its
-/// goodput series' running total, 8 bytes each: 16 bytes less per row at
-/// one shard, 32 at two.
+/// snapshots are `SNAPSHOT_VERSION` 14, which drops from version 13 each
+/// worker's link state (136 bytes on the tiny fat-tree, which a resume
+/// rebuilds from the fault schedule), 8 bytes per host (its completed-flow
+/// counter), 1 per receiver flow (its completion flag), 1 per queued packet
+/// (its control-priority flag) and 8 more per queued ACK (its second copy of
+/// the sequence number): 1 408–1 458 bytes less per row at one shard,
+/// 136 more at two.
 ///
 /// The two-shard rows also depend on where the epoch windows fall, at any
 /// version: a pending event is saved with the sequence number its queue gave
@@ -376,18 +409,18 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 /// one run, 224 bytes differ, each by a few units, and the parent's file
 /// resumed there to the uninterrupted run's result.
 const PARENT_SNAPSHOTS: [(usize, u64); 12] = [
-    (86_836, 0x8081_aad8_878d_03f2), // BFC, 1 shard
-    (95_779, 0xa863_8867_2b36_54af), // BFC, 2 shards
-    (435_405, 0x9e94_398b_76c6_e2a3), // Ideal-FQ
-    (444_348, 0x382c_effa_6678_b290),
-    (76_472, 0xd066_c581_482b_574c), // DCQCN
-    (85_415, 0xb34a_f7ba_a2b4_6127),
-    (76_472, 0x315e_1dbb_9b31_fc24), // DCQCN+Win
-    (85_415, 0x4354_b5e4_e280_993f),
-    (72_630, 0x5a9f_03d0_3b45_a422), // HPCC
-    (81_573, 0x6e1d_e7d4_3c43_0067),
-    (79_701, 0x13d3_d26b_10eb_82a1), // DCQCN+Win+SFQ
-    (88_644, 0x0178_1867_328a_5c04),
+    (85_428, 0x56d5_a8f1_8bc9_f4b7), // BFC, 1 shard
+    (94_235, 0x1e3a_6005_7f89_afb8), // BFC, 2 shards
+    (433_996, 0x5558_7b23_c13d_a9d9), // Ideal-FQ
+    (442_803, 0xa982_88b7_ea2a_9468),
+    (75_014, 0x4e86_891b_745a_9aeb), // DCQCN
+    (83_821, 0x7270_78af_8615_aaeb),
+    (75_014, 0xf550_89ca_4652_0201), // DCQCN+Win
+    (83_821, 0xb3de_74fb_33f5_12ef),
+    (71_191, 0xd216_a367_d0b5_852e), // HPCC
+    (79_998, 0x64b2_19e2_a390_0520),
+    (78_265, 0x854e_0c02_4fd2_6583), // DCQCN+Win+SFQ
+    (87_072, 0xbdce_18f4_3ddb_eae5),
 ];
 const PARENT_FLIGHT: (usize, u64) = (1_256_716, 0x3704_4530_a583_d1d0);
 

@@ -76,8 +76,8 @@ fn run_lossy_session(size_bytes: u64, data_loss: &[bool], ack_loss: &[bool]) -> 
                     report.data_drops += drop as usize;
                     drop
                 } else {
-                    if let PacketKind::Ack { cumulative_seq, .. } = packet.kind {
-                        report.cumulative_acks.push(cumulative_seq);
+                    if let PacketKind::Ack { .. } = packet.kind {
+                        report.cumulative_acks.push(packet.seq);
                     }
                     let drop = ack_loss.get(ack_seen).copied().unwrap_or(false);
                     ack_seen += 1;
