@@ -19,7 +19,7 @@ use bfc_bench::Harness;
 use bfc_core::{BfcConfig, BfcPolicy, CountingBloom, FlowKey, FlowTable};
 use bfc_experiments::cli::Args;
 use bfc_experiments::{run_experiment_sharded, ExperimentConfig, MetricsHub, Scheme};
-use bfc_net::packet::{Packet, PauseFrame};
+use bfc_net::packet::{Packet, PauseFrame, MTU};
 use bfc_net::policy::{EnqueueCtx, FifoPolicy, SwitchPolicy};
 use bfc_net::routing::RoutingTables;
 use bfc_net::switch::Switch;
@@ -102,7 +102,7 @@ fn bench_event_queue(h: &mut Harness) {
 
 fn bench_bloom(h: &mut Harness) {
     h.bench("pause_frame_insert_contains", || {
-        let mut f = PauseFrame::new(128, 4);
+        let mut f = PauseFrame::new(128);
         for v in 0..32u32 {
             f.insert(v * 97);
         }
@@ -115,7 +115,7 @@ fn bench_bloom(h: &mut Harness) {
         hits
     });
     h.bench("counting_bloom_cycle", || {
-        let mut cb = CountingBloom::new(128, 4);
+        let mut cb = CountingBloom::new(128);
         for v in 0..64u32 {
             cb.insert(v);
         }
@@ -180,7 +180,7 @@ fn bench_switch_forwarding(h: &mut Harness) {
             events.total_scheduled() as f64 / hops as f64
         ));
     }
-    let port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), 32, 1000);
+    let port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), 32);
     h.bench("bfc_policy_enqueue_dequeue_1k", || {
         let mut policy = BfcPolicy::new(BfcConfig::default(), 3);
         let ctx = EnqueueCtx {
@@ -353,7 +353,7 @@ fn bench_metrics_hub(h: &mut Harness) {
         .map(|id| {
             let mut sw = Switch::new(
                 id,
-                scheme.switch_config(32, 12_000_000, 1_000),
+                scheme.switch_config(32, 12_000_000, MTU),
                 topo.ports(id),
                 scheme.make_policy(1),
                 1,
@@ -389,7 +389,7 @@ fn bench_port_counters(h: &mut Harness) {
     // is maintained incrementally, so each query is O(1) instead of an O(Q)
     // scan.
     h.bench("port_active_queue_count_32q", || {
-        let mut port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), 32, 1_000);
+        let mut port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), 32);
         let mut probe = 0usize;
         for i in 0..1_000u64 {
             let q = (i % 32) as usize;
@@ -416,8 +416,8 @@ fn bench_port_counters(h: &mut Harness) {
     // all 31 paused queues before it serves the eligible one (which drains
     // and re-enters the rotation behind them), so this times the scheduler's
     // per-skip pause check: one flag read, no re-hash of the head's VFID.
-    let mut port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), 32, 1_000);
-    let mut frame = PauseFrame::new(128, 4);
+    let mut port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), 32);
+    let mut frame = PauseFrame::new(128);
     for q in 0..32u32 {
         let pkt = Packet::data(FlowId(q), NodeId(0), NodeId(1), 0, 1_000, q * 97, false);
         port.enqueue(bfc_net::policy::QueueTarget::Phys(q as usize), pkt, 0);
@@ -439,7 +439,7 @@ fn bench_port_counters(h: &mut Harness) {
     });
     // The same port once the downstream pauses queue 0 as well: a pick finds
     // nothing eligible and only zeroes the deficits and turns the rotation.
-    let mut frame = PauseFrame::new(128, 4);
+    let mut frame = PauseFrame::new(128);
     (0..32u32).for_each(|q| frame.insert(q * 97));
     port.set_pause_frame(Some(frame));
     assert_eq!(port.active_queue_count(), 0, "all 32 queues are paused");

@@ -8,7 +8,7 @@
 //! so taking one (every dirty pause tick of every ingress) is a copy, not a
 //! scan of the counters.
 
-use bfc_net::packet::PauseFrame;
+use bfc_net::packet::{PauseFrame, PAUSE_FRAME_HASHES};
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// A counting bloom filter over the VFID space.
@@ -16,26 +16,25 @@ use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 pub struct CountingBloom {
     counts: Vec<u32>,
     /// The wire image: bit `pos` is set iff `counts[pos] > 0`. Also the
-    /// filter's geometry (bit and hash counts).
+    /// filter's geometry (its bit count).
     image: PauseFrame,
     members: u64,
 }
 
 impl CountingBloom {
-    /// Creates a filter whose snapshot is `size_bytes` long and that uses
-    /// `num_hashes` hash functions.
-    pub fn new(size_bytes: usize, num_hashes: u32) -> Self {
-        assert!(size_bytes > 0 && num_hashes > 0);
+    /// Creates a filter whose snapshot is `size_bytes` long; each VFID
+    /// counts on [`PAUSE_FRAME_HASHES`] positions.
+    pub fn new(size_bytes: usize) -> Self {
         CountingBloom {
             counts: vec![0; size_bytes * 8],
-            image: PauseFrame::new(size_bytes, num_hashes),
+            image: PauseFrame::new(size_bytes),
             members: 0,
         }
     }
 
     /// Records one pause of `vfid` (increments its bit positions).
     pub fn insert(&mut self, vfid: u32) {
-        for i in 0..self.image.num_hashes() {
+        for i in 0..PAUSE_FRAME_HASHES {
             let pos = PauseFrame::bit_position(vfid, i, self.image.num_bits());
             let count = &mut self.counts[pos as usize];
             if *count == 0 {
@@ -50,7 +49,7 @@ impl CountingBloom {
     /// `remove` must match an earlier `insert`; the policy maintains that
     /// invariant by pairing each pause with exactly one eventual resume.
     pub fn remove(&mut self, vfid: u32) {
-        for i in 0..self.image.num_hashes() {
+        for i in 0..PAUSE_FRAME_HASHES {
             let pos = PauseFrame::bit_position(vfid, i, self.image.num_bits());
             let count = &mut self.counts[pos as usize];
             debug_assert!(*count > 0, "counting bloom underflow for vfid {vfid}");
@@ -88,7 +87,7 @@ impl CountingBloom {
 
     /// Rebuilds the wire image from the counters.
     fn rescan_image(&mut self) {
-        let mut image = PauseFrame::new(self.image.size_bytes(), self.image.num_hashes());
+        let mut image = PauseFrame::new(self.image.size_bytes());
         for (pos, &count) in self.counts.iter().enumerate() {
             if count > 0 {
                 image.set_bit(pos as u32);
@@ -125,7 +124,7 @@ mod tests {
 
     #[test]
     fn insert_remove_round_trip() {
-        let mut cb = CountingBloom::new(128, 4);
+        let mut cb = CountingBloom::new(128);
         cb.insert(5);
         cb.insert(9);
         assert!(cb.contains(5) && cb.contains(9));
@@ -142,7 +141,7 @@ mod tests {
     fn shared_bits_survive_one_resume() {
         // Force two VFIDs to collide by using a tiny filter; removing one
         // must keep the other paused because counts, not bits, are tracked.
-        let mut cb = CountingBloom::new(1, 2);
+        let mut cb = CountingBloom::new(1);
         cb.insert(1);
         cb.insert(2);
         cb.remove(1);
@@ -151,7 +150,7 @@ mod tests {
 
     #[test]
     fn snapshot_matches_membership() {
-        let mut cb = CountingBloom::new(64, 4);
+        let mut cb = CountingBloom::new(64);
         for v in [3u32, 14, 159, 2653] {
             cb.insert(v);
         }
@@ -164,7 +163,7 @@ mod tests {
 
     #[test]
     fn restore_rebuilds_the_wire_image() {
-        let mut cb = CountingBloom::new(64, 4);
+        let mut cb = CountingBloom::new(64);
         for v in [3u32, 14, 14, 159] {
             cb.insert(v);
         }
@@ -172,7 +171,7 @@ mod tests {
         let mut w = SnapWriter::new();
         cb.save_state(&mut w);
         let bytes = w.into_bytes();
-        let mut back = CountingBloom::new(64, 4);
+        let mut back = CountingBloom::new(64);
         back.restore_state(&mut SnapReader::new(&bytes)).expect("restores");
         assert_eq!(back.snapshot(), cb.snapshot());
         assert!(!back.snapshot().is_empty());
@@ -183,7 +182,7 @@ mod tests {
         // A 1-byte filter (8 bit positions) saturates quickly: once every
         // position has a non-zero count, *any* VFID reads as paused (the
         // expected bloom false-positive regime) and the snapshot is all-ones.
-        let mut cb = CountingBloom::new(1, 2);
+        let mut cb = CountingBloom::new(1);
         for v in 0..64u32 {
             cb.insert(v);
         }
@@ -207,7 +206,7 @@ mod tests {
     fn heavy_reinsertion_of_one_vfid_counts_correctly() {
         // Pausing the same flow many times must require exactly as many
         // resumes — counters, not bits, carry the state.
-        let mut cb = CountingBloom::new(16, 4);
+        let mut cb = CountingBloom::new(16);
         let n = 10_000u32;
         for _ in 0..n {
             cb.insert(77);
@@ -224,7 +223,7 @@ mod tests {
 
     #[test]
     fn double_pause_requires_double_resume() {
-        let mut cb = CountingBloom::new(128, 4);
+        let mut cb = CountingBloom::new(128);
         cb.insert(7);
         cb.insert(7);
         cb.remove(7);

@@ -26,9 +26,6 @@ const BUCKET_SIZE: usize = 4;
 /// Entries in the flow table's associative overflow cache (§4.1).
 const OVERFLOW_CACHE_SIZE: usize = 100;
 
-/// Hash functions per bloom-filter pause frame (§4.1).
-const BLOOM_HASHES: u32 = 4;
-
 /// Flows resumed per physical queue per pause-frame interval when
 /// [`BfcConfig::limit_resumes`] is on: one per interval, i.e. two per hop
 /// RTT (§3.5).
@@ -65,7 +62,7 @@ struct IngressState {
 impl IngressState {
     fn new(config: &BfcConfig) -> Self {
         IngressState {
-            counting: CountingBloom::new(config.bloom_bytes, BLOOM_HASHES),
+            counting: CountingBloom::new(config.bloom_bytes),
             to_be_resumed: VecDeque::new(),
             dirty: false,
             served: FastHashMap::default(),
@@ -312,7 +309,7 @@ impl SwitchPolicy for BfcPolicy {
             let st = self.ingress_mut(ingress);
             while let Some(item) = st.to_be_resumed.pop_front() {
                 let served = st.served.entry(item.queue).or_insert(0);
-                if limit.is_none_or(|l| *served < l) {
+                if limit.map_or(true, |l| *served < l) {
                     *served += 1;
                     st.counting.remove(item.vfid);
                     st.dirty = true;
@@ -421,17 +418,16 @@ impl SwitchPolicy for BfcPolicy {
 mod tests {
     use super::*;
     use bfc_net::link::Link;
+    use bfc_net::packet::MTU;
     use bfc_net::port::Port;
     use bfc_net::types::{FlowId, NodeId};
-
-    const MTU: u32 = 1000;
 
     fn port() -> Port {
         port_with(32)
     }
 
     fn port_with(num_queues: usize) -> Port {
-        Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), num_queues, MTU)
+        Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), num_queues)
     }
 
     fn ectx<'a>(port: &'a Port, ingress: u32, egress: u32) -> EnqueueCtx<'a> {

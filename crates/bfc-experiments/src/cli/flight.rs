@@ -264,8 +264,8 @@ fn cmd_filter(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
         .records
         .iter()
         .enumerate()
-        .filter(|(_, r)| kind.as_deref().is_none_or(|k| r.event.kind() == k))
-        .filter(|(_, r)| node.is_none_or(|n| r.event.node() == Some(n)))
+        .filter(|(_, r)| kind.as_deref().map_or(true, |k| r.event.kind() == k))
+        .filter(|(_, r)| node.map_or(true, |n| r.event.node() == Some(n)))
         .collect();
     let skip = matches.len().saturating_sub(limit);
     outln!(

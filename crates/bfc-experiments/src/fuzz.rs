@@ -428,7 +428,8 @@ pub struct FuzzConfig {
     pub shrink_evals: usize,
     /// What to maximize.
     pub objective: Objective,
-    /// Scheme under test.
+    /// Scheme under test. The reproducer writes its [`Scheme::cli_key`], so
+    /// [`fuzz`] refuses a BFC ablation that key does not name (all but `bfc-vfid`).
     pub scheme: Scheme,
     /// Topology names the search draws from, smallest first (shrinking moves
     /// toward index 0).
@@ -511,7 +512,7 @@ pub fn fuzz(cfg: &FuzzConfig) -> Result<FuzzOutcome, String> {
         evals += 1;
         // Strict `>`: ties keep the earliest case, so the outcome does not
         // depend on enumeration quirks.
-        if best.as_ref().is_none_or(|(b, _)| score > *b) {
+        if best.as_ref().map_or(true, |(b, _)| score > *b) {
             best = Some((score, case));
         }
     }
@@ -607,8 +608,12 @@ pub struct Reproducer {
 }
 
 impl Reproducer {
-    /// Resolves a fuzz case against its topology into reproducer form.
+    /// Resolves a fuzz case against its topology into reproducer form;
+    /// refuses a scheme its [`Scheme::cli_key`] does not name.
     pub fn from_case(cfg: &FuzzConfig, case: &FuzzCase) -> Result<Reproducer, String> {
+        if Scheme::from_cli_key(cfg.scheme.cli_key()).as_ref() != Some(&cfg.scheme) {
+            return Err(format!("fuzz: no reproducer key names scheme {:?}", cfg.scheme));
+        }
         let topo_name = &cfg.topos[case.topo_idx % cfg.topos.len()];
         let topo = topology_by_name(topo_name)
             .ok_or_else(|| format!("fuzz: unknown topology `{topo_name}`"))?;
@@ -772,6 +777,7 @@ impl fmt::Display for Reproducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfc_core::BfcConfig;
     use bfc_testkit::{int_range, property};
 
     #[test]
@@ -837,6 +843,42 @@ mod tests {
         // Comments and blank lines are tolerated, like scenario files.
         let commented = format!("# found by fuzz\n\n{text}# trailing note\n");
         assert_eq!(Reproducer::parse(&commented).expect("comments ignored"), repro);
+    }
+
+    #[test]
+    fn fuzz_refuses_a_scheme_its_reproducer_cannot_name() {
+        let ablations = [
+            BfcConfig::without_resume_limit(),
+            BfcConfig::without_high_priority_queue(),
+            BfcConfig::default().with_num_vfids(64),
+        ];
+        for scheme in ablations.map(Scheme::Bfc) {
+            let cfg = FuzzConfig {
+                scheme: scheme.clone(),
+                ..FuzzConfig::new()
+            };
+            let err = fuzz(&cfg).expect_err("refused before the first run");
+            assert!(err.contains(&format!("{scheme:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_keyed_scheme_survives_the_reproducer_text() {
+        let case = CaseGen::new(1).generate(&mut SimRng::new(7));
+        let keyed = Scheme::paper_lineup()
+            .into_iter()
+            .chain([Scheme::bfc_vfid(), Scheme::SfqInfBuffer]);
+        for scheme in keyed {
+            assert_eq!(Scheme::from_cli_key(scheme.cli_key()).as_ref(), Some(&scheme));
+            let cfg = FuzzConfig {
+                scheme: scheme.clone(),
+                ..FuzzConfig::new()
+            };
+            let repro = Reproducer::from_case(&cfg, &case).expect("a keyed scheme");
+            let parsed = Reproducer::parse(&repro.to_string()).expect("display output parses");
+            assert_eq!(parsed.scheme, scheme);
+            assert_eq!(parsed, repro);
+        }
     }
 
     #[test]

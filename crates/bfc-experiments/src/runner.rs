@@ -19,7 +19,7 @@ use bfc_metrics::Hist;
 use bfc_net::config::SwitchConfig;
 use bfc_net::dynamics::{FaultEvent, FaultSchedule, LinkAction, LinkStateMap};
 use bfc_net::event::{NetEvent, NetSink};
-use bfc_net::packet::{vfid_for_flow, PacketKind, MAX_INT_HOPS};
+use bfc_net::packet::{vfid_for_flow, PacketKind, MAX_INT_HOPS, MTU};
 use bfc_net::policy::{PolicyStats, ProbeStats};
 use bfc_net::routing::RoutingTables;
 use bfc_net::switch::{Switch, SwitchCounters};
@@ -53,9 +53,6 @@ pub fn horizon_from_micros(us: u64) -> Result<SimDuration, String> {
         Err(format!("{us} us exceeds the limit of {MAX_HORIZON} of simulated time"))
     }
 }
-
-/// MTU in bytes: the paper's 1 KB, for every experiment.
-const MTU: u32 = 1_000;
 
 /// Experiment parameters independent of the workload trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -547,11 +544,8 @@ impl Frame {
         let routes = Arc::new(RoutingTables::compute(topo));
         let hosts_list = topo.hosts();
         assert!(hosts_list.len() >= 2, "need at least two hosts");
-        let switch_config = config.scheme.switch_config(
-            config.queues_per_port,
-            config.buffer_bytes,
-            MTU,
-        );
+        let switch_config =
+            config.scheme.switch_config(config.queues_per_port, config.buffer_bytes, MTU);
         if switch_config.int_enabled {
             // Every switch on a data packet's path appends one INT record;
             // reject a too-deep topology here, not inside the event loop.
@@ -569,13 +563,13 @@ impl Frame {
         // in every built-in topology).
         let far_a = hosts_list[0];
         let far_b = *hosts_list.last().expect("non-empty");
-        let base_rtt = routes.base_rtt(topo, far_a, far_b, MTU);
+        let base_rtt = routes.base_rtt(topo, far_a, far_b);
         let host_gbps = topo.host_uplink(far_a).link.rate_gbps;
         let bdp_bytes = (host_gbps * 1e9 / 8.0 * base_rtt.as_secs_f64()) as u64;
 
         Frame {
             switch_config,
-            host_config: config.scheme.host_config(MTU, base_rtt, bdp_bytes),
+            host_config: config.scheme.host_config(base_rtt, bdp_bytes),
             routes,
             hosts_list,
             host_gbps,
@@ -659,14 +653,7 @@ pub(crate) fn build_flow_meta(
             vfid: vfid_for_flow(flow_id, config.seed, config.scheme.num_vfids()),
         },
         start: t.start,
-        ideal_fct: frame.routes.ideal_fct(
-            topo,
-            t.src,
-            t.dst,
-            t.size_bytes,
-            MTU,
-            flow_id.0 as u64,
-        ),
+        ideal_fct: frame.routes.ideal_fct(topo, t.src, t.dst, t.size_bytes, flow_id.0 as u64),
         is_incast: t.is_incast,
     }
 }

@@ -19,8 +19,9 @@
 //! down at `from`; a toggle landing exactly on `until` is excluded (the
 //! window is half-open), and if the expansion would leave the link down at
 //! `until`, a final `up` is appended there, so a flapped link always ends
-//! the scenario up. Steps at identical timestamps are applied in spec order
-//! ([`FaultSchedule`] sorts stably).
+//! the scenario up; a flap of more than 1 000 toggles is refused. Steps at
+//! identical timestamps are applied in spec order ([`FaultSchedule`] sorts
+//! stably).
 //!
 //! The format also round-trips: [`ScenarioSpec`] implements [`Display`],
 //! emitting one `at` directive per (expanded) step using the largest time
@@ -40,6 +41,17 @@ use bfc_net::dynamics::{DynamicsError, FaultEvent, FaultSchedule, LinkAction};
 use bfc_net::topology::Topology;
 use bfc_net::types::NodeId;
 use bfc_sim::{SimDuration, SimTime};
+
+/// Most toggles one `flap` may expand to, so that one directive cannot ask
+/// for more steps than memory holds (the figures' and the fuzzer's: 17).
+pub const MAX_FLAP_STEPS: u64 = 1_000;
+
+/// A positive period, a non-empty window and at most [`MAX_FLAP_STEPS`] toggles.
+fn flap_is_valid(from: SimDuration, period: SimDuration, until: SimDuration) -> bool {
+    !period.is_zero()
+        && from < until
+        && (until - from).as_picos().div_ceil(period.as_picos()) <= MAX_FLAP_STEPS
+}
 
 /// What one scenario step does to its link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,7 +105,7 @@ pub enum ScenarioErrorKind {
         /// The offending text.
         value: String,
     },
-    /// A flap's period was zero or its window was empty.
+    /// A flap's period was zero, or its window empty or over [`MAX_FLAP_STEPS`] toggles.
     BadFlap,
     /// An endpoint name matched no node label or id of the topology.
     UnknownEndpoint {
@@ -123,7 +135,8 @@ impl fmt::Display for ScenarioError {
                 write!(f, "bad rate `{value}`: expected a positive Gbps number")
             }
             ScenarioErrorKind::BadFlap => {
-                write!(f, "flap needs a positive period and `from` before `until`")
+                let n = MAX_FLAP_STEPS;
+                write!(f, "flap needs a positive period, `from` < `until`, at most {n} toggles")
             }
             ScenarioErrorKind::UnknownEndpoint { name } => {
                 write!(f, "`{name}` is neither a node label nor a node id of the topology")
@@ -248,9 +261,10 @@ impl ScenarioSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `period` is zero or `from >= until` — programmer error in
-    /// the builder API, like every zero-rate `Link`. The text-format parse
-    /// path validates the same condition first and reports
+    /// Panics if `period` is zero, `from >= until`, or the window holds more
+    /// than [`MAX_FLAP_STEPS`] toggles — programmer error in the builder
+    /// API, like every zero-rate `Link`. The text-format parse path
+    /// validates the same condition first and reports
     /// [`ScenarioErrorKind::BadFlap`] instead.
     pub fn flap(
         mut self,
@@ -261,7 +275,10 @@ impl ScenarioSpec {
         until: SimDuration,
     ) -> Self {
         let (a, b) = (a.into(), b.into());
-        assert!(!period.is_zero() && from < until, "flap needs a positive period and a non-empty window");
+        assert!(
+            flap_is_valid(from, period, until),
+            "flap needs a positive period, a non-empty window and at most {MAX_FLAP_STEPS} toggles"
+        );
         let mut at = from;
         let mut down = true;
         while at < until {
@@ -370,7 +387,7 @@ impl ScenarioSpec {
                 }
                 ["flap", a, b, "from", t0, "every", p, "until", t1] => {
                     let (from, period, until) = (time(t0)?, time(p)?, time(t1)?);
-                    if period.is_zero() || from >= until {
+                    if !flap_is_valid(from, period, until) {
                         return Err(bad(ScenarioErrorKind::BadFlap));
                     }
                     spec = spec.flap(*a, *b, from, period, until);
@@ -436,6 +453,7 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfc_net::dynamics::MAX_LINK_GBPS;
     use bfc_net::topology::{fat_tree, FatTreeParams};
 
     fn us(n: u64) -> SimDuration {
@@ -530,6 +548,48 @@ flap tor0 spine1 from 80us every 40us until 200us
         let spec = ScenarioSpec::flapping_link("a", "b", us(80), us(40), us(170));
         let last = spec.steps.last().expect("non-empty");
         assert_eq!((last.at, last.action), (us(170), StepAction::Up));
+    }
+
+    #[test]
+    fn a_flap_of_more_than_max_flap_steps_toggles_is_refused() {
+        // One toggle per nanosecond for a second would be 10^9 steps.
+        let err = ScenarioSpec::parse("\nflap tor0 spine0 from 1us every 1ns until 1s\n")
+            .expect_err("too many toggles");
+        assert_eq!((err.line, err.kind), (2, ScenarioErrorKind::BadFlap));
+        // The bound itself is accepted (and ends up); one toggle more is not.
+        let max = MAX_FLAP_STEPS;
+        let spec = ScenarioSpec::flapping_link("a", "b", us(0), us(1), us(max));
+        assert_eq!(spec.len() as u64, max);
+        let over = format!("flap a b from 0us every 1us until {}us", max + 1);
+        assert!(matches!(
+            ScenarioSpec::parse(&over).map_err(|e| e.kind),
+            Err(ScenarioErrorKind::BadFlap)
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 1000 toggles")]
+    fn the_flap_builder_asserts_the_same_bound() {
+        ScenarioSpec::flapping_link("a", "b", us(0), us(1), us(MAX_FLAP_STEPS + 1));
+    }
+
+    #[test]
+    fn a_rate_no_packet_can_take_time_at_is_refused_at_resolve() {
+        let topo = fat_tree(FatTreeParams::tiny());
+        for gbps in ["inf", "1e308", "NaN"] {
+            let text = format!("at 10us rate tor0 spine0 {gbps}\n");
+            let resolved = ScenarioSpec::parse(&text).and_then(|s| s.resolve(&topo));
+            assert!(
+                matches!(
+                    resolved.map_err(|e| e.kind),
+                    Err(ScenarioErrorKind::Dynamics(DynamicsError::BadRate { .. })
+                        | ScenarioErrorKind::BadRate { .. })
+                ),
+                "{gbps}"
+            );
+        }
+        let fastest = ScenarioSpec::new().rate(us(10), "tor0", "spine0", MAX_LINK_GBPS);
+        assert!(fastest.resolve(&topo).is_ok());
     }
 
     #[test]

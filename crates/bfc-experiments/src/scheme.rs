@@ -6,6 +6,7 @@
 
 use bfc_core::{BfcConfig, BfcPolicy};
 use bfc_net::config::SwitchConfig;
+use bfc_net::packet::MTU;
 use bfc_net::policy::{FifoPolicy, SfqPolicy, SwitchPolicy};
 use bfc_sim::SimDuration;
 use bfc_transport::HostConfig;
@@ -95,8 +96,9 @@ impl Scheme {
 
     /// The stable machine-readable key used on command lines and in fuzz
     /// reproducer files. Round-trips through [`Scheme::from_cli_key`] for
-    /// every scheme a key exists for (the BFC ablation configs other than
-    /// `bfc` / `bfc-vfid` map onto the plain `bfc` key).
+    /// every scheme a key exists for. The BFC ablation configs other than
+    /// `bfc` / `bfc-vfid` map onto the plain `bfc` key, which does not name
+    /// them, so a fuzz reproducer refuses them ([`crate::fuzz::Reproducer`]).
     pub fn cli_key(&self) -> &'static str {
         match self {
             Scheme::Bfc(cfg) if !cfg.dynamic_assignment => "bfc-vfid",
@@ -130,14 +132,18 @@ impl Scheme {
         !matches!(self, Scheme::IdealFq | Scheme::SfqInfBuffer)
     }
 
-    /// Builds the switch configuration for this scheme. `queues_per_port`,
-    /// `buffer_bytes` and `mtu` come from the experiment (they are swept by
-    /// the sensitivity figures).
+    /// Builds the switch configuration for this scheme. `queues_per_port`
+    /// and `buffer_bytes` come from the experiment (they are swept by the
+    /// sensitivity figures).
+    ///
+    /// `mtu` must be [`MTU`]: it is no setting, and stays only because the
+    /// repository's benchmark calls `switch_config(32, 12_000_000, 1_000)`.
+    /// It goes with the next change to the benchmark.
     pub fn switch_config(&self, queues_per_port: usize, buffer_bytes: u64, mtu: u32) -> SwitchConfig {
+        assert_eq!(mtu, MTU, "every switch runs the paper's {MTU}-byte MTU");
         let base = SwitchConfig {
             queues_per_port,
             buffer_bytes,
-            mtu_bytes: mtu,
             ..SwitchConfig::default()
         };
         match self {
@@ -176,15 +182,15 @@ impl Scheme {
 
     /// Builds the host configuration. `bdp_bytes` is one end-to-end
     /// bandwidth-delay product at the access-link rate.
-    pub fn host_config(&self, mtu: u32, base_rtt: SimDuration, bdp_bytes: u64) -> HostConfig {
+    pub fn host_config(&self, base_rtt: SimDuration, bdp_bytes: u64) -> HostConfig {
         match self {
-            Scheme::Bfc(_) => HostConfig::bfc(mtu, base_rtt),
+            Scheme::Bfc(_) => HostConfig::bfc(base_rtt),
             Scheme::Dcqcn { window, .. } => {
-                HostConfig::dcqcn(mtu, base_rtt, window.then_some(bdp_bytes))
+                HostConfig::dcqcn(base_rtt, window.then_some(bdp_bytes))
             }
-            Scheme::Hpcc => HostConfig::hpcc(mtu, base_rtt),
+            Scheme::Hpcc => HostConfig::hpcc(base_rtt),
             Scheme::IdealFq | Scheme::SfqInfBuffer => {
-                HostConfig::window_limited(mtu, base_rtt, bdp_bytes)
+                HostConfig::window_limited(base_rtt, bdp_bytes)
             }
         }
     }
@@ -237,14 +243,13 @@ mod tests {
 
     #[test]
     fn switch_configs_reflect_scheme_features() {
-        let mtu = 1000;
-        let bfc = Scheme::bfc().switch_config(32, 12_000_000, mtu);
+        let bfc = Scheme::bfc().switch_config(32, 12_000_000, MTU);
         assert!(!bfc.ecn && !bfc.int_enabled && bfc.pfc);
-        let dcqcn = Scheme::Dcqcn { window: true, sfq: false }.switch_config(32, 12_000_000, mtu);
+        let dcqcn = Scheme::Dcqcn { window: true, sfq: false }.switch_config(32, 12_000_000, MTU);
         assert!(dcqcn.ecn);
-        let hpcc = Scheme::Hpcc.switch_config(32, 12_000_000, mtu);
+        let hpcc = Scheme::Hpcc.switch_config(32, 12_000_000, MTU);
         assert!(hpcc.int_enabled && !hpcc.ecn);
-        let ideal = Scheme::IdealFq.switch_config(32, 12_000_000, mtu);
+        let ideal = Scheme::IdealFq.switch_config(32, 12_000_000, MTU);
         assert_eq!(ideal.buffer_bytes, u64::MAX);
         assert!(!ideal.pfc);
         assert_eq!(ideal.queues_per_port, 1_000);
@@ -255,7 +260,7 @@ mod tests {
     /// The queue `scheme`'s policy gives a mid-flow data packet of VFID 77 on
     /// a 32-queue egress, and whether choosing it probed a flow table.
     fn first_decision(scheme: Scheme) -> (QueueTarget, bool) {
-        let port = Port::new(Link::datacenter_default(), None, 32, 1000);
+        let port = Port::new(Link::datacenter_default(), None, 32);
         let ctx = EnqueueCtx {
             ingress: 0,
             egress: 1,
@@ -285,9 +290,9 @@ mod tests {
             (hashed, false)
         );
         assert_eq!(first_decision(Scheme::Hpcc), (QueueTarget::Phys(0), false));
-        let host = Scheme::Dcqcn { window: true, sfq: false }.host_config(1000, rtt, 100_000);
+        let host = Scheme::Dcqcn { window: true, sfq: false }.host_config(rtt, 100_000);
         assert_eq!(host.window_bytes, Some(100_000));
-        let host = Scheme::Dcqcn { window: false, sfq: false }.host_config(1000, rtt, 100_000);
+        let host = Scheme::Dcqcn { window: false, sfq: false }.host_config(rtt, 100_000);
         assert_eq!(host.window_bytes, None);
         assert_eq!(Scheme::bfc().num_vfids(), 16_384);
         assert_eq!(Scheme::Hpcc.num_vfids(), 1 << 20);

@@ -24,9 +24,9 @@
 //! so the grid a run is cut and resumed on never shows in its results.
 //!
 //! A snapshot stores a fingerprint of everything it does *not* serialize
-//! (topology shape, trace, configuration, shard count); resuming against
-//! different inputs is rejected as corruption rather than silently
-//! diverging.
+//! (topology and its links, trace, configuration, shard count); resuming
+//! against different inputs — slower links included — is rejected as
+//! corruption rather than silently diverging.
 //!
 //! A snapshot holds only state that a resumed run reads and cannot rebuild
 //! from its inputs. The link state is the fold of the fault schedule's
@@ -73,6 +73,7 @@ use bfc_net::switch::{Switch, SwitchCounters};
 use bfc_net::topology::Topology;
 use bfc_net::types::NodeId;
 use bfc_sim::snapshot::{self, checksum64, Snap, SnapError, SnapReader, SnapWriter};
+use bfc_sim::rng::mix64;
 use bfc_sim::{EventQueue, SimTime};
 use bfc_transport::Host;
 use bfc_workloads::ingest::{IngestError, IngestSource};
@@ -111,12 +112,14 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
 /// 14 drops each sim's link state, which a resume rebuilds from the fault
 /// schedule up to the cut, each packet's control-priority flag (its kind
 /// says it), the ACK's second copy of its sequence number and each receiver
-/// flow's completion flag.
-pub const SNAPSHOT_VERSION: u32 = 14;
+/// flow's completion flag. Version 15 drops each pause frame's hash count
+/// (a constant) and each sender and receiver flow's packet count (its size
+/// over the constant MTU), and fingerprints the topology by its links.
+pub const SNAPSHOT_VERSION: u32 = 15;
 
-/// Hashes every run input the snapshot does *not* serialize — topology
-/// shape, trace, configuration and shard count — so a resume against
-/// different inputs fails loudly instead of silently diverging.
+/// Hashes every run input the snapshot does *not* serialize — topology (its
+/// links included), trace, configuration and shard count — so a resume
+/// against different inputs fails loudly instead of silently diverging.
 fn fingerprint(
     topo: &Topology,
     trace: impl ExactSizeIterator<Item = TraceFlow>,
@@ -136,6 +139,20 @@ fn fingerprint(
     w.put_str(&format!("{:?}", config.dynamics));
     w.put_usize(topo.num_nodes());
     w.put_usize(topo.hosts().len());
+    // Every port's link, folded into one word: the buffer grows by 8 bytes,
+    // not by the topology's size, so fingerprinting allocates no more.
+    let mut links = 0u64;
+    for node in 0..topo.num_nodes() {
+        let ports = topo.ports(NodeId(node as u32));
+        links = mix64(links ^ ports.len() as u64);
+        for p in ports {
+            let (rate, propagation) = (p.link.rate_gbps.to_bits(), p.link.propagation.as_picos());
+            for x in [p.peer.0 as u64, p.peer_port as u64, rate, propagation] {
+                links = mix64(links ^ x);
+            }
+        }
+    }
+    w.put_u64(links);
     w.put_usize(num_shards);
     w.put_usize(trace.len());
     for t in trace {

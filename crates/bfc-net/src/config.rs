@@ -1,6 +1,7 @@
 //! Switch configuration — which of ECN marking, PFC and INT a switch runs,
-//! its queue count, buffer and MTU — and the paper's fixed ECN and
-//! pause-frame constants (§4.1).
+//! its queue count and buffer — and the paper's fixed ECN and pause-frame
+//! constants (§4.1). The MTU, which is every egress port's DRR quantum, is
+//! [`crate::packet::MTU`].
 
 use bfc_sim::SimDuration;
 
@@ -47,8 +48,6 @@ pub struct SwitchConfig {
     pub pfc: bool,
     /// Append HPCC INT telemetry to data packets on dequeue.
     pub int_enabled: bool,
-    /// Maximum transmission unit in bytes (DRR quantum).
-    pub mtu_bytes: u32,
 }
 
 impl Default for SwitchConfig {
@@ -59,7 +58,6 @@ impl Default for SwitchConfig {
             ecn: false,
             pfc: true,
             int_enabled: false,
-            mtu_bytes: 1000,
         }
     }
 }

@@ -81,6 +81,11 @@ pub struct FaultEvent {
     pub action: LinkAction,
 }
 
+/// Fastest rate a fault may give a link, in Gbps: 100× the paper's links, and
+/// slow enough that a 1-byte packet still takes time on the wire (1 ps; above
+/// 16 000 Gbps it would take 0 ps).
+pub const MAX_LINK_GBPS: f64 = 10_000.0;
+
 /// Why a schedule cannot be applied to a topology.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DynamicsError {
@@ -96,7 +101,8 @@ pub enum DynamicsError {
         /// The offending id.
         node: NodeId,
     },
-    /// A `SetRate` action carried a non-positive rate.
+    /// A `SetRate` action carried a rate that is not positive or is above
+    /// [`MAX_LINK_GBPS`] (infinity and NaN included).
     BadRate {
         /// The offending rate.
         gbps: f64,
@@ -110,7 +116,9 @@ impl fmt::Display for DynamicsError {
                 write!(f, "no cable between {a} and {b}")
             }
             DynamicsError::UnknownNode { node } => write!(f, "{node} is not in the topology"),
-            DynamicsError::BadRate { gbps } => write!(f, "link rate must be positive, got {gbps}"),
+            DynamicsError::BadRate { gbps } => {
+                write!(f, "link rate must be in (0, {MAX_LINK_GBPS}] Gbps, got {gbps}")
+            }
         }
     }
 }
@@ -150,7 +158,7 @@ impl FaultSchedule {
     }
 
     /// Checks every event against the topology: endpoints must exist and be
-    /// adjacent, and rates must be positive.
+    /// adjacent, and rates must be positive and at most [`MAX_LINK_GBPS`].
     pub fn validate(&self, topo: &Topology) -> Result<(), DynamicsError> {
         for event in &self.events {
             let (a, b) = event.action.endpoints();
@@ -163,7 +171,7 @@ impl FaultSchedule {
                 return Err(DynamicsError::NotAdjacent { a, b });
             }
             if let LinkAction::SetRate { gbps, .. } = event.action {
-                if !(gbps > 0.0) {
+                if !(gbps > 0.0 && gbps <= MAX_LINK_GBPS) {
                     return Err(DynamicsError::BadRate { gbps });
                 }
             }
@@ -259,7 +267,7 @@ impl LinkStateMap {
             LinkAction::SetRate { gbps, .. } => {
                 // Rates are owned by the ports themselves; the map only
                 // validates the action and names the endpoints to update.
-                if !(gbps > 0.0) {
+                if !(gbps > 0.0 && gbps <= MAX_LINK_GBPS) {
                     return Err(DynamicsError::BadRate { gbps });
                 }
             }
@@ -274,8 +282,9 @@ impl LinkStateMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::Link;
     use crate::topology::{fat_tree, FatTreeParams};
-    use bfc_sim::SimTime;
+    use bfc_sim::{SimDuration, SimTime};
 
     fn tiny() -> Topology {
         fat_tree(FatTreeParams::tiny())
@@ -328,15 +337,25 @@ mod tests {
             Err(DynamicsError::UnknownNode { node: NodeId(999) })
         ));
         let tor = topo.switches()[0];
-        let s = FaultSchedule::new(vec![FaultEvent {
-            at: SimTime::ZERO,
-            action: LinkAction::SetRate {
-                a: hosts[0],
-                b: tor,
-                gbps: 0.0,
-            },
-        }]);
-        assert!(matches!(s.validate(&topo), Err(DynamicsError::BadRate { .. })));
+        let at_rate = |gbps| {
+            FaultSchedule::new(vec![FaultEvent {
+                at: SimTime::ZERO,
+                action: LinkAction::SetRate {
+                    a: hosts[0],
+                    b: tor,
+                    gbps,
+                },
+            }])
+        };
+        // Past `MAX_LINK_GBPS` a 1-byte packet would serialize in 0 ps.
+        for gbps in [0.0, f64::INFINITY, f64::NAN, 1e308, MAX_LINK_GBPS * 1.5] {
+            assert!(
+                matches!(at_rate(gbps).validate(&topo), Err(DynamicsError::BadRate { .. })),
+                "{gbps} Gbps"
+            );
+        }
+        assert!(at_rate(MAX_LINK_GBPS).validate(&topo).is_ok());
+        assert!(!Link::new(MAX_LINK_GBPS, SimDuration::ZERO).serialization(1).is_zero());
     }
 
     #[test]

@@ -205,8 +205,8 @@ const PAUSE_FRAME_WORDS: usize = MAX_PAUSE_FRAME_BYTES / 8;
 /// The downstream switch maintains a *counting* version of this filter (in
 /// `bfc-core`) and periodically snapshots it into a `PauseFrame` that is sent
 /// upstream. The upstream side only needs membership queries, which is what
-/// this type provides. A virtual flow is paused iff **all** `num_hashes` bit
-/// positions derived from its VFID are set.
+/// this type provides. A VFID maps to [`PAUSE_FRAME_HASHES`] (4) bit
+/// positions, and the virtual flow is paused iff **all** of them are set.
 ///
 /// The bit array is stored inline (sized to [`MAX_PAUSE_FRAME_BYTES`]) so
 /// snapshotting the counting filter and installing a received frame are
@@ -217,35 +217,26 @@ const PAUSE_FRAME_WORDS: usize = MAX_PAUSE_FRAME_BYTES / 8;
 pub struct PauseFrame {
     bits: [u64; PAUSE_FRAME_WORDS],
     num_bits: u32,
-    num_hashes: u32,
 }
 
 impl PauseFrame {
-    /// Creates an empty frame of `size_bytes` bytes using `num_hashes` hash
-    /// functions. The paper's default is 128 bytes and 4 hashes.
-    pub fn new(size_bytes: usize, num_hashes: u32) -> Self {
+    /// Creates an empty frame of `size_bytes` bytes. The paper's default is
+    /// 128 bytes.
+    pub fn new(size_bytes: usize) -> Self {
         assert!(size_bytes > 0, "bloom filter must have at least one byte");
         assert!(
             size_bytes <= MAX_PAUSE_FRAME_BYTES,
             "bloom filter larger than {MAX_PAUSE_FRAME_BYTES} bytes"
         );
-        assert!(num_hashes > 0, "bloom filter must use at least one hash");
-        let num_bits = (size_bytes * 8) as u32;
         PauseFrame {
             bits: [0; PAUSE_FRAME_WORDS],
-            num_bits,
-            num_hashes,
+            num_bits: (size_bytes * 8) as u32,
         }
     }
 
     /// Number of bits in the filter.
     pub fn num_bits(&self) -> u32 {
         self.num_bits
-    }
-
-    /// Number of hash functions.
-    pub fn num_hashes(&self) -> u32 {
-        self.num_hashes
     }
 
     /// Size of the filter on the wire in bytes.
@@ -283,7 +274,7 @@ impl PauseFrame {
 
     /// Marks a virtual flow as paused.
     pub fn insert(&mut self, vfid: u32) {
-        for i in 0..self.num_hashes {
+        for i in 0..PAUSE_FRAME_HASHES {
             self.set_bit(Self::bit_position(vfid, i, self.num_bits));
         }
     }
@@ -293,7 +284,7 @@ impl PauseFrame {
     /// is the bloom-filter trade-off the paper accepts); false negatives are
     /// not.
     pub fn contains(&self, vfid: u32) -> bool {
-        (0..self.num_hashes).all(|i| self.get_bit(Self::bit_position(vfid, i, self.num_bits)))
+        (0..PAUSE_FRAME_HASHES).all(|i| self.get_bit(Self::bit_position(vfid, i, self.num_bits)))
     }
 
     /// True if no bits are set (nothing is paused).
@@ -308,34 +299,24 @@ impl PauseFrame {
 }
 
 impl Snap for PauseFrame {
-    const MIN_BYTES: usize = 2 * u32::MIN_BYTES + <[u64; PAUSE_FRAME_WORDS]>::MIN_BYTES;
+    const MIN_BYTES: usize = u32::MIN_BYTES + <[u64; PAUSE_FRAME_WORDS]>::MIN_BYTES;
 
     fn save(&self, w: &mut SnapWriter) {
-        let PauseFrame {
-            bits,
-            num_bits,
-            num_hashes,
-        } = self;
+        let PauseFrame { bits, num_bits } = self;
         num_bits.save(w);
-        num_hashes.save(w);
         bits.save(w);
     }
 
     // Hand-written to check the geometry: `bit_position` divides by
     // `num_bits`, and the inline array holds at most `MAX_PAUSE_FRAME_BYTES`.
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let (num_bits, num_hashes): (u32, u32) = r.get()?;
-        if num_bits == 0
-            || num_bits % 8 != 0
-            || num_bits as usize > MAX_PAUSE_FRAME_BYTES * 8
-            || num_hashes == 0
-        {
+        let num_bits: u32 = r.get()?;
+        if num_bits == 0 || num_bits % 8 != 0 || num_bits as usize > MAX_PAUSE_FRAME_BYTES * 8 {
             return Err(SnapError::Corrupt("pause-frame geometry out of range"));
         }
         Ok(PauseFrame {
             bits: r.get()?,
             num_bits,
-            num_hashes,
         })
     }
 }
@@ -418,10 +399,18 @@ bfc_sim::snap_struct! {
     }
 }
 
+/// Maximum transmission unit in bytes: the paper's 1 KB for every experiment
+/// (§4.1). Flows are cut into packets of this size (only the last may be
+/// shorter), and it is every egress port's deficit-round-robin quantum.
+pub const MTU: u32 = 1_000;
 /// Conventional wire size of an ACK/CNP/NACK frame.
 pub const ACK_SIZE_BYTES: u32 = 64;
 /// Conventional wire size of a PFC pause frame.
 pub const PFC_FRAME_BYTES: u32 = 64;
+/// Hash functions of a pause frame's bloom filter: the paper's 4 (§4.1). A
+/// VFID maps to this many bit positions, in a switch's counting filter and
+/// in every frame it sends ([`PauseFrame::bit_position`]).
+pub const PAUSE_FRAME_HASHES: u32 = 4;
 
 impl Packet {
     /// Builds a data packet.
@@ -554,7 +543,7 @@ mod tests {
 
     #[test]
     fn pause_frame_membership() {
-        let mut f = PauseFrame::new(128, 4);
+        let mut f = PauseFrame::new(128);
         assert!(f.is_empty());
         f.insert(42);
         f.insert(1000);
@@ -571,7 +560,7 @@ mod tests {
 
     #[test]
     fn pause_frame_popcount_counts_distinct_bits() {
-        let mut f = PauseFrame::new(16, 4);
+        let mut f = PauseFrame::new(16);
         f.insert(7);
         assert!(f.popcount() <= 4);
         assert!(f.popcount() >= 1);
@@ -581,7 +570,7 @@ mod tests {
     fn tiny_filter_has_false_positives_eventually() {
         // A 16-byte filter (128 bits) with many inserted flows must produce
         // false positives — this is the degradation Fig. 14 studies.
-        let mut f = PauseFrame::new(16, 4);
+        let mut f = PauseFrame::new(16);
         for v in 0..60 {
             f.insert(v);
         }
@@ -651,7 +640,7 @@ mod tests {
 
         let p = Packet::pfc(NodeId(1), NodeId(0), true);
         assert!(!p.is_data());
-        let f = Packet::flow_pause(NodeId(1), NodeId(0), PauseFrame::new(128, 4));
+        let f = Packet::flow_pause(NodeId(1), NodeId(0), PauseFrame::new(128));
         assert!(!f.is_data());
         assert_eq!(f.size_bytes, 128);
         let c = Packet::cnp(FlowId(9), NodeId(3), NodeId(2));

@@ -364,7 +364,7 @@ mod tests {
 
     #[test]
     fn fifo_always_uses_queue_zero_and_counts_collisions() {
-        let port = Port::new(Link::datacenter_default(), None, 8, 1000);
+        let port = Port::new(Link::datacenter_default(), None, 8);
         let mut p = FifoPolicy::new();
         let d1 = p.on_enqueue(&ctx(&port, 0), &data(1, 10));
         assert_eq!(d1.target, QueueTarget::Phys(0));
@@ -377,7 +377,7 @@ mod tests {
 
     #[test]
     fn sfq_assignment_is_static_per_vfid() {
-        let port = Port::new(Link::datacenter_default(), None, 32, 1000);
+        let port = Port::new(Link::datacenter_default(), None, 32);
         let mut p = SfqPolicy::new();
         let d1 = p.on_enqueue(&ctx(&port, 0), &data(1, 77));
         let d2 = p.on_enqueue(&ctx(&port, 0), &data(1, 77));
@@ -387,7 +387,7 @@ mod tests {
 
     #[test]
     fn sfq_collisions_require_same_queue() {
-        let port = Port::new(Link::datacenter_default(), None, 32, 1000);
+        let port = Port::new(Link::datacenter_default(), None, 32);
         let mut p = SfqPolicy::new();
         // Two flows with the same VFID necessarily share a queue.
         let _ = p.on_enqueue(&ctx(&port, 0), &data(1, 9));
@@ -397,7 +397,7 @@ mod tests {
 
     #[test]
     fn dequeue_releases_residency() {
-        let port = Port::new(Link::datacenter_default(), None, 8, 1000);
+        let port = Port::new(Link::datacenter_default(), None, 8);
         let mut p = FifoPolicy::new();
         let _ = p.on_enqueue(&ctx(&port, 0), &data(1, 10));
         let dctx = DequeueCtx {

@@ -71,7 +71,7 @@ use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{SimDuration, SimTime};
 
 use crate::link::Link;
-use crate::packet::{Packet, PauseFrame};
+use crate::packet::{Packet, PauseFrame, MTU};
 use crate::policy::QueueTarget;
 use crate::queue::{PhysQueue, QueuedPacket};
 use crate::types::NodeId;
@@ -194,7 +194,6 @@ pub struct Port {
     rotation: VecDeque<usize>,
     /// Whether the front of the rotation was given this visit's quantum.
     drr_credited: bool,
-    quantum: u32,
 
     /// Entries of `drr` with `eligible` set.
     eligible_count: usize,
@@ -223,9 +222,9 @@ pub struct Port {
 }
 
 impl Port {
-    /// Creates an egress port with `num_queues` physical queues and the given
-    /// DRR quantum (normally the MTU).
-    pub fn new(link: Link, peer: Option<(NodeId, u32)>, num_queues: usize, quantum: u32) -> Self {
+    /// Creates an egress port with `num_queues` physical queues; its DRR
+    /// quantum is one [`MTU`].
+    pub fn new(link: Link, peer: Option<(NodeId, u32)>, num_queues: usize) -> Self {
         assert!(num_queues > 0, "a port needs at least one physical queue");
         Port {
             peer,
@@ -235,7 +234,6 @@ impl Port {
             drr: (0..=num_queues).map(|_| DrrQueue::default()).collect(),
             rotation: VecDeque::new(),
             drr_credited: false,
-            quantum,
             eligible_count: 0,
             data_bytes: 0,
             tx: Transmitter::default(),
@@ -599,7 +597,7 @@ impl Port {
                 continue;
             }
             if visit > 0 || !self.drr_credited {
-                q.deficit = q.deficit.saturating_add(self.quantum as u64);
+                q.deficit = q.deficit.saturating_add(MTU as u64);
             }
             let head = q.fifo.head().expect("an eligible queue has a head");
             let (head_size, head_vfid) = (head.packet.size_bytes as u64, head.packet.vfid);
@@ -682,7 +680,6 @@ impl Port {
             // Configuration, but for the rate.
             peer: _,
             link,
-            quantum: _,
             control,
             high_priority,
             drr,
@@ -775,7 +772,7 @@ mod tests {
     use crate::types::FlowId;
 
     fn port(nq: usize) -> Port {
-        Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), nq, 1000)
+        Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), nq)
     }
 
     fn data(flow: u32, seq: u64, size: u32, vfid: u32) -> Packet {
@@ -842,7 +839,7 @@ mod tests {
         let mut p = port(2);
         p.enqueue(QueueTarget::Phys(0), data(1, 0, 1000, 111), 0);
         p.enqueue(QueueTarget::Phys(1), data(2, 0, 1000, 222), 0);
-        let mut frame = PauseFrame::new(128, 4);
+        let mut frame = PauseFrame::new(128);
         frame.insert(111);
         p.set_pause_frame(Some(frame));
         assert!(p.is_queue_paused(0));
@@ -853,7 +850,7 @@ mod tests {
         // Only the paused queue remains; nothing can be scheduled.
         assert!(p.dequeue_next().is_none());
         // A new, empty frame unpauses it.
-        p.set_pause_frame(Some(PauseFrame::new(128, 4)));
+        p.set_pause_frame(Some(PauseFrame::new(128)));
         let (qp, _) = p.dequeue_next().unwrap();
         assert_eq!(qp.packet.vfid, 111);
     }

@@ -20,6 +20,7 @@ use std::collections::VecDeque;
 use bfc_sim::rng::mix64;
 use bfc_sim::SimDuration;
 
+use crate::packet::{ACK_SIZE_BYTES, MTU};
 use crate::topology::Topology;
 use crate::types::NodeId;
 
@@ -186,7 +187,7 @@ impl RoutingTables {
     }
 
     /// The best-possible (unloaded) flow completion time for `size_bytes`
-    /// sent from `src` to `dst`: per-hop store-and-forward of one MTU plus
+    /// sent from `src` to `dst`: per-hop store-and-forward of one [`MTU`] plus
     /// propagation, plus pipelined serialization of the remaining bytes at
     /// the bottleneck link. This is the denominator of the paper's "FCT
     /// slowdown" metric.
@@ -196,11 +197,10 @@ impl RoutingTables {
         src: NodeId,
         dst: NodeId,
         size_bytes: u64,
-        mtu: u32,
         flow_hash: u64,
     ) -> SimDuration {
         let path = self.path(topo, src, dst, flow_hash);
-        let first_packet = size_bytes.min(mtu as u64) as u32;
+        let first_packet = size_bytes.min(MTU as u64) as u32;
         let mut total = SimDuration::ZERO;
         let mut bottleneck_gbps = f64::MAX;
         for (node, port) in &path {
@@ -215,11 +215,11 @@ impl RoutingTables {
         total
     }
 
-    /// The base (unloaded) round-trip time between two hosts for an
-    /// MTU-sized data packet and a 64-byte ACK.
-    pub fn base_rtt(&self, topo: &Topology, a: NodeId, b: NodeId, mtu: u32) -> SimDuration {
-        self.ideal_fct(topo, a, b, mtu as u64, mtu, 0)
-            + self.ideal_fct(topo, b, a, 64, mtu, 0)
+    /// The base (unloaded) round-trip time between two hosts: one
+    /// [`MTU`]-sized data packet out, one [`ACK_SIZE_BYTES`] ACK back.
+    pub fn base_rtt(&self, topo: &Topology, a: NodeId, b: NodeId) -> SimDuration {
+        self.ideal_fct(topo, a, b, MTU as u64, 0)
+            + self.ideal_fct(topo, b, a, ACK_SIZE_BYTES as u64, 0)
     }
 
     /// Hosts known to the routing table.
@@ -306,10 +306,10 @@ mod tests {
         let hosts = topo.hosts();
         // Cross-rack single MTU packet: 4 hops, each 80 ns serialization +
         // 1 us propagation = 4 * 1080 ns.
-        let fct = routes.ideal_fct(&topo, hosts[0], hosts[63], 1000, 1000, 0);
+        let fct = routes.ideal_fct(&topo, hosts[0], hosts[63], 1000, 0);
         assert_eq!(fct.as_nanos(), 4 * 1080);
         // A 100 KB flow adds 99 KB at 100 Gbps = 7920 ns of pipelined bytes.
-        let fct = routes.ideal_fct(&topo, hosts[0], hosts[63], 100_000, 1000, 0);
+        let fct = routes.ideal_fct(&topo, hosts[0], hosts[63], 100_000, 0);
         assert_eq!(fct.as_nanos(), 4 * 1080 + 7_920);
     }
 
@@ -319,7 +319,7 @@ mod tests {
         let topo = fat_tree(FatTreeParams::t2());
         let routes = RoutingTables::compute(&topo);
         let hosts = topo.hosts();
-        let rtt = routes.base_rtt(&topo, hosts[0], hosts[63], 1000);
+        let rtt = routes.base_rtt(&topo, hosts[0], hosts[63]);
         let us = rtt.as_micros_f64();
         assert!((8.0..9.5).contains(&us), "base RTT was {us} us");
     }

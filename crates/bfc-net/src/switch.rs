@@ -117,12 +117,7 @@ impl Switch {
         let ports: Vec<Port> = port_specs
             .iter()
             .map(|spec| {
-                Port::new(
-                    spec.link,
-                    Some((spec.peer, spec.peer_port)),
-                    config.queues_per_port,
-                    config.mtu_bytes,
-                )
+                Port::new(spec.link, Some((spec.peer, spec.peer_port)), config.queues_per_port)
             })
             .collect();
         let buffer = SharedBuffer::new(config.buffer_bytes, ports.len());
@@ -872,7 +867,7 @@ mod tests {
         sw.handle_packet(SimTime::ZERO, 0, data_packet(7, 0, 1, 1), &routes, &mut events);
         // Drain the immediate transmission events for the first packet.
         while events.pop().is_some() {}
-        let mut frame = crate::packet::PauseFrame::new(128, 4);
+        let mut frame = crate::packet::PauseFrame::new(128);
         frame.insert(7);
         sw.handle_packet(
             SimTime::ZERO,

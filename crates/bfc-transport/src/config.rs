@@ -1,6 +1,7 @@
 //! Host-side configuration: which congestion-control scheme runs on the NIC.
 //! The DCQCN and HPCC constants live with their algorithms ([`crate::dcqcn`],
-//! [`crate::hpcc`]).
+//! [`crate::hpcc`]); the MTU data packets are cut to is
+//! [`bfc_net::packet::MTU`].
 
 use bfc_sim::SimDuration;
 
@@ -22,8 +23,6 @@ pub enum CcKind {
 /// Full host configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostConfig {
-    /// Maximum transmission unit for data packets.
-    pub mtu: u32,
     /// Congestion-control algorithm.
     pub cc: CcKind,
     /// In-flight byte cap (`None` = unlimited). The paper's DCQCN+Win,
@@ -37,9 +36,8 @@ pub struct HostConfig {
 
 impl HostConfig {
     /// A BFC host: line rate, no window, pauses obeyed per flow.
-    pub fn bfc(mtu: u32, base_rtt: SimDuration) -> Self {
+    pub fn bfc(base_rtt: SimDuration) -> Self {
         HostConfig {
-            mtu,
             cc: CcKind::LineRate,
             window_bytes: None,
             base_rtt,
@@ -48,28 +46,28 @@ impl HostConfig {
 
     /// A host limited only by a window of `window_bytes` (Ideal-FQ /
     /// SFQ+InfBuffer).
-    pub fn window_limited(mtu: u32, base_rtt: SimDuration, window_bytes: u64) -> Self {
+    pub fn window_limited(base_rtt: SimDuration, window_bytes: u64) -> Self {
         HostConfig {
             cc: CcKind::WindowLimited,
             window_bytes: Some(window_bytes),
-            ..HostConfig::bfc(mtu, base_rtt)
+            ..HostConfig::bfc(base_rtt)
         }
     }
 
     /// A DCQCN host; pass `window_bytes` to get the DCQCN+Win variant.
-    pub fn dcqcn(mtu: u32, base_rtt: SimDuration, window_bytes: Option<u64>) -> Self {
+    pub fn dcqcn(base_rtt: SimDuration, window_bytes: Option<u64>) -> Self {
         HostConfig {
             cc: CcKind::Dcqcn,
             window_bytes,
-            ..HostConfig::bfc(mtu, base_rtt)
+            ..HostConfig::bfc(base_rtt)
         }
     }
 
     /// An HPCC host.
-    pub fn hpcc(mtu: u32, base_rtt: SimDuration) -> Self {
+    pub fn hpcc(base_rtt: SimDuration) -> Self {
         HostConfig {
             cc: CcKind::Hpcc,
-            ..HostConfig::bfc(mtu, base_rtt)
+            ..HostConfig::bfc(base_rtt)
         }
     }
 }
@@ -92,15 +90,15 @@ mod tests {
     #[test]
     fn scheme_constructors() {
         let rtt = SimDuration::from_micros(8);
-        let bfc = HostConfig::bfc(1000, rtt);
+        let bfc = HostConfig::bfc(rtt);
         assert_eq!(bfc.cc, CcKind::LineRate);
         assert_eq!(bfc.window_bytes, None);
-        let win = HostConfig::window_limited(1000, rtt, 100_000);
+        let win = HostConfig::window_limited(rtt, 100_000);
         assert_eq!(win.cc, CcKind::WindowLimited);
         assert_eq!(win.window_bytes, Some(100_000));
-        let d = HostConfig::dcqcn(1000, rtt, Some(100_000));
+        let d = HostConfig::dcqcn(rtt, Some(100_000));
         assert_eq!(d.cc, CcKind::Dcqcn);
-        let h = HostConfig::hpcc(1000, rtt);
+        let h = HostConfig::hpcc(rtt);
         assert_eq!(h.cc, CcKind::Hpcc);
     }
 

@@ -1,5 +1,6 @@
 //! Per-flow sender and receiver state.
 
+use bfc_net::packet::MTU;
 use bfc_net::types::{FlowId, NodeId};
 use bfc_sim::SimTime;
 
@@ -23,21 +24,16 @@ pub struct FlowSpec {
 }
 
 impl FlowSpec {
-    /// Number of MTU-sized packets needed (at least one).
-    pub fn num_packets(&self, mtu: u32) -> u64 {
-        self.size_bytes.div_ceil(mtu as u64).max(1)
+    /// Number of [`MTU`]-sized packets needed (at least one).
+    pub fn num_packets(&self) -> u64 {
+        self.size_bytes.div_ceil(MTU as u64).max(1)
     }
 
-    /// Wire size of packet `seq` (the last packet carries the remainder).
-    pub fn packet_size(&self, seq: u64, mtu: u32) -> u32 {
-        let total = self.num_packets(mtu);
-        debug_assert!(seq < total);
-        if seq + 1 < total {
-            mtu
-        } else {
-            let rem = self.size_bytes - (total - 1) * mtu as u64;
-            (rem.max(1)).min(mtu as u64) as u32
-        }
+    /// Wire size of packet `seq`: one MTU, but for the last packet, which
+    /// carries the remainder (at least one byte).
+    pub fn packet_size(&self, seq: u64) -> u32 {
+        debug_assert!(seq < self.num_packets());
+        self.size_bytes.saturating_sub(seq * MTU as u64).clamp(1, MTU as u64) as u32
     }
 }
 
@@ -65,8 +61,6 @@ bfc_sim::snap_enum!(CcState, "unknown congestion-control tag" {
 pub struct SenderFlow {
     /// The flow's static description.
     pub spec: FlowSpec,
-    /// Total packets to send.
-    pub num_packets: u64,
     /// Next packet sequence number to transmit.
     pub next_seq: u64,
     /// Highest cumulative acknowledgement received.
@@ -81,9 +75,8 @@ pub struct SenderFlow {
 
 impl SenderFlow {
     /// Creates sender state for `spec`, allowed to send from `now`.
-    pub fn new(spec: FlowSpec, mtu: u32, cc: CcState, now: SimTime) -> Self {
+    pub fn new(spec: FlowSpec, cc: CcState, now: SimTime) -> Self {
         SenderFlow {
-            num_packets: spec.num_packets(mtu),
             spec,
             next_seq: 0,
             acked_seq: 0,
@@ -95,25 +88,25 @@ impl SenderFlow {
 
     /// True once every packet has been cumulatively acknowledged.
     pub fn fully_acked(&self) -> bool {
-        self.acked_seq >= self.num_packets
+        self.acked_seq >= self.spec.num_packets()
     }
 
     /// True while there are packets that have not been transmitted (or that
     /// must be retransmitted after a Go-Back-N rewind).
     pub fn has_unsent(&self) -> bool {
-        self.next_seq < self.num_packets
+        self.next_seq < self.spec.num_packets()
     }
 
     /// Approximate bytes in flight (unacknowledged), assuming MTU-sized
     /// packets; used for window checks.
-    pub fn inflight_bytes(&self, mtu: u32) -> u64 {
-        self.next_seq.saturating_sub(self.acked_seq) * mtu as u64
+    pub fn inflight_bytes(&self) -> u64 {
+        self.next_seq.saturating_sub(self.acked_seq) * MTU as u64
     }
 }
 
 bfc_sim::snap_struct! {
     SenderFlow {
-        spec, num_packets, next_seq, acked_seq, next_allowed, cc, acked_at_last_timeout,
+        spec, next_seq, acked_seq, next_allowed, cc, acked_at_last_timeout,
     }
 }
 
@@ -122,8 +115,6 @@ bfc_sim::snap_struct! {
 pub struct ReceiverFlow {
     /// The flow's static description.
     pub spec: FlowSpec,
-    /// Total packets expected.
-    pub num_packets: u64,
     /// Next in-order packet sequence expected.
     pub expected_seq: u64,
     /// Last time a CNP was generated for this flow.
@@ -134,9 +125,8 @@ pub struct ReceiverFlow {
 
 impl ReceiverFlow {
     /// Creates receiver state for `spec`.
-    pub fn new(spec: FlowSpec, mtu: u32) -> Self {
+    pub fn new(spec: FlowSpec) -> Self {
         ReceiverFlow {
-            num_packets: spec.num_packets(mtu),
             spec,
             expected_seq: 0,
             last_cnp: None,
@@ -145,11 +135,7 @@ impl ReceiverFlow {
     }
 }
 
-bfc_sim::snap_struct! {
-    ReceiverFlow {
-        spec, num_packets, expected_seq, last_cnp, nack_sent_for,
-    }
-}
+bfc_sim::snap_struct! { ReceiverFlow { spec, expected_seq, last_cnp, nack_sent_for } }
 
 #[cfg(test)]
 mod tests {
@@ -167,39 +153,39 @@ mod tests {
 
     #[test]
     fn packetization_rounds_up() {
-        assert_eq!(spec(1).num_packets(1000), 1);
-        assert_eq!(spec(1000).num_packets(1000), 1);
-        assert_eq!(spec(1001).num_packets(1000), 2);
-        assert_eq!(spec(20_000_000).num_packets(1000), 20_000);
+        assert_eq!(spec(1).num_packets(), 1);
+        assert_eq!(spec(1000).num_packets(), 1);
+        assert_eq!(spec(1001).num_packets(), 2);
+        assert_eq!(spec(20_000_000).num_packets(), 20_000);
     }
 
     #[test]
     fn last_packet_carries_remainder() {
         let s = spec(2500);
-        assert_eq!(s.packet_size(0, 1000), 1000);
-        assert_eq!(s.packet_size(1, 1000), 1000);
-        assert_eq!(s.packet_size(2, 1000), 500);
-        assert_eq!(spec(1000).packet_size(0, 1000), 1000);
-        assert_eq!(spec(64).packet_size(0, 1000), 64);
+        assert_eq!(s.packet_size(0), 1000);
+        assert_eq!(s.packet_size(1), 1000);
+        assert_eq!(s.packet_size(2), 500);
+        assert_eq!(spec(1000).packet_size(0), 1000);
+        assert_eq!(spec(64).packet_size(0), 64);
     }
 
     #[test]
     fn sender_flow_progress_flags() {
-        let mut f = SenderFlow::new(spec(2500), 1000, CcState::None, SimTime::ZERO);
+        let mut f = SenderFlow::new(spec(2500), CcState::None, SimTime::ZERO);
         assert!(f.has_unsent());
         assert!(!f.fully_acked());
         f.next_seq = 3;
         assert!(!f.has_unsent());
-        assert_eq!(f.inflight_bytes(1000), 3000);
+        assert_eq!(f.inflight_bytes(), 3000);
         f.acked_seq = 3;
         assert!(f.fully_acked());
-        assert_eq!(f.inflight_bytes(1000), 0);
+        assert_eq!(f.inflight_bytes(), 0);
     }
 
     #[test]
     fn receiver_flow_initial_state() {
-        let r = ReceiverFlow::new(spec(5000), 1000);
-        assert_eq!(r.num_packets, 5);
+        let r = ReceiverFlow::new(spec(5000));
+        assert_eq!(r.spec.num_packets(), 5);
         assert_eq!(r.expected_seq, 0);
     }
 }

@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 
 use bfc_net::event::{NetEvent, NetSink, TransportTimer};
 use bfc_net::link::Link;
-use bfc_net::packet::{IntPath, Packet, PacketKind, PauseFrame};
+use bfc_net::packet::{IntPath, Packet, PacketKind, PauseFrame, MTU};
 use bfc_net::port::Transmitter;
 use bfc_net::types::{FlowId, NodeId};
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
@@ -220,8 +220,7 @@ impl Host {
     /// Registers a flow this host will receive, so completion can be
     /// detected. Must be called no later than the flow's start.
     pub fn expect_flow(&mut self, spec: FlowSpec) {
-        self.receiving
-            .insert(spec.flow, ReceiverFlow::new(spec, self.config.mtu));
+        self.receiving.insert(spec.flow, ReceiverFlow::new(spec));
     }
 
     /// Starts sending a flow. Schedules the congestion-control timers and the
@@ -236,7 +235,7 @@ impl Host {
             )),
         };
         let flow_id = spec.flow;
-        let flow = SenderFlow::new(spec, self.config.mtu, cc, now);
+        let flow = SenderFlow::new(spec, cc, now);
         self.sending.insert(flow_id, flow);
         self.send_order.push_back(flow_id);
 
@@ -403,7 +402,7 @@ impl Host {
             if packet.ecn_ce {
                 let due = rf
                     .last_cnp
-                    .is_none_or(|t| now.saturating_since(t) >= dcqcn::CNP_INTERVAL);
+                    .map_or(true, |t| now.saturating_since(t) >= dcqcn::CNP_INTERVAL);
                 if due {
                     rf.last_cnp = Some(now);
                     self.counters.cnps_sent += 1;
@@ -421,7 +420,7 @@ impl Host {
             ));
             // A sender never sends `seq >= num_packets`, so this holds
             // exactly once: at the packet that completes the flow.
-            if rf.expected_seq == rf.num_packets {
+            if rf.expected_seq == rf.spec.num_packets() {
                 events.send(now, NetEvent::FlowCompleted { flow: packet.flow });
             }
         } else if packet.seq > rf.expected_seq {
@@ -576,7 +575,7 @@ impl Host {
                 .as_ref()
                 .is_some_and(|f| f.contains(flow.spec.vfid));
             let window_ok = match Self::window_limit(&self.config, flow) {
-                Some(limit) => flow.inflight_bytes(self.config.mtu) + self.config.mtu as u64 <= limit.max(self.config.mtu as u64),
+                Some(limit) => flow.inflight_bytes() + MTU as u64 <= limit.max(MTU as u64),
                 None => true,
             };
             let pacing_ok = now >= flow.next_allowed;
@@ -597,7 +596,7 @@ impl Host {
 
             // Transmit the next packet of this flow.
             let seq = flow.next_seq;
-            let size = flow.spec.packet_size(seq, self.config.mtu);
+            let size = flow.spec.packet_size(seq);
             let mut pkt = Packet::data(
                 flow.spec.flow,
                 self.id,
@@ -624,7 +623,7 @@ impl Host {
         }
 
         if let Some(t) = earliest_blocked {
-            let need_schedule = self.pending_wakeup.is_none_or(|w| t < w);
+            let need_schedule = self.pending_wakeup.map_or(true, |w| t < w);
             if need_schedule {
                 self.pending_wakeup = Some(t);
                 events.send(
@@ -658,8 +657,6 @@ impl Host {
 mod tests {
     use super::*;
     use bfc_sim::{EventQueue, SimDuration};
-
-    const MTU: u32 = 1000;
     const BASE_RTT: SimDuration = SimDuration::from_micros(8);
 
     fn link() -> Link {
@@ -705,7 +702,7 @@ mod tests {
 
     #[test]
     fn bfc_host_sends_whole_flow_at_line_rate() {
-        let mut host = sender(HostConfig::bfc(MTU, BASE_RTT));
+        let mut host = sender(HostConfig::bfc(BASE_RTT));
         let mut events = EventQueue::new();
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 5_000), &mut events);
         let sent = drain_transmissions(&mut host, &mut events);
@@ -718,7 +715,7 @@ mod tests {
 
     #[test]
     fn window_limited_host_stalls_at_one_bdp() {
-        let mut host = sender(HostConfig::window_limited(MTU, BASE_RTT, 3_000));
+        let mut host = sender(HostConfig::window_limited(BASE_RTT, 3_000));
         let mut events = EventQueue::new();
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 50_000), &mut events);
         let sent = drain_transmissions(&mut host, &mut events);
@@ -728,7 +725,7 @@ mod tests {
 
     #[test]
     fn acks_open_the_window_and_complete_the_flow() {
-        let mut host = sender(HostConfig::window_limited(MTU, BASE_RTT, 2_000));
+        let mut host = sender(HostConfig::window_limited(BASE_RTT, 2_000));
         let mut events = EventQueue::new();
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 6_000), &mut events);
         let mut sent = 0;
@@ -770,7 +767,7 @@ mod tests {
 
     #[test]
     fn uplink_down_blocks_and_repair_restarts() {
-        let mut host = sender(HostConfig::bfc(MTU, BASE_RTT));
+        let mut host = sender(HostConfig::bfc(BASE_RTT));
         let mut events = EventQueue::new();
         host.set_uplink_up(SimTime::ZERO, false, &mut events);
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 3_000), &mut events);
@@ -784,7 +781,7 @@ mod tests {
 
     #[test]
     fn uplink_degradation_stretches_serialization() {
-        let mut host = sender(HostConfig::bfc(MTU, BASE_RTT));
+        let mut host = sender(HostConfig::bfc(BASE_RTT));
         host.set_uplink_rate(10.0);
         let mut events = EventQueue::new();
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 1_000), &mut events);
@@ -803,7 +800,7 @@ mod tests {
     fn the_serialization_end_is_busy_to_an_arrival_and_free_to_a_timer() {
         let end = SimTime::from_nanos(80);
         let one_packet_sent = || {
-            let mut host = sender(HostConfig::bfc(MTU, BASE_RTT));
+            let mut host = sender(HostConfig::bfc(BASE_RTT));
             let mut events = EventQueue::new();
             host.start_flow(SimTime::ZERO, spec(1, 0, 1, 1_000), &mut events);
             assert_eq!(host.tx().busy_until(), end);
@@ -837,7 +834,7 @@ mod tests {
 
     #[test]
     fn pfc_pause_blocks_and_resume_restarts() {
-        let mut host = sender(HostConfig::bfc(MTU, BASE_RTT));
+        let mut host = sender(HostConfig::bfc(BASE_RTT));
         let mut events = EventQueue::new();
         host.handle_packet(SimTime::ZERO, Packet::pfc(NodeId(100), NodeId(0), true), &mut events);
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 3_000), &mut events);
@@ -859,9 +856,9 @@ mod tests {
 
     #[test]
     fn bfc_pause_frame_pauses_only_named_flows() {
-        let mut host = sender(HostConfig::bfc(MTU, BASE_RTT));
+        let mut host = sender(HostConfig::bfc(BASE_RTT));
         let mut events = EventQueue::new();
-        let mut frame = PauseFrame::new(128, 4);
+        let mut frame = PauseFrame::new(128);
         frame.insert(1); // pause flow 1 (vfid == flow id in these tests)
         host.handle_packet(
             SimTime::ZERO,
@@ -877,7 +874,7 @@ mod tests {
         // Clearing the pause releases flow 1.
         host.handle_packet(
             SimTime::from_micros(10),
-            Packet::flow_pause(NodeId(100), NodeId(0), PauseFrame::new(128, 4)),
+            Packet::flow_pause(NodeId(100), NodeId(0), PauseFrame::new(128)),
             &mut events,
         );
         let sent = drain_transmissions(&mut host, &mut events);
@@ -886,7 +883,7 @@ mod tests {
 
     #[test]
     fn receiver_acks_in_order_data_and_reports_completion() {
-        let mut rx = Host::new(NodeId(5), link(), (NodeId(100), 0), HostConfig::bfc(MTU, BASE_RTT));
+        let mut rx = Host::new(NodeId(5), link(), (NodeId(100), 0), HostConfig::bfc(BASE_RTT));
         let mut events = EventQueue::new();
         rx.expect_flow(spec(9, 0, 5, 2_500));
         for seq in 0..3u64 {
@@ -922,7 +919,7 @@ mod tests {
 
     #[test]
     fn out_of_order_data_triggers_single_nack_and_gbn_rewind() {
-        let mut rx = Host::new(NodeId(5), link(), (NodeId(100), 0), HostConfig::bfc(MTU, BASE_RTT));
+        let mut rx = Host::new(NodeId(5), link(), (NodeId(100), 0), HostConfig::bfc(BASE_RTT));
         let mut events = EventQueue::new();
         rx.expect_flow(spec(9, 0, 5, 10_000));
         // Deliver packet 0, then skip to 3, 4 (2 lost).
@@ -946,7 +943,7 @@ mod tests {
         assert_eq!(nacks, 1, "duplicate out-of-order packets must not spam NACKs");
 
         // Sender side: a NACK rewinds next_seq.
-        let mut tx = sender(HostConfig::bfc(MTU, BASE_RTT));
+        let mut tx = sender(HostConfig::bfc(BASE_RTT));
         let mut ev2 = EventQueue::new();
         tx.start_flow(SimTime::ZERO, spec(9, 0, 5, 10_000), &mut ev2);
         let _ = drain_transmissions(&mut tx, &mut ev2);
@@ -960,7 +957,7 @@ mod tests {
 
     #[test]
     fn retransmission_timeout_rewinds_without_acks() {
-        let mut host = sender(HostConfig::bfc(MTU, BASE_RTT));
+        let mut host = sender(HostConfig::bfc(BASE_RTT));
         let mut events = EventQueue::new();
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 2_000), &mut events);
         let first = drain_transmissions(&mut host, &mut events);
@@ -987,7 +984,7 @@ mod tests {
 
     #[test]
     fn dcqcn_cnp_slows_the_sender_down() {
-        let mut host = sender(HostConfig::dcqcn(MTU, BASE_RTT, None));
+        let mut host = sender(HostConfig::dcqcn(BASE_RTT, None));
         let mut events = EventQueue::new();
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 200_000), &mut events);
         // Let a few packets go out, then deliver a CNP and compare pacing.
@@ -1025,7 +1022,7 @@ mod tests {
             NodeId(5),
             link(),
             (NodeId(100), 0),
-            HostConfig::dcqcn(MTU, BASE_RTT, None),
+            HostConfig::dcqcn(BASE_RTT, None),
         );
         let mut events = EventQueue::new();
         rx.expect_flow(spec(9, 0, 5, 1_000_000));
@@ -1042,7 +1039,7 @@ mod tests {
 
     #[test]
     fn hpcc_host_paces_by_window_from_int() {
-        let mut host = sender(HostConfig::hpcc(MTU, BASE_RTT));
+        let mut host = sender(HostConfig::hpcc(BASE_RTT));
         let mut events = EventQueue::new();
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 1_000_000), &mut events);
         // Without ACKs the HPCC host can send at most one BDP (100 KB).

@@ -5,7 +5,12 @@
 #      drives every command of the CLI in-process (flags, exit codes, the
 #      files written, the scrape socket's protocol, malformed and unbounded
 #      inputs); the command line is tested there, not here
-#   2. the unit tests tier-1 leaves out and a change is most likely to need:
+#   2. the declared MSRV (`rust-version` in Cargo.toml): clippy's
+#      `incompatible_msrv` lint, alone, over every target of the workspace
+#      (a few seconds once built). It flags std APIs stabilized after that
+#      version; no older toolchain is installed, so language features and
+#      the compiler itself are not checked
+#   3. the unit tests tier-1 leaves out and a change is most likely to need:
 #      the bfc-testkit harness's own; bfc-sim's — the epoch barrier (nobody
 #      released early, nobody lapped, abort in every wait stage) and the
 #      epoch driver's ring tests live there (2.4 s); the packet path's, under
@@ -23,13 +28,13 @@
 #      (`crates/bfc-experiments/tests/cli_flags.rs`: a malformed
 #      `BFC_THREADS`, a safety violation's flight dump into a private
 #      working directory)
-#   3. with --workspace: every crate's unit tests
-#   4. the repo's benchmark (`benchmark/`, read here, never edited): its own
+#   4. with --workspace: every crate's unit tests
+#   5. the repo's benchmark (`benchmark/`, read here, never edited): its own
 #      tests — one of which pins the umbrella-crate API surface it calls —
 #      and its `--quick` smoke, which runs all four workloads with every
 #      digest and resume check on, so a change that breaks either fails
 #      here before the pipeline sees it
-#   5. bfc-bench's own tests (the harness's statistics and its command line,
+#   6. bfc-bench's own tests (the harness's statistics and its command line,
 #      which otherwise run only under --workspace) and the two quick
 #      DRR-pick microbenchmarks, so the measuring tool cannot rot unbuilt and
 #      their set-up assertions (paused and all-paused ports) run; it prints a
@@ -50,6 +55,9 @@ cargo build --release
 
 echo "== tier-1: cargo test -q"
 cargo test -q
+
+echo "== MSRV: cargo clippy, incompatible_msrv only"
+cargo clippy -q --workspace --all-targets -- -A clippy::all -D clippy::incompatible_msrv
 
 echo "== testkit, bfc-sim, packet-path, ingest and bfc-experiments unit tests + spawned CLI gates"
 cargo test -q -p bfc-testkit

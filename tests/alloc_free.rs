@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 
 use backpressure_flow_control::experiments::{MetricsHub, Scheme};
-use backpressure_flow_control::net::packet::{Packet, PacketKind};
+use backpressure_flow_control::net::packet::{Packet, PacketKind, MTU};
 use backpressure_flow_control::net::routing::RoutingTables;
 use backpressure_flow_control::net::switch::Switch;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
@@ -35,8 +35,6 @@ use backpressure_flow_control::transport::{FlowSpec, Host};
 #[path = "common/alloc.rs"]
 mod alloc;
 use alloc::allocs;
-
-const MTU: u32 = 1_000;
 
 /// The BFC switches of `topo`, in node order (the first is a ToR).
 fn bfc_switches(topo: &Topology) -> Vec<Switch> {
@@ -155,7 +153,7 @@ fn hpcc_data_ack_loop_is_allocation_free_after_warm_up() {
     );
     // Hosts 0 and 1 hang off the first ToR of the tiny fat tree.
     let (src, dst) = (NodeId(0), NodeId(1));
-    let base_rtt = routes.base_rtt(&topo, src, dst, MTU);
+    let base_rtt = routes.base_rtt(&topo, src, dst);
     let host = |id: NodeId| {
         let uplink = topo.host_uplink(id);
         assert_eq!(uplink.peer, tor);
@@ -163,7 +161,7 @@ fn hpcc_data_ack_loop_is_allocation_free_after_warm_up() {
             id,
             uplink.link,
             (uplink.peer, uplink.peer_port),
-            scheme.host_config(MTU, base_rtt, 0),
+            scheme.host_config(base_rtt, 0),
         )
     };
     let (mut sender, mut receiver) = (host(src), host(dst));

@@ -781,6 +781,37 @@ fn bad_trace_inputs_are_refused_before_anything_is_synthesized() {
     assert!(!Path::new(&out).exists());
 }
 
+/// A `.scn` fault directive can neither exhaust memory nor stop time: a flap
+/// of a billion toggles, and a rate at which a packet would take no time on
+/// the wire, are one error line each, before anything is expanded or run.
+#[test]
+fn unbounded_fault_directives_are_refused() {
+    let dir = Scratch::new("fault-bounds");
+    let scn = dir.path("fault.scn");
+    let started = Instant::now();
+    for (directive, says) in [
+        ("flap tor0 spine0 from 1us every 1ns until 1s", "at most 1000 toggles"),
+        ("at 10us rate tor0 spine0 inf", "link rate must be in (0, 10000] Gbps, got inf"),
+        ("at 10us rate tor0 spine0 1e308", "link rate must be in (0, 10000] Gbps"),
+    ] {
+        std::fs::write(&scn, format!("{directive}\n")).expect("write scenario");
+        let ran = trace_tool(&["scenario", &scn]);
+        assert!(!ran.ok && ran.out.is_empty(), "{directive} must be refused");
+        assert!(!ran.err.contains("panicked"), "{directive}: {}", ran.err);
+        let ours: Vec<&str> = ran
+            .err
+            .lines()
+            .filter(|l| l.starts_with("trace-tool:"))
+            .collect();
+        assert_eq!(ours.len(), 1, "{directive}: {}", ran.err);
+        assert!(ours[0].contains(says), "{directive}: {}", ours[0]);
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "a refusal must not expand or simulate first"
+    );
+}
+
 #[test]
 fn an_unbounded_drain_is_refused_by_every_command_that_takes_the_flag() {
     let dir = Scratch::new("drain");

@@ -280,14 +280,14 @@ fn an_arrival_at_the_serialization_end_still_queues_behind_it() {
 fn a_resume_frame_mid_serialization_waits_for_the_serialization_end() {
     let mut f = Fabric::tiny();
     let tor = f.topo.switches()[0];
-    let mut paused = PauseFrame::new(128, 4);
+    let mut paused = PauseFrame::new(128);
     paused.insert(7);
     let pause = |frame| Packet::flow_pause(NodeId(3), tor, frame);
 
     f.inject(ns(0), data(1, 0, 3)); // on the wire 0–80 ns
     f.inject_on(ns(5), tor, HOST_PORT_3, pause(paused)); // host 3 pauses VFID 7
     f.inject(ns(10), data(7, 1, 3)); // queues, paused
-    f.inject_on(ns(40), tor, HOST_PORT_3, pause(PauseFrame::new(128, 4))); // resumed at 40 ns
+    f.inject_on(ns(40), tor, HOST_PORT_3, pause(PauseFrame::new(128))); // resumed at 40 ns
     f.run();
     // Resumed mid-serialization: flow 7 leaves when the wire frees, at 80 ns.
     assert_eq!(f.arrivals(), vec![(1_080_000, 1), (1_160_000, 7)]);
@@ -298,7 +298,7 @@ fn a_resume_frame_mid_serialization_waits_for_the_serialization_end() {
     f.inject(ns(0), data(1, 0, 3));
     f.inject_on(ns(5), tor, HOST_PORT_3, pause(paused));
     f.inject(ns(10), data(7, 1, 3));
-    f.inject_on(ns(120), tor, HOST_PORT_3, pause(PauseFrame::new(128, 4)));
+    f.inject_on(ns(120), tor, HOST_PORT_3, pause(PauseFrame::new(128)));
     f.run();
     assert_eq!(f.arrivals(), vec![(1_080_000, 1), (1_200_000, 7)]);
 }
@@ -316,7 +316,7 @@ fn two_paused_queues() -> (Fabric, Packet) {
     );
     let mut f = Fabric::tiny_with(|| Box::new(SfqPolicy::new()));
     let tor = f.topo.switches()[0];
-    let mut paused = PauseFrame::new(128, 4);
+    let mut paused = PauseFrame::new(128);
     paused.insert(7);
     paused.insert(8);
     f.inject(ns(0), data(1, 0, 3));
@@ -328,7 +328,7 @@ fn two_paused_queues() -> (Fabric, Packet) {
     );
     f.inject(ns(10), data(7, 1, 3));
     f.inject(ns(20), data(8, 2, 3));
-    let resume = Packet::flow_pause(NodeId(3), tor, PauseFrame::new(128, 4));
+    let resume = Packet::flow_pause(NodeId(3), tor, PauseFrame::new(128));
     (f, resume)
 }
 

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 use backpressure_flow_control::net::buffer::SharedBuffer;
 use backpressure_flow_control::net::buffer::{pfc_pause_threshold, PFC_RESUME_FRACTION};
-use backpressure_flow_control::net::packet::{Packet, PauseFrame};
+use backpressure_flow_control::net::packet::{Packet, PauseFrame, MTU};
 use backpressure_flow_control::net::policy::QueueTarget;
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::{Link, Port};
@@ -35,13 +35,12 @@ fn op_gen() -> impl bfc_testkit::Gen<Value = Vec<Op>> {
 }
 
 const PORT_QUEUES: usize = 4;
-const PORT_QUANTUM: u32 = 1_000;
 /// The VFID universe of the scheduler property: few enough that a random
 /// pause frame pauses a good share of the heads.
 const VFIDS: [u32; 6] = [3, 17, 101, 4_242, 9_001, 16_000];
 
 fn test_port() -> Port {
-    Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), PORT_QUEUES, PORT_QUANTUM)
+    Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), PORT_QUEUES)
 }
 
 /// The egress scheduler written the slow, obviously-right way: strict
@@ -130,7 +129,7 @@ impl ReferenceScheduler {
                 continue;
             }
             if !self.credited {
-                self.deficit[i] += PORT_QUANTUM as u64;
+                self.deficit[i] += MTU as u64;
                 self.credited = true;
             }
             let size = self.drr[i].front().expect("non-empty").2 as u64;
@@ -223,17 +222,17 @@ property! {
                 9 | 10 => {
                     let frame = match a % 5 {
                         0 => None,
-                        1 => Some(PauseFrame::new(128, 4)),
+                        1 => Some(PauseFrame::new(128)),
                         // Every VFID: the picks that follow find nothing
                         // eligible unless the overflow queue, control or
                         // high priority holds a packet.
                         2 => {
-                            let mut f = PauseFrame::new(16, 4);
+                            let mut f = PauseFrame::new(16);
                             VFIDS.iter().for_each(|&vfid| f.insert(vfid));
                             Some(f)
                         }
                         _ => {
-                            let mut f = PauseFrame::new(16, 4);
+                            let mut f = PauseFrame::new(16);
                             for (bit, &vfid) in VFIDS.iter().enumerate() {
                                 if b >> bit & 1 == 1 {
                                     f.insert(vfid);

@@ -16,7 +16,7 @@ use backpressure_flow_control::experiments::{run_experiment, ExperimentConfig, S
 use backpressure_flow_control::metrics::{
     percentile, GoodputSeries, Hist, OccupancySeries, SafetyTracker,
 };
-use backpressure_flow_control::net::packet::PauseFrame;
+use backpressure_flow_control::net::packet::{PauseFrame, MTU};
 use backpressure_flow_control::net::switch::SwitchCounters;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
@@ -89,7 +89,7 @@ property! {
         vfids in hash_set_of(int_range(0u32..16_384), 1..64),
         size_bytes in one_of(&[16usize, 32, 64, 128]),
     ) {
-        let mut frame = PauseFrame::new(size_bytes, 4);
+        let mut frame = PauseFrame::new(size_bytes);
         for &v in &vfids {
             frame.insert(v);
         }
@@ -104,7 +104,7 @@ property! {
     fn counting_bloom_is_a_multiset(
         ops in vec_of(pair(int_range(0u32..256), int_range(1usize..4)), 1..50),
     ) {
-        let mut cb = CountingBloom::new(64, 4);
+        let mut cb = CountingBloom::new(64);
         for &(vfid, count) in &ops {
             for _ in 0..count {
                 cb.insert(vfid);
@@ -138,7 +138,7 @@ property! {
         ops in vec_of(pair(int_range(0u32..48), int_range(0u64..3)), 1..200),
         size_bytes in one_of(&[1usize, 16, 128]),
     ) {
-        let mut cb = CountingBloom::new(size_bytes, 4);
+        let mut cb = CountingBloom::new(size_bytes);
         let mut paused = [0u32; 48];
         for &(vfid, op) in &ops {
             // Two in three operations pause; a resume needs a pause to undo.
@@ -149,7 +149,7 @@ property! {
                 cb.remove(vfid);
                 paused[vfid as usize] -= 1;
             }
-            let mut scan = PauseFrame::new(size_bytes, 4);
+            let mut scan = PauseFrame::new(size_bytes);
             for v in (0..48u32).filter(|&v| paused[v as usize] > 0) {
                 scan.insert(v);
             }
@@ -160,10 +160,7 @@ property! {
     /// Packetization conserves bytes: the per-packet sizes of a flow sum to
     /// the flow size, every packet is at most one MTU, and only the last
     /// packet may be smaller.
-    fn packetization_conserves_bytes(
-        size in int_range(1u64..5_000_000),
-        mtu in one_of(&[500u32, 1000, 1500]),
-    ) {
+    fn packetization_conserves_bytes(size in int_range(1u64..5_000_000)) {
         let spec = FlowSpec {
             flow: FlowId(0),
             src: NodeId(0),
@@ -171,13 +168,13 @@ property! {
             size_bytes: size,
             vfid: 1,
         };
-        let n = spec.num_packets(mtu);
+        let n = spec.num_packets();
         let mut total = 0u64;
         for seq in 0..n {
-            let s = spec.packet_size(seq, mtu);
-            assert!(s >= 1 && s <= mtu);
+            let s = spec.packet_size(seq);
+            assert!((1..=MTU).contains(&s));
             if seq + 1 < n {
-                assert_eq!(s, mtu);
+                assert_eq!(s, MTU);
             }
             total += s as u64;
         }
@@ -290,7 +287,7 @@ fn arb_int_path(rng: &mut SimRng) -> IntPath {
 }
 
 fn arb_pause_frame(rng: &mut SimRng) -> PauseFrame {
-    let mut frame = PauseFrame::new(1 + rng.next_index(128), 1 + rng.next_below(6) as u32);
+    let mut frame = PauseFrame::new(1 + rng.next_index(128));
     for _ in 0..rng.next_below(40) {
         frame.insert(rng.next_u64() as u32);
     }
@@ -452,7 +449,7 @@ fn arb_sender(rng: &mut SimRng) -> SenderFlow {
         1 => CcState::Dcqcn(arb_dcqcn(rng)),
         _ => CcState::Hpcc(arb_hpcc(rng)),
     };
-    let mut flow = SenderFlow::new(arb_spec(rng), 1_000, cc, arb_time(rng));
+    let mut flow = SenderFlow::new(arb_spec(rng), cc, arb_time(rng));
     flow.next_seq = rng.next_u64();
     flow.acked_seq = rng.next_u64();
     flow.next_allowed = arb_time(rng);
@@ -461,7 +458,7 @@ fn arb_sender(rng: &mut SimRng) -> SenderFlow {
 }
 
 fn arb_receiver(rng: &mut SimRng) -> ReceiverFlow {
-    let mut flow = ReceiverFlow::new(arb_spec(rng), 1_000);
+    let mut flow = ReceiverFlow::new(arb_spec(rng));
     flow.expected_seq = rng.next_u64();
     flow.last_cnp = arb_opt(rng, arb_time);
     flow.nack_sent_for = arb_opt(rng, SimRng::next_u64);

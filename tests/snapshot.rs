@@ -234,9 +234,10 @@ fn damaged_snapshots_are_rejected() {
         Err(SnapError::BadChecksum)
     ));
 
-    // Another format version — a future one, version 13 with each sim's
-    // link state and a packet's class and an ACK's sequence number held
-    // twice, version 12 with two totals a resumed run recounts (completed flows, goodput's running total),
+    // Another format version — a future one, version 14 with a hash count
+    // in each pause frame and a packet count in each sender and receiver
+    // flow, version 13 with each sim's link state and a packet's class and
+    // an ACK's sequence number held twice, version 12 with two totals a resumed run recounts (completed flows, goodput's running total),
     // version 11 with the state nothing read (BFC counters, port transmit
     // totals, the recovery fault log), version 10 without the egresses'
     // owed-sweep flags, version 9 with a per-sim FCT histogram, version 8
@@ -246,10 +247,10 @@ fn damaged_snapshots_are_rejected() {
     // checksum — is refused by number, not misdecoded.
     assert_eq!(
         snap[8..12],
-        14u32.to_le_bytes(),
-        "this build writes version 14"
+        15u32.to_le_bytes(),
+        "this build writes version 15"
     );
-    for version in [99u32, 13, 12, 11, 10, 9, 8, 7, 6, 5] {
+    for version in [99u32, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5] {
         let mut versioned = snap.clone();
         versioned[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
@@ -304,6 +305,19 @@ fn damaged_snapshots_are_rejected() {
             other.seed
         );
     }
+
+    // The same tiny fat tree with 10 Gbps links has the same node and host
+    // counts: only its links tell it apart.
+    let slow = Link::new(10.0, SimDuration::from_micros(1));
+    let slow_topo = fat_tree(FatTreeParams {
+        host_link: slow,
+        fabric_link: slow,
+        ..FatTreeParams::tiny()
+    });
+    assert!(matches!(
+        resume_experiment(&slow_topo, &trace, &config, &snap),
+        Err(SnapError::Corrupt(_))
+    ));
 
     // And the undamaged snapshot still resumes fine afterwards.
     assert!(resume_experiment(&topo, &trace, &config, &snap).is_ok());
@@ -389,13 +403,12 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 ///
 /// The flight trace is as written by commit 0022cd3 (`TRACE_VERSION` 2), the
 /// last one whose codec was 68 hand-written `save`/`restore` functions. The
-/// snapshots are `SNAPSHOT_VERSION` 14, which drops from version 13 each
-/// worker's link state (136 bytes on the tiny fat-tree, which a resume
-/// rebuilds from the fault schedule), 8 bytes per host (its completed-flow
-/// counter), 1 per receiver flow (its completion flag), 1 per queued packet
-/// (its control-priority flag) and 8 more per queued ACK (its second copy of
-/// the sequence number): 1 408–1 458 bytes less per row at one shard,
-/// 136 more at two.
+/// snapshots are `SNAPSHOT_VERSION` 15, which drops from version 14 the
+/// packet count of each sender and receiver flow (8 bytes each: it is the
+/// flow's size over the constant MTU) and the hash count of each stored
+/// pause frame (4 bytes: a constant), and whose fingerprint now covers the
+/// topology's links (same length, other checksum): 2 160–2 216 bytes less
+/// per row, the same at one shard and at two.
 ///
 /// The two-shard rows also depend on where the epoch windows fall, at any
 /// version: a pending event is saved with the sequence number its queue gave
@@ -409,18 +422,18 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 /// one run, 224 bytes differ, each by a few units, and the parent's file
 /// resumed there to the uninterrupted run's result.
 const PARENT_SNAPSHOTS: [(usize, u64); 12] = [
-    (85_428, 0x56d5_a8f1_8bc9_f4b7), // BFC, 1 shard
-    (94_235, 0x1e3a_6005_7f89_afb8), // BFC, 2 shards
-    (433_996, 0x5558_7b23_c13d_a9d9), // Ideal-FQ
-    (442_803, 0xa982_88b7_ea2a_9468),
-    (75_014, 0x4e86_891b_745a_9aeb), // DCQCN
-    (83_821, 0x7270_78af_8615_aaeb),
-    (75_014, 0xf550_89ca_4652_0201), // DCQCN+Win
-    (83_821, 0xb3de_74fb_33f5_12ef),
-    (71_191, 0xd216_a367_d0b5_852e), // HPCC
-    (79_998, 0x64b2_19e2_a390_0520),
-    (78_265, 0x854e_0c02_4fd2_6583), // DCQCN+Win+SFQ
-    (87_072, 0xbdce_18f4_3ddb_eae5),
+    (83_268, 0xcb25_a4b0_924c_8e9b), // BFC, 1 shard
+    (92_075, 0xea14_8676_fd0f_7a32), // BFC, 2 shards
+    (431_836, 0x0b02_ac3c_038b_452d), // Ideal-FQ
+    (440_643, 0x9d3a_ddad_f1a6_dd3f),
+    (72_798, 0x3a3c_acfb_4c47_c2d8), // DCQCN
+    (81_605, 0xa44d_dab2_cb97_0649),
+    (72_798, 0xadf5_6e27_2dce_a230), // DCQCN+Win
+    (81_605, 0x530c_ff1b_ad79_97fa),
+    (68_975, 0xe782_6109_760f_f127), // HPCC
+    (77_782, 0x479c_3934_c69e_07bc),
+    (76_089, 0xbc35_78b8_4ae9_f2ae), // DCQCN+Win+SFQ
+    (84_896, 0x3f01_696d_0a3b_3a96),
 ];
 const PARENT_FLIGHT: (usize, u64) = (1_256_716, 0x3704_4530_a583_d1d0);
 

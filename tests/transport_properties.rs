@@ -11,14 +11,13 @@
 //! with `BFC_TESTKIT_SEED=<seed> cargo test <property_name>`.
 
 use backpressure_flow_control::net::event::NetEvent;
-use backpressure_flow_control::net::packet::PacketKind;
+use backpressure_flow_control::net::packet::{PacketKind, MTU};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::Link;
 use backpressure_flow_control::sim::{EventQueue, SimDuration, SimTime};
 use backpressure_flow_control::transport::{FlowSpec, Host, HostConfig};
 use bfc_testkit::{check, int_range, pair, vec_of, Config};
 
-const MTU: u32 = 1_000;
 const SENDER: NodeId = NodeId(0);
 const RECEIVER: NodeId = NodeId(1);
 
@@ -36,7 +35,7 @@ struct SessionReport {
 /// when `ack_loss[i]` (losses beyond the pattern length never happen).
 fn run_lossy_session(size_bytes: u64, data_loss: &[bool], ack_loss: &[bool]) -> SessionReport {
     let link = Link::datacenter_default();
-    let config = HostConfig::bfc(MTU, SimDuration::from_micros(8));
+    let config = HostConfig::bfc(SimDuration::from_micros(8));
     let mut sender = Host::new(SENDER, link, (RECEIVER, 0), config);
     let mut receiver = Host::new(RECEIVER, link, (SENDER, 0), config);
 
