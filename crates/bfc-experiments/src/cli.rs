@@ -51,6 +51,7 @@ use crate::parallel::{parse_count, ParallelRunner};
 use crate::runner::{horizon_from_micros, ExperimentConfig, ExperimentResult, MAX_HORIZON};
 use crate::service::{self, MetricsHub};
 use crate::sharded::ShardPlan;
+use crate::table::{Cell, Table};
 use crate::{ReplayTrace, Scheme};
 
 const USAGE: &str = "\
@@ -257,8 +258,8 @@ pub fn fig(args: &[String], io: &mut Io<'_>) -> ExitCode {
     };
     match scale {
         Ok(scale) => {
-            for (_, _, run) in chosen {
-                outln!(io, "{}", run(&scale));
+            for table in chosen.iter().flat_map(|(_, _, run)| run(&scale)) {
+                outln!(io, "{table}");
             }
             ExitCode::SUCCESS
         }
@@ -502,35 +503,20 @@ fn print_engine_counters(io: &mut Io<'_>, results: &[ExperimentResult]) {
 /// `fuzz --replay` so a resumed run's table is byte-identical to the
 /// uninterrupted replay's.
 fn print_results_table(io: &mut Io<'_>, results: &[ExperimentResult]) {
-    outln!(
-        io,
-        "{:<16} {:>11} {:>9} {:>9} {:>8} {:>7}",
-        "scheme",
-        "completed",
-        "p50",
-        "p99",
-        "util %",
-        "drops"
-    );
+    let columns = ["scheme", "completed", "p50", "p99", "util %", "drops"];
+    let mut table = Table::new("", columns);
     for r in results {
-        let (p50, p99) = r
-            .fct
-            .overall
-            .as_ref()
-            .map_or((f64::NAN, f64::NAN), |o| (o.p50, o.p99));
-        outln!(
-            io,
-            "{:<16} {:>5}/{:<5} {:>9.2} {:>9.2} {:>8.1} {:>7}",
-            r.scheme,
-            r.completed_flows,
-            r.total_flows,
-            p50,
-            p99,
-            r.utilization * 100.0,
-            r.drops
-        );
+        let (p50, p99) = r.fct.overall.as_ref().map_or((f64::NAN, f64::NAN), |o| (o.p50, o.p99));
+        table.push(vec![
+            Cell::Text(r.scheme.clone()),
+            Cell::Text(format!("{}/{}", r.completed_flows, r.total_flows)),
+            Cell::Fixed(p50, 2),
+            Cell::Fixed(p99, 2),
+            Cell::Fixed(r.utilization * 100.0, 1),
+            Cell::Int(r.drops),
+        ]);
     }
-    outln!(io, "\n(FCT slowdown percentiles over non-incast flows)");
+    outln!(io, "{table}\n(FCT slowdown percentiles over non-incast flows)");
 }
 
 /// The options `snapshot`, `resume`, `serve` and `trace record` share: one

@@ -160,11 +160,11 @@ pub(super) fn cmd_scenario(args: &[String], io: &mut Io<'_>) -> Result<ExitCode,
             flows.len(),
             count(runner.threads(), "worker thread"),
         );
-        let rows: String = results
-            .iter()
-            .map(|r| failure_sweep::result_row(&label, r))
-            .collect();
-        outln!(io, "{}{rows}", failure_sweep::HEADER);
+        let mut table = failure_sweep::recovery_table("");
+        for r in &results {
+            table.push(failure_sweep::recovery_row(&label, r));
+        }
+        outln!(io, "{table}");
         for r in &results {
             outln!(io, "{}", safety_line(r));
         }

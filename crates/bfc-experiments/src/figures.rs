@@ -1,11 +1,11 @@
 //! One module per paper table/figure.
 //!
-//! Every figure exposes a `run(&Scale) -> String` function that regenerates
-//! the figure's rows/series and returns them as a formatted text table.
-//! [`FIGURES`] lists them; the `fig` binary (`fig <NN|all>`) prints the rows
-//! it is asked for, and the smoke tests and `bfc-bench` call the same
-//! functions at [`Scale::quick`] so the whole evaluation can be exercised in
-//! minutes.
+//! Every figure exposes a `run` function that regenerates the figure's rows
+//! and returns them as [`Table`]s, printed by the one renderer in
+//! [`crate::table`]. [`FIGURES`] lists them; the `fig` binary
+//! (`fig <NN|all>`) prints the tables it is asked for, and the smoke tests
+//! (`tests/fig_smoke.rs`) call the same functions at [`Scale::quick`] and
+//! read their cells, so the whole evaluation can be exercised in minutes.
 //!
 //! `Scale::quick()` shrinks the topology and trace so each experiment takes
 //! well under a second; `Scale::full()` uses the paper's topologies (T1/T2,
@@ -26,6 +26,8 @@ use crate::cli::{runner_arg, Args};
 use crate::parallel::ParallelRunner;
 use crate::runner::{ExperimentConfig, ExperimentResult};
 use crate::scheme::Scheme;
+use crate::table::Cell::{Fixed, Int, Text};
+use crate::table::{Cell, Table};
 
 /// How big an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,56 +89,49 @@ impl Scale {
         Ok(scale)
     }
 
+    /// `full` at full scale, `quick` otherwise.
+    fn pick<T>(&self, full: T, quick: T) -> T {
+        if self.full {
+            full
+        } else {
+            quick
+        }
+    }
+
     /// The T1-like topology used by the headline figures.
     pub fn t1(&self) -> Topology {
-        if self.full {
-            fat_tree(FatTreeParams::t1())
-        } else {
-            fat_tree(FatTreeParams::tiny())
-        }
+        fat_tree(self.pick(FatTreeParams::t1(), FatTreeParams::tiny()))
     }
 
     /// The T2-like topology used by the smaller experiments.
     pub fn t2(&self) -> Topology {
-        if self.full {
-            fat_tree(FatTreeParams::t2())
-        } else {
-            fat_tree(FatTreeParams::tiny())
-        }
+        fat_tree(self.pick(FatTreeParams::t2(), FatTreeParams::tiny()))
     }
 
     /// Trace duration (the measurement window).
     pub fn duration(&self) -> SimDuration {
-        if self.full {
-            SimDuration::from_millis(4)
-        } else {
-            SimDuration::from_micros(300)
-        }
+        self.pick(SimDuration::from_millis(4), SimDuration::from_micros(300))
     }
 
     /// Aggregate incast size per event, scaled down in quick mode so one
     /// event does not dominate the short trace.
     pub fn incast_bytes(&self) -> u64 {
-        if self.full {
-            20_000_000
-        } else {
-            500_000
-        }
+        self.pick(20_000_000, 500_000)
     }
 
     /// Incast fan-in for the background+incast workloads.
     pub fn incast_fan_in(&self) -> usize {
-        if self.full {
-            100
-        } else {
-            6
-        }
+        self.pick(100, 6)
     }
 }
 
-/// Every figure the `fig` binary prints: its number, what it shows and the
-/// function that renders it.
-pub const FIGURES: [(&str, &str, fn(&Scale) -> String); 15] = [
+/// A figure: its number, what it shows and the function that builds its
+/// tables.
+pub type Figure = (&'static str, &'static str, fn(&Scale) -> Vec<Table>);
+
+/// Every figure the `fig` binary prints.
+#[rustfmt::skip] // one figure per line
+pub const FIGURES: [Figure; 15] = [
     ("01", "hardware trends: switch capacity vs buffer", |_| fig01::run()),
     ("02", "buffer occupancy vs link speed (DCQCN)", fig02::run),
     ("03", "tail FCT as the buffer/capacity ratio shrinks (DCQCN)", fig03::run),
@@ -154,8 +149,30 @@ pub const FIGURES: [(&str, &str, fn(&Scale) -> String); 15] = [
     ("15", "failure sweep: link failures, degradation, flapping", failure_sweep::run),
 ];
 
-/// The standard background + incast trace of Figs. 5a/6/7/12/13/14.
-fn standard_trace(scale: &Scale, topo: &Topology, workload: Workload, load: f64, incast: f64) -> Vec<TraceFlow> {
+/// A synthesized workload: the flow-size CDF, the background load and the
+/// incast load on top of it.
+type Load = (Workload, f64, f64);
+
+/// Google at 60 % background plus 5 % incast: the workload of Figs. 3, 5a,
+/// 6, 7 and 12-14.
+const GOOGLE_INCAST: Load = (Workload::Google, 0.60, 0.05);
+
+/// DCQCN without and with a window, the end-to-end baselines.
+const DCQCN: Scheme = Scheme::Dcqcn {
+    window: false,
+    sfq: false,
+};
+const DCQCN_WIN: Scheme = Scheme::Dcqcn {
+    window: true,
+    sfq: false,
+};
+
+/// The background + incast trace of `load` over `topo`'s hosts.
+fn standard_trace(
+    scale: &Scale,
+    topo: &Topology,
+    (workload, load, incast): Load,
+) -> Vec<TraceFlow> {
     let params = TraceParams {
         workload,
         load,
@@ -175,73 +192,74 @@ fn config_for(scale: &Scale, scheme: Scheme) -> ExperimentConfig {
     ExperimentConfig::new(scheme, scale.duration()).with_seed(scale.seed)
 }
 
-fn p99_line(result: &ExperimentResult) -> String {
-    let mut line = format!("{:<16}", result.scheme);
-    for b in &result.fct.buckets {
-        line.push_str(&format!(" {:>12.2}", b.p99));
-    }
-    line.push('\n');
-    line
+/// One config per scheme, in order.
+fn configs_for(scale: &Scale, schemes: impl IntoIterator<Item = Scheme>) -> Vec<ExperimentConfig> {
+    schemes.into_iter().map(|s| config_for(scale, s)).collect()
 }
 
-fn bucket_header(result: &ExperimentResult) -> String {
-    let mut line = format!("{:<16}", "scheme \\ size");
-    for b in &result.fct.buckets {
-        line.push_str(&format!(" {:>12}", b.bucket.label()));
-    }
-    line.push('\n');
-    line
+/// Runs `configs` on the T1 topology under the [`standard_trace`] of
+/// `load`, one result per config in order.
+fn run_t1(scale: &Scale, load: Load, configs: &[ExperimentConfig]) -> Vec<ExperimentResult> {
+    let topo = scale.t1();
+    let trace = standard_trace(scale, &topo, load);
+    scale.runner.run_experiments(&topo, &trace, configs)
 }
 
-/// Runs a set of schemes on one trace, one result per scheme in order.
-fn run_schemes(scale: &Scale, topo: &Topology, trace: &[TraceFlow], schemes: Vec<Scheme>) -> Vec<ExperimentResult> {
-    let configs: Vec<ExperimentConfig> = schemes
-        .into_iter()
-        .map(|scheme| config_for(scale, scheme))
-        .collect();
-    scale.runner.run_experiments(topo, trace, &configs)
+/// The 99th-percentile slowdown over every non-incast flow (`NaN` if none
+/// completed).
+fn overall_p99(result: &ExperimentResult) -> f64 {
+    result.fct.overall.as_ref().map_or(f64::NAN, |o| o.p99)
 }
 
-/// Renders the p99-slowdown-per-bucket comparison table the FCT figures use.
-fn p99_table(title: &str, results: &[ExperimentResult]) -> String {
-    let mut out = format!("{title}\n");
-    if let Some(first) = results.first() {
-        out.push_str(&bucket_header(first));
-    }
+/// The p99-slowdown-per-bucket comparison table the FCT figures use.
+fn p99_table(title: &str, results: &[ExperimentResult]) -> Table {
+    let buckets = results.first().map_or(&[][..], |r| &r.fct.buckets[..]);
+    let labels = buckets.iter().map(|b| b.bucket.label());
+    let columns = std::iter::once("scheme \\ size".to_string()).chain(labels);
+    let mut table = Table::new(title, columns)
+        .with_note("(99th-percentile FCT slowdown per flow-size bucket; non-incast flows)");
     for r in results {
-        out.push_str(&p99_line(r));
+        let mut row = vec![Text(r.scheme.clone())];
+        row.extend(r.fct.buckets.iter().map(|b| Fixed(b.p99, 2)));
+        table.push(row);
     }
-    out.push_str("(99th-percentile FCT slowdown per flow-size bucket; non-incast flows)\n");
-    out
-}
-
-/// Runs a set of schemes on one trace and renders their [`p99_table`].
-fn fct_comparison(scale: &Scale, topo: &Topology, trace: &[TraceFlow], schemes: Vec<Scheme>, title: &str) -> String {
-    p99_table(title, &run_schemes(scale, topo, trace, schemes))
+    table
 }
 
 /// Figure 1: hardware trends for top-of-the-line Broadcom switches. Static
 /// data transcribed from the paper; included so the full set of figures can
 /// be regenerated from one place.
 pub mod fig01 {
+    use super::*;
+
     /// Returns the hardware-trend table.
-    pub fn run() -> String {
+    pub fn run() -> Vec<Table> {
         let rows = [
             ("Trident2", 2012, 1.28, 12.0),
             ("Tomahawk", 2014, 3.2, 16.0),
             ("Tomahawk2", 2016, 6.4, 42.0),
             ("Tomahawk3", 2018, 12.8, 64.0),
         ];
-        let mut out = String::from(
-            "Fig 1: switch capacity vs buffer (Broadcom)\nchip         year  capacity(Tbps)  buffer(MB)  buffer/capacity(us)\n",
-        );
+        let columns = [
+            "chip",
+            "year",
+            "capacity(Tbps)",
+            "buffer(MB)",
+            "buffer/capacity(us)",
+        ];
+        let mut table = Table::new("Fig 1: switch capacity vs buffer (Broadcom)", columns);
         for (chip, year, tbps, mb) in rows {
             let us = mb * 8.0 / (tbps * 1e3) * 1e3;
-            out.push_str(&format!(
-                "{chip:<12} {year}  {tbps:>14.2}  {mb:>10.1}  {us:>19.1}\n"
-            ));
+            let chip = Text(chip.to_string());
+            table.push(vec![
+                chip,
+                Int(year),
+                Fixed(tbps, 2),
+                Fixed(mb, 1),
+                Fixed(us, 1),
+            ]);
         }
-        out
+        vec![table]
     }
 }
 
@@ -251,56 +269,37 @@ pub mod fig02 {
     use super::*;
 
     /// Runs the link-speed sweep and reports occupancy percentiles.
-    pub fn run(scale: &Scale) -> String {
+    pub fn run(scale: &Scale) -> Vec<Table> {
         let speeds = [10.0, 40.0, 100.0];
-        let mut out = String::from(
-            "Fig 2: DCQCN buffer occupancy vs link speed (no PFC)\nspeed(Gbps)   p50(MB)   p90(MB)   p99(MB)   max(MB)\n",
-        );
+        let columns = ["speed(Gbps)", "p50(MB)", "p90(MB)", "p99(MB)", "max(MB)"];
+        let mut table = Table::new(
+            "Fig 2: DCQCN buffer occupancy vs link speed (no PFC)",
+            columns,
+        )
+        .with_note("(higher link speed -> more buffer occupancy at equal utilization)");
         // Each sweep point builds its own topology and trace, so the whole
         // point is an independent job for the parallel runner.
         let results = scale.runner.run_all(&speeds, |&gbps| {
-            let params = if scale.full {
-                FatTreeParams::t2_at_rate(gbps)
-            } else {
-                FatTreeParams {
-                    host_link: bfc_net::Link::new(gbps, SimDuration::from_micros(1)),
-                    fabric_link: bfc_net::Link::new(gbps, SimDuration::from_micros(1)),
-                    ..FatTreeParams::tiny()
-                }
+            let link = bfc_net::Link::new(gbps, SimDuration::from_micros(1));
+            let quick = FatTreeParams {
+                host_link: link,
+                fabric_link: link,
+                ..FatTreeParams::tiny()
             };
-            let topo = fat_tree(params);
-            let trace = {
-                let p = TraceParams {
-                    workload: Workload::Google,
-                    load: 0.70,
-                    incast_load: 0.05,
-                    incast_fan_in: scale.incast_fan_in(),
-                    incast_total_bytes: scale.incast_bytes(),
-                    duration: scale.duration(),
-                    host_gbps: gbps,
-                    seed: scale.seed,
-                    arrivals: scale.arrivals,
-                    incast_schedule: scale.incast_schedule,
-                };
-                synthesize(&topo.hosts(), &p)
-            };
-            let scheme = Scheme::Dcqcn { window: false, sfq: false };
-            let mut config = config_for(scale, scheme);
+            let topo = fat_tree(scale.pick(FatTreeParams::t2_at_rate(gbps), quick));
+            let trace = standard_trace(scale, &topo, (Workload::Google, 0.70, 0.05));
+            let mut config = config_for(scale, DCQCN);
             // The figure runs without PFC so buffers are free to grow.
             config.buffer_bytes = u64::MAX;
             scale.runner.run_experiment(&topo, &trace, &config)
         });
-        for (gbps, result) in speeds.iter().zip(&results) {
-            out.push_str(&format!(
-                "{gbps:>10.0}  {:>8.3}  {:>8.3}  {:>8.3}  {:>8.3}\n",
-                result.occupancy.percentile_bytes(50.0) / 1e6,
-                result.occupancy.percentile_bytes(90.0) / 1e6,
-                result.occupancy.percentile_bytes(99.0) / 1e6,
-                result.occupancy.max_bytes() / 1e6,
-            ));
+        for (&gbps, result) in speeds.iter().zip(&results) {
+            let mb = |bytes: f64| Fixed(bytes / 1e6, 3);
+            let at = |p| mb(result.occupancy.percentile_bytes(p));
+            let max = mb(result.occupancy.max_bytes());
+            table.push(vec![Fixed(gbps, 0), at(50.0), at(90.0), at(99.0), max]);
         }
-        out.push_str("(higher link speed -> more buffer occupancy at equal utilization)\n");
-        out
+        vec![table]
     }
 }
 
@@ -309,35 +308,37 @@ pub mod fig03 {
     use super::*;
 
     /// Runs the buffer-ratio sweep.
-    pub fn run(scale: &Scale) -> String {
+    pub fn run(scale: &Scale) -> Vec<Table> {
         let ratios_us = [30.0, 20.0, 10.0];
         let topo = scale.t2();
-        let trace = standard_trace(scale, &topo, Workload::Google, 0.60, 0.05);
+        let trace = standard_trace(scale, &topo, GOOGLE_INCAST);
         // Switch capacity = sum of port rates of the largest switch (a ToR).
         let tor = topo.switches()[0];
         let capacity_gbps: f64 = topo.ports(tor).iter().map(|p| p.link.rate_gbps).sum();
-        let mut out = String::from(
-            "Fig 3: DCQCN tail FCT vs buffer/capacity ratio\nbuffer(us of capacity)  buffer(MB)  overall p99 slowdown\n",
-        );
+        let columns = [
+            "buffer(us of capacity)",
+            "buffer(MB)",
+            "overall p99 slowdown",
+        ];
+        let mut table = Table::new("Fig 3: DCQCN tail FCT vs buffer/capacity ratio", columns)
+            .with_note("(smaller buffers hurt DCQCN tail latency)");
         let configs: Vec<ExperimentConfig> = ratios_us
             .iter()
             .map(|ratio| {
                 let buffer_bytes = (capacity_gbps * 1e9 / 8.0 * ratio * 1e-6) as u64;
-                config_for(scale, Scheme::Dcqcn { window: false, sfq: false })
-                    .with_buffer_bytes(buffer_bytes)
+                config_for(scale, DCQCN).with_buffer_bytes(buffer_bytes)
             })
             .collect();
         let results = scale.runner.run_experiments(&topo, &trace, &configs);
-        for ((ratio, config), result) in ratios_us.iter().zip(&configs).zip(&results) {
-            let p99 = result.fct.overall.as_ref().map(|o| o.p99).unwrap_or(f64::NAN);
-            out.push_str(&format!(
-                "{ratio:>22.0}  {:>10.2}  {:>20.2}\n",
-                config.buffer_bytes as f64 / 1e6,
-                p99
-            ));
+        for ((&ratio, config), result) in ratios_us.iter().zip(&configs).zip(&results) {
+            let mb = config.buffer_bytes as f64 / 1e6;
+            table.push(vec![
+                Fixed(ratio, 0),
+                Fixed(mb, 2),
+                Fixed(overall_p99(result), 2),
+            ]);
         }
-        out.push_str("(smaller buffers hurt DCQCN tail latency)\n");
-        out
+        vec![table]
     }
 }
 
@@ -345,16 +346,19 @@ pub mod fig03 {
 pub mod fig04 {
     use super::*;
 
-    /// Prints the byte-weighted CDFs.
-    pub fn run() -> String {
-        let mut out = String::from("Fig 4: cumulative bytes by flow size\n");
-        for w in Workload::all() {
-            out.push_str(&format!("-- {} (mean {:.0} B)\n", w.name(), w.cdf().mean_bytes()));
-            for (size, frac) in w.cdf().byte_weighted_cdf() {
-                out.push_str(&format!("  {:>12.0} B  {:>6.3}\n", size, frac));
+    /// One byte-weighted CDF per workload.
+    pub fn run() -> Vec<Table> {
+        let table = |w: Workload| {
+            let cdf = w.cdf();
+            let (name, mean) = (w.name(), cdf.mean_bytes());
+            let title = format!("Fig 4: cumulative bytes by flow size, {name} (mean {mean:.0} B)");
+            let mut table = Table::new(&title, ["flow size", "unit", "byte CDF"]);
+            for (size, frac) in cdf.byte_weighted_cdf() {
+                table.push(vec![Fixed(size, 0), Text("B".to_string()), Fixed(frac, 3)]);
             }
-        }
-        out
+            table
+        };
+        Workload::all().into_iter().map(table).collect()
     }
 }
 
@@ -362,53 +366,37 @@ pub mod fig04 {
 pub mod fig05 {
     use super::*;
 
+    /// One panel: the paper lineup on T1 under `load`.
+    fn panel(scale: &Scale, load: Load, title: &str) -> Table {
+        let configs = configs_for(scale, Scheme::paper_lineup());
+        p99_table(title, &run_t1(scale, load, &configs))
+    }
+
     /// Fig. 5a: Google workload with incast.
-    pub fn run_google_incast(scale: &Scale) -> String {
-        let topo = scale.t1();
-        let trace = standard_trace(scale, &topo, Workload::Google, 0.60, 0.05);
-        fct_comparison(
+    pub fn run_google_incast(scale: &Scale) -> Table {
+        panel(
             scale,
-            &topo,
-            &trace,
-            Scheme::paper_lineup(),
+            GOOGLE_INCAST,
             "Fig 5a: Google + incast (60% + 5%), T1",
         )
     }
 
     /// Fig. 5b: FB_Hadoop workload with incast.
-    pub fn run_hadoop_incast(scale: &Scale) -> String {
-        let topo = scale.t1();
-        let trace = standard_trace(scale, &topo, Workload::FbHadoop, 0.60, 0.05);
-        fct_comparison(
-            scale,
-            &topo,
-            &trace,
-            Scheme::paper_lineup(),
-            "Fig 5b: FB_Hadoop + incast (60% + 5%), T1",
-        )
+    pub fn run_hadoop_incast(scale: &Scale) -> Table {
+        let load = (Workload::FbHadoop, 0.60, 0.05);
+        panel(scale, load, "Fig 5b: FB_Hadoop + incast (60% + 5%), T1")
     }
 
     /// Fig. 5c: Google workload without incast.
-    pub fn run_google_no_incast(scale: &Scale) -> String {
-        let topo = scale.t1();
-        let trace = standard_trace(scale, &topo, Workload::Google, 0.65, 0.0);
-        fct_comparison(
-            scale,
-            &topo,
-            &trace,
-            Scheme::paper_lineup(),
-            "Fig 5c: Google, no incast (65%), T1",
-        )
+    pub fn run_google_no_incast(scale: &Scale) -> Table {
+        let load = (Workload::Google, 0.65, 0.0);
+        panel(scale, load, "Fig 5c: Google, no incast (65%), T1")
     }
 
     /// All three panels.
-    pub fn run(scale: &Scale) -> String {
-        format!(
-            "{}\n{}\n{}",
-            run_google_incast(scale),
-            run_hadoop_incast(scale),
-            run_google_no_incast(scale)
-        )
+    pub fn run(scale: &Scale) -> Vec<Table> {
+        let panels = [run_google_incast, run_hadoop_incast, run_google_no_incast];
+        panels.iter().map(|panel| panel(scale)).collect()
     }
 }
 
@@ -417,27 +405,30 @@ pub mod fig06 {
     use super::*;
 
     /// Runs the Fig. 5a workload and reports occupancy and pause-time stats.
-    pub fn run(scale: &Scale) -> String {
-        let topo = scale.t1();
-        let trace = standard_trace(scale, &topo, Workload::Google, 0.60, 0.05);
-        let mut out = String::from(
-            "Fig 6: buffer occupancy and PFC pause time (Fig 5a workload)\nscheme            occ p50(MB)  occ p99(MB)  pfc paused(%)  drops\n",
-        );
-        let configs: Vec<ExperimentConfig> = Scheme::paper_lineup()
-            .into_iter()
-            .map(|scheme| config_for(scale, scheme))
-            .collect();
-        for result in scale.runner.run_experiments(&topo, &trace, &configs) {
-            out.push_str(&format!(
-                "{:<16}  {:>11.3}  {:>11.3}  {:>13.3}  {:>5}\n",
-                result.scheme,
-                result.occupancy.percentile_bytes(50.0) / 1e6,
-                result.occupancy.percentile_bytes(99.0) / 1e6,
-                result.pfc_pause_fraction * 100.0,
-                result.drops
-            ));
+    pub fn run(scale: &Scale) -> Vec<Table> {
+        let columns = [
+            "scheme",
+            "occ p50(MB)",
+            "occ p99(MB)",
+            "pfc paused(%)",
+            "drops",
+        ];
+        let title = "Fig 6: buffer occupancy and PFC pause time (Fig 5a workload)";
+        let mut table = Table::new(title, columns);
+        let configs = configs_for(scale, Scheme::paper_lineup());
+        for r in run_t1(scale, GOOGLE_INCAST, &configs) {
+            let occupancy = |p| Fixed(r.occupancy.percentile_bytes(p) / 1e6, 3);
+            let paused = Fixed(r.pfc_pause_fraction * 100.0, 3);
+            let scheme = Text(r.scheme);
+            table.push(vec![
+                scheme,
+                occupancy(50.0),
+                occupancy(99.0),
+                paused,
+                Int(r.drops),
+            ]);
         }
-        out
+        vec![table]
     }
 }
 
@@ -447,21 +438,16 @@ pub mod fig07 {
     use super::*;
 
     /// Runs the comparison and reports tail FCT plus collision fractions.
-    pub fn run(scale: &Scale) -> String {
-        let topo = scale.t1();
-        let trace = standard_trace(scale, &topo, Workload::Google, 0.60, 0.05);
-        let schemes = vec![Scheme::bfc(), Scheme::bfc_vfid(), Scheme::SfqInfBuffer];
-        let results = run_schemes(scale, &topo, &trace, schemes);
-        let mut out = p99_table("Fig 7a: queue assignment", &results);
-        out.push_str("\nFig 7b: physical-queue collisions\nscheme            collision fraction\n");
-        for result in results {
-            out.push_str(&format!(
-                "{:<16}  {:>18.4}\n",
-                result.scheme,
-                result.policy_stats.collision_fraction()
-            ));
+    pub fn run(scale: &Scale) -> Vec<Table> {
+        let schemes = [Scheme::bfc(), Scheme::bfc_vfid(), Scheme::SfqInfBuffer];
+        let results = run_t1(scale, GOOGLE_INCAST, &configs_for(scale, schemes));
+        let columns = ["scheme", "collision fraction"];
+        let mut collisions = Table::new("Fig 7b: physical-queue collisions", columns);
+        for r in &results {
+            let fraction = r.policy_stats.collision_fraction();
+            collisions.push(vec![Text(r.scheme.clone()), Fixed(fraction, 4)]);
         }
-        out
+        vec![p99_table("Fig 7a: queue assignment", &results), collisions]
     }
 }
 
@@ -471,36 +457,28 @@ pub mod fig08 {
 
     /// The fan-in values swept at this scale.
     pub fn fan_ins(scale: &Scale) -> Vec<usize> {
-        if scale.full {
-            vec![10, 50, 100, 200, 400, 800]
-        } else {
-            vec![4, 8, 16]
-        }
+        scale.pick(vec![10, 50, 100, 200, 400, 800], vec![4, 8, 16])
     }
 
     /// Runs the sweep for BFC and DCQCN+Win.
-    pub fn run(scale: &Scale) -> String {
+    pub fn run(scale: &Scale) -> Vec<Table> {
         let topo = scale.t2();
         let hosts = topo.hosts();
-        let mut out = String::from(
-            "Fig 8: incast fan-in sweep (4 long flows per receiver + periodic incast)\nscheme            fan-in  utilization  p99 buffer(MB)\n",
-        );
+        let title = "Fig 8: incast fan-in sweep (4 long flows per receiver + periodic incast)";
+        let columns = ["scheme", "fan-in", "utilization", "p99 buffer(MB)"];
+        let mut table = Table::new(title, columns);
         // Incast events repeat every 500 us at full scale; quick scale packs a
         // few events into its short window instead.
-        let incast_period = if scale.full {
-            SimDuration::from_micros(500)
-        } else {
-            scale.duration() / 4
-        };
-        let jobs: Vec<(Scheme, usize)> = [Scheme::bfc(), Scheme::Dcqcn { window: true, sfq: false }]
+        let incast_period = scale.pick(SimDuration::from_micros(500), scale.duration() / 4);
+        let jobs: Vec<(Scheme, usize)> = [Scheme::bfc(), DCQCN_WIN]
             .into_iter()
             .flat_map(|scheme| fan_ins(scale).into_iter().map(move |f| (scheme.clone(), f)))
             .collect();
         let results = scale.runner.run_all(&jobs, |(scheme, fan_in)| {
             let mut trace = long_lived_per_receiver(
                 &hosts,
-                if scale.full { 4 } else { 1 },
-                if scale.full { 40_000_000 } else { 10_000_000 },
+                scale.pick(4, 1),
+                scale.pick(40_000_000, 10_000_000),
                 scale.seed,
             );
             trace.extend(incast_trace(
@@ -517,47 +495,37 @@ pub mod fig08 {
             config.drain = SimDuration::ZERO;
             scale.runner.run_experiment(&topo, &trace, &config)
         });
-        for ((_, fan_in), result) in jobs.iter().zip(&results) {
-            out.push_str(&format!(
-                "{:<16}  {:>6}  {:>11.3}  {:>14.3}\n",
-                result.scheme,
-                fan_in,
-                result.utilization,
-                result.occupancy.percentile_bytes(99.0) / 1e6
-            ));
+        for ((_, fan_in), r) in jobs.iter().zip(&results) {
+            let buffer = Fixed(r.occupancy.percentile_bytes(99.0) / 1e6, 3);
+            let (scheme, utilization) = (Text(r.scheme.clone()), Fixed(r.utilization, 3));
+            table.push(vec![scheme, Int(*fan_in as u64), utilization, buffer]);
         }
-        out
+        vec![table]
     }
 }
 
 /// Figure 9: cross-data-center traffic.
 pub mod fig09 {
     use super::*;
-    use bfc_metrics::fct::{FctSummary, SizeBucket};
+    use bfc_metrics::fct::FctSummary;
 
     /// Runs the two-data-center experiment and reports intra- vs inter-DC
     /// tail slowdowns for BFC and DCQCN+Win.
-    pub fn run(scale: &Scale) -> String {
-        let params = if scale.full {
-            CrossDcParams::paper_default()
-        } else {
-            CrossDcParams {
-                dc: FatTreeParams {
-                    num_tors: 2,
-                    hosts_per_tor: 4,
-                    num_spines: 2,
-                    host_link: bfc_net::Link::new(10.0, SimDuration::from_micros(1)),
-                    fabric_link: bfc_net::Link::new(10.0, SimDuration::from_micros(1)),
-                },
-                inter_dc_link: bfc_net::Link::new(100.0, SimDuration::from_micros(20)),
-            }
+    pub fn run(scale: &Scale) -> Vec<Table> {
+        let link = bfc_net::Link::new(10.0, SimDuration::from_micros(1));
+        let quick = CrossDcParams {
+            dc: FatTreeParams {
+                num_tors: 2,
+                hosts_per_tor: 4,
+                num_spines: 2,
+                host_link: link,
+                fabric_link: link,
+            },
+            inter_dc_link: bfc_net::Link::new(100.0, SimDuration::from_micros(20)),
         };
+        let params = scale.pick(CrossDcParams::paper_default(), quick);
         let built = cross_dc(params);
-        let duration = if scale.full {
-            SimDuration::from_millis(8)
-        } else {
-            SimDuration::from_micros(800)
-        };
+        let duration = scale.pick(SimDuration::from_millis(8), SimDuration::from_micros(800));
         let trace_params = TraceParams {
             workload: Workload::FbHadoop,
             load: 0.5,
@@ -574,43 +542,38 @@ pub mod fig09 {
         let dc0: std::collections::HashSet<NodeId> = built.dc0_hosts.iter().copied().collect();
         let is_inter = |f: &TraceFlow| dc0.contains(&f.src) != dc0.contains(&f.dst);
 
-        let mut out = String::from(
-            "Fig 9: cross-datacenter FCT slowdown\nscheme            class     flows   p50     p99\n",
-        );
-        let configs: Vec<ExperimentConfig> = [Scheme::bfc(), Scheme::Dcqcn { window: true, sfq: false }]
+        let columns = ["scheme", "class", "flows", "p50", "p99"];
+        let mut table = Table::new("Fig 9: cross-datacenter FCT slowdown", columns);
+        let configs: Vec<ExperimentConfig> = [Scheme::bfc(), DCQCN_WIN]
             .into_iter()
             .map(|scheme| {
                 let mut config = ExperimentConfig::new(scheme, duration).with_seed(scale.seed);
                 // The long-haul hop needs more buffering, as in the paper.
-                config.buffer_bytes = if scale.full { 60_000_000 } else { 12_000_000 };
+                config.buffer_bytes = scale.pick(60_000_000, 12_000_000);
                 config
             })
             .collect();
-        for result in scale.runner.run_experiments(&built.topology, &trace, &configs) {
+        let results = scale
+            .runner
+            .run_experiments(&built.topology, &trace, &configs);
+        for r in results {
             for inter in [false, true] {
-                let records: Vec<_> = result
+                let records: Vec<_> = r
                     .records
                     .iter()
-                    .filter(|r| is_inter(&trace[r.flow.index()]) == inter)
+                    .filter(|rec| is_inter(&trace[rec.flow.index()]) == inter)
                     .copied()
                     .collect();
-                let summary = FctSummary::from_records_with_buckets(
-                    &records,
-                    &[SizeBucket { lo: 0, hi: u64::MAX }],
-                );
-                if let Some(o) = summary.overall {
-                    out.push_str(&format!(
-                        "{:<16}  {:<8}  {:>5}  {:>6.2}  {:>6.2}\n",
-                        result.scheme,
-                        if inter { "inter-DC" } else { "intra-DC" },
-                        o.count,
-                        o.p50,
-                        o.p99
-                    ));
+                // The overall summary needs no size buckets.
+                if let Some(o) = FctSummary::from_records_with_buckets(&records, &[]).overall {
+                    let class = Text(if inter { "inter-DC" } else { "intra-DC" }.to_string());
+                    let (p50, p99) = (Fixed(o.p50, 2), Fixed(o.p99, 2));
+                    let scheme = Text(r.scheme.clone());
+                    table.push(vec![scheme, class, Int(o.count as u64), p50, p99]);
                 }
             }
         }
-        out
+        vec![table]
     }
 }
 
@@ -621,48 +584,46 @@ pub mod fig10 {
 
     /// The concurrency levels swept at this scale.
     pub fn flow_counts(scale: &Scale) -> Vec<usize> {
-        if scale.full {
-            vec![8, 32, 64, 128, 256]
-        } else {
-            // Go past the 32 physical queues so flows must share queues and
-            // the resume-limiting difference is visible even at quick scale.
-            vec![16, 48, 96]
-        }
+        // Quick scale goes past the 32 physical queues too, so flows must
+        // share queues and the resume-limiting difference is visible.
+        scale.pick(vec![8, 32, 64, 128, 256], vec![16, 48, 96])
     }
 
     /// Runs the sweep for BFC and BFC-BufferOpt.
-    pub fn run(scale: &Scale) -> String {
+    pub fn run(scale: &Scale) -> Vec<Table> {
         let topo = scale.t2();
         let hosts = topo.hosts();
         let receiver = hosts[0];
-        let mut out = String::from(
-            "Fig 10: per-queue buffering vs concurrent flows to one receiver\nscheme            flows  p99 physical queue (KB)\n",
-        );
+        let title = "Fig 10: per-queue buffering vs concurrent flows to one receiver";
+        let mut table = Table::new(title, ["scheme", "flows", "p99 physical queue (KB)"])
+            .with_note("(BFC caps per-queue buffering; BFC-BufferOpt grows with the flow count)");
         let jobs: Vec<(Scheme, usize)> = [
             Scheme::bfc(),
             Scheme::Bfc(BfcConfig::without_resume_limit()),
         ]
         .into_iter()
-        .flat_map(|scheme| flow_counts(scale).into_iter().map(move |n| (scheme.clone(), n)))
+        .flat_map(|scheme| {
+            flow_counts(scale)
+                .into_iter()
+                .map(move |n| (scheme.clone(), n))
+        })
         .collect();
         let results = scale.runner.run_all(&jobs, |(scheme, n)| {
-            let size = if scale.full { 2_000_000 } else { 300_000 };
+            let size = scale.pick(2_000_000, 300_000);
             let trace = concurrent_long_flows(&hosts, receiver, *n, size);
             let mut config = config_for(scale, scheme.clone());
             config.drain = scale.duration() * 8;
             scale.runner.run_experiment(&topo, &trace, &config)
         });
-        for ((_, n), result) in jobs.iter().zip(&results) {
-            let p99_kb = bfc_metrics::percentile(&result.peak_queue_samples, 99.0)
-                .unwrap_or(0.0)
-                / 1e3;
-            out.push_str(&format!(
-                "{:<16}  {:>5}  {:>22.1}\n",
-                result.scheme, n, p99_kb
-            ));
+        for ((_, n), r) in jobs.iter().zip(&results) {
+            let p99 = bfc_metrics::percentile(&r.peak_queue_samples, 99.0).unwrap_or(0.0);
+            table.push(vec![
+                Text(r.scheme.clone()),
+                Int(*n as u64),
+                Fixed(p99 / 1e3, 1),
+            ]);
         }
-        out.push_str("(BFC caps per-queue buffering; BFC-BufferOpt grows with the flow count)\n");
-        out
+        vec![table]
     }
 }
 
@@ -671,28 +632,22 @@ pub mod fig11 {
     use super::*;
 
     /// Runs BFC with and without the high-priority queue on a hot workload.
-    pub fn run(scale: &Scale) -> String {
-        let topo = scale.t1();
-        let trace = standard_trace(scale, &topo, Workload::Google, 0.80, 0.05);
-        let schemes = vec![
+    pub fn run(scale: &Scale) -> Vec<Table> {
+        let schemes = [
             Scheme::bfc(),
             Scheme::Bfc(BfcConfig::without_high_priority_queue()),
         ];
-        let results = run_schemes(scale, &topo, &trace, schemes);
-        let mut out = p99_table(
-            "Fig 11b: tail FCT with/without the high-priority queue (85% load + incast)",
-            &results,
-        );
-        out.push_str("\nFig 11a: occupied physical queues\nscheme              p50    p99\n");
-        for result in results {
-            out.push_str(&format!(
-                "{:<16}  {:>6.1} {:>6.1}\n",
-                result.scheme,
-                bfc_metrics::percentile(&result.occupied_queue_samples, 50.0).unwrap_or(0.0),
-                bfc_metrics::percentile(&result.occupied_queue_samples, 99.0).unwrap_or(0.0),
-            ));
+        let load = (Workload::Google, 0.80, 0.05);
+        let results = run_t1(scale, load, &configs_for(scale, schemes));
+        let columns = ["scheme", "p50", "p99"];
+        let mut occupied = Table::new("Fig 11a: occupied physical queues", columns);
+        for r in &results {
+            let at = |p| bfc_metrics::percentile(&r.occupied_queue_samples, p).unwrap_or(0.0);
+            let (p50, p99) = (Fixed(at(50.0), 1), Fixed(at(99.0), 1));
+            occupied.push(vec![Text(r.scheme.clone()), p50, p99]);
         }
-        out
+        let title = "Fig 11b: tail FCT with/without the high-priority queue (80% + 5%), T1";
+        vec![p99_table(title, &results), occupied]
     }
 }
 
@@ -702,35 +657,27 @@ pub mod fig12 {
 
     /// Queue counts swept.
     pub fn queue_counts(scale: &Scale) -> Vec<usize> {
-        if scale.full {
-            vec![8, 16, 32, 64, 128]
-        } else {
-            vec![8, 32]
-        }
+        scale.pick(vec![8, 16, 32, 64, 128], vec![8, 32])
     }
 
     /// Runs the sweep.
-    pub fn run(scale: &Scale) -> String {
-        let topo = scale.t1();
-        let trace = standard_trace(scale, &topo, Workload::Google, 0.60, 0.05);
-        let mut out = String::from(
-            "Fig 12: sensitivity to physical queues per port (BFC)\nqueues  collision%  overall p99 slowdown\n",
-        );
+    pub fn run(scale: &Scale) -> Vec<Table> {
+        let title = "Fig 12: sensitivity to physical queues per port (BFC)";
+        let mut table = Table::new(title, ["queues", "collision%", "overall p99 slowdown"]);
         let counts = queue_counts(scale);
         let configs: Vec<ExperimentConfig> = counts
             .iter()
             .map(|&queues| config_for(scale, Scheme::bfc()).with_queues_per_port(queues))
             .collect();
-        let results = scale.runner.run_experiments(&topo, &trace, &configs);
-        for (queues, result) in counts.iter().zip(&results) {
-            let p99 = result.fct.overall.as_ref().map(|o| o.p99).unwrap_or(f64::NAN);
-            out.push_str(&format!(
-                "{queues:>6}  {:>10.3}  {:>20.2}\n",
-                result.policy_stats.collision_fraction() * 100.0,
-                p99
-            ));
+        for (&queues, r) in counts.iter().zip(&run_t1(scale, GOOGLE_INCAST, &configs)) {
+            let collisions = Fixed(r.policy_stats.collision_fraction() * 100.0, 3);
+            table.push(vec![
+                Int(queues as u64),
+                collisions,
+                Fixed(overall_p99(r), 2),
+            ]);
         }
-        out
+        vec![table]
     }
 }
 
@@ -740,37 +687,23 @@ pub mod fig13 {
 
     /// VFID-space sizes swept.
     pub fn vfid_counts(scale: &Scale) -> Vec<u32> {
-        if scale.full {
-            vec![1024, 4096, 16_384, 65_536]
-        } else {
-            vec![64, 1024, 16_384]
-        }
+        scale.pick(vec![1024, 4096, 16_384, 65_536], vec![64, 1024, 16_384])
     }
 
     /// Runs the sweep.
-    pub fn run(scale: &Scale) -> String {
-        let topo = scale.t1();
-        let trace = standard_trace(scale, &topo, Workload::Google, 0.60, 0.05);
-        let mut out = String::from(
-            "Fig 13: sensitivity to the number of VFIDs (BFC)\nvfids   overflow%  overall p99 slowdown\n",
-        );
+    pub fn run(scale: &Scale) -> Vec<Table> {
+        let title = "Fig 13: sensitivity to the number of VFIDs (BFC)";
+        let mut table = Table::new(title, ["vfids", "overflow%", "overall p99 slowdown"]);
         let counts = vfid_counts(scale);
-        let configs: Vec<ExperimentConfig> = counts
+        let schemes = counts
             .iter()
-            .map(|&vfids| {
-                config_for(scale, Scheme::Bfc(BfcConfig::default().with_num_vfids(vfids)))
-            })
-            .collect();
-        let results = scale.runner.run_experiments(&topo, &trace, &configs);
-        for (vfids, result) in counts.iter().zip(&results) {
-            let p99 = result.fct.overall.as_ref().map(|o| o.p99).unwrap_or(f64::NAN);
-            out.push_str(&format!(
-                "{vfids:>6}  {:>9.4}  {:>20.2}\n",
-                result.policy_stats.overflow_fraction() * 100.0,
-                p99
-            ));
+            .map(|&n| Scheme::Bfc(BfcConfig::default().with_num_vfids(n)));
+        let configs = configs_for(scale, schemes);
+        for (&vfids, r) in counts.iter().zip(&run_t1(scale, GOOGLE_INCAST, &configs)) {
+            let overflows = Fixed(r.policy_stats.overflow_fraction() * 100.0, 4);
+            table.push(vec![Int(vfids.into()), overflows, Fixed(overall_p99(r), 2)]);
         }
-        out
+        vec![table]
     }
 }
 
@@ -784,28 +717,19 @@ pub mod fig14 {
     }
 
     /// Runs the sweep.
-    pub fn run(scale: &Scale) -> String {
-        let topo = scale.t1();
-        let trace = standard_trace(scale, &topo, Workload::Google, 0.60, 0.05);
-        let mut out = String::from(
-            "Fig 14: sensitivity to pause-frame bloom filter size (BFC)\nbloom(B)  overall p99 slowdown  pauses\n",
-        );
+    pub fn run(scale: &Scale) -> Vec<Table> {
+        let title = "Fig 14: sensitivity to pause-frame bloom filter size (BFC)";
+        let mut table = Table::new(title, ["bloom(B)", "overall p99 slowdown", "pauses"]);
         let sizes = bloom_sizes();
-        let configs: Vec<ExperimentConfig> = sizes
+        let schemes = sizes
             .iter()
-            .map(|&bytes| {
-                config_for(scale, Scheme::Bfc(BfcConfig::default().with_bloom_bytes(bytes)))
-            })
-            .collect();
-        let results = scale.runner.run_experiments(&topo, &trace, &configs);
-        for (bytes, result) in sizes.iter().zip(&results) {
-            let p99 = result.fct.overall.as_ref().map(|o| o.p99).unwrap_or(f64::NAN);
-            out.push_str(&format!(
-                "{bytes:>8}  {:>20.2}  {:>6}\n",
-                p99, result.policy_stats.pauses
-            ));
+            .map(|&b| Scheme::Bfc(BfcConfig::default().with_bloom_bytes(b)));
+        let configs = configs_for(scale, schemes);
+        for (&bytes, r) in sizes.iter().zip(&run_t1(scale, GOOGLE_INCAST, &configs)) {
+            let pauses = Int(r.policy_stats.pauses);
+            table.push(vec![Int(bytes as u64), Fixed(overall_p99(r), 2), pauses]);
         }
-        out
+        vec![table]
     }
 }
 
@@ -818,14 +742,7 @@ pub mod failure_sweep {
 
     /// The schemes compared by the sweep.
     pub fn schemes() -> Vec<Scheme> {
-        vec![
-            Scheme::bfc(),
-            Scheme::Dcqcn {
-                window: true,
-                sfq: false,
-            },
-            Scheme::Hpcc,
-        ]
+        vec![Scheme::bfc(), DCQCN_WIN, Scheme::Hpcc]
     }
 
     /// The three canonical scenario shapes at this scale, over the t2-style
@@ -855,90 +772,88 @@ pub mod failure_sweep {
         vec![0, 1, 2]
     }
 
-    /// One recovery-results row, shared with `trace-tool scenario` so the
-    /// figure and the CLI cannot drift apart.
-    pub fn result_row(label: &str, result: &ExperimentResult) -> String {
-        let p99 = result
-            .fct
-            .overall
-            .as_ref()
-            .map(|o| o.p99)
-            .unwrap_or(f64::NAN);
-        let ttr = result
-            .recovery
-            .time_to_recover
-            .map(|d| format!("{:.1}", d.as_micros_f64()))
-            .unwrap_or_else(|| "-".to_string());
-        format!(
-            "{:<16} {:>15} {:>11} {:>9.2} {:>11} {:>9} {:>8} {:>7.2}\n",
-            result.scheme,
-            label,
-            format!("{}/{}", result.completed_flows, result.total_flows),
-            p99,
-            result.recovery.blackholed_packets,
-            result.recovery.reroutes,
-            ttr,
-            result.recovery.goodput_dip_depth,
-        )
+    /// An empty recovery-results table, shared with `trace-tool scenario` so
+    /// the figure and the CLI cannot drift apart; [`recovery_row`] fills it.
+    pub fn recovery_table(title: &str) -> Table {
+        let columns = [
+            "scheme",
+            "shape",
+            "completed",
+            "fct p99",
+            "blackholed",
+            "reroutes",
+            "ttr(us)",
+            "dip",
+        ];
+        Table::new(title, columns)
     }
 
-    /// Header matching [`result_row`]'s columns.
-    pub const HEADER: &str = "scheme                     shape   completed   fct p99  blackholed  reroutes  ttr(us)     dip\n";
+    /// One row of a [`recovery_table`]: `result` under the fault shape `label`.
+    pub fn recovery_row(label: &str, result: &ExperimentResult) -> Vec<Cell> {
+        let recovery = &result.recovery;
+        let ttr = recovery
+            .time_to_recover
+            .map(|d| Fixed(d.as_micros_f64(), 1));
+        vec![
+            Text(result.scheme.clone()),
+            Text(label.to_string()),
+            Text(format!("{}/{}", result.completed_flows, result.total_flows)),
+            Fixed(overall_p99(result), 2),
+            Int(recovery.blackholed_packets),
+            Int(recovery.reroutes),
+            ttr.unwrap_or(Text("-".to_string())),
+            Fixed(recovery.goodput_dip_depth, 2),
+        ]
+    }
 
-    /// Runs the shape comparison and the failure-rate sweep.
-    pub fn run(scale: &Scale) -> String {
+    /// Runs `scale`'s background trace on the T2 topology under each
+    /// schedule with every scheme, scheme-fastest, as rows labelled by
+    /// schedule.
+    fn sweep(scale: &Scale, mut table: Table, schedules: Vec<(String, ScenarioSpec)>) -> Table {
         let topo = scale.t2();
-        let trace = standard_trace(scale, &topo, Workload::Google, 0.60, 0.0);
-        let mut out = String::from("Fig 15a: recovery under three failure shapes\n");
-        out.push_str(HEADER);
-
-        let shapes = shapes(scale);
-        let jobs: Vec<(usize, Scheme)> = (0..shapes.len())
+        let trace = standard_trace(scale, &topo, (Workload::Google, 0.60, 0.0));
+        let jobs: Vec<(usize, Scheme)> = (0..schedules.len())
             .flat_map(|i| schemes().into_iter().map(move |s| (i, s)))
             .collect();
-        let results = scale.runner.run_all(&jobs, |(shape, scheme)| {
-            let schedule = shapes[*shape]
+        let results = scale.runner.run_all(&jobs, |(i, scheme)| {
+            let schedule = schedules[*i]
                 .1
                 .resolve(&topo)
-                .expect("shape labels exist in the sweep topology");
+                .expect("sweep labels exist in T2");
             let config = config_for(scale, scheme.clone()).with_dynamics(schedule);
             scale.runner.run_experiment(&topo, &trace, &config)
         });
-        for ((shape, _), result) in jobs.iter().zip(&results) {
-            out.push_str(&result_row(shapes[*shape].0, result));
+        for ((i, _), result) in jobs.iter().zip(&results) {
+            table.push(recovery_row(&schedules[*i].0, result));
         }
+        table
+    }
 
-        out.push_str("\nFig 15b: FCT tail vs number of failed core links\n");
-        out.push_str(HEADER);
+    /// Runs the shape comparison and the failure-rate sweep.
+    pub fn run(scale: &Scale) -> Vec<Table> {
+        let shapes = shapes(scale)
+            .into_iter()
+            .map(|(name, spec)| (name.to_string(), spec));
+        let by_shape = recovery_table("Fig 15a: recovery under three failure shapes");
         let d = scale.duration();
-        let counts = failure_counts();
-        let jobs: Vec<(usize, Scheme)> = counts
-            .iter()
-            .flat_map(|&k| schemes().into_iter().map(move |s| (k, s)))
-            .collect();
-        let results = scale.runner.run_all(&jobs, |(k, scheme)| {
+        let downs = failure_counts().into_iter().map(|k| {
             let mut spec = ScenarioSpec::new();
-            for link in 0..*k {
-                let tor = format!("tor{link}");
-                let spine = format!("spine{link}");
+            for link in 0..k {
+                let (tor, spine) = (format!("tor{link}"), format!("spine{link}"));
                 spec = spec
                     .down(d / 4, tor.clone(), spine.clone())
                     .up(d * 3 / 5, tor, spine);
             }
-            let schedule = spec
-                .resolve(&topo)
-                .expect("swept links exist in the sweep topology");
-            let config = config_for(scale, scheme.clone()).with_dynamics(schedule);
-            scale.runner.run_experiment(&topo, &trace, &config)
+            (format!("{k} links down"), spec)
         });
-        for ((k, _), result) in jobs.iter().zip(&results) {
-            out.push_str(&result_row(&format!("{k} links down"), result));
-        }
-        out.push_str(
-            "(p99 FCT slowdown over non-incast flows; blackholed = packets lost to dead \
-             links/routes; ttr = goodput recovery time after the last fault)\n",
-        );
-        out
+        let note = "(p99 FCT slowdown over non-incast flows; blackholed = packets lost to \
+                    dead links/routes; ttr = goodput recovery time after the last fault)";
+        let by_count =
+            recovery_table("Fig 15b: FCT tail vs number of failed core links").with_note(note);
+        vec![
+            sweep(scale, by_shape, shapes.collect()),
+            sweep(scale, by_count, downs.collect()),
+        ]
     }
 }
 
@@ -946,64 +861,21 @@ pub mod failure_sweep {
 mod tests {
     use super::*;
 
-    // These tests run every figure at quick scale: they are the end-to-end
-    // regression suite for the whole evaluation pipeline.
-
-    #[test]
-    fn fig01_static_table() {
-        let t = fig01::run();
-        assert!(t.contains("Tomahawk3"));
-        // Buffer-per-capacity must be falling across generations.
-        assert!(t.lines().count() >= 6);
-    }
-
-    #[test]
-    fn fig04_byte_weighted_cdfs() {
-        let t = fig04::run();
-        for name in ["Google", "FB_Hadoop", "WebSearch"] {
-            assert!(t.contains(name));
-        }
-    }
-
-    #[test]
-    fn fig05_panel_runs_and_contains_all_schemes() {
-        let t = fig05::run_google_incast(&Scale::quick());
-        for scheme in ["BFC", "Ideal-FQ", "DCQCN", "DCQCN+Win", "HPCC", "DCQCN+Win+SFQ"] {
-            assert!(t.contains(scheme), "missing {scheme} in:\n{t}");
-        }
-    }
-
-    #[test]
-    fn fig08_reports_all_fan_ins() {
-        let scale = Scale::quick();
-        let t = fig08::run(&scale);
-        for f in fig08::fan_ins(&scale) {
-            assert!(t.contains(&format!("{f:>6}")), "fan-in {f} missing:\n{t}");
-        }
-    }
-
-    #[test]
-    fn fig10_reports_both_variants() {
-        let t = fig10::run(&Scale::quick());
-        assert!(t.contains("BFC-BufferOpt"));
-        assert!(t.contains("BFC "));
-    }
-
+    /// Bursty background arrivals and log-normal incast gaps reach the
+    /// sweeps: the Fig. 5a panel still runs the whole lineup under them.
     #[test]
     fn sweeps_accept_bursty_and_clustered_incast_scales() {
         let mut scale = Scale::quick();
         scale.arrivals = ArrivalShape::bursty_default();
         scale.incast_schedule = IncastSchedule::LogNormalGaps { sigma: 1.0 };
         let t = fig05::run_google_incast(&scale);
-        assert!(t.contains("BFC"), "bursty sweep must still run:\n{t}");
-    }
-
-    #[test]
-    fn fig12_and_fig13_sweeps_run() {
-        let scale = Scale::quick();
-        let t12 = fig12::run(&scale);
-        assert!(t12.contains("queues"));
-        let t13 = fig13::run(&scale);
-        assert!(t13.contains("vfids"));
+        let lineup: Vec<Cell> = Scheme::paper_lineup()
+            .iter()
+            .map(|s| Text(s.name()))
+            .collect();
+        assert_eq!(
+            t.column("scheme \\ size"),
+            lineup.iter().collect::<Vec<_>>()
+        );
     }
 }

@@ -47,9 +47,13 @@
 //!   ([`service::serve_experiment`]); `trace-tool`'s
 //!   `snapshot` / `resume` / `serve` subcommands are its CLI front end.
 //! * [`figures`] — one module per paper table/figure. Each `run` function
-//!   regenerates the corresponding rows/series; [`figures::FIGURES`] lists
-//!   them for the `fig` binary (`fig <NN|all>`), and `bfc-bench` and the
-//!   smoke tests call the same functions with scaled-down parameters.
+//!   regenerates the figure's [`table::Table`]s; [`figures::FIGURES`] lists
+//!   them for the `fig` binary (`fig <NN|all>`), and the smoke tests
+//!   (`tests/fig_smoke.rs`) call the same functions at quick scale and read
+//!   the tables' cells.
+//! * [`table`] — a results table as data, and the one renderer that pads
+//!   its cells: every figure and every `trace-tool` results table prints
+//!   through it.
 //! * [`cli`] — the command-line shell as a library: one pull parser
 //!   ([`cli::Args`]), an output pair ([`cli::Io`]) and every `trace-tool` /
 //!   `fig` command as a function of the two, so the binaries are a dozen
@@ -71,6 +75,7 @@ pub mod scenario;
 pub mod scheme;
 pub mod service;
 pub mod sharded;
+pub mod table;
 
 pub use fuzz::{FuzzConfig, FuzzOutcome, Objective, Reproducer};
 pub use parallel::ParallelRunner;

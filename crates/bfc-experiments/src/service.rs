@@ -62,7 +62,7 @@
 //! that, at scrape time. [`spawn_scrape_server`] puts the hub on a TCP
 //! socket.
 
-use std::io::{BufRead as _, BufReader, Write as _};
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -76,7 +76,7 @@ use bfc_sim::snapshot::{self, checksum64, Snap, SnapError, SnapReader, SnapWrite
 use bfc_sim::rng::mix64;
 use bfc_sim::{EventQueue, SimTime};
 use bfc_transport::Host;
-use bfc_workloads::ingest::{IngestError, IngestSource};
+use bfc_workloads::ingest::{IngestError, IngestSource, MAX_LINE_BYTES};
 use bfc_workloads::TraceFlow;
 
 use crate::engine::Engine;
@@ -580,22 +580,28 @@ pub fn spawn_scrape_server(addr: &str, hub: &MetricsHub) -> std::io::Result<Sock
 /// exposition (terminated by a `# EOF` line) is written immediately, then
 /// once more — the hub's text for its latest publish — for every
 /// newline-terminated request line the client sends. Returns when the peer
-/// closes, a write fails or a write blocks past [`SCRAPE_WRITE_TIMEOUT`].
+/// closes, a write fails, a write blocks past [`SCRAPE_WRITE_TIMEOUT`] or a
+/// request line runs past [`MAX_LINE_BYTES`].
 fn serve_scrapes(mut conn: TcpStream, hub: &MetricsHub) {
     if conn.set_write_timeout(Some(SCRAPE_WRITE_TIMEOUT)).is_err() {
         return;
     }
     let Ok(read_half) = conn.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
+    let mut line = Vec::new();
     loop {
         let mut text = hub.render();
         text.push_str("# EOF\n");
         if conn.write_all(text.as_bytes()).is_err() || conn.flush().is_err() {
             return;
         }
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
+        // A request line is read one byte past the cap at most; a line that
+        // long is refused by closing the connection.
+        line.clear();
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(cap).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => return,
+            Ok(_) if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") => return,
             Ok(_) => {}
         }
     }
@@ -860,5 +866,42 @@ mod tests {
             "# TYPE bfc_flows_admitted counter\nbfc_flows_admitted 3\n\
              # TYPE bfc_flows_completed counter\nbfc_flows_completed 2\n"
         );
+    }
+
+    #[test]
+    fn a_scrape_request_line_past_the_cap_closes_only_that_connection() {
+        let hub = MetricsHub::new();
+        let mut registry = MetricsRegistry::new();
+        registry.add_counter("bfc_flows_admitted", 1);
+        hub.publish(&registry);
+        let addr = spawn_scrape_server("127.0.0.1:0", &hub).expect("bind a free port");
+        let connect = || {
+            let conn = TcpStream::connect(addr).expect("the listener accepts");
+            conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .expect("set timeout");
+            BufReader::new(conn)
+        };
+        let first_render = |reader: &mut BufReader<TcpStream>| {
+            let mut text = String::new();
+            while !text.ends_with("# EOF\n") {
+                let read = reader.read_line(&mut text).expect("a render within the timeout");
+                assert!(read > 0, "closed before the first render: {text}");
+            }
+            text
+        };
+        let mut flooder = connect();
+        assert_eq!(first_render(&mut flooder), registry.expose() + "# EOF\n");
+        // One byte past the cap and no newline: the server must neither
+        // buffer on nor answer, but hang up.
+        let flood = vec![b'x'; MAX_LINE_BYTES + 1];
+        flooder.get_mut().write_all(&flood).expect("send the flood");
+        let mut rest = Vec::new();
+        flooder
+            .read_to_end(&mut rest)
+            .expect("the server closes the connection instead of waiting for a newline");
+        assert!(rest.is_empty(), "no scrape for an over-long request line");
+        // The server itself serves on.
+        let mut second = connect();
+        assert_eq!(first_render(&mut second), registry.expose() + "# EOF\n");
     }
 }

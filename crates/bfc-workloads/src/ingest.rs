@@ -15,22 +15,30 @@
 //! Both sources speak the exact trace-CSV format of [`crate::io`] (header
 //! line first, rows sorted by `start_ns`), driven through the incremental
 //! [`CsvParser`] so every malformed line is rejected with its 1-based line
-//! number, exactly like the batch import path.
+//! number, exactly like the batch import path. A line is read at most
+//! [`MAX_LINE_BYTES`] at a time, so a feeder that never sends a newline
+//! ends the stream with an error instead of growing a buffer.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::time::Duration;
 
-use crate::io::{CsvError, CsvParser};
+use crate::io::{CsvError, CsvErrorKind, CsvParser};
 use crate::trace::TraceFlow;
 
 /// The comment line a feeder writes to terminate a followed ingest stream
 /// (`CsvTail` in follow mode has no other end-of-input signal, since a plain
 /// file cannot report "writer closed").
 pub const INGEST_END_MARKER: &str = "#end";
+
+/// The longest line a streamed source accepts, in bytes (a trace row is
+/// under 70): a longer one is a [`CsvErrorKind::LineTooLong`] error, found
+/// after at most one byte more than this has been buffered. The metrics
+/// scrape server bounds its request lines by the same cap.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// How a streaming source can fail.
 #[derive(Debug)]
@@ -74,29 +82,31 @@ pub trait IngestSource {
 /// Incremental line assembly + CSV parsing shared by both sources: bytes go
 /// in (possibly mid-line), complete rows come out as flows. Partial lines are
 /// held back until their terminator arrives, so a feeder that writes a row in
-/// two chunks never produces a spurious parse error.
+/// two chunks never produces a spurious parse error; a partial line is never
+/// allowed past [`MAX_LINE_BYTES`].
 #[derive(Debug, Default)]
 struct LineAssembler {
     parser: CsvParser,
     ready: VecDeque<TraceFlow>,
-    pending: String,
+    pending: Vec<u8>,
     /// Set by the end marker or a final end of input; nothing is read after.
     ended: bool,
 }
 
 impl LineAssembler {
     /// The ingest loop both sources run. A ready flow is returned first;
-    /// after the end, `Ok(None)`. Otherwise one line is read with
-    /// `read_line` and fed to the parser. At end of input (`read_line`
-    /// returns 0) a source that may still grow (`poll_at_eof` is `Some`)
-    /// waits that long and reads again; any other source flushes its
-    /// unterminated last line and ends.
+    /// after the end, `Ok(None)`. Otherwise `read(buf, limit)` appends at
+    /// most `limit` bytes through the next `\n` and returns how many, the
+    /// limit leaving room for one byte past [`MAX_LINE_BYTES`]; a line that
+    /// reaches that byte without a terminator is an error. At end of
+    /// input (`read` returns 0) a source that may still grow (`poll_at_eof`
+    /// is `Some`) waits that long and reads again; any other source flushes
+    /// its unterminated last line and ends.
     fn next_flow(
         &mut self,
-        mut read_line: impl FnMut(&mut String) -> std::io::Result<usize>,
+        mut read: impl FnMut(&mut Vec<u8>, usize) -> std::io::Result<usize>,
         poll_at_eof: Option<Duration>,
     ) -> Result<Option<TraceFlow>, IngestError> {
-        let mut chunk = String::new();
         loop {
             if let Some(flow) = self.ready.pop_front() {
                 return Ok(Some(flow));
@@ -104,50 +114,50 @@ impl LineAssembler {
             if self.ended {
                 return Ok(None);
             }
-            chunk.clear();
-            if read_line(&mut chunk)? == 0 {
+            let room = MAX_LINE_BYTES + 1 - self.pending.len();
+            if read(&mut self.pending, room)? == 0 {
                 match poll_at_eof {
                     Some(interval) => std::thread::sleep(interval),
                     None => {
-                        self.flush()?;
+                        self.consume_pending()?;
                         self.ended = true;
                     }
                 }
-                continue;
+            } else if self.pending.ends_with(b"\n") {
+                self.consume_pending()?;
+            } else if self.pending.len() > MAX_LINE_BYTES {
+                return Err(IngestError::Csv(CsvError {
+                    line: self.parser.lines() + 1,
+                    kind: CsvErrorKind::LineTooLong {
+                        limit: MAX_LINE_BYTES,
+                    },
+                }));
             }
-            self.feed(&chunk)?;
         }
     }
 
-    /// Feeds one `read_line` result (which keeps the `\n` except at EOF).
-    /// Lines are only parsed once complete; the end marker short-circuits.
-    fn feed(&mut self, chunk: &str) -> Result<(), CsvError> {
-        self.pending.push_str(chunk);
-        if !self.pending.ends_with('\n') {
-            return Ok(());
-        }
-        let line = std::mem::take(&mut self.pending);
-        self.consume_line(line.trim_end_matches(['\n', '\r']))
-    }
-
-    /// Force-parses whatever is buffered (final unterminated line at a true
-    /// end of input).
-    fn flush(&mut self) -> Result<(), CsvError> {
+    /// Parses the buffered line (terminated, or the unterminated last line
+    /// at a true end of input), if any, and empties the buffer for the next;
+    /// the end marker short-circuits.
+    fn consume_pending(&mut self) -> Result<(), IngestError> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let line = std::mem::take(&mut self.pending);
-        self.consume_line(line.trim_end_matches(['\n', '\r']))
-    }
-
-    fn consume_line(&mut self, line: &str) -> Result<(), CsvError> {
-        if line.trim() == INGEST_END_MARKER {
-            self.ended = true;
-            return Ok(());
-        }
-        self.parser.push_line(line)?;
+        let parsed = match std::str::from_utf8(&self.pending) {
+            Err(e) => Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e).into()),
+            Ok(text) => {
+                let line = text.trim_end_matches(['\n', '\r']);
+                if line.trim() == INGEST_END_MARKER {
+                    self.ended = true;
+                    Ok(())
+                } else {
+                    self.parser.push_line(line).map_err(IngestError::from)
+                }
+            }
+        };
+        self.pending.clear();
         self.ready.extend(self.parser.take_flows());
-        Ok(())
+        parsed
     }
 }
 
@@ -187,8 +197,10 @@ impl IngestSource for CsvTail {
     fn next_flow(&mut self) -> Result<Option<TraceFlow>, IngestError> {
         let reader = &mut self.reader;
         let poll_at_eof = self.follow.then_some(self.poll_interval);
-        self.lines
-            .next_flow(|line| reader.read_line(line), poll_at_eof)
+        let read = |buf: &mut Vec<u8>, limit: usize| {
+            reader.by_ref().take(limit as u64).read_until(b'\n', buf)
+        };
+        self.lines.next_flow(read, poll_at_eof)
     }
 }
 
@@ -225,17 +237,16 @@ impl SocketIngest {
 impl IngestSource for SocketIngest {
     fn next_flow(&mut self) -> Result<Option<TraceFlow>, IngestError> {
         let (listener, conn) = (&self.listener, &mut self.conn);
-        let read_line = |line: &mut String| {
+        let read = |buf: &mut Vec<u8>, limit: usize| {
             if conn.is_none() {
                 let (stream, _peer) = listener.accept()?;
                 *conn = Some(BufReader::new(stream));
             }
-            conn.as_mut()
-                .expect("connection accepted above")
-                .read_line(line)
+            let reader = conn.as_mut().expect("connection accepted above");
+            reader.take(limit as u64).read_until(b'\n', buf)
         };
         // The feeder closing its side is the end of input.
-        self.lines.next_flow(read_line, None)
+        self.lines.next_flow(read, None)
     }
 }
 
@@ -408,5 +419,62 @@ mod tests {
             other => panic!("expected a line-3 CSV error, got {other:?}"),
         }
         feeder.join().expect("feeder thread");
+    }
+
+    /// The first answer of `source.next_flow()`, waited for at most 10 s:
+    /// a source that keeps buffering a line with no end never answers.
+    fn answer_in_time<S: IngestSource + Send + 'static>(
+        mut source: S,
+    ) -> Result<Option<TraceFlow>, IngestError> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let consumer = std::thread::spawn(move || tx.send(source.next_flow()));
+        let answer = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("an over-long line ends the stream instead of hanging");
+        consumer.join().expect("the consumer does not panic").expect("answer received");
+        answer
+    }
+
+    fn assert_too_long(answer: Result<Option<TraceFlow>, IngestError>) {
+        match answer {
+            Err(IngestError::Csv(e)) => {
+                assert_eq!(e.line, 2);
+                let limit = MAX_LINE_BYTES;
+                assert_eq!(e.kind, CsvErrorKind::LineTooLong { limit });
+                assert_eq!(e.to_string(), format!("line 2: line is longer than {limit} bytes"));
+            }
+            other => panic!("expected a line-2 over-long line error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_socket_feeder_that_never_ends_its_line_is_cut_off_at_the_cap() {
+        let (source, addr) = SocketIngest::bind("127.0.0.1:0").expect("bind");
+        let (done, consumer_done) = std::sync::mpsc::channel::<()>();
+        let feeder = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            writeln!(stream, "{TRACE_CSV_HEADER}").expect("send the header");
+            stream
+                .write_all(&vec![b'7'; MAX_LINE_BYTES + 1])
+                .expect("send an endless line");
+            // Stay connected: the end of input must not be what ends it.
+            let _ = consumer_done.recv_timeout(Duration::from_secs(10));
+        });
+        assert_too_long(answer_in_time(source));
+        done.send(()).expect("feeder waiting");
+        feeder.join().expect("feeder thread");
+    }
+
+    #[test]
+    fn a_followed_file_that_never_ends_its_line_is_cut_off_at_the_cap() {
+        let path = tmp_path("endless");
+        let mut text = format!("{TRACE_CSV_HEADER}\n").into_bytes();
+        text.extend(vec![b'7'; MAX_LINE_BYTES + 1]);
+        std::fs::write(&path, text).expect("write trace");
+        let tail = CsvTail::open(&path, true)
+            .expect("open")
+            .with_poll_interval(Duration::from_millis(1));
+        assert_too_long(answer_in_time(tail));
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -97,6 +97,12 @@ pub enum CsvErrorKind {
     /// The row's `start_ns` was earlier than the previous row's, violating
     /// the sortedness contract.
     UnsortedStart,
+    /// A streamed line ran past the ingest line cap with no terminator (see
+    /// `ingest::MAX_LINE_BYTES`); nothing past the cap was buffered.
+    LineTooLong {
+        /// The cap, in bytes.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for CsvError {
@@ -126,6 +132,9 @@ impl fmt::Display for CsvError {
                 f,
                 "start_ns is earlier than the previous row (rows must be sorted)"
             ),
+            CsvErrorKind::LineTooLong { limit } => {
+                write!(f, "line is longer than {limit} bytes")
+            }
         }
     }
 }
@@ -359,6 +368,11 @@ impl CsvParser {
             is_incast,
         });
         Ok(())
+    }
+
+    /// Lines consumed so far: the next line is number `lines() + 1`.
+    pub fn lines(&self) -> usize {
+        self.line
     }
 
     /// Drains the flows parsed so far without consuming the parser, so a

@@ -10,7 +10,12 @@
 #      (a few seconds once built). It flags std APIs stabilized after that
 #      version; no older toolchain is installed, so language features and
 #      the compiler itself are not checked
-#   3. the unit tests tier-1 leaves out and a change is most likely to need:
+#   3. rustfmt --check over an explicit list of files that are kept
+#      rustfmt-clean: the list grows as files are rewritten, until a
+#      whole-tree `cargo fmt --all -- --check` (ROADMAP item 5) replaces it.
+#      A listed file must declare no out-of-line module, since rustfmt checks
+#      those too (so `cli.rs`, with its `cli/` submodules, is not listed)
+#   4. the unit tests tier-1 leaves out and a change is most likely to need:
 #      the bfc-testkit harness's own; bfc-sim's — the epoch barrier (nobody
 #      released early, nobody lapped, abort in every wait stage) and the
 #      epoch driver's ring tests live there (2.4 s); the packet path's, under
@@ -21,20 +26,20 @@
 #      `config.rs`), bfc-metrics (`safety.rs`, `series.rs`, `recovery.rs`,
 #      the registry) and bfc-workloads (the CSV parser, the CSV tail and
 #      socket ingest sources, the synthesized trace's input check);
-#      bfc-experiments' own (about 8 s in debug: the end-of-run assembly,
-#      the serve loop and metrics hub in `service.rs`, the `.scn`
-#      reproducer's header checks); and the two CLI gates that need a
-#      process of their own
+#      bfc-experiments' own (about 3 s in debug: the end-of-run assembly,
+#      the serve loop, metrics hub and scrape server in `service.rs`, the
+#      results-table renderer, the `.scn` reproducer's header checks); and
+#      the two CLI gates that need a process of their own
 #      (`crates/bfc-experiments/tests/cli_flags.rs`: a malformed
 #      `BFC_THREADS`, a safety violation's flight dump into a private
 #      working directory)
-#   4. with --workspace: every crate's unit tests
-#   5. the repo's benchmark (`benchmark/`, read here, never edited): its own
+#   5. with --workspace: every crate's unit tests
+#   6. the repo's benchmark (`benchmark/`, read here, never edited): its own
 #      tests — one of which pins the umbrella-crate API surface it calls —
 #      and its `--quick` smoke, which runs all four workloads with every
 #      digest and resume check on, so a change that breaks either fails
 #      here before the pipeline sees it
-#   6. bfc-bench's own tests (the harness's statistics and its command line,
+#   7. bfc-bench's own tests (the harness's statistics and its command line,
 #      which otherwise run only under --workspace) and the two quick
 #      DRR-pick microbenchmarks, so the measuring tool cannot rot unbuilt and
 #      their set-up assertions (paused and all-paused ports) run; it prints a
@@ -58,6 +63,13 @@ cargo test -q
 
 echo "== MSRV: cargo clippy, incompatible_msrv only"
 cargo clippy -q --workspace --all-targets -- -A clippy::all -D clippy::incompatible_msrv
+
+echo "== format: rustfmt --check over the files kept rustfmt-clean"
+rustfmt --check --edition 2021 \
+    crates/bfc-experiments/src/figures.rs \
+    crates/bfc-experiments/src/table.rs \
+    tests/fig_smoke.rs \
+    tests/example_smoke.rs
 
 echo "== testkit, bfc-sim, packet-path, ingest and bfc-experiments unit tests + spawned CLI gates"
 cargo test -q -p bfc-testkit

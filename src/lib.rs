@@ -42,9 +42,10 @@
 //! ```
 //!
 //! The runnable examples in `examples/` show the same flow end to end
-//! (`quickstart`, `incast_collapse`, `cross_datacenter`, `scheme_comparison`,
-//! `trace_replay`), `cargo run --release -p bfc-experiments --bin fig -- 05`
-//! (`fig <NN|all> [--full]`) regenerates the paper's figures, and `cargo run
+//! (`quickstart`) and a CSV trace's round trip (`trace_replay`),
+//! `cargo run --release -p bfc-experiments --bin fig -- 05`
+//! (`fig <NN|all> [--full]`) regenerates the paper's figures — the scheme
+//! comparisons among them — and `cargo run
 //! --release -p bfc-experiments --bin trace-tool` synthesizes, summarizes
 //! and replays CSV traces (see the README's "Trace I/O and replay"
 //! section).

@@ -353,6 +353,24 @@ fn the_shard_count_changes_no_figure() {
     assert!(sharded.out == serial.out, "--shards 2 changed fig 05");
 }
 
+/// `fig 01` is static data, so it runs instantly: its stdout pins the
+/// results-table layout byte for byte (column widths from the widest entry,
+/// numbers right-aligned, two spaces between columns, a blank line after).
+#[test]
+fn fig_01_prints_its_table_byte_for_byte() {
+    let ran = drive(cli::fig, &["01"]);
+    assert!(ran.ok && ran.err.is_empty(), "{}", ran.err);
+    assert_eq!(
+        ran.out,
+        "Fig 1: switch capacity vs buffer (Broadcom)\n\
+         chip       year  capacity(Tbps)  buffer(MB)  buffer/capacity(us)\n\
+         Trident2   2012            1.28        12.0                 75.0\n\
+         Tomahawk   2014            3.20        16.0                 40.0\n\
+         Tomahawk2  2016            6.40        42.0                 52.5\n\
+         Tomahawk3  2018           12.80        64.0                 40.0\n\n"
+    );
+}
+
 #[test]
 fn fixed_seed_fuzz_writes_the_same_reproducer_twice_and_replays_it() {
     let dir = Scratch::new("fuzz");
@@ -851,6 +869,26 @@ fn an_unbounded_drain_is_refused_by_every_command_that_takes_the_flag() {
         "a refusal must not simulate first"
     );
     assert!(!Path::new(&out).exists());
+}
+
+/// A tailed line with no end is refused at the ingest cap with one short
+/// line, not buffered to the end of the file and echoed back.
+#[test]
+fn serve_refuses_a_line_past_the_ingest_cap() {
+    let dir = Scratch::new("long-line");
+    let csv = dir.path("endless.csv");
+    std::fs::write(&csv, vec![b'x'; 64 * 1024 + 1]).expect("write csv");
+    let ran = trace_tool(&["serve", "--tail", &csv]);
+    assert!(!ran.ok && ran.out.is_empty(), "an endless line must be refused");
+    let ours: Vec<&str> = ran
+        .err
+        .lines()
+        .filter(|l| l.starts_with("trace-tool:"))
+        .collect();
+    assert_eq!(
+        ours,
+        ["trace-tool: serve: ingest csv: line 1: line is longer than 65536 bytes"]
+    );
 }
 
 /// A stderr several threads can read while a command writes it.

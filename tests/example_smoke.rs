@@ -1,20 +1,18 @@
-//! Smoke coverage for the runnable examples, in the style of
-//! `tests/fig_smoke.rs`: each test mirrors one example's pipeline (same
-//! topology shape, same schemes, same driver) at reduced scale, so the flows
-//! the examples exercise — all of which now route through `ParallelRunner` —
-//! cannot silently rot. (`cargo test` also compiles the example binaries
-//! themselves, so API drift fails the build outright.)
+//! Smoke coverage for the two runnable examples, the library's API tour
+//! (`quickstart`) and its CSV round trip (`trace_replay`): each test mirrors
+//! one example's pipeline (same topology shape, same scheme, same driver) at
+//! reduced scale, so the flows the examples exercise cannot silently rot.
+//! (`cargo test` also compiles the example binaries themselves, so API drift
+//! fails the build outright.) The paper's comparisons are figures, covered
+//! by `tests/fig_smoke.rs`.
 
 use backpressure_flow_control::experiments::{
     ExperimentConfig, ParallelRunner, ReplayTrace, Scheme,
 };
-use backpressure_flow_control::metrics::fct::{FctSummary, SizeBucket};
-use backpressure_flow_control::net::topology::{cross_dc, fat_tree, CrossDcParams, FatTreeParams};
-use backpressure_flow_control::net::Link;
+use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::sim::SimDuration;
 use backpressure_flow_control::workloads::{
-    concurrent_long_flows, cross_dc_trace, export_csv, synthesize, ArrivalShape, IncastSchedule,
-    TraceFlow, TraceParams, Workload,
+    export_csv, synthesize, ArrivalShape, IncastSchedule, TraceParams, Workload,
 };
 
 /// `examples/quickstart.rs`: one BFC run over a small incast-flavoured trace,
@@ -43,116 +41,10 @@ fn quickstart_pipeline_smoke() {
     assert_eq!(results.len(), 1);
     assert_eq!(results[0].completed_flows, results[0].total_flows);
     assert!(results[0].utilization > 0.0);
-    assert!(results[0].fct.overall.is_some(), "quickstart prints this table");
-}
-
-/// `examples/scheme_comparison.rs`: the paper lineup fanned over one trace.
-#[test]
-fn scheme_comparison_pipeline_smoke() {
-    let topo = fat_tree(FatTreeParams::tiny());
-    let duration = SimDuration::from_micros(150);
-    let trace = synthesize(
-        &topo.hosts(),
-        &TraceParams::background_only(Workload::Google, 0.5, duration, 7),
+    assert!(
+        results[0].fct.overall.is_some(),
+        "quickstart prints this table"
     );
-    let configs: Vec<ExperimentConfig> = Scheme::paper_lineup()
-        .into_iter()
-        .map(|scheme| ExperimentConfig::new(scheme, duration))
-        .collect();
-    let results = ParallelRunner::from_env().run_experiments(&topo, &trace, &configs);
-    assert_eq!(results.len(), Scheme::paper_lineup().len());
-    for (config, r) in configs.iter().zip(&results) {
-        assert_eq!(r.scheme, config.scheme.name(), "results stay in scheme order");
-        assert_eq!(r.completed_flows, r.total_flows, "{}", r.scheme);
-    }
-}
-
-/// `examples/incast_collapse.rs`: a (scheme, fan-in) grid of independent
-/// jobs through `ParallelRunner::run_all`.
-#[test]
-fn incast_collapse_pipeline_smoke() {
-    let topo = fat_tree(FatTreeParams::tiny());
-    let hosts = topo.hosts();
-    let receiver = hosts[0];
-    let duration = SimDuration::from_micros(200);
-    let jobs: Vec<(Scheme, usize)> = [Scheme::bfc(), Scheme::Dcqcn { window: true, sfq: false }]
-        .into_iter()
-        .flat_map(|scheme| [2usize, 4].into_iter().map(move |f| (scheme.clone(), f)))
-        .collect();
-    let results = ParallelRunner::from_env().run_all(&jobs, |(scheme, fan_in)| {
-        let trace = concurrent_long_flows(&hosts, receiver, *fan_in, 200_000);
-        let mut config = ExperimentConfig::new(scheme.clone(), duration);
-        config.drain = duration * 8;
-        backpressure_flow_control::experiments::run_experiment(&topo, &trace, &config)
-    });
-    assert_eq!(results.len(), jobs.len());
-    for ((scheme, _), r) in jobs.iter().zip(&results) {
-        assert_eq!(r.scheme, scheme.name());
-        assert_eq!(r.completed_flows, r.total_flows, "{}", r.scheme);
-    }
-}
-
-/// `examples/cross_datacenter.rs`: two DCs over a long-haul link, both
-/// schemes through the parallel driver, intra/inter split summarized.
-#[test]
-fn cross_datacenter_pipeline_smoke() {
-    let params = CrossDcParams {
-        dc: FatTreeParams {
-            num_tors: 2,
-            hosts_per_tor: 4,
-            num_spines: 2,
-            host_link: Link::new(10.0, SimDuration::from_micros(1)),
-            fabric_link: Link::new(10.0, SimDuration::from_micros(1)),
-        },
-        inter_dc_link: Link::new(100.0, SimDuration::from_micros(20)),
-    };
-    let built = cross_dc(params);
-    let duration = SimDuration::from_micros(600);
-    let trace = cross_dc_trace(
-        &built.dc0_hosts,
-        &built.dc1_hosts,
-        &TraceParams {
-            workload: Workload::FbHadoop,
-            load: 0.5,
-            incast_load: 0.0,
-            incast_fan_in: 0,
-            incast_total_bytes: 0,
-            duration,
-            host_gbps: 10.0,
-            seed: 11,
-            arrivals: ArrivalShape::paper_default(),
-            incast_schedule: IncastSchedule::paper_default(),
-        },
-        0.2,
-    );
-    let dc0: std::collections::HashSet<_> = built.dc0_hosts.iter().copied().collect();
-    let configs: Vec<ExperimentConfig> = [Scheme::bfc(), Scheme::Dcqcn { window: true, sfq: false }]
-        .into_iter()
-        .map(|scheme| ExperimentConfig::new(scheme, duration))
-        .collect();
-    for r in ParallelRunner::from_env().run_experiments(&built.topology, &trace, &configs) {
-        for inter in [false, true] {
-            let records: Vec<_> = r
-                .records
-                .iter()
-                .filter(|rec| {
-                    let f: &TraceFlow = &trace[rec.flow.index()];
-                    (dc0.contains(&f.src) != dc0.contains(&f.dst)) == inter
-                })
-                .copied()
-                .collect();
-            let summary = FctSummary::from_records_with_buckets(
-                &records,
-                &[SizeBucket { lo: 0, hi: u64::MAX }],
-            );
-            assert!(
-                summary.overall.is_some(),
-                "{}: {} traffic class must be populated",
-                r.scheme,
-                if inter { "inter-DC" } else { "intra-DC" }
-            );
-        }
-    }
 }
 
 /// `examples/trace_replay.rs`: export → import → replay is bit-identical.
