@@ -1,12 +1,13 @@
 //! `cargo run --release -p bfc-bench` — microbenchmarks of the simulator's
 //! hot paths that nothing else times: the event queue under the fabric's own
-//! delay mix, the BFC data structures (bloom filters, flow table), ports and
-//! buffers, the flight recorder's merge and container, and the epoch barrier
-//! at its two extremes. Prints a table; informational — it keeps no baseline
-//! and judges nothing. Whole runs, the routing computation, CSV import and
-//! export, FIFO forwarding at a ToR, the hot flow-table lookup and the plain
-//! hold model are timed by `benchmark/` (host-calibrated); exact costs are
-//! pinned by `tests/exact_costs.rs`.
+//! delay mix, the BFC data structures (bloom filters, flow table), routing
+//! (building the tables, one flow's ideal FCT), ports and buffers, the flight
+//! recorder's merge and container, and the epoch barrier at its two
+//! extremes. Prints a table; informational — it keeps no baseline and judges
+//! nothing. Whole runs, CSV import and export, FIFO forwarding at a ToR, the
+//! hot flow-table lookup and the plain hold model are timed by `benchmark/`
+//! (host-calibrated, as is the routing computation it judges); exact costs
+//! are pinned by `tests/exact_costs.rs`.
 //!
 //! Options:
 //!   --quick              fewer/shorter samples (for scripts/verify.sh)
@@ -44,6 +45,8 @@ const BENCHES: &[&str] = &[
     "pause_frame_insert_contains",
     "counting_bloom_cycle",
     "flow_table_insert_lookup_remove_1k",
+    "routing_compute_t1",
+    "routing_ideal_fct_t2",
     "switch_idle_port_hop",
     "bfc_policy_enqueue_dequeue_1k",
     "port_active_queue_count_32q",
@@ -139,6 +142,28 @@ fn bench_flow_table(h: &mut Harness) {
             black_box(t.lookup_or_insert(key));
         }
         t.len()
+    });
+}
+
+fn bench_routing(h: &mut Harness) {
+    // The tables every run builds, and rebuilds after each fault.
+    let t1 = fat_tree(FatTreeParams::t1());
+    h.bench("routing_compute_t1", || RoutingTables::compute(&t1));
+    // One flow's ideal FCT, the path walk a run pays per flow: iteration `i`
+    // goes from host i mod 64 to the host 1 + (i / 64 mod 63) places after
+    // it, so every ordered pair comes round, with size and flow hash varying
+    // as a trace's do.
+    let t2 = fat_tree(FatTreeParams::t2());
+    let routes = RoutingTables::compute(&t2);
+    let hosts = t2.hosts();
+    let n = hosts.len() as u64;
+    let mut i = 0u64;
+    h.bench("routing_ideal_fct_t2", || {
+        let src = i % n;
+        let dst = (src + 1 + (i / n) % (n - 1)) % n;
+        let size = 1_000 + (i * 7_919) % 1_000_000;
+        i += 1;
+        routes.ideal_fct(&t2, hosts[src as usize], hosts[dst as usize], size, i)
     });
 }
 
@@ -564,6 +589,7 @@ fn main() -> ExitCode {
     bench_fabric_mix(&mut h);
     bench_bloom(&mut h);
     bench_flow_table(&mut h);
+    bench_routing(&mut h);
     bench_switch_forwarding(&mut h);
     bench_port_counters(&mut h);
     bench_flight_trace(&mut h);

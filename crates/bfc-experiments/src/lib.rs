@@ -86,6 +86,6 @@ pub use scenario::{ScenarioError, ScenarioSpec};
 pub use scheme::Scheme;
 pub use service::{
     resume_experiment, serve_experiment, serve_experiment_with, snapshot_experiment,
-    spawn_scrape_server, MetricsHub, ServeReport, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    spawn_scrape_server, MetricsHub, ServeError, ServeReport, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use sharded::{run_experiment_sharded, ShardError, ShardPlan};

@@ -31,7 +31,7 @@ pub enum ReplayError {
     Csv(CsvError),
     /// The trace contains no flows.
     EmptyTrace,
-    /// A flow endpoint is not a host of the replay topology.
+    /// A flow endpoint is not a host of the topology.
     UnknownHost {
         /// Index of the offending flow in the trace.
         flow_index: usize,
@@ -50,7 +50,7 @@ impl fmt::Display for ReplayError {
             ReplayError::EmptyTrace => write!(f, "trace contains no flows"),
             ReplayError::UnknownHost { flow_index, node } => write!(
                 f,
-                "flow {flow_index} uses {node:?}, which is not a host of the replay topology"
+                "flow {flow_index} uses {node:?}, which is not a host of the topology"
             ),
             ReplayError::HorizonTooLong(horizon) => write!(
                 f,
@@ -74,6 +74,20 @@ impl From<TraceReadError> for ReplayError {
 impl From<CsvError> for ReplayError {
     fn from(e: CsvError) -> Self {
         ReplayError::Csv(e)
+    }
+}
+
+/// Checks that both endpoints of `flow`, the trace's flow `flow_index`, are
+/// hosts of `topo`: the one check of a flow from outside, whether a replayed
+/// trace holds it or a serve source streams it.
+pub(crate) fn check_endpoints(
+    topo: &Topology,
+    flow_index: usize,
+    flow: &TraceFlow,
+) -> Result<(), ReplayError> {
+    match [flow.src, flow.dst].into_iter().find(|&node| !topo.is_host(node)) {
+        Some(node) => Err(ReplayError::UnknownHost { flow_index, node }),
+        None => Ok(()),
     }
 }
 
@@ -135,13 +149,8 @@ impl ReplayTrace {
 
     /// Checks that every flow endpoint is a host of `topo`.
     pub fn validate(&self, topo: &Topology) -> Result<(), ReplayError> {
-        let hosts: std::collections::HashSet<NodeId> = topo.hosts().into_iter().collect();
-        for (flow_index, f) in self.flows.iter().enumerate() {
-            for node in [f.src, f.dst] {
-                if !hosts.contains(&node) {
-                    return Err(ReplayError::UnknownHost { flow_index, node });
-                }
-            }
+        for (flow_index, flow) in self.flows.iter().enumerate() {
+            check_endpoints(topo, flow_index, flow)?;
         }
         Ok(())
     }

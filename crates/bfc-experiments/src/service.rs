@@ -62,6 +62,7 @@
 //! that, at scrape time. [`spawn_scrape_server`] puts the hub on a TCP
 //! socket.
 
+use std::fmt;
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -80,6 +81,7 @@ use bfc_workloads::ingest::{IngestError, IngestSource, MAX_LINE_BYTES};
 use bfc_workloads::TraceFlow;
 
 use crate::engine::Engine;
+use crate::replay::{check_endpoints, ReplayError};
 use crate::runner::{record_switch_counters, ExperimentConfig, ExperimentResult, FabricSim, Frame};
 
 /// Magic bytes identifying a BFC snapshot container.
@@ -623,6 +625,33 @@ fn inflight(engine: &Engine<'_>) -> usize {
     sim.flows.len() - sim.completed
 }
 
+/// Why a serve run stopped before its source ended.
+#[derive(Debug)]
+pub enum ServeError {
+    /// The source failed to read or parse.
+    Ingest(IngestError),
+    /// A streamed flow cannot run on the topology (an endpoint that is not
+    /// one of its hosts), checked as a replayed trace's flows are.
+    Flow(ReplayError),
+}
+
+impl fmt::Display for ServeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeError::Ingest(e) => e.fmt(f),
+            ServeError::Flow(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
+impl From<IngestError> for ServeError {
+    fn from(e: IngestError) -> Self {
+        ServeError::Ingest(e)
+    }
+}
+
 /// Admits `source`'s flows into a one-worker engine until the source ends,
 /// calling `admitted` after each admission.
 fn admit_under_cap(
@@ -630,7 +659,7 @@ fn admit_under_cap(
     source: &mut dyn IngestSource,
     inflight_cap: usize,
     mut admitted: impl FnMut(&Engine<'_>),
-) -> Result<(), IngestError> {
+) -> Result<(), ServeError> {
     loop {
         // Backpressure: while the inflight window is full, make progress
         // instead of pulling. If the sim cannot progress (nothing left to
@@ -642,6 +671,8 @@ fn admit_under_cap(
         let Some(flow) = source.next_flow()? else {
             return Ok(());
         };
+        check_endpoints(engine.topo, engine.workers[0].sim.flows.len(), &flow)
+            .map_err(ServeError::Flow)?;
         engine.admit(flow);
         admitted(engine);
     }
@@ -667,13 +698,15 @@ pub struct ServeReport {
 /// that is the backpressure the source contract relies on.
 ///
 /// The run ends when the source is exhausted and the queue has drained (or
-/// the configured horizon + drain deadline passes).
+/// the configured horizon + drain deadline passes). A source that fails, or
+/// streams a flow with an endpoint that is not a host of `topo`, ends it
+/// with a [`ServeError`] instead.
 pub fn serve_experiment(
     topo: &Topology,
     config: &ExperimentConfig,
     source: &mut dyn IngestSource,
     inflight_cap: usize,
-) -> Result<ServeReport, IngestError> {
+) -> Result<ServeReport, ServeError> {
     serve_experiment_with(topo, config, source, inflight_cap, None)
 }
 
@@ -689,7 +722,7 @@ pub fn serve_experiment_with(
     source: &mut dyn IngestSource,
     inflight_cap: usize,
     metrics: Option<&MetricsHub>,
-) -> Result<ServeReport, IngestError> {
+) -> Result<ServeReport, ServeError> {
     assert!(inflight_cap >= 1, "inflight cap must be at least 1");
     let mut engine = Engine::build(topo, &[], config, 1);
     let publish = |engine: &Engine<'_>| {
@@ -811,6 +844,25 @@ mod tests {
         let mut source = Flows(trace.into_iter());
         let quiet = serve_experiment(&topo, &config, &mut source, 4).expect("streams");
         assert_eq!(quiet.result.registry, report.result.registry);
+    }
+
+    #[test]
+    fn a_streamed_flow_whose_endpoint_is_not_a_host_is_refused() {
+        let (topo, trace, config) = inputs();
+        let switch = topo.switches()[0];
+        let past_the_last = NodeId(topo.num_nodes() as u32);
+        for (bad, node) in [
+            (TraceFlow { dst: switch, ..trace[1] }, switch),
+            (TraceFlow { src: past_the_last, ..trace[1] }, past_the_last),
+        ] {
+            let mut source = Flows(vec![trace[0], bad, trace[2]].into_iter());
+            let err = serve_experiment(&topo, &config, &mut source, 4)
+                .expect_err("a flow the topology cannot run is refused");
+            let ServeError::Flow(ReplayError::UnknownHost { flow_index, node: named }) = err else {
+                panic!("refused for another reason: {err}");
+            };
+            assert_eq!((flow_index, named), (1, node));
+        }
     }
 
     #[test]

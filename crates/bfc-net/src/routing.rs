@@ -14,6 +14,14 @@
 //! so re-convergence is a *stable rehash*: flows whose previous next hop
 //! survived keep it, and only flows that were mapped to a vanished candidate
 //! move.
+//!
+//! The tables are flat arrays indexed by the pair `i = node · hosts +
+//! rank(dst)`, where a host's rank is its position in [`Topology::hosts`]:
+//! `distance[i]` is the pair's hop count and its equal-cost egress ports are
+//! `ports[offsets[i]..offsets[i + 1]]`, in port order (the order the
+//! rendezvous pick scans). Building them allocates a few vectors and one BFS
+//! queue, not a vector per pair or per BFS, and a path is walked, never
+//! collected.
 
 use std::collections::VecDeque;
 
@@ -27,13 +35,16 @@ use crate::types::NodeId;
 /// Precomputed routing state for a topology.
 #[derive(Debug, Clone)]
 pub struct RoutingTables {
-    /// `next_hops[node][dst_host_rank]` = local egress ports of `node` that
-    /// lie on a shortest path to that host.
-    next_hops: Vec<Vec<Vec<u32>>>,
-    /// Maps a host NodeId to its dense rank used to index `next_hops`.
-    host_rank: Vec<Option<usize>>,
-    /// Hop count (number of links) from each node to each host.
-    distance: Vec<Vec<u32>>,
+    /// `nodes · hosts + 1` entries: pair `i`'s candidates are
+    /// `ports[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// Every pair's equal-cost egress ports, pair after pair, each pair's in
+    /// port order.
+    ports: Vec<u32>,
+    /// Hop count (number of links) of each pair, `u32::MAX` if unreachable.
+    distance: Vec<u32>,
+    /// Each node's rank among the hosts, `u32::MAX` for a switch.
+    host_rank: Vec<u32>,
     hosts: Vec<NodeId>,
 }
 
@@ -52,65 +63,72 @@ impl RoutingTables {
     pub fn compute_filtered(topo: &Topology, link_up: impl Fn(NodeId, u32) -> bool) -> Self {
         let n = topo.num_nodes();
         let hosts = topo.hosts();
-        let mut host_rank = vec![None; n];
+        let width = hosts.len();
+        let mut host_rank = vec![u32::MAX; n];
         for (rank, h) in hosts.iter().enumerate() {
-            host_rank[h.index()] = Some(rank);
+            host_rank[h.index()] = rank as u32;
         }
-        let mut next_hops = vec![vec![Vec::new(); hosts.len()]; n];
-        let mut distance = vec![vec![u32::MAX; hosts.len()]; n];
 
+        // One BFS outward from each destination host over the undirected
+        // graph of live links, writing its column of `distance`.
+        let mut distance = vec![u32::MAX; n * width];
+        let mut queue = VecDeque::with_capacity(n);
         for (rank, &dst) in hosts.iter().enumerate() {
-            // BFS outward from the destination host over the undirected graph
-            // of live links.
-            let mut dist = vec![u32::MAX; n];
-            dist[dst.index()] = 0;
-            let mut queue = VecDeque::new();
+            distance[dst.index() * width + rank] = 0;
             queue.push_back(dst);
             while let Some(u) = queue.pop_front() {
+                let next = distance[u.index() * width + rank] + 1;
                 for (port, spec) in topo.ports(u).iter().enumerate() {
-                    if !link_up(u, port as u32) {
-                        continue;
-                    }
-                    let v = spec.peer;
-                    if dist[v.index()] == u32::MAX {
-                        dist[v.index()] = dist[u.index()] + 1;
-                        queue.push_back(v);
+                    let d = &mut distance[spec.peer.index() * width + rank];
+                    if *d == u32::MAX && link_up(u, port as u32) {
+                        *d = next;
+                        queue.push_back(spec.peer);
                     }
                 }
             }
-            for node in 0..n {
-                distance[node][rank] = dist[node];
-                if node == dst.index() || dist[node] == u32::MAX {
-                    continue;
-                }
-                let node_id = NodeId(node as u32);
-                for (port, spec) in topo.ports(node_id).iter().enumerate() {
-                    if !link_up(node_id, port as u32) {
-                        continue;
+        }
+
+        // Node-major: a reachable pair's candidates are the live ports whose
+        // peer is one hop closer to the destination.
+        let mut offsets = Vec::with_capacity(n * width + 1);
+        let mut ports = Vec::with_capacity(n * width);
+        offsets.push(0);
+        for node in 0..n {
+            let node_id = NodeId(node as u32);
+            for rank in 0..width {
+                let d = distance[node * width + rank];
+                if d != 0 && d != u32::MAX {
+                    for (port, spec) in topo.ports(node_id).iter().enumerate() {
+                        if link_up(node_id, port as u32)
+                            && distance[spec.peer.index() * width + rank] == d - 1
+                        {
+                            ports.push(port as u32);
+                        }
                     }
-                    if dist[spec.peer.index()] != u32::MAX
-                        && dist[spec.peer.index()] + 1 == dist[node]
-                    {
-                        next_hops[node][rank].push(port as u32);
-                    }
                 }
+                offsets.push(ports.len() as u32);
             }
         }
         RoutingTables {
-            next_hops,
-            host_rank,
+            offsets,
+            ports,
             distance,
+            host_rank,
             hosts,
         }
     }
 
-    fn rank(&self, dst: NodeId) -> usize {
-        self.host_rank[dst.index()].expect("destination must be a host")
+    /// The flat index of the pair (`node`, host `dst`).
+    fn pair(&self, node: NodeId, dst: NodeId) -> usize {
+        let rank = self.host_rank[dst.index()];
+        assert!(rank != u32::MAX, "destination must be a host");
+        node.index() * self.hosts.len() + rank as usize
     }
 
     /// All equal-cost egress ports of `node` toward host `dst`.
     pub fn candidates(&self, node: NodeId, dst: NodeId) -> &[u32] {
-        &self.next_hops[node.index()][self.rank(dst)]
+        let i = self.pair(node, dst);
+        &self.ports[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// The egress port `node` uses for a packet of the flow identified by
@@ -153,37 +171,46 @@ impl RoutingTables {
 
     /// Number of links on the shortest path from `node` to host `dst`.
     pub fn hops(&self, node: NodeId, dst: NodeId) -> u32 {
-        self.distance[node.index()][self.rank(dst)]
+        self.distance[self.pair(node, dst)]
     }
 
     /// The largest number of switches on a shortest path between two
     /// mutually reachable hosts — what bounds the INT records a data packet
     /// accumulates.
     pub fn switch_hop_diameter(&self) -> usize {
+        let width = self.hosts.len();
         self.hosts
             .iter()
-            .flat_map(|h| self.distance[h.index()].iter())
+            .flat_map(|h| &self.distance[h.index() * width..(h.index() + 1) * width])
             .filter(|&&links| links != u32::MAX)
             .map(|&links| links.saturating_sub(1) as usize)
             .max()
             .unwrap_or(0)
     }
 
-    /// The full path (sequence of `(node, egress port)` pairs, excluding the
-    /// destination) a flow takes from `src` to `dst`.
-    pub fn path(&self, topo: &Topology, src: NodeId, dst: NodeId, flow_hash: u64) -> Vec<(NodeId, u32)> {
-        let mut path = Vec::new();
-        let mut node = src;
-        while node != dst {
-            let port = self.egress_port(node, dst, flow_hash);
-            path.push((node, port));
-            node = topo.ports(node)[port as usize].peer;
+    /// The path a flow takes from `src` to `dst`: its `(node, egress port)`
+    /// hops in order, excluding the destination, walked lazily.
+    pub fn path<'a>(
+        &'a self,
+        topo: &'a Topology,
+        src: NodeId,
+        dst: NodeId,
+        flow_hash: u64,
+    ) -> impl Iterator<Item = (NodeId, u32)> + 'a {
+        let (mut node, mut hops) = (src, 0);
+        std::iter::from_fn(move || {
+            if node == dst {
+                return None;
+            }
+            let hop = (node, self.egress_port(node, dst, flow_hash));
+            node = topo.ports(node)[hop.1 as usize].peer;
+            hops += 1;
             assert!(
-                path.len() <= topo.num_nodes(),
+                hops <= topo.num_nodes(),
                 "routing loop detected between {src} and {dst}"
             );
-        }
-        path
+            Some(hop)
+        })
     }
 
     /// The best-possible (unloaded) flow completion time for `size_bytes`
@@ -199,12 +226,11 @@ impl RoutingTables {
         size_bytes: u64,
         flow_hash: u64,
     ) -> SimDuration {
-        let path = self.path(topo, src, dst, flow_hash);
         let first_packet = size_bytes.min(MTU as u64) as u32;
         let mut total = SimDuration::ZERO;
         let mut bottleneck_gbps = f64::MAX;
-        for (node, port) in &path {
-            let link = topo.ports(*node)[*port as usize].link;
+        for (node, port) in self.path(topo, src, dst, flow_hash) {
+            let link = topo.ports(node)[port as usize].link;
             total += link.serialization(first_packet) + link.propagation;
             bottleneck_gbps = bottleneck_gbps.min(link.rate_gbps);
         }
@@ -243,9 +269,13 @@ mod tests {
                 if a == b {
                     continue;
                 }
-                let path = routes.path(&topo, a, b, 12345);
+                let path: Vec<_> = routes.path(&topo, a, b, 12345).collect();
                 // host -> ToR -> (spine -> ToR)? -> host
-                assert!(path.len() == 2 || path.len() == 4, "path len {}", path.len());
+                assert!(
+                    path.len() == 2 || path.len() == 4,
+                    "path len {}",
+                    path.len()
+                );
                 let last = path.last().expect("non-empty path");
                 assert_eq!(topo.ports(last.0)[last.1 as usize].peer, b);
             }
@@ -294,9 +324,8 @@ mod tests {
         let topo = fat_tree(FatTreeParams::t1());
         let routes = RoutingTables::compute(&topo);
         let hosts = topo.hosts();
-        let p1 = routes.path(&topo, hosts[3], hosts[100], 777);
-        let p2 = routes.path(&topo, hosts[3], hosts[100], 777);
-        assert_eq!(p1, p2);
+        let path = || routes.path(&topo, hosts[3], hosts[100], 777);
+        assert!(path().eq(path()));
     }
 
     #[test]
@@ -331,11 +360,15 @@ mod tests {
         let tor0 = topo.host_uplink(hosts[0]).peer;
         let spine0 = topo.switches()[2];
         let dead = topo.port_towards(tor0, spine0).expect("adjacent");
-        let routes = RoutingTables::compute_filtered(&topo, |n, p| !(n == tor0 && p == dead)
-            && !(n == spine0 && topo.ports(spine0)[p as usize].peer == tor0));
+        let routes = RoutingTables::compute_filtered(&topo, |n, p| {
+            !(n == tor0 && p == dead)
+                && !(n == spine0 && topo.ports(spine0)[p as usize].peer == tor0)
+        });
         // Cross-rack traffic from rack 0 must avoid the dead uplink.
         for h in 0..64u64 {
-            let egress = routes.try_egress_port(tor0, hosts[7], h).expect("still connected");
+            let egress = routes
+                .try_egress_port(tor0, hosts[7], h)
+                .expect("still connected");
             assert_ne!(egress, dead);
         }
         // Taking down a host's only uplink disconnects it.
@@ -362,7 +395,10 @@ mod tests {
         let pruned = RoutingTables::compute_filtered(&topo, |n, p| {
             !(n == tor0 && p == dead) && !(n == dead_peer && p == back)
         });
-        assert_eq!(pruned.candidates(tor0, dst).len(), full.candidates(tor0, dst).len() - 1);
+        assert_eq!(
+            pruned.candidates(tor0, dst).len(),
+            full.candidates(tor0, dst).len() - 1
+        );
         let mut moved = 0;
         for h in 0..512u64 {
             let before = full.egress_port(tor0, dst, h);
@@ -383,10 +419,12 @@ mod tests {
         let routes = RoutingTables::compute(&c.topology);
         let src = c.dc0_hosts[0];
         let dst = c.dc1_hosts[0];
-        let path = routes.path(&c.topology, src, dst, 5);
-        let nodes: Vec<NodeId> = path.iter().map(|(n, _)| *n).collect();
+        let nodes: Vec<NodeId> = routes
+            .path(&c.topology, src, dst, 5)
+            .map(|(n, _)| n)
+            .collect();
         assert!(nodes.contains(&c.gateway0));
         // host, tor, spine, gw0, gw1, spine, tor -> host = 7 forwarding hops.
-        assert_eq!(path.len(), 7);
+        assert_eq!(nodes.len(), 7);
     }
 }

@@ -55,9 +55,10 @@ impl Topology {
         self.kinds[node.index()]
     }
 
-    /// True if the node is a host.
+    /// True if the node is a host (false for a switch, and for an id past
+    /// the last node, which an outside trace may name).
     pub fn is_host(&self, node: NodeId) -> bool {
-        self.kind(node) == NodeKind::Host
+        self.kinds.get(node.index()) == Some(&NodeKind::Host)
     }
 
     /// All host node IDs, in creation order.

@@ -327,7 +327,10 @@ impl<E> EventQueue<E> {
             seq,
         };
         let t = time.as_picos();
-        if t < self.window_end() {
+        let end = self.window_end();
+        // A saturated window covers all representable time, `SimTime::MAX`
+        // included (the rule `drain_overflow` applies too).
+        if t < end || end == u64::MAX {
             self.late.push(key);
             return;
         }
@@ -777,6 +780,19 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 3);
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn a_push_at_the_end_of_time_into_a_saturated_window_pops_in_order() {
+        // The window re-anchors at MAX − W/2, so its end saturates at
+        // `u64::MAX`; a push at exactly `SimTime::MAX` lies inside it.
+        let mut q = EventQueue::new();
+        let max = SimTime::MAX.as_picos();
+        q.push(SimTime::from_picos(max - WINDOW_WIDTH / 2), 1u32);
+        q.push(SimTime::MAX, 2);
+        q.push(SimTime::from_picos(max - 1), 3);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, [1, 3, 2]);
     }
 
     #[test]

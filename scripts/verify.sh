@@ -68,8 +68,10 @@ echo "== format: rustfmt --check over the files kept rustfmt-clean"
 rustfmt --check --edition 2021 \
     crates/bfc-experiments/src/figures.rs \
     crates/bfc-experiments/src/table.rs \
+    crates/bfc-net/src/routing.rs \
     tests/fig_smoke.rs \
-    tests/example_smoke.rs
+    tests/example_smoke.rs \
+    tests/routing_oracle.rs
 
 echo "== testkit, bfc-sim, packet-path, ingest and bfc-experiments unit tests + spawned CLI gates"
 cargo test -q -p bfc-testkit

@@ -18,6 +18,8 @@
 //! A fourth test watches the epoch driver instead: with steady cross-shard
 //! traffic, a window's boundary buffers circulate between outboxes and
 //! destinations, so a run's allocation count does not grow with its length.
+//! A fifth watches a run's per-flow set-up: a flow's ideal FCT walks its
+//! path through the routing tables without collecting it.
 
 use std::collections::VecDeque;
 
@@ -282,4 +284,22 @@ fn epoch_windows_with_cross_traffic_allocate_nothing_once_buffers_have_grown() {
         short, long,
         "200 windows allocated {short} times, 2000 windows {long} times"
     );
+}
+
+#[test]
+fn a_flows_ideal_fct_allocates_nothing() {
+    let topo = fat_tree(FatTreeParams::t2());
+    let routes = RoutingTables::compute(&topo);
+    let hosts = topo.hosts();
+    let before = allocs();
+    let mut total = SimDuration::ZERO;
+    for (i, &src) in hosts.iter().enumerate() {
+        // Same rack for some pairs, across the spines for the rest.
+        let dst = hosts[(i + 1 + i % 17) % hosts.len()];
+        total += routes.ideal_fct(&topo, src, dst, 100_000, i as u64);
+        total += routes.base_rtt(&topo, src, dst);
+    }
+    let allocated = allocs() - before;
+    assert_eq!(allocated, 0, "{} ideal FCTs allocated {allocated} times", 3 * hosts.len());
+    assert!(total > SimDuration::ZERO);
 }

@@ -891,6 +891,31 @@ fn serve_refuses_a_line_past_the_ingest_cap() {
     );
 }
 
+/// A streamed flow whose endpoint is a switch, or no node at all, is refused
+/// with the line `replay` answers the same row with, not a panic.
+#[test]
+fn serve_refuses_a_flow_whose_endpoint_is_not_a_host() {
+    let dir = Scratch::new("not-a-host");
+    let csv = dir.path("flows.csv");
+    // The tiny fat-tree (the default topology) has hosts 0–7 and switches 8–11.
+    for (row, node) in [("0,8,1000,10,0", 8), ("0,16,1000,10,0", 16)] {
+        std::fs::write(&csv, format!("src,dst,size_bytes,start_ns,is_incast\n{row}\n"))
+            .expect("write csv");
+        let message = format!("flow 0 uses NodeId({node}), which is not a host of the topology");
+        let served = trace_tool(&["serve", "--tail", &csv]);
+        assert!(!served.ok && served.out.is_empty(), "{row} must be refused");
+        let ours: Vec<&str> = served
+            .err
+            .lines()
+            .filter(|l| l.starts_with("trace-tool:"))
+            .collect();
+        assert_eq!(ours, [format!("trace-tool: serve: {message}")]);
+        let replayed = trace_tool(&["replay", &csv]);
+        assert!(!replayed.ok);
+        assert!(replayed.err.contains(&message), "{}", replayed.err);
+    }
+}
+
 /// A stderr several threads can read while a command writes it.
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);
