@@ -52,6 +52,7 @@ const BENCHES: &[&str] = &[
     "port_active_queue_count_32q",
     "port_drr_pick_32q_paused",
     "port_drr_pick_32q_all_paused",
+    "port_enqueue_drain_32q_spread",
     "shared_buffer_pfc_transitions",
     "flight_merge_1m_one_part",
     "flight_merge_1m_two_parts",
@@ -477,6 +478,34 @@ fn bench_port_counters(h: &mut Harness) {
         for _ in 0..1_000 {
             assert!(port.dequeue_next().is_none(), "every queue is paused");
         }
+    });
+    // A standing backlog of 512 packets spread over every queue of a
+    // 32-queue egress (control, high-priority, the 32 physical queues and
+    // the overflow queue, round robin), no pause frame. One iteration is one
+    // packet: an enqueue onto the next queue in turn and one `dequeue_next`,
+    // so this is the per-packet time of the queue storage and the DRR pick
+    // together, with the storage at its high-water mark.
+    let target = |k: u64| match k % 35 {
+        32 => bfc_net::policy::QueueTarget::Control,
+        33 => bfc_net::policy::QueueTarget::HighPriority,
+        34 => bfc_net::policy::QueueTarget::Overflow,
+        q => bfc_net::policy::QueueTarget::Phys(q as usize),
+    };
+    let packet = |k: u64| {
+        let flow = (k % 35) as u32;
+        Packet::data(FlowId(flow), NodeId(0), NodeId(1), k, 1_000, flow, false)
+    };
+    let mut port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), 32);
+    let mut k = 0u64;
+    while k < 512 {
+        port.enqueue(target(k), packet(k), 0);
+        k += 1;
+    }
+    h.bench("port_enqueue_drain_32q_spread", || {
+        port.enqueue(target(k), packet(k), 0);
+        k += 1;
+        let (qp, _) = port.dequeue_next().expect("512 packets are queued");
+        qp.packet.seq
     });
     // The dynamic PFC threshold: admit/release churn with a transition
     // check per buffer movement, plus the fault path's all-ingress sweep at

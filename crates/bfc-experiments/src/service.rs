@@ -4,7 +4,7 @@
 //!
 //! [`snapshot_experiment`] builds the engine ([`crate::engine`]), advances it
 //! to an instant `at` and saves it: the complete simulation state — calendar
-//! queues, switches (PhysQueues, shared buffers, pause state, policy state
+//! queues, switches (egress queues, shared buffers, pause state, policy state
 //! and RNG streams), hosts (sender/receiver flow tables and
 //! congestion-control state), metrics collectors, the blackhole count and
 //! the safety tracker — in a versioned, length-prefixed,

@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn packets_and_events_stay_within_a_cache_line() {
-        // Every hop moves a `Packet` slab → dispatch → `PhysQueue` → slab;
+        // Every hop moves a `Packet` slab → dispatch → port arena → slab;
         // the variable-size parts (INT records, pause-frame bloom bits) are
         // out of line so these moves are one cache line, whatever the scheme.
         use crate::queue::QueuedPacket;

@@ -57,7 +57,6 @@ pub use policy::{
     SwitchPolicy,
 };
 pub use port::{Port, Transmitter};
-pub use queue::PhysQueue;
 pub use routing::RoutingTables;
 pub use switch::Switch;
 pub use topology::{NodeKind, Topology, TopologyBuilder};

@@ -38,6 +38,21 @@
 //! histogram). Both are recounted in a `debug_assert`; a snapshot stores
 //! neither them nor the flags, and restore re-derives all three.
 //!
+//! # Storage
+//!
+//! The port's queues own no storage of their own. Every packet queued at the
+//! egress — control, high-priority, physical or overflow — sits in one slot
+//! of the port's packet arena (`crate::queue`), and each FIFO is a linked
+//! list through it: the port's storage is a slice of the switch's shared
+//! buffer that grows with the port's total backlog, and once it has reached
+//! its high-water mark enqueue and dequeue never allocate, however the
+//! backlog moves between queues.
+//!
+//! The rotation is intrusive too: a ring through a `next` index in each
+//! table entry, entered at the port's `rotation_back` — the last entry, whose
+//! `next` is the front — so joining, leaving and turning it touch two entries
+//! and never allocate, whether the port has 32 queues or Ideal-FQ's 1 000.
+//!
 //! # The transmitter is an instant, not an event
 //!
 //! The wire behind an egress is a [`Transmitter`]: the instant its current
@@ -65,15 +80,13 @@
 //! `busy_until` ranks before that `TxComplete` and sees the unswept queues,
 //! and one that makes something eligible schedules the real event instead.
 
-use std::collections::VecDeque;
-
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{SimDuration, SimTime};
 
 use crate::link::Link;
 use crate::packet::{Packet, PauseFrame, MTU};
 use crate::policy::QueueTarget;
-use crate::queue::{PhysQueue, QueuedPacket};
+use crate::queue::{PacketArena, PhysQueue, QueuedPacket};
 use crate::types::NodeId;
 
 /// The serializer behind one egress — a switch port's or a NIC's.
@@ -169,6 +182,8 @@ bfc_sim::snap_struct! { Transmitter { busy_until, wake_pending } }
 struct DrrQueue {
     fifo: PhysQueue,
     deficit: u64,
+    /// The entry behind this one in the rotation, while this one is in it.
+    next: u32,
     /// Non-empty and the head not named by the installed pause frame; kept
     /// by [`Port::refresh_eligible`] so no reader re-hashes a head.
     eligible: bool,
@@ -183,15 +198,21 @@ pub struct Port {
     /// (rate degradation) via [`Port::set_link_rate`].
     pub link: Link,
 
+    /// The slots every queue below links its packets through.
+    arena: PacketArena,
     control: PhysQueue,
     high_priority: PhysQueue,
 
     /// The queue table: the physical queues, then the overflow queue.
     drr: Vec<DrrQueue>,
-    /// The non-empty entries of `drr` in service order; the front is the
-    /// queue being visited. With Q queues per port but a handful backlogged,
-    /// a pick is O(backlogged), not O(Q).
-    rotation: VecDeque<usize>,
+    /// The rotation: the non-empty entries of `drr` in service order, a ring
+    /// through their `next`. This is its last entry, so its `next` is the
+    /// front, the queue being visited; meaningless while `rotation_len` is
+    /// zero. With Q queues per port but a handful backlogged, a pick is
+    /// O(backlogged), not O(Q).
+    rotation_back: u32,
+    /// Entries in the rotation.
+    rotation_len: usize,
     /// Whether the front of the rotation was given this visit's quantum.
     drr_credited: bool,
 
@@ -229,10 +250,12 @@ impl Port {
         Port {
             peer,
             link,
-            control: PhysQueue::new(),
-            high_priority: PhysQueue::new(),
+            arena: PacketArena::new(),
+            control: PhysQueue::default(),
+            high_priority: PhysQueue::default(),
             drr: (0..=num_queues).map(|_| DrrQueue::default()).collect(),
-            rotation: VecDeque::new(),
+            rotation_back: 0,
+            rotation_len: 0,
             drr_credited: false,
             eligible_count: 0,
             data_bytes: 0,
@@ -339,11 +362,33 @@ impl Port {
     /// rotation holds exactly the non-empty entries of the table.
     pub fn occupied_queue_count(&self) -> usize {
         debug_assert!(
-            self.rotation.iter().all(|&i| !self.drr[i].fifo.is_empty())
-                && self.rotation.len() == self.drr.iter().filter(|q| !q.fifo.is_empty()).count(),
+            self.rotation().all(|i| !self.drr[i].fifo.is_empty())
+                && self.rotation_len == self.drr.iter().filter(|q| !q.fifo.is_empty()).count(),
             "the rotation is not the non-empty queues"
         );
-        self.rotation.len() - usize::from(!self.target_is_empty(QueueTarget::Overflow))
+        self.rotation_len - usize::from(!self.target_is_empty(QueueTarget::Overflow))
+    }
+
+    /// The entries of the rotation, from the front.
+    fn rotation(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut i = self.rotation_back as usize;
+        (0..self.rotation_len).map(move |_| {
+            i = self.drr[i].next as usize;
+            i
+        })
+    }
+
+    /// Entry `i`, not in the rotation, joins it at the back.
+    fn rotation_push_back(&mut self, i: usize) {
+        if self.rotation_len == 0 {
+            self.drr[i].next = i as u32;
+        } else {
+            let back = self.rotation_back as usize;
+            self.drr[i].next = self.drr[back].next;
+            self.drr[back].next = i as u32;
+        }
+        self.rotation_back = i as u32;
+        self.rotation_len += 1;
     }
 
     /// What `eligible` of table entry `i` must be. Nothing tracks the
@@ -375,8 +420,8 @@ impl Port {
         let Some(frame) = &self.pause_frame else {
             return false;
         };
-        let head = self.fifo(QueueTarget::Phys(i)).head();
-        head.is_some_and(|head| frame.contains(head.packet.vfid))
+        let head = self.fifo(QueueTarget::Phys(i)).head(&self.arena);
+        head.is_some_and(|head| frame.contains(head.vfid))
     }
 
     /// Number of *active* queues: non-empty physical queues that are not
@@ -402,8 +447,9 @@ impl Port {
         self.pause_frame = frame.filter(|f| !f.is_empty());
         // A new frame can pause or release any backlogged queue; an empty
         // one is ineligible under any frame.
-        for k in 0..self.rotation.len() {
-            let i = self.rotation[k];
+        let mut i = self.rotation_back as usize;
+        for _ in 0..self.rotation_len {
+            i = self.drr[i].next as usize;
             self.refresh_eligible(i);
         }
     }
@@ -451,8 +497,10 @@ impl Port {
             self.data_bytes += packet.size_bytes as u64;
         }
         let i = match target {
-            QueueTarget::Control => return self.control.push(packet, ingress),
-            QueueTarget::HighPriority => return self.high_priority.push(packet, ingress),
+            QueueTarget::Control => return self.control.push(&mut self.arena, packet, ingress),
+            QueueTarget::HighPriority => {
+                return self.high_priority.push(&mut self.arena, packet, ingress)
+            }
             QueueTarget::Overflow => self.num_queues(),
             QueueTarget::Phys(i) => {
                 assert!(i < self.num_queues(), "physical queue index out of range");
@@ -460,11 +508,11 @@ impl Port {
             }
         };
         let was_empty = self.drr[i].fifo.is_empty();
-        self.drr[i].fifo.push(packet, ingress);
+        self.drr[i].fifo.push(&mut self.arena, packet, ingress);
         if was_empty {
             // Empty -> non-empty: the queue joins the rotation, and it has
             // a head for the pause frame to name.
-            self.rotation.push_back(i);
+            self.rotation_push_back(i);
             self.refresh_eligible(i);
         }
     }
@@ -476,11 +524,11 @@ impl Port {
     /// switch checks those before calling.
     pub fn dequeue_next(&mut self) -> Option<(QueuedPacket, QueueTarget)> {
         debug_assert!(!self.sweep_owed, "a pick before the owed sweep was paid");
-        if !self.control.is_empty() {
-            return self.control.pop().map(|qp| (qp, QueueTarget::Control));
+        if let Some(qp) = self.control.pop(&mut self.arena) {
+            return Some((qp, QueueTarget::Control));
         }
         if !self.high_priority.is_empty() {
-            return self.high_priority.pop().map(|qp| {
+            return self.high_priority.pop(&mut self.arena).map(|qp| {
                 self.data_bytes -= qp.packet.size_bytes as u64;
                 (qp, QueueTarget::HighPriority)
             });
@@ -496,7 +544,7 @@ impl Port {
     /// (`Port::arm_wake`).
     #[inline]
     pub fn has_backlog(&self) -> bool {
-        !self.control.is_empty() || !self.high_priority.is_empty() || !self.rotation.is_empty()
+        !self.control.is_empty() || !self.high_priority.is_empty() || self.rotation_len > 0
     }
 
     /// Whether the egress could transmit now, the wire and PFC permitting: a
@@ -544,24 +592,26 @@ impl Port {
     }
 
     /// Moves the current (front) queue to the back of the rotation, closing
-    /// out its visit.
+    /// out its visit. The rotation must not be empty.
     fn drr_rotate(&mut self) {
-        self.rotation.rotate_left(1);
+        self.rotation_back = self.drr[self.rotation_back as usize].next;
         self.drr_credited = false;
     }
 
     /// The pick that finds nothing eligible, in closed form: its 2n+1
     /// visits to n paused queues zero every deficit — pausing must not bank
     /// credit to burst with on resume — and turn the rotation
-    /// (2n+1) mod n = 1 mod n places, which `rotate_left(1)` is for any n.
+    /// (2n+1) mod n = 1 mod n places, which one `drr_rotate` is for any n.
     /// Out of line: `settle`, which calls it, is inlined into every forward.
     #[inline(never)]
     fn sweep_paused(&mut self) {
         debug_assert!(!self.has_eligible(), "a sweep with something eligible");
-        if self.rotation.is_empty() {
+        if self.rotation_len == 0 {
             return;
         }
-        for &i in &self.rotation {
+        let mut i = self.rotation_back as usize;
+        for _ in 0..self.rotation_len {
+            i = self.drr[i].next as usize;
             self.drr[i].deficit = 0;
         }
         self.drr_rotate();
@@ -577,12 +627,12 @@ impl Port {
         // too small) and one freshly credited visit. Bounding by
         // 2·|rotation|+1 guarantees every backlogged, unpaused queue is
         // offered a full quantum before we conclude nothing is schedulable.
-        // The visited queue sits `at` places behind the front; the rotation
-        // turns past the closed visits once, when the pick ends.
-        let n = self.rotation.len();
-        let mut at = 0;
+        // The walk visits `i`, the entry behind `prev`; the rotation turns
+        // past the closed visits once, when the pick ends.
+        let n = self.rotation_len;
+        let mut prev = self.rotation_back as usize;
+        let mut i = self.drr[prev].next as usize;
         for visit in 0..2 * n + 1 {
-            let i = self.rotation[at];
             debug_assert_eq!(
                 self.drr[i].eligible,
                 self.is_eligible(i),
@@ -593,38 +643,43 @@ impl Port {
                 // In the rotation, so non-empty, so paused: it forfeits its
                 // residual deficit.
                 q.deficit = 0;
-                at = if at + 1 == n { 0 } else { at + 1 };
+                (prev, i) = (i, q.next as usize);
                 continue;
             }
             if visit > 0 || !self.drr_credited {
                 q.deficit = q.deficit.saturating_add(MTU as u64);
             }
-            let head = q.fifo.head().expect("an eligible queue has a head");
-            let (head_size, head_vfid) = (head.packet.size_bytes as u64, head.packet.vfid);
+            let head = q
+                .fifo
+                .head(&self.arena)
+                .expect("an eligible queue has a head");
+            let (head_size, head_vfid) = (head.size_bytes as u64, head.vfid);
             if q.deficit < head_size {
                 // Deficit insufficient: move on, keeping the residual.
-                at = if at + 1 == n { 0 } else { at + 1 };
+                (prev, i) = (i, q.next as usize);
                 continue;
             }
-            let qp = q.fifo.pop().expect("an eligible queue has a head");
+            let qp = q
+                .fifo
+                .pop(&mut self.arena)
+                .expect("an eligible queue has a head");
             q.deficit -= head_size;
             self.data_bytes -= head_size;
             // The pause status follows the head's VFID: only a head of
             // another flow (or no head) can flip it.
-            if q.fifo.head().map(|h| h.packet.vfid) != Some(head_vfid) {
+            if q.fifo.head(&self.arena).map(|h| h.vfid) != Some(head_vfid) {
                 self.refresh_eligible(i);
             }
             // This visit's queue becomes the front, credited.
-            if at > 0 {
-                self.rotation.rotate_left(at);
-            }
+            self.rotation_back = prev as u32;
             self.drr_credited = true;
             let q = &mut self.drr[i];
             if q.fifo.is_empty() {
                 // Drained: it leaves the rotation and its residual deficit
                 // is discarded, per classic DRR.
                 q.deficit = 0;
-                self.rotation.pop_front();
+                self.drr[prev].next = self.drr[i].next;
+                self.rotation_len -= 1;
                 self.drr_credited = false;
             } else if !q.eligible {
                 // New head is paused: move on, keeping the residual.
@@ -643,22 +698,22 @@ impl Port {
     /// handed back so buffer accounting and blackhole counting stay exact.
     pub fn flush_all(&mut self) -> Vec<(QueuedPacket, QueueTarget)> {
         let mut flushed = Vec::new();
-        while let Some(qp) = self.control.pop() {
+        while let Some(qp) = self.control.pop(&mut self.arena) {
             flushed.push((qp, QueueTarget::Control));
         }
-        while let Some(qp) = self.high_priority.pop() {
+        while let Some(qp) = self.high_priority.pop(&mut self.arena) {
             flushed.push((qp, QueueTarget::HighPriority));
         }
         let overflow = self.num_queues();
         for i in std::iter::once(overflow).chain(0..overflow) {
             let target = self.target_of(i);
-            while let Some(qp) = self.drr[i].fifo.pop() {
+            while let Some(qp) = self.drr[i].fifo.pop(&mut self.arena) {
                 flushed.push((qp, target));
             }
             self.drr[i].deficit = 0;
             self.drr[i].eligible = false;
         }
-        self.rotation.clear();
+        self.rotation_len = 0;
         self.drr_credited = false;
         self.eligible_count = 0;
         self.data_bytes = 0;
@@ -680,10 +735,13 @@ impl Port {
             // Configuration, but for the rate.
             peer: _,
             link,
+            arena,
             control,
             high_priority,
             drr,
-            rotation,
+            // Saved as the entries `Port::rotation` walks.
+            rotation_back: _,
+            rotation_len: _,
             drr_credited,
             tx,
             sweep_owed,
@@ -704,17 +762,20 @@ impl Port {
         pfc_pause_started.save(w);
         pfc_paused_total.save(w);
         pause_frame.save(w);
-        control.save(w);
-        high_priority.save(w);
+        // Each FIFO is a `QueuedPacket` sequence, head first.
+        control.save(arena, w);
+        high_priority.save(arena, w);
         // The table's wire order: the overflow FIFO, the counted physical
         // FIFOs, then every entry's deficit.
         let overflow = drr.len() - 1;
-        drr[overflow].fifo.save(w);
+        drr[overflow].fifo.save(arena, w);
         w.put_usize(overflow);
-        w.put_all(drr[..overflow].iter().map(|q| &q.fifo));
+        drr[..overflow].iter().for_each(|q| q.fifo.save(arena, w));
         w.put_all(drr.iter().map(|q| &q.deficit));
-        // The DRR rotation order is scheduling state: serialized verbatim.
-        rotation.save(w);
+        // The DRR rotation order is scheduling state: serialized verbatim,
+        // a count and the entries from the front.
+        w.put_usize(self.rotation_len);
+        self.rotation().for_each(|i| w.put_usize(i));
         drr_credited.save(w);
         tx_data_bytes.save(w);
     }
@@ -735,24 +796,31 @@ impl Port {
         self.pfc_pause_started = r.get()?;
         self.pfc_paused_total = r.get()?;
         self.pause_frame = r.get()?;
-        self.control = r.get()?;
-        self.high_priority = r.get()?;
         let overflow = self.num_queues();
-        self.drr[overflow].fifo = r.get()?;
+        self.arena = PacketArena::new();
+        let arena = &mut self.arena;
+        self.control = PhysQueue::restore(arena, r)?;
+        self.high_priority = PhysQueue::restore(arena, r)?;
+        self.drr[overflow].fifo = PhysQueue::restore(arena, r)?;
         r.expect_count(overflow, "physical queue count mismatch")?;
         for q in &mut self.drr[..overflow] {
-            q.fifo = r.get()?;
+            q.fifo = PhysQueue::restore(arena, r)?;
         }
         for q in &mut self.drr {
             q.deficit = r.get()?;
         }
-        self.rotation.clear();
-        r.get_seq(|i: usize| self.rotation.push_back(i))?;
-        let mut listed: Vec<usize> = self.rotation.iter().copied().collect();
+        let rotation: Vec<usize> = r.get()?;
+        let mut listed = rotation.clone();
         listed.sort_unstable();
         let backlogged = (0..self.drr.len()).filter(|&i| !self.drr[i].fifo.is_empty());
         if !listed.into_iter().eq(backlogged) {
-            return Err(SnapError::Corrupt("DRR rotation is not the backlogged queues"));
+            return Err(SnapError::Corrupt(
+                "DRR rotation is not the backlogged queues",
+            ));
+        }
+        self.rotation_len = 0;
+        for i in rotation {
+            self.rotation_push_back(i);
         }
         self.drr_credited = r.get()?;
         self.tx_data_bytes = r.get()?;
@@ -780,11 +848,21 @@ mod tests {
     }
 
     #[test]
+    fn a_table_entry_holds_its_rotation_link_in_padding() {
+        // Ideal-FQ builds 1 001 of these per port.
+        assert_eq!(std::mem::size_of::<DrrQueue>(), 40);
+    }
+
+    #[test]
     fn strict_priority_order() {
         let mut p = port(4);
         p.enqueue(QueueTarget::Phys(0), data(1, 0, 1000, 1), 0);
         p.enqueue(QueueTarget::HighPriority, data(2, 0, 1000, 2), 0);
-        p.enqueue(QueueTarget::Control, Packet::cnp(FlowId(3), NodeId(5), NodeId(0)), 0);
+        p.enqueue(
+            QueueTarget::Control,
+            Packet::cnp(FlowId(3), NodeId(5), NodeId(0)),
+            0,
+        );
         let (first, t1) = p.dequeue_next().unwrap();
         assert_eq!(t1, QueueTarget::Control);
         assert!(matches!(first.packet.kind, crate::packet::PacketKind::Cnp));
@@ -861,9 +939,15 @@ mod tests {
         p.set_pfc_paused(true, SimTime::from_micros(10));
         p.set_pfc_paused(true, SimTime::from_micros(12)); // no-op
         p.set_pfc_paused(false, SimTime::from_micros(15));
-        assert_eq!(p.pfc_paused_time(SimTime::from_micros(20)).as_nanos(), 5_000);
+        assert_eq!(
+            p.pfc_paused_time(SimTime::from_micros(20)).as_nanos(),
+            5_000
+        );
         p.set_pfc_paused(true, SimTime::from_micros(30));
-        assert_eq!(p.pfc_paused_time(SimTime::from_micros(31)).as_nanos(), 6_000);
+        assert_eq!(
+            p.pfc_paused_time(SimTime::from_micros(31)).as_nanos(),
+            6_000
+        );
     }
 
     #[test]
@@ -905,7 +989,7 @@ mod tests {
         // After the rotation come the credited flag and one `u64` counter;
         // the rotation itself is a `u64` count and a `u64` per entry.
         let tail = saved.len() - (1 + 8);
-        let head = tail - 8 * (1 + port.rotation.len());
+        let head = tail - 8 * (1 + port.rotation_len);
         let mut w = SnapWriter::new();
         rotation.to_vec().save(&mut w);
         [&saved[..head], &w.into_bytes(), &saved[tail..]].concat()
@@ -924,7 +1008,11 @@ mod tests {
             port(3).restore_state(&mut r).and_then(|()| r.expect_end())
         };
         assert_eq!(restore(&[2, 0]), Ok(()), "the saved rotation restores");
-        assert_eq!(restore(&[0, 2]), Ok(()), "any order of the backlogged queues is a rotation");
+        assert_eq!(
+            restore(&[0, 2]),
+            Ok(()),
+            "any order of the backlogged queues is a rotation"
+        );
         for (rotation, why) in [
             (&[2, 0, 1][..], "lists an empty queue"),
             (&[2], "omits a backlogged queue"),
@@ -933,7 +1021,9 @@ mod tests {
         ] {
             assert_eq!(
                 restore(rotation),
-                Err(SnapError::Corrupt("DRR rotation is not the backlogged queues")),
+                Err(SnapError::Corrupt(
+                    "DRR rotation is not the backlogged queues"
+                )),
                 "a rotation that {why}"
             );
         }

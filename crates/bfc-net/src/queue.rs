@@ -1,20 +1,30 @@
-//! Physical FIFO queues.
+//! Physical FIFO queues and the packet arena they share.
 //!
 //! Modern switch ASICs give each egress port a small number of FIFO queues
-//! (32 in the paper's hardware model). A [`PhysQueue`] is one such FIFO; it
-//! remembers, for every queued packet, which ingress port it arrived on so
-//! that per-ingress buffer accounting (needed for PFC) stays exact when the
-//! packet eventually leaves.
+//! (32 in the paper's hardware model) carved out of one shared buffer. A
+//! `PhysQueue` is one such FIFO; it remembers, for every queued packet,
+//! which ingress port it arrived on so that per-ingress buffer accounting
+//! (needed for PFC) stays exact when the packet eventually leaves.
 //!
-//! [`QueuedPacket`] storage is recycled: the backing ring buffer grows to
-//! the queue's high-water mark and is then reused for every later packet, so
-//! steady-state enqueue/dequeue never allocates. A slot is one 64-byte cache
-//! line: a packet's two variable-size parts — HPCC's INT records
-//! (`packet::IntPath`) and a BFC pause frame's bloom filter — live out of
-//! line behind 8-byte handles and move with the packet, so queueing never
-//! copies or allocates them either.
-
-use std::collections::VecDeque;
+//! # The arena
+//!
+//! A FIFO owns no storage. Every queue of one egress — control,
+//! high-priority, the physical queues and the overflow queue — is a linked
+//! list through that egress's `PacketArena`: the queue holds the indices of
+//! its head and tail slot, its length and its bytes, and each slot holds the
+//! index of the slot behind it. A slot is one 64-byte cache line: the 56-byte
+//! [`Packet`] (`None` while the slot is free, which costs no space: the
+//! packet's kind tag has spare values), the ingress port and that `next`
+//! index, in what would otherwise be padding.
+//!
+//! Freed slots form an intrusive free list through the same `next` field,
+//! most recently freed first, and a push takes its slot from there before it
+//! grows the arena. The arena therefore grows with the egress's total
+//! backlog, not with any one queue's, and never shrinks: once it has reached
+//! the port's high-water mark, enqueue and dequeue never allocate. A packet's
+//! two variable-size parts — HPCC's INT records (`packet::IntPath`) and a BFC
+//! pause frame's bloom filter — live out of line behind 8-byte handles and
+//! move with the packet, so queueing never copies or allocates them either.
 
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
@@ -31,85 +41,149 @@ pub struct QueuedPacket {
 
 bfc_sim::snap_struct! { QueuedPacket { packet, ingress } }
 
-/// One FIFO queue of an egress port.
-#[derive(Debug, Default, PartialEq)]
-pub struct PhysQueue {
-    packets: VecDeque<QueuedPacket>,
+/// The end of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slot of a [`PacketArena`].
+#[derive(Debug)]
+struct Slot {
+    /// The queued packet; `None` exactly while the slot is on the free list.
+    packet: Option<Packet>,
+    /// Ingress port the packet arrived on.
+    ingress: u32,
+    /// The slot behind this one in its FIFO, or in the free list.
+    next: u32,
+}
+
+/// The packet storage every FIFO of one egress shares.
+#[derive(Debug)]
+pub(crate) struct PacketArena {
+    slots: Vec<Slot>,
+    /// Head of the free list, or [`NIL`].
+    free: u32,
+}
+
+impl PacketArena {
+    /// An arena with no slots.
+    pub(crate) fn new() -> Self {
+        PacketArena {
+            slots: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// Stores a packet in a free slot — the most recently freed one, or a
+    /// new one at the end — and returns the slot's index.
+    #[inline]
+    fn alloc(&mut self, packet: Packet, ingress: u32) -> u32 {
+        let slot = Slot {
+            packet: Some(packet),
+            ingress,
+            next: NIL,
+        };
+        if self.free != NIL {
+            let i = self.free;
+            self.free = self.slots[i as usize].next;
+            self.slots[i as usize] = slot;
+            return i;
+        }
+        assert!(self.slots.len() < NIL as usize, "the packet arena is full");
+        self.slots.push(slot);
+        self.slots.len() as u32 - 1
+    }
+
+    /// The packet in slot `i`, which is in use.
+    #[inline]
+    fn packet(&self, i: u32) -> &Packet {
+        self.slots[i as usize]
+            .packet
+            .as_ref()
+            .expect("a queued slot holds a packet")
+    }
+}
+
+/// One FIFO queue of an egress port: a linked list through the port's
+/// [`PacketArena`]. `head` and `tail` mean nothing while `len` is zero.
+#[derive(Debug, Default)]
+pub(crate) struct PhysQueue {
+    head: u32,
+    tail: u32,
+    len: u32,
     bytes: u64,
 }
 
 impl PhysQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        PhysQueue::default()
-    }
-
     /// Appends a packet that arrived on `ingress`.
-    pub fn push(&mut self, packet: Packet, ingress: u32) {
+    #[inline]
+    pub(crate) fn push(&mut self, arena: &mut PacketArena, packet: Packet, ingress: u32) {
         self.bytes += packet.size_bytes as u64;
-        self.packets.push_back(QueuedPacket { packet, ingress });
+        let i = arena.alloc(packet, ingress);
+        if self.len == 0 {
+            self.head = i;
+        } else {
+            arena.slots[self.tail as usize].next = i;
+        }
+        self.tail = i;
+        self.len += 1;
     }
 
-    /// Removes and returns the packet at the head.
-    pub fn pop(&mut self) -> Option<QueuedPacket> {
-        let qp = self.packets.pop_front()?;
-        self.bytes -= qp.packet.size_bytes as u64;
-        Some(qp)
+    /// Removes and returns the packet at the head; its slot goes back on the
+    /// arena's free list.
+    #[inline]
+    pub(crate) fn pop(&mut self, arena: &mut PacketArena) -> Option<QueuedPacket> {
+        if self.len == 0 {
+            return None;
+        }
+        let i = self.head;
+        let slot = &mut arena.slots[i as usize];
+        let packet = slot.packet.take().expect("a queued slot holds a packet");
+        let ingress = slot.ingress;
+        self.head = slot.next;
+        slot.next = arena.free;
+        arena.free = i;
+        self.len -= 1;
+        self.bytes -= packet.size_bytes as u64;
+        Some(QueuedPacket { packet, ingress })
     }
 
     /// The packet at the head, if any.
-    pub fn head(&self) -> Option<&QueuedPacket> {
-        self.packets.front()
+    #[inline]
+    pub(crate) fn head<'a>(&self, arena: &'a PacketArena) -> Option<&'a Packet> {
+        (self.len > 0).then(|| arena.packet(self.head))
     }
 
     /// Queue occupancy in bytes.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 
-    /// Number of queued packets.
-    pub fn len(&self) -> usize {
-        self.packets.len()
-    }
-
     /// True if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
-    /// Iterates over the queued packets from head to tail.
-    pub fn iter(&self) -> impl Iterator<Item = &QueuedPacket> {
-        self.packets.iter()
+    /// Serializes the queue as a [`QueuedPacket`] sequence in FIFO order: a
+    /// count, then each packet and its ingress port.
+    pub(crate) fn save(&self, arena: &PacketArena, w: &mut SnapWriter) {
+        w.put_usize(self.len as usize);
+        let mut i = self.head;
+        for _ in 0..self.len {
+            let slot = &arena.slots[i as usize];
+            arena.packet(i).save(w);
+            slot.ingress.save(w);
+            i = slot.next;
+        }
     }
 
-    /// Number of packet slots the queue can hold before its backing storage
-    /// grows again. The storage never shrinks: it is recycled across
-    /// enqueue/dequeue cycles, which is what keeps the steady-state packet
-    /// path allocation-free.
-    pub fn storage_capacity(&self) -> usize {
-        self.packets.capacity()
-    }
-}
-
-impl Snap for PhysQueue {
-    const MIN_BYTES: usize = VecDeque::<QueuedPacket>::MIN_BYTES;
-
-    fn save(&self, w: &mut SnapWriter) {
-        let PhysQueue { packets, bytes: _ } = self;
-        packets.save(w);
-    }
-
-    // Hand-written to rebuild `bytes`, which is derived: the sum of the
-    // queued packets' sizes.
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let packets: VecDeque<QueuedPacket> = r.get()?;
-        Ok(PhysQueue {
-            bytes: packets
-                .iter()
-                .map(|qp| u64::from(qp.packet.size_bytes))
-                .sum(),
-            packets,
-        })
+    /// Reads a queue [`PhysQueue::save`] wrote, storing its packets in
+    /// `arena`.
+    pub(crate) fn restore(
+        arena: &mut PacketArena,
+        r: &mut SnapReader<'_>,
+    ) -> Result<Self, SnapError> {
+        let mut queue = PhysQueue::default();
+        r.get_seq(|qp: QueuedPacket| queue.push(arena, qp.packet, qp.ingress))?;
+        Ok(queue)
     }
 }
 
@@ -123,51 +197,116 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Slot>(), 64);
+    }
+
+    #[test]
     fn fifo_order_and_byte_accounting() {
-        let mut q = PhysQueue::new();
+        let mut arena = PacketArena::new();
+        let mut q = PhysQueue::default();
         assert!(q.is_empty());
-        q.push(pkt(0, 1000), 3);
-        q.push(pkt(1, 500), 4);
-        assert_eq!(q.len(), 2);
+        q.push(&mut arena, pkt(0, 1000), 3);
+        q.push(&mut arena, pkt(1, 500), 4);
+        assert_eq!(q.len, 2);
         assert_eq!(q.bytes(), 1500);
-        assert_eq!(q.head().unwrap().packet.seq, 0);
-        let first = q.pop().unwrap();
+        assert_eq!(q.head(&arena).unwrap().seq, 0);
+        let first = q.pop(&mut arena).unwrap();
         assert_eq!(first.packet.seq, 0);
         assert_eq!(first.ingress, 3);
         assert_eq!(q.bytes(), 500);
-        let second = q.pop().unwrap();
+        let second = q.pop(&mut arena).unwrap();
         assert_eq!(second.packet.seq, 1);
         assert_eq!(second.ingress, 4);
-        assert!(q.pop().is_none());
+        assert!(q.pop(&mut arena).is_none());
+        assert!(q.head(&arena).is_none());
         assert_eq!(q.bytes(), 0);
     }
 
     #[test]
-    fn storage_is_recycled_across_push_pop_cycles() {
-        let mut q = PhysQueue::new();
-        for s in 0..16 {
-            q.push(pkt(s, 100), 0);
-        }
-        while q.pop().is_some() {}
-        let cap = q.storage_capacity();
-        assert!(cap >= 16);
-        // Refilling to the previous high-water mark must not grow storage.
-        for cycle in 0..8 {
-            for s in 0..16 {
-                q.push(pkt(s, 100), cycle);
+    fn queues_sharing_an_arena_keep_their_own_order() {
+        let mut arena = PacketArena::new();
+        let mut qs: [PhysQueue; 3] = Default::default();
+        for s in 0..30u64 {
+            qs[(s * 7 % 3) as usize].push(&mut arena, pkt(s, 100), s as u32);
+            if s % 4 == 3 {
+                qs[(s % 3) as usize].pop(&mut arena);
             }
-            while q.pop().is_some() {}
-            assert_eq!(q.storage_capacity(), cap, "steady state must not reallocate");
+        }
+        for q in &mut qs {
+            let mut last = None;
+            while let Some(qp) = q.pop(&mut arena) {
+                assert_eq!(qp.ingress as u64, qp.packet.seq);
+                assert!(last < Some(qp.packet.seq), "FIFO order within a queue");
+                last = Some(qp.packet.seq);
+            }
+        }
+        assert!(arena.slots.iter().all(|slot| slot.packet.is_none()));
+    }
+
+    #[test]
+    fn storage_is_recycled_across_push_pop_cycles() {
+        // Two queues of one arena, filled 16 packets each: the arena grows to
+        // the pair's high-water mark of 32 slots, whichever queue held them.
+        let mut arena = PacketArena::new();
+        let mut qs: [PhysQueue; 2] = Default::default();
+        for s in 0..32 {
+            qs[s as usize % 2].push(&mut arena, pkt(s, 100), 0);
+        }
+        qs.iter_mut()
+            .for_each(|q| while q.pop(&mut arena).is_some() {});
+        let (slots, cap) = (arena.slots.len(), arena.slots.capacity());
+        assert_eq!(slots, 32);
+        // Refilling to the previous high-water mark, split any way between
+        // the queues, must not grow storage.
+        for cycle in 0..8u32 {
+            for s in 0..32u64 {
+                let q = if cycle % 2 == 0 { 0 } else { s as usize % 2 };
+                qs[q].push(&mut arena, pkt(s, 100), cycle);
+            }
+            qs.iter_mut()
+                .for_each(|q| while q.pop(&mut arena).is_some() {});
+            assert_eq!(arena.slots.len(), slots, "every slot was reused");
+            assert_eq!(
+                arena.slots.capacity(),
+                cap,
+                "steady state must not reallocate"
+            );
         }
     }
 
     #[test]
-    fn iter_sees_queue_contents() {
-        let mut q = PhysQueue::new();
+    fn save_writes_a_queued_packet_sequence_in_fifo_order() {
+        let mut arena = PacketArena::new();
+        let (mut q, mut other) = (PhysQueue::default(), PhysQueue::default());
         for s in 0..5 {
-            q.push(pkt(s, 100), 0);
+            q.push(&mut arena, pkt(s, 100), s as u32);
+            other.push(&mut arena, pkt(s + 10, 100), 0);
         }
-        let seqs: Vec<u64> = q.iter().map(|qp| qp.packet.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+        q.pop(&mut arena);
+        q.push(&mut arena, pkt(5, 100), 5);
+        let mut w = SnapWriter::new();
+        q.save(&arena, &mut w);
+        let bytes = w.into_bytes();
+        let expected: Vec<QueuedPacket> = (1..6)
+            .map(|s| QueuedPacket {
+                packet: pkt(s, 100),
+                ingress: s as u32,
+            })
+            .collect();
+        let mut w = SnapWriter::new();
+        expected.save(&mut w);
+        assert_eq!(
+            bytes,
+            w.into_bytes(),
+            "the wire form of a `Vec<QueuedPacket>`"
+        );
+        let mut arena = PacketArena::new();
+        let mut restored = PhysQueue::restore(&mut arena, &mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(restored.bytes(), 500);
+        let seqs: Vec<u64> = std::iter::from_fn(|| restored.pop(&mut arena))
+            .map(|qp| qp.packet.seq)
+            .collect();
+        assert_eq!(seqs, vec![1, 2, 3, 4, 5]);
     }
 }

@@ -68,6 +68,8 @@ echo "== format: rustfmt --check over the files kept rustfmt-clean"
 rustfmt --check --edition 2021 \
     crates/bfc-experiments/src/figures.rs \
     crates/bfc-experiments/src/table.rs \
+    crates/bfc-net/src/port.rs \
+    crates/bfc-net/src/queue.rs \
     crates/bfc-net/src/routing.rs \
     tests/fig_smoke.rs \
     tests/example_smoke.rs \

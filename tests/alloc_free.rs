@@ -19,7 +19,10 @@
 //! traffic, a window's boundary buffers circulate between outboxes and
 //! destinations, so a run's allocation count does not grow with its length.
 //! A fifth watches a run's per-flow set-up: a flow's ideal FCT walks its
-//! path through the routing tables without collecting it.
+//! path through the routing tables without collecting it. A sixth counts
+//! what an egress's queues cost to grow: they share one packet arena, so a
+//! port's storage grows with its total backlog, a doubling at a time, and
+//! not queue by queue.
 
 use std::collections::VecDeque;
 
@@ -29,7 +32,7 @@ use backpressure_flow_control::net::routing::RoutingTables;
 use backpressure_flow_control::net::switch::Switch;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
-use backpressure_flow_control::net::NetEvent;
+use backpressure_flow_control::net::{Link, NetEvent, Port, QueueTarget};
 use backpressure_flow_control::sim::shard::{run_conservative, Boundary, ShardHandler};
 use backpressure_flow_control::sim::{EventQueue, SimDuration, SimTime};
 use backpressure_flow_control::transport::{FlowSpec, Host};
@@ -302,4 +305,38 @@ fn a_flows_ideal_fct_allocates_nothing() {
     let allocated = allocs() - before;
     assert_eq!(allocated, 0, "{} ideal FCTs allocated {allocated} times", 3 * hosts.len());
     assert!(total > SimDuration::ZERO);
+}
+
+#[test]
+fn a_ports_queues_grow_one_shared_arena() {
+    // 512 packets spread round robin over every queue of a 32-queue egress:
+    // control, high-priority, the 32 physical queues and the overflow queue.
+    let fill = |port: &mut Port| {
+        for k in 0..512u64 {
+            let target = match k % 35 {
+                32 => QueueTarget::Control,
+                33 => QueueTarget::HighPriority,
+                34 => QueueTarget::Overflow,
+                q => QueueTarget::Phys(q as usize),
+            };
+            let flow = (k % 35) as u32;
+            let packet = Packet::data(FlowId(flow), NodeId(0), NodeId(1), k, MTU, flow, false);
+            port.enqueue(target, packet, (k % 4) as u32);
+        }
+    };
+    let mut port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), 32);
+    let before = allocs();
+    fill(&mut port);
+    let mut drained = 0;
+    while port.dequeue_next().is_some() {
+        drained += 1;
+    }
+    let refill_start = allocs();
+    fill(&mut port);
+    let (first, refill) = (refill_start - before, allocs() - refill_start);
+    assert_eq!(drained, 512);
+    assert_eq!(port.occupied_queue_count(), 32);
+    assert_eq!(refill, 0, "refilling to the high-water mark allocated {refill} times");
+    // One storage growing 4 → 8 → … → 512 slots: ⌈log₂ 512⌉ − 1 allocations.
+    assert!(first <= 8, "filling and draining 512 packets allocated {first} times");
 }

@@ -21,8 +21,8 @@ use backpressure_flow_control::net::switch::SwitchCounters;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::{
-    FlightTrace, IntHop, IntPath, NetEvent, Packet, PhysQueue, PolicyStats, SharedBuffer,
-    TraceEvent, TraceRecord, Transmitter, TransportTimer, MAX_INT_HOPS,
+    FlightTrace, IntHop, IntPath, Link, NetEvent, Packet, PolicyStats, Port, QueueTarget,
+    SharedBuffer, TraceEvent, TraceRecord, Transmitter, TransportTimer, MAX_INT_HOPS,
 };
 use backpressure_flow_control::sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use backpressure_flow_control::sim::{EventQueue, FastHashMap, SimDuration, SimRng, SimTime};
@@ -465,15 +465,33 @@ fn arb_receiver(rng: &mut SimRng) -> ReceiverFlow {
     flow
 }
 
-fn arb_phys_queue(rng: &mut SimRng) -> PhysQueue {
-    let mut queue = PhysQueue::new();
-    for _ in 0..rng.next_below(6) {
-        queue.push(arb_packet(rng), rng.next_u64() as u32);
+/// An egress of 1–4 physical queues with packets in every kind of queue —
+/// control, high-priority, physical and overflow — some of them picked off
+/// again, so the FIFOs interleave in the port's arena and reuse its freed
+/// slots, and maybe a pause frame over the few VFIDs the packets carry.
+fn arb_port(rng: &mut SimRng) -> Port {
+    let queues = 1 + rng.next_index(4);
+    let mut port = Port::new(Link::datacenter_default(), None, queues);
+    for _ in 0..rng.next_below(24) {
+        let mut packet = arb_packet(rng);
+        packet.vfid = rng.next_below(8) as u32;
+        let target = match rng.next_below(4) {
+            0 => QueueTarget::Control,
+            1 => QueueTarget::HighPriority,
+            2 => QueueTarget::Overflow,
+            _ => QueueTarget::Phys(rng.next_index(queues)),
+        };
+        port.enqueue(target, packet, rng.next_u64() as u32);
         if rng.next_below(4) == 0 {
-            queue.pop();
+            port.dequeue_next();
+        }
+        if rng.next_below(8) == 0 {
+            let mut frame = PauseFrame::new(16);
+            (0..8).filter(|_| rng.next_below(2) == 1).for_each(|vfid| frame.insert(vfid));
+            port.set_pause_frame(Some(frame));
         }
     }
-    queue
+    port
 }
 
 fn arb_hist(rng: &mut SimRng) -> Hist {
@@ -743,7 +761,6 @@ property! {
         assert_snap_round_trip(&Box::new(arb_pause_frame(rng)));
         assert_snap_round_trip(&arb_packet(rng));
         assert_snap_round_trip(&arb_event(rng));
-        assert_snap_round_trip(&arb_phys_queue(rng));
         let mut tx = Transmitter::default();
         tx.start(SimTime::ZERO, arb_time(rng) + SimDuration::from_nanos(1));
         if rng.next_below(2) == 1 {
@@ -838,6 +855,15 @@ property! {
             || SharedBuffer::new(200_000, ports),
             SharedBuffer::save_state,
             SharedBuffer::restore_state,
+        );
+
+        let port = arb_port(rng);
+        let queues = port.num_queues();
+        assert_overlay_laws(
+            &port,
+            || Port::new(Link::datacenter_default(), None, queues),
+            Port::save_state,
+            Port::restore_state,
         );
     }
 }
