@@ -537,7 +537,7 @@ fn bench_epoch_barrier(h: &mut Harness) {
     // most windows exchange nothing and the epoch driver anchors the next
     // one at the next event, past the dead air. Re-run with
     // `config.with_epoch_batching(false)` to see the barrier count (in
-    // `result.epochs`) go from `windows + 1` to `2 * windows + 1`.
+    // `result.epochs()`) go from `windows + 1` to `2 * windows + 1`.
     let quiet = synthesize(
         &topo.hosts(),
         &TraceParams::background_only(
@@ -550,7 +550,7 @@ fn bench_epoch_barrier(h: &mut Harness) {
     let quiet_config = ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(2_000));
     h.bench("sharded_epoch_quiescent", || {
         run_experiment_sharded(&topo, &quiet, &quiet_config, 2)
-            .epochs
+            .epochs()
             .barriers
     });
     // Its dense counterpart: the repo benchmark's `incast_t1` shape (T1,
@@ -573,11 +573,11 @@ fn bench_epoch_barrier(h: &mut Harness) {
     let dense_config = ExperimentConfig::new(Scheme::bfc(), dense_horizon);
     let ran = h.bench("sharded_epoch_dense", || {
         run_experiment_sharded(&t1, &dense, &dense_config, 2)
-            .epochs
+            .epochs()
             .barriers
     });
     if ran {
-        let e = run_experiment_sharded(&t1, &dense, &dense_config, 2).epochs;
+        let e = run_experiment_sharded(&t1, &dense, &dense_config, 2).epochs();
         h.note(format!(
             "sharded_epoch_dense: {} windows + 1 election = {} barriers, \
              {:.1} boundary events per window",

@@ -465,17 +465,18 @@ fn cmd_replay(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
 /// counts (tests diff it).
 fn print_engine_counters(io: &mut Io<'_>, results: &[ExperimentResult]) {
     for r in results {
-        let c = |key: &str| r.registry.counter(key).unwrap_or(0);
+        let overflow = r.registry.counter("bfc_engine_queue_overflow_pushes");
+        let e = r.epochs();
         errln!(
             io,
             "engine[{}]: queue-overflow {} epoch-batches {} windows {} barriers {} \
              cross-shard msgs {}",
             r.scheme,
-            c("bfc_engine_queue_overflow_pushes"),
-            c("bfc_engine_epoch_batches"),
-            c("bfc_engine_epoch_windows"),
-            c("bfc_engine_epoch_barriers"),
-            c("bfc_engine_epoch_boundary_events"),
+            overflow.unwrap_or(0),
+            e.batches,
+            e.windows,
+            e.barriers,
+            e.boundary_events,
         );
         if r.shard_walls.is_empty() {
             continue;
@@ -512,7 +513,7 @@ fn print_results_table(io: &mut Io<'_>, results: &[ExperimentResult]) {
             Cell::Text(format!("{}/{}", r.completed_flows, r.total_flows)),
             Cell::Fixed(p50, 2),
             Cell::Fixed(p99, 2),
-            Cell::Fixed(r.utilization * 100.0, 1),
+            Cell::Fixed(r.utilization() * 100.0, 1),
             Cell::Int(r.drops),
         ]);
     }

@@ -269,7 +269,7 @@ fn scenario_json(
             ("completed", r.completed_flows.to_string()),
             ("total", r.total_flows.to_string()),
             ("p99_slowdown", json_f64(p99)),
-            ("utilization", json_f64(r.utilization)),
+            ("utilization", json_f64(r.utilization())),
             ("drops", r.drops.to_string()),
             ("recovery", json_object("      ", &recovery)),
             ("safety", json_object("      ", &safety)),

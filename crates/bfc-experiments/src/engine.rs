@@ -429,10 +429,14 @@ impl<'a> Engine<'a> {
             end_time,
         );
         drop(queues);
-        result.epochs = self.epochs;
+        let (registry, e) = (&mut result.registry, self.epochs);
+        registry.add_counter("bfc_engine_queue_overflow_pushes", overflow_pushes);
+        registry.add_counter("bfc_engine_epoch_batches", e.batches);
+        registry.add_counter("bfc_engine_epoch_windows", e.windows);
+        registry.add_counter("bfc_engine_epoch_barriers", e.barriers);
+        registry.add_counter("bfc_engine_epoch_boundary_events", e.boundary_events);
         result.shard_walls = self.shard_walls;
         result.events_popped = events_popped;
-        result.record_engine_counters(overflow_pushes);
         result
     }
 }

@@ -418,7 +418,7 @@ pub mod fig06 {
         let configs = configs_for(scale, Scheme::paper_lineup());
         for r in run_t1(scale, GOOGLE_INCAST, &configs) {
             let occupancy = |p| Fixed(r.occupancy.percentile_bytes(p) / 1e6, 3);
-            let paused = Fixed(r.pfc_pause_fraction * 100.0, 3);
+            let paused = Fixed(r.pfc_pause_fraction() * 100.0, 3);
             let scheme = Text(r.scheme);
             table.push(vec![
                 scheme,
@@ -444,7 +444,7 @@ pub mod fig07 {
         let columns = ["scheme", "collision fraction"];
         let mut collisions = Table::new("Fig 7b: physical-queue collisions", columns);
         for r in &results {
-            let fraction = r.policy_stats.collision_fraction();
+            let fraction = r.policy_stats().collision_fraction();
             collisions.push(vec![Text(r.scheme.clone()), Fixed(fraction, 4)]);
         }
         vec![p99_table("Fig 7a: queue assignment", &results), collisions]
@@ -497,7 +497,7 @@ pub mod fig08 {
         });
         for ((_, fan_in), r) in jobs.iter().zip(&results) {
             let buffer = Fixed(r.occupancy.percentile_bytes(99.0) / 1e6, 3);
-            let (scheme, utilization) = (Text(r.scheme.clone()), Fixed(r.utilization, 3));
+            let (scheme, utilization) = (Text(r.scheme.clone()), Fixed(r.utilization(), 3));
             table.push(vec![scheme, Int(*fan_in as u64), utilization, buffer]);
         }
         vec![table]
@@ -670,7 +670,7 @@ pub mod fig12 {
             .map(|&queues| config_for(scale, Scheme::bfc()).with_queues_per_port(queues))
             .collect();
         for (&queues, r) in counts.iter().zip(&run_t1(scale, GOOGLE_INCAST, &configs)) {
-            let collisions = Fixed(r.policy_stats.collision_fraction() * 100.0, 3);
+            let collisions = Fixed(r.policy_stats().collision_fraction() * 100.0, 3);
             table.push(vec![
                 Int(queues as u64),
                 collisions,
@@ -700,7 +700,7 @@ pub mod fig13 {
             .map(|&n| Scheme::Bfc(BfcConfig::default().with_num_vfids(n)));
         let configs = configs_for(scale, schemes);
         for (&vfids, r) in counts.iter().zip(&run_t1(scale, GOOGLE_INCAST, &configs)) {
-            let overflows = Fixed(r.policy_stats.overflow_fraction() * 100.0, 4);
+            let overflows = Fixed(r.policy_stats().overflow_fraction() * 100.0, 4);
             table.push(vec![Int(vfids.into()), overflows, Fixed(overall_p99(r), 2)]);
         }
         vec![table]
@@ -726,7 +726,7 @@ pub mod fig14 {
             .map(|&b| Scheme::Bfc(BfcConfig::default().with_bloom_bytes(b)));
         let configs = configs_for(scale, schemes);
         for (&bytes, r) in sizes.iter().zip(&run_t1(scale, GOOGLE_INCAST, &configs)) {
-            let pauses = Int(r.policy_stats.pauses);
+            let pauses = Int(r.policy_stats().pauses);
             table.push(vec![Int(bytes as u64), Fixed(overall_p99(r), 2), pauses]);
         }
         vec![table]

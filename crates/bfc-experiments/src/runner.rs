@@ -50,7 +50,9 @@ pub fn horizon_from_micros(us: u64) -> Result<SimDuration, String> {
     if us <= MAX_HORIZON.as_picos() / 1_000_000 {
         Ok(SimDuration::from_micros(us))
     } else {
-        Err(format!("{us} us exceeds the limit of {MAX_HORIZON} of simulated time"))
+        Err(format!(
+            "{us} us exceeds the limit of {MAX_HORIZON} of simulated time"
+        ))
     }
 }
 
@@ -175,13 +177,7 @@ pub struct ExperimentResult {
     /// Highest number of occupied physical queues on any port, per sample
     /// tick — the quantity of Fig. 11a.
     pub occupied_queue_samples: Vec<f64>,
-    /// Network utilization (goodput / aggregate host capacity).
-    pub utilization: f64,
-    /// Average fraction of time switch egresses spent PFC-paused.
-    pub pfc_pause_fraction: f64,
-    /// Aggregated queue-policy statistics across all switches.
-    pub policy_stats: PolicyStats,
-    /// Packets dropped at switch buffers.
+    /// Packets dropped at switch buffers: the `bfc_switch_drops` total.
     pub drops: u64,
     /// Flows that completed before the drain deadline.
     pub completed_flows: usize,
@@ -193,17 +189,11 @@ pub struct ExperimentResult {
     pub recovery: RecoveryMetrics,
     /// Safety analysis: PFC deadlocks, pause-storm metrics, livelock.
     pub safety: SafetyReport,
-    /// Epoch-driver counters: batches, windows, barriers and boundary
-    /// events. A one-worker run reports its single batch of one
-    /// whole-run window and no boundary events. Observability only — never
-    /// part of any bit-identity comparison, since a resumed run only counts
-    /// its post-snapshot epochs.
-    pub epochs: EpochStats,
     /// Where each worker thread of a multi-worker run spent its wall-clock:
     /// busy between barrier crossings, waiting inside them, and how many
-    /// waits ended asleep (out of `epochs.barriers` crossings per worker).
+    /// waits ended asleep (out of `epochs().barriers` crossings per worker).
     /// Empty for a one-worker run. Timings, so observability only — never
-    /// compared, never in the registry — and, like `epochs`, a resumed run
+    /// compared, never in the registry — and, like `epochs()`, a resumed run
     /// only holds its post-snapshot share.
     pub shard_walls: Vec<ShardWall>,
     /// Events popped over the run's lifetime, summed over the engine's
@@ -214,9 +204,10 @@ pub struct ExperimentResult {
     /// sample tick and fault once per shard that takes part in it, so the
     /// count depends on the shard count where the registry must not.
     pub events_popped: u64,
-    /// The unified counter/gauge registry: per-switch, per-port, per-scheme
-    /// and engine-internal series, merged deterministically across shards.
-    /// Observability only — never part of any bit-identity comparison.
+    /// The unified counter/gauge/histogram registry — per-switch, per-port,
+    /// per-scheme, run-level and engine series — which the views below read.
+    /// Every series but `bfc_engine_*` is engine-independent (equal at any
+    /// shard count, tracing on or off) and survives a snapshot resume.
     pub registry: MetricsRegistry,
     /// Flight-recorder trace in canonical `(time, rank)` order, or `None`
     /// when tracing was off. Observability only — never part of any
@@ -225,19 +216,53 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// Folds engine-level counters into the registry once they are known:
-    /// the event queues' calendar-overflow count and the epoch-driver stats.
-    pub(crate) fn record_engine_counters(&mut self, queue_overflow_pushes: u64) {
+    /// Network utilization (goodput / aggregate host capacity).
+    pub fn utilization(&self) -> f64 {
+        self.gauge("bfc_utilization")
+    }
+
+    /// Average fraction of time switch egresses spent PFC-paused.
+    pub fn pfc_pause_fraction(&self) -> f64 {
+        self.gauge("bfc_pfc_pause_fraction")
+    }
+
+    /// Queue-policy statistics summed over every switch.
+    pub fn policy_stats(&self) -> PolicyStats {
+        let counter = |family| self.counter(&labeled(family, &[("scheme", &self.scheme)]));
+        PolicyStats {
+            flow_assignments: counter("bfc_policy_flow_assignments"),
+            collisions: counter("bfc_policy_collisions"),
+            table_overflows: counter("bfc_policy_table_overflows"),
+            pauses: counter("bfc_policy_pauses"),
+            resumes: counter("bfc_policy_resumes"),
+        }
+    }
+
+    /// Epoch-driver counters. A one-worker run reports its single batch of
+    /// one whole-run window and no boundary events; a resumed run counts
+    /// only its post-snapshot epochs.
+    pub fn epochs(&self) -> EpochStats {
+        EpochStats {
+            batches: self.counter("bfc_engine_epoch_batches"),
+            windows: self.counter("bfc_engine_epoch_windows"),
+            barriers: self.counter("bfc_engine_epoch_barriers"),
+            boundary_events: self.counter("bfc_engine_epoch_boundary_events"),
+        }
+    }
+
+    /// The registry counter at `key`; panics naming it if the run never
+    /// wrote it, so a renamed series fails instead of reading 0.
+    fn counter(&self, key: &str) -> u64 {
         self.registry
-            .add_counter("bfc_engine_queue_overflow_pushes", queue_overflow_pushes);
+            .counter(key)
+            .unwrap_or_else(|| panic!("no registry counter `{key}`"))
+    }
+
+    /// The registry gauge at `key`; panics like [`Self::counter`].
+    fn gauge(&self, key: &str) -> f64 {
         self.registry
-            .add_counter("bfc_engine_epoch_batches", self.epochs.batches);
-        self.registry
-            .add_counter("bfc_engine_epoch_windows", self.epochs.windows);
-        self.registry
-            .add_counter("bfc_engine_epoch_barriers", self.epochs.barriers);
-        self.registry
-            .add_counter("bfc_engine_epoch_boundary_events", self.epochs.boundary_events);
+            .gauge(key)
+            .unwrap_or_else(|| panic!("no registry gauge `{key}`"))
     }
 }
 
@@ -497,7 +522,12 @@ impl FabricSim<'_> {
                         }
                     }
                     if !matches!(action, LinkAction::SetRate { .. }) {
-                        queue.trace(now, TraceEvent::Reroute { index: index as u32 });
+                        queue.trace(
+                            now,
+                            TraceEvent::Reroute {
+                                index: index as u32,
+                            },
+                        );
                     }
                 }
                 self.apply_dynamics(now, action, queue);
@@ -545,7 +575,9 @@ impl Frame {
         let hosts_list = topo.hosts();
         assert!(hosts_list.len() >= 2, "need at least two hosts");
         let switch_config =
-            config.scheme.switch_config(config.queues_per_port, config.buffer_bytes, MTU);
+            config
+                .scheme
+                .switch_config(config.queues_per_port, config.buffer_bytes, MTU);
         if switch_config.int_enabled {
             // Every switch on a data packet's path appends one INT record;
             // reject a too-deep topology here, not inside the event loop.
@@ -653,7 +685,9 @@ pub(crate) fn build_flow_meta(
             vfid: vfid_for_flow(flow_id, config.seed, config.scheme.num_vfids()),
         },
         start: t.start,
-        ideal_fct: frame.routes.ideal_fct(topo, t.src, t.dst, t.size_bytes, flow_id.0 as u64),
+        ideal_fct: frame
+            .routes
+            .ideal_fct(topo, t.src, t.dst, t.size_bytes, flow_id.0 as u64),
         is_incast: t.is_incast,
     }
 }
@@ -704,7 +738,10 @@ pub(crate) fn record_switch_counters(
     registry.add_counter(labeled("bfc_switch_rx_packets", by_node), c.rx_packets);
     registry.add_counter(labeled("bfc_switch_drops", by_node), c.drops);
     registry.add_counter(labeled("bfc_switch_ecn_marked", by_node), c.ecn_marked);
-    registry.add_counter(labeled("bfc_switch_pfc_pauses_sent", by_node), c.pfc_pauses_sent);
+    registry.add_counter(
+        labeled("bfc_switch_pfc_pauses_sent", by_node),
+        c.pfc_pauses_sent,
+    );
     registry.add_counter(
         labeled("bfc_switch_flow_pause_frames_sent", by_node),
         c.flow_pause_frames_sent,
@@ -780,8 +817,6 @@ pub(crate) fn assemble_result(
     let mut pfc_paused = SimDuration::ZERO;
     let mut pfc_links = 0;
     let mut policy_stats = PolicyStats::default();
-    let mut drops = 0;
-    let mut switch_blackholed = 0;
     let mut registry = MetricsRegistry::new();
     let mut probe = ProbeStats::default();
     for idx in 0..topo.num_nodes() {
@@ -791,11 +826,6 @@ pub(crate) fn assemble_result(
             }
             if let Some(sw) = &sim.switches[idx] {
                 policy_stats.merge(&sw.policy_stats());
-                drops += sw.counters().drops;
-                // Switch-local blackholes (dead-egress flushes, unroutable
-                // arrivals) join the driver's in-flight drops in the
-                // recovery metrics.
-                switch_blackholed += sw.counters().blackholed;
                 record_switch_counters(&mut registry, sw.id, &sw.counters(), sw.depth_hist());
                 let node = sw.id.0.to_string();
                 let ps = sw.probe_stats();
@@ -825,21 +855,16 @@ pub(crate) fn assemble_result(
 
     // Per-scheme policy counters (the quantities behind Figs. 7, 12 and 13).
     let scheme_name = config.scheme.name();
-    let by_scheme: &[(&str, &str)] = &[("scheme", scheme_name.as_str())];
-    registry.add_counter(
-        labeled("bfc_policy_flow_assignments", by_scheme),
-        policy_stats.flow_assignments,
-    );
-    registry.add_counter(
-        labeled("bfc_policy_collisions", by_scheme),
-        policy_stats.collisions,
-    );
-    registry.add_counter(
-        labeled("bfc_policy_table_overflows", by_scheme),
-        policy_stats.table_overflows,
-    );
-    registry.add_counter(labeled("bfc_policy_pauses", by_scheme), policy_stats.pauses);
-    registry.add_counter(labeled("bfc_policy_resumes", by_scheme), policy_stats.resumes);
+    let policy = [
+        ("bfc_policy_flow_assignments", policy_stats.flow_assignments),
+        ("bfc_policy_collisions", policy_stats.collisions),
+        ("bfc_policy_table_overflows", policy_stats.table_overflows),
+        ("bfc_policy_pauses", policy_stats.pauses),
+        ("bfc_policy_resumes", policy_stats.resumes),
+    ];
+    for (family, value) in policy {
+        registry.add_counter(labeled(family, &[("scheme", &scheme_name)]), value);
+    }
 
     // Flow-table probe behavior, aggregated across every switch.
     registry.add_counter("bfc_flow_table_lookups", probe.lookups);
@@ -852,16 +877,19 @@ pub(crate) fn assemble_result(
         frame.host_gbps,
         measured,
     );
-    let pfc_pause_fraction = pfc_pause_fraction(pfc_paused, pfc_links, measured);
+    registry.set_gauge("bfc_utilization", utilization);
+    let pause_fraction = pfc_pause_fraction(pfc_paused, pfc_links, measured);
+    registry.set_gauge("bfc_pfc_pause_fraction", pause_fraction);
 
     // Per-tick running totals of delivered bytes sum across shards.
     let goodput = GoodputSeries::merge(sims.iter().map(|s| &s.goodput));
 
-    // Blackhole counts sum: the sims' in-flight drops and the switches' own.
-    // The faults the run applied are the schedule's events up to its end:
-    // every one at or before the cut was popped, and `end_time` is at least
-    // its instant.
-    let blackholed = sims.iter().map(|s| s.blackholed).sum::<u64>() + switch_blackholed;
+    // Blackhole counts sum: the sims' in-flight drops and the switches' own
+    // (dead-egress flushes, unroutable arrivals). The faults the run applied
+    // are the schedule's events up to its end: every one at or before the
+    // cut was popped, and `end_time` is at least its instant.
+    let blackholed = sims.iter().map(|s| s.blackholed).sum::<u64>()
+        + registry.family_total("bfc_switch_blackholed");
     let faults = config.dynamics.events();
     let applied = &faults[..faults.partition_point(|e| e.at <= end_time)];
     let recovery = recovery_metrics(blackholed, applied, &goodput);
@@ -891,7 +919,11 @@ pub(crate) fn assemble_result(
     // maximum with 0.0 is the sample, bit for bit).
     let ticks = sims[0].peak_queue_samples.len();
     for s in &sims {
-        assert_eq!(s.peak_queue_samples.len(), ticks, "shards sample in lockstep");
+        assert_eq!(
+            s.peak_queue_samples.len(),
+            ticks,
+            "shards sample in lockstep"
+        );
         assert_eq!(s.occupied_queue_samples.len(), ticks);
     }
     let owner_of: Vec<usize> = topo
@@ -914,7 +946,10 @@ pub(crate) fn assemble_result(
         for (acc, v) in peak_queue_samples.iter_mut().zip(&s.peak_queue_samples) {
             *acc = acc.max(*v);
         }
-        for (acc, v) in occupied_queue_samples.iter_mut().zip(&s.occupied_queue_samples) {
+        for (acc, v) in occupied_queue_samples
+            .iter_mut()
+            .zip(&s.occupied_queue_samples)
+        {
             *acc = acc.max(*v);
         }
     }
@@ -926,11 +961,15 @@ pub(crate) fn assemble_result(
     registry.add_counter("bfc_safety_cycles_formed", safety.cycles_formed);
     registry.add_counter("bfc_safety_deadlocks", safety.deadlocks);
     registry.add_counter("bfc_safety_violations", safety.violations());
-    registry.add_counter("bfc_recovery_blackholed_packets", recovery.blackholed_packets);
+    registry.add_counter(
+        "bfc_recovery_blackholed_packets",
+        recovery.blackholed_packets,
+    );
     registry.add_counter("bfc_recovery_reroutes", recovery.reroutes);
-    registry.set_gauge("bfc_utilization", utilization);
-    registry.set_gauge("bfc_pfc_pause_fraction", pfc_pause_fraction);
-    registry.set_gauge("bfc_safety_max_pause_depth", f64::from(safety.max_pause_depth));
+    registry.set_gauge(
+        "bfc_safety_max_pause_depth",
+        f64::from(safety.max_pause_depth),
+    );
 
     // Native distribution metrics: recorded even when empty so the family
     // set is uniform across runs.
@@ -944,16 +983,12 @@ pub(crate) fn assemble_result(
         occupancy,
         peak_queue_samples,
         occupied_queue_samples,
-        utilization,
-        pfc_pause_fraction,
-        policy_stats,
-        drops,
+        drops: registry.family_total("bfc_switch_drops"),
         completed_flows: completed,
         total_flows,
         end_time,
         recovery,
         safety,
-        epochs: EpochStats::default(),
         shard_walls: Vec::new(),
         events_popped: 0,
         registry,
@@ -1049,7 +1084,30 @@ mod tests {
                 "{name}: all flows must finish ({} of {})",
                 result.completed_flows, result.total_flows
             );
-            assert!(result.utilization > 0.0, "{name}: some goodput");
+            // Every view reads a series the run wrote; a missing one panics.
+            assert!(result.utilization() > 0.0, "{name}: some goodput");
+            let paused = result.pfc_pause_fraction();
+            assert!(
+                (0.0..=1.0).contains(&paused),
+                "{name}: pause fraction {paused}"
+            );
+            let policy = result.policy_stats();
+            assert!(
+                policy.collisions <= policy.flow_assignments,
+                "{name}: {policy:?}"
+            );
+            assert!(policy.resumes <= policy.pauses, "{name}: {policy:?}");
+            let epochs = result.epochs();
+            let one_window = EpochStats {
+                batches: 1,
+                windows: 1,
+                barriers: 2,
+                boundary_events: 0,
+            };
+            assert_eq!(
+                epochs, one_window,
+                "{name}: one worker, one whole-run window"
+            );
             assert!(
                 result.fct.overall.is_some(),
                 "{name}: summary must be non-empty"
@@ -1073,12 +1131,19 @@ mod tests {
         let config = quick_config(Scheme::bfc());
         let result = run_experiment(&topo, &trace, &config);
         assert_eq!(result.completed_flows, result.total_flows);
-        assert!(
-            result.policy_stats.pauses > 0,
-            "an incast must trigger per-flow pauses"
-        );
-        assert!(result.policy_stats.resumes > 0);
+        let policy = result.policy_stats();
+        assert!(policy.pauses > 0, "an incast must trigger per-flow pauses");
+        assert!(policy.resumes > 0);
         assert_eq!(result.drops, 0, "BFC with PFC backstop must not drop");
+    }
+
+    #[test]
+    #[should_panic(expected = "no registry gauge `bfc_utilization`")]
+    fn a_view_names_the_series_it_cannot_find() {
+        let topo = fat_tree(FatTreeParams::tiny());
+        let mut result = run_experiment(&topo, &[], &quick_config(Scheme::bfc()));
+        result.registry = MetricsRegistry::new();
+        result.utilization();
     }
 
     #[test]
@@ -1098,7 +1163,14 @@ mod tests {
     fn occupancy_is_sampled() {
         let topo = fat_tree(FatTreeParams::tiny());
         let trace = tiny_trace(&topo, 5);
-        let result = run_experiment(&topo, &trace, &quick_config(Scheme::Dcqcn { window: true, sfq: false }));
+        let result = run_experiment(
+            &topo,
+            &trace,
+            &quick_config(Scheme::Dcqcn {
+                window: true,
+                sfq: false,
+            }),
+        );
         assert!(!result.occupancy.is_empty());
         assert_eq!(
             result.peak_queue_samples.len(),

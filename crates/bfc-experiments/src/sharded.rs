@@ -215,8 +215,8 @@ mod tests {
             assert_eq!(serial.end_time, sharded.end_time, "{shards} shards");
             assert_eq!(serial.drops, sharded.drops);
             assert_eq!(
-                serial.utilization.to_bits(),
-                sharded.utilization.to_bits(),
+                serial.utilization().to_bits(),
+                sharded.utilization().to_bits(),
                 "{shards} shards"
             );
         }

@@ -69,7 +69,16 @@ impl SizeBucket {
     /// The default log-spaced buckets used by the figures: <1 KB up to 10 MB.
     pub fn defaults() -> Vec<SizeBucket> {
         let edges: [u64; 10] = [
-            0, 1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000, u64::MAX,
+            0,
+            1_000,
+            3_000,
+            10_000,
+            30_000,
+            100_000,
+            300_000,
+            1_000_000,
+            3_000_000,
+            u64::MAX,
         ];
         edges
             .windows(2)
@@ -84,7 +93,11 @@ impl SizeBucket {
 
     /// Geometric midpoint used as the x-coordinate when plotting.
     pub fn midpoint(&self) -> f64 {
-        let hi = if self.hi == u64::MAX { 10_000_000 } else { self.hi };
+        let hi = if self.hi == u64::MAX {
+            10_000_000
+        } else {
+            self.hi
+        };
         ((self.lo.max(1) as f64) * (hi as f64)).sqrt()
     }
 }
@@ -149,7 +162,10 @@ impl FctSummary {
             None
         } else {
             Some(BucketSummary {
-                bucket: SizeBucket { lo: 0, hi: u64::MAX },
+                bucket: SizeBucket {
+                    lo: 0,
+                    hi: u64::MAX,
+                },
                 count: all.len(),
                 mean: mean(&all).expect("non-empty"),
                 p50: percentile(&all, 50.0).expect("non-empty"),
@@ -170,29 +186,6 @@ impl FctSummary {
             .iter()
             .map(|b| (b.bucket.midpoint(), b.p99))
             .collect()
-    }
-
-    /// Renders a fixed-width table (used by the experiment binaries).
-    pub fn table(&self, title: &str) -> String {
-        let mut s = format!("{title}\n{:<14} {:>8} {:>10} {:>10} {:>10} {:>10}\n", "size", "flows", "mean", "p50", "p95", "p99");
-        for b in &self.buckets {
-            s.push_str(&format!(
-                "{:<14} {:>8} {:>10.2} {:>10.2} {:>10.2} {:>10.2}\n",
-                b.bucket.label(),
-                b.count,
-                b.mean,
-                b.p50,
-                b.p95,
-                b.p99
-            ));
-        }
-        if let Some(o) = &self.overall {
-            s.push_str(&format!(
-                "{:<14} {:>8} {:>10.2} {:>10.2} {:>10.2} {:>10.2}\n",
-                "ALL", o.count, o.mean, o.p50, o.p95, o.p99
-            ));
-        }
-        s
     }
 }
 
@@ -229,8 +222,14 @@ mod tests {
         assert!(buckets[0].label().contains('B'));
         let labels: Vec<String> = buckets.iter().map(SizeBucket::label).collect();
         assert_eq!(labels[1], "1KB-3KB");
-        assert_eq!(labels[8], ">3MB", "the open-ended bucket names no upper edge");
-        assert!(labels.iter().all(|l| l.len() <= 12), "labels fit the 12-wide columns");
+        assert_eq!(
+            labels[8], ">3MB",
+            "the open-ended bucket names no upper edge"
+        );
+        assert!(
+            labels.iter().all(|l| l.len() <= 12),
+            "labels fit the 12-wide columns"
+        );
         assert!(buckets[3].midpoint() > buckets[2].midpoint());
     }
 
@@ -260,9 +259,6 @@ mod tests {
         assert_eq!(big.p99, 4.0);
         let overall = summary.overall.as_ref().expect("overall stats");
         assert_eq!(overall.count, 150);
-        let table = summary.table("test");
-        assert!(table.contains("p99"));
-        assert!(table.contains("ALL"));
         assert_eq!(summary.p99_series().len(), 2);
     }
 

@@ -4,17 +4,19 @@
 //! (epoch batches, calendar-queue overflow, flow-table probe lengths) —
 //! reports into one [`MetricsRegistry`] keyed by Prometheus-style series
 //! names (`bfc_switch_drops{node="3"}`). The registry is plain data over
-//! `BTreeMap`s, so iteration order, [`MetricsRegistry::merge`] and the text
-//! exposition are all deterministic: two registries built from the same run
-//! are equal no matter how the run was sharded. Distributions (FCT
-//! slowdown, pause durations, queue depth at enqueue) are
-//! native [`Hist`] series, merged exactly bucket-by-bucket and exposed as
-//! Prometheus `_bucket`/`_sum`/`_count` lines.
+//! `BTreeMap`s, so the text exposition is deterministic. Distributions (FCT
+//! slowdown, pause durations, queue depth at enqueue) are native [`Hist`]
+//! series, merged exactly bucket-by-bucket and exposed as Prometheus
+//! `_bucket`/`_sum`/`_count` lines.
 //!
-//! The registry is *derived* state: it is rebuilt from the simulation's
-//! components (which own the real counters and serialize them in
-//! snapshots), never snapshotted itself, and never participates in result
-//! bit-identity comparisons.
+//! The registry is *derived* state: it is rebuilt at the end of a run from
+//! the simulation's components (which own the real counters and serialize
+//! them in snapshots) and is never snapshotted itself. It is also a run's
+//! one source of its rollups — utilization, PFC-paused fraction, per-scheme
+//! policy counters — so it takes part in bit-identity comparisons: every
+//! series except the `bfc_engine_*` ones (which describe the engine that
+//! ran: batches, barriers, calendar-queue overflow) is equal at any shard
+//! count, with tracing on or off, and after a snapshot resume.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -80,12 +82,6 @@ impl MetricsRegistry {
         self.gauges.get(key).copied()
     }
 
-    /// Records one observation into the histogram at `key` (creating it
-    /// empty first).
-    pub fn observe_hist(&mut self, key: impl Into<String>, value: u64) {
-        self.hists.entry(key.into()).or_default().observe(value);
-    }
-
     /// Folds a pre-built histogram into the series at `key` (exact
     /// bucket-by-bucket merge).
     pub fn merge_hist(&mut self, key: impl Into<String>, hist: &Hist) {
@@ -97,11 +93,6 @@ impl MetricsRegistry {
         self.hists.get(key)
     }
 
-    /// Iterates histograms in sorted key order.
-    pub fn hists(&self) -> impl Iterator<Item = (&str, &Hist)> {
-        self.hists.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Sums every counter of `family` across its label sets.
     pub fn family_total(&self, family_name: &str) -> u64 {
         self.counters
@@ -109,16 +100,6 @@ impl MetricsRegistry {
             .filter(|(k, _)| family(k) == family_name)
             .map(|(_, &v)| v)
             .sum()
-    }
-
-    /// Iterates counters in sorted key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Iterates gauges in sorted key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// Number of series (counters plus gauges plus histograms).
@@ -129,26 +110,6 @@ impl MetricsRegistry {
     /// True if nothing has been reported.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
-    }
-
-    /// Folds another registry into this one: counters and histogram
-    /// buckets sum exactly; a gauge reported by both takes the maximum
-    /// (gauges here are peaks). The operation is associative and
-    /// commutative over counters and histograms, which is what makes the
-    /// per-shard merge order-independent.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, &v) in &other.counters {
-            self.add_counter(k.clone(), v);
-        }
-        for (k, &v) in &other.gauges {
-            self.gauges
-                .entry(k.clone())
-                .and_modify(|g| *g = g.max(v))
-                .or_insert(v);
-        }
-        for (k, h) in &other.hists {
-            self.hists.entry(k.clone()).or_default().merge(h);
-        }
     }
 
     /// Renders the registry in the Prometheus text exposition format:
@@ -252,28 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_exactly_and_is_order_independent() {
-        let mut a = MetricsRegistry::new();
-        a.add_counter("x", 1);
-        a.add_counter("y", 10);
-        a.set_gauge("peak", 3.0);
-        let mut b = MetricsRegistry::new();
-        b.add_counter("x", 2);
-        b.add_counter("z", 5);
-        b.set_gauge("peak", 4.0);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.counter("x"), Some(3));
-        assert_eq!(ab.counter("y"), Some(10));
-        assert_eq!(ab.counter("z"), Some(5));
-        assert_eq!(ab.gauge("peak"), Some(4.0));
-    }
-
-    #[test]
     fn exposition_is_sorted_grouped_and_newline_terminated() {
         let mut reg = MetricsRegistry::new();
         reg.add_counter(labeled("bfc_drops", &[("node", "1")]), 4);
@@ -297,16 +236,19 @@ mod tests {
 
     #[test]
     fn histograms_merge_exactly_and_expose_bucket_sum_count() {
-        let mut a = MetricsRegistry::new();
-        a.observe_hist(labeled("bfc_q", &[("node", "0")]), 3);
-        a.observe_hist(labeled("bfc_q", &[("node", "0")]), 100);
-        let mut b = MetricsRegistry::new();
-        b.observe_hist(labeled("bfc_q", &[("node", "0")]), 3);
+        let mut a = Hist::new();
+        a.observe(3);
+        a.observe(100);
+        let mut b = Hist::new();
+        b.observe(3);
+        let key = labeled("bfc_q", &[("node", "0")]);
 
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
+        let mut ab = MetricsRegistry::new();
+        ab.merge_hist(key.as_str(), &a);
+        ab.merge_hist(key.as_str(), &b);
+        let mut ba = MetricsRegistry::new();
+        ba.merge_hist(key.as_str(), &b);
+        ba.merge_hist(key.as_str(), &a);
         assert_eq!(ab, ba);
         let h = ab.hist("bfc_q{node=\"0\"}").unwrap();
         assert_eq!(h.count(), 3);
@@ -326,8 +268,10 @@ mod tests {
 
     #[test]
     fn histograms_without_labels_expose_clean_series() {
+        let mut widths = Hist::new();
+        widths.observe(4);
         let mut reg = MetricsRegistry::new();
-        reg.observe_hist("bfc_widths", 4);
+        reg.merge_hist("bfc_widths", &widths);
         let text = reg.expose();
         assert!(text.contains("bfc_widths_bucket{le=\"4\"} 1\n"));
         assert!(text.contains("bfc_widths_bucket{le=\"+Inf\"} 1\n"));

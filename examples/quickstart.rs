@@ -10,6 +10,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use backpressure_flow_control::experiments::table::{Cell, Table};
 use backpressure_flow_control::experiments::{ExperimentConfig, ParallelRunner, Scheme};
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::sim::SimDuration;
@@ -52,16 +53,33 @@ fn main() {
         "completed {}/{} flows, utilization {:.1}%, PFC pause time {:.3}%, drops {}",
         result.completed_flows,
         result.total_flows,
-        result.utilization * 100.0,
-        result.pfc_pause_fraction * 100.0,
+        result.utilization() * 100.0,
+        result.pfc_pause_fraction() * 100.0,
         result.drops,
     );
+    let policy = result.policy_stats();
     println!(
         "per-flow pauses sent: {}, resumes: {}, queue collisions: {:.2}%",
-        result.policy_stats.pauses,
-        result.policy_stats.resumes,
-        result.policy_stats.collision_fraction() * 100.0
+        policy.pauses,
+        policy.resumes,
+        policy.collision_fraction() * 100.0
     );
     println!();
-    println!("{}", result.fct.table("FCT slowdown under BFC"));
+
+    // The slowdown summary per flow-size bucket, as a results table.
+    let columns = ["size", "flows", "mean", "p50", "p95", "p99"];
+    let mut table = Table::new("FCT slowdown under BFC", columns);
+    let buckets = result.fct.buckets.iter().map(|b| (b.bucket.label(), b));
+    let overall = result.fct.overall.iter().map(|o| ("ALL".to_string(), o));
+    for (size, b) in buckets.chain(overall) {
+        table.push(vec![
+            Cell::Text(size),
+            Cell::Int(b.count as u64),
+            Cell::Fixed(b.mean, 2),
+            Cell::Fixed(b.p50, 2),
+            Cell::Fixed(b.p95, 2),
+            Cell::Fixed(b.p99, 2),
+        ]);
+    }
+    println!("{table}");
 }

@@ -71,7 +71,7 @@ fn main() {
         replayed[0].scheme,
         replayed[0].completed_flows,
         replayed[0].total_flows,
-        replayed[0].utilization * 100.0,
+        replayed[0].utilization() * 100.0,
         replayed[0].end_time,
     );
     println!("in-memory and replayed-from-CSV runs are bit-identical");

@@ -66,8 +66,12 @@ cargo clippy -q --workspace --all-targets -- -A clippy::all -D clippy::incompati
 
 echo "== format: rustfmt --check over the files kept rustfmt-clean"
 rustfmt --check --edition 2021 \
+    crates/bfc-experiments/src/engine.rs \
     crates/bfc-experiments/src/figures.rs \
+    crates/bfc-experiments/src/runner.rs \
     crates/bfc-experiments/src/table.rs \
+    crates/bfc-metrics/src/fct.rs \
+    crates/bfc-metrics/src/registry.rs \
     crates/bfc-net/src/port.rs \
     crates/bfc-net/src/queue.rs \
     crates/bfc-net/src/routing.rs \

@@ -38,7 +38,8 @@
 //! let config = ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(200));
 //! let result = run_experiment(&topo, &trace, &config);
 //! assert_eq!(result.completed_flows, result.total_flows);
-//! println!("{}", result.fct.table("BFC quickstart"));
+//! let overall = result.fct.overall.expect("flows completed");
+//! println!("p99 slowdown {:.2} over {} flows", overall.p99, overall.count);
 //! ```
 //!
 //! The runnable examples in `examples/` show the same flow end to end

@@ -61,16 +61,16 @@ pub fn assert_identical(label: &str, a: &ExperimentResult, b: &ExperimentResult)
         "{label}: occupied queue series"
     );
     assert_eq!(
-        a.utilization.to_bits(),
-        b.utilization.to_bits(),
+        a.utilization().to_bits(),
+        b.utilization().to_bits(),
         "{label}: utilization"
     );
     assert_eq!(
-        a.pfc_pause_fraction.to_bits(),
-        b.pfc_pause_fraction.to_bits(),
+        a.pfc_pause_fraction().to_bits(),
+        b.pfc_pause_fraction().to_bits(),
         "{label}: PFC pause fraction"
     );
-    assert_eq!(a.policy_stats, b.policy_stats, "{label}: policy stats");
+    assert_eq!(a.policy_stats(), b.policy_stats(), "{label}: policy stats");
     assert_eq!(a.drops, b.drops, "{label}: drops");
     assert_eq!(a.completed_flows, b.completed_flows, "{label}: completions");
     assert_eq!(a.total_flows, b.total_flows, "{label}: flow count");
@@ -96,9 +96,9 @@ pub fn fingerprint(r: &ExperimentResult) -> u64 {
         bits(r.occupancy.samples()),
         bits(&r.peak_queue_samples),
         bits(&r.occupied_queue_samples),
-        r.utilization.to_bits(),
-        r.pfc_pause_fraction.to_bits(),
-        r.policy_stats,
+        r.utilization().to_bits(),
+        r.pfc_pause_fraction().to_bits(),
+        r.policy_stats(),
         r.drops,
         r.completed_flows,
         r.total_flows,

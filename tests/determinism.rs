@@ -65,12 +65,12 @@ fn parallel_runner_matches_serial_at_every_thread_count() {
             assert_eq!(a.total_flows, b.total_flows);
             assert_eq!(a.end_time, b.end_time);
             assert_eq!(a.drops, b.drops);
-            assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
+            assert_eq!(a.utilization().to_bits(), b.utilization().to_bits());
             assert_eq!(
-                a.pfc_pause_fraction.to_bits(),
-                b.pfc_pause_fraction.to_bits()
+                a.pfc_pause_fraction().to_bits(),
+                b.pfc_pause_fraction().to_bits()
             );
-            assert_eq!(a.policy_stats, b.policy_stats);
+            assert_eq!(a.policy_stats(), b.policy_stats());
         }
     }
 }
@@ -193,10 +193,10 @@ fn epoch_batching_is_bit_identical_and_cuts_barriers_when_quiescent() {
         assert_identical(&format!("{shards} shards, batching on"), &serial, &on);
         assert_identical(&format!("{shards} shards, batching off"), &serial, &off);
         assert_eq!(
-            on.epochs.boundary_events, off.epochs.boundary_events,
+            on.epochs().boundary_events, off.epochs().boundary_events,
             "{shards} shards: same cross-shard events either way"
         );
-        let (on, off) = (on.epochs, off.epochs);
+        let (on, off) = (on.epochs(), off.epochs());
         assert_eq!(on.barriers, on.windows + 1, "{shards} shards: {on:?}");
         assert_eq!(off.barriers, 2 * off.windows + 1, "{shards} shards: {off:?}");
         assert_eq!(off.batches, off.windows, "{shards} shards: {off:?}");

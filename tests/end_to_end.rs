@@ -129,8 +129,9 @@ fn bfc_is_lossless_and_sustains_utilization_under_incast() {
     let r = run_experiment(&topo, &trace, &config);
     assert_eq!(r.drops, 0, "BFC with its PFC backstop must not drop packets");
     assert_eq!(r.completed_flows, r.total_flows);
+    let policy = r.policy_stats();
     assert!(
-        r.policy_stats.pauses > 0 && r.policy_stats.resumes > 0,
+        policy.pauses > 0 && policy.resumes > 0,
         "hop-by-hop pauses must be exercised"
     );
 }
@@ -143,11 +144,11 @@ fn dynamic_queue_assignment_collides_less_than_static_hashing() {
     let trace = congested_trace(&topo, 17);
     let bfc = run(Scheme::bfc(), &topo, &trace);
     let straw = run(Scheme::bfc_vfid(), &topo, &trace);
+    let bfc = bfc.policy_stats().collision_fraction();
+    let straw = straw.policy_stats().collision_fraction();
     assert!(
-        bfc.policy_stats.collision_fraction() <= straw.policy_stats.collision_fraction(),
-        "dynamic assignment ({:.4}) must not collide more than static hashing ({:.4})",
-        bfc.policy_stats.collision_fraction(),
-        straw.policy_stats.collision_fraction()
+        bfc <= straw,
+        "dynamic assignment ({bfc:.4}) must not collide more than static hashing ({straw:.4})"
     );
 }
 
@@ -185,7 +186,7 @@ fn results_are_reproducible_across_runs() {
     let a = run(Scheme::bfc(), &topo, &trace);
     let b = run(Scheme::bfc(), &topo, &trace);
     assert_eq!(a.end_time, b.end_time);
-    assert_eq!(a.policy_stats, b.policy_stats);
+    assert_eq!(a.policy_stats(), b.policy_stats());
     assert_eq!(a.records.len(), b.records.len());
     for (x, y) in a.records.iter().zip(b.records.iter()) {
         assert_eq!(x.fct, y.fct);

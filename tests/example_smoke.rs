@@ -40,7 +40,7 @@ fn quickstart_pipeline_smoke() {
     let results = ParallelRunner::from_env().run_experiments(&topo, &trace, &configs);
     assert_eq!(results.len(), 1);
     assert_eq!(results[0].completed_flows, results[0].total_flows);
-    assert!(results[0].utilization > 0.0);
+    assert!(results[0].utilization() > 0.0);
     assert!(
         results[0].fct.overall.is_some(),
         "quickstart prints this table"

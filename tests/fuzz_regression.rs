@@ -94,7 +94,7 @@ fn pfc_pause_frames_reach_the_safety_tracker() {
     .with_buffer_bytes(40_000);
     let result = run_experiment(&topo, &trace, &config);
     assert!(
-        result.pfc_pause_fraction > 0.0,
+        result.pfc_pause_fraction() > 0.0,
         "incast under a tiny buffer must trip PFC"
     );
     assert!(

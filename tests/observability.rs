@@ -6,20 +6,18 @@
 //! 2. The unified counter registry is engine-independent: serial and
 //!    sharded runs expose the same series (engine internals excepted — the
 //!    barrier/batch counters legitimately describe the engine that ran).
-//! 3. Registry merge is exact: counters sum, gauges take the max, and the
-//!    operation is order-independent.
-//! 4. The trace container round-trips byte-stably and rejects damaged
+//! 3. The trace container round-trips byte-stably and rejects damaged
 //!    input (foreign magic, version skew, truncation, bit flips) exactly
 //!    like snapshot files do.
-//! 5. Counters survive snapshot/resume.
-//! 6. The committed PFC-deadlock reproducer's flight trace carries the
+//! 4. Counters survive snapshot/resume.
+//! 5. The committed PFC-deadlock reproducer's flight trace carries the
 //!    pause wait-for edges the safety report convicts on.
 
 use backpressure_flow_control::experiments::{
     resume_experiment, run_experiment, run_experiment_sharded, snapshot_experiment,
     ExperimentConfig, ExperimentResult, Reproducer, Scheme,
 };
-use backpressure_flow_control::metrics::{percentile, MetricsRegistry};
+use backpressure_flow_control::metrics::percentile;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::net::trace::{read_trace, write_trace, TraceFilter};
 use backpressure_flow_control::sim::snapshot::SnapError;
@@ -239,39 +237,6 @@ fn fct_histogram_quantiles_track_exact_percentiles() {
             "p{p}: bucket estimate {est} not within one bucket of exact {exact}"
         );
     }
-}
-
-#[test]
-fn registry_merge_is_exact_and_order_independent() {
-    let mut a = MetricsRegistry::new();
-    a.add_counter("x_total", 1);
-    a.add_counter("y_total", 2);
-    a.set_gauge("g", 1.5);
-    let mut b = MetricsRegistry::new();
-    b.add_counter("y_total", 40);
-    b.add_counter("z_total", 5);
-    b.set_gauge("g", 0.5);
-    b.set_gauge("h", 2.0);
-
-    let mut ab = a.clone();
-    ab.merge(&b);
-    assert_eq!(ab.counter("x_total"), Some(1));
-    assert_eq!(ab.counter("y_total"), Some(42), "counters sum");
-    assert_eq!(ab.counter("z_total"), Some(5));
-    assert_eq!(ab.gauge("g"), Some(1.5), "gauges take the max");
-    assert_eq!(ab.gauge("h"), Some(2.0));
-
-    let mut ba = b.clone();
-    ba.merge(&a);
-    assert_eq!(ab.expose(), ba.expose(), "merge is order-independent");
-
-    // Merging the empty registry is the identity, both ways.
-    let mut with_empty = a.clone();
-    with_empty.merge(&MetricsRegistry::new());
-    assert_eq!(with_empty.expose(), a.expose());
-    let mut from_empty = MetricsRegistry::new();
-    from_empty.merge(&a);
-    assert_eq!(from_empty.expose(), a.expose());
 }
 
 /// The container format: a write/read/write round trip is byte-stable, and

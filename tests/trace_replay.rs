@@ -65,12 +65,12 @@ fn exported_and_reimported_trace_replays_bit_identically() {
             assert_eq!(original.end_time, replayed.end_time);
             assert_eq!(original.drops, replayed.drops);
             assert_eq!(
-                original.utilization.to_bits(),
-                replayed.utilization.to_bits(),
+                original.utilization().to_bits(),
+                replayed.utilization().to_bits(),
                 "{}: utilization",
                 original.scheme
             );
-            assert_eq!(original.policy_stats, replayed.policy_stats);
+            assert_eq!(original.policy_stats(), replayed.policy_stats());
         }
     }
 }
