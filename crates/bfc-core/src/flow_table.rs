@@ -435,6 +435,10 @@ impl FlowTable {
             if (entry.key.vfid as usize) >= self.bucket_residents.len() {
                 return Err(SnapError::Corrupt("flow-table vfid out of range"));
             }
+            // A flow is tracked from its first queued packet to its last.
+            if entry.packets_queued == 0 {
+                return Err(SnapError::Corrupt("flow-table entry with no packet queued"));
+            }
             if cached {
                 if self.cache_residents == self.cache_capacity {
                     return Err(SnapError::Corrupt("flow-table cache overflow"));
@@ -671,11 +675,42 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_an_entry_with_no_packet_queued() {
+        let mut t = FlowTable::new(8, 2, 1);
+        let LookupOutcome::Inserted(slot) = t.lookup_or_insert(key(3, 0, 0)) else {
+            panic!("an empty table admits the key");
+        };
+        // A count whose encoding occurs nowhere else in the state.
+        t.entry_mut(slot).packets_queued = 0x5eed_f10e;
+        let mut w = SnapWriter::new();
+        t.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        let restore =
+            |bytes: &[u8]| FlowTable::new(8, 2, 1).restore_state(&mut SnapReader::new(bytes));
+        assert_eq!(restore(&bytes), Ok(()));
+        let count = 0x5eed_f10e_u32.to_le_bytes();
+        let at = bytes
+            .windows(4)
+            .position(|b| b == count)
+            .expect("the count is saved");
+        bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            restore(&bytes),
+            Err(SnapError::Corrupt("flow-table entry with no packet queued"))
+        );
+    }
+
+    #[test]
     fn restore_rejects_quota_violations() {
         let mut t = FlowTable::new(8, 2, 1);
-        t.lookup_or_insert(key(3, 0, 0));
-        t.lookup_or_insert(key(3, 1, 0));
-        t.lookup_or_insert(key(3, 2, 0)); // cache class
+        // Two bucket-class flows and one cache-class, each with a packet
+        // queued, as the policy tracks them.
+        for ingress in 0..3 {
+            let LookupOutcome::Inserted(slot) = t.lookup_or_insert(key(3, ingress, 0)) else {
+                panic!("the quotas admit three flows");
+            };
+            t.entry_mut(slot).packets_queued = 1;
+        }
         let mut w = SnapWriter::new();
         t.save_state(&mut w);
         let bytes = w.into_bytes();
@@ -684,11 +719,17 @@ mod tests {
         // cleanly rather than over-admit.
         let mut small = FlowTable::new(8, 1, 1);
         let mut r = SnapReader::new(&bytes);
-        assert!(small.restore_state(&mut r).is_err());
+        assert_eq!(
+            small.restore_state(&mut r),
+            Err(SnapError::Corrupt("flow-table bucket overflow"))
+        );
         // And into a different VFID count as well.
         let mut narrow = FlowTable::new(4, 2, 1);
         let mut r = SnapReader::new(&bytes);
-        assert!(narrow.restore_state(&mut r).is_err());
+        assert_eq!(
+            narrow.restore_state(&mut r),
+            Err(SnapError::Corrupt("flow-table vfid count mismatch"))
+        );
 
         // A store larger than these quotas can ever have grown it is refused
         // before it is allocated: 8 × 2 + 1 = 17 entries fit 32 slots at

@@ -13,6 +13,7 @@ use bfc_net::policy::{
     DequeueCtx, EnqueueCtx, EnqueueDecision, PauseTick, PolicyStats, ProbeStats, QueueTarget,
     SfqPolicy, SwitchPolicy,
 };
+use bfc_net::port::Port;
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{FastHashMap, SimRng};
 
@@ -72,24 +73,21 @@ impl IngressState {
     }
 }
 
-/// Picks a physical queue for a new flow from the per-queue assignment
-/// counts of its egress (§3.3): uniformly among the free queues (count 0),
-/// or uniformly among all of them when none is free — HoL blocking is then
-/// unavoidable and the paper's prototype picks at random too. One RNG draw
-/// either way; the k-th free queue is found by counting over the row, so
-/// the per-flow path allocates nothing.
-pub fn pick_queue(assigned: &[u32], rng: &mut SimRng) -> usize {
-    let free = assigned.iter().filter(|&&c| c == 0).count();
+/// Picks a physical queue of `port` for a new flow (§3.3): uniformly among
+/// the empty queues, or uniformly among all of them when none is empty — HoL
+/// blocking is then unavoidable and the paper's prototype picks at random
+/// too. One RNG draw either way; the k-th empty queue is found by walking
+/// the queues, so the per-flow path allocates nothing.
+pub fn pick_queue(port: &Port, rng: &mut SimRng) -> usize {
+    let num_queues = port.num_queues();
+    let free = num_queues - port.occupied_queue_count();
     if free == 0 {
-        return rng.next_index(assigned.len());
+        return rng.next_index(num_queues);
     }
     let k = rng.next_index(free);
-    assigned
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c == 0)
+    (0..num_queues)
+        .filter(|&q| port.queue_is_empty(q))
         .nth(k)
-        .map(|(q, _)| q)
         .expect("k is below the number of free queues")
 }
 
@@ -98,8 +96,6 @@ pub struct BfcPolicy {
     config: BfcConfig,
     table: FlowTable,
     ingress: Vec<IngressState>,
-    /// Number of tracked flows assigned to each (egress port, physical queue).
-    assigned: FastHashMap<u32, Vec<u32>>,
     rng: SimRng,
     stats: PolicyStats,
 }
@@ -111,7 +107,6 @@ impl BfcPolicy {
         BfcPolicy {
             table: FlowTable::new(config.num_vfids, BUCKET_SIZE, OVERFLOW_CACHE_SIZE),
             ingress: Vec::new(),
-            assigned: FastHashMap::default(),
             rng: SimRng::new(seed ^ 0xbfc0_bfc0_bfc0_bfc0),
             stats: PolicyStats::default(),
             config,
@@ -136,33 +131,13 @@ impl BfcPolicy {
         &mut self.ingress[idx]
     }
 
-    /// The per-queue assignment counts of `egress`. Takes the map rather
-    /// than `self` so callers can hold the row next to `self.rng`/`self.table`.
-    fn assigned_row(
-        assigned: &mut FastHashMap<u32, Vec<u32>>,
-        egress: u32,
-        num_queues: usize,
-    ) -> &mut Vec<u32> {
-        assigned.entry(egress).or_insert_with(|| vec![0; num_queues])
-    }
-
     /// Picks a physical queue for a newly tracked flow (§3.3).
     fn choose_queue(&mut self, ctx: &EnqueueCtx<'_>, vfid: u32) -> usize {
-        let num_queues = ctx.port.num_queues();
         if !self.config.dynamic_assignment {
             // BFC-VFID straw proposal: static hash, identical at every switch.
-            return SfqPolicy::queue_for(vfid, num_queues);
+            return SfqPolicy::queue_for(vfid, ctx.port.num_queues());
         }
-        let assigned = Self::assigned_row(&mut self.assigned, ctx.egress, num_queues);
-        pick_queue(assigned, &mut self.rng)
-    }
-
-    fn release_queue(&mut self, egress: u32, queue: usize) {
-        if let Some(assigned) = self.assigned.get_mut(&egress) {
-            if queue < assigned.len() && assigned[queue] > 0 {
-                assigned[queue] -= 1;
-            }
-        }
+        pick_queue(ctx.port, &mut self.rng)
     }
 }
 
@@ -205,13 +180,7 @@ impl SwitchPolicy for BfcPolicy {
             None => {
                 let q = self.choose_queue(ctx, pkt.vfid);
                 self.stats.flow_assignments += 1;
-                let assigned =
-                    Self::assigned_row(&mut self.assigned, ctx.egress, ctx.port.num_queues());
-                let collided = assigned[q] > 0;
-                assigned[q] += 1;
-                if collided {
-                    self.stats.collisions += 1;
-                }
+                self.stats.collisions += u64::from(!ctx.port.queue_is_empty(q));
                 self.table.entry_mut(slot).queue = Some(q);
                 q
             }
@@ -280,18 +249,17 @@ impl SwitchPolicy for BfcPolicy {
             if eligible || packets_left == 0 {
                 self.table.entry_mut(slot).resume_pending = true;
                 let egress = ctx.egress;
-                self.ingress_mut(ctx.ingress).to_be_resumed.push_back(ResumeItem {
-                    vfid: pkt.vfid,
-                    egress,
-                    queue: queue.unwrap_or(usize::MAX),
-                });
+                self.ingress_mut(ctx.ingress)
+                    .to_be_resumed
+                    .push_back(ResumeItem {
+                        vfid: pkt.vfid,
+                        egress,
+                        queue: queue.unwrap_or(usize::MAX),
+                    });
             }
         }
 
         if packets_left == 0 {
-            if let Some(q) = queue {
-                self.release_queue(ctx.egress, q);
-            }
             self.table.remove(key);
         }
     }
@@ -370,7 +338,6 @@ impl SwitchPolicy for BfcPolicy {
             config: _, // configuration
             table,
             ingress,
-            assigned,
             rng,
             stats,
         } = self;
@@ -392,7 +359,6 @@ impl SwitchPolicy for BfcPolicy {
             to_be_resumed.save(w);
             dirty.save(w);
         }
-        assigned.save(w);
     }
 
     // Overlaid: the flow table and each ingress's counting bloom are built
@@ -410,7 +376,7 @@ impl SwitchPolicy for BfcPolicy {
             st.dirty = r.get()?;
             self.ingress.push(st);
         }
-        r.get_map(&mut self.assigned, "duplicate egress in assignment map")
+        Ok(())
     }
 }
 
@@ -419,7 +385,6 @@ mod tests {
     use super::*;
     use bfc_net::link::Link;
     use bfc_net::packet::MTU;
-    use bfc_net::port::Port;
     use bfc_net::types::{FlowId, NodeId};
 
     fn port() -> Port {
@@ -622,16 +587,20 @@ mod tests {
     #[test]
     fn table_overflow_routes_to_overflow_queue() {
         let mut policy = BfcPolicy::new(BfcConfig::default().with_num_vfids(1), 1);
-        let port = port();
+        let mut port = port();
         // Flows with the one VFID but different ingress ports fill its
         // bucket, then the overflow cache; the next cannot be tracked.
         let tracked = (BUCKET_SIZE + OVERFLOW_CACHE_SIZE) as u32;
+        let mut arrive = |ingress| {
+            let p = pkt(ingress, 0, 0, false);
+            let target = policy.on_enqueue(&ectx(&port, ingress, 7), &p).target;
+            port.enqueue(target, p, ingress);
+            target
+        };
         for ingress in 0..tracked {
-            let d = policy.on_enqueue(&ectx(&port, ingress, 7), &pkt(ingress, 0, 0, false));
-            assert!(matches!(d.target, QueueTarget::Phys(_)));
+            assert!(matches!(arrive(ingress), QueueTarget::Phys(_)));
         }
-        let d = policy.on_enqueue(&ectx(&port, tracked, 7), &pkt(tracked, 0, 0, false));
-        assert_eq!(d.target, QueueTarget::Overflow);
+        assert_eq!(arrive(tracked), QueueTarget::Overflow);
         assert_eq!(policy.stats().table_overflows, 1);
     }
 

@@ -465,14 +465,13 @@ fn cmd_replay(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
 /// counts (tests diff it).
 fn print_engine_counters(io: &mut Io<'_>, results: &[ExperimentResult]) {
     for r in results {
-        let overflow = r.registry.counter("bfc_engine_queue_overflow_pushes");
         let e = r.epochs();
         errln!(
             io,
             "engine[{}]: queue-overflow {} epoch-batches {} windows {} barriers {} \
              cross-shard msgs {}",
             r.scheme,
-            overflow.unwrap_or(0),
+            r.queue_overflow_pushes(),
             e.batches,
             e.windows,
             e.barriers,

@@ -250,6 +250,12 @@ impl ExperimentResult {
         }
     }
 
+    /// Events scheduled beyond the calendar horizon of a worker's event
+    /// queue, which land in its overflow heap, summed over the workers.
+    pub fn queue_overflow_pushes(&self) -> u64 {
+        self.counter("bfc_engine_queue_overflow_pushes")
+    }
+
     /// The registry counter at `key`; panics naming it if the run never
     /// wrote it, so a renamed series fails instead of reading 0.
     fn counter(&self, key: &str) -> u64 {
@@ -264,6 +270,14 @@ impl ExperimentResult {
             .gauge(key)
             .unwrap_or_else(|| panic!("no registry gauge `{key}`"))
     }
+}
+
+/// The total of a per-switch counter family over every switch; panics
+/// naming the family if the run wrote none, like [`ExperimentResult`]'s views.
+fn switch_total(registry: &MetricsRegistry, family: &str) -> u64 {
+    registry
+        .family_sum(family)
+        .unwrap_or_else(|| panic!("no registry counter family `{family}`"))
 }
 
 pub(crate) struct FlowMeta {
@@ -889,7 +903,7 @@ pub(crate) fn assemble_result(
     // are the schedule's events up to its end: every one at or before the
     // cut was popped, and `end_time` is at least its instant.
     let blackholed = sims.iter().map(|s| s.blackholed).sum::<u64>()
-        + registry.family_total("bfc_switch_blackholed");
+        + switch_total(&registry, "bfc_switch_blackholed");
     let faults = config.dynamics.events();
     let applied = &faults[..faults.partition_point(|e| e.at <= end_time)];
     let recovery = recovery_metrics(blackholed, applied, &goodput);
@@ -977,13 +991,13 @@ pub(crate) fn assemble_result(
     registry.merge_hist("bfc_pause_duration_ns", &pause_hist);
 
     ExperimentResult {
-        scheme: config.scheme.name(),
+        scheme: scheme_name,
         fct,
         records,
         occupancy,
         peak_queue_samples,
         occupied_queue_samples,
-        drops: registry.family_total("bfc_switch_drops"),
+        drops: switch_total(&registry, "bfc_switch_drops"),
         completed_flows: completed,
         total_flows,
         end_time,
@@ -1138,12 +1152,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no registry gauge `bfc_utilization`")]
     fn a_view_names_the_series_it_cannot_find() {
         let topo = fat_tree(FatTreeParams::tiny());
         let mut result = run_experiment(&topo, &[], &quick_config(Scheme::bfc()));
         result.registry = MetricsRegistry::new();
-        result.utilization();
+        let names = |expected: &str, read: &dyn Fn() -> u64| {
+            let panic =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(read)).expect_err(expected);
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert_eq!(message, expected);
+        };
+        names("no registry gauge `bfc_utilization`", &|| {
+            result.utilization() as u64
+        });
+        names(
+            "no registry counter `bfc_engine_queue_overflow_pushes`",
+            &|| result.queue_overflow_pushes(),
+        );
+        names("no registry counter family `bfc_switch_drops`", &|| {
+            switch_total(&result.registry, "bfc_switch_drops")
+        });
+        names(
+            "no registry counter family `bfc_switch_blackholed`",
+            &|| switch_total(&result.registry, "bfc_switch_blackholed"),
+        );
     }
 
     #[test]

@@ -117,7 +117,11 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
 /// flow's completion flag. Version 15 drops each pause frame's hash count
 /// (a constant) and each sender and receiver flow's packet count (its size
 /// over the constant MTU), and fingerprints the topology by its links.
-pub const SNAPSHOT_VERSION: u32 = 15;
+/// Version 16 drops what the switch policies held of their egresses' queue
+/// occupancy, which the ports hold: BFC's per-(egress, queue) assignment
+/// counts, and the FIFO and SFQ per-queue resident maps, now one map of
+/// packets queued per (egress, flow).
+pub const SNAPSHOT_VERSION: u32 = 16;
 
 /// Hashes every run input the snapshot does *not* serialize — topology (its
 /// links included), trace, configuration and shard count — so a resume

@@ -93,13 +93,18 @@ impl MetricsRegistry {
         self.hists.get(key)
     }
 
-    /// Sums every counter of `family` across its label sets.
-    pub fn family_total(&self, family_name: &str) -> u64 {
+    /// Sums every counter of `family` across its label sets, or `None` if
+    /// no counter of the family was reported.
+    pub fn family_sum(&self, family_name: &str) -> Option<u64> {
         self.counters
             .iter()
             .filter(|(k, _)| family(k) == family_name)
-            .map(|(_, &v)| v)
-            .sum()
+            .fold(None, |sum, (_, &v)| Some(sum.unwrap_or(0) + v))
+    }
+
+    /// [`Self::family_sum`], reading an unreported family as 0.
+    pub fn family_total(&self, family_name: &str) -> u64 {
+        self.family_sum(family_name).unwrap_or(0)
     }
 
     /// Number of series (counters plus gauges plus histograms).
@@ -209,6 +214,9 @@ mod tests {
         assert_eq!(reg.counter("b{node=\"0\"}"), Some(7));
         assert_eq!(reg.counter("missing"), None);
         assert_eq!(reg.family_total("b"), 7);
+        assert_eq!(reg.family_sum("b"), Some(7));
+        assert_eq!(reg.family_sum("missing"), None);
+        assert_eq!(reg.family_total("missing"), 0);
         assert_eq!(reg.len(), 2);
     }
 

@@ -6,6 +6,8 @@
 //! live here; the BFC policy — the paper's contribution — implements this
 //! trait in the `bfc-core` crate.
 
+use std::collections::hash_map::Entry;
+
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::FastHashMap;
 
@@ -201,129 +203,67 @@ pub trait SwitchPolicy: Send {
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
-/// The flows resident in one queue, with their packet counts. Probed on every
-/// packet, hence the deterministic fast hasher.
-type Residents = FastHashMap<FlowId, usize>;
-
-/// A packet of `flow` joins the queue `residents` describes: a flow not yet
-/// resident is a new assignment, and a collision if the queue is occupied.
-fn enter(residents: &mut Residents, stats: &mut PolicyStats, flow: FlowId) {
-    if !residents.contains_key(&flow) {
-        stats.flow_assignments += 1;
-        if !residents.is_empty() {
-            stats.collisions += 1;
-        }
-    }
-    *residents.entry(flow).or_insert(0) += 1;
-}
-
-/// A packet of `flow` leaves the queue; its last one ends the residency.
-fn leave(residents: &mut Residents, flow: FlowId) {
-    if let Some(count) = residents.get_mut(&flow) {
-        *count -= 1;
-        if *count == 0 {
-            residents.remove(&flow);
-        }
-    }
+/// A policy whose queue for a data packet is a fixed function of the packet:
+/// physical queue 0 for every packet ([`FifoPolicy`]), or the queue its VFID
+/// hashes to ([`SfqPolicy`]). Whether the queue a flow joins is occupied is
+/// read from the egress [`Port`]; the policy keeps only which flows have
+/// packets queued, to tell a flow's arrival from its next packet.
+#[derive(Debug, Default)]
+pub struct StaticPolicy<const HASHED: bool> {
+    stats: PolicyStats,
+    /// Packets queued per (egress port, flow), for the flows with any. No
+    /// queue in the key: a flow's queue at an egress follows from its VFID.
+    /// Probed on every packet, hence the deterministic fast hasher.
+    queued: FastHashMap<(u32, FlowId), u32>,
 }
 
 /// Single-FIFO policy: every data packet goes to physical queue 0. This is
 /// the switch model used by DCQCN, DCQCN+Win and HPCC in the paper.
-#[derive(Debug, Default)]
-pub struct FifoPolicy {
-    stats: PolicyStats,
-    /// Flows currently occupying queue 0, indexed by egress port (ports are
-    /// dense small integers; the vector grows on demand).
-    resident: Vec<Residents>,
-}
-
-impl FifoPolicy {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        FifoPolicy::default()
-    }
-}
-
-impl SwitchPolicy for FifoPolicy {
-    fn on_enqueue(&mut self, ctx: &EnqueueCtx<'_>, pkt: &Packet) -> EnqueueDecision {
-        let egress = ctx.egress as usize;
-        if egress >= self.resident.len() {
-            self.resident.resize_with(egress + 1, Residents::default);
-        }
-        enter(&mut self.resident[egress], &mut self.stats, pkt.flow);
-        EnqueueDecision::queue(QueueTarget::Phys(0))
-    }
-
-    fn on_dequeue(&mut self, ctx: &DequeueCtx<'_>, pkt: &Packet) {
-        if let Some(residents) = self.resident.get_mut(ctx.egress as usize) {
-            leave(residents, pkt.flow);
-        }
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        let FifoPolicy { stats, resident } = self;
-        stats.save(w);
-        resident.save(w);
-    }
-
-    // Overlaid, not derived: the per-egress vector is refilled in place, so
-    // it grows the way `on_enqueue` grows it.
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.stats = r.get()?;
-        self.resident.clear();
-        r.get_seq(|map| self.resident.push(map))
-    }
-}
+pub type FifoPolicy = StaticPolicy<false>;
 
 /// Stochastic fair queueing: a flow is statically hashed to one of the
 /// physical queues (the straw-man assignment of §3.2, and the scheduling used
 /// by DCQCN+Win+SFQ and Ideal-FQ).
-#[derive(Debug, Default)]
-pub struct SfqPolicy {
-    stats: PolicyStats,
-    /// Flows resident per egress port (outer vector, grown on demand) and
-    /// queue index (inner vector, sized on first touch of the port).
-    resident: Vec<Vec<Residents>>,
+pub type SfqPolicy = StaticPolicy<true>;
+
+impl<const HASHED: bool> StaticPolicy<HASHED> {
+    /// Creates the policy.
+    pub fn new() -> Self {
+        Self::default()
+    }
 }
 
 impl SfqPolicy {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        SfqPolicy::default()
-    }
-
     /// The static queue a VFID hashes to.
     pub fn queue_for(vfid: u32, num_queues: usize) -> usize {
         (bfc_sim::rng::mix64(vfid as u64) % num_queues as u64) as usize
     }
 }
 
-impl SwitchPolicy for SfqPolicy {
+impl<const HASHED: bool> SwitchPolicy for StaticPolicy<HASHED> {
     fn on_enqueue(&mut self, ctx: &EnqueueCtx<'_>, pkt: &Packet) -> EnqueueDecision {
-        let q = Self::queue_for(pkt.vfid, ctx.port.num_queues());
-        let egress = ctx.egress as usize;
-        if egress >= self.resident.len() {
-            self.resident.resize_with(egress + 1, Vec::new);
+        let q = if HASHED {
+            SfqPolicy::queue_for(pkt.vfid, ctx.port.num_queues())
+        } else {
+            0
+        };
+        let queued = self.queued.entry((ctx.egress, pkt.flow)).or_insert(0);
+        if *queued == 0 {
+            // A flow not queued here is a new assignment, and a collision
+            // if another flow occupies its queue.
+            self.stats.flow_assignments += 1;
+            self.stats.collisions += u64::from(!ctx.port.queue_is_empty(q));
         }
-        let port_resident = &mut self.resident[egress];
-        if port_resident.is_empty() {
-            port_resident.resize_with(ctx.port.num_queues(), Residents::default);
-        }
-        enter(&mut port_resident[q], &mut self.stats, pkt.flow);
+        *queued += 1;
         EnqueueDecision::queue(QueueTarget::Phys(q))
     }
 
     fn on_dequeue(&mut self, ctx: &DequeueCtx<'_>, pkt: &Packet) {
-        let QueueTarget::Phys(q) = ctx.queue else {
-            return;
-        };
-        let port = self.resident.get_mut(ctx.egress as usize);
-        if let Some(residents) = port.and_then(|port| port.get_mut(q)) {
-            leave(residents, pkt.flow);
+        if let Entry::Occupied(mut queued) = self.queued.entry((ctx.egress, pkt.flow)) {
+            *queued.get_mut() -= 1;
+            if *queued.get() == 0 {
+                queued.remove();
+            }
         }
     }
 
@@ -332,14 +272,18 @@ impl SwitchPolicy for SfqPolicy {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        let SfqPolicy { stats, resident } = self;
+        let StaticPolicy { stats, queued } = self;
         stats.save(w);
-        resident.save(w);
+        queued.save(w);
     }
 
+    // Overlaid: the map keeps the storage it has grown.
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.stats = r.get()?;
-        self.resident = r.get()?;
+        r.get_map(&mut self.queued, "duplicate flow in the residency map")?;
+        if self.queued.values().any(|&n| n == 0) {
+            return Err(SnapError::Corrupt("resident flow with no packet queued"));
+        }
         Ok(())
     }
 }
@@ -350,25 +294,29 @@ mod tests {
     use crate::link::Link;
     use crate::types::NodeId;
 
-    fn ctx<'a>(port: &'a Port, egress: u32) -> EnqueueCtx<'a> {
-        EnqueueCtx {
-            ingress: 0,
-            egress,
-            port,
-        }
-    }
-
     fn data(flow: u32, vfid: u32) -> Packet {
         Packet::data(FlowId(flow), NodeId(0), NodeId(1), 0, 1000, vfid, false)
     }
 
+    /// Offers `pkt` to the policy at egress 0 and queues it where the policy
+    /// says, as `Switch::forward` does.
+    fn arrive(p: &mut dyn SwitchPolicy, port: &mut Port, pkt: Packet) -> QueueTarget {
+        let ctx = EnqueueCtx {
+            ingress: 0,
+            egress: 0,
+            port,
+        };
+        let target = p.on_enqueue(&ctx, &pkt).target;
+        port.enqueue(target, pkt, 0);
+        target
+    }
+
     #[test]
     fn fifo_always_uses_queue_zero_and_counts_collisions() {
-        let port = Port::new(Link::datacenter_default(), None, 8);
+        let mut port = Port::new(Link::datacenter_default(), None, 8);
         let mut p = FifoPolicy::new();
-        let d1 = p.on_enqueue(&ctx(&port, 0), &data(1, 10));
-        assert_eq!(d1.target, QueueTarget::Phys(0));
-        let _ = p.on_enqueue(&ctx(&port, 0), &data(2, 20));
+        assert_eq!(arrive(&mut p, &mut port, data(1, 10)), QueueTarget::Phys(0));
+        arrive(&mut p, &mut port, data(2, 20));
         let s = p.stats();
         assert_eq!(s.flow_assignments, 2);
         assert_eq!(s.collisions, 1);
@@ -377,39 +325,64 @@ mod tests {
 
     #[test]
     fn sfq_assignment_is_static_per_vfid() {
-        let port = Port::new(Link::datacenter_default(), None, 32);
+        let mut port = Port::new(Link::datacenter_default(), None, 32);
         let mut p = SfqPolicy::new();
-        let d1 = p.on_enqueue(&ctx(&port, 0), &data(1, 77));
-        let d2 = p.on_enqueue(&ctx(&port, 0), &data(1, 77));
-        assert_eq!(d1.target, d2.target);
-        assert!(matches!(d1.target, QueueTarget::Phys(_)));
+        let t1 = arrive(&mut p, &mut port, data(1, 77));
+        let t2 = arrive(&mut p, &mut port, data(1, 77));
+        assert_eq!(t1, t2);
+        assert!(matches!(t1, QueueTarget::Phys(_)));
     }
 
     #[test]
     fn sfq_collisions_require_same_queue() {
-        let port = Port::new(Link::datacenter_default(), None, 32);
+        let mut port = Port::new(Link::datacenter_default(), None, 32);
         let mut p = SfqPolicy::new();
         // Two flows with the same VFID necessarily share a queue.
-        let _ = p.on_enqueue(&ctx(&port, 0), &data(1, 9));
-        let _ = p.on_enqueue(&ctx(&port, 0), &data(2, 9));
+        arrive(&mut p, &mut port, data(1, 9));
+        arrive(&mut p, &mut port, data(2, 9));
         assert_eq!(p.stats().collisions, 1);
     }
 
     #[test]
     fn dequeue_releases_residency() {
-        let port = Port::new(Link::datacenter_default(), None, 8);
+        let mut port = Port::new(Link::datacenter_default(), None, 8);
         let mut p = FifoPolicy::new();
-        let _ = p.on_enqueue(&ctx(&port, 0), &data(1, 10));
+        arrive(&mut p, &mut port, data(1, 10));
+        let (qp, queue) = port.dequeue_next().expect("queued");
         let dctx = DequeueCtx {
             ingress: 0,
             egress: 0,
             port: &port,
-            queue: QueueTarget::Phys(0),
+            queue,
         };
-        p.on_dequeue(&dctx, &data(1, 10));
-        // A later flow should no longer count as a collision.
-        let _ = p.on_enqueue(&ctx(&port, 0), &data(2, 20));
+        p.on_dequeue(&dctx, &qp.packet);
+        // A later flow should no longer count as a collision, and the
+        // first one's return is a new assignment.
+        arrive(&mut p, &mut port, data(2, 20));
         assert_eq!(p.stats().collisions, 0);
+        arrive(&mut p, &mut port, data(1, 10));
+        assert_eq!(p.stats().flow_assignments, 3);
+        assert_eq!(p.stats().collisions, 1);
+    }
+
+    #[test]
+    fn restore_refuses_a_resident_flow_with_no_packet_queued() {
+        let mut port = Port::new(Link::datacenter_default(), None, 8);
+        let mut p = SfqPolicy::new();
+        arrive(&mut p, &mut port, data(1, 10));
+        let mut w = SnapWriter::new();
+        p.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        let restore = |bytes: &[u8]| SfqPolicy::new().restore_state(&mut SnapReader::new(bytes));
+        assert_eq!(restore(&bytes), Ok(()));
+        // The one (egress, flow, count) entry ends the state.
+        let count = bytes.len() - 4;
+        assert_eq!(bytes[count..], 1u32.to_le_bytes());
+        bytes[count..].copy_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            restore(&bytes),
+            Err(SnapError::Corrupt("resident flow with no packet queued"))
+        );
     }
 
     #[test]

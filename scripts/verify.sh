@@ -70,8 +70,11 @@ rustfmt --check --edition 2021 \
     crates/bfc-experiments/src/figures.rs \
     crates/bfc-experiments/src/runner.rs \
     crates/bfc-experiments/src/table.rs \
+    crates/bfc-core/src/flow_table.rs \
+    crates/bfc-core/src/policy.rs \
     crates/bfc-metrics/src/fct.rs \
     crates/bfc-metrics/src/registry.rs \
+    crates/bfc-net/src/policy.rs \
     crates/bfc-net/src/port.rs \
     crates/bfc-net/src/queue.rs \
     crates/bfc-net/src/routing.rs \

@@ -1,21 +1,29 @@
 //! `bfc-testkit` properties for `bfc-net`: the egress scheduler against a
-//! reference that re-derives pause state from the frame on every look, and
-//! shared-buffer accounting and PFC threshold invariants under randomized
-//! admit/release sequences.
+//! reference that re-derives pause state from the frame on every look, the
+//! FIFO and SFQ policies' counters against the per-queue resident maps they
+//! once kept, and shared-buffer accounting and PFC threshold invariants under
+//! randomized admit/release sequences.
 //!
 //! On failure the runner prints the per-case seed; rerun exactly that case
 //! with `BFC_TESTKIT_SEED=<seed> cargo test <property_name>`.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use backpressure_flow_control::net::buffer::SharedBuffer;
 use backpressure_flow_control::net::buffer::{pfc_pause_threshold, PFC_RESUME_FRACTION};
+use backpressure_flow_control::net::event::NetSink;
 use backpressure_flow_control::net::packet::{Packet, PauseFrame, MTU};
-use backpressure_flow_control::net::policy::QueueTarget;
+use backpressure_flow_control::net::policy::{
+    FifoPolicy, PolicyStats, QueueTarget, SfqPolicy, SwitchPolicy,
+};
+use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
-use backpressure_flow_control::net::{Link, Port};
+use backpressure_flow_control::net::{
+    Link, NetEvent, Port, RoutingTables, Switch, SwitchConfig, TraceEvent,
+};
 use backpressure_flow_control::sim::snapshot::{SnapReader, SnapWriter};
-use bfc_testkit::{int_range, property, triple, vec_of};
+use backpressure_flow_control::sim::{EventQueue, SimDuration, SimTime};
+use bfc_testkit::{int_range, pair, property, triple, vec_of};
 
 const NUM_PORTS: usize = 4;
 
@@ -169,7 +177,184 @@ impl ReferenceScheduler {
     }
 }
 
+/// What a switch under test emits: its follow-up events, and the queue each
+/// data packet joined or left. A flush leaves no such trace; the harness
+/// knows when it took a link down.
+struct Harness {
+    events: EventQueue<NetEvent>,
+    moves: Vec<TraceEvent>,
+}
+
+impl NetSink for Harness {
+    fn send(&mut self, time: SimTime, event: NetEvent) {
+        self.events.send(time, event);
+    }
+
+    fn trace(&mut self, _at: SimTime, event: TraceEvent) {
+        if matches!(event, TraceEvent::Enqueue { .. } | TraceEvent::Dequeue { .. }) {
+            self.moves.push(event);
+        }
+    }
+}
+
+/// The residency the FIFO and SFQ policies kept before they read a queue's
+/// occupancy from its port: per (egress, queue), the flows with packets
+/// there and how many. A flow's first packet in a queue is an assignment,
+/// and a collision if another flow is resident.
+struct ResidentMaps {
+    resident: Vec<Vec<BTreeMap<u32, usize>>>,
+    stats: PolicyStats,
+}
+
+impl ResidentMaps {
+    fn enter(&mut self, port: u32, queue: usize, flow: u32) {
+        let residents = &mut self.resident[port as usize][queue];
+        if !residents.contains_key(&flow) {
+            self.stats.flow_assignments += 1;
+            self.stats.collisions += u64::from(!residents.is_empty());
+        }
+        *residents.entry(flow).or_insert(0) += 1;
+    }
+
+    fn leave(&mut self, port: u32, queue: usize, flow: u32) {
+        let residents = &mut self.resident[port as usize][queue];
+        let count = residents.get_mut(&flow).expect("a packet leaves a queue it joined");
+        *count -= 1;
+        if *count == 0 {
+            residents.remove(&flow);
+        }
+    }
+
+    fn flush(&mut self, port: u32) {
+        self.resident[port as usize].iter_mut().for_each(BTreeMap::clear);
+    }
+}
+
 property! {
+    /// A `Switch` under the FIFO or the SFQ policy counts exactly the flow
+    /// assignments and collisions of the per-(egress, queue) resident maps
+    /// those policies kept before they read occupancy from the port, after
+    /// every step of a run of arrivals (some dropped by a small shared
+    /// buffer), transmissions, link-down flushes, link-ups and switch
+    /// snapshot/restore round trips; and every packet joins queue 0 under
+    /// FIFO and the queue its VFID hashes to under SFQ.
+    fn fifo_and_sfq_count_what_the_resident_maps_counted(
+        setup in triple(int_range(0u64..2), int_range(1u64..6), int_range(4u64..200)),
+        flows in vec_of(pair(int_range(0u64..8), int_range(0u64..6)), 1..10),
+        ops in vec_of(pair(int_range(0u64..10), int_range(0u64..1_000_000)), 1..300),
+    ) {
+        let (sfq, queues) = (setup.0 == 1, setup.1 as usize);
+        let config = SwitchConfig {
+            queues_per_port: queues,
+            ..SwitchConfig::default()
+        }
+        .with_buffer_bytes(setup.2 * 1_000);
+        // The first ToR of the tiny fat tree: four host ports, two uplinks.
+        let topo = fat_tree(FatTreeParams::tiny());
+        let routes = RoutingTables::compute(&topo);
+        let tor = topo.switches()[0];
+        let ports = topo.ports(tor).len();
+        let build = || {
+            let policy: Box<dyn SwitchPolicy> = if sfq {
+                Box::new(SfqPolicy::new())
+            } else {
+                Box::new(FifoPolicy::new())
+            };
+            Switch::new(tor, config.clone(), topo.ports(tor), policy, 1)
+        };
+        let mut sw = build();
+        let mut h = Harness { events: EventQueue::new(), moves: Vec::new() };
+        let mut model = ResidentMaps {
+            resident: vec![vec![BTreeMap::new(); queues]; ports],
+            stats: PolicyStats::default(),
+        };
+        let mut now = SimTime::ZERO;
+        let mut up = vec![true; ports];
+        // Delivers the next event, dispatching those addressed to the switch.
+        let step = |sw: &mut Switch, h: &mut Harness, now: &mut SimTime| {
+            let Some((at, event)) = h.events.pop() else {
+                return false;
+            };
+            *now = at;
+            match event {
+                NetEvent::PacketArrive { node, port, packet } if node == tor => {
+                    sw.handle_packet(at, port, packet, &routes, h)
+                }
+                NetEvent::TxComplete { node, port } if node == tor => {
+                    sw.handle_tx_complete(at, port, h)
+                }
+                _ => {} // bound for a neighbour
+            }
+            true
+        };
+        let check = |h: &mut Harness, model: &mut ResidentMaps, sw: &Switch| {
+            for event in h.moves.drain(..) {
+                match event {
+                    TraceEvent::Enqueue { port, queue, flow, .. } => {
+                        let vfid = flows[flow as usize].1 as u32;
+                        let expected = if sfq { SfqPolicy::queue_for(vfid, queues) } else { 0 };
+                        assert_eq!(queue as usize, expected, "flow {flow} joined another queue");
+                        model.enter(port, queue as usize, flow);
+                    }
+                    TraceEvent::Dequeue { port, queue, flow, .. } => {
+                        model.leave(port, queue as usize, flow);
+                    }
+                    _ => unreachable!("the harness keeps only queue moves"),
+                }
+            }
+            assert_eq!(sw.policy_stats(), model.stats);
+        };
+        for (seq, &(kind, arg)) in ops.iter().enumerate() {
+            match kind {
+                0..=3 => {
+                    // A packet of one of the flows arrives a little later
+                    // on some port.
+                    let flow = arg as usize % flows.len();
+                    let (dst, vfid) = flows[flow];
+                    let size = 64 + (arg / 16) as u32 % (MTU - 63);
+                    let packet = Packet::data(
+                        FlowId(flow as u32),
+                        NodeId(0),
+                        NodeId(dst as u32),
+                        seq as u64,
+                        size,
+                        vfid as u32,
+                        false,
+                    );
+                    let port = (arg / 8 % ports as u64) as u32;
+                    let at = now + SimDuration::from_nanos(arg % 100);
+                    h.send(at, NetEvent::PacketArrive { node: tor, port, packet });
+                }
+                4..=7 => {
+                    step(&mut sw, &mut h, &mut now);
+                }
+                8 => {
+                    let port = arg as usize % ports;
+                    if up[port] {
+                        sw.handle_link_down(now, port as u32, &mut h);
+                        model.flush(port as u32);
+                    } else {
+                        sw.handle_link_up(now, port as u32, &mut h);
+                    }
+                    up[port] = !up[port];
+                }
+                _ => {
+                    let mut w = SnapWriter::new();
+                    sw.save_state(&mut w);
+                    let bytes = w.into_bytes();
+                    sw = build();
+                    let mut r = SnapReader::new(&bytes);
+                    sw.restore_state(&mut r).expect("own snapshot restores");
+                    r.expect_end().expect("snapshot fully consumed");
+                }
+            }
+            check(&mut h, &mut model, &sw);
+        }
+        while step(&mut sw, &mut h, &mut now) {
+            check(&mut h, &mut model, &sw);
+        }
+    }
+
     /// `Port`'s O(1) pause checks (a per-queue flag refreshed on head changes
     /// and frame installs) schedule exactly like a scheduler that re-hashes
     /// every head against the frame on every look — across enqueues to every

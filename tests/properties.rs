@@ -38,15 +38,21 @@ use bfc_testkit::{
 };
 
 property! {
-    /// BFC's allocation-free queue choice (count the free queues, draw, walk
+    /// BFC's allocation-free queue choice (count the empty queues, draw, walk
     /// to the k-th) picks the queue the original collect-then-index code
-    /// picked and consumes the RNG identically, for rows with none, some and
-    /// all queues free.
+    /// picked and consumes the RNG identically, for ports with none, some and
+    /// all queues empty: `row[q]` packets wait in queue `q`.
     fn pick_queue_matches_collect_then_index(
         row in vec_of(int_range(0u64..3), 1..40),
         seed in int_range(0u64..u64::MAX),
     ) {
-        let row: Vec<u32> = row.iter().map(|&c| c as u32).collect();
+        let mut port = Port::new(Link::datacenter_default(), None, row.len());
+        for (q, &packets) in row.iter().enumerate() {
+            for seq in 0..packets {
+                let pkt = Packet::data(FlowId(q as u32), NodeId(0), NodeId(1), seq, MTU, 0, false);
+                port.enqueue(QueueTarget::Phys(q), pkt, 0);
+            }
+        }
         let (mut old_rng, mut new_rng) = (SimRng::new(seed), SimRng::new(seed));
         let free: Vec<usize> = (0..row.len()).filter(|&q| row[q] == 0).collect();
         let expected = if free.is_empty() {
@@ -54,7 +60,7 @@ property! {
         } else {
             free[old_rng.next_index(free.len())]
         };
-        assert_eq!(pick_queue(&row, &mut new_rng), expected);
+        assert_eq!(pick_queue(&port, &mut new_rng), expected);
         assert_eq!(new_rng, old_rng, "same single RNG draw");
     }
 
@@ -697,8 +703,11 @@ property! {
                         }
                     };
                     model.check_slot(&table, k, slot);
-                    table.entry_mut(slot).packets_queued = step as u32;
-                    model.entries.get_mut(&k).expect("tracked").1 = step as u32;
+                    // Non-zero, as for every flow the policy tracks: a
+                    // restore refuses an entry with no packet queued.
+                    let packets = step as u32 + 1;
+                    table.entry_mut(slot).packets_queued = packets;
+                    model.entries.get_mut(&k).expect("tracked").1 = packets;
                 }
                 2 => {
                     table.remove(key);

@@ -234,7 +234,8 @@ fn damaged_snapshots_are_rejected() {
         Err(SnapError::BadChecksum)
     ));
 
-    // Another format version — a future one, version 14 with a hash count
+    // Another format version — a future one, version 15 with the switch
+    // policies' own copies of queue occupancy, version 14 with a hash count
     // in each pause frame and a packet count in each sender and receiver
     // flow, version 13 with each sim's link state and a packet's class and
     // an ACK's sequence number held twice, version 12 with two totals a resumed run recounts (completed flows, goodput's running total),
@@ -247,10 +248,10 @@ fn damaged_snapshots_are_rejected() {
     // checksum — is refused by number, not misdecoded.
     assert_eq!(
         snap[8..12],
-        15u32.to_le_bytes(),
-        "this build writes version 15"
+        16u32.to_le_bytes(),
+        "this build writes version 16"
     );
-    for version in [99u32, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5] {
+    for version in [99u32, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5] {
         let mut versioned = snap.clone();
         versioned[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
@@ -403,12 +404,14 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 ///
 /// The flight trace is as written by commit 0022cd3 (`TRACE_VERSION` 2), the
 /// last one whose codec was 68 hand-written `save`/`restore` functions. The
-/// snapshots are `SNAPSHOT_VERSION` 15, which drops from version 14 the
-/// packet count of each sender and receiver flow (8 bytes each: it is the
-/// flow's size over the constant MTU) and the hash count of each stored
-/// pause frame (4 bytes: a constant), and whose fingerprint now covers the
-/// topology's links (same length, other checksum): 2 160–2 216 bytes less
-/// per row, the same at one shard and at two.
+/// snapshots are `SNAPSHOT_VERSION` 16, which drops from version 15 what the
+/// switch policies held of their egresses' queue occupancy, which the ports
+/// hold: BFC's per-(egress, queue) assignment counts (2 272 bytes on the BFC
+/// rows) and the per-queue resident maps of FIFO and SFQ, which become one
+/// map of packets queued per (egress, flow) — 128 bytes less on the DCQCN,
+/// DCQCN+Win and HPCC rows, 4 224 on DCQCN+Win+SFQ's and 128 128 on
+/// Ideal-FQ's, whose 1 000 empty maps per egress it touched go; the same at
+/// one shard and at two.
 ///
 /// The two-shard rows also depend on where the epoch windows fall, at any
 /// version: a pending event is saved with the sequence number its queue gave
@@ -422,18 +425,18 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 /// one run, 224 bytes differ, each by a few units, and the parent's file
 /// resumed there to the uninterrupted run's result.
 const PARENT_SNAPSHOTS: [(usize, u64); 12] = [
-    (83_268, 0xcb25_a4b0_924c_8e9b), // BFC, 1 shard
-    (92_075, 0xea14_8676_fd0f_7a32), // BFC, 2 shards
-    (431_836, 0x0b02_ac3c_038b_452d), // Ideal-FQ
-    (440_643, 0x9d3a_ddad_f1a6_dd3f),
-    (72_798, 0x3a3c_acfb_4c47_c2d8), // DCQCN
-    (81_605, 0xa44d_dab2_cb97_0649),
-    (72_798, 0xadf5_6e27_2dce_a230), // DCQCN+Win
-    (81_605, 0x530c_ff1b_ad79_97fa),
-    (68_975, 0xe782_6109_760f_f127), // HPCC
-    (77_782, 0x479c_3934_c69e_07bc),
-    (76_089, 0xbc35_78b8_4ae9_f2ae), // DCQCN+Win+SFQ
-    (84_896, 0x3f01_696d_0a3b_3a96),
+    (80_996, 0xd101_6dee_41fc_f12d), // BFC, 1 shard
+    (89_803, 0xf9d3_012e_2ae7_03e3), // BFC, 2 shards
+    (303_708, 0xa260_5250_4872_6138), // Ideal-FQ
+    (312_515, 0xace8_c783_b0c2_ff64),
+    (72_670, 0x2c89_c56c_9614_acdd), // DCQCN
+    (81_477, 0xc62b_79a0_dae4_8958),
+    (72_670, 0x5711_7900_5296_aad5), // DCQCN+Win
+    (81_477, 0x4663_110b_b38d_42ff),
+    (68_847, 0x6ea5_727c_84ba_7b0e), // HPCC
+    (77_654, 0x7bf2_eca6_301b_b033),
+    (71_865, 0x5f5a_3500_0eef_c892), // DCQCN+Win+SFQ
+    (80_672, 0x9002_66b9_bdda_1a95),
 ];
 const PARENT_FLIGHT: (usize, u64) = (1_256_716, 0x3704_4530_a583_d1d0);
 
