@@ -21,7 +21,7 @@ use bfc_core::{BfcConfig, BfcPolicy, CountingBloom, FlowKey, FlowTable};
 use bfc_experiments::cli::Args;
 use bfc_experiments::{run_experiment_sharded, ExperimentConfig, MetricsHub, Scheme};
 use bfc_net::packet::{Packet, PauseFrame, MTU};
-use bfc_net::policy::{EnqueueCtx, FifoPolicy, SwitchPolicy};
+use bfc_net::policy::{DequeueCtx, EnqueueCtx, FifoPolicy, SwitchPolicy};
 use bfc_net::routing::RoutingTables;
 use bfc_net::switch::Switch;
 use bfc_net::topology::{fat_tree, FatTreeParams};
@@ -191,7 +191,13 @@ fn bench_switch_forwarding(h: &mut Harness) {
         let flow = (hops % 64) as u32;
         let dst = NodeId((1 + hops % 15) as u32);
         let pkt = Packet::data(FlowId(flow), NodeId(0), dst, hops / 64, 1_000, flow, false);
-        sw.handle_packet(SimTime::from_nanos(hops * 100), 0, pkt, &routes, &mut events);
+        sw.handle_packet(
+            SimTime::from_nanos(hops * 100),
+            0,
+            pkt,
+            &routes,
+            &mut events,
+        );
         hops += 1;
         while let Some((t, ev)) = events.pop() {
             if let NetEvent::TxComplete { port, .. } = ev {
@@ -206,19 +212,34 @@ fn bench_switch_forwarding(h: &mut Harness) {
             events.total_scheduled() as f64 / hops as f64
         ));
     }
-    let port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), 32);
+    // BFC picks a queue by the occupancy its egress port holds, so each
+    // packet goes into the port it was given a queue in, as in
+    // `Switch::forward`, and then every one leaves through `on_dequeue`, as
+    // in `Switch::transmit_next`: 50 flows on 32 occupied queues collide.
+    let mut port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), 32);
     h.bench("bfc_policy_enqueue_dequeue_1k", || {
         let mut policy = BfcPolicy::new(BfcConfig::default(), 3);
-        let ctx = EnqueueCtx {
-            ingress: 0,
-            egress: 1,
-            port: &port,
-        };
         for i in 0..1_000u32 {
-            let pkt = Packet::data(FlowId(i % 50), NodeId(0), NodeId(1), 0, 1_000, i % 50, false);
-            black_box(policy.on_enqueue(&ctx, &pkt));
+            let flow = i % 50;
+            let pkt = Packet::data(FlowId(flow), NodeId(0), NodeId(1), 0, 1_000, flow, false);
+            let ctx = EnqueueCtx {
+                ingress: 0,
+                egress: 1,
+                port: &port,
+            };
+            let target = policy.on_enqueue(&ctx, &pkt).target;
+            port.enqueue(target, pkt, 0);
         }
-        policy.tracked_flows()
+        while let Some((queued, queue)) = port.dequeue_next() {
+            let ctx = DequeueCtx {
+                ingress: queued.ingress,
+                egress: 1,
+                port: &port,
+                queue,
+            };
+            policy.on_dequeue(&ctx, &queued.packet);
+        }
+        policy.stats().collisions
     });
 }
 
@@ -516,14 +537,14 @@ fn bench_port_counters(h: &mut Harness) {
         for i in 0..1_000u32 {
             let ingress = i % 24;
             buffer.admit(1_000, ingress);
-            transitions += usize::from(buffer.pfc_transition(ingress, true).is_some());
+            transitions += usize::from(buffer.pfc_transition(ingress).is_some());
             if i % 3 == 2 {
                 buffer.release(1_000, ingress);
-                transitions += usize::from(buffer.pfc_transition(ingress, true).is_some());
+                transitions += usize::from(buffer.pfc_transition(ingress).is_some());
             }
             if i % 100 == 99 {
                 for sweep in 0..24u32 {
-                    transitions += usize::from(buffer.pfc_transition(sweep, true).is_some());
+                    transitions += usize::from(buffer.pfc_transition(sweep).is_some());
                 }
             }
         }
@@ -540,12 +561,7 @@ fn bench_epoch_barrier(h: &mut Harness) {
     // `result.epochs()`) go from `windows + 1` to `2 * windows + 1`.
     let quiet = synthesize(
         &topo.hosts(),
-        &TraceParams::background_only(
-            Workload::Google,
-            0.005,
-            SimDuration::from_micros(2_000),
-            53,
-        ),
+        &TraceParams::background_only(Workload::Google, 0.005, SimDuration::from_micros(2_000), 53),
     );
     let quiet_config = ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(2_000));
     h.bench("sharded_epoch_quiescent", || {

@@ -503,7 +503,7 @@ fn print_engine_counters(io: &mut Io<'_>, results: &[ExperimentResult]) {
 /// `fuzz --replay` so a resumed run's table is byte-identical to the
 /// uninterrupted replay's.
 fn print_results_table(io: &mut Io<'_>, results: &[ExperimentResult]) {
-    let columns = ["scheme", "completed", "p50", "p99", "util %", "drops"];
+    let columns = ["scheme", "completed", "p50", "p99", "util %", "drops", "retx"];
     let mut table = Table::new("", columns);
     for r in results {
         let (p50, p99) = r.fct.overall.as_ref().map_or((f64::NAN, f64::NAN), |o| (o.p50, o.p99));
@@ -514,6 +514,7 @@ fn print_results_table(io: &mut Io<'_>, results: &[ExperimentResult]) {
             Cell::Fixed(p99, 2),
             Cell::Fixed(r.utilization() * 100.0, 1),
             Cell::Int(r.drops),
+            Cell::Int(r.retransmitted_packets()),
         ]);
     }
     outln!(io, "{table}\n(FCT slowdown percentiles over non-incast flows)");

@@ -14,6 +14,7 @@ use super::{
 };
 use crate::figures::failure_sweep;
 use crate::fuzz::{fuzz, topology_by_name, FuzzConfig, Objective};
+use crate::table::Cell;
 use crate::{ExperimentConfig, ExperimentResult, ReplayTrace, Reproducer, ScenarioSpec, Scheme};
 
 /// `--diff-schemes a,b`: exactly two single schemes.
@@ -51,7 +52,9 @@ pub(super) fn cmd_scenario(args: &[String], io: &mut Io<'_>) -> Result<ExitCode,
         host_gbps: topo.host_uplink(hosts[0]).link.rate_gbps,
         ..TraceParams::background_only(Workload::Google, load, duration, seed)
     };
-    params.check(hosts.len()).map_err(|e| format!("scenario: {e}"))?;
+    params
+        .check(hosts.len())
+        .map_err(|e| format!("scenario: {e}"))?;
     let pair = diff_schemes.as_deref().map(diff_pair).transpose()?;
 
     let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -160,9 +163,13 @@ pub(super) fn cmd_scenario(args: &[String], io: &mut Io<'_>) -> Result<ExitCode,
             flows.len(),
             count(runner.threads(), "worker thread"),
         );
+        // The figure's columns, then the hosts' retransmissions.
         let mut table = failure_sweep::recovery_table("");
+        table.columns.push("retx".to_string());
         for r in &results {
-            table.push(failure_sweep::recovery_row(&label, r));
+            let mut row = failure_sweep::recovery_row(&label, r);
+            row.push(Cell::Int(r.retransmitted_packets()));
+            table.push(row);
         }
         outln!(io, "{table}");
         for r in &results {

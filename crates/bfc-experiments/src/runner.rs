@@ -28,7 +28,8 @@ use bfc_net::trace::{FlightTrace, TraceEvent, TraceFilter};
 use bfc_net::types::{FlowId, NodeId};
 use bfc_sim::shard::{EpochStats, ShardWall};
 use bfc_sim::{EventQueue, SimDuration, SimTime};
-use bfc_transport::{FlowSpec, Host, HostConfig};
+use bfc_transport::host::HostCounters;
+use bfc_transport::{CcKind, FlowSpec, Host, HostConfig};
 use bfc_workloads::TraceFlow;
 
 use std::sync::Arc;
@@ -248,6 +249,12 @@ impl ExperimentResult {
             barriers: self.counter("bfc_engine_epoch_barriers"),
             boundary_events: self.counter("bfc_engine_epoch_boundary_events"),
         }
+    }
+
+    /// Data packets the hosts retransmitted (Go-Back-N rewinds after a NACK
+    /// or a timeout), summed over every host.
+    pub fn retransmitted_packets(&self) -> u64 {
+        self.counter("bfc_host_retransmitted_packets")
     }
 
     /// Events scheduled beyond the calendar horizon of a worker's event
@@ -592,17 +599,6 @@ impl Frame {
             config
                 .scheme
                 .switch_config(config.queues_per_port, config.buffer_bytes, MTU);
-        if switch_config.int_enabled {
-            // Every switch on a data packet's path appends one INT record;
-            // reject a too-deep topology here, not inside the event loop.
-            let diameter = routes.switch_hop_diameter();
-            assert!(
-                diameter <= MAX_INT_HOPS,
-                "scheme {} records INT at every switch, but the topology's switch-hop \
-                 diameter is {diameter} and bfc_net::packet::MAX_INT_HOPS is {MAX_INT_HOPS}",
-                config.scheme.cli_key()
-            );
-        }
 
         // Base RTT: take the farthest-apart host pair we can cheaply identify
         // (first and last host, which sit in different racks / data centers
@@ -612,10 +608,23 @@ impl Frame {
         let base_rtt = routes.base_rtt(topo, far_a, far_b);
         let host_gbps = topo.host_uplink(far_a).link.rate_gbps;
         let bdp_bytes = (host_gbps * 1e9 / 8.0 * base_rtt.as_secs_f64()) as u64;
+        let host_config = config.scheme.host_config(base_rtt, bdp_bytes);
+        if host_config.cc == CcKind::Hpcc {
+            // Every switch on an HPCC data packet's path appends one INT
+            // record; reject a too-deep topology here, not inside the event
+            // loop.
+            let diameter = routes.switch_hop_diameter();
+            assert!(
+                diameter <= MAX_INT_HOPS,
+                "scheme {} records INT at every switch, but the topology's switch-hop \
+                 diameter is {diameter} and bfc_net::packet::MAX_INT_HOPS is {MAX_INT_HOPS}",
+                config.scheme.cli_key()
+            );
+        }
 
         Frame {
             switch_config,
-            host_config: config.scheme.host_config(base_rtt, bdp_bytes),
+            host_config,
             routes,
             hosts_list,
             host_gbps,
@@ -827,7 +836,7 @@ pub(crate) fn assemble_result(
     // Scalar per-node metrics, iterated in node order (each node lives in
     // exactly one sim). The registry is built in the same pass and in the
     // same order, so serial and sharded runs produce equal registries.
-    let mut delivered_bytes = 0;
+    let mut hosts = HostCounters::default();
     let mut pfc_paused = SimDuration::ZERO;
     let mut pfc_links = 0;
     let mut policy_stats = PolicyStats::default();
@@ -836,7 +845,11 @@ pub(crate) fn assemble_result(
     for idx in 0..topo.num_nodes() {
         for sim in &sims {
             if let Some(host) = &sim.hosts[idx] {
-                delivered_bytes += host.counters().rx_data_bytes;
+                let c = host.counters();
+                hosts.tx_data_bytes += c.tx_data_bytes;
+                hosts.rx_data_bytes += c.rx_data_bytes;
+                hosts.retransmitted_packets += c.retransmitted_packets;
+                hosts.cnps_sent += c.cnps_sent;
             }
             if let Some(sw) = &sim.switches[idx] {
                 policy_stats.merge(&sw.policy_stats());
@@ -885,8 +898,17 @@ pub(crate) fn assemble_result(
     registry.add_counter("bfc_flow_table_probe_steps", probe.probe_steps);
     registry.set_gauge("bfc_flow_table_max_probe", probe.max_probe as f64);
 
+    // Host transport totals, retransmissions among them.
+    registry.add_counter("bfc_host_tx_data_bytes", hosts.tx_data_bytes);
+    registry.add_counter("bfc_host_rx_data_bytes", hosts.rx_data_bytes);
+    registry.add_counter(
+        "bfc_host_retransmitted_packets",
+        hosts.retransmitted_packets,
+    );
+    registry.add_counter("bfc_host_cnps_sent", hosts.cnps_sent);
+
     let utilization = utilization(
-        delivered_bytes,
+        hosts.rx_data_bytes,
         frame.hosts_list.len(),
         frame.host_gbps,
         measured,
@@ -1111,6 +1133,20 @@ mod tests {
                 "{name}: {policy:?}"
             );
             assert!(policy.resumes <= policy.pauses, "{name}: {policy:?}");
+            // The hosts' totals: what was delivered was sent, and only
+            // DCQCN's data is ECN-capable, so only its receivers send CNPs.
+            let tx = result.counter("bfc_host_tx_data_bytes");
+            let rx = result.counter("bfc_host_rx_data_bytes");
+            let retx = result.retransmitted_packets();
+            assert!(
+                0 < rx && rx <= tx,
+                "{name}: sent {tx} B ({retx} packets rewound), delivered {rx} B"
+            );
+            let cnps = result.counter("bfc_host_cnps_sent");
+            assert!(
+                name.starts_with("DCQCN") || cnps == 0,
+                "{name}: {cnps} CNPs"
+            );
             let epochs = result.epochs();
             let one_window = EpochStats {
                 batches: 1,
@@ -1168,6 +1204,10 @@ mod tests {
         names(
             "no registry counter `bfc_engine_queue_overflow_pushes`",
             &|| result.queue_overflow_pushes(),
+        );
+        names(
+            "no registry counter `bfc_host_retransmitted_packets`",
+            &|| result.retransmitted_packets(),
         );
         names("no registry counter family `bfc_switch_drops`", &|| {
             switch_total(&result.registry, "bfc_switch_drops")

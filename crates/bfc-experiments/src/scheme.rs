@@ -1,8 +1,10 @@
 //! The registry of evaluated schemes (§4.1 "Comparison Schemes").
 //!
-//! A [`Scheme`] bundles the three pieces the paper varies together:
-//! the switch configuration (ECN/INT/PFC/buffering), the per-switch queue
-//! policy, and the host congestion control.
+//! A [`Scheme`] bundles the three pieces the paper varies together: the
+//! switch's queues and buffer, the per-switch queue policy, and the host
+//! congestion control. The policy is the only scheme-specific code in a
+//! switch: ECN marking and INT follow what the host's data carries, and PFC
+//! runs wherever the buffer is finite (§4.1).
 
 use bfc_core::{BfcConfig, BfcPolicy};
 use bfc_net::config::SwitchConfig;
@@ -75,22 +77,14 @@ impl Scheme {
 
     /// The full comparison set of Fig. 5.
     pub fn paper_lineup() -> Vec<Scheme> {
+        let dcqcn = |window, sfq| Scheme::Dcqcn { window, sfq };
         vec![
             Scheme::bfc(),
             Scheme::IdealFq,
-            Scheme::Dcqcn {
-                window: false,
-                sfq: false,
-            },
-            Scheme::Dcqcn {
-                window: true,
-                sfq: false,
-            },
+            dcqcn(false, false),
+            dcqcn(true, false),
             Scheme::Hpcc,
-            Scheme::Dcqcn {
-                window: true,
-                sfq: true,
-            },
+            dcqcn(true, true),
         ]
     }
 
@@ -104,63 +98,47 @@ impl Scheme {
             Scheme::Bfc(cfg) if !cfg.dynamic_assignment => "bfc-vfid",
             Scheme::Bfc(_) => "bfc",
             Scheme::Dcqcn { window: false, .. } => "dcqcn",
-            Scheme::Dcqcn { window: true, sfq: false } => "dcqcn-win",
-            Scheme::Dcqcn { window: true, sfq: true } => "dcqcn-win-sfq",
+            Scheme::Dcqcn { sfq: false, .. } => "dcqcn-win",
+            Scheme::Dcqcn { .. } => "dcqcn-win-sfq",
             Scheme::Hpcc => "hpcc",
             Scheme::IdealFq => "ideal-fq",
             Scheme::SfqInfBuffer => "sfq-inf",
         }
     }
 
-    /// Parses a [`Scheme::cli_key`] back into a scheme.
+    /// Parses a [`Scheme::cli_key`] back into the scheme it names: the
+    /// lineup's, BFC-VFID or SFQ+InfBuffer.
     pub fn from_cli_key(key: &str) -> Option<Scheme> {
-        Some(match key {
-            "bfc" => Scheme::bfc(),
-            "bfc-vfid" => Scheme::bfc_vfid(),
-            "ideal-fq" => Scheme::IdealFq,
-            "dcqcn" => Scheme::Dcqcn { window: false, sfq: false },
-            "dcqcn-win" => Scheme::Dcqcn { window: true, sfq: false },
-            "dcqcn-win-sfq" => Scheme::Dcqcn { window: true, sfq: true },
-            "hpcc" => Scheme::Hpcc,
-            "sfq-inf" => Scheme::SfqInfBuffer,
-            _ => return None,
-        })
-    }
-
-    /// Whether the scheme relies on PFC as a backstop.
-    pub fn uses_pfc(&self) -> bool {
-        !matches!(self, Scheme::IdealFq | Scheme::SfqInfBuffer)
+        Scheme::paper_lineup()
+            .into_iter()
+            .chain([Scheme::bfc_vfid(), Scheme::SfqInfBuffer])
+            .find(|scheme| scheme.cli_key() == key)
     }
 
     /// Builds the switch configuration for this scheme. `queues_per_port`
     /// and `buffer_bytes` come from the experiment (they are swept by the
-    /// sensitivity figures).
+    /// sensitivity figures); Ideal-FQ and SFQ+InfBuffer override the buffer
+    /// with an infinite one, which runs no PFC, and Ideal-FQ the queue count.
     ///
     /// `mtu` must be [`MTU`]: it is no setting, and stays only because the
     /// repository's benchmark calls `switch_config(32, 12_000_000, 1_000)`.
     /// It goes with the next change to the benchmark.
-    pub fn switch_config(&self, queues_per_port: usize, buffer_bytes: u64, mtu: u32) -> SwitchConfig {
+    pub fn switch_config(
+        &self,
+        queues_per_port: usize,
+        buffer_bytes: u64,
+        mtu: u32,
+    ) -> SwitchConfig {
         assert_eq!(mtu, MTU, "every switch runs the paper's {MTU}-byte MTU");
-        let base = SwitchConfig {
+        let (queues_per_port, buffer_bytes) = match self {
+            // Approximate per-flow fair queueing with a large queue count.
+            Scheme::IdealFq => (1_000, u64::MAX),
+            Scheme::SfqInfBuffer => (queues_per_port, u64::MAX),
+            Scheme::Bfc(_) | Scheme::Dcqcn { .. } | Scheme::Hpcc => (queues_per_port, buffer_bytes),
+        };
+        SwitchConfig {
             queues_per_port,
             buffer_bytes,
-            ..SwitchConfig::default()
-        };
-        match self {
-            Scheme::Bfc(_) => base,
-            Scheme::Dcqcn { .. } => SwitchConfig { ecn: true, ..base },
-            Scheme::Hpcc => SwitchConfig {
-                int_enabled: true,
-                ..base
-            },
-            Scheme::IdealFq => SwitchConfig {
-                // Approximate per-flow fair queueing with a large queue count.
-                queues_per_port: 1_000,
-                ..base
-            }
-            .with_infinite_buffer()
-            .without_pfc(),
-            Scheme::SfqInfBuffer => base.with_infinite_buffer().without_pfc(),
         }
     }
 
@@ -213,16 +191,27 @@ mod tests {
     use bfc_net::port::Port;
     use bfc_net::types::{FlowId, NodeId};
     use bfc_net::Link;
+    use bfc_transport::CcKind;
 
     #[test]
     fn names_match_paper_legends() {
         let names: Vec<String> = Scheme::paper_lineup().iter().map(|s| s.name()).collect();
         assert_eq!(
             names,
-            vec!["BFC", "Ideal-FQ", "DCQCN", "DCQCN+Win", "HPCC", "DCQCN+Win+SFQ"]
+            vec![
+                "BFC",
+                "Ideal-FQ",
+                "DCQCN",
+                "DCQCN+Win",
+                "HPCC",
+                "DCQCN+Win+SFQ"
+            ]
         );
         assert_eq!(Scheme::bfc_vfid().name(), "BFC-VFID");
-        assert_eq!(Scheme::Bfc(BfcConfig::without_resume_limit()).name(), "BFC-BufferOpt");
+        assert_eq!(
+            Scheme::Bfc(BfcConfig::without_resume_limit()).name(),
+            "BFC-BufferOpt"
+        );
         assert_eq!(
             Scheme::Bfc(BfcConfig::without_high_priority_queue()).name(),
             "BFC-HighPriorityQ"
@@ -242,19 +231,35 @@ mod tests {
     }
 
     #[test]
-    fn switch_configs_reflect_scheme_features() {
-        let bfc = Scheme::bfc().switch_config(32, 12_000_000, MTU);
-        assert!(!bfc.ecn && !bfc.int_enabled && bfc.pfc);
-        let dcqcn = Scheme::Dcqcn { window: true, sfq: false }.switch_config(32, 12_000_000, MTU);
-        assert!(dcqcn.ecn);
-        let hpcc = Scheme::Hpcc.switch_config(32, 12_000_000, MTU);
-        assert!(hpcc.int_enabled && !hpcc.ecn);
+    fn switch_configs_differ_only_in_queues_and_buffer() {
+        let finite = SwitchConfig {
+            queues_per_port: 32,
+            buffer_bytes: 12_000_000,
+        };
+        for scheme in [Scheme::bfc(), Scheme::bfc_vfid(), Scheme::Hpcc]
+            .into_iter()
+            .chain(
+                [(false, false), (true, false), (true, true)]
+                    .map(|(window, sfq)| Scheme::Dcqcn { window, sfq }),
+            )
+        {
+            assert_eq!(
+                scheme.switch_config(32, 12_000_000, MTU),
+                finite,
+                "{}",
+                scheme.name()
+            );
+        }
         let ideal = Scheme::IdealFq.switch_config(32, 12_000_000, MTU);
-        assert_eq!(ideal.buffer_bytes, u64::MAX);
-        assert!(!ideal.pfc);
-        assert_eq!(ideal.queues_per_port, 1_000);
-        assert!(!Scheme::IdealFq.uses_pfc());
-        assert!(Scheme::bfc().uses_pfc());
+        assert_eq!(
+            (ideal.queues_per_port, ideal.buffer_bytes),
+            (1_000, u64::MAX)
+        );
+        let sfq_inf = Scheme::SfqInfBuffer.switch_config(32, 12_000_000, MTU);
+        assert_eq!(
+            (sfq_inf.queues_per_port, sfq_inf.buffer_bytes),
+            (32, u64::MAX)
+        );
     }
 
     /// The queue `scheme`'s policy gives a mid-flow data packet of VFID 77 on
@@ -290,10 +295,23 @@ mod tests {
             (hashed, false)
         );
         assert_eq!(first_decision(Scheme::Hpcc), (QueueTarget::Phys(0), false));
-        let host = Scheme::Dcqcn { window: true, sfq: false }.host_config(rtt, 100_000);
+        let host = Scheme::Dcqcn {
+            window: true,
+            sfq: false,
+        }
+        .host_config(rtt, 100_000);
         assert_eq!(host.window_bytes, Some(100_000));
-        let host = Scheme::Dcqcn { window: false, sfq: false }.host_config(rtt, 100_000);
+        let host = Scheme::Dcqcn {
+            window: false,
+            sfq: false,
+        }
+        .host_config(rtt, 100_000);
         assert_eq!(host.window_bytes, None);
+        let host = Scheme::IdealFq.host_config(rtt, 100_000);
+        assert_eq!(
+            (host.cc, host.window_bytes),
+            (CcKind::LineRate, Some(100_000))
+        );
         assert_eq!(Scheme::bfc().num_vfids(), 16_384);
         assert_eq!(Scheme::Hpcc.num_vfids(), 1 << 20);
     }

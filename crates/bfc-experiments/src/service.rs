@@ -73,8 +73,8 @@ use bfc_net::routing::RoutingTables;
 use bfc_net::switch::{Switch, SwitchCounters};
 use bfc_net::topology::Topology;
 use bfc_net::types::NodeId;
-use bfc_sim::snapshot::{self, checksum64, Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::rng::mix64;
+use bfc_sim::snapshot::{self, checksum64, Snap, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{EventQueue, SimTime};
 use bfc_transport::Host;
 use bfc_workloads::ingest::{IngestError, IngestSource, MAX_LINE_BYTES};
@@ -120,8 +120,10 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"BFCSNAP\0";
 /// Version 16 drops what the switch policies held of their egresses' queue
 /// occupancy, which the ports hold: BFC's per-(egress, queue) assignment
 /// counts, and the FIFO and SFQ per-queue resident maps, now one map of
-/// packets queued per (egress, flow).
-pub const SNAPSHOT_VERSION: u32 = 16;
+/// packets queued per (egress, flow). Version 17 saves a packet's ECN
+/// codepoint in its CE flag's byte (0 not ECT, 2 ECT, 1 CE) and its INT
+/// header's presence in the hop count (0 none, `n + 1` for `n` hops).
+pub const SNAPSHOT_VERSION: u32 = 17;
 
 /// Hashes every run input the snapshot does *not* serialize — topology (its
 /// links included), trace, configuration and shard count — so a resume
@@ -262,7 +264,9 @@ fn restore_sim(
         Arc::clone(&frame.routes)
     } else {
         let ls = &sim.link_state;
-        Arc::new(RoutingTables::compute_filtered(sim.topo, |n, p| ls.is_up(n, p)))
+        Arc::new(RoutingTables::compute_filtered(sim.topo, |n, p| {
+            ls.is_up(n, p)
+        }))
     };
     Ok(())
 }
@@ -592,7 +596,9 @@ fn serve_scrapes(mut conn: TcpStream, hub: &MetricsHub) {
     if conn.set_write_timeout(Some(SCRAPE_WRITE_TIMEOUT)).is_err() {
         return;
     }
-    let Ok(read_half) = conn.try_clone() else { return };
+    let Ok(read_half) = conn.try_clone() else {
+        return;
+    };
     let mut reader = BufReader::new(read_half);
     let mut line = Vec::new();
     loop {
@@ -856,13 +862,29 @@ mod tests {
         let switch = topo.switches()[0];
         let past_the_last = NodeId(topo.num_nodes() as u32);
         for (bad, node) in [
-            (TraceFlow { dst: switch, ..trace[1] }, switch),
-            (TraceFlow { src: past_the_last, ..trace[1] }, past_the_last),
+            (
+                TraceFlow {
+                    dst: switch,
+                    ..trace[1]
+                },
+                switch,
+            ),
+            (
+                TraceFlow {
+                    src: past_the_last,
+                    ..trace[1]
+                },
+                past_the_last,
+            ),
         ] {
             let mut source = Flows(vec![trace[0], bad, trace[2]].into_iter());
             let err = serve_experiment(&topo, &config, &mut source, 4)
                 .expect_err("a flow the topology cannot run is refused");
-            let ServeError::Flow(ReplayError::UnknownHost { flow_index, node: named }) = err else {
+            let ServeError::Flow(ReplayError::UnknownHost {
+                flow_index,
+                node: named,
+            }) = err
+            else {
                 panic!("refused for another reason: {err}");
             };
             assert_eq!((flow_index, named), (1, node));
@@ -940,7 +962,9 @@ mod tests {
         let first_render = |reader: &mut BufReader<TcpStream>| {
             let mut text = String::new();
             while !text.ends_with("# EOF\n") {
-                let read = reader.read_line(&mut text).expect("a render within the timeout");
+                let read = reader
+                    .read_line(&mut text)
+                    .expect("a render within the timeout");
                 assert!(read > 0, "closed before the first render: {text}");
             }
             text

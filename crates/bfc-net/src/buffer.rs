@@ -7,7 +7,9 @@
 //! triggers PFC "when traffic from an input port occupies more than 11% of
 //! the free buffer", and an ingress resumes its upstream once it falls below
 //! a hysteresis fraction of that threshold, so pause and resume frames do
-//! not oscillate every packet.
+//! not oscillate every packet. An infinite buffer (`u64::MAX` bytes, the
+//! Ideal-FQ and SFQ+InfBuffer baselines) runs no PFC: no ingress can ever
+//! hold 11 % of it, so the threshold is not even computed.
 
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
@@ -56,11 +58,6 @@ impl SharedBuffer {
         }
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Bytes currently stored.
     pub fn occupancy(&self) -> u64 {
         self.occupancy
@@ -101,12 +98,12 @@ impl SharedBuffer {
         self.per_ingress[ingress as usize] -= bytes;
     }
 
-    /// PFC decision for `ingress` after an arrival or departure on a switch
-    /// that runs PFC iff `enabled`. Returns `Some(true)` if a pause frame
-    /// must be sent upstream now, `Some(false)` if a resume frame must be
-    /// sent, and `None` if nothing changes.
-    pub fn pfc_transition(&mut self, ingress: u32, enabled: bool) -> Option<bool> {
-        if !enabled {
+    /// PFC decision for `ingress` after an arrival or departure. Returns
+    /// `Some(true)` if a pause frame must be sent upstream now, `Some(false)`
+    /// if a resume frame must be sent, and `None` if nothing changes — always
+    /// `None` for an infinite buffer.
+    pub fn pfc_transition(&mut self, ingress: u32) -> Option<bool> {
+        if self.capacity == u64::MAX {
             return None;
         }
         let idx = ingress as usize;
@@ -212,7 +209,7 @@ mod tests {
         let mut paused = false;
         for _ in 0..200 {
             b.admit(1_000, 0);
-            if let Some(p) = b.pfc_transition(0, true) {
+            if let Some(p) = b.pfc_transition(0) {
                 paused = p;
                 break;
             }
@@ -222,7 +219,7 @@ mod tests {
         let mut resumed = false;
         while b.ingress_occupancy(0) > 0 {
             b.release(1_000, 0);
-            if let Some(p) = b.pfc_transition(0, true) {
+            if let Some(p) = b.pfc_transition(0) {
                 assert!(!p);
                 resumed = true;
                 break;
@@ -232,10 +229,13 @@ mod tests {
     }
 
     #[test]
-    fn pfc_disabled_never_transitions() {
-        let mut b = SharedBuffer::new(1_000, 1);
-        b.admit(900, 0);
-        assert_eq!(b.pfc_transition(0, false), None);
+    fn an_infinite_buffer_never_transitions() {
+        let mut b = SharedBuffer::new(u64::MAX, 2);
+        for _ in 0..1_000 {
+            b.admit(1_000_000_000, 0);
+            assert_eq!(b.pfc_transition(0), None);
+        }
+        assert!(!b.upstream_paused(0));
     }
 
     #[test]
@@ -244,9 +244,9 @@ mod tests {
         // Ingress 1 fills; ingress 2 stays empty and must not be paused.
         for _ in 0..60 {
             b.admit(1_000, 1);
-            b.pfc_transition(1, true);
+            b.pfc_transition(1);
         }
-        assert_eq!(b.pfc_transition(2, true), None);
+        assert_eq!(b.pfc_transition(2), None);
         assert!(!b.upstream_paused(2));
     }
 }

@@ -1,7 +1,9 @@
-//! Switch configuration — which of ECN marking, PFC and INT a switch runs,
-//! its queue count and buffer — and the paper's fixed ECN and pause-frame
-//! constants (§4.1). The MTU, which is every egress port's DRR quantum, is
-//! [`crate::packet::MTU`].
+//! Switch configuration — a switch's queue count and shared buffer — and
+//! the paper's fixed ECN and pause-frame constants (§4.1). A switch runs no
+//! scheme: it ECN-marks packets whose codepoint asks for it, appends INT to
+//! packets that carry a header ([`crate::packet`]), and sends PFC frames
+//! when its buffer is finite ([`crate::buffer`]). The MTU, which is every
+//! egress port's DRR quantum, is [`crate::packet::MTU`].
 
 use bfc_sim::SimDuration;
 
@@ -37,17 +39,10 @@ pub struct SwitchConfig {
     /// Number of physical queues per egress port available to the queue
     /// assignment policy (32 in the paper's hardware model).
     pub queues_per_port: usize,
-    /// Shared packet buffer capacity in bytes (`u64::MAX` models the
-    /// infinite-buffer baselines). The paper's switches have 12 MB.
+    /// Shared packet buffer capacity in bytes. The paper's switches have
+    /// 12 MB; `u64::MAX` models the infinite-buffer baselines, which run no
+    /// PFC.
     pub buffer_bytes: u64,
-    /// RED/ECN-mark data packets between the paper's `Kmin` and `Kmax` (the
-    /// DCQCN family; BFC and HPCC do not use ECN).
-    pub ecn: bool,
-    /// Send PFC pause / resume frames upstream at the dynamic threshold of
-    /// [`crate::buffer`] (Ideal-FQ and the Fig. 2 experiment run without).
-    pub pfc: bool,
-    /// Append HPCC INT telemetry to data packets on dequeue.
-    pub int_enabled: bool,
 }
 
 impl Default for SwitchConfig {
@@ -55,30 +50,7 @@ impl Default for SwitchConfig {
         SwitchConfig {
             queues_per_port: 32,
             buffer_bytes: 12_000_000,
-            ecn: false,
-            pfc: true,
-            int_enabled: false,
         }
-    }
-}
-
-impl SwitchConfig {
-    /// Disables PFC.
-    pub fn without_pfc(mut self) -> Self {
-        self.pfc = false;
-        self
-    }
-
-    /// Sets the shared buffer size.
-    pub fn with_buffer_bytes(mut self, bytes: u64) -> Self {
-        self.buffer_bytes = bytes;
-        self
-    }
-
-    /// Effectively infinite buffering (Ideal-FQ, SFQ+InfBuffer).
-    pub fn with_infinite_buffer(mut self) -> Self {
-        self.buffer_bytes = u64::MAX;
-        self
     }
 }
 
@@ -94,19 +66,5 @@ mod tests {
         assert_eq!(ecn_marking_probability(1_000_000), 1.0);
         let mid = ecn_marking_probability(250_000);
         assert!((mid - 0.1).abs() < 1e-9, "got {mid}");
-    }
-
-    #[test]
-    fn builder_methods_compose() {
-        let c = SwitchConfig::default()
-            .without_pfc()
-            .with_buffer_bytes(5_000_000);
-        assert!(!c.pfc && !c.ecn && !c.int_enabled);
-        assert_eq!(c.buffer_bytes, 5_000_000);
-        assert!(SwitchConfig::default().pfc);
-        assert_eq!(
-            SwitchConfig::default().with_infinite_buffer().buffer_bytes,
-            u64::MAX
-        );
     }
 }

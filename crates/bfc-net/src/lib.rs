@@ -4,19 +4,20 @@
 //! reproduction: everything between the host NIC and the wire is modelled
 //! here at per-packet granularity.
 //!
-//! * [`packet`] — data / ACK / CNP / PFC / flow-pause frames and HPCC INT
-//!   telemetry.
+//! * [`packet`] — data / ACK / CNP / PFC / flow-pause frames, the ECN
+//!   codepoint and the INT header a packet carries.
 //! * [`link`] — full-duplex links with rate and propagation delay.
 //! * [`queue`] + [`port`] — physical FIFO queues, deficit round robin, the
 //!   strict-priority control and high-priority queues, and per-queue pause.
 //! * [`buffer`] — the shared-memory buffer model with dynamic PFC thresholds.
-//! * [`config`] — what a switch runs (ECN, PFC, INT, queues, buffer) and the
-//!   paper's ECN and pause-frame constants.
+//! * [`config`] — a switch's queue count and buffer, and the paper's ECN
+//!   and pause-frame constants.
 //! * [`policy`] — the [`policy::SwitchPolicy`] trait that queue-assignment /
 //!   flow-control schemes implement (FIFO and stochastic fair queueing live
 //!   here; the BFC policy itself lives in the `bfc-core` crate).
-//! * [`switch`] — the shared-buffer switch: admission, ECN marking, INT,
-//!   PFC generation, scheduling and forwarding.
+//! * [`switch`] — the shared-buffer switch: admission, ECN marking of
+//!   ECN-capable packets, INT on packets with a header, PFC generation from
+//!   a finite buffer, scheduling and forwarding.
 //! * [`topology`] + [`routing`] — fat-tree builders (the paper's T1 and T2),
 //!   the cross-data-center topology, and ECMP up/down routing.
 //! * [`dynamics`] — scheduled link faults, degradation and repair: the live
@@ -51,7 +52,7 @@ pub use config::SwitchConfig;
 pub use dynamics::{DynamicsError, FaultEvent, FaultSchedule, LinkAction, LinkStateMap};
 pub use event::{NetEvent, TransportTimer};
 pub use link::Link;
-pub use packet::{IntHop, IntPath, Packet, PacketKind, PauseFrame, MAX_INT_HOPS};
+pub use packet::{Ecn, IntHop, IntPath, Packet, PacketKind, PauseFrame, MAX_INT_HOPS};
 pub use policy::{
     EnqueueCtx, EnqueueDecision, FifoPolicy, PolicyStats, ProbeStats, QueueTarget, SfqPolicy,
     SwitchPolicy,

@@ -5,13 +5,18 @@
 //! traffic (ACK-class packets ride the strict-priority control queue);
 //! PFC pause frames and BFC flow-pause frames are MAC-level control frames
 //! delivered out of band (they never sit behind data in an egress queue).
+//!
+//! What a switch does to a packet beyond queueing it is asked for by the
+//! packet itself, as on real hardware: its [`Ecn`] codepoint says whether it
+//! may be ECN-marked, and its [`IntPath`] header whether INT is appended.
+//! The sender's congestion control sets both; a switch runs no scheme.
 
 use bfc_sim::rng::mix64;
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::types::{FlowId, NodeId};
 
-/// Telemetry appended by each switch hop when HPCC-style INT is enabled.
+/// Telemetry a switch appends to a data packet that carries an INT header.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntHop {
     /// Queue length (bytes) at the egress port when the packet was sent.
@@ -32,11 +37,10 @@ bfc_sim::snap_struct! { IntHop { qlen_bytes, tx_bytes, timestamp_ps, link_gbps }
 /// ToR → spine → gateway → gateway → spine → ToR, i.e. six switch hops
 /// (switches only append INT to data packets, so ACK echoes never exceed
 /// this either). The bound sizes the out-of-line [`IntPath`] storage, so one
-/// buffer serves a packet for its whole path and can be handed from data
+/// header serves a packet for its whole path and can be handed from data
 /// packet to ACK to sender and back without ever growing. The experiment
 /// runner checks a topology's switch-hop diameter against this constant at
-/// set-up when the scheme enables INT; a deeper custom topology needs it
-/// raised.
+/// set-up when the hosts run HPCC; a deeper custom topology needs it raised.
 pub const MAX_INT_HOPS: usize = 6;
 
 /// Out-of-line storage behind an [`IntPath`].
@@ -46,16 +50,21 @@ struct IntBuf {
     hops: [IntHop; MAX_INT_HOPS],
 }
 
-/// Per-hop INT records carried by a packet: an 8-byte handle to out-of-line
-/// storage for up to [`MAX_INT_HOPS`] records.
+/// A packet's INT header: an 8-byte handle that is either no header at all
+/// or out-of-line storage for up to [`MAX_INT_HOPS`] hop records.
 ///
-/// Only HPCC ever records telemetry, so the handle is empty (no storage) on
-/// every packet of every other scheme and a `Packet` stays within one cache
-/// line. Storage is allocated by the first [`IntPath::push`] and then
-/// travels by move: from the data packet into its ACK at the receiver, into
-/// the sender's HPCC state, and — [`IntPath::clear`]ed — back into the
-/// sender's next data packet, so a steady-state HPCC flow allocates nothing.
-#[derive(Debug, Default)]
+/// A switch appends a record to every data packet that carries a header, so
+/// the header is the sender's request for telemetry: an HPCC sender gives
+/// each data packet one ([`IntPath::header`]), and every other packet has
+/// none, which keeps a `Packet` within one cache line. The header travels
+/// by move: from the data packet into its ACK at the receiver, into the
+/// sender's HPCC state, and — [`IntPath::clear`]ed — back into the sender's
+/// next data packet, so a steady-state HPCC flow allocates nothing.
+///
+/// Whether a header is present is part of the path's value: it is saved,
+/// compared and cloned with the records, so a header with no records yet (a
+/// data packet between its sender and its first switch) stays a header.
+#[derive(Debug, Default, Clone)]
 pub struct IntPath(Option<Box<IntBuf>>);
 
 impl IntPath {
@@ -66,22 +75,26 @@ impl IntPath {
         link_gbps: 0.0,
     };
 
-    /// An empty telemetry path (no storage).
+    /// No header: switches record nothing.
     pub const fn new() -> Self {
         IntPath(None)
     }
 
-    /// Appends one hop record, allocating the storage if this is the first
-    /// record the path ever held. Panics if the packet has already traversed
-    /// [`MAX_INT_HOPS`] switches — the experiment runner rejects topologies
-    /// that deep before the run starts.
+    /// An empty header, allocated fresh: every switch on the path appends
+    /// its record.
+    pub fn header() -> Self {
+        IntPath(Some(Box::new(IntBuf {
+            len: 0,
+            hops: [Self::EMPTY_HOP; MAX_INT_HOPS],
+        })))
+    }
+
+    /// Appends one hop record to the header. Panics if there is no header,
+    /// or if the packet has already traversed [`MAX_INT_HOPS`] switches —
+    /// the experiment runner rejects topologies that deep before the run
+    /// starts.
     pub fn push(&mut self, hop: IntHop) {
-        let buf = self.0.get_or_insert_with(|| {
-            Box::new(IntBuf {
-                len: 0,
-                hops: [Self::EMPTY_HOP; MAX_INT_HOPS],
-            })
-        });
+        let buf = self.0.as_mut().expect("INT record without an INT header");
         assert!(
             (buf.len as usize) < MAX_INT_HOPS,
             "packet traversed more than {MAX_INT_HOPS} INT-recording hops"
@@ -90,31 +103,21 @@ impl IntPath {
         buf.len += 1;
     }
 
-    /// Forgets the recorded hops but keeps the storage, so the next
-    /// [`IntPath::push`] does not allocate.
+    /// Forgets the recorded hops but keeps the header, so it can be handed
+    /// to the next data packet without allocating.
     pub fn clear(&mut self) {
         if let Some(buf) = &mut self.0 {
             buf.len = 0;
         }
     }
 
-    /// True if the path owns storage (it held a record at some point), i.e.
-    /// it is worth recycling into another packet.
-    pub fn has_storage(&self) -> bool {
+    /// True if the packet carries an INT header.
+    pub fn has_header(&self) -> bool {
         self.0.is_some()
     }
 
-    /// Number of recorded hops.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// True if no hops were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-
-    /// The recorded hops, in traversal order.
+    /// The recorded hops, in traversal order (also the path's `Deref`, so
+    /// `len`, `is_empty`, indexing and iteration are the slice's).
     pub fn as_slice(&self) -> &[IntHop] {
         match &self.0 {
             Some(buf) => &buf.hops[..buf.len as usize],
@@ -122,9 +125,9 @@ impl IntPath {
         }
     }
 
-    /// Builds a path from a slice of at most [`MAX_INT_HOPS`] records.
+    /// A header holding at most [`MAX_INT_HOPS`] records.
     pub fn from_slice(hops: &[IntHop]) -> Self {
-        let mut path = IntPath::new();
+        let mut path = IntPath::header();
         for &hop in hops {
             path.push(hop);
         }
@@ -132,24 +135,26 @@ impl IntPath {
     }
 }
 
-/// A one-byte hop count, then the hops.
+/// One byte: 0 for no header, `n + 1` for a header with `n` hops; then the
+/// hops.
 impl Snap for IntPath {
     const MIN_BYTES: usize = u8::MIN_BYTES;
 
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u8(self.len() as u8);
+        w.put_u8(self.0.as_ref().map_or(0, |buf| buf.len + 1));
         w.put_all(self.as_slice());
     }
 
-    // Hand-written: the count is a byte, it is checked against the storage
-    // bound `push` would otherwise panic on, and an empty path restores
-    // without storage.
+    // Hand-written: the byte carries the header's presence, and the count
+    // is checked against the storage bound `push` would otherwise panic on.
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let len = r.get_u8()? as usize;
+        let Some(len) = (r.get_u8()? as usize).checked_sub(1) else {
+            return Ok(IntPath::new());
+        };
         if len > MAX_INT_HOPS {
             return Err(SnapError::Corrupt("INT path longer than MAX_INT_HOPS"));
         }
-        let mut path = IntPath::new();
+        let mut path = IntPath::header();
         for _ in 0..len {
             path.push(r.get()?);
         }
@@ -157,18 +162,10 @@ impl Snap for IntPath {
     }
 }
 
-/// A deep copy of the recorded hops; an empty path clones without
-/// allocating, whether or not it owns storage.
-impl Clone for IntPath {
-    fn clone(&self) -> Self {
-        IntPath::from_slice(self)
-    }
-}
-
-/// Paths compare by their recorded hops, not by whether they own storage.
+/// Paths compare by whether they carry a header and by its records.
 impl PartialEq for IntPath {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        self.has_header() == other.has_header() && self.as_slice() == other.as_slice()
     }
 }
 
@@ -176,21 +173,6 @@ impl std::ops::Deref for IntPath {
     type Target = [IntHop];
     fn deref(&self) -> &[IntHop] {
         self.as_slice()
-    }
-}
-
-impl std::ops::Index<usize> for IntPath {
-    type Output = IntHop;
-    fn index(&self, i: usize) -> &IntHop {
-        &self.as_slice()[i]
-    }
-}
-
-impl<'a> IntoIterator for &'a IntPath {
-    type Item = &'a IntHop;
-    type IntoIter = std::slice::Iter<'a, IntHop>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
     }
 }
 
@@ -360,6 +342,28 @@ bfc_sim::snap_enum!(PacketKind, "unknown packet kind tag" {
     4 => FlowPause { frame },
 });
 
+/// A packet's ECN codepoint (RFC 3168). A switch RED-marks only an
+/// ECN-capable packet — `Ect`, or `Ce` that an earlier switch marked — and a
+/// mark sets `Ce`; the receiver answers `Ce` with a CNP. A DCQCN sender
+/// sends its data `Ect`, and every other packet is `NotEct`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Ecn {
+    /// Not ECN-capable: never marked.
+    #[default]
+    NotEct,
+    /// ECN-capable transport: a congested switch may mark it.
+    Ect,
+    /// Congestion experienced: marked by a switch.
+    Ce,
+}
+
+// The codepoints' wire values, ECT(0) for `Ect`.
+bfc_sim::snap_enum!(Ecn, "unknown ECN codepoint" {
+    0 => NotEct,
+    2 => Ect,
+    1 => Ce,
+});
+
 /// A packet (or control frame) traversing the network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
@@ -382,12 +386,12 @@ pub struct Packet {
     /// Set by the sender NIC on the first packet of a flow so switches can
     /// steer it to the high-priority queue (§3.7).
     pub first_of_flow: bool,
-    /// ECN congestion-experienced mark set by switches when the egress queue
-    /// exceeds the marking threshold.
-    pub ecn_ce: bool,
-    /// HPCC in-band telemetry accumulated hop by hop (empty unless INT is
-    /// enabled). For ACKs this is the echo of the data packet's telemetry.
-    /// An 8-byte handle ([`IntPath`]): the records live out of line.
+    /// ECN codepoint: `Ect` on DCQCN data, turned `Ce` by a switch whose
+    /// egress queue exceeds the marking threshold.
+    pub ecn: Ecn,
+    /// INT header: on HPCC data, the telemetry accumulated hop by hop; on an
+    /// ACK, the echo of its data packet's; no header on anything else. An
+    /// 8-byte handle ([`IntPath`]): the records live out of line.
     pub int: IntPath,
     /// What the packet is.
     pub kind: PacketKind,
@@ -395,7 +399,7 @@ pub struct Packet {
 
 bfc_sim::snap_struct! {
     Packet {
-        flow, src, dst, seq, size_bytes, vfid, first_of_flow, ecn_ce, int, kind,
+        flow, src, dst, seq, size_bytes, vfid, first_of_flow, ecn, int, kind,
     }
 }
 
@@ -432,7 +436,7 @@ impl Packet {
             size_bytes,
             vfid,
             first_of_flow,
-            ecn_ce: false,
+            ecn: Ecn::NotEct,
             int: IntPath::new(),
             kind: PacketKind::Data,
         }
@@ -457,7 +461,7 @@ impl Packet {
             size_bytes: ACK_SIZE_BYTES,
             vfid: 0,
             first_of_flow: false,
-            ecn_ce: false,
+            ecn: Ecn::NotEct,
             int,
             kind: PacketKind::Ack { is_nack },
         }
@@ -474,7 +478,7 @@ impl Packet {
             size_bytes: ACK_SIZE_BYTES,
             vfid: 0,
             first_of_flow: false,
-            ecn_ce: false,
+            ecn: Ecn::NotEct,
             int: IntPath::new(),
             kind: PacketKind::Cnp,
         }
@@ -491,7 +495,7 @@ impl Packet {
             size_bytes: PFC_FRAME_BYTES,
             vfid: 0,
             first_of_flow: false,
-            ecn_ce: false,
+            ecn: Ecn::NotEct,
             int: IntPath::new(),
             kind: PacketKind::PfcPause { pause },
         }
@@ -509,7 +513,7 @@ impl Packet {
             size_bytes: size,
             vfid: 0,
             first_of_flow: false,
-            ecn_ce: false,
+            ecn: Ecn::NotEct,
             int: IntPath::new(),
             kind: PacketKind::FlowPause {
                 frame: Box::new(frame),
@@ -575,7 +579,10 @@ mod tests {
             f.insert(v);
         }
         let fp = (1000..4000u32).filter(|v| f.contains(*v)).count();
-        assert!(fp > 0, "expected some false positives in a saturated filter");
+        assert!(
+            fp > 0,
+            "expected some false positives in a saturated filter"
+        );
     }
 
     #[test]
@@ -587,39 +594,50 @@ mod tests {
     }
 
     #[test]
-    fn int_path_allocates_once_and_recycles_its_storage() {
+    fn int_header_is_part_of_the_paths_value() {
         let hop = |ts| IntHop {
             qlen_bytes: 1,
             tx_bytes: 2,
             timestamp_ps: ts,
             link_gbps: 100.0,
         };
-        let mut path = IntPath::new();
-        assert!(path.is_empty() && !path.has_storage());
+        let mut path = IntPath::header();
+        assert!(path.is_empty() && path.has_header());
         path.push(hop(1));
         path.push(hop(2));
         assert_eq!(path.len(), 2);
         assert_eq!(path[1].timestamp_ps, 2);
         assert_eq!(path, IntPath::from_slice(&[hop(1), hop(2)]));
-        // Moving the handle moves the records; clearing keeps the storage.
+        // Moving the handle moves the header; clearing keeps it.
         let mut moved = std::mem::take(&mut path);
-        assert!(path.is_empty() && !path.has_storage());
+        assert!(path.is_empty() && !path.has_header());
         assert_eq!(moved.len(), 2);
         moved.clear();
-        assert!(moved.is_empty() && moved.has_storage());
-        // Equality and the wire format ignore whether storage is held.
-        assert_eq!(moved, IntPath::new());
-        assert!(!moved.clone().has_storage());
-        let (mut a, mut b) = (SnapWriter::new(), SnapWriter::new());
-        moved.save(&mut a);
-        IntPath::new().save(&mut b);
-        assert_eq!(a.into_bytes(), b.into_bytes());
+        assert!(moved.is_empty() && moved.has_header());
+        // An empty header is not "no header", in equality, clone and codec.
+        assert_ne!(moved, IntPath::new());
+        assert_eq!(moved, IntPath::header());
+        assert!(moved.clone().has_header() && !IntPath::new().clone().has_header());
+        let bytes = |path: &IntPath| {
+            let mut w = SnapWriter::new();
+            path.save(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(bytes(&IntPath::new()), [0]);
+        assert_eq!(bytes(&moved), [1]);
+        assert_eq!(bytes(&IntPath::from_slice(&[hop(1)]))[0], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "without an INT header")]
+    fn int_records_need_a_header() {
+        IntPath::new().push(IntPath::EMPTY_HOP);
     }
 
     #[test]
     #[should_panic(expected = "INT-recording hops")]
     fn int_path_rejects_more_than_max_hops() {
-        let mut path = IntPath::new();
+        let mut path = IntPath::header();
         for _ in 0..=MAX_INT_HOPS {
             path.push(IntPath::EMPTY_HOP);
         }
@@ -657,8 +675,12 @@ mod tests {
         }
         // Different salts give (almost surely) different assignments.
         assert_ne!(
-            (0..64u32).map(|f| vfid_for_flow(FlowId(f), 1, 1 << 20)).collect::<Vec<_>>(),
-            (0..64u32).map(|f| vfid_for_flow(FlowId(f), 2, 1 << 20)).collect::<Vec<_>>()
+            (0..64u32)
+                .map(|f| vfid_for_flow(FlowId(f), 1, 1 << 20))
+                .collect::<Vec<_>>(),
+            (0..64u32)
+                .map(|f| vfid_for_flow(FlowId(f), 2, 1 << 20))
+                .collect::<Vec<_>>()
         );
     }
 

@@ -6,13 +6,19 @@
 //! 1. **Link control frames** (PFC pause/resume, BFC flow-pause bloom
 //!    filters) update the egress facing the sender and are consumed.
 //! 2. **Forwarded packets** are admitted against the shared buffer (dropping
-//!    on overflow), accounted per ingress for the dynamic PFC threshold,
-//!    optionally ECN-marked, placed in the queue chosen by the policy and
-//!    scheduled out of the egress port with strict priority for control
-//!    traffic, then the high-priority queue, then deficit round robin.
+//!    on overflow), accounted per ingress for the dynamic PFC threshold (a
+//!    finite buffer only), RED-marked if ECN-capable, placed in the queue
+//!    chosen by the policy and scheduled out of the egress port with strict
+//!    priority for control traffic, then the high-priority queue, then
+//!    deficit round robin.
 //! 3. On dequeue the policy observes the departure (BFC reclaims queues and
-//!    schedules resumes there) and, when HPCC telemetry is enabled, an INT
-//!    record is appended to data packets.
+//!    schedules resumes there), and a data packet that carries an INT header
+//!    gets this hop's record.
+//!
+//! The policy is the only scheme-specific part of a switch. ECN marking and
+//! INT follow what the packet carries ([`crate::packet::Ecn`],
+//! [`crate::packet::IntPath`]), which the sender's congestion control sets,
+//! and PFC follows the buffer ([`SharedBuffer::pfc_transition`]).
 //!
 //! Pause frames and PFC frames are delivered out of band: they experience the
 //! link's serialization and propagation delay but never wait behind data,
@@ -32,7 +38,7 @@ use bfc_sim::{Hist, SimRng, SimTime};
 use crate::buffer::SharedBuffer;
 use crate::config::{ecn_marking_probability, SwitchConfig, PAUSE_FRAME_INTERVAL};
 use crate::event::{NetEvent, NetSink};
-use crate::packet::{Packet, PacketKind};
+use crate::packet::{Ecn, IntHop, Packet, PacketKind};
 use crate::policy::{DequeueCtx, EnqueueCtx, QueueTarget, SwitchPolicy};
 use crate::port::Port;
 use crate::routing::RoutingTables;
@@ -57,7 +63,8 @@ pub struct SwitchCounters {
     pub rx_packets: u64,
     /// Packets dropped at admission because the shared buffer was full.
     pub drops: u64,
-    /// Data packets marked with ECN CE.
+    /// RED marks set on ECN-capable packets (a packet that arrived marked
+    /// and is marked again counts again).
     pub ecn_marked: u64,
     /// PFC pause frames sent upstream.
     pub pfc_pauses_sent: u64,
@@ -78,8 +85,6 @@ bfc_sim::snap_struct! {
 pub struct Switch {
     /// This switch's node ID.
     pub id: NodeId,
-    /// Static configuration.
-    pub config: SwitchConfig,
     ports: Vec<Port>,
     buffer: SharedBuffer,
     policy: Box<dyn SwitchPolicy>,
@@ -117,14 +122,17 @@ impl Switch {
         let ports: Vec<Port> = port_specs
             .iter()
             .map(|spec| {
-                Port::new(spec.link, Some((spec.peer, spec.peer_port)), config.queues_per_port)
+                Port::new(
+                    spec.link,
+                    Some((spec.peer, spec.peer_port)),
+                    config.queues_per_port,
+                )
             })
             .collect();
         let buffer = SharedBuffer::new(config.buffer_bytes, ports.len());
         let pause_timer_active = vec![false; ports.len()];
         Switch {
             id,
-            config,
             ports,
             buffer,
             policy,
@@ -177,8 +185,7 @@ impl Switch {
     /// RNG, pause timers, counters — for snapshot/restore.
     pub fn save_state(&self, w: &mut SnapWriter) {
         let Switch {
-            id: _,     // configuration
-            config: _, // configuration
+            id: _, // configuration
             ports,
             buffer,
             policy,
@@ -324,11 +331,14 @@ impl Switch {
             decision.target
         };
 
-        if self.config.ecn && packet.is_data() {
+        // RED runs on every ECN-capable packet, including one a switch
+        // upstream already marked (RFC 3168: `Ce` is ECN-capable, and a mark
+        // leaves it `Ce`), so each takes its marking draw.
+        if packet.ecn != Ecn::NotEct {
             let qlen = self.ports[egress as usize].data_queued_bytes();
             let p = ecn_marking_probability(qlen);
             if p > 0.0 && self.rng.chance(p) {
-                packet.ecn_ce = true;
+                packet.ecn = Ecn::Ce;
                 self.counters.ecn_marked += 1;
             }
         }
@@ -372,7 +382,7 @@ impl Switch {
     /// Sends a PFC pause/resume to the upstream of `ingress` if the dynamic
     /// threshold was just crossed.
     fn maybe_send_pfc(&mut self, now: SimTime, ingress: u32, events: &mut impl NetSink) {
-        if let Some(pause) = self.buffer.pfc_transition(ingress, self.config.pfc) {
+        if let Some(pause) = self.buffer.pfc_transition(ingress) {
             let port = &self.ports[ingress as usize];
             if let Some((peer, peer_port)) = port.peer {
                 let frame = Packet::pfc(self.id, peer, pause);
@@ -400,23 +410,13 @@ impl Switch {
 
     /// The egress at `port` finished serializing a packet and was asked to
     /// report it (there was, or there arrived, something more to send).
-    pub fn handle_tx_complete(
-        &mut self,
-        now: SimTime,
-        port: u32,
-        events: &mut impl NetSink,
-    ) {
+    pub fn handle_tx_complete(&mut self, now: SimTime, port: u32, events: &mut impl NetSink) {
         self.ports[port as usize].tx.wake(now);
         self.transmit_next(now, port, events);
     }
 
     /// Periodic BFC pause-frame opportunity for `ingress`.
-    pub fn handle_pause_timer(
-        &mut self,
-        now: SimTime,
-        ingress: u32,
-        events: &mut impl NetSink,
-    ) {
+    pub fn handle_pause_timer(&mut self, now: SimTime, ingress: u32, events: &mut impl NetSink) {
         let tick = self.policy.pause_frame_tick(ingress);
         if let Some(frame) = tick.frame {
             let port = &self.ports[ingress as usize];
@@ -461,12 +461,7 @@ impl Switch {
     /// clears the MAC-level pause state, and re-evaluates PFC for every
     /// ingress whose buffer usage just dropped. Returns the number of data
     /// packets blackholed by the flush.
-    pub fn handle_link_down(
-        &mut self,
-        now: SimTime,
-        port: u32,
-        events: &mut impl NetSink,
-    ) -> u64 {
+    pub fn handle_link_down(&mut self, now: SimTime, port: u32, events: &mut impl NetSink) -> u64 {
         let idx = port as usize;
         self.ports[idx].settle(now);
         self.ports[idx].set_up(false, now);
@@ -597,9 +592,9 @@ impl Switch {
         }
 
         self.ports[idx].note_transmitted(&packet);
-        if self.config.int_enabled && packet.is_data() {
+        if packet.is_data() && packet.int.has_header() {
             let p = &self.ports[idx];
-            packet.int.push(crate::packet::IntHop {
+            packet.int.push(IntHop {
                 qlen_bytes: p.data_queued_bytes(),
                 tx_bytes: p.tx_data_bytes(),
                 timestamp_ps: now.as_picos(),
@@ -631,10 +626,11 @@ impl Switch {
 mod tests {
     use super::*;
     use crate::config::{ECN_KMAX_BYTES, ECN_KMIN_BYTES};
-    use bfc_sim::EventQueue;
+    use crate::packet::IntPath;
     use crate::policy::FifoPolicy;
     use crate::topology::{fat_tree, FatTreeParams};
     use crate::types::FlowId;
+    use bfc_sim::EventQueue;
 
     /// Builds the tiny fat tree and returns (topology, routes, the first ToR
     /// switch with a FIFO policy).
@@ -642,13 +638,7 @@ mod tests {
         let topo = fat_tree(FatTreeParams::tiny());
         let routes = RoutingTables::compute(&topo);
         let tor = topo.switches()[0];
-        let sw = Switch::new(
-            tor,
-            config,
-            topo.ports(tor),
-            Box::new(FifoPolicy::new()),
-            1,
-        );
+        let sw = Switch::new(tor, config, topo.ports(tor), Box::new(FifoPolicy::new()), 1);
         (topo, routes, sw)
     }
 
@@ -695,8 +685,20 @@ mod tests {
     fn busy_port_serializes_back_to_back() {
         let (_topo, routes, mut sw) = tor_under_test(SwitchConfig::default());
         let mut events = EventQueue::new();
-        sw.handle_packet(SimTime::ZERO, 0, data_packet(1, 0, 1, 0), &routes, &mut events);
-        sw.handle_packet(SimTime::ZERO, 2, data_packet(2, 2, 1, 0), &routes, &mut events);
+        sw.handle_packet(
+            SimTime::ZERO,
+            0,
+            data_packet(1, 0, 1, 0),
+            &routes,
+            &mut events,
+        );
+        sw.handle_packet(
+            SimTime::ZERO,
+            2,
+            data_packet(2, 2, 1, 0),
+            &routes,
+            &mut events,
+        );
         // Only one TxComplete so far: the port is busy with the first packet.
         let tx_completes = |q: &EventQueue<NetEvent>| q.len();
         assert_eq!(tx_completes(&events), 2, "one TxComplete + one arrival");
@@ -716,30 +718,47 @@ mod tests {
     }
 
     #[test]
-    fn drops_when_buffer_full_without_pfc() {
-        let config = SwitchConfig::default()
-            .without_pfc()
-            .with_buffer_bytes(2_500);
+    fn drops_when_buffer_full() {
+        let config = SwitchConfig {
+            buffer_bytes: 2_500,
+            ..SwitchConfig::default()
+        };
         let (_topo, routes, mut sw) = tor_under_test(config);
         let mut events = EventQueue::new();
         // Host 1's egress can hold at most 2 queued packets (2.5 KB buffer);
-        // the first is immediately being transmitted, so of 6 arriving
-        // packets some must be dropped.
+        // the first is immediately being transmitted, so of 6 packets
+        // arriving at once (before any PFC pause can reach their sender)
+        // some must be dropped.
         for seq in 0..6 {
-            sw.handle_packet(SimTime::ZERO, 0, data_packet(1, 0, 1, seq), &routes, &mut events);
+            sw.handle_packet(
+                SimTime::ZERO,
+                0,
+                data_packet(1, 0, 1, seq),
+                &routes,
+                &mut events,
+            );
         }
         assert!(sw.counters().drops >= 3, "drops = {}", sw.counters().drops);
     }
 
     #[test]
     fn pfc_pause_frame_sent_upstream_when_threshold_crossed() {
-        let config = SwitchConfig::default().with_buffer_bytes(20_000);
+        let config = SwitchConfig {
+            buffer_bytes: 20_000,
+            ..SwitchConfig::default()
+        };
         let (_topo, routes, mut sw) = tor_under_test(config);
         let mut events = EventQueue::new();
         // Flood from ingress 0 (host 0) toward host 1. Free buffer shrinks,
         // so the 11% dynamic threshold will be crossed quickly.
         for seq in 0..10 {
-            sw.handle_packet(SimTime::ZERO, 0, data_packet(1, 0, 1, seq), &routes, &mut events);
+            sw.handle_packet(
+                SimTime::ZERO,
+                0,
+                data_packet(1, 0, 1, seq),
+                &routes,
+                &mut events,
+            );
         }
         let mut pfc_to_host0 = 0;
         while let Some((_, e)) = events.pop() {
@@ -767,7 +786,13 @@ mod tests {
             &routes,
             &mut events,
         );
-        sw.handle_packet(SimTime::ZERO, 0, data_packet(1, 0, 1, 0), &routes, &mut events);
+        sw.handle_packet(
+            SimTime::ZERO,
+            0,
+            data_packet(1, 0, 1, 0),
+            &routes,
+            &mut events,
+        );
         assert!(events.is_empty(), "nothing transmitted while paused");
         // Resume: the queued packet must now flow.
         sw.handle_packet(
@@ -778,32 +803,29 @@ mod tests {
             &mut events,
         );
         assert!(!events.is_empty());
-        assert!(sw
-            .port(1)
-            .pfc_paused_time(SimTime::from_micros(5))
-            .as_nanos() > 0);
+        assert!(
+            sw.port(1)
+                .pfc_paused_time(SimTime::from_micros(5))
+                .as_nanos()
+                > 0
+        );
     }
 
     #[test]
-    fn ecn_marks_when_queue_exceeds_threshold() {
-        let config = SwitchConfig {
-            ecn: true,
-            ..SwitchConfig::default()
-        };
-        let (_topo, routes, mut sw) = tor_under_test(config);
+    fn ecn_marks_capable_packets_when_queue_exceeds_threshold() {
+        let (_topo, routes, mut sw) = tor_under_test(SwitchConfig::default());
         let mut events = EventQueue::new();
         // A burst toward host 1 whose backlog sweeps from below Kmin to 50
         // MTUs above Kmax: the first packet leaves at once, so packet
-        // `seq >= 1` is marked against `seq - 1` queued MTUs.
+        // `seq >= 1` is marked against `seq - 1` queued MTUs. Odd packets
+        // are not ECN-capable and are never marked.
         let packets = ECN_KMAX_BYTES / 1_000 + 50;
         for seq in 0..packets {
-            sw.handle_packet(
-                SimTime::ZERO,
-                0,
-                data_packet(1, 0, 1, seq),
-                &routes,
-                &mut events,
-            );
+            let mut packet = data_packet(1, 0, 1, seq);
+            if seq % 2 == 0 {
+                packet.ecn = Ecn::Ect;
+            }
+            sw.handle_packet(SimTime::ZERO, 0, packet, &routes, &mut events);
         }
         let (mut delivered, mut marked) = (0, 0);
         while let Some((t, e)) = events.pop() {
@@ -811,22 +833,16 @@ mod tests {
                 NetEvent::TxComplete { port, .. } => sw.handle_tx_complete(t, port, &mut events),
                 NetEvent::PacketArrive { packet, .. } if packet.is_data() => {
                     let queued = packet.seq.saturating_sub(1) * 1_000;
-                    if queued <= ECN_KMIN_BYTES {
-                        assert!(
-                            !packet.ecn_ce,
-                            "seq {}: {queued} B is below Kmin",
-                            packet.seq
-                        );
-                    }
-                    if queued >= ECN_KMAX_BYTES {
-                        assert!(
-                            packet.ecn_ce,
-                            "seq {}: {queued} B is above Kmax",
-                            packet.seq
-                        );
+                    let marked_now = packet.ecn == Ecn::Ce;
+                    if packet.seq % 2 == 1 {
+                        assert_eq!(packet.ecn, Ecn::NotEct, "seq {}", packet.seq);
+                    } else if queued <= ECN_KMIN_BYTES {
+                        assert!(!marked_now, "seq {}: {queued} B is below Kmin", packet.seq);
+                    } else if queued >= ECN_KMAX_BYTES {
+                        assert!(marked_now, "seq {}: {queued} B is above Kmax", packet.seq);
                     }
                     delivered += 1;
-                    marked += u64::from(packet.ecn_ce);
+                    marked += u64::from(marked_now);
                 }
                 _ => {}
             }
@@ -836,26 +852,37 @@ mod tests {
     }
 
     #[test]
-    fn int_telemetry_appended_on_dequeue() {
-        let config = SwitchConfig {
-            int_enabled: true,
-            ..SwitchConfig::default()
-        };
-        let (_topo, routes, mut sw) = tor_under_test(config);
+    fn int_telemetry_appended_on_dequeue_to_packets_with_a_header() {
+        let (_topo, routes, mut sw) = tor_under_test(SwitchConfig::default());
         let mut events = EventQueue::new();
-        sw.handle_packet(SimTime::ZERO, 0, data_packet(1, 0, 1, 0), &routes, &mut events);
-        let mut found = false;
-        while let Some((_, e)) = events.pop() {
-            if let NetEvent::PacketArrive { packet, .. } = e {
-                if packet.is_data() {
+        let mut with_header = data_packet(1, 0, 1, 0);
+        with_header.int = IntPath::header();
+        sw.handle_packet(SimTime::ZERO, 0, with_header, &routes, &mut events);
+        sw.handle_packet(
+            SimTime::ZERO,
+            0,
+            data_packet(2, 0, 1, 0),
+            &routes,
+            &mut events,
+        );
+        let mut found = 0;
+        while let Some((t, e)) = events.pop() {
+            match e {
+                NetEvent::TxComplete { port, .. } => sw.handle_tx_complete(t, port, &mut events),
+                NetEvent::PacketArrive { packet, .. } if packet.flow == FlowId(1) => {
                     assert_eq!(packet.int.len(), 1);
                     assert_eq!(packet.int[0].link_gbps, 100.0);
                     assert_eq!(packet.int[0].tx_bytes, 1000);
-                    found = true;
+                    found += 1;
                 }
+                NetEvent::PacketArrive { packet, .. } => {
+                    assert!(!packet.int.has_header(), "no header, no telemetry");
+                    found += 1;
+                }
+                _ => {}
             }
         }
-        assert!(found);
+        assert_eq!(found, 2);
     }
 
     #[test]
@@ -864,7 +891,13 @@ mod tests {
         let mut events = EventQueue::new();
         // Queue a packet for host 1 then pause its VFID via a bloom frame
         // received from host 1 (the downstream of that egress).
-        sw.handle_packet(SimTime::ZERO, 0, data_packet(7, 0, 1, 1), &routes, &mut events);
+        sw.handle_packet(
+            SimTime::ZERO,
+            0,
+            data_packet(7, 0, 1, 1),
+            &routes,
+            &mut events,
+        );
         // Drain the immediate transmission events for the first packet.
         while events.pop().is_some() {}
         let mut frame = crate::packet::PauseFrame::new(128);
@@ -878,10 +911,19 @@ mod tests {
         );
         // Add another packet of the same flow: it must stay queued because
         // the head of its queue matches the pause filter.
-        sw.handle_packet(SimTime::ZERO, 0, data_packet(7, 0, 1, 2), &routes, &mut events);
+        sw.handle_packet(
+            SimTime::ZERO,
+            0,
+            data_packet(7, 0, 1, 2),
+            &routes,
+            &mut events,
+        );
         // Nothing could be sent at the end of the first packet's
         // serialization, so that end is not even an event.
-        assert!(events.is_empty(), "the paused flow's packet must not be forwarded");
+        assert!(
+            events.is_empty(),
+            "the paused flow's packet must not be forwarded"
+        );
         assert!(!sw.port(1).tx().wake_pending());
         assert_eq!(sw.port(1).queue_bytes(0), 1_000);
         assert!(sw.port(1).is_queue_paused(0));
@@ -894,7 +936,13 @@ mod tests {
         // Queue several packets toward host 1: the first is serialized
         // immediately, the rest sit in the egress queue.
         for seq in 0..5 {
-            sw.handle_packet(SimTime::ZERO, 0, data_packet(1, 0, 1, seq), &routes, &mut events);
+            sw.handle_packet(
+                SimTime::ZERO,
+                0,
+                data_packet(1, 0, 1, seq),
+                &routes,
+                &mut events,
+            );
         }
         let occupied_before = sw.buffer().occupancy();
         assert!(occupied_before > 0);
@@ -905,7 +953,13 @@ mod tests {
         assert_eq!(sw.buffer().occupancy(), 0, "buffer space released");
         assert!(!sw.port(egress).is_up());
         // While down, new arrivals for that egress queue but do not transmit.
-        sw.handle_packet(SimTime::from_nanos(200), 0, data_packet(1, 0, 1, 9), &routes, &mut events);
+        sw.handle_packet(
+            SimTime::from_nanos(200),
+            0,
+            data_packet(1, 0, 1, 9),
+            &routes,
+            &mut events,
+        );
         sw.handle_tx_complete(SimTime::from_nanos(200), egress, &mut events);
         while events.pop().is_some() {}
         assert!(sw.port(egress).total_queued_bytes() > 0);
@@ -925,9 +979,18 @@ mod tests {
         let routes = RoutingTables::compute_filtered(&topo, |n, p| {
             !(n == sw_id && p == host_port) && !(n == dead_host && p == 0)
         });
-        sw.handle_packet(SimTime::ZERO, 0, data_packet(1, 0, 1, 0), &routes, &mut events);
+        sw.handle_packet(
+            SimTime::ZERO,
+            0,
+            data_packet(1, 0, 1, 0),
+            &routes,
+            &mut events,
+        );
         assert_eq!(sw.counters().blackholed, 1);
-        assert!(events.is_empty(), "nothing scheduled for a blackholed packet");
+        assert!(
+            events.is_empty(),
+            "nothing scheduled for a blackholed packet"
+        );
     }
 
     #[test]
@@ -935,7 +998,13 @@ mod tests {
         let (_topo, routes, mut sw) = tor_under_test(SwitchConfig::default());
         let mut events = EventQueue::new();
         sw.set_port_rate(1, 25.0); // 100 -> 25 Gbps toward host 1
-        sw.handle_packet(SimTime::ZERO, 0, data_packet(1, 0, 1, 0), &routes, &mut events);
+        sw.handle_packet(
+            SimTime::ZERO,
+            0,
+            data_packet(1, 0, 1, 0),
+            &routes,
+            &mut events,
+        );
         // 1000 B at 25 Gbps = 320 ns (was 80 ns at 100 Gbps), then 1 µs of
         // propagation.
         assert_eq!(sw.port(1).tx().busy_until().as_nanos(), 320);
@@ -948,7 +1017,14 @@ mod tests {
     fn control_packets_bypass_the_policy_queue() {
         let (_topo, routes, mut sw) = tor_under_test(SwitchConfig::default());
         let mut events = EventQueue::new();
-        let ack = Packet::ack(FlowId(1), NodeId(0), NodeId(1), 3, false, Default::default());
+        let ack = Packet::ack(
+            FlowId(1),
+            NodeId(0),
+            NodeId(1),
+            3,
+            false,
+            Default::default(),
+        );
         sw.handle_packet(SimTime::ZERO, 0, ack, &routes, &mut events);
         // ACK forwarded without touching the FIFO policy's flow residency.
         assert_eq!(sw.policy_stats().flow_assignments, 0);

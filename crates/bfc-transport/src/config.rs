@@ -8,15 +8,16 @@ use bfc_sim::SimDuration;
 /// Which congestion-control algorithm the sender NIC runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcKind {
-    /// Send at line rate whenever the flow is not paused (the BFC host
-    /// model; flow control happens hop by hop in the fabric).
+    /// Send at line rate whenever the flow is not paused and the window, if
+    /// any, allows (the BFC host model, where flow control happens hop by
+    /// hop in the fabric; with a one-BDP window, Ideal-FQ's and
+    /// SFQ+InfBuffer's).
     LineRate,
-    /// Only a static in-flight window cap (Ideal-FQ and SFQ+InfBuffer use a
-    /// one-BDP cap).
-    WindowLimited,
-    /// DCQCN rate control (optionally with the DCQCN+Win one-BDP cap).
+    /// DCQCN rate control (optionally with the DCQCN+Win one-BDP cap). Its
+    /// data is ECN-capable, so switches mark it.
     Dcqcn,
-    /// HPCC INT-based window control.
+    /// HPCC INT-based window control. Its data carries an INT header, so
+    /// switches append telemetry to it.
     Hpcc,
 }
 
@@ -44,11 +45,10 @@ impl HostConfig {
         }
     }
 
-    /// A host limited only by a window of `window_bytes` (Ideal-FQ /
-    /// SFQ+InfBuffer).
+    /// A line-rate host limited only by a window of `window_bytes`
+    /// (Ideal-FQ / SFQ+InfBuffer).
     pub fn window_limited(base_rtt: SimDuration, window_bytes: u64) -> Self {
         HostConfig {
-            cc: CcKind::WindowLimited,
             window_bytes: Some(window_bytes),
             ..HostConfig::bfc(base_rtt)
         }
@@ -94,7 +94,7 @@ mod tests {
         assert_eq!(bfc.cc, CcKind::LineRate);
         assert_eq!(bfc.window_bytes, None);
         let win = HostConfig::window_limited(rtt, 100_000);
-        assert_eq!(win.cc, CcKind::WindowLimited);
+        assert_eq!(win.cc, CcKind::LineRate);
         assert_eq!(win.window_bytes, Some(100_000));
         let d = HostConfig::dcqcn(rtt, Some(100_000));
         assert_eq!(d.cc, CcKind::Dcqcn);

@@ -6,6 +6,9 @@
 //!   transmitted in round-robin order over the single uplink, subject to the
 //!   configured congestion control (line-rate for BFC, windows and/or rates
 //!   for the baselines), per-flow BFC pause frames from the ToR, and PFC.
+//!   The congestion control also says what switches do to its data: DCQCN
+//!   sends it ECN-capable (`Ect`), so it can be marked, and HPCC gives each
+//!   packet an INT header, which every switch appends its record to.
 //!   Reliability is Go-Back-N: a NACK or a retransmission timeout rewinds
 //!   `next_seq` to the cumulative acknowledgement.
 //! * **Receiver** — in-order data is acknowledged per packet (with HPCC INT
@@ -28,7 +31,7 @@ use std::collections::VecDeque;
 
 use bfc_net::event::{NetEvent, NetSink, TransportTimer};
 use bfc_net::link::Link;
-use bfc_net::packet::{IntPath, Packet, PacketKind, PauseFrame, MTU};
+use bfc_net::packet::{Ecn, IntPath, Packet, PacketKind, PauseFrame, MTU};
 use bfc_net::port::Transmitter;
 use bfc_net::types::{FlowId, NodeId};
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
@@ -77,7 +80,7 @@ pub struct Host {
     sending: FastHashMap<FlowId, SenderFlow>,
     send_order: VecDeque<FlowId>,
     receiving: FastHashMap<FlowId, ReceiverFlow>,
-    /// Cleared INT storage handed back by HPCC ACK processing, reused for the
+    /// Cleared INT headers handed back by HPCC ACK processing, given to the
     /// next data packets so the data→ACK loop allocates nothing in steady
     /// state. Pure capacity, not simulation state: never snapshotted.
     int_pool: Vec<IntPath>,
@@ -118,19 +121,9 @@ impl Host {
         self.sending.len()
     }
 
-    /// The host configuration.
-    pub fn config(&self) -> &HostConfig {
-        &self.config
-    }
-
     /// The uplink's transmitter.
     pub fn tx(&self) -> &Transmitter {
         &self.tx
-    }
-
-    /// Whether the NIC's uplink cable is currently up.
-    pub fn uplink_is_up(&self) -> bool {
-        self.uplink_up
     }
 
     /// Applies an uplink state change from the dynamics subsystem. Going
@@ -227,7 +220,7 @@ impl Host {
     /// first transmission opportunity.
     pub fn start_flow(&mut self, now: SimTime, spec: FlowSpec, events: &mut impl NetSink) {
         let cc = match self.config.cc {
-            CcKind::LineRate | CcKind::WindowLimited => CcState::None,
+            CcKind::LineRate => CcState::None,
             CcKind::Dcqcn => CcState::Dcqcn(DcqcnState::new(self.line_rate_gbps)),
             CcKind::Hpcc => CcState::Hpcc(HpccState::new(
                 self.line_rate_gbps,
@@ -266,12 +259,7 @@ impl Host {
     }
 
     /// Handles a packet arriving at the NIC.
-    pub fn handle_packet(
-        &mut self,
-        now: SimTime,
-        packet: Packet,
-        events: &mut impl NetSink,
-    ) {
+    pub fn handle_packet(&mut self, now: SimTime, packet: Packet, events: &mut impl NetSink) {
         // Match on a borrow of the kind (copying out only the small fields)
         // so no per-packet clone of the kind — which would allocate nothing
         // today but still memcpy the largest variant — is needed.
@@ -316,18 +304,15 @@ impl Host {
     }
 
     /// A transport timer fired.
-    pub fn handle_timer(
-        &mut self,
-        now: SimTime,
-        timer: TransportTimer,
-        events: &mut impl NetSink,
-    ) {
+    pub fn handle_timer(&mut self, now: SimTime, timer: TransportTimer, events: &mut impl NetSink) {
         match timer {
             TransportTimer::NicWakeup => {
                 self.pending_wakeup = None;
                 self.try_send_from_timer(now, events);
             }
-            TransportTimer::Retransmit(flow_id) => self.handle_retransmit_timer(now, flow_id, events),
+            TransportTimer::Retransmit(flow_id) => {
+                self.handle_retransmit_timer(now, flow_id, events)
+            }
             TransportTimer::RateIncrease(flow_id) => {
                 if let Some(flow) = self.sending.get_mut(&flow_id) {
                     if let CcState::Dcqcn(state) = &mut flow.cc {
@@ -399,7 +384,7 @@ impl Host {
             rf.nack_sent_for = None;
             self.counters.rx_data_bytes += packet.size_bytes as u64;
 
-            if packet.ecn_ce {
+            if packet.ecn == Ecn::Ce {
                 let due = rf
                     .last_cnp
                     .map_or(true, |t| now.saturating_since(t) >= dcqcn::CNP_INTERVAL);
@@ -467,8 +452,8 @@ impl Host {
         }
         if let CcState::Hpcc(state) = &mut flow.cc {
             state.on_ack(&mut packet.int, cumulative, flow.next_seq);
-            // `packet.int` now holds the previous sample: recycle its storage.
-            if packet.int.has_storage() {
+            // `packet.int` now holds the previous sample: recycle its header.
+            if packet.int.has_header() {
                 packet.int.clear();
                 self.int_pool.push(packet.int);
             }
@@ -606,8 +591,10 @@ impl Host {
                 flow.spec.vfid,
                 seq == 0,
             );
-            if let Some(int) = self.int_pool.pop() {
-                pkt.int = int;
+            match self.config.cc {
+                CcKind::Dcqcn => pkt.ecn = Ecn::Ect,
+                CcKind::Hpcc => pkt.int = self.int_pool.pop().unwrap_or_else(IntPath::header),
+                CcKind::LineRate => {}
             }
             flow.next_seq += 1;
             if let Some(rate) = Self::pacing_rate_gbps(flow) {
@@ -761,7 +748,11 @@ mod tests {
             }
         }
         assert_eq!(sent, 6);
-        assert_eq!(host.active_sender_flows(), 0, "flow removed once fully acked");
+        assert_eq!(
+            host.active_sender_flows(),
+            0,
+            "flow removed once fully acked"
+        );
         assert!(t_now > SimTime::ZERO);
     }
 
@@ -773,10 +764,8 @@ mod tests {
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 3_000), &mut events);
         // Only the retransmit timer is scheduled while the cable is dead.
         assert_eq!(events.total_scheduled(), 1, "down NIC transmits nothing");
-        assert!(!host.uplink_is_up());
         host.set_uplink_up(SimTime::from_micros(5), true, &mut events);
         assert!(events.total_scheduled() > 1, "repair restarts transmission");
-        assert!(host.uplink_is_up());
     }
 
     #[test]
@@ -836,7 +825,11 @@ mod tests {
     fn pfc_pause_blocks_and_resume_restarts() {
         let mut host = sender(HostConfig::bfc(BASE_RTT));
         let mut events = EventQueue::new();
-        host.handle_packet(SimTime::ZERO, Packet::pfc(NodeId(100), NodeId(0), true), &mut events);
+        host.handle_packet(
+            SimTime::ZERO,
+            Packet::pfc(NodeId(100), NodeId(0), true),
+            &mut events,
+        );
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 3_000), &mut events);
         let transmissions = |q: &EventQueue<NetEvent>| {
             // Only timer events may be pending while paused; transmissions
@@ -851,7 +844,10 @@ mod tests {
             Packet::pfc(NodeId(100), NodeId(0), false),
             &mut events,
         );
-        assert!(events.total_scheduled() > before, "resume restarts transmission");
+        assert!(
+            events.total_scheduled() > before,
+            "resume restarts transmission"
+        );
     }
 
     #[test]
@@ -868,9 +864,16 @@ mod tests {
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 3_000), &mut events);
         host.start_flow(SimTime::ZERO, spec(2, 0, 1, 3_000), &mut events);
         let sent = drain_transmissions(&mut host, &mut events);
-        let flows: Vec<u32> = sent.iter().filter(|p| p.is_data()).map(|p| p.flow.0).collect();
+        let flows: Vec<u32> = sent
+            .iter()
+            .filter(|p| p.is_data())
+            .map(|p| p.flow.0)
+            .collect();
         assert!(!flows.is_empty());
-        assert!(flows.iter().all(|&f| f == 2), "only the unpaused flow sends");
+        assert!(
+            flows.iter().all(|&f| f == 2),
+            "only the unpaused flow sends"
+        );
         // Clearing the pause releases flow 1.
         host.handle_packet(
             SimTime::from_micros(10),
@@ -883,7 +886,12 @@ mod tests {
 
     #[test]
     fn receiver_acks_in_order_data_and_reports_completion() {
-        let mut rx = Host::new(NodeId(5), link(), (NodeId(100), 0), HostConfig::bfc(BASE_RTT));
+        let mut rx = Host::new(
+            NodeId(5),
+            link(),
+            (NodeId(100), 0),
+            HostConfig::bfc(BASE_RTT),
+        );
         let mut events = EventQueue::new();
         rx.expect_flow(spec(9, 0, 5, 2_500));
         for seq in 0..3u64 {
@@ -919,7 +927,12 @@ mod tests {
 
     #[test]
     fn out_of_order_data_triggers_single_nack_and_gbn_rewind() {
-        let mut rx = Host::new(NodeId(5), link(), (NodeId(100), 0), HostConfig::bfc(BASE_RTT));
+        let mut rx = Host::new(
+            NodeId(5),
+            link(),
+            (NodeId(100), 0),
+            HostConfig::bfc(BASE_RTT),
+        );
         let mut events = EventQueue::new();
         rx.expect_flow(spec(9, 0, 5, 10_000));
         // Deliver packet 0, then skip to 3, 4 (2 lost).
@@ -940,7 +953,10 @@ mod tests {
                 _ => {}
             }
         }
-        assert_eq!(nacks, 1, "duplicate out-of-order packets must not spam NACKs");
+        assert_eq!(
+            nacks, 1,
+            "duplicate out-of-order packets must not spam NACKs"
+        );
 
         // Sender side: a NACK rewinds next_seq.
         let mut tx = sender(HostConfig::bfc(BASE_RTT));
@@ -950,8 +966,16 @@ mod tests {
         let nack = Packet::ack(FlowId(9), NodeId(5), NodeId(0), 1, true, Default::default());
         tx.handle_packet(SimTime::from_micros(50), nack, &mut ev2);
         let resent = drain_transmissions(&mut tx, &mut ev2);
-        let seqs: Vec<u64> = resent.iter().filter(|p| p.is_data()).map(|p| p.seq).collect();
-        assert_eq!(seqs.first(), Some(&1), "Go-Back-N resumes from the NACKed seq");
+        let seqs: Vec<u64> = resent
+            .iter()
+            .filter(|p| p.is_data())
+            .map(|p| p.seq)
+            .collect();
+        assert_eq!(
+            seqs.first(),
+            Some(&1),
+            "Go-Back-N resumes from the NACKed seq"
+        );
         assert!(tx.counters().retransmitted_packets > 0);
     }
 
@@ -964,7 +988,7 @@ mod tests {
         assert_eq!(first.iter().filter(|p| p.is_data()).count(), 2);
         // Fire the retransmit timer twice with no ACK progress: the second
         // firing detects the stall and rewinds.
-        let rto = default_rto(host.config().base_rtt);
+        let rto = default_rto(BASE_RTT);
         host.handle_timer(
             SimTime::ZERO + rto,
             TransportTimer::Retransmit(FlowId(1)),
@@ -997,7 +1021,11 @@ mod tests {
                     data_times.push(t);
                     if data_times.len() == 10 && !cnp_sent {
                         cnp_sent = true;
-                        host.handle_packet(t, Packet::cnp(FlowId(1), NodeId(1), NodeId(0)), &mut events);
+                        host.handle_packet(
+                            t,
+                            Packet::cnp(FlowId(1), NodeId(1), NodeId(0)),
+                            &mut events,
+                        );
                     }
                     if data_times.len() >= 30 {
                         break;
@@ -1030,11 +1058,29 @@ mod tests {
         // 50 us, so only ~3 are generated.
         for seq in 0..100u64 {
             let mut pkt = Packet::data(FlowId(9), NodeId(0), NodeId(5), seq, 1000, 9, seq == 0);
-            pkt.ecn_ce = true;
+            pkt.ecn = Ecn::Ce;
             rx.handle_packet(SimTime::from_micros(seq), pkt, &mut events);
         }
         assert!(rx.counters().cnps_sent >= 2);
         assert!(rx.counters().cnps_sent <= 3, "CNPs must be paced");
+    }
+
+    #[test]
+    fn data_carries_what_the_congestion_control_reads() {
+        let first_data = |config| {
+            let mut host = sender(config);
+            let mut events = EventQueue::new();
+            host.start_flow(SimTime::ZERO, spec(1, 0, 1, 10_000), &mut events);
+            let sent = drain_transmissions(&mut host, &mut events);
+            let data = sent.into_iter().find(|p| p.is_data()).expect("data sent");
+            (data.ecn, data.int.has_header())
+        };
+        assert_eq!(first_data(HostConfig::bfc(BASE_RTT)), (Ecn::NotEct, false));
+        let window = HostConfig::window_limited(BASE_RTT, 100_000);
+        assert_eq!(first_data(window), (Ecn::NotEct, false));
+        let dcqcn = HostConfig::dcqcn(BASE_RTT, None);
+        assert_eq!(first_data(dcqcn), (Ecn::Ect, false));
+        assert_eq!(first_data(HostConfig::hpcc(BASE_RTT)), (Ecn::NotEct, true));
     }
 
     #[test]
@@ -1045,7 +1091,10 @@ mod tests {
         // Without ACKs the HPCC host can send at most one BDP (100 KB).
         let sent = drain_transmissions(&mut host, &mut events);
         let data = sent.iter().filter(|p| p.is_data()).count();
-        assert!(data <= 101, "HPCC must respect its initial window, sent {data}");
+        assert!(
+            data <= 101,
+            "HPCC must respect its initial window, sent {data}"
+        );
         assert!(data >= 90);
     }
 }

@@ -66,20 +66,32 @@ cargo clippy -q --workspace --all-targets -- -A clippy::all -D clippy::incompati
 
 echo "== format: rustfmt --check over the files kept rustfmt-clean"
 rustfmt --check --edition 2021 \
+    crates/bfc-bench/src/main.rs \
+    crates/bfc-experiments/src/cli/adversarial.rs \
     crates/bfc-experiments/src/engine.rs \
     crates/bfc-experiments/src/figures.rs \
     crates/bfc-experiments/src/runner.rs \
+    crates/bfc-experiments/src/scheme.rs \
+    crates/bfc-experiments/src/service.rs \
     crates/bfc-experiments/src/table.rs \
     crates/bfc-core/src/flow_table.rs \
     crates/bfc-core/src/policy.rs \
     crates/bfc-metrics/src/fct.rs \
     crates/bfc-metrics/src/registry.rs \
+    crates/bfc-net/src/buffer.rs \
+    crates/bfc-net/src/config.rs \
+    crates/bfc-net/src/packet.rs \
     crates/bfc-net/src/policy.rs \
     crates/bfc-net/src/port.rs \
     crates/bfc-net/src/queue.rs \
     crates/bfc-net/src/routing.rs \
+    crates/bfc-net/src/switch.rs \
+    crates/bfc-transport/src/config.rs \
+    crates/bfc-transport/src/host.rs \
     tests/fig_smoke.rs \
     tests/example_smoke.rs \
+    tests/net_properties.rs \
+    tests/properties.rs \
     tests/routing_oracle.rs
 
 echo "== testkit, bfc-sim, packet-path, ingest and bfc-experiments unit tests + spawned CLI gates"

@@ -141,12 +141,12 @@ fn google_incast(horizon: SimDuration) -> TraceParams {
 
 #[rustfmt::skip]
 const LINEUP_T2: &[Cost] = &[
-    Cost { run: "bfc", events_popped: 127118, switch_hops: 59369, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(187260), allocs: Some(2031) },
-    Cost { run: "ideal-fq", events_popped: 125373, switch_hops: 59708, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(2168599), allocs: Some(1439) },
-    Cost { run: "dcqcn", events_popped: 130722, switch_hops: 59869, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(212606), allocs: Some(1451) },
-    Cost { run: "dcqcn-win", events_popped: 127882, switch_hops: 59855, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(212533), allocs: Some(1451) },
-    Cost { run: "hpcc", events_popped: 125074, switch_hops: 59347, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(236909), allocs: Some(5953) },
-    Cost { run: "dcqcn-win-sfq", events_popped: 127994, switch_hops: 59983, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(212481), allocs: Some(1443) },
+    Cost { run: "bfc", events_popped: 127118, switch_hops: 59369, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(187260), allocs: Some(2035) },
+    Cost { run: "ideal-fq", events_popped: 125373, switch_hops: 59708, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(2168599), allocs: Some(1443) },
+    Cost { run: "dcqcn", events_popped: 130722, switch_hops: 59869, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(212606), allocs: Some(1455) },
+    Cost { run: "dcqcn-win", events_popped: 127882, switch_hops: 59855, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(212533), allocs: Some(1455) },
+    Cost { run: "hpcc", events_popped: 125074, switch_hops: 59347, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(236909), allocs: Some(5957) },
+    Cost { run: "dcqcn-win-sfq", events_popped: 127994, switch_hops: 59983, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(212481), allocs: Some(1447) },
 ];
 
 #[test]
@@ -165,8 +165,8 @@ fn the_six_scheme_lineup_costs_exactly_this() {
 
 #[rustfmt::skip]
 const INCAST_T1: &[Cost] = &[
-    Cost { run: "bfc", events_popped: 288955, switch_hops: 131142, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 138, snap_bytes: Some(1412661), allocs: Some(6594) },
-    Cost { run: "bfc @ 2 shards", events_popped: 289381, switch_hops: 131142, overflow_pushes: 0, batches: 2, windows: 201, barriers: 202, boundary_events: 42064, series: 138, snap_bytes: Some(1418975), allocs: None },
+    Cost { run: "bfc", events_popped: 288955, switch_hops: 131142, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 142, snap_bytes: Some(1412661), allocs: Some(6598) },
+    Cost { run: "bfc @ 2 shards", events_popped: 289381, switch_hops: 131142, overflow_pushes: 0, batches: 2, windows: 201, barriers: 202, boundary_events: 42064, series: 142, snap_bytes: Some(1418975), allocs: None },
 ];
 
 #[test]
@@ -199,8 +199,8 @@ fn the_incast_costs_exactly_this_serial_and_on_two_shards() {
 
 #[rustfmt::skip]
 const SERVICE_T2: &[Cost] = &[
-    Cost { run: "serve", events_popped: 212718, switch_hops: 100550, overflow_pushes: 3, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: None, allocs: Some(1590) },
-    Cost { run: "resume", events_popped: 218503, switch_hops: 101061, overflow_pushes: 4, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 110, snap_bytes: Some(336370), allocs: Some(1695) },
+    Cost { run: "serve", events_popped: 212718, switch_hops: 100550, overflow_pushes: 3, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: None, allocs: Some(1594) },
+    Cost { run: "resume", events_popped: 218503, switch_hops: 101061, overflow_pushes: 4, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(336370), allocs: Some(1699) },
 ];
 
 #[test]

@@ -1,18 +1,22 @@
 //! `bfc-testkit` properties for `bfc-net`: the egress scheduler against a
 //! reference that re-derives pause state from the frame on every look, the
 //! FIFO and SFQ policies' counters against the per-queue resident maps they
-//! once kept, and shared-buffer accounting and PFC threshold invariants under
-//! randomized admit/release sequences.
+//! once kept, shared-buffer accounting and PFC threshold invariants under
+//! randomized admit/release sequences, and a switch that ECN-marks, records
+//! INT and sends PFC only where the packet or its buffer asks.
 //!
 //! On failure the runner prints the per-case seed; rerun exactly that case
 //! with `BFC_TESTKIT_SEED=<seed> cargo test <property_name>`.
 
 use std::collections::{BTreeMap, VecDeque};
 
+use backpressure_flow_control::experiments::Scheme;
 use backpressure_flow_control::net::buffer::SharedBuffer;
 use backpressure_flow_control::net::buffer::{pfc_pause_threshold, PFC_RESUME_FRACTION};
 use backpressure_flow_control::net::event::NetSink;
-use backpressure_flow_control::net::packet::{Packet, PauseFrame, MTU};
+use backpressure_flow_control::net::packet::{
+    Ecn, IntHop, IntPath, Packet, PacketKind, PauseFrame, MTU,
+};
 use backpressure_flow_control::net::policy::{
     FifoPolicy, PolicyStats, QueueTarget, SfqPolicy, SwitchPolicy,
 };
@@ -48,7 +52,11 @@ const PORT_QUEUES: usize = 4;
 const VFIDS: [u32; 6] = [3, 17, 101, 4_242, 9_001, 16_000];
 
 fn test_port() -> Port {
-    Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), PORT_QUEUES)
+    Port::new(
+        Link::datacenter_default(),
+        Some((NodeId(9), 0)),
+        PORT_QUEUES,
+    )
 }
 
 /// The egress scheduler written the slow, obviously-right way: strict
@@ -191,7 +199,10 @@ impl NetSink for Harness {
     }
 
     fn trace(&mut self, _at: SimTime, event: TraceEvent) {
-        if matches!(event, TraceEvent::Enqueue { .. } | TraceEvent::Dequeue { .. }) {
+        if matches!(
+            event,
+            TraceEvent::Enqueue { .. } | TraceEvent::Dequeue { .. }
+        ) {
             self.moves.push(event);
         }
     }
@@ -218,7 +229,9 @@ impl ResidentMaps {
 
     fn leave(&mut self, port: u32, queue: usize, flow: u32) {
         let residents = &mut self.resident[port as usize][queue];
-        let count = residents.get_mut(&flow).expect("a packet leaves a queue it joined");
+        let count = residents
+            .get_mut(&flow)
+            .expect("a packet leaves a queue it joined");
         *count -= 1;
         if *count == 0 {
             residents.remove(&flow);
@@ -226,7 +239,9 @@ impl ResidentMaps {
     }
 
     fn flush(&mut self, port: u32) {
-        self.resident[port as usize].iter_mut().for_each(BTreeMap::clear);
+        self.resident[port as usize]
+            .iter_mut()
+            .for_each(BTreeMap::clear);
     }
 }
 
@@ -246,9 +261,8 @@ property! {
         let (sfq, queues) = (setup.0 == 1, setup.1 as usize);
         let config = SwitchConfig {
             queues_per_port: queues,
-            ..SwitchConfig::default()
-        }
-        .with_buffer_bytes(setup.2 * 1_000);
+            buffer_bytes: setup.2 * 1_000,
+        };
         // The first ToR of the tiny fat tree: four host ports, two uplinks.
         let topo = fat_tree(FatTreeParams::tiny());
         let routes = RoutingTables::compute(&topo);
@@ -540,7 +554,7 @@ property! {
             let threshold = pfc_pause_threshold(buffer.free());
             let occupancy = buffer.ingress_occupancy(ingress);
             let was_paused = buffer.upstream_paused(ingress);
-            let transition = buffer.pfc_transition(ingress, true);
+            let transition = buffer.pfc_transition(ingress);
             match transition {
                 Some(true) => {
                     assert!(!was_paused, "pause only fires from the unpaused state");
@@ -577,14 +591,110 @@ property! {
         }
     }
 
-    /// A disabled PFC never produces transitions no matter the load.
+    /// An infinite buffer disables PFC: it never produces a transition, no
+    /// matter the load.
     fn disabled_pfc_never_transitions(ops in op_gen()) {
-        let mut buffer = SharedBuffer::new(16_000, NUM_PORTS);
+        let mut buffer = SharedBuffer::new(u64::MAX, NUM_PORTS);
         for &(ingress, bytes, _) in &ops {
             let ingress = ingress as u32;
-            buffer.admit(bytes as u32, ingress);
-            assert_eq!(buffer.pfc_transition(ingress, false), None);
+            assert!(buffer.admit(bytes as u32 * 1_000_000, ingress));
+            assert_eq!(buffer.pfc_transition(ingress), None);
             assert!(!buffer.upstream_paused(ingress));
+        }
+    }
+
+    /// A switch runs no scheme. Under every lineup scheme's switch
+    /// configuration, with a small, the paper's or an infinite buffer, a ToR
+    /// that takes a burst of data and ACKs with random ECN codepoints and INT
+    /// headers RED-marks only ECN-capable data (`Ect` to `Ce`, or `Ce` again,
+    /// each counted as `ecn_marked`), appends one INT record to each data
+    /// packet that carries
+    /// a header and to nothing else, and sends no PFC frame when its buffer
+    /// is infinite.
+    fn a_switch_marks_records_and_pauses_only_what_packets_and_buffer_ask(
+        setup in pair(int_range(0u64..6), int_range(0u64..3)),
+        burst in vec_of(
+            triple(int_range(0u64..3), int_range(0u64..3), int_range(0u64..48)),
+            1..500,
+        ),
+    ) {
+        let scheme = &Scheme::paper_lineup()[setup.0 as usize];
+        let buffer = [40_000, 12_000_000, u64::MAX][setup.1 as usize];
+        let config = scheme.switch_config(32, buffer, MTU);
+        let infinite = config.buffer_bytes == u64::MAX;
+        let topo = fat_tree(FatTreeParams::tiny());
+        let routes = RoutingTables::compute(&topo);
+        let tor = topo.switches()[0];
+        let mut sw = Switch::new(tor, config, topo.ports(tor), scheme.make_policy(1), 1);
+        let mut events: EventQueue<NetEvent> = EventQueue::new();
+        let hop = IntHop { qlen_bytes: 1, tx_bytes: 2, timestamp_ps: 3, link_gbps: 4.0 };
+        // What each packet (told apart by its `seq`) arrived with.
+        let mut sent = Vec::new();
+        for (seq, &(ecn, header, route)) in burst.iter().enumerate() {
+            // Ports 0-3 face the ToR's hosts 0-3, ports 4 and 5 the spines;
+            // two of the hosts are destinations, so their egresses queue up.
+            let (ingress, dst, ack) = (route % 6, route / 6 % 2, route / 12 == 0);
+            let dst = NodeId(if ingress == dst { 2 } else { dst as u32 });
+            let (flow, src) = (FlowId(seq as u32 % 8), NodeId(ingress as u32));
+            let int = match header {
+                0 => IntPath::new(),
+                1 => IntPath::header(),
+                _ => IntPath::from_slice(&[hop]),
+            };
+            let packet = if ack {
+                Packet::ack(flow, src, dst, seq as u64, false, int)
+            } else {
+                let mut packet = Packet::data(flow, src, dst, seq as u64, MTU, flow.0, false);
+                packet.ecn = [Ecn::NotEct, Ecn::Ect, Ecn::Ce][ecn as usize];
+                packet.int = int;
+                packet
+            };
+            sent.push((packet.is_data(), packet.ecn, packet.int.clone()));
+            sw.handle_packet(SimTime::ZERO, ingress as u32, packet, &routes, &mut events);
+        }
+        // Ect packets the switch marked, and packets that arrived marked (the
+        // switch may mark them again, which leaves them `Ce` but counts).
+        let (mut marked, mut arrived_marked) = (0, 0);
+        while let Some((at, event)) = events.pop() {
+            match event {
+                NetEvent::TxComplete { node, port } if node == tor => {
+                    sw.handle_tx_complete(at, port, &mut events)
+                }
+                NetEvent::PauseFrameTimer { node, port } if node == tor => {
+                    sw.handle_pause_timer(at, port, &mut events)
+                }
+                NetEvent::PacketArrive { packet, .. } => match packet.kind {
+                    PacketKind::PfcPause { .. } => {
+                        assert!(!infinite, "{}: PFC from an infinite buffer", scheme.name());
+                    }
+                    PacketKind::Data | PacketKind::Ack { .. } => {
+                        let (data, ecn, int) = &sent[packet.seq as usize];
+                        arrived_marked += u64::from(*ecn == Ecn::Ce);
+                        if *ecn == Ecn::Ect && packet.ecn == Ecn::Ce {
+                            marked += 1;
+                        } else {
+                            assert_eq!(packet.ecn, *ecn, "only ECN-capable data is marked");
+                        }
+                        let mut expected = int.clone();
+                        if *data && int.has_header() {
+                            assert_eq!(packet.int.len(), int.len() + 1, "one record per hop");
+                            expected.push(packet.int[int.len()]);
+                        }
+                        assert_eq!(packet.int, expected, "INT only where a header asks");
+                    }
+                    _ => {}
+                },
+                _ => {}
+            }
+        }
+        let counted = sw.counters().ecn_marked;
+        assert!(
+            (marked..=marked + arrived_marked).contains(&counted),
+            "{counted} marks counted, {marked} made and {arrived_marked} arrived marked"
+        );
+        if infinite {
+            assert_eq!(sw.counters().pfc_pauses_sent, 0);
+            assert_eq!(sw.counters().drops, 0);
         }
     }
 }

@@ -7,8 +7,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use backpressure_flow_control::core::config::pause_threshold_bytes;
-use backpressure_flow_control::core::policy::pick_queue;
 use backpressure_flow_control::core::flow_table::EntrySlot;
+use backpressure_flow_control::core::policy::pick_queue;
 use backpressure_flow_control::core::{
     CountingBloom, FlowEntry, FlowKey, FlowTable, LookupOutcome,
 };
@@ -21,7 +21,7 @@ use backpressure_flow_control::net::switch::SwitchCounters;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::{
-    FlightTrace, IntHop, IntPath, Link, NetEvent, Packet, PolicyStats, Port, QueueTarget,
+    Ecn, FlightTrace, IntHop, IntPath, Link, NetEvent, Packet, PolicyStats, Port, QueueTarget,
     SharedBuffer, TraceEvent, TraceRecord, Transmitter, TransportTimer, MAX_INT_HOPS,
 };
 use backpressure_flow_control::sim::snapshot::{SnapError, SnapReader, SnapWriter};
@@ -285,11 +285,11 @@ fn arb_int_path(rng: &mut SimRng) -> IntPath {
         timestamp_ps: rng.next_u64(),
         link_gbps: rng.next_f64() * 400.0,
     });
-    let mut path = IntPath::from_slice(&hops);
-    if rng.next_below(4) == 0 {
-        path.clear(); // storage without records
+    match rng.next_below(4) {
+        0 => IntPath::new(),    // no header
+        1 => IntPath::header(), // a header no switch has recorded into yet
+        _ => IntPath::from_slice(&hops),
     }
-    path
 }
 
 fn arb_pause_frame(rng: &mut SimRng) -> PauseFrame {
@@ -330,7 +330,7 @@ fn arb_packet(rng: &mut SimRng) -> Packet {
     };
     packet.size_bytes = rng.next_u64() as u32;
     packet.vfid = rng.next_u64() as u32;
-    packet.ecn_ce = rng.next_below(2) == 1;
+    packet.ecn = [Ecn::NotEct, Ecn::Ect, Ecn::Ce][rng.next_index(3)];
     if packet.is_data() {
         packet.int = arb_int_path(rng);
     }
@@ -493,7 +493,9 @@ fn arb_port(rng: &mut SimRng) -> Port {
         }
         if rng.next_below(8) == 0 {
             let mut frame = PauseFrame::new(16);
-            (0..8).filter(|_| rng.next_below(2) == 1).for_each(|vfid| frame.insert(vfid));
+            (0..8)
+                .filter(|_| rng.next_below(2) == 1)
+                .for_each(|vfid| frame.insert(vfid));
             port.set_pause_frame(Some(frame));
         }
     }
@@ -857,7 +859,7 @@ property! {
                 let held = buffer.ingress_occupancy(ingress).min(9_000) as u32;
                 buffer.release(held, ingress);
             }
-            buffer.pfc_transition(ingress, true);
+            buffer.pfc_transition(ingress);
         }
         assert_overlay_laws(
             &buffer,

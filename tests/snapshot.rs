@@ -12,8 +12,9 @@
 //!    snapshots are rejected with the right `SnapError`, never a wrong
 //!    result.
 //! 4. The format: the bytes of twelve snapshots and a flight trace are
-//!    pinned to what the parent of the `Snap` trait wrote, and a pending
-//!    event that does not fit the run is refused at load.
+//!    pinned to what the parent of the `Snap` trait wrote, a pending event
+//!    that does not fit the run is refused at load, and a packet keeps an
+//!    empty INT header and refuses an unknown ECN codepoint.
 //! 5. Streaming ingest: serving a finished trace through `CsvTail` with an
 //!    uncontended inflight cap reproduces the batch run bit-identically,
 //!    and a tight cap still completes every admitted flow.
@@ -23,15 +24,14 @@ use backpressure_flow_control::experiments::service::{
     resume_experiment, serve_experiment, snapshot_experiment, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use backpressure_flow_control::experiments::{
-    run_experiment, run_experiment_sharded, ExperimentConfig, ReplayTrace,
-    ScenarioSpec, Scheme,
+    run_experiment, run_experiment_sharded, ExperimentConfig, ReplayTrace, ScenarioSpec, Scheme,
 };
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
 use backpressure_flow_control::net::trace::write_trace;
 use backpressure_flow_control::net::{
-    FlowId, Link, NetEvent, NodeId, Packet, TopologyBuilder, TransportTimer,
+    Ecn, FlowId, IntPath, Link, NetEvent, NodeId, Packet, TopologyBuilder, TransportTimer,
 };
-use backpressure_flow_control::sim::snapshot::{self, Snap, SnapReader};
+use backpressure_flow_control::sim::snapshot::{self, Snap, SnapReader, SnapWriter};
 use backpressure_flow_control::sim::{SimDuration, SimTime, SnapError};
 use backpressure_flow_control::workloads::{
     export_csv, synthesize, CsvTail, TraceFlow, TraceParams, Workload,
@@ -65,7 +65,11 @@ fn compare_resume(label: &str, topo: &Topology, trace: &[TraceFlow], config: &Ex
         let snap = snapshot_experiment(topo, trace, config, at, shards);
         let resumed = resume_experiment(topo, trace, config, &snap)
             .unwrap_or_else(|e| panic!("{label} @ {shards} shards: resume failed: {e}"));
-        assert_identical(&format!("{label} @ {shards} shards"), &uninterrupted, &resumed);
+        assert_identical(
+            &format!("{label} @ {shards} shards"),
+            &uninterrupted,
+            &resumed,
+        );
     }
     let spot = run_experiment_sharded(topo, trace, config, 2);
     assert_identical(&format!("{label}: sharded baseline"), &uninterrupted, &spot);
@@ -202,7 +206,11 @@ fn a_clamped_shard_request_snapshots_as_one_worker() {
     let snap = snapshot_experiment(&topo, &trace, &config, at, 2);
     assert_eq!(snap, snapshot_experiment(&topo, &trace, &config, at, 1));
     let resumed = resume_experiment(&topo, &trace, &config, &snap).expect("resumes");
-    assert_identical("one-switch star, 2 shards requested", &uninterrupted, &resumed);
+    assert_identical(
+        "one-switch star, 2 shards requested",
+        &uninterrupted,
+        &resumed,
+    );
 }
 
 /// Four hosts on one switch: the smallest fabric that runs traffic, so its
@@ -234,7 +242,9 @@ fn damaged_snapshots_are_rejected() {
         Err(SnapError::BadChecksum)
     ));
 
-    // Another format version — a future one, version 15 with the switch
+    // Another format version — a future one, version 16 with an ECN flag
+    // and an INT hop count where a codepoint and a header now are, version
+    // 15 with the switch
     // policies' own copies of queue occupancy, version 14 with a hash count
     // in each pause frame and a packet count in each sender and receiver
     // flow, version 13 with each sim's link state and a packet's class and
@@ -248,10 +258,10 @@ fn damaged_snapshots_are_rejected() {
     // checksum — is refused by number, not misdecoded.
     assert_eq!(
         snap[8..12],
-        16u32.to_le_bytes(),
-        "this build writes version 16"
+        17u32.to_le_bytes(),
+        "this build writes version 17"
     );
-    for version in [99u32, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5] {
+    for version in [99u32, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5] {
         let mut versioned = snap.clone();
         versioned[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
@@ -404,14 +414,11 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 ///
 /// The flight trace is as written by commit 0022cd3 (`TRACE_VERSION` 2), the
 /// last one whose codec was 68 hand-written `save`/`restore` functions. The
-/// snapshots are `SNAPSHOT_VERSION` 16, which drops from version 15 what the
-/// switch policies held of their egresses' queue occupancy, which the ports
-/// hold: BFC's per-(egress, queue) assignment counts (2 272 bytes on the BFC
-/// rows) and the per-queue resident maps of FIFO and SFQ, which become one
-/// map of packets queued per (egress, flow) — 128 bytes less on the DCQCN,
-/// DCQCN+Win and HPCC rows, 4 224 on DCQCN+Win+SFQ's and 128 128 on
-/// Ideal-FQ's, whose 1 000 empty maps per egress it touched go; the same at
-/// one shard and at two.
+/// snapshots are `SNAPSHOT_VERSION` 17, which has version 16's lengths: a
+/// packet's ECN codepoint takes its congestion-experienced flag's byte (the
+/// DCQCN rows' data now saves `Ect` as 2 where it saved "unmarked" as 0),
+/// and its INT header's presence its hop count's (the HPCC rows' data saves
+/// `n + 1` for `n` hops). Every checksum moves, since it covers the version.
 ///
 /// The two-shard rows also depend on where the epoch windows fall, at any
 /// version: a pending event is saved with the sequence number its queue gave
@@ -425,18 +432,18 @@ fn trailer(file: &[u8]) -> (usize, u64) {
 /// one run, 224 bytes differ, each by a few units, and the parent's file
 /// resumed there to the uninterrupted run's result.
 const PARENT_SNAPSHOTS: [(usize, u64); 12] = [
-    (80_996, 0xd101_6dee_41fc_f12d), // BFC, 1 shard
-    (89_803, 0xf9d3_012e_2ae7_03e3), // BFC, 2 shards
-    (303_708, 0xa260_5250_4872_6138), // Ideal-FQ
-    (312_515, 0xace8_c783_b0c2_ff64),
-    (72_670, 0x2c89_c56c_9614_acdd), // DCQCN
-    (81_477, 0xc62b_79a0_dae4_8958),
-    (72_670, 0x5711_7900_5296_aad5), // DCQCN+Win
-    (81_477, 0x4663_110b_b38d_42ff),
-    (68_847, 0x6ea5_727c_84ba_7b0e), // HPCC
-    (77_654, 0x7bf2_eca6_301b_b033),
-    (71_865, 0x5f5a_3500_0eef_c892), // DCQCN+Win+SFQ
-    (80_672, 0x9002_66b9_bdda_1a95),
+    (80_996, 0x096d_153f_3ff7_0b30),  // BFC, 1 shard
+    (89_803, 0xed20_7fe4_38c2_b83a),  // BFC, 2 shards
+    (303_708, 0x2b92_520b_7aa3_f1bb), // Ideal-FQ
+    (312_515, 0xd080_2d3e_4789_713b),
+    (72_670, 0xc6f1_2f80_2a6a_e1de), // DCQCN
+    (81_477, 0xdd45_d5c1_4270_31c1),
+    (72_670, 0x3e78_d37d_5ba7_6e66), // DCQCN+Win
+    (81_477, 0x9f27_d874_77bd_94ae),
+    (68_847, 0x24cd_54f1_ecbb_58bb), // HPCC
+    (77_654, 0x72dc_5582_1733_5f84),
+    (71_865, 0x9be2_8002_c5bd_3839), // DCQCN+Win+SFQ
+    (80_672, 0x2c1e_718d_6f15_e836),
 ];
 const PARENT_FLIGHT: (usize, u64) = (1_256_716, 0x3704_4530_a583_d1d0);
 
@@ -472,7 +479,10 @@ fn the_format_is_pinned_to_the_parents_bytes() {
         .zip(PARENT_SNAPSHOTS)
         .map(|((written, row), pin)| {
             let moved = if *written == pin { "" } else { " <- moved" };
-            format!("    ({}, {:#018x}), // {row}{moved}\n", written.0, written.1)
+            format!(
+                "    ({}, {:#018x}), // {row}{moved}\n",
+                written.0, written.1
+            )
         })
         .collect();
     let written = rows.iter().map(|(pin, _)| *pin);
@@ -584,6 +594,48 @@ fn a_pending_event_that_does_not_fit_the_run_is_refused() {
         assert!(
             matches!(resume_with(event), Err(SnapError::Corrupt(_))),
             "{event:?} accepted"
+        );
+    }
+}
+
+/// A packet's codec keeps what a switch reads: an INT header no switch has
+/// recorded into yet (an HPCC packet between its sender and its first
+/// switch at the cut) restores as a header, so a resumed run still records
+/// every hop on it, and a byte that is no ECN codepoint is refused as
+/// corrupt, not read as one.
+#[test]
+fn a_packets_empty_int_header_round_trips_and_an_unknown_ecn_codepoint_is_corrupt() {
+    let encode = |ecn, int| {
+        let mut packet = Packet::data(FlowId(1), NodeId(0), NodeId(5), 3, 1_000, 1, false);
+        packet.ecn = ecn;
+        packet.int = int;
+        let mut w = SnapWriter::new();
+        packet.save(&mut w);
+        (packet, w.into_bytes())
+    };
+    for (ecn, int) in [
+        (Ecn::Ect, IntPath::header()),
+        (Ecn::NotEct, IntPath::new()),
+        (Ecn::Ce, IntPath::header()),
+    ] {
+        let (packet, bytes) = encode(ecn, int);
+        let restored = Packet::restore(&mut SnapReader::new(&bytes)).expect("own encoding");
+        assert_eq!(restored.int.has_header(), packet.int.has_header());
+        assert_eq!(restored, packet);
+    }
+
+    // The ECN byte is the one byte `Ect` and `NotEct` change.
+    let (_, ect) = encode(Ecn::Ect, IntPath::new());
+    let (_, not_ect) = encode(Ecn::NotEct, IntPath::new());
+    let at = (0..ect.len())
+        .find(|&i| ect[i] != not_ect[i])
+        .expect("the codepoint is saved");
+    for unknown in [3u8, 0xFF] {
+        let mut bytes = ect.clone();
+        bytes[at] = unknown;
+        assert_eq!(
+            Packet::restore(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt("unknown ECN codepoint"))
         );
     }
 }
