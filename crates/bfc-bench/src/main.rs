@@ -49,6 +49,7 @@ const BENCHES: &[&str] = &[
     "routing_ideal_fct_t2",
     "switch_idle_port_hop",
     "bfc_policy_enqueue_dequeue_1k",
+    "flow_pause_send_consume",
     "port_active_queue_count_32q",
     "port_drr_pick_32q_paused",
     "port_drr_pick_32q_all_paused",
@@ -240,6 +241,26 @@ fn bench_switch_forwarding(h: &mut Harness) {
             policy.on_dequeue(&ctx, &queued.packet);
         }
         policy.stats().collisions
+    });
+    // One BFC pause frame's life on the wire: a 128-byte frame (eight
+    // paused VFIDs) is put in a packet, as `Switch::handle_pause_timer`
+    // does, and consumed by the ToR's `handle_packet`, which installs it on
+    // the ingress port and finds nothing queued to send. One iteration is
+    // one frame: its out-of-line storage, the packet and the install.
+    let mut frame = PauseFrame::new(128);
+    (0..8u32).for_each(|v| frame.insert(v * 97));
+    let mut frames = 0u64;
+    h.bench("flow_pause_send_consume", || {
+        let packet = Packet::flow_pause(NodeId(0), tor, frame);
+        sw.handle_packet(
+            SimTime::from_nanos(frames * 100),
+            0,
+            packet,
+            &routes,
+            &mut events,
+        );
+        frames += 1;
+        assert!(events.pop().is_none(), "a lone frame schedules nothing");
     });
 }
 

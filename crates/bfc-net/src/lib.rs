@@ -52,7 +52,7 @@ pub use config::SwitchConfig;
 pub use dynamics::{DynamicsError, FaultEvent, FaultSchedule, LinkAction, LinkStateMap};
 pub use event::{NetEvent, TransportTimer};
 pub use link::Link;
-pub use packet::{Ecn, IntHop, IntPath, Packet, PacketKind, PauseFrame, MAX_INT_HOPS};
+pub use packet::{Ecn, IntHop, IntPath, Packet, PacketKind, PauseFrame, WireFrame, MAX_INT_HOPS};
 pub use policy::{
     EnqueueCtx, EnqueueDecision, FifoPolicy, PolicyStats, ProbeStats, QueueTarget, SfqPolicy,
     SwitchPolicy,

@@ -11,6 +11,8 @@
 //! may be ECN-marked, and its [`IntPath`] header whether INT is appended.
 //! The sender's congestion control sets both; a switch runs no scheme.
 
+use std::cell::RefCell;
+
 use bfc_sim::rng::mix64;
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 
@@ -192,9 +194,8 @@ const PAUSE_FRAME_WORDS: usize = MAX_PAUSE_FRAME_BYTES / 8;
 ///
 /// The bit array is stored inline (sized to [`MAX_PAUSE_FRAME_BYTES`]) so
 /// snapshotting the counting filter and installing a received frame are
-/// plain copies (the type is `Copy`); only putting a frame on the wire
-/// allocates, once, to keep it out of every `Packet` (see
-/// [`PacketKind::FlowPause`]).
+/// plain copies (the type is `Copy`). On the wire a frame sits out of line,
+/// behind a [`WireFrame`], to keep it out of every `Packet`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PauseFrame {
     bits: [u64; PAUSE_FRAME_WORDS],
@@ -303,6 +304,103 @@ impl Snap for PauseFrame {
     }
 }
 
+/// Most pause-frame boxes one thread keeps for reuse: 256 × 136 bytes, about
+/// 35 KB. A thread that consumes more frames than it sends (a shard whose
+/// switches receive more than they transmit) frees the surplus.
+const WIRE_FRAME_POOL_CAP: usize = 256;
+
+thread_local! {
+    /// Boxes of consumed frames, popped by the next frame this thread sends.
+    static FREE_FRAMES: RefCell<Vec<Box<PauseFrame>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A [`PauseFrame`] on the wire: an 8-byte owner of out-of-line storage,
+/// so a `Packet` stays within one cache line.
+///
+/// The storage is recycled through a per-thread free list: building a frame
+/// pops a box (allocating only when the list is empty), and dropping one
+/// pushes its box back, up to `WIRE_FRAME_POOL_CAP` (256). Every place a frame
+/// ends — a switch or host consuming it, a link-down flush, a discarded
+/// snapshot — returns the box by dropping the packet, so the model needs no
+/// return path. Which box holds a frame never enters the simulation.
+pub struct WireFrame(Option<Box<PauseFrame>>);
+
+impl WireFrame {
+    /// Puts `frame` into a recycled box, or a new one.
+    pub fn new(frame: PauseFrame) -> Self {
+        let recycled = FREE_FRAMES
+            .try_with(|list| list.borrow_mut().pop())
+            .ok()
+            .flatten();
+        WireFrame(Some(match recycled {
+            Some(mut boxed) => {
+                *boxed = frame;
+                boxed
+            }
+            None => Box::new(frame),
+        }))
+    }
+}
+
+impl Drop for WireFrame {
+    fn drop(&mut self) {
+        let Some(boxed) = self.0.take() else { return };
+        // `try_with`: during thread teardown the list may be gone, and the
+        // box is simply freed (as it is past the cap).
+        let _ = FREE_FRAMES.try_with(|list| {
+            let mut list = list.borrow_mut();
+            if list.len() < WIRE_FRAME_POOL_CAP {
+                // One allocation for the list's whole life on the thread.
+                let room = WIRE_FRAME_POOL_CAP - list.len();
+                list.reserve_exact(room);
+                list.push(boxed);
+            }
+        });
+    }
+}
+
+impl std::ops::Deref for WireFrame {
+    type Target = PauseFrame;
+    fn deref(&self) -> &PauseFrame {
+        self.0
+            .as_deref()
+            .expect("a wire frame owns its box until dropped")
+    }
+}
+
+impl Clone for WireFrame {
+    fn clone(&self) -> Self {
+        WireFrame::new(**self)
+    }
+}
+
+/// Prints the frame itself, as its box did.
+impl std::fmt::Debug for WireFrame {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl PartialEq for WireFrame {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+/// The frame's own bytes: a wire frame saves as the `Box<PauseFrame>` it
+/// replaced did.
+impl Snap for WireFrame {
+    const MIN_BYTES: usize = PauseFrame::MIN_BYTES;
+
+    fn save(&self, w: &mut SnapWriter) {
+        (**self).save(w);
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(WireFrame::new(r.get()?))
+    }
+}
+
 /// What kind of packet this is.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PacketKind {
@@ -324,13 +422,13 @@ pub enum PacketKind {
         pause: bool,
     },
     /// BFC per-flow pause frame: a bloom filter over paused VFIDs for one
-    /// ingress link. The frame is boxed so this rare control variant does
-    /// not inflate every `Packet` by the 128-byte inline filter; the one
-    /// allocation happens per transmitted pause frame, never on the
-    /// per-packet data path.
+    /// ingress link. The frame lives out of line ([`WireFrame`]), so this
+    /// rare control variant does not inflate every `Packet` by the 128-byte
+    /// inline filter, and its box is recycled, so a steady stream of frames
+    /// does not allocate.
     FlowPause {
         /// Snapshot of the downstream switch's counting bloom filter.
-        frame: Box<PauseFrame>,
+        frame: WireFrame,
     },
 }
 
@@ -516,7 +614,7 @@ impl Packet {
             ecn: Ecn::NotEct,
             int: IntPath::new(),
             kind: PacketKind::FlowPause {
-                frame: Box::new(frame),
+                frame: WireFrame::new(frame),
             },
         }
     }
@@ -663,6 +761,99 @@ mod tests {
         assert_eq!(f.size_bytes, 128);
         let c = Packet::cnp(FlowId(9), NodeId(3), NodeId(2));
         assert!(!c.is_data());
+    }
+
+    /// Boxes the calling thread's free list holds.
+    fn pooled() -> usize {
+        FREE_FRAMES.with(|list| list.borrow().len())
+    }
+
+    #[test]
+    fn a_threads_free_list_stops_at_its_cap() {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let frames: Vec<WireFrame> = (0..WIRE_FRAME_POOL_CAP + 10)
+                    .map(|_| WireFrame::new(PauseFrame::new(128)))
+                    .collect();
+                assert_eq!(pooled(), 0);
+                drop(frames);
+                assert_eq!(pooled(), WIRE_FRAME_POOL_CAP);
+                // The next frames reuse the boxes the list holds.
+                let again: Vec<WireFrame> = (0..3)
+                    .map(|_| WireFrame::new(PauseFrame::new(16)))
+                    .collect();
+                assert_eq!(pooled(), WIRE_FRAME_POOL_CAP - 3);
+                assert!(again.iter().all(|f| f.size_bytes() == 16 && f.is_empty()));
+            });
+        });
+    }
+
+    #[test]
+    fn a_frame_sent_on_one_thread_can_end_on_another() {
+        let mut frame = PauseFrame::new(128);
+        frame.insert(42);
+        let packets = std::thread::scope(|s| {
+            s.spawn(|| {
+                let packets: Vec<Packet> = (0..8)
+                    .map(|_| Packet::flow_pause(NodeId(1), NodeId(0), frame))
+                    .collect();
+                assert_eq!(pooled(), 0);
+                packets
+            })
+            .join()
+            .expect("the sending thread")
+        });
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for packet in &packets {
+                    let PacketKind::FlowPause { frame: wire } = &packet.kind else {
+                        panic!("a flow-pause packet");
+                    };
+                    assert_eq!(**wire, frame);
+                }
+                drop(packets);
+                assert_eq!(pooled(), 8, "the consuming thread keeps the boxes");
+                let reused = Packet::flow_pause(NodeId(1), NodeId(0), PauseFrame::new(64));
+                assert_eq!(pooled(), 7);
+                assert_eq!(reused.size_bytes, 64);
+            });
+        });
+    }
+
+    #[test]
+    fn a_flow_pause_packet_clones_and_saves_as_its_boxed_frame_did() {
+        let mut frame = PauseFrame::new(16);
+        frame.set_bit(0);
+        frame.set_bit(127);
+        let packet = Packet::flow_pause(NodeId(1), NodeId(0), frame);
+        let copy = packet.clone();
+        assert_eq!(copy, packet);
+        assert_ne!(
+            copy,
+            Packet::flow_pause(NodeId(1), NodeId(0), PauseFrame::new(16))
+        );
+        let bytes = |save: &dyn Fn(&mut SnapWriter)| {
+            let mut w = SnapWriter::new();
+            save(&mut w);
+            w.into_bytes()
+        };
+        let PacketKind::FlowPause { frame: wire } = &packet.kind else {
+            panic!("a flow-pause packet");
+        };
+        // The frame's bytes: `num_bits`, then all 16 words of the inline
+        // array, as `Box<PauseFrame>` wrote them.
+        let mut pinned = 128u32.to_le_bytes().to_vec();
+        pinned.extend(1u64.to_le_bytes());
+        pinned.extend((1u64 << 63).to_le_bytes());
+        pinned.extend([0; 14 * 8]);
+        assert_eq!(bytes(&|w| wire.save(w)), pinned);
+        assert_eq!(bytes(&|w| Box::new(frame).save(w)), pinned);
+        // In the packet: the kind's tag 4, then the frame.
+        let whole = bytes(&|w| packet.save(w));
+        assert_eq!(whole[whole.len() - pinned.len() - 1], 4);
+        assert!(whole.ends_with(&pinned));
+        let mut r = SnapReader::new(&whole);
+        assert_eq!(Packet::restore(&mut r), Ok(packet));
     }
 
     #[test]

@@ -15,11 +15,16 @@
 //!   a publish of a whole fabric's switches — counters and queue-depth
 //!   histograms — after every burst, into the storage of the publish before.
 //!
-//! A fourth test watches the epoch driver instead: with steady cross-shard
+//! A fourth watches BFC's pause frames: a ToR held above its pause
+//! threshold sends one upstream on every change, and each frame's
+//! out-of-line storage comes back to the thread's free list when the
+//! frame is consumed, by a switch or by a host.
+//!
+//! A fifth test watches the epoch driver instead: with steady cross-shard
 //! traffic, a window's boundary buffers circulate between outboxes and
 //! destinations, so a run's allocation count does not grow with its length.
-//! A fifth watches a run's per-flow set-up: a flow's ideal FCT walks its
-//! path through the routing tables without collecting it. A sixth counts
+//! A sixth watches a run's per-flow set-up: a flow's ideal FCT walks its
+//! path through the routing tables without collecting it. A seventh counts
 //! what an egress's queues cost to grow: they share one packet arena, so a
 //! port's storage grows with its total backlog, a doubling at a time, and
 //! not queue by queue.
@@ -61,9 +66,8 @@ fn bfc_switches(topo: &Topology) -> Vec<Switch> {
 /// One round at a T2 ToR, `sent` packets into the run: a burst of 16 packets
 /// of 16 flows from four ingress ports lands on two egress ports at one
 /// instant (queues build, flows get queues assigned and released), then the
-/// egresses drain. Pause frames are a control-plane path with its own boxed
-/// bloom filter; the burst stays under the pause threshold so only the
-/// per-packet path runs.
+/// egresses drain. The burst stays under the pause threshold, so only the
+/// per-packet path runs; pause frames have a test of their own.
 fn burst_round(
     switch: &mut Switch,
     routes: &RoutingTables,
@@ -218,6 +222,78 @@ fn hpcc_data_ack_loop_is_allocation_free_after_warm_up() {
     assert_eq!(sender.counters().retransmitted_packets, 0);
     assert!(events.peek_time().expect("flow still running") > SimTime::ZERO + SimDuration::from_micros(800));
     assert_eq!(during, 0, "10k HPCC data→ACK round trips allocated {during} times");
+}
+
+/// One round at a T2 ToR: 96 MTU packets of one flow from ingress 0 land on
+/// one egress at once, well past the pause threshold, so the flow is paused
+/// toward host 0; then everything the switch scheduled runs — the egress
+/// drains, and pause-frame ticks send the pause and, once the queue is
+/// below the threshold, the resume. Each frame is consumed twice: by a
+/// peer switch's `handle_packet`, which installs a clone, and by host 0.
+/// Returns the frames the ToR sent.
+fn pause_round(
+    tor: &mut Switch,
+    peer: &mut Switch,
+    host: &mut Host,
+    routes: &RoutingTables,
+    events: &mut EventQueue<NetEvent>,
+    round: u64,
+) -> u64 {
+    let now = SimTime::from_micros(100 * round);
+    for seq in 0..96 {
+        let packet = Packet::data(FlowId(1), NodeId(0), NodeId(4), seq, MTU, 1, false);
+        tor.handle_packet(now, 0, packet, routes, events);
+    }
+    let mut frames = 0;
+    while let Some((t, event)) = events.pop() {
+        match event {
+            NetEvent::TxComplete { node, port } if node == tor.id => {
+                tor.handle_tx_complete(t, port, events);
+            }
+            NetEvent::PauseFrameTimer { port, .. } => tor.handle_pause_timer(t, port, events),
+            NetEvent::PacketArrive { node, packet, .. } if node == NodeId(0) => {
+                assert!(matches!(packet.kind, PacketKind::FlowPause { .. }));
+                frames += 1;
+                peer.handle_packet(t, 0, packet.clone(), routes, events);
+                host.handle_packet(t, packet, events);
+            }
+            _ => {}
+        }
+    }
+    frames
+}
+
+#[test]
+fn pause_frames_reuse_their_storage_after_warm_up() {
+    let topo = fat_tree(FatTreeParams::t2());
+    let routes = RoutingTables::compute(&topo);
+    let mut switches = bfc_switches(&topo);
+    let mut peer = switches.swap_remove(1);
+    let mut tor = switches.swap_remove(0);
+    let uplink = topo.host_uplink(NodeId(0));
+    assert_eq!((uplink.peer, uplink.peer_port), (tor.id, 0));
+    let base_rtt = routes.base_rtt(&topo, NodeId(0), NodeId(4));
+    let config = Scheme::bfc().host_config(base_rtt, 0);
+    let mut host = Host::new(NodeId(0), uplink.link, (tor.id, 0), config);
+    let mut events: EventQueue<NetEvent> = EventQueue::new();
+    let mut round = 0;
+    let mut run = |rounds: u64| -> u64 {
+        (0..rounds)
+            .map(|_| {
+                round += 1;
+                pause_round(&mut tor, &mut peer, &mut host, &routes, &mut events, round)
+            })
+            .sum()
+    };
+    run(64);
+    let before = allocs();
+    let frames = run(500);
+    let during = allocs() - before;
+    assert!(frames >= 1_000, "a pause and a resume per round: {frames}");
+    assert_eq!(during, 0, "{frames} pause frames sent and consumed allocated {during} times");
+    assert!(tor.policy_stats().pauses >= 500);
+    assert!(tor.counters().flow_pause_frames_sent >= frames);
+    assert_eq!(tor.counters().drops, 0);
 }
 
 /// One of two shards that bat eight tokens each back and forth: every token

@@ -19,7 +19,9 @@
 //! accident has its regression named here, before any timing is taken
 //! (wall-clock is `benchmark/run.sh`'s to judge, in alternated pairs).
 //! Allocations are counted on the calling thread only, so the sharded row
-//! has none.
+//! has none. A BFC pause frame takes its box from the thread's free list,
+//! so each BFC row is the first run on its test thread: it counts the boxes
+//! that list starts without.
 
 use backpressure_flow_control::experiments::{
     resume_experiment, run_experiment_sharded, serve_experiment, snapshot_experiment,
@@ -141,7 +143,7 @@ fn google_incast(horizon: SimDuration) -> TraceParams {
 
 #[rustfmt::skip]
 const LINEUP_T2: &[Cost] = &[
-    Cost { run: "bfc", events_popped: 127118, switch_hops: 59369, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(187260), allocs: Some(2035) },
+    Cost { run: "bfc", events_popped: 127118, switch_hops: 59369, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(187260), allocs: Some(1780) },
     Cost { run: "ideal-fq", events_popped: 125373, switch_hops: 59708, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(2168599), allocs: Some(1443) },
     Cost { run: "dcqcn", events_popped: 130722, switch_hops: 59869, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(212606), allocs: Some(1455) },
     Cost { run: "dcqcn-win", events_popped: 127882, switch_hops: 59855, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(212533), allocs: Some(1455) },
@@ -165,7 +167,7 @@ fn the_six_scheme_lineup_costs_exactly_this() {
 
 #[rustfmt::skip]
 const INCAST_T1: &[Cost] = &[
-    Cost { run: "bfc", events_popped: 288955, switch_hops: 131142, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 142, snap_bytes: Some(1412661), allocs: Some(6598) },
+    Cost { run: "bfc", events_popped: 288955, switch_hops: 131142, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 142, snap_bytes: Some(1412661), allocs: Some(3574) },
     Cost { run: "bfc @ 2 shards", events_popped: 289381, switch_hops: 131142, overflow_pushes: 0, batches: 2, windows: 201, barriers: 202, boundary_events: 42064, series: 142, snap_bytes: Some(1418975), allocs: None },
 ];
 

@@ -22,7 +22,7 @@ use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::{
     Ecn, FlightTrace, IntHop, IntPath, Link, NetEvent, Packet, PolicyStats, Port, QueueTarget,
-    SharedBuffer, TraceEvent, TraceRecord, Transmitter, TransportTimer, MAX_INT_HOPS,
+    SharedBuffer, TraceEvent, TraceRecord, Transmitter, TransportTimer, WireFrame, MAX_INT_HOPS,
 };
 use backpressure_flow_control::sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use backpressure_flow_control::sim::{EventQueue, FastHashMap, SimDuration, SimRng, SimTime};
@@ -769,7 +769,7 @@ property! {
         assert_snap_round_trip(&arb_hist(rng));
         // bfc-net: what travels, what waits, what is recorded.
         assert_snap_round_trip(&arb_int_path(rng));
-        assert_snap_round_trip(&Box::new(arb_pause_frame(rng)));
+        assert_snap_round_trip(&WireFrame::new(arb_pause_frame(rng)));
         assert_snap_round_trip(&arb_packet(rng));
         assert_snap_round_trip(&arb_event(rng));
         let mut tx = Transmitter::default();
