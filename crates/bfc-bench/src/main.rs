@@ -1,13 +1,14 @@
 //! `cargo run --release -p bfc-bench` — microbenchmarks of the simulator's
 //! hot paths that nothing else times: the event queue under the fabric's own
 //! delay mix, the BFC data structures (bloom filters, flow table), routing
-//! (building the tables, one flow's ideal FCT), ports and buffers, the flight
-//! recorder's merge and container, and the epoch barrier at its two
-//! extremes. Prints a table; informational — it keeps no baseline and judges
-//! nothing. Whole runs, CSV import and export, FIFO forwarding at a ToR, the
-//! hot flow-table lookup and the plain hold model are timed by `benchmark/`
-//! (host-calibrated, as is the routing computation it judges); exact costs
-//! are pinned by `tests/exact_costs.rs`.
+//! (building the tables, one flow's ideal FCT), ports and buffers, the round
+//! trip of an HPCC INT header's storage, the flight recorder's merge and
+//! container, and the epoch barrier at its two extremes. Prints a table;
+//! informational — it keeps no baseline and judges nothing. Whole runs, CSV
+//! import and export, FIFO forwarding at a ToR, the hot flow-table lookup
+//! and the plain hold model are timed by `benchmark/` (host-calibrated, as
+//! is the routing computation it judges); exact costs are pinned by
+//! `tests/exact_costs.rs`.
 //!
 //! Options:
 //!   --quick              fewer/shorter samples (for scripts/verify.sh)
@@ -20,7 +21,7 @@ use bfc_bench::Harness;
 use bfc_core::{BfcConfig, BfcPolicy, CountingBloom, FlowKey, FlowTable};
 use bfc_experiments::cli::Args;
 use bfc_experiments::{run_experiment_sharded, ExperimentConfig, MetricsHub, Scheme};
-use bfc_net::packet::{Packet, PauseFrame, MTU};
+use bfc_net::packet::{IntPath, Packet, PauseFrame, MTU};
 use bfc_net::policy::{DequeueCtx, EnqueueCtx, FifoPolicy, SwitchPolicy};
 use bfc_net::routing::RoutingTables;
 use bfc_net::switch::Switch;
@@ -30,6 +31,7 @@ use bfc_net::types::{FlowId, NodeId};
 use bfc_net::{Link, NetEvent, Port, SwitchConfig};
 use bfc_sim::snapshot::checksum64;
 use bfc_sim::{EventQueue, ReferenceEventQueue, SimDuration, SimTime};
+use bfc_transport::hpcc::HpccState;
 use bfc_workloads::{synthesize, TraceParams, Workload};
 
 const USAGE: &str = "usage: bfc-bench [--quick] [--filter <substr>]";
@@ -50,6 +52,7 @@ const BENCHES: &[&str] = &[
     "switch_idle_port_hop",
     "bfc_policy_enqueue_dequeue_1k",
     "flow_pause_send_consume",
+    "hpcc_int_round_trip",
     "port_active_queue_count_32q",
     "port_drr_pick_32q_paused",
     "port_drr_pick_32q_all_paused",
@@ -261,6 +264,39 @@ fn bench_switch_forwarding(h: &mut Harness) {
         );
         frames += 1;
         assert!(events.pop().is_none(), "a lone frame schedules nothing");
+    });
+    // One HPCC INT header's round trip: the sender gives an MTU data packet
+    // a header, as `Host::send_next` does; the ToR's `handle_packet`
+    // appends its hop on the way to an idle egress; at the far end the
+    // receiver moves the header into the ACK, and the sender's
+    // `HpccState::on_ack` swaps it for the previous sample, which is then
+    // dropped. One iteration is one round trip of the header's storage.
+    let mut hpcc = HpccState::new(100.0, 8e-6);
+    let mut trips = 0u64;
+    h.bench("hpcc_int_round_trip", || {
+        let (flow, seq) = (FlowId(1), trips);
+        let mut data = Packet::data(flow, NodeId(0), NodeId(1), seq, MTU, 1, false);
+        data.int = IntPath::header();
+        sw.handle_packet(
+            SimTime::from_nanos(trips * 100),
+            0,
+            data,
+            &routes,
+            &mut events,
+        );
+        trips += 1;
+        while let Some((t, event)) = events.pop() {
+            match event {
+                NetEvent::TxComplete { port, .. } => sw.handle_tx_complete(t, port, &mut events),
+                NetEvent::PacketArrive { packet, .. } => {
+                    let mut ack =
+                        Packet::ack(flow, NodeId(1), NodeId(0), seq + 1, false, packet.int);
+                    assert_eq!(ack.int.len(), 1, "the ToR appended its hop");
+                    hpcc.on_ack(&mut ack.int, seq + 1, seq + 2);
+                }
+                _ => {}
+            }
+        }
     });
 }
 

@@ -42,6 +42,7 @@
 use std::sync::Arc;
 
 use bfc_net::event::{NetEvent, NetSink};
+use bfc_net::packet::free_int_headers;
 use bfc_net::topology::Topology;
 use bfc_net::trace::{FlightRecorder, Recording};
 use bfc_net::types::NodeId;
@@ -236,6 +237,24 @@ pub(crate) struct Engine<'a> {
     /// Per-worker busy / barrier-wait wall-clock, summed over `advance`
     /// calls; empty for a one-worker engine, which runs no threads.
     shard_walls: Vec<ShardWall>,
+    /// Last, so it drops after the workers: see [`FreeIntHeaders`].
+    _int_headers: FreeIntHeaders,
+}
+
+/// Empties the calling thread's INT header free list when the engine goes
+/// away ([`free_int_headers`]), so what a run's HPCC hosts had in flight
+/// does not outlive the run. It is the engine's last field, so it runs after
+/// the workers' sims and queues are dropped (queued `PacketArrive`s hold
+/// headers, which go back to the list as they drop), on every way a run
+/// ends: `finish`, a snapshot's save-then-drop, `serve`, a panic unwinding.
+/// A multi-worker engine's threads are scoped to [`Engine::advance`], so
+/// their lists end with them.
+struct FreeIntHeaders;
+
+impl Drop for FreeIntHeaders {
+    fn drop(&mut self) {
+        free_int_headers();
+    }
 }
 
 impl<'a> Engine<'a> {
@@ -332,6 +351,7 @@ impl<'a> Engine<'a> {
             cut: SimTime::ZERO,
             epochs: EpochStats::default(),
             shard_walls: Vec::new(),
+            _int_headers: FreeIntHeaders,
         }
     }
 

@@ -12,6 +12,7 @@
 //! The sender's congestion control sets both; a switch runs no scheme.
 
 use std::cell::RefCell;
+use std::thread::LocalKey;
 
 use bfc_sim::rng::mix64;
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
@@ -39,17 +40,33 @@ bfc_sim::snap_struct! { IntHop { qlen_bytes, tx_bytes, timestamp_ps, link_gbps }
 /// ToR → spine → gateway → gateway → spine → ToR, i.e. six switch hops
 /// (switches only append INT to data packets, so ACK echoes never exceed
 /// this either). The bound sizes the out-of-line [`IntPath`] storage, so one
-/// header serves a packet for its whole path and can be handed from data
-/// packet to ACK to sender and back without ever growing. The experiment
-/// runner checks a topology's switch-hop diameter against this constant at
-/// set-up when the hosts run HPCC; a deeper custom topology needs it raised.
+/// header serves a packet for its whole path, is handed from data packet to
+/// ACK to sender, and its box serves the next header, without ever growing.
+/// The experiment runner checks a topology's switch-hop diameter against
+/// this constant at set-up when the hosts run HPCC; a deeper custom topology
+/// needs it raised.
 pub const MAX_INT_HOPS: usize = 6;
 
-/// Out-of-line storage behind an [`IntPath`].
-#[derive(Debug, Clone)]
+/// Out-of-line storage behind an [`IntPath`]. Records past `len` are stale
+/// when the box is recycled; nothing reads them.
+#[derive(Clone, Copy)]
 struct IntBuf {
     len: u8,
     hops: [IntHop; MAX_INT_HOPS],
+}
+
+thread_local! {
+    /// Boxes of dropped INT headers, popped by the next header this thread
+    /// builds. Uncapped: the engine empties it when a run ends
+    /// ([`free_int_headers`]), so it holds at most a run's in-flight peak.
+    static FREE_INT_BUFS: RefCell<Vec<Box<IntBuf>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Frees every INT header box the calling thread keeps for reuse, and the
+/// list's own storage. The experiment engine calls it when a run ends, so
+/// what one run's HPCC hosts had in flight does not outlive the run.
+pub fn free_int_headers() {
+    let _ = FREE_INT_BUFS.try_with(|list| drop(list.take()));
 }
 
 /// A packet's INT header: an 8-byte handle that is either no header at all
@@ -59,14 +76,22 @@ struct IntBuf {
 /// the header is the sender's request for telemetry: an HPCC sender gives
 /// each data packet one ([`IntPath::header`]), and every other packet has
 /// none, which keeps a `Packet` within one cache line. The header travels
-/// by move: from the data packet into its ACK at the receiver, into the
-/// sender's HPCC state, and — [`IntPath::clear`]ed — back into the sender's
-/// next data packet, so a steady-state HPCC flow allocates nothing.
+/// by move: from the data packet into its ACK at the receiver, and into the
+/// sender's HPCC state, which drops the sample before it.
+///
+/// The storage is recycled through a per-thread free list, as a
+/// [`WireFrame`]'s is: building a header pops a box (allocating only when
+/// the list is empty), and dropping one pushes its box back, wherever the
+/// header ends — a sender's previous sample, an ACK for a finished flow, a
+/// data packet the receiver discards, a switch drop or a link-down flush.
+/// So a run allocates about as many boxes as it ever has headers in flight
+/// at once, and [`free_int_headers`] frees them when it ends. Which box
+/// holds a header never enters the simulation.
 ///
 /// Whether a header is present is part of the path's value: it is saved,
 /// compared and cloned with the records, so a header with no records yet (a
 /// data packet between its sender and its first switch) stays a header.
-#[derive(Debug, Default, Clone)]
+#[derive(Default)]
 pub struct IntPath(Option<Box<IntBuf>>);
 
 impl IntPath {
@@ -82,13 +107,17 @@ impl IntPath {
         IntPath(None)
     }
 
-    /// An empty header, allocated fresh: every switch on the path appends
-    /// its record.
+    /// An empty header, in a recycled box or a new one: every switch on the
+    /// path appends its record.
     pub fn header() -> Self {
-        IntPath(Some(Box::new(IntBuf {
-            len: 0,
-            hops: [Self::EMPTY_HOP; MAX_INT_HOPS],
-        })))
+        IntPath(Some(draw(
+            &FREE_INT_BUFS,
+            |buf| buf.len = 0,
+            || IntBuf {
+                len: 0,
+                hops: [Self::EMPTY_HOP; MAX_INT_HOPS],
+            },
+        )))
     }
 
     /// Appends one hop record to the header. Panics if there is no header,
@@ -103,14 +132,6 @@ impl IntPath {
         );
         buf.hops[buf.len as usize] = hop;
         buf.len += 1;
-    }
-
-    /// Forgets the recorded hops but keeps the header, so it can be handed
-    /// to the next data packet without allocating.
-    pub fn clear(&mut self) {
-        if let Some(buf) = &mut self.0 {
-            buf.len = 0;
-        }
     }
 
     /// True if the packet carries an INT header.
@@ -161,6 +182,41 @@ impl Snap for IntPath {
             path.push(r.get()?);
         }
         Ok(path)
+    }
+}
+
+impl Drop for IntPath {
+    // Inline, with the box's return out of line: every packet is dropped
+    // somewhere and most carry no header, so the common case is one null
+    // check at the drop site, as it was for the plain `Option<Box<_>>`.
+    #[inline]
+    fn drop(&mut self) {
+        if let Some(buf) = self.0.take() {
+            give_back_int_buf(buf);
+        }
+    }
+}
+
+fn give_back_int_buf(buf: Box<IntBuf>) {
+    give_back(&FREE_INT_BUFS, buf, None);
+}
+
+/// A copy draws its box from the list, as a new header does.
+impl Clone for IntPath {
+    fn clone(&self) -> Self {
+        IntPath(
+            self.0
+                .as_deref()
+                .map(|&src| draw(&FREE_INT_BUFS, |buf| *buf = src, || src)),
+        )
+    }
+}
+
+/// The header's presence and its records; never a stale record.
+impl std::fmt::Debug for IntPath {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let records = self.0.as_ref().map(|_| self.as_slice());
+        f.debug_tuple("IntPath").field(&records).finish()
     }
 }
 
@@ -304,6 +360,45 @@ impl Snap for PauseFrame {
     }
 }
 
+/// A per-thread list of boxes that dropped values gave back.
+type FreeList<T> = LocalKey<RefCell<Vec<Box<T>>>>;
+
+/// A box from `list`, which `reuse` readies, or a new box of `fresh()` when
+/// the list is empty (or already torn down, on a thread that is ending).
+fn draw<T: 'static>(
+    list: &'static FreeList<T>,
+    reuse: impl FnOnce(&mut T),
+    fresh: impl FnOnce() -> T,
+) -> Box<T> {
+    match list.try_with(|list| list.borrow_mut().pop()).ok().flatten() {
+        Some(mut boxed) => {
+            reuse(&mut boxed);
+            boxed
+        }
+        None => Box::new(fresh()),
+    }
+}
+
+/// Pushes `boxed` onto `list` for the next [`draw`], unless the list already
+/// holds `cap` boxes; a capped list reserves its whole capacity at its first
+/// push. During thread teardown the list may be gone, and the box is simply
+/// freed (as it is past the cap).
+fn give_back<T: 'static>(list: &'static FreeList<T>, boxed: Box<T>, cap: Option<usize>) {
+    let _ = list.try_with(|list| {
+        let mut list = list.borrow_mut();
+        match cap {
+            Some(cap) if list.len() >= cap => {}
+            Some(cap) => {
+                // One allocation for the list's whole life on the thread.
+                let room = cap - list.len();
+                list.reserve_exact(room);
+                list.push(boxed);
+            }
+            None => list.push(boxed),
+        }
+    });
+}
+
 /// Most pause-frame boxes one thread keeps for reuse: 256 × 136 bytes, about
 /// 35 KB. A thread that consumes more frames than it sends (a shard whose
 /// switches receive more than they transmit) frees the surplus.
@@ -319,43 +414,25 @@ thread_local! {
 ///
 /// The storage is recycled through a per-thread free list: building a frame
 /// pops a box (allocating only when the list is empty), and dropping one
-/// pushes its box back, up to `WIRE_FRAME_POOL_CAP` (256). Every place a frame
-/// ends — a switch or host consuming it, a link-down flush, a discarded
-/// snapshot — returns the box by dropping the packet, so the model needs no
-/// return path. Which box holds a frame never enters the simulation.
+/// pushes its box back, up to `WIRE_FRAME_POOL_CAP` (256), which the list
+/// keeps from run to run. Every place a frame ends — a switch or host
+/// consuming it, a link-down flush, a discarded snapshot — returns the box
+/// by dropping the packet, so the model needs no return path. Which box
+/// holds a frame never enters the simulation.
 pub struct WireFrame(Option<Box<PauseFrame>>);
 
 impl WireFrame {
     /// Puts `frame` into a recycled box, or a new one.
     pub fn new(frame: PauseFrame) -> Self {
-        let recycled = FREE_FRAMES
-            .try_with(|list| list.borrow_mut().pop())
-            .ok()
-            .flatten();
-        WireFrame(Some(match recycled {
-            Some(mut boxed) => {
-                *boxed = frame;
-                boxed
-            }
-            None => Box::new(frame),
-        }))
+        WireFrame(Some(draw(&FREE_FRAMES, |boxed| *boxed = frame, || frame)))
     }
 }
 
 impl Drop for WireFrame {
     fn drop(&mut self) {
-        let Some(boxed) = self.0.take() else { return };
-        // `try_with`: during thread teardown the list may be gone, and the
-        // box is simply freed (as it is past the cap).
-        let _ = FREE_FRAMES.try_with(|list| {
-            let mut list = list.borrow_mut();
-            if list.len() < WIRE_FRAME_POOL_CAP {
-                // One allocation for the list's whole life on the thread.
-                let room = WIRE_FRAME_POOL_CAP - list.len();
-                list.reserve_exact(room);
-                list.push(boxed);
-            }
-        });
+        if let Some(boxed) = self.0.take() {
+            give_back(&FREE_FRAMES, boxed, Some(WIRE_FRAME_POOL_CAP));
+        }
     }
 }
 
@@ -706,24 +783,17 @@ mod tests {
         assert_eq!(path.len(), 2);
         assert_eq!(path[1].timestamp_ps, 2);
         assert_eq!(path, IntPath::from_slice(&[hop(1), hop(2)]));
-        // Moving the handle moves the header; clearing keeps it.
-        let mut moved = std::mem::take(&mut path);
+        // Moving the handle moves the header.
+        let moved = std::mem::take(&mut path);
         assert!(path.is_empty() && !path.has_header());
         assert_eq!(moved.len(), 2);
-        moved.clear();
-        assert!(moved.is_empty() && moved.has_header());
         // An empty header is not "no header", in equality, clone and codec.
-        assert_ne!(moved, IntPath::new());
-        assert_eq!(moved, IntPath::header());
-        assert!(moved.clone().has_header() && !IntPath::new().clone().has_header());
-        let bytes = |path: &IntPath| {
-            let mut w = SnapWriter::new();
-            path.save(&mut w);
-            w.into_bytes()
-        };
-        assert_eq!(bytes(&IntPath::new()), [0]);
-        assert_eq!(bytes(&moved), [1]);
-        assert_eq!(bytes(&IntPath::from_slice(&[hop(1)]))[0], 2);
+        let empty = IntPath::header();
+        assert_ne!(empty, IntPath::new());
+        assert!(empty.clone().has_header() && !IntPath::new().clone().has_header());
+        assert_eq!(snap_bytes(&IntPath::new()), [0]);
+        assert_eq!(snap_bytes(&empty), [1]);
+        assert_eq!(snap_bytes(&IntPath::from_slice(&[hop(1)]))[0], 2);
     }
 
     #[test]
@@ -763,9 +833,111 @@ mod tests {
         assert!(!c.is_data());
     }
 
-    /// Boxes the calling thread's free list holds.
-    fn pooled() -> usize {
-        FREE_FRAMES.with(|list| list.borrow().len())
+    /// Boxes the calling thread's `list` holds.
+    fn pooled<T>(list: &'static FreeList<T>) -> usize {
+        list.with(|list| list.borrow().len())
+    }
+
+    fn int_hop(ts: u64) -> IntHop {
+        IntHop {
+            qlen_bytes: ts * 10,
+            tx_bytes: ts * 100,
+            timestamp_ps: ts,
+            link_gbps: 100.0,
+        }
+    }
+
+    fn snap_bytes(path: &IntPath) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        path.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_recycled_header_is_an_empty_header() {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let full = IntPath::from_slice(&[int_hop(1), int_hop(2), int_hop(3)]);
+                assert_eq!(pooled(&FREE_INT_BUFS), 0);
+                drop(full);
+                assert_eq!(pooled(&FREE_INT_BUFS), 1);
+                let mut recycled = IntPath::header();
+                assert_eq!(pooled(&FREE_INT_BUFS), 0, "the header took the box");
+                assert_eq!(recycled, IntPath::header());
+                assert!(recycled.is_empty() && recycled.has_header());
+                assert_eq!(snap_bytes(&recycled), [1]);
+                assert_eq!(format!("{recycled:?}"), "IntPath(Some([]))");
+                recycled.push(int_hop(9));
+                assert_eq!(recycled.as_slice(), [int_hop(9)]);
+                assert_eq!(recycled, IntPath::from_slice(&[int_hop(9)]));
+            });
+        });
+    }
+
+    #[test]
+    fn a_clone_equals_its_original_and_draws_from_the_list() {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let original = IntPath::from_slice(&[int_hop(4), int_hop(5)]);
+                drop(IntPath::from_slice(&[int_hop(6); MAX_INT_HOPS]));
+                assert_eq!(pooled(&FREE_INT_BUFS), 1);
+                let copy = original.clone();
+                assert_eq!(pooled(&FREE_INT_BUFS), 0, "the copy took the box");
+                assert_eq!(copy, original);
+                assert_eq!(snap_bytes(&copy), snap_bytes(&original));
+                // A copy of no header draws nothing: the list keeps its box.
+                drop(IntPath::header());
+                assert_eq!(pooled(&FREE_INT_BUFS), 1);
+                assert!(!IntPath::new().clone().has_header());
+                assert_eq!(pooled(&FREE_INT_BUFS), 1);
+            });
+        });
+    }
+
+    #[test]
+    fn a_header_built_on_one_thread_can_end_on_another() {
+        let headers = std::thread::scope(|s| {
+            s.spawn(|| {
+                let headers: Vec<IntPath> =
+                    (0..8).map(|i| IntPath::from_slice(&[int_hop(i)])).collect();
+                assert_eq!(pooled(&FREE_INT_BUFS), 0);
+                headers
+            })
+            .join()
+            .expect("the building thread")
+        });
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for (i, header) in (0..).zip(&headers) {
+                    assert_eq!(header.as_slice(), [int_hop(i)]);
+                }
+                drop(headers);
+                assert_eq!(
+                    pooled(&FREE_INT_BUFS),
+                    8,
+                    "the dropping thread keeps the boxes"
+                );
+                let reused = IntPath::header();
+                assert_eq!(pooled(&FREE_INT_BUFS), 7);
+                assert!(reused.is_empty());
+            });
+        });
+    }
+
+    #[test]
+    fn emptying_the_int_list_frees_every_box_and_the_list() {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                drop((0..100).map(|_| IntPath::header()).collect::<Vec<_>>());
+                assert_eq!(pooled(&FREE_INT_BUFS), 100);
+                free_int_headers();
+                assert_eq!(pooled(&FREE_INT_BUFS), 0);
+                FREE_INT_BUFS.with(|list| assert_eq!(list.borrow().capacity(), 0));
+                // The next header is a new box again, and goes back as usual.
+                drop(IntPath::header());
+                assert_eq!(pooled(&FREE_INT_BUFS), 1);
+            });
+        });
     }
 
     #[test]
@@ -775,14 +947,14 @@ mod tests {
                 let frames: Vec<WireFrame> = (0..WIRE_FRAME_POOL_CAP + 10)
                     .map(|_| WireFrame::new(PauseFrame::new(128)))
                     .collect();
-                assert_eq!(pooled(), 0);
+                assert_eq!(pooled(&FREE_FRAMES), 0);
                 drop(frames);
-                assert_eq!(pooled(), WIRE_FRAME_POOL_CAP);
+                assert_eq!(pooled(&FREE_FRAMES), WIRE_FRAME_POOL_CAP);
                 // The next frames reuse the boxes the list holds.
                 let again: Vec<WireFrame> = (0..3)
                     .map(|_| WireFrame::new(PauseFrame::new(16)))
                     .collect();
-                assert_eq!(pooled(), WIRE_FRAME_POOL_CAP - 3);
+                assert_eq!(pooled(&FREE_FRAMES), WIRE_FRAME_POOL_CAP - 3);
                 assert!(again.iter().all(|f| f.size_bytes() == 16 && f.is_empty()));
             });
         });
@@ -797,7 +969,7 @@ mod tests {
                 let packets: Vec<Packet> = (0..8)
                     .map(|_| Packet::flow_pause(NodeId(1), NodeId(0), frame))
                     .collect();
-                assert_eq!(pooled(), 0);
+                assert_eq!(pooled(&FREE_FRAMES), 0);
                 packets
             })
             .join()
@@ -812,9 +984,13 @@ mod tests {
                     assert_eq!(**wire, frame);
                 }
                 drop(packets);
-                assert_eq!(pooled(), 8, "the consuming thread keeps the boxes");
+                assert_eq!(
+                    pooled(&FREE_FRAMES),
+                    8,
+                    "the consuming thread keeps the boxes"
+                );
                 let reused = Packet::flow_pause(NodeId(1), NodeId(0), PauseFrame::new(64));
-                assert_eq!(pooled(), 7);
+                assert_eq!(pooled(&FREE_FRAMES), 7);
                 assert_eq!(reused.size_bytes, 64);
             });
         });

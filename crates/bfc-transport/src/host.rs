@@ -8,7 +8,9 @@
 //!   for the baselines), per-flow BFC pause frames from the ToR, and PFC.
 //!   The congestion control also says what switches do to its data: DCQCN
 //!   sends it ECN-capable (`Ect`), so it can be marked, and HPCC gives each
-//!   packet an INT header, which every switch appends its record to.
+//!   packet an INT header, which every switch appends its record to. A
+//!   header's storage is the thread's to recycle ([`IntPath`]): the host
+//!   keeps no pool of its own and drops whatever header it is done with.
 //!   Reliability is Go-Back-N: a NACK or a retransmission timeout rewinds
 //!   `next_seq` to the cumulative acknowledgement.
 //! * **Receiver** — in-order data is acknowledged per packet (with HPCC INT
@@ -80,10 +82,6 @@ pub struct Host {
     sending: FastHashMap<FlowId, SenderFlow>,
     send_order: VecDeque<FlowId>,
     receiving: FastHashMap<FlowId, ReceiverFlow>,
-    /// Cleared INT headers handed back by HPCC ACK processing, given to the
-    /// next data packets so the data→ACK loop allocates nothing in steady
-    /// state. Pure capacity, not simulation state: never snapshotted.
-    int_pool: Vec<IntPath>,
 
     counters: HostCounters,
 }
@@ -106,7 +104,6 @@ impl Host {
             sending: FastHashMap::default(),
             send_order: VecDeque::new(),
             receiving: FastHashMap::default(),
-            int_pool: Vec::new(),
             counters: HostCounters::default(),
         }
     }
@@ -168,7 +165,6 @@ impl Host {
             sending,
             send_order,
             receiving,
-            int_pool: _, // capacity, not state
             counters,
         } = self;
         uplink.rate_gbps.save(w);
@@ -452,11 +448,6 @@ impl Host {
         }
         if let CcState::Hpcc(state) = &mut flow.cc {
             state.on_ack(&mut packet.int, cumulative, flow.next_seq);
-            // `packet.int` now holds the previous sample: recycle its header.
-            if packet.int.has_header() {
-                packet.int.clear();
-                self.int_pool.push(packet.int);
-            }
         }
         if flow.fully_acked() {
             self.sending.remove(&packet.flow);
@@ -593,7 +584,7 @@ impl Host {
             );
             match self.config.cc {
                 CcKind::Dcqcn => pkt.ecn = Ecn::Ect,
-                CcKind::Hpcc => pkt.int = self.int_pool.pop().unwrap_or_else(IntPath::header),
+                CcKind::Hpcc => pkt.int = IntPath::header(),
                 CcKind::LineRate => {}
             }
             flow.next_seq += 1;

@@ -93,8 +93,9 @@ impl HpccState {
     /// (both in packets); they gate the once-per-RTT reference-window update.
     ///
     /// `int` is *swapped* with the stored previous sample rather than copied:
-    /// on return it holds the previous sample (and its storage), which the
-    /// caller recycles into its next data packet.
+    /// on return it holds the previous sample, which the caller drops, and
+    /// with it hands the storage back to the thread's free list for the next
+    /// header ([`IntPath::header`]).
     pub fn on_ack(&mut self, int: &mut IntPath, acked_seq: u64, snd_nxt: u64) {
         let utilization = self.max_utilization(int);
         std::mem::swap(&mut self.last_int, int);
@@ -164,7 +165,11 @@ mod tests {
         s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 100_000, 0)]), 1, 10);
         // Second sample: the link transmitted a full BDP during one RTT and
         // still holds a deep queue → utilization well above η.
-        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 200_000, 8_000_000)]), 2, 12);
+        s.on_ack(
+            &mut IntPath::from_slice(&[hop(400_000, 200_000, 8_000_000)]),
+            2,
+            12,
+        );
         assert!(
             s.window_bytes < 50_000.0,
             "window should shrink sharply, got {}",
@@ -177,7 +182,11 @@ mod tests {
         let mut s = HpccState::new(100.0, BASE_RTT);
         // Prime, then congest to shrink the window.
         s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 100_000, 0)]), 1, 10);
-        s.on_ack(&mut IntPath::from_slice(&[hop(400_000, 200_000, 8_000_000)]), 2, 12);
+        s.on_ack(
+            &mut IntPath::from_slice(&[hop(400_000, 200_000, 8_000_000)]),
+            2,
+            12,
+        );
         let small = s.window_bytes;
         // Now a long series of samples from an almost idle link.
         let mut ts = 16_000_000u64;
@@ -195,7 +204,11 @@ mod tests {
     fn utilization_needs_two_samples_of_same_path_length() {
         let mut s = HpccState::new(100.0, BASE_RTT);
         let w0 = s.window_bytes;
-        s.on_ack(&mut IntPath::from_slice(&[hop(0, 0, 0), hop(0, 0, 0)]), 1, 5);
+        s.on_ack(
+            &mut IntPath::from_slice(&[hop(0, 0, 0), hop(0, 0, 0)]),
+            1,
+            5,
+        );
         assert_eq!(s.window_bytes, w0, "first sample must not move the window");
         // A path-length change (reroute) re-primes instead of computing
         // nonsense utilization.
@@ -212,7 +225,11 @@ mod tests {
         for ack in 2..100 {
             ts += 8_000_000;
             tx += 100_000;
-            s.on_ack(&mut IntPath::from_slice(&[hop(4_000_000, tx, ts)]), ack, ack + 10);
+            s.on_ack(
+                &mut IntPath::from_slice(&[hop(4_000_000, tx, ts)]),
+                ack,
+                ack + 10,
+            );
         }
         assert!(s.window_bytes >= 1_500.0);
     }
@@ -224,7 +241,11 @@ mod tests {
         let mut ts = 8_000_000u64;
         for ack in 2..6u64 {
             ts += 8_000_000;
-            s.on_ack(&mut IntPath::from_slice(&[hop(0, 1_000 * ack, ts)]), ack, ack + 1);
+            s.on_ack(
+                &mut IntPath::from_slice(&[hop(0, 1_000 * ack, ts)]),
+                ack,
+                ack + 1,
+            );
         }
         assert!(s.inc_stage() >= 1);
         assert!(s.inc_stage() <= MAX_STAGE);

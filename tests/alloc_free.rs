@@ -9,8 +9,12 @@
 //!   bursts — flow-table inserts, dynamic queue choice, DRR, buffer and PFC
 //!   accounting on every packet;
 //! * an HPCC sender → INT-recording switch → receiver → ACK → sender loop,
-//!   where the INT records travel with the packets and their storage is
-//!   handed round the loop instead of being re-allocated;
+//!   where the INT records travel with the packets and a header's storage
+//!   goes back to the thread's free list when the sender drops it, for the
+//!   next data packet to take — also when short flows follow one another
+//!   and each completed flow drops its last sample; and because the engine
+//!   empties that list when a run ends, the same HPCC run twice on one
+//!   thread allocates the same count both times;
 //! * service mode's live metrics: a [`MetricsHub`] that nobody scrapes takes
 //!   a publish of a whole fabric's switches — counters and queue-depth
 //!   histograms — after every burst, into the storage of the publish before.
@@ -31,8 +35,10 @@
 
 use std::collections::VecDeque;
 
-use backpressure_flow_control::experiments::{MetricsHub, Scheme};
-use backpressure_flow_control::net::packet::{Packet, PacketKind, MTU};
+use backpressure_flow_control::experiments::{
+    run_experiment, snapshot_experiment, ExperimentConfig, MetricsHub, Scheme,
+};
+use backpressure_flow_control::net::packet::{IntPath, Packet, PacketKind, MTU};
 use backpressure_flow_control::net::routing::RoutingTables;
 use backpressure_flow_control::net::switch::Switch;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
@@ -41,6 +47,7 @@ use backpressure_flow_control::net::{Link, NetEvent, Port, QueueTarget};
 use backpressure_flow_control::sim::shard::{run_conservative, Boundary, ShardHandler};
 use backpressure_flow_control::sim::{EventQueue, SimDuration, SimTime};
 use backpressure_flow_control::transport::{FlowSpec, Host};
+use backpressure_flow_control::workloads::{synthesize, TraceParams};
 
 #[path = "common/alloc.rs"]
 mod alloc;
@@ -106,8 +113,14 @@ fn bfc_switch_path_is_allocation_free_after_warm_up() {
     let during = allocs() - before;
     assert_eq!(switch.counters().rx_packets, 16 * (128 + 625));
     assert_eq!(switch.counters().drops, 0);
-    assert!(switch.policy_stats().flow_assignments > 5_000, "queues were chosen");
-    assert_eq!(during, 0, "10k handle_packet + handle_tx_complete allocated {during} times");
+    assert!(
+        switch.policy_stats().flow_assignments > 5_000,
+        "queues were chosen"
+    );
+    assert_eq!(
+        during, 0,
+        "10k handle_packet + handle_tx_complete allocated {during} times"
+    );
 }
 
 #[test]
@@ -147,81 +160,198 @@ fn live_publishes_nobody_scrapes_are_allocation_free_after_the_first() {
     );
 }
 
+/// Hosts 0 and 1 of the tiny fat tree and the ToR between them, under HPCC:
+/// each data packet leaves the sender with an INT header, the ToR appends
+/// its record, and the receiver's ACK echoes it back.
+struct HpccPair {
+    routes: RoutingTables,
+    tor: Switch,
+    sender: Host,
+    receiver: Host,
+    events: EventQueue<NetEvent>,
+}
+
+impl HpccPair {
+    const SRC: NodeId = NodeId(0);
+    const DST: NodeId = NodeId(1);
+
+    fn new() -> Self {
+        let topo = fat_tree(FatTreeParams::tiny());
+        let routes = RoutingTables::compute(&topo);
+        let tor = topo.switches()[0];
+        let scheme = Scheme::Hpcc;
+        let base_rtt = routes.base_rtt(&topo, Self::SRC, Self::DST);
+        let host = |id: NodeId| {
+            let uplink = topo.host_uplink(id);
+            assert_eq!(uplink.peer, tor);
+            Host::new(
+                id,
+                uplink.link,
+                (uplink.peer, uplink.peer_port),
+                scheme.host_config(base_rtt, 0),
+            )
+        };
+        HpccPair {
+            tor: Switch::new(
+                tor,
+                scheme.switch_config(32, 12_000_000, MTU),
+                topo.ports(tor),
+                scheme.make_policy(1),
+                1,
+            ),
+            routes,
+            sender: host(Self::SRC),
+            receiver: host(Self::DST),
+            events: EventQueue::new(),
+        }
+    }
+
+    /// Flow `id` of `packets` MTUs from the sender to the receiver.
+    fn flow(id: u32, packets: u64) -> FlowSpec {
+        FlowSpec {
+            flow: FlowId(id),
+            src: Self::SRC,
+            dst: Self::DST,
+            size_bytes: packets * MTU as u64,
+            vfid: id,
+        }
+    }
+
+    /// Handles the next event, if there is one: its time and, for an ACK
+    /// arriving at the sender, how many INT records it echoes.
+    fn step(&mut self) -> Option<(SimTime, Option<usize>)> {
+        let (now, event) = self.events.pop()?;
+        let tor = self.tor.id;
+        let events = &mut self.events;
+        let mut ack_records = None;
+        // Indexed by node id: the sender is host 0, the receiver host 1.
+        let hosts = [&mut self.sender, &mut self.receiver];
+        match event {
+            NetEvent::PacketArrive { node, port, packet } if node == tor => {
+                self.tor
+                    .handle_packet(now, port, packet, &self.routes, events);
+            }
+            NetEvent::PacketArrive { node, packet, .. } => {
+                if node == Self::SRC && matches!(packet.kind, PacketKind::Ack { .. }) {
+                    ack_records = Some(packet.int.len());
+                }
+                hosts[node.index()].handle_packet(now, packet, events);
+            }
+            NetEvent::TxComplete { node, port } if node == tor => {
+                self.tor.handle_tx_complete(now, port, events);
+            }
+            NetEvent::TxComplete { node, .. } => {
+                hosts[node.index()].handle_tx_complete(now, events)
+            }
+            NetEvent::HostTimer { node, timer } => {
+                hosts[node.index()].handle_timer(now, timer, events)
+            }
+            _ => {}
+        }
+        Some((now, ack_records))
+    }
+}
+
 #[test]
 fn hpcc_data_ack_loop_is_allocation_free_after_warm_up() {
-    let topo = fat_tree(FatTreeParams::tiny());
-    let routes = RoutingTables::compute(&topo);
-    let tor = topo.switches()[0];
-    let scheme = Scheme::Hpcc;
-    let mut switch = Switch::new(
-        tor,
-        scheme.switch_config(32, 12_000_000, MTU),
-        topo.ports(tor),
-        scheme.make_policy(1),
-        1,
-    );
-    // Hosts 0 and 1 hang off the first ToR of the tiny fat tree.
-    let (src, dst) = (NodeId(0), NodeId(1));
-    let base_rtt = routes.base_rtt(&topo, src, dst);
-    let host = |id: NodeId| {
-        let uplink = topo.host_uplink(id);
-        assert_eq!(uplink.peer, tor);
-        Host::new(
-            id,
-            uplink.link,
-            (uplink.peer, uplink.peer_port),
-            scheme.host_config(base_rtt, 0),
-        )
-    };
-    let (mut sender, mut receiver) = (host(src), host(dst));
-    let mut events: EventQueue<NetEvent> = EventQueue::new();
-    let spec = FlowSpec {
-        flow: FlowId(7),
-        src,
-        dst,
-        size_bytes: 20_000 * MTU as u64,
-        vfid: 7,
-    };
-    receiver.expect_flow(spec);
-    sender.start_flow(SimTime::ZERO, spec, &mut events);
+    let mut pair = HpccPair::new();
+    let spec = HpccPair::flow(7, 20_000);
+    pair.receiver.expect_flow(spec);
+    pair.sender
+        .start_flow(SimTime::ZERO, spec, &mut pair.events);
 
     let (mut acks, mut int_acks, mut before) = (0u64, 0u64, None);
     while acks < 12_000 {
-        let (now, event) = events.pop().expect("the flow outlasts the measurement");
         if acks == 2_000 && before.is_none() {
             before = Some(allocs());
         }
-        match event {
-            NetEvent::PacketArrive { node, port, packet } if node == tor => {
-                switch.handle_packet(now, port, packet, &routes, &mut events);
-            }
-            NetEvent::PacketArrive { node, packet, .. } => {
-                if node == src && matches!(packet.kind, PacketKind::Ack { .. }) {
-                    acks += 1;
-                    int_acks += u64::from(packet.int.len() == 1);
-                }
-                let host = if node == src { &mut sender } else { &mut receiver };
-                host.handle_packet(now, packet, &mut events);
-            }
-            NetEvent::TxComplete { node, port } if node == tor => {
-                switch.handle_tx_complete(now, port, &mut events);
-            }
-            NetEvent::TxComplete { node, .. } => {
-                let host = if node == src { &mut sender } else { &mut receiver };
-                host.handle_tx_complete(now, &mut events);
-            }
-            NetEvent::HostTimer { node, timer } => {
-                let host = if node == src { &mut sender } else { &mut receiver };
-                host.handle_timer(now, timer, &mut events);
-            }
-            _ => {}
+        let (_, records) = pair.step().expect("the flow outlasts the measurement");
+        if let Some(records) = records {
+            acks += 1;
+            int_acks += u64::from(records == 1);
         }
     }
     let during = allocs() - before.expect("warm-up completed");
     assert_eq!(int_acks, acks, "every ACK echoed the switch's INT record");
-    assert_eq!(sender.counters().retransmitted_packets, 0);
-    assert!(events.peek_time().expect("flow still running") > SimTime::ZERO + SimDuration::from_micros(800));
-    assert_eq!(during, 0, "10k HPCC data→ACK round trips allocated {during} times");
+    assert_eq!(pair.sender.counters().retransmitted_packets, 0);
+    assert!(
+        pair.events.peek_time().expect("flow still running")
+            > SimTime::ZERO + SimDuration::from_micros(800)
+    );
+    assert_eq!(
+        during, 0,
+        "10k HPCC data→ACK round trips allocated {during} times"
+    );
+}
+
+#[test]
+fn back_to_back_hpcc_flows_reuse_their_int_headers_after_warm_up() {
+    // Short flows, one after another: each starts when the one before is
+    // fully acknowledged, and each one's last INT sample is dropped with
+    // its sender state. The receiver expects every flow up front, so its
+    // table has grown before anything is counted.
+    const WARM_UP: u32 = 200;
+    const COUNTED: u32 = 1_000;
+    let mut pair = HpccPair::new();
+    for id in 0..WARM_UP + COUNTED {
+        pair.receiver.expect_flow(HpccPair::flow(id, 4));
+    }
+    let (mut now, mut acks, mut before) = (SimTime::ZERO, 0u64, 0);
+    for id in 0..WARM_UP + COUNTED {
+        if id == WARM_UP {
+            before = allocs();
+        }
+        pair.sender
+            .start_flow(now, HpccPair::flow(id, 4), &mut pair.events);
+        while pair.sender.active_sender_flows() > 0 {
+            let (t, records) = pair.step().expect("a started flow completes");
+            now = t;
+            acks += u64::from(records.is_some());
+        }
+    }
+    let during = allocs() - before;
+    assert_eq!(acks, 4 * u64::from(WARM_UP + COUNTED));
+    assert_eq!(pair.sender.counters().retransmitted_packets, 0);
+    assert_eq!(
+        during, 0,
+        "{COUNTED} short HPCC flows allocated {during} times"
+    );
+}
+
+#[test]
+fn no_int_header_outlives_its_run() {
+    // The same HPCC run twice on a fresh thread: a free list carried from
+    // the first run into the second would make the second allocate fewer
+    // INT headers. After any run entry point returns, the thread's list is
+    // empty, so the next header is a new box.
+    let topo = fat_tree(FatTreeParams::tiny());
+    let horizon = SimDuration::from_micros(30);
+    let trace = synthesize(&topo.hosts(), &TraceParams::google_with_incast(horizon, 42));
+    let config = ExperimentConfig::new(Scheme::Hpcc, horizon);
+    let header_allocs = || {
+        let before = allocs();
+        let header = IntPath::header();
+        let made = allocs() - before;
+        drop(header);
+        made
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let run = || {
+                let before = allocs();
+                let result = run_experiment(&topo, &trace, &config);
+                let made = allocs() - before;
+                assert!(result.registry.family_total("bfc_switch_rx_packets") > 1_000);
+                made
+            };
+            let first = run();
+            let second = run();
+            assert_eq!(first, second, "the second run reused the first's boxes");
+            assert_eq!(header_allocs(), 1, "a run left INT headers behind");
+            snapshot_experiment(&topo, &trace, &config, SimTime::ZERO + horizon / 2, 1);
+            assert_eq!(header_allocs(), 1, "a snapshot left INT headers behind");
+        });
+    });
 }
 
 /// One round at a T2 ToR: 96 MTU packets of one flow from ingress 0 land on
@@ -290,7 +420,10 @@ fn pause_frames_reuse_their_storage_after_warm_up() {
     let frames = run(500);
     let during = allocs() - before;
     assert!(frames >= 1_000, "a pause and a resume per round: {frames}");
-    assert_eq!(during, 0, "{frames} pause frames sent and consumed allocated {during} times");
+    assert_eq!(
+        during, 0,
+        "{frames} pause frames sent and consumed allocated {during} times"
+    );
     assert!(tor.policy_stats().pauses >= 500);
     assert!(tor.counters().flow_pause_frames_sent >= frames);
     assert_eq!(tor.counters().drops, 0);
@@ -379,7 +512,12 @@ fn a_flows_ideal_fct_allocates_nothing() {
         total += routes.base_rtt(&topo, src, dst);
     }
     let allocated = allocs() - before;
-    assert_eq!(allocated, 0, "{} ideal FCTs allocated {allocated} times", 3 * hosts.len());
+    assert_eq!(
+        allocated,
+        0,
+        "{} ideal FCTs allocated {allocated} times",
+        3 * hosts.len()
+    );
     assert!(total > SimDuration::ZERO);
 }
 
@@ -412,7 +550,13 @@ fn a_ports_queues_grow_one_shared_arena() {
     let (first, refill) = (refill_start - before, allocs() - refill_start);
     assert_eq!(drained, 512);
     assert_eq!(port.occupied_queue_count(), 32);
-    assert_eq!(refill, 0, "refilling to the high-water mark allocated {refill} times");
+    assert_eq!(
+        refill, 0,
+        "refilling to the high-water mark allocated {refill} times"
+    );
     // One storage growing 4 → 8 → … → 512 slots: ⌈log₂ 512⌉ − 1 allocations.
-    assert!(first <= 8, "filling and draining 512 packets allocated {first} times");
+    assert!(
+        first <= 8,
+        "filling and draining 512 packets allocated {first} times"
+    );
 }
