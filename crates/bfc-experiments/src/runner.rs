@@ -251,8 +251,9 @@ impl ExperimentResult {
         }
     }
 
-    /// Data packets the hosts retransmitted (Go-Back-N rewinds after a NACK
-    /// or a timeout), summed over every host.
+    /// Data packets the hosts' Go-Back-N rewound after a NACK or a timeout,
+    /// summed over every host: packets un-sent, not packets sent again (see
+    /// `HostCounters::retransmitted_packets`).
     pub fn retransmitted_packets(&self) -> u64 {
         self.counter("bfc_host_retransmitted_packets")
     }

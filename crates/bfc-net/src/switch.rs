@@ -63,8 +63,8 @@ pub struct SwitchCounters {
     pub rx_packets: u64,
     /// Packets dropped at admission because the shared buffer was full.
     pub drops: u64,
-    /// RED marks set on ECN-capable packets (a packet that arrived marked
-    /// and is marked again counts again).
+    /// Packets RED marked: `Ect` turned `Ce`. A packet that arrived `Ce`
+    /// still takes its marking draw but is not counted again.
     pub ecn_marked: u64,
     /// PFC pause frames sent upstream.
     pub pfc_pauses_sent: u64,
@@ -333,13 +333,14 @@ impl Switch {
 
         // RED runs on every ECN-capable packet, including one a switch
         // upstream already marked (RFC 3168: `Ce` is ECN-capable, and a mark
-        // leaves it `Ce`), so each takes its marking draw.
+        // leaves it `Ce`), so each takes its marking draw; only an `Ect`
+        // packet it turns `Ce` counts as marked.
         if packet.ecn != Ecn::NotEct {
             let qlen = self.ports[egress as usize].data_queued_bytes();
             let p = ecn_marking_probability(qlen);
             if p > 0.0 && self.rng.chance(p) {
+                self.counters.ecn_marked += u64::from(packet.ecn == Ecn::Ect);
                 packet.ecn = Ecn::Ce;
-                self.counters.ecn_marked += 1;
             }
         }
 
@@ -818,13 +819,12 @@ mod tests {
         // A burst toward host 1 whose backlog sweeps from below Kmin to 50
         // MTUs above Kmax: the first packet leaves at once, so packet
         // `seq >= 1` is marked against `seq - 1` queued MTUs. Odd packets
-        // are not ECN-capable and are never marked.
+        // are not ECN-capable and are never marked; every other even packet
+        // arrives marked, takes its draw, stays `Ce` and is not counted.
         let packets = ECN_KMAX_BYTES / 1_000 + 50;
         for seq in 0..packets {
             let mut packet = data_packet(1, 0, 1, seq);
-            if seq % 2 == 0 {
-                packet.ecn = Ecn::Ect;
-            }
+            packet.ecn = [Ecn::Ect, Ecn::NotEct, Ecn::Ce, Ecn::NotEct][seq as usize % 4];
             sw.handle_packet(SimTime::ZERO, 0, packet, &routes, &mut events);
         }
         let (mut delivered, mut marked) = (0, 0);
@@ -834,15 +834,19 @@ mod tests {
                 NetEvent::PacketArrive { packet, .. } if packet.is_data() => {
                     let queued = packet.seq.saturating_sub(1) * 1_000;
                     let marked_now = packet.ecn == Ecn::Ce;
-                    if packet.seq % 2 == 1 {
-                        assert_eq!(packet.ecn, Ecn::NotEct, "seq {}", packet.seq);
-                    } else if queued <= ECN_KMIN_BYTES {
-                        assert!(!marked_now, "seq {}: {queued} B is below Kmin", packet.seq);
-                    } else if queued >= ECN_KMAX_BYTES {
-                        assert!(marked_now, "seq {}: {queued} B is above Kmax", packet.seq);
+                    match packet.seq % 4 {
+                        1 | 3 => assert_eq!(packet.ecn, Ecn::NotEct, "seq {}", packet.seq),
+                        2 => assert!(marked_now, "seq {} arrived marked", packet.seq),
+                        _ if queued <= ECN_KMIN_BYTES => {
+                            assert!(!marked_now, "seq {}: {queued} B is below Kmin", packet.seq)
+                        }
+                        _ if queued >= ECN_KMAX_BYTES => {
+                            assert!(marked_now, "seq {}: {queued} B is above Kmax", packet.seq)
+                        }
+                        _ => {}
                     }
                     delivered += 1;
-                    marked += u64::from(marked_now);
+                    marked += u64::from(marked_now && packet.seq % 4 == 0);
                 }
                 _ => {}
             }

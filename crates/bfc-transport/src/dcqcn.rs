@@ -134,7 +134,10 @@ mod tests {
             s.on_cnp();
         }
         assert!(s.rate_gbps >= MIN_RATE_GBPS);
-        assert!(s.rate_gbps < 1.0, "rate should collapse under persistent CNPs");
+        assert!(
+            s.rate_gbps < 1.0,
+            "rate should collapse under persistent CNPs"
+        );
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   packet an INT header, which every switch appends its record to. A
 //!   header's storage is the thread's to recycle ([`IntPath`]): the host
 //!   keeps no pool of its own and drops whatever header it is done with.
-//!   Reliability is Go-Back-N: a NACK or a retransmission timeout rewinds
-//!   `next_seq` to the cumulative acknowledgement.
+//!   Each flow's sequence numbers and Go-Back-N reliability are its own
+//!   ([`SenderFlow`]); the host does what an ACK, a timer check or the next
+//!   packet asks of it.
 //! * **Receiver** — in-order data is acknowledged per packet (with HPCC INT
 //!   echoed on the ACK), ECN marks are converted to CNPs at most once per
 //!   DCQCN's `CNP_INTERVAL`, and a [`bfc_net::NetEvent::FlowCompleted`]
@@ -33,7 +34,7 @@ use std::collections::VecDeque;
 
 use bfc_net::event::{NetEvent, NetSink, TransportTimer};
 use bfc_net::link::Link;
-use bfc_net::packet::{Ecn, IntPath, Packet, PacketKind, PauseFrame, MTU};
+use bfc_net::packet::{Ecn, IntPath, Packet, PacketKind, PauseFrame};
 use bfc_net::port::Transmitter;
 use bfc_net::types::{FlowId, NodeId};
 use bfc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
@@ -41,7 +42,7 @@ use bfc_sim::{FastHashMap, SimTime};
 
 use crate::config::{default_rto, CcKind, HostConfig};
 use crate::dcqcn::{self, DcqcnState};
-use crate::flow::{CcState, FlowSpec, ReceiverFlow, SenderFlow};
+use crate::flow::{CcState, FlowSpec, ReceiverFlow, SenderAction, SenderFlow};
 use crate::hpcc::HpccState;
 
 /// Counters exposed by a host.
@@ -51,7 +52,10 @@ pub struct HostCounters {
     pub tx_data_bytes: u64,
     /// Data bytes received in order (goodput).
     pub rx_data_bytes: u64,
-    /// Data packets retransmitted.
+    /// Data packets Go-Back-N rewound (by a NACK or a retransmission
+    /// timeout), not packets sent again: a flow rewound twice before
+    /// resending counts the packets of both rewinds, and one whose rewound
+    /// packets are acknowledged before they go out again counts them too.
     pub retransmitted_packets: u64,
     /// CNPs generated as a receiver.
     pub cnps_sent: u64,
@@ -223,39 +227,25 @@ impl Host {
                 self.config.base_rtt.as_secs_f64(),
             )),
         };
+        debug_assert_eq!(spec.src, self.id, "a flow starts at its source");
         let flow_id = spec.flow;
         let flow = SenderFlow::new(spec, cc, now);
         self.sending.insert(flow_id, flow);
         self.send_order.push_back(flow_id);
 
-        events.send(
-            now + default_rto(self.config.base_rtt),
-            NetEvent::HostTimer {
-                node: self.id,
-                timer: TransportTimer::Retransmit(flow_id),
-            },
-        );
+        let rto = now + default_rto(self.config.base_rtt);
+        self.arm(rto, TransportTimer::Retransmit(flow_id), events);
         if self.config.cc == CcKind::Dcqcn {
-            events.send(
-                now + dcqcn::RATE_INCREASE_INTERVAL,
-                NetEvent::HostTimer {
-                    node: self.id,
-                    timer: TransportTimer::RateIncrease(flow_id),
-                },
-            );
-            events.send(
-                now + dcqcn::ALPHA_UPDATE_INTERVAL,
-                NetEvent::HostTimer {
-                    node: self.id,
-                    timer: TransportTimer::AlphaUpdate(flow_id),
-                },
-            );
+            let increase = TransportTimer::RateIncrease(flow_id);
+            self.arm(now + dcqcn::RATE_INCREASE_INTERVAL, increase, events);
+            let alpha = TransportTimer::AlphaUpdate(flow_id);
+            self.arm(now + dcqcn::ALPHA_UPDATE_INTERVAL, alpha, events);
         }
         self.try_send(now, events);
     }
 
     /// Handles a packet arriving at the NIC.
-    pub fn handle_packet(&mut self, now: SimTime, packet: Packet, events: &mut impl NetSink) {
+    pub fn handle_packet(&mut self, now: SimTime, mut packet: Packet, events: &mut impl NetSink) {
         // Match on a borrow of the kind (copying out only the small fields)
         // so no per-packet clone of the kind — which would allocate nothing
         // today but still memcpy the largest variant — is needed.
@@ -279,7 +269,12 @@ impl Host {
             }
             PacketKind::Ack { is_nack } => {
                 let is_nack = *is_nack;
-                self.receive_ack(packet, is_nack);
+                if let Some(flow) = self.sending.get_mut(&packet.flow) {
+                    // An ACK's `seq` is the receiver's next expected sequence
+                    // number.
+                    let action = flow.on_ack(packet.seq, is_nack, &mut packet.int);
+                    self.apply(packet.flow, action);
+                }
                 self.try_send(now, events);
             }
             PacketKind::Cnp => {
@@ -307,20 +302,19 @@ impl Host {
                 self.try_send_from_timer(now, events);
             }
             TransportTimer::Retransmit(flow_id) => {
-                self.handle_retransmit_timer(now, flow_id, events)
+                if let Some(flow) = self.sending.get_mut(&flow_id) {
+                    let action = flow.on_retransmit_timer();
+                    self.apply(flow_id, action);
+                    self.arm(now + default_rto(self.config.base_rtt), timer, events);
+                    self.try_send_from_timer(now, events);
+                }
             }
             TransportTimer::RateIncrease(flow_id) => {
                 if let Some(flow) = self.sending.get_mut(&flow_id) {
                     if let CcState::Dcqcn(state) = &mut flow.cc {
                         state.on_rate_increase_timer();
                     }
-                    events.send(
-                        now + dcqcn::RATE_INCREASE_INTERVAL,
-                        NetEvent::HostTimer {
-                            node: self.id,
-                            timer: TransportTimer::RateIncrease(flow_id),
-                        },
-                    );
+                    self.arm(now + dcqcn::RATE_INCREASE_INTERVAL, timer, events);
                     self.try_send_from_timer(now, events);
                 }
             }
@@ -329,52 +323,24 @@ impl Host {
                     if let CcState::Dcqcn(state) = &mut flow.cc {
                         state.on_alpha_timer();
                     }
-                    events.send(
-                        now + dcqcn::ALPHA_UPDATE_INTERVAL,
-                        NetEvent::HostTimer {
-                            node: self.id,
-                            timer: TransportTimer::AlphaUpdate(flow_id),
-                        },
-                    );
+                    self.arm(now + dcqcn::ALPHA_UPDATE_INTERVAL, timer, events);
                 }
             }
         }
     }
 
-    fn handle_retransmit_timer(
-        &mut self,
-        now: SimTime,
-        flow_id: FlowId,
-        events: &mut impl NetSink,
-    ) {
-        let Some(flow) = self.sending.get_mut(&flow_id) else {
-            return;
-        };
-        let inflight = flow.next_seq > flow.acked_seq;
-        if inflight && flow.acked_seq == flow.acked_at_last_timeout {
-            // No progress for a full RTO: Go-Back-N from the last ack.
-            self.counters.retransmitted_packets += flow.next_seq - flow.acked_seq;
-            flow.next_seq = flow.acked_seq;
-            if !self.send_order.contains(&flow_id) {
-                self.send_order.push_back(flow_id);
-            }
-        }
-        flow.acked_at_last_timeout = flow.acked_seq;
-        events.send(
-            now + default_rto(self.config.base_rtt),
-            NetEvent::HostTimer {
-                node: self.id,
-                timer: TransportTimer::Retransmit(flow_id),
-            },
-        );
-        self.try_send_from_timer(now, events);
+    /// Schedules one of this host's timers.
+    fn arm(&self, at: SimTime, timer: TransportTimer, events: &mut impl NetSink) {
+        let node = self.id;
+        events.send(at, NetEvent::HostTimer { node, timer });
     }
 
     fn receive_data(&mut self, now: SimTime, packet: Packet, events: &mut impl NetSink) {
         let Some(rf) = self.receiving.get_mut(&packet.flow) else {
             return;
         };
-        let sender = rf.spec.src;
+        let (flow, id, sender) = (packet.flow, self.id, rf.spec.src);
+        let ack = |seq, is_nack, int| Packet::ack(flow, id, sender, seq, is_nack, int);
         if packet.seq == rf.expected_seq {
             rf.expected_seq += 1;
             rf.nack_sent_for = None;
@@ -391,14 +357,8 @@ impl Host {
                         .push_back(Packet::cnp(packet.flow, self.id, sender));
                 }
             }
-            self.control_queue.push_back(Packet::ack(
-                packet.flow,
-                self.id,
-                sender,
-                rf.expected_seq,
-                false,
-                packet.int,
-            ));
+            self.control_queue
+                .push_back(ack(rf.expected_seq, false, packet.int));
             // A sender never sends `seq >= num_packets`, so this holds
             // exactly once: at the packet that completes the flow.
             if rf.expected_seq == rf.spec.num_packets() {
@@ -408,72 +368,29 @@ impl Host {
             // Out of order: ask the sender to go back, once per gap.
             if rf.nack_sent_for != Some(rf.expected_seq) {
                 rf.nack_sent_for = Some(rf.expected_seq);
-                self.control_queue.push_back(Packet::ack(
-                    packet.flow,
-                    self.id,
-                    sender,
-                    rf.expected_seq,
-                    true,
-                    Default::default(),
-                ));
+                self.control_queue
+                    .push_back(ack(rf.expected_seq, true, IntPath::new()));
             }
         } else {
             // Duplicate of already-delivered data: re-acknowledge.
-            self.control_queue.push_back(Packet::ack(
-                packet.flow,
-                self.id,
-                sender,
-                rf.expected_seq,
-                false,
-                Default::default(),
-            ));
+            self.control_queue
+                .push_back(ack(rf.expected_seq, false, IntPath::new()));
         }
     }
 
-    fn receive_ack(&mut self, mut packet: Packet, is_nack: bool) {
-        let Some(flow) = self.sending.get_mut(&packet.flow) else {
-            return;
-        };
-        // An ACK's `seq` is the receiver's next expected sequence number.
-        let cumulative = packet.seq;
-        if cumulative > flow.acked_seq {
-            flow.acked_seq = cumulative;
-        }
-        if is_nack && cumulative < flow.next_seq {
-            self.counters.retransmitted_packets += flow.next_seq - cumulative;
-            flow.next_seq = cumulative;
-            if !self.send_order.contains(&packet.flow) {
-                self.send_order.push_back(packet.flow);
+    /// Does what a sender flow asked for after an ACK or a timer check.
+    fn apply(&mut self, flow_id: FlowId, action: SenderAction) {
+        match action {
+            SenderAction::Keep => {}
+            SenderAction::Rewind(packets) => {
+                self.counters.retransmitted_packets += packets;
+                if !self.send_order.contains(&flow_id) {
+                    self.send_order.push_back(flow_id);
+                }
             }
-        }
-        if let CcState::Hpcc(state) = &mut flow.cc {
-            state.on_ack(&mut packet.int, cumulative, flow.next_seq);
-        }
-        if flow.fully_acked() {
-            self.sending.remove(&packet.flow);
-        }
-    }
-
-    /// Effective window limit for a flow, if any.
-    fn window_limit(config: &HostConfig, flow: &SenderFlow) -> Option<u64> {
-        match &flow.cc {
-            CcState::Hpcc(state) => {
-                let hpcc_window = state.window_bytes as u64;
-                Some(match config.window_bytes {
-                    Some(cap) => hpcc_window.min(cap),
-                    None => hpcc_window,
-                })
+            SenderAction::Retire => {
+                self.sending.remove(&flow_id);
             }
-            _ => config.window_bytes,
-        }
-    }
-
-    /// Pacing rate for a flow, if rate-limited.
-    fn pacing_rate_gbps(flow: &SenderFlow) -> Option<f64> {
-        match &flow.cc {
-            CcState::Dcqcn(state) => Some(state.rate_gbps),
-            CcState::Hpcc(state) => Some(state.rate_gbps()),
-            CcState::None => None,
         }
     }
 
@@ -550,53 +467,24 @@ impl Host {
                 .pause_frame
                 .as_ref()
                 .is_some_and(|f| f.contains(flow.spec.vfid));
-            let window_ok = match Self::window_limit(&self.config, flow) {
-                Some(limit) => flow.inflight_bytes() + MTU as u64 <= limit.max(MTU as u64),
-                None => true,
-            };
-            let pacing_ok = now >= flow.next_allowed;
-
-            if paused || !window_ok {
+            if paused || !flow.window_open(self.config.window_bytes) {
                 // Wait for a pause release or an ACK; both trigger try_send.
                 self.send_order.push_back(flow_id);
                 continue;
             }
-            if !pacing_ok {
-                earliest_blocked = Some(match earliest_blocked {
-                    Some(t) if t <= flow.next_allowed => t,
-                    _ => flow.next_allowed,
-                });
+            if now < flow.next_allowed {
+                earliest_blocked =
+                    Some(earliest_blocked.map_or(flow.next_allowed, |t| t.min(flow.next_allowed)));
                 self.send_order.push_back(flow_id);
                 continue;
             }
 
-            // Transmit the next packet of this flow.
-            let seq = flow.next_seq;
-            let size = flow.spec.packet_size(seq);
-            let mut pkt = Packet::data(
-                flow.spec.flow,
-                self.id,
-                flow.spec.dst,
-                seq,
-                size,
-                flow.spec.vfid,
-                seq == 0,
-            );
-            match self.config.cc {
-                CcKind::Dcqcn => pkt.ecn = Ecn::Ect,
-                CcKind::Hpcc => pkt.int = IntPath::header(),
-                CcKind::LineRate => {}
-            }
-            flow.next_seq += 1;
-            if let Some(rate) = Self::pacing_rate_gbps(flow) {
-                let gap = bfc_sim::SimDuration::for_bytes_at_gbps(size as u64, rate.max(1e-3));
-                flow.next_allowed = now + gap;
-            }
+            let packet = flow.next_packet(now);
             if flow.has_unsent() {
                 self.send_order.push_back(flow_id);
             }
-            self.counters.tx_data_bytes += size as u64;
-            self.transmit(now, pkt, events);
+            self.counters.tx_data_bytes += packet.size_bytes as u64;
+            self.transmit(now, packet, events);
             return;
         }
 
@@ -604,13 +492,7 @@ impl Host {
             let need_schedule = self.pending_wakeup.map_or(true, |w| t < w);
             if need_schedule {
                 self.pending_wakeup = Some(t);
-                events.send(
-                    t,
-                    NetEvent::HostTimer {
-                        node: self.id,
-                        timer: TransportTimer::NicWakeup,
-                    },
-                );
+                self.arm(t, TransportTimer::NicWakeup, events);
             }
         }
     }
@@ -977,8 +859,10 @@ mod tests {
         host.start_flow(SimTime::ZERO, spec(1, 0, 1, 2_000), &mut events);
         let first = drain_transmissions(&mut host, &mut events);
         assert_eq!(first.iter().filter(|p| p.is_data()).count(), 2);
-        // Fire the retransmit timer twice with no ACK progress: the second
-        // firing detects the stall and rewinds.
+        // Fire the retransmit timer twice with no ACK progress: the first
+        // firing already finds the flow stalled and rewinds it, and the
+        // second, with the packet re-sent since then still unacknowledged,
+        // rewinds again.
         let rto = default_rto(BASE_RTT);
         host.handle_timer(
             SimTime::ZERO + rto,

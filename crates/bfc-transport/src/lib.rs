@@ -2,9 +2,12 @@
 //!
 //! Everything that runs on an end host in the BFC evaluation lives here:
 //!
-//! * [`host::Host`] — the NIC model: per-flow send state, round-robin
-//!   scheduling onto the uplink, strict-priority ACK/CNP transmission,
-//!   Go-Back-N reliability, PFC obedience and per-flow BFC pause obedience.
+//! * [`host::Host`] — the NIC model: round-robin scheduling of its flows
+//!   onto the uplink, strict-priority ACK/CNP transmission, PFC obedience
+//!   and per-flow BFC pause obedience.
+//! * [`flow::SenderFlow`] — one flow's send state: its Go-Back-N
+//!   reliability, the marking, pacing and window its congestion control
+//!   sets. [`flow::ReceiverFlow`] is the receiving end.
 //! * [`dcqcn`] — the DCQCN rate-control algorithm (ECN marks → CNPs → rate
 //!   decrease; timer-driven fast recovery / additive / hyper increase), with
 //!   the optional one-BDP window cap of the paper's DCQCN+Win variant.

@@ -87,15 +87,14 @@ rustfmt --check --edition 2021 \
     crates/bfc-net/src/queue.rs \
     crates/bfc-net/src/routing.rs \
     crates/bfc-net/src/switch.rs \
-    crates/bfc-transport/src/config.rs \
-    crates/bfc-transport/src/host.rs \
-    crates/bfc-transport/src/hpcc.rs \
+    crates/bfc-transport/src/lib.rs \
     tests/alloc_free.rs \
     tests/fig_smoke.rs \
     tests/example_smoke.rs \
     tests/net_properties.rs \
     tests/properties.rs \
-    tests/routing_oracle.rs
+    tests/routing_oracle.rs \
+    tests/transport_properties.rs
 
 echo "== testkit, bfc-sim, packet-path, ingest and bfc-experiments unit tests + spawned CLI gates"
 cargo test -q -p bfc-testkit

@@ -24,7 +24,7 @@ use backpressure_flow_control::net::{
     Ecn, FlightTrace, IntHop, IntPath, Link, NetEvent, Packet, PolicyStats, Port, QueueTarget,
     SharedBuffer, TraceEvent, TraceRecord, Transmitter, TransportTimer, WireFrame, MAX_INT_HOPS,
 };
-use backpressure_flow_control::sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use backpressure_flow_control::sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use backpressure_flow_control::sim::{EventQueue, FastHashMap, SimDuration, SimRng, SimTime};
 use backpressure_flow_control::transport::dcqcn::DcqcnState;
 use backpressure_flow_control::transport::flow::CcState;
@@ -455,11 +455,19 @@ fn arb_sender(rng: &mut SimRng) -> SenderFlow {
         1 => CcState::Dcqcn(arb_dcqcn(rng)),
         _ => CcState::Hpcc(arb_hpcc(rng)),
     };
-    let mut flow = SenderFlow::new(arb_spec(rng), cc, arb_time(rng));
-    flow.next_seq = rng.next_u64();
-    flow.acked_seq = rng.next_u64();
-    flow.next_allowed = arb_time(rng);
-    flow.acked_at_last_timeout = rng.next_u64();
+    // The Go-Back-N sequence numbers are private to the flow: an arbitrary
+    // one is decoded from its fields, written in their `snap_struct!` order.
+    let mut w = SnapWriter::new();
+    arb_spec(rng).save(&mut w);
+    w.put_u64(rng.next_u64()); // next_seq
+    w.put_u64(rng.next_u64()); // acked_seq
+    arb_time(rng).save(&mut w); // next_allowed
+    cc.save(&mut w);
+    w.put_u64(rng.next_u64()); // acked_at_last_timeout
+    let bytes = w.into_bytes();
+    let mut r = SnapReader::new(&bytes);
+    let flow = r.get().expect("a sender flow's fields decode");
+    r.expect_end().expect("a sender flow reads all its fields");
     flow
 }
 

@@ -1,16 +1,18 @@
-//! `bfc-testkit` property for `bfc-transport`: Go-Back-N delivers every byte
-//! exactly once, in order, under randomized loss patterns.
+//! `bfc-testkit` properties for `bfc-transport`: Go-Back-N delivers every
+//! byte exactly once, in order, under randomized loss patterns and under
+//! ACKs delayed past the retransmission timeout.
 //!
 //! Two hosts are wired back to back (no switch in between) and the test
 //! harness plays packet carrier: every data packet and every ACK consults a
-//! generated loss pattern before delivery. Once the pattern is exhausted the
-//! link becomes lossless, so Go-Back-N must eventually finish the flow —
-//! every retransmission driven by NACKs and the retransmit timer.
+//! generated loss pattern before delivery, and every ACK may be held back a
+//! fixed extra delay. Once the pattern is exhausted the link becomes
+//! lossless, so Go-Back-N must eventually finish the flow — every
+//! retransmission driven by NACKs and the retransmit timer.
 //!
 //! On failure the runner prints the per-case seed; rerun exactly that case
 //! with `BFC_TESTKIT_SEED=<seed> cargo test <property_name>`.
 
-use backpressure_flow_control::net::event::NetEvent;
+use backpressure_flow_control::net::event::{NetEvent, NetSink};
 use backpressure_flow_control::net::packet::{PacketKind, MTU};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::Link;
@@ -20,10 +22,13 @@ use bfc_testkit::{check, int_range, pair, vec_of, Config};
 
 const SENDER: NodeId = NodeId(0);
 const RECEIVER: NodeId = NodeId(1);
+/// The port a held-back ACK-class packet arrives on; a host's one port is 0.
+const DELAYED: u32 = 1;
 
 /// Outcome of one lossy Go-Back-N session.
 struct SessionReport {
     delivered_bytes: u64,
+    rewound_packets: u64,
     completions: u64,
     data_drops: usize,
     ack_drops: usize,
@@ -32,12 +37,22 @@ struct SessionReport {
 
 /// Runs one flow of `size_bytes` from SENDER to RECEIVER, dropping the
 /// `i`-th data packet when `data_loss[i]` and the `i`-th ACK-class packet
-/// when `ack_loss[i]` (losses beyond the pattern length never happen).
-fn run_lossy_session(size_bytes: u64, data_loss: &[bool], ack_loss: &[bool]) -> SessionReport {
+/// when `ack_loss[i]` (losses beyond the pattern length never happen), and
+/// delivering every ACK-class packet that is not dropped `ack_delay` late.
+/// The delay is the same for all of them, so they stay in order.
+fn run_lossy_session(
+    size_bytes: u64,
+    data_loss: &[bool],
+    ack_loss: &[bool],
+    ack_delay: SimDuration,
+) -> SessionReport {
     let link = Link::datacenter_default();
     let config = HostConfig::bfc(SimDuration::from_micros(8));
-    let mut sender = Host::new(SENDER, link, (RECEIVER, 0), config);
-    let mut receiver = Host::new(RECEIVER, link, (SENDER, 0), config);
+    // Indexed by node: the sender is node 0, the receiver node 1.
+    let mut hosts = [
+        Host::new(SENDER, link, (RECEIVER, 0), config),
+        Host::new(RECEIVER, link, (SENDER, 0), config),
+    ];
 
     let spec = FlowSpec {
         flow: FlowId(1),
@@ -47,11 +62,12 @@ fn run_lossy_session(size_bytes: u64, data_loss: &[bool], ack_loss: &[bool]) -> 
         vfid: 1,
     };
     let mut events: EventQueue<NetEvent> = EventQueue::new();
-    receiver.expect_flow(spec);
-    sender.start_flow(SimTime::ZERO, spec, &mut events);
+    hosts[RECEIVER.index()].expect_flow(spec);
+    hosts[SENDER.index()].start_flow(SimTime::ZERO, spec, &mut events);
 
     let mut report = SessionReport {
         delivered_bytes: 0,
+        rewound_packets: 0,
         completions: 0,
         data_drops: 0,
         ack_drops: 0,
@@ -64,10 +80,17 @@ fn run_lossy_session(size_bytes: u64, data_loss: &[bool], ack_loss: &[bool]) -> 
         assert!(
             steps < 2_000_000,
             "session did not converge: {} of {} bytes delivered",
-            report.delivered_bytes,
+            hosts[RECEIVER.index()].counters().rx_data_bytes,
             size_bytes
         );
         match event {
+            // An ACK-class packet held back: it was counted and spared when
+            // it first arrived.
+            NetEvent::PacketArrive {
+                node,
+                port: DELAYED,
+                packet,
+            } => hosts[node.index()].handle_packet(now, packet, &mut events),
             NetEvent::PacketArrive { node, packet, .. } => {
                 let drop = if packet.is_data() {
                     let drop = data_loss.get(data_seen).copied().unwrap_or(false);
@@ -86,30 +109,26 @@ fn run_lossy_session(size_bytes: u64, data_loss: &[bool], ack_loss: &[bool]) -> 
                 if drop {
                     continue;
                 }
-                if node == RECEIVER {
-                    receiver.handle_packet(now, packet, &mut events);
+                if packet.is_data() || ack_delay == SimDuration::ZERO {
+                    hosts[node.index()].handle_packet(now, packet, &mut events);
                 } else {
-                    sender.handle_packet(now, packet, &mut events);
+                    let port = DELAYED;
+                    events.send(
+                        now + ack_delay,
+                        NetEvent::PacketArrive { node, port, packet },
+                    );
                 }
             }
             NetEvent::TxComplete { node, .. } => {
-                if node == RECEIVER {
-                    receiver.handle_tx_complete(now, &mut events);
-                } else {
-                    sender.handle_tx_complete(now, &mut events);
-                }
+                hosts[node.index()].handle_tx_complete(now, &mut events)
             }
             NetEvent::HostTimer { node, timer } => {
                 // Stop re-arming timers once the transfer is fully done,
                 // otherwise the periodic retransmit timer runs forever.
-                if report.completions > 0 && sender.active_sender_flows() == 0 {
+                if report.completions > 0 && hosts[SENDER.index()].active_sender_flows() == 0 {
                     continue;
                 }
-                if node == RECEIVER {
-                    receiver.handle_timer(now, timer, &mut events);
-                } else {
-                    sender.handle_timer(now, timer, &mut events);
-                }
+                hosts[node.index()].handle_timer(now, timer, &mut events);
             }
             NetEvent::FlowCompleted { flow } => {
                 assert_eq!(flow, FlowId(1));
@@ -118,8 +137,40 @@ fn run_lossy_session(size_bytes: u64, data_loss: &[bool], ack_loss: &[bool]) -> 
             _ => {}
         }
     }
-    report.delivered_bytes = receiver.counters().rx_data_bytes;
+    report.delivered_bytes = hosts[RECEIVER.index()].counters().rx_data_bytes;
+    report.rewound_packets = hosts[SENDER.index()].counters().retransmitted_packets;
     report
+}
+
+/// Every byte arrives exactly once (the receiver only counts in-order first
+/// deliveries), completion fires exactly once, and the cumulative
+/// acknowledgements the receiver emits never decrease and end covering the
+/// whole flow.
+fn assert_exactly_once(report: &SessionReport, size_bytes: u64) {
+    assert_eq!(
+        report.delivered_bytes, size_bytes,
+        "every byte must be delivered exactly once"
+    );
+    assert_eq!(report.completions, 1, "completion must fire exactly once");
+
+    // In-order delivery: the receiver's expected sequence number is
+    // monotone, so the cumulative acknowledgement stream it emits never
+    // decreases (the carrier preserves order, and neither drops nor a
+    // common delay are reorderings), and its maximum covers the whole flow.
+    for w in report.cumulative_acks.windows(2) {
+        assert!(
+            w[1] >= w[0],
+            "cumulative ACKs must be non-decreasing: {} then {}",
+            w[0],
+            w[1]
+        );
+    }
+    let total_packets = size_bytes.div_ceil(MTU as u64);
+    assert_eq!(
+        report.cumulative_acks.last().copied(),
+        Some(total_packets),
+        "the final ACK covers the flow"
+    );
 }
 
 #[test]
@@ -127,10 +178,7 @@ fn go_back_n_delivers_every_byte_exactly_once_under_loss() {
     // (flow size in packets, loss die rolls): a roll of 0 drops a data
     // packet, a roll of 1 drops an ACK — 25% data loss, 25% ACK loss over
     // the pattern's reach, lossless afterwards.
-    let gen = pair(
-        int_range(1u64..60),
-        vec_of(int_range(0u64..4), 1..120),
-    );
+    let gen = pair(int_range(1u64..60), vec_of(int_range(0u64..4), 1..120));
     check(
         "go_back_n_delivers_every_byte_exactly_once_under_loss",
         Config::from_env().with_cases(48),
@@ -139,41 +187,36 @@ fn go_back_n_delivers_every_byte_exactly_once_under_loss() {
             let size_bytes = packets * MTU as u64 - 137.min(packets * MTU as u64 - 1);
             let data_loss: Vec<bool> = rolls.iter().map(|&r| r == 0).collect();
             let ack_loss: Vec<bool> = rolls.iter().map(|&r| r == 1).collect();
-            let report = run_lossy_session(size_bytes, &data_loss, &ack_loss);
+            let report = run_lossy_session(size_bytes, &data_loss, &ack_loss, SimDuration::ZERO);
+            assert_exactly_once(&report, size_bytes);
+        },
+    );
+}
 
-            // Every byte arrives exactly once (the receiver only counts
-            // in-order first deliveries) and completion fires exactly once.
-            assert_eq!(
-                report.delivered_bytes, size_bytes,
-                "every byte must be delivered exactly once"
-            );
-            assert_eq!(report.completions, 1, "completion must fire exactly once");
-
-            // In-order delivery: the receiver's expected sequence number is
-            // monotone, so the cumulative acknowledgement stream it emits
-            // never decreases (the carrier preserves order and drops are
-            // not reorderings), and its maximum covers the whole flow.
-            for w in report.cumulative_acks.windows(2) {
-                assert!(
-                    w[1] >= w[0],
-                    "cumulative ACKs must be non-decreasing: {} then {}",
-                    w[0],
-                    w[1]
-                );
-            }
-            let total_packets = size_bytes.div_ceil(MTU as u64);
-            assert_eq!(
-                report.cumulative_acks.last().copied(),
-                Some(total_packets),
-                "the final ACK covers the flow"
-            );
+#[test]
+fn go_back_n_delivers_every_byte_exactly_once_with_acks_delayed_past_the_rto() {
+    // (flow size in packets, extra ACK delay in µs): every ACK arrives, in
+    // order, but later than the 40 µs retransmission timeout, so the timer
+    // fires with the first ACK still on its way and Go-Back-N rewinds data
+    // the receiver already holds.
+    let gen = pair(int_range(1u64..101), int_range(41u64..400));
+    check(
+        "go_back_n_delivers_every_byte_exactly_once_with_acks_delayed_past_the_rto",
+        Config::from_env().with_cases(48),
+        gen,
+        |&(packets, delay_us)| {
+            let size_bytes = packets * MTU as u64;
+            let delay = SimDuration::from_micros(delay_us);
+            let report = run_lossy_session(size_bytes, &[], &[], delay);
+            assert_exactly_once(&report, size_bytes);
+            assert!(report.rewound_packets > 0, "the timer fired before an ACK");
         },
     );
 }
 
 #[test]
 fn go_back_n_is_exact_on_a_lossless_link() {
-    let report = run_lossy_session(10 * MTU as u64, &[], &[]);
+    let report = run_lossy_session(10 * MTU as u64, &[], &[], SimDuration::ZERO);
     assert_eq!(report.delivered_bytes, 10 * MTU as u64);
     assert_eq!(report.completions, 1);
     assert_eq!(report.data_drops, 0);
