@@ -392,7 +392,7 @@ fn flight_parts(parts: usize, part_of: impl Fn(NodeId) -> usize) -> Vec<FlightTr
     for hop in 0..HOPS {
         let at = SimTime::from_nanos(u64::from(hop / 2) * 80);
         // Descending node order within an instant: out of rank order.
-        let (node, port, queue) = (NodeId(15 - hop % 16), hop % 7, hop % 32);
+        let (node, port, queue) = (NodeId(15 - hop % 16), (hop % 7) as u16, (hop % 32) as u16);
         let (flow, bytes) = (hop % 4_096, 1_000);
         let recorder = &mut recorders[part_of(node)];
         recorder.record(
@@ -423,7 +423,7 @@ fn flight_parts(parts: usize, part_of: impl Fn(NodeId) -> usize) -> Vec<FlightTr
 
 fn bench_flight_trace(h: &mut Harness) {
     // `merge` consumes its parts, so each iteration merges a clone: the
-    // 32 MB copy is part of both figures (and of nothing they are compared
+    // 24 MB copy is part of both figures (and of nothing they are compared
     // with but their own baseline).
     let one = flight_parts(1, |_| 0);
     h.bench("flight_merge_1m_one_part", || {
@@ -434,11 +434,19 @@ fn bench_flight_trace(h: &mut Harness) {
         FlightTrace::merge(two.clone()).records.len()
     });
     let trace = FlightTrace::merge(one);
-    h.bench("trace_write_read_1m", || {
+    let ran = h.bench("trace_write_read_1m", || {
         let bytes = write_trace("bench", &trace);
         let (_, back) = read_trace(&bytes).expect("a written trace reads back");
         back.records.len()
     });
+    if ran {
+        let bytes = write_trace("bench", &trace).len();
+        let records = trace.records.len();
+        h.note(format!(
+            "trace_write_read_1m: {bytes} B file over {records} records = {:.2} B per record",
+            bytes as f64 / records as f64
+        ));
+    }
     let file = vec![0xA5u8; 32 << 20];
     h.bench("container_checksum_32mb", || checksum64(&file));
 }

@@ -38,7 +38,9 @@ use bfc_sim::{Hist, SimRng, SimTime};
 use crate::buffer::SharedBuffer;
 use crate::config::{ecn_marking_probability, SwitchConfig, PAUSE_FRAME_INTERVAL};
 use crate::event::{NetEvent, NetSink};
-use crate::packet::{Ecn, IntHop, Packet, PacketKind};
+use crate::packet::{
+    Ecn, IntHop, Packet, PacketKind, ACK_SIZE_BYTES, MAX_PAUSE_FRAME_BYTES, MTU, PFC_FRAME_BYTES,
+};
 use crate::policy::{DequeueCtx, EnqueueCtx, QueueTarget, SwitchPolicy};
 use crate::port::Port;
 use crate::routing::RoutingTables;
@@ -47,14 +49,35 @@ use crate::trace::{self, TraceEvent};
 use crate::types::NodeId;
 
 /// Maps a policy queue target onto the trace-record queue encoding.
-fn queue_code(target: QueueTarget) -> u32 {
+fn queue_code(target: QueueTarget) -> u16 {
     match target {
         QueueTarget::Control => trace::QUEUE_CONTROL,
         QueueTarget::HighPriority => trace::QUEUE_HIGH_PRIORITY,
         QueueTarget::Overflow => trace::QUEUE_OVERFLOW,
-        QueueTarget::Phys(q) => q as u32,
+        QueueTarget::Phys(q) => {
+            debug_assert!(q < usize::from(trace::QUEUE_OVERFLOW));
+            q as u16
+        }
     }
 }
+
+/// Narrows a port index or a packet size to its trace-record width.
+/// [`Switch::new`] bounds the port count and the assertion below every
+/// packet size, so nothing is cut off; the check is debug-only because a
+/// release panic branch would stay on every hop, traced or not.
+#[inline]
+fn trace_u16(v: u32) -> u16 {
+    debug_assert!(v <= u32::from(u16::MAX), "{v} does not fit a trace record");
+    v as u16
+}
+
+// Every packet size a trace record can carry fits its `u16`.
+const _: () = assert!(
+    MTU <= u16::MAX as u32
+        && MAX_PAUSE_FRAME_BYTES <= u16::MAX as usize
+        && ACK_SIZE_BYTES <= u16::MAX as u32
+        && PFC_FRAME_BYTES <= u16::MAX as u32
+);
 
 /// Counters a switch exposes to the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -112,6 +135,12 @@ impl Switch {
     /// Builds a switch from its ports in the topology. `policy` decides queue
     /// assignment and per-flow pausing; the `rng` seed only affects ECN
     /// marking randomness.
+    ///
+    /// # Panics
+    ///
+    /// If a port or physical-queue index would not fit a trace record's
+    /// `u16`: more than `u16::MAX` ports, or `queues_per_port` reaching
+    /// [`trace::QUEUE_OVERFLOW`], the first special queue code.
     pub fn new(
         id: NodeId,
         config: SwitchConfig,
@@ -119,6 +148,16 @@ impl Switch {
         policy: Box<dyn SwitchPolicy>,
         rng_seed: u64,
     ) -> Self {
+        assert!(
+            port_specs.len() <= usize::from(u16::MAX),
+            "{} ports: a trace record holds a port index in a u16",
+            port_specs.len()
+        );
+        assert!(
+            config.queues_per_port < usize::from(trace::QUEUE_OVERFLOW),
+            "{} queues per port: a trace record holds a queue index in a u16 below the special queues",
+            config.queues_per_port
+        );
         let ports: Vec<Port> = port_specs
             .iter()
             .map(|spec| {
@@ -278,7 +317,7 @@ impl Switch {
                     TraceEvent::Blackhole {
                         node: self.id,
                         flow: packet.flow.0,
-                        bytes: packet.size_bytes,
+                        bytes: trace_u16(packet.size_bytes),
                     },
                 );
             }
@@ -297,9 +336,9 @@ impl Switch {
                 now,
                 TraceEvent::Drop {
                     node: self.id,
-                    port: egress,
+                    port: trace_u16(egress),
                     flow: packet.flow.0,
-                    bytes: packet.size_bytes,
+                    bytes: trace_u16(packet.size_bytes),
                 },
             );
             return;
@@ -346,6 +385,7 @@ impl Switch {
 
         let queue = queue_code(target);
         let (flow, bytes, is_data) = (packet.flow.0, packet.size_bytes, packet.is_data());
+        let port = trace_u16(egress);
         let was_empty = self.ports[egress as usize].target_is_empty(target);
         if is_data {
             if self.depth_ticks % DEPTH_SAMPLE_STRIDE == 0 {
@@ -360,10 +400,10 @@ impl Switch {
                 now,
                 TraceEvent::Enqueue {
                     node: self.id,
-                    port: egress,
+                    port,
                     queue,
                     flow,
-                    bytes,
+                    bytes: trace_u16(bytes),
                 },
             );
         }
@@ -372,7 +412,7 @@ impl Switch {
                 now,
                 TraceEvent::QueueActive {
                     node: self.id,
-                    port: egress,
+                    port,
                     queue,
                 },
             );
@@ -393,7 +433,7 @@ impl Switch {
                     now,
                     TraceEvent::PfcSent {
                         node: self.id,
-                        port: ingress,
+                        port: trace_u16(ingress),
                         pause,
                     },
                 );
@@ -429,7 +469,7 @@ impl Switch {
                     now,
                     TraceEvent::FlowPause {
                         node: self.id,
-                        port: ingress,
+                        port: trace_u16(ingress),
                         bits: frame.popcount(),
                         pause: !frame.is_empty(),
                     },
@@ -477,7 +517,7 @@ impl Switch {
                     TraceEvent::Blackhole {
                         node: self.id,
                         flow: qp.packet.flow.0,
-                        bytes: qp.packet.size_bytes,
+                        bytes: trace_u16(qp.packet.size_bytes),
                     },
                 );
             }
@@ -561,10 +601,10 @@ impl Switch {
                 now,
                 TraceEvent::Dequeue {
                     node: self.id,
-                    port,
+                    port: trace_u16(port),
                     queue,
                     flow: packet.flow.0,
-                    bytes: packet.size_bytes,
+                    bytes: trace_u16(packet.size_bytes),
                 },
             );
         }
@@ -573,7 +613,7 @@ impl Switch {
                 now,
                 TraceEvent::QueueIdle {
                     node: self.id,
-                    port,
+                    port: trace_u16(port),
                     queue,
                 },
             );
@@ -653,6 +693,48 @@ mod tests {
             flow,
             seq == 0,
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "a trace record holds a queue index in a u16")]
+    fn a_switch_with_queues_past_the_trace_codes_is_refused() {
+        tor_under_test(SwitchConfig {
+            queues_per_port: usize::from(trace::QUEUE_OVERFLOW),
+            ..SwitchConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a trace record holds a port index in a u16")]
+    fn a_switch_with_more_ports_than_a_trace_record_holds_is_refused() {
+        let topo = fat_tree(FatTreeParams::tiny());
+        let tor = topo.switches()[0];
+        let ports = vec![topo.ports(tor)[0]; usize::from(u16::MAX) + 1];
+        Switch::new(
+            tor,
+            SwitchConfig::default(),
+            &ports,
+            Box::new(FifoPolicy::new()),
+            1,
+        );
+    }
+
+    #[test]
+    fn the_last_queue_below_the_trace_codes_is_built_and_traced_as_itself() {
+        let topo = fat_tree(FatTreeParams::tiny());
+        let tor = topo.switches()[0];
+        let queues = usize::from(trace::QUEUE_OVERFLOW) - 1;
+        let config = SwitchConfig {
+            queues_per_port: queues,
+            ..SwitchConfig::default()
+        };
+        let ports = &topo.ports(tor)[..1];
+        let sw = Switch::new(tor, config, ports, Box::new(FifoPolicy::new()), 1);
+        assert_eq!(sw.port(0).num_queues(), queues);
+        assert_eq!(
+            usize::from(queue_code(QueueTarget::Phys(queues - 1))),
+            queues - 1
+        );
     }
 
     #[test]

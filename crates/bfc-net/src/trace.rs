@@ -11,7 +11,9 @@
 //!
 //! # Records and canonical order
 //!
-//! A [`TraceRecord`] is 32 bytes: the observation's instant and the event.
+//! A [`TraceRecord`] is 24 bytes: the observation's instant and the event,
+//! whose port, queue and byte-count fields are `u16`s (a switch checks when
+//! it is built that its ports and queues fit).
 //! Its place in a trace is `(time, rank, index)`, exactly like the engine's
 //! scheduled events, and neither of the last two is stored: the rank is a
 //! pure function of the event's *content* ([`TraceEvent::canon_rank`]) and
@@ -36,21 +38,24 @@
 //! [`write_trace`] / [`read_trace`] serialize a trace to a binary container
 //! reusing [`bfc_sim::snapshot`]'s framing (magic, version, length prefix,
 //! [`bfc_sim::snapshot::checksum64`]), with its own magic so snapshot and
-//! trace files can never be confused for one another. Version 2 payload, all
-//! integers little-endian:
+//! trace files can never be confused for one another. Version 3 payload,
+//! fixed-width integers little-endian, varints LEB128
+//! ([`bfc_sim::snapshot::SnapWriter::put_var`]):
 //!
 //! ```text
 //! label (u64 length + UTF-8) | shed count (u64) | record count (u64) | records
-//! record = time in ps (u64) | kind tag (u8) | the kind's fields (u32 each, bool as u8)
+//! record = time delta (zigzag varint) | kind tag (u8) | the kind's fields (a varint each)
 //! ```
 //!
-//! A record is 13 to 29 bytes; the rank and index of version 1 are gone with
-//! the fields they mirrored.
+//! A record's time is its distance in picoseconds from the previous record's
+//! (from 0 for the first), taken modulo 2^64 and zigzag-encoded, so a
+//! canonical trace's deltas are small and a time-unordered one still round
+//! trips. A record is 3 to 30 bytes; a packet run's trace averages about 7.7.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use bfc_sim::snapshot::{finalize, open, Snap, SnapError, SnapReader};
+use bfc_sim::snapshot::{finalize, open, SnapError, SnapReader, SnapWriter};
 use bfc_sim::{SimDuration, SimTime};
 
 use crate::event::NetSink;
@@ -59,14 +64,15 @@ use crate::types::NodeId;
 /// Magic bytes of the flight-recorder trace container.
 pub const TRACE_MAGIC: &[u8; 8] = b"BFCTRACE";
 /// Container format version checked by [`read_trace`].
-pub const TRACE_VERSION: u32 = 2;
+pub const TRACE_VERSION: u32 = 3;
 
 /// Queue index used for the strict-priority control queue in trace records.
-pub const QUEUE_CONTROL: u32 = u32::MAX;
+pub const QUEUE_CONTROL: u16 = u16::MAX;
 /// Queue index used for the BFC high-priority queue in trace records.
-pub const QUEUE_HIGH_PRIORITY: u32 = u32::MAX - 1;
-/// Queue index used for the untracked-flow overflow queue in trace records.
-pub const QUEUE_OVERFLOW: u32 = u32::MAX - 2;
+pub const QUEUE_HIGH_PRIORITY: u16 = u16::MAX - 1;
+/// Queue index used for the untracked-flow overflow queue in trace records;
+/// a switch's physical queues are numbered below it.
+pub const QUEUE_OVERFLOW: u16 = u16::MAX - 2;
 
 /// Number of distinct [`TraceEvent`] kinds.
 pub const KIND_COUNT: usize = 13;
@@ -94,7 +100,7 @@ pub fn kind_index_of(name: &str) -> Option<usize> {
 }
 
 /// Formats a trace-record queue index, naming the special queues.
-pub fn queue_name(queue: u32) -> String {
+pub fn queue_name(queue: u16) -> String {
     match queue {
         QUEUE_CONTROL => "ctrl".to_string(),
         QUEUE_HIGH_PRIORITY => "hi".to_string(),
@@ -112,37 +118,37 @@ pub enum TraceEvent {
         /// Switch making the decision.
         node: NodeId,
         /// Local egress port.
-        port: u32,
+        port: u16,
         /// Queue index (see the `QUEUE_*` constants for special queues).
-        queue: u32,
+        queue: u16,
         /// Flow the packet belongs to.
         flow: u32,
         /// Packet size in bytes.
-        bytes: u32,
+        bytes: u16,
     },
     /// A data packet left queue `queue` of egress `port` at `node`.
     Dequeue {
         /// Switch transmitting the packet.
         node: NodeId,
         /// Local egress port.
-        port: u32,
+        port: u16,
         /// Queue the packet was scheduled from.
-        queue: u32,
+        queue: u16,
         /// Flow the packet belongs to.
         flow: u32,
         /// Packet size in bytes.
-        bytes: u32,
+        bytes: u16,
     },
     /// A data packet was dropped at admission (shared buffer full).
     Drop {
         /// Switch dropping the packet.
         node: NodeId,
         /// Local egress port the packet was headed for.
-        port: u32,
+        port: u16,
         /// Flow the packet belonged to.
         flow: u32,
         /// Packet size in bytes.
-        bytes: u32,
+        bytes: u16,
     },
     /// A packet was blackholed (no route to its destination).
     Blackhole {
@@ -151,7 +157,7 @@ pub enum TraceEvent {
         /// Flow the packet belonged to.
         flow: u32,
         /// Packet size in bytes.
-        bytes: u32,
+        bytes: u16,
     },
     /// `node` sent a port-level PFC frame out of ingress `port` toward its
     /// upstream neighbor (`pause` = XOFF, `!pause` = XON).
@@ -159,7 +165,7 @@ pub enum TraceEvent {
         /// Switch sending the frame.
         node: NodeId,
         /// Local ingress port whose buffer usage triggered the frame.
-        port: u32,
+        port: u16,
         /// True for pause (XOFF), false for resume (XON).
         pause: bool,
     },
@@ -180,7 +186,7 @@ pub enum TraceEvent {
         /// Switch sending the frame.
         node: NodeId,
         /// Local ingress port the paused flows arrive on.
-        port: u32,
+        port: u16,
         /// Bloom-filter bits set in the frame (0 = every VFID resumed).
         bits: u32,
         /// True if the frame pauses at least one VFID.
@@ -191,18 +197,18 @@ pub enum TraceEvent {
         /// The switch.
         node: NodeId,
         /// Local egress port.
-        port: u32,
+        port: u16,
         /// Queue index.
-        queue: u32,
+        queue: u16,
     },
     /// Queue `queue` of egress `port` went non-empty → empty.
     QueueIdle {
         /// The switch.
         node: NodeId,
         /// Local egress port.
-        port: u32,
+        port: u16,
         /// Queue index.
-        queue: u32,
+        queue: u16,
     },
     /// The cable `a <-> b` went down.
     LinkDown {
@@ -258,27 +264,6 @@ impl TraceEvent {
         KIND_NAMES[self.kind_index()]
     }
 
-    /// Dense index of the event kind, `0..KIND_COUNT` (the serialization
-    /// tag). Backs the record-time [`TraceFilter`] bitmask.
-    #[inline]
-    pub fn kind_index(&self) -> usize {
-        match self {
-            TraceEvent::Enqueue { .. } => 0,
-            TraceEvent::Dequeue { .. } => 1,
-            TraceEvent::Drop { .. } => 2,
-            TraceEvent::Blackhole { .. } => 3,
-            TraceEvent::PfcSent { .. } => 4,
-            TraceEvent::PfcDelivered { .. } => 5,
-            TraceEvent::FlowPause { .. } => 6,
-            TraceEvent::QueueActive { .. } => 7,
-            TraceEvent::QueueIdle { .. } => 8,
-            TraceEvent::LinkDown { .. } => 9,
-            TraceEvent::LinkUp { .. } => 10,
-            TraceEvent::LinkRate { .. } => 11,
-            TraceEvent::Reroute { .. } => 12,
-        }
-    }
-
     /// The local port an event concerns (`src` for PFC deliveries, the
     /// peer for link events, `None` for blackholes and reroutes). Used by
     /// the diff's per-(node, port) divergence summary.
@@ -290,7 +275,7 @@ impl TraceEvent {
             | TraceEvent::PfcSent { port, .. }
             | TraceEvent::FlowPause { port, .. }
             | TraceEvent::QueueActive { port, .. }
-            | TraceEvent::QueueIdle { port, .. } => Some(port),
+            | TraceEvent::QueueIdle { port, .. } => Some(u32::from(port)),
             TraceEvent::PfcDelivered { src, .. } => Some(src.0),
             TraceEvent::LinkDown { b, .. }
             | TraceEvent::LinkUp { b, .. }
@@ -386,8 +371,48 @@ impl TraceEvent {
     }
 }
 
-// The tag is the variant's `kind_index`.
-bfc_sim::snap_enum!(TraceEvent, "unknown trace event tag" {
+/// Derives [`TraceEvent::kind_index`] and the event's `.flight` encoding
+/// from one table of `tag => Variant { fields }`, the fields in wire order:
+/// the tag byte, then each field as a varint. As in
+/// [`bfc_sim::snap_enum!`], the matches have no wildcard arm and the
+/// patterns no `..`, so every variant and field must be listed.
+macro_rules! trace_events {
+    ($($tag:literal => $variant:ident { $($field:ident),+ }),+ $(,)?) => {
+        impl TraceEvent {
+            /// Dense index of the event kind, `0..KIND_COUNT` (the
+            /// serialization tag). Backs the record-time [`TraceFilter`]
+            /// bitmask.
+            #[inline]
+            pub fn kind_index(&self) -> usize {
+                match self {
+                    $(TraceEvent::$variant { .. } => $tag,)+
+                }
+            }
+
+            #[inline]
+            fn put(&self, w: &mut SnapWriter) {
+                match *self {
+                    $(TraceEvent::$variant { $($field),+ } => {
+                        w.put_u8($tag);
+                        $(w.put_var(VarField::to_var($field));)+
+                    })+
+                }
+            }
+
+            #[inline]
+            fn get(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                Ok(match r.get_u8()? {
+                    $($tag => TraceEvent::$variant {
+                        $($field: VarField::from_var(r.get_var()?)?),+
+                    },)+
+                    _ => return Err(SnapError::Corrupt("unknown trace event tag")),
+                })
+            }
+        }
+    };
+}
+
+trace_events! {
     0 => Enqueue { node, port, queue, flow, bytes },
     1 => Dequeue { node, port, queue, flow, bytes },
     2 => Drop { node, port, flow, bytes },
@@ -401,10 +426,69 @@ bfc_sim::snap_enum!(TraceEvent, "unknown trace event tag" {
     10 => LinkUp { a, b },
     11 => LinkRate { a, b },
     12 => Reroute { index },
-});
+}
 
-/// Maximum serialized bytes per record (time + tag + five u32s).
-const RECORD_MAX_BYTES: usize = 8 + 1 + 5 * 4;
+/// A record field as a `.flight` varint; a value too wide for the field is
+/// corruption.
+trait VarField: Sized {
+    fn to_var(self) -> u64;
+    fn from_var(v: u64) -> Result<Self, SnapError>;
+}
+
+impl VarField for u16 {
+    #[inline]
+    fn to_var(self) -> u64 {
+        u64::from(self)
+    }
+    #[inline]
+    fn from_var(v: u64) -> Result<Self, SnapError> {
+        u16::try_from(v).map_err(|_| SnapError::Corrupt("trace field exceeds u16"))
+    }
+}
+
+impl VarField for u32 {
+    #[inline]
+    fn to_var(self) -> u64 {
+        u64::from(self)
+    }
+    #[inline]
+    fn from_var(v: u64) -> Result<Self, SnapError> {
+        u32::try_from(v).map_err(|_| SnapError::Corrupt("trace field exceeds u32"))
+    }
+}
+
+impl VarField for NodeId {
+    #[inline]
+    fn to_var(self) -> u64 {
+        self.0.to_var()
+    }
+    #[inline]
+    fn from_var(v: u64) -> Result<Self, SnapError> {
+        u32::from_var(v).map(NodeId)
+    }
+}
+
+impl VarField for bool {
+    #[inline]
+    fn to_var(self) -> u64 {
+        u64::from(self)
+    }
+    #[inline]
+    fn from_var(v: u64) -> Result<Self, SnapError> {
+        match v {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(SnapError::Corrupt("trace flag out of range")),
+        }
+    }
+}
+
+/// The most bytes one record takes in a `.flight` body: a ten-byte time
+/// delta, the tag and an enqueue's fields — a node and a flow of at most
+/// five bytes each, a port, a queue and a size of at most three.
+const RECORD_MAX_BYTES: usize = 10 + 1 + 2 * 5 + 3 * 3;
+/// The fewest: every kind has at least one field.
+const RECORD_MIN_BYTES: usize = 3;
 
 /// One recorded observation. Its canonical rank is derived
 /// ([`TraceRecord::rank`]) and its sequence number is its index in the
@@ -417,16 +501,36 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-bfc_sim::snap_struct! { TraceRecord { at, event } }
-
 // The ring, the merge and the diff all move records by value.
-const _: () = assert!(std::mem::size_of::<TraceRecord>() == 32);
+const _: () = assert!(std::mem::size_of::<TraceRecord>() == 24);
 
 impl TraceRecord {
     /// Content-derived canonical rank ([`TraceEvent::canon_rank`]).
     #[inline]
     pub fn rank(&self) -> u64 {
         self.event.canon_rank()
+    }
+
+    /// Appends the record to a `.flight` body whose previous record was at
+    /// `prev` picoseconds (0 before the first), and moves `prev` to it.
+    #[inline]
+    fn put(&self, w: &mut SnapWriter, prev: &mut u64) {
+        let at = self.at.as_picos();
+        let delta = at.wrapping_sub(*prev) as i64;
+        w.put_var(((delta << 1) ^ (delta >> 63)) as u64);
+        *prev = at;
+        self.event.put(w);
+    }
+
+    /// Reads what [`TraceRecord::put`] wrote.
+    #[inline]
+    fn get(r: &mut SnapReader<'_>, prev: &mut u64) -> Result<Self, SnapError> {
+        let zigzag = r.get_var()?;
+        *prev = prev.wrapping_add((zigzag >> 1) ^ (zigzag & 1).wrapping_neg());
+        Ok(TraceRecord {
+            at: SimTime::from_picos(*prev),
+            event: TraceEvent::get(r)?,
+        })
     }
 }
 
@@ -571,9 +675,6 @@ pub struct FlightTrace {
     pub dropped: u64,
 }
 
-// After the label in a `.flight` file: the shed count, then the records.
-bfc_sim::snap_struct! { FlightTrace { dropped, records } }
-
 impl FlightTrace {
     /// Merges per-shard traces into canonical `(time, rank)` order, ties in
     /// part order then emission order — the order one fabric-wide recorder
@@ -614,12 +715,11 @@ impl FlightTrace {
         let mut total: BTreeMap<(NodeId, u32), SimDuration> = BTreeMap::new();
         for r in &self.records {
             if let TraceEvent::PfcSent { node, port, pause } = r.event {
-                let key = (node, port);
+                let key = (node, u32::from(port));
                 if pause {
                     open.entry(key).or_insert(r.at);
                 } else if let Some(start) = open.remove(&key) {
-                    *total.entry(key).or_insert(SimDuration::ZERO) +=
-                        r.at.saturating_since(start);
+                    *total.entry(key).or_insert(SimDuration::ZERO) += r.at.saturating_since(start);
                 }
             }
         }
@@ -637,9 +737,7 @@ impl FlightTrace {
         self.records
             .iter()
             .filter_map(|r| match r.event {
-                TraceEvent::PfcDelivered { node, src, pause } => {
-                    Some((r.at, node, src, pause))
-                }
+                TraceEvent::PfcDelivered { node, src, pause } => Some((r.at, node, src, pause)),
                 _ => None,
             })
             .collect()
@@ -674,12 +772,12 @@ impl FlightTrace {
         let mut ports: BTreeMap<(NodeId, u32), PortDivergence> = BTreeMap::new();
         let mut tally = |records: &[TraceRecord], second: bool| {
             for r in records {
-                let k = kinds.entry(r.event.kind_index()).or_insert_with(|| {
-                    KindDivergence {
+                let k = kinds
+                    .entry(r.event.kind_index())
+                    .or_insert_with(|| KindDivergence {
                         kind: KIND_NAMES[r.event.kind_index()],
                         ..KindDivergence::default()
-                    }
-                });
+                    });
                 let (count, first) = if second {
                     (&mut k.count_b, &mut k.first_b)
                 } else {
@@ -705,16 +803,28 @@ impl FlightTrace {
         // Pause-time delta per (node, ingress port), computed over the
         // full traces (pause state is cumulative — a tail alone cannot
         // close intervals opened upstream of the divergence).
-        let pause_a: BTreeMap<_, _> = self.pause_time_by_port(self.end_time()).into_iter().collect();
-        let pause_b: BTreeMap<_, _> = other.pause_time_by_port(other.end_time()).into_iter().collect();
+        let pause_a: BTreeMap<_, _> = self
+            .pause_time_by_port(self.end_time())
+            .into_iter()
+            .collect();
+        let pause_b: BTreeMap<_, _> = other
+            .pause_time_by_port(other.end_time())
+            .into_iter()
+            .collect();
         for &key in pause_a.keys().chain(pause_b.keys()) {
             ports
                 .entry(key)
                 .or_insert_with(|| PortDivergence::new(key.0, key.1));
         }
         for p in ports.values_mut() {
-            p.pause_a = pause_a.get(&(p.node, p.port)).copied().unwrap_or(SimDuration::ZERO);
-            p.pause_b = pause_b.get(&(p.node, p.port)).copied().unwrap_or(SimDuration::ZERO);
+            p.pause_a = pause_a
+                .get(&(p.node, p.port))
+                .copied()
+                .unwrap_or(SimDuration::ZERO);
+            p.pause_b = pause_b
+                .get(&(p.node, p.port))
+                .copied()
+                .unwrap_or(SimDuration::ZERO);
         }
         // Drop rows with nothing to say (equal zero counts, equal pause).
         let ports: Vec<PortDivergence> = ports
@@ -756,7 +866,9 @@ fn sort_simultaneous(records: &mut [TraceRecord]) {
 /// `records[..own]` is in place.
 fn merge_canonical(records: &mut [TraceRecord], own: usize, rest: &[Vec<TraceRecord>]) {
     // Unread records per part; part 0 is `records[..own]`.
-    let mut left: Vec<usize> = std::iter::once(own).chain(rest.iter().map(Vec::len)).collect();
+    let mut left: Vec<usize> = std::iter::once(own)
+        .chain(rest.iter().map(Vec::len))
+        .collect();
     let mut out = records.len();
     while out > left[0] {
         let last = |p: usize| match p {
@@ -849,10 +961,18 @@ pub struct TraceDiff {
 /// checksummed container. Deterministic: the same trace and label always
 /// produce the same bytes.
 pub fn write_trace(label: &str, trace: &FlightTrace) -> Vec<u8> {
+    let FlightTrace { records, dropped } = trace;
     finalize(TRACE_MAGIC, TRACE_VERSION, |w| {
-        w.reserve(8 + label.len() + 8 + 8 + trace.records.len() * RECORD_MAX_BYTES + 8);
+        // Room for the worst case, so the file is never copied to grow: the
+        // pages a typical record leaves untouched cost address space only.
+        w.reserve(8 + label.len() + 8 + 8 + records.len() * RECORD_MAX_BYTES + 8);
         w.put_str(label);
-        trace.save(w);
+        w.put_u64(*dropped);
+        w.put_usize(records.len());
+        let mut prev = 0;
+        for record in records {
+            record.put(w, &mut prev);
+        }
     })
 }
 
@@ -863,9 +983,15 @@ pub fn read_trace(bytes: &[u8]) -> Result<(String, FlightTrace), SnapError> {
     let payload = open(TRACE_MAGIC, TRACE_VERSION, bytes)?;
     let mut r = SnapReader::new(payload);
     let label = r.get_str()?.to_string();
-    let trace = r.get()?;
+    let dropped = r.get_u64()?;
+    let count = r.get_count(RECORD_MIN_BYTES)?;
+    let mut records = Vec::with_capacity(count);
+    let mut prev = 0;
+    for _ in 0..count {
+        records.push(TraceRecord::get(&mut r, &mut prev)?);
+    }
     r.expect_end()?;
-    Ok((label, trace))
+    Ok((label, FlightTrace { records, dropped }))
 }
 
 /// Wraps a sink, recording [`NetSink::trace`] calls into a flight recorder
@@ -1015,10 +1141,7 @@ mod tests {
         );
         let bytes = write_trace("x", &rec.finish());
         // Foreign magic.
-        assert_eq!(
-            read_trace(b"not a trace").unwrap_err(),
-            SnapError::BadMagic
-        );
+        assert_eq!(read_trace(b"not a trace").unwrap_err(), SnapError::BadMagic);
         // A snapshot-magic file is not a trace.
         let snapshot_like = finalize(b"BFCSNAP\0", TRACE_VERSION, |w| w.put_str("payload"));
         assert_eq!(read_trace(&snapshot_like).unwrap_err(), SnapError::BadMagic);
@@ -1065,16 +1188,70 @@ mod tests {
         let mut s1 = FlightRecorder::new(1024);
         let shard_of = |n: NodeId| n.0 % 2;
         let events = [
-            (10u64, TraceEvent::QueueActive { node: NodeId(0), port: 1, queue: 0 }),
-            (10, TraceEvent::Enqueue { node: NodeId(1), port: 0, queue: 0, flow: 1, bytes: 100 }),
-            (10, TraceEvent::Enqueue { node: NodeId(0), port: 1, queue: 0, flow: 2, bytes: 100 }),
-            (10, TraceEvent::Enqueue { node: NodeId(0), port: 1, queue: 0, flow: 3, bytes: 200 }),
-            (20, TraceEvent::Dequeue { node: NodeId(0), port: 1, queue: 0, flow: 2, bytes: 100 }),
-            (20, TraceEvent::PfcSent { node: NodeId(1), port: 0, pause: true }),
+            (
+                10u64,
+                TraceEvent::QueueActive {
+                    node: NodeId(0),
+                    port: 1,
+                    queue: 0,
+                },
+            ),
+            (
+                10,
+                TraceEvent::Enqueue {
+                    node: NodeId(1),
+                    port: 0,
+                    queue: 0,
+                    flow: 1,
+                    bytes: 100,
+                },
+            ),
+            (
+                10,
+                TraceEvent::Enqueue {
+                    node: NodeId(0),
+                    port: 1,
+                    queue: 0,
+                    flow: 2,
+                    bytes: 100,
+                },
+            ),
+            (
+                10,
+                TraceEvent::Enqueue {
+                    node: NodeId(0),
+                    port: 1,
+                    queue: 0,
+                    flow: 3,
+                    bytes: 200,
+                },
+            ),
+            (
+                20,
+                TraceEvent::Dequeue {
+                    node: NodeId(0),
+                    port: 1,
+                    queue: 0,
+                    flow: 2,
+                    bytes: 100,
+                },
+            ),
+            (
+                20,
+                TraceEvent::PfcSent {
+                    node: NodeId(1),
+                    port: 0,
+                    pause: true,
+                },
+            ),
         ];
         for (t, e) in events {
             whole.record(SimTime::from_nanos(t), e);
-            let shard = if shard_of(e.node().unwrap()) == 0 { &mut s0 } else { &mut s1 };
+            let shard = if shard_of(e.node().unwrap()) == 0 {
+                &mut s0
+            } else {
+                &mut s1
+            };
             shard.record(SimTime::from_nanos(t), e);
         }
         let canonical_whole = FlightTrace::merge(vec![whole.finish()]);
@@ -1085,8 +1262,16 @@ mod tests {
     #[test]
     fn pause_time_ranks_ports_by_paused_duration() {
         let mut rec = FlightRecorder::new(64);
-        let xoff = |node, port| TraceEvent::PfcSent { node: NodeId(node), port, pause: true };
-        let xon = |node, port| TraceEvent::PfcSent { node: NodeId(node), port, pause: false };
+        let xoff = |node, port| TraceEvent::PfcSent {
+            node: NodeId(node),
+            port,
+            pause: true,
+        };
+        let xon = |node, port| TraceEvent::PfcSent {
+            node: NodeId(node),
+            port,
+            pause: false,
+        };
         rec.record(SimTime::from_nanos(100), xoff(1, 0));
         rec.record(SimTime::from_nanos(300), xon(1, 0)); // 200 ns
         rec.record(SimTime::from_nanos(100), xoff(2, 3)); // open until end
@@ -1110,14 +1295,21 @@ mod tests {
         // Wrong node, right kind: rejected.
         rec.record(
             SimTime::from_nanos(2),
-            TraceEvent::PfcSent { node: NodeId(9), port: 0, pause: true },
+            TraceEvent::PfcSent {
+                node: NodeId(9),
+                port: 0,
+                pause: true,
+            },
         );
         let trace = rec.finish();
         assert_eq!(trace.records.len(), 1);
         assert_eq!(trace.dropped, 0, "filtered events are not ring drops");
         assert!(matches!(
             trace.records[0].event,
-            TraceEvent::PfcSent { node: NodeId(1), .. }
+            TraceEvent::PfcSent {
+                node: NodeId(1),
+                ..
+            }
         ));
         // Fabric-wide events pass a node filter.
         assert!(filter
@@ -1151,7 +1343,13 @@ mod tests {
 
     #[test]
     fn diff_reports_first_divergence_and_tail_summaries() {
-        let enq = |flow| TraceEvent::Enqueue { node: NodeId(0), port: 1, queue: 0, flow, bytes: 100 };
+        let enq = |flow| TraceEvent::Enqueue {
+            node: NodeId(0),
+            port: 1,
+            queue: 0,
+            flow,
+            bytes: 100,
+        };
         let mut a = FlightRecorder::new(64);
         let mut b = FlightRecorder::new(64);
         // Shared prefix.
@@ -1163,7 +1361,11 @@ mod tests {
         // Only `b` then pauses.
         b.record(
             SimTime::from_nanos(30),
-            TraceEvent::PfcSent { node: NodeId(0), port: 1, pause: true },
+            TraceEvent::PfcSent {
+                node: NodeId(0),
+                port: 1,
+                pause: true,
+            },
         );
         let (a, b) = (
             FlightTrace::merge(vec![a.finish()]),
@@ -1204,11 +1406,19 @@ mod tests {
         let mut rec = FlightRecorder::new(64);
         rec.record(
             SimTime::from_nanos(50),
-            TraceEvent::PfcDelivered { node: NodeId(4), src: NodeId(6), pause: true },
+            TraceEvent::PfcDelivered {
+                node: NodeId(4),
+                src: NodeId(6),
+                pause: true,
+            },
         );
         rec.record(
             SimTime::from_nanos(70),
-            TraceEvent::PfcDelivered { node: NodeId(4), src: NodeId(6), pause: false },
+            TraceEvent::PfcDelivered {
+                node: NodeId(4),
+                src: NodeId(6),
+                pause: false,
+            },
         );
         let edges = rec.finish().pause_edges();
         assert_eq!(

@@ -23,6 +23,12 @@
 //!   `HashMap`'s iteration order is not part of its state), and a reader
 //!   refuses a key it has already seen.
 //!
+//! A format that is mostly small numbers can also write an integer as a
+//! LEB128 varint ([`SnapWriter::put_var`]): seven bits per byte, least
+//! significant group first, the high bit set on every byte but the last. A
+//! reader refuses a varint with a redundant zero last byte or one that does
+//! not fit in a `u64`, so each value has exactly one encoding.
+//!
 //! State that is overlaid onto an object built from configuration (a switch,
 //! a port, a host, a flow table) is not a `Snap`: it keeps a hand-written
 //! `restore_state(&mut self, ..)` that moves fields through the trait and
@@ -49,8 +55,8 @@
 //!
 //! [`finalize`] builds the whole file in one buffer: the header goes in
 //! first, the caller encodes the payload straight after it, and the length
-//! and checksum are filled in at the end — a 24 MB trace is never copied to
-//! be framed.
+//! and checksum are filled in at the end — a million-record trace is never
+//! copied to be framed.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -152,6 +158,16 @@ impl SnapWriter {
     /// Appends a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends a `u64` as a LEB128 varint: one byte below 128, at most ten.
+    #[inline]
+    pub fn put_var(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
     /// Appends a `usize` widened to `u64`.
@@ -275,6 +291,32 @@ impl<'a> SnapReader<'a> {
     pub fn get_u64(&mut self) -> Result<u64, SnapError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+    }
+
+    /// Reads a LEB128 varint ([`SnapWriter::put_var`]), refusing one with a
+    /// redundant zero last byte or one that overflows a `u64`.
+    #[inline]
+    pub fn get_var(&mut self) -> Result<u64, SnapError> {
+        let rest = &self.buf[self.pos..];
+        let mut v = 0;
+        for (i, &byte) in rest.iter().take(10).enumerate() {
+            v |= u64::from(byte & 0x7f) << (7 * i);
+            if byte < 0x80 {
+                if i == 9 && byte > 1 {
+                    break;
+                }
+                if byte == 0 && i > 0 {
+                    return Err(SnapError::Corrupt("overlong varint"));
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        Err(if rest.len() < 10 {
+            SnapError::UnexpectedEof
+        } else {
+            SnapError::Corrupt("varint overflows u64")
+        })
     }
 
     /// Reads a `u64` and narrows it to `usize`, guarding against payloads
@@ -715,6 +757,47 @@ mod tests {
         assert_eq!(r.get_bytes().unwrap(), b"abc");
         assert_eq!(r.get_str().unwrap(), "snapshot");
         assert!(r.expect_end().is_ok());
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width_and_refuse_redundant_bytes() {
+        let mut w = SnapWriter::new();
+        let values = (0..64)
+            .flat_map(|b| [(1u64 << b) - 1, 1 << b])
+            .chain([u64::MAX]);
+        for v in values.clone() {
+            w.put_var(v);
+        }
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        for v in values {
+            assert_eq!(r.get_var().unwrap(), v);
+        }
+        assert!(r.expect_end().is_ok());
+        // One byte below 128, ten for the top bit.
+        for (v, len) in [(0, 1), (127, 1), (128, 2), (u64::MAX, 10)] {
+            let mut w = SnapWriter::new();
+            w.put_var(v);
+            assert_eq!(w.into_bytes().len(), len, "{v}");
+        }
+        let read = |bytes: &[u8]| SnapReader::new(bytes).get_var();
+        assert_eq!(read(&[0x80]), Err(SnapError::UnexpectedEof));
+        assert_eq!(
+            read(&[0x81, 0x00]),
+            Err(SnapError::Corrupt("overlong varint"))
+        );
+        let mut past_u64 = [0xff; 10];
+        past_u64[9] = 0x02;
+        assert_eq!(
+            read(&past_u64),
+            Err(SnapError::Corrupt("varint overflows u64"))
+        );
+        let mut eleven = [0xff; 11];
+        eleven[10] = 0x01;
+        assert_eq!(
+            read(&eleven),
+            Err(SnapError::Corrupt("varint overflows u64"))
+        );
     }
 
     #[test]

@@ -87,13 +87,19 @@ rustfmt --check --edition 2021 \
     crates/bfc-net/src/queue.rs \
     crates/bfc-net/src/routing.rs \
     crates/bfc-net/src/switch.rs \
+    crates/bfc-net/src/trace.rs \
+    crates/bfc-sim/src/snapshot.rs \
     crates/bfc-transport/src/lib.rs \
     tests/alloc_free.rs \
     tests/fig_smoke.rs \
     tests/example_smoke.rs \
     tests/net_properties.rs \
+    tests/observability.rs \
     tests/properties.rs \
     tests/routing_oracle.rs \
+    tests/snapshot.rs \
+    tests/trace_merge.rs \
+    tests/trace_properties.rs \
     tests/transport_properties.rs
 
 echo "== testkit, bfc-sim, packet-path, ingest and bfc-experiments unit tests + spawned CLI gates"

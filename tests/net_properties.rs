@@ -308,10 +308,10 @@ property! {
                         let vfid = flows[flow as usize].1 as u32;
                         let expected = if sfq { SfqPolicy::queue_for(vfid, queues) } else { 0 };
                         assert_eq!(queue as usize, expected, "flow {flow} joined another queue");
-                        model.enter(port, queue as usize, flow);
+                        model.enter(port.into(), queue.into(), flow);
                     }
                     TraceEvent::Dequeue { port, queue, flow, .. } => {
-                        model.leave(port, queue as usize, flow);
+                        model.leave(port.into(), queue.into(), flow);
                     }
                     _ => unreachable!("the harness keeps only queue moves"),
                 }

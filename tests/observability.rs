@@ -8,7 +8,9 @@
 //!    barrier/batch counters legitimately describe the engine that ran).
 //! 3. The trace container round-trips byte-stably and rejects damaged
 //!    input (foreign magic, version skew, truncation, bit flips) exactly
-//!    like snapshot files do.
+//!    like snapshot files do, and a well-framed body that does not decode
+//!    (an overlong varint, a field too wide, an unknown kind, a forged
+//!    record count) is an error, not a panic.
 //! 4. Counters survive snapshot/resume.
 //! 5. The committed PFC-deadlock reproducer's flight trace carries the
 //!    pause wait-for edges the safety report convicts on.
@@ -19,8 +21,10 @@ use backpressure_flow_control::experiments::{
 };
 use backpressure_flow_control::metrics::percentile;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
-use backpressure_flow_control::net::trace::{read_trace, write_trace, TraceFilter};
-use backpressure_flow_control::sim::snapshot::SnapError;
+use backpressure_flow_control::net::trace::{
+    read_trace, write_trace, TraceEvent, TraceFilter, TRACE_MAGIC, TRACE_VERSION,
+};
+use backpressure_flow_control::sim::snapshot::{finalize, SnapError};
 use backpressure_flow_control::sim::{SimDuration, SimTime};
 use backpressure_flow_control::workloads::{synthesize, TraceFlow, TraceParams, Workload};
 
@@ -95,8 +99,7 @@ fn tracing_is_a_pure_observer_for_every_scheme_and_engine() {
             // (time, rank, seq) order makes the sharded trace equal the
             // serial one record-for-record.
             assert_eq!(
-                traced.flight,
-                s_on.flight,
+                traced.flight, s_on.flight,
                 "{label}: merged trace differs from serial"
             );
             // So is the diff: same run at any shard count diverges nowhere.
@@ -130,10 +133,19 @@ fn trace_diff_localizes_scheme_divergence() {
     let on = |scheme| ExperimentConfig::new(scheme, WINDOW).with_trace_capacity(1 << 21);
     let a = run_experiment(&topo, &trace, &on(Scheme::bfc()));
     let flight_a = a.flight.expect("recorder was on");
-    let b = run_experiment(&topo, &trace, &on(Scheme::Dcqcn { window: true, sfq: false }));
+    let b = run_experiment(
+        &topo,
+        &trace,
+        &on(Scheme::Dcqcn {
+            window: true,
+            sfq: false,
+        }),
+    );
     let flight_b = b.flight.expect("recorder was on");
 
-    let diff = flight_a.diff(&flight_b).expect("different schemes must diverge");
+    let diff = flight_a
+        .diff(&flight_b)
+        .expect("different schemes must diverge");
     assert!(
         diff.index < flight_a.records.len().min(flight_b.records.len()),
         "divergence is a real record, not a length mismatch"
@@ -155,7 +167,10 @@ fn trace_diff_localizes_scheme_divergence() {
     assert_eq!(diff.tail_b, flight_b.records.len() - diff.index);
 
     let reverse = flight_b.diff(&flight_a).expect("diff is symmetric");
-    assert_eq!(diff.index, reverse.index, "divergence index is direction-free");
+    assert_eq!(
+        diff.index, reverse.index,
+        "divergence index is direction-free"
+    );
 }
 
 /// Record-time filtering is a pure observer too: results are bit-identical,
@@ -264,9 +279,10 @@ fn trace_container_round_trips_and_rejects_damage() {
     let mut wrong_magic = blob.clone();
     wrong_magic[0] ^= 0x20;
     assert_eq!(read_trace(&wrong_magic).unwrap_err(), SnapError::BadMagic);
-    // Version skew — a future version, or version 1 with its stored
-    // rank/seq and bytewise checksum — is refused by number.
-    for version in [99u32, 1] {
+    // Version skew — a future version, version 2 with its fixed-width
+    // records, or version 1 with its stored rank/seq and bytewise checksum —
+    // is refused by number.
+    for version in [99u32, 2, 1] {
         let mut skewed = blob.clone();
         skewed[8..12].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -288,6 +304,41 @@ fn trace_container_round_trips_and_rejects_damage() {
     let mut padded = blob.clone();
     padded.push(0);
     assert!(read_trace(&padded).is_err(), "trailing byte accepted");
+
+    // Bodies behind a valid checksum, which only the decoder can refuse: a
+    // record count, then record bytes (time delta, kind tag, fields).
+    let forged = |count: u64, records: &[u8]| {
+        let file = finalize(TRACE_MAGIC, TRACE_VERSION, |w| {
+            w.put_str("forged");
+            w.put_u64(0);
+            w.put_u64(count);
+            w.put_all(records);
+        });
+        read_trace(&file).map(|(_, trace)| trace)
+    };
+    let reroute = [0, 12, 5];
+    let one = forged(1, &reroute).expect("a well-formed record reads back");
+    assert_eq!(one.records[0].event, TraceEvent::Reroute { index: 5 });
+    let corrupt = |what| Err(SnapError::Corrupt(what));
+    assert_eq!(forged(1, &[0, 12, 0x85, 0x00]), corrupt("overlong varint"));
+    let mut past_u64 = vec![0xff; 9];
+    past_u64.extend([0x02, 12, 5]);
+    assert_eq!(forged(1, &past_u64), corrupt("varint overflows u64"));
+    // A PFC frame's port of 65 536.
+    let wide_port = [0, 4, 1, 0x80, 0x80, 0x04, 1];
+    assert_eq!(forged(1, &wide_port), corrupt("trace field exceeds u16"));
+    assert_eq!(
+        forged(1, &[0, 4, 1, 0, 2]),
+        corrupt("trace flag out of range")
+    );
+    assert_eq!(forged(1, &[0, 13, 0]), corrupt("unknown trace event tag"));
+    // A count the body cannot hold is refused before anything is reserved;
+    // one it could hold runs out of records.
+    for count in [u64::MAX, u64::MAX / 3, 2] {
+        assert_eq!(forged(count, &reroute), Err(SnapError::UnexpectedEof));
+    }
+    let pfc_then_a_time = [0, 4, 1, 0, 1, 0];
+    assert_eq!(forged(2, &pfc_then_a_time), Err(SnapError::UnexpectedEof));
 }
 
 /// Counters ride the snapshot: an interrupted-and-resumed run exposes the
@@ -368,7 +419,10 @@ fn deadlock_reproducer_flight_trace_matches_safety_report() {
     );
 
     let cycle = &result.safety.first_deadlock_cycle;
-    assert!(cycle.len() >= 2, "a wait-for cycle has at least two members");
+    assert!(
+        cycle.len() >= 2,
+        "a wait-for cycle has at least two members"
+    );
     for i in 0..cycle.len() {
         let a = cycle[i];
         let b = cycle[(i + 1) % cycle.len()];

@@ -21,8 +21,8 @@ use backpressure_flow_control::net::switch::SwitchCounters;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::{
-    Ecn, FlightTrace, IntHop, IntPath, Link, NetEvent, Packet, PolicyStats, Port, QueueTarget,
-    SharedBuffer, TraceEvent, TraceRecord, Transmitter, TransportTimer, WireFrame, MAX_INT_HOPS,
+    Ecn, IntHop, IntPath, Link, NetEvent, Packet, PolicyStats, Port, QueueTarget, SharedBuffer,
+    Transmitter, TransportTimer, WireFrame, MAX_INT_HOPS,
 };
 use backpressure_flow_control::sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use backpressure_flow_control::sim::{EventQueue, FastHashMap, SimDuration, SimRng, SimTime};
@@ -369,53 +369,6 @@ fn arb_event(rng: &mut SimRng) -> NetEvent {
         _ => NetEvent::NetworkDynamics {
             index: rng.next_u64() as usize,
         },
-    }
-}
-
-fn arb_trace_event(rng: &mut SimRng) -> TraceEvent {
-    let mut word = || rng.next_u64() as u32;
-    let (node, port, queue, flow, bytes) = (NodeId(word()), word(), word(), word(), word());
-    let (a, b, pause) = (NodeId(word()), NodeId(word()), word() % 2 == 1);
-    match word() % 13 {
-        0 => TraceEvent::Enqueue {
-            node,
-            port,
-            queue,
-            flow,
-            bytes,
-        },
-        1 => TraceEvent::Dequeue {
-            node,
-            port,
-            queue,
-            flow,
-            bytes,
-        },
-        2 => TraceEvent::Drop {
-            node,
-            port,
-            flow,
-            bytes,
-        },
-        3 => TraceEvent::Blackhole { node, flow, bytes },
-        4 => TraceEvent::PfcSent { node, port, pause },
-        5 => TraceEvent::PfcDelivered {
-            node,
-            src: a,
-            pause,
-        },
-        6 => TraceEvent::FlowPause {
-            node,
-            port,
-            bits: bytes,
-            pause,
-        },
-        7 => TraceEvent::QueueActive { node, port, queue },
-        8 => TraceEvent::QueueIdle { node, port, queue },
-        9 => TraceEvent::LinkDown { a, b },
-        10 => TraceEvent::LinkUp { a, b },
-        11 => TraceEvent::LinkRate { a, b },
-        _ => TraceEvent::Reroute { index: port },
     }
 }
 
@@ -800,13 +753,6 @@ property! {
             pfc_pauses_sent: rng.next_u64(),
             flow_pause_frames_sent: rng.next_u64(),
             blackholed: rng.next_u64(),
-        });
-        assert_snap_round_trip(&FlightTrace {
-            records: arb_vec(rng, 20, |rng| TraceRecord {
-                at: arb_time(rng),
-                event: arb_trace_event(rng),
-            }),
-            dropped: rng.next_u64(),
         });
         // bfc-transport: both ends of a flow and its congestion control.
         assert_snap_round_trip(&arb_sender(rng));

@@ -18,8 +18,8 @@ use bfc_testkit::{int_range, pair, property, triple, vec_of};
 /// collide within and across parts; `id` tells otherwise equal records apart
 /// wherever the kind has a field to carry it.
 fn event(kind: u64, place: u64, id: u32) -> TraceEvent {
-    let (node, port) = (NodeId((place % 2) as u32), (place / 2) as u32);
-    let peer = NodeId(2 + port);
+    let (node, port) = (NodeId((place % 2) as u32), (place / 2) as u16);
+    let peer = NodeId(2 + u32::from(port));
     match kind {
         0 => TraceEvent::Enqueue {
             node,
@@ -65,17 +65,19 @@ fn event(kind: u64, place: u64, id: u32) -> TraceEvent {
         7 => TraceEvent::QueueActive {
             node,
             port,
-            queue: id,
+            queue: id as u16,
         },
         8 => TraceEvent::QueueIdle {
             node,
             port,
-            queue: id,
+            queue: id as u16,
         },
         9 => TraceEvent::LinkDown { a: node, b: peer },
         10 => TraceEvent::LinkUp { a: node, b: peer },
         11 => TraceEvent::LinkRate { a: node, b: peer },
-        _ => TraceEvent::Reroute { index: port },
+        _ => TraceEvent::Reroute {
+            index: u32::from(port),
+        },
     }
 }
 

@@ -8,8 +8,15 @@
 //! 3. The new arrival processes (bursty background gaps, log-normal incast
 //!    inter-event gaps) hit the requested offered load and are bit-identical
 //!    for a fixed seed.
+//! 4. Any flight trace — times out of order or at `u64::MAX`, every field at
+//!    the ends of its range — round-trips byte for byte through
+//!    `write_trace` → `read_trace` → `write_trace`.
 
-use backpressure_flow_control::sim::{SimDuration, SimTime};
+use backpressure_flow_control::net::trace::{
+    read_trace, write_trace, FlightTrace, TraceEvent, TraceRecord, QUEUE_CONTROL,
+    QUEUE_HIGH_PRIORITY, QUEUE_OVERFLOW,
+};
+use backpressure_flow_control::sim::{SimDuration, SimRng, SimTime};
 use backpressure_flow_control::workloads::io::{
     export_csv, import_csv, CsvError, CsvErrorKind, TraceStats, TRACE_CSV_HEADER,
 };
@@ -121,17 +128,25 @@ property! {
 #[test]
 fn error_kinds_match_the_failure_mode() {
     let case = |row: &str| {
-        import_csv(&format!("{TRACE_CSV_HEADER}\n{row}\n")).expect_err(row).kind
+        import_csv(&format!("{TRACE_CSV_HEADER}\n{row}\n"))
+            .expect_err(row)
+            .kind
     };
     assert_eq!(case("1,2,300"), CsvErrorKind::WrongFieldCount { found: 3 });
     assert_eq!(
         case("4294967296,2,300,5,0"),
-        CsvErrorKind::NodeOutOfRange { column: "src", value: 4_294_967_296 }
+        CsvErrorKind::NodeOutOfRange {
+            column: "src",
+            value: 4_294_967_296
+        }
     );
     assert_eq!(case("7,7,300,5,0"), CsvErrorKind::SelfFlow);
     assert!(matches!(
         case("1,2,300,nope,0"),
-        CsvErrorKind::BadField { column: "start_ns", .. }
+        CsvErrorKind::BadField {
+            column: "start_ns",
+            ..
+        }
     ));
     let unsorted = format!("{TRACE_CSV_HEADER}\n0,1,100,9,0\n2,3,100,8,0\n");
     assert_eq!(
@@ -154,7 +169,10 @@ fn error_kinds_match_the_failure_mode() {
 fn new_arrival_processes_hit_the_requested_load() {
     let hosts = hosts(64);
     for (shape, schedule) in [
-        (ArrivalShape::bursty_default(), IncastSchedule::paper_default()),
+        (
+            ArrivalShape::bursty_default(),
+            IncastSchedule::paper_default(),
+        ),
         (
             ArrivalShape::paper_default(),
             IncastSchedule::LogNormalGaps { sigma: 1.0 },
@@ -193,7 +211,11 @@ fn new_arrival_processes_hit_the_requested_load() {
             (0.015..0.10).contains(&incast_load),
             "{shape:?}/{schedule:?}: incast load {incast_load} should track 0.05"
         );
-        assert!(stats.offered_load > 0.3, "summary load {}", stats.offered_load);
+        assert!(
+            stats.offered_load > 0.3,
+            "summary load {}",
+            stats.offered_load
+        );
     }
 }
 
@@ -210,5 +232,112 @@ fn new_arrival_processes_are_deterministic_per_seed() {
     assert_ne!(synthesize(&hosts, &params), synthesize(&hosts, &reseeded));
     // And the variants actually change the trace relative to the defaults.
     let default_params = TraceParams::google_with_incast(SimDuration::from_micros(500), 5);
-    assert_ne!(synthesize(&hosts, &params), synthesize(&hosts, &default_params));
+    assert_ne!(
+        synthesize(&hosts, &params),
+        synthesize(&hosts, &default_params)
+    );
+}
+
+/// A `u32` field: zero, the maximum or anything.
+fn arb_u32(rng: &mut SimRng) -> u32 {
+    match rng.next_below(4) {
+        0 => 0,
+        1 => u32::MAX,
+        _ => rng.next_u64() as u32,
+    }
+}
+
+/// A `u16` field: zero, a special queue code (`QUEUE_CONTROL` is
+/// `u16::MAX`) or anything.
+fn arb_u16(rng: &mut SimRng) -> u16 {
+    match rng.next_below(6) {
+        0 => 0,
+        1 => QUEUE_CONTROL,
+        2 => QUEUE_HIGH_PRIORITY,
+        3 => QUEUE_OVERFLOW,
+        _ => rng.next_u64() as u16,
+    }
+}
+
+/// A record's time: zero, the end of the clock, near the previous one or
+/// anywhere — so consecutive records step forward, back and across the wrap.
+fn arb_time(rng: &mut SimRng, prev: SimTime) -> SimTime {
+    SimTime::from_picos(match rng.next_below(4) {
+        0 => 0,
+        1 => u64::MAX,
+        2 => prev.as_picos().wrapping_add(rng.next_below(1 << 20)),
+        _ => rng.next_u64(),
+    })
+}
+
+fn arb_trace_event(rng: &mut SimRng) -> TraceEvent {
+    let (node, a, b) = (
+        NodeId(arb_u32(rng)),
+        NodeId(arb_u32(rng)),
+        NodeId(arb_u32(rng)),
+    );
+    let (port, queue, bytes) = (arb_u16(rng), arb_u16(rng), arb_u16(rng));
+    let (flow, bits, pause) = (arb_u32(rng), arb_u32(rng), rng.next_below(2) == 1);
+    match rng.next_below(13) {
+        0 => TraceEvent::Enqueue {
+            node,
+            port,
+            queue,
+            flow,
+            bytes,
+        },
+        1 => TraceEvent::Dequeue {
+            node,
+            port,
+            queue,
+            flow,
+            bytes,
+        },
+        2 => TraceEvent::Drop {
+            node,
+            port,
+            flow,
+            bytes,
+        },
+        3 => TraceEvent::Blackhole { node, flow, bytes },
+        4 => TraceEvent::PfcSent { node, port, pause },
+        5 => TraceEvent::PfcDelivered {
+            node,
+            src: a,
+            pause,
+        },
+        6 => TraceEvent::FlowPause {
+            node,
+            port,
+            bits,
+            pause,
+        },
+        7 => TraceEvent::QueueActive { node, port, queue },
+        8 => TraceEvent::QueueIdle { node, port, queue },
+        9 => TraceEvent::LinkDown { a, b },
+        10 => TraceEvent::LinkUp { a, b },
+        11 => TraceEvent::LinkRate { a, b },
+        _ => TraceEvent::Reroute { index: flow },
+    }
+}
+
+property! {
+    /// Arbitrary flight traces read back equal to what was written, and
+    /// writing what was read gives the same bytes: the `.flight` codec loses
+    /// nothing at any field's extremes or on any order of times.
+    fn flight_traces_round_trip_byte_for_byte(seed in int_range(0u64..u64::MAX)) {
+        let rng = &mut SimRng::new(seed);
+        let mut at = SimTime::ZERO;
+        let records = (0..rng.next_below(64))
+            .map(|_| {
+                at = arb_time(rng, at);
+                TraceRecord { at, event: arb_trace_event(rng) }
+            })
+            .collect();
+        let trace = FlightTrace { records, dropped: rng.next_u64() };
+        let bytes = write_trace("arbitrary", &trace);
+        let (label, back) = read_trace(&bytes).expect("a written trace reads back");
+        assert_eq!((label.as_str(), &back), ("arbitrary", &trace));
+        assert_eq!(write_trace(&label, &back), bytes);
+    }
 }
