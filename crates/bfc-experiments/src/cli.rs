@@ -22,7 +22,7 @@
 //! Service mode: `snapshot` checkpoints a run's complete simulation state at
 //! a chosen instant, `resume` continues it to completion (bit-identical to
 //! the uninterrupted replay), and `serve` feeds a live simulation from a
-//! tailed CSV file or a TCP socket under an inflight cap.
+//! tailed CSV file (or a FIFO) under an inflight cap.
 //!
 //! Adversarial mode: `scenario` runs a fault-injection file and reports
 //! recovery and safety metrics; `fuzz` searches for the (workload, fault
@@ -39,7 +39,7 @@ use std::process::ExitCode;
 
 use bfc_net::topology::Topology;
 use bfc_sim::{SimDuration, SimTime};
-use bfc_workloads::ingest::{CsvTail, IngestSource, SocketIngest};
+use bfc_workloads::ingest::CsvTail;
 use bfc_workloads::io::{read_csv_file, write_csv_file, TraceStats};
 use bfc_workloads::{synthesize, ArrivalShape, IncastSchedule, TraceParams};
 
@@ -104,10 +104,9 @@ commands:
   serve                   run a live simulation fed by a streaming source,
                           admitting flows under an inflight cap (the cap is
                           the backpressure signal to the feeder)
-    --tail <csv>            stream flows from this file; with --follow, keep
-                            polling at EOF until a line reading `#end`
-    --listen <addr>         accept one TCP feeder (e.g. 127.0.0.1:9000;
-                            port 0 picks a free port) speaking the CSV format
+    --tail <csv>            stream flows from this file or FIFO (required);
+                            with --follow, keep polling at EOF until a line
+                            reading `#end`
     --cap <n>               max flows admitted but not yet completed [64]
     --topo tiny|t1|t2       topology to serve over [tiny]
     --scheme ...            a single scheme (as replay, but not lineup) [bfc]
@@ -618,8 +617,7 @@ fn cmd_serve(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     let mut args = Args::new("serve", args);
     let follow = args.switch("follow");
     let opts = RunOptions::from_args(&mut args)?;
-    let tail_path = args.text("tail")?;
-    let listen_addr = args.text("listen")?;
+    let tail_path: String = args.required("tail", "csv")?;
     let metrics_addr = args.text("metrics")?;
     let cap = args.positive("cap", 64)?;
     let horizon = horizon_us("--horizon-us", args.num("horizon-us", 300)?)?;
@@ -635,25 +633,9 @@ fn cmd_serve(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     }
     let metrics = metrics_addr.is_some().then_some(&hub);
 
-    let mut source: Box<dyn IngestSource> = match (&tail_path, &listen_addr) {
-        (Some(path), None) => {
-            Box::new(CsvTail::open(path, follow).map_err(|e| format!("opening {path}: {e}"))?)
-        }
-        (None, Some(addr)) => {
-            let (source, local) =
-                SocketIngest::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
-            outln!(io, "listening on {local} (feed trace CSV, close to finish)");
-            Box::new(source)
-        }
-        _ => {
-            return Err("serve: exactly one of --tail <csv> or --listen <addr> is required".into())
-        }
-    };
-    if follow && tail_path.is_none() {
-        return Err("serve: --follow only applies to --tail".into());
-    }
-
-    let report = service::serve_experiment_with(&opts.topo, &config, source.as_mut(), cap, metrics)
+    let mut source =
+        CsvTail::open(&tail_path, follow).map_err(|e| format!("opening {tail_path}: {e}"))?;
+    let report = service::serve_experiment_with(&opts.topo, &config, &mut source, cap, metrics)
         .map_err(|e| format!("serve: {e}"))?;
     outln!(
         io,

@@ -44,7 +44,7 @@
 //!   runs ([`service::snapshot_experiment`] / [`service::resume_experiment`],
 //!   bit-identical resumes from any instant at any shard count) and
 //!   streaming ingest under an inflight cap
-//!   ([`service::serve_experiment`]); `trace-tool`'s
+//!   ([`service::serve_experiment_with`]); `trace-tool`'s
 //!   `snapshot` / `resume` / `serve` subcommands are its CLI front end.
 //! * [`figures`] — one module per paper table/figure. Each `run` function
 //!   regenerates the figure's [`table::Table`]s; [`figures::FIGURES`] lists
@@ -85,7 +85,7 @@ pub use runner::{run_experiment, ExperimentConfig, ExperimentResult, MAX_HORIZON
 pub use scenario::{ScenarioError, ScenarioSpec};
 pub use scheme::Scheme;
 pub use service::{
-    resume_experiment, serve_experiment, serve_experiment_with, snapshot_experiment,
+    resume_experiment, serve_experiment_with, snapshot_experiment,
     spawn_scrape_server, MetricsHub, ServeError, ServeReport, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use sharded::{run_experiment_sharded, ShardError, ShardPlan};

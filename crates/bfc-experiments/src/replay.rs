@@ -15,7 +15,8 @@ use std::path::Path;
 use bfc_net::topology::Topology;
 use bfc_net::types::NodeId;
 use bfc_sim::SimDuration;
-use bfc_workloads::io::{import_csv, read_csv_file, CsvError, TraceReadError};
+use bfc_workloads::ingest::IngestError;
+use bfc_workloads::io::{import_csv, read_csv_file, CsvError};
 use bfc_workloads::TraceFlow;
 
 use crate::parallel::ParallelRunner;
@@ -62,11 +63,11 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-impl From<TraceReadError> for ReplayError {
-    fn from(e: TraceReadError) -> Self {
+impl From<IngestError> for ReplayError {
+    fn from(e: IngestError) -> Self {
         match e {
-            TraceReadError::Io(e) => ReplayError::Io(e),
-            TraceReadError::Csv(e) => ReplayError::Csv(e),
+            IngestError::Io(e) => ReplayError::Io(e),
+            IngestError::Csv(e) => ReplayError::Csv(e),
         }
     }
 }
@@ -85,7 +86,10 @@ pub(crate) fn check_endpoints(
     flow_index: usize,
     flow: &TraceFlow,
 ) -> Result<(), ReplayError> {
-    match [flow.src, flow.dst].into_iter().find(|&node| !topo.is_host(node)) {
+    match [flow.src, flow.dst]
+        .into_iter()
+        .find(|&node| !topo.is_host(node))
+    {
         Some(node) => Err(ReplayError::UnknownHost { flow_index, node }),
         None => Ok(()),
     }
@@ -192,12 +196,7 @@ mod tests {
     fn small_trace(topo: &Topology) -> Vec<TraceFlow> {
         synthesize(
             &topo.hosts(),
-            &TraceParams::background_only(
-                Workload::Google,
-                0.3,
-                SimDuration::from_micros(120),
-                5,
-            ),
+            &TraceParams::background_only(Workload::Google, 0.3, SimDuration::from_micros(120), 5),
         )
     }
 
@@ -225,7 +224,8 @@ mod tests {
         let replay = ReplayTrace::from_flows(trace).expect("non-empty");
         assert_eq!(
             replay.horizon(),
-            last.saturating_since(SimTime::ZERO).max(SimDuration::from_micros(1))
+            last.saturating_since(SimTime::ZERO)
+                .max(SimDuration::from_micros(1))
         );
     }
 
@@ -253,7 +253,10 @@ mod tests {
             .expect_err("bogus node id");
         assert!(matches!(
             err,
-            ReplayError::UnknownHost { flow_index: 0, node: NodeId(9_999) }
+            ReplayError::UnknownHost {
+                flow_index: 0,
+                node: NodeId(9_999)
+            }
         ));
     }
 }

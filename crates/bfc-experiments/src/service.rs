@@ -39,13 +39,13 @@
 //!
 //! # Streaming ingest
 //!
-//! [`serve_experiment`] drives a live simulation from an
-//! [`IngestSource`] (a tailed CSV file or a TCP socket — see
+//! [`serve_experiment_with`] drives a live simulation from an
+//! [`IngestSource`] (a tailed CSV file or FIFO — see
 //! [`bfc_workloads::ingest`]) instead of a pre-materialized trace. Flows are
 //! admitted under an inflight cap: while `admitted - completed` is at the
 //! cap, the driver steps the engine one event at a time instead of pulling
 //! from the source, which is exactly the backpressure signal (an unread file
-//! costs nothing; an unread socket closes the feeder's TCP window).
+//! costs nothing; an unread FIFO blocks its writer once the pipe is full).
 //!
 //! # Live metrics
 //!
@@ -688,7 +688,7 @@ fn admit_under_cap(
     }
 }
 
-/// What [`serve_experiment`] produced.
+/// What [`serve_experiment_with`] produced.
 #[derive(Debug)]
 pub struct ServeReport {
     /// The experiment result over every admitted flow.
@@ -711,21 +711,12 @@ pub struct ServeReport {
 /// the configured horizon + drain deadline passes). A source that fails, or
 /// streams a flow with an endpoint that is not a host of `topo`, ends it
 /// with a [`ServeError`] instead.
-pub fn serve_experiment(
-    topo: &Topology,
-    config: &ExperimentConfig,
-    source: &mut dyn IngestSource,
-    inflight_cap: usize,
-) -> Result<ServeReport, ServeError> {
-    serve_experiment_with(topo, config, source, inflight_cap, None)
-}
-
-/// [`serve_experiment`] with live metrics: when `metrics` is given, the
-/// driver publishes the fabric's values to the hub on every admission and
-/// the finished registry at the end of the run, so a concurrent scrape
-/// thread always reads a consistent (if slightly stale) snapshot. Publishing
-/// never feeds back into the simulation, so results are unchanged by
-/// observation.
+///
+/// With live metrics (`metrics` is `Some`), the driver publishes the
+/// fabric's values to the hub on every admission and the finished registry
+/// at the end of the run, so a concurrent scrape thread always reads a
+/// consistent (if slightly stale) snapshot. Publishing never feeds back into
+/// the simulation, so results are unchanged by observation.
 pub fn serve_experiment_with(
     topo: &Topology,
     config: &ExperimentConfig,
@@ -852,7 +843,7 @@ mod tests {
         assert_eq!(hub.render(), report.result.registry.expose());
         // Observation does not feed back: the unobserved run is the same run.
         let mut source = Flows(trace.into_iter());
-        let quiet = serve_experiment(&topo, &config, &mut source, 4).expect("streams");
+        let quiet = serve_experiment_with(&topo, &config, &mut source, 4, None).expect("streams");
         assert_eq!(quiet.result.registry, report.result.registry);
     }
 
@@ -878,7 +869,7 @@ mod tests {
             ),
         ] {
             let mut source = Flows(vec![trace[0], bad, trace[2]].into_iter());
-            let err = serve_experiment(&topo, &config, &mut source, 4)
+            let err = serve_experiment_with(&topo, &config, &mut source, 4, None)
                 .expect_err("a flow the topology cannot run is refused");
             let ServeError::Flow(ReplayError::UnknownHost {
                 flow_index,

@@ -32,19 +32,21 @@
 //! Every parse error is a [`CsvError`] carrying the 1-based line number of
 //! the offending input line; the parser never panics on malformed text.
 //!
-//! Import is **streaming**: [`read_csv_file`] / [`import_csv_reader`] feed a
-//! reused line buffer through the incremental [`CsvParser`], so a
-//! multi-gigabyte trace file is never resident in memory as a whole —
-//! [`import_csv`] over an in-memory string drives the exact same core.
+//! A file is read by [`read_csv_file`], which drains a
+//! [`crate::ingest::CsvTail`]: one reused line buffer, capped at
+//! [`crate::ingest::MAX_LINE_BYTES`], so a multi-gigabyte trace file is
+//! never resident in memory as a whole and a line with no end is an error,
+//! not an allocation. [`import_csv`] over an in-memory string drives the
+//! same [`CsvParser`], so both give the same flows or the same error.
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::io::BufRead;
 use std::path::Path;
 
 use bfc_net::types::NodeId;
 use bfc_sim::SimTime;
 
+use crate::ingest::{CsvTail, IngestError, IngestSource};
 use crate::trace::TraceFlow;
 
 /// The mandatory header line of the trace CSV format.
@@ -97,8 +99,8 @@ pub enum CsvErrorKind {
     /// The row's `start_ns` was earlier than the previous row's, violating
     /// the sortedness contract.
     UnsortedStart,
-    /// A streamed line ran past the ingest line cap with no terminator (see
-    /// `ingest::MAX_LINE_BYTES`); nothing past the cap was buffered.
+    /// A line of a trace file ran past the line cap with no terminator (see
+    /// [`crate::ingest::MAX_LINE_BYTES`]); nothing past the cap was buffered.
     LineTooLong {
         /// The cap, in bytes.
         limit: usize,
@@ -123,10 +125,9 @@ impl fmt::Display for CsvError {
                 value,
                 reason,
             } => write!(f, "bad `{column}` field `{value}`: {reason}"),
-            CsvErrorKind::NodeOutOfRange { column, value } => write!(
-                f,
-                "`{column}` id {value} does not fit a 32-bit NodeId"
-            ),
+            CsvErrorKind::NodeOutOfRange { column, value } => {
+                write!(f, "`{column}` id {value} does not fit a 32-bit NodeId")
+            }
             CsvErrorKind::SelfFlow => write!(f, "src and dst are the same host"),
             CsvErrorKind::UnsortedStart => write!(
                 f,
@@ -140,38 +141,6 @@ impl fmt::Display for CsvError {
 }
 
 impl std::error::Error for CsvError {}
-
-/// Errors from reading a trace CSV file from disk.
-#[derive(Debug)]
-pub enum TraceReadError {
-    /// The file could not be read.
-    Io(std::io::Error),
-    /// The file contents failed to parse.
-    Csv(CsvError),
-}
-
-impl fmt::Display for TraceReadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceReadError::Io(e) => write!(f, "{e}"),
-            TraceReadError::Csv(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceReadError {}
-
-impl From<std::io::Error> for TraceReadError {
-    fn from(e: std::io::Error) -> Self {
-        TraceReadError::Io(e)
-    }
-}
-
-impl From<CsvError> for TraceReadError {
-    fn from(e: CsvError) -> Self {
-        TraceReadError::Csv(e)
-    }
-}
 
 /// Writes a `SimTime` as fractional nanoseconds, emitting the picosecond
 /// fraction only when non-zero so common traces stay compact.
@@ -227,11 +196,7 @@ pub fn export_csv(flows: &[TraceFlow]) -> String {
     out
 }
 
-fn node_field(
-    line: usize,
-    column: &'static str,
-    text: &str,
-) -> Result<NodeId, CsvError> {
+fn node_field(line: usize, column: &'static str, text: &str) -> Result<NodeId, CsvError> {
     let value: u64 = text.parse().map_err(|_| CsvError {
         line,
         kind: CsvErrorKind::BadField {
@@ -250,13 +215,11 @@ fn node_field(
 }
 
 /// Incremental trace-CSV parser: feed it one line at a time (in order) and
-/// collect the flows at the end. This is the core both [`import_csv`] (over
-/// an in-memory string) and [`import_csv_reader`] (streaming over any
-/// `BufRead`, one line resident at a time) drive, so multi-gigabyte trace
-/// files never have to be loaded eagerly.
+/// it answers each row with its flow. This is the core both [`import_csv`]
+/// (over an in-memory string) and [`crate::ingest::CsvTail`] (over a file,
+/// one line resident at a time) drive.
 #[derive(Debug, Default)]
 pub struct CsvParser {
-    flows: Vec<TraceFlow>,
     saw_header: bool,
     prev_start: SimTime,
     line: usize,
@@ -268,14 +231,15 @@ impl CsvParser {
         CsvParser::default()
     }
 
-    /// Consumes the next input line (excluding the terminator). Lines must be
+    /// Consumes the next input line (excluding the terminator): the flow of
+    /// a row, `None` for the header, a blank line or a comment. Lines must be
     /// fed in file order; the parser tracks 1-based line numbers for errors.
-    pub fn push_line(&mut self, raw: &str) -> Result<(), CsvError> {
+    pub fn push_line(&mut self, raw: &str) -> Result<Option<TraceFlow>, CsvError> {
         self.line += 1;
         let line = self.line;
         let content = raw.trim();
         if content.is_empty() || content.starts_with('#') {
-            return Ok(());
+            return Ok(None);
         }
         if !self.saw_header {
             if content != TRACE_CSV_HEADER {
@@ -287,7 +251,7 @@ impl CsvParser {
                 });
             }
             self.saw_header = true;
-            return Ok(());
+            return Ok(None);
         }
 
         let mut fields = [""; 5];
@@ -360,14 +324,13 @@ impl CsvParser {
                 })
             }
         };
-        self.flows.push(TraceFlow {
+        Ok(Some(TraceFlow {
             src,
             dst,
             size_bytes,
             start,
             is_incast,
-        });
-        Ok(())
+        }))
     }
 
     /// Lines consumed so far: the next line is number `lines() + 1`.
@@ -375,24 +338,16 @@ impl CsvParser {
         self.line
     }
 
-    /// Drains the flows parsed so far without consuming the parser, so a
-    /// caller tailing a growing input (see [`crate::ingest`]) can hand off
-    /// complete rows incrementally while the parser keeps its header /
-    /// sortedness / line-number state for the lines still to come.
-    pub fn take_flows(&mut self) -> Vec<TraceFlow> {
-        std::mem::take(&mut self.flows)
-    }
-
-    /// Finishes parsing, returning the flows. Fails if no header (and hence
-    /// no content) was ever seen.
-    pub fn finish(self) -> Result<Vec<TraceFlow>, CsvError> {
+    /// Checks the input as a whole once it has ended: it fails if no header
+    /// (and hence no content) was ever seen.
+    pub fn finish(&self) -> Result<(), CsvError> {
         if !self.saw_header {
             return Err(CsvError {
                 line: 0,
                 kind: CsvErrorKind::MissingHeader,
             });
         }
-        Ok(self.flows)
+        Ok(())
     }
 }
 
@@ -401,29 +356,12 @@ impl CsvParser {
 /// Errors carry the 1-based line number; malformed input never panics.
 pub fn import_csv(text: &str) -> Result<Vec<TraceFlow>, CsvError> {
     let mut parser = CsvParser::new();
+    let mut flows = Vec::new();
     for raw in text.lines() {
-        parser.push_line(raw)?;
+        flows.extend(parser.push_line(raw)?);
     }
-    parser.finish()
-}
-
-/// Streams a trace out of any [`BufRead`] source, holding one line in memory
-/// at a time — the import path for traces too large to slurp. The line
-/// buffer is reused across rows, so steady-state parsing allocates only for
-/// the flows themselves.
-pub fn import_csv_reader<R: BufRead>(mut reader: R) -> Result<Vec<TraceFlow>, TraceReadError> {
-    let mut parser = CsvParser::new();
-    let mut buf = String::new();
-    loop {
-        buf.clear();
-        if reader.read_line(&mut buf)? == 0 {
-            break;
-        }
-        // `read_line` keeps the terminator; `push_line` trims whitespace
-        // (including `\r` from CRLF files) anyway.
-        parser.push_line(buf.trim_end_matches('\n'))?;
-    }
-    Ok(parser.finish()?)
+    parser.finish()?;
+    Ok(flows)
 }
 
 /// Writes `flows` to `path` in the CSV format of this module.
@@ -431,11 +369,16 @@ pub fn write_csv_file<P: AsRef<Path>>(path: P, flows: &[TraceFlow]) -> std::io::
     std::fs::write(path, export_csv(flows))
 }
 
-/// Reads and parses a trace CSV file, streaming it line by line (the file is
-/// never resident in memory as a whole).
-pub fn read_csv_file<P: AsRef<Path>>(path: P) -> Result<Vec<TraceFlow>, TraceReadError> {
-    let file = std::fs::File::open(path)?;
-    import_csv_reader(std::io::BufReader::new(file))
+/// Reads and parses a trace CSV file by draining a non-follow
+/// [`CsvTail`]: the file is never resident in memory as a whole, and a line
+/// past [`crate::ingest::MAX_LINE_BYTES`] is an error.
+pub fn read_csv_file<P: AsRef<Path>>(path: P) -> Result<Vec<TraceFlow>, IngestError> {
+    let mut tail = CsvTail::open(path, false)?;
+    let mut flows = Vec::new();
+    while let Some(flow) = tail.next_flow()? {
+        flows.push(flow);
+    }
+    Ok(flows)
 }
 
 /// Summary statistics of a trace, as printed by `trace-tool stats`.
@@ -483,10 +426,7 @@ impl TraceStats {
             let idx = (p / 100.0 * (sizes.len() - 1) as f64).round() as usize;
             sizes[idx.min(sizes.len() - 1)]
         };
-        let hosts: BTreeSet<NodeId> = flows
-            .iter()
-            .flat_map(|f| [f.src, f.dst])
-            .collect();
+        let hosts: BTreeSet<NodeId> = flows.iter().flat_map(|f| [f.src, f.dst]).collect();
         let total_bytes: u64 = sizes.iter().sum();
         let first_start = flows.iter().map(|f| f.start).min().expect("non-empty");
         let last_start = flows.iter().map(|f| f.start).max().expect("non-empty");
@@ -578,7 +518,10 @@ mod tests {
         ];
         let csv = export_csv(&flows);
         assert!(csv.starts_with(TRACE_CSV_HEADER));
-        assert!(csv.contains("0.001"), "sub-ns start must be fractional:\n{csv}");
+        assert!(
+            csv.contains("0.001"),
+            "sub-ns start must be fractional:\n{csv}"
+        );
         assert_eq!(import_csv(&csv).expect("round trip"), flows);
     }
 
@@ -670,11 +613,17 @@ mod tests {
     #[test]
     fn self_flows_and_zero_sizes_are_rejected() {
         let csv = format!("{TRACE_CSV_HEADER}\n4,4,100,5,0\n");
-        assert_eq!(import_csv(&csv).expect_err("self").kind, CsvErrorKind::SelfFlow);
+        assert_eq!(
+            import_csv(&csv).expect_err("self").kind,
+            CsvErrorKind::SelfFlow
+        );
         let csv = format!("{TRACE_CSV_HEADER}\n0,1,0,5,0\n");
         assert!(matches!(
             import_csv(&csv).expect_err("zero size").kind,
-            CsvErrorKind::BadField { column: "size_bytes", .. }
+            CsvErrorKind::BadField {
+                column: "size_bytes",
+                ..
+            }
         ));
     }
 
@@ -684,7 +633,13 @@ mod tests {
             let csv = format!("{TRACE_CSV_HEADER}\n0,1,100,{bad},0\n");
             let err = import_csv(&csv).expect_err(bad);
             assert!(
-                matches!(err.kind, CsvErrorKind::BadField { column: "start_ns", .. }),
+                matches!(
+                    err.kind,
+                    CsvErrorKind::BadField {
+                        column: "start_ns",
+                        ..
+                    }
+                ),
                 "{bad}: {:?}",
                 err.kind
             );
@@ -695,50 +650,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_reader_matches_in_memory_import() {
-        let hosts = hosts(16);
-        let params = TraceParams::google_with_incast(SimDuration::from_micros(400), 11);
-        let flows = synthesize(&hosts, &params);
-        let csv = export_csv(&flows);
-        // Tiny buffer capacity: lines still come out whole via read_line.
-        let reader = std::io::BufReader::with_capacity(7, csv.as_bytes());
-        let streamed = import_csv_reader(reader).expect("streaming parse");
-        assert_eq!(streamed, flows);
-        assert_eq!(streamed, import_csv(&csv).expect("in-memory parse"));
-    }
-
-    #[test]
-    fn streaming_reader_reports_line_numbered_errors() {
-        let csv = format!("{TRACE_CSV_HEADER}\n0,1,100,5,0\n0,1,100,4,0\n");
-        let err = import_csv_reader(std::io::BufReader::new(csv.as_bytes()))
-            .expect_err("unsorted row");
-        match err {
-            TraceReadError::Csv(e) => {
-                assert_eq!(e.line, 3);
-                assert_eq!(e.kind, CsvErrorKind::UnsortedStart);
-            }
-            TraceReadError::Io(e) => panic!("expected a CSV error, got io: {e}"),
-        }
-    }
-
-    #[test]
-    fn crlf_input_streams_cleanly() {
-        let csv = format!("{TRACE_CSV_HEADER}\r\n0,1,100,5,0\r\n");
-        let flows = import_csv_reader(std::io::BufReader::new(csv.as_bytes()))
-            .expect("CRLF tolerated");
-        assert_eq!(flows.len(), 1);
-        assert!(!flows[0].is_incast);
-    }
-
-    #[test]
     fn stats_summarize_counts_window_and_load() {
         let hosts = hosts(32);
-        let params = TraceParams::background_only(
-            Workload::Google,
-            0.5,
-            SimDuration::from_millis(2),
-            3,
-        );
+        let params =
+            TraceParams::background_only(Workload::Google, 0.5, SimDuration::from_millis(2), 3);
         let flows = synthesize(&hosts, &params);
         let stats = TraceStats::from_flows(&flows, 100.0).expect("non-empty");
         assert_eq!(stats.flows, flows.len());

@@ -16,13 +16,13 @@
 //!   a host set, incast events (Fig. 5/8/11), long-lived flow patterns
 //!   (Figs. 8 and 10) and the cross-data-center mix of Fig. 9.
 //! * [`io`] — the std-only CSV trace format: `export_csv` / `import_csv`
-//!   with strict line-numbered parse errors, a streaming `import_csv_reader`
-//!   (one line resident at a time, for multi-gigabyte traces), file helpers,
-//!   and `TraceStats` summaries, so real cluster traces can be persisted and
-//!   replayed.
-//! * [`ingest`] — streaming flow sources for service mode: tail a growing
-//!   trace CSV (`CsvTail`) or accept rows over a TCP socket
-//!   (`SocketIngest`), with pull-based backpressure to the feeder.
+//!   with strict line-numbered parse errors, file helpers (`read_csv_file`
+//!   streams a file through `ingest::CsvTail`, one capped line resident at a
+//!   time) and `TraceStats` summaries, so real cluster traces can be
+//!   persisted and replayed.
+//! * [`ingest`] — the one streaming reader of a trace file: `CsvTail` reads a
+//!   finished file, a FIFO or (with `follow`) a growing file, with pull-based
+//!   backpressure to the feeder; service mode admits flows from it.
 //!
 //! All generation is deterministic given a seed, and any trace round-trips
 //! bit-exactly through the CSV form.
@@ -37,8 +37,8 @@ pub use arrivals::{
     mean_interarrival_secs, ArrivalProcess, ArrivalShape, IncastSchedule,
 };
 pub use distributions::{EmpiricalCdf, Workload};
-pub use ingest::{CsvTail, IngestError, IngestSource, SocketIngest, INGEST_END_MARKER};
-pub use io::{export_csv, import_csv, import_csv_reader, CsvError, CsvErrorKind, TraceStats};
+pub use ingest::{CsvTail, IngestError, IngestSource, INGEST_END_MARKER};
+pub use io::{export_csv, import_csv, CsvError, CsvErrorKind, TraceStats};
 pub use trace::{
     concurrent_long_flows, cross_dc_trace, incast_trace, long_lived_per_receiver, synthesize,
     TraceFlow, TraceParams,

@@ -25,8 +25,9 @@
 #      `buffer.rs`, `queue.rs`), bfc-core (`policy.rs`, the flow table, the
 #      bloom filters), bfc-transport (`host.rs`, `dcqcn.rs`, `hpcc.rs`,
 #      `config.rs`), bfc-metrics (`safety.rs`, `series.rs`, `recovery.rs`,
-#      the registry) and bfc-workloads (the CSV parser, the CSV tail and
-#      socket ingest sources, the synthesized trace's input check);
+#      the registry) and bfc-workloads (the CSV parser, the CSV tail — the
+#      one reader of a trace file, followed or not — and the synthesized
+#      trace's input check);
 #      bfc-experiments' own (about 3 s in debug: the end-of-run assembly,
 #      the serve loop, metrics hub and scrape server in `service.rs`, the
 #      results-table renderer, the `.scn` reproducer's header checks); and
@@ -71,6 +72,7 @@ rustfmt --check --edition 2021 \
     crates/bfc-experiments/src/cli/adversarial.rs \
     crates/bfc-experiments/src/engine.rs \
     crates/bfc-experiments/src/figures.rs \
+    crates/bfc-experiments/src/replay.rs \
     crates/bfc-experiments/src/runner.rs \
     crates/bfc-experiments/src/scheme.rs \
     crates/bfc-experiments/src/service.rs \
@@ -90,6 +92,8 @@ rustfmt --check --edition 2021 \
     crates/bfc-net/src/trace.rs \
     crates/bfc-sim/src/snapshot.rs \
     crates/bfc-transport/src/lib.rs \
+    crates/bfc-workloads/src/ingest.rs \
+    crates/bfc-workloads/src/io.rs \
     tests/alloc_free.rs \
     tests/fig_smoke.rs \
     tests/example_smoke.rs \

@@ -871,24 +871,41 @@ fn an_unbounded_drain_is_refused_by_every_command_that_takes_the_flag() {
     assert!(!Path::new(&out).exists());
 }
 
-/// A tailed line with no end is refused at the ingest cap with one short
-/// line, not buffered to the end of the file and echoed back.
+/// A trace line with no end is refused at the line cap by every command
+/// that reads a trace file, with one short line: it is neither buffered to
+/// the end of the file nor echoed back.
 #[test]
-fn serve_refuses_a_line_past_the_ingest_cap() {
+fn every_trace_reader_refuses_a_line_past_the_cap() {
     let dir = Scratch::new("long-line");
     let csv = dir.path("endless.csv");
-    std::fs::write(&csv, vec![b'x'; 64 * 1024 + 1]).expect("write csv");
-    let ran = trace_tool(&["serve", "--tail", &csv]);
-    assert!(!ran.ok && ran.out.is_empty(), "an endless line must be refused");
-    let ours: Vec<&str> = ran
-        .err
-        .lines()
-        .filter(|l| l.starts_with("trace-tool:"))
-        .collect();
-    assert_eq!(
-        ours,
-        ["trace-tool: serve: ingest csv: line 1: line is longer than 65536 bytes"]
-    );
+    let mut text = b"src,dst,size_bytes,start_ns,is_incast\n".to_vec();
+    text.resize(text.len() + 64 * 1024 + 1, b'7');
+    std::fs::write(&csv, text).expect("write csv");
+    let (snap, missing, flight) = (dir.path("a.snap"), dir.path("no.snap"), dir.path("a.flight"));
+    let scenario = dir.scenario();
+    for args in [
+        &["stats", &csv][..],
+        &["replay", &csv][..],
+        &["snapshot", &csv, "--at-us", "10", "--out", &snap][..],
+        &["resume", &csv, "--snapshot", &missing][..],
+        &["scenario", &scenario, "--trace", &csv][..],
+        &["trace", "record", &csv, "--out", &flight][..],
+        &["serve", "--tail", &csv][..],
+    ] {
+        let ran = trace_tool(args);
+        assert!(!ran.ok && ran.out.is_empty(), "{args:?} accepted an endless line");
+        assert!(
+            ran.err.len() < 16 * 1024,
+            "{args:?} wrote {} bytes of stderr",
+            ran.err.len()
+        );
+        let first = ran.err.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("trace-tool: ")
+                && first.ends_with("line 2: line is longer than 65536 bytes"),
+            "{args:?}: {first}"
+        );
+    }
 }
 
 /// A streamed flow whose endpoint is a switch, or no node at all, is refused

@@ -19,7 +19,7 @@
 
 use backpressure_flow_control::experiments::fuzz::{CaseGen, FuzzConfig, Reproducer};
 use backpressure_flow_control::experiments::{
-    resume_experiment, run_experiment, run_experiment_sharded, serve_experiment,
+    resume_experiment, run_experiment, run_experiment_sharded, serve_experiment_with,
     snapshot_experiment, ExperimentConfig, Scheme,
 };
 use backpressure_flow_control::net::event::NetEvent;
@@ -501,7 +501,8 @@ fn a_capped_serve_admits_at_the_eager_engines_instants() {
         for cap in [1, 3] {
             let config = ExperimentConfig::new(scheme.clone(), horizon);
             let mut source = Flows::new(&trace);
-            let report = serve_experiment(&topo, &config, &mut source, cap).expect("serves");
+            let report =
+                serve_experiment_with(&topo, &config, &mut source, cap, None).expect("serves");
             assert_eq!(report.admitted, trace.len());
             got.push(fingerprint(&report.result));
         }

@@ -27,7 +27,7 @@
 //! before it.
 
 use backpressure_flow_control::experiments::{
-    resume_experiment, run_experiment_sharded, serve_experiment, snapshot_experiment,
+    resume_experiment, run_experiment_sharded, serve_experiment_with, snapshot_experiment,
     ExperimentConfig, ExperimentResult, ScenarioSpec, Scheme,
 };
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
@@ -221,8 +221,9 @@ fn serve_snapshot_resume_under_a_link_fault_costs_exactly_this() {
 
     let mut source = Flows::new(&trace);
     let inflight_cap = 64; // `benchmark/`'s
-    let (report, serve_allocs) =
-        counted(|| serve_experiment(&topo, &config, &mut source, inflight_cap).expect("serves"));
+    let (report, serve_allocs) = counted(|| {
+        serve_experiment_with(&topo, &config, &mut source, inflight_cap, None).expect("serves")
+    });
     assert_eq!(report.admitted, trace.len());
 
     let snap = snapshot_experiment(&topo, &trace, &config, half(&config), 1);

@@ -21,7 +21,7 @@
 
 use backpressure_flow_control::core::BfcConfig;
 use backpressure_flow_control::experiments::service::{
-    resume_experiment, serve_experiment, snapshot_experiment, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    resume_experiment, serve_experiment_with, snapshot_experiment, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use backpressure_flow_control::experiments::{
     run_experiment, run_experiment_sharded, ExperimentConfig, ReplayTrace, ScenarioSpec, Scheme,
@@ -381,7 +381,7 @@ fn serving_a_finished_trace_matches_the_batch_run() {
     // Cap >= trace length: admission never waits, so every flow keeps its
     // original start time and the run replays the batch schedule exactly.
     let mut tail = CsvTail::open(&path, false).expect("open");
-    let wide = serve_experiment(&topo, &config, &mut tail, trace.len().max(1))
+    let wide = serve_experiment_with(&topo, &config, &mut tail, trace.len().max(1), None)
         .expect("serve with uncontended cap");
     assert_eq!(wide.admitted, trace.len());
     assert_identical("serve/uncontended", &batch, &wide.result);
@@ -389,7 +389,8 @@ fn serving_a_finished_trace_matches_the_batch_run() {
     // A tight cap forces the backpressure path; timing may shift (arrivals
     // are clamped to the simulation's progress) but nothing is lost.
     let mut tail = CsvTail::open(&path, false).expect("open again");
-    let tight = serve_experiment(&topo, &config, &mut tail, 4).expect("serve with tight cap");
+    let tight =
+        serve_experiment_with(&topo, &config, &mut tail, 4, None).expect("serve with tight cap");
     assert_eq!(tight.admitted, trace.len());
     assert_eq!(tight.result.total_flows, trace.len());
     assert_eq!(

@@ -11,6 +11,9 @@
 //! 4. Any flight trace — times out of order or at `u64::MAX`, every field at
 //!    the ends of its range — round-trips byte for byte through
 //!    `write_trace` → `read_trace` → `write_trace`.
+//! 5. The three ways to read a trace CSV — `import_csv` over a string,
+//!    `read_csv_file` and a drained non-follow `CsvTail` over a file — give
+//!    the same flows or the same line-numbered error for the same bytes.
 
 use backpressure_flow_control::net::trace::{
     read_trace, write_trace, FlightTrace, TraceEvent, TraceRecord, QUEUE_CONTROL,
@@ -18,10 +21,11 @@ use backpressure_flow_control::net::trace::{
 };
 use backpressure_flow_control::sim::{SimDuration, SimRng, SimTime};
 use backpressure_flow_control::workloads::io::{
-    export_csv, import_csv, CsvError, CsvErrorKind, TraceStats, TRACE_CSV_HEADER,
+    export_csv, import_csv, read_csv_file, CsvError, CsvErrorKind, TraceStats, TRACE_CSV_HEADER,
 };
 use backpressure_flow_control::workloads::{
-    synthesize, ArrivalShape, IncastSchedule, TraceFlow, TraceParams, Workload,
+    synthesize, ArrivalShape, CsvTail, IncastSchedule, IngestError, IngestSource, TraceFlow,
+    TraceParams, Workload,
 };
 use bfc_net::types::NodeId;
 use bfc_testkit::{int_range, one_of, pair, property, triple, vec_of};
@@ -339,5 +343,56 @@ property! {
         let (label, back) = read_trace(&bytes).expect("a written trace reads back");
         assert_eq!((label.as_str(), &back), ("arbitrary", &trace));
         assert_eq!(write_trace(&label, &back), bytes);
+    }
+}
+
+/// A file reader's answer with its I/O failures ruled out: the reader-agreement
+/// property writes only UTF-8 text to a file it owns.
+fn parsed(answer: Result<Vec<TraceFlow>, IngestError>) -> Result<Vec<TraceFlow>, CsvError> {
+    answer.map_err(|e| match e {
+        IngestError::Csv(e) => e,
+        IngestError::Io(e) => panic!("reading a written file failed: {e}"),
+    })
+}
+
+property! {
+    /// `import_csv`, `read_csv_file` and a drained non-follow `CsvTail` give
+    /// the same flows, or the same error line and kind, for any text built
+    /// from rows, comments, blank lines, a mid-file `#end` (a comment unless
+    /// the stream is followed), a stray header or truncated row, with or
+    /// without a header, with CRLF or LF endings, terminated or not.
+    fn every_trace_reader_gives_the_same_answer(
+        // A valid row is drawn four times as often as any other line, so a
+        // fair share of the texts parse to flows.
+        body in vec_of(
+            one_of(&[
+                "row", "# a note", "", "  ", "#end", "row", "row", "row", TRACE_CSV_HEADER,
+                "1,2,300",
+            ]),
+            0..24,
+        ),
+        shape in triple(one_of(&[true, false]), one_of(&[false, true]), one_of(&[true, false])),
+    ) {
+        let (header, crlf, terminated) = shape;
+        let lines: Vec<String> = header
+            .then(|| TRACE_CSV_HEADER.to_string())
+            .into_iter()
+            .chain(body.iter().enumerate().map(|(i, &line)| match line {
+                "row" => format!("{},{},{},{i},{}", i % 8, i % 8 + 1, 100 + i, i % 2),
+                other => other.to_string(),
+            }))
+            .collect();
+        let mut text = lines.join(if crlf { "\r\n" } else { "\n" });
+        if terminated && !lines.is_empty() {
+            text.push_str(if crlf { "\r\n" } else { "\n" });
+        }
+        let path = std::env::temp_dir().join(format!("bfc-readers-agree-{}.csv", std::process::id()));
+        std::fs::write(&path, &text).expect("write the trace");
+        let expected = import_csv(&text);
+        assert_eq!(parsed(read_csv_file(&path)), expected, "read_csv_file of {text:?}");
+        let mut tail = CsvTail::open(&path, false).expect("open the trace");
+        let drained = std::iter::from_fn(|| tail.next_flow().transpose()).collect();
+        assert_eq!(parsed(drained), expected, "a drained CsvTail of {text:?}");
+        let _ = std::fs::remove_file(&path);
     }
 }
