@@ -382,9 +382,9 @@ fn bench_fabric_mix(h: &mut Harness) {
 
 /// A million-record flight trace shaped like a packet run's: four records
 /// per packet hop (enqueue, queue-active, dequeue, queue-idle) at 16 nodes,
-/// two hops sharing each instant — so every instant holds a run the merge
-/// must rank-sort — split into the parts `part_of` assigns each node to.
-fn flight_parts(parts: usize, part_of: impl Fn(NodeId) -> usize) -> Vec<FlightTrace> {
+/// two hops sharing each instant — so every instant holds a run that must be
+/// rank-sorted — recorded into the rings `part_of` assigns each node to.
+fn flight_parts(parts: usize, part_of: impl Fn(NodeId) -> usize) -> Vec<FlightRecorder> {
     const HOPS: u32 = 250_000;
     let mut recorders: Vec<FlightRecorder> = (0..parts)
         .map(|_| FlightRecorder::new(4 * HOPS as usize))
@@ -418,22 +418,28 @@ fn flight_parts(parts: usize, part_of: impl Fn(NodeId) -> usize) -> Vec<FlightTr
         );
         recorder.record(at, TraceEvent::QueueIdle { node, port, queue });
     }
-    recorders.into_iter().map(FlightRecorder::finish).collect()
+    recorders
+}
+
+/// The end of a traced run: each ring finished into its canonical trace and
+/// the parts merged, as the engine does.
+fn finish_and_merge(parts: Vec<FlightRecorder>) -> FlightTrace {
+    FlightTrace::merge(parts.into_iter().map(FlightRecorder::finish).collect())
 }
 
 fn bench_flight_trace(h: &mut Harness) {
-    // `merge` consumes its parts, so each iteration merges a clone: the
+    // Finishing consumes a ring, so each iteration finishes a clone: the
     // 24 MB copy is part of both figures (and of nothing they are compared
     // with but their own baseline).
     let one = flight_parts(1, |_| 0);
     h.bench("flight_merge_1m_one_part", || {
-        FlightTrace::merge(one.clone()).records.len()
+        finish_and_merge(one.clone()).records.len()
     });
     let two = flight_parts(2, |node| node.index() % 2);
     h.bench("flight_merge_1m_two_parts", || {
-        FlightTrace::merge(two.clone()).records.len()
+        finish_and_merge(two.clone()).records.len()
     });
-    let trace = FlightTrace::merge(one);
+    let trace = finish_and_merge(one);
     let ran = h.bench("trace_write_read_1m", || {
         let bytes = write_trace("bench", &trace);
         let (_, back) = read_trace(&bytes).expect("a written trace reads back");
@@ -442,9 +448,12 @@ fn bench_flight_trace(h: &mut Harness) {
     if ran {
         let bytes = write_trace("bench", &trace).len();
         let records = trace.records.len();
+        let held = trace.records.encoded_len();
         h.note(format!(
-            "trace_write_read_1m: {bytes} B file over {records} records = {:.2} B per record",
-            bytes as f64 / records as f64
+            "trace_write_read_1m: {bytes} B file over {records} records = {:.2} B per record; \
+             {:.2} B per record in memory",
+            bytes as f64 / records as f64,
+            held as f64 / records as f64
         ));
     }
     let file = vec![0xA5u8; 32 << 20];

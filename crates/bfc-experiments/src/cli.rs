@@ -44,7 +44,7 @@ use bfc_workloads::io::{read_csv_file, write_csv_file, TraceStats};
 use bfc_workloads::{synthesize, ArrivalShape, IncastSchedule, TraceParams};
 
 use self::args::{errln, json_str, outln};
-pub use self::args::{Args, Io};
+pub use self::args::{Args, Io, Usage};
 use crate::figures::{Scale, FIGURES};
 use crate::fuzz::{topology_by_name, workload_from_cli_key};
 use crate::parallel::{parse_count, ParallelRunner};
@@ -202,13 +202,39 @@ commands:
     --shards <n>            evaluate on n engine shards (same results)
     --replay                after writing, re-read the file and replay it";
 
+/// Why a `trace-tool` command failed.
+enum Failure {
+    /// The command line is wrong: the message, then the usage.
+    Usage(Usage),
+    /// An input is bad — a file that does not read or parse, a run that is
+    /// refused: the message alone.
+    Input(String),
+}
+
+impl From<Usage> for Failure {
+    fn from(usage: Usage) -> Failure {
+        Failure::Usage(usage)
+    }
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Failure {
+        Failure::Input(message)
+    }
+}
+
+/// What a `trace-tool` command returns.
+type Outcome = Result<ExitCode, Failure>;
+
 /// Runs `trace-tool` on `args` (the process arguments after the program
 /// name), writing to `io`, and returns its exit code. A command can exit
 /// nonzero without a usage error (a divergence found by `trace diff` /
 /// `--diff-schemes` is a result, not a misuse), so each returns the code.
+/// A failure is one `trace-tool:` line on `io.err`, followed by the usage
+/// only when the command line itself was wrong.
 pub fn trace_tool(args: &[String], io: &mut Io<'_>) -> ExitCode {
     let result = match args.split_first() {
-        None => Err("missing command".to_string()),
+        None => Err(Usage("missing command".into()).into()),
         Some((command, rest)) => match command.as_str() {
             "synth" => cmd_synth(rest, io),
             "stats" => cmd_stats(rest, io),
@@ -223,13 +249,20 @@ pub fn trace_tool(args: &[String], io: &mut Io<'_>) -> ExitCode {
                 outln!(io, "{USAGE}");
                 Ok(ExitCode::SUCCESS)
             }
-            other => Err(format!("unknown command `{other}`")),
+            other => Err(Usage(format!("unknown command `{other}`")).into()),
         },
     };
-    result.unwrap_or_else(|msg| {
-        errln!(io, "trace-tool: {msg}\n\n{USAGE}");
-        ExitCode::FAILURE
-    })
+    match result {
+        Ok(code) => code,
+        Err(Failure::Usage(Usage(message))) => {
+            errln!(io, "trace-tool: {message}\n\n{USAGE}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Input(message)) => {
+            errln!(io, "trace-tool: {message}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Runs `fig <NN|all> [--full] [--bursty] [--lognormal-incast] [--shards n]`:
@@ -253,7 +286,8 @@ pub fn fig(args: &[String], io: &mut Io<'_>) -> ExitCode {
         });
         Err(format!("fig: {found}; pick one by number, or `all`:{list}"))
     } else {
-        Scale::from_args(&mut args).and_then(|scale| args.positional::<0>("").map(|[]| scale))
+        Scale::from_args(&mut args)
+            .and_then(|scale| Ok(args.positional::<0>("").map(|[]| scale)?))
     };
     match scale {
         Ok(scale) => {
@@ -283,7 +317,7 @@ fn parse_schemes(name: &str) -> Option<Vec<Scheme>> {
 }
 
 /// `--topo`: the topology to run over and its name [tiny].
-fn topo_arg(args: &mut Args) -> Result<(Topology, String), String> {
+fn topo_arg(args: &mut Args) -> Result<(Topology, String), Usage> {
     let parse = |name: &str| Some((topology_by_name(name)?, name.to_string()));
     args.keyed("topo", "topology", parse, "tiny")
 }
@@ -294,28 +328,28 @@ fn single(schemes: Vec<Scheme>) -> Option<Scheme> {
 }
 
 /// `--scheme` for a command that runs exactly one [bfc].
-fn scheme_arg(args: &mut Args) -> Result<Scheme, String> {
+fn scheme_arg(args: &mut Args) -> Result<Scheme, Usage> {
     let schemes = args.keyed("scheme", "scheme", parse_schemes, "bfc")?;
     let lineup = || {
-        format!(
+        Usage(format!(
             "{}: --scheme requires a single scheme, not a lineup",
             args.cmd()
-        )
+        ))
     };
     single(schemes).ok_or_else(lineup)
 }
 
 /// `--shards`, if given: a positive count.
-fn shards_arg(args: &mut Args) -> Result<Option<usize>, String> {
+fn shards_arg(args: &mut Args) -> Result<Option<usize>, Usage> {
     args.text("shards")?
-        .map(|value| parse_count("--shards", &value))
+        .map(|value| parse_count("--shards", &value).map_err(Usage))
         .transpose()
 }
 
 /// The runner a command dispatches its runs on: `BFC_THREADS` workers, each
 /// run split across `--shards` engine shards (default 1).
 /// Results are bit-identical at any shard count; only wall-clock changes.
-pub(crate) fn runner_arg(args: &mut Args) -> Result<ParallelRunner, String> {
+pub(crate) fn runner_arg(args: &mut Args) -> Result<ParallelRunner, Usage> {
     let runner = ParallelRunner::from_env();
     Ok(shards_arg(args)?.map_or(runner, |shards| runner.with_shards(shards)))
 }
@@ -323,11 +357,11 @@ pub(crate) fn runner_arg(args: &mut Args) -> Result<ParallelRunner, String> {
 /// A `--duration-us` / `--horizon-us` value as a duration: positive, and no
 /// longer than [`crate::MAX_HORIZON`] — a run allocates in proportion to its
 /// horizon. `what` names the option as the command's messages do.
-fn horizon_us(what: &str, us: u64) -> Result<SimDuration, String> {
+fn horizon_us(what: &str, us: u64) -> Result<SimDuration, Usage> {
     if us == 0 {
-        return Err(format!("{what} must be positive"));
+        return Err(Usage(format!("{what} must be positive")));
     }
-    horizon_from_micros(us).map_err(|e| format!("{what}: {e}"))
+    horizon_from_micros(us).map_err(|e| Usage(format!("{what}: {e}")))
 }
 
 /// The paper-default configuration of one run under the shared options.
@@ -340,7 +374,7 @@ fn run_config(
     horizon: SimDuration,
     seed: u64,
     drain_x: u64,
-) -> Result<ExperimentConfig, String> {
+) -> Result<ExperimentConfig, Usage> {
     let max_drain = MAX_HORIZON * 4;
     let drain = horizon
         .as_picos()
@@ -348,10 +382,10 @@ fn run_config(
         .map(SimDuration::from_picos)
         .filter(|&drain| drain <= max_drain)
         .ok_or_else(|| {
-            format!(
+            Usage(format!(
                 "--drain-x {drain_x}: draining {drain_x} x the {horizon} horizon exceeds the \
                  limit of {max_drain} of simulated time"
-            )
+            ))
         })?;
     let mut config = ExperimentConfig::new(scheme, horizon).with_seed(seed);
     config.drain = drain;
@@ -362,7 +396,7 @@ fn write_file(path: &str, bytes: &[u8]) -> Result<(), String> {
     std::fs::write(path, bytes).map_err(|e| format!("writing {path}: {e}"))
 }
 
-fn cmd_synth(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+fn cmd_synth(args: &[String], io: &mut Io<'_>) -> Outcome {
     let mut args = Args::new("synth", args);
     let out: String = args.required("out", "path")?;
     let (topo, topo_name) = topo_arg(&mut args)?;
@@ -402,7 +436,9 @@ fn cmd_synth(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
         arrivals,
         incast_schedule,
     };
-    params.check(hosts.len()).map_err(|e| format!("synth: {e}"))?;
+    params
+        .check(hosts.len())
+        .map_err(|e| Usage(format!("synth: {e}")))?;
     let flows = synthesize(&hosts, &params);
     write_csv_file(&out, &flows).map_err(|e| format!("writing {out}: {e}"))?;
     outln!(
@@ -414,7 +450,7 @@ fn cmd_synth(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_stats(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+fn cmd_stats(args: &[String], io: &mut Io<'_>) -> Outcome {
     let mut args = Args::new("stats", args);
     let gbps = args.num("gbps", 100.0f64)?;
     let [path] = args.positional::<1>("one trace path is")?;
@@ -426,7 +462,7 @@ fn cmd_stats(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_replay(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+fn cmd_replay(args: &[String], io: &mut Io<'_>) -> Outcome {
     let mut args = Args::new("replay", args);
     let runner = runner_arg(&mut args)?;
     let (topo, topo_name) = topo_arg(&mut args)?;
@@ -440,7 +476,7 @@ fn cmd_replay(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     let configs = schemes
         .into_iter()
         .map(|scheme| run_config(scheme, horizon, seed, drain_x))
-        .collect::<Result<Vec<ExperimentConfig>, String>>()?;
+        .collect::<Result<Vec<ExperimentConfig>, Usage>>()?;
     let results = replay
         .run_all(&topo, &configs, &runner)
         .map_err(|e| format!("{path}: {e}"))?;
@@ -502,10 +538,22 @@ fn print_engine_counters(io: &mut Io<'_>, results: &[ExperimentResult]) {
 /// `fuzz --replay` so a resumed run's table is byte-identical to the
 /// uninterrupted replay's.
 fn print_results_table(io: &mut Io<'_>, results: &[ExperimentResult]) {
-    let columns = ["scheme", "completed", "p50", "p99", "util %", "drops", "retx"];
+    let columns = [
+        "scheme",
+        "completed",
+        "p50",
+        "p99",
+        "util %",
+        "drops",
+        "retx",
+    ];
     let mut table = Table::new("", columns);
     for r in results {
-        let (p50, p99) = r.fct.overall.as_ref().map_or((f64::NAN, f64::NAN), |o| (o.p50, o.p99));
+        let (p50, p99) = r
+            .fct
+            .overall
+            .as_ref()
+            .map_or((f64::NAN, f64::NAN), |o| (o.p50, o.p99));
         table.push(vec![
             Cell::Text(r.scheme.clone()),
             Cell::Text(format!("{}/{}", r.completed_flows, r.total_flows)),
@@ -516,7 +564,10 @@ fn print_results_table(io: &mut Io<'_>, results: &[ExperimentResult]) {
             Cell::Int(r.retransmitted_packets()),
         ]);
     }
-    outln!(io, "{table}\n(FCT slowdown percentiles over non-incast flows)");
+    outln!(
+        io,
+        "{table}\n(FCT slowdown percentiles over non-incast flows)"
+    );
 }
 
 /// The options `snapshot`, `resume`, `serve` and `trace record` share: one
@@ -530,7 +581,7 @@ struct RunOptions {
 }
 
 impl RunOptions {
-    fn from_args(args: &mut Args) -> Result<RunOptions, String> {
+    fn from_args(args: &mut Args) -> Result<RunOptions, Usage> {
         let (topo, topo_name) = topo_arg(args)?;
         Ok(RunOptions {
             topo,
@@ -541,7 +592,7 @@ impl RunOptions {
         })
     }
 
-    fn config(&self, horizon: SimDuration) -> Result<ExperimentConfig, String> {
+    fn config(&self, horizon: SimDuration) -> Result<ExperimentConfig, Usage> {
         run_config(self.scheme.clone(), horizon, self.seed, self.drain_x)
     }
 
@@ -556,7 +607,7 @@ impl RunOptions {
     }
 }
 
-fn cmd_snapshot(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+fn cmd_snapshot(args: &[String], io: &mut Io<'_>) -> Outcome {
     let mut args = Args::new("snapshot", args);
     let opts = RunOptions::from_args(&mut args)?;
     let at_us: f64 = args.required("at-us", "n")?;
@@ -564,9 +615,10 @@ fn cmd_snapshot(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     let shards = shards_arg(&mut args)?.unwrap_or(1);
     let [path] = args.positional::<1>("one trace path is")?;
     if !(at_us >= 0.0 && at_us.is_finite()) {
-        return Err(format!(
+        return Err(Usage(format!(
             "snapshot: --at-us must be a non-negative time, got {at_us}"
-        ));
+        ))
+        .into());
     }
 
     let replay = opts.load_trace("snapshot", &path)?;
@@ -591,7 +643,7 @@ fn cmd_snapshot(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_resume(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+fn cmd_resume(args: &[String], io: &mut Io<'_>) -> Outcome {
     let mut args = Args::new("resume", args);
     let opts = RunOptions::from_args(&mut args)?;
     let snap_path: String = args.required("snapshot", "snap")?;
@@ -613,7 +665,7 @@ fn cmd_resume(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_serve(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+fn cmd_serve(args: &[String], io: &mut Io<'_>) -> Outcome {
     let mut args = Args::new("serve", args);
     let follow = args.switch("follow");
     let opts = RunOptions::from_args(&mut args)?;
@@ -663,7 +715,7 @@ mod tests {
         let micro = SimDuration::from_micros(1);
         assert_eq!(drain(micro, 40_000_000), Ok(MAX_HORIZON * 4));
         for (horizon, x) in [(MAX_HORIZON, 5), (micro, 40_000_001), (micro, u64::MAX)] {
-            let refusal = drain(horizon, x).expect_err("past the limit");
+            let Usage(refusal) = drain(horizon, x).expect_err("past the limit");
             assert!(refusal.contains("the limit of 40000000.000us"), "{refusal}");
         }
     }

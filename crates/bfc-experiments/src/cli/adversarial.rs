@@ -10,7 +10,7 @@ use super::args::{errln, outln};
 use super::flight::print_trace_diff;
 use super::{
     count, horizon_us, json_str, parse_schemes, print_engine_counters, print_results_table,
-    run_config, runner_arg, scheme_arg, single, topo_arg, write_file, Args, Io,
+    run_config, runner_arg, scheme_arg, single, topo_arg, write_file, Args, Io, Outcome, Usage,
 };
 use crate::figures::failure_sweep;
 use crate::fuzz::{fuzz, topology_by_name, FuzzConfig, Objective};
@@ -18,20 +18,23 @@ use crate::table::Cell;
 use crate::{ExperimentConfig, ExperimentResult, ReplayTrace, Reproducer, ScenarioSpec, Scheme};
 
 /// `--diff-schemes a,b`: exactly two single schemes.
-fn diff_pair(spec: &str) -> Result<[Scheme; 2], String> {
+fn diff_pair(spec: &str) -> Result<[Scheme; 2], Usage> {
     let one = |key: &str| {
-        let parsed =
-            parse_schemes(key).ok_or_else(|| format!("--diff-schemes: unknown scheme {key}"))?;
-        single(parsed)
-            .ok_or_else(|| "--diff-schemes: lineups are not allowed, name two schemes".to_string())
+        let parsed = parse_schemes(key)
+            .ok_or_else(|| Usage(format!("--diff-schemes: unknown scheme {key}")))?;
+        single(parsed).ok_or_else(|| {
+            Usage("--diff-schemes: lineups are not allowed, name two schemes".into())
+        })
     };
     match spec.split(',').collect::<Vec<_>>()[..] {
         [a, b] => Ok([one(a)?, one(b)?]),
-        _ => Err("scenario: --diff-schemes takes exactly two comma-separated schemes".into()),
+        _ => Err(Usage(
+            "scenario: --diff-schemes takes exactly two comma-separated schemes".into(),
+        )),
     }
 }
 
-pub(super) fn cmd_scenario(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+pub(super) fn cmd_scenario(args: &[String], io: &mut Io<'_>) -> Outcome {
     let mut args = Args::new("scenario", args);
     let json = args.switch("json");
     let runner = runner_arg(&mut args)?;
@@ -54,7 +57,7 @@ pub(super) fn cmd_scenario(args: &[String], io: &mut Io<'_>) -> Result<ExitCode,
     };
     params
         .check(hosts.len())
-        .map_err(|e| format!("scenario: {e}"))?;
+        .map_err(|e| Usage(format!("scenario: {e}")))?;
     let pair = diff_schemes.as_deref().map(diff_pair).transpose()?;
 
     let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -94,7 +97,7 @@ pub(super) fn cmd_scenario(args: &[String], io: &mut Io<'_>) -> Result<ExitCode,
                     .with_dynamics(schedule.clone())
                     .with_trace_capacity(trace_cap))
             })
-            .collect::<Result<Vec<ExperimentConfig>, String>>()?;
+            .collect::<Result<Vec<ExperimentConfig>, Usage>>()?;
         (topo, topo_name, flows, configs, seed)
     };
     // `--diff-schemes a,b`: same scenario, same inputs, two schemes — run
@@ -113,7 +116,8 @@ pub(super) fn cmd_scenario(args: &[String], io: &mut Io<'_>) -> Result<ExitCode,
     };
     let fault_events = configs[0].dynamics.events().len();
     if flight_path.is_some() && configs.len() != 1 {
-        return Err("scenario: --flight requires a single --scheme, not a lineup".into());
+        let lineup = "scenario: --flight requires a single --scheme, not a lineup";
+        return Err(Usage(lineup.into()).into());
     }
     let mut results = runner.run_experiments(&topo, &flows, &configs);
 
@@ -319,7 +323,7 @@ fn safety_line(r: &ExperimentResult) -> String {
     line
 }
 
-pub(super) fn cmd_fuzz(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+pub(super) fn cmd_fuzz(args: &[String], io: &mut Io<'_>) -> Outcome {
     let mut args = Args::new("fuzz", args);
     let replay = args.switch("replay");
     let defaults = FuzzConfig::new();
@@ -341,7 +345,7 @@ pub(super) fn cmd_fuzz(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, Str
         .iter()
         .find(|name| topology_by_name(name).is_none())
     {
-        return Err(format!("--topo: unknown topology {name}"));
+        return Err(Usage(format!("--topo: unknown topology {name}")).into());
     }
     let [] = args.positional::<0>("")?;
 

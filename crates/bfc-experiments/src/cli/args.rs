@@ -30,6 +30,19 @@ macro_rules! errln {
 }
 pub(crate) use errln;
 
+/// A misuse of the command line — an unknown or malformed option, a missing
+/// or stray argument — as opposed to a bad input. `trace-tool` answers it
+/// with the message and its usage; wherever else it ends up, it reads as its
+/// message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Usage(pub String);
+
+impl From<Usage> for String {
+    fn from(usage: Usage) -> String {
+        usage.0
+    }
+}
+
 /// One command's arguments, pulled by name: the command asks for each
 /// `--option` it understands, then [`Args::positional`] takes what is left
 /// and rejects any `--flag` nobody asked for.
@@ -43,14 +56,14 @@ pub struct Args {
     rest: Vec<String>,
     /// The first required option found absent; [`Args::positional`] reports
     /// it once the arguments that are present have been checked.
-    missing: Option<String>,
+    missing: Option<Usage>,
 }
 
 /// Parses a number, naming the option in the error.
-pub(super) fn parse_num<T: FromStr>(name: &str, value: &str) -> Result<T, String> {
+pub(super) fn parse_num<T: FromStr>(name: &str, value: &str) -> Result<T, Usage> {
     value
         .parse()
-        .map_err(|_| format!("--{name}: not a valid number: {value}"))
+        .map_err(|_| Usage(format!("--{name}: not a valid number: {value}")))
 }
 
 impl Args {
@@ -76,7 +89,7 @@ impl Args {
     }
 
     /// Every value given for `--name`, in order.
-    pub fn all(&mut self, name: &str) -> Result<Vec<String>, String> {
+    pub fn all(&mut self, name: &str) -> Result<Vec<String>, Usage> {
         let mut values = Vec::new();
         while let Some(i) = self
             .rest
@@ -84,7 +97,7 @@ impl Args {
             .position(|a| a.strip_prefix("--") == Some(name))
         {
             if i + 1 == self.rest.len() {
-                return Err(format!("--{name} requires a value"));
+                return Err(Usage(format!("--{name} requires a value")));
             }
             values.push(self.rest.remove(i + 1));
             self.rest.remove(i);
@@ -93,21 +106,21 @@ impl Args {
     }
 
     /// The value of `--name`, if given.
-    pub fn text(&mut self, name: &str) -> Result<Option<String>, String> {
+    pub fn text(&mut self, name: &str) -> Result<Option<String>, Usage> {
         Ok(self.all(name)?.pop())
     }
 
     /// The number `--name` holds, or `default`.
-    pub fn num<T: FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
+    pub fn num<T: FromStr>(&mut self, name: &str, default: T) -> Result<T, Usage> {
         self.all(name)?
             .iter()
             .try_fold(default, |_, value| parse_num(name, value))
     }
 
     /// A count that must be at least 1.
-    pub fn positive(&mut self, name: &str, default: usize) -> Result<usize, String> {
+    pub fn positive(&mut self, name: &str, default: usize) -> Result<usize, Usage> {
         match self.num(name, default)? {
-            0 => Err(format!("--{name} must be at least 1")),
+            0 => Err(Usage(format!("--{name} must be at least 1"))),
             n => Ok(n),
         }
     }
@@ -120,22 +133,22 @@ impl Args {
         kind: &str,
         parse: impl Fn(&str) -> Option<T>,
         default: &str,
-    ) -> Result<T, String> {
+    ) -> Result<T, Usage> {
         let key = self.text(name)?.unwrap_or_else(|| default.to_string());
-        parse(&key).ok_or_else(|| format!("--{name}: unknown {kind} {key}"))
+        parse(&key).ok_or_else(|| Usage(format!("--{name}: unknown {kind} {key}")))
     }
 
     /// An option the command cannot run without; `what` names its value in
     /// the error. When it is absent this returns a placeholder and
     /// [`Args::positional`] fails with the error, so a stray or unknown
     /// argument is reported before a missing one.
-    pub fn required<T: FromStr + Default>(&mut self, name: &str, what: &str) -> Result<T, String> {
+    pub fn required<T: FromStr + Default>(&mut self, name: &str, what: &str) -> Result<T, Usage> {
         match self.text(name)? {
             Some(value) => parse_num(name, &value),
             None => {
                 let cmd = &self.cmd;
                 self.missing
-                    .get_or_insert_with(|| format!("{cmd}: --{name} <{what}> is required"));
+                    .get_or_insert_with(|| Usage(format!("{cmd}: --{name} <{what}> is required")));
                 Ok(T::default())
             }
         }
@@ -144,17 +157,17 @@ impl Args {
     /// Ends the parse: exactly `N` arguments may be left and none of them a
     /// `--flag`. `what` completes "exactly … required" (`"one trace path
     /// is"`); with `N = 0` any argument left is unexpected.
-    pub fn positional<const N: usize>(self, what: &str) -> Result<[String; N], String> {
+    pub fn positional<const N: usize>(self, what: &str) -> Result<[String; N], Usage> {
         let cmd = self.cmd;
         if let Some(flag) = self.rest.iter().find(|a| a.starts_with("--")) {
-            return Err(format!("{cmd}: unknown option {flag}"));
+            return Err(Usage(format!("{cmd}: unknown option {flag}")));
         }
         let found: [String; N] = self.rest.try_into().map_err(|rest: Vec<String>| {
-            if N == 0 {
+            Usage(if N == 0 {
                 format!("{cmd}: unexpected argument {}", rest[0])
             } else {
                 format!("{cmd}: exactly {what} required")
-            }
+            })
         })?;
         self.missing.map_or(Ok(found), Err)
     }
@@ -203,31 +216,31 @@ mod tests {
     fn every_misuse_is_an_error_line() {
         assert_eq!(
             args("--seed").num("seed", 1u64),
-            Err("--seed requires a value".into())
+            Err(Usage("--seed requires a value".into()))
         );
         assert_eq!(
             args("--seed x").num("seed", 1u64),
-            Err("--seed: not a valid number: x".into())
+            Err(Usage("--seed: not a valid number: x".into()))
         );
         assert_eq!(
             args("--cap 0").positive("cap", 64),
-            Err("--cap must be at least 1".into())
+            Err(Usage("--cap must be at least 1".into()))
         );
         assert_eq!(
             args("--topo moon").keyed("topo", "topology", |_| None::<()>, "tiny"),
-            Err("--topo: unknown topology moon".into())
+            Err(Usage("--topo: unknown topology moon".into()))
         );
         assert_eq!(
             args("a --bogus").positional::<1>("one path is"),
-            Err("cmd: unknown option --bogus".into())
+            Err(Usage("cmd: unknown option --bogus".into()))
         );
         assert_eq!(
             args("a b").positional::<1>("one path is"),
-            Err("cmd: exactly one path is required".into())
+            Err(Usage("cmd: exactly one path is required".into()))
         );
         assert_eq!(
             args("a").positional::<0>(""),
-            Err("cmd: unexpected argument a".into())
+            Err(Usage("cmd: unexpected argument a".into()))
         );
     }
 
@@ -237,14 +250,14 @@ mod tests {
         assert_eq!(a.required::<String>("out", "path"), Ok(String::new()));
         assert_eq!(
             a.positional::<0>(""),
-            Err("cmd: unexpected argument stray".into())
+            Err(Usage("cmd: unexpected argument stray".into()))
         );
         let mut a = args("");
         a.required::<f64>("at-us", "n").expect("deferred");
         a.required::<String>("out", "snap").expect("deferred");
         assert_eq!(
             a.positional::<0>(""),
-            Err("cmd: --at-us <n> is required".into())
+            Err(Usage("cmd: --at-us <n> is required".into()))
         );
     }
 

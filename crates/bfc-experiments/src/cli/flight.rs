@@ -10,11 +10,12 @@ use bfc_net::types::NodeId;
 use bfc_sim::SimTime;
 
 use super::args::{outln, parse_num};
-use super::{runner_arg, write_file, Args, Io, RunOptions};
+use super::{runner_arg, write_file, Args, Io, Outcome, RunOptions, Usage};
 
-pub(super) fn cmd_trace(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+pub(super) fn cmd_trace(args: &[String], io: &mut Io<'_>) -> Outcome {
     let Some((sub, rest)) = args.split_first() else {
-        return Err("trace: missing subcommand (record, inspect, filter, top, diff)".into());
+        let missing = "trace: missing subcommand (record, inspect, filter, top, diff)";
+        return Err(Usage(missing.into()).into());
     };
     match sub.as_str() {
         "record" => cmd_record(rest, io),
@@ -22,11 +23,11 @@ pub(super) fn cmd_trace(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, St
         "filter" => cmd_filter(rest, io),
         "top" => cmd_top(rest, io),
         "diff" => cmd_diff(rest, io),
-        other => Err(format!("trace: unknown subcommand `{other}`")),
+        other => Err(Usage(format!("trace: unknown subcommand `{other}`")).into()),
     }
 }
 
-fn cmd_diff(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+fn cmd_diff(args: &[String], io: &mut Io<'_>) -> Outcome {
     let mut args = Args::new("trace diff", args);
     let context = args.num("context", 5usize)?;
     let [path_a, path_b] = args.positional::<2>("two flight paths are")?;
@@ -81,7 +82,7 @@ pub(super) fn print_trace_diff(
     }
     for (side, first) in [("a", &diff.first_a), ("b", &diff.first_b)] {
         match first {
-            Some(r) => outln!(io, "  {side} {}", record_line(diff.index, r)),
+            Some(r) => outln!(io, "  {side} {}", record_line(diff.index, *r)),
             None => outln!(io, "  {side} (trace ends here)"),
         }
     }
@@ -141,7 +142,7 @@ pub(super) fn print_trace_diff(
     ExitCode::FAILURE
 }
 
-fn cmd_record(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+fn cmd_record(args: &[String], io: &mut Io<'_>) -> Outcome {
     let mut args = Args::new("trace record", args);
     let runner = runner_arg(&mut args)?;
     let opts = RunOptions::from_args(&mut args)?;
@@ -162,7 +163,7 @@ fn cmd_record(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     let kinds = kinds
         .iter()
         .flat_map(|list| list.split(','))
-        .map(|k| kind_index_of(k).ok_or_else(|| format!("--kind: unknown event kind {k}")))
+        .map(|k| kind_index_of(k).ok_or_else(|| Usage(format!("--kind: unknown event kind {k}"))))
         .collect::<Result<Vec<_>, _>>()?;
     if !kinds.is_empty() || !nodes.is_empty() {
         let mut filter = TraceFilter::all();
@@ -203,11 +204,11 @@ fn open_flight(path: &str) -> Result<(String, FlightTrace), String> {
 
 /// One rendered record line: the record's index in its trace, simulated
 /// time, one-line event text.
-fn record_line(index: usize, r: &TraceRecord) -> String {
+fn record_line(index: usize, r: TraceRecord) -> String {
     format!("{index:>8}  {:<14} {}", r.at.to_string(), r.event.render())
 }
 
-fn cmd_inspect(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+fn cmd_inspect(args: &[String], io: &mut Io<'_>) -> Outcome {
     let mut args = Args::new("trace inspect", args);
     let stats = args.switch("stats");
     let limit = args.num("limit", 40usize)?;
@@ -246,7 +247,7 @@ fn cmd_inspect(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_filter(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+fn cmd_filter(args: &[String], io: &mut Io<'_>) -> Outcome {
     let mut args = Args::new("trace filter", args);
     let kind = args.text("kind")?;
     let node = args
@@ -256,7 +257,8 @@ fn cmd_filter(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     let limit = args.num("limit", 1_000usize)?;
     let [path] = args.positional::<1>("one flight path is")?;
     if kind.is_none() && node.is_none() {
-        return Err("trace filter: at least one of --kind or --node is required".into());
+        let neither = "trace filter: at least one of --kind or --node is required";
+        return Err(Usage(neither.into()).into());
     }
     let (_, flight) = open_flight(&path)?;
 
@@ -285,7 +287,7 @@ fn cmd_filter(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_top(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
+fn cmd_top(args: &[String], io: &mut Io<'_>) -> Outcome {
     let mut args = Args::new("trace top", args);
     let tree = args.switch("tree");
     let n = args.num("n", 10usize)?;
@@ -296,7 +298,7 @@ fn cmd_top(args: &[String], io: &mut Io<'_>) -> Result<ExitCode, String> {
         print_pause_tree(io, &flight);
         return Ok(ExitCode::SUCCESS);
     }
-    let end = flight.records.last().map_or(SimTime::ZERO, |r| r.at);
+    let end = flight.end_time();
     let top = flight.pause_time_by_port(end);
     if top.is_empty() {
         outln!(io, "no PFC pause intervals in this trace");

@@ -941,11 +941,11 @@ pub(crate) fn assemble_result(
         total_flows - completed,
     );
 
-    // Flight traces: merging the per-shard rings into canonical
-    // `(time, rank)` order reproduces exactly the stream one serial recorder
-    // would have captured (same merge argument as above — equal
-    // `(time, rank)` implies one owning shard). A one-worker run's single
-    // trace goes through the same canonicalization.
+    // Flight traces: each worker's ring finished into its canonical trace,
+    // and merging those into `(time, rank)` order reproduces exactly the
+    // stream one serial recorder would have captured (same merge argument as
+    // above — equal `(time, rank)` implies one owning shard). A one-worker
+    // run's trace is its own merge.
     let flight = (!flight_parts.is_empty()).then(|| FlightTrace::merge(flight_parts));
 
     // Sampled series. Each sim records one occupancy value per owned switch

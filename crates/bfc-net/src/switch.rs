@@ -330,17 +330,20 @@ impl Switch {
         // still cannot loop.
 
         if !self.buffer.admit(packet.size_bytes, ingress) {
-            // Dropped: Go-Back-N at the sender recovers it.
+            // Dropped: Go-Back-N at the sender recovers it. Every drop is
+            // counted; only a data packet's is traced, as data loss.
             self.counters.drops += 1;
-            events.trace(
-                now,
-                TraceEvent::Drop {
-                    node: self.id,
-                    port: trace_u16(egress),
-                    flow: packet.flow.0,
-                    bytes: trace_u16(packet.size_bytes),
-                },
-            );
+            if packet.is_data() {
+                events.trace(
+                    now,
+                    TraceEvent::Drop {
+                        node: self.id,
+                        port: trace_u16(egress),
+                        flow: packet.flow.0,
+                        bytes: trace_u16(packet.size_bytes),
+                    },
+                );
+            }
             return;
         }
         self.maybe_send_pfc(now, ingress, events);
@@ -822,6 +825,47 @@ mod tests {
             );
         }
         assert!(sw.counters().drops >= 3, "drops = {}", sw.counters().drops);
+    }
+
+    #[test]
+    fn only_a_dropped_data_packet_leaves_a_drop_record() {
+        // A buffer smaller than any packet: everything is dropped at
+        // admission.
+        let config = SwitchConfig {
+            buffer_bytes: 32,
+            ..SwitchConfig::default()
+        };
+        let (_topo, routes, mut sw) = tor_under_test(config);
+        let mut events = EventQueue::new();
+        let mut recorder = trace::FlightRecorder::new(16);
+        let ack = Packet::ack(
+            FlowId(1),
+            NodeId(0),
+            NodeId(1),
+            3,
+            false,
+            Default::default(),
+        );
+        for packet in [ack, data_packet(2, 0, 1, 0)] {
+            let mut sink = trace::Recording {
+                inner: &mut events,
+                recorder: &mut recorder,
+            };
+            sw.handle_packet(SimTime::ZERO, 0, packet, &routes, &mut sink);
+        }
+        assert_eq!(sw.counters().drops, 2, "both packets are counted");
+        let trace = recorder.finish();
+        let drops: Vec<TraceEvent> = trace.records.iter().map(|r| r.event).collect();
+        assert_eq!(
+            drops,
+            [TraceEvent::Drop {
+                node: sw.id,
+                port: 1,
+                flow: 2,
+                bytes: 1000,
+            }],
+            "the ACK's drop is not data loss"
+        );
     }
 
     #[test]

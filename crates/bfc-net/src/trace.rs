@@ -22,16 +22,23 @@
 //! canonical order. Two records with equal `(time, rank)` necessarily
 //! describe the same node, which exactly one shard owns — so "concatenate
 //! the per-shard streams, then stable-sort by `(time, rank)`" reproduces the
-//! serial engine's relative order, and that is what [`FlightTrace::merge`]
-//! computes.
+//! serial engine's relative order.
 //!
-//! It does not compute it by sorting. A recorder's stream is already in time
-//! order, so only records that share an instant can be out of rank order:
-//! `merge` stable-sorts each such run where it lies, then merges the (now
-//! canonical) parts into the first part's storage. A single part — every
-//! one-worker run — is canonicalised without moving a record that is in
-//! place. The global sort survives only as the fallback for a part that is
-//! not time-ordered.
+//! Nothing computes it by sorting the whole trace. A recorder's stream is
+//! already in time order, so only records that share an instant can be out
+//! of rank order: [`FlightRecorder::finish`] stable-sorts each such run as it
+//! streams the ring out, and [`FlightTrace::merge`] merges canonical parts.
+//! The global sort survives only as the fallback for a ring whose clock ran
+//! backwards.
+//!
+//! # Held traces
+//!
+//! The ring holds [`TraceRecord`]s, in fixed blocks it never reallocates. A
+//! finished [`FlightTrace`] holds its records as [`TraceRecords`]: the
+//! `.flight` body below, about 7.7 bytes a record where the ring takes 24,
+//! decoded on demand. The encoding is a bijection on record sequences (a
+//! varint has one form, and every field is range-checked), so two bodies are
+//! equal exactly when their records are.
 //!
 //! # Container
 //!
@@ -501,7 +508,7 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-// The ring, the merge and the diff all move records by value.
+// The ring holds records by value.
 const _: () = assert!(std::mem::size_of::<TraceRecord>() == 24);
 
 impl TraceRecord {
@@ -597,16 +604,50 @@ impl TraceFilter {
     }
 }
 
+/// Records per block of a recorder's ring, about 1.5 MB: a ring grows one
+/// block at a time and never moves a record it holds.
+pub const BLOCK_RECORDS: usize = 64 * 1024;
+
 /// A bounded ring of the last N trace records. Records beyond the capacity
 /// shed from the front (oldest first) and are counted in `dropped`; the
 /// flight-recorder name is exact — what survives is the end of the story.
 /// An optional [`TraceFilter`] rejects events before they reach the ring.
-#[derive(Debug, Clone)]
+///
+/// The ring is a queue of blocks of `min(capacity, 64 Ki)` records, every
+/// block but the last full; no block is ever reallocated. Shedding advances
+/// an offset into the front block, and a front block that empties becomes
+/// the next back block.
+#[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
-    records: VecDeque<TraceRecord>,
+    /// Records per block.
+    block: usize,
+    /// The held records, oldest first.
+    blocks: VecDeque<Vec<TraceRecord>>,
+    /// Records of the front block already shed.
+    head: usize,
+    /// An emptied front block, kept for the next back block.
+    spare: Option<Vec<TraceRecord>>,
+    len: usize,
     dropped: u64,
     filter: Option<TraceFilter>,
+}
+
+impl Clone for FlightRecorder {
+    /// A copy whose blocks have the full block capacity, like the original's.
+    fn clone(&self) -> Self {
+        let block = |records: &[TraceRecord]| {
+            let mut copy = Vec::with_capacity(self.block);
+            copy.extend_from_slice(records);
+            copy
+        };
+        FlightRecorder {
+            blocks: self.blocks.iter().map(|b| block(b)).collect(),
+            spare: None,
+            filter: self.filter.clone(),
+            ..*self
+        }
+    }
 }
 
 impl FlightRecorder {
@@ -615,7 +656,11 @@ impl FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             capacity,
-            records: VecDeque::with_capacity(capacity.min(64 * 1024)),
+            block: capacity.min(BLOCK_RECORDS),
+            blocks: VecDeque::new(),
+            head: 0,
+            spare: None,
+            len: 0,
             dropped: 0,
             filter: None,
         }
@@ -639,30 +684,221 @@ impl FlightRecorder {
                 return;
             }
         }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
+        if self.len == self.capacity {
+            self.shed_oldest();
         }
-        self.records.push_back(TraceRecord { at, event });
+        let record = TraceRecord { at, event };
+        match self.blocks.back_mut() {
+            Some(back) if back.len() < self.block => back.push(record),
+            _ => self.push_block(record),
+        }
+        self.len += 1;
+    }
+
+    /// Sheds the front record; an emptied front block becomes the spare. Only
+    /// a full ring sheds, so every block but the last is full, and the front
+    /// empties exactly when its offset reaches the block size.
+    fn shed_oldest(&mut self) {
+        self.head += 1;
+        self.len -= 1;
+        self.dropped += 1;
+        if self.head == self.block {
+            let mut front = self.blocks.pop_front().expect("a full ring holds a block");
+            front.clear();
+            self.spare = Some(front);
+            self.head = 0;
+        }
+    }
+
+    /// Starts a back block with `record`, reusing the spare if there is one.
+    #[cold]
+    fn push_block(&mut self, record: TraceRecord) {
+        let mut block = self
+            .spare
+            .take()
+            .unwrap_or_else(|| Vec::with_capacity(self.block));
+        block.push(record);
+        self.blocks.push_back(block);
     }
 
     /// Records currently held.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// True if nothing has been recorded (or everything has been shed).
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
-    /// Consumes the recorder into a [`FlightTrace`] (records in emission
-    /// order; not yet canonicalized).
+    /// Consumes the recorder into its canonical [`FlightTrace`]: the held
+    /// records stable-sorted by `(time, rank)`. The blocks stream out in
+    /// order, each run of one instant sorted by rank in a scratch buffer and
+    /// encoded, and each block is freed once it is encoded. Only a ring
+    /// whose clock ran backwards is sorted whole.
     pub fn finish(self) -> FlightTrace {
-        FlightTrace {
-            records: self.records.into(),
-            dropped: self.dropped,
+        let FlightRecorder {
+            mut blocks,
+            head,
+            len,
+            dropped,
+            ..
+        } = self;
+        let mut out = Encoder::new(len);
+        let held = || {
+            let skip = std::iter::once(head).chain(std::iter::repeat(0));
+            blocks
+                .iter()
+                .zip(skip)
+                .flat_map(|(block, skip)| &block[skip..])
+        };
+        let mut prev = SimTime::ZERO;
+        if held().all(|r| std::mem::replace(&mut prev, r.at) <= r.at) {
+            // The current instant's records, each with its rank.
+            let mut run: Vec<(u64, TraceRecord)> = Vec::new();
+            let mut skip = head;
+            while let Some(block) = blocks.pop_front() {
+                for &record in &block[skip..] {
+                    if run.first().is_some_and(|(_, first)| first.at != record.at) {
+                        out.push_run(&mut run);
+                    }
+                    run.push((record.rank(), record));
+                }
+                skip = 0;
+            }
+            out.push_run(&mut run);
+        } else {
+            let mut all = Vec::with_capacity(len);
+            all.extend(held().copied());
+            drop(blocks);
+            all.sort_by_key(|r| (r.at, r.rank()));
+            all.iter().for_each(|r| out.push(r));
         }
+        FlightTrace {
+            records: out.finish(),
+            dropped,
+        }
+    }
+}
+
+/// Appends records to a `.flight` body.
+struct Encoder {
+    w: SnapWriter,
+    /// The previous record's time in picoseconds, 0 before the first.
+    prev: u64,
+    len: usize,
+}
+
+impl Encoder {
+    /// An encoder with room for `records` records of any shape, so the body
+    /// is never copied to grow: the pages a typical record leaves untouched
+    /// cost address space only, and [`Encoder::finish`] gives them back.
+    fn new(records: usize) -> Self {
+        let mut w = SnapWriter::new();
+        w.reserve(records.saturating_mul(RECORD_MAX_BYTES));
+        Encoder { w, prev: 0, len: 0 }
+    }
+
+    #[inline]
+    fn push(&mut self, record: &TraceRecord) {
+        record.put(&mut self.w, &mut self.prev);
+        self.len += 1;
+    }
+
+    /// Appends a run of ranked records that share an instant in rank order
+    /// (stable: equal ranks describe one node, so their order is its
+    /// owner's) and empties `run`.
+    fn push_run(&mut self, run: &mut Vec<(u64, TraceRecord)>) {
+        run.sort_by_key(|&(rank, _)| rank);
+        run.drain(..).for_each(|(_, r)| self.push(&r));
+    }
+
+    fn finish(self) -> TraceRecords {
+        let mut body = self.w.into_bytes();
+        body.shrink_to_fit();
+        TraceRecords {
+            body,
+            len: self.len,
+        }
+    }
+}
+
+/// A trace's records, held as their `.flight` body: [`TraceRecords::iter`]
+/// decodes them in order. Equal bodies are equal record sequences.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct TraceRecords {
+    body: Vec<u8>,
+    len: usize,
+}
+
+impl TraceRecords {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if there are no records.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes the records take in memory: the encoded body.
+    pub fn encoded_len(&self) -> usize {
+        self.body.len()
+    }
+
+    /// The records in order, decoded one at a time.
+    pub fn iter(&self) -> TraceRecordIter<'_> {
+        TraceRecordIter {
+            r: SnapReader::new(&self.body),
+            prev: 0,
+            left: self.len,
+        }
+    }
+}
+
+impl std::fmt::Debug for TraceRecords {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a TraceRecords {
+    type Item = TraceRecord;
+    type IntoIter = TraceRecordIter<'a>;
+
+    fn into_iter(self) -> TraceRecordIter<'a> {
+        self.iter()
+    }
+}
+
+impl FromIterator<TraceRecord> for TraceRecords {
+    fn from_iter<I: IntoIterator<Item = TraceRecord>>(records: I) -> Self {
+        let records = records.into_iter();
+        let mut out = Encoder::new(records.size_hint().0);
+        records.for_each(|r| out.push(&r));
+        out.finish()
+    }
+}
+
+/// The decoder [`TraceRecords::iter`] returns.
+pub struct TraceRecordIter<'a> {
+    r: SnapReader<'a>,
+    prev: u64,
+    left: usize,
+}
+
+impl Iterator for TraceRecordIter<'_> {
+    type Item = TraceRecord;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceRecord> {
+        self.left = self.left.checked_sub(1)?;
+        Some(TraceRecord::get(&mut self.r, &mut self.prev).expect("a held body decodes"))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 
@@ -670,39 +906,42 @@ impl FlightRecorder {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FlightTrace {
     /// The surviving records.
-    pub records: Vec<TraceRecord>,
+    pub records: TraceRecords,
     /// Records shed by the bounded ring before these.
     pub dropped: u64,
 }
 
 impl FlightTrace {
-    /// Merges per-shard traces into canonical `(time, rank)` order, ties in
-    /// part order then emission order — the order one fabric-wide recorder
-    /// would define, and record for record what concatenating the parts and
-    /// stable-sorting by `(time, rank)` gives. Also used with a single part
-    /// to canonicalize a serial trace, so serial and merged sharded traces
-    /// of the same run compare equal (given rings large enough that nothing
-    /// was shed). The result lives in the first part's storage.
+    /// Merges canonical traces — what [`FlightRecorder::finish`] returns, one
+    /// per shard — into canonical `(time, rank)` order, ties in part order
+    /// then emission order: the order one fabric-wide recorder would define,
+    /// and record for record what concatenating the parts and stable-sorting
+    /// by `(time, rank)` gives. A single part is its own merge, so serial and
+    /// merged sharded traces of the same run compare equal (given rings large
+    /// enough that nothing was shed).
     pub fn merge(parts: Vec<FlightTrace>) -> FlightTrace {
+        if parts.len() <= 1 {
+            return parts.into_iter().next().unwrap_or_default();
+        }
         let dropped = parts.iter().map(|p| p.dropped).sum();
-        let mut parts = parts.into_iter().map(|p| p.records);
-        let mut records = parts.next().unwrap_or_default();
-        let mut rest: Vec<Vec<TraceRecord>> = parts.collect();
-        let own = records.len();
-        // Room for the whole trace: the fallback sorts this concatenation,
-        // the merge overwrites every slot past `own`.
-        for part in &rest {
-            records.extend_from_slice(part);
+        let mut out = Encoder::new(parts.iter().map(|p| p.records.len()).sum());
+        let mut rest: Vec<_> = parts.iter().map(|p| p.records.iter()).collect();
+        // Each part's next record, keyed by `(time, rank, part)`: the part
+        // index sends the earliest part first on a tie, as in the sorted
+        // concatenation.
+        let key = |p: usize, r: TraceRecord| ((r.at, r.rank(), p), r);
+        let mut heads: Vec<_> = (0..parts.len())
+            .map(|p| rest[p].next().map(|r| key(p, r)))
+            .collect();
+        while let Some(((.., p), record)) = heads.iter().flatten().min_by_key(|(k, _)| *k).copied()
+        {
+            out.push(&record);
+            heads[p] = rest[p].next().map(|r| key(p, r));
         }
-        let time_ordered = |part: &[TraceRecord]| part.windows(2).all(|w| w[0].at <= w[1].at);
-        if time_ordered(&records[..own]) && rest.iter().all(|part| time_ordered(part)) {
-            sort_simultaneous(&mut records[..own]);
-            rest.iter_mut().for_each(|part| sort_simultaneous(part));
-            merge_canonical(&mut records, own, &rest);
-        } else {
-            records.sort_by_key(|r| (r.at, r.rank()));
+        FlightTrace {
+            records: out.finish(),
+            dropped,
         }
-        FlightTrace { records, dropped }
     }
 
     /// Total PFC-paused time per `(node, ingress port)` derived from
@@ -746,32 +985,37 @@ impl FlightTrace {
     /// Time of the last record, or zero for an empty trace. The diff uses
     /// this to close open pause intervals.
     pub fn end_time(&self) -> SimTime {
-        self.records.last().map(|r| r.at).unwrap_or(SimTime::ZERO)
+        self.records.iter().last().map_or(SimTime::ZERO, |r| r.at)
     }
 
     /// Compares two canonical traces record-by-record. Returns `None` when
     /// they are identical, otherwise the first diverging index plus
     /// summaries of everything downstream of it. Both traces must already
-    /// be in canonical order ([`FlightTrace::merge`] output or a recorded
-    /// serial trace, which is canonical by construction).
+    /// be in canonical order ([`FlightRecorder::finish`] or
+    /// [`FlightTrace::merge`] output). Equal traces are told apart by their
+    /// bodies' bytes alone; unequal ones are decoded in lockstep to the
+    /// first divergent record.
     pub fn diff(&self, other: &FlightTrace) -> Option<TraceDiff> {
         use std::collections::BTreeMap;
-        let shared = self.records.len().min(other.records.len());
-        let index = (0..shared)
-            .find(|&i| self.records[i] != other.records[i])
-            .unwrap_or(shared);
-        if index == self.records.len() && index == other.records.len() {
+        if self.records == other.records {
             return None;
         }
+        let (mut a, mut b) = (self.records.iter(), other.records.iter());
+        let mut index = 0;
+        let (first_a, first_b) = loop {
+            match (a.next(), b.next()) {
+                (Some(x), Some(y)) if x == y => index += 1,
+                firsts => break firsts,
+            }
+        };
 
         // Downstream tails: everything at and after the divergence point.
-        let tail_a = &self.records[index.min(self.records.len())..];
-        let tail_b = &other.records[index.min(other.records.len())..];
-
         let mut kinds: BTreeMap<usize, KindDivergence> = BTreeMap::new();
         let mut ports: BTreeMap<(NodeId, u32), PortDivergence> = BTreeMap::new();
-        let mut tally = |records: &[TraceRecord], second: bool| {
+        let mut tally = |records: &mut dyn Iterator<Item = TraceRecord>, second: bool| {
+            let mut tail = 0;
             for r in records {
+                tail += 1;
                 let k = kinds
                     .entry(r.event.kind_index())
                     .or_insert_with(|| KindDivergence {
@@ -796,9 +1040,10 @@ impl FlightTrace {
                     }
                 }
             }
+            tail
         };
-        tally(tail_a, false);
-        tally(tail_b, true);
+        let tail_a = tally(&mut first_a.into_iter().chain(a), false);
+        let tail_b = tally(&mut first_b.into_iter().chain(b), true);
 
         // Pause-time delta per (node, ingress port), computed over the
         // full traces (pause state is cumulative — a tail alone cannot
@@ -834,58 +1079,13 @@ impl FlightTrace {
 
         Some(TraceDiff {
             index,
-            first_a: self.records.get(index).copied(),
-            first_b: other.records.get(index).copied(),
-            tail_a: tail_a.len(),
-            tail_b: tail_b.len(),
+            first_a,
+            first_b,
+            tail_a,
+            tail_b,
             kinds: kinds.into_values().collect(),
             ports,
         })
-    }
-}
-
-/// Puts a time-ordered stream into canonical order where it lies: only the
-/// records of one instant can be out of rank order, so each such run is
-/// stable-sorted by rank. Stable: records with equal `(time, rank)` describe
-/// the same node, so their relative order is the owning shard's processing
-/// order — identical to the serial engine's.
-fn sort_simultaneous(records: &mut [TraceRecord]) {
-    let mut start = 0;
-    while start < records.len() {
-        let at = records[start].at;
-        let len = records[start..].iter().take_while(|r| r.at == at).count();
-        records[start..start + len].sort_by_key(TraceRecord::rank);
-        start += len;
-    }
-}
-
-/// Merges the canonical streams `records[..own]` and `rest` into `records`,
-/// whose length is already the total. Filling from the back, the write
-/// position stays past the unread records of `records[..own]` for as long as
-/// any other part has records left — and once none has, what remains of
-/// `records[..own]` is in place.
-fn merge_canonical(records: &mut [TraceRecord], own: usize, rest: &[Vec<TraceRecord>]) {
-    // Unread records per part; part 0 is `records[..own]`.
-    let mut left: Vec<usize> = std::iter::once(own)
-        .chain(rest.iter().map(Vec::len))
-        .collect();
-    let mut out = records.len();
-    while out > left[0] {
-        let last = |p: usize| match p {
-            0 => &records[left[0] - 1],
-            _ => &rest[p - 1][left[p] - 1],
-        };
-        // The greatest of the parts' last unread records; the part index in
-        // the key sends the latest part last on a tie, as in the sorted
-        // concatenation.
-        let (.., p) = (0..left.len())
-            .filter(|&p| left[p] > 0)
-            .map(|p| (last(p).at, last(p).rank(), p))
-            .max()
-            .expect("a part other than the first has records left");
-        out -= 1;
-        records[out] = *last(p);
-        left[p] -= 1;
     }
 }
 
@@ -958,39 +1158,39 @@ pub struct TraceDiff {
 }
 
 /// Serializes a trace (plus a free-form label naming the run) into the
-/// checksummed container. Deterministic: the same trace and label always
-/// produce the same bytes.
+/// checksummed container: the header fields, then the held body as it is.
+/// Deterministic: the same trace and label always produce the same bytes.
 pub fn write_trace(label: &str, trace: &FlightTrace) -> Vec<u8> {
     let FlightTrace { records, dropped } = trace;
     finalize(TRACE_MAGIC, TRACE_VERSION, |w| {
-        // Room for the worst case, so the file is never copied to grow: the
-        // pages a typical record leaves untouched cost address space only.
-        w.reserve(8 + label.len() + 8 + 8 + records.len() * RECORD_MAX_BYTES + 8);
+        w.reserve(8 + label.len() + 8 + 8 + records.body.len() + 8);
         w.put_str(label);
         w.put_u64(*dropped);
-        w.put_usize(records.len());
-        let mut prev = 0;
-        for record in records {
-            record.put(w, &mut prev);
-        }
+        w.put_usize(records.len);
+        w.put_raw(&records.body);
     })
 }
 
 /// Opens a trace container, returning the label and the records. Rejects
 /// foreign files, version mismatches, truncation and corruption exactly
-/// like snapshot files do.
+/// like snapshot files do: every record is decoded, to be checked, before
+/// the body is kept.
 pub fn read_trace(bytes: &[u8]) -> Result<(String, FlightTrace), SnapError> {
     let payload = open(TRACE_MAGIC, TRACE_VERSION, bytes)?;
     let mut r = SnapReader::new(payload);
     let label = r.get_str()?.to_string();
     let dropped = r.get_u64()?;
-    let count = r.get_count(RECORD_MIN_BYTES)?;
-    let mut records = Vec::with_capacity(count);
+    let len = r.get_count(RECORD_MIN_BYTES)?;
+    let body = &payload[payload.len() - r.remaining()..];
     let mut prev = 0;
-    for _ in 0..count {
-        records.push(TraceRecord::get(&mut r, &mut prev)?);
+    for _ in 0..len {
+        TraceRecord::get(&mut r, &mut prev)?;
     }
     r.expect_end()?;
+    let records = TraceRecords {
+        body: body.to_vec(),
+        len,
+    };
     Ok((label, FlightTrace { records, dropped }))
 }
 
@@ -1305,7 +1505,7 @@ mod tests {
         assert_eq!(trace.records.len(), 1);
         assert_eq!(trace.dropped, 0, "filtered events are not ring drops");
         assert!(matches!(
-            trace.records[0].event,
+            trace.records.iter().next().unwrap().event,
             TraceEvent::PfcSent {
                 node: NodeId(1),
                 ..
@@ -1392,7 +1592,7 @@ mod tests {
         assert_eq!(port_row.pause_b, SimDuration::ZERO);
         // A strict prefix diverges at the shorter length.
         let prefix = FlightTrace {
-            records: a.records[..1].to_vec(),
+            records: a.records.iter().take(1).collect(),
             dropped: 0,
         };
         let diff = prefix.diff(&a).expect("prefix diverges");

@@ -183,6 +183,11 @@ impl SnapWriter {
     /// Appends raw bytes with a `u64` length prefix.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_usize(v.len());
+        self.put_raw(v);
+    }
+
+    /// Appends bytes already encoded, with no length prefix.
+    pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 

@@ -69,7 +69,7 @@ pub enum CsvErrorKind {
     MissingHeader,
     /// The first content line was not [`TRACE_CSV_HEADER`].
     BadHeader {
-        /// The line that was found instead.
+        /// The line that was found instead, [quoted](QUOTE_MAX_BYTES).
         found: String,
     },
     /// A row had the wrong number of comma-separated fields (truncated or
@@ -82,7 +82,7 @@ pub enum CsvErrorKind {
     BadField {
         /// Column name from the header.
         column: &'static str,
-        /// The offending text.
+        /// The offending text, [quoted](QUOTE_MAX_BYTES).
         value: String,
         /// Human-readable expectation.
         reason: &'static str,
@@ -105,6 +105,35 @@ pub enum CsvErrorKind {
         /// The cap, in bytes.
         limit: usize,
     },
+}
+
+/// The most bytes of offending text a [`CsvErrorKind`] keeps: a longer text
+/// is cut on a char boundary at or below it and marked with a trailing `…`,
+/// so an error about a 60 000-digit field stays one short line.
+pub const QUOTE_MAX_BYTES: usize = 64;
+
+/// `text` as a [`CsvErrorKind`] quotes it (see [`QUOTE_MAX_BYTES`]).
+fn quote(text: &str) -> String {
+    if text.len() <= QUOTE_MAX_BYTES {
+        return text.to_string();
+    }
+    let mut end = QUOTE_MAX_BYTES;
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{}…", &text[..end])
+}
+
+/// A [`CsvErrorKind::BadField`] error on `line`.
+fn bad_field(line: usize, column: &'static str, text: &str, reason: &'static str) -> CsvError {
+    CsvError {
+        line,
+        kind: CsvErrorKind::BadField {
+            column,
+            value: quote(text),
+            reason,
+        },
+    }
 }
 
 impl fmt::Display for CsvError {
@@ -197,14 +226,9 @@ pub fn export_csv(flows: &[TraceFlow]) -> String {
 }
 
 fn node_field(line: usize, column: &'static str, text: &str) -> Result<NodeId, CsvError> {
-    let value: u64 = text.parse().map_err(|_| CsvError {
-        line,
-        kind: CsvErrorKind::BadField {
-            column,
-            value: text.to_string(),
-            reason: "expected an unsigned integer node id",
-        },
-    })?;
+    let value: u64 = text
+        .parse()
+        .map_err(|_| bad_field(line, column, text, "expected an unsigned integer node id"))?;
     if value > u64::from(u32::MAX) {
         return Err(CsvError {
             line,
@@ -246,7 +270,7 @@ impl CsvParser {
                 return Err(CsvError {
                     line,
                     kind: CsvErrorKind::BadHeader {
-                        found: content.to_string(),
+                        found: quote(content),
                     },
                 });
             }
@@ -276,31 +300,29 @@ impl CsvParser {
                 kind: CsvErrorKind::SelfFlow,
             });
         }
-        let size_bytes: u64 = fields[2].parse().map_err(|_| CsvError {
-            line,
-            kind: CsvErrorKind::BadField {
-                column: "size_bytes",
-                value: fields[2].to_string(),
-                reason: "expected an unsigned integer byte count",
-            },
+        let size_bytes: u64 = fields[2].parse().map_err(|_| {
+            bad_field(
+                line,
+                "size_bytes",
+                fields[2],
+                "expected an unsigned integer byte count",
+            )
         })?;
         if size_bytes == 0 {
-            return Err(CsvError {
+            return Err(bad_field(
                 line,
-                kind: CsvErrorKind::BadField {
-                    column: "size_bytes",
-                    value: fields[2].to_string(),
-                    reason: "flow size must be at least 1 byte",
-                },
-            });
+                "size_bytes",
+                fields[2],
+                "flow size must be at least 1 byte",
+            ));
         }
-        let start_ps = parse_start_ps(fields[3]).ok_or_else(|| CsvError {
-            line,
-            kind: CsvErrorKind::BadField {
-                column: "start_ns",
-                value: fields[3].to_string(),
-                reason: "expected nanoseconds with up to 3 fractional digits",
-            },
+        let start_ps = parse_start_ps(fields[3]).ok_or_else(|| {
+            bad_field(
+                line,
+                "start_ns",
+                fields[3],
+                "expected nanoseconds with up to 3 fractional digits",
+            )
         })?;
         let start = SimTime::from_picos(start_ps);
         if start < self.prev_start {
@@ -314,14 +336,12 @@ impl CsvParser {
             "0" | "false" => false,
             "1" | "true" => true,
             other => {
-                return Err(CsvError {
+                return Err(bad_field(
                     line,
-                    kind: CsvErrorKind::BadField {
-                        column: "is_incast",
-                        value: other.to_string(),
-                        reason: "expected 0/1 or false/true",
-                    },
-                })
+                    "is_incast",
+                    other,
+                    "expected 0/1 or false/true",
+                ))
             }
         };
         Ok(Some(TraceFlow {
@@ -625,6 +645,35 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn an_error_quotes_a_bounded_prefix_of_the_offending_text() {
+        let digits = "7".repeat(60_000);
+        let csv = format!("{TRACE_CSV_HEADER}\n0,1,100,{digits},0\n");
+        let err = import_csv(&csv).expect_err("start_ns overflows");
+        let rendered = err.to_string();
+        assert!(rendered.len() < 300, "{} bytes", rendered.len());
+        let CsvErrorKind::BadField { column, value, .. } = &err.kind else {
+            panic!("expected BadField, got {:?}", err.kind);
+        };
+        assert_eq!(*column, "start_ns");
+        assert_eq!(value, &format!("{}…", &digits[..QUOTE_MAX_BYTES]));
+        // A cut never splits a character, and a text that fits is kept whole.
+        let wide = "é".repeat(QUOTE_MAX_BYTES);
+        assert_eq!(
+            quote(&wide),
+            format!("{}…", "é".repeat(QUOTE_MAX_BYTES / 2))
+        );
+        let odd = format!("x{wide}");
+        assert_eq!(
+            quote(&odd),
+            format!("x{}…", "é".repeat(QUOTE_MAX_BYTES / 2 - 1))
+        );
+        let fits = "y".repeat(QUOTE_MAX_BYTES);
+        assert_eq!(quote(&fits), fits);
+        let header = import_csv(&format!("{digits}\n")).expect_err("bad header");
+        assert!(header.to_string().len() < 300);
     }
 
     #[test]

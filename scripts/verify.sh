@@ -14,8 +14,8 @@
 #      rustfmt-clean: the list grows as files are rewritten, until a
 #      whole-tree `cargo fmt --all -- --check` (ROADMAP item 5) replaces it.
 #      rustfmt checks a listed file's out-of-line modules too, so a file is
-#      listed only if they are clean as well (`cli.rs`, with its `cli/`
-#      submodules, is not; `tests/alloc_free.rs`'s `common/alloc.rs` is)
+#      listed only if they are clean as well (`cli.rs`'s `cli/` submodules
+#      and `tests/alloc_free.rs`'s `common/alloc.rs` are)
 #   4. the unit tests tier-1 leaves out and a change is most likely to need:
 #      the bfc-testkit harness's own; bfc-sim's — the epoch barrier (nobody
 #      released early, nobody lapped, abort in every wait stage) and the
@@ -69,7 +69,10 @@ cargo clippy -q --workspace --all-targets -- -A clippy::all -D clippy::incompati
 echo "== format: rustfmt --check over the files kept rustfmt-clean"
 rustfmt --check --edition 2021 \
     crates/bfc-bench/src/main.rs \
+    crates/bfc-experiments/src/cli.rs \
     crates/bfc-experiments/src/cli/adversarial.rs \
+    crates/bfc-experiments/src/cli/args.rs \
+    crates/bfc-experiments/src/cli/flight.rs \
     crates/bfc-experiments/src/engine.rs \
     crates/bfc-experiments/src/figures.rs \
     crates/bfc-experiments/src/replay.rs \
@@ -95,6 +98,7 @@ rustfmt --check --edition 2021 \
     crates/bfc-workloads/src/ingest.rs \
     crates/bfc-workloads/src/io.rs \
     tests/alloc_free.rs \
+    tests/cli.rs \
     tests/fig_smoke.rs \
     tests/example_smoke.rs \
     tests/net_properties.rs \

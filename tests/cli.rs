@@ -159,6 +159,47 @@ fn usage_errors_print_the_usage_and_help_succeeds() {
     }
 }
 
+/// A bad input — a file that is not a trace, a snapshot that is not there, a
+/// CSV row whose field runs on for 60 000 digits — is one short `trace-tool:`
+/// line and nothing more; a bad flag on the same command still brings the
+/// usage.
+#[test]
+fn a_bad_input_is_one_line_and_a_bad_flag_adds_the_usage() {
+    let dir = Scratch::new("input-errors");
+    let (csv, garbage, missing, long) = (
+        dir.trace(),
+        dir.path("garbage.flight"),
+        dir.path("no.snap"),
+        dir.path("long.csv"),
+    );
+    std::fs::write(&garbage, "not a flight trace").expect("write garbage");
+    let digits = "9".repeat(60_000);
+    std::fs::write(
+        &long,
+        format!("src,dst,size_bytes,start_ns,is_incast\n0,1,100,{digits},0\n"),
+    )
+    .expect("write csv");
+    for args in [
+        &["trace", "inspect", &garbage][..],
+        &["resume", &csv, "--snapshot", &missing][..],
+        &["stats", &long][..],
+    ] {
+        let ran = trace_tool(args);
+        assert!(!ran.ok && ran.out.is_empty(), "{args:?} must fail");
+        assert!(ran.err.starts_with("trace-tool: "), "{args:?}: {}", ran.err);
+        assert_eq!(ran.err.lines().count(), 1, "{args:?}: {}", ran.err);
+        assert!(ran.err.len() < 300, "{args:?}: {} bytes", ran.err.len());
+    }
+    let ran = trace_tool(&["trace", "inspect", &garbage, "--limit", "many"]);
+    assert!(!ran.ok);
+    assert!(
+        ran.err
+            .starts_with("trace-tool: --limit: not a valid number: many\n\nusage: trace-tool"),
+        "{}",
+        ran.err
+    );
+}
+
 #[test]
 fn synth_stats_replay_round_trip_and_sharded_replay_prints_the_serial_table() {
     let dir = Scratch::new("round-trip");
@@ -808,9 +849,18 @@ fn unbounded_fault_directives_are_refused() {
     let scn = dir.path("fault.scn");
     let started = Instant::now();
     for (directive, says) in [
-        ("flap tor0 spine0 from 1us every 1ns until 1s", "at most 1000 toggles"),
-        ("at 10us rate tor0 spine0 inf", "link rate must be in (0, 10000] Gbps, got inf"),
-        ("at 10us rate tor0 spine0 1e308", "link rate must be in (0, 10000] Gbps"),
+        (
+            "flap tor0 spine0 from 1us every 1ns until 1s",
+            "at most 1000 toggles",
+        ),
+        (
+            "at 10us rate tor0 spine0 inf",
+            "link rate must be in (0, 10000] Gbps, got inf",
+        ),
+        (
+            "at 10us rate tor0 spine0 1e308",
+            "link rate must be in (0, 10000] Gbps",
+        ),
     ] {
         std::fs::write(&scn, format!("{directive}\n")).expect("write scenario");
         let ran = trace_tool(&["scenario", &scn]);
@@ -881,7 +931,11 @@ fn every_trace_reader_refuses_a_line_past_the_cap() {
     let mut text = b"src,dst,size_bytes,start_ns,is_incast\n".to_vec();
     text.resize(text.len() + 64 * 1024 + 1, b'7');
     std::fs::write(&csv, text).expect("write csv");
-    let (snap, missing, flight) = (dir.path("a.snap"), dir.path("no.snap"), dir.path("a.flight"));
+    let (snap, missing, flight) = (
+        dir.path("a.snap"),
+        dir.path("no.snap"),
+        dir.path("a.flight"),
+    );
     let scenario = dir.scenario();
     for args in [
         &["stats", &csv][..],
@@ -893,7 +947,10 @@ fn every_trace_reader_refuses_a_line_past_the_cap() {
         &["serve", "--tail", &csv][..],
     ] {
         let ran = trace_tool(args);
-        assert!(!ran.ok && ran.out.is_empty(), "{args:?} accepted an endless line");
+        assert!(
+            !ran.ok && ran.out.is_empty(),
+            "{args:?} accepted an endless line"
+        );
         assert!(
             ran.err.len() < 16 * 1024,
             "{args:?} wrote {} bytes of stderr",
@@ -916,8 +973,11 @@ fn serve_refuses_a_flow_whose_endpoint_is_not_a_host() {
     let csv = dir.path("flows.csv");
     // The tiny fat-tree (the default topology) has hosts 0–7 and switches 8–11.
     for (row, node) in [("0,8,1000,10,0", 8), ("0,16,1000,10,0", 16)] {
-        std::fs::write(&csv, format!("src,dst,size_bytes,start_ns,is_incast\n{row}\n"))
-            .expect("write csv");
+        std::fs::write(
+            &csv,
+            format!("src,dst,size_bytes,start_ns,is_incast\n{row}\n"),
+        )
+        .expect("write csv");
         let message = format!("flow 0 uses NodeId({node}), which is not a host of the topology");
         let served = trace_tool(&["serve", "--tail", &csv]);
         assert!(!served.ok && served.out.is_empty(), "{row} must be refused");

@@ -1,15 +1,21 @@
-//! `FlightTrace::merge` against its specification: concatenate the parts,
-//! then stable-sort by `(at, canon_rank)`.
+//! `FlightRecorder::finish` and `FlightTrace::merge` against their
+//! specification: concatenate the parts each ring kept, then stable-sort by
+//! `(at, canon_rank)`.
 //!
-//! The merge never sorts a time-ordered input globally — it sorts the runs of
-//! simultaneous records where they lie and merges the parts from the back
-//! into the first part's storage — so the property drives it with what those
-//! shortcuts must survive: one to four parts, most records sharing an instant
-//! with their neighbours, ranks that tie *across* parts (decided by part
-//! order), rings that shed and rings that do not, empty parts, and a part
-//! whose clock runs backwards (the global-sort fallback).
+//! Neither sorts a time-ordered input globally — `finish` sorts the runs of
+//! simultaneous records as it streams its ring out, and `merge` merges the
+//! canonical parts — so the property drives them with what those shortcuts
+//! must survive: one to four parts, most records sharing an instant with
+//! their neighbours, ranks that tie *across* parts (decided by part order),
+//! rings that shed and rings that do not, empty parts, and a part whose clock
+//! runs backwards (the global-sort fallback). The ring itself is checked
+//! against a `VecDeque` at the capacities around its block size.
 
-use backpressure_flow_control::net::trace::{FlightRecorder, FlightTrace, TraceEvent, TraceRecord};
+use std::collections::VecDeque;
+
+use backpressure_flow_control::net::trace::{
+    FlightRecorder, FlightTrace, TraceEvent, TraceRecord, BLOCK_RECORDS,
+};
 use backpressure_flow_control::net::types::NodeId;
 use backpressure_flow_control::sim::SimTime;
 use bfc_testkit::{int_range, pair, property, triple, vec_of};
@@ -122,7 +128,7 @@ property! {
             .collect();
 
         let mut expected: Vec<TraceRecord> =
-            traces.iter().flat_map(|t| t.records.iter().copied()).collect();
+            traces.iter().flat_map(|t| t.records.iter()).collect();
         expected.sort_by_key(|r| (r.at, r.event.canon_rank()));
         let shed: u64 = traces.iter().map(|t| t.dropped).sum();
         let sent: usize = parts.iter().map(|(_, stream)| stream.len()).sum();
@@ -130,7 +136,7 @@ property! {
 
         let merged = FlightTrace::merge(traces);
         assert_eq!(merged.dropped, shed);
-        assert_eq!(merged.records, expected);
+        assert_eq!(merged.records.iter().collect::<Vec<_>>(), expected);
     }
 }
 
@@ -141,4 +147,45 @@ fn merging_nothing_is_the_empty_trace() {
         FlightTrace::merge(vec![FlightTrace::default(), FlightTrace::default()]),
         FlightTrace::default()
     );
+}
+
+/// A ring of any capacity keeps what a `VecDeque` of that capacity keeps —
+/// the last `capacity` records — and sheds as many, across its block
+/// boundaries: a capacity of one, one block less one, one block, one block
+/// and one, and three blocks.
+#[test]
+fn the_block_ring_keeps_what_a_vecdeque_keeps() {
+    for capacity in [
+        1,
+        BLOCK_RECORDS - 1,
+        BLOCK_RECORDS,
+        BLOCK_RECORDS + 1,
+        3 * BLOCK_RECORDS,
+    ] {
+        let mut ring = FlightRecorder::new(capacity);
+        let mut model = VecDeque::new();
+        let mut shed = 0u64;
+        for i in 0..(capacity + 2 * BLOCK_RECORDS + 3) as u64 {
+            // Distinct instants: the canonical order is the recording order.
+            let record = TraceRecord {
+                at: SimTime::from_picos(i),
+                event: TraceEvent::Reroute { index: i as u32 },
+            };
+            ring.record(record.at, record.event);
+            if model.len() == capacity {
+                model.pop_front();
+                shed += 1;
+            }
+            model.push_back(record);
+            if i % 4_099 == 0 {
+                assert_eq!(ring.len(), model.len(), "capacity {capacity}, record {i}");
+            }
+        }
+        let trace = ring.finish();
+        assert_eq!(trace.dropped, shed, "capacity {capacity}");
+        assert!(
+            trace.records.iter().eq(model.iter().copied()),
+            "capacity {capacity}"
+        );
+    }
 }

@@ -9,14 +9,16 @@
 //!    inter-event gaps) hit the requested offered load and are bit-identical
 //!    for a fixed seed.
 //! 4. Any flight trace — times out of order or at `u64::MAX`, every field at
-//!    the ends of its range — round-trips byte for byte through
-//!    `write_trace` → `read_trace` → `write_trace`.
+//!    the ends of its range — iterates back what it was built from,
+//!    round-trips byte for byte through `write_trace` → `read_trace` →
+//!    `write_trace`, comes out of a recorder stable-sorted by `(time, rank)`
+//!    and diverges from another exactly where a `Vec` walk says it does.
 //! 5. The three ways to read a trace CSV — `import_csv` over a string,
 //!    `read_csv_file` and a drained non-follow `CsvTail` over a file — give
 //!    the same flows or the same line-numbered error for the same bytes.
 
 use backpressure_flow_control::net::trace::{
-    read_trace, write_trace, FlightTrace, TraceEvent, TraceRecord, QUEUE_CONTROL,
+    read_trace, write_trace, FlightRecorder, FlightTrace, TraceEvent, TraceRecord, QUEUE_CONTROL,
     QUEUE_HIGH_PRIORITY, QUEUE_OVERFLOW,
 };
 use backpressure_flow_control::sim::{SimDuration, SimRng, SimTime};
@@ -325,24 +327,101 @@ fn arb_trace_event(rng: &mut SimRng) -> TraceEvent {
     }
 }
 
+/// Up to 64 arbitrary records: times from [`arb_time`] (unordered, at the
+/// ends of the clock), or, one trace in two, in time order with most
+/// instants shared, ending at `u64::MAX` — what a recorder's clock gives.
+fn arb_records(rng: &mut SimRng) -> Vec<TraceRecord> {
+    let ordered = rng.next_below(2) == 0;
+    let mut at = SimTime::ZERO;
+    let mut records: Vec<TraceRecord> = (0..rng.next_below(64))
+        .map(|_| {
+            at = if ordered {
+                SimTime::from_picos(at.as_picos() + rng.next_below(3) / 2)
+            } else {
+                arb_time(rng, at)
+            };
+            TraceRecord {
+                at,
+                event: arb_trace_event(rng),
+            }
+        })
+        .collect();
+    if let (true, Some(last)) = (ordered, records.last_mut()) {
+        last.at = SimTime::from_picos(u64::MAX);
+    }
+    records
+}
+
 property! {
     /// Arbitrary flight traces read back equal to what was written, and
     /// writing what was read gives the same bytes: the `.flight` codec loses
-    /// nothing at any field's extremes or on any order of times.
+    /// nothing at any field's extremes or on any order of times. A trace's
+    /// records iterate back exactly as they were collected.
     fn flight_traces_round_trip_byte_for_byte(seed in int_range(0u64..u64::MAX)) {
         let rng = &mut SimRng::new(seed);
-        let mut at = SimTime::ZERO;
-        let records = (0..rng.next_below(64))
-            .map(|_| {
-                at = arb_time(rng, at);
-                TraceRecord { at, event: arb_trace_event(rng) }
-            })
-            .collect();
-        let trace = FlightTrace { records, dropped: rng.next_u64() };
+        let records = arb_records(rng);
+        let trace = FlightTrace { records: records.iter().copied().collect(), dropped: rng.next_u64() };
+        assert_eq!(trace.records.len(), records.len());
+        assert_eq!(trace.records.iter().collect::<Vec<_>>(), records);
         let bytes = write_trace("arbitrary", &trace);
         let (label, back) = read_trace(&bytes).expect("a written trace reads back");
         assert_eq!((label.as_str(), &back), ("arbitrary", &trace));
         assert_eq!(write_trace(&label, &back), bytes);
+    }
+}
+
+property! {
+    /// A recorder's `finish` is the stable sort by `(time, rank)` of what it
+    /// recorded, whether its clock ran forward (sorted instant by instant)
+    /// or not (sorted whole).
+    fn a_finished_recorder_is_its_records_stable_sorted(seed in int_range(0u64..u64::MAX)) {
+        let rng = &mut SimRng::new(seed);
+        let records = arb_records(rng);
+        let mut recorder = FlightRecorder::new(64);
+        for r in &records {
+            recorder.record(r.at, r.event);
+        }
+        let mut expected = records;
+        expected.sort_by_key(|r| (r.at, r.rank()));
+        let trace = recorder.finish();
+        assert_eq!(trace.dropped, 0);
+        assert_eq!(trace.records.iter().collect::<Vec<_>>(), expected);
+    }
+}
+
+property! {
+    /// `diff` is `None` exactly when two traces hold the same records, and
+    /// otherwise names the first index where they differ — a record changed,
+    /// cut off or added — with the records there and the tails after it, as
+    /// a walk over two `Vec`s does.
+    fn diff_finds_the_first_divergent_record(seed in int_range(0u64..u64::MAX)) {
+        let rng = &mut SimRng::new(seed);
+        let a = arb_records(rng);
+        let mut b = a.clone();
+        match rng.next_below(4) {
+            0 => {}
+            1 => b.truncate(rng.next_below(b.len() as u64 + 1) as usize),
+            2 => b.extend(arb_records(rng)),
+            _ if !b.is_empty() => {
+                let i = rng.next_below(b.len() as u64) as usize;
+                b[i] = TraceRecord { at: arb_time(rng, b[i].at), event: arb_trace_event(rng) };
+            }
+            _ => {}
+        }
+        let trace = |records: &[TraceRecord]| FlightTrace {
+            records: records.iter().copied().collect(),
+            dropped: 0,
+        };
+        let diff = trace(&a).diff(&trace(&b));
+        let index = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+        if a == b {
+            assert_eq!(diff, None);
+        } else {
+            let diff = diff.expect("different records diverge");
+            assert_eq!(diff.index, index);
+            assert_eq!((diff.first_a, diff.first_b), (a.get(index).copied(), b.get(index).copied()));
+            assert_eq!((diff.tail_a, diff.tail_b), (a.len() - index, b.len() - index));
+        }
     }
 }
 
