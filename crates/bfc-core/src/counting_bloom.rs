@@ -172,7 +172,8 @@ mod tests {
         cb.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut back = CountingBloom::new(64);
-        back.restore_state(&mut SnapReader::new(&bytes)).expect("restores");
+        back.restore_state(&mut SnapReader::new(&bytes))
+            .expect("restores");
         assert_eq!(back.snapshot(), cb.snapshot());
         assert!(!back.snapshot().is_empty());
     }

@@ -267,27 +267,46 @@ impl FuzzCase {
         let mut spec = ScenarioSpec::new();
         for fault in &self.faults {
             match *fault {
-                Fault::DownUp { cable, at_us, dur_us } => {
+                Fault::DownUp {
+                    cable,
+                    at_us,
+                    dur_us,
+                } => {
                     let c = &cables[(cable as usize) % cables.len()];
                     let at = clamp_at(at_us);
-                    spec = spec
-                        .down(us(at), c.a.clone(), c.b.clone())
-                        .up(us(at + dur_us.max(1)), c.a.clone(), c.b.clone());
+                    spec = spec.down(us(at), c.a.clone(), c.b.clone()).up(
+                        us(at + dur_us.max(1)),
+                        c.a.clone(),
+                        c.b.clone(),
+                    );
                 }
-                Fault::Flap { cable, from_us, period_us, toggles } => {
+                Fault::Flap {
+                    cable,
+                    from_us,
+                    period_us,
+                    toggles,
+                } => {
                     let c = &cables[(cable as usize) % cables.len()];
                     let from = clamp_at(from_us);
                     let period = period_us.max(1);
                     let until = from + period * toggles.clamp(2, 16);
                     spec = spec.flap(c.a.clone(), c.b.clone(), us(from), us(period), us(until));
                 }
-                Fault::Rate { cable, at_us, gbps10, hold_us } => {
+                Fault::Rate {
+                    cable,
+                    at_us,
+                    gbps10,
+                    hold_us,
+                } => {
                     let c = &cables[(cable as usize) % cables.len()];
                     let at = clamp_at(at_us);
                     let degraded = (gbps10.max(1) as f64 / 10.0).min(c.gbps / 2.0);
-                    spec = spec
-                        .rate(us(at), c.a.clone(), c.b.clone(), degraded)
-                        .rate(us(at + hold_us.max(1)), c.a.clone(), c.b.clone(), c.gbps);
+                    spec = spec.rate(us(at), c.a.clone(), c.b.clone(), degraded).rate(
+                        us(at + hold_us.max(1)),
+                        c.a.clone(),
+                        c.b.clone(),
+                        c.gbps,
+                    );
                 }
             }
         }
@@ -348,7 +367,11 @@ impl Gen for CaseGen {
             topo_idx: rng.next_index(self.num_topos),
             workload: *rng.choose(&[Workload::Google, Workload::FbHadoop, Workload::WebSearch]),
             load: 0.2 + rng.next_f64() * 0.7,
-            incast_load: if incast { 0.05 + rng.next_f64() * 0.45 } else { 0.0 },
+            incast_load: if incast {
+                0.05 + rng.next_f64() * 0.45
+            } else {
+                0.0
+            },
             fan_in: 2 + rng.next_below(15) as usize,
             incast_bytes: 20_000 + rng.next_below(480_000),
             duration_us,
@@ -369,7 +392,13 @@ impl Gen for CaseGen {
         }
         // A flap is a pulse train; try the single pulse.
         for (i, fault) in case.faults.iter().enumerate() {
-            if let Fault::Flap { cable, from_us, period_us, .. } = *fault {
+            if let Fault::Flap {
+                cable,
+                from_us,
+                period_us,
+                ..
+            } = *fault
+            {
                 let mut c = case.clone();
                 c.faults[i] = Fault::DownUp {
                     cable,
@@ -612,7 +641,10 @@ impl Reproducer {
     /// refuses a scheme its [`Scheme::cli_key`] does not name.
     pub fn from_case(cfg: &FuzzConfig, case: &FuzzCase) -> Result<Reproducer, String> {
         if Scheme::from_cli_key(cfg.scheme.cli_key()).as_ref() != Some(&cfg.scheme) {
-            return Err(format!("fuzz: no reproducer key names scheme {:?}", cfg.scheme));
+            return Err(format!(
+                "fuzz: no reproducer key names scheme {:?}",
+                cfg.scheme
+            ));
         }
         let topo_name = &cfg.topos[case.topo_idx % cfg.topos.len()];
         let topo = topology_by_name(topo_name)
@@ -663,7 +695,9 @@ impl Reproducer {
             if content.is_empty() {
                 continue;
             }
-            let (key, value) = content.split_once(char::is_whitespace).unwrap_or((content, ""));
+            let (key, value) = content
+                .split_once(char::is_whitespace)
+                .unwrap_or((content, ""));
             let value = value.trim();
             let bad = |what: &str| format!("line {line}: bad {what} `{value}`");
             match key {
@@ -679,8 +713,7 @@ impl Reproducer {
                         Objective::from_cli_key(value).ok_or_else(|| bad("objective"))?;
                 }
                 "workload" => {
-                    repro.workload =
-                        workload_from_cli_key(value).ok_or_else(|| bad("workload"))?;
+                    repro.workload = workload_from_cli_key(value).ok_or_else(|| bad("workload"))?;
                 }
                 "load" => repro.load = value.parse().map_err(|_| bad("load"))?,
                 "incast-load" => {
@@ -720,7 +753,9 @@ impl Reproducer {
     /// The trace this reproducer synthesizes and the topology it runs over.
     /// Public so CLI front ends (e.g. `trace-tool scenario` on a committed
     /// reproducer) can run the exact case through their own drivers.
-    pub fn materialize(&self) -> Result<(Topology, Vec<bfc_workloads::TraceFlow>, ExperimentConfig), String> {
+    pub fn materialize(
+        &self,
+    ) -> Result<(Topology, Vec<bfc_workloads::TraceFlow>, ExperimentConfig), String> {
         let topo = topology_by_name(&self.topo)
             .ok_or_else(|| format!("reproducer: unknown topology `{}`", self.topo))?;
         let hosts = topo.hosts();
@@ -842,7 +877,10 @@ mod tests {
         assert_eq!(parsed, repro);
         // Comments and blank lines are tolerated, like scenario files.
         let commented = format!("# found by fuzz\n\n{text}# trailing note\n");
-        assert_eq!(Reproducer::parse(&commented).expect("comments ignored"), repro);
+        assert_eq!(
+            Reproducer::parse(&commented).expect("comments ignored"),
+            repro
+        );
     }
 
     #[test]
@@ -869,7 +907,10 @@ mod tests {
             .into_iter()
             .chain([Scheme::bfc_vfid(), Scheme::SfqInfBuffer]);
         for scheme in keyed {
-            assert_eq!(Scheme::from_cli_key(scheme.cli_key()).as_ref(), Some(&scheme));
+            assert_eq!(
+                Scheme::from_cli_key(scheme.cli_key()).as_ref(),
+                Some(&scheme)
+            );
             let cfg = FuzzConfig {
                 scheme: scheme.clone(),
                 ..FuzzConfig::new()

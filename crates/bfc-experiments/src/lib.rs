@@ -77,15 +77,15 @@ pub mod service;
 pub mod sharded;
 pub mod table;
 
+pub use bfc_sim::shard::{EpochStats, ShardWall};
 pub use fuzz::{FuzzConfig, FuzzOutcome, Objective, Reproducer};
 pub use parallel::ParallelRunner;
 pub use replay::{ReplayError, ReplayTrace};
-pub use bfc_sim::shard::{EpochStats, ShardWall};
 pub use runner::{run_experiment, ExperimentConfig, ExperimentResult, MAX_HORIZON};
 pub use scenario::{ScenarioError, ScenarioSpec};
 pub use scheme::Scheme;
 pub use service::{
-    resume_experiment, serve_experiment_with, snapshot_experiment,
-    spawn_scrape_server, MetricsHub, ServeError, ServeReport, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    resume_experiment, serve_experiment_with, snapshot_experiment, spawn_scrape_server, MetricsHub,
+    ServeError, ServeReport, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use sharded::{run_experiment_sharded, ShardError, ShardPlan};

@@ -265,9 +265,16 @@ mod tests {
     #[test]
     fn counts_parse_as_positive_integers_only() {
         assert_eq!(parse_count("--shards", " 4 "), Ok(4));
-        for (bad, why) in [("", "not a valid number"), ("banana", "not a valid number"), ("0", "got 0")] {
+        for (bad, why) in [
+            ("", "not a valid number"),
+            ("banana", "not a valid number"),
+            ("0", "got 0"),
+        ] {
             let err = parse_count("BFC_THREADS", bad).expect_err(bad);
-            assert!(err.starts_with("BFC_THREADS") && err.contains(why), "{bad:?}: {err}");
+            assert!(
+                err.starts_with("BFC_THREADS") && err.contains(why),
+                "{bad:?}: {err}"
+            );
         }
     }
 
@@ -285,17 +292,18 @@ mod tests {
         let topo = fat_tree(FatTreeParams::tiny());
         let trace = synthesize(
             &topo.hosts(),
-            &TraceParams::background_only(
-                Workload::Google,
-                0.3,
-                SimDuration::from_micros(150),
-                11,
-            ),
+            &TraceParams::background_only(Workload::Google, 0.3, SimDuration::from_micros(150), 11),
         );
-        let configs: Vec<ExperimentConfig> = [Scheme::bfc(), Scheme::Dcqcn { window: true, sfq: false }]
-            .into_iter()
-            .map(|s| ExperimentConfig::new(s, SimDuration::from_micros(150)))
-            .collect();
+        let configs: Vec<ExperimentConfig> = [
+            Scheme::bfc(),
+            Scheme::Dcqcn {
+                window: true,
+                sfq: false,
+            },
+        ]
+        .into_iter()
+        .map(|s| ExperimentConfig::new(s, SimDuration::from_micros(150)))
+        .collect();
         let serial = ParallelRunner::serial().run_experiments(&topo, &trace, &configs);
         let parallel = ParallelRunner::new(4).run_experiments(&topo, &trace, &configs);
         assert_eq!(serial.len(), parallel.len());

@@ -199,9 +199,7 @@ impl fmt::Display for ScenarioSpec {
             match step.action {
                 StepAction::Down => writeln!(f, "at {at} down {} {}", step.a, step.b)?,
                 StepAction::Up => writeln!(f, "at {at} up {} {}", step.a, step.b)?,
-                StepAction::Rate(gbps) => {
-                    writeln!(f, "at {at} rate {} {} {gbps}", step.a, step.b)?
-                }
+                StepAction::Rate(gbps) => writeln!(f, "at {at} rate {} {} {gbps}", step.a, step.b)?,
             }
         }
         Ok(())
@@ -224,7 +222,13 @@ impl ScenarioSpec {
         self.steps.is_empty()
     }
 
-    fn push(mut self, at: SimDuration, a: impl Into<String>, b: impl Into<String>, action: StepAction) -> Self {
+    fn push(
+        mut self,
+        at: SimDuration,
+        a: impl Into<String>,
+        b: impl Into<String>,
+        action: StepAction,
+    ) -> Self {
         self.steps.push(Step {
             at,
             a: a.into(),
@@ -282,7 +286,11 @@ impl ScenarioSpec {
         let mut at = from;
         let mut down = true;
         while at < until {
-            let action = if down { StepAction::Down } else { StepAction::Up };
+            let action = if down {
+                StepAction::Down
+            } else {
+                StepAction::Up
+            };
             self.steps.push(Step {
                 at,
                 a: a.clone(),
@@ -363,9 +371,11 @@ impl ScenarioSpec {
             let fields: Vec<&str> = content.split_whitespace().collect();
             let bad = |kind| ScenarioError { line, kind };
             let time = |value: &str| {
-                parse_time(value).ok_or_else(|| bad(ScenarioErrorKind::BadTime {
-                    value: value.to_string(),
-                }))
+                parse_time(value).ok_or_else(|| {
+                    bad(ScenarioErrorKind::BadTime {
+                        value: value.to_string(),
+                    })
+                })
             };
             match fields.as_slice() {
                 ["at", t, "down", a, b] => {
@@ -375,9 +385,11 @@ impl ScenarioSpec {
                     spec = spec.up(time(t)?, *a, *b);
                 }
                 ["at", t, "rate", a, b, gbps] => {
-                    let rate: f64 = gbps.parse().map_err(|_| bad(ScenarioErrorKind::BadRate {
-                        value: gbps.to_string(),
-                    }))?;
+                    let rate: f64 = gbps.parse().map_err(|_| {
+                        bad(ScenarioErrorKind::BadRate {
+                            value: gbps.to_string(),
+                        })
+                    })?;
                     if !(rate > 0.0) {
                         return Err(bad(ScenarioErrorKind::BadRate {
                             value: gbps.to_string(),
@@ -506,8 +518,8 @@ flap tor0 spine1 from 80us every 40us until 200us
         let err = ScenarioSpec::parse("at 10us rate tor0 spine0 -3\n").expect_err("bad rate");
         assert!(matches!(err.kind, ScenarioErrorKind::BadRate { .. }));
 
-        let err =
-            ScenarioSpec::parse("flap a b from 90us every 0us until 100us\n").expect_err("bad flap");
+        let err = ScenarioSpec::parse("flap a b from 90us every 0us until 100us\n")
+            .expect_err("bad flap");
         assert!(matches!(err.kind, ScenarioErrorKind::BadFlap));
     }
 
@@ -518,7 +530,10 @@ flap tor0 spine1 from 80us every 40us until 200us
             .down(us(1), "tor0", "nonsuch")
             .resolve(&topo)
             .expect_err("unknown label");
-        assert!(matches!(err.kind, ScenarioErrorKind::UnknownEndpoint { .. }));
+        assert!(matches!(
+            err.kind,
+            ScenarioErrorKind::UnknownEndpoint { .. }
+        ));
 
         let err = ScenarioSpec::new()
             .down(us(1), "host0", "host1")

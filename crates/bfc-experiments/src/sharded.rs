@@ -106,7 +106,10 @@ impl ShardPlan {
                     continue;
                 }
                 if spec.link.propagation.is_zero() {
-                    return Err(ShardError::ZeroLookahead { a: node, b: spec.peer });
+                    return Err(ShardError::ZeroLookahead {
+                        a: node,
+                        b: spec.peer,
+                    });
                 }
                 lookahead = Some(match lookahead {
                     Some(l) => l.min(spec.link.propagation),
@@ -199,12 +202,7 @@ mod tests {
         let topo = fat_tree(FatTreeParams::tiny());
         let trace = synthesize(
             &topo.hosts(),
-            &TraceParams::background_only(
-                Workload::Google,
-                0.3,
-                SimDuration::from_micros(100),
-                17,
-            ),
+            &TraceParams::background_only(Workload::Google, 0.3, SimDuration::from_micros(100), 17),
         );
         let config = ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(100));
         let serial = run_experiment(&topo, &trace, &config);

@@ -184,7 +184,11 @@ mod tests {
         assert_eq!(m.faults, 1);
         // Recovery threshold is 900 B: first met at t=80, 35 us after the fault.
         assert_eq!(m.time_to_recover, Some(SimDuration::from_micros(35)));
-        assert!((m.goodput_dip_depth - 0.9).abs() < 1e-9, "dip {}", m.goodput_dip_depth);
+        assert!(
+            (m.goodput_dip_depth - 0.9).abs() < 1e-9,
+            "dip {}",
+            m.goodput_dip_depth
+        );
     }
 
     #[test]

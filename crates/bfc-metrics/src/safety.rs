@@ -97,7 +97,11 @@ impl SafetyTracker {
     /// canonically anyway).
     pub fn merge<'a>(parts: impl IntoIterator<Item = &'a SafetyTracker>) -> SafetyTracker {
         SafetyTracker {
-            edges: parts.into_iter().flat_map(|part| &part.edges).copied().collect(),
+            edges: parts
+                .into_iter()
+                .flat_map(|part| &part.edges)
+                .copied()
+                .collect(),
         }
     }
 
@@ -138,7 +142,10 @@ impl SafetyTracker {
         let mut storm: BTreeMap<(NodeId, NodeId), (u64, u64)> = BTreeMap::new();
         let storm_ps = STORM_WINDOW.as_picos();
 
-        let confirm = |report: &mut SafetyReport, formed: SimTime, released: SimTime, cycle: &[(NodeId, NodeId)]| {
+        let confirm = |report: &mut SafetyReport,
+                       formed: SimTime,
+                       released: SimTime,
+                       cycle: &[(NodeId, NodeId)]| {
             if released.saturating_since(formed) >= DEADLOCK_HOLD {
                 report.deadlocks += 1;
                 if report.first_deadlock_at.is_none() {

@@ -65,9 +65,9 @@ impl LinkAction {
     /// The two endpoints of the affected cable.
     pub fn endpoints(&self) -> (NodeId, NodeId) {
         match *self {
-            LinkAction::Down { a, b } | LinkAction::Up { a, b } | LinkAction::SetRate { a, b, .. } => {
-                (a, b)
-            }
+            LinkAction::Down { a, b }
+            | LinkAction::Up { a, b }
+            | LinkAction::SetRate { a, b, .. } => (a, b),
         }
     }
 }
@@ -117,7 +117,10 @@ impl fmt::Display for DynamicsError {
             }
             DynamicsError::UnknownNode { node } => write!(f, "{node} is not in the topology"),
             DynamicsError::BadRate { gbps } => {
-                write!(f, "link rate must be in (0, {MAX_LINK_GBPS}] Gbps, got {gbps}")
+                write!(
+                    f,
+                    "link rate must be in (0, {MAX_LINK_GBPS}] Gbps, got {gbps}"
+                )
             }
         }
     }
@@ -273,8 +276,14 @@ impl LinkStateMap {
             }
         }
         Ok([
-            Endpoint { node: a, port: port_a },
-            Endpoint { node: b, port: port_b },
+            Endpoint {
+                node: a,
+                port: port_a,
+            },
+            Endpoint {
+                node: b,
+                port: port_b,
+            },
         ])
     }
 }
@@ -350,12 +359,17 @@ mod tests {
         // Past `MAX_LINK_GBPS` a 1-byte packet would serialize in 0 ps.
         for gbps in [0.0, f64::INFINITY, f64::NAN, 1e308, MAX_LINK_GBPS * 1.5] {
             assert!(
-                matches!(at_rate(gbps).validate(&topo), Err(DynamicsError::BadRate { .. })),
+                matches!(
+                    at_rate(gbps).validate(&topo),
+                    Err(DynamicsError::BadRate { .. })
+                ),
                 "{gbps} Gbps"
             );
         }
         assert!(at_rate(MAX_LINK_GBPS).validate(&topo).is_ok());
-        assert!(!Link::new(MAX_LINK_GBPS, SimDuration::ZERO).serialization(1).is_zero());
+        assert!(!Link::new(MAX_LINK_GBPS, SimDuration::ZERO)
+            .serialization(1)
+            .is_zero());
     }
 
     #[test]
@@ -404,7 +418,14 @@ mod tests {
         assert_eq!(ends[1].node, tor);
         assert!(state.all_up(), "rate changes do not take the link down");
         assert!(matches!(
-            state.apply(&topo, &LinkAction::SetRate { a: host, b: tor, gbps: -1.0 }),
+            state.apply(
+                &topo,
+                &LinkAction::SetRate {
+                    a: host,
+                    b: tor,
+                    gbps: -1.0
+                }
+            ),
             Err(DynamicsError::BadRate { .. })
         ));
     }

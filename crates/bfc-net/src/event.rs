@@ -242,11 +242,17 @@ mod tests {
         assert_eq!(arrive(1, 2).canon_rank(), arrive(1, 2).canon_rank());
         // Kind tags separate simultaneous events on the same cable, and the
         // cross-kind order puts samples before packet processing.
-        let tx = NetEvent::TxComplete { node: NodeId(1), port: 0 };
+        let tx = NetEvent::TxComplete {
+            node: NodeId(1),
+            port: 0,
+        };
         assert_ne!(arrive(1, 0).canon_rank(), tx.canon_rank());
         assert!(NetEvent::Sample.canon_rank() < arrive(0, 0).canon_rank());
         assert!(
-            NetEvent::FlowArrival { index: (1 << 29) - 1 }.canon_rank()
+            NetEvent::FlowArrival {
+                index: (1 << 29) - 1
+            }
+            .canon_rank()
                 < NetEvent::Sample.canon_rank()
         );
         assert_ne!(
@@ -261,15 +267,31 @@ mod tests {
         // `busy_past_end`) is this order: at the instant a serialization
         // ends, arrivals, flow starts and link dynamics still see the wire
         // taken, host timers see it free.
-        let tx = NetEvent::TxComplete { node: NodeId(3), port: 0 }.canon_rank();
+        let tx = NetEvent::TxComplete {
+            node: NodeId(3),
+            port: 0,
+        }
+        .canon_rank();
         let arrive = NetEvent::PacketArrive {
             node: NodeId((1 << 19) - 1),
             port: (1 << 10) - 1,
             packet: Packet::pfc(NodeId(0), NodeId(1), true),
         };
         assert!(arrive.canon_rank() < tx);
-        assert!(NetEvent::FlowArrival { index: (1 << 29) - 1 }.canon_rank() < tx);
-        assert!(NetEvent::NetworkDynamics { index: (1 << 29) - 1 }.canon_rank() < tx);
+        assert!(
+            NetEvent::FlowArrival {
+                index: (1 << 29) - 1
+            }
+            .canon_rank()
+                < tx
+        );
+        assert!(
+            NetEvent::NetworkDynamics {
+                index: (1 << 29) - 1
+            }
+            .canon_rank()
+                < tx
+        );
         let timer = NetEvent::HostTimer {
             node: NodeId(0),
             timer: TransportTimer::NicWakeup,
@@ -282,16 +304,23 @@ mod tests {
         let mut q: EventQueue<NetEvent> = EventQueue::new();
         let t = SimTime::from_nanos(10);
         // Pushed in "wrong" order; the rank restores the canonical one.
-        q.send(t, NetEvent::TxComplete { node: NodeId(1), port: 0 });
+        q.send(
+            t,
+            NetEvent::TxComplete {
+                node: NodeId(1),
+                port: 0,
+            },
+        );
         q.send(t, NetEvent::Sample);
         q.send(t, NetEvent::FlowArrival { index: 0 });
-        let kinds: Vec<u8> = std::iter::from_fn(|| q.pop()).map(|(_, e)| match e {
-            NetEvent::FlowArrival { .. } => 0,
-            NetEvent::Sample => 1,
-            NetEvent::TxComplete { .. } => 2,
-            _ => 9,
-        })
-        .collect();
+        let kinds: Vec<u8> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| match e {
+                NetEvent::FlowArrival { .. } => 0,
+                NetEvent::Sample => 1,
+                NetEvent::TxComplete { .. } => 2,
+                _ => 9,
+            })
+            .collect();
         assert_eq!(kinds, vec![0, 1, 2]);
     }
 
@@ -302,9 +331,21 @@ mod tests {
         // out of line so these moves are one cache line, whatever the scheme.
         use crate::queue::QueuedPacket;
         use std::mem::size_of;
-        assert!(size_of::<Packet>() <= 64, "Packet is {} bytes", size_of::<Packet>());
-        assert!(size_of::<QueuedPacket>() <= 64, "QueuedPacket is {} bytes", size_of::<QueuedPacket>());
-        assert!(size_of::<NetEvent>() <= 72, "NetEvent is {} bytes", size_of::<NetEvent>());
+        assert!(
+            size_of::<Packet>() <= 64,
+            "Packet is {} bytes",
+            size_of::<Packet>()
+        );
+        assert!(
+            size_of::<QueuedPacket>() <= 64,
+            "QueuedPacket is {} bytes",
+            size_of::<QueuedPacket>()
+        );
+        assert!(
+            size_of::<NetEvent>() <= 72,
+            "NetEvent is {} bytes",
+            size_of::<NetEvent>()
+        );
         assert!(
             size_of::<Option<NetEvent>>() <= 72,
             "event-queue slab slot is {} bytes",

@@ -394,7 +394,8 @@ impl<E> EventQueue<E> {
         let mut c = std::mem::replace(&mut self.heads[phys], NIL);
         while c != NIL {
             let chunk = &mut self.chunks[c as usize];
-            self.sorted.extend_from_slice(&chunk.keys[..chunk.len as usize]);
+            self.sorted
+                .extend_from_slice(&chunk.keys[..chunk.len as usize]);
             let next = chunk.next;
             chunk.next = self.free_chunk;
             self.free_chunk = c;
@@ -823,10 +824,10 @@ mod tests {
                 if rng.chance(0.6) || cal.is_empty() {
                     // Mix of near, far and duplicate timestamps.
                     let t = match rng.next_below(4) {
-                        0 => rng.next_below(1_000),             // dense ties, ns
-                        1 => rng.next_below(100_000),           // within calendar
-                        2 => rng.next_below(1_000_000_000),     // far future
-                        _ => 77,                                // constant tie
+                        0 => rng.next_below(1_000),         // dense ties, ns
+                        1 => rng.next_below(100_000),       // within calendar
+                        2 => rng.next_below(1_000_000_000), // far future
+                        _ => 77,                            // constant tie
                     };
                     // A small rank universe so (time, rank) ties are common
                     // and the seq fallback is exercised in both queues.
@@ -895,7 +896,11 @@ mod tests {
                 let now = a.expect("population is held").0.as_picos();
                 // Rank-0 stretches order by push sequence alone.
                 let ranked = (step / 5_000) % 2 == 0;
-                let burst = if rng.chance(0.05) { 1 + rng.next_below(6) } else { 1 };
+                let burst = if rng.chance(0.05) {
+                    1 + rng.next_below(6)
+                } else {
+                    1
+                };
                 let delta = fabric_delta_ps(&mut rng);
                 for _ in 0..burst {
                     let rank = if ranked { rng.next_below(8) as u32 } else { 0 };

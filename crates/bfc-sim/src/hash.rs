@@ -99,12 +99,15 @@ mod tests {
         // Sequential small integers must not collide in the top bits
         // (hashbrown's control tag) or the low bits (bucket index).
         let hashes: Vec<u64> = (0..1024u32).map(|v| hash_one(&v)).collect();
-        let top7: std::collections::HashSet<u8> =
-            hashes.iter().map(|h| (h >> 57) as u8).collect();
+        let top7: std::collections::HashSet<u8> = hashes.iter().map(|h| (h >> 57) as u8).collect();
         assert!(top7.len() > 100, "top bits are degenerate: {}", top7.len());
         let low10: std::collections::HashSet<u16> =
             hashes.iter().map(|h| (h & 1023) as u16).collect();
-        assert!(low10.len() > 600, "low bits are degenerate: {}", low10.len());
+        assert!(
+            low10.len() > 600,
+            "low bits are degenerate: {}",
+            low10.len()
+        );
     }
 
     #[test]

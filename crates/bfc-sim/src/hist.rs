@@ -50,7 +50,9 @@ pub fn bucket_upper(index: usize) -> u64 {
         // Bucket holds [base + sub*width, base + (sub+1)*width - 1] where
         // base = 2^e and width = 2^(e-3).
         let width = 1u64 << (e - 3);
-        (1u64 << e).wrapping_add((sub + 1).wrapping_mul(width)).wrapping_sub(1)
+        (1u64 << e)
+            .wrapping_add((sub + 1).wrapping_mul(width))
+            .wrapping_sub(1)
     }
 }
 

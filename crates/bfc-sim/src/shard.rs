@@ -650,7 +650,11 @@ mod tests {
                 let (now, token) = self.queue.pop().expect("peeked");
                 self.last = now;
                 self.log.push((now, token));
-                let dest = if self.cross { (self.me + 1) % self.n } else { self.me };
+                let dest = if self.cross {
+                    (self.me + 1) % self.n
+                } else {
+                    self.me
+                };
                 let at = now + self.hop;
                 if dest == self.me {
                     self.queue.push_ranked(at, token, token);
@@ -738,11 +742,20 @@ mod tests {
             next_round(ran, sent, min_next, HOP, deadline, batching)
         };
         // Traffic: the next grid window, wherever the next local event is.
-        assert_eq!(next(ran, 3, Some(ns(700)), true), Some(Round::Window(ns(200))));
+        assert_eq!(
+            next(ran, 3, Some(ns(700)), true),
+            Some(Round::Window(ns(200)))
+        );
         assert_eq!(next(ran, 3, None, true), Some(Round::Window(ns(200))));
         // Silence: the window anchored at the next event, if the run has one.
-        assert_eq!(next(ran, 0, Some(ns(700)), true), Some(Round::Window(ns(750))));
-        assert_eq!(next(ran, 0, Some(deadline), true), Some(Round::Window(ns(1_050))));
+        assert_eq!(
+            next(ran, 0, Some(ns(700)), true),
+            Some(Round::Window(ns(750)))
+        );
+        assert_eq!(
+            next(ran, 0, Some(deadline), true),
+            Some(Round::Window(ns(1_050)))
+        );
         assert_eq!(next(ran, 0, Some(ns(1_001)), true), None);
         assert_eq!(next(ran, 0, None, true), None);
         // An election is silent by construction, batching or not.
@@ -848,8 +861,7 @@ mod tests {
     fn empty_queues_terminate_immediately() {
         let mut shards = ring(3, 0);
         for batching in [false, true] {
-            let (end, stats, _) =
-                run_conservative(&mut shards, HOP, SimTime::MAX, true, batching);
+            let (end, stats, _) = run_conservative(&mut shards, HOP, SimTime::MAX, true, batching);
             assert_eq!(end, SimTime::ZERO);
             // The opening election finds nothing: one crossing, no window.
             let one_crossing = EpochStats {

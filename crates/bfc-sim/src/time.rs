@@ -161,7 +161,10 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
     fn sub(self, rhs: SimTime) -> SimDuration {
-        debug_assert!(self.0 >= rhs.0, "subtracting a later time from an earlier one");
+        debug_assert!(
+            self.0 >= rhs.0,
+            "subtracting a later time from an earlier one"
+        );
         SimDuration(self.0 - rhs.0)
     }
 }

@@ -66,7 +66,10 @@ pub struct IntRange<T> {
 
 /// Uniform integer generator over `range` (half-open, like `0u32..256`).
 pub fn int_range<T: SampleInt>(range: Range<T>) -> IntRange<T> {
-    assert!(range.start < range.end, "int_range requires a non-empty range");
+    assert!(
+        range.start < range.end,
+        "int_range requires a non-empty range"
+    );
     IntRange {
         lo: range.start,
         hi: range.end,
@@ -108,7 +111,10 @@ pub struct F64Range {
 
 /// Uniform `f64` generator over `range` (half-open, like `1.0..400.0`).
 pub fn f64_range(range: Range<f64>) -> F64Range {
-    assert!(range.start < range.end, "f64_range requires a non-empty range");
+    assert!(
+        range.start < range.end,
+        "f64_range requires a non-empty range"
+    );
     F64Range {
         lo: range.start,
         hi: range.end,
@@ -174,7 +180,10 @@ pub struct VecOf<G> {
 /// Vector of values from `elem`, with length in `len` (half-open, like
 /// `1..200`).
 pub fn vec_of<G: Gen>(elem: G, len: Range<usize>) -> VecOf<G> {
-    assert!(len.start < len.end, "vec_of requires a non-empty length range");
+    assert!(
+        len.start < len.end,
+        "vec_of requires a non-empty length range"
+    );
     VecOf {
         elem,
         min_len: len.start,
@@ -229,7 +238,10 @@ where
     G: Gen,
     G::Value: Eq + Hash + Ord,
 {
-    assert!(size.start < size.end, "hash_set_of requires a non-empty size range");
+    assert!(
+        size.start < size.end,
+        "hash_set_of requires a non-empty size range"
+    );
     HashSetOf {
         elem,
         min_size: size.start,

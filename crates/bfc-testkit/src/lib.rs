@@ -39,9 +39,7 @@ pub mod gen;
 pub mod runner;
 
 pub use codec::{assert_codec_laws, assert_snap_round_trip};
-pub use gen::{
-    f64_range, hash_set_of, int_range, one_of, pair, triple, vec_of, Gen, SampleInt,
-};
+pub use gen::{f64_range, hash_set_of, int_range, one_of, pair, triple, vec_of, Gen, SampleInt};
 pub use runner::{case_seed, check, check_result, Config, Failure};
 
 /// Declares property tests in the style of `proptest!`: each `fn` becomes a

@@ -307,9 +307,12 @@ mod tests {
     #[test]
     fn shrinking_tuples_minimizes_each_component() {
         let gen = pair(int_range(0u32..100), int_range(0u32..100));
-        let failure = check_result("sum_small", Config::default(), &gen, |&(a, b): &(u32, u32)| {
-            assert!(a + b < 50)
-        })
+        let failure = check_result(
+            "sum_small",
+            Config::default(),
+            &gen,
+            |&(a, b): &(u32, u32)| assert!(a + b < 50),
+        )
         .expect_err("property must fail");
         // Minimal counterexamples have a + b == 50 with one component 0.
         assert!(failure.shrunk_input == "(50, 0)" || failure.shrunk_input == "(0, 50)");
@@ -340,12 +343,7 @@ mod tests {
             ));
         }
         let second: Vec<String> = (0..16)
-            .map(|case| {
-                format!(
-                    "{:?}",
-                    gen.generate(&mut SimRng::new(case_seed(77, case)))
-                )
-            })
+            .map(|case| format!("{:?}", gen.generate(&mut SimRng::new(case_seed(77, case)))))
             .collect();
         assert_eq!(first, second);
     }

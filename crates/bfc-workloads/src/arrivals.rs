@@ -285,7 +285,10 @@ mod tests {
             .collect();
         gaps.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let median = gaps[gaps.len() / 2];
-        assert!(median < 0.3e-6, "median {median} should sit well below the 1 us mean");
+        assert!(
+            median < 0.3e-6,
+            "median {median} should sit well below the 1 us mean"
+        );
     }
 
     #[test]
@@ -337,14 +340,13 @@ mod tests {
         let mean_gap = SimDuration::from_micros(100);
         let horizon = SimTime::ZERO + SimDuration::from_millis(50);
         let mut rng = SimRng::new(23);
-        let periodic =
-            IncastSchedule::Periodic.events_until(mean_gap, horizon, &mut rng);
+        let periodic = IncastSchedule::Periodic.events_until(mean_gap, horizon, &mut rng);
         assert_eq!(periodic.len(), 500);
         assert_eq!(periodic[0], SimTime::ZERO + mean_gap);
         // Periodic consumed no randomness; a fresh rng produces the same
         // log-normal schedule as a used-for-periodic one would.
-        let clustered = IncastSchedule::LogNormalGaps { sigma: 1.0 }
-            .events_until(mean_gap, horizon, &mut rng);
+        let clustered =
+            IncastSchedule::LogNormalGaps { sigma: 1.0 }.events_until(mean_gap, horizon, &mut rng);
         let expected = 500.0;
         assert!(
             (clustered.len() as f64 - expected).abs() / expected < 0.3,

@@ -219,7 +219,10 @@ mod tests {
         let hadoop = Workload::FbHadoop.cdf().mean_bytes();
         let websearch = Workload::WebSearch.cdf().mean_bytes();
         assert!(google < hadoop, "google {google} vs hadoop {hadoop}");
-        assert!(hadoop < websearch, "hadoop {hadoop} vs websearch {websearch}");
+        assert!(
+            hadoop < websearch,
+            "hadoop {hadoop} vs websearch {websearch}"
+        );
         // Web search averages in the megabyte range.
         assert!(websearch > 1_000_000.0);
     }
@@ -229,10 +232,7 @@ mod tests {
         let cdf = Workload::FbHadoop.cdf();
         let mut rng = SimRng::new(7);
         let n = 100_000;
-        let below_1k = (0..n)
-            .filter(|_| cdf.sample(&mut rng) <= 1_000)
-            .count() as f64
-            / n as f64;
+        let below_1k = (0..n).filter(|_| cdf.sample(&mut rng) <= 1_000).count() as f64 / n as f64;
         assert!((below_1k - 0.52).abs() < 0.02, "got {below_1k}");
     }
 
@@ -259,7 +259,10 @@ mod tests {
             .find(|(s, _)| (*s - 1_000.0).abs() < 1.0)
             .map(|(_, p)| *p)
             .expect("1 KB point exists");
-        assert!(at_1k < 0.2, "bytes below 1 KB should be a small share, got {at_1k}");
+        assert!(
+            at_1k < 0.2,
+            "bytes below 1 KB should be a small share, got {at_1k}"
+        );
     }
 
     #[test]

@@ -33,9 +33,7 @@ pub mod ingest;
 pub mod io;
 pub mod trace;
 
-pub use arrivals::{
-    mean_interarrival_secs, ArrivalProcess, ArrivalShape, IncastSchedule,
-};
+pub use arrivals::{mean_interarrival_secs, ArrivalProcess, ArrivalShape, IncastSchedule};
 pub use distributions::{EmpiricalCdf, Workload};
 pub use ingest::{CsvTail, IngestError, IngestSource, INGEST_END_MARKER};
 pub use io::{export_csv, import_csv, CsvError, CsvErrorKind, TraceStats};

@@ -69,7 +69,12 @@ impl TraceParams {
     }
 
     /// Background-only traffic at the given load (Fig. 5c uses 65%).
-    pub fn background_only(workload: Workload, load: f64, duration: SimDuration, seed: u64) -> Self {
+    pub fn background_only(
+        workload: Workload,
+        load: f64,
+        duration: SimDuration,
+        seed: u64,
+    ) -> Self {
         TraceParams {
             workload,
             load,
@@ -395,12 +400,8 @@ mod tests {
     #[test]
     fn synthesized_load_is_close_to_target() {
         let hosts = hosts(64);
-        let params = TraceParams::background_only(
-            Workload::Google,
-            0.5,
-            SimDuration::from_millis(5),
-            7,
-        );
+        let params =
+            TraceParams::background_only(Workload::Google, 0.5, SimDuration::from_millis(5), 7);
         let flows = synthesize(&hosts, &params);
         assert!(!flows.is_empty());
         let bytes: u64 = flows.iter().map(|f| f.size_bytes).sum();
@@ -476,16 +477,15 @@ mod tests {
         );
         for params in [incast, background] {
             let e = params.check(8).expect_err("refused");
-            assert!(e.starts_with("load, incast-load") && e.contains("16777216"), "{e}");
+            assert!(
+                e.starts_with("load, incast-load") && e.contains("16777216"),
+                "{e}"
+            );
         }
         // The count is linear in the host count, and incast adds events ×
         // fan-in: find the largest accepted host count and check both sides.
-        let background = TraceParams::background_only(
-            Workload::Google,
-            1.0,
-            SimDuration::from_millis(1),
-            1,
-        );
+        let background =
+            TraceParams::background_only(Workload::Google, 1.0, SimDuration::from_millis(1), 1);
         let per_host = 100e9 * 1e-3 / 8.0 / Workload::Google.cdf().mean_bytes();
         let most = (limit / per_host) as usize;
         assert_eq!(background.check(most), Ok(()));
@@ -502,7 +502,11 @@ mod tests {
         let hosts = hosts(64);
         let params = TraceParams::google_with_incast(SimDuration::from_millis(5), 3);
         let flows = synthesize(&hosts, &params);
-        let incast_bytes: u64 = flows.iter().filter(|f| f.is_incast).map(|f| f.size_bytes).sum();
+        let incast_bytes: u64 = flows
+            .iter()
+            .filter(|f| f.is_incast)
+            .map(|f| f.size_bytes)
+            .sum();
         let incast_load = incast_bytes as f64 * 8.0 / 5e-3 / (64.0 * 100e9);
         assert!(
             (0.02..0.08).contains(&incast_load),
@@ -543,9 +547,16 @@ mod tests {
             .with_arrivals(ArrivalShape::bursty_default())
             .with_incast_schedule(IncastSchedule::LogNormalGaps { sigma: 1.0 });
         let flows = synthesize(&hosts, &params);
-        let bytes: u64 = flows.iter().filter(|f| !f.is_incast).map(|f| f.size_bytes).sum();
+        let bytes: u64 = flows
+            .iter()
+            .filter(|f| !f.is_incast)
+            .map(|f| f.size_bytes)
+            .sum();
         let ratio = bytes as f64 * 8.0 / 5e-3 / (0.60 * 64.0 * 100e9);
-        assert!((0.5..1.5).contains(&ratio), "background offered/target = {ratio}");
+        assert!(
+            (0.5..1.5).contains(&ratio),
+            "background offered/target = {ratio}"
+        );
         for w in flows.windows(2) {
             assert!(w[0].start <= w[1].start);
         }
@@ -558,10 +569,7 @@ mod tests {
         let hosts = hosts(16);
         let params = TraceParams::google_with_incast(SimDuration::from_millis(1), 42);
         assert_eq!(synthesize(&hosts, &params), synthesize(&hosts, &params));
-        let other = TraceParams {
-            seed: 43,
-            ..params
-        };
+        let other = TraceParams { seed: 43, ..params };
         assert_ne!(synthesize(&hosts, &params), synthesize(&hosts, &other));
     }
 

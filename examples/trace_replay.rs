@@ -51,7 +51,10 @@ fn main() {
         csv.len(),
         path.display()
     );
-    println!("{}\n", TraceStats::from_flows(&trace, 100.0).expect("non-empty"));
+    println!(
+        "{}\n",
+        TraceStats::from_flows(&trace, 100.0).expect("non-empty")
+    );
 
     // Replay both the original and the imported trace under BFC; the runs
     // are the same pure function of (topology, trace, config), so every
@@ -62,7 +65,10 @@ fn main() {
     let replayed = replay
         .run_all(&topo, std::slice::from_ref(&config), &runner)
         .expect("trace fits the topology");
-    assert_eq!(original[0].fct, replayed[0].fct, "FCT stats must be bit-identical");
+    assert_eq!(
+        original[0].fct, replayed[0].fct,
+        "FCT stats must be bit-identical"
+    );
     assert_eq!(original[0].records, replayed[0].records);
     assert_eq!(original[0].end_time, replayed[0].end_time);
 

@@ -10,8 +10,7 @@
 //!    4 threads.
 
 use backpressure_flow_control::experiments::{
-    run_experiment, run_experiment_sharded, ExperimentConfig, ParallelRunner, ReplayTrace,
-    Scheme,
+    run_experiment, run_experiment_sharded, ExperimentConfig, ParallelRunner, ReplayTrace, Scheme,
 };
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams};
 use backpressure_flow_control::sim::{EventQueue, ReferenceEventQueue, SimDuration, SimTime};
@@ -26,12 +25,7 @@ use common::assert_identical;
 fn tiny_trace(topo: &backpressure_flow_control::net::Topology, seed: u64) -> Vec<TraceFlow> {
     synthesize(
         &topo.hosts(),
-        &TraceParams::background_only(
-            Workload::Google,
-            0.35,
-            SimDuration::from_micros(150),
-            seed,
-        ),
+        &TraceParams::background_only(Workload::Google, 0.35, SimDuration::from_micros(150), seed),
     )
 }
 
@@ -140,7 +134,10 @@ fn replayed_csv_traces_are_bit_identical_at_1_2_4_threads() {
         let trace = synthesize(&topo.hosts(), &params);
         let replay = ReplayTrace::from_csv_str(&export_csv(&trace)).expect("round trip");
         assert_eq!(replay.flows(), &trace[..]);
-        let configs = [ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(150))];
+        let configs = [ExperimentConfig::new(
+            Scheme::bfc(),
+            SimDuration::from_micros(150),
+        )];
         let ground_truth = run_experiment(&topo, &trace, &configs[0]);
         for threads in [1, 2, 4] {
             let replayed = replay
@@ -193,12 +190,17 @@ fn epoch_batching_is_bit_identical_and_cuts_barriers_when_quiescent() {
         assert_identical(&format!("{shards} shards, batching on"), &serial, &on);
         assert_identical(&format!("{shards} shards, batching off"), &serial, &off);
         assert_eq!(
-            on.epochs().boundary_events, off.epochs().boundary_events,
+            on.epochs().boundary_events,
+            off.epochs().boundary_events,
             "{shards} shards: same cross-shard events either way"
         );
         let (on, off) = (on.epochs(), off.epochs());
         assert_eq!(on.barriers, on.windows + 1, "{shards} shards: {on:?}");
-        assert_eq!(off.barriers, 2 * off.windows + 1, "{shards} shards: {off:?}");
+        assert_eq!(
+            off.barriers,
+            2 * off.windows + 1,
+            "{shards} shards: {off:?}"
+        );
         assert_eq!(off.batches, off.windows, "{shards} shards: {off:?}");
         assert!(
             off.barriers > on.barriers,
@@ -220,8 +222,8 @@ fn experiment_is_deterministic_across_replays_and_threads() {
         |&(seed, threads)| {
             let topo = fat_tree(FatTreeParams::tiny());
             let trace = tiny_trace(&topo, seed);
-            let config = ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(100))
-                .with_seed(seed);
+            let config =
+                ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(100)).with_seed(seed);
             let once = run_experiment(&topo, &trace, &config);
             let again = ParallelRunner::new(threads as usize).run_experiments(
                 &topo,

@@ -13,7 +13,9 @@ use backpressure_flow_control::experiments::scenario::ScenarioSpec;
 use backpressure_flow_control::experiments::{
     run_experiment, ExperimentConfig, ParallelRunner, Scheme,
 };
-use backpressure_flow_control::net::dynamics::{FaultEvent, FaultSchedule, LinkAction, LinkStateMap};
+use backpressure_flow_control::net::dynamics::{
+    FaultEvent, FaultSchedule, LinkAction, LinkStateMap,
+};
 use backpressure_flow_control::net::routing::RoutingTables;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
 use backpressure_flow_control::net::types::NodeId;
@@ -64,8 +66,7 @@ fn all_schemes_ride_out_all_shapes_bit_identically_at_1_2_4_threads() {
     for (_, spec) in shapes() {
         let schedule = spec.resolve(&topo).expect("labels exist in tiny");
         for scheme in Scheme::paper_lineup() {
-            let mut config =
-                ExperimentConfig::new(scheme, WINDOW).with_dynamics(schedule.clone());
+            let mut config = ExperimentConfig::new(scheme, WINDOW).with_dynamics(schedule.clone());
             config.drain = WINDOW * 16;
             configs.push(config);
         }
@@ -82,7 +83,11 @@ fn all_schemes_ride_out_all_shapes_bit_identically_at_1_2_4_threads() {
             "{}: every flow must complete despite the faults ({}/{})",
             result.scheme, result.completed_flows, result.total_flows
         );
-        assert!(result.recovery.faults >= 2, "{}: faults applied", result.scheme);
+        assert!(
+            result.recovery.faults >= 2,
+            "{}: faults applied",
+            result.scheme
+        );
     }
 
     for threads in [1, 2, 4] {
@@ -157,7 +162,10 @@ fn degradation_is_lossless_and_flapping_is_not() {
     flap_config.drain = WINDOW * 16;
 
     let degraded = run_experiment(&topo, &trace, &degrade_config);
-    assert_eq!(degraded.recovery.blackholed_packets, 0, "degradation only slows");
+    assert_eq!(
+        degraded.recovery.blackholed_packets, 0,
+        "degradation only slows"
+    );
     assert_eq!(degraded.completed_flows, degraded.total_flows);
 
     let flapped = run_experiment(&topo, &trace, &flap_config);

@@ -8,7 +8,10 @@ use backpressure_flow_control::workloads::{
     concurrent_long_flows, synthesize, ArrivalShape, IncastSchedule, TraceParams, Workload,
 };
 
-fn congested_trace(topo: &backpressure_flow_control::net::Topology, seed: u64) -> Vec<backpressure_flow_control::workloads::TraceFlow> {
+fn congested_trace(
+    topo: &backpressure_flow_control::net::Topology,
+    seed: u64,
+) -> Vec<backpressure_flow_control::workloads::TraceFlow> {
     let params = TraceParams {
         workload: Workload::Google,
         load: 0.60,
@@ -24,7 +27,11 @@ fn congested_trace(topo: &backpressure_flow_control::net::Topology, seed: u64) -
     synthesize(&topo.hosts(), &params)
 }
 
-fn run(scheme: Scheme, topo: &backpressure_flow_control::net::Topology, trace: &[backpressure_flow_control::workloads::TraceFlow]) -> backpressure_flow_control::experiments::ExperimentResult {
+fn run(
+    scheme: Scheme,
+    topo: &backpressure_flow_control::net::Topology,
+    trace: &[backpressure_flow_control::workloads::TraceFlow],
+) -> backpressure_flow_control::experiments::ExperimentResult {
     let config = ExperimentConfig::new(scheme, SimDuration::from_micros(300));
     run_experiment(topo, trace, &config)
 }
@@ -127,7 +134,10 @@ fn bfc_is_lossless_and_sustains_utilization_under_incast() {
     let mut config = ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(300));
     config.drain = SimDuration::from_micros(2_400);
     let r = run_experiment(&topo, &trace, &config);
-    assert_eq!(r.drops, 0, "BFC with its PFC backstop must not drop packets");
+    assert_eq!(
+        r.drops, 0,
+        "BFC with its PFC backstop must not drop packets"
+    );
     assert_eq!(r.completed_flows, r.total_flows);
     let policy = r.policy_stats();
     assert!(

@@ -38,7 +38,10 @@ fn committed_reproducers_replay_bit_identically_across_shards() {
             .unwrap_or_else(|e| panic!("{name}: committed reproducer must parse: {e}"));
         assert!(!repro.scenario.is_empty(), "{name}: reproducer has faults");
         let serial = repro.replay(1).expect("serial replay");
-        assert!(serial.total_flows > 0, "{name}: reproducer synthesizes flows");
+        assert!(
+            serial.total_flows > 0,
+            "{name}: reproducer synthesizes flows"
+        );
         for shards in [2usize, 4] {
             let sharded = repro.replay(shards).expect("sharded replay");
             assert_identical(&format!("{name} @ {shards} shards"), &serial, &sharded);
@@ -88,7 +91,10 @@ fn pfc_pause_frames_reach_the_safety_tracker() {
     };
     let trace = synthesize(&hosts, &params);
     let config = ExperimentConfig::new(
-        Scheme::Dcqcn { window: false, sfq: false },
+        Scheme::Dcqcn {
+            window: false,
+            sfq: false,
+        },
         duration,
     )
     .with_buffer_bytes(40_000);

@@ -20,9 +20,7 @@ use backpressure_flow_control::net::topology::{
     cross_dc, fat_tree, CrossDcParams, FatTreeParams, Topology,
 };
 use backpressure_flow_control::net::types::NodeId;
-use backpressure_flow_control::sim::shard::{
-    run_conservative, Boundary, EpochStats, ShardHandler,
-};
+use backpressure_flow_control::sim::shard::{run_conservative, Boundary, EpochStats, ShardHandler};
 use backpressure_flow_control::sim::{EventQueue, SimDuration, SimTime};
 use backpressure_flow_control::workloads::{
     export_csv, synthesize, TraceFlow, TraceParams, Workload,
@@ -145,12 +143,7 @@ fn paper_lineup_is_bit_identical_across_shard_counts_trace_replay() {
     for scheme in Scheme::paper_lineup() {
         let name = scheme.name();
         let config = ExperimentConfig::new(scheme, WINDOW);
-        compare_all_shard_counts(
-            &format!("replay/{name}"),
-            &topo,
-            replay.flows(),
-            &config,
-        );
+        compare_all_shard_counts(&format!("replay/{name}"), &topo, replay.flows(), &config);
     }
 }
 
@@ -228,7 +221,11 @@ impl ShardHandler for Ring {
     }
     fn run_window(&mut self, window_end: SimTime, deadline: SimTime) {
         self.window_end = window_end;
-        while self.queue.peek_time().is_some_and(|t| t < window_end && t <= deadline) {
+        while self
+            .queue
+            .peek_time()
+            .is_some_and(|t| t < window_end && t <= deadline)
+        {
             let (now, token) = self.queue.pop().expect("peeked");
             self.log.push((now, token));
             let dest = (self.me + usize::from(self.cross)) % self.outbox.len();
@@ -244,7 +241,11 @@ impl ShardHandler for Ring {
     }
     fn deliver(&mut self, batch: &mut Vec<Boundary<u32>>) {
         for (t, rank, token) in batch.drain(..) {
-            assert!(t >= self.window_end, "{t:?} arrived after the window to {:?}", self.window_end);
+            assert!(
+                t >= self.window_end,
+                "{t:?} arrived after the window to {:?}",
+                self.window_end
+            );
             self.queue.push_ranked(t, rank, token);
         }
     }

@@ -50,16 +50,34 @@ fn exported_and_reimported_trace_replays_bit_identically() {
         write_csv_file(&path, &trace).expect("write trace CSV");
         let replay = ReplayTrace::from_csv_path(&path).expect("re-import trace CSV");
         let _ = std::fs::remove_file(&path);
-        assert_eq!(replay.flows(), &trace[..], "flow list must round-trip exactly");
+        assert_eq!(
+            replay.flows(),
+            &trace[..],
+            "flow list must round-trip exactly"
+        );
 
-        for scheme in [Scheme::bfc(), Scheme::Dcqcn { window: true, sfq: false }] {
+        for scheme in [
+            Scheme::bfc(),
+            Scheme::Dcqcn {
+                window: true,
+                sfq: false,
+            },
+        ] {
             let config = ExperimentConfig::new(scheme, params.duration);
             let original = run_experiment(&topo, &trace, &config);
             let replayed = replay
                 .run(&topo, &config, &ParallelRunner::serial())
                 .expect("trace fits topology");
-            assert_eq!(original.fct, replayed.fct, "{}: FCT summary", original.scheme);
-            assert_eq!(original.records, replayed.records, "{}: raw records", original.scheme);
+            assert_eq!(
+                original.fct, replayed.fct,
+                "{}: FCT summary",
+                original.scheme
+            );
+            assert_eq!(
+                original.records, replayed.records,
+                "{}: raw records",
+                original.scheme
+            );
             assert_eq!(original.completed_flows, replayed.completed_flows);
             assert_eq!(original.total_flows, replayed.total_flows);
             assert_eq!(original.end_time, replayed.end_time);
@@ -117,7 +135,10 @@ fn replay_validation_rejects_bad_traces() {
     let config = ExperimentConfig::new(Scheme::bfc(), SimDuration::from_micros(10));
     assert!(matches!(
         replay.run(&topo, &config, &ParallelRunner::serial()),
-        Err(ReplayError::UnknownHost { flow_index: 0, node: NodeId(500) })
+        Err(ReplayError::UnknownHost {
+            flow_index: 0,
+            node: NodeId(500)
+        })
     ));
     // Parse errors surface with their line numbers, empty traces are refused.
     let err = ReplayTrace::from_csv_str("src,dst,size_bytes,start_ns,is_incast\n1,1,5,0,0\n")
