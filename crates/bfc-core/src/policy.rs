@@ -50,14 +50,10 @@ struct IngressState {
     counting: CountingBloom,
     to_be_resumed: VecDeque<ResumeItem>,
     dirty: bool,
-    // Scratch for `pause_frame_tick`, empty between ticks: kept here so a
-    // tick reuses their storage instead of allocating three collections.
-    /// Resumes already granted per physical queue this tick.
+    /// Resumes already granted per physical queue this tick: scratch for
+    /// `pause_frame_tick`, empty between ticks, kept here so a tick reuses
+    /// its storage.
     served: FastHashMap<usize, usize>,
-    /// Items over the per-queue limit; swapped with `to_be_resumed`.
-    kept: VecDeque<ResumeItem>,
-    /// Items released this tick.
-    resumed: Vec<ResumeItem>,
 }
 
 impl IngressState {
@@ -67,8 +63,6 @@ impl IngressState {
             to_be_resumed: VecDeque::new(),
             dirty: false,
             served: FastHashMap::default(),
-            kept: VecDeque::new(),
-            resumed: Vec::new(),
         }
     }
 }
@@ -270,53 +264,47 @@ impl SwitchPolicy for BfcPolicy {
             .limit_resumes
             .then_some(RESUMES_PER_TICK_PER_QUEUE);
 
-        // Phase 1: decide which queued resumes are released this interval
-        // (at most `limit` per physical queue, §3.5) and refresh the bloom
-        // filter snapshot.
-        let (frame, outstanding) = {
-            let st = self.ingress_mut(ingress);
-            while let Some(item) = st.to_be_resumed.pop_front() {
+        self.ingress_mut(ingress);
+        let BfcPolicy {
+            table,
+            ingress: states,
+            stats,
+            ..
+        } = self;
+        let st = &mut states[ingress as usize];
+        // Release the queued resumes in order, at most `limit` per physical
+        // queue this interval (§3.5), clearing each released flow's pause
+        // flags as it goes; the rest keep their place.
+        st.to_be_resumed.retain(|item| {
+            if let Some(limit) = limit {
                 let served = st.served.entry(item.queue).or_insert(0);
-                if limit.map_or(true, |l| *served < l) {
-                    *served += 1;
-                    st.counting.remove(item.vfid);
-                    st.dirty = true;
-                    st.resumed.push(item);
-                } else {
-                    st.kept.push_back(item);
+                if *served >= limit {
+                    return true;
                 }
+                *served += 1;
             }
-            st.served.clear();
-            // `to_be_resumed` is drained: the swap leaves `kept` empty.
-            std::mem::swap(&mut st.to_be_resumed, &mut st.kept);
-            let frame = if st.dirty {
-                Some(st.counting.snapshot())
-            } else {
-                None
-            };
-            st.dirty = false;
-            let outstanding = !st.counting.is_empty() || !st.to_be_resumed.is_empty();
-            (frame, outstanding)
-        };
-
-        // Phase 2: clear the pause flags of the resumed flows.
-        for item in self.ingress[ingress as usize].resumed.drain(..) {
-            self.stats.resumes += 1;
+            st.counting.remove(item.vfid);
+            st.dirty = true;
+            stats.resumes += 1;
             let key = FlowKey {
                 vfid: item.vfid,
                 ingress,
                 egress: item.egress,
             };
-            if let Some(slot) = self.table.find(key) {
-                let e = self.table.entry_mut(slot);
+            if let Some(slot) = table.find(key) {
+                let e = table.entry_mut(slot);
                 e.paused = false;
                 e.resume_pending = false;
             }
-        }
-
+            false
+        });
+        st.served.clear();
+        // Refresh the bloom filter snapshot if anything changed.
+        let frame = st.dirty.then(|| st.counting.snapshot());
+        st.dirty = false;
         PauseTick {
             frame,
-            reschedule: outstanding,
+            reschedule: !st.counting.is_empty() || !st.to_be_resumed.is_empty(),
         }
     }
 
@@ -352,8 +340,6 @@ impl SwitchPolicy for BfcPolicy {
                 dirty,
                 // Scratch, empty between ticks.
                 served: _,
-                kept: _,
-                resumed: _,
             } = st;
             counting.save_state(w);
             to_be_resumed.save(w);

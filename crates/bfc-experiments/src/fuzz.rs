@@ -178,20 +178,11 @@ pub struct FuzzCase {
     /// Index into [`FuzzConfig::topos`] (modulo its length; shrinks toward
     /// the first, smallest entry).
     pub topo_idx: usize,
-    /// Flow-size CDF of the background traffic.
-    pub workload: Workload,
-    /// Background offered load.
-    pub load: f64,
-    /// Extra incast load; `0.0` disables incast entirely.
-    pub incast_load: f64,
-    /// Senders per incast event.
-    pub fan_in: usize,
-    /// Aggregate bytes per incast event.
-    pub incast_bytes: u64,
-    /// Trace duration (the experiment horizon) in microseconds.
-    pub duration_us: u64,
-    /// Seed for both the trace synthesizer and the experiment.
-    pub trace_seed: u64,
+    /// The synthetic trace, at the paper's arrivals and incast schedule. Its
+    /// duration (whole microseconds) is the experiment horizon and its seed
+    /// the experiment's too; its `host_gbps` is a placeholder that
+    /// [`Reproducer::from_case`] replaces with the topology's access-link rate.
+    pub trace: TraceParams,
     /// The injected faults (always at least one).
     pub faults: Vec<Fault>,
 }
@@ -235,34 +226,27 @@ fn fabric_cables(topo: &Topology) -> Vec<Cable> {
     cables
 }
 
+/// A topology's access-link rate, which a resolved trace runs at.
+fn host_gbps(topo: &Topology) -> f64 {
+    topo.host_uplink(topo.hosts()[0]).link.rate_gbps
+}
+
 fn us(n: u64) -> SimDuration {
     SimDuration::from_micros(n)
 }
 
-impl FuzzCase {
-    /// The synthetic-trace parameters this case describes. `host_gbps` comes
-    /// from the topology's access links.
-    fn trace_params(&self, host_gbps: f64) -> TraceParams {
-        TraceParams {
-            workload: self.workload,
-            load: self.load,
-            incast_load: self.incast_load,
-            incast_fan_in: self.fan_in,
-            incast_total_bytes: self.incast_bytes,
-            duration: us(self.duration_us),
-            host_gbps,
-            seed: self.trace_seed,
-            arrivals: ArrivalShape::paper_default(),
-            incast_schedule: IncastSchedule::paper_default(),
-        }
-    }
+/// Whole microseconds of a duration built by [`us`].
+fn micros(d: SimDuration) -> u64 {
+    d.as_picos() / 1_000_000
+}
 
+impl FuzzCase {
     /// Expands the structured faults into a [`ScenarioSpec`] against the
     /// given topology's fabric cables. Every field combination yields a
     /// resolvable scenario: indices wrap, times clamp inside the run and
     /// degraded rates clamp below the native rate.
     fn scenario(&self, cables: &[Cable]) -> ScenarioSpec {
-        let dur = self.duration_us.max(2);
+        let dur = micros(self.trace.duration).max(2);
         let clamp_at = |at: u64| at.clamp(1, dur - 1);
         let mut spec = ScenarioSpec::new();
         for fault in &self.faults {
@@ -363,19 +347,26 @@ impl Gen for CaseGen {
         let faults = (0..1 + rng.next_index(3))
             .map(|_| self.gen_fault(rng, duration_us))
             .collect();
+        // A struct literal evaluates its fields in source order: these are
+        // the case's draws, in order.
         FuzzCase {
             topo_idx: rng.next_index(self.num_topos),
-            workload: *rng.choose(&[Workload::Google, Workload::FbHadoop, Workload::WebSearch]),
-            load: 0.2 + rng.next_f64() * 0.7,
-            incast_load: if incast {
-                0.05 + rng.next_f64() * 0.45
-            } else {
-                0.0
+            trace: TraceParams {
+                workload: *rng.choose(&[Workload::Google, Workload::FbHadoop, Workload::WebSearch]),
+                load: 0.2 + rng.next_f64() * 0.7,
+                incast_load: if incast {
+                    0.05 + rng.next_f64() * 0.45
+                } else {
+                    0.0
+                },
+                incast_fan_in: 2 + rng.next_below(15) as usize,
+                incast_total_bytes: 20_000 + rng.next_below(480_000),
+                duration: us(duration_us),
+                host_gbps: 100.0,
+                seed: 1 + rng.next_below(1_000_000),
+                arrivals: ArrivalShape::paper_default(),
+                incast_schedule: IncastSchedule::paper_default(),
             },
-            fan_in: 2 + rng.next_below(15) as usize,
-            incast_bytes: 20_000 + rng.next_below(480_000),
-            duration_us,
-            trace_seed: 1 + rng.next_below(1_000_000),
             faults,
         }
     }
@@ -408,24 +399,26 @@ impl Gen for CaseGen {
                 out.push(c);
             }
         }
-        if case.incast_load > 0.0 {
+        let trace = &case.trace;
+        if trace.incast_load > 0.0 {
             let mut c = case.clone();
-            c.incast_load = 0.0;
+            c.trace.incast_load = 0.0;
             out.push(c);
         }
-        if case.duration_us > 60 {
-            for target in [60, (60 + case.duration_us) / 2] {
-                if target < case.duration_us {
+        let duration_us = micros(trace.duration);
+        if duration_us > 60 {
+            for target in [60, (60 + duration_us) / 2] {
+                if target < duration_us {
                     let mut c = case.clone();
-                    c.duration_us = target;
+                    c.trace.duration = us(target);
                     out.push(c);
                 }
             }
         }
-        if case.load - 0.2 > 0.05 {
-            for target in [0.2, (0.2 + case.load) / 2.0] {
+        if trace.load - 0.2 > 0.05 {
+            for target in [0.2, (0.2 + trace.load) / 2.0] {
                 let mut c = case.clone();
-                c.load = target;
+                c.trace.load = target;
                 out.push(c);
             }
         }
@@ -434,9 +427,9 @@ impl Gen for CaseGen {
             c.topo_idx = 0;
             out.push(c);
         }
-        if case.incast_load > 0.0 && case.fan_in > 2 {
+        if trace.incast_load > 0.0 && trace.incast_fan_in > 2 {
             let mut c = case.clone();
-            c.fan_in = 2;
+            c.trace.incast_fan_in = 2;
             out.push(c);
         }
         out.dedup();
@@ -512,7 +505,7 @@ pub struct FuzzOutcome {
 pub fn evaluate(cfg: &FuzzConfig, case: &FuzzCase) -> Result<(f64, ExperimentResult), String> {
     let repro = Reproducer::from_case(cfg, case)?;
     let result = repro.replay(cfg.shards)?;
-    let window = us(repro.duration_us) * 5;
+    let window = repro.trace.duration * 5;
     Ok((cfg.objective.score(&result, window), result))
 }
 
@@ -618,20 +611,9 @@ pub struct Reproducer {
     pub scheme: Scheme,
     /// Objective the case was found under (informational for replays).
     pub objective: Objective,
-    /// Background flow-size CDF.
-    pub workload: Workload,
-    /// Background offered load.
-    pub load: f64,
-    /// Extra incast load (`0` = no incast).
-    pub incast_load: f64,
-    /// Senders per incast event.
-    pub fan_in: usize,
-    /// Aggregate bytes per incast event.
-    pub incast_bytes: u64,
-    /// Trace duration / experiment horizon in microseconds.
-    pub duration_us: u64,
-    /// Seed for the trace synthesizer and the experiment.
-    pub trace_seed: u64,
+    /// The synthetic trace, on the topology's access-link rate. Its duration
+    /// is the experiment horizon and its seed the experiment's too.
+    pub trace: TraceParams,
     /// The resolved fault scenario.
     pub scenario: ScenarioSpec,
 }
@@ -657,13 +639,10 @@ impl Reproducer {
             topo: topo_name.clone(),
             scheme: cfg.scheme.clone(),
             objective: cfg.objective,
-            workload: case.workload,
-            load: case.load,
-            incast_load: case.incast_load,
-            fan_in: case.fan_in,
-            incast_bytes: case.incast_bytes,
-            duration_us: case.duration_us,
-            trace_seed: case.trace_seed,
+            trace: TraceParams {
+                host_gbps: host_gbps(&topo),
+                ..case.trace
+            },
             scenario: case.scenario(&cables),
         })
     }
@@ -676,15 +655,14 @@ impl Reproducer {
             topo: "tiny".to_string(),
             scheme: Scheme::bfc(),
             objective: Objective::TailP99,
-            workload: Workload::Google,
-            load: 0.6,
-            incast_load: 0.0,
-            fan_in: 2,
-            incast_bytes: 20_000,
-            duration_us: 300,
-            trace_seed: 1,
+            trace: TraceParams {
+                incast_fan_in: 2,
+                incast_total_bytes: 20_000,
+                ..TraceParams::background_only(Workload::Google, 0.6, us(300), 1)
+            },
             scenario: ScenarioSpec::new(),
         };
+        let trace = &mut repro.trace;
         let mut scenario_text = String::new();
         for (index, raw) in text.lines().enumerate() {
             let line = index + 1;
@@ -713,24 +691,22 @@ impl Reproducer {
                         Objective::from_cli_key(value).ok_or_else(|| bad("objective"))?;
                 }
                 "workload" => {
-                    repro.workload = workload_from_cli_key(value).ok_or_else(|| bad("workload"))?;
+                    trace.workload = workload_from_cli_key(value).ok_or_else(|| bad("workload"))?;
                 }
-                "load" => repro.load = value.parse().map_err(|_| bad("load"))?,
+                "load" => trace.load = value.parse().map_err(|_| bad("load"))?,
                 "incast-load" => {
-                    repro.incast_load = value.parse().map_err(|_| bad("incast-load"))?;
+                    trace.incast_load = value.parse().map_err(|_| bad("incast-load"))?;
                 }
-                "fan-in" => repro.fan_in = value.parse().map_err(|_| bad("fan-in"))?,
+                "fan-in" => trace.incast_fan_in = value.parse().map_err(|_| bad("fan-in"))?,
                 "incast-bytes" => {
-                    repro.incast_bytes = value.parse().map_err(|_| bad("incast-bytes"))?;
+                    trace.incast_total_bytes = value.parse().map_err(|_| bad("incast-bytes"))?;
                 }
                 "duration-us" => {
-                    repro.duration_us = value.parse().map_err(|_| bad("duration-us"))?;
-                    horizon_from_micros(repro.duration_us)
+                    let duration_us = value.parse().map_err(|_| bad("duration-us"))?;
+                    trace.duration = horizon_from_micros(duration_us)
                         .map_err(|e| format!("line {line}: duration-us {e}"))?;
                 }
-                "trace-seed" => {
-                    repro.trace_seed = value.parse().map_err(|_| bad("trace-seed"))?;
-                }
+                "trace-seed" => trace.seed = value.parse().map_err(|_| bad("trace-seed"))?,
                 // Not a header key: a scenario directive (`at …` / `flap …`).
                 _ => {
                     scenario_text.push_str(content);
@@ -742,10 +718,8 @@ impl Reproducer {
         // whole, against the topology's hosts and access-link rate:
         // `synthesize` asserts on some and could not finish with others.
         let topo = topology_by_name(&repro.topo).expect("the topo header was checked");
-        let hosts = topo.hosts();
-        repro
-            .trace_params(topo.host_uplink(hosts[0]).link.rate_gbps)
-            .check(hosts.len())?;
+        repro.trace.host_gbps = host_gbps(&topo);
+        repro.trace.check(topo.hosts().len())?;
         repro.scenario = ScenarioSpec::parse(&scenario_text).map_err(|e| e.to_string())?;
         Ok(repro)
     }
@@ -758,31 +732,12 @@ impl Reproducer {
     ) -> Result<(Topology, Vec<bfc_workloads::TraceFlow>, ExperimentConfig), String> {
         let topo = topology_by_name(&self.topo)
             .ok_or_else(|| format!("reproducer: unknown topology `{}`", self.topo))?;
-        let hosts = topo.hosts();
-        let params = self.trace_params(topo.host_uplink(hosts[0]).link.rate_gbps);
-        let trace = synthesize(&hosts, &params);
+        let trace = synthesize(&topo.hosts(), &self.trace);
         let schedule = self.scenario.resolve(&topo).map_err(|e| e.to_string())?;
-        let config = ExperimentConfig::new(self.scheme.clone(), us(self.duration_us))
-            .with_seed(self.trace_seed)
+        let config = ExperimentConfig::new(self.scheme.clone(), self.trace.duration)
+            .with_seed(self.trace.seed)
             .with_dynamics(schedule);
         Ok((topo, trace, config))
-    }
-
-    /// The synthetic-trace parameters this reproducer describes, on access
-    /// links of `host_gbps`.
-    fn trace_params(&self, host_gbps: f64) -> TraceParams {
-        FuzzCase {
-            topo_idx: 0,
-            workload: self.workload,
-            load: self.load,
-            incast_load: self.incast_load,
-            fan_in: self.fan_in,
-            incast_bytes: self.incast_bytes,
-            duration_us: self.duration_us,
-            trace_seed: self.trace_seed,
-            faults: Vec::new(),
-        }
-        .trace_params(host_gbps)
     }
 
     /// Replays the reproducer on `num_shards` engine shards. Results are
@@ -798,13 +753,14 @@ impl fmt::Display for Reproducer {
         writeln!(f, "objective {}", self.objective.cli_key())?;
         writeln!(f, "topo {}", self.topo)?;
         writeln!(f, "scheme {}", self.scheme.cli_key())?;
-        writeln!(f, "workload {}", workload_cli_key(self.workload))?;
-        writeln!(f, "load {}", self.load)?;
-        writeln!(f, "incast-load {}", self.incast_load)?;
-        writeln!(f, "fan-in {}", self.fan_in)?;
-        writeln!(f, "incast-bytes {}", self.incast_bytes)?;
-        writeln!(f, "duration-us {}", self.duration_us)?;
-        writeln!(f, "trace-seed {}", self.trace_seed)?;
+        let trace = &self.trace;
+        writeln!(f, "workload {}", workload_cli_key(trace.workload))?;
+        writeln!(f, "load {}", trace.load)?;
+        writeln!(f, "incast-load {}", trace.incast_load)?;
+        writeln!(f, "fan-in {}", trace.incast_fan_in)?;
+        writeln!(f, "incast-bytes {}", trace.incast_total_bytes)?;
+        writeln!(f, "duration-us {}", micros(trace.duration))?;
+        writeln!(f, "trace-seed {}", trace.seed)?;
         write!(f, "{}", self.scenario)
     }
 }

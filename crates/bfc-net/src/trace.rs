@@ -249,21 +249,7 @@ impl TraceEvent {
     /// The switch a record describes (`a` for link events, `None` for
     /// reroutes, which are fabric-wide).
     pub fn node(&self) -> Option<NodeId> {
-        match *self {
-            TraceEvent::Enqueue { node, .. }
-            | TraceEvent::Dequeue { node, .. }
-            | TraceEvent::Drop { node, .. }
-            | TraceEvent::Blackhole { node, .. }
-            | TraceEvent::PfcSent { node, .. }
-            | TraceEvent::PfcDelivered { node, .. }
-            | TraceEvent::FlowPause { node, .. }
-            | TraceEvent::QueueActive { node, .. }
-            | TraceEvent::QueueIdle { node, .. } => Some(node),
-            TraceEvent::LinkDown { a, .. }
-            | TraceEvent::LinkUp { a, .. }
-            | TraceEvent::LinkRate { a, .. } => Some(a),
-            TraceEvent::Reroute { .. } => None,
-        }
+        self.node_port().0
     }
 
     /// Short kind name used by the CLI's filter and summaries.
@@ -275,19 +261,26 @@ impl TraceEvent {
     /// peer for link events, `None` for blackholes and reroutes). Used by
     /// the diff's per-(node, port) divergence summary.
     pub fn port(&self) -> Option<u32> {
+        self.node_port().1
+    }
+
+    /// [`TraceEvent::node`] and [`TraceEvent::port`] from one match.
+    #[inline]
+    fn node_port(&self) -> (Option<NodeId>, Option<u32>) {
         match *self {
-            TraceEvent::Enqueue { port, .. }
-            | TraceEvent::Dequeue { port, .. }
-            | TraceEvent::Drop { port, .. }
-            | TraceEvent::PfcSent { port, .. }
-            | TraceEvent::FlowPause { port, .. }
-            | TraceEvent::QueueActive { port, .. }
-            | TraceEvent::QueueIdle { port, .. } => Some(u32::from(port)),
-            TraceEvent::PfcDelivered { src, .. } => Some(src.0),
-            TraceEvent::LinkDown { b, .. }
-            | TraceEvent::LinkUp { b, .. }
-            | TraceEvent::LinkRate { b, .. } => Some(b.0),
-            TraceEvent::Blackhole { .. } | TraceEvent::Reroute { .. } => None,
+            TraceEvent::Enqueue { node, port, .. }
+            | TraceEvent::Dequeue { node, port, .. }
+            | TraceEvent::Drop { node, port, .. }
+            | TraceEvent::PfcSent { node, port, .. }
+            | TraceEvent::FlowPause { node, port, .. }
+            | TraceEvent::QueueActive { node, port, .. }
+            | TraceEvent::QueueIdle { node, port, .. } => (Some(node), Some(u32::from(port))),
+            TraceEvent::Blackhole { node, .. } => (Some(node), None),
+            TraceEvent::PfcDelivered { node, src, .. } => (Some(node), Some(src.0)),
+            TraceEvent::LinkDown { a, b }
+            | TraceEvent::LinkUp { a, b }
+            | TraceEvent::LinkRate { a, b } => (Some(a), Some(b.0)),
+            TraceEvent::Reroute { .. } => (None, None),
         }
     }
 
@@ -297,11 +290,12 @@ impl TraceEvent {
     /// index). Records with equal `(time, rank)` necessarily describe the
     /// same node, which is what makes the per-shard merge exact.
     pub fn canon_rank(&self) -> u64 {
-        let node = self.node().map_or(0, |n| n.0);
+        let (node, port) = self.node_port();
         let sub = match *self {
             TraceEvent::Reroute { index } => index,
-            _ => self.port().unwrap_or(0),
+            _ => port.unwrap_or(0),
         };
+        let node = node.map_or(0, |n| n.0);
         ((self.kind_index() as u64) << 52) | (u64::from(node) << 20) | u64::from(sub)
     }
 
@@ -1361,6 +1355,32 @@ mod tests {
             bad[i] ^= 0x20;
             assert!(read_trace(&bad).is_err(), "flip at {i} accepted");
         }
+    }
+
+    #[test]
+    fn each_kinds_node_port_and_rank_are_pinned() {
+        // As computed while `node` and `port` were two matches of their own:
+        // a change here moves the canonical order of every merged trace.
+        let pinned: [(Option<u32>, Option<u32>, u64); KIND_COUNT] = [
+            (Some(3), Some(2), 0x300002),
+            (Some(3), Some(2), 0x10000000300002),
+            (Some(4), Some(0), 0x20000000400000),
+            (Some(5), None, 0x30000000500000),
+            (Some(1), Some(3), 0x40000000100003),
+            (Some(0), Some(1), 0x50000000000001),
+            (Some(2), Some(1), 0x60000000200001),
+            (Some(3), Some(2), 0x70000000300002),
+            (Some(3), Some(2), 0x80000000300002),
+            (Some(1), Some(2), 0x90000000100002),
+            (Some(1), Some(2), 0xa0000000100002),
+            (Some(0), Some(3), 0xb0000000000003),
+            (None, None, 0xc0000000000004),
+        ];
+        let got: Vec<_> = sample_events()
+            .iter()
+            .map(|e| (e.node().map(|n| n.0), e.port(), e.canon_rank()))
+            .collect();
+        assert_eq!(got, pinned);
     }
 
     #[test]

@@ -1,8 +1,13 @@
-//! Flow arrival processes and offered-load arithmetic.
+//! Flow arrivals and offered-load arithmetic.
 //!
 //! The paper sets the *average load* as a fraction of the network capacity
 //! (the aggregate host access bandwidth) and draws flow inter-arrival times
 //! from a log-normal distribution with σ = 2 whose mean matches that load.
+//! One type describes the background arrivals, [`ArrivalShape`]: the gap
+//! distribution (log-normal, Poisson or bursty on/off) without its mean,
+//! which [`mean_interarrival_secs`] derives from the load and which its
+//! `sample_gap` / `arrivals_until` take as an argument. [`IncastSchedule`]
+//! spaces incast events (periodic, or log-normal gaps at the same mean).
 
 use bfc_sim::{SimDuration, SimRng, SimTime};
 
@@ -22,130 +27,32 @@ pub fn mean_interarrival_secs(
     mean_flow_bytes * 8.0 / offered_bps
 }
 
-/// How inter-arrival gaps are drawn.
+/// The shape of the background inter-arrival gaps, independent of their
+/// mean: what [`crate::TraceParams`] carries. Trace synthesis turns the
+/// requested load into a mean gap ([`mean_interarrival_secs`]) and draws at
+/// that mean with [`ArrivalShape::sample_gap`] / [`ArrivalShape::arrivals_until`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalProcess {
-    /// Memoryless Poisson arrivals (exponential gaps).
-    Poisson {
-        /// Mean gap between flow arrivals in seconds.
-        mean_secs: f64,
-    },
-    /// Log-normal gaps with the given shape parameter (the paper uses σ = 2),
-    /// scaled so the mean gap matches `mean_secs`.
+pub enum ArrivalShape {
+    /// Log-normal gaps with the given shape parameter (paper: σ = 2), scaled
+    /// so the mean gap matches the requested mean.
     LogNormal {
-        /// Mean gap between flow arrivals in seconds.
-        mean_secs: f64,
         /// Shape parameter of the underlying normal.
         sigma: f64,
     },
+    /// Memoryless Poisson arrivals (exponential gaps).
+    Poisson,
     /// Markov-modulated on/off arrivals: bursts of closely spaced flows
     /// separated by long silences. Burst lengths are geometric with mean
     /// `mean_burst_len`; within a burst, gaps are exponential with mean
-    /// `mean_secs * on_gap_fraction`, and each burst boundary inserts an
-    /// exponential off period sized so the overall mean gap is exactly
-    /// `mean_secs` — the offered load matches the smoother processes, only
+    /// `mean · on_gap_fraction`, and each burst boundary inserts an
+    /// exponential off period sized so the overall mean gap is exactly the
+    /// requested mean — the offered load matches the smoother shapes, only
     /// the short-timescale variance differs.
     Bursty {
-        /// Mean gap between flow arrivals in seconds (across bursts and
-        /// silences).
-        mean_secs: f64,
         /// Expected number of arrivals per on-period (≥ 1).
         mean_burst_len: f64,
         /// Fraction of the mean gap attributable to in-burst spacing, in
         /// (0, 1]; the remaining `1 - on_gap_fraction` is spent silent.
-        on_gap_fraction: f64,
-    },
-}
-
-impl ArrivalProcess {
-    /// The paper's default: log-normal with σ = 2 at the given mean.
-    pub fn paper_default(mean_secs: f64) -> Self {
-        ArrivalProcess::LogNormal {
-            mean_secs,
-            sigma: 2.0,
-        }
-    }
-
-    /// A bursty on/off process at the given mean with the default burst
-    /// parameters (20 flows per burst, 10% duty cycle).
-    pub fn bursty(mean_secs: f64) -> Self {
-        ArrivalProcess::Bursty {
-            mean_secs,
-            mean_burst_len: 20.0,
-            on_gap_fraction: 0.1,
-        }
-    }
-
-    /// Mean gap of the process in seconds.
-    pub fn mean_secs(&self) -> f64 {
-        match self {
-            ArrivalProcess::Poisson { mean_secs } => *mean_secs,
-            ArrivalProcess::LogNormal { mean_secs, .. } => *mean_secs,
-            ArrivalProcess::Bursty { mean_secs, .. } => *mean_secs,
-        }
-    }
-
-    /// Draws one inter-arrival gap.
-    pub fn sample_gap(&self, rng: &mut SimRng) -> SimDuration {
-        let secs = match self {
-            ArrivalProcess::Poisson { mean_secs } => rng.exponential(*mean_secs),
-            ArrivalProcess::LogNormal { mean_secs, sigma } => {
-                rng.lognormal_with_mean(*mean_secs, *sigma)
-            }
-            ArrivalProcess::Bursty {
-                mean_secs,
-                mean_burst_len,
-                on_gap_fraction,
-            } => {
-                debug_assert!(*mean_burst_len >= 1.0, "mean_burst_len must be >= 1");
-                debug_assert!(
-                    *on_gap_fraction > 0.0 && *on_gap_fraction <= 1.0,
-                    "on_gap_fraction must be in (0, 1]"
-                );
-                // In-burst gap, plus — at a geometric burst boundary — an
-                // off period whose mean restores the overall target:
-                //   E[gap] = f·m + (1/B)·(1-f)·m·B = m.
-                let mut secs = rng.exponential(mean_secs * on_gap_fraction);
-                let off_mean = mean_secs * (1.0 - on_gap_fraction) * mean_burst_len;
-                if off_mean > 0.0 && rng.chance(1.0 / mean_burst_len) {
-                    secs += rng.exponential(off_mean);
-                }
-                secs
-            }
-        };
-        SimDuration::from_secs_f64(secs)
-    }
-
-    /// Generates arrival instants until `horizon`.
-    pub fn arrivals_until(&self, horizon: SimTime, rng: &mut SimRng) -> Vec<SimTime> {
-        let mut out = Vec::new();
-        let mut t = SimTime::ZERO + self.sample_gap(rng);
-        while t <= horizon {
-            out.push(t);
-            t += self.sample_gap(rng);
-        }
-        out
-    }
-}
-
-/// The shape of an arrival process, independent of its mean — what
-/// [`crate::TraceParams`] carries so trace synthesis can scale the gap
-/// distribution to the requested load. [`ArrivalShape::with_mean`] turns it
-/// into a concrete [`ArrivalProcess`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalShape {
-    /// Log-normal gaps with the given shape parameter (paper: σ = 2).
-    LogNormal {
-        /// Shape parameter of the underlying normal.
-        sigma: f64,
-    },
-    /// Memoryless Poisson arrivals.
-    Poisson,
-    /// Markov-modulated on/off bursts (see [`ArrivalProcess::Bursty`]).
-    Bursty {
-        /// Expected number of arrivals per burst (≥ 1).
-        mean_burst_len: f64,
-        /// Fraction of the mean gap spent inside bursts, in (0, 1].
         on_gap_fraction: f64,
     },
 }
@@ -164,20 +71,48 @@ impl ArrivalShape {
         }
     }
 
-    /// Instantiates the shape at a concrete mean gap.
-    pub fn with_mean(&self, mean_secs: f64) -> ArrivalProcess {
-        match *self {
-            ArrivalShape::LogNormal { sigma } => ArrivalProcess::LogNormal { mean_secs, sigma },
-            ArrivalShape::Poisson => ArrivalProcess::Poisson { mean_secs },
+    /// Draws one inter-arrival gap of mean `mean_secs`.
+    pub fn sample_gap(&self, mean_secs: f64, rng: &mut SimRng) -> SimDuration {
+        let secs = match *self {
+            ArrivalShape::LogNormal { sigma } => rng.lognormal_with_mean(mean_secs, sigma),
+            ArrivalShape::Poisson => rng.exponential(mean_secs),
             ArrivalShape::Bursty {
                 mean_burst_len,
                 on_gap_fraction,
-            } => ArrivalProcess::Bursty {
-                mean_secs,
-                mean_burst_len,
-                on_gap_fraction,
-            },
+            } => {
+                debug_assert!(mean_burst_len >= 1.0, "mean_burst_len must be >= 1");
+                debug_assert!(
+                    on_gap_fraction > 0.0 && on_gap_fraction <= 1.0,
+                    "on_gap_fraction must be in (0, 1]"
+                );
+                // In-burst gap, plus — at a geometric burst boundary — an
+                // off period whose mean restores the overall target:
+                //   E[gap] = f·m + (1/B)·(1-f)·m·B = m.
+                let mut secs = rng.exponential(mean_secs * on_gap_fraction);
+                let off_mean = mean_secs * (1.0 - on_gap_fraction) * mean_burst_len;
+                if off_mean > 0.0 && rng.chance(1.0 / mean_burst_len) {
+                    secs += rng.exponential(off_mean);
+                }
+                secs
+            }
+        };
+        SimDuration::from_secs_f64(secs)
+    }
+
+    /// Arrival instants until `horizon`, with gaps of mean `mean_secs`.
+    pub fn arrivals_until(
+        &self,
+        mean_secs: f64,
+        horizon: SimTime,
+        rng: &mut SimRng,
+    ) -> Vec<SimTime> {
+        let mut out = Vec::new();
+        let mut t = SimTime::ZERO + self.sample_gap(mean_secs, rng);
+        while t <= horizon {
+            out.push(t);
+            t += self.sample_gap(mean_secs, rng);
         }
+        out
     }
 }
 
@@ -253,19 +188,19 @@ mod tests {
     #[test]
     fn arrival_rate_approximates_target() {
         let mean = 2e-6;
-        for process in [
-            ArrivalProcess::Poisson { mean_secs: mean },
-            ArrivalProcess::paper_default(mean),
-            ArrivalProcess::bursty(mean),
+        for shape in [
+            ArrivalShape::Poisson,
+            ArrivalShape::paper_default(),
+            ArrivalShape::bursty_default(),
         ] {
             let mut rng = SimRng::new(11);
             let horizon = SimTime::ZERO + SimDuration::from_millis(20);
-            let arrivals = process.arrivals_until(horizon, &mut rng);
+            let arrivals = shape.arrivals_until(mean, horizon, &mut rng);
             let expected = 20e-3 / mean;
             let got = arrivals.len() as f64;
             assert!(
                 (got - expected).abs() / expected < 0.25,
-                "{process:?}: expected ≈{expected}, got {got}"
+                "{shape:?}: expected ≈{expected}, got {got}"
             );
             // Arrivals are sorted.
             for w in arrivals.windows(2) {
@@ -279,9 +214,9 @@ mod tests {
         // With σ = 2 the gap distribution has a much heavier tail: its median
         // is far below its mean, producing the bursts the paper relies on.
         let mut rng = SimRng::new(3);
-        let process = ArrivalProcess::paper_default(1e-6);
+        let shape = ArrivalShape::paper_default();
         let mut gaps: Vec<f64> = (0..20_000)
-            .map(|_| process.sample_gap(&mut rng).as_secs_f64())
+            .map(|_| shape.sample_gap(1e-6, &mut rng).as_secs_f64())
             .collect();
         gaps.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let median = gaps[gaps.len() / 2];
@@ -304,9 +239,9 @@ mod tests {
         // bimodal in a way neither Poisson nor log-normal is.
         let mut rng = SimRng::new(17);
         let mean = 1e-6;
-        let process = ArrivalProcess::bursty(mean);
+        let shape = ArrivalShape::bursty_default();
         let gaps: Vec<f64> = (0..50_000)
-            .map(|_| process.sample_gap(&mut rng).as_secs_f64())
+            .map(|_| shape.sample_gap(mean, &mut rng).as_secs_f64())
             .collect();
         let measured_mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
         assert!(
@@ -317,22 +252,6 @@ mod tests {
         let long = gaps.iter().filter(|&&g| g > 4.0 * mean).count() as f64 / gaps.len() as f64;
         assert!(short > 0.8, "in-burst gaps dominate, got {short}");
         assert!(long > 0.02, "off periods exist, got {long}");
-    }
-
-    #[test]
-    fn arrival_shape_instantiates_matching_process() {
-        assert_eq!(
-            ArrivalShape::paper_default().with_mean(3e-6),
-            ArrivalProcess::paper_default(3e-6)
-        );
-        assert_eq!(
-            ArrivalShape::Poisson.with_mean(1e-6),
-            ArrivalProcess::Poisson { mean_secs: 1e-6 }
-        );
-        assert_eq!(
-            ArrivalShape::bursty_default().with_mean(2e-6),
-            ArrivalProcess::bursty(2e-6)
-        );
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! * [`distributions`] — empirical flow-size CDFs and samplers for the three
 //!   workloads (plus helpers that regenerate the byte-weighted CDFs of
 //!   Fig. 4).
-//! * [`arrivals`] — offered-load arithmetic and the arrival processes:
-//!   log-normal (paper default), Poisson, and bursty Markov-modulated on/off
-//!   gaps, plus the periodic / log-normal incast event schedules.
+//! * [`arrivals`] — offered-load arithmetic and the one arrival type,
+//!   `ArrivalShape`: log-normal (paper default), Poisson, or bursty
+//!   Markov-modulated on/off gaps, drawn at the mean a load asks for; plus
+//!   the periodic / log-normal incast event schedules.
 //! * [`trace`] — complete trace synthesis: random sender/receiver pairs over
 //!   a host set, incast events (Fig. 5/8/11), long-lived flow patterns
 //!   (Figs. 8 and 10) and the cross-data-center mix of Fig. 9.
@@ -33,7 +34,7 @@ pub mod ingest;
 pub mod io;
 pub mod trace;
 
-pub use arrivals::{mean_interarrival_secs, ArrivalProcess, ArrivalShape, IncastSchedule};
+pub use arrivals::{mean_interarrival_secs, ArrivalShape, IncastSchedule};
 pub use distributions::{EmpiricalCdf, Workload};
 pub use ingest::{CsvTail, IngestError, IngestSource, INGEST_END_MARKER};
 pub use io::{export_csv, import_csv, CsvError, CsvErrorKind, TraceStats};

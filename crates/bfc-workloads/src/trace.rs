@@ -196,11 +196,13 @@ pub fn synthesize(hosts: &[NodeId], params: &TraceParams) -> Vec<TraceFlow> {
     if params.load > 0.0 {
         let mean_gap =
             mean_interarrival_secs(params.load, hosts.len(), params.host_gbps, mean_size);
-        let process = params.arrivals.with_mean(mean_gap);
         let mut arrival_rng = rng.split(1);
         let mut size_rng = rng.split(2);
         let mut pair_rng = rng.split(3);
-        for start in process.arrivals_until(horizon, &mut arrival_rng) {
+        for start in params
+            .arrivals
+            .arrivals_until(mean_gap, horizon, &mut arrival_rng)
+        {
             let (src, dst) = pick_distinct_pair(hosts, &mut pair_rng);
             flows.push(TraceFlow {
                 src,
@@ -278,14 +280,12 @@ pub fn incast_trace(
     seed: u64,
 ) -> Vec<TraceFlow> {
     let mut rng = SimRng::new(seed);
-    let horizon = SimTime::ZERO + duration;
-    let mut t = SimTime::ZERO + period;
-    let mut flows = Vec::new();
-    while t <= horizon {
-        flows.extend(incast_event(hosts, fan_in, total_bytes, t, &mut rng));
-        t += period;
-    }
-    flows
+    // `Periodic` draws nothing from `rng`: it feeds only the events' picks.
+    IncastSchedule::Periodic
+        .events_until(period, SimTime::ZERO + duration, &mut rng)
+        .into_iter()
+        .flat_map(|t| incast_event(hosts, fan_in, total_bytes, t, &mut rng))
+        .collect()
 }
 
 /// Long-lived background flows for Fig. 8: `per_receiver` flows to every host
@@ -354,14 +354,14 @@ pub fn cross_dc_trace(
     let cdf = params.workload.cdf();
     let mean_size = cdf.mean_bytes();
     let mean_gap = mean_interarrival_secs(params.load, all.len(), params.host_gbps, mean_size);
-    let process = params.arrivals.with_mean(mean_gap);
     let horizon = SimTime::ZERO + params.duration;
     let mut arrival_rng = rng.split(1);
     let mut size_rng = rng.split(2);
     let mut pair_rng = rng.split(3);
     let mut kind_rng = rng.split(4);
-    process
-        .arrivals_until(horizon, &mut arrival_rng)
+    params
+        .arrivals
+        .arrivals_until(mean_gap, horizon, &mut arrival_rng)
         .into_iter()
         .map(|start| {
             let inter = kind_rng.chance(inter_dc_fraction);

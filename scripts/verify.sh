@@ -10,12 +10,8 @@
 #      (a few seconds once built). It flags std APIs stabilized after that
 #      version; no older toolchain is installed, so language features and
 #      the compiler itself are not checked
-#   3. rustfmt --check over an explicit list of files that are kept
-#      rustfmt-clean: the list grows as files are rewritten, until a
-#      whole-tree `cargo fmt --all -- --check` (ROADMAP item 5) replaces it.
-#      rustfmt checks a listed file's out-of-line modules too, so a file is
-#      listed only if they are clean as well (`cli.rs`'s `cli/` submodules
-#      and `tests/alloc_free.rs`'s `common/alloc.rs` are)
+#   3. `cargo fmt --all -- --check`: every file of the workspace is kept
+#      rustfmt-clean (`benchmark/` is its own package and is not checked)
 #   4. the unit tests tier-1 leaves out and a change is most likely to need:
 #      the bfc-testkit harness's own; bfc-sim's — the epoch barrier (nobody
 #      released early, nobody lapped, abort in every wait stage) and the
@@ -66,49 +62,8 @@ cargo test -q
 echo "== MSRV: cargo clippy, incompatible_msrv only"
 cargo clippy -q --workspace --all-targets -- -A clippy::all -D clippy::incompatible_msrv
 
-echo "== format: rustfmt --check over the files kept rustfmt-clean"
-rustfmt --check --edition 2021 \
-    crates/bfc-bench/src/main.rs \
-    crates/bfc-experiments/src/cli.rs \
-    crates/bfc-experiments/src/cli/adversarial.rs \
-    crates/bfc-experiments/src/cli/args.rs \
-    crates/bfc-experiments/src/cli/flight.rs \
-    crates/bfc-experiments/src/engine.rs \
-    crates/bfc-experiments/src/figures.rs \
-    crates/bfc-experiments/src/replay.rs \
-    crates/bfc-experiments/src/runner.rs \
-    crates/bfc-experiments/src/scheme.rs \
-    crates/bfc-experiments/src/service.rs \
-    crates/bfc-experiments/src/table.rs \
-    crates/bfc-core/src/flow_table.rs \
-    crates/bfc-core/src/policy.rs \
-    crates/bfc-metrics/src/fct.rs \
-    crates/bfc-metrics/src/registry.rs \
-    crates/bfc-net/src/buffer.rs \
-    crates/bfc-net/src/config.rs \
-    crates/bfc-net/src/packet.rs \
-    crates/bfc-net/src/policy.rs \
-    crates/bfc-net/src/port.rs \
-    crates/bfc-net/src/queue.rs \
-    crates/bfc-net/src/routing.rs \
-    crates/bfc-net/src/switch.rs \
-    crates/bfc-net/src/trace.rs \
-    crates/bfc-sim/src/snapshot.rs \
-    crates/bfc-transport/src/lib.rs \
-    crates/bfc-workloads/src/ingest.rs \
-    crates/bfc-workloads/src/io.rs \
-    tests/alloc_free.rs \
-    tests/cli.rs \
-    tests/fig_smoke.rs \
-    tests/example_smoke.rs \
-    tests/net_properties.rs \
-    tests/observability.rs \
-    tests/properties.rs \
-    tests/routing_oracle.rs \
-    tests/snapshot.rs \
-    tests/trace_merge.rs \
-    tests/trace_properties.rs \
-    tests/transport_properties.rs
+echo "== format: cargo fmt --all -- --check"
+cargo fmt --all -- --check
 
 echo "== testkit, bfc-sim, packet-path, ingest and bfc-experiments unit tests + spawned CLI gates"
 cargo test -q -p bfc-testkit

@@ -146,7 +146,7 @@ fn google_incast(horizon: SimDuration) -> TraceParams {
 
 #[rustfmt::skip]
 const LINEUP_T2: &[Cost] = &[
-    Cost { run: "bfc", events_popped: 127118, switch_hops: 59369, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(187260), allocs: Some(1780) },
+    Cost { run: "bfc", events_popped: 127118, switch_hops: 59369, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(187260), allocs: Some(1700) },
     Cost { run: "ideal-fq", events_popped: 125373, switch_hops: 59708, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(2168599), allocs: Some(1443) },
     Cost { run: "dcqcn", events_popped: 130722, switch_hops: 59869, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(212606), allocs: Some(1455) },
     Cost { run: "dcqcn-win", events_popped: 127882, switch_hops: 59855, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 114, snap_bytes: Some(212533), allocs: Some(1455) },
@@ -170,7 +170,7 @@ fn the_six_scheme_lineup_costs_exactly_this() {
 
 #[rustfmt::skip]
 const INCAST_T1: &[Cost] = &[
-    Cost { run: "bfc", events_popped: 288955, switch_hops: 131142, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 142, snap_bytes: Some(1412661), allocs: Some(3574) },
+    Cost { run: "bfc", events_popped: 288955, switch_hops: 131142, overflow_pushes: 0, batches: 1, windows: 1, barriers: 2, boundary_events: 0, series: 142, snap_bytes: Some(1412661), allocs: Some(3176) },
     Cost { run: "bfc @ 2 shards", events_popped: 289381, switch_hops: 131142, overflow_pushes: 0, batches: 2, windows: 201, barriers: 202, boundary_events: 42064, series: 142, snap_bytes: Some(1418975), allocs: None },
 ];
 

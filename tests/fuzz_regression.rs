@@ -66,6 +66,23 @@ fn fixed_seed_fuzz_is_deterministic_and_round_trips() {
     // The serialized artifact is byte-stable and parses back to itself.
     let text = a.reproducer.to_string();
     assert_eq!(text, b.reproducer.to_string());
+    // The search, the shrink and the text format are pinned: this config
+    // has always written exactly these bytes.
+    assert_eq!(
+        text,
+        "objective dip\n\
+         topo tiny\n\
+         scheme bfc\n\
+         workload google\n\
+         load 0.2\n\
+         incast-load 0\n\
+         fan-in 6\n\
+         incast-bytes 242736\n\
+         duration-us 60\n\
+         trace-seed 372364\n\
+         at 59us down tor1 spine1\n\
+         at 78us up tor1 spine1\n"
+    );
     assert_eq!(
         Reproducer::parse(&text).expect("display output parses"),
         a.reproducer
