@@ -2,13 +2,13 @@
 //! hot paths that nothing else times: the event queue under the fabric's own
 //! delay mix, the BFC data structures (bloom filters, flow table), routing
 //! (building the tables, one flow's ideal FCT), ports and buffers, the round
-//! trip of an HPCC INT header's storage, the flight recorder's merge and
-//! container, and the epoch barrier at its two extremes. Prints a table;
-//! informational — it keeps no baseline and judges nothing. Whole runs, CSV
-//! import and export, FIFO forwarding at a ToR, the hot flow-table lookup
-//! and the plain hold model are timed by `benchmark/` (host-calibrated, as
-//! is the routing computation it judges); exact costs are pinned by
-//! `tests/exact_costs.rs`.
+//! trip of an HPCC INT header's storage, the flight recorder's recording,
+//! merge and container, and the epoch barrier at its two extremes. Prints a
+//! table; informational — it keeps no baseline and judges nothing. Whole
+//! runs, CSV import and export, FIFO forwarding at a ToR, the hot flow-table
+//! lookup and the plain hold model are timed by `benchmark/`
+//! (host-calibrated, as is the routing computation it judges); exact costs
+//! are pinned by `tests/exact_costs.rs`.
 //!
 //! Options:
 //!   --quick              fewer/shorter samples (for scripts/verify.sh)
@@ -58,9 +58,10 @@ const BENCHES: &[&str] = &[
     "port_drr_pick_32q_all_paused",
     "port_enqueue_drain_32q_spread",
     "shared_buffer_pfc_transitions",
-    "flight_merge_1m_one_part",
+    "flight_record_1m",
     "flight_merge_1m_two_parts",
-    "trace_write_read_1m",
+    "trace_write_1m",
+    "trace_read_1m",
     "container_checksum_32mb",
     "hub_publish_live_t2",
     "sharded_epoch_quiescent",
@@ -383,8 +384,9 @@ fn bench_fabric_mix(h: &mut Harness) {
 /// A million-record flight trace shaped like a packet run's: four records
 /// per packet hop (enqueue, queue-active, dequeue, queue-idle) at 16 nodes,
 /// two hops sharing each instant — so every instant holds a run that must be
-/// rank-sorted — recorded into the rings `part_of` assigns each node to.
-fn flight_parts(parts: usize, part_of: impl Fn(NodeId) -> usize) -> Vec<FlightRecorder> {
+/// rank-sorted — recorded into the rings `part_of` assigns each node to, and
+/// each ring finished.
+fn flight_parts(parts: usize, part_of: impl Fn(NodeId) -> usize) -> Vec<FlightTrace> {
     const HOPS: u32 = 250_000;
     let mut recorders: Vec<FlightRecorder> = (0..parts)
         .map(|_| FlightRecorder::new(4 * HOPS as usize))
@@ -418,41 +420,34 @@ fn flight_parts(parts: usize, part_of: impl Fn(NodeId) -> usize) -> Vec<FlightRe
         );
         recorder.record(at, TraceEvent::QueueIdle { node, port, queue });
     }
-    recorders
-}
-
-/// The end of a traced run: each ring finished into its canonical trace and
-/// the parts merged, as the engine does.
-fn finish_and_merge(parts: Vec<FlightRecorder>) -> FlightTrace {
-    FlightTrace::merge(parts.into_iter().map(FlightRecorder::finish).collect())
+    recorders.into_iter().map(FlightRecorder::finish).collect()
 }
 
 fn bench_flight_trace(h: &mut Harness) {
-    // Finishing consumes a ring, so each iteration finishes a clone: the
-    // 24 MB copy is part of both figures (and of nothing they are compared
-    // with but their own baseline).
-    let one = flight_parts(1, |_| 0);
-    h.bench("flight_merge_1m_one_part", || {
-        finish_and_merge(one.clone()).records.len()
-    });
+    // Recording is where a ring sorts and encodes, so this is the whole cost
+    // of a traced run's trace up to the merge.
+    h.bench("flight_record_1m", || flight_parts(1, |_| 0).len());
+    // Merging consumes its parts, so each iteration merges a copy of two
+    // finished parts: a 7 MB copy is part of the figure.
     let two = flight_parts(2, |node| node.index() % 2);
     h.bench("flight_merge_1m_two_parts", || {
-        finish_and_merge(two.clone()).records.len()
+        FlightTrace::merge(two.clone()).records.len()
     });
-    let trace = finish_and_merge(one);
-    let ran = h.bench("trace_write_read_1m", || {
-        let bytes = write_trace("bench", &trace);
+    let trace = FlightTrace::merge(two);
+    h.bench("trace_write_1m", || write_trace("bench", &trace).len());
+    let bytes = write_trace("bench", &trace);
+    let ran = h.bench("trace_read_1m", || {
         let (_, back) = read_trace(&bytes).expect("a written trace reads back");
         back.records.len()
     });
     if ran {
-        let bytes = write_trace("bench", &trace).len();
         let records = trace.records.len();
         let held = trace.records.encoded_len();
         h.note(format!(
-            "trace_write_read_1m: {bytes} B file over {records} records = {:.2} B per record; \
+            "trace_read_1m: {} B file over {records} records = {:.2} B per record; \
              {:.2} B per record in memory",
-            bytes as f64 / records as f64,
+            bytes.len(),
+            bytes.len() as f64 / records as f64,
             held as f64 / records as f64
         ));
     }

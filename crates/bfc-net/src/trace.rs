@@ -7,7 +7,7 @@
 //! wrapper overrides. When tracing is off the emission sites compile down to
 //! nothing (the default impl ignores its arguments and is inlined away);
 //! when it is on, each event lands in a bounded [`FlightRecorder`] ring that
-//! keeps the last N records and counts what it sheds.
+//! keeps the last N records of the canonical order and counts what it sheds.
 //!
 //! # Records and canonical order
 //!
@@ -26,19 +26,23 @@
 //!
 //! Nothing computes it by sorting the whole trace. A recorder's stream is
 //! already in time order, so only records that share an instant can be out
-//! of rank order: [`FlightRecorder::finish`] stable-sorts each such run as it
-//! streams the ring out, and [`FlightTrace::merge`] merges canonical parts.
-//! The global sort survives only as the fallback for a ring whose clock ran
-//! backwards.
+//! of rank order: [`FlightRecorder::record`] holds back the current
+//! instant's run and stable-sorts it by rank when the instant ends, and
+//! [`FlightTrace::merge`] merges canonical parts. The global sort survives
+//! only as the fallback for a ring whose clock ran backwards, at
+//! [`FlightRecorder::finish`].
 //!
 //! # Held traces
 //!
-//! The ring holds [`TraceRecord`]s, in fixed blocks it never reallocates. A
-//! finished [`FlightTrace`] holds its records as [`TraceRecords`]: the
-//! `.flight` body below, about 7.7 bytes a record where the ring takes 24,
-//! decoded on demand. The encoding is a bijection on record sequences (a
-//! varint has one form, and every field is range-checked), so two bodies are
-//! equal exactly when their records are.
+//! A recorder holds its records as the `.flight` body below, about 7.7 bytes
+//! a record, appending each instant's run as it ends; only that run waits as
+//! [`TraceRecord`]s. A full ring sheds encoded records from the front of the
+//! body, so what it keeps is the last N of the canonical order, and
+//! [`FlightRecorder::finish`] has only the last run to append. A finished
+//! [`FlightTrace`] holds the same body as [`TraceRecords`], decoded on demand.
+//! The encoding is a bijection on record sequences (a varint has one form,
+//! and every field is range-checked), so two bodies are equal exactly when
+//! their records are.
 //!
 //! # Container
 //!
@@ -59,10 +63,9 @@
 //! canonical trace's deltas are small and a time-unordered one still round
 //! trips. A record is 3 to 30 bytes; a packet run's trace averages about 7.7.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use bfc_sim::snapshot::{finalize, open, SnapError, SnapReader, SnapWriter};
+use bfc_sim::snapshot::{finalize, open, put_var, SnapError, SnapReader};
 use bfc_sim::{SimDuration, SimTime};
 
 use crate::event::NetSink;
@@ -391,11 +394,11 @@ macro_rules! trace_events {
             }
 
             #[inline]
-            fn put(&self, w: &mut SnapWriter) {
+            fn put(&self, body: &mut Vec<u8>) {
                 match *self {
                     $(TraceEvent::$variant { $($field),+ } => {
-                        w.put_u8($tag);
-                        $(w.put_var(VarField::to_var($field));)+
+                        body.push($tag);
+                        $(put_var(body, VarField::to_var($field));)+
                     })+
                 }
             }
@@ -484,11 +487,8 @@ impl VarField for bool {
     }
 }
 
-/// The most bytes one record takes in a `.flight` body: a ten-byte time
-/// delta, the tag and an enqueue's fields — a node and a flow of at most
-/// five bytes each, a port, a queue and a size of at most three.
-const RECORD_MAX_BYTES: usize = 10 + 1 + 2 * 5 + 3 * 3;
-/// The fewest: every kind has at least one field.
+/// The fewest bytes one record takes in a `.flight` body: a time delta, the
+/// tag and one field, since every kind has at least one.
 const RECORD_MIN_BYTES: usize = 3;
 
 /// One recorded observation. Its canonical rank is derived
@@ -502,7 +502,7 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-// The ring holds records by value.
+// A recorder's current run holds records by value.
 const _: () = assert!(std::mem::size_of::<TraceRecord>() == 24);
 
 impl TraceRecord {
@@ -515,12 +515,12 @@ impl TraceRecord {
     /// Appends the record to a `.flight` body whose previous record was at
     /// `prev` picoseconds (0 before the first), and moves `prev` to it.
     #[inline]
-    fn put(&self, w: &mut SnapWriter, prev: &mut u64) {
+    fn put(&self, body: &mut Vec<u8>, prev: &mut u64) {
         let at = self.at.as_picos();
         let delta = at.wrapping_sub(*prev) as i64;
-        w.put_var(((delta << 1) ^ (delta >> 63)) as u64);
+        put_var(body, ((delta << 1) ^ (delta >> 63)) as u64);
         *prev = at;
-        self.event.put(w);
+        self.event.put(body);
     }
 
     /// Reads what [`TraceRecord::put`] wrote.
@@ -598,50 +598,34 @@ impl TraceFilter {
     }
 }
 
-/// Records per block of a recorder's ring, about 1.5 MB: a ring grows one
-/// block at a time and never moves a record it holds.
-pub const BLOCK_RECORDS: usize = 64 * 1024;
-
-/// A bounded ring of the last N trace records. Records beyond the capacity
-/// shed from the front (oldest first) and are counted in `dropped`; the
-/// flight-recorder name is exact — what survives is the end of the story.
-/// An optional [`TraceFilter`] rejects events before they reach the ring.
+/// A bounded ring of the last N trace records in canonical order. Records
+/// beyond the capacity shed from the front (oldest first) and are counted in
+/// `dropped`; the flight-recorder name is exact — what survives is the end
+/// of the story. An optional [`TraceFilter`] rejects events before they reach
+/// the ring.
 ///
-/// The ring is a queue of blocks of `min(capacity, 64 Ki)` records, every
-/// block but the last full; no block is ever reallocated. Shedding advances
-/// an offset into the front block, and a front block that empties becomes
-/// the next back block.
-#[derive(Debug)]
+/// The ring is a `.flight` body in canonical order plus the current
+/// instant's run, which joins the body, rank-sorted, when the instant ends.
+/// Shedding skips records at the front of the body and remembers the last
+/// shed record's time, which the first held record's delta counts from; the
+/// shed prefix is cut off once it is half the body. The ring keeps the last
+/// N records of the `(time, rank, recording)` order, so inside an instant
+/// that is partly shed it keeps the highest ranks.
+#[derive(Debug, Clone)]
 pub struct FlightRecorder {
     capacity: usize,
-    /// Records per block.
-    block: usize,
-    /// The held records, oldest first.
-    blocks: VecDeque<Vec<TraceRecord>>,
-    /// Records of the front block already shed.
+    /// The held records' body, after `head` bytes of shed ones.
+    out: Encoder,
     head: usize,
-    /// An emptied front block, kept for the next back block.
-    spare: Option<Vec<TraceRecord>>,
-    len: usize,
+    /// The last shed record's time in picoseconds (0 before any).
+    base: u64,
+    /// The current instant's records, each with its rank, in recording
+    /// order.
+    run: Vec<(u64, TraceRecord)>,
+    /// Whether some instant came before the one recorded ahead of it.
+    backwards: bool,
     dropped: u64,
     filter: Option<TraceFilter>,
-}
-
-impl Clone for FlightRecorder {
-    /// A copy whose blocks have the full block capacity, like the original's.
-    fn clone(&self) -> Self {
-        let block = |records: &[TraceRecord]| {
-            let mut copy = Vec::with_capacity(self.block);
-            copy.extend_from_slice(records);
-            copy
-        };
-        FlightRecorder {
-            blocks: self.blocks.iter().map(|b| block(b)).collect(),
-            spare: None,
-            filter: self.filter.clone(),
-            ..*self
-        }
-    }
 }
 
 impl FlightRecorder {
@@ -650,11 +634,16 @@ impl FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             capacity,
-            block: capacity.min(BLOCK_RECORDS),
-            blocks: VecDeque::new(),
+            // Room for 8 Ki packet records of about 8 B: a long trace's body
+            // then reaches its size in 13 fewer reallocations than from empty.
+            out: Encoder {
+                body: Vec::with_capacity(capacity.min(8 * 1024) * 8),
+                ..Encoder::default()
+            },
             head: 0,
-            spare: None,
-            len: 0,
+            base: 0,
+            run: Vec::new(),
+            backwards: false,
             dropped: 0,
             filter: None,
         }
@@ -678,140 +667,116 @@ impl FlightRecorder {
                 return;
             }
         }
-        if self.len == self.capacity {
-            self.shed_oldest();
+        if self.run.first().is_some_and(|(_, first)| first.at != at) {
+            self.flush();
         }
-        let record = TraceRecord { at, event };
-        match self.blocks.back_mut() {
-            Some(back) if back.len() < self.block => back.push(record),
-            _ => self.push_block(record),
-        }
-        self.len += 1;
+        self.run
+            .push((event.canon_rank(), TraceRecord { at, event }));
     }
 
-    /// Sheds the front record; an emptied front block becomes the spare. Only
-    /// a full ring sheds, so every block but the last is full, and the front
-    /// empties exactly when its offset reaches the block size.
-    fn shed_oldest(&mut self) {
-        self.head += 1;
-        self.len -= 1;
-        self.dropped += 1;
-        if self.head == self.block {
-            let mut front = self.blocks.pop_front().expect("a full ring holds a block");
-            front.clear();
-            self.spare = Some(front);
+    /// Appends the current run to the body in rank order (stable: equal
+    /// ranks describe one node, so their order is its owner's), after
+    /// shedding what the run pushes past the capacity: the body's oldest
+    /// records, then, for a run longer than the ring, its own first ones.
+    fn flush(&mut self) {
+        let Some(&(_, first)) = self.run.first() else {
+            return;
+        };
+        self.backwards |= first.at.as_picos() < self.out.prev;
+        self.run.sort_by_key(|&(rank, _)| rank);
+        let excess = (self.out.len + self.run.len()).saturating_sub(self.capacity);
+        let shed = excess.min(self.out.len);
+        if shed > 0 {
+            self.shed(shed);
+        }
+        self.dropped += excess as u64;
+        for (_, record) in self.run.drain(..).skip(excess - shed) {
+            self.out.push(&record);
+        }
+    }
+
+    /// Sheds the body's first `n` held records, cutting the shed prefix off
+    /// once it is more than half the body.
+    fn shed(&mut self, n: usize) {
+        let mut held = self.held();
+        held.by_ref().take(n).for_each(drop);
+        let (base, rest) = (held.prev, held.r.remaining());
+        self.base = base;
+        self.head = self.out.body.len() - rest;
+        self.out.len -= n;
+        if self.head > rest {
+            self.out.body.drain(..self.head);
             self.head = 0;
         }
     }
 
-    /// Starts a back block with `record`, reusing the spare if there is one.
-    #[cold]
-    fn push_block(&mut self, record: TraceRecord) {
-        let mut block = self
-            .spare
-            .take()
-            .unwrap_or_else(|| Vec::with_capacity(self.block));
-        block.push(record);
-        self.blocks.push_back(block);
+    /// The held records of the body, oldest first.
+    fn held(&self) -> TraceRecordIter<'_> {
+        TraceRecordIter {
+            r: SnapReader::new(&self.out.body[self.head..]),
+            prev: self.base,
+            left: self.out.len,
+        }
     }
 
     /// Records currently held.
     pub fn len(&self) -> usize {
-        self.len
+        (self.out.len + self.run.len()).min(self.capacity)
     }
 
     /// True if nothing has been recorded (or everything has been shed).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Consumes the recorder into its canonical [`FlightTrace`]: the held
-    /// records stable-sorted by `(time, rank)`. The blocks stream out in
-    /// order, each run of one instant sorted by rank in a scratch buffer and
-    /// encoded, and each block is freed once it is encoded. Only a ring
-    /// whose clock ran backwards is sorted whole.
-    pub fn finish(self) -> FlightTrace {
-        let FlightRecorder {
-            mut blocks,
-            head,
-            len,
-            dropped,
-            ..
-        } = self;
-        let mut out = Encoder::new(len);
-        let held = || {
-            let skip = std::iter::once(head).chain(std::iter::repeat(0));
-            blocks
-                .iter()
-                .zip(skip)
-                .flat_map(|(block, skip)| &block[skip..])
-        };
-        let mut prev = SimTime::ZERO;
-        if held().all(|r| std::mem::replace(&mut prev, r.at) <= r.at) {
-            // The current instant's records, each with its rank.
-            let mut run: Vec<(u64, TraceRecord)> = Vec::new();
-            let mut skip = head;
-            while let Some(block) = blocks.pop_front() {
-                for &record in &block[skip..] {
-                    if run.first().is_some_and(|(_, first)| first.at != record.at) {
-                        out.push_run(&mut run);
-                    }
-                    run.push((record.rank(), record));
-                }
-                skip = 0;
-            }
-            out.push_run(&mut run);
-        } else {
-            let mut all = Vec::with_capacity(len);
-            all.extend(held().copied());
-            drop(blocks);
+    /// records stable-sorted by `(time, rank)`. The last run joins the body,
+    /// whose first record's delta is rebased from the last shed record's
+    /// time to 0. Only a ring whose clock ran backwards is decoded, sorted
+    /// whole and encoded again.
+    pub fn finish(mut self) -> FlightTrace {
+        self.flush();
+        let records = if self.backwards {
+            let mut all: Vec<TraceRecord> = self.held().collect();
             all.sort_by_key(|r| (r.at, r.rank()));
-            all.iter().for_each(|r| out.push(r));
-        }
+            all.into_iter().collect()
+        } else {
+            let mut held = self.held();
+            if let Some(first) = held.next() {
+                let cut = self.out.body.len() - held.r.remaining();
+                let mut lead = Vec::new();
+                first.put(&mut lead, &mut 0);
+                self.out.body.splice(..cut, lead);
+            }
+            self.out.finish()
+        };
         FlightTrace {
-            records: out.finish(),
-            dropped,
+            records,
+            dropped: self.dropped,
         }
     }
 }
 
 /// Appends records to a `.flight` body.
+#[derive(Debug, Clone, Default)]
 struct Encoder {
-    w: SnapWriter,
+    body: Vec<u8>,
     /// The previous record's time in picoseconds, 0 before the first.
     prev: u64,
     len: usize,
 }
 
 impl Encoder {
-    /// An encoder with room for `records` records of any shape, so the body
-    /// is never copied to grow: the pages a typical record leaves untouched
-    /// cost address space only, and [`Encoder::finish`] gives them back.
-    fn new(records: usize) -> Self {
-        let mut w = SnapWriter::new();
-        w.reserve(records.saturating_mul(RECORD_MAX_BYTES));
-        Encoder { w, prev: 0, len: 0 }
-    }
-
     #[inline]
     fn push(&mut self, record: &TraceRecord) {
-        record.put(&mut self.w, &mut self.prev);
+        record.put(&mut self.body, &mut self.prev);
         self.len += 1;
     }
 
-    /// Appends a run of ranked records that share an instant in rank order
-    /// (stable: equal ranks describe one node, so their order is its
-    /// owner's) and empties `run`.
-    fn push_run(&mut self, run: &mut Vec<(u64, TraceRecord)>) {
-        run.sort_by_key(|&(rank, _)| rank);
-        run.drain(..).for_each(|(_, r)| self.push(&r));
-    }
-
-    fn finish(self) -> TraceRecords {
-        let mut body = self.w.into_bytes();
-        body.shrink_to_fit();
+    fn finish(mut self) -> TraceRecords {
+        self.body.shrink_to_fit();
         TraceRecords {
-            body,
+            body: self.body,
             len: self.len,
         }
     }
@@ -868,9 +833,8 @@ impl<'a> IntoIterator for &'a TraceRecords {
 
 impl FromIterator<TraceRecord> for TraceRecords {
     fn from_iter<I: IntoIterator<Item = TraceRecord>>(records: I) -> Self {
-        let records = records.into_iter();
-        let mut out = Encoder::new(records.size_hint().0);
-        records.for_each(|r| out.push(&r));
+        let mut out = Encoder::default();
+        records.into_iter().for_each(|r| out.push(&r));
         out.finish()
     }
 }
@@ -918,7 +882,12 @@ impl FlightTrace {
             return parts.into_iter().next().unwrap_or_default();
         }
         let dropped = parts.iter().map(|p| p.dropped).sum();
-        let mut out = Encoder::new(parts.iter().map(|p| p.records.len()).sum());
+        // A record's delta in the merge is at most its delta in its part, so
+        // the parts' bodies together are room enough.
+        let mut out = Encoder {
+            body: Vec::with_capacity(parts.iter().map(|p| p.records.encoded_len()).sum()),
+            ..Encoder::default()
+        };
         let mut rest: Vec<_> = parts.iter().map(|p| p.records.iter()).collect();
         // Each part's next record, keyed by `(time, rank, part)`: the part
         // index sends the earliest part first on a tie, as in the sorted

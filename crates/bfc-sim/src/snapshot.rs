@@ -117,6 +117,18 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Appends a `u64` to `buf` as a LEB128 varint: one byte below 128, at most
+/// ten. What [`SnapWriter::put_var`] writes, for a body held as a plain
+/// `Vec<u8>`.
+#[inline]
+pub fn put_var(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
 /// An append-only byte buffer with fixed-width little-endian encoders.
 #[derive(Default)]
 pub struct SnapWriter {
@@ -160,14 +172,10 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `u64` as a LEB128 varint: one byte below 128, at most ten.
+    /// Appends a `u64` as a LEB128 varint ([`put_var`]).
     #[inline]
-    pub fn put_var(&mut self, mut v: u64) {
-        while v >= 0x80 {
-            self.buf.push(v as u8 | 0x80);
-            v >>= 7;
-        }
-        self.buf.push(v as u8);
+    pub fn put_var(&mut self, v: u64) {
+        put_var(&mut self.buf, v);
     }
 
     /// Appends a `usize` widened to `u64`.

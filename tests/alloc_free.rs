@@ -32,6 +32,10 @@
 //! what an egress's queues cost to grow: they share one packet arena, so a
 //! port's storage grows with its total backlog, a doubling at a time, and
 //! not queue by queue.
+//!
+//! An eighth weighs bytes, not allocations: a flight recorder holds what it
+//! records as the `.flight` body it finishes with, so recording a million
+//! packet records peaks at a small multiple of that body.
 
 use std::collections::VecDeque;
 
@@ -42,6 +46,7 @@ use backpressure_flow_control::net::packet::{IntPath, Packet, PacketKind, MTU};
 use backpressure_flow_control::net::routing::RoutingTables;
 use backpressure_flow_control::net::switch::Switch;
 use backpressure_flow_control::net::topology::{fat_tree, FatTreeParams, Topology};
+use backpressure_flow_control::net::trace::{FlightRecorder, TraceEvent};
 use backpressure_flow_control::net::types::{FlowId, NodeId};
 use backpressure_flow_control::net::{Link, NetEvent, Port, QueueTarget};
 use backpressure_flow_control::sim::shard::{run_conservative, Boundary, ShardHandler};
@@ -51,7 +56,7 @@ use backpressure_flow_control::workloads::{synthesize, TraceParams};
 
 #[path = "common/alloc.rs"]
 mod alloc;
-use alloc::allocs;
+use alloc::{allocs, peak_bytes_during};
 
 /// The BFC switches of `topo`, in node order (the first is a ToR).
 fn bfc_switches(topo: &Topology) -> Vec<Switch> {
@@ -558,5 +563,56 @@ fn a_ports_queues_grow_one_shared_arena() {
     assert!(
         first <= 8,
         "filling and draining 512 packets allocated {first} times"
+    );
+}
+
+#[test]
+fn a_flight_recorder_peaks_near_the_body_it_finishes_with() {
+    // `bfc-bench`'s `flight_parts` in one ring: four records per packet hop
+    // at 16 nodes, two hops an instant, out of rank order within it.
+    const HOPS: u32 = 250_000;
+    let (trace, peak) = peak_bytes_during(|| {
+        let mut recorder = FlightRecorder::new(4 * HOPS as usize);
+        for hop in 0..HOPS {
+            let at = SimTime::from_nanos(u64::from(hop / 2) * 80);
+            let (node, port, queue) = (NodeId(15 - hop % 16), (hop % 7) as u16, (hop % 32) as u16);
+            let (flow, bytes) = (hop % 4_096, 1_000);
+            recorder.record(
+                at,
+                TraceEvent::Enqueue {
+                    node,
+                    port,
+                    queue,
+                    flow,
+                    bytes,
+                },
+            );
+            recorder.record(at, TraceEvent::QueueActive { node, port, queue });
+            recorder.record(
+                at,
+                TraceEvent::Dequeue {
+                    node,
+                    port,
+                    queue,
+                    flow,
+                    bytes,
+                },
+            );
+            recorder.record(at, TraceEvent::QueueIdle { node, port, queue });
+        }
+        recorder.finish()
+    });
+    let (records, body) = (
+        trace.records.len() as u64,
+        trace.records.encoded_len() as u64,
+    );
+    assert_eq!(records, 4 * u64::from(HOPS));
+    // The body grows by doubling, so it peaks at its last two capacities at
+    // once (or at its last capacity and its final size while it shrinks).
+    assert!(
+        2 * peak < 5 * body,
+        "{records} records peaked at {peak} B ({:.1} B a record) for a {body} B body ({:.1} B a record)",
+        peak as f64 / records as f64,
+        body as f64 / records as f64
     );
 }

@@ -9,12 +9,11 @@
 //! their neighbours, ranks that tie *across* parts (decided by part order),
 //! rings that shed and rings that do not, empty parts, and a part whose clock
 //! runs backwards (the global-sort fallback). The ring itself is checked
-//! against a `VecDeque` at the capacities around its block size.
-
-use std::collections::VecDeque;
+//! against a `Vec` model of what it keeps: the last N records of the
+//! canonical order.
 
 use backpressure_flow_control::net::trace::{
-    FlightRecorder, FlightTrace, TraceEvent, TraceRecord, BLOCK_RECORDS,
+    FlightRecorder, FlightTrace, TraceEvent, TraceFilter, TraceRecord,
 };
 use backpressure_flow_control::net::types::NodeId;
 use backpressure_flow_control::sim::SimTime;
@@ -149,43 +148,106 @@ fn merging_nothing_is_the_empty_trace() {
     );
 }
 
-/// A ring of any capacity keeps what a `VecDeque` of that capacity keeps —
-/// the last `capacity` records — and sheds as many, across its block
-/// boundaries: a capacity of one, one block less one, one block, one block
-/// and one, and three blocks.
-#[test]
-fn the_block_ring_keeps_what_a_vecdeque_keeps() {
-    for capacity in [
-        1,
-        BLOCK_RECORDS - 1,
-        BLOCK_RECORDS,
-        BLOCK_RECORDS + 1,
-        3 * BLOCK_RECORDS,
-    ] {
-        let mut ring = FlightRecorder::new(capacity);
-        let mut model = VecDeque::new();
-        let mut shed = 0u64;
-        for i in 0..(capacity + 2 * BLOCK_RECORDS + 3) as u64 {
-            // Distinct instants: the canonical order is the recording order.
-            let record = TraceRecord {
-                at: SimTime::from_picos(i),
-                event: TraceEvent::Reroute { index: i as u32 },
-            };
-            ring.record(record.at, record.event);
-            if model.len() == capacity {
-                model.pop_front();
-                shed += 1;
-            }
-            model.push_back(record);
-            if i % 4_099 == 0 {
-                assert_eq!(ring.len(), model.len(), "capacity {capacity}, record {i}");
-            }
+/// What a ring of `capacity` behind `filter` keeps of `stream`, and how many
+/// records it sheds: the admitted records in runs of one instant, each run
+/// stable-sorted by rank, the last `capacity` of them — then, only if the
+/// clock ran backwards, all of those stable-sorted by `(at, rank)`.
+fn ring_model(
+    stream: &[TraceRecord],
+    capacity: usize,
+    filter: &TraceFilter,
+) -> (Vec<TraceRecord>, u64) {
+    let admitted: Vec<TraceRecord> = stream
+        .iter()
+        .filter(|r| filter.admits(&r.event))
+        .copied()
+        .collect();
+    let mut kept = Vec::with_capacity(admitted.len());
+    let mut start = 0;
+    for end in 1..=admitted.len() {
+        if end == admitted.len() || admitted[end].at != admitted[start].at {
+            let mut run = admitted[start..end].to_vec();
+            run.sort_by_key(|r| r.event.canon_rank());
+            kept.extend(run);
+            start = end;
         }
-        let trace = ring.finish();
-        assert_eq!(trace.dropped, shed, "capacity {capacity}");
-        assert!(
-            trace.records.iter().eq(model.iter().copied()),
-            "capacity {capacity}"
-        );
+    }
+    let shed = kept.len().saturating_sub(capacity);
+    kept.drain(..shed);
+    if admitted.windows(2).any(|w| w[1].at < w[0].at) {
+        kept.sort_by_key(|r| (r.at, r.event.canon_rank()));
+    }
+    (kept, shed as u64)
+}
+
+/// Records `stream` into a ring and checks what it holds and finishes with
+/// against [`ring_model`].
+fn check_ring(stream: &[TraceRecord], capacity: usize, filter: &TraceFilter) {
+    let mut ring = FlightRecorder::with_filter(capacity, filter.clone());
+    for r in stream {
+        ring.record(r.at, r.event);
+    }
+    let (kept, shed) = ring_model(stream, capacity, filter);
+    assert_eq!(ring.len(), kept.len(), "capacity {capacity}");
+    let trace = ring.finish();
+    assert_eq!(trace.dropped, shed, "capacity {capacity}");
+    let differ = trace.records.iter().zip(&kept).position(|(a, b)| a != *b);
+    assert_eq!(differ, None, "capacity {capacity}: first difference");
+    assert_eq!(trace.records.len(), kept.len(), "capacity {capacity}");
+}
+
+property! {
+    /// A ring keeps the last `capacity` records of the canonical order.
+    /// Steps are mostly zero, so runs of one instant are often longer than
+    /// the ring; in one case in four a step of 3 moves the clock back
+    /// instead of forward, and the filter is all, the packet kinds or node 0.
+    fn a_ring_keeps_the_last_n_of_the_canonical_order(
+        capacity in int_range(1u64..24),
+        stream in vec_of(triple(int_range(0u64..4), int_range(0u64..13), int_range(0u64..4)), 0..96),
+        shape in pair(int_range(0u64..4), int_range(0u64..3)),
+    ) {
+        let (backwards, filter) = shape;
+        let mut now = 10u64;
+        let records: Vec<TraceRecord> = stream
+            .iter()
+            .enumerate()
+            .map(|(id, &(step, kind, place))| {
+                now = match step {
+                    0 | 1 => now,
+                    3 if backwards == 0 => now.saturating_sub(1),
+                    _ => now + 1,
+                };
+                TraceRecord {
+                    at: SimTime::from_nanos(now),
+                    event: event(kind, place, id as u32),
+                }
+            })
+            .collect();
+        let filter = match filter {
+            0 => TraceFilter::all(),
+            1 => TraceFilter::all().with_kinds([0, 1, 7, 8]),
+            _ => TraceFilter::all().with_nodes([NodeId(0)]),
+        };
+        check_ring(&records, capacity as usize, &filter);
+    }
+}
+
+/// The property's check at capacities up to 3 × 64 Ki, around the block
+/// size the ring once had: a capacity of one, one block less one, one
+/// block, one block and one, and three blocks, each fed two blocks and three
+/// records more than it holds, in runs of three records that share an
+/// instant and are out of rank order, so a shed prefix is cut off many
+/// times over records of every length.
+#[test]
+fn a_large_ring_keeps_the_last_n_of_the_canonical_order() {
+    const BLOCK: usize = 64 * 1024;
+    for capacity in [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK] {
+        let stream: Vec<TraceRecord> = (0..(capacity + 2 * BLOCK + 3) as u64)
+            .map(|i| TraceRecord {
+                at: SimTime::from_nanos(i / 3 * 1_000),
+                event: event((i * 7) % 13, i % 4, i as u32),
+            })
+            .collect();
+        check_ring(&stream, capacity, &TraceFilter::all());
     }
 }
