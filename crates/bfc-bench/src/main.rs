@@ -57,6 +57,7 @@ const BENCHES: &[&str] = &[
     "port_drr_pick_32q_paused",
     "port_drr_pick_32q_all_paused",
     "port_enqueue_drain_32q_spread",
+    "port_enqueue_drain_1000q_spread",
     "shared_buffer_pfc_transitions",
     "flight_record_1m",
     "flight_merge_1m_two_parts",
@@ -597,6 +598,30 @@ fn bench_port_counters(h: &mut Harness) {
         let (qp, _) = port.dequeue_next().expect("512 packets are queued");
         qp.packet.seq
     });
+    // Ideal-FQ's shape: a 1 000-queue egress with a standing backlog of 512
+    // packets, packet k on physical queue 7k mod 1 000, so 512 queues hold
+    // one packet each. One iteration is one packet: its enqueue fills an
+    // empty queue, which takes an entry, and the `dequeue_next` drains the
+    // oldest, which gives its entry back — the churn of per-flow queues.
+    let spread = |k: u64| bfc_net::policy::QueueTarget::Phys((k * 7 % 1_000) as usize);
+    let mut port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), 1_000);
+    let mut k = 0u64;
+    while k < 512 {
+        port.enqueue(spread(k), packet(k), 0);
+        k += 1;
+    }
+    assert_eq!(port.occupied_queue_count(), 512, "one packet a queue");
+    h.bench("port_enqueue_drain_1000q_spread", || {
+        port.enqueue(spread(k), packet(k), 0);
+        k += 1;
+        let (qp, _) = port.dequeue_next().expect("512 packets are queued");
+        qp.packet.seq
+    });
+    assert_eq!(
+        port.occupied_queue_count(),
+        512,
+        "every pick drained a queue"
+    );
     // The dynamic PFC threshold: admit/release churn with a transition
     // check per buffer movement, plus the fault path's all-ingress sweep at
     // constant occupancy (where the per-occupancy cache pays off most).

@@ -19,7 +19,9 @@
 //! down at `from`; a toggle landing exactly on `until` is excluded (the
 //! window is half-open), and if the expansion would leave the link down at
 //! `until`, a final `up` is appended there, so a flapped link always ends
-//! the scenario up; a flap of more than 1 000 toggles is refused. Steps at
+//! the scenario up; a flap of more than 1 000 toggles is refused. A `rate`
+//! may degrade a cable or restore it, never raise it above its native rate
+//! (refused at [`ScenarioSpec::resolve`]). Steps at
 //! identical timestamps are applied in spec order ([`FaultSchedule`] sorts
 //! stably).
 //!
@@ -603,8 +605,31 @@ flap tor0 spine1 from 80us every 40us until 200us
                 "{gbps}"
             );
         }
-        let fastest = ScenarioSpec::new().rate(us(10), "tor0", "spine0", MAX_LINK_GBPS);
-        assert!(fastest.resolve(&topo).is_ok());
+    }
+
+    #[test]
+    fn a_rate_above_the_cables_native_rate_is_refused_at_resolve() {
+        // Every ideal FCT is computed at the native rates: a cable run
+        // faster would let a flow beat its own lower bound.
+        let topo = fat_tree(FatTreeParams::tiny());
+        let (tor, spine) = (topo.switches()[0], topo.switches()[2]);
+        let port = topo.port_towards(tor, spine).unwrap() as usize;
+        let native = topo.ports(tor)[port].link.rate_gbps;
+        let at = |gbps| ScenarioSpec::new().rate(us(0), "tor0", "spine0", gbps);
+        assert!(at(native).resolve(&topo).is_ok(), "a restore to native");
+        for gbps in [native * 4.0, MAX_LINK_GBPS] {
+            let err = at(gbps).resolve(&topo).expect_err("an up-rate");
+            assert!(
+                matches!(
+                    err.kind,
+                    ScenarioErrorKind::Dynamics(DynamicsError::AboveNative { .. })
+                ),
+                "{gbps}: {err}"
+            );
+        }
+        let text = "at 0us rate tor0 spine0 400\n";
+        let parsed = ScenarioSpec::parse(text).expect("well-formed");
+        assert!(parsed.resolve(&topo).is_err(), "{text}");
     }
 
     #[test]

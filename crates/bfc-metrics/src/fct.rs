@@ -29,11 +29,12 @@ pub struct FctRecord {
 }
 
 impl FctRecord {
-    /// FCT slowdown (≥ 1 in a well-behaved run; we clamp below by 1 to guard
-    /// against rounding in the ideal-FCT model).
+    /// FCT slowdown: the completion time over the ideal one. At least 1 for
+    /// every record a run produces, since no flow beats its ideal FCT (the
+    /// run's assembly asserts it); nothing here clamps it.
     pub fn slowdown(&self) -> f64 {
         let ideal = self.ideal_fct.as_secs_f64().max(1e-12);
-        (self.fct.as_secs_f64() / ideal).max(1.0)
+        self.fct.as_secs_f64() / ideal
     }
 }
 
@@ -204,9 +205,13 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_is_ratio_clamped_at_one() {
+    fn slowdown_is_the_unclamped_ratio_to_the_ideal_fct() {
         assert_eq!(rec(1000, 10, 5, false).slowdown(), 2.0);
-        assert_eq!(rec(1000, 4, 5, false).slowdown(), 1.0);
+        assert_eq!(rec(1000, 5, 5, false).slowdown(), 1.0);
+        // A record below its ideal reads below 1: the bound is asserted
+        // where runs build records, not hidden here.
+        let below = rec(1000, 4, 5, false).slowdown();
+        assert!((below - 0.8).abs() < 1e-12, "{below}");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! module is the substrate for that scenario family:
 //!
 //! * [`LinkAction`] — one mutation of a cable: take it down, bring it back,
-//!   or change its rate (degradation / repair).
+//!   or change its rate (degradation / repair: never above the cable's
+//!   native rate, which every ideal FCT is computed at).
 //! * [`FaultEvent`] / [`FaultSchedule`] — actions pinned to simulated
 //!   timestamps, sorted and validated against a topology before a run.
 //! * [`LinkStateMap`] — the live per-port up/down overlay the driver
@@ -56,7 +57,8 @@ pub enum LinkAction {
         a: NodeId,
         /// The other endpoint.
         b: NodeId,
-        /// New rate in Gbps (must be positive).
+        /// New rate in Gbps: positive, and at most the cable's native rate
+        /// in the topology.
         gbps: f64,
     },
 }
@@ -107,6 +109,19 @@ pub enum DynamicsError {
         /// The offending rate.
         gbps: f64,
     },
+    /// A `SetRate` action would run a cable faster than its native rate in
+    /// the topology. A flow's ideal FCT is computed at the native rates, so
+    /// it is a lower bound on the FCT only while no cable runs faster.
+    AboveNative {
+        /// One endpoint.
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+        /// The offending rate.
+        gbps: f64,
+        /// The cable's native rate (the slower direction's).
+        native: f64,
+    },
 }
 
 impl fmt::Display for DynamicsError {
@@ -122,6 +137,11 @@ impl fmt::Display for DynamicsError {
                     "link rate must be in (0, {MAX_LINK_GBPS}] Gbps, got {gbps}"
                 )
             }
+            DynamicsError::AboveNative { a, b, gbps, native } => write!(
+                f,
+                "a rate fault may only degrade or restore a cable: {gbps} Gbps is above \
+                 the {native} Gbps native rate of the cable between {a} and {b}"
+            ),
         }
     }
 }
@@ -161,7 +181,8 @@ impl FaultSchedule {
     }
 
     /// Checks every event against the topology: endpoints must exist and be
-    /// adjacent, and rates must be positive and at most [`MAX_LINK_GBPS`].
+    /// adjacent, and rates must be positive, at most [`MAX_LINK_GBPS`] and at
+    /// most the cable's native rate.
     pub fn validate(&self, topo: &Topology) -> Result<(), DynamicsError> {
         for event in &self.events {
             let (a, b) = event.action.endpoints();
@@ -170,17 +191,33 @@ impl FaultSchedule {
                     return Err(DynamicsError::UnknownNode { node });
                 }
             }
-            if topo.port_towards(a, b).is_none() || topo.port_towards(b, a).is_none() {
+            let (Some(port_a), Some(port_b)) = (topo.port_towards(a, b), topo.port_towards(b, a))
+            else {
                 return Err(DynamicsError::NotAdjacent { a, b });
-            }
+            };
             if let LinkAction::SetRate { gbps, .. } = event.action {
-                if !(gbps > 0.0 && gbps <= MAX_LINK_GBPS) {
-                    return Err(DynamicsError::BadRate { gbps });
-                }
+                check_rate(topo, [(a, port_a), (b, port_b)], gbps)?;
             }
         }
         Ok(())
     }
+}
+
+/// Checks a `SetRate` to `gbps` of the cable whose two ends are `ends`:
+/// within (0, [`MAX_LINK_GBPS`]] and at most the cable's native rate.
+fn check_rate(topo: &Topology, ends: [(NodeId, u32); 2], gbps: f64) -> Result<(), DynamicsError> {
+    if !(gbps > 0.0 && gbps <= MAX_LINK_GBPS) {
+        return Err(DynamicsError::BadRate { gbps });
+    }
+    let [(a, port_a), (b, port_b)] = ends;
+    let native = topo.ports(a)[port_a as usize]
+        .link
+        .rate_gbps
+        .min(topo.ports(b)[port_b as usize].link.rate_gbps);
+    if gbps > native {
+        return Err(DynamicsError::AboveNative { a, b, gbps, native });
+    }
+    Ok(())
 }
 
 /// One directed endpoint of a cable affected by an applied action.
@@ -270,9 +307,7 @@ impl LinkStateMap {
             LinkAction::SetRate { gbps, .. } => {
                 // Rates are owned by the ports themselves; the map only
                 // validates the action and names the endpoints to update.
-                if !(gbps > 0.0 && gbps <= MAX_LINK_GBPS) {
-                    return Err(DynamicsError::BadRate { gbps });
-                }
+                check_rate(topo, [(a, port_a), (b, port_b)], gbps)?;
             }
         }
         Ok([
@@ -366,7 +401,20 @@ mod tests {
                 "{gbps} Gbps"
             );
         }
-        assert!(at_rate(MAX_LINK_GBPS).validate(&topo).is_ok());
+        let native = topo.host_uplink(hosts[0]).link.rate_gbps;
+        assert!(at_rate(native).validate(&topo).is_ok());
+        for gbps in [native * 1.01, MAX_LINK_GBPS] {
+            assert_eq!(
+                at_rate(gbps).validate(&topo),
+                Err(DynamicsError::AboveNative {
+                    a: hosts[0],
+                    b: tor,
+                    gbps,
+                    native
+                }),
+                "{gbps} Gbps"
+            );
+        }
         assert!(!Link::new(MAX_LINK_GBPS, SimDuration::ZERO)
             .serialization(1)
             .is_zero());
@@ -427,6 +475,18 @@ mod tests {
                 }
             ),
             Err(DynamicsError::BadRate { .. })
+        ));
+        let native = topo.host_uplink(host).link.rate_gbps;
+        assert!(matches!(
+            state.apply(
+                &topo,
+                &LinkAction::SetRate {
+                    a: tor,
+                    b: host,
+                    gbps: native * 4.0
+                }
+            ),
+            Err(DynamicsError::AboveNative { .. })
         ));
     }
 }

@@ -19,39 +19,51 @@
 //!
 //! # Queue table
 //!
-//! Everything deficit round robin schedules is one entry of one table,
-//! `Port::drr` — a FIFO, its deficit, whether it is *eligible* — physical
-//! queues first, the overflow queue last. Two invariants:
+//! Deficit round robin schedules one table of queues, physical queues first
+//! and the overflow queue last, `Port::entry_of`: one `u32` per queue. An
+//! empty queue has nothing else — no FIFO, no deficit, no flag — and its
+//! `u32` is `NO_ENTRY`. A *backlogged* queue has an **entry**, a
+//! `queue::DrrQueue` — its FIFO, its deficit, whether it is *eligible* —
+//! in one slot of the port's packet arena, next to its packets, and its
+//! `u32` is that slot. Three invariants:
 //!
-//! * an entry is in the `rotation` **iff** its FIFO is non-empty: it joins
-//!   on the empty → non-empty enqueue and leaves when a pick drains it, so
-//!   the occupied queues are the rotation;
-//! * an entry is `eligible` **iff** its FIFO is non-empty and its head is
-//!   not named by the installed pause frame (nothing tracks the overflow
-//!   queue's flows: for it, eligible is non-empty). The scheduler skips an
-//!   ineligible entry; the pause threshold's `Nactive` (§3.4) counts the
-//!   eligible ones.
+//! * a queue has an entry **iff** its FIFO is non-empty: it takes one on
+//!   the empty → backlogged enqueue and gives it back when a pick drains it
+//!   or a flush empties it, so a drained queue's deficit goes with it;
+//! * an entry is in the `rotation` **iff** it exists: the backlogged queues
+//!   are the rotation;
+//! * an entry is `eligible` **iff** its head is not named by the installed
+//!   pause frame (nothing tracks the overflow queue's flows: its entry is
+//!   always eligible). The scheduler skips an ineligible entry; the pause
+//!   threshold's `Nactive` (§3.4) counts the eligible ones.
 //!
 //! Two totals over the table are cached, because per-packet paths read them
-//! and each replaced a measured O(Q) scan: `eligible_count` (`Nactive`, on
-//! every BFC enqueue and dequeue) and `data_bytes` (ECN, INT, the depth
-//! histogram). Both are recounted in a `debug_assert`; a snapshot stores
-//! neither them nor the flags, and restore re-derives all three.
+//! and each replaced a measured scan: `eligible_count` (`Nactive`, on every
+//! BFC enqueue and dequeue) and `data_bytes` (ECN, INT, the depth
+//! histogram). Both are recounted over the rotation in a `debug_assert`,
+//! as is the rotation against the table; no scan or check of a per-packet
+//! path visits an empty queue. A snapshot stores every queue's FIFO and
+//! deficit (an empty queue's are empty and zero) and the rotation as queue
+//! indices, but no entry, flag or total: restore re-derives them all.
 //!
 //! # Storage
 //!
 //! The port's queues own no storage of their own. Every packet queued at the
 //! egress — control, high-priority, physical or overflow — sits in one slot
 //! of the port's packet arena (`crate::queue`), and each FIFO is a linked
-//! list through it: the port's storage is a slice of the switch's shared
-//! buffer that grows with the port's total backlog, and once it has reached
-//! its high-water mark enqueue and dequeue never allocate, however the
-//! backlog moves between queues.
+//! list through it; so does every backlogged queue's entry. The port's
+//! storage is a slice of the switch's shared buffer that grows with the
+//! port's total backlog — packets plus backlogged queues — and once it has
+//! reached its high-water mark enqueue and dequeue never allocate, however
+//! the backlog moves between queues. What grows with the queue count is the
+//! table's 4 bytes a queue: Ideal-FQ's 1 000 queues cost a port 4 KB, not
+//! the 40 KB a dense table of entries would.
 //!
-//! The rotation is intrusive too: a ring through a `next` index in each
-//! table entry, entered at the port's `rotation_back` — the last entry, whose
-//! `next` is the front — so joining, leaving and turning it touch two entries
-//! and never allocate, whether the port has 32 queues or Ideal-FQ's 1 000.
+//! The rotation is intrusive too: a ring through the `next` index of each
+//! entry's slot, entered at the port's `rotation_back` — the last entry,
+//! whose `next` is the front — so joining, leaving and turning it touch two
+//! entries and never allocate, whether the port has 32 queues or Ideal-FQ's
+//! 1 000.
 //!
 //! # The transmitter is an instant, not an event
 //!
@@ -86,7 +98,7 @@ use bfc_sim::{SimDuration, SimTime};
 use crate::link::Link;
 use crate::packet::{Packet, PauseFrame, MTU};
 use crate::policy::QueueTarget;
-use crate::queue::{PacketArena, PhysQueue, QueuedPacket};
+use crate::queue::{DrrQueue, PacketArena, PhysQueue, QueuedPacket};
 use crate::types::NodeId;
 
 /// The serializer behind one egress — a switch port's or a NIC's.
@@ -177,17 +189,8 @@ impl Transmitter {
 
 bfc_sim::snap_struct! { Transmitter { busy_until, wake_pending } }
 
-/// One entry of an egress's queue table: a FIFO under deficit round robin.
-#[derive(Debug, Default)]
-struct DrrQueue {
-    fifo: PhysQueue,
-    deficit: u64,
-    /// The entry behind this one in the rotation, while this one is in it.
-    next: u32,
-    /// Non-empty and the head not named by the installed pause frame; kept
-    /// by [`Port::refresh_eligible`] so no reader re-hashes a head.
-    eligible: bool,
-}
+/// The entry of an empty queue: it has no state.
+const NO_ENTRY: u32 = u32::MAX;
 
 /// The egress side of one switch/host port.
 #[derive(Debug)]
@@ -198,27 +201,30 @@ pub struct Port {
     /// (rate degradation) via [`Port::set_link_rate`].
     pub link: Link,
 
-    /// The slots every queue below links its packets through.
+    /// The slots every queue below links its packets through, and the
+    /// table's backlogged queues keep their DRR state in.
     arena: PacketArena,
     control: PhysQueue,
     high_priority: PhysQueue,
 
-    /// The queue table: the physical queues, then the overflow queue.
-    drr: Vec<DrrQueue>,
-    /// The rotation: the non-empty entries of `drr` in service order, a ring
-    /// through their `next`. This is its last entry, so its `next` is the
-    /// front, the queue being visited; meaningless while `rotation_len` is
-    /// zero. With Q queues per port but a handful backlogged, a pick is
+    /// The queue table, physical queues then the overflow queue: the arena
+    /// slot holding each queue's [`DrrQueue`] — its *entry* — while the
+    /// queue is backlogged, [`NO_ENTRY`] while it is empty.
+    entry_of: Vec<u32>,
+    /// The rotation: the entries in service order, a ring through their
+    /// slots' `next`. This is its last entry, so its `next` is the front,
+    /// the queue being visited; meaningless while `rotation_len` is zero.
+    /// With Q queues per port but a handful backlogged, a pick is
     /// O(backlogged), not O(Q).
     rotation_back: u32,
-    /// Entries in the rotation.
+    /// Entries in the rotation: the backlogged queues of the table.
     rotation_len: usize,
     /// Whether the front of the rotation was given this visit's quantum.
     drr_credited: bool,
 
-    /// Entries of `drr` with `eligible` set.
+    /// Entries with `eligible` set.
     eligible_count: usize,
-    /// Bytes in `drr` and `high_priority` (control excluded).
+    /// Bytes in the table and `high_priority` (control excluded).
     data_bytes: u64,
 
     /// The wire: when the current serialization ends and whether that end
@@ -253,7 +259,7 @@ impl Port {
             arena: PacketArena::new(),
             control: PhysQueue::default(),
             high_priority: PhysQueue::default(),
-            drr: (0..=num_queues).map(|_| DrrQueue::default()).collect(),
+            entry_of: vec![NO_ENTRY; num_queues + 1],
             rotation_back: 0,
             rotation_len: 0,
             drr_credited: false,
@@ -298,7 +304,7 @@ impl Port {
 
     /// Number of physical queues (excluding control/high-priority/overflow).
     pub fn num_queues(&self) -> usize {
-        self.drr.len() - 1
+        self.entry_of.len() - 1
     }
 
     /// The FIFO a [`QueueTarget`] names.
@@ -306,11 +312,29 @@ impl Port {
         match target {
             QueueTarget::Control => &self.control,
             QueueTarget::HighPriority => &self.high_priority,
-            QueueTarget::Overflow => &self.drr[self.num_queues()].fifo,
+            _ => self.table_fifo(self.table_index(target)),
+        }
+    }
+
+    /// The table index of a [`QueueTarget`] that names a physical queue or
+    /// the overflow queue.
+    #[inline]
+    fn table_index(&self, target: QueueTarget) -> usize {
+        match target {
+            QueueTarget::Overflow => self.num_queues(),
             QueueTarget::Phys(i) => {
                 assert!(i < self.num_queues(), "physical queue index out of range");
-                &self.drr[i].fifo
+                i
             }
+            _ => unreachable!("{target:?} is not in the queue table"),
+        }
+    }
+
+    /// The FIFO of table queue `i`: its entry's, or an empty one.
+    fn table_fifo(&self, i: usize) -> &PhysQueue {
+        match self.entry_of[i] {
+            NO_ENTRY => &PhysQueue::EMPTY,
+            e => &self.arena.queue(e).fifo,
         }
     }
 
@@ -330,27 +354,46 @@ impl Port {
 
     /// True if physical queue `i` holds no packets.
     pub fn queue_is_empty(&self, i: usize) -> bool {
-        self.fifo(QueueTarget::Phys(i)).is_empty()
+        self.target_is_empty(QueueTarget::Phys(i))
     }
 
     /// True if the queue a [`QueueTarget`] names currently holds nothing.
     /// The switch probes this around enqueue/dequeue to detect the
     /// empty<->non-empty transitions the flight recorder reports.
     pub fn target_is_empty(&self, target: QueueTarget) -> bool {
-        self.fifo(target).is_empty()
+        match target {
+            QueueTarget::Control => self.control.is_empty(),
+            QueueTarget::HighPriority => self.high_priority.is_empty(),
+            _ => self.entry_of[self.table_index(target)] == NO_ENTRY,
+        }
     }
 
     /// Total bytes queued across all data-plane queues (physical + high
     /// priority + overflow). Used for ECN marking, INT telemetry and the
     /// queue-depth histogram — all per-packet paths, so the total is a
-    /// counter maintained on enqueue/dequeue/flush, not an O(Q) scan.
+    /// counter maintained on enqueue/dequeue/flush, not a scan.
     pub fn data_queued_bytes(&self) -> u64 {
         debug_assert_eq!(
             self.data_bytes,
-            self.drr.iter().map(|q| q.fifo.bytes()).sum::<u64>() + self.high_priority.bytes(),
+            self.rotation()
+                .map(|e| self.arena.queue(e).fifo.bytes())
+                .sum::<u64>()
+                + self.high_priority.bytes(),
             "data-plane byte counter out of sync"
         );
         self.data_bytes
+    }
+
+    /// The most bytes queued in any one physical queue (the overflow queue
+    /// left out), 0 when none holds any. O(backlogged): it reads the
+    /// rotation.
+    pub fn max_queue_bytes(&self) -> u64 {
+        let overflow = self.num_queues();
+        self.rotation()
+            .filter(|&e| self.arena.queue_index(e) != overflow)
+            .map(|e| self.arena.queue(e).fifo.bytes())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Total bytes queued including the control queue.
@@ -359,51 +402,71 @@ impl Port {
     }
 
     /// Number of physical queues that currently hold packets. O(1): the
-    /// rotation holds exactly the non-empty entries of the table.
+    /// rotation holds exactly the table's entries, one per backlogged queue.
     pub fn occupied_queue_count(&self) -> usize {
         debug_assert!(
-            self.rotation().all(|i| !self.drr[i].fifo.is_empty())
-                && self.rotation_len == self.drr.iter().filter(|q| !q.fifo.is_empty()).count(),
-            "the rotation is not the non-empty queues"
+            self.rotation().all(|e| {
+                self.entry_of[self.arena.queue_index(e)] == e
+                    && !self.arena.queue(e).fifo.is_empty()
+            }),
+            "the rotation is not the backlogged queues' entries"
         );
-        self.rotation_len - usize::from(!self.target_is_empty(QueueTarget::Overflow))
+        self.rotation_len - usize::from(self.entry_of[self.num_queues()] != NO_ENTRY)
     }
 
     /// The entries of the rotation, from the front.
-    fn rotation(&self) -> impl Iterator<Item = usize> + '_ {
-        let mut i = self.rotation_back as usize;
+    fn rotation(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut e = self.rotation_back;
         (0..self.rotation_len).map(move |_| {
-            i = self.drr[i].next as usize;
-            i
+            e = self.arena.next(e);
+            e
         })
     }
 
-    /// Entry `i`, not in the rotation, joins it at the back.
-    fn rotation_push_back(&mut self, i: usize) {
+    /// Entry `e`, not in the rotation, joins it at the back.
+    fn rotation_push_back(&mut self, e: u32) {
         if self.rotation_len == 0 {
-            self.drr[i].next = i as u32;
+            self.arena.set_next(e, e);
         } else {
-            let back = self.rotation_back as usize;
-            self.drr[i].next = self.drr[back].next;
-            self.drr[back].next = i as u32;
+            let back = self.rotation_back;
+            self.arena.set_next(e, self.arena.next(back));
+            self.arena.set_next(back, e);
         }
-        self.rotation_back = i as u32;
+        self.rotation_back = e;
         self.rotation_len += 1;
     }
 
-    /// What `eligible` of table entry `i` must be. Nothing tracks the
-    /// overflow queue's flows, so no pause frame names its head.
-    fn is_eligible(&self, i: usize) -> bool {
-        let paused = i < self.num_queues() && self.is_queue_paused(i);
-        !self.drr[i].fifo.is_empty() && !paused
+    /// Whether the installed pause frame names the VFID of `fifo`'s head.
+    /// Short-circuits on the (common) no-frame case, so schemes that never
+    /// install BFC pause frames pay one branch, not a head lookup.
+    #[inline]
+    fn head_paused(&self, fifo: &PhysQueue) -> bool {
+        let Some(frame) = &self.pause_frame else {
+            return false;
+        };
+        fifo.head(&self.arena)
+            .is_some_and(|head| frame.contains(head.vfid))
     }
 
-    /// Re-derives entry `i`'s `eligible` after its head or the frame changed.
+    /// What `eligible` of table queue `i` must be while `fifo` is its FIFO.
+    /// Nothing tracks the overflow queue's flows, so no pause frame names
+    /// its head.
     #[inline]
-    fn refresh_eligible(&mut self, i: usize) {
-        let eligible = self.is_eligible(i);
-        if eligible != self.drr[i].eligible {
-            self.drr[i].eligible = eligible;
+    fn eligible(&self, i: usize, fifo: &PhysQueue) -> bool {
+        !fifo.is_empty() && (i == self.num_queues() || !self.head_paused(fifo))
+    }
+
+    /// What `eligible` of entry `e` must be.
+    fn is_eligible(&self, e: u32) -> bool {
+        self.eligible(self.arena.queue_index(e), &self.arena.queue(e).fifo)
+    }
+
+    /// Re-derives entry `e`'s `eligible` after the frame changed.
+    fn refresh_eligible(&mut self, e: u32) {
+        let eligible = self.is_eligible(e);
+        let q = self.arena.queue_mut(e);
+        if eligible != q.eligible {
+            q.eligible = eligible;
             if eligible {
                 self.eligible_count += 1;
             } else {
@@ -414,14 +477,8 @@ impl Port {
 
     /// True if physical queue `i` is paused by the most recent BFC pause
     /// frame received from the downstream peer (head-of-queue VFID match).
-    /// Short-circuits on the (common) no-frame case, so schemes that never
-    /// install BFC pause frames pay one branch, not a head lookup.
     pub fn is_queue_paused(&self, i: usize) -> bool {
-        let Some(frame) = &self.pause_frame else {
-            return false;
-        };
-        let head = self.fifo(QueueTarget::Phys(i)).head(&self.arena);
-        head.is_some_and(|head| frame.contains(head.vfid))
+        self.head_paused(self.fifo(QueueTarget::Phys(i)))
     }
 
     /// Number of *active* queues: non-empty physical queues that are not
@@ -433,7 +490,7 @@ impl Port {
     pub fn active_queue_count(&self) -> usize {
         debug_assert_eq!(
             self.eligible_count,
-            (0..self.drr.len()).filter(|&i| self.is_eligible(i)).count(),
+            self.rotation().filter(|&e| self.is_eligible(e)).count(),
             "eligible-queue counter out of sync"
         );
         self.eligible_count + usize::from(!self.high_priority.is_empty())
@@ -446,11 +503,11 @@ impl Port {
     pub fn set_pause_frame(&mut self, frame: Option<PauseFrame>) {
         self.pause_frame = frame.filter(|f| !f.is_empty());
         // A new frame can pause or release any backlogged queue; an empty
-        // one is ineligible under any frame.
-        let mut i = self.rotation_back as usize;
+        // one has no entry to flag.
+        let mut e = self.rotation_back;
         for _ in 0..self.rotation_len {
-            i = self.drr[i].next as usize;
-            self.refresh_eligible(i);
+            e = self.arena.next(e);
+            self.refresh_eligible(e);
         }
     }
 
@@ -501,20 +558,29 @@ impl Port {
             QueueTarget::HighPriority => {
                 return self.high_priority.push(&mut self.arena, packet, ingress)
             }
-            QueueTarget::Overflow => self.num_queues(),
-            QueueTarget::Phys(i) => {
-                assert!(i < self.num_queues(), "physical queue index out of range");
-                i
-            }
+            _ => self.table_index(target),
         };
-        let was_empty = self.drr[i].fifo.is_empty();
-        self.drr[i].fifo.push(&mut self.arena, packet, ingress);
-        if was_empty {
-            // Empty -> non-empty: the queue joins the rotation, and it has
-            // a head for the pause frame to name.
-            self.rotation_push_back(i);
-            self.refresh_eligible(i);
+        let e = self.entry_of[i];
+        if e != NO_ENTRY {
+            let mut fifo = self.arena.queue(e).fifo;
+            fifo.push(&mut self.arena, packet, ingress);
+            self.arena.queue_mut(e).fifo = fifo;
+            return;
         }
+        // Empty -> backlogged: the queue takes a slot for its entry and
+        // joins the rotation, and it has a head for the pause frame to name.
+        let mut fifo = PhysQueue::EMPTY;
+        fifo.push(&mut self.arena, packet, ingress);
+        let eligible = self.eligible(i, &fifo);
+        let state = DrrQueue {
+            fifo,
+            deficit: 0,
+            eligible,
+        };
+        let e = self.arena.alloc_queue(i, state);
+        self.entry_of[i] = e;
+        self.eligible_count += usize::from(eligible);
+        self.rotation_push_back(e);
     }
 
     /// Picks the next packet to transmit, honouring strict priority
@@ -594,7 +660,7 @@ impl Port {
     /// Moves the current (front) queue to the back of the rotation, closing
     /// out its visit. The rotation must not be empty.
     fn drr_rotate(&mut self) {
-        self.rotation_back = self.drr[self.rotation_back as usize].next;
+        self.rotation_back = self.arena.next(self.rotation_back);
         self.drr_credited = false;
     }
 
@@ -609,10 +675,10 @@ impl Port {
         if self.rotation_len == 0 {
             return;
         }
-        let mut i = self.rotation_back as usize;
+        let mut e = self.rotation_back;
         for _ in 0..self.rotation_len {
-            i = self.drr[i].next as usize;
-            self.drr[i].deficit = 0;
+            e = self.arena.next(e);
+            self.arena.queue_mut(e).deficit = 0;
         }
         self.drr_rotate();
     }
@@ -627,62 +693,65 @@ impl Port {
         // too small) and one freshly credited visit. Bounding by
         // 2·|rotation|+1 guarantees every backlogged, unpaused queue is
         // offered a full quantum before we conclude nothing is schedulable.
-        // The walk visits `i`, the entry behind `prev`; the rotation turns
+        // The walk visits `e`, the entry behind `prev`; the rotation turns
         // past the closed visits once, when the pick ends.
         let n = self.rotation_len;
-        let mut prev = self.rotation_back as usize;
-        let mut i = self.drr[prev].next as usize;
+        let mut prev = self.rotation_back;
+        let mut e = self.arena.next(prev);
         for visit in 0..2 * n + 1 {
             debug_assert_eq!(
-                self.drr[i].eligible,
-                self.is_eligible(i),
-                "eligible flag of queue {i} out of sync with its head and the pause frame"
+                self.arena.queue(e).eligible,
+                self.is_eligible(e),
+                "eligible flag of queue {} out of sync with its head and the pause frame",
+                self.arena.queue_index(e)
             );
-            let q = &mut self.drr[i];
+            let q = self.arena.queue_mut(e);
             if !q.eligible {
                 // In the rotation, so non-empty, so paused: it forfeits its
                 // residual deficit.
                 q.deficit = 0;
-                (prev, i) = (i, q.next as usize);
+                (prev, e) = (e, self.arena.next(e));
                 continue;
             }
             if visit > 0 || !self.drr_credited {
                 q.deficit = q.deficit.saturating_add(MTU as u64);
             }
-            let head = q
-                .fifo
+            let (deficit, mut fifo) = (q.deficit, q.fifo);
+            let head = fifo
                 .head(&self.arena)
                 .expect("an eligible queue has a head");
             let (head_size, head_vfid) = (head.size_bytes as u64, head.vfid);
-            if q.deficit < head_size {
+            if deficit < head_size {
                 // Deficit insufficient: move on, keeping the residual.
-                (prev, i) = (i, q.next as usize);
+                (prev, e) = (e, self.arena.next(e));
                 continue;
             }
-            let qp = q
-                .fifo
-                .pop(&mut self.arena)
-                .expect("an eligible queue has a head");
+            let qp = fifo.pop(&mut self.arena).expect("it has a head");
+            let q = self.arena.queue_mut(e);
+            q.fifo = fifo;
             q.deficit -= head_size;
             self.data_bytes -= head_size;
-            // The pause status follows the head's VFID: only a head of
-            // another flow (or no head) can flip it.
-            if q.fifo.head(&self.arena).map(|h| h.vfid) != Some(head_vfid) {
-                self.refresh_eligible(i);
-            }
             // This visit's queue becomes the front, credited.
-            self.rotation_back = prev as u32;
+            self.rotation_back = prev;
             self.drr_credited = true;
-            let q = &mut self.drr[i];
-            if q.fifo.is_empty() {
-                // Drained: it leaves the rotation and its residual deficit
-                // is discarded, per classic DRR.
-                q.deficit = 0;
-                self.drr[prev].next = self.drr[i].next;
+            let i = self.arena.queue_index(e);
+            if fifo.is_empty() {
+                // Drained: it leaves the rotation and gives its entry's slot
+                // back, its residual deficit discarded with it, per classic
+                // DRR.
+                self.eligible_count -= 1;
+                self.arena.set_next(prev, self.arena.next(e));
+                self.arena.free_queue(e);
+                self.entry_of[i] = NO_ENTRY;
                 self.rotation_len -= 1;
                 self.drr_credited = false;
-            } else if !q.eligible {
-                // New head is paused: move on, keeping the residual.
+            } else if fifo.head(&self.arena).map(|h| h.vfid) != Some(head_vfid)
+                && !self.eligible(i, &fifo)
+            {
+                // The pause status follows the head's VFID: a head of
+                // another flow is paused, so move on, keeping the residual.
+                self.arena.queue_mut(e).eligible = false;
+                self.eligible_count -= 1;
                 self.drr_rotate();
             }
             return Some((qp, self.target_of(i)));
@@ -706,12 +775,17 @@ impl Port {
         }
         let overflow = self.num_queues();
         for i in std::iter::once(overflow).chain(0..overflow) {
+            let e = std::mem::replace(&mut self.entry_of[i], NO_ENTRY);
+            if e == NO_ENTRY {
+                continue;
+            }
             let target = self.target_of(i);
-            while let Some(qp) = self.drr[i].fifo.pop(&mut self.arena) {
+            let mut fifo = self.arena.queue(e).fifo;
+            while let Some(qp) = fifo.pop(&mut self.arena) {
                 flushed.push((qp, target));
             }
-            self.drr[i].deficit = 0;
-            self.drr[i].eligible = false;
+            self.arena.queue_mut(e).fifo = fifo;
+            self.arena.free_queue(e);
         }
         self.rotation_len = 0;
         self.drr_credited = false;
@@ -738,8 +812,10 @@ impl Port {
             arena,
             control,
             high_priority,
-            drr,
-            // Saved as the entries `Port::rotation` walks.
+            // Saved as every queue's FIFO and deficit, an empty queue's
+            // empty and zero.
+            entry_of: _,
+            // Saved as the queues `Port::rotation` walks.
             rotation_back: _,
             rotation_len: _,
             drr_credited,
@@ -766,25 +842,34 @@ impl Port {
         control.save(arena, w);
         high_priority.save(arena, w);
         // The table's wire order: the overflow FIFO, the counted physical
-        // FIFOs, then every entry's deficit.
-        let overflow = drr.len() - 1;
-        drr[overflow].fifo.save(arena, w);
+        // FIFOs, then every queue's deficit.
+        let overflow = self.num_queues();
+        self.table_fifo(overflow).save(arena, w);
         w.put_usize(overflow);
-        drr[..overflow].iter().for_each(|q| q.fifo.save(arena, w));
-        w.put_all(drr.iter().map(|q| &q.deficit));
+        (0..overflow).for_each(|i| self.table_fifo(i).save(arena, w));
+        for &e in &self.entry_of {
+            let deficit = if e == NO_ENTRY {
+                0
+            } else {
+                arena.queue(e).deficit
+            };
+            deficit.save(w);
+        }
         // The DRR rotation order is scheduling state: serialized verbatim,
-        // a count and the entries from the front.
+        // a count and the queues from the front.
         w.put_usize(self.rotation_len);
-        self.rotation().for_each(|i| w.put_usize(i));
+        self.rotation()
+            .for_each(|e| w.put_usize(arena.queue_index(e)));
         drr_credited.save(w);
         tx_data_bytes.save(w);
     }
 
     /// Overlays state captured by [`Port::save_state`] onto this port, which
     /// was built from the same configuration: it checks the rate is positive,
-    /// the queue count is this port's and the DRR rotation is exactly the
-    /// backlogged queues, each once, and rebuilds the eligibility flags and
-    /// the two cached totals from the restored queues and pause frame.
+    /// the queue count is this port's, an empty queue has no deficit and the
+    /// DRR rotation is exactly the backlogged queues, each once, and rebuilds
+    /// the backlogged queues' entries, their eligibility flags and the two
+    /// cached totals from the restored queues and pause frame.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.link.rate_gbps = r.get()?;
         if !(self.link.rate_gbps > 0.0) {
@@ -798,21 +883,28 @@ impl Port {
         self.pause_frame = r.get()?;
         let overflow = self.num_queues();
         self.arena = PacketArena::new();
-        let arena = &mut self.arena;
-        self.control = PhysQueue::restore(arena, r)?;
-        self.high_priority = PhysQueue::restore(arena, r)?;
-        self.drr[overflow].fifo = PhysQueue::restore(arena, r)?;
+        self.entry_of.fill(NO_ENTRY);
+        self.control = PhysQueue::restore(&mut self.arena, r)?;
+        self.high_priority = PhysQueue::restore(&mut self.arena, r)?;
+        self.restore_table_fifo(overflow, r)?;
         r.expect_count(overflow, "physical queue count mismatch")?;
-        for q in &mut self.drr[..overflow] {
-            q.fifo = PhysQueue::restore(arena, r)?;
+        for i in 0..overflow {
+            self.restore_table_fifo(i, r)?;
         }
-        for q in &mut self.drr {
-            q.deficit = r.get()?;
+        for i in 0..=overflow {
+            let deficit: u64 = r.get()?;
+            match self.entry_of[i] {
+                NO_ENTRY if deficit != 0 => {
+                    return Err(SnapError::Corrupt("a deficit on an empty queue"))
+                }
+                NO_ENTRY => {}
+                e => self.arena.queue_mut(e).deficit = deficit,
+            }
         }
         let rotation: Vec<usize> = r.get()?;
         let mut listed = rotation.clone();
         listed.sort_unstable();
-        let backlogged = (0..self.drr.len()).filter(|&i| !self.drr[i].fifo.is_empty());
+        let backlogged = (0..=overflow).filter(|&i| self.entry_of[i] != NO_ENTRY);
         if !listed.into_iter().eq(backlogged) {
             return Err(SnapError::Corrupt(
                 "DRR rotation is not the backlogged queues",
@@ -820,16 +912,32 @@ impl Port {
         }
         self.rotation_len = 0;
         for i in rotation {
-            self.rotation_push_back(i);
+            self.rotation_push_back(self.entry_of[i]);
         }
         self.drr_credited = r.get()?;
         self.tx_data_bytes = r.get()?;
-        for i in 0..self.drr.len() {
-            self.drr[i].eligible = self.is_eligible(i);
+        self.eligible_count = 0;
+        self.data_bytes = self.high_priority.bytes();
+        let mut e = self.rotation_back;
+        for _ in 0..self.rotation_len {
+            e = self.arena.next(e);
+            self.refresh_eligible(e);
+            self.data_bytes += self.arena.queue(e).fifo.bytes();
         }
-        self.eligible_count = self.drr.iter().filter(|q| q.eligible).count();
-        self.data_bytes =
-            self.drr.iter().map(|q| q.fifo.bytes()).sum::<u64>() + self.high_priority.bytes();
+        Ok(())
+    }
+
+    /// Reads table queue `i`'s FIFO, giving it an entry if it is backlogged.
+    fn restore_table_fifo(&mut self, i: usize, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let fifo = PhysQueue::restore(&mut self.arena, r)?;
+        if !fifo.is_empty() {
+            let state = DrrQueue {
+                fifo,
+                deficit: 0,
+                eligible: false,
+            };
+            self.entry_of[i] = self.arena.alloc_queue(i, state);
+        }
         Ok(())
     }
 }
@@ -845,12 +953,6 @@ mod tests {
 
     fn data(flow: u32, seq: u64, size: u32, vfid: u32) -> Packet {
         Packet::data(FlowId(flow), NodeId(0), NodeId(1), seq, size, vfid, false)
-    }
-
-    #[test]
-    fn a_table_entry_holds_its_rotation_link_in_padding() {
-        // Ideal-FQ builds 1 001 of these per port.
-        assert_eq!(std::mem::size_of::<DrrQueue>(), 40);
     }
 
     #[test]
@@ -1027,6 +1129,68 @@ mod tests {
                 "a rotation that {why}"
             );
         }
+    }
+
+    #[test]
+    fn restore_rejects_a_deficit_on_an_empty_queue() {
+        // Queue 0 is backlogged with a residual deficit; queue 1, queue 2
+        // and the overflow queue (entry 3) are empty.
+        let mut saved = port(3);
+        saved.enqueue(QueueTarget::Phys(0), data(1, 0, 600, 1), 0);
+        saved.enqueue(QueueTarget::Phys(0), data(1, 1, 600, 1), 0);
+        saved.dequeue_next().unwrap();
+        let mut w = SnapWriter::new();
+        saved.save_state(&mut w);
+        let bytes = w.into_bytes();
+        // The four `u64` deficits come just before the rotation, which is a
+        // count and one entry, then the credited flag and one `u64`.
+        let deficits = bytes.len() - (1 + 8) - 8 * 2 - 8 * 4;
+        let deficit = |i: usize| {
+            let at = deficits + 8 * i;
+            u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+        };
+        assert_eq!(
+            (0..4).map(deficit).collect::<Vec<_>>(),
+            [400, 0, 0, 0],
+            "the backlogged queue kept 1 000 − 600 of its quantum"
+        );
+        let restore = |bytes: &[u8]| {
+            let mut r = SnapReader::new(bytes);
+            port(3).restore_state(&mut r).and_then(|()| r.expect_end())
+        };
+        assert_eq!(restore(&bytes), Ok(()));
+        for empty in 1..4 {
+            let mut corrupt = bytes.clone();
+            corrupt[deficits + 8 * empty] = 1;
+            assert_eq!(
+                restore(&corrupt),
+                Err(SnapError::Corrupt("a deficit on an empty queue")),
+                "a deficit on empty entry {empty}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_queue_has_no_entry_and_a_drained_one_gives_its_back() {
+        let mut p = port(1_000);
+        assert!(p.entry_of.iter().all(|&e| e == NO_ENTRY));
+        p.enqueue(QueueTarget::Phys(700), data(1, 0, 1000, 1), 0);
+        p.enqueue(QueueTarget::Phys(3), data(2, 0, 500, 2), 0);
+        p.enqueue(QueueTarget::Phys(700), data(1, 1, 1000, 1), 0);
+        assert_eq!(p.max_queue_bytes(), 2000);
+        let entries = |p: &Port| p.entry_of.iter().filter(|&&e| e != NO_ENTRY).count();
+        assert_eq!(entries(&p), 2);
+        while p.dequeue_next().is_some() {}
+        assert_eq!(entries(&p), 0);
+        assert_eq!(p.max_queue_bytes(), 0);
+        // Refilled through the freed slots: the overflow queue gets an entry
+        // too, but neither counts it as a physical queue.
+        p.enqueue(QueueTarget::Phys(999), data(3, 0, 1000, 3), 0);
+        p.enqueue(QueueTarget::Overflow, data(4, 0, 1000, 4), 0);
+        assert_eq!(p.occupied_queue_count(), 1);
+        assert_eq!(p.max_queue_bytes(), 1000, "the overflow queue is left out");
+        assert_eq!(p.flush_all().len(), 2);
+        assert_eq!(entries(&p), 0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Physical FIFO queues and the packet arena they share.
+//! Physical FIFO queues, the deficit-round-robin state of the backlogged
+//! ones, and the packet arena both live in.
 //!
 //! Modern switch ASICs give each egress port a small number of FIFO queues
 //! (32 in the paper's hardware model) carved out of one shared buffer. A
@@ -12,17 +13,25 @@
 //! high-priority, the physical queues and the overflow queue — is a linked
 //! list through that egress's `PacketArena`: the queue holds the indices of
 //! its head and tail slot, its length and its bytes, and each slot holds the
-//! index of the slot behind it. A slot is one 64-byte cache line: the 56-byte
-//! [`Packet`] (`None` while the slot is free, which costs no space: the
-//! packet's kind tag has spare values), the ingress port and that `next`
-//! index, in what would otherwise be padding.
+//! index of the slot behind it. A slot is one 64-byte cache line: a 56-byte
+//! body and two `u32`s in what would otherwise be padding. The body is
+//! free, a [`Packet`], or a [`DrrQueue`] — the 40-byte deficit-round-robin
+//! state of one *backlogged* queue of the port's table (its FIFO, deficit
+//! and eligibility), which the port takes a slot for when the queue turns
+//! backlogged and gives back when it drains, so an egress with 1 000 queues
+//! and k of them backlogged holds k of these, not 1 000. The three-way tag
+//! costs no space: the packet's kind tag has spare values. The two `u32`s
+//! are, for a packet, its ingress port and the slot behind it in its FIFO;
+//! for a queue state, its index in the table and the next queue state in
+//! the DRR rotation; for a free slot, the next free slot.
 //!
-//! Freed slots form an intrusive free list through the same `next` field,
-//! most recently freed first, and a push takes its slot from there before it
+//! Freed slots form an intrusive free list through that `next` field, most
+//! recently freed first, and a push takes its slot from there before it
 //! grows the arena. The arena therefore grows with the egress's total
-//! backlog, not with any one queue's, and never shrinks: once it has reached
-//! the port's high-water mark, enqueue and dequeue never allocate. A packet's
-//! two variable-size parts — HPCC's INT records (`packet::IntPath`) and a BFC
+//! backlog — packets plus backlogged queues — not with any one queue's or
+//! with the queue count, and never shrinks: once it has reached the port's
+//! high-water mark, enqueue and dequeue never allocate. A packet's two
+//! variable-size parts — HPCC's INT records (`packet::IntPath`) and a BFC
 //! pause frame's bloom filter — live out of line behind 8-byte handles and
 //! move with the packet, so queueing never copies or allocates them either.
 
@@ -44,18 +53,30 @@ bfc_sim::snap_struct! { QueuedPacket { packet, ingress } }
 /// The end of the free list.
 const NIL: u32 = u32::MAX;
 
+/// What one slot of a [`PacketArena`] holds.
+#[derive(Debug)]
+enum Body {
+    /// Nothing: the slot is on the free list.
+    Free,
+    /// A queued packet.
+    Packet(Packet),
+    /// The state of one backlogged queue of the port's table.
+    Queue(DrrQueue),
+}
+
 /// One slot of a [`PacketArena`].
 #[derive(Debug)]
 struct Slot {
-    /// The queued packet; `None` exactly while the slot is on the free list.
-    packet: Option<Packet>,
-    /// Ingress port the packet arrived on.
-    ingress: u32,
-    /// The slot behind this one in its FIFO, or in the free list.
+    body: Body,
+    /// A packet's ingress port; a queue state's index in the port's table.
+    tag: u32,
+    /// The slot behind this one: in its FIFO (a packet), in the DRR
+    /// rotation (a queue state), or in the free list.
     next: u32,
 }
 
-/// The packet storage every FIFO of one egress shares.
+/// The packet storage every FIFO of one egress shares, and the home of its
+/// backlogged queues' DRR state.
 #[derive(Debug)]
 pub(crate) struct PacketArena {
     slots: Vec<Slot>,
@@ -72,13 +93,14 @@ impl PacketArena {
         }
     }
 
-    /// Stores a packet in a free slot — the most recently freed one, or a
-    /// new one at the end — and returns the slot's index.
-    #[inline]
-    fn alloc(&mut self, packet: Packet, ingress: u32) -> u32 {
+    /// Stores `body` in a free slot — the most recently freed one, or a new
+    /// one at the end — and returns the slot's index. Always inlined: each
+    /// caller builds one kind of body, which is then written in place.
+    #[inline(always)]
+    fn alloc(&mut self, body: Body, tag: u32) -> u32 {
         let slot = Slot {
-            packet: Some(packet),
-            ingress,
+            body,
+            tag,
             next: NIL,
         };
         if self.free != NIL {
@@ -92,19 +114,96 @@ impl PacketArena {
         self.slots.len() as u32 - 1
     }
 
-    /// The packet in slot `i`, which is in use.
+    /// Empties slot `i` and puts it on the free list; returns what it held.
+    #[inline]
+    fn release(&mut self, i: u32) -> Body {
+        let slot = &mut self.slots[i as usize];
+        slot.next = self.free;
+        self.free = i;
+        std::mem::replace(&mut slot.body, Body::Free)
+    }
+
+    /// The packet in slot `i`, which holds one.
     #[inline]
     fn packet(&self, i: u32) -> &Packet {
-        self.slots[i as usize]
-            .packet
-            .as_ref()
-            .expect("a queued slot holds a packet")
+        match &self.slots[i as usize].body {
+            Body::Packet(packet) => packet,
+            _ => unreachable!("a queued slot holds a packet"),
+        }
     }
+
+    /// Takes a slot for `state`, the state of queue `queue` of the port's
+    /// table, linked to nothing.
+    #[inline]
+    pub(crate) fn alloc_queue(&mut self, queue: usize, state: DrrQueue) -> u32 {
+        self.alloc(Body::Queue(state), queue as u32)
+    }
+
+    /// Gives back the slot of queue state `e`, whose FIFO has drained.
+    #[inline]
+    pub(crate) fn free_queue(&mut self, e: u32) {
+        let Body::Queue(state) = self.release(e) else {
+            unreachable!("an entry slot holds a queue state")
+        };
+        debug_assert!(
+            state.fifo.is_empty(),
+            "the state of a backlogged queue was freed"
+        );
+    }
+
+    /// The queue state in slot `e`, which holds one.
+    #[inline]
+    pub(crate) fn queue(&self, e: u32) -> &DrrQueue {
+        match &self.slots[e as usize].body {
+            Body::Queue(queue) => queue,
+            _ => unreachable!("an entry slot holds a queue state"),
+        }
+    }
+
+    /// The queue state in slot `e`, mutably.
+    #[inline]
+    pub(crate) fn queue_mut(&mut self, e: u32) -> &mut DrrQueue {
+        match &mut self.slots[e as usize].body {
+            Body::Queue(queue) => queue,
+            _ => unreachable!("an entry slot holds a queue state"),
+        }
+    }
+
+    /// The table index of the queue whose state is in slot `e`.
+    #[inline]
+    pub(crate) fn queue_index(&self, e: u32) -> usize {
+        self.slots[e as usize].tag as usize
+    }
+
+    /// The queue state behind `e` in the DRR rotation.
+    #[inline]
+    pub(crate) fn next(&self, e: u32) -> u32 {
+        self.slots[e as usize].next
+    }
+
+    /// Links queue state `next` behind `e` in the DRR rotation.
+    #[inline]
+    pub(crate) fn set_next(&mut self, e: u32, next: u32) {
+        self.slots[e as usize].next = next;
+    }
+}
+
+/// The deficit-round-robin state of one backlogged queue of an egress's
+/// table, kept in a slot of the egress's [`PacketArena`] while the queue
+/// holds packets. Its table index and its link in the rotation are the
+/// slot's.
+#[derive(Debug)]
+pub(crate) struct DrrQueue {
+    pub(crate) fifo: PhysQueue,
+    pub(crate) deficit: u64,
+    /// The head is not named by the installed pause frame; kept by the
+    /// port as heads and frames change, so no reader re-hashes a head.
+    pub(crate) eligible: bool,
 }
 
 /// One FIFO queue of an egress port: a linked list through the port's
 /// [`PacketArena`]. `head` and `tail` mean nothing while `len` is zero.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct PhysQueue {
     head: u32,
     tail: u32,
@@ -113,11 +212,22 @@ pub(crate) struct PhysQueue {
 }
 
 impl PhysQueue {
-    /// Appends a packet that arrived on `ingress`.
-    #[inline]
+    /// A FIFO with nothing queued: what an empty queue of a port's table
+    /// reads as, having no state of its own.
+    pub(crate) const EMPTY: PhysQueue = PhysQueue {
+        head: 0,
+        tail: 0,
+        len: 0,
+        bytes: 0,
+    };
+
+    /// Appends a packet that arrived on `ingress`. Always inlined: a port
+    /// pushes onto a copy of a table queue's FIFO, which then stays in
+    /// registers instead of making a round trip through the stack.
+    #[inline(always)]
     pub(crate) fn push(&mut self, arena: &mut PacketArena, packet: Packet, ingress: u32) {
-        self.bytes += packet.size_bytes as u64;
-        let i = arena.alloc(packet, ingress);
+        let bytes = packet.size_bytes as u64;
+        let i = arena.alloc(Body::Packet(packet), ingress);
         if self.len == 0 {
             self.head = i;
         } else {
@@ -125,6 +235,7 @@ impl PhysQueue {
         }
         self.tail = i;
         self.len += 1;
+        self.bytes += bytes;
     }
 
     /// Removes and returns the packet at the head; its slot goes back on the
@@ -134,13 +245,12 @@ impl PhysQueue {
         if self.len == 0 {
             return None;
         }
-        let i = self.head;
-        let slot = &mut arena.slots[i as usize];
-        let packet = slot.packet.take().expect("a queued slot holds a packet");
-        let ingress = slot.ingress;
-        self.head = slot.next;
-        slot.next = arena.free;
-        arena.free = i;
+        let slot = &arena.slots[self.head as usize];
+        let (ingress, behind) = (slot.tag, slot.next);
+        let Body::Packet(packet) = arena.release(self.head) else {
+            unreachable!("a queued slot holds a packet")
+        };
+        self.head = behind;
         self.len -= 1;
         self.bytes -= packet.size_bytes as u64;
         Some(QueuedPacket { packet, ingress })
@@ -170,7 +280,7 @@ impl PhysQueue {
         for _ in 0..self.len {
             let slot = &arena.slots[i as usize];
             arena.packet(i).save(w);
-            slot.ingress.save(w);
+            slot.tag.save(w);
             i = slot.next;
         }
     }
@@ -197,7 +307,12 @@ mod tests {
     }
 
     #[test]
-    fn a_slot_is_one_cache_line() {
+    fn a_slot_is_one_cache_line_whether_it_holds_a_packet_or_a_queue_state() {
+        // A queue state fits beside the packet's spare tag values, so
+        // keeping Ideal-FQ's backlogged queues in the arena costs a slot
+        // each and widens no slot.
+        assert_eq!(std::mem::size_of::<DrrQueue>(), 40);
+        assert_eq!(std::mem::size_of::<Body>(), 56);
         assert_eq!(std::mem::size_of::<Slot>(), 64);
     }
 
@@ -241,7 +356,10 @@ mod tests {
                 last = Some(qp.packet.seq);
             }
         }
-        assert!(arena.slots.iter().all(|slot| slot.packet.is_none()));
+        assert!(arena
+            .slots
+            .iter()
+            .all(|slot| matches!(slot.body, Body::Free)));
     }
 
     #[test]

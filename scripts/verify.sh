@@ -38,9 +38,11 @@
 #      digest and resume check on, so a change that breaks either fails
 #      here before the pipeline sees it
 #   7. bfc-bench's own tests (the harness's statistics and its command line,
-#      which otherwise run only under --workspace) and the two quick
-#      DRR-pick microbenchmarks, so the measuring tool cannot rot unbuilt and
-#      their set-up assertions (paused and all-paused ports) run; it prints a
+#      which otherwise run only under --workspace) and the quick
+#      microbenchmarks whose names contain `port_` (the five port kernels and
+#      the idle-port hop), so the measuring tool cannot rot unbuilt and their
+#      set-up assertions (paused and all-paused ports, a 1 000-queue port
+#      with one packet in each of 512 queues) run; it prints a
 #      table and judges nothing (exact costs are judged in step 1 by
 #      `tests/exact_costs.rs`, wall-clock by `benchmark/run.sh` pairs, see
 #      README "How a perf change is judged")
@@ -83,8 +85,8 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== benchmark: benchmark/run.sh --quick"
 bash benchmark/run.sh --quick --out "$tmpdir/benchmark-out"
 
-echo "== bench: cargo test -p bfc-bench, then --quick --filter port_drr"
+echo "== bench: cargo test -p bfc-bench, then --quick --filter port_"
 cargo test -q -p bfc-bench
-cargo run --release -q -p bfc-bench -- --quick --filter port_drr
+cargo run --release -q -p bfc-bench -- --quick --filter port_
 
 echo "verify: OK"

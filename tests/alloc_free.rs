@@ -31,7 +31,8 @@
 //! path through the routing tables without collecting it. A seventh counts
 //! what an egress's queues cost to grow: they share one packet arena, so a
 //! port's storage grows with its total backlog, a doubling at a time, and
-//! not queue by queue.
+//! not queue by queue; and an empty queue costs its port 4 bytes, whether
+//! the port has 32 queues or Ideal-FQ's 1 000.
 //!
 //! An eighth weighs bytes, not allocations: a flight recorder holds what it
 //! records as the `.flight` body it finishes with, so recording a million
@@ -559,11 +560,43 @@ fn a_ports_queues_grow_one_shared_arena() {
         refill, 0,
         "refilling to the high-water mark allocated {refill} times"
     );
-    // One storage growing 4 → 8 → … → 512 slots: ⌈log₂ 512⌉ − 1 allocations.
+    // One storage growing 4 → 8 → … → 1 024 slots, for the 512 packets and
+    // the 33 backlogged queues' entries: ⌈log₂ 545⌉ − 1 allocations.
     assert!(
-        first <= 8,
+        first <= 9,
         "filling and draining 512 packets allocated {first} times"
     );
+}
+
+#[test]
+fn an_egress_holds_state_only_for_its_backlogged_queues() {
+    // The heap an egress holds once `backlogged` of its `queues` physical
+    // queues, spread across the table, each hold one packet.
+    let peak = |queues: usize, backlogged: usize| {
+        let (port, peak) = peak_bytes_during(|| {
+            let mut port = Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), queues);
+            for k in 0..backlogged {
+                let packet = Packet::data(FlowId(k as u32), NodeId(0), NodeId(1), 0, MTU, 0, false);
+                port.enqueue(QueueTarget::Phys(k * queues / backlogged), packet, 0);
+            }
+            port
+        });
+        assert_eq!(port.occupied_queue_count(), backlogged);
+        peak
+    };
+    for k in [1, 8, 32] {
+        // Ideal-FQ's 1 000 queues cost a 32-queue port's heap plus a `u32`
+        // each, an empty queue's whole footprint: its slot in the table.
+        let (wide, narrow) = (peak(1_000, k), peak(32, k));
+        assert_eq!(wide - narrow, 4 * (1_000 - 32), "{k} backlogged queues");
+        // The rest is O(k): two 64-byte arena slots a backlogged queue (its
+        // packet and its entry), in a `Vec` that doubles, so at most three
+        // times that while it moves.
+        assert!(
+            wide <= 4 * 1_001 + 3 * 128 * k as u64,
+            "1 000 queues, {k} backlogged: {wide} B"
+        );
+    }
 }
 
 #[test]

@@ -880,6 +880,30 @@ fn unbounded_fault_directives_are_refused() {
     );
 }
 
+/// A rate fault degrades or restores a cable. Raising one above its native
+/// rate would let a flow finish below its ideal FCT, which every run asserts
+/// no flow does, so the directive is one error line, not a run that panics.
+#[test]
+fn a_rate_fault_above_the_cables_native_rate_is_refused() {
+    let dir = Scratch::new("up-rate");
+    let scn = dir.path("up.scn");
+    std::fs::write(&scn, "at 0us rate tor0 spine0 400\n").expect("write scenario");
+    let ran = trace_tool(&["scenario", &scn, "--duration-us", "50"]);
+    assert!(!ran.ok && ran.out.is_empty(), "an up-rate must be refused");
+    assert!(!ran.err.contains("panicked"), "{}", ran.err);
+    let ours: Vec<&str> = ran
+        .err
+        .lines()
+        .filter(|l| l.starts_with("trace-tool:"))
+        .collect();
+    assert_eq!(ours.len(), 1, "{}", ran.err);
+    assert!(
+        ours[0].contains("400 Gbps is above the 100 Gbps native rate"),
+        "{}",
+        ours[0]
+    );
+}
+
 #[test]
 fn an_unbounded_drain_is_refused_by_every_command_that_takes_the_flag() {
     let dir = Scratch::new("drain");

@@ -46,17 +46,17 @@ fn op_gen() -> impl bfc_testkit::Gen<Value = Vec<Op>> {
     )
 }
 
-const PORT_QUEUES: usize = 4;
+/// The queue counts of the scheduler property: a few queues that every
+/// flow shares, and Ideal-FQ's 1 000, of which a run backlogs a scattered
+/// 64 — each queue's entry taken when it fills and given back when it
+/// drains or is flushed, so entries come and go through reused slots.
+const PORT_QUEUES: [usize; 2] = [4, 1_000];
 /// The VFID universe of the scheduler property: few enough that a random
 /// pause frame pauses a good share of the heads.
 const VFIDS: [u32; 6] = [3, 17, 101, 4_242, 9_001, 16_000];
 
-fn test_port() -> Port {
-    Port::new(
-        Link::datacenter_default(),
-        Some((NodeId(9), 0)),
-        PORT_QUEUES,
-    )
+fn test_port(queues: usize) -> Port {
+    Port::new(Link::datacenter_default(), Some((NodeId(9), 0)), queues)
 }
 
 /// The egress scheduler written the slow, obviously-right way: strict
@@ -67,9 +67,10 @@ fn test_port() -> Port {
 struct ReferenceScheduler {
     control: VecDeque<(u64, u32, u32)>,
     high_priority: VecDeque<(u64, u32, u32)>,
-    /// Physical queues, then the overflow queue at index `PORT_QUEUES`;
-    /// entries are `(packet id, vfid, size)`.
+    /// Physical queues, then the overflow queue at index `queues`; entries
+    /// are `(packet id, vfid, size)`.
     drr: Vec<VecDeque<(u64, u32, u32)>>,
+    queues: usize,
     deficit: Vec<u64>,
     active: VecDeque<usize>,
     credited: bool,
@@ -77,12 +78,13 @@ struct ReferenceScheduler {
 }
 
 impl ReferenceScheduler {
-    fn new() -> Self {
+    fn new(queues: usize) -> Self {
         ReferenceScheduler {
             control: VecDeque::new(),
             high_priority: VecDeque::new(),
-            drr: vec![VecDeque::new(); PORT_QUEUES + 1],
-            deficit: vec![0; PORT_QUEUES + 1],
+            drr: vec![VecDeque::new(); queues + 1],
+            queues,
+            deficit: vec![0; queues + 1],
             active: VecDeque::new(),
             credited: false,
             frame: None,
@@ -93,7 +95,7 @@ impl ReferenceScheduler {
         let i = match target {
             QueueTarget::Control => return self.control.push_back(pkt),
             QueueTarget::HighPriority => return self.high_priority.push_back(pkt),
-            QueueTarget::Overflow => PORT_QUEUES,
+            QueueTarget::Overflow => self.queues,
             QueueTarget::Phys(i) => i,
         };
         self.drr[i].push_back(pkt);
@@ -103,7 +105,7 @@ impl ReferenceScheduler {
     }
 
     fn paused(&self, i: usize) -> bool {
-        i != PORT_QUEUES
+        i != self.queues
             && match (&self.frame, self.drr[i].front()) {
                 (Some(frame), Some(&(_, vfid, _))) => frame.contains(vfid),
                 _ => false,
@@ -157,7 +159,7 @@ impl ReferenceScheduler {
                 } else if self.paused(i) {
                     self.rotate();
                 }
-                let target = if i == PORT_QUEUES {
+                let target = if i == self.queues {
                     QueueTarget::Overflow
                 } else {
                     QueueTarget::Phys(i)
@@ -174,8 +176,8 @@ impl ReferenceScheduler {
     fn flush(&mut self) -> Vec<u64> {
         let mut ids: Vec<u64> = self.control.drain(..).map(|p| p.0).collect();
         ids.extend(self.high_priority.drain(..).map(|p| p.0));
-        ids.extend(self.drr[PORT_QUEUES].drain(..).map(|p| p.0));
-        for q in &mut self.drr[..PORT_QUEUES] {
+        ids.extend(self.drr[self.queues].drain(..).map(|p| p.0));
+        for q in &mut self.drr[..self.queues] {
             ids.extend(q.drain(..).map(|p| p.0));
         }
         self.active.clear();
@@ -376,7 +378,8 @@ property! {
     /// VFID, random subsets), link-down flushes and snapshot/restore round
     /// trips — and its O(1) readers (`active_queue_count`,
     /// `occupied_queue_count`, `data_queued_bytes`, `has_backlog`,
-    /// `has_eligible`) agree with the model after every step. The model
+    /// `has_eligible`) and `max_queue_bytes` agree with the model after
+    /// every step, on a 4-queue port and on a 1 000-queue one. The model
     /// keeps the literal 2n+1-visit loop, so the port's closed-form
     /// all-paused pick, and the rotation and deficits it leaves behind, are
     /// checked by every later dequeue.
@@ -384,9 +387,6 @@ property! {
         triple(int_range(0u64..12), int_range(0u64..64), int_range(0u64..1_000)),
         1..300,
     )) {
-        let mut port = test_port();
-        let mut model = ReferenceScheduler::new();
-        let mut next_id = 0u64;
         let dequeue_both = |port: &mut Port, model: &mut ReferenceScheduler| {
             let got = port.dequeue_next().map(|(qp, target)| {
                 // BFC's safety property, in release builds too: nothing
@@ -399,89 +399,103 @@ property! {
             assert_eq!(got, model.dequeue(), "dequeue order diverged");
             got.is_some()
         };
-        for &(kind, a, b) in &ops {
-            match kind {
-                0..=4 => {
-                    let target = match (kind, a % 3) {
-                        (0..=3, _) => QueueTarget::Phys(a as usize % PORT_QUEUES),
-                        (_, 0) => QueueTarget::Overflow,
-                        (_, 1) => QueueTarget::HighPriority,
-                        _ => QueueTarget::Control,
-                    };
-                    let vfid = VFIDS[b as usize % VFIDS.len()];
-                    let size = 100 + (b as u32 * 37) % 1_400;
-                    let pkt = Packet::data(FlowId(vfid), NodeId(0), NodeId(1), next_id, size, vfid, false);
-                    port.enqueue(target, pkt, 0);
-                    model.enqueue(target, (next_id, vfid, size));
-                    next_id += 1;
-                }
-                5..=8 => {
-                    dequeue_both(&mut port, &mut model);
-                }
-                9 | 10 => {
-                    let frame = match a % 5 {
-                        0 => None,
-                        1 => Some(PauseFrame::new(128)),
-                        // Every VFID: the picks that follow find nothing
-                        // eligible unless the overflow queue, control or
-                        // high priority holds a packet.
-                        2 => {
-                            let mut f = PauseFrame::new(16);
-                            VFIDS.iter().for_each(|&vfid| f.insert(vfid));
-                            Some(f)
-                        }
-                        _ => {
-                            let mut f = PauseFrame::new(16);
-                            for (bit, &vfid) in VFIDS.iter().enumerate() {
-                                if b >> bit & 1 == 1 {
-                                    f.insert(vfid);
-                                }
+        // Each op list runs on both ports. 997 is 1 mod 4, so the 4-queue
+        // port sees queue a mod 4; the 1 000-queue one, 64 scattered queues.
+        for queues in PORT_QUEUES {
+            let mut port = test_port(queues);
+            let mut model = ReferenceScheduler::new(queues);
+            let mut next_id = 0u64;
+            for &(kind, a, b) in &ops {
+                match kind {
+                    0..=4 => {
+                        let target = match (kind, a % 3) {
+                            (0..=3, _) => QueueTarget::Phys(a as usize * 997 % queues),
+                            (_, 0) => QueueTarget::Overflow,
+                            (_, 1) => QueueTarget::HighPriority,
+                            _ => QueueTarget::Control,
+                        };
+                        let vfid = VFIDS[b as usize % VFIDS.len()];
+                        let size = 100 + (b as u32 * 37) % 1_400;
+                        let pkt = Packet::data(FlowId(vfid), NodeId(0), NodeId(1), next_id, size, vfid, false);
+                        port.enqueue(target, pkt, 0);
+                        model.enqueue(target, (next_id, vfid, size));
+                        next_id += 1;
+                    }
+                    5..=8 => {
+                        dequeue_both(&mut port, &mut model);
+                    }
+                    9 | 10 => {
+                        let frame = match a % 5 {
+                            0 => None,
+                            1 => Some(PauseFrame::new(128)),
+                            // Every VFID: the picks that follow find nothing
+                            // eligible unless the overflow queue, control or
+                            // high priority holds a packet.
+                            2 => {
+                                let mut f = PauseFrame::new(16);
+                                VFIDS.iter().for_each(|&vfid| f.insert(vfid));
+                                Some(f)
                             }
-                            Some(f)
-                        }
-                    };
-                    port.set_pause_frame(frame);
-                    model.frame = frame;
+                            _ => {
+                                let mut f = PauseFrame::new(16);
+                                for (bit, &vfid) in VFIDS.iter().enumerate() {
+                                    if b >> bit & 1 == 1 {
+                                        f.insert(vfid);
+                                    }
+                                }
+                                Some(f)
+                            }
+                        };
+                        port.set_pause_frame(frame);
+                        model.frame = frame;
+                    }
+                    _ if a % 4 == 0 => {
+                        let flushed: Vec<u64> =
+                            port.flush_all().iter().map(|(qp, _)| qp.packet.seq).collect();
+                        assert_eq!(flushed, model.flush());
+                    }
+                    _ => {
+                        let mut w = SnapWriter::new();
+                        port.save_state(&mut w);
+                        let bytes = w.into_bytes();
+                        port = test_port(queues);
+                        let mut r = SnapReader::new(&bytes);
+                        port.restore_state(&mut r).expect("own snapshot restores");
+                        r.expect_end().expect("snapshot fully consumed");
+                    }
                 }
-                _ if a % 4 == 0 => {
-                    let flushed: Vec<u64> =
-                        port.flush_all().iter().map(|(qp, _)| qp.packet.seq).collect();
-                    assert_eq!(flushed, model.flush());
-                }
-                _ => {
-                    let mut w = SnapWriter::new();
-                    port.save_state(&mut w);
-                    let bytes = w.into_bytes();
-                    port = test_port();
-                    let mut r = SnapReader::new(&bytes);
-                    port.restore_state(&mut r).expect("own snapshot restores");
-                    r.expect_end().expect("snapshot fully consumed");
-                }
+                let paused_heads = (0..queues).filter(|&i| model.paused(i)).count();
+                let backlogged = (0..queues).filter(|&i| !model.drr[i].is_empty()).count();
+                assert_eq!(
+                    port.active_queue_count(),
+                    backlogged - paused_heads
+                        + usize::from(!model.high_priority.is_empty())
+                        + usize::from(!model.drr[queues].is_empty()),
+                );
+                assert_eq!(port.occupied_queue_count(), backlogged);
+                let queue_bytes = |q: &VecDeque<(u64, u32, u32)>| {
+                    q.iter().map(|&(_, _, size)| u64::from(size)).sum::<u64>()
+                };
+                assert_eq!(
+                    port.max_queue_bytes(),
+                    model.drr[..queues].iter().map(queue_bytes).max().unwrap_or(0),
+                );
+                let data_plane = model.drr.iter().chain([&model.high_priority]);
+                assert_eq!(
+                    port.data_queued_bytes(),
+                    data_plane.flatten().map(|&(_, _, size)| u64::from(size)).sum::<u64>(),
+                );
+                let priority = !model.control.is_empty() || !model.high_priority.is_empty();
+                assert_eq!(port.has_backlog(), priority || !model.active.is_empty());
+                assert_eq!(
+                    port.has_eligible(),
+                    priority || model.active.iter().any(|&i| !model.paused(i)),
+                    "could-transmit-now disagrees with the model",
+                );
             }
-            let paused_heads = (0..PORT_QUEUES).filter(|&i| model.paused(i)).count();
-            let backlogged = (0..PORT_QUEUES).filter(|&i| !model.drr[i].is_empty()).count();
-            assert_eq!(
-                port.active_queue_count(),
-                backlogged - paused_heads
-                    + usize::from(!model.high_priority.is_empty())
-                    + usize::from(!model.drr[PORT_QUEUES].is_empty()),
-            );
-            assert_eq!(port.occupied_queue_count(), backlogged);
-            let data_plane = model.drr.iter().chain([&model.high_priority]);
-            assert_eq!(
-                port.data_queued_bytes(),
-                data_plane.flatten().map(|&(_, _, size)| u64::from(size)).sum::<u64>(),
-            );
-            let priority = !model.control.is_empty() || !model.high_priority.is_empty();
-            assert_eq!(port.has_backlog(), priority || !model.active.is_empty());
-            assert_eq!(
-                port.has_eligible(),
-                priority || model.active.iter().any(|&i| !model.paused(i)),
-                "could-transmit-now disagrees with the model",
-            );
+            // Drain whatever the final frame lets through.
+            while dequeue_both(&mut port, &mut model) {}
         }
-        // Drain whatever the final frame lets through.
-        while dequeue_both(&mut port, &mut model) {}
     }
 
     /// Shared-buffer accounting never goes negative, never exceeds the

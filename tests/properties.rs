@@ -251,7 +251,7 @@ fn random_traces_complete_under_bfc() {
             assert_eq!(result.completed_flows, result.total_flows);
             assert_eq!(result.drops, 0);
             for record in &result.records {
-                assert!(record.fct >= record.ideal_fct || record.slowdown() >= 1.0);
+                assert!(record.slowdown() >= 1.0, "{record:?}");
             }
         },
     );
